@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-replication vet vet-compat lint bench bench-smoke chaos chaos-replica overload torture ingest check clean
+.PHONY: all build test race race-replication vet vet-compat lint bench bench-smoke bench-repo-smoke chaos chaos-replica overload torture ingest check clean
 
 all: check
 
@@ -22,18 +22,20 @@ test:
 # goroutines, mid-gather cancellation, failover), the replica sets
 # (WAL shipping, lag-bounded routing, promotion), and the resilience
 # layer (sources hammered by concurrent fetchers, health map read
-# during sync, mobile sessions).
+# during sync, mobile sessions), plus the two layers underneath them
+# all: the MVCC store (pinned index walks and gathers against a
+# concurrent committer) and the fault-injecting VFS.
 race:
 	$(GO) test -race ./internal/query/... ./internal/core/... \
 		./internal/shard/... ./internal/replica/... \
 		./internal/source/... ./internal/integrate/... ./internal/mobile/... \
-		./internal/admission/...
+		./internal/admission/... ./internal/store/... ./internal/vfs/...
 	$(GO) test -race -run 'TestRunT9|TestRunT12' ./internal/experiments/
 
 vet:
 	$(GO) vet ./...
 
-# Vet-driver compatibility: the full ten-analyzer suite under
+# Vet-driver compatibility: the full eleven-analyzer suite under
 # `go vet -vettool`, one invocation per package with cross-package
 # facts shipped through the driver's .vetx side files. Exercises a
 # different code path than `make lint` (per-package configs, fact
@@ -54,12 +56,13 @@ race-replication:
 	$(GO) test -race -count=1 -timeout=180s ./internal/replica/... ./internal/shard/...
 
 # Static-analysis gate: go vet, then the drugtree analyzer suite
-# (clockcheck, ctxcheck, fscheck, lockcheck, spawncheck, wrapcheck,
-# plus the fact-propagating lockorder, errcmp, atomiccheck, sendcheck
-# — see DESIGN.md "Static-analysis gates"). staticcheck runs when a
+# (clockcheck, ctxcheck, fscheck, lockcheck, snapcheck, spawncheck,
+# wrapcheck, plus the fact-propagating lockorder, errcmp, atomiccheck,
+# sendcheck — see DESIGN.md "Static-analysis gates"), over this module
+# and over the repository benchmark's own module under bench/. staticcheck runs when a
 # pinned binary is available; the container image does not bake one in
 # and the build is offline, so it is gated rather than required.
-# Baseline (2026-08-08): 0 findings over all ten analyzers,
+# Baseline (2026-08-08): 0 findings over all eleven analyzers,
 # suppressions ctxcheck 1/1 (mobile/server.go async prefetch root)
 # and lockcheck 1/1 (store/db.go checkpoint fsync under db.mu).
 STATICCHECK ?= staticcheck
@@ -73,6 +76,7 @@ lint: vet
 		echo "staticcheck not installed; skipping (pin $(STATICCHECK_VERSION) when available)"; \
 	fi
 	$(GO) run ./cmd/drugtree-lint ./...
+	cd bench && $(GO) run drugtree/cmd/drugtree-lint ./...
 
 # One-iteration smoke over every benchmark in the tree: -benchtime=1x
 # compiles and executes each Benchmark* once, so a bit-rotted
@@ -81,6 +85,14 @@ lint: vet
 # bench` and the experiment tables.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
+# The repository benchmark (BENCHMARK.json, bench/) is a nested module
+# that `./...` never reaches: its own tests build it and run every
+# workload once at smoke size with the output checks on (≈ 15 s), so a
+# change that breaks what the harness calls fails here, not in the
+# driver.
+bench-repo-smoke:
+	cd bench && $(GO) test ./...
 
 # Parallel-executor microbenchmarks plus the experiment tables.
 bench:
@@ -135,7 +147,7 @@ ingest:
 	$(GO) test -race -count=1 -timeout=300s -run TestRunT14 -v ./internal/experiments/
 	$(GO) run ./cmd/drugtree-bench -exp T14
 
-check: lint vet-compat build test bench-smoke race chaos-replica
+check: lint vet-compat build test bench-smoke bench-repo-smoke race chaos-replica
 
 clean:
 	$(GO) clean ./...

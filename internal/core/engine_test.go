@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
@@ -527,5 +528,43 @@ func TestQueryStmtCacheBypassesAdmission(t *testing.T) {
 	defer release()
 	if _, err := e.Query(context.Background(), q); err != nil {
 		t.Fatalf("stmt-cache hit shed by admission: %v", err)
+	}
+}
+
+// TestTwoBuildsNumberCladesIdentically: two engines built from the same
+// dataset (separate stores, so separate map iteration orders) must
+// materialize byte-identical tree_nodes — same topology, same preorder
+// numbers, same clade names — or a clade name means a different subtree
+// from one process to the next.
+func TestTwoBuildsNumberCladesIdentically(t *testing.T) {
+	dump := func() []string {
+		// k-mer distances tie far more often than alignment scores do, so
+		// this is the method where input order shows.
+		cfg := DefaultConfig()
+		cfg.Method = TreeNJKmer
+		e := buildEngine(t, cfg)
+		tab, err := e.DB().Table(TreeTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		tab.Scan(func(_ int64, r store.Row) bool {
+			rows = append(rows, string(store.AppendRow(nil, r)))
+			return true
+		})
+		sort.Strings(rows)
+		return rows
+	}
+	first := dump()
+	for build := 0; build < 3; build++ {
+		next := dump()
+		if len(next) != len(first) {
+			t.Fatalf("build %d: %d tree_nodes rows, first build has %d", build, len(next), len(first))
+		}
+		for i := range first {
+			if first[i] != next[i] {
+				t.Fatalf("build %d: tree_nodes row %d differs from the first build", build, i)
+			}
+		}
 	}
 }

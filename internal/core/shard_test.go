@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"drugtree/internal/netsim"
+	"drugtree/internal/query"
 	"drugtree/internal/store"
 )
 
@@ -314,5 +315,87 @@ func TestShardedEngineDegradedHealth(t *testing.T) {
 	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("degraded COUNT returned %d rows", len(res.Rows))
+	}
+}
+
+// TestBenchShapesMatchAcrossTopologies runs the six statement shapes of
+// the repository benchmark (texts copied from bench/oplist.go, which
+// this module cannot import) on Shards ∈ {1, 3} and requires the
+// answers a bare naive engine — scan, filter, sort: none of the index
+// access paths — gives over the same store: identical row multisets
+// (floats to ten digits), and for the ranked shapes the exact sort-key
+// sequence, rows tied with the cut key aside. The single-node plans
+// must take the paths the shapes are there to exercise.
+func TestBenchShapesMatchAcrossTopologies(t *testing.T) {
+	single := buildEngine(t, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Shards = 3
+	sharded, err := NewWithTree(single.DB(), single.Tree(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sharded.Close() })
+	naive := query.NewEngine(query.NewDBCatalog(single.DB(), single.Tree()), query.NaiveOptions())
+
+	// A clade of 2–4 of the 24 leaves stays under the union crossover.
+	tree := single.Tree()
+	clade := ""
+	for i := 1; i < tree.Len() && clade == ""; i++ {
+		if id := tree.NodeAtPre(i); !tree.Node(id).IsLeaf() && tree.LeafCount(id) <= 4 {
+			clade = tree.Node(id).Name
+		}
+	}
+	shapes := []struct {
+		name, q, path string
+		key           int // sort-key column of a ranked shape, -1 otherwise
+	}{
+		{"overlay_agg", fmt.Sprintf("SELECT COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s')", clade), "OverlayRead", -1},
+		{"subtree_join", fmt.Sprintf("SELECT p.accession, a.ligand_id, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE WITHIN_SUBTREE(p.accession, '%s') AND a.affinity >= %.3f ORDER BY a.affinity DESC LIMIT %d", clade, 5.5, 100), "IndexUnionScan activities", 2},
+		{"topk", fmt.Sprintf("SELECT protein_id, ligand_id, affinity FROM activities WHERE affinity >= %.3f ORDER BY affinity DESC LIMIT 20", 5.5), "order=DESC limit=20", 2},
+		{"integration3", fmt.Sprintf("SELECT p.accession, n.organism, l.weight, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id JOIN ligands l ON a.ligand_id = l.ligand_id JOIN annotations n ON p.accession = n.protein_id WHERE p.family = '%s' AND a.affinity >= %.3f ORDER BY a.affinity DESC LIMIT %d", "FAM01", 5.5, 100), "IndexScan proteins", 3},
+		{"ligand_rank", fmt.Sprintf("SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s') GROUP BY ligand_id ORDER BY AVG(affinity) DESC LIMIT %d", clade, 10), "IndexUnionScan activities", 2},
+		{"family_agg", fmt.Sprintf("SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE a.affinity >= %.3f GROUP BY p.family", 5.5), "IndexRangeScan activities", -1},
+	}
+	ctx := context.Background()
+	canonVal := func(v store.Value) string { return canonShardRow(store.Row{v}) }
+	for _, sh := range shapes {
+		plan, err := single.Query(ctx, "EXPLAIN "+sh.q)
+		if err != nil {
+			t.Fatalf("%s: EXPLAIN: %v", sh.name, err)
+		}
+		if !strings.Contains(plan.Plan, sh.path) {
+			t.Fatalf("%s: single-node plan lacks %q:\n%s", sh.name, sh.path, plan.Plan)
+		}
+		want, err := naive.Query(ctx, sh.q)
+		if err != nil {
+			t.Fatalf("%s: naive: %v", sh.name, err)
+		}
+		for topo, e := range map[string]*Engine{"shards=1": single, "shards=3": sharded} {
+			got, err := e.Query(ctx, sh.q)
+			if err != nil {
+				t.Fatalf("%s [%s]: %v", sh.name, topo, err)
+			}
+			if len(got.Rows) != len(want.Rows) {
+				t.Fatalf("%s [%s]: %d rows, naive has %d", sh.name, topo, len(got.Rows), len(want.Rows))
+			}
+			counts := map[string]int{}
+			for i, w := range want.Rows {
+				if sh.key >= 0 {
+					if canonVal(w[sh.key]) != canonVal(got.Rows[i][sh.key]) {
+						t.Fatalf("%s [%s]: sort key %d is %v, naive has %v", sh.name, topo, i, got.Rows[i][sh.key], w[sh.key])
+					}
+					if canonVal(w[sh.key]) == canonVal(want.Rows[len(want.Rows)-1][sh.key]) {
+						continue // tied with the cut: any of the tied rows is right
+					}
+				}
+				counts[canonShardRow(w)]++
+				counts[canonShardRow(got.Rows[i])]--
+			}
+			for k, n := range counts {
+				if n != 0 {
+					t.Fatalf("%s [%s]: rows differ from the naive engine at %s", sh.name, topo, k)
+				}
+			}
+		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package experiments implements the DrugTree evaluation suite: every
-// table (T1–T4) and figure (F1–F4) in EXPERIMENTS.md is regenerated
+// table (T1–T14) and figure (F1–F4) in EXPERIMENTS.md is regenerated
 // by one Run* function. cmd/drugtree-bench prints them; bench_test.go
 // wraps them as testing.B benchmarks.
 //

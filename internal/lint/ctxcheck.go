@@ -38,11 +38,13 @@ var replicaCtxVerbs = []string{"Ship", "Apply", "Promote"}
 
 // ctxExemptSegments are path segments whose packages ctxcheck skips
 // entirely: command mains and examples are context roots by
-// definition, the lint tree itself runs no blocking work, and vfs is
-// the filesystem seam whose File/FS interfaces must mirror *os.File's
-// context-free method set (Sync, SyncDir) — a context parameter there
-// would diverge the seam from the os passthrough it abstracts.
-var ctxExemptSegments = []string{"cmd", "examples", "lint", "testdata_exempt", "vfs"}
+// definition (bench is the repository benchmark's main, a module of
+// its own that `make lint` runs the suite over too), the lint tree
+// itself runs no blocking work, and vfs is the filesystem seam whose
+// File/FS interfaces must mirror *os.File's context-free method set
+// (Sync, SyncDir) — a context parameter there would diverge the seam
+// from the os passthrough it abstracts.
+var ctxExemptSegments = []string{"bench", "cmd", "examples", "lint", "testdata_exempt", "vfs"}
 
 // CtxCheck enforces context threading: exported functions that fetch,
 // sync, serve, or run blocking work must accept context.Context, and

@@ -236,6 +236,17 @@ func datagenCatalog(t testing.TB, seed int64) *DBCatalog {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ann, err := db.CreateTable("annotations", store.MustSchema(
+		store.Column{Name: "protein_id", Kind: store.KindString},
+		store.Column{Name: "organism", Kind: store.KindString},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range ds.Annotations {
+		ann.Insert(store.Row{store.StringValue(a.ProteinID), store.StringValue(a.Organism)})
+	}
+	ann.CreateIndex("protein_id", store.IndexHash)
 	for _, p := range ds.Proteins {
 		prot.Insert(store.Row{
 			store.StringValue(p.ID),
@@ -263,6 +274,13 @@ func datagenCatalog(t testing.TB, seed int64) *DBCatalog {
 	tree := ds.TrueTree
 	if err := tree.Index(); err != nil {
 		t.Fatal(err)
+	}
+	// The generator names leaves only; clades get their preorder number
+	// so WITHIN_SUBTREE can address them (the root is clade_0).
+	for i := 0; i < tree.Len(); i++ {
+		if n := tree.Node(tree.NodeAtPre(i)); n.Name == "" {
+			n.Name = fmt.Sprintf("clade_%d", i)
+		}
 	}
 	nodes, err := db.CreateTable("tree_nodes", store.MustSchema(
 		store.Column{Name: "pre", Kind: store.KindInt},
@@ -318,7 +336,10 @@ func TestDifferentialDatagen(t *testing.T) {
 	if tab.Len() < 2*morselSize {
 		t.Fatalf("activities has %d rows; need >= %d for multi-morsel coverage", tab.Len(), 2*morselSize)
 	}
-	g := &queryGen{rng: rand.New(rand.NewSource(11)), strLits: datagenLiterals()}
+	tree := cat.Tree()
+	g := &queryGen{rng: rand.New(rand.NewSource(11)), strLits: datagenLiterals(), nodes: []string{
+		"clade_0", cladeOfSize(t, tree, 30, 30), cladeOfSize(t, tree, 8, 16), cladeOfSize(t, tree, 2, 4), "DT00017",
+	}}
 	for i := 0; i < 60; i++ {
 		q, ordered := g.generate()
 		runDifferential(t, cat, q, ordered)
@@ -347,4 +368,18 @@ func TestParallelismDefaults(t *testing.T) {
 	if got := o.EffectiveParallelism(); got != 3 {
 		t.Fatalf("EffectiveParallelism() = %d, want 3", got)
 	}
+}
+
+// cladeOfSize names the first clade (in preorder) of the datagen tree
+// with lo..hi leaves.
+func cladeOfSize(t testing.TB, tree *phylo.Tree, lo, hi int) string {
+	t.Helper()
+	for i := 0; i < tree.Len(); i++ {
+		id := tree.NodeAtPre(i)
+		if n := tree.LeafCount(id); !tree.Node(id).IsLeaf() && n >= lo && n <= hi {
+			return tree.Node(id).Name
+		}
+	}
+	t.Fatalf("tree has no clade of %d..%d leaves", lo, hi)
+	return ""
 }

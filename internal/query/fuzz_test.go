@@ -17,6 +17,18 @@ type queryGen struct {
 	// strLits overrides the string literal pool (the differential
 	// harness points it at the datagen catalog's ID universe).
 	strLits []string
+	// nodes overrides the tree-node name pool WITHIN_SUBTREE draws from.
+	nodes []string
+}
+
+// node draws a tree-node name: clades of several sizes and a leaf, so
+// subtree predicates land on both sides of the union/scan crossover.
+func (g *queryGen) node() string {
+	pool := []string{"root", "FAM0", "FAM1", "P001"}
+	if g.nodes != nil {
+		pool = g.nodes
+	}
+	return pool[g.rng.Intn(len(pool))]
 }
 
 // column universe of the test catalog, per table.
@@ -80,7 +92,9 @@ func (g *queryGen) predicate(alias, table string, depth int) string {
 	case "bool":
 		return fmt.Sprintf("%s = %s", ref, g.literal("bool"))
 	case "string":
-		switch g.rng.Intn(5) {
+		switch g.rng.Intn(6) {
+		case 5:
+			return fmt.Sprintf("WITHIN_SUBTREE(%s, '%s')", ref, g.node())
 		case 0:
 			return fmt.Sprintf("%s = %s", ref, g.literal("string"))
 		case 1:
@@ -99,6 +113,9 @@ func (g *queryGen) predicate(alias, table string, depth int) string {
 			return fmt.Sprintf("%s IN (%s, %s)", ref, g.literal("string"), g.literal("string"))
 		}
 	default:
+		if c.name == "pre" && g.rng.Intn(4) == 0 {
+			return fmt.Sprintf("WITHIN_SUBTREE(%s, '%s')", ref, g.node())
+		}
 		ops := []string{"=", "!=", "<", "<=", ">", ">="}
 		op := ops[g.rng.Intn(len(ops))]
 		if g.rng.Float64() < 0.25 {
@@ -110,8 +127,41 @@ func (g *queryGen) predicate(alias, table string, depth int) string {
 	}
 }
 
+// generateAggregate emits the benchmark's grouped shapes (ligand_rank,
+// family_agg): GROUP BY one column of activities, alone or joined to
+// proteins, under random predicates, optionally ranked and cut. The
+// aggregates are exact ones (COUNT, MAX): float sums depend on scan
+// order. A ranked query leads with COUNT(*), its sort key.
+func (g *queryGen) generateAggregate() (string, bool) {
+	from, groups := "activities a", []string{"a.ligand_id", "a.protein_id"}
+	preds := []string{}
+	if g.rng.Intn(2) == 0 {
+		from = "proteins p JOIN activities a ON p.accession = a.protein_id"
+		groups = append(groups, "p.family")
+		if g.rng.Intn(2) == 0 {
+			preds = append(preds, g.predicate("p", "proteins", 1))
+		}
+	}
+	if g.rng.Intn(3) > 0 {
+		preds = append(preds, g.predicate("a", "activities", 1))
+	}
+	where := ""
+	if len(preds) > 0 {
+		where = " WHERE " + strings.Join(preds, " AND ")
+	}
+	group := groups[g.rng.Intn(len(groups))]
+	if g.rng.Intn(2) == 0 {
+		return fmt.Sprintf("SELECT %s, COUNT(*), MAX(a.affinity) FROM %s%s GROUP BY %s", group, from, where, group), false
+	}
+	return fmt.Sprintf("SELECT COUNT(*), %s FROM %s%s GROUP BY %s ORDER BY COUNT(*) DESC LIMIT %d",
+		group, from, where, group, 1+g.rng.Intn(12)), true
+}
+
 // generate emits one random query (and whether it is order-sensitive).
 func (g *queryGen) generate() (string, bool) {
+	if g.rng.Intn(6) == 0 {
+		return g.generateAggregate()
+	}
 	type rel struct{ table, alias string }
 	shapes := [][]rel{
 		{{"proteins", "p"}},

@@ -32,19 +32,44 @@ type LogicalPlan interface {
 // ScanNode reads a base table. Conjuncts are predicates pushed into
 // the scan; the physical planner chooses an access path from them.
 type ScanNode struct {
-	Table     string
-	Alias     string
-	schema    *planSchema
+	Table string
+	Alias string
+	// schema describes the rows the scan emits: base, narrowed to proj
+	// once column pruning has run.
+	schema *planSchema
+	// base is the table's full schema; Conjuncts bind against it.
+	base *planSchema
+	// proj lists the table columns the scan emits, in order; nil emits
+	// them all. pruneColumns sets it, so dead columns are never copied
+	// out of the store.
+	proj      []int
 	Conjuncts []Expr
+	// topK is set when ORDER BY one of this scan's columns LIMIT k sits
+	// directly above it (see pushTopK).
+	topK *scanTopK
 }
 
 func (s *ScanNode) Schema() *planSchema     { return s.schema }
 func (s *ScanNode) Children() []LogicalPlan { return nil }
+
+// colsNote renders the projection of a narrowed scan.
+func (s *ScanNode) colsNote() string {
+	if s.proj == nil {
+		return ""
+	}
+	names := make([]string, len(s.schema.cols))
+	for i, c := range s.schema.cols {
+		names[i] = c.Name
+	}
+	return " cols=(" + strings.Join(names, ", ") + ")"
+}
+
 func (s *ScanNode) describe() string {
 	d := fmt.Sprintf("Scan %s", s.Table)
 	if s.Alias != s.Table {
 		d += " AS " + s.Alias
 	}
+	d += s.colsNote()
 	if len(s.Conjuncts) > 0 {
 		parts := make([]string, len(s.Conjuncts))
 		for i, c := range s.Conjuncts {
@@ -187,7 +212,8 @@ func BuildLogical(stmt *SelectStmt, cat Catalog) (LogicalPlan, error) {
 			return nil, fmt.Errorf("query: duplicate table alias %q", alias)
 		}
 		seen[alias] = true
-		return &ScanNode{Table: ref.Name, Alias: alias, schema: scanSchema(t, alias)}, nil
+		schema := scanSchema(t, alias)
+		return &ScanNode{Table: ref.Name, Alias: alias, schema: schema, base: schema}, nil
 	}
 	plan, err := mkScan(stmt.From)
 	if err != nil {

@@ -20,7 +20,9 @@ func mergeJoinable(n *JoinNode, leftKeys, rightKeys []*boundExpr, ec *execCtx) (
 	}
 	ls, lok := n.Left.(*ScanNode)
 	rs, rok := n.Right.(*ScanNode)
-	if !lok || !rok {
+	// Narrowed scans stay on the hash join: the merge inputs are read
+	// whole, in index order, and address the key by table column.
+	if !lok || !rok || ls.proj != nil || rs.proj != nil {
 		return nil, nil, "", "", false
 	}
 	lref, lok := leftKeys[0].src.(*ColumnRef)
@@ -53,11 +55,10 @@ func buildOrderedScan(n *ScanNode, col string, ec *execCtx, depth int) (iterator
 	if err != nil {
 		return nil, 0, err
 	}
-	ids, err := tv.LookupRange(col, nil, nil)
+	rows, _, err := tv.GatherRows(ec.ctx, store.Access{Column: col})
 	if err != nil {
 		return nil, 0, err
 	}
-	rows := tv.Rows(ids)
 	atomic.AddInt64(&ec.stats.RowsIndexed, int64(len(rows)))
 	op := ec.note(depth, "OrderedIndexScan %s (by %s)%s", n.Table, col,
 		residualNote(accessPath{residual: n.Conjuncts}))

@@ -82,11 +82,20 @@ func Optimize(plan LogicalPlan, cat Catalog, opts Options) (LogicalPlan, error) 
 			return nil, err
 		}
 	}
+	if opts.Pushdown {
+		// After join ordering, so the copied predicates change how a scan
+		// is read, never which join runs first.
+		for propagateSubtrees(plan) {
+		}
+	}
 	if opts.ConstantFold {
 		plan = foldPlan(plan)
 	}
 	if opts.PruneColumns {
 		plan = pruneColumns(plan)
+	}
+	if opts.UseIndexes {
+		pushTopK(plan)
 	}
 	return plan, nil
 }
@@ -396,6 +405,90 @@ func pushInto(plan *LogicalPlan, conjs []Expr) []Expr {
 		return remaining
 	}
 	return conjs
+}
+
+// --- Subtree predicates across equi-joins ---
+
+// propagateSubtrees copies pushed WITHIN_SUBTREE predicates across
+// inner equi-join keys: with l = r in a join condition,
+// WITHIN_SUBTREE(l, X) on l's scan implies WITHIN_SUBTREE(r, X) on r's
+// (every joined row carries equal keys, and NULL keys neither join nor
+// lie in a subtree), so the other side can be driven from the clade's
+// keys too instead of being read whole and filtered by the join. It
+// reports whether it added a conjunct; the caller repeats until nothing
+// changes, which carries a predicate along a chain of joins.
+func propagateSubtrees(node LogicalPlan) bool {
+	changed := false
+	if j, ok := node.(*JoinNode); ok {
+		for _, c := range splitConjuncts(j.Cond) {
+			b, ok := c.(*BinaryExpr)
+			if !ok || b.Op != OpEq {
+				continue
+			}
+			l, lok := b.L.(*ColumnRef)
+			r, rok := b.R.(*ColumnRef)
+			if lok && rok {
+				changed = copySubtree(j, l, r) || copySubtree(j, r, l) || changed
+			}
+		}
+	}
+	for _, c := range node.Children() {
+		changed = propagateSubtrees(c) || changed
+	}
+	return changed
+}
+
+// joinScan finds the scan under an inner-join tree (through filters)
+// whose schema resolves ref to a string column, and the column's name.
+func joinScan(p LogicalPlan, ref *ColumnRef) (*ScanNode, string) {
+	switch n := p.(type) {
+	case *ScanNode:
+		if ref.Qualifier != "" && ref.Qualifier != n.Alias {
+			return nil, "" // a failed resolve formats an error: skip it
+		}
+		if i, err := n.schema.resolve(ref); err == nil && n.schema.cols[i].Kind == store.KindString {
+			return n, n.schema.cols[i].Name
+		}
+	case *FilterNode:
+		return joinScan(n.Input, ref)
+	case *JoinNode:
+		if s, name := joinScan(n.Left, ref); s != nil {
+			return s, name
+		}
+		return joinScan(n.Right, ref)
+	}
+	return nil, ""
+}
+
+// copySubtree copies each subtree conjunct on from's scan column to
+// to's scan, unless an equal conjunct is already there.
+func copySubtree(j *JoinNode, from, to *ColumnRef) bool {
+	src, srcCol := joinScan(j, from)
+	if src == nil {
+		return false
+	}
+	changed := false
+	for _, c := range src.Conjuncts {
+		x, ok := c.(*SubtreeExpr)
+		if !ok || x.Column.Name != srcCol {
+			continue
+		}
+		dst, dstCol := joinScan(j, to)
+		if dst == nil || dst == src {
+			return false
+		}
+		dup := false
+		for _, d := range dst.Conjuncts {
+			y, ok := d.(*SubtreeExpr)
+			dup = dup || (ok && y.Column.Name == dstCol && y.Node == x.Node)
+		}
+		if !dup {
+			dst.Conjuncts = append(dst.Conjuncts[:len(dst.Conjuncts):len(dst.Conjuncts)],
+				&SubtreeExpr{Column: &ColumnRef{Qualifier: dst.Alias, Name: dstCol}, Node: x.Node})
+			changed = true
+		}
+	}
+	return changed
 }
 
 // --- Join reordering ---

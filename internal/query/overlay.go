@@ -55,19 +55,6 @@ type OverlayCatalog interface {
 // overlay read can never mix versions with the statement's other
 // scans. EXPLAIN renders the leaf as "OverlayRead table@node
 // [version=V rows=N]".
-// isIdentityProject reports whether every projected expression is a
-// bare column reference carrying its own name — a row-preserving,
-// rename-free pruning projection.
-func isIdentityProject(p *ProjectNode) bool {
-	for i, e := range p.Exprs {
-		col, ok := e.(*ColumnRef)
-		if !ok || col.Name != p.Names[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func tryOverlayRead(n *AggNode, ec *execCtx, depth int) (iterator, bool) {
 	if !ec.opts.UseIndexes || ec.snap == nil || len(n.GroupBy) != 0 || len(n.Aggs) == 0 {
 		return nil, false
@@ -80,15 +67,7 @@ func tryOverlayRead(n *AggNode, ec *execCtx, depth int) (iterator, bool) {
 	if ov == nil {
 		return nil, false
 	}
-	in := n.Input
-	// Column pruning inserts a pure pass-through projection between the
-	// aggregate and the scan; it neither filters nor renames (each
-	// output is a bare column keeping its own name), so the rewrite
-	// looks through it.
-	if pj, ok := in.(*ProjectNode); ok && isIdentityProject(pj) {
-		in = pj.Input
-	}
-	scan, ok := in.(*ScanNode)
+	scan, ok := n.Input.(*ScanNode)
 	if !ok || scan.Table != ov.Table() || len(scan.Conjuncts) != 1 {
 		return nil, false
 	}

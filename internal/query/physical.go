@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"drugtree/internal/phylo"
 	"drugtree/internal/store"
 )
 
@@ -169,15 +170,9 @@ func buildIterator(p LogicalPlan, ec *execCtx, depth int) (iterator, error) {
 	case *AggNode:
 		return buildAgg(n, ec, depth)
 	case *SortNode:
-		keys := make([]*boundExpr, len(n.Keys))
-		descs := make([]bool, len(n.Keys))
-		for i, k := range n.Keys {
-			be, err := bind(k.Expr, ec.env(n.Input.Schema()))
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = be
-			descs[i] = k.Desc
+		keys, descs, err := bindSortKeys(n, ec)
+		if err != nil {
+			return nil, err
 		}
 		op := ec.note(depth, "%s", n.describe())
 		in, err := buildIterator(n.Input, ec, depth+1)
@@ -200,15 +195,9 @@ func buildIterator(p LogicalPlan, ec *execCtx, depth int) (iterator, error) {
 			}
 		}
 		if sortNode, ok := n.Input.(*SortNode); ok && ec.opts.UseIndexes && n.N > 0 {
-			keys := make([]*boundExpr, len(sortNode.Keys))
-			descs := make([]bool, len(sortNode.Keys))
-			for i, k := range sortNode.Keys {
-				be, err := bind(k.Expr, ec.env(sortNode.Input.Schema()))
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = be
-				descs[i] = k.Desc
+			keys, descs, err := bindSortKeys(sortNode, ec)
+			if err != nil {
+				return nil, err
 			}
 			op := ec.note(depth, "TopK %d (%s)", n.N, sortNode.describe())
 			in, err := buildIterator(sortNode.Input, ec, depth+1)
@@ -227,27 +216,79 @@ func buildIterator(p LogicalPlan, ec *execCtx, depth int) (iterator, error) {
 	return nil, fmt.Errorf("query: cannot execute %T", p)
 }
 
+// bindSortKeys binds a sort's key expressions against its input.
+func bindSortKeys(n *SortNode, ec *execCtx) ([]*boundExpr, []bool, error) {
+	keys := make([]*boundExpr, len(n.Keys))
+	descs := make([]bool, len(n.Keys))
+	for i, k := range n.Keys {
+		be, err := bind(k.Expr, ec.env(n.Input.Schema()))
+		if err != nil {
+			return nil, nil, err
+		}
+		keys[i] = be
+		descs[i] = k.Desc
+	}
+	return keys, descs, nil
+}
+
 // --- Scans ---
 
 // accessPath describes the chosen way into a table.
 type accessPath struct {
-	kind   string // "seqscan", "indexeq", "indexrange"
+	kind   string // "seqscan", "indexeq", "indexrange", "indexunion"
 	column string
 	eq     store.Value
 	lo, hi *store.Value
 	loOpen bool // lo bound is exclusive (>)
 	hiOpen bool // hi bound is exclusive (<)
+	// indexunion: the clade whose node names are probed, and the names.
+	clade string
+	keys  []store.Value
+	// indexrange under a TopK on the same column: the walk runs in sort
+	// order and stops after limit qualifying rows (0: whole range).
+	desc  bool
+	limit int
 	// residual predicates evaluated per row.
 	residual []Expr
 }
 
-// chooseAccessPath inspects pushed conjuncts and the table's indexes.
-func chooseAccessPath(n *ScanNode, t *store.Table, useIndexes bool) accessPath {
-	path := accessPath{kind: "seqscan", residual: n.Conjuncts}
-	if !useIndexes {
-		return path
+// unionScanMaxShare is the crossover between a key-union gather and a
+// sequential scan: the union is chosen when its postings number under
+// 1/unionScanMaxShare of the table. On a 48k-row activities table a
+// gathered row costs ≈ 0.34 µs (a map lookup per posting) and a
+// scanned one ≈ 0.07 µs bare, ≈ 0.18 µs with three columns copied out
+// (EXPERIMENTS.md "Access paths"): break-even lies between a half and
+// a fifth of the table, and the conservative end is used — a scan's
+// residual filter runs in parallel, a union's does not.
+const unionScanMaxShare = 5
+
+// without returns conjs minus the entries at the given positions.
+func without(conjs []Expr, drop ...int) []Expr {
+	out := make([]Expr, 0, len(conjs))
+	for i, c := range conjs {
+		keep := true
+		for _, d := range drop {
+			keep = keep && i != d
+		}
+		if keep {
+			out = append(out, c)
+		}
 	}
-	// Equality on an indexed column wins.
+	return out
+}
+
+// chooseAccessPath inspects pushed conjuncts and the table's indexes.
+// Equality on an indexed column wins; otherwise the candidates are a
+// B+-tree range and a key union over a clade's node names, sized by
+// counting the index postings each would visit (an index dive: exact,
+// and unlike table statistics never stale after a commit). The choice
+// is made here, once, so the row and vectorized builders render the
+// same plan and hand the same store.Access to the store.
+func chooseAccessPath(n *ScanNode, t *store.Table, tree *phylo.Tree, useIndexes bool) accessPath {
+	seq := accessPath{kind: "seqscan", residual: n.Conjuncts}
+	if !useIndexes {
+		return seq
+	}
 	for i, c := range n.Conjuncts {
 		b, ok := c.(*BinaryExpr)
 		if !ok || b.Op != OpEq {
@@ -260,12 +301,70 @@ func chooseAccessPath(n *ScanNode, t *store.Table, useIndexes bool) accessPath {
 		if _, indexed := t.HasIndex(col.Name); !indexed {
 			continue
 		}
-		res := make([]Expr, 0, len(n.Conjuncts)-1)
-		res = append(res, n.Conjuncts[:i]...)
-		res = append(res, n.Conjuncts[i+1:]...)
-		return accessPath{kind: "indexeq", column: col.Name, eq: lit.Val, residual: res}
+		return accessPath{kind: "indexeq", column: col.Name, eq: lit.Val, residual: without(n.Conjuncts, i)}
 	}
-	// Range bounds on one B+-tree-indexed column.
+	union, unionCost := chooseUnion(n, t, tree)
+	rng := chooseRange(n, t)
+	// With both on offer — each gathers through an index at the same
+	// cost per row — take the one that visits fewer postings.
+	if union.kind != "" && (rng.kind == "" ||
+		t.CountPostings(store.Access{Column: rng.column, Lo: rng.lo, Hi: rng.hi}, unionCost) > unionCost) {
+		return union
+	}
+	if rng.kind == "" {
+		return seq
+	}
+	if k := n.topK; k != nil && k.column == rng.column {
+		rng.desc, rng.limit = k.desc, k.limit
+	}
+	return rng
+}
+
+// chooseUnion looks for WITHIN_SUBTREE(strcol, clade) on an indexed
+// string column and returns the key-union path over the clade's node
+// names with its posting count, or a zero path when there is none or
+// the union would touch too much of the table.
+func chooseUnion(n *ScanNode, t *store.Table, tree *phylo.Tree) (accessPath, int) {
+	if tree == nil {
+		return accessPath{}, 0
+	}
+	budget := t.Len() / unionScanMaxShare
+	for i, c := range n.Conjuncts {
+		x, ok := c.(*SubtreeExpr)
+		if !ok {
+			continue
+		}
+		ci := t.Schema().ColumnIndex(x.Column.Name)
+		if ci < 0 || t.Schema().Columns[ci].Kind != store.KindString {
+			continue
+		}
+		if _, indexed := t.HasIndex(x.Column.Name); !indexed {
+			continue
+		}
+		node, err := findTreeNode(tree, x.Node)
+		if err != nil || tree.LeafCount(node) > budget {
+			continue
+		}
+		lo, hi := tree.SubtreeInterval(node)
+		keys := make([]store.Value, 0, hi-lo+1)
+		for name := range subtreeNameSet(tree, lo, hi) {
+			keys = append(keys, store.StringValue(name))
+		}
+		// Set order is random; sorted keys make the gather order (and so
+		// every downstream tie-break) a function of the data alone.
+		sort.Slice(keys, func(a, b int) bool { return keys[a].S < keys[b].S })
+		cost := t.CountPostings(store.Access{Column: x.Column.Name, Keys: keys}, budget)
+		if cost > budget {
+			continue
+		}
+		return accessPath{kind: "indexunion", column: x.Column.Name, clade: x.Node, keys: keys, residual: without(n.Conjuncts, i)}, cost
+	}
+	return accessPath{}, 0
+}
+
+// chooseRange collects range bounds on one B+-tree-indexed column, or
+// returns a zero path.
+func chooseRange(n *ScanNode, t *store.Table) accessPath {
 	type bound struct {
 		v    store.Value
 		open bool
@@ -337,7 +436,7 @@ func chooseAccessPath(n *ScanNode, t *store.Table, useIndexes bool) accessPath {
 		}
 	}
 	if bestCol == "" {
-		return path
+		return accessPath{}
 	}
 	out := accessPath{kind: "indexrange", column: bestCol}
 	if b, ok := los[bestCol]; ok {
@@ -350,15 +449,7 @@ func chooseAccessPath(n *ScanNode, t *store.Table, useIndexes bool) accessPath {
 		out.hi = &v
 		out.hiOpen = b.open
 	}
-	used := map[int]bool{}
-	for _, i := range usable[bestCol] {
-		used[i] = true
-	}
-	for i, c := range n.Conjuncts {
-		if !used[i] {
-			out.residual = append(out.residual, c)
-		}
-	}
+	out.residual = without(n.Conjuncts, usable[bestCol]...)
 	// Exclusive bounds are re-checked as residuals (the index range
 	// is inclusive).
 	if out.loOpen || out.hiOpen {
@@ -369,74 +460,123 @@ func chooseAccessPath(n *ScanNode, t *store.Table, useIndexes bool) accessPath {
 	return out
 }
 
-func buildScan(n *ScanNode, ec *execCtx, depth int) (iterator, error) {
+// describe renders the scan's plan line.
+func (p accessPath) describe(n *ScanNode) string {
+	var d string
+	switch p.kind {
+	case "indexeq":
+		d = fmt.Sprintf("IndexScan %s (%s = %v)", n.Table, p.column, p.eq)
+	case "indexrange":
+		d = fmt.Sprintf("IndexRangeScan %s (%s in [%s, %s])", n.Table, p.column, boundStr(p.lo), boundStr(p.hi))
+		if p.limit > 0 {
+			dir := "ASC"
+			if p.desc {
+				dir = "DESC"
+			}
+			d += fmt.Sprintf(" order=%s limit=%d", dir, p.limit)
+		}
+	case "indexunion":
+		d = fmt.Sprintf("IndexUnionScan %s (%s ∈ subtree %s, %d keys)", n.Table, p.column, p.clade, len(p.keys))
+	default:
+		d = "SeqScan " + n.Table
+	}
+	return d + n.colsNote() + residualNote(p)
+}
+
+// scanLeaf is a lowered scan: the view it reads, the chosen path, its
+// plan line's counters and — for the index paths — the store access
+// that serves it.
+type scanLeaf struct {
+	tv     *store.TableView
+	path   accessPath
+	op     *OpStats
+	access store.Access
+}
+
+// lowerScan chooses the access path, notes the plan line and, for an
+// index path, builds the store access: index column and keys or range,
+// direction and row cap, projected columns, and the residual as an
+// Accept check the store runs per posting — so rejected rows are never
+// materialized and an ordered walk can stop at its k-th qualifying row.
+func lowerScan(n *ScanNode, ec *execCtx, depth int) (scanLeaf, error) {
 	tv, err := ec.view(n.Table)
+	if err != nil {
+		return scanLeaf{}, err
+	}
+	path := chooseAccessPath(n, tv.Table(), ec.cat.Tree(), ec.opts.UseIndexes)
+	leaf := scanLeaf{tv: tv, path: path}
+	if path.kind != "seqscan" {
+		leaf.access = store.Access{Column: path.column, Lo: path.lo, Hi: path.hi, Desc: path.desc, Limit: path.limit, Keys: path.keys, Cols: n.proj}
+		if path.kind == "indexeq" {
+			leaf.access.Keys = []store.Value{path.eq}
+		}
+		if len(path.residual) > 0 {
+			residual, err := bind(joinConjuncts(path.residual), ec.env(n.base))
+			if err != nil {
+				return scanLeaf{}, err
+			}
+			leaf.access.Accept = residual.evalBool
+		}
+	}
+	leaf.op = ec.note(depth, "%s", path.describe(n))
+	return leaf, nil
+}
+
+// indexed records an index gather's examined-row count.
+func (l scanLeaf) indexed(ec *execCtx, examined int) {
+	atomic.AddInt64(&ec.stats.RowsIndexed, int64(examined))
+	l.op.addIn(int64(examined))
+}
+
+func buildScan(n *ScanNode, ec *execCtx, depth int) (iterator, error) {
+	leaf, err := lowerScan(n, ec, depth)
 	if err != nil {
 		return nil, err
 	}
-	path := chooseAccessPath(n, tv.Table(), ec.opts.UseIndexes)
+	op := leaf.op
+	if leaf.path.kind != "seqscan" {
+		rows, examined, err := leaf.tv.GatherRows(ec.ctx, leaf.access)
+		if err != nil {
+			return nil, err
+		}
+		leaf.indexed(ec, examined)
+		return &sliceIter{rows: rows, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
+	}
 	var residual *boundExpr
-	if len(path.residual) > 0 {
-		be, err := bind(joinConjuncts(path.residual), ec.env(n.schema))
-		if err != nil {
+	if len(leaf.path.residual) > 0 {
+		if residual, err = bind(joinConjuncts(leaf.path.residual), ec.env(n.base)); err != nil {
 			return nil, err
 		}
-		residual = be
 	}
-	switch path.kind {
-	case "indexeq":
-		op := ec.note(depth, "IndexScan %s (%s = %v)%s", n.Table, path.column, path.eq, residualNote(path))
-		ids, err := tv.LookupEqual(path.column, path.eq)
+	if ec.para > 1 {
+		// Morsel-driven scan: snapshot row references (the store
+		// never mutates a stored row in place, so shared reads are
+		// safe), then clone+filter the morsels on the worker pool.
+		refs := leaf.tv.Snapshot()
+		atomic.AddInt64(&ec.stats.RowsScanned, int64(len(refs)))
+		op.addIn(int64(len(refs)))
+		rows, err := parallelFilter(ec.ctx, refs, residual, ec.para)
 		if err != nil {
 			return nil, err
 		}
-		rows := tv.Rows(ids)
-		atomic.AddInt64(&ec.stats.RowsIndexed, int64(len(rows)))
-		op.addIn(int64(len(rows)))
-		return &sliceIter{rows: rows, residual: residual, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-	case "indexrange":
-		op := ec.note(depth, "IndexRangeScan %s (%s in [%s, %s])%s", n.Table, path.column,
-			boundStr(path.lo), boundStr(path.hi), residualNote(path))
-		ids, err := tv.LookupRange(path.column, path.lo, path.hi)
-		if err != nil {
-			return nil, err
-		}
-		rows := tv.Rows(ids)
-		atomic.AddInt64(&ec.stats.RowsIndexed, int64(len(rows)))
-		op.addIn(int64(len(rows)))
-		return &sliceIter{rows: rows, residual: residual, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-	default:
-		op := ec.note(depth, "SeqScan %s%s", n.Table, residualNote(path))
-		if ec.para > 1 {
-			// Morsel-driven scan: snapshot row references (the store
-			// never mutates a stored row in place, so shared reads are
-			// safe), then clone+filter the morsels on the worker pool.
-			refs := tv.Snapshot()
-			atomic.AddInt64(&ec.stats.RowsScanned, int64(len(refs)))
-			op.addIn(int64(len(refs)))
-			rows, err := parallelFilter(ec.ctx, refs, residual, ec.para)
-			if err != nil {
-				return nil, err
-			}
-			return &sliceIter{rows: rows, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-		}
-		var rows []store.Row
-		cancel := canceller{ctx: ec.ctx}
-		var scanErr error
-		tv.Scan(func(_ int64, r store.Row) bool {
-			if scanErr = cancel.check(); scanErr != nil {
-				return false
-			}
-			rows = append(rows, r.Clone())
-			return true
-		})
-		if scanErr != nil {
-			return nil, scanErr
-		}
-		atomic.AddInt64(&ec.stats.RowsScanned, int64(len(rows)))
-		op.addIn(int64(len(rows)))
-		return &sliceIter{rows: rows, residual: residual, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
+		return &sliceIter{rows: rows, proj: n.proj, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
 	}
+	var rows []store.Row
+	cancel := canceller{ctx: ec.ctx}
+	var scanErr error
+	leaf.tv.Scan(func(_ int64, r store.Row) bool {
+		if scanErr = cancel.check(); scanErr != nil {
+			return false
+		}
+		rows = append(rows, r.Clone())
+		return true
+	})
+	if scanErr != nil {
+		return nil, scanErr
+	}
+	atomic.AddInt64(&ec.stats.RowsScanned, int64(len(rows)))
+	op.addIn(int64(len(rows)))
+	return &sliceIter{rows: rows, residual: residual, proj: n.proj, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
 }
 
 func residualNote(p accessPath) string {
@@ -458,11 +598,12 @@ func boundStr(v *store.Value) string {
 }
 
 // sliceIter iterates a materialized row slice with an optional
-// residual predicate.
+// residual predicate, narrowing surviving rows to proj when set.
 type sliceIter struct {
 	rows     []store.Row
 	pos      int
 	residual *boundExpr
+	proj     []int
 	stats    *ExecStats
 	cancel   canceller
 	op       *OpStats
@@ -483,6 +624,13 @@ func (s *sliceIter) Next() (store.Row, bool, error) {
 			if !ok {
 				continue
 			}
+		}
+		if s.proj != nil {
+			out := make(store.Row, len(s.proj))
+			for i, c := range s.proj {
+				out[i] = r[c]
+			}
+			r = out
 		}
 		s.op.addOut(1)
 		return r, true, nil
@@ -596,8 +744,8 @@ func buildJoin(n *JoinNode, ec *execCtx, depth int) (iterator, error) {
 	if ls, rs, lcol, rcol, ok := mergeJoinable(n, leftKeys, rightKeys, ec); ok {
 		lt, _ := ec.cat.Table(ls.Table)
 		rt, _ := ec.cat.Table(rs.Table)
-		if chooseAccessPath(ls, lt, true).kind == "seqscan" &&
-			chooseAccessPath(rs, rt, true).kind == "seqscan" {
+		if chooseAccessPath(ls, lt, ec.cat.Tree(), true).kind == "seqscan" &&
+			chooseAccessPath(rs, rt, ec.cat.Tree(), true).kind == "seqscan" {
 			op := ec.note(depth, "MergeJoin (%s = %s)%s", lcol, rcol, joinResidualNote(residual))
 			li, lkIdx, err := buildOrderedScan(ls, lcol, ec, depth+1)
 			if err != nil {

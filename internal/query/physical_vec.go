@@ -107,15 +107,9 @@ func buildVec(p LogicalPlan, ec *execCtx, depth int) (built, error) {
 		// Sorting drains its input anyway; the row sort operator is
 		// reused over the (vectorized) subtree so ordering — ties
 		// included — matches the row engine exactly.
-		keys := make([]*boundExpr, len(n.Keys))
-		descs := make([]bool, len(n.Keys))
-		for i, k := range n.Keys {
-			be, err := bind(k.Expr, ec.env(n.Input.Schema()))
-			if err != nil {
-				return built{}, err
-			}
-			keys[i] = be
-			descs[i] = k.Desc
+		keys, descs, err := bindSortKeys(n, ec)
+		if err != nil {
+			return built{}, err
 		}
 		op := ec.note(depth, "%s", n.describe())
 		in, err := buildVec(n.Input, ec, depth+1)
@@ -135,15 +129,9 @@ func buildVec(p LogicalPlan, ec *execCtx, depth int) (built, error) {
 			}
 		}
 		if sortNode, ok := n.Input.(*SortNode); ok && ec.opts.UseIndexes && n.N > 0 {
-			keys := make([]*boundExpr, len(sortNode.Keys))
-			descs := make([]bool, len(sortNode.Keys))
-			for i, k := range sortNode.Keys {
-				be, err := bind(k.Expr, ec.env(sortNode.Input.Schema()))
-				if err != nil {
-					return built{}, err
-				}
-				keys[i] = be
-				descs[i] = k.Desc
+			keys, descs, err := bindSortKeys(sortNode, ec)
+			if err != nil {
+				return built{}, err
 			}
 			op := ec.note(depth, "TopK %d (%s)", n.N, sortNode.describe())
 			in, err := buildVec(sortNode.Input, ec, depth+1)
@@ -172,114 +160,103 @@ func buildVec(p LogicalPlan, ec *execCtx, depth int) (built, error) {
 // vecSmallGather is the index-result size below which the vectorized
 // engine serves cloned rows directly instead of gathering columns: a
 // point lookup touches a handful of rows, and building per-column
-// typed vectors for them costs more than it saves.
+// typed vectors for them costs more than it saves. Plan text and row
+// contents are identical to the columnar path; under EXPLAIN ANALYZE
+// the operator reports zero batches, which is accurate — no batch was
+// built.
 const vecSmallGather = 256
 
-// smallIndexScan is the row-form leaf for tiny residual-free index
-// results. Plan text and row contents are identical to the columnar
-// path; under EXPLAIN ANALYZE the operator reports zero batches,
-// which is accurate — no batch was built.
-func smallIndexScan(tv *store.TableView, ids []int64, ec *execCtx, op *OpStats) built {
-	rows := tv.Rows(ids)
-	atomic.AddInt64(&ec.stats.RowsIndexed, int64(len(rows)))
-	op.addIn(int64(len(rows)))
-	return built{r: &sliceIter{rows: rows, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}}
-}
-
 func buildScanVec(n *ScanNode, ec *execCtx, depth int) (built, error) {
-	tv, err := ec.view(n.Table)
+	leaf, err := lowerScan(n, ec, depth)
 	if err != nil {
 		return built{}, err
 	}
-	path := chooseAccessPath(n, tv.Table(), ec.opts.UseIndexes)
-	var residual *vecPred
-	if len(path.residual) > 0 {
-		vp, err := bindVecPred(joinConjuncts(path.residual), ec.env(n.schema))
-		if err != nil {
-			return built{}, err
-		}
-		residual = vp
-	}
-	switch path.kind {
-	case "indexeq":
-		op := ec.note(depth, "IndexScan %s (%s = %v)%s", n.Table, path.column, path.eq, residualNote(path))
-		ids, err := tv.LookupEqual(path.column, path.eq)
-		if err != nil {
-			return built{}, err
-		}
-		if residual == nil && len(ids) <= vecSmallGather {
-			return smallIndexScan(tv, ids, ec, op), nil
-		}
-		cb := tv.GatherCols(ids)
-		atomic.AddInt64(&ec.stats.RowsIndexed, int64(cb.Rows))
-		op.addIn(int64(cb.Rows))
-		return built{b: &vecScan{batches: batchesOf(cb), residual: residual, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
-	case "indexrange":
-		op := ec.note(depth, "IndexRangeScan %s (%s in [%s, %s])%s", n.Table, path.column,
-			boundStr(path.lo), boundStr(path.hi), residualNote(path))
-		ids, err := tv.LookupRange(path.column, path.lo, path.hi)
-		if err != nil {
-			return built{}, err
-		}
-		if residual == nil && len(ids) <= vecSmallGather {
-			return smallIndexScan(tv, ids, ec, op), nil
-		}
-		cb := tv.GatherCols(ids)
-		atomic.AddInt64(&ec.stats.RowsIndexed, int64(cb.Rows))
-		op.addIn(int64(cb.Rows))
-		return built{b: &vecScan{batches: batchesOf(cb), residual: residual, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
-	default:
-		op := ec.note(depth, "SeqScan %s%s", n.Table, residualNote(path))
-		var batches []*batch
-		total := 0
-		cancel := canceller{ctx: ec.ctx}
-		var scanErr error
-		tv.ScanBatch(vecBatchSize, func(cb *store.ColBatch) bool {
-			if scanErr = cancel.now(); scanErr != nil {
-				return false
-			}
-			batches = append(batches, wholeBatch(cb))
-			total += cb.Rows
-			return true
-		})
-		if scanErr != nil {
-			return built{}, scanErr
-		}
-		atomic.AddInt64(&ec.stats.RowsScanned, int64(total))
-		op.addIn(int64(total))
-		if ec.para > 1 && residual != nil && len(batches) > 1 {
-			// Morsel-style parallelism at batch granularity: workers
-			// narrow each batch's selection vector in place; batch
-			// order is preserved, so output order matches serial.
-			err := runChunks(ec.ctx, splitChunks(len(batches), ec.para), func(_ int, r morselRange) error {
-				c := canceller{ctx: ec.ctx}
-				for _, b := range batches[r.lo:r.hi] {
-					if err := c.now(); err != nil {
-						return err
-					}
-					sel, err := residual.filter(b, b.selection())
-					if err != nil {
-						return err
-					}
-					b.sel = sel
-				}
-				return nil
-			})
+	op, a := leaf.op, leaf.access
+	if leaf.path.kind != "seqscan" {
+		if (a.Limit > 0 && a.Limit <= vecSmallGather) || leaf.tv.Table().CountPostings(a, vecSmallGather) <= vecSmallGather {
+			rows, examined, err := leaf.tv.GatherRows(ec.ctx, a)
 			if err != nil {
 				return built{}, err
 			}
-			return built{b: &vecScan{batches: batches, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
+			leaf.indexed(ec, examined)
+			return built{r: &sliceIter{rows: rows, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
 		}
-		return built{b: &vecScan{batches: batches, residual: residual, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
+		cb, examined, err := leaf.tv.Gather(ec.ctx, a)
+		if err != nil {
+			return built{}, err
+		}
+		leaf.indexed(ec, examined)
+		return built{b: &vecScan{batches: batchesOf(cb), cancel: canceller{ctx: ec.ctx}, op: op}}, nil
 	}
+	// Sequential scan: gather the emitted columns plus any the residual
+	// reads, filter the batches vectorized, and drop the extras on emit.
+	a.Cols = n.proj
+	layout := n.schema
+	var residual *vecPred
+	if len(leaf.path.residual) > 0 {
+		pred := joinConjuncts(leaf.path.residual)
+		if n.proj != nil {
+			layout = &planSchema{cols: append([]planCol(nil), n.schema.cols...)}
+			a.Cols = append([]int(nil), n.proj...)
+			for _, ref := range exprColumns(pred) {
+				if _, err := layout.resolve(ref); err == nil {
+					continue
+				}
+				ci, err := n.base.resolve(ref)
+				if err != nil {
+					return built{}, err
+				}
+				layout.cols = append(layout.cols, n.base.cols[ci])
+				a.Cols = append(a.Cols, ci)
+			}
+		}
+		if residual, err = bindVecPred(pred, ec.env(layout)); err != nil {
+			return built{}, err
+		}
+	}
+	cb, total, err := leaf.tv.Gather(ec.ctx, a)
+	if err != nil {
+		return built{}, err
+	}
+	batches := batchesOf(cb)
+	atomic.AddInt64(&ec.stats.RowsScanned, int64(total))
+	op.addIn(int64(total))
+	scan := &vecScan{batches: batches, residual: residual, width: n.schema.Len(), cancel: canceller{ctx: ec.ctx}, op: op}
+	if ec.para > 1 && residual != nil && len(batches) > 1 {
+		// Morsel-style parallelism at batch granularity: workers
+		// narrow each batch's selection vector in place; batch
+		// order is preserved, so output order matches serial.
+		err := runChunks(ec.ctx, splitChunks(len(batches), ec.para), func(_ int, r morselRange) error {
+			c := canceller{ctx: ec.ctx}
+			for _, b := range batches[r.lo:r.hi] {
+				if err := c.now(); err != nil {
+					return err
+				}
+				sel, err := residual.filter(b, b.selection())
+				if err != nil {
+					return err
+				}
+				b.sel = sel
+			}
+			return nil
+		})
+		if err != nil {
+			return built{}, err
+		}
+		scan.residual = nil
+	}
+	return built{b: scan}, nil
 }
 
 // vecScan streams materialized batches, applying an optional residual
-// predicate by narrowing each batch's selection vector.
+// predicate by narrowing each batch's selection vector, then trimming
+// the batch to its first width columns (0 keeps all): a sequential
+// scan gathers the columns its residual reads after the ones it emits.
 type vecScan struct {
 	batches  []*batch
 	pos      int
 	residual *vecPred
+	width    int
 	cancel   canceller
 	op       *OpStats
 }
@@ -306,6 +283,9 @@ func (s *vecScan) nextBatch() (*batch, error) {
 		}
 		if b.live() == 0 {
 			continue
+		}
+		if s.width > 0 && s.width < len(b.cols) {
+			b = &batch{cols: b.cols[:s.width], sel: b.sel, n: b.n}
 		}
 		s.op.emit(b)
 		return b, nil
@@ -463,8 +443,8 @@ func buildJoinVec(n *JoinNode, ec *execCtx, depth int) (built, error) {
 	if ls, rs, lcol, rcol, ok := mergeJoinable(n, leftKeys, rightKeys, ec); ok {
 		lt, _ := ec.cat.Table(ls.Table)
 		rt, _ := ec.cat.Table(rs.Table)
-		if chooseAccessPath(ls, lt, true).kind == "seqscan" &&
-			chooseAccessPath(rs, rt, true).kind == "seqscan" {
+		if chooseAccessPath(ls, lt, ec.cat.Tree(), true).kind == "seqscan" &&
+			chooseAccessPath(rs, rt, ec.cat.Tree(), true).kind == "seqscan" {
 			residualBound, err := bindJoinResidual(residual, n, ec)
 			if err != nil {
 				return built{}, err

@@ -25,10 +25,9 @@ func requiredFrom(e Expr, into map[colKey]bool) {
 	})
 }
 
-// pruneColumns rewrites the plan so scans feeding joins project away
-// unused columns. The pass only fires below joins — the single-table
-// pipeline already streams full rows cheaply, and pruning the final
-// output would change the query result.
+// pruneColumns rewrites the plan so scans emit only the columns the
+// operators above them read (ScanNode.proj): the store then copies
+// nothing else out, and joins hash and concatenate narrower rows.
 func pruneColumns(plan LogicalPlan) LogicalPlan {
 	switch n := plan.(type) {
 	case *ProjectNode:
@@ -112,25 +111,25 @@ func copyNeed(need map[colKey]bool) map[colKey]bool {
 	return out
 }
 
-// pruneScan wraps a scan in a projection keeping only the required
-// columns (plus the scan's own conjunct columns, which evaluate below
-// the projection). A column is required when an unqualified or
-// alias-qualified requirement resolves to it.
+// pruneScan narrows a scan to the required columns. The scan's own
+// conjuncts still see the whole row: they bind against the table
+// schema and run before the projection. A column is required when an
+// unqualified or alias-qualified requirement resolves to it.
 func pruneScan(n *ScanNode, need map[colKey]bool) LogicalPlan {
-	var keep []planCol
-	for _, c := range n.schema.cols {
+	var keep []int
+	for i, c := range n.base.cols {
 		if need[colKey{"", c.Name}] || need[colKey{c.Qualifier, c.Name}] {
-			keep = append(keep, c)
+			keep = append(keep, i)
 		}
 	}
-	if len(keep) == len(n.schema.cols) || len(keep) == 0 {
+	if len(keep) == len(n.base.cols) || len(keep) == 0 {
 		return n // nothing to prune, or a degenerate requirement set
 	}
-	proj := &ProjectNode{Input: n, schema: &planSchema{}}
-	for _, c := range keep {
-		proj.Exprs = append(proj.Exprs, &ColumnRef{Qualifier: c.Qualifier, Name: c.Name})
-		proj.Names = append(proj.Names, c.Name)
-		proj.schema.cols = append(proj.schema.cols, c)
+	out := *n
+	out.proj = keep
+	out.schema = &planSchema{}
+	for _, i := range keep {
+		out.schema.cols = append(out.schema.cols, n.base.cols[i])
 	}
-	return proj
+	return &out
 }

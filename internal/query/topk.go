@@ -123,3 +123,63 @@ func (t *topKIter) drain() error {
 	}
 	return nil
 }
+
+// scanTopK tells a scan that ORDER BY column [DESC] LIMIT limit sits
+// directly above it, so an index range scan on that column may walk the
+// B+-tree in sort order and stop after limit qualifying rows instead
+// of handing the whole range to the heap.
+type scanTopK struct {
+	column string
+	desc   bool
+	limit  int
+}
+
+// pushTopK finds every Limit over a single-column Sort (the shapes the
+// physical planner fuses into TopK: directly, or through the SELECT
+// list's projection) whose input reaches a scan through projections
+// alone, the sort key a bare column all the way down, and records the
+// order and limit on that scan. A projection neither drops, adds nor
+// reorders rows, so the first limit rows of an in-order walk are a
+// valid top-k. The scan honors the
+// note only if it ends up on an index range over that column; the TopK
+// operator stays in the plan either way and sees at most limit rows.
+func pushTopK(plan LogicalPlan) {
+	if lim, ok := plan.(*LimitNode); ok && lim.N > 0 {
+		in := lim.Input
+		if pj, ok := in.(*ProjectNode); ok {
+			in = pj.Input
+		}
+		if srt, ok := in.(*SortNode); ok && len(srt.Keys) == 1 {
+			noteTopK(srt, lim.N)
+		}
+	}
+	for _, c := range plan.Children() {
+		pushTopK(c)
+	}
+}
+
+func noteTopK(srt *SortNode, limit int) {
+	ref, ok := srt.Keys[0].Expr.(*ColumnRef)
+	if !ok {
+		return
+	}
+	in := srt.Input
+	for {
+		idx, err := in.Schema().resolve(ref)
+		if err != nil {
+			return
+		}
+		switch n := in.(type) {
+		case *ProjectNode:
+			if ref, ok = n.Exprs[idx].(*ColumnRef); !ok {
+				return
+			}
+			in = n.Input
+		case *ScanNode:
+			n.topK = &scanTopK{column: n.schema.cols[idx].Name, desc: srt.Keys[0].Desc, limit: limit}
+			return
+		default:
+			return
+		}
+	}
+}

@@ -66,3 +66,21 @@ func BenchmarkVecHashJoin(b *testing.B) {
 func BenchmarkVecAggregate(b *testing.B) {
 	benchBothEngines(b, "SELECT protein_id, COUNT(*), AVG(affinity), MIN(affinity), MAX(affinity) FROM activities GROUP BY protein_id")
 }
+
+// The index-driven access paths (run with -benchmem; EXPERIMENTS.md
+// "access paths" records them against the parent commit, where the
+// same statements heap a gathered range, scan the table, and gather
+// every column).
+
+func BenchmarkIndexOrderedTopK(b *testing.B) {
+	benchBothEngines(b, "SELECT protein_id, ligand_id, affinity FROM activities WHERE affinity >= 6.5 ORDER BY affinity DESC LIMIT 20")
+}
+
+func BenchmarkIndexUnionScan(b *testing.B) {
+	clade := cladeOfSize(b, datagenCatalog(b, 5).Tree(), 30, 30)
+	benchBothEngines(b, "SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '"+clade+"') GROUP BY ligand_id ORDER BY AVG(affinity) DESC LIMIT 10")
+}
+
+func BenchmarkGatherProjected(b *testing.B) {
+	benchBothEngines(b, "SELECT ligand_id FROM activities WHERE affinity >= 7.5")
+}

@@ -1,0 +1,446 @@
+package store
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+)
+
+// The oracle for every Access is the path that shares no code with it:
+// TableView.Scan at the same pinned version (scanLocked — no index, no
+// posting verification), filtered and sorted in the test. The fixture
+// draws keys from a dozen values so duplicate keys straddle every
+// top-k cut, a fifth of the rows carry a NULL key, and db.Update moves
+// keys inside, outside and across whatever range a check draws while
+// older pins still see the old key under its old posting.
+
+var accessSchema = MustSchema(
+	Column{Name: "k", Kind: KindFloat},
+	Column{Name: "g", Kind: KindString},
+	Column{Name: "n", Kind: KindInt},
+)
+
+func accessRow(rng *rand.Rand) Row {
+	k := FloatValue(float64(rng.Intn(12)) / 2)
+	if rng.Intn(5) == 0 {
+		k = NullValue()
+	}
+	return Row{k, StringValue(fmt.Sprintf("g%d", rng.Intn(6))), IntValue(int64(rng.Intn(1000)))}
+}
+
+func openAccessDB(t testing.TB) (*DB, *Table) {
+	t.Helper()
+	db, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := db.CreateTable("t", accessSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreateIndex("k", IndexBTree); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreateIndex("g", IndexHash); err != nil {
+		t.Fatal(err)
+	}
+	return db, tb
+}
+
+// mutate applies one random committed change: a multi-row delta, a key-
+// moving update, or a delete.
+func mutate(db *DB, tb *Table, rng *rand.Rand) error {
+	var ids []int64
+	tb.Scan(func(id int64, _ Row) bool { ids = append(ids, id); return true })
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	pick := func() int64 { return ids[rng.Intn(len(ids))] }
+	switch op := rng.Intn(4); {
+	case op == 0 || len(ids) < 8:
+		d := TableDelta{Table: "t"}
+		for i := rng.Intn(6); i >= 0; i-- {
+			d.Inserts = append(d.Inserts, accessRow(rng))
+		}
+		if len(ids) > 4 {
+			seen := map[int64]bool{}
+			for i := rng.Intn(3); i > 0; i-- {
+				if id := pick(); !seen[id] {
+					seen[id] = true
+					d.DeleteIDs = append(d.DeleteIDs, id)
+				}
+			}
+		}
+		return db.CommitDeltas([]TableDelta{d})
+	case op == 1:
+		_, err := db.Delete("t", pick())
+		return err
+	default:
+		return db.Update("t", pick(), accessRow(rng))
+	}
+}
+
+func canonRows(rows []Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = string(AppendRow(nil, r))
+	}
+	sort.Strings(out)
+	return out
+}
+
+func projectRows(rows []Row, cols []int) []Row {
+	if cols == nil {
+		return rows
+	}
+	out := make([]Row, len(rows))
+	for i, r := range rows {
+		out[i] = make(Row, len(cols))
+		for j, c := range cols {
+			out[i][j] = r[c]
+		}
+	}
+	return out
+}
+
+func batchRows(cb *ColBatch) []Row {
+	out := make([]Row, cb.Rows)
+	for i := range out {
+		out[i] = make(Row, len(cb.Cols))
+		for c := range cb.Cols {
+			out[i][c] = cb.Cols[c].Value(i)
+		}
+	}
+	return out
+}
+
+// checkAccess runs a through both sinks of view and compares with the
+// scan oracle: select says which stored rows qualify, keyCol (≥ 0) that
+// the output must follow that column's order.
+func checkAccess(view *TableView, a Access, keyCol int, selects func(Row) bool) error {
+	ctx := context.Background()
+	var want []Row
+	visible := 0
+	view.Scan(func(_ int64, r Row) bool {
+		if selects(r) {
+			visible++
+			if ok, _ := a.Accept(r); ok {
+				want = append(want, r.Clone())
+			}
+		}
+		return true
+	})
+	if keyCol >= 0 {
+		sort.SliceStable(want, func(i, j int) bool {
+			c := Compare(want[i][keyCol], want[j][keyCol])
+			if a.Desc {
+				return c > 0
+			}
+			return c < 0
+		})
+	}
+	cb, examined, err := view.Gather(ctx, a)
+	if err != nil {
+		return err
+	}
+	if err := verifyAccess(a, keyCol, want, visible, batchRows(cb), examined); err != nil {
+		return fmt.Errorf("Gather: %w", err)
+	}
+	rows, examined, err := view.GatherRows(ctx, a)
+	if err != nil {
+		return err
+	}
+	if err := verifyAccess(a, keyCol, want, visible, rows, examined); err != nil {
+		return fmt.Errorf("GatherRows: %w", err)
+	}
+	return nil
+}
+
+// verifyAccess compares one read's output with the oracle's qualifying
+// rows (already in key order when keyCol ≥ 0).
+func verifyAccess(a Access, keyCol int, want []Row, visible int, got []Row, examined int) error {
+	n := len(want)
+	if a.Limit > 0 && a.Limit < n {
+		n = a.Limit
+	}
+	// A walk that never reaches its limit touches every qualifying row.
+	if (a.Limit == 0 || a.Limit > len(want)) && examined != visible {
+		return fmt.Errorf("examined %d rows, %d visible rows qualify", examined, visible)
+	}
+	if len(got) != n {
+		return fmt.Errorf("got %d rows, want %d", len(got), n)
+	}
+	if keyCol < 0 || n == len(want) {
+		if g, w := canonRows(got), canonRows(projectRows(want, a.Cols)); fmt.Sprint(g) != fmt.Sprint(w) {
+			return fmt.Errorf("row multiset differs:\ngot  %q\nwant %q", g, w)
+		}
+	}
+	if keyCol < 0 {
+		return nil
+	}
+	// Ordered: the key sequence is exact; under a limit, rows tied with
+	// the cut key may be any of the tied rows, the rest are exact.
+	outKey := keyCol
+	for j, c := range a.Cols {
+		if c == keyCol {
+			outKey = j
+		}
+	}
+	all := map[string]int{}
+	for _, s := range canonRows(projectRows(want, a.Cols)) {
+		all[s]++
+	}
+	for i, r := range got {
+		if Compare(r[outKey], want[i][keyCol]) != 0 {
+			return fmt.Errorf("key %d is %v, want %v", i, r[outKey], want[i][keyCol])
+		}
+		s := string(AppendRow(nil, r))
+		if all[s]--; all[s] < 0 {
+			return fmt.Errorf("row %v is not among the qualifying rows", r)
+		}
+	}
+	return nil
+}
+
+// randomChecks draws a range walk, a key union and a projected full
+// read and checks each against view.
+func randomChecks(view *TableView, rng *rand.Rand) error {
+	accept := func(Row) (bool, error) { return true, nil }
+	if rng.Intn(2) == 0 {
+		accept = func(r Row) (bool, error) { return r[2].I%3 != 0, nil }
+	}
+	var cols []int
+	if rng.Intn(2) == 0 {
+		cols = [][]int{{0}, {2, 0}, {1, 0, 2}, {0, 1}}[rng.Intn(4)]
+	}
+	bound := func() *Value {
+		if rng.Intn(4) == 0 {
+			return nil
+		}
+		v := FloatValue(float64(rng.Intn(14))/2 - 0.5)
+		return &v
+	}
+	lo, hi := bound(), bound()
+	rangeAccess := Access{Column: "k", Lo: lo, Hi: hi, Desc: rng.Intn(2) == 0, Cols: cols, Accept: accept}
+	if rng.Intn(2) == 0 {
+		rangeAccess.Limit = 1 + rng.Intn(9)
+	}
+	if err := checkAccess(view, rangeAccess, 0, func(r Row) bool { return inRange(r[0], lo, hi) }); err != nil {
+		return fmt.Errorf("range %+v: %w", rangeAccess, err)
+	}
+	keys := []Value{StringValue("absent")}
+	member := map[string]bool{}
+	for _, i := range rng.Perm(6)[:1+rng.Intn(4)] {
+		keys = append(keys, StringValue(fmt.Sprintf("g%d", i)))
+		member[fmt.Sprintf("g%d", i)] = true
+	}
+	union := Access{Column: "g", Keys: keys, Cols: cols, Accept: accept}
+	if err := checkAccess(view, union, -1, func(r Row) bool { return member[r[1].S] }); err != nil {
+		return fmt.Errorf("union %v: %w", keys, err)
+	}
+	// A column with no index serves keys and ranges by filtering a pass.
+	byN := Access{Column: "n", Keys: []Value{IntValue(int64(rng.Intn(1000))), IntValue(7)}, Cols: cols, Accept: accept}
+	if err := checkAccess(view, byN, -1, func(r Row) bool { return Equal(r[2], byN.Keys[0]) || r[2].I == 7 }); err != nil {
+		return fmt.Errorf("unindexed keys: %w", err)
+	}
+	if err := checkAccess(view, Access{Cols: cols, Accept: accept}, -1, func(Row) bool { return true }); err != nil {
+		return fmt.Errorf("full read: %w", err)
+	}
+	return nil
+}
+
+func TestAccessMatchesScanOracle(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		db, tb := openAccessDB(t)
+		var pins []*SnapshotHandle
+		for step := 0; step < 150; step++ {
+			if err := mutate(db, tb, rng); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if step%9 == 0 {
+				pins = append(pins, db.PinSnapshot())
+				if len(pins) > 4 {
+					pins[0].Release()
+					pins = pins[1:]
+				}
+			}
+			views := []*TableView{tb.LatestView()}
+			for _, p := range pins {
+				v, err := p.View("t")
+				if err != nil {
+					t.Fatal(err)
+				}
+				views = append(views, v)
+			}
+			for _, v := range views {
+				if err := randomChecks(v, rng); err != nil {
+					t.Fatalf("seed %d step %d at version %d (latest %d): %v", seed, step, v.Version(), tb.Version(), err)
+				}
+			}
+		}
+		for _, p := range pins {
+			p.Release()
+		}
+		if n := db.ActiveSnapshots(); n != 0 {
+			t.Fatalf("seed %d: %d snapshots still active", seed, n)
+		}
+		if n := db.DeadVersions(); n != 0 {
+			t.Fatalf("seed %d: %d dead versions after the last release", seed, n)
+		}
+		db.Close()
+	}
+}
+
+// TestAccessUnderConcurrentCommits runs the same oracle from readers
+// that pin, check and release while a committer keeps publishing (run
+// under -race): a pinned read must equal the scan of its own version
+// whatever lands meanwhile, and nothing may stay pinned or running.
+func TestAccessUnderConcurrentCommits(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	db, tb := openAccessDB(t)
+	seedRng := rand.New(rand.NewSource(9))
+	for i := 0; i < 40; i++ {
+		if err := mutate(db, tb, seedRng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commits := 400
+	if testing.Short() {
+		commits = 100
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		rng := rand.New(rand.NewSource(10))
+		for i := 0; i < commits; i++ {
+			if err := mutate(db, tb, rng); err != nil {
+				t.Errorf("commit %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + r)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				snap := db.PinSnapshot()
+				view, err := snap.View("t")
+				if err == nil {
+					err = randomChecks(view, rng)
+				}
+				snap.Release()
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if n := db.ActiveSnapshots(); n != 0 {
+		t.Fatalf("%d snapshots still active", n)
+	}
+	if n := db.PinnedVersions(); n != 0 {
+		t.Fatalf("%d versions still pinned", n)
+	}
+	db.Close()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines at rest: %d, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
+// TestAccessPollsContext: a read over many postings notices a context
+// cancelled while it runs, on the index paths and the full pass alike.
+func TestAccessPollsContext(t *testing.T) {
+	_, tb := openAccessDB(t)
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 4*pollEvery; i++ {
+		if _, err := tb.Insert(accessRow(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := make([]Value, 6)
+	for i := range keys {
+		keys[i] = StringValue(fmt.Sprintf("g%d", i))
+	}
+	for name, a := range map[string]Access{
+		"ordered walk": {Column: "k", Desc: true},
+		"key union":    {Column: "g", Keys: keys},
+		"full pass":    {},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		a.Accept = func(Row) (bool, error) {
+			if seen++; seen == 10 {
+				cancel()
+			}
+			return true, nil
+		}
+		cb, _, err := tb.Gather(ctx, -1, a)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if cb.Rows >= 2*pollEvery {
+			t.Fatalf("%s: read %d rows after the cancel", name, cb.Rows)
+		}
+		cancel()
+	}
+}
+
+// TestAccessAcceptError: an Accept error aborts the read and surfaces.
+func TestAccessAcceptError(t *testing.T) {
+	_, tb := openAccessDB(t)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 50; i++ {
+		tb.Insert(accessRow(rng))
+	}
+	boom := errors.New("boom")
+	_, examined, err := tb.GatherRows(context.Background(), -1, Access{Column: "k", Accept: func(Row) (bool, error) { return false, boom }})
+	if !errors.Is(err, boom) || examined != 1 {
+		t.Fatalf("err = %v after %d rows, want boom after 1", err, examined)
+	}
+}
+
+func TestCountPostings(t *testing.T) {
+	_, tb := openAccessDB(t)
+	for i := 0; i < 100; i++ {
+		tb.Insert(Row{FloatValue(float64(i % 10)), StringValue(fmt.Sprintf("g%d", i%4)), IntValue(int64(i))})
+	}
+	lo, hi := FloatValue(2), FloatValue(4)
+	for _, c := range []struct {
+		a    Access
+		max  int
+		want int
+	}{
+		{Access{Column: "k", Lo: &lo, Hi: &hi}, 0, 30},
+		{Access{Column: "k", Lo: &lo}, 0, 80},
+		{Access{Column: "g", Keys: []Value{StringValue("g1"), StringValue("nope"), StringValue("g3")}}, 0, 50},
+		{Access{Column: "n", Keys: []Value{IntValue(3)}}, 0, 100}, // no index: a full pass
+		{Access{}, 0, 100},
+	} {
+		if got := tb.CountPostings(c.a, c.max); got != c.want {
+			t.Errorf("CountPostings(%+v) = %d, want %d", c.a, got, c.want)
+		}
+	}
+	// A bounded count stops early but still reports "more than max".
+	if got := tb.CountPostings(Access{Column: "k"}, 25); got <= 25 || got > 40 {
+		t.Errorf("bounded count = %d, want just past 25", got)
+	}
+}

@@ -5,7 +5,8 @@ package store
 // scans, and ordered iteration for merge joins.
 //
 // Keys are unique within the tree; duplicate inserts append to the
-// key's postings list. Leaves are chained for range scans.
+// key's postings list. Leaves are doubly chained so range scans run in
+// either direction.
 
 const (
 	btreeOrder   = 64             // max children per interior node
@@ -17,7 +18,8 @@ type btreeNode struct {
 	keys     []Value
 	children []*btreeNode // nil for leaves
 	postings [][]int64    // leaf only: row IDs per key
-	next     *btreeNode   // leaf chain
+	next     *btreeNode   // leaf chain, ascending
+	prev     *btreeNode   // leaf chain, descending
 }
 
 func (n *btreeNode) isLeaf() bool { return n.children == nil }
@@ -99,6 +101,10 @@ func (t *btree) splitChild(p *btreeNode, i int) {
 			keys:     append([]Value(nil), child.keys[mid:]...),
 			postings: append([][]int64(nil), child.postings[mid:]...),
 			next:     child.next,
+			prev:     child,
+		}
+		if sib.next != nil {
+			sib.next.prev = sib
 		}
 		child.keys = child.keys[:mid:mid]
 		child.postings = child.postings[:mid:mid]
@@ -182,16 +188,51 @@ func (t *btree) Len() int { return t.size }
 // ascending order. A nil lo means unbounded below; nil hi unbounded
 // above. Iteration stops early when fn returns false.
 func (t *btree) Range(lo, hi *Value, fn func(k Value, postings []int64) bool) {
-	var n *btreeNode
-	if lo != nil {
-		n = t.leafFor(*lo)
-	} else {
-		n = t.root
-		for !n.isLeaf() {
+	t.walk(lo, hi, false, fn)
+}
+
+// edgeLeaf returns the leftmost (last=false) or rightmost leaf.
+func (t *btree) edgeLeaf(last bool) *btreeNode {
+	n := t.root
+	for !n.isLeaf() {
+		if last {
+			n = n.children[len(n.children)-1]
+		} else {
 			n = n.children[0]
 		}
 	}
-	for n != nil {
+	return n
+}
+
+// walk is Range in either direction: desc visits the same keys from hi
+// down to lo. Deletes leave sparse or empty leaves behind; the chain
+// steps over them.
+func (t *btree) walk(lo, hi *Value, desc bool, fn func(k Value, postings []int64) bool) {
+	if desc {
+		n := t.edgeLeaf(true)
+		if hi != nil {
+			n = t.leafFor(*hi)
+		}
+		for ; n != nil; n = n.prev {
+			for i := len(n.keys) - 1; i >= 0; i-- {
+				if hi != nil && Compare(n.keys[i], *hi) > 0 {
+					continue
+				}
+				if lo != nil && Compare(n.keys[i], *lo) < 0 {
+					return
+				}
+				if !fn(n.keys[i], n.postings[i]) {
+					return
+				}
+			}
+		}
+		return
+	}
+	n := t.edgeLeaf(false)
+	if lo != nil {
+		n = t.leafFor(*lo)
+	}
+	for ; n != nil; n = n.next {
 		for i := 0; i < len(n.keys); i++ {
 			if lo != nil && Compare(n.keys[i], *lo) < 0 {
 				continue
@@ -203,54 +244,29 @@ func (t *btree) Range(lo, hi *Value, fn func(k Value, postings []int64) bool) {
 				return
 			}
 		}
-		n = n.next
 	}
 }
 
-// Min returns the smallest key, or false when empty. Because deletes
-// may leave empty leaves, the leftmost non-empty leaf is found by
-// following the leaf chain.
+// Min returns the smallest key, or false when empty. Deletes may leave
+// the edge leaves empty; the chain is followed to the first leaf that
+// still holds a key.
 func (t *btree) Min() (Value, bool) {
-	n := t.root
-	for !n.isLeaf() {
-		n = n.children[0]
-	}
-	for n != nil {
+	for n := t.edgeLeaf(false); n != nil && t.size > 0; n = n.next {
 		if len(n.keys) > 0 {
 			return n.keys[0], true
 		}
-		n = n.next
 	}
 	return Value{}, false
 }
 
-// Max returns the largest key, or false when empty. The rightmost
-// leaf may be empty after deletes, in which case the leaf chain is
-// scanned for the last non-empty leaf (O(#leaves); acceptable for the
-// append-mostly workloads this index serves).
+// Max returns the largest key, or false when empty: the mirror of Min
+// over the prev links, so an emptied rightmost leaf costs a short
+// backward step, not a pass over the whole chain.
 func (t *btree) Max() (Value, bool) {
-	n := t.root
-	for !n.isLeaf() {
-		n = n.children[len(n.children)-1]
-	}
-	if len(n.keys) > 0 {
-		return n.keys[len(n.keys)-1], true
-	}
-	if t.size == 0 {
-		return Value{}, false
-	}
-	// Fallback: walk the leaf chain from the left.
-	n = t.root
-	for !n.isLeaf() {
-		n = n.children[0]
-	}
-	var best Value
-	found := false
-	for ; n != nil; n = n.next {
+	for n := t.edgeLeaf(true); n != nil && t.size > 0; n = n.prev {
 		if len(n.keys) > 0 {
-			best = n.keys[len(n.keys)-1]
-			found = true
+			return n.keys[len(n.keys)-1], true
 		}
 	}
-	return best, found
+	return Value{}, false
 }

@@ -234,3 +234,88 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 		}
 	}
 }
+
+// TestBTreeChurnEdgesAndDescending deletes from both ends and the
+// middle until whole leaves (the rightmost among them) stand empty, and
+// checks Min, Max and walks in both directions against a sorted
+// reference after every round. Max must reach the last key through the
+// prev links however many empty leaves trail it.
+func TestBTreeChurnEdgesAndDescending(t *testing.T) {
+	bt := newBTree()
+	rng := rand.New(rand.NewSource(17))
+	live := map[int64]bool{}
+	for i := int64(0); i < 6000; i++ {
+		bt.Insert(IntValue(i), i)
+		live[i] = true
+	}
+	check := func(round int) {
+		t.Helper()
+		ref := make([]int64, 0, len(live))
+		for k := range live {
+			ref = append(ref, k)
+		}
+		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
+		mn, okMin := bt.Min()
+		mx, okMax := bt.Max()
+		if okMin != (len(ref) > 0) || okMax != (len(ref) > 0) {
+			t.Fatalf("round %d: Min ok=%v Max ok=%v with %d keys", round, okMin, okMax, len(ref))
+		}
+		if len(ref) == 0 {
+			return
+		}
+		if mn.I != ref[0] || mx.I != ref[len(ref)-1] {
+			t.Fatalf("round %d: Min/Max = %d/%d, want %d/%d", round, mn.I, mx.I, ref[0], ref[len(ref)-1])
+		}
+		lo, hi := IntValue(ref[len(ref)/4]-1), IntValue(ref[3*len(ref)/4]+1)
+		for _, bounds := range [][2]*Value{{nil, nil}, {&lo, &hi}, {&lo, nil}, {nil, &hi}} {
+			var want []int64
+			for _, k := range ref {
+				if inRange(IntValue(k), bounds[0], bounds[1]) {
+					want = append(want, k)
+				}
+			}
+			var asc, desc []int64
+			bt.walk(bounds[0], bounds[1], false, func(k Value, _ []int64) bool { asc = append(asc, k.I); return true })
+			bt.walk(bounds[0], bounds[1], true, func(k Value, _ []int64) bool { desc = append(desc, k.I); return true })
+			if len(asc) != len(want) || len(desc) != len(want) {
+				t.Fatalf("round %d: walked %d asc, %d desc, want %d", round, len(asc), len(desc), len(want))
+			}
+			for i, k := range want {
+				if asc[i] != k || desc[len(want)-1-i] != k {
+					t.Fatalf("round %d: position %d: asc %d, desc %d, want %d", round, i, asc[i], desc[len(want)-1-i], k)
+				}
+			}
+		}
+	}
+	del := func(k int64) {
+		if live[k] {
+			bt.Delete(IntValue(k), k)
+			delete(live, k)
+		}
+	}
+	for round := 0; len(live) > 0; round++ {
+		// Shave the top (emptying the rightmost leaves), the bottom, and
+		// a random sprinkle; re-insert a few so splits meet sparse leaves.
+		mx, _ := bt.Max()
+		mn, _ := bt.Min()
+		for i := int64(0); i < 150; i++ {
+			del(mx.I - i)
+			del(mn.I + i/3)
+			del(rng.Int63n(6000))
+		}
+		if round%4 == 0 && len(live) > 500 {
+			for i := 0; i < 20; i++ {
+				k := rng.Int63n(6000)
+				if !live[k] {
+					bt.Insert(IntValue(k), k)
+					live[k] = true
+				}
+			}
+		}
+		check(round)
+	}
+	check(-1)
+	if bt.Len() != 0 {
+		t.Fatalf("Len = %d after deleting everything", bt.Len())
+	}
+}

@@ -1,13 +1,16 @@
 package store
 
-import "math"
+import (
+	"context"
+	"math"
+)
 
 // Columnar batch support for the vectorized query executor. A Col is
 // one typed column vector; a ColBatch is a fixed-capacity set of
-// column vectors holding up to ~1024 rows. Scans fill batches straight
-// from table storage with one typed append per cell — no per-row Row
+// column vectors. Table.Gather fills a batch straight from table
+// storage with one typed append per projected cell — no per-row Row
 // allocation — and the query layer's operators loop over the typed
-// slices directly.
+// slices directly (in ~1024-row zero-copy views).
 //
 // Storage modes: a Col whose Kind is a concrete type (INT, FLOAT,
 // STRING, BOOL) keeps its cells in the matching typed slice plus a
@@ -233,91 +236,33 @@ type ColBatch struct {
 	Rows int
 }
 
-// NewColBatch allocates an empty batch matching the schema with room
-// for capacity rows per column.
-func NewColBatch(s *Schema, capacity int) *ColBatch {
-	cb := &ColBatch{Cols: make([]Col, len(s.Columns))}
-	for i, col := range s.Columns {
-		cb.Cols[i] = *NewCol(col.Kind, capacity)
+// NewColBatch allocates an empty batch holding the schema's columns
+// cols, in that order, with room for capacity rows per column.
+func NewColBatch(s *Schema, cols []int, capacity int) *ColBatch {
+	cb := &ColBatch{Cols: make([]Col, len(cols))}
+	for i, c := range cols {
+		cb.Cols[i] = *NewCol(s.Columns[c].Kind, capacity)
 	}
 	return cb
 }
 
-// AppendRow appends one row's cells across the columns.
-func (cb *ColBatch) AppendRow(r Row) {
-	for i := range cb.Cols {
-		cb.Cols[i].Append(r[i])
-	}
-	cb.Rows++
-}
-
-// ScanBatch streams the table's latest-version rows as columnar
-// batches of up to batchRows rows each, in unspecified order, until fn
-// returns false. Each batch is freshly allocated and owned by fn; its
-// cells are copies, so batches stay valid (and immutable-safe) after
-// the scan returns and concurrent writers run.
-func (t *Table) ScanBatch(batchRows int, fn func(*ColBatch) bool) {
+// Gather runs the access at commit version ver (negative reads the
+// latest) and materializes the selected rows, narrowed to a.Cols, into
+// one columnar batch — index walk, version resolution, residual check
+// and the per-cell typed appends fused into a single pass under one
+// read lock. Cells are copies, so the batch stays valid while writers
+// run. It also returns how many visible rows the walk examined; ctx is
+// polled as the walk goes.
+func (t *Table) Gather(ctx context.Context, ver int64, a Access) (*ColBatch, int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.scanBatchLocked(t.commit, batchRows, fn)
-}
-
-// ScanBatchAt is ScanBatch at a pinned commit version.
-func (t *Table) ScanBatchAt(v int64, batchRows int, fn func(*ColBatch) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	t.scanBatchLocked(v, batchRows, fn)
-}
-
-func (t *Table) scanBatchLocked(v int64, batchRows int, fn func(*ColBatch) bool) {
-	if batchRows < 1 {
-		batchRows = 1
-	}
-	var cb *ColBatch
-	for _, chain := range t.rows {
-		i := visibleIdx(chain, v)
-		if i < 0 {
-			continue
+	cols := a.outputCols(t.schema)
+	cb := NewColBatch(t.schema, cols, t.capacityLocked(a))
+	examined, err := t.readLocked(ctx.Err, ver, a, func(_ int64, r Row) {
+		for i, c := range cols {
+			cb.Cols[i].Append(r[c])
 		}
-		if cb == nil {
-			cb = NewColBatch(t.schema, batchRows)
-		}
-		cb.AppendRow(chain[i].row)
-		if cb.Rows == batchRows {
-			out := cb
-			cb = nil
-			if !fn(out) {
-				return
-			}
-		}
-	}
-	if cb != nil && cb.Rows > 0 {
-		fn(cb)
-	}
-}
-
-// GatherCols materializes the rows with the given IDs into one
-// columnar batch (in id-list order, skipping IDs that no longer
-// exist) — the index-scan counterpart of ScanBatch.
-func (t *Table) GatherCols(ids []int64) *ColBatch {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.gatherColsLocked(t.commit, ids)
-}
-
-// GatherColsAt is GatherCols at a pinned commit version.
-func (t *Table) GatherColsAt(v int64, ids []int64) *ColBatch {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.gatherColsLocked(v, ids)
-}
-
-func (t *Table) gatherColsLocked(v int64, ids []int64) *ColBatch {
-	cb := NewColBatch(t.schema, len(ids))
-	for _, id := range ids {
-		if i := visibleIdx(t.rows[id], v); i >= 0 {
-			cb.AppendRow(t.rows[id][i].row)
-		}
-	}
-	return cb
+		cb.Rows++
+	})
+	return cb, examined, err
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -179,52 +180,14 @@ func (tv *TableView) Snapshot() []Row {
 	return tv.t.SnapshotAt(tv.v)
 }
 
-// Get returns the visible row with the given ID.
-func (tv *TableView) Get(id int64) (Row, bool) {
-	if tv.v < 0 {
-		return tv.t.Get(id)
-	}
-	return tv.t.GetAt(tv.v, id)
+// Gather materializes the rows the access selects into one columnar
+// batch (see Table.Gather).
+func (tv *TableView) Gather(ctx context.Context, a Access) (*ColBatch, int, error) {
+	return tv.t.Gather(ctx, tv.v, a)
 }
 
-// Rows returns copies of the visible rows with the given IDs.
-func (tv *TableView) Rows(ids []int64) []Row {
-	if tv.v < 0 {
-		return tv.t.Rows(ids)
-	}
-	return tv.t.RowsAt(tv.v, ids)
-}
-
-// LookupEqual returns the IDs of visible rows whose column equals v.
-func (tv *TableView) LookupEqual(column string, v Value) ([]int64, error) {
-	if tv.v < 0 {
-		return tv.t.LookupEqual(column, v)
-	}
-	return tv.t.LookupEqualAt(tv.v, column, v)
-}
-
-// LookupRange returns the IDs of visible rows with lo ≤ column ≤ hi.
-func (tv *TableView) LookupRange(column string, lo, hi *Value) ([]int64, error) {
-	if tv.v < 0 {
-		return tv.t.LookupRange(column, lo, hi)
-	}
-	return tv.t.LookupRangeAt(tv.v, column, lo, hi)
-}
-
-// GatherCols materializes the visible rows with the given IDs into one
-// columnar batch.
-func (tv *TableView) GatherCols(ids []int64) *ColBatch {
-	if tv.v < 0 {
-		return tv.t.GatherCols(ids)
-	}
-	return tv.t.GatherColsAt(tv.v, ids)
-}
-
-// ScanBatch streams the visible rows as columnar batches.
-func (tv *TableView) ScanBatch(batchRows int, fn func(*ColBatch) bool) {
-	if tv.v < 0 {
-		tv.t.ScanBatch(batchRows, fn)
-		return
-	}
-	tv.t.ScanBatchAt(tv.v, batchRows, fn)
+// GatherRows returns copies of the rows the access selects (see
+// Table.GatherRows).
+func (tv *TableView) GatherRows(ctx context.Context, a Access) ([]Row, int, error) {
+	return tv.t.GatherRows(ctx, tv.v, a)
 }

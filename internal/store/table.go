@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -295,18 +296,7 @@ func (t *Table) Insert(r Row) (int64, error) {
 func (t *Table) Get(id int64) (Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.getLocked(t.commit, id)
-}
-
-// GetAt is Get at a pinned commit version.
-func (t *Table) GetAt(v int64, id int64) (Row, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.getLocked(v, id)
-}
-
-func (t *Table) getLocked(v int64, id int64) (Row, bool) {
-	i := visibleIdx(t.rows[id], v)
+	i := visibleIdx(t.rows[id], t.commit)
 	if i < 0 {
 		return nil, false
 	}
@@ -420,21 +410,49 @@ func (t *Table) snapshotLocked(v int64) []Row {
 	return out
 }
 
-// LookupEqual returns the IDs of rows whose column equals v at the
-// latest version, using an index when one exists and falling back to a
-// scan.
-func (t *Table) LookupEqual(column string, v Value) ([]int64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.lookupEqualLocked(t.commit, column, v)
+// Access describes one read of a table: which rows, in what order,
+// which columns, and how many. It is the one way the query layer
+// reaches stored rows — every scan, index probe, ordered walk and
+// key union is an Access handed to Gather or GatherRows, which resolve
+// it in a single pass under one read lock.
+type Access struct {
+	// Column names the index that drives the read; "" reads every
+	// visible row in storage order.
+	Column string
+	// Keys, when non-nil, are equality probes on Column: rows come out
+	// grouped by key in list order. Keys must be distinct.
+	Keys []Value
+	// Lo and Hi bound a range walk over Column (inclusive; nil is open),
+	// used when Keys is nil. Rows come out in key order, descending when
+	// Desc is set. NULL keys never qualify.
+	Lo, Hi *Value
+	Desc   bool
+	// Cols lists the columns to emit, in output order; nil emits all.
+	Cols []int
+	// Limit stops the read after that many emitted rows; 0 is no limit.
+	Limit int
+	// Accept, when set, is shown every visible row the walk reaches (the
+	// stored row itself: read-only, not to be retained) and decides
+	// whether it is emitted. It runs under the table's read lock, so it
+	// must not touch the store. An error aborts the read.
+	Accept func(Row) (bool, error)
 }
 
-// LookupEqualAt is LookupEqual at a pinned commit version.
-func (t *Table) LookupEqualAt(ver int64, column string, v Value) ([]int64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.lookupEqualLocked(ver, column, v)
+// outputCols resolves Cols against the schema: nil is every column.
+func (a Access) outputCols(s *Schema) []int {
+	if a.Cols != nil {
+		return a.Cols
+	}
+	cols := make([]int, len(s.Columns))
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
 }
+
+// pollEvery is how many postings a read visits between polls of its
+// caller's context (poll is nil for the context-free Lookup calls).
+const pollEvery = 1024
 
 // equalCandidates returns the raw index postings for v — unverified
 // candidate IDs the caller filters by version visibility.
@@ -443,49 +461,6 @@ func equalCandidates(ix *index, v Value) []int64 {
 		return ix.hash[v.Hash()]
 	}
 	return ix.tree.Get(v)
-}
-
-func (t *Table) lookupEqualLocked(ver int64, column string, v Value) ([]int64, error) {
-	ci := t.schema.ColumnIndex(column)
-	if ci < 0 {
-		return nil, fmt.Errorf("store: table %s has no column %q", t.name, column)
-	}
-	if idx, ok := t.indexes[column]; ok {
-		// Postings cover every retained version's value, so candidates
-		// must be verified against the version visible at ver (the row
-		// may have been updated or deleted since the posting landed).
-		cand := equalCandidates(idx, v)
-		var ids []int64
-		for _, id := range cand {
-			if i := visibleIdx(t.rows[id], ver); i >= 0 && Equal(t.rows[id][i].row[ci], v) {
-				ids = append(ids, id)
-			}
-		}
-		return ids, nil
-	}
-	var ids []int64
-	for id, chain := range t.rows {
-		if i := visibleIdx(chain, ver); i >= 0 && Equal(chain[i].row[ci], v) {
-			ids = append(ids, id)
-		}
-	}
-	return ids, nil
-}
-
-// LookupRange returns the IDs of rows with lo ≤ column ≤ hi (nil
-// bounds are open) at the latest version. A B+-tree index is used when
-// available; otherwise the table is scanned.
-func (t *Table) LookupRange(column string, lo, hi *Value) ([]int64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.lookupRangeLocked(t.commit, column, lo, hi)
-}
-
-// LookupRangeAt is LookupRange at a pinned commit version.
-func (t *Table) LookupRangeAt(ver int64, column string, lo, hi *Value) ([]int64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.lookupRangeLocked(ver, column, lo, hi)
 }
 
 func inRange(v Value, lo, hi *Value) bool {
@@ -501,37 +476,206 @@ func inRange(v Value, lo, hi *Value) bool {
 	return true
 }
 
-func (t *Table) lookupRangeLocked(ver int64, column string, lo, hi *Value) ([]int64, error) {
-	ci := t.schema.ColumnIndex(column)
-	if ci < 0 {
-		return nil, fmt.Errorf("store: table %s has no column %q", t.name, column)
+// indexFor returns the index that can serve the access, or nil: any
+// index answers key probes, only a B+-tree walks a range.
+func (t *Table) indexFor(a Access) *index {
+	idx := t.indexes[a.Column]
+	if idx != nil && a.Keys == nil && idx.typ != IndexBTree {
+		return nil
 	}
-	if idx, ok := t.indexes[column]; ok && idx.typ == IndexBTree {
-		// A row updated within the range can surface under two keys;
-		// verify against the visible version and dedup.
-		var ids []int64
-		seen := make(map[int64]struct{})
-		idx.tree.Range(lo, hi, func(_ Value, postings []int64) bool {
-			for _, id := range postings {
-				if _, dup := seen[id]; dup {
-					continue
-				}
-				seen[id] = struct{}{}
-				if i := visibleIdx(t.rows[id], ver); i >= 0 && inRange(t.rows[id][i].row[ci], lo, hi) {
-					ids = append(ids, id)
+	return idx
+}
+
+// walkLocked calls fn with every row the access selects at commit
+// version ver, in access order, until fn returns false. Index postings
+// cover every value any retained version carries, so a posting under
+// key k is emitted only when the row version visible at ver carries k:
+// postings are set-valued per (value, id), hence each visible row
+// surfaces exactly once, under its own key, with no dedup state. A
+// column without a usable index (none, or a hash index asked for a
+// range) is served by filtering a full pass, in storage order.
+func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(id int64, r Row) bool) error {
+	if a.Column == "" {
+		return t.passLocked(poll, ver, nil, fn)
+	}
+	ci := t.schema.ColumnIndex(a.Column)
+	if ci < 0 {
+		return fmt.Errorf("store: table %s has no column %q", t.name, a.Column)
+	}
+	idx := t.indexFor(a)
+	if idx == nil {
+		return t.passLocked(poll, ver, func(r Row) bool {
+			for _, k := range a.Keys {
+				if Equal(r[ci], k) {
+					return true
 				}
 			}
-			return true
-		})
-		return ids, nil
+			return a.Keys == nil && inRange(r[ci], a.Lo, a.Hi)
+		}, fn)
 	}
-	var ids []int64
+	var err error
+	visited := 0
+	postings := func(k Value, ids []int64) bool {
+		for _, id := range ids {
+			if visited++; poll != nil && visited%pollEvery == 0 {
+				if err = poll(); err != nil {
+					return false
+				}
+			}
+			chain := t.rows[id]
+			if i := visibleIdx(chain, ver); i >= 0 && Equal(chain[i].row[ci], k) && !fn(id, chain[i].row) {
+				return false
+			}
+		}
+		return true
+	}
+	if a.Keys != nil {
+		for _, k := range a.Keys {
+			if !postings(k, equalCandidates(idx, k)) {
+				break
+			}
+		}
+		return err
+	}
+	idx.tree.walk(a.Lo, a.Hi, a.Desc, func(k Value, ids []int64) bool {
+		return k.IsNull() || postings(k, ids)
+	})
+	return err
+}
+
+// passLocked is the index-free walk: every visible row match accepts
+// (nil accepts all), in storage order.
+func (t *Table) passLocked(poll func() error, ver int64, match func(Row) bool, fn func(id int64, r Row) bool) error {
+	visited := 0
 	for id, chain := range t.rows {
-		if i := visibleIdx(chain, ver); i >= 0 && inRange(chain[i].row[ci], lo, hi) {
-			ids = append(ids, id)
+		if visited++; poll != nil && visited%pollEvery == 0 {
+			if err := poll(); err != nil {
+				return err
+			}
+		}
+		if i := visibleIdx(chain, ver); i >= 0 && (match == nil || match(chain[i].row)) && !fn(id, chain[i].row) {
+			return nil
 		}
 	}
-	return ids, nil
+	return nil
+}
+
+// readLocked runs the access at ver (negative reads the latest commit),
+// applying Accept and Limit, and hands each emitted row to sink. It
+// returns how many visible rows the walk examined — emitted or not.
+func (t *Table) readLocked(poll func() error, ver int64, a Access, sink func(id int64, r Row)) (examined int, err error) {
+	if ver < 0 {
+		ver = t.commit
+	}
+	emitted := 0
+	werr := t.walkLocked(poll, ver, a, func(id int64, r Row) bool {
+		examined++
+		if a.Accept != nil {
+			ok, aerr := a.Accept(r)
+			if aerr != nil {
+				err = aerr
+				return false
+			}
+			if !ok {
+				return true
+			}
+		}
+		sink(id, r)
+		emitted++
+		return a.Limit <= 0 || emitted < a.Limit
+	})
+	if err == nil {
+		err = werr
+	}
+	return examined, err
+}
+
+// CountPostings returns how many index postings the access would visit
+// — an upper bound on the rows it can emit, exact but for versions
+// awaiting GC — giving up once the count passes max (≤ 0 counts them
+// all). The planner sizes an index path against a full scan with it,
+// and Gather sizes its batch. A full scan, or a column without a usable
+// index, counts every stored row.
+func (t *Table) CountPostings(a Access, max int) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.countPostingsLocked(a, max)
+}
+
+func (t *Table) countPostingsLocked(a Access, max int) int {
+	idx := t.indexFor(a)
+	if idx == nil {
+		return len(t.rows)
+	}
+	n := 0
+	if a.Keys != nil {
+		for _, k := range a.Keys {
+			if n += len(equalCandidates(idx, k)); max > 0 && n > max {
+				break
+			}
+		}
+		return n
+	}
+	idx.tree.walk(a.Lo, a.Hi, a.Desc, func(_ Value, ids []int64) bool {
+		n += len(ids)
+		return max <= 0 || n <= max
+	})
+	return n
+}
+
+// capacityLocked sizes the output of an access: the posting count,
+// capped by Limit, and — when Accept may reject most of it — by one
+// batch, grown on demand.
+func (t *Table) capacityLocked(a Access) int {
+	max := a.Limit
+	if a.Accept != nil && (max <= 0 || max > pollEvery) {
+		max = pollEvery
+	}
+	if n := t.countPostingsLocked(a, max); max <= 0 || n < max {
+		return n
+	}
+	return max
+}
+
+// GatherRows runs the access at commit version ver (negative reads the
+// latest) and returns copies of the selected rows narrowed to a.Cols,
+// plus the number of visible rows examined.
+func (t *Table) GatherRows(ctx context.Context, ver int64, a Access) ([]Row, int, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	cols := a.outputCols(t.schema)
+	out := make([]Row, 0, t.capacityLocked(a))
+	examined, err := t.readLocked(ctx.Err, ver, a, func(_ int64, r Row) {
+		pr := make(Row, len(cols))
+		for i, c := range cols {
+			pr[i] = r[c]
+		}
+		out = append(out, pr)
+	})
+	return out, examined, err
+}
+
+// lookup collects the IDs an access selects at the latest version.
+func (t *Table) lookup(a Access) ([]int64, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var ids []int64
+	_, err := t.readLocked(nil, -1, a, func(id int64, _ Row) { ids = append(ids, id) })
+	return ids, err
+}
+
+// LookupEqual returns the IDs of rows whose column equals v at the
+// latest version, using an index when one exists and falling back to a
+// scan.
+func (t *Table) LookupEqual(column string, v Value) ([]int64, error) {
+	return t.lookup(Access{Column: column, Keys: []Value{v}})
+}
+
+// LookupRange returns the IDs of rows with lo ≤ column ≤ hi (nil
+// bounds are open) at the latest version, in key order when a B+-tree
+// index serves it; otherwise the table is scanned.
+func (t *Table) LookupRange(column string, lo, hi *Value) ([]int64, error) {
+	return t.lookup(Access{Column: column, Lo: lo, Hi: hi})
 }
 
 // Rows returns copies of the rows with the given IDs at the latest
@@ -539,20 +683,9 @@ func (t *Table) lookupRangeLocked(ver int64, column string, lo, hi *Value) ([]in
 func (t *Table) Rows(ids []int64) []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.rowsLocked(t.commit, ids)
-}
-
-// RowsAt is Rows at a pinned commit version.
-func (t *Table) RowsAt(v int64, ids []int64) []Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.rowsLocked(v, ids)
-}
-
-func (t *Table) rowsLocked(v int64, ids []int64) []Row {
 	out := make([]Row, 0, len(ids))
 	for _, id := range ids {
-		if i := visibleIdx(t.rows[id], v); i >= 0 {
+		if i := visibleIdx(t.rows[id], t.commit); i >= 0 {
 			out = append(out, t.rows[id][i].row.Clone())
 		}
 	}
