@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-replication vet vet-compat lint bench bench-smoke bench-repo-smoke chaos chaos-replica overload torture ingest check clean
+.PHONY: all build test race race-replication vet vet-compat lint bench bench-smoke bench-repo bench-repo-smoke chaos chaos-replica overload torture ingest check clean
 
 all: check
 
@@ -26,7 +26,7 @@ test:
 # all: the MVCC store (pinned index walks and gathers against a
 # concurrent committer) and the fault-injecting VFS.
 race:
-	$(GO) test -race ./internal/query/... ./internal/core/... \
+	$(GO) test -race ./internal/query/... ./internal/core/... ./internal/cache/... \
 		./internal/shard/... ./internal/replica/... \
 		./internal/source/... ./internal/integrate/... ./internal/mobile/... \
 		./internal/admission/... ./internal/store/... ./internal/vfs/...
@@ -93,6 +93,27 @@ bench-smoke:
 # driver.
 bench-repo-smoke:
 	cd bench && $(GO) test ./...
+
+# The committed numbers: every workload of the repository benchmark
+# once untraced (the seven end-to-end metrics) and once with --trace 1
+# (the per-layer table), each run's final JSON line collected under a
+# host header into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an
+# otherwise idle host and commit the file with the change it measures.
+BENCH_JSON ?= BENCH_17.json
+
+bench-repo:
+	@set -e; tmp=$(BENCH_JSON).tmp; \
+	printf '{"host":{"cpu":"%s","cpus":%s,"mem_mb":%s,"kernel":"%s","go":"%s","date":"%s"},\n "runs":[' \
+		"$$(sed -n 's/^model name[^:]*: //p' /proc/cpuinfo | head -n 1)" "$$(nproc)" \
+		"$$(awk '/^MemTotal/ {print int($$2/1024)}' /proc/meminfo)" "$$(uname -sr)" \
+		"$$($(GO) env GOVERSION)" "$$(date -u +%F)" > $$tmp; \
+	sep=; for w in browse analytics ingest sharded; do for trace in 0 1; do \
+		echo "bench-repo: $$w --trace $$trace" >&2; \
+		line=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 10 --trace $$trace | tail -n 1); \
+		printf '%s\n  {"workload":"%s","seed":%s,"trace":%s,"report":%s}' \
+			"$$sep" $$w 1 $$trace "$$line" >> $$tmp; sep=,; \
+	done; done; \
+	printf '\n ]}\n' >> $$tmp; mv $$tmp $(BENCH_JSON)
 
 # Parallel-executor microbenchmarks plus the experiment tables.
 bench:

@@ -4,12 +4,15 @@
 //
 // The cache is range-semantic: entries remember the predicate range
 // they cover, so a query for preorder interval [10,20] is answered
-// from a cached [0,100] result by filtering (subsumption), not only
-// by exact match. Eviction is cost-aware (GreedyDual-Size): entries
-// that were expensive to compute and cheap to keep survive longer.
+// from a cached [0,100] result by slicing out the covered rows
+// (subsumption), not only by exact match. Eviction is cost-aware
+// (GreedyDual-Size): entries that were expensive to compute and cheap
+// to keep survive longer.
 package cache
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -26,14 +29,21 @@ type Key struct {
 	Residual string
 }
 
-// Entry is one cached result set covering a range.
+// Entry is one cached result set covering a range, held as typed
+// column vectors. Put takes ownership of the entry and its batch;
+// from then on neither is mutated, and eviction, replacement and
+// invalidation only drop the cache's reference, so a batch or window
+// a Get handed out stays valid for as long as its holder keeps it.
 type Entry struct {
 	Key     Key
 	Lo, Hi  int64 // inclusive covered range on RangeCol
 	Columns []string
-	Rows    []store.Row
-	// RangeIdx is the position of RangeCol in Rows (for subsumption
-	// filtering); -1 disables subsumption for this entry.
+	// Batch holds the rows. Put orders it ascending on the range column
+	// so a subsumed Get is a slice of it.
+	Batch *store.ColBatch
+	// RangeIdx is the position of RangeCol in Batch; -1 disables
+	// subsumption for this entry (Put sets it when the column is not
+	// INT or holds a NULL).
 	RangeIdx int
 	// Version is the data version the entry was computed at.
 	Version int64
@@ -47,7 +57,7 @@ type Entry struct {
 // Stats reports cache effectiveness.
 type Stats struct {
 	Hits          int64
-	SubsumedHits  int64 // hits answered by filtering a wider entry
+	SubsumedHits  int64 // hits answered by a window of a wider entry
 	Misses        int64
 	Evictions     int64
 	Invalidations int64
@@ -75,22 +85,86 @@ func New(capacity int64) *Cache {
 	return &Cache{capacity: capacity, entries: make(map[Key][]*Entry)}
 }
 
-// rowBytes estimates an entry's memory footprint.
-func rowBytes(rows []store.Row) int64 {
-	var n int64
-	for _, r := range rows {
-		n += int64(store.EncodedRowSize(r))
+// Heap footprint of the fixed parts on a 64-bit host: the Entry with
+// its ColBatch, one Col header (kind + five slice headers) per column,
+// a generic-mode Value cell, a string header.
+const (
+	entryOverhead = 192
+	colOverhead   = 128
+	valueSize     = 40
+	strHeaderSize = 16
+)
+
+// batchBytes is the heap a batch pins: every vector's capacity plus
+// the string bytes the cells point at.
+func batchBytes(cb *store.ColBatch) int64 {
+	n := int64(entryOverhead)
+	for i := range cb.Cols {
+		c := &cb.Cols[i]
+		n += colOverhead + int64(cap(c.Null)) + 8*int64(cap(c.Int)+cap(c.Float)) +
+			strHeaderSize*int64(cap(c.Str)) + valueSize*int64(cap(c.Vals))
+		for _, s := range c.Str {
+			n += int64(len(s))
+		}
+		for _, v := range c.Vals {
+			n += int64(len(v.S))
+		}
 	}
-	return n + 64
+	return n
 }
 
-// Get answers a range query [lo,hi] from the cache. version is the
-// caller's current data version; stale entries are invalidated on
-// contact. The returned rows are the cached rows restricted to the
-// requested range.
-func (c *Cache) Get(key Key, lo, hi int64, version int64) ([]store.Row, []string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// sortOnRange orders the entry's batch ascending on the range column,
+// or clears RangeIdx when that column cannot be searched (not INT, or
+// a NULL key). An index-ordered scan arrives sorted and costs only the
+// check; a gather merged from shards does not, and gets one stable
+// permutation applied to every column.
+func (e *Entry) sortOnRange() {
+	if e.RangeIdx < 0 {
+		return
+	}
+	key := &e.Batch.Cols[e.RangeIdx]
+	if key.Kind != store.KindInt || slices.Contains(key.Null, true) {
+		e.RangeIdx = -1
+		return
+	}
+	if slices.IsSorted(key.Int) {
+		return
+	}
+	perm := make([]int, e.Batch.Rows)
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.SliceStable(perm, func(a, b int) bool { return key.Int[perm[a]] < key.Int[perm[b]] })
+	out := &store.ColBatch{Cols: make([]store.Col, len(e.Batch.Cols)), Rows: e.Batch.Rows}
+	for c := range out.Cols {
+		src := &e.Batch.Cols[c]
+		dst := store.NewCol(src.Kind, len(perm))
+		for _, i := range perm {
+			dst.AppendFrom(src, i)
+		}
+		out.Cols[c] = *dst
+	}
+	e.Batch = out
+}
+
+// window returns the rows whose range key lies in [lo,hi] as zero-copy
+// slices of the entry's vectors.
+func (e *Entry) window(lo, hi int64) *store.ColBatch {
+	keys := e.Batch.Cols[e.RangeIdx].Int
+	from := sort.Search(len(keys), func(i int) bool { return keys[i] >= lo })
+	to := from + sort.Search(len(keys)-from, func(i int) bool { return keys[from+i] > hi })
+	out := &store.ColBatch{Cols: make([]store.Col, len(e.Batch.Cols)), Rows: to - from}
+	for c := range out.Cols {
+		out.Cols[c] = e.Batch.Cols[c].Slice(from, to)
+	}
+	return out
+}
+
+// lookupLocked finds a current entry that can answer [lo,hi], counting
+// the hit or miss, refreshing the hit entry's GreedyDual-Size priority
+// and dropping stale entries on contact. exact reports that the entry
+// covers precisely [lo,hi].
+func (c *Cache) lookupLocked(key Key, lo, hi int64, version int64) (e *Entry, exact bool) {
 	list := c.entries[key]
 	for i := 0; i < len(list); i++ {
 		e := list[i]
@@ -101,35 +175,57 @@ func (c *Cache) Get(key Key, lo, hi int64, version int64) ([]store.Row, []string
 			c.stats.Invalidations++
 			continue
 		}
-		if e.Lo <= lo && hi <= e.Hi {
-			// Hit. Refresh GDS priority.
-			e.priority = c.clock + float64(e.Cost.Microseconds())/float64(e.bytes+1)
-			if e.Lo == lo && e.Hi == hi {
-				c.stats.Hits++
-				return e.Rows, e.Columns, true
-			}
-			if e.RangeIdx < 0 || c.ExactOnly {
-				continue // subsumption unavailable for this entry
-			}
-			c.stats.Hits++
-			c.stats.SubsumedHits++
-			var out []store.Row
-			for _, r := range e.Rows {
-				v := r[e.RangeIdx]
-				if v.K == store.KindInt && v.I >= lo && v.I <= hi {
-					out = append(out, r)
-				}
-			}
-			return out, e.Columns, true
+		if lo < e.Lo || e.Hi < hi {
+			continue
 		}
+		exact := e.Lo == lo && e.Hi == hi
+		if !exact && (e.RangeIdx < 0 || c.ExactOnly) {
+			continue // subsumption unavailable for this entry
+		}
+		e.priority = c.clock + float64(e.Cost.Microseconds())/float64(e.bytes+1)
+		c.stats.Hits++
+		if !exact {
+			c.stats.SubsumedHits++
+		}
+		return e, exact
 	}
 	c.stats.Misses++
-	return nil, nil, false
+	return nil, false
+}
+
+// Get answers a range query [lo,hi] from the cache. version is the
+// caller's current data version; stale entries are invalidated on
+// contact. The returned batch holds the cached rows restricted to the
+// requested range, in range-column order; it aliases cache storage and
+// must be treated read-only.
+func (c *Cache) Get(key Key, lo, hi int64, version int64) (*store.ColBatch, []string, bool) {
+	c.mu.Lock()
+	e, exact := c.lookupLocked(key, lo, hi, version)
+	c.mu.Unlock()
+	switch {
+	case e == nil:
+		return nil, nil, false
+	case exact:
+		return e.Batch, e.Columns, true
+	}
+	return e.window(lo, hi), e.Columns, true
+}
+
+// Covers is Get without the result: it reports whether the cache can
+// answer [lo,hi], with the same counting, priority refresh and
+// stale-entry invalidation — the caller is about to rely on the range
+// being resident — but builds nothing.
+func (c *Cache) Covers(key Key, lo, hi int64, version int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, _ := c.lookupLocked(key, lo, hi, version)
+	return e != nil
 }
 
 // Put inserts a computed result covering [lo,hi].
 func (c *Cache) Put(e *Entry) {
-	e.bytes = rowBytes(e.Rows)
+	e.sortOnRange()
+	e.bytes = batchBytes(e.Batch)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.bytes > c.capacity {

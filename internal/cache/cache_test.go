@@ -9,19 +9,21 @@ import (
 	"drugtree/internal/store"
 )
 
-func mkRows(lo, hi int64) []store.Row {
+var testKinds = []store.Kind{store.KindInt, store.KindString}
+
+func mkBatch(lo, hi int64) *store.ColBatch {
 	var rows []store.Row
 	for i := lo; i <= hi; i++ {
 		rows = append(rows, store.Row{store.IntValue(i), store.StringValue(fmt.Sprintf("n%d", i))})
 	}
-	return rows
+	return store.ColBatchFromRows(testKinds, rows)
 }
 
 func mkEntry(key Key, lo, hi int64, version int64, cost time.Duration) *Entry {
 	return &Entry{
 		Key: key, Lo: lo, Hi: hi,
 		Columns:  []string{"pre", "name"},
-		Rows:     mkRows(lo, hi),
+		Batch:    mkBatch(lo, hi),
 		RangeIdx: 0,
 		Version:  version,
 		Cost:     cost,
@@ -33,9 +35,9 @@ var k1 = Key{Relation: "tree_nodes", RangeCol: "pre", Residual: ""}
 func TestCacheExactHit(t *testing.T) {
 	c := New(1 << 20)
 	c.Put(mkEntry(k1, 10, 20, 1, time.Millisecond))
-	rows, cols, ok := c.Get(k1, 10, 20, 1)
-	if !ok || len(rows) != 11 || cols[0] != "pre" {
-		t.Fatalf("exact hit: ok=%v rows=%d", ok, len(rows))
+	cb, cols, ok := c.Get(k1, 10, 20, 1)
+	if !ok || cb.Rows != 11 || cols[0] != "pre" {
+		t.Fatalf("exact hit: ok=%v rows=%d", ok, cb.Rows)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.SubsumedHits != 0 || st.Misses != 0 {
@@ -46,16 +48,16 @@ func TestCacheExactHit(t *testing.T) {
 func TestCacheSubsumedHit(t *testing.T) {
 	c := New(1 << 20)
 	c.Put(mkEntry(k1, 0, 100, 1, time.Millisecond))
-	rows, _, ok := c.Get(k1, 40, 50, 1)
+	cb, _, ok := c.Get(k1, 40, 50, 1)
 	if !ok {
 		t.Fatal("subsumed query missed")
 	}
-	if len(rows) != 11 {
-		t.Fatalf("subsumed rows = %d, want 11", len(rows))
+	if cb.Rows != 11 || cb.Cols[0].Len() != 11 || cb.Cols[1].Len() != 11 {
+		t.Fatalf("subsumed rows = %d, want 11", cb.Rows)
 	}
-	for _, r := range rows {
-		if r[0].I < 40 || r[0].I > 50 {
-			t.Fatalf("row %v outside requested range", r[0])
+	for i, pre := range cb.Cols[0].Int {
+		if pre != int64(40+i) || cb.Cols[1].Str[i] != fmt.Sprintf("n%d", pre) {
+			t.Fatalf("row %d = (%d, %q), want pre %d", i, pre, cb.Cols[1].Str[i], 40+i)
 		}
 	}
 	if st := c.Stats(); st.SubsumedHits != 1 {
@@ -136,7 +138,7 @@ func TestCacheEvictionRespectsCost(t *testing.T) {
 	e2 := mkEntry(k2, 0, 30, 1, time.Microsecond) // cheap
 	k3 := Key{Relation: "b", RangeCol: "x"}
 	e3 := mkEntry(k3, 0, 30, 1, 50*time.Millisecond)
-	size := rowBytes(e1.Rows)
+	size := batchBytes(e1.Batch)
 	c := New(size*2 + 100)
 	c.Put(e1)
 	c.Put(e2)

@@ -171,6 +171,7 @@ var TreeSchema = store.MustSchema(
 type Engine struct {
 	cfg     Config
 	db      *store.DB
+	treeTab *store.Table // tree_nodes; its Version() keys the semantic cache
 	tree    *phylo.Tree
 	layout  *phylo.Layout
 	catalog *query.DBCatalog
@@ -228,9 +229,14 @@ func NewWithTree(db *store.DB, tree *phylo.Tree, cfg Config) (*Engine, error) {
 	if err := materializeTree(db, tree); err != nil {
 		return nil, err
 	}
+	treeTab, err := db.Table(TreeTable)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		cfg:        cfg,
 		db:         db,
+		treeTab:    treeTab,
 		tree:       tree,
 		layout:     phylo.NewLayout(tree),
 		catalog:    query.NewDBCatalog(db, tree),
@@ -508,6 +514,28 @@ func (e *Engine) Query(ctx context.Context, src string) (*query.Result, error) {
 		}
 		e.Metrics.Counter("query.stmt_cache_misses").Inc()
 	}
+	res, err := e.execute(ctx, src, stmt, snap, start, nil)
+	if err != nil {
+		return nil, err
+	}
+	if e.stmtCache != nil {
+		// Store a private copy: the caller owns res and may mutate its
+		// rows, which must not reach the cached entry (get clones on
+		// the way out for the same reason).
+		e.stmtCache.put(src, version, res.Clone())
+	}
+	return res, nil
+}
+
+// execute is the half of Query behind the statement cache: admission,
+// then plan and run at snap — on the coordinator when sharded. Tree
+// navigation enters here directly (the semantic cache already fronts
+// it; a statement-cache copy of every subtree would be a second one).
+// A non-nil kinds asks for Result.Batch in place of Result.Rows and
+// names the output columns' kinds: the single-node executor delivers
+// columns itself, the coordinator merges rows, so its answer is
+// transposed once to those kinds.
+func (e *Engine) execute(ctx context.Context, src string, stmt *query.SelectStmt, snap *store.SnapshotHandle, start time.Time, kinds []store.Kind) (*query.Result, error) {
 	if e.limiter != nil {
 		release, err := e.limiter.Acquire(ctx, 1)
 		if err != nil {
@@ -517,21 +545,22 @@ func (e *Engine) Query(ctx context.Context, src string) (*query.Result, error) {
 		defer release()
 	}
 	var res *query.Result
-	if e.coord != nil {
+	var err error
+	switch {
+	case e.coord != nil:
 		res, err = e.coord.Query(ctx, src)
-	} else {
+		if err == nil && kinds != nil {
+			res.Batch, res.Rows = store.ColBatchFromRows(kinds, res.Rows), nil
+		}
+	case kinds != nil:
+		res, err = e.sql.RunColumnsAt(ctx, stmt, snap)
+	default:
 		res, err = e.sql.RunAt(ctx, stmt, snap)
 	}
 	e.Metrics.Histogram("query.latency").Record(time.Since(start))
 	if err != nil {
 		e.Metrics.Counter("query.errors").Inc()
 		return nil, err
-	}
-	if e.stmtCache != nil {
-		// Store a private copy: the caller owns res and may mutate its
-		// rows, which must not reach the cached entry (get clones on
-		// the way out for the same reason).
-		e.stmtCache.put(src, version, res.Clone())
 	}
 	e.Metrics.Counter("query.count").Inc()
 	return res, nil

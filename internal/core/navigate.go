@@ -7,6 +7,7 @@ import (
 
 	"drugtree/internal/cache"
 	"drugtree/internal/phylo"
+	"drugtree/internal/query"
 	"drugtree/internal/store"
 )
 
@@ -23,20 +24,38 @@ type NodeView struct {
 	X, Y      float64
 }
 
-// viewFromRow decodes a tree_nodes row (TreeSchema order).
-func viewFromRow(r store.Row) NodeView {
-	return NodeView{
-		Pre:       r[0].I,
-		Name:      r[1].S,
-		ParentPre: r[2].I,
-		Depth:     r[3].I,
-		IsLeaf:    r[4].Bool(),
-		Length:    r[5].F,
-		RootDist:  r[6].F,
-		LeafCount: r[7].I,
-		X:         r[8].F,
-		Y:         r[9].F,
+// treeViewCols are the tree_nodes columns a NodeView carries, in
+// NodeView field order; treeViewKinds are their kinds.
+const treeViewCols = "pre, name, parent_pre, depth, is_leaf, branch_length, root_dist, leaf_count, x, y"
+
+var treeViewKinds = func() []store.Kind {
+	kinds := make([]store.Kind, 10)
+	for i := range kinds {
+		kinds[i] = TreeSchema.Columns[i].Kind
 	}
+	return kinds
+}()
+
+// viewsFromBatch decodes tree_nodes rows held as treeViewCols vectors,
+// reading the typed slices directly (tree_nodes has no NULLs).
+func viewsFromBatch(cb *store.ColBatch) []NodeView {
+	c := cb.Cols
+	views := make([]NodeView, cb.Rows)
+	for i := range views {
+		views[i] = NodeView{
+			Pre:       c[0].Int[i],
+			Name:      c[1].Str[i],
+			ParentPre: c[2].Int[i],
+			Depth:     c[3].Int[i],
+			IsLeaf:    c[4].Int[i] != 0,
+			Length:    c[5].Float[i],
+			RootDist:  c[6].Float[i],
+			LeafCount: c[7].Int[i],
+			X:         c[8].Float[i],
+			Y:         c[9].Float[i],
+		}
+	}
+	return views
 }
 
 var treeCacheKey = cache.Key{Relation: TreeTable, RangeCol: "pre", Residual: ""}
@@ -46,6 +65,25 @@ var treeCacheKey = cache.Key{Relation: TreeTable, RangeCol: "pre", Residual: ""}
 // the visit for the prefetcher. cached reports whether the cache
 // answered.
 func (e *Engine) OpenSubtree(ctx context.Context, nodeName string) (views []NodeView, cached bool, err error) {
+	cb, cached, err := e.visit(ctx, nodeName, true)
+	if err != nil {
+		return nil, false, err
+	}
+	return viewsFromBatch(cb), cached, nil
+}
+
+// VisitSubtree is OpenSubtree for a caller that renders from the
+// in-memory tree and needs only the side effects: the visit is
+// recorded, the cache is consulted and, on a miss, filled, and the
+// navigate counters move — but no views are built.
+func (e *Engine) VisitSubtree(ctx context.Context, nodeName string) (cached bool, err error) {
+	_, cached, err = e.visit(ctx, nodeName, false)
+	return cached, err
+}
+
+// visit is one navigation step. The batch is nil when the caller does
+// not want rows and the cache covered the subtree.
+func (e *Engine) visit(ctx context.Context, nodeName string, wantRows bool) (cb *store.ColBatch, cached bool, err error) {
 	id, err := e.NodeByName(nodeName)
 	if err != nil {
 		return nil, false, err
@@ -55,52 +93,51 @@ func (e *Engine) OpenSubtree(ctx context.Context, nodeName string) (views []Node
 		e.Metrics.Histogram("navigate.latency").Record(time.Since(start))
 	}()
 	e.prefetcher.RecordVisit(id)
-	rows, hit, err := e.subtreeRows(ctx, id)
-	if err != nil {
+	lo, hi := e.tree.SubtreeInterval(id)
+	if e.cache != nil && wantRows {
+		cb, _, cached = e.cache.Get(treeCacheKey, int64(lo), int64(hi), e.treeTab.Version())
+	} else if e.cache != nil {
+		cached = e.cache.Covers(treeCacheKey, int64(lo), int64(hi), e.treeTab.Version())
+	}
+	if cached {
+		e.Metrics.Counter("navigate.cache_hits").Inc()
+		return cb, true, nil
+	}
+	if cb, err = e.fetchSubtree(ctx, lo, hi); err != nil {
 		return nil, false, err
 	}
-	views = make([]NodeView, len(rows))
-	for i, r := range rows {
-		views[i] = viewFromRow(r)
-	}
-	if hit {
-		e.Metrics.Counter("navigate.cache_hits").Inc()
-	} else {
-		e.Metrics.Counter("navigate.cache_misses").Inc()
-	}
-	return views, hit, nil
+	e.Metrics.Counter("navigate.cache_misses").Inc()
+	return cb, false, nil
 }
 
-// subtreeRows fetches the tree_nodes rows of a subtree through the
-// cache.
-func (e *Engine) subtreeRows(ctx context.Context, id phylo.NodeID) ([]store.Row, bool, error) {
-	lo, hi := e.tree.SubtreeInterval(id)
-	tab, err := e.db.Table(TreeTable)
-	if err != nil {
-		return nil, false, err
-	}
-	version := tab.Version()
-	if e.cache != nil {
-		if rows, _, ok := e.cache.Get(treeCacheKey, int64(lo), int64(hi), version); ok {
-			return rows, true, nil
-		}
-	}
+// fetchSubtree reads the tree_nodes rows with pre in [lo,hi] through
+// the query path behind the statement cache and caches them, tagged
+// with the tree_nodes version of the snapshot the read ran at — so a
+// commit landing meanwhile can never leave newer rows under an older
+// tag. It returns the entry's batch, which Put has ordered on pre.
+func (e *Engine) fetchSubtree(ctx context.Context, lo, hi int) (*store.ColBatch, error) {
 	start := time.Now()
-	res, err := e.Query(ctx, fmt.Sprintf(
-		"SELECT pre, name, parent_pre, depth, is_leaf, branch_length, root_dist, leaf_count, x, y FROM %s WHERE pre BETWEEN %d AND %d",
-		TreeTable, lo, hi))
+	src := fmt.Sprintf("SELECT %s FROM %s WHERE pre BETWEEN %d AND %d", treeViewCols, TreeTable, lo, hi)
+	stmt, err := query.Parse(src)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	cost := time.Since(start)
+	snap := e.db.PinSnapshot()
+	defer snap.Release()
+	res, err := e.execute(ctx, src, stmt, snap, start, treeViewKinds)
+	if err != nil {
+		return nil, err
+	}
+	entry := &cache.Entry{
+		Key: treeCacheKey, Lo: int64(lo), Hi: int64(hi),
+		Columns: res.Columns, Batch: res.Batch, RangeIdx: 0,
+		Cost: time.Since(start),
+	}
+	entry.Version, _ = snap.Version(TreeTable)
 	if e.cache != nil {
-		e.cache.Put(&cache.Entry{
-			Key: treeCacheKey, Lo: int64(lo), Hi: int64(hi),
-			Columns: res.Columns, Rows: res.Rows, RangeIdx: 0,
-			Version: version, Cost: cost,
-		})
+		e.cache.Put(entry)
 	}
-	return res.Rows, false, nil
+	return entry.Batch, nil
 }
 
 // RunPrefetch executes the prefetcher's current suggestions, warming
@@ -116,14 +153,10 @@ func (e *Engine) RunPrefetch(ctx context.Context) int {
 	for _, id := range suggestions {
 		// Only prefetch what the cache does not already cover.
 		lo, hi := e.tree.SubtreeInterval(id)
-		tab, err := e.db.Table(TreeTable)
-		if err != nil {
-			return n
-		}
-		if _, _, ok := e.cache.Get(treeCacheKey, int64(lo), int64(hi), tab.Version()); ok {
+		if e.cache.Covers(treeCacheKey, int64(lo), int64(hi), e.treeTab.Version()) {
 			continue
 		}
-		if _, _, err := e.subtreeRows(ctx, id); err == nil {
+		if _, err := e.fetchSubtree(ctx, lo, hi); err == nil {
 			n++
 			e.Metrics.Counter("prefetch.executed").Inc()
 		}
@@ -192,14 +225,10 @@ func (e *Engine) Breadcrumbs(ctx context.Context, nodeName string) ([]NodeView, 
 		return nil, err
 	}
 	res, err := e.Query(ctx, fmt.Sprintf(
-		"SELECT pre, name, parent_pre, depth, is_leaf, branch_length, root_dist, leaf_count, x, y FROM %s WHERE ANCESTOR_OF(pre, '%s') ORDER BY depth",
-		TreeTable, nodeName))
+		"SELECT %s FROM %s WHERE ANCESTOR_OF(pre, '%s') ORDER BY depth",
+		treeViewCols, TreeTable, nodeName))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]NodeView, len(res.Rows))
-	for i, r := range res.Rows {
-		out[i] = viewFromRow(r)
-	}
-	return out, nil
+	return viewsFromBatch(store.ColBatchFromRows(treeViewKinds, res.Rows)), nil
 }

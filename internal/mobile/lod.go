@@ -26,51 +26,54 @@ func BuildViewport(e *core.Engine, focus phylo.NodeID, budget int) []WireNode {
 	}
 	pq := &itemHeap{}
 	heap.Init(pq)
-	taken := make(map[phylo.NodeID]bool, budget)
-	expanded := make(map[phylo.NodeID]bool, budget)
+	// Nodes enter the view only as children of an expanded view node,
+	// so one slice holds it: every node but focus has its parent in it.
+	type viewNode struct {
+		id       phylo.NodeID
+		expanded bool
+	}
+	lo, hi := t.SubtreeInterval(focus)
+	view := make([]viewNode, 0, min(budget, hi-lo+1)) // never outgrows the subtree
 
 	take := func(id phylo.NodeID) {
-		taken[id] = true
-		heap.Push(pq, heapItem{id: id, priority: int64(t.LeafCount(id))})
+		heap.Push(pq, heapItem{id: id, priority: int64(t.LeafCount(id)), slot: len(view)})
+		view = append(view, viewNode{id: id})
 	}
 	take(focus)
-	for pq.Len() > 0 && len(taken) < budget {
+	for pq.Len() > 0 && len(view) < budget {
 		it := heap.Pop(pq).(heapItem)
 		node := t.Node(it.id)
 		if node.IsLeaf() {
 			continue
 		}
-		if len(taken)+len(node.Children) > budget {
+		if len(view)+len(node.Children) > budget {
 			continue // expanding would blow the budget; stays collapsed
 		}
-		expanded[it.id] = true
+		view[it.slot].expanded = true
 		for _, c := range node.Children {
 			take(c)
 		}
 	}
-	// Emit in preorder for deterministic output.
-	out := make([]WireNode, 0, len(taken))
-	lo, hi := t.SubtreeInterval(focus)
-	for p := lo; p <= hi; p++ {
-		id := t.NodeAtPre(p)
-		if !taken[id] {
-			continue
-		}
-		node := t.Node(id)
+	// Emit in preorder for deterministic output: sorting the view costs
+	// O(budget log budget) however wide the subtree is.
+	sort.Slice(view, func(i, j int) bool { return t.Pre(view[i].id) < t.Pre(view[j].id) })
+	out := make([]WireNode, 0, len(view))
+	for _, v := range view {
+		node := t.Node(v.id)
 		parentPre := int64(-1)
-		if node.Parent != phylo.None && taken[node.Parent] {
+		if v.id != focus {
 			parentPre = int64(t.Pre(node.Parent))
 		}
 		out = append(out, WireNode{
-			Pre:       int64(p),
+			Pre:       int64(t.Pre(v.id)),
 			Name:      node.Name,
 			ParentPre: parentPre,
 			IsLeaf:    node.IsLeaf(),
-			Collapsed: !node.IsLeaf() && !expanded[id],
-			LeafCount: int64(t.LeafCount(id)),
+			Collapsed: !node.IsLeaf() && !v.expanded,
+			LeafCount: int64(t.LeafCount(v.id)),
 			Length:    node.Length,
-			X:         layout.X[id],
-			Y:         layout.Y[id],
+			X:         layout.X[v.id],
+			Y:         layout.Y[v.id],
 		})
 	}
 	return out
@@ -125,6 +128,7 @@ func DiffViewports(held map[int64]bool, next []WireNode) (add []WireNode, remove
 type heapItem struct {
 	id       phylo.NodeID
 	priority int64
+	slot     int // the node's position in BuildViewport's view
 }
 
 type itemHeap []heapItem

@@ -398,7 +398,7 @@ func decodeMsg(p []byte) (any, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("mobile: empty message")
 	}
-	r := bufio.NewReader(newSliceReader(p[1:]))
+	r := bytes.NewReader(p[1:])
 	switch MsgType(p[0]) {
 	case MsgHello:
 		sb, err := r.ReadByte()
@@ -561,7 +561,7 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func readStr(r *bufio.Reader) (string, error) {
+func readStr(r *bytes.Reader) (string, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return "", err
@@ -570,10 +570,24 @@ func readStr(r *bufio.Reader) (string, error) {
 		return "", fmt.Errorf("mobile: string of %d bytes exceeds limit", n)
 	}
 	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	if err := readFull(r, b); err != nil {
 		return "", err
 	}
 	return string(b), nil
+}
+
+// readFull is io.ReadFull on the concrete reader, so a caller's stack
+// buffer does not escape through an io.Reader: a *bytes.Reader comes
+// up short only where the frame ends.
+func readFull(r *bytes.Reader, b []byte) error {
+	n, err := r.Read(b)
+	if n == len(b) {
+		return nil
+	}
+	if n > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 func appendWireNode(b []byte, n WireNode) []byte {
@@ -595,7 +609,7 @@ func appendWireNode(b []byte, n WireNode) []byte {
 	return b
 }
 
-func readWireNode(r *bufio.Reader) (WireNode, error) {
+func readWireNode(r *bytes.Reader) (WireNode, error) {
 	var n WireNode
 	var err error
 	if n.Pre, err = binary.ReadVarint(r); err != nil {
@@ -636,24 +650,10 @@ func appendF64(b []byte, f float64) []byte {
 	return append(b, tmp[:]...)
 }
 
-func readF64(r *bufio.Reader) (float64, error) {
+func readF64(r *bytes.Reader) (float64, error) {
 	var tmp [8]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
+	if err := readFull(r, tmp[:]); err != nil {
 		return 0, err
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(tmp[:])), nil
-}
-
-// sliceReader is a minimal io.Reader over a byte slice.
-type sliceReader struct{ p []byte }
-
-func newSliceReader(p []byte) *sliceReader { return &sliceReader{p} }
-
-func (s *sliceReader) Read(b []byte) (int, error) {
-	if len(s.p) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(b, s.p)
-	s.p = s.p[n:]
-	return n, nil
 }

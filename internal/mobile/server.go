@@ -486,8 +486,8 @@ func (s *Server) handleOpen(ctx context.Context, w io.Writer, sess *session, m *
 	}
 	// Touch the cached navigation path so the semantic cache and
 	// prefetcher observe the interaction exactly as the poster's
-	// system would.
-	if _, _, err := s.engine.OpenSubtree(ctx, m.Node); err != nil {
+	// system would; the reply itself is built from the in-memory tree.
+	if _, err := s.engine.VisitSubtree(ctx, m.Node); err != nil {
 		return WriteMsg(w, &ErrorMsg{Text: err.Error()})
 	}
 	if s.Async {

@@ -135,6 +135,68 @@ func drainBatches(ctx context.Context, in batchIterator) ([]*batch, error) {
 	}
 }
 
+// drainColumns is the columnar result boundary: it materializes a
+// batch stream and concatenates the live cells into one exactly-sized
+// typed vector per output column, copying so the result never aliases
+// batch or table storage.
+func drainColumns(ctx context.Context, in batchIterator, schema *planSchema) (*store.ColBatch, error) {
+	batches, err := drainBatches(ctx, in)
+	if err != nil {
+		return nil, err
+	}
+	out := &store.ColBatch{Cols: make([]store.Col, schema.Len())}
+	for _, b := range batches {
+		out.Rows += b.live()
+	}
+	for c := range out.Cols {
+		dst := store.NewCol(outputKind(batches, c, schema.cols[c].Kind), out.Rows)
+		for _, b := range batches {
+			src := b.cols[c]
+			if b.sel == nil && src.Kind == dst.Kind {
+				v := src.Slice(0, b.n) // only the active vector is set
+				dst.Null = append(dst.Null, v.Null...)
+				dst.Int = append(dst.Int, v.Int...)
+				dst.Float = append(dst.Float, v.Float...)
+				dst.Str = append(dst.Str, v.Str...)
+				dst.Vals = append(dst.Vals, v.Vals...)
+				continue
+			}
+			for k, live := 0, b.live(); k < live; k++ {
+				dst.AppendFrom(src, b.rowIdx(k))
+			}
+		}
+		out.Cols[c] = *dst
+	}
+	return out, nil
+}
+
+// outputKind picks the storage kind of output column c: the kind the
+// plan declares when every live cell is that kind or NULL, generic
+// otherwise. Declared kinds are static inferences (an arithmetic
+// expression over runtime-typed operands can miss), and the row-path
+// scans and row-fallback bridges deliver generic columns whose cells
+// usually do all have the declared kind.
+func outputKind(batches []*batch, c int, declared store.Kind) store.Kind {
+	if declared == store.KindNull {
+		return store.KindNull
+	}
+	for _, b := range batches {
+		src := b.cols[c]
+		if src.Kind == declared {
+			continue
+		}
+		if src.Kind != store.KindNull {
+			return store.KindNull
+		}
+		for k, live := 0, b.live(); k < live; k++ {
+			if v := src.Vals[b.rowIdx(k)]; v.K != store.KindNull && v.K != declared {
+				return store.KindNull
+			}
+		}
+	}
+	return declared
+}
+
 // rowsFromBatches adapts a batch stream to the row iterator
 // interface, materializing each live row as a fresh store.Row (the
 // result-set boundary: returned rows never alias batch or table
@@ -208,13 +270,6 @@ func (b *batchesFromRows) nextBatch() (*batch, error) {
 	if len(buf) == 0 {
 		return nil, nil
 	}
-	cols := make([]*store.Col, b.width)
-	for c := range cols {
-		col := store.NewCol(store.KindNull, len(buf))
-		for _, r := range buf {
-			col.Append(r[c])
-		}
-		cols[c] = col
-	}
-	return &batch{cols: cols, n: len(buf)}, nil
+	// The zero Kind is KindNull: every column is generic.
+	return wholeBatch(store.ColBatchFromRows(make([]store.Kind, b.width), buf)), nil
 }

@@ -18,6 +18,9 @@ type Result struct {
 	Columns []string
 	// Rows are the result rows.
 	Rows []store.Row
+	// Batch is the result as typed column vectors, set in place of Rows
+	// by RunColumnsAt.
+	Batch *store.ColBatch
 	// Plan is the physical plan rendered as indented text.
 	Plan string
 	// Stats counts the work the execution performed.
@@ -88,6 +91,18 @@ func (e *Engine) Run(ctx context.Context, stmt *SelectStmt) (*Result, error) {
 // can run several statements, or statement-cache key computation plus
 // the statement itself, against one frozen image.
 func (e *Engine) RunAt(ctx context.Context, stmt *SelectStmt, snap *store.SnapshotHandle) (*Result, error) {
+	return e.runAt(ctx, stmt, snap, false)
+}
+
+// RunColumnsAt is RunAt delivering Result.Batch instead of Result.Rows:
+// the same plan and operators, but the result boundary concatenates
+// the live batch cells into typed columns rather than boxing every row
+// — for callers that keep or scan the result column-wise.
+func (e *Engine) RunColumnsAt(ctx context.Context, stmt *SelectStmt, snap *store.SnapshotHandle) (*Result, error) {
+	return e.runAt(ctx, stmt, snap, true)
+}
+
+func (e *Engine) runAt(ctx context.Context, stmt *SelectStmt, snap *store.SnapshotHandle, columnar bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -104,18 +119,14 @@ func (e *Engine) RunAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 	}
 	cols := outputColumns(optimized)
 	ec := &execCtx{ctx: ctx, cat: e.cat, snap: snap, opts: e.opts, stats: &ExecStats{}, para: e.opts.EffectiveParallelism()}
-	var iter iterator
+	var root built
 	if e.opts.Vectorized {
-		bu, err := buildVec(optimized, ec, 0)
-		if err != nil {
-			return nil, err
-		}
-		iter = bu.rows(ec)
+		root, err = buildVec(optimized, ec, 0)
 	} else {
-		iter, err = buildIterator(optimized, ec, 0)
-		if err != nil {
-			return nil, err
-		}
+		root.r, err = buildIterator(optimized, ec, 0)
+	}
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Columns: cols,
@@ -125,27 +136,38 @@ func (e *Engine) RunAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 	if stmt.Explain && !stmt.Analyze {
 		return res, nil
 	}
-	cancel := canceller{ctx: ctx}
-	for {
-		if err := cancel.check(); err != nil {
-			return nil, err
-		}
-		r, ok, err := iter.Next()
+	returned := 0
+	if columnar {
+		res.Batch, err = drainColumns(ctx, root.batches(len(cols), ec), optimized.Schema())
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
+		returned = res.Batch.Rows
+	} else {
+		iter := root.rows(ec)
+		cancel := canceller{ctx: ctx}
+		for {
+			if err := cancel.check(); err != nil {
+				return nil, err
+			}
+			r, ok, err := iter.Next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			res.Rows = append(res.Rows, r)
 		}
-		res.Rows = append(res.Rows, r)
+		returned = len(res.Rows)
 	}
-	atomic.StoreInt64(&ec.stats.RowsReturned, int64(len(res.Rows)))
+	atomic.StoreInt64(&ec.stats.RowsReturned, int64(returned))
 	if stmt.Analyze {
 		// EXPLAIN ANALYZE: the query ran to completion; render the
 		// plan with per-operator execution counters and drop the rows
 		// (the plan is the payload, as in EXPLAIN).
 		res.Plan = annotatePlan(ec.plan, ec.stats.Ops)
-		res.Rows = nil
+		res.Rows, res.Batch = nil, nil
 	}
 	res.Stats = ec.stats.Snapshot()
 	return res, nil
@@ -174,9 +196,10 @@ func annotatePlan(plan []string, ops []*OpStats) string {
 }
 
 // Clone returns a deep copy of the result: rows, columns, and
-// per-operator stats share no storage with the receiver. Callers that
-// hand one Result to multiple consumers (the statement cache does)
-// clone so a consumer mutating its rows cannot corrupt the others'.
+// per-operator stats share no storage with the receiver (a columnar
+// Batch is shared, not copied). Callers that hand one Result to
+// multiple consumers (the statement cache does) clone so a consumer
+// mutating its rows cannot corrupt the others'.
 func (r *Result) Clone() *Result {
 	if r == nil {
 		return nil

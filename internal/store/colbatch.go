@@ -246,6 +246,22 @@ func NewColBatch(s *Schema, cols []int, capacity int) *ColBatch {
 	return cb
 }
 
+// ColBatchFromRows transposes rows into typed column vectors of the
+// given kinds, sized exactly. Every cell must be its column's kind or
+// NULL (what Col.Append demands), which holds for rows read from a
+// table whose schema declares those kinds.
+func ColBatchFromRows(kinds []Kind, rows []Row) *ColBatch {
+	cb := &ColBatch{Cols: make([]Col, len(kinds)), Rows: len(rows)}
+	for c, k := range kinds {
+		col := NewCol(k, len(rows))
+		for _, r := range rows {
+			col.Append(r[c])
+		}
+		cb.Cols[c] = *col
+	}
+	return cb
+}
+
 // Gather runs the access at commit version ver (negative reads the
 // latest) and materializes the selected rows, narrowed to a.Cols, into
 // one columnar batch — index walk, version resolution, residual check

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -26,6 +25,14 @@ const (
 	maxStringLen = 16 << 20 // 16 MiB
 	maxRowCells  = 1 << 16
 )
+
+// ByteStream is what the decoders read from: WAL and snapshot files
+// hand in a *bufio.Reader, the wire protocol a *bytes.Reader over a
+// frame it has already read.
+type ByteStream interface {
+	io.Reader
+	io.ByteReader
+}
 
 // AppendValue appends the encoding of v to buf.
 func AppendValue(buf []byte, v Value) []byte {
@@ -57,7 +64,7 @@ func AppendRow(buf []byte, r Row) []byte {
 }
 
 // ReadValue decodes one value from r.
-func ReadValue(r *bufio.Reader) (Value, error) {
+func ReadValue(r ByteStream) (Value, error) {
 	kb, err := r.ReadByte()
 	if err != nil {
 		return Value{}, err
@@ -101,7 +108,7 @@ func ReadValue(r *bufio.Reader) (Value, error) {
 }
 
 // ReadRow decodes one row from r.
-func ReadRow(r *bufio.Reader) (Row, error) {
+func ReadRow(r ByteStream) (Row, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
