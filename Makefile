@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-replication vet vet-compat lint bench bench-smoke bench-repo bench-repo-smoke chaos chaos-replica overload torture ingest check clean
+.PHONY: all build test race race-replication vet vet-compat lint bench bench-smoke bench-micro bench-repo bench-repo-smoke chaos chaos-replica overload torture ingest check clean
 
 all: check
 
@@ -99,7 +99,7 @@ bench-repo-smoke:
 # (the per-layer table), each run's final JSON line collected under a
 # host header into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an
 # otherwise idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_17.json
+BENCH_JSON ?= BENCH_20.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \
@@ -114,6 +114,14 @@ bench-repo:
 			"$$sep" $$w 1 $$trace "$$line" >> $$tmp; sep=,; \
 	done; done; \
 	printf '\n ]}\n' >> $$tmp; mv $$tmp $(BENCH_JSON)
+
+# Storage-layer microbenchmarks with -benchmem: the store's insert,
+# lookup, range gather, sequential pass and 512+512 delta commit, and
+# the tree index's LCA. EXPERIMENTS "Compact storage" records them.
+bench-micro:
+	$(GO) test -run '^$$' -benchmem \
+		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512' ./internal/store/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkLCA' ./internal/phylo/
 
 # Parallel-executor microbenchmarks plus the experiment tables.
 bench:

@@ -400,29 +400,40 @@ func materializeTree(db *store.DB, t *phylo.Tree) error {
 	} else if tab.Len() > 0 {
 		return fmt.Errorf("core: %s holds %d rows but the tree has %d nodes", TreeTable, tab.Len(), t.Len())
 	}
+	// Rows are committed a few thousand at a time: one commit version,
+	// one hook dispatch, one GC check and (on a durable store) one WAL
+	// batch record per chunk, and only a chunk of boxed rows in flight.
+	const chunk = 4096
 	layout := phylo.NewLayout(t)
-	for p := 0; p < t.Len(); p++ {
-		id := t.NodeAtPre(p)
-		n := t.Node(id)
-		parentPre := int64(-1)
-		if n.Parent != phylo.None {
-			parentPre = int64(t.Pre(n.Parent))
+	width := TreeSchema.Len()
+	for lo := 0; lo < t.Len(); lo += chunk {
+		hi := min(lo+chunk, t.Len())
+		cells := make([]store.Value, 0, (hi-lo)*width)
+		rows := make([]store.Row, 0, hi-lo)
+		for p := lo; p < hi; p++ {
+			id := t.NodeAtPre(p)
+			n := t.Node(id)
+			parentPre := int64(-1)
+			if n.Parent != phylo.None {
+				parentPre = int64(t.Pre(n.Parent))
+			}
+			_, endPre := t.SubtreeInterval(id)
+			cells = append(cells,
+				store.IntValue(int64(p)),
+				store.StringValue(n.Name),
+				store.IntValue(parentPre),
+				store.IntValue(int64(t.Depth(id))),
+				store.BoolValue(n.IsLeaf()),
+				store.FloatValue(n.Length),
+				store.FloatValue(t.RootDistance(id)),
+				store.IntValue(int64(t.LeafCount(id))),
+				store.FloatValue(layout.X[id]),
+				store.FloatValue(layout.Y[id]),
+				store.IntValue(int64(endPre)),
+			)
+			rows = append(rows, cells[len(cells)-width:len(cells):len(cells)])
 		}
-		_, endPre := t.SubtreeInterval(id)
-		row := store.Row{
-			store.IntValue(int64(p)),
-			store.StringValue(n.Name),
-			store.IntValue(parentPre),
-			store.IntValue(int64(t.Depth(id))),
-			store.BoolValue(n.IsLeaf()),
-			store.FloatValue(n.Length),
-			store.FloatValue(t.RootDistance(id)),
-			store.IntValue(int64(t.LeafCount(id))),
-			store.FloatValue(layout.X[id]),
-			store.FloatValue(layout.Y[id]),
-			store.IntValue(int64(endPre)),
-		}
-		if _, err := db.Insert(TreeTable, row); err != nil {
+		if err := db.CommitDeltas([]store.TableDelta{{Table: TreeTable, Inserts: rows}}); err != nil {
 			return err
 		}
 	}

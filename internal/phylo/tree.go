@@ -7,6 +7,7 @@ package phylo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -48,11 +49,19 @@ type Tree struct {
 	leafCnt []int32 // number of leaves under each node
 	indexed bool
 
-	// LCA structures (built by Index).
+	// LCA structures (built by Index): the Euler tour, each node's
+	// first position on it, and a sparse table over the shallowest
+	// position of each rmqBlock-position block of the tour.
 	euler    []NodeID
 	eulerPos []int32
 	sparse   [][]int32
 }
+
+// rmqBlock is how many Euler positions one sparse-table entry covers.
+// The table shrinks by that factor (and loses log2 of it in levels)
+// against one over every position; a query pays for it with at most
+// two in-block scans.
+const rmqBlock = 32
 
 // NewTree creates an empty tree.
 func NewTree() *Tree {
@@ -209,34 +218,44 @@ func (t *Tree) Index() error {
 	return nil
 }
 
-// buildSparse constructs a sparse table of minimum-depth positions
-// over the Euler tour for O(1) LCA queries.
+// shallower returns whichever Euler position holds the shallower node
+// (the earlier one on a tie).
+func (t *Tree) shallower(a, b int32) int32 {
+	if t.depth[t.euler[a]] <= t.depth[t.euler[b]] {
+		return a
+	}
+	return b
+}
+
+// scanMin returns the shallowest Euler position in [lo, hi].
+func (t *Tree) scanMin(lo, hi int32) int32 {
+	best, depth := lo, t.depth[t.euler[lo]]
+	for i := lo + 1; i <= hi; i++ {
+		if d := t.depth[t.euler[i]]; d < depth {
+			best, depth = i, d
+		}
+	}
+	return best
+}
+
+// buildSparse constructs the sparse table of shallowest positions over
+// the Euler tour's blocks: level l, entry b covers blocks [b, b+2^l).
 func (t *Tree) buildSparse() {
-	m := len(t.euler)
-	levels := 1
-	for 1<<levels <= m {
-		levels++
+	m := int32(len(t.euler))
+	blocks := (m + rmqBlock - 1) / rmqBlock
+	base := make([]int32, blocks)
+	for b := range base {
+		lo := int32(b) * rmqBlock
+		base[b] = t.scanMin(lo, min(lo+rmqBlock, m)-1)
 	}
-	t.sparse = make([][]int32, levels)
-	base := make([]int32, m)
-	for i := range base {
-		base[i] = int32(i)
-	}
-	t.sparse[0] = base
-	deeper := func(a, b int32) int32 {
-		if t.depth[t.euler[a]] <= t.depth[t.euler[b]] {
-			return a
+	t.sparse = [][]int32{base}
+	for span := int32(2); span <= blocks; span *= 2 {
+		prev := t.sparse[len(t.sparse)-1]
+		row := make([]int32, blocks-span+1)
+		for i := range row {
+			row[i] = t.shallower(prev[i], prev[int32(i)+span/2])
 		}
-		return b
-	}
-	for l := 1; l < levels; l++ {
-		span := 1 << l
-		prev := t.sparse[l-1]
-		row := make([]int32, m-span+1)
-		for i := 0; i+span <= m; i++ {
-			row[i] = deeper(prev[i], prev[i+span/2])
-		}
-		t.sparse[l] = row
+		t.sparse = append(t.sparse, row)
 	}
 }
 
@@ -278,24 +297,27 @@ func (t *Tree) IsAncestor(a, b NodeID) bool {
 	return t.pre[a] <= t.pre[b] && t.pre[b] <= t.end[a]
 }
 
-// LCA returns the lowest common ancestor of a and b in O(1).
+// LCA returns the lowest common ancestor of a and b in O(1): the
+// shallowest node between their first Euler positions, found as the
+// minimum of the partial blocks at either end (a scan each) and the
+// whole blocks between them (two overlapping sparse-table entries).
 func (t *Tree) LCA(a, b NodeID) NodeID {
 	t.mustIndexed()
 	pa, pb := t.eulerPos[a], t.eulerPos[b]
 	if pa > pb {
 		pa, pb = pb, pa
 	}
-	span := pb - pa + 1
-	level := 0
-	for 1<<(level+1) <= int(span) {
-		level++
+	ba, bb := pa/rmqBlock, pb/rmqBlock
+	if ba == bb {
+		return t.euler[t.scanMin(pa, pb)]
 	}
-	i1 := t.sparse[level][pa]
-	i2 := t.sparse[level][pb-int32(1<<level)+1]
-	if t.depth[t.euler[i1]] <= t.depth[t.euler[i2]] {
-		return t.euler[i1]
+	best := t.shallower(t.scanMin(pa, (ba+1)*rmqBlock-1), t.scanMin(bb*rmqBlock, pb))
+	if span := bb - ba - 1; span > 0 {
+		level := bits.Len32(uint32(span)) - 1
+		row := t.sparse[level]
+		best = t.shallower(best, t.shallower(row[ba+1], row[bb-int32(1)<<level]))
 	}
-	return t.euler[i2]
+	return t.euler[best]
 }
 
 // PathDistance returns the sum of branch lengths on the path a..b.

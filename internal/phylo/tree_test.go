@@ -3,6 +3,7 @@ package phylo
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -124,27 +125,107 @@ func TestLCA(t *testing.T) {
 	}
 }
 
-func TestLCAMatchesNaiveOnRandomTrees(t *testing.T) {
-	tr := randomTree(t, 300, 5)
-	naiveLCA := func(a, b NodeID) NodeID {
-		anc := map[NodeID]bool{}
-		for v := a; v != None; v = tr.Node(v).Parent {
-			anc[v] = true
+// shapedTree builds an n-node tree whose node i hangs under parent(i).
+func shapedTree(t testing.TB, n int, parent func(i int) int) *Tree {
+	t.Helper()
+	tr := NewTree()
+	tr.AddNode("", None, 0)
+	for i := 1; i < n; i++ {
+		if _, err := tr.AddNode(fmt.Sprintf("n%d", i), NodeID(parent(i)), 1); err != nil {
+			t.Fatal(err)
 		}
-		for v := b; v != None; v = tr.Node(v).Parent {
-			if anc[v] {
-				return v
+	}
+	if err := tr.Index(); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestLCAMatchesNaiveOnRandomTrees checks LCA against the climb to the
+// root on random, caterpillar (depth = n), star and single-node trees,
+// at sizes whose Euler tours (2n−1 positions, so always odd) end just
+// short of, just past and well past an rmqBlock boundary: every pair on
+// the small trees, a sample on the large ones.
+func TestLCAMatchesNaiveOnRandomTrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	shapes := map[string]func(i int) int{
+		"random":      func(i int) int { return rng.Intn(i) },
+		"caterpillar": func(i int) int { return i - 1 },
+		"star":        func(int) int { return 0 },
+		"binary":      func(i int) int { return (i - 1) / 2 },
+	}
+	for name, parent := range shapes {
+		// Euler lengths 1, 3, 31, 33, 63, 65, 599, 1023, 1025, 4001.
+		for _, n := range []int{1, 2, 16, 17, 32, 33, 300, 512, 513, 2001} {
+			tr := shapedTree(t, n, parent)
+			if len(tr.euler) != 2*n-1 {
+				t.Fatalf("%s/%d: Euler tour has %d positions", name, n, len(tr.euler))
+			}
+			naiveLCA := func(a, b NodeID) NodeID {
+				anc := map[NodeID]bool{}
+				for v := a; v != None; v = tr.Node(v).Parent {
+					anc[v] = true
+				}
+				for v := b; v != None; v = tr.Node(v).Parent {
+					if anc[v] {
+						return v
+					}
+				}
+				return None
+			}
+			check := func(a, b NodeID) {
+				if got, want := tr.LCA(a, b), naiveLCA(a, b); got != want {
+					t.Fatalf("%s/%d: LCA(%d,%d) = %d, want %d", name, n, a, b, got, want)
+				}
+			}
+			if n <= 33 {
+				for a := 0; a < n; a++ {
+					for b := 0; b < n; b++ {
+						check(NodeID(a), NodeID(b))
+					}
+				}
+				continue
+			}
+			for trial := 0; trial < 400; trial++ {
+				check(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
 			}
 		}
-		return None
 	}
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 500; trial++ {
-		a := NodeID(rng.Intn(tr.Len()))
-		b := NodeID(rng.Intn(tr.Len()))
-		if got, want := tr.LCA(a, b), naiveLCA(a, b); got != want {
-			t.Fatalf("LCA(%d,%d) = %d, want %d", a, b, got, want)
-		}
+}
+
+// TestIndexBytesPerNode is the tier-1 guard on what Index() retains: at
+// most 70 bytes a node on a 100 k-leaf random bifurcating tree (the
+// full sparse table over the Euler tour made it about 180).
+func TestIndexBytesPerNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tr := NewTree()
+	root, _ := tr.AddNode("", None, 0)
+	leaves := []NodeID{root}
+	for len(leaves) < 100000 {
+		i := rng.Intn(len(leaves))
+		l1, _ := tr.AddNode("", leaves[i], 0.1)
+		l2, _ := tr.AddNode("", leaves[i], 0.1)
+		leaves[i] = l1
+		leaves = append(leaves, l2)
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	if err := tr.Index(); err != nil {
+		t.Fatal(err)
+	}
+	perNode := float64(liveHeap()-before) / float64(tr.Len())
+	t.Logf("Index() retains %.1f B a node", perNode)
+	if perNode > 70 {
+		t.Errorf("Index() retains %.1f B a node, want ≤ 70", perNode)
+	}
+	if a, b := leaves[0], leaves[len(leaves)-1]; !tr.IsAncestor(tr.LCA(a, b), a) || !tr.IsAncestor(tr.LCA(a, b), b) {
+		t.Error("LCA of two leaves is not their ancestor")
 	}
 }
 

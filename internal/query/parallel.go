@@ -197,10 +197,10 @@ func runMorsels(ctx context.Context, n, workers int, fn func(m int, r morselRang
 }
 
 // parallelFilter applies an optional residual predicate to rows on the
-// worker pool, cloning survivors. Output preserves input order
-// (per-morsel slots concatenated in morsel order), matching the serial
-// scan exactly. Rows must be safe for shared concurrent reads (table
-// snapshots are: the store never mutates a stored row in place).
+// worker pool. Output preserves input order (per-morsel slots
+// concatenated in morsel order), matching the serial scan exactly.
+// Rows must be safe for shared concurrent reads and the caller's to
+// hand on (a table snapshot's rows are its own copies).
 func parallelFilter(ctx context.Context, rows []store.Row, residual *boundExpr, workers int) ([]store.Row, error) {
 	slots := make([][]store.Row, len(splitMorsels(len(rows))))
 	err := runMorsels(ctx, len(rows), workers, func(m int, r morselRange) error {
@@ -219,7 +219,7 @@ func parallelFilter(ctx context.Context, rows []store.Row, residual *boundExpr, 
 					continue
 				}
 			}
-			out = append(out, row.Clone())
+			out = append(out, row)
 		}
 		slots[m] = out
 		return nil

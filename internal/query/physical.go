@@ -511,11 +511,20 @@ func lowerScan(n *ScanNode, ec *execCtx, depth int) (scanLeaf, error) {
 			leaf.access.Keys = []store.Value{path.eq}
 		}
 		if len(path.residual) > 0 {
-			residual, err := bind(joinConjuncts(path.residual), ec.env(n.base))
+			pred := joinConjuncts(path.residual)
+			residual, err := bind(pred, ec.env(n.base))
 			if err != nil {
 				return scanLeaf{}, err
 			}
 			leaf.access.Accept = residual.evalBool
+			// The store fills only the columns the residual reads.
+			for _, ref := range exprColumns(pred) {
+				ci, err := n.base.resolve(ref)
+				if err != nil {
+					return scanLeaf{}, err
+				}
+				leaf.access.AcceptCols = append(leaf.access.AcceptCols, ci)
+			}
 		}
 	}
 	leaf.op = ec.note(depth, "%s", path.describe(n))
@@ -549,9 +558,9 @@ func buildScan(n *ScanNode, ec *execCtx, depth int) (iterator, error) {
 		}
 	}
 	if ec.para > 1 {
-		// Morsel-driven scan: snapshot row references (the store
-		// never mutates a stored row in place, so shared reads are
-		// safe), then clone+filter the morsels on the worker pool.
+		// Morsel-driven scan: snapshot the rows (private copies, so
+		// shared reads are safe), then filter the morsels on the
+		// worker pool.
 		refs := leaf.tv.Snapshot()
 		atomic.AddInt64(&ec.stats.RowsScanned, int64(len(refs)))
 		op.addIn(int64(len(refs)))

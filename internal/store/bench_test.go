@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -124,5 +125,148 @@ func BenchmarkBTreeInsert(b *testing.B) {
 	bt := newBTree()
 	for i := 0; i < b.N; i++ {
 		bt.Insert(IntValue(keys[i%len(keys)]), int64(i))
+	}
+}
+
+// treeShapedSchema mirrors core.TreeSchema (store must not import
+// core): five INT, one BOOL, four FLOAT and one STRING column.
+var treeShapedSchema = MustSchema(
+	Column{Name: "pre", Kind: KindInt},
+	Column{Name: "name", Kind: KindString},
+	Column{Name: "parent_pre", Kind: KindInt},
+	Column{Name: "depth", Kind: KindInt},
+	Column{Name: "is_leaf", Kind: KindBool},
+	Column{Name: "branch_length", Kind: KindFloat},
+	Column{Name: "root_dist", Kind: KindFloat},
+	Column{Name: "leaf_count", Kind: KindInt},
+	Column{Name: "x", Kind: KindFloat},
+	Column{Name: "y", Kind: KindFloat},
+	Column{Name: "end_pre", Kind: KindInt},
+)
+
+func treeShapedRows(lo, hi int) []Row {
+	rows := make([]Row, 0, hi-lo)
+	for p := lo; p < hi; p++ {
+		f := float64(p)
+		rows = append(rows, Row{
+			IntValue(int64(p)), StringValue(fmt.Sprintf("P%06d", p)), IntValue(int64(p / 2)),
+			IntValue(int64(p % 40)), BoolValue(p%2 == 0), FloatValue(f * 0.01), FloatValue(f * 0.5),
+			IntValue(int64(p % 9)), FloatValue(f), FloatValue(f / 3), IntValue(int64(p + 5)),
+		})
+	}
+	return rows
+}
+
+// loadTreeShaped builds the tree_nodes layout the engine builds: rows
+// committed in chunks, then a B+-tree on pre and a hash index on name.
+func loadTreeShaped(tb testing.TB, n int) *Table {
+	tb.Helper()
+	db, err := Open("")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	t, err := db.CreateTable("tree_nodes", treeShapedSchema)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for lo := 0; lo < n; lo += 4096 {
+		if err := db.CommitDeltas([]TableDelta{{Table: "tree_nodes", Inserts: treeShapedRows(lo, min(lo+4096, n))}}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := t.CreateIndex("pre", IndexBTree); err != nil {
+		tb.Fatal(err)
+	}
+	if err := t.CreateIndex("name", IndexHash); err != nil {
+		tb.Fatal(err)
+	}
+	return t
+}
+
+// BenchmarkGatherRange is a navigation miss: a 2 k-row subtree interval
+// read through the B+-tree on pre into a ten-column batch.
+func BenchmarkGatherRange(b *testing.B) {
+	t := loadTreeShaped(b, 100000)
+	lo, hi := IntValue(40000), IntValue(41999)
+	a := Access{Column: "pre", Lo: &lo, Hi: &hi, Cols: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cb, _, err := t.Gather(context.Background(), -1, a)
+		if err != nil || cb.Rows != 2000 {
+			b.Fatalf("gathered %d rows, %v", cb.Rows, err)
+		}
+	}
+}
+
+// BenchmarkSeqPass is the index-free pass over 100 k rows, as a
+// callback scan and as a two-column gather with a residual.
+func BenchmarkSeqPass(b *testing.B) {
+	t := loadTreeShaped(b, 100000)
+	b.Run("Scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rows := 0
+			t.Scan(func(int64, Row) bool { rows++; return true })
+			if rows != 100000 {
+				b.Fatal(rows)
+			}
+		}
+	})
+	b.Run("GatherFiltered", func(b *testing.B) {
+		a := Access{Cols: []int{0, 6}, Accept: func(r Row) (bool, error) { return r[3].I < 4, nil }}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cb, _, err := t.Gather(context.Background(), -1, a)
+			if err != nil || cb.Rows != 10000 {
+				b.Fatalf("gathered %d rows, %v", cb.Rows, err)
+			}
+		}
+	})
+}
+
+// BenchmarkCommitDelta512 is one ingest commit: 512 deletes and 512
+// inserts on an indexed 48 k-row table with a commit hook listening.
+func BenchmarkCommitDelta512(b *testing.B) {
+	const rows, batch = 48000, 512
+	db, err := Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	t, err := db.CreateTable("t", accessSchema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	events := 0
+	db.OnCommit(func(ev CommitEvent) { events += len(ev.Inserted) + len(ev.Deleted) })
+	rng := rand.New(rand.NewSource(1))
+	fresh := func(n int) []Row {
+		out := make([]Row, n)
+		for i := range out {
+			out[i] = accessRow(rng)
+		}
+		return out
+	}
+	if err := db.CommitDeltas([]TableDelta{{Table: "t", Inserts: fresh(rows)}}); err != nil {
+		b.Fatal(err)
+	}
+	if err := t.CreateIndex("g", IndexHash); err != nil {
+		b.Fatal(err)
+	}
+	var live []int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		live = live[:0]
+		t.Scan(func(id int64, _ Row) bool { live = append(live, id); return len(live) < batch })
+		ins := fresh(batch)
+		b.StartTimer()
+		if err := db.CommitDeltas([]TableDelta{{Table: "t", DeleteIDs: live, Inserts: ins}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if events == 0 {
+		b.Fatal("the commit hook saw nothing")
 	}
 }

@@ -7,22 +7,43 @@ package store
 // Keys are unique within the tree; duplicate inserts append to the
 // key's postings list. Leaves are doubly chained so range scans run in
 // either direction.
+//
+// Leaves are laid out for the common case of one row per key: a leaf's
+// key and id arrays are allocated once at full capacity and never
+// regrown, a key's only posting sits inline in ids, and a postings
+// slice exists only for a key that holds a second id. A full leaf at
+// either end of the chain splits at that end when the new key falls
+// outside it, so monotone loads leave every leaf full instead of half.
 
 const (
-	btreeOrder   = 64             // max children per interior node
+	// 67 40-byte keys fill a 2688-byte allocation size class exactly.
+	btreeOrder   = 68             // max children per interior node
 	btreeMaxKeys = btreeOrder - 1 // max keys per node
-	btreeMinKeys = btreeOrder / 2 // min keys per non-root after delete
 )
 
 type btreeNode struct {
 	keys     []Value
 	children []*btreeNode // nil for leaves
-	postings [][]int64    // leaf only: row IDs per key
+	ids      []int64      // leaf only: the row ID of a single-posting key
+	many     [][]int64    // leaf only: nil until a key holds ≥ 2 IDs; many[i] != nil holds all of key i's
 	next     *btreeNode   // leaf chain, ascending
 	prev     *btreeNode   // leaf chain, descending
 }
 
 func (n *btreeNode) isLeaf() bool { return n.children == nil }
+
+// postings returns key i's row IDs without allocating: the inline id
+// is handed out as a one-element window of the leaf's id array.
+func (n *btreeNode) postings(i int) []int64 {
+	if n.many != nil && n.many[i] != nil {
+		return n.many[i]
+	}
+	return n.ids[i : i+1 : i+1]
+}
+
+func newLeaf() *btreeNode {
+	return &btreeNode{keys: make([]Value, 0, btreeMaxKeys), ids: make([]int64, 0, btreeMaxKeys)}
+}
 
 type btree struct {
 	root *btreeNode
@@ -30,7 +51,7 @@ type btree struct {
 }
 
 func newBTree() *btree {
-	return &btree{root: &btreeNode{postings: [][]int64{}}}
+	return &btree{root: newLeaf()}
 }
 
 // findKey returns the position of the first key ≥ k in node n.
@@ -52,7 +73,7 @@ func (t *btree) Insert(k Value, rowID int64) {
 	root := t.root
 	if len(root.keys) == btreeMaxKeys {
 		newRoot := &btreeNode{children: []*btreeNode{root}}
-		t.splitChild(newRoot, 0)
+		t.splitChild(newRoot, 0, k)
 		t.root = newRoot
 	}
 	t.insertNonFull(t.root, k, rowID)
@@ -63,15 +84,23 @@ func (t *btree) insertNonFull(n *btreeNode, k Value, rowID int64) {
 		i := findKey(n, k)
 		if n.isLeaf() {
 			if i < len(n.keys) && Equal(n.keys[i], k) {
-				n.postings[i] = append(n.postings[i], rowID)
+				if n.many == nil {
+					n.many = make([][]int64, len(n.keys), btreeMaxKeys)
+				}
+				n.many[i] = append(n.postings(i), rowID)
 				return
 			}
 			n.keys = append(n.keys, Value{})
 			copy(n.keys[i+1:], n.keys[i:])
 			n.keys[i] = k
-			n.postings = append(n.postings, nil)
-			copy(n.postings[i+1:], n.postings[i:])
-			n.postings[i] = []int64{rowID}
+			n.ids = append(n.ids, 0)
+			copy(n.ids[i+1:], n.ids[i:])
+			n.ids[i] = rowID
+			if n.many != nil {
+				n.many = append(n.many, nil)
+				copy(n.many[i+1:], n.many[i:])
+				n.many[i] = nil
+			}
 			t.size++
 			return
 		}
@@ -79,7 +108,7 @@ func (t *btree) insertNonFull(n *btreeNode, k Value, rowID int64) {
 			i++
 		}
 		if len(n.children[i].keys) == btreeMaxKeys {
-			t.splitChild(n, i)
+			t.splitChild(n, i, k)
 			if Compare(k, n.keys[i]) >= 0 {
 				i++
 			}
@@ -88,28 +117,43 @@ func (t *btree) insertNonFull(n *btreeNode, k Value, rowID int64) {
 	}
 }
 
-// splitChild splits the full child at index i of parent p.
-func (t *btree) splitChild(p *btreeNode, i int) {
+// splitChild splits the full child at index i of parent p to make room
+// for k.
+func (t *btree) splitChild(p *btreeNode, i int, k Value) {
 	child := p.children[i]
 	mid := btreeMaxKeys / 2
 	var sib *btreeNode
 	var up Value
 	if child.isLeaf() {
-		// Leaf split: sibling keeps keys[mid:], separator is the
-		// sibling's first key (B+ tree: keys stay in leaves).
-		sib = &btreeNode{
-			keys:     append([]Value(nil), child.keys[mid:]...),
-			postings: append([][]int64(nil), child.postings[mid:]...),
-			next:     child.next,
-			prev:     child,
+		// Leaf split: sibling takes keys[mid:], separator is the
+		// sibling's first key (B+ tree: keys stay in leaves). At either
+		// end of the chain a key beyond the leaf moves the cut to that
+		// end: the full leaf stays full and k starts the empty one.
+		up = k
+		switch {
+		case child.next == nil && Compare(k, child.keys[len(child.keys)-1]) > 0:
+			mid = len(child.keys)
+		case child.prev == nil && Compare(k, child.keys[0]) < 0:
+			mid = 0
 		}
+		sib = newLeaf()
+		sib.keys = append(sib.keys, child.keys[mid:]...)
+		sib.ids = append(sib.ids, child.ids[mid:]...)
+		sib.next, sib.prev = child.next, child
 		if sib.next != nil {
 			sib.next.prev = sib
 		}
-		child.keys = child.keys[:mid:mid]
-		child.postings = child.postings[:mid:mid]
+		clear(child.keys[mid:]) // drop the moved keys' string references
+		child.keys, child.ids = child.keys[:mid], child.ids[:mid]
+		if child.many != nil {
+			sib.many = append(make([][]int64, 0, btreeMaxKeys), child.many[mid:]...)
+			clear(child.many[mid:])
+			child.many = child.many[:mid]
+		}
 		child.next = sib
-		up = sib.keys[0]
+		if len(sib.keys) > 0 {
+			up = sib.keys[0]
+		}
 	} else {
 		// Interior split: middle key moves up.
 		up = child.keys[mid]
@@ -146,7 +190,7 @@ func (t *btree) Get(k Value) []int64 {
 	n := t.leafFor(k)
 	i := findKey(n, k)
 	if i < len(n.keys) && Equal(n.keys[i], k) {
-		return n.postings[i]
+		return n.postings(i)
 	}
 	return nil
 }
@@ -162,21 +206,31 @@ func (t *btree) Delete(k Value, rowID int64) bool {
 	if i >= len(n.keys) || !Equal(n.keys[i], k) {
 		return false
 	}
-	post := n.postings[i]
+	post := n.postings(i)
 	for j, id := range post {
-		if id == rowID {
-			post[j] = post[len(post)-1]
-			post = post[:len(post)-1]
-			n.postings[i] = post
-			if len(post) == 0 {
-				copy(n.keys[i:], n.keys[i+1:])
-				n.keys = n.keys[:len(n.keys)-1]
-				copy(n.postings[i:], n.postings[i+1:])
-				n.postings = n.postings[:len(n.postings)-1]
-				t.size--
-			}
-			return true
+		if id != rowID {
+			continue
 		}
+		switch len(post) {
+		case 1:
+			copy(n.keys[i:], n.keys[i+1:])
+			n.keys[len(n.keys)-1] = Value{}
+			n.keys = n.keys[:len(n.keys)-1]
+			copy(n.ids[i:], n.ids[i+1:])
+			n.ids = n.ids[:len(n.ids)-1]
+			if n.many != nil {
+				copy(n.many[i:], n.many[i+1:])
+				n.many[len(n.many)-1] = nil
+				n.many = n.many[:len(n.many)-1]
+			}
+			t.size--
+		case 2: // back to one inline posting
+			n.ids[i], n.many[i] = post[1-j], nil
+		default:
+			post[j] = post[len(post)-1]
+			n.many[i] = post[:len(post)-1]
+		}
+		return true
 	}
 	return false
 }
@@ -221,7 +275,7 @@ func (t *btree) walk(lo, hi *Value, desc bool, fn func(k Value, postings []int64
 				if lo != nil && Compare(n.keys[i], *lo) < 0 {
 					return
 				}
-				if !fn(n.keys[i], n.postings[i]) {
+				if !fn(n.keys[i], n.postings(i)) {
 					return
 				}
 			}
@@ -240,7 +294,7 @@ func (t *btree) walk(lo, hi *Value, desc bool, fn func(k Value, postings []int64
 			if hi != nil && Compare(n.keys[i], *hi) > 0 {
 				return
 			}
-			if !fn(n.keys[i], n.postings[i]) {
+			if !fn(n.keys[i], n.postings(i)) {
 				return
 			}
 		}

@@ -95,13 +95,15 @@ func (c *Col) Append(v Value) {
 }
 
 // AppendFrom appends cell i of src (same kind, or src generic) without
-// constructing a Value for typed same-kind copies.
+// constructing a Value for typed same-kind copies. A same-kind src may
+// be a table's storage vector, whose null mask is nil while the column
+// holds no NULL.
 func (c *Col) AppendFrom(src *Col, i int) {
 	if src.Kind != c.Kind {
 		c.Append(src.Value(i))
 		return
 	}
-	c.Null = append(c.Null, src.Null[i])
+	c.Null = append(c.Null, src.Null != nil && src.Null[i])
 	switch c.Kind {
 	case KindInt, KindBool:
 		c.Int = append(c.Int, src.Int[i])
@@ -266,17 +268,22 @@ func ColBatchFromRows(kinds []Kind, rows []Row) *ColBatch {
 // latest) and materializes the selected rows, narrowed to a.Cols, into
 // one columnar batch — index walk, version resolution, residual check
 // and the per-cell typed appends fused into a single pass under one
-// read lock. Cells are copies, so the batch stays valid while writers
-// run. It also returns how many visible rows the walk examined; ctx is
-// polled as the walk goes.
+// read lock. Cells are copied out of the storage vectors — typed, with
+// no Value in between —, so the batch stays valid while writers run. It
+// also returns how many visible rows the walk examined; ctx is polled
+// as the walk goes.
 func (t *Table) Gather(ctx context.Context, ver int64, a Access) (*ColBatch, int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	cols := a.outputCols(t.schema)
 	cb := NewColBatch(t.schema, cols, t.capacityLocked(a))
-	examined, err := t.readLocked(ctx.Err, ver, a, func(_ int64, r Row) {
+	examined, err := t.readLocked(ctx.Err, ver, a, func(s int, old Row) {
 		for i, c := range cols {
-			cb.Cols[i].Append(r[c])
+			if old != nil {
+				cb.Cols[i].Append(old[c])
+			} else {
+				cb.Cols[i].AppendFrom(&t.cols[c], s)
+			}
 		}
 		cb.Rows++
 	})

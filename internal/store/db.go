@@ -135,13 +135,18 @@ type DB struct {
 // per-table version order — so it must be fast and must not call back
 // into the store.
 func (db *DB) OnCommit(fn func(CommitEvent)) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	db.hookMu.Lock()
 	db.hooks = append(db.hooks, fn)
 	db.hookMu.Unlock()
+	for _, t := range db.tables {
+		t.setOnCommit(db.dispatchCommit)
+	}
 }
 
 // dispatchCommit fans one table's commit event out to the registered
-// hooks. Installed as every table's onCommit at registration time.
+// hooks. Installed as every table's onCommit once a hook exists.
 func (db *DB) dispatchCommit(ev CommitEvent) {
 	db.hookMu.RLock()
 	hooks := db.hooks
@@ -152,9 +157,17 @@ func (db *DB) dispatchCommit(ev CommitEvent) {
 }
 
 // registerTable wires a freshly created table into the commit-event
-// stream before it is published.
+// stream before it is published. A database nobody listens to leaves
+// its tables unhooked, so their commits build no events; OnCommit hooks
+// up the tables that exist by then (both run under db.mu or, at Open,
+// before the database is shared).
 func (db *DB) registerTable(t *Table) *Table {
-	t.setOnCommit(db.dispatchCommit)
+	db.hookMu.RLock()
+	listening := len(db.hooks) > 0
+	db.hookMu.RUnlock()
+	if listening {
+		t.setOnCommit(db.dispatchCommit)
+	}
 	return t
 }
 
@@ -605,17 +618,13 @@ func writeTableSnapshot(w io.Writer, t *Table) error {
 		return err
 	}
 	var rowBuf []byte
-	for _, chain := range t.rows {
-		i := visibleIdx(chain, t.commit)
-		if i < 0 {
-			continue
-		}
-		rowBuf = AppendRow(rowBuf[:0], chain[i].row)
-		if _, err := w.Write(rowBuf); err != nil {
-			return err
-		}
-	}
-	return nil
+	var err error
+	t.scanLocked(t.commit, func(_ int64, r Row) bool {
+		rowBuf = AppendRow(rowBuf[:0], r)
+		_, err = w.Write(rowBuf)
+		return err == nil
+	})
+	return err
 }
 
 func appendString(buf []byte, s string) []byte {

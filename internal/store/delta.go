@@ -64,7 +64,7 @@ func (db *DB) CommitDeltas(deltas []TableDelta) error {
 	// fail and the multi-table publish is all-or-nothing.
 	var walDeltas []walTableDelta
 	for _, s := range stage {
-		deleted := s.t.applyDelta(s.d.DeleteIDs, s.d.Inserts)
+		deleted := s.t.applyDelta(s.d.DeleteIDs, s.d.Inserts, db.wal != nil)
 		if db.wal != nil {
 			walDeltas = append(walDeltas, walTableDelta{
 				table:   s.d.Table,
@@ -89,10 +89,10 @@ func (t *Table) validateDelta(deleteIDs []int64, inserts []Row) error {
 	return t.validateDeltaLocked(deleteIDs, inserts)
 }
 
-// applyDelta applies a validated delta as one commit version and
-// returns the deleted rows' values for WAL logging.
-func (t *Table) applyDelta(deleteIDs []int64, inserts []Row) []Row {
+// applyDelta applies a validated delta as one commit version and, when
+// wantDeleted, returns the deleted rows' values for WAL logging.
+func (t *Table) applyDelta(deleteIDs []int64, inserts []Row, wantDeleted bool) []Row {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.applyDeltaLocked(deleteIDs, inserts)
+	return t.applyDeltaLocked(deleteIDs, inserts, wantDeleted)
 }

@@ -158,27 +158,14 @@ func (tv *TableView) Len() int {
 	if tv.v < 0 {
 		return tv.t.Len()
 	}
-	n := 0
-	tv.t.ScanAt(tv.v, func(int64, Row) bool { n++; return true })
-	return n
+	return tv.t.countAt(tv.v)
 }
 
 // Scan calls fn for every visible row until fn returns false.
-func (tv *TableView) Scan(fn func(id int64, r Row) bool) {
-	if tv.v < 0 {
-		tv.t.Scan(fn)
-		return
-	}
-	tv.t.ScanAt(tv.v, fn)
-}
+func (tv *TableView) Scan(fn func(id int64, r Row) bool) { tv.t.ScanAt(tv.v, fn) }
 
-// Snapshot returns shared immutable references to every visible row.
-func (tv *TableView) Snapshot() []Row {
-	if tv.v < 0 {
-		return tv.t.Snapshot()
-	}
-	return tv.t.SnapshotAt(tv.v)
-}
+// Snapshot returns copies of every visible row.
+func (tv *TableView) Snapshot() []Row { return tv.t.SnapshotAt(tv.v) }
 
 // Gather materializes the rows the access selects into one columnar
 // batch (see Table.Gather).

@@ -118,13 +118,22 @@ func clamp01(x float64) float64 {
 func (t *Table) Stats() *TableStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	rows := t.snapshotLocked(t.commit)
 	ts := &TableStats{
 		Table:   t.name,
-		Rows:    int64(len(rows)),
+		Rows:    int64(t.live),
 		Version: t.commit,
 	}
 	n := t.schema.Len()
+	// eachCell visits every cell of every row visible at the latest
+	// version, reading storage in place.
+	eachCell := func(fn func(i int, v Value)) {
+		t.passLocked(nil, t.commit, 0, nil, func(s int, old Row) bool {
+			for i := 0; i < n; i++ {
+				fn(i, t.cell(s, old, i))
+			}
+			return true
+		})
+	}
 	type acc struct {
 		distinct map[uint64]struct{}
 		cs       ColumnStats
@@ -135,31 +144,29 @@ func (t *Table) Stats() *TableStats {
 		accs[i].distinct = make(map[uint64]struct{})
 		accs[i].cs = ColumnStats{Name: t.schema.Columns[i].Name, Kind: t.schema.Columns[i].Kind}
 	}
-	for _, r := range rows {
-		for i, v := range r {
-			if v.IsNull() {
-				continue
-			}
-			a := &accs[i]
-			a.cs.NonNull++
-			if len(a.distinct) < statsNDVCap {
-				a.distinct[v.Hash()] = struct{}{}
-			} else {
-				a.cs.Overflowed = true
-			}
-			if !a.sumMinOk {
-				a.cs.Min, a.cs.Max = v, v
-				a.sumMinOk = true
-			} else {
-				if Compare(v, a.cs.Min) < 0 {
-					a.cs.Min = v
-				}
-				if Compare(v, a.cs.Max) > 0 {
-					a.cs.Max = v
-				}
-			}
+	eachCell(func(i int, v Value) {
+		if v.IsNull() {
+			return
 		}
-	}
+		a := &accs[i]
+		a.cs.NonNull++
+		if len(a.distinct) < statsNDVCap {
+			a.distinct[v.Hash()] = struct{}{}
+		} else {
+			a.cs.Overflowed = true
+		}
+		if !a.sumMinOk {
+			a.cs.Min, a.cs.Max = v, v
+			a.sumMinOk = true
+			return
+		}
+		if Compare(v, a.cs.Min) < 0 {
+			a.cs.Min = v
+		}
+		if Compare(v, a.cs.Max) > 0 {
+			a.cs.Max = v
+		}
+	})
 	// Second pass for histograms on numeric columns.
 	for i := range accs {
 		a := &accs[i]
@@ -168,23 +175,21 @@ func (t *Table) Stats() *TableStats {
 			a.cs.Hist = make([]int64, histogramBuckets)
 		}
 	}
-	for _, r := range rows {
-		for i, v := range r {
-			a := &accs[i]
-			if a.cs.Hist == nil || v.IsNull() || !v.Numeric() {
-				continue
-			}
-			minF, maxF := a.cs.Min.AsFloat(), a.cs.Max.AsFloat()
-			b := int(float64(histogramBuckets) * (v.AsFloat() - minF) / (maxF - minF))
-			if b >= histogramBuckets {
-				b = histogramBuckets - 1
-			}
-			if b < 0 {
-				b = 0
-			}
-			a.cs.Hist[b]++
+	eachCell(func(i int, v Value) {
+		a := &accs[i]
+		if a.cs.Hist == nil || v.IsNull() || !v.Numeric() {
+			return
 		}
-	}
+		minF, maxF := a.cs.Min.AsFloat(), a.cs.Max.AsFloat()
+		b := int(float64(histogramBuckets) * (v.AsFloat() - minF) / (maxF - minF))
+		if b >= histogramBuckets {
+			b = histogramBuckets - 1
+		}
+		if b < 0 {
+			b = 0
+		}
+		a.cs.Hist[b]++
+	})
 	ts.Columns = make([]ColumnStats, n)
 	for i := range accs {
 		ts.Columns[i] = accs[i].cs

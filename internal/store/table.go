@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -40,34 +41,21 @@ type index struct {
 // verMax is the end stamp of a live (undeleted) row version.
 const verMax = math.MaxInt64
 
-// rowVer is one committed version of a row: visible to reads at commit
-// version v when begin ≤ v < end. Live versions have end == verMax;
-// deleting stamps end with the deleting commit's version. The Row
-// itself is immutable once committed — snapshots share references.
-type rowVer struct {
+// oldVer is a row version an Update superseded, boxed into the overflow
+// until no pin can see it: visible to reads at commit version v when
+// begin ≤ v < end. The row is immutable.
+type oldVer struct {
 	begin, end int64
 	row        Row
 }
 
-// visibleIdx returns the index of the version in chain visible at
-// commit version v, or -1. Chains are ordered oldest→newest and short
-// (bounded by the pinned-snapshot window), so a linear scan from the
-// newest end wins.
-func visibleIdx(chain []rowVer, v int64) int {
-	for i := len(chain) - 1; i >= 0; i-- {
-		if chain[i].begin <= v && v < chain[i].end {
-			return i
-		}
-	}
-	return -1
-}
-
 // CommitEvent describes one committed mutation batch on one table —
 // the delta stream incremental overlay maintenance consumes. Version
-// is the table's commit version after the batch; Inserted and Deleted
-// hold the affected rows (shared immutable references — consumers must
-// not mutate them). Hooks run synchronously inside the commit critical
-// section, so events arrive in strict per-table version order.
+// is the table's commit version after the batch; Inserted holds the
+// rows the committer passed in and Deleted copies of the rows it
+// retired (consumers must not mutate either). Hooks run synchronously
+// inside the commit critical section, so events arrive in strict
+// per-table version order.
 type CommitEvent struct {
 	Table    string
 	Version  int64
@@ -75,24 +63,40 @@ type CommitEvent struct {
 	Deleted  []Row
 }
 
-// Table is a multi-version heap of rows with optional secondary
-// indexes. Row IDs are stable int64 handles that survive unrelated
-// deletes. Every mutation publishes a new commit version; readers
-// either follow the latest version or pin one via DB.PinSnapshot and
-// read a frozen, consistent image while writers keep committing.
-// Superseded versions are garbage-collected once no pin can see them.
+// Table is a multi-version table stored column-wise with optional
+// secondary indexes. A row lives in a slot: its newest version's cell c
+// is position slot of the typed vector cols[c], visible to reads at
+// commit version v when begin[slot] ≤ v < end[slot] (a free slot has
+// end 0 and is visible to nothing). Versions an Update superseded move
+// to the boxed overflow older, keyed by slot, so only rows with more
+// than one retained version pay for a chain. Once no pin can see a
+// slot's last version, GC puts the slot on the free list for inserts to
+// reuse and bumps its generation; a row ID is generation<<32 | slot, so
+// IDs are stable handles that are never handed out twice and a stale ID
+// never resolves to the slot's next tenant.
+//
+// Every mutation publishes a new commit version; readers either follow
+// the latest version or pin one via DB.PinSnapshot and read a frozen,
+// consistent image while writers keep committing. Reads copy cells out
+// of storage under the read lock — nothing they return aliases it, and
+// the scratch rows shown to Scan callbacks and Access.Accept are
+// overwritten by the next row.
 type Table struct {
 	name   string
 	schema *Schema
 
 	mu      sync.RWMutex
-	rows    map[int64][]rowVer
-	nextID  int64
+	cols    []Col   // one vector per schema column, indexed by slot; Null is nil until the column holds a NULL
+	begin   []int64 // per slot: commit version that wrote the stored version
+	end     []int64 // per slot: verMax while live, the deleting version once dead, 0 when free
+	gen     []uint32
+	free    []int32
+	older   map[int32][]oldVer // superseded versions per slot, oldest first
+	dying   []int32            // slots holding a dead version, each once: the GC work list
 	indexes map[string]*index  // keyed by column name
 	commit  int64              // last published commit version
 	live    int                // rows visible at commit
 	dead    int                // superseded versions awaiting GC
-	retired map[int64]struct{} // chains holding dead versions
 	pins    map[int64]int      // pinned commit version → refcount
 	gcFloor int64              // min pin the last GC sweep ran against
 	// onCommit, when set, receives one CommitEvent per committed
@@ -102,14 +106,17 @@ type Table struct {
 
 // NewTable creates an empty table.
 func NewTable(name string, schema *Schema) *Table {
-	return &Table{
+	t := &Table{
 		name:    name,
 		schema:  schema,
-		rows:    make(map[int64][]rowVer),
+		cols:    make([]Col, len(schema.Columns)),
 		indexes: make(map[string]*index),
-		retired: make(map[int64]struct{}),
 		pins:    make(map[int64]int),
 	}
+	for c, col := range schema.Columns {
+		t.cols[c].Kind = col.Kind
+	}
+	return t
 }
 
 // Name returns the table name.
@@ -148,6 +155,182 @@ func (t *Table) emitLocked(version int64, inserted, deleted []Row) {
 	}
 }
 
+// --- slot storage ---
+
+// allocSlot returns a slot for a new row: a collected one when there
+// is any, else one more position on every storage vector.
+func (t *Table) allocSlot() int {
+	if n := len(t.free); n > 0 {
+		s := t.free[n-1]
+		t.free = t.free[:n-1]
+		return int(s)
+	}
+	t.begin, t.end, t.gen = append(t.begin, 0), append(t.end, 0), append(t.gen, 0)
+	for c := range t.cols {
+		col := &t.cols[c]
+		switch col.Kind {
+		case KindInt, KindBool:
+			col.Int = append(col.Int, 0)
+		case KindFloat:
+			col.Float = append(col.Float, 0)
+		default:
+			col.Str = append(col.Str, "")
+		}
+		if col.Null != nil {
+			col.Null = append(col.Null, false)
+		}
+	}
+	return len(t.end) - 1
+}
+
+// putLocked writes r into slot s as the version beginning at v and
+// returns the row's ID.
+func (t *Table) putLocked(s int, v int64, r Row) int64 {
+	for c := range t.cols {
+		col, cell := &t.cols[c], r[c]
+		if cell.K == KindNull && col.Null == nil {
+			col.Null = make([]bool, len(t.end), cap(t.end))
+		}
+		if col.Null != nil {
+			col.Null[s] = cell.K == KindNull
+		}
+		switch col.Kind {
+		case KindInt, KindBool:
+			col.Int[s] = cell.I
+		case KindFloat:
+			col.Float[s] = cell.F
+		default:
+			col.Str[s] = cell.S
+		}
+	}
+	t.begin[s], t.end[s] = v, verMax
+	return t.idOf(s)
+}
+
+// insertLocked stores r in a fresh slot as of version v and indexes it.
+func (t *Table) insertLocked(v int64, r Row) int64 {
+	id := t.putLocked(t.allocSlot(), v, r)
+	for _, idx := range t.indexes {
+		idx.insert(r[idx.column], id)
+	}
+	t.live++
+	return id
+}
+
+// retireLocked end-stamps the live row in slot s at version v and
+// queues the slot for GC (an Update already queued it if the overflow
+// holds versions of the row).
+func (t *Table) retireLocked(s int, v int64) {
+	t.end[s] = v
+	t.live--
+	t.dead++
+	if len(t.older[int32(s)]) == 0 {
+		t.dying = append(t.dying, int32(s))
+	}
+}
+
+func (t *Table) idOf(s int) int64 { return int64(t.gen[s])<<32 | int64(s) }
+
+// liveSlot resolves id to its slot when the row is visible at the
+// latest version: the generation must match (else the ID names an
+// earlier tenant of the slot) and the stored version must be undeleted.
+func (t *Table) liveSlot(id int64) (int, bool) {
+	s := int(uint32(id))
+	return s, id >= 0 && s < len(t.end) && t.gen[s] == uint32(id>>32) && t.end[s] == verMax
+}
+
+// stored reconstructs cell i of a storage vector.
+func (c *Col) stored(i int) (v Value) {
+	c.loadCell(&v, i)
+	return v
+}
+
+// olderAt returns the overflow version of slot s visible at ver, or nil.
+func (t *Table) olderAt(s int, ver int64) Row {
+	chain := t.older[int32(s)]
+	for i := len(chain) - 1; i >= 0; i-- {
+		if chain[i].begin <= ver && ver < chain[i].end {
+			return chain[i].row
+		}
+	}
+	return nil
+}
+
+// visible resolves slot s at commit version ver. ok reports whether a
+// version is visible; old is nil when that is the stored one and the
+// boxed overflow row otherwise.
+func (t *Table) visible(s int, ver int64) (old Row, ok bool) {
+	if t.begin[s] <= ver {
+		return nil, ver < t.end[s]
+	}
+	old = t.olderAt(s, ver)
+	return old, old != nil
+}
+
+// cell returns column c of the version visible() resolved.
+func (t *Table) cell(s int, old Row, c int) Value {
+	if old != nil {
+		return old[c]
+	}
+	return t.cols[c].stored(s)
+}
+
+// load refreshes the schema-wide row dst with slot s's stored cells at
+// columns cols (nil is all). Each dst cell must be zero or an earlier
+// load of the same column, so only its kind and payload are written.
+func (t *Table) load(dst Row, s int, cols []int) {
+	if cols == nil {
+		for c := range t.cols {
+			t.cols[c].loadCell(&dst[c], s)
+		}
+		return
+	}
+	for _, c := range cols {
+		t.cols[c].loadCell(&dst[c], s)
+	}
+}
+
+// loadCell writes cell i of a storage vector over *v, which must be
+// zero or an earlier cell of the same vector.
+func (c *Col) loadCell(v *Value, i int) {
+	switch {
+	case c.Null != nil && c.Null[i]:
+		*v = Value{}
+	case c.Kind == KindFloat:
+		v.K, v.F = KindFloat, c.Float[i]
+	case c.Kind == KindString:
+		v.K, v.S = KindString, c.Str[i]
+	default:
+		v.K, v.I = c.Kind, c.Int[i]
+	}
+}
+
+// slab cuts materialised rows out of shared allocations: n rows in the
+// first, further chunks only if the caller undercounted.
+type slab struct {
+	cells []Value
+	w     int
+}
+
+func (t *Table) newSlab(n int) *slab {
+	return &slab{cells: make([]Value, n*len(t.cols)), w: len(t.cols)}
+}
+
+// row materialises the version of slot s that visible() resolved.
+func (sl *slab) row(t *Table, s int, old Row) Row {
+	if len(sl.cells) < sl.w {
+		sl.cells = make([]Value, 256*sl.w)
+	}
+	r := sl.cells[:sl.w:sl.w]
+	sl.cells = sl.cells[sl.w:]
+	if old != nil {
+		copy(r, old)
+	} else {
+		t.load(r, s, nil)
+	}
+	return r
+}
+
 // CreateIndex builds a secondary index over the named column,
 // backfilling every retained row version. Creating an index that
 // already exists with the same type is a no-op.
@@ -165,15 +348,27 @@ func (t *Table) CreateIndex(column string, typ IndexType) error {
 		return fmt.Errorf("store: column %q already indexed as %v", column, existing.typ)
 	}
 	idx := &index{column: ci, typ: typ}
+	col := &t.cols[ci]
+	slots := make([]int32, 0, len(t.end)-len(t.free))
+	for s := range t.end {
+		if t.end[s] != 0 {
+			slots = append(slots, int32(s))
+		}
+	}
 	if typ == IndexHash {
 		idx.hash = make(map[uint64][]int64)
 	} else {
+		// Ascending inserts leave every B+-tree leaf full.
 		idx.tree = newBTree()
+		slices.SortFunc(slots, func(a, b int32) int { return Compare(col.stored(int(a)), col.stored(int(b))) })
 	}
-	for id, chain := range t.rows {
-		for vi := range chain {
-			if !chainValueBefore(chain, vi, ci, chain[vi].row[ci]) {
-				idx.insert(chain[vi].row[ci], id)
+	for _, s := range slots {
+		idx.insert(col.stored(int(s)), t.idOf(int(s)))
+	}
+	for s, chain := range t.older {
+		for vi, o := range chain {
+			if !t.carried(chain[:vi], int(s), true, ci, o.row[ci]) {
+				idx.insert(o.row[ci], t.idOf(int(s)))
 			}
 		}
 	}
@@ -181,22 +376,17 @@ func (t *Table) CreateIndex(column string, typ IndexType) error {
 	return nil
 }
 
-// chainValueBefore reports whether any version of chain earlier than
-// vi carries value v in column ci — the dedup test that keeps index
-// postings set-valued per (value, id) pair.
-func chainValueBefore(chain []rowVer, vi int, ci int, v Value) bool {
-	for i := 0; i < vi; i++ {
-		if Equal(chain[i].row[ci], v) {
+// carried reports whether a retained version of the row in slot s —
+// one of the overflow versions vers or, when withStored, the stored one
+// — holds v in column ci: the test that keeps index postings
+// set-valued per (value, id) pair.
+func (t *Table) carried(vers []oldVer, s int, withStored bool, ci int, v Value) bool {
+	for i := range vers {
+		if Equal(vers[i].row[ci], v) {
 			return true
 		}
 	}
-	return false
-}
-
-// chainHasValue reports whether any version of chain carries value v
-// in column ci.
-func chainHasValue(chain []rowVer, ci int, v Value) bool {
-	return chainValueBefore(chain, len(chain), ci, v)
+	return withStored && Equal(t.cols[ci].stored(s), v)
 }
 
 // IndexSpec describes one secondary index for introspection.
@@ -258,19 +448,7 @@ func (ix *index) remove(v Value, id int64) {
 	}
 }
 
-// addPostingsLocked indexes a newly appended version: one posting per
-// index unless an earlier version of the chain already carries the
-// same value (the posting then already covers the new version).
-func (t *Table) addPostingsLocked(id int64, chain []rowVer, vi int) {
-	for _, idx := range t.indexes {
-		v := chain[vi].row[idx.column]
-		if !chainValueBefore(chain, vi, idx.column, v) {
-			idx.insert(v, id)
-		}
-	}
-}
-
-// Insert validates and appends a row, returning its row ID. The write
+// Insert validates and stores a row, returning its row ID. The write
 // commits immediately as its own version.
 func (t *Table) Insert(r Row) (int64, error) {
 	if err := t.schema.CheckRow(r); err != nil {
@@ -278,29 +456,24 @@ func (t *Table) Insert(r Row) (int64, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v := t.commit + 1
-	id := t.nextID
-	t.nextID++
-	row := r.Clone()
-	chain := []rowVer{{begin: v, end: verMax, row: row}}
-	t.rows[id] = chain
-	t.addPostingsLocked(id, chain, 0)
-	t.commit = v
-	t.live++
-	t.emitLocked(v, []Row{row}, nil)
+	t.commit++
+	id := t.insertLocked(t.commit, r)
+	if t.onCommit != nil {
+		t.emitLocked(t.commit, []Row{r}, nil)
+	}
 	t.maybeGCLocked()
 	return id, nil
 }
 
-// Get returns the row with the given ID at the latest version.
+// Get returns a copy of the row with the given ID at the latest version.
 func (t *Table) Get(id int64) (Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	i := visibleIdx(t.rows[id], t.commit)
-	if i < 0 {
+	s, ok := t.liveSlot(id)
+	if !ok {
 		return nil, false
 	}
-	return t.rows[id][i].row.Clone(), true
+	return t.newSlab(1).row(t, s, nil), true
 }
 
 // Delete removes the row with the given ID: its current version is
@@ -309,59 +482,59 @@ func (t *Table) Get(id int64) (Row, bool) {
 func (t *Table) Delete(id int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v := t.commit + 1
-	chain := t.rows[id]
-	i := visibleIdx(chain, t.commit)
-	if i < 0 {
+	s, ok := t.liveSlot(id)
+	if !ok {
 		return false
 	}
-	chain[i].end = v
-	t.commit = v
-	t.live--
-	t.dead++
-	t.retired[id] = struct{}{}
-	t.emitLocked(v, nil, []Row{chain[i].row})
+	t.commit++
+	t.retireLocked(s, t.commit)
+	if t.onCommit != nil {
+		t.emitLocked(t.commit, nil, []Row{t.newSlab(1).row(t, s, nil)})
+	}
 	t.maybeGCLocked()
 	return true
 }
 
-// Update replaces the row with the given ID: the old version is
-// end-stamped and a new version begins at the new commit version.
+// Update replaces the row with the given ID: the old version moves to
+// the overflow, end-stamped, and the slot takes the new version
+// beginning at the new commit version.
 func (t *Table) Update(id int64, r Row) error {
 	if err := t.schema.CheckRow(r); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v := t.commit + 1
-	chain := t.rows[id]
-	i := visibleIdx(chain, t.commit)
-	if i < 0 {
+	s, ok := t.liveSlot(id)
+	if !ok {
 		return fmt.Errorf("store: table %s has no row %d", t.name, id)
 	}
-	old := chain[i].row
-	chain[i].end = v
-	chain = append(chain, rowVer{begin: v, end: verMax, row: r.Clone()})
-	t.rows[id] = chain
-	t.addPostingsLocked(id, chain, len(chain)-1)
-	t.dead++
-	t.retired[id] = struct{}{}
-	t.emitLocked(v, []Row{chain[len(chain)-1].row}, []Row{old})
+	v := t.commit + 1
+	old := t.newSlab(1).row(t, s, nil)
+	t.retireLocked(s, v)
+	if t.older == nil {
+		t.older = make(map[int32][]oldVer)
+	}
+	chain := append(t.older[int32(s)], oldVer{begin: t.begin[s], end: v, row: old})
+	t.older[int32(s)] = chain
+	t.putLocked(s, v, r)
+	t.live++
+	for _, idx := range t.indexes {
+		if nv := r[idx.column]; !t.carried(chain, s, false, idx.column, nv) {
+			idx.insert(nv, id)
+		}
+	}
 	t.commit = v
+	t.emitLocked(v, []Row{r}, []Row{old})
 	t.maybeGCLocked()
 	return nil
 }
 
-// Scan calls fn for every latest-version row in unspecified order
-// until fn returns false. The row passed to fn must not be retained or
-// mutated.
-func (t *Table) Scan(fn func(id int64, r Row) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	t.scanLocked(t.commit, fn)
-}
+// Scan calls fn for every latest-version row in storage order until fn
+// returns false. The row passed to fn is a scratch copy overwritten by
+// the next call: it must not be retained.
+func (t *Table) Scan(fn func(id int64, r Row) bool) { t.ScanAt(-1, fn) }
 
-// ScanAt is Scan at a pinned commit version.
+// ScanAt is Scan at a pinned commit version (negative reads the latest).
 func (t *Table) ScanAt(v int64, fn func(id int64, r Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -369,45 +542,46 @@ func (t *Table) ScanAt(v int64, fn func(id int64, r Row) bool) {
 }
 
 func (t *Table) scanLocked(v int64, fn func(id int64, r Row) bool) {
-	for id, chain := range t.rows {
-		i := visibleIdx(chain, v)
-		if i < 0 {
-			continue
-		}
-		if !fn(id, chain[i].row) {
-			return
-		}
+	if v < 0 {
+		v = t.commit
 	}
+	scratch := make(Row, len(t.cols))
+	t.passLocked(nil, v, 0, nil, func(s int, old Row) bool {
+		if old == nil {
+			t.load(scratch, s, nil)
+			old = scratch
+		}
+		return fn(t.idOf(s), old)
+	})
 }
 
-// Snapshot returns references to every row visible at the latest
-// version, in unspecified order. The references are safe for shared
-// concurrent reads even while writers run: committed row versions are
-// immutable (mutations append new versions, GC only drops references),
-// so a row reachable from a snapshot never changes. Callers must not
-// mutate the returned rows; clone before modifying (the parallel
-// executor clones on output).
-func (t *Table) Snapshot() []Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.snapshotLocked(t.commit)
-}
+// Snapshot returns copies of every row visible at the latest version,
+// in storage order, cut from one allocation.
+func (t *Table) Snapshot() []Row { return t.SnapshotAt(-1) }
 
-// SnapshotAt is Snapshot at a pinned commit version.
+// SnapshotAt is Snapshot at a pinned commit version (negative reads the
+// latest).
 func (t *Table) SnapshotAt(v int64) []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.snapshotLocked(v)
+	if v < 0 {
+		v = t.commit
+	}
+	out, sl := make([]Row, 0, t.live), t.newSlab(t.live)
+	t.passLocked(nil, v, 0, nil, func(s int, old Row) bool {
+		out = append(out, sl.row(t, s, old))
+		return true
+	})
+	return out
 }
 
-func (t *Table) snapshotLocked(v int64) []Row {
-	out := make([]Row, 0, t.live)
-	for _, chain := range t.rows {
-		if i := visibleIdx(chain, v); i >= 0 {
-			out = append(out, chain[i].row)
-		}
-	}
-	return out
+// countAt returns the number of rows visible at commit version v.
+func (t *Table) countAt(v int64) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n := 0
+	t.passLocked(nil, v, 0, nil, func(int, Row) bool { n++; return true })
+	return n
 }
 
 // Access describes one read of a table: which rows, in what order,
@@ -431,11 +605,14 @@ type Access struct {
 	Cols []int
 	// Limit stops the read after that many emitted rows; 0 is no limit.
 	Limit int
-	// Accept, when set, is shown every visible row the walk reaches (the
-	// stored row itself: read-only, not to be retained) and decides
-	// whether it is emitted. It runs under the table's read lock, so it
-	// must not touch the store. An error aborts the read.
+	// Accept, when set, is shown every visible row the walk reaches and
+	// decides whether it is emitted. The row is a schema-wide scratch
+	// copy, filled only at AcceptCols and overwritten by the next row:
+	// read-only, not to be retained. Accept runs under the table's read
+	// lock, so it must not touch the store. An error aborts the read.
 	Accept func(Row) (bool, error)
+	// AcceptCols lists the columns Accept reads; nil fills them all.
+	AcceptCols []int
 }
 
 // outputCols resolves Cols against the schema: nil is every column.
@@ -486,17 +663,18 @@ func (t *Table) indexFor(a Access) *index {
 	return idx
 }
 
-// walkLocked calls fn with every row the access selects at commit
-// version ver, in access order, until fn returns false. Index postings
-// cover every value any retained version carries, so a posting under
-// key k is emitted only when the row version visible at ver carries k:
-// postings are set-valued per (value, id), hence each visible row
-// surfaces exactly once, under its own key, with no dedup state. A
-// column without a usable index (none, or a hash index asked for a
-// range) is served by filtering a full pass, in storage order.
-func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(id int64, r Row) bool) error {
+// walkLocked calls fn with every row version the access selects at
+// commit version ver (as visible() resolves it), in access order, until
+// fn returns false. Index postings cover every value any retained
+// version carries, so a posting under key k is emitted only when the
+// row version visible at ver carries k: postings are set-valued per
+// (value, id), hence each visible row surfaces exactly once, under its
+// own key, with no dedup state. A column without a usable index (none,
+// or a hash index asked for a range) is served by filtering a full
+// pass, in storage order.
+func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(s int, old Row) bool) error {
 	if a.Column == "" {
-		return t.passLocked(poll, ver, nil, fn)
+		return t.passLocked(poll, ver, 0, nil, fn)
 	}
 	ci := t.schema.ColumnIndex(a.Column)
 	if ci < 0 {
@@ -504,13 +682,13 @@ func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(id in
 	}
 	idx := t.indexFor(a)
 	if idx == nil {
-		return t.passLocked(poll, ver, func(r Row) bool {
+		return t.passLocked(poll, ver, ci, func(v Value) bool {
 			for _, k := range a.Keys {
-				if Equal(r[ci], k) {
+				if Equal(v, k) {
 					return true
 				}
 			}
-			return a.Keys == nil && inRange(r[ci], a.Lo, a.Hi)
+			return a.Keys == nil && inRange(v, a.Lo, a.Hi)
 		}, fn)
 	}
 	var err error
@@ -522,8 +700,8 @@ func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(id in
 					return false
 				}
 			}
-			chain := t.rows[id]
-			if i := visibleIdx(chain, ver); i >= 0 && Equal(chain[i].row[ci], k) && !fn(id, chain[i].row) {
+			s := int(uint32(id))
+			if old, ok := t.visible(s, ver); ok && Equal(t.cell(s, old, ci), k) && !fn(s, old) {
 				return false
 			}
 		}
@@ -543,17 +721,17 @@ func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(id in
 	return err
 }
 
-// passLocked is the index-free walk: every visible row match accepts
-// (nil accepts all), in storage order.
-func (t *Table) passLocked(poll func() error, ver int64, match func(Row) bool, fn func(id int64, r Row) bool) error {
-	visited := 0
-	for id, chain := range t.rows {
-		if visited++; poll != nil && visited%pollEvery == 0 {
+// passLocked is the index-free walk, a loop over the slots: every
+// visible version whose column ci match accepts (nil accepts all), in
+// storage order.
+func (t *Table) passLocked(poll func() error, ver int64, ci int, match func(Value) bool, fn func(s int, old Row) bool) error {
+	for s := range t.end {
+		if poll != nil && (s+1)%pollEvery == 0 {
 			if err := poll(); err != nil {
 				return err
 			}
 		}
-		if i := visibleIdx(chain, ver); i >= 0 && (match == nil || match(chain[i].row)) && !fn(id, chain[i].row) {
+		if old, ok := t.visible(s, ver); ok && (match == nil || match(t.cell(s, old, ci))) && !fn(s, old) {
 			return nil
 		}
 	}
@@ -561,16 +739,25 @@ func (t *Table) passLocked(poll func() error, ver int64, match func(Row) bool, f
 }
 
 // readLocked runs the access at ver (negative reads the latest commit),
-// applying Accept and Limit, and hands each emitted row to sink. It
+// applying Accept and Limit, and hands each emitted version to sink. It
 // returns how many visible rows the walk examined — emitted or not.
-func (t *Table) readLocked(poll func() error, ver int64, a Access, sink func(id int64, r Row)) (examined int, err error) {
+func (t *Table) readLocked(poll func() error, ver int64, a Access, sink func(s int, old Row)) (examined int, err error) {
 	if ver < 0 {
 		ver = t.commit
 	}
+	var scratch Row
+	if a.Accept != nil {
+		scratch = make(Row, len(t.cols))
+	}
 	emitted := 0
-	werr := t.walkLocked(poll, ver, a, func(id int64, r Row) bool {
+	werr := t.walkLocked(poll, ver, a, func(s int, old Row) bool {
 		examined++
 		if a.Accept != nil {
+			r := old
+			if r == nil {
+				t.load(scratch, s, a.AcceptCols)
+				r = scratch
+			}
 			ok, aerr := a.Accept(r)
 			if aerr != nil {
 				err = aerr
@@ -580,7 +767,7 @@ func (t *Table) readLocked(poll func() error, ver int64, a Access, sink func(id 
 				return true
 			}
 		}
-		sink(id, r)
+		sink(s, old)
 		emitted++
 		return a.Limit <= 0 || emitted < a.Limit
 	})
@@ -605,7 +792,7 @@ func (t *Table) CountPostings(a Access, max int) int {
 func (t *Table) countPostingsLocked(a Access, max int) int {
 	idx := t.indexFor(a)
 	if idx == nil {
-		return len(t.rows)
+		return len(t.end) - len(t.free)
 	}
 	n := 0
 	if a.Keys != nil {
@@ -645,10 +832,10 @@ func (t *Table) GatherRows(ctx context.Context, ver int64, a Access) ([]Row, int
 	defer t.mu.RUnlock()
 	cols := a.outputCols(t.schema)
 	out := make([]Row, 0, t.capacityLocked(a))
-	examined, err := t.readLocked(ctx.Err, ver, a, func(_ int64, r Row) {
+	examined, err := t.readLocked(ctx.Err, ver, a, func(s int, old Row) {
 		pr := make(Row, len(cols))
 		for i, c := range cols {
-			pr[i] = r[c]
+			pr[i] = t.cell(s, old, c)
 		}
 		out = append(out, pr)
 	})
@@ -660,7 +847,7 @@ func (t *Table) lookup(a Access) ([]int64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var ids []int64
-	_, err := t.readLocked(nil, -1, a, func(id int64, _ Row) { ids = append(ids, id) })
+	_, err := t.readLocked(nil, -1, a, func(s int, _ Row) { ids = append(ids, t.idOf(s)) })
 	return ids, err
 }
 
@@ -683,10 +870,10 @@ func (t *Table) LookupRange(column string, lo, hi *Value) ([]int64, error) {
 func (t *Table) Rows(ids []int64) []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]Row, 0, len(ids))
+	out, sl := make([]Row, 0, len(ids)), t.newSlab(len(ids))
 	for _, id := range ids {
-		if i := visibleIdx(t.rows[id], t.commit); i >= 0 {
-			out = append(out, t.rows[id][i].row.Clone())
+		if s, ok := t.liveSlot(id); ok {
+			out = append(out, sl.row(t, s, nil))
 		}
 	}
 	return out
@@ -704,7 +891,7 @@ func (t *Table) validateDeltaLocked(deleteIDs []int64, inserts []Row) error {
 			return fmt.Errorf("store: table %s delta deletes row %d twice", t.name, id)
 		}
 		seen[id] = struct{}{}
-		if visibleIdx(t.rows[id], t.commit) < 0 {
+		if _, ok := t.liveSlot(id); !ok {
 			return fmt.Errorf("store: table %s delta deletes missing row %d", t.name, id)
 		}
 	}
@@ -716,35 +903,29 @@ func (t *Table) validateDeltaLocked(deleteIDs []int64, inserts []Row) error {
 	return nil
 }
 
-// applyDeltaLocked applies deletes+inserts as ONE commit version and
-// returns the deleted rows' values (for WAL logging). The caller has
-// validated the delta and holds t.mu exclusively; with no interleaved
-// writer the apply cannot fail.
-func (t *Table) applyDeltaLocked(deleteIDs []int64, inserts []Row) (deleted []Row) {
+// applyDeltaLocked applies deletes+inserts as ONE commit version. It
+// returns copies of the deleted rows, cut from one slab, when the WAL
+// (wantDeleted) or a commit hook will read them, and nil otherwise. The
+// caller has validated the delta and holds t.mu exclusively; with no
+// interleaved writer the apply cannot fail.
+func (t *Table) applyDeltaLocked(deleteIDs []int64, inserts []Row, wantDeleted bool) (deleted []Row) {
 	v := t.commit + 1
-	deleted = make([]Row, 0, len(deleteIDs))
-	for _, id := range deleteIDs {
-		chain := t.rows[id]
-		i := visibleIdx(chain, t.commit)
-		chain[i].end = v
-		deleted = append(deleted, chain[i].row)
-		t.live--
-		t.dead++
-		t.retired[id] = struct{}{}
+	if (wantDeleted || t.onCommit != nil) && len(deleteIDs) > 0 {
+		deleted = make([]Row, 0, len(deleteIDs))
 	}
-	inserted := make([]Row, 0, len(inserts))
+	sl := t.newSlab(cap(deleted))
+	for _, id := range deleteIDs {
+		s, _ := t.liveSlot(id)
+		if deleted != nil {
+			deleted = append(deleted, sl.row(t, s, nil))
+		}
+		t.retireLocked(s, v)
+	}
 	for _, r := range inserts {
-		id := t.nextID
-		t.nextID++
-		row := r.Clone()
-		chain := []rowVer{{begin: v, end: verMax, row: row}}
-		t.rows[id] = chain
-		t.addPostingsLocked(id, chain, 0)
-		t.live++
-		inserted = append(inserted, row)
+		t.insertLocked(v, r)
 	}
 	t.commit = v
-	t.emitLocked(v, inserted, deleted)
+	t.emitLocked(v, inserts, deleted)
 	t.maybeGCLocked()
 	return deleted
 }
@@ -764,58 +945,61 @@ func (t *Table) applyDeltaByValue(deletes []Row, inserts []Row) error {
 	v := t.commit + 1
 	var deleted []Row
 	for _, r := range deletes {
-		id, i, ok := t.findByValueLocked(r)
-		if !ok {
-			continue
+		if s, ok := t.findByValueLocked(r); ok {
+			t.retireLocked(s, v)
+			deleted = append(deleted, r)
 		}
-		chain := t.rows[id]
-		chain[i].end = v
-		deleted = append(deleted, chain[i].row)
-		t.live--
-		t.dead++
-		t.retired[id] = struct{}{}
 	}
-	var inserted []Row
 	for _, r := range inserts {
-		id := t.nextID
-		t.nextID++
-		row := r.Clone()
-		chain := []rowVer{{begin: v, end: verMax, row: row}}
-		t.rows[id] = chain
-		t.addPostingsLocked(id, chain, 0)
-		t.live++
-		inserted = append(inserted, row)
+		t.insertLocked(v, r)
 	}
 	t.commit = v
-	t.emitLocked(v, inserted, deleted)
+	t.emitLocked(v, inserts, deleted)
 	t.maybeGCLocked()
 	return nil
 }
 
-// findByValueLocked locates a row whose visible version equals r.
-func (t *Table) findByValueLocked(r Row) (id int64, vi int, ok bool) {
-	for id, chain := range t.rows {
-		i := visibleIdx(chain, t.commit)
-		if i < 0 {
-			continue
-		}
-		if rowsEqual(chain[i].row, r) {
-			return id, i, true
-		}
+// findByValueLocked locates a slot whose row, live at the latest
+// version, equals r. With an index on the table the search compares
+// only the postings under r's value in the indexed column — the index
+// with the fewest — instead of every row; postings cover the stored
+// version's value, so no live match is missed.
+func (t *Table) findByValueLocked(r Row) (int, bool) {
+	if len(r) != len(t.cols) {
+		return 0, false
 	}
-	return 0, 0, false
-}
-
-func rowsEqual(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].K != b[i].K || !Equal(a[i], b[i]) {
+	match := func(s int) bool {
+		if t.end[s] != verMax {
 			return false
 		}
+		for c := range t.cols {
+			if v := t.cols[c].stored(s); v.K != r[c].K || !Equal(v, r[c]) {
+				return false
+			}
+		}
+		return true
 	}
-	return true
+	if len(t.indexes) == 0 {
+		for s := range t.end {
+			if match(s) {
+				return s, true
+			}
+		}
+		return 0, false
+	}
+	var cand []int64
+	first := true
+	for _, idx := range t.indexes {
+		if c := equalCandidates(idx, r[idx.column]); first || len(c) < len(cand) {
+			cand, first = c, false
+		}
+	}
+	for _, id := range cand {
+		if s := int(uint32(id)); match(s) {
+			return s, true
+		}
+	}
+	return 0, false
 }
 
 // deleteByValue removes one row equal to r (WAL replay of single
@@ -823,18 +1007,13 @@ func rowsEqual(a, b Row) bool {
 func (t *Table) deleteByValue(r Row) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id, i, ok := t.findByValueLocked(r)
+	s, ok := t.findByValueLocked(r)
 	if !ok {
 		return false
 	}
-	v := t.commit + 1
-	chain := t.rows[id]
-	chain[i].end = v
-	t.commit = v
-	t.live--
-	t.dead++
-	t.retired[id] = struct{}{}
-	t.emitLocked(v, nil, []Row{chain[i].row})
+	t.commit++
+	t.retireLocked(s, t.commit)
+	t.emitLocked(t.commit, nil, []Row{r})
 	t.maybeGCLocked()
 	return true
 }
@@ -897,11 +1076,13 @@ func (t *Table) minPinLocked() int64 {
 	return min
 }
 
-// maybeGCLocked sweeps retired chains when the pin floor has advanced
+// maybeGCLocked sweeps the dying slots when the pin floor has advanced
 // since the last sweep. A dead version is removable once end ≤ floor:
 // no pinned snapshot and no latest read can see it. Removing a version
 // drops its index postings unless another retained version of the same
-// chain carries the same value.
+// row carries the same value; a slot whose stored version goes (its
+// older ones ended no later, so they go too) is cleared of string
+// references, moves to the next generation and joins the free list.
 func (t *Table) maybeGCLocked() {
 	if t.dead == 0 {
 		return
@@ -910,46 +1091,45 @@ func (t *Table) maybeGCLocked() {
 	if floor <= t.gcFloor && len(t.pins) > 0 {
 		return
 	}
-	for id := range t.retired {
-		chain := t.rows[id]
-		kept := chain[:0]
-		var dropped []rowVer
-		for _, ver := range chain {
-			if ver.end <= floor {
-				dropped = append(dropped, ver)
-			} else {
-				kept = append(kept, ver)
-			}
+	keep := t.dying[:0]
+	for _, s32 := range t.dying {
+		s, id, chain := int(s32), t.idOf(int(s32)), t.older[s32]
+		freed := t.end[s] <= floor
+		n := 0
+		for n < len(chain) && chain[n].end <= floor {
+			n++
 		}
-		if len(dropped) == 0 {
-			continue
-		}
-		t.dead -= len(dropped)
-		for _, ver := range dropped {
-			for _, idx := range t.indexes {
-				v := ver.row[idx.column]
-				if !chainHasValue(kept, idx.column, v) {
-					idx.remove(v, id)
+		for _, idx := range t.indexes {
+			for _, o := range chain[:n] {
+				if !t.carried(chain[n:], s, !freed, idx.column, o.row[idx.column]) {
+					idx.remove(o.row[idx.column], id)
 				}
 			}
-		}
-		if len(kept) == 0 {
-			delete(t.rows, id)
-			delete(t.retired, id)
-			continue
-		}
-		t.rows[id] = kept
-		// Still-dead survivors keep the chain on the retired list.
-		stillDead := false
-		for _, ver := range kept {
-			if ver.end != verMax {
-				stillDead = true
-				break
+			if freed {
+				idx.remove(t.cols[idx.column].stored(s), id)
 			}
 		}
-		if !stillDead {
-			delete(t.retired, id)
+		t.dead -= n
+		if n == len(chain) {
+			delete(t.older, s32)
+		} else {
+			t.older[s32] = chain[n:]
+		}
+		switch {
+		case freed:
+			t.dead--
+			t.begin[s], t.end[s] = 0, 0
+			t.gen[s]++
+			for c := range t.cols {
+				if t.cols[c].Kind == KindString {
+					t.cols[c].Str[s] = ""
+				}
+			}
+			t.free = append(t.free, s32)
+		case n < len(chain) || t.end[s] != verMax:
+			keep = append(keep, s32)
 		}
 	}
+	t.dying = keep
 	t.gcFloor = floor
 }
