@@ -70,8 +70,9 @@ func assertSameOrdered(t *testing.T, label string, key int, want, got []store.Ro
 }
 
 // TestDifferentialBenchShapes runs the six benchmark shapes over the
-// datagen catalog across the engine matrix: plans byte-identical, row
-// multisets identical, exact sort keys at the cut. It also pins which
+// datagen catalog across the engine matrix against the reference
+// executor: plans byte-identical among the optimised configurations,
+// row multisets identical, exact sort keys at the cut. It also pins which
 // access path each shape is expected to take, so the matrix cannot
 // silently agree on the wrong plan.
 func TestDifferentialBenchShapes(t *testing.T) {
@@ -87,37 +88,40 @@ func TestDifferentialBenchShapes(t *testing.T) {
 	}
 	for _, th := range []float64{6.5, 8.5} {
 		for _, sh := range benchShapes(clade, th, "FAM01", 100) {
-			base, err := NewEngine(cat, rowOptions(serialOptions())).Query(context.Background(), sh.q)
+			want, err := refQuery(cat, sh.q)
 			if err != nil {
-				t.Fatalf("%s: row-serial: %v", sh.name, err)
+				t.Fatalf("%s: reference: %v", sh.name, err)
 			}
-			if th == 8.5 {
-				for _, frag := range wantPath[sh.name] {
-					if !strings.Contains(base.Plan, frag) {
-						t.Fatalf("%s: plan lacks %q:\n%s", sh.name, frag, base.Plan)
-					}
-				}
-			}
-			naive, err := NewEngine(cat, NaiveOptions()).Query(context.Background(), sh.q)
+			naive, err := NewEngine(cat, naiveSerialOptions()).Query(context.Background(), sh.q)
 			if err != nil {
 				t.Fatalf("%s: naive: %v", sh.name, err)
 			}
-			results := map[string]*Result{"naive": naive}
-			for _, c := range diffMatrix() {
+			results := map[string]*Result{"naive-serial": naive}
+			plan := ""
+			for i, c := range diffMatrix() {
 				got, err := NewEngine(cat, c.opts).Query(context.Background(), sh.q)
 				if err != nil {
 					t.Fatalf("%s: %s: %v", sh.name, c.name, err)
 				}
-				if got.Plan != base.Plan {
-					t.Fatalf("%s: %s plan diverges\nrow-serial:\n%s\n%s:\n%s", sh.name, c.name, base.Plan, c.name, got.Plan)
+				if i == 0 {
+					plan = got.Plan
+				} else if got.Plan != plan {
+					t.Fatalf("%s: %s plan diverges\n%s:\n%s\n%s:\n%s", sh.name, c.name, diffMatrix()[0].name, plan, c.name, got.Plan)
 				}
 				results[c.name] = got
+			}
+			if th == 8.5 {
+				for _, frag := range wantPath[sh.name] {
+					if !strings.Contains(plan, frag) {
+						t.Fatalf("%s: plan lacks %q:\n%s", sh.name, frag, plan)
+					}
+				}
 			}
 			for name, got := range results {
 				label := fmt.Sprintf("%s th=%.1f [%s]", sh.name, th, name)
 				if sh.key >= 0 {
-					assertSameOrdered(t, label, sh.key, base.Rows, got.Rows)
-				} else if !sameRowMultisetCanon(base.Rows, got.Rows) {
+					assertSameOrdered(t, label, sh.key, want.Rows, got.Rows)
+				} else if !sameRowMultisetCanon(want.Rows, got.Rows) {
 					t.Fatalf("%s: result multisets differ", label)
 				}
 			}
@@ -217,7 +221,7 @@ func TestSubtreePredicateCrossesJoin(t *testing.T) {
 
 // TestTopKPushdownShapes: the ordered walk fires only where the first
 // k rows of the index range are the answer, and every shape — pushed or
-// not — answers as the naive engine does across the matrix.
+// not — answers as the reference executor does across the matrix.
 func TestTopKPushdownShapes(t *testing.T) {
 	cat := datagenCatalog(t, 7)
 	for _, c := range []struct {
@@ -247,25 +251,25 @@ func TestTopKPushdownShapes(t *testing.T) {
 		if got := strings.Contains(res.Plan, " limit=5"); got != c.want {
 			t.Fatalf("%s\nordered walk = %v, want %v:\n%s", c.q, got, c.want, res.Plan)
 		}
-		naive, err := NewEngine(cat, NaiveOptions()).Query(context.Background(), c.q)
+		want, err := refQuery(cat, c.q)
 		if err != nil {
-			t.Fatalf("%s: naive: %v", c.q, err)
+			t.Fatalf("%s: reference: %v", c.q, err)
 		}
 		for _, m := range append(diffMatrix(), struct {
 			name string
 			opts Options
-		}{"row-serial", rowOptions(serialOptions())}) {
+		}{"naive-serial", naiveSerialOptions()}) {
 			got, err := NewEngine(cat, m.opts).Query(context.Background(), c.q)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", c.q, m.name, err)
 			}
 			if c.key < 0 {
-				if len(got.Rows) != len(naive.Rows) {
-					t.Fatalf("%s [%s]: %d rows, want %d", c.q, m.name, len(got.Rows), len(naive.Rows))
+				if len(got.Rows) != len(want.Rows) {
+					t.Fatalf("%s [%s]: %d rows, want %d", c.q, m.name, len(got.Rows), len(want.Rows))
 				}
 				continue
 			}
-			assertSameOrdered(t, c.q+" ["+m.name+"]", c.key, naive.Rows, got.Rows)
+			assertSameOrdered(t, c.q+" ["+m.name+"]", c.key, want.Rows, got.Rows)
 		}
 	}
 }
@@ -422,23 +426,19 @@ func mvccCommit(db *store.DB, act *store.Table, rng *rand.Rand) error {
 }
 
 // checkAtSnapshot runs every statement on every optimized engine and
-// on the naive engine against one pinned snapshot and compares.
+// on the reference executor against one pinned snapshot and compares.
 func checkAtSnapshot(cat Catalog, snap *store.SnapshotHandle) error {
 	ctx := context.Background()
-	naive := NewEngine(cat, NaiveOptions())
 	for _, st := range mvccStatements {
 		stmt, err := Parse(st.q)
 		if err != nil {
 			return err
 		}
-		want, err := naive.RunAt(ctx, stmt, snap)
+		want, err := refRunAt(cat, stmt, snap)
 		if err != nil {
-			return fmt.Errorf("%s: naive: %w", st.q, err)
+			return fmt.Errorf("%s: reference: %w", st.q, err)
 		}
-		for _, c := range append(diffMatrix(), struct {
-			name string
-			opts Options
-		}{"row-serial", rowOptions(serialOptions())}) {
+		for _, c := range diffMatrix() {
 			got, err := NewEngine(cat, c.opts).RunAt(ctx, stmt, snap)
 			if err != nil {
 				return fmt.Errorf("%s [%s]: %w", st.q, c.name, err)
@@ -447,11 +447,11 @@ func checkAtSnapshot(cat Catalog, snap *store.SnapshotHandle) error {
 				return fmt.Errorf("%s [%s]: plan lacks %q:\n%s", st.q, c.name, st.path, got.Plan)
 			}
 			if len(got.Rows) != len(want.Rows) {
-				return fmt.Errorf("%s [%s]: %d rows, naive scan has %d", st.q, c.name, len(got.Rows), len(want.Rows))
+				return fmt.Errorf("%s [%s]: %d rows, the reference has %d", st.q, c.name, len(got.Rows), len(want.Rows))
 			}
 			if st.key < 0 {
 				if !sameRowMultisetCanon(want.Rows, got.Rows) {
-					return fmt.Errorf("%s [%s]: rows differ from the naive scan", st.q, c.name)
+					return fmt.Errorf("%s [%s]: rows differ from the reference", st.q, c.name)
 				}
 				continue
 			}
@@ -461,14 +461,14 @@ func checkAtSnapshot(cat Catalog, snap *store.SnapshotHandle) error {
 			for i := range want.Rows {
 				w, g := want.Rows[i][st.key], got.Rows[i][st.key]
 				if store.Compare(w, g) != 0 {
-					return fmt.Errorf("%s [%s]: sort key %d is %v, naive has %v", st.q, c.name, i, g, w)
+					return fmt.Errorf("%s [%s]: sort key %d is %v, the reference has %v", st.q, c.name, i, g, w)
 				}
 				if store.Compare(w, cut) != 0 {
 					a, b = append(a, want.Rows[i]), append(b, got.Rows[i])
 				}
 			}
 			if !sameRowMultisetCanon(a, b) {
-				return fmt.Errorf("%s [%s]: rows ahead of the cut differ from the naive scan", st.q, c.name)
+				return fmt.Errorf("%s [%s]: rows ahead of the cut differ from the reference", st.q, c.name)
 			}
 		}
 	}
@@ -477,7 +477,7 @@ func checkAtSnapshot(cat Catalog, snap *store.SnapshotHandle) error {
 
 // TestAccessPathsMatchNaiveScanAtPinnedVersions interleaves commits
 // with snapshots pinned at several versions; every pin must keep
-// answering as the naive scan of its own version does.
+// answering as the reference executor does at its own version.
 func TestAccessPathsMatchNaiveScanAtPinnedVersions(t *testing.T) {
 	cat, act := mvccCatalog(t)
 	rng := rand.New(rand.NewSource(21))

@@ -11,15 +11,16 @@ import (
 	"drugtree/internal/store"
 )
 
-// Differential harness: every query must behave identically across
-// the engine matrix — the serial row-at-a-time executor is the
-// baseline, and the row-parallel, vectorized-serial, and
-// vectorized-parallel configurations must all match it. Plans must
-// match exactly (neither parallel dispatch nor batch execution is
-// visible to the optimizer), row counts must match, and result
-// multisets must match; for ORDER BY queries the sort key sequence
-// must match (ties may legitimately permute whole rows, as in the
-// naive/optimized fuzz test).
+// Differential harness: every query must give the reference executor's
+// answer (refexec_test.go: the unoptimised logical plan interpreted
+// over rows with nested loops) on every engine configuration — naive
+// serial, default serial, default parallel, and, while it still
+// exists, the row engine serial and parallel. Row counts must match
+// and result multisets must match; for ORDER BY queries the sort key
+// sequence must match (ties may legitimately permute whole rows).
+// Among the optimised configurations plans must match exactly:
+// neither parallel dispatch nor the exchange unit is visible to the
+// optimizer.
 
 // diffParallelism is the worker count the parallel sides run with.
 // Forced above 1 explicitly so the harness exercises the parallel
@@ -38,13 +39,19 @@ func serialOptions() Options {
 	return o
 }
 
+func naiveSerialOptions() Options {
+	o := NaiveOptions()
+	o.Parallelism = 1
+	return o
+}
+
 func rowOptions(o Options) Options {
 	o.Vectorized = false
 	return o
 }
 
-// diffMatrix lists the engine configurations checked against the
-// row-serial baseline on every differential query.
+// diffMatrix lists the optimised engine configurations; every one
+// must render the same plan.
 func diffMatrix() []struct {
 	name string
 	opts Options
@@ -53,17 +60,18 @@ func diffMatrix() []struct {
 		name string
 		opts Options
 	}{
+		{"row-serial", rowOptions(serialOptions())},
 		{"row-parallel", rowOptions(parallelOptions(diffParallelism))},
-		{"vec-serial", serialOptions()},
-		{"vec-parallel", parallelOptions(diffParallelism)},
+		{"default-serial", serialOptions()},
+		{"default-parallel", parallelOptions(diffParallelism)},
 	}
 }
 
 // canonKey encodes a row for multiset comparison with floats rounded
 // to 10 significant digits. SUM/AVG associate additions differently
-// across chunk boundaries (and across serial runs, whose scan order
-// is map-iteration order), so bit-exact float comparison is unsound;
-// everything else compares exactly.
+// across chunk boundaries (and across access paths, whose row order
+// differs), so bit-exact float comparison is unsound; everything else
+// compares exactly.
 func canonKey(r store.Row) string {
 	var b []byte
 	for _, v := range r {
@@ -97,43 +105,55 @@ func sameRowMultisetCanon(a, b []store.Row) bool {
 	return true
 }
 
-// assertSameResult applies the harness comparison rules.
-func assertSameResult(t *testing.T, q string, ordered bool, serial, parallel *Result) {
+// assertSameResult applies the harness comparison rules to one
+// configuration's rows against the reference's.
+func assertSameResult(t *testing.T, q string, ordered bool, want, got *Result) {
 	t.Helper()
-	if serial.Plan != parallel.Plan {
-		t.Fatalf("query %q: plans diverge\nserial:\n%s\nparallel:\n%s", q, serial.Plan, parallel.Plan)
-	}
-	if len(serial.Rows) != len(parallel.Rows) {
-		t.Fatalf("query %q: row counts diverge: serial %d, parallel %d",
-			q, len(serial.Rows), len(parallel.Rows))
+	if len(want.Rows) != len(got.Rows) {
+		t.Fatalf("query %q: row counts diverge: reference %d, got %d", q, len(want.Rows), len(got.Rows))
 	}
 	if ordered {
-		for j := range serial.Rows {
-			a, b := serial.Rows[j][0], parallel.Rows[j][0]
+		for j := range want.Rows {
+			a, b := want.Rows[j][0], got.Rows[j][0]
 			if a.K != b.K || a.String() != b.String() {
 				t.Fatalf("query %q: sort key %d differs: %v vs %v", q, j, a, b)
 			}
 		}
 		return
 	}
-	if !sameRowMultisetCanon(serial.Rows, parallel.Rows) {
-		t.Fatalf("query %q: result multisets differ (%d rows each)", q, len(serial.Rows))
+	if !sameRowMultisetCanon(want.Rows, got.Rows) {
+		t.Fatalf("query %q: result multisets differ (%d rows each)", q, len(want.Rows))
 	}
 }
 
-func runDifferential(t *testing.T, cat Catalog, q string, ordered bool) {
+// runDifferential checks q on every configuration against the
+// reference executor and returns the optimised configurations' shared
+// plan.
+func runDifferential(t *testing.T, cat Catalog, q string, ordered bool) string {
 	t.Helper()
-	base, err := NewEngine(cat, rowOptions(serialOptions())).Query(context.Background(), q)
+	want, err := refQuery(cat, q)
 	if err != nil {
-		t.Fatalf("query %q: row-serial baseline: %v", q, err)
+		t.Fatalf("query %q: reference: %v", q, err)
 	}
-	for _, c := range diffMatrix() {
+	naive, err := NewEngine(cat, naiveSerialOptions()).Query(context.Background(), q)
+	if err != nil {
+		t.Fatalf("query %q: naive-serial: %v", q, err)
+	}
+	assertSameResult(t, q+" [naive-serial]", ordered, want, naive)
+	plan := ""
+	for i, c := range diffMatrix() {
 		got, err := NewEngine(cat, c.opts).Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("query %q: %s: %v", q, c.name, err)
 		}
-		assertSameResult(t, q+" ["+c.name+"]", ordered, base, got)
+		if i == 0 {
+			plan = got.Plan
+		} else if got.Plan != plan {
+			t.Fatalf("query %q: %s plan diverges\n%s:\n%s\n%s:\n%s", q, c.name, diffMatrix()[0].name, plan, c.name, got.Plan)
+		}
+		assertSameResult(t, q+" ["+c.name+"]", ordered, want, got)
 	}
+	return plan
 }
 
 // TestDifferentialCorpus runs a fixed corpus covering every operator

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -10,8 +9,8 @@ import (
 
 // queryGen generates random well-formed DTQL over the test catalog
 // schema. It is the workhorse of TestFuzzNaiveOptimizedEquivalence:
-// any query it emits must produce identical result multisets under
-// the naive and fully optimized engines.
+// any query it emits must produce the reference executor's result
+// multiset under the naive and fully optimized engines.
 type queryGen struct {
 	rng *rand.Rand
 	// strLits overrides the string literal pool (the differential
@@ -227,38 +226,11 @@ func (g *queryGen) generate() (string, bool) {
 
 func TestFuzzNaiveOptimizedEquivalence(t *testing.T) {
 	cat := testCatalog(t)
-	naive := NewEngine(cat, NaiveOptions())
-	opt := NewEngine(cat, DefaultOptions())
 	g := &queryGen{rng: rand.New(rand.NewSource(2024))}
 	const trials = 300
 	for i := 0; i < trials; i++ {
 		q, ordered := g.generate()
-		rn, err := naive.Query(context.Background(), q)
-		if err != nil {
-			t.Fatalf("query %d (%s): naive: %v", i, q, err)
-		}
-		ro, err := opt.Query(context.Background(), q)
-		if err != nil {
-			t.Fatalf("query %d (%s): optimized: %v", i, q, err)
-		}
-		if ordered {
-			// Compare result sizes and the sorted key column values
-			// (ties may legitimately reorder whole rows).
-			if len(rn.Rows) != len(ro.Rows) {
-				t.Fatalf("query %d (%s): %d vs %d rows", i, q, len(rn.Rows), len(ro.Rows))
-			}
-			for j := range rn.Rows {
-				a, b := rn.Rows[j][0], ro.Rows[j][0]
-				if a.K != b.K || a.String() != b.String() {
-					t.Fatalf("query %d (%s): sort key %d differs: %v vs %v", i, q, j, a, b)
-				}
-			}
-			continue
-		}
-		if !sameRowMultiset(rn.Rows, ro.Rows) {
-			t.Fatalf("query %d (%s): result multisets differ (naive %d rows, optimized %d)",
-				i, q, len(rn.Rows), len(ro.Rows))
-		}
+		runDifferential(t, cat, q, ordered)
 	}
 }
 

@@ -147,10 +147,9 @@ func TestPruneWithAggregation(t *testing.T) {
 }
 
 func TestFuzzWithAllPassesIndividuallyToggled(t *testing.T) {
-	// Every single-pass-off configuration must agree with the naive
-	// engine over a query corpus — catches pass-interaction bugs.
+	// Every single-pass-off configuration must agree with the reference
+	// executor over a query corpus — catches pass-interaction bugs.
 	cat := testCatalog(t)
-	naive := NewEngine(cat, NaiveOptions())
 	configs := []Options{}
 	base := DefaultOptions()
 	for i := 0; i < 6; i++ {
@@ -181,9 +180,9 @@ func TestFuzzWithAllPassesIndividuallyToggled(t *testing.T) {
 		"SELECT family, COUNT(*) FROM proteins GROUP BY family HAVING COUNT(*) > 1",
 	}
 	for _, q := range queries {
-		want, err := naive.Query(context.Background(), q)
+		want, err := refQuery(cat, q)
 		if err != nil {
-			t.Fatalf("naive %q: %v", q, err)
+			t.Fatalf("reference %q: %v", q, err)
 		}
 		for ci, o := range configs {
 			got, err := NewEngine(cat, o).Query(context.Background(), q)
