@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-replication vet vet-compat lint bench bench-smoke bench-micro bench-repo bench-repo-smoke chaos chaos-replica overload torture ingest check clean
+.PHONY: all build test race race-replication vet vet-compat lint loc bench bench-smoke bench-micro bench-repo bench-repo-smoke chaos chaos-replica overload torture ingest check clean
 
 all: check
 
@@ -15,6 +15,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines per internal/* package (and cmd/), one line each:
+# the table EXPERIMENTS sections quote before and after a change.
+loc:
+	@for d in internal/* cmd; do \
+		printf '%-24s %s\n' $$d "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)"; \
+	done
 
 # The concurrency certificate: differential, cancellation, and stress
 # tests under the race detector — the parallel query executor, the
@@ -97,16 +104,17 @@ bench-repo-smoke:
 # The committed numbers: every workload of the repository benchmark
 # once untraced (the seven end-to-end metrics) and once with --trace 1
 # (the per-layer table), each run's final JSON line collected under a
-# host header into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an
-# otherwise idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_20.json
+# host header (which records the load average the run started under)
+# into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
+# idle host and commit the file with the change it measures.
+BENCH_JSON ?= BENCH_21.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \
-	printf '{"host":{"cpu":"%s","cpus":%s,"mem_mb":%s,"kernel":"%s","go":"%s","date":"%s"},\n "runs":[' \
+	printf '{"host":{"cpu":"%s","cpus":%s,"mem_mb":%s,"kernel":"%s","go":"%s","date":"%s","loadavg":"%s"},\n "runs":[' \
 		"$$(sed -n 's/^model name[^:]*: //p' /proc/cpuinfo | head -n 1)" "$$(nproc)" \
 		"$$(awk '/^MemTotal/ {print int($$2/1024)}' /proc/meminfo)" "$$(uname -sr)" \
-		"$$($(GO) env GOVERSION)" "$$(date -u +%F)" > $$tmp; \
+		"$$($(GO) env GOVERSION)" "$$(date -u +%F)" "$$(cut -d' ' -f1-3 /proc/loadavg)" > $$tmp; \
 	sep=; for w in browse analytics ingest sharded; do for trace in 0 1; do \
 		echo "bench-repo: $$w --trace $$trace" >&2; \
 		line=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 10 --trace $$trace | tail -n 1); \

@@ -11,6 +11,7 @@ import (
 
 	"drugtree/internal/datagen"
 	"drugtree/internal/phylo"
+	"drugtree/internal/query"
 	"drugtree/internal/store"
 )
 
@@ -32,7 +33,7 @@ func wantViews(e *Engine, id phylo.NodeID) []NodeView {
 // the in-memory tree's view of every node each time. Navigation owns
 // its cache: the statement cache must not grow behind it.
 func TestOpenSubtreeMatchesTree(t *testing.T) {
-	tree, err := datagen.RandomTopology(300, 11) // root miss takes the batch path, small clades the ≤ 256-row row path
+	tree, err := datagen.RandomTopology(300, 11) // root miss spans several batches, small clades are one short batch
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestOpenSubtreeMatchesTree(t *testing.T) {
 		{"single", func(*Config) {}},
 		{"shards=3", func(c *Config) { c.Shards = 3 }},
 		{"exact-only", func(c *Config) { c.CacheExactOnly = true }},
-		{"row-engine", func(c *Config) { c.QueryOptions.Vectorized = false }},
+		{"naive", func(c *Config) { c.QueryOptions = query.NaiveOptions() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db, err := store.Open("")

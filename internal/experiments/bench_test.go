@@ -7,40 +7,6 @@ import (
 	"drugtree/internal/core"
 )
 
-// BenchmarkT10Vectorized is the T10 ablation as a testing.B benchmark:
-// each query class runs as a row-engine and a vectorized sub-benchmark
-// over the shared standard dataset, so `go test -bench T10Vectorized`
-// reports the same row-vs-batch ratios RunT10 tabulates. Engines are
-// built once per benchmark invocation (dataset generation and tree
-// reconstruction dominate a naive per-sub-benchmark setup).
-func BenchmarkT10Vectorized(b *testing.B) {
-	ctx := context.Background()
-	engines := make(map[string]*core.Engine, 2)
-	for name, vec := range map[string]bool{"row": false, "vec": true} {
-		e, err := t10Engine(ctx, 1, t10Options(vec, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		engines[name] = e
-	}
-	for _, cls := range t10Classes() {
-		for _, name := range []string{"row", "vec"} {
-			e := engines[name]
-			b.Run(cls.name+"/"+name, func(b *testing.B) {
-				if _, err := e.Query(ctx, cls.dtql); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.Query(ctx, cls.dtql); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkT11Sharded is the T11 topology comparison as a testing.B
 // benchmark: each query class runs as a single-node and a 4-shard
 // sub-benchmark over the same store and tree, so `go test -bench

@@ -96,7 +96,6 @@ func All() []Runner {
 		{"T6", "Statement cache: first execution vs exact repeat", RunT6},
 		{"T8", "Availability under scripted source faults: resilience on vs off", RunT8},
 		{"T9", "Overload protection: deadline-aware shedding vs unprotected queueing", RunT9},
-		{"T10", "Vectorized execution ablation: row vs batch vs batch+parallel", RunT10},
 		{"T11", "Scatter-gather sharding: single-node vs 4 partitioned shards", RunT11},
 		{"T12", "Replication chaos: WAL-shipped replicas, kill-tested promotion failover", RunT12},
 		{"T13", "Crash-point torture: deterministic power cuts over every persistence path", RunT13},

@@ -117,21 +117,36 @@ func RunT1(ctx context.Context, seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	const reps = 20
+	// Both sides run the one batch executor — the naive side only lacks
+	// the optimizer passes — so the cheap classes sit tens of
+	// microseconds apart: the best of five 20-run means keeps one
+	// scheduler hiccup from deciding a class.
+	const reps, rounds = 20, 5
+	best := func(e *core.Engine, dtql string) (time.Duration, error) {
+		var min time.Duration
+		for r := 0; r < rounds; r++ {
+			d, err := MeasureQuery(ctx, e, dtql, reps)
+			if err != nil {
+				return 0, err
+			}
+			if r == 0 || d < min {
+				min = d
+			}
+		}
+		return min, nil
+	}
 	rep := &Report{
 		ID:     "T1",
-		Title:  "Query latency by class (200 proteins, 10 families, mean of 20 runs)",
+		Title:  "Query latency by class (200 proteins, 10 families, best of 5 means of 20 runs)",
 		Header: []string{"query class", "naive", "optimized", "speedup"},
 	}
 	worstClass, bestSpeedup := "", 0.0
 	for _, cls := range t1QueryClasses() {
-		qn := cls.mk(naive)
-		qo := cls.mk(opt)
-		dn, err := MeasureQuery(ctx, naive, qn, reps)
+		dn, err := best(naive, cls.mk(naive))
 		if err != nil {
 			return nil, fmt.Errorf("T1 %s naive: %w", cls.name, err)
 		}
-		do, err := MeasureQuery(ctx, opt, qo, reps)
+		do, err := best(opt, cls.mk(opt))
 		if err != nil {
 			return nil, fmt.Errorf("T1 %s optimized: %w", cls.name, err)
 		}

@@ -333,7 +333,7 @@ func TestIndexWalksPollContext(t *testing.T) {
 		{"SELECT protein_id, affinity FROM activities WHERE affinity >= 0 AND ligand_id = 'none' ORDER BY affinity DESC LIMIT 5", "order=DESC limit=5"},
 		{"SELECT ligand_id, COUNT(*) FROM activities WHERE WITHIN_SUBTREE(protein_id, 'A') GROUP BY ligand_id", "IndexUnionScan"},
 	} {
-		for _, opts := range []Options{rowOptions(serialOptions()), serialOptions(), parallelOptions(diffParallelism)} {
+		for _, opts := range []Options{serialOptions(), parallelOptions(diffParallelism)} {
 			eng := NewEngine(cat, opts)
 			res, err := eng.Query(context.Background(), c.q)
 			if err != nil || !strings.Contains(res.Plan, c.path) {
@@ -341,7 +341,7 @@ func TestIndexWalksPollContext(t *testing.T) {
 			}
 			_, err = eng.Query(&pollOnlyCtx{Context: context.Background()}, c.q)
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s (vectorized=%v): err = %v, want context.Canceled from the store walk", c.q, opts.Vectorized, err)
+				t.Fatalf("%s (parallelism=%d): err = %v, want context.Canceled from the store walk", c.q, opts.Parallelism, err)
 			}
 		}
 	}

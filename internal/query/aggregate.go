@@ -4,42 +4,6 @@ import (
 	"drugtree/internal/store"
 )
 
-// buildAgg lowers an AggNode to a hash-aggregation operator. With
-// Parallelism > 1 the operator aggregates per-worker partials over
-// contiguous input chunks and merges them in chunk order, which
-// reproduces the serial first-seen group order exactly.
-func buildAgg(n *AggNode, ec *execCtx, depth int) (iterator, error) {
-	if it, ok := tryOverlayRead(n, ec, depth); ok {
-		return it, nil
-	}
-	env := ec.env(n.Input.Schema())
-	groups := make([]*boundExpr, len(n.GroupBy))
-	for i, g := range n.GroupBy {
-		be, err := bind(g, env)
-		if err != nil {
-			return nil, err
-		}
-		groups[i] = be
-	}
-	args := make([]*boundExpr, len(n.Aggs))
-	for i, a := range n.Aggs {
-		if a.Star {
-			continue
-		}
-		be, err := bind(a.Arg, env)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = be
-	}
-	op := ec.note(depth, "%s", n.describe())
-	in, err := buildIterator(n.Input, ec, depth+1)
-	if err != nil {
-		return nil, err
-	}
-	return &aggIter{in: in, groups: groups, aggs: n.Aggs, args: args, ec: ec, op: op}, nil
-}
-
 // aggState accumulates one aggregate for one group.
 type aggState struct {
 	count int64
@@ -118,25 +82,28 @@ func (s *aggState) result(fn AggFunc) store.Value {
 	return store.NullValue()
 }
 
-// distinctSet dedups a DISTINCT aggregate's inputs by value hash,
-// remembering values in first-seen order so partial sets merge with
-// the same semantics the serial accumulation has.
+// distinctSet dedups a DISTINCT aggregate's inputs — hash buckets of
+// values compared with store.Equal, since distinct values can share a
+// hash — remembering values in first-seen order so partial sets merge
+// with the same semantics the serial accumulation has.
 type distinctSet struct {
-	seen map[uint64]struct{}
+	seen map[uint64][]store.Value
 	vals []store.Value
 }
 
 func newDistinctSet() *distinctSet {
-	return &distinctSet{seen: make(map[uint64]struct{})}
+	return &distinctSet{seen: make(map[uint64][]store.Value)}
 }
 
-// insert reports whether v's hash was new.
+// insert reports whether v was new.
 func (d *distinctSet) insert(v store.Value) bool {
 	h := v.Hash()
-	if _, ok := d.seen[h]; ok {
-		return false
+	for _, s := range d.seen[h] {
+		if store.Equal(s, v) {
+			return false
+		}
 	}
-	d.seen[h] = struct{}{}
+	d.seen[h] = append(d.seen[h], v)
 	d.vals = append(d.vals, v)
 	return true
 }
@@ -154,48 +121,19 @@ type groupEntry struct {
 // aggTable is one (partial or final) aggregation hash table with
 // deterministic first-seen group order.
 type aggTable struct {
-	groups []*boundExpr
-	aggs   []*AggExpr
-	args   []*boundExpr
-	table  map[string]*groupEntry
-	order  []string
+	aggs  []*AggExpr
+	table map[string]*groupEntry
+	order []string
 }
 
-func newAggTable(groups []*boundExpr, aggs []*AggExpr, args []*boundExpr) *aggTable {
-	return &aggTable{groups: groups, aggs: aggs, args: args, table: make(map[string]*groupEntry)}
-}
-
-// add accumulates one input row.
-func (t *aggTable) add(r store.Row) error {
-	keys := make([]store.Value, len(t.groups))
-	for i, g := range t.groups {
-		v, err := g.eval(r)
-		if err != nil {
-			return err
-		}
-		keys[i] = v
-	}
-	argv := make([]store.Value, len(t.aggs))
-	for i, agg := range t.aggs {
-		if agg.Star {
-			continue
-		}
-		v, err := t.args[i].eval(r)
-		if err != nil {
-			return err
-		}
-		argv[i] = v
-	}
-	t.addValues(keys, argv)
-	return nil
+func newAggTable(aggs []*AggExpr) *aggTable {
+	return &aggTable{aggs: aggs, table: make(map[string]*groupEntry)}
 }
 
 // addValues accumulates one input row whose group keys and aggregate
-// arguments are already evaluated — the vectorized path batch-evaluates
-// both and feeds them here, so grouping, DISTINCT, and merge semantics
-// stay shared between engines. keys is retained by the table on first
-// sight of a group; callers must pass a fresh slice per row. argv
-// entries for star aggregates are ignored.
+// arguments are already evaluated (vecAgg batch-evaluates both). keys
+// is retained by the table on first sight of a group; callers must pass
+// a fresh slice per row. argv entries for star aggregates are ignored.
 func (t *aggTable) addValues(keys []store.Value, argv []store.Value) {
 	keyBuf := make([]byte, 0, 32)
 	for _, v := range keys {
@@ -265,137 +203,26 @@ func (t *aggTable) merge(o *aggTable) {
 	}
 }
 
-// rows renders the final one-row-per-group output.
-func (t *aggTable) rows() []store.Row {
-	out := make([]store.Row, 0, len(t.order))
+// output renders the final one-row-per-group result — group keys, then
+// aggregates — as generic columns (an aggregate's kind is known only
+// from its inputs). groups is the number of group keys.
+func (t *aggTable) output(groups int) *store.ColBatch {
+	cb := &store.ColBatch{Cols: make([]store.Col, groups+len(t.aggs)), Rows: len(t.order)}
+	for c := range cb.Cols {
+		cb.Cols[c] = *store.NewCol(store.KindNull, len(t.order))
+	}
 	for _, k := range t.order {
 		e := t.table[k]
-		row := make(store.Row, 0, len(e.keys)+len(t.aggs))
-		row = append(row, e.keys...)
+		for c, v := range e.keys {
+			cb.Cols[c].Append(v)
+		}
 		for i, agg := range t.aggs {
-			if agg.Star {
-				row = append(row, store.IntValue(e.stars))
-				continue
+			v := store.IntValue(e.stars)
+			if !agg.Star {
+				v = e.states[i].result(agg.Func)
 			}
-			row = append(row, e.states[i].result(agg.Func))
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// aggIter performs hash aggregation: it drains its input on first
-// Next, then streams one row per group (group keys, then aggregates).
-type aggIter struct {
-	in     iterator
-	groups []*boundExpr
-	aggs   []*AggExpr
-	args   []*boundExpr
-	ec     *execCtx
-
-	out []store.Row
-	pos int
-	run bool
-	op  *OpStats
-}
-
-func (a *aggIter) Next() (store.Row, bool, error) {
-	if !a.run {
-		if err := a.drain(); err != nil {
-			return nil, false, err
-		}
-		a.run = true
-	}
-	if a.pos >= len(a.out) {
-		return nil, false, nil
-	}
-	r := a.out[a.pos]
-	a.pos++
-	a.op.addOut(1)
-	return r, true, nil
-}
-
-func (a *aggIter) drain() error {
-	var final *aggTable
-	if a.ec.para > 1 {
-		t, err := a.drainParallel()
-		if err != nil {
-			return err
-		}
-		final = t
-	} else {
-		final = newAggTable(a.groups, a.aggs, a.args)
-		cancel := canceller{ctx: a.ec.ctx}
-		for {
-			if err := cancel.check(); err != nil {
-				return err
-			}
-			r, ok, err := a.in.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			a.op.addIn(1)
-			if err := final.add(r); err != nil {
-				return err
-			}
+			cb.Cols[groups+i].Append(v)
 		}
 	}
-	// A global aggregate over an empty input still yields one row.
-	if len(a.groups) == 0 && len(final.order) == 0 {
-		final.table[""] = &groupEntry{states: make([]aggState, len(a.aggs))}
-		final.order = append(final.order, "")
-	}
-	a.out = final.rows()
-	return nil
-}
-
-// drainParallel materializes the input and aggregates contiguous
-// chunks into per-worker partial tables, merged in chunk order.
-func (a *aggIter) drainParallel() (*aggTable, error) {
-	rows, err := drainAll(a.ec.ctx, a.in)
-	if err != nil {
-		return nil, err
-	}
-	a.op.addIn(int64(len(rows)))
-	if len(rows) < 2*morselSize {
-		// Partial tables would cost more than they save.
-		t := newAggTable(a.groups, a.aggs, a.args)
-		cancel := canceller{ctx: a.ec.ctx}
-		for _, r := range rows {
-			if err := cancel.check(); err != nil {
-				return nil, err
-			}
-			if err := t.add(r); err != nil {
-				return nil, err
-			}
-		}
-		return t, nil
-	}
-	chunks := splitChunks(len(rows), a.ec.para)
-	partials := make([]*aggTable, len(chunks))
-	err = runChunks(a.ec.ctx, chunks, func(w int, r morselRange) error {
-		cancel := canceller{ctx: a.ec.ctx}
-		part := newAggTable(a.groups, a.aggs, a.args)
-		for _, row := range rows[r.lo:r.hi] {
-			if err := cancel.check(); err != nil {
-				return err
-			}
-			if err := part.add(row); err != nil {
-				return err
-			}
-		}
-		partials[w] = part
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	final := partials[0]
-	for _, p := range partials[1:] {
-		final.merge(p)
-	}
-	return final, nil
+	return cb
 }

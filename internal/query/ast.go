@@ -93,6 +93,12 @@ type NegExpr struct {
 
 func (n *NegExpr) String() string { return fmt.Sprintf("(-%s)", n.E) }
 
+// quoteName renders a node name or SMILES argument as a single-quoted
+// DTQL string (a quote inside it doubled), so the rendering parses.
+func quoteName(s string) string {
+	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+}
+
 // SubtreeExpr is the tree-aware predicate
 // WITHIN_SUBTREE(column, 'nodeName'): true when the tree node whose
 // preorder number is in the given column lies inside the subtree
@@ -104,7 +110,7 @@ type SubtreeExpr struct {
 }
 
 func (s *SubtreeExpr) String() string {
-	return fmt.Sprintf("WITHIN_SUBTREE(%s, '%s')", s.Column, s.Node)
+	return fmt.Sprintf("WITHIN_SUBTREE(%s, %s)", s.Column, quoteName(s.Node))
 }
 
 // AncestorExpr is the ancestor-axis predicate
@@ -119,7 +125,7 @@ type AncestorExpr struct {
 }
 
 func (a *AncestorExpr) String() string {
-	return fmt.Sprintf("ANCESTOR_OF(%s, '%s')", a.Column, a.Node)
+	return fmt.Sprintf("ANCESTOR_OF(%s, %s)", a.Column, quoteName(a.Node))
 }
 
 // TanimotoExpr is the chemical-similarity scalar
@@ -133,7 +139,7 @@ type TanimotoExpr struct {
 }
 
 func (t *TanimotoExpr) String() string {
-	return fmt.Sprintf("TANIMOTO(%s, '%s')", t.Column, t.SMILES)
+	return fmt.Sprintf("TANIMOTO(%s, %s)", t.Column, quoteName(t.SMILES))
 }
 
 // SubqueryExpr is an uncorrelated scalar subquery: it must produce

@@ -6,18 +6,17 @@ import (
 	"drugtree/internal/store"
 )
 
-// Vectorized batch execution. Operators built by buildVec exchange
-// batches — fixed-capacity column vectors plus a selection vector —
-// instead of one row at a time, so predicate and projection work runs
-// as tight loops over typed slices (see vec_eval.go) and the per-row
-// virtual-dispatch + store.Value boxing costs of the Volcano path
-// disappear on scan/filter/join-heavy queries.
+// Batch execution. Batches — fixed-capacity column vectors plus a
+// selection vector — are the only unit operators exchange, so
+// predicate and projection work runs as tight loops over typed slices
+// (see vec_eval.go). Row form exists in two places only: inside a
+// compiled expression that can fail at evaluation time (vec_eval.go
+// evaluates it row-major over a scratch row), and at the Result.Rows
+// sink (drainRows below).
 //
 // Cancellation: every nextBatch implementation polls its context at
 // batch granularity (one poll per ~vecBatchSize rows) via
-// canceller.now, the batch-level analogue of the row engine's
-// cancelCheckRows polling. The ctxcheck lint rule "batchpoll"
-// enforces this.
+// canceller.now. The ctxcheck lint rule "batchpoll" enforces this.
 
 // vecBatchSize is the target number of rows per batch: large enough
 // to amortize per-batch overhead, small enough to stay cache-resident
@@ -66,8 +65,8 @@ func (b *batch) selection() []int {
 }
 
 // rowAt materializes row index i as a store.Row. dst is reused when
-// non-nil and wide enough; pass nil to get a fresh row the caller may
-// retain.
+// non-nil and of the batch's width; pass nil to get a fresh row the
+// caller may retain.
 func (b *batch) rowAt(i int, dst store.Row) store.Row {
 	if dst == nil || len(dst) != len(b.cols) {
 		dst = make(store.Row, len(b.cols))
@@ -78,10 +77,16 @@ func (b *batch) rowAt(i int, dst store.Row) store.Row {
 	return dst
 }
 
-// batchIterator is the vectorized operator interface: nextBatch
-// returns the next batch, or nil at end of stream.
+// batchIterator is the operator interface: nextBatch returns the next
+// batch, or nil at end of stream.
 type batchIterator interface {
 	nextBatch() (*batch, error)
+}
+
+// rowRef addresses one row inside a materialized batch.
+type rowRef struct {
+	b *batch
+	i int
 }
 
 // batchesOf slices a materialized ColBatch into vecBatchSize views
@@ -104,16 +109,6 @@ func batchesOf(cb *store.ColBatch) []*batch {
 		out = append(out, b)
 	}
 	return out
-}
-
-// wholeBatch wraps a ColBatch as a single batch (no slicing), used
-// for index scans whose result sets are usually far below a batch.
-func wholeBatch(cb *store.ColBatch) *batch {
-	b := &batch{cols: make([]*store.Col, len(cb.Cols)), n: cb.Rows}
-	for c := range cb.Cols {
-		b.cols[c] = &cb.Cols[c]
-	}
-	return b
 }
 
 // drainBatches materializes a batch stream, polling ctx per batch.
@@ -173,9 +168,10 @@ func drainColumns(ctx context.Context, in batchIterator, schema *planSchema) (*s
 // outputKind picks the storage kind of output column c: the kind the
 // plan declares when every live cell is that kind or NULL, generic
 // otherwise. Declared kinds are static inferences (an arithmetic
-// expression over runtime-typed operands can miss), and the row-path
-// scans and row-fallback bridges deliver generic columns whose cells
-// usually do all have the declared kind.
+// expression over runtime-typed operands can miss), and two producers
+// deliver generic columns whose cells usually do all have the declared
+// kind: the aggregate's output and row-evaluated expressions (TANIMOTO,
+// subqueries, shapes that can fail at evaluation time).
 func outputKind(batches []*batch, c int, declared store.Kind) store.Kind {
 	if declared == store.KindNull {
 		return store.KindNull
@@ -197,79 +193,25 @@ func outputKind(batches []*batch, c int, declared store.Kind) store.Kind {
 	return declared
 }
 
-// rowsFromBatches adapts a batch stream to the row iterator
-// interface, materializing each live row as a fresh store.Row (the
-// result-set boundary: returned rows never alias batch or table
-// storage, so callers may mutate them freely).
-type rowsFromBatches struct {
-	in     batchIterator
-	cur    *batch
-	pos    int
-	cancel canceller
-}
-
-func (r *rowsFromBatches) Next() (store.Row, bool, error) {
+// drainRows is the row result boundary, the one place batches become
+// rows: each live row is materialized as a fresh store.Row that never
+// aliases batch or table storage, so callers may mutate it freely.
+func drainRows(ctx context.Context, in batchIterator) ([]store.Row, error) {
+	c := canceller{ctx: ctx}
+	var rows []store.Row
 	for {
-		if r.cur == nil {
-			if err := r.cancel.now(); err != nil {
-				return nil, false, err
-			}
-			b, err := r.in.nextBatch()
-			if err != nil {
-				return nil, false, err
-			}
-			if b == nil {
-				return nil, false, nil
-			}
-			r.cur, r.pos = b, 0
+		if err := c.now(); err != nil {
+			return nil, err
 		}
-		if r.pos < r.cur.live() {
-			i := r.cur.rowIdx(r.pos)
-			r.pos++
-			return r.cur.rowAt(i, nil), true, nil
-		}
-		r.cur = nil
-	}
-}
-
-// batchesFromRows adapts a row iterator (a fallback subtree: merge
-// join, nested-loop join, or a row-mode sort) to the batch interface.
-// Cells land in generic columns, so downstream vectorized operators
-// fall through to their Value-based paths — correct, just not fast.
-type batchesFromRows struct {
-	in     iterator
-	width  int
-	cancel canceller
-	done   bool
-	// buf stages up to one batch of rows so the generic columns can
-	// be sized to the actual row count — a bridged point lookup must
-	// not pay for vecBatchSize-capacity columns.
-	buf []store.Row
-}
-
-func (b *batchesFromRows) nextBatch() (*batch, error) {
-	if b.done {
-		return nil, nil
-	}
-	if err := b.cancel.now(); err != nil {
-		return nil, err
-	}
-	buf := b.buf[:0]
-	for len(buf) < vecBatchSize {
-		r, ok, err := b.in.Next()
+		b, err := in.nextBatch()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			b.done = true
-			break
+		if b == nil {
+			return rows, nil
 		}
-		buf = append(buf, r)
+		for k, live := 0, b.live(); k < live; k++ {
+			rows = append(rows, b.rowAt(b.rowIdx(k), nil))
+		}
 	}
-	b.buf = buf
-	if len(buf) == 0 {
-		return nil, nil
-	}
-	// The zero Kind is KindNull: every column is generic.
-	return wholeBatch(store.ColBatchFromRows(make([]store.Kind, b.width), buf)), nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"testing"
 
 	"drugtree/internal/datagen"
@@ -14,13 +15,11 @@ import (
 // Differential harness: every query must give the reference executor's
 // answer (refexec_test.go: the unoptimised logical plan interpreted
 // over rows with nested loops) on every engine configuration — naive
-// serial, default serial, default parallel, and, while it still
-// exists, the row engine serial and parallel. Row counts must match
-// and result multisets must match; for ORDER BY queries the sort key
+// serial, default serial, default parallel. Row counts must match and
+// result multisets must match; for ORDER BY queries the sort key
 // sequence must match (ties may legitimately permute whole rows).
-// Among the optimised configurations plans must match exactly:
-// neither parallel dispatch nor the exchange unit is visible to the
-// optimizer.
+// Between the optimised configurations plans must match exactly:
+// parallel dispatch is not visible to the optimizer.
 
 // diffParallelism is the worker count the parallel sides run with.
 // Forced above 1 explicitly so the harness exercises the parallel
@@ -45,11 +44,6 @@ func naiveSerialOptions() Options {
 	return o
 }
 
-func rowOptions(o Options) Options {
-	o.Vectorized = false
-	return o
-}
-
 // diffMatrix lists the optimised engine configurations; every one
 // must render the same plan.
 func diffMatrix() []struct {
@@ -60,8 +54,6 @@ func diffMatrix() []struct {
 		name string
 		opts Options
 	}{
-		{"row-serial", rowOptions(serialOptions())},
-		{"row-parallel", rowOptions(parallelOptions(diffParallelism))},
 		{"default-serial", serialOptions()},
 		{"default-parallel", parallelOptions(diffParallelism)},
 	}
@@ -156,43 +148,65 @@ func runDifferential(t *testing.T, cat Catalog, q string, ordered bool) string {
 	return plan
 }
 
-// TestDifferentialCorpus runs a fixed corpus covering every operator
-// the parallel executor touches: morsel scans, hash joins, merge
-// joins, nested-loop joins, aggregation (plain, grouped, DISTINCT),
-// subqueries, tree operators, sorts, and top-k.
+// differentialCorpus is a fixed corpus over testCatalog covering every
+// operator the parallel executor touches: chunked scans, hash joins,
+// nested-loop joins, aggregation (plain, grouped, DISTINCT),
+// subqueries, tree operators, sorts, and top-k. It also seeds
+// FuzzParse.
+var differentialCorpus = []struct {
+	q       string
+	ordered bool
+}{
+	{"SELECT * FROM proteins", false},
+	{"SELECT accession FROM proteins WHERE family = 'FAM1'", false},
+	{"SELECT accession FROM proteins WHERE length > 130 AND family != 'FAM0'", false},
+	{"SELECT accession FROM proteins WHERE family = 'FAM1' OR length BETWEEN 110 AND 120", false},
+	{"SELECT p.accession, a.ligand_id FROM proteins p JOIN activities a ON p.accession = a.protein_id", false},
+	{`SELECT p.accession, l.weight FROM proteins p
+	  JOIN activities a ON p.accession = a.protein_id
+	  JOIN ligands l ON a.ligand_id = l.ligand_id WHERE a.affinity > 7`, false},
+	{"SELECT COUNT(*) FROM activities", false},
+	{"SELECT COUNT(*), SUM(affinity), AVG(affinity), MIN(affinity), MAX(affinity) FROM activities", false},
+	{"SELECT family, COUNT(*), AVG(length) FROM proteins GROUP BY family", false},
+	{"SELECT protein_id, COUNT(DISTINCT ligand_id) FROM activities GROUP BY protein_id", false},
+	{"SELECT COUNT(DISTINCT family) FROM proteins", false},
+	{`SELECT p.family, COUNT(*) AS n, AVG(a.affinity) FROM proteins p
+	  JOIN activities a ON p.accession = a.protein_id GROUP BY p.family`, false},
+	{"SELECT accession, length FROM proteins ORDER BY length DESC LIMIT 7", true},
+	{"SELECT accession FROM proteins ORDER BY accession", true},
+	{"SELECT name FROM tree_nodes WHERE WITHIN_SUBTREE(pre, 'FAM0') AND is_leaf = TRUE", false},
+	{"SELECT name FROM tree_nodes WHERE ANCESTOR_OF(pre, 'P004')", false},
+	{"SELECT accession FROM proteins WHERE accession IN (SELECT protein_id FROM activities WHERE affinity > 8)", false},
+	{"SELECT accession FROM proteins WHERE length > (SELECT AVG(length) FROM proteins)", false},
+	{`SELECT a.protein_id, l.ligand_id FROM activities a
+	  JOIN ligands l ON a.affinity < l.weight WHERE l.weight < 110`, false},
+	{"SELECT COUNT(*) FROM proteins WHERE family = 'NOSUCH'", false},
+	// wide_a.k and wide_b.k hold 2^53+1 and 2^53: distinct integers whose
+	// hashes (taken over the float64 widening) collide, so a hash hit
+	// is not key equality. The second join is the same predicate as a
+	// nested loop.
+	{"SELECT x.k, y.k FROM wide_a x JOIN wide_b y ON x.k = y.k", false},
+	{"SELECT x.k, y.k FROM wide_a x JOIN wide_b y ON x.k >= y.k AND x.k <= y.k", false},
+	{"SELECT COUNT(DISTINCT k) FROM wide_b", false},
+}
+
+// batchless matches an EXPLAIN ANALYZE annotation of an operator that
+// emitted rows without emitting a batch.
+var batchless = regexp.MustCompile(`\[rows=[1-9][0-9]* batches=0\b`)
+
+// TestDifferentialCorpus runs the fixed corpus through the matrix, and
+// checks that every operator that emits rows reports the batches they
+// flowed in.
 func TestDifferentialCorpus(t *testing.T) {
 	cat := testCatalog(t)
-	corpus := []struct {
-		q       string
-		ordered bool
-	}{
-		{"SELECT * FROM proteins", false},
-		{"SELECT accession FROM proteins WHERE family = 'FAM1'", false},
-		{"SELECT accession FROM proteins WHERE length > 130 AND family != 'FAM0'", false},
-		{"SELECT accession FROM proteins WHERE family = 'FAM1' OR length BETWEEN 110 AND 120", false},
-		{"SELECT p.accession, a.ligand_id FROM proteins p JOIN activities a ON p.accession = a.protein_id", false},
-		{`SELECT p.accession, l.weight FROM proteins p
-		  JOIN activities a ON p.accession = a.protein_id
-		  JOIN ligands l ON a.ligand_id = l.ligand_id WHERE a.affinity > 7`, false},
-		{"SELECT COUNT(*) FROM activities", false},
-		{"SELECT COUNT(*), SUM(affinity), AVG(affinity), MIN(affinity), MAX(affinity) FROM activities", false},
-		{"SELECT family, COUNT(*), AVG(length) FROM proteins GROUP BY family", false},
-		{"SELECT protein_id, COUNT(DISTINCT ligand_id) FROM activities GROUP BY protein_id", false},
-		{"SELECT COUNT(DISTINCT family) FROM proteins", false},
-		{`SELECT p.family, COUNT(*) AS n, AVG(a.affinity) FROM proteins p
-		  JOIN activities a ON p.accession = a.protein_id GROUP BY p.family`, false},
-		{"SELECT accession, length FROM proteins ORDER BY length DESC LIMIT 7", true},
-		{"SELECT accession FROM proteins ORDER BY accession", true},
-		{"SELECT name FROM tree_nodes WHERE WITHIN_SUBTREE(pre, 'FAM0') AND is_leaf = TRUE", false},
-		{"SELECT name FROM tree_nodes WHERE ANCESTOR_OF(pre, 'P004')", false},
-		{"SELECT accession FROM proteins WHERE accession IN (SELECT protein_id FROM activities WHERE affinity > 8)", false},
-		{"SELECT accession FROM proteins WHERE length > (SELECT AVG(length) FROM proteins)", false},
-		{`SELECT a.protein_id, l.ligand_id FROM activities a
-		  JOIN ligands l ON a.affinity < l.weight WHERE l.weight < 110`, false},
-		{"SELECT COUNT(*) FROM proteins WHERE family = 'NOSUCH'", false},
-	}
-	for _, c := range corpus {
+	for _, c := range differentialCorpus {
 		runDifferential(t, cat, c.q, c.ordered)
+		for _, m := range diffMatrix() {
+			res := runQ(t, cat, m.opts, "EXPLAIN ANALYZE "+c.q)
+			if line := batchless.FindString(res.Plan); line != "" {
+				t.Fatalf("query %q [%s]: rows without batches (%s):\n%s", c.q, m.name, line, res.Plan)
+			}
+		}
 	}
 }
 
@@ -214,7 +228,7 @@ func TestDifferentialFuzz(t *testing.T) {
 }
 
 // datagenCatalog builds a catalog from a generated dataset large
-// enough (> 2 morsels of activities) that the parallel operators
+// enough (> 2 batches of activities) that the parallel operators
 // split real work instead of falling back to small-input paths.
 func datagenCatalog(t testing.TB, seed int64) *DBCatalog {
 	t.Helper()
@@ -340,21 +354,21 @@ func datagenLiterals() []string {
 }
 
 // TestDifferentialDatagen runs generated queries over the
-// datagen-backed catalog, where table sizes force multi-morsel scans,
+// datagen-backed catalog, where table sizes force multi-batch scans,
 // chunked hash-join builds, and partial aggregation merges.
 func TestDifferentialDatagen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("datagen differential corpus is slow")
 	}
 	cat := datagenCatalog(t, 7)
-	// Sanity: the activities table must span multiple morsels or this
+	// Sanity: the activities table must span multiple batches or this
 	// test silently stops covering the chunked paths.
 	tab, err := cat.Table("activities")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Len() < 2*morselSize {
-		t.Fatalf("activities has %d rows; need >= %d for multi-morsel coverage", tab.Len(), 2*morselSize)
+	if tab.Len() < 2*vecBatchSize {
+		t.Fatalf("activities has %d rows; need >= %d for multi-batch coverage", tab.Len(), 2*vecBatchSize)
 	}
 	tree := cat.Tree()
 	g := &queryGen{rng: rand.New(rand.NewSource(11)), strLits: datagenLiterals(), nodes: []string{

@@ -1,0 +1,168 @@
+package query
+
+import (
+	"context"
+	"reflect"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// Tests of the one-engine contract: every operator exchanges batches,
+// sorting is stable over its input order, and an expression that fails
+// at evaluation time fails the same way wherever it sits.
+
+// TestEveryOperatorEmitsBatches: the operators that used to hand rows
+// across a bridge — sort, top-k, nested-loop join, the aggregate's
+// output and OverlayRead — report at least one batch under EXPLAIN
+// ANALYZE.
+func TestEveryOperatorEmitsBatches(t *testing.T) {
+	cat := testCatalog(t)
+	cat.OverlayAggs = fixedOverlay{}
+	for _, c := range []struct{ op, q string }{
+		{"Sort", "SELECT accession FROM proteins ORDER BY accession"},
+		{"TopK", "SELECT accession, length FROM proteins ORDER BY length DESC LIMIT 7"},
+		{"NestedLoopJoin", "SELECT a.protein_id, l.ligand_id FROM activities a JOIN ligands l ON a.affinity < l.weight WHERE l.weight < 110"},
+		{"Aggregate", "SELECT family, COUNT(*) FROM proteins GROUP BY family"},
+		{"OverlayRead", "SELECT COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, 'FAM0')"},
+		{"IndexScan", "SELECT * FROM proteins WHERE accession = 'P007'"},
+	} {
+		line := regexp.MustCompile(`(?m)^\s*` + c.op + `\b.*\[rows=(\d+) batches=(\d+)`)
+		for _, m := range diffMatrix() {
+			res := runQ(t, cat, m.opts, "EXPLAIN ANALYZE "+c.q)
+			got := line.FindStringSubmatch(res.Plan)
+			if got == nil || got[1] == "0" || got[2] == "0" {
+				t.Errorf("%s [%s]: operator emitted no batch:\n%s", c.op, m.name, res.Plan)
+			}
+		}
+	}
+}
+
+// TestSortTiesKeepScanOrder: rows with equal sort keys come out in the
+// order the input delivered them — over a sequential scan (no
+// predicate here can take an index path) whole rows, not just keys,
+// equal the reference's stable sort of the scan order — for the full
+// sort and the top-k alike, and a parallel run orders exactly as a
+// serial one.
+func TestSortTiesKeepScanOrder(t *testing.T) {
+	small, big := testCatalog(t), datagenCatalog(t, 7)
+	for _, c := range []struct {
+		cat Catalog
+		q   string
+	}{
+		{small, "SELECT family, accession FROM proteins ORDER BY family"},
+		{small, "SELECT family, accession FROM proteins ORDER BY family DESC LIMIT 20"},
+		{small, "SELECT ligand_id, protein_id FROM activities WHERE ligand_id != 'L03' ORDER BY ligand_id"},
+		// Multi-batch input whose residual filter runs on the worker pool.
+		{big, "SELECT ligand_id, protein_id, affinity FROM activities WHERE ligand_id != 'LIG0003' ORDER BY ligand_id"},
+		{big, "SELECT ligand_id, protein_id, affinity FROM activities WHERE ligand_id != 'LIG0003' ORDER BY ligand_id LIMIT 1500"},
+	} {
+		want, err := refQuery(c.cat, c.q)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.q, err)
+		}
+		for _, m := range diffMatrix() {
+			got := runQ(t, c.cat, m.opts, c.q)
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%s [%s]: tie order differs from the stable sort of the scan order", c.q, m.name)
+			}
+		}
+	}
+}
+
+// TestEvalErrorsAgree: an expression that fails at evaluation time
+// (negating a string, NOT over an integer) returns the same error from
+// the reference executor and from every engine configuration, whether
+// it sits in a filter, a projection, a group key, an aggregate
+// argument, a sort key or a join residual.
+func TestEvalErrorsAgree(t *testing.T) {
+	cat := testCatalog(t)
+	for _, q := range []string{
+		"SELECT accession FROM proteins WHERE -accession = 'x'",
+		"SELECT accession FROM proteins WHERE NOT length",
+		"SELECT -accession FROM proteins",
+		"SELECT accession, NOT length FROM proteins WHERE family = 'FAM1'",
+		"SELECT -family, COUNT(*) FROM proteins GROUP BY -family",
+		"SELECT family, MAX(-accession) FROM proteins GROUP BY family",
+		"SELECT accession FROM proteins ORDER BY -accession",
+		"SELECT accession FROM proteins ORDER BY -accession LIMIT 3",
+		"SELECT p.accession FROM proteins p JOIN activities a ON p.accession = a.protein_id AND -p.family = a.ligand_id",
+		"SELECT p.accession FROM proteins p JOIN ligands l ON NOT p.length AND p.length < l.weight",
+	} {
+		_, want := refQuery(cat, q)
+		if want == nil || !strings.Contains(want.Error(), "query: ") {
+			t.Fatalf("%s: reference error = %v, want an evaluation error", q, want)
+		}
+		configs := append(diffMatrix(), struct {
+			name string
+			opts Options
+		}{"naive-serial", naiveSerialOptions()})
+		for _, m := range configs {
+			_, err := NewEngine(cat, m.opts).Query(context.Background(), q)
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s [%s]: err = %v, reference says %v", q, m.name, err, want)
+			}
+		}
+	}
+}
+
+// FuzzParse: the parser never panics, and a statement that parses
+// renders (String) to text that parses back to an equal AST — equal up
+// to one literal form: a FLOAT of integral value renders without a
+// fraction ("8"), as plan text and column names always have, and so
+// re-parses as an INT.
+func FuzzParse(f *testing.F) {
+	for _, c := range differentialCorpus {
+		f.Add(c.q)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		stmt, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := stmt.String()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%q parsed, but its rendering %q does not: %v", src, text, err)
+		}
+		if !sameAST(reflect.ValueOf(stmt), reflect.ValueOf(again)) {
+			t.Fatalf("%q: AST changes across String():\n%s\n%s", src, text, again)
+		}
+	})
+}
+
+// sameAST is reflect.DeepEqual over ASTs, except that two literals are
+// equal when they render alike.
+func sameAST(a, b reflect.Value) bool {
+	if a.IsValid() != b.IsValid() || (a.IsValid() && a.Type() != b.Type()) {
+		return false
+	}
+	if !a.IsValid() {
+		return true
+	}
+	if lit, ok := a.Interface().(Literal); ok {
+		return lit.Val.String() == b.Interface().(Literal).Val.String()
+	}
+	switch a.Kind() {
+	case reflect.Ptr, reflect.Interface:
+		return a.IsNil() == b.IsNil() && (a.IsNil() || sameAST(a.Elem(), b.Elem()))
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameAST(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameAST(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Interface() == b.Interface()
+}

@@ -65,9 +65,9 @@ func (e *Engine) Query(ctx context.Context, src string) (*Result, error) {
 
 // SnapshotCatalog is implemented by catalogs that can pin an MVCC
 // snapshot of their backing store. Engines over such a catalog pin one
-// snapshot per statement, so every scan — across tables, across the
-// row and vectorized paths, and inside subqueries — reads the same
-// consistent image even while writers commit concurrently.
+// snapshot per statement, so every scan — across tables and inside
+// subqueries — reads the same consistent image even while writers
+// commit concurrently.
 type SnapshotCatalog interface {
 	Catalog
 	PinSnapshot() *store.SnapshotHandle
@@ -119,12 +119,7 @@ func (e *Engine) runAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 	}
 	cols := outputColumns(optimized)
 	ec := &execCtx{ctx: ctx, cat: e.cat, snap: snap, opts: e.opts, stats: &ExecStats{}, para: e.opts.EffectiveParallelism()}
-	var root built
-	if e.opts.Vectorized {
-		root, err = buildVec(optimized, ec, 0)
-	} else {
-		root.r, err = buildIterator(optimized, ec, 0)
-	}
+	root, err := build(optimized, ec, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -138,26 +133,13 @@ func (e *Engine) runAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 	}
 	returned := 0
 	if columnar {
-		res.Batch, err = drainColumns(ctx, root.batches(len(cols), ec), optimized.Schema())
-		if err != nil {
+		if res.Batch, err = drainColumns(ctx, root, optimized.Schema()); err != nil {
 			return nil, err
 		}
 		returned = res.Batch.Rows
 	} else {
-		iter := root.rows(ec)
-		cancel := canceller{ctx: ctx}
-		for {
-			if err := cancel.check(); err != nil {
-				return nil, err
-			}
-			r, ok, err := iter.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			res.Rows = append(res.Rows, r)
+		if res.Rows, err = drainRows(ctx, root); err != nil {
+			return nil, err
 		}
 		returned = len(res.Rows)
 	}
@@ -174,8 +156,8 @@ func (e *Engine) runAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 }
 
 // annotatePlan appends each operator's runtime counters to its plan
-// line: rows emitted, batches emitted (0 under the row engine), and
-// selectivity (rows out / rows in) where the operator saw input.
+// line: rows emitted, batches emitted, and selectivity (rows out / rows
+// in) where the operator saw input.
 func annotatePlan(plan []string, ops []*OpStats) string {
 	var b strings.Builder
 	for i, line := range plan {

@@ -18,6 +18,8 @@ import (
 //	ligands(ligand_id, weight)
 //	tree_nodes(pre, name, is_leaf) — a small tree with families as
 //	internal nodes
+//	wide_a(k), wide_b(k) — integers around 2^53, where two of them
+//	widen to one float64
 func testCatalog(t *testing.T) *DBCatalog {
 	t.Helper()
 	db, err := store.Open("")
@@ -95,6 +97,15 @@ func testCatalog(t *testing.T) *DBCatalog {
 		})
 	}
 	nodes.CreateIndex("pre", store.IndexBTree)
+	for name, ks := range map[string][]int64{"wide_a": {1<<53 + 1, 1}, "wide_b": {1 << 53, 1<<53 + 1, 1}} {
+		wide, err := db.CreateTable(name, store.MustSchema(store.Column{Name: "k", Kind: store.KindInt}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range ks {
+			wide.Insert(store.Row{store.IntValue(k)})
+		}
+	}
 	return NewDBCatalog(db, tree)
 }
 

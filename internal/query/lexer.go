@@ -1,7 +1,7 @@
 // Package query implements DTQL, the DrugTree query language: a
 // SQL-like language over the integrated store with tree-aware
 // extensions (WITHIN_SUBTREE, tree virtual columns), a rule- and
-// cost-based optimizer, and a Volcano-style executor.
+// cost-based optimizer, and a batch-at-a-time executor.
 //
 // The optimizer is the paper's subject: it applies "standard"
 // techniques (predicate pushdown, projection pruning, index selection,
@@ -11,6 +11,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -127,6 +128,16 @@ func lex(src string) ([]token, error) {
 				return nil, fmt.Errorf("query: unterminated string at offset %d", start)
 			}
 			toks = append(toks, token{tokString, sb.String(), start})
+		case c == '"':
+			// The double-quoted form SelectStmt.String renders a string
+			// literal in (strconv.Quote), so a rendered statement parses.
+			quoted, err := strconv.QuotedPrefix(src[i:])
+			if err != nil {
+				return nil, fmt.Errorf("query: malformed quoted string at offset %d", i)
+			}
+			text, _ := strconv.Unquote(quoted)
+			toks = append(toks, token{tokString, text, i})
+			i += len(quoted)
 		case c == '(' || c == ')' || c == ',' || c == '.' || c == '*':
 			toks = append(toks, token{tokSymbol, string(c), i})
 			i++

@@ -91,7 +91,7 @@ func (f *FilterNode) Children() []LogicalPlan { return []LogicalPlan{f.Input} }
 func (f *FilterNode) describe() string        { return fmt.Sprintf("Filter %s", f.Pred) }
 
 // JoinNode is an inner join with an arbitrary ON condition; the
-// physical planner extracts equi-pairs for hash/merge joins.
+// physical planner extracts equi-pairs for the hash join.
 type JoinNode struct {
 	Left, Right LogicalPlan
 	Cond        Expr

@@ -30,17 +30,12 @@ type Options struct {
 	// joins, narrowing every intermediate row.
 	PruneColumns bool
 	// Parallelism is the number of workers the executor may use for
-	// morsel-driven scans, hash-join build/probe, and partial
-	// aggregation. 0 selects runtime.GOMAXPROCS(0); 1 forces the
-	// serial path (the ablation baseline for experiments T1–T4).
-	// Parallel and serial execution produce the same result multiset
-	// and identical plan text.
+	// scan filters, the hash-join probe, and partial aggregation. 0
+	// selects runtime.GOMAXPROCS(0); 1 forces the serial path (the
+	// ablation baseline for experiments T1–T4). Parallel and serial
+	// execution produce the same result multiset and identical plan
+	// text.
 	Parallelism int
-	// Vectorized executes the physical plan over columnar batches
-	// (batch.go / physical_vec.go) instead of row-at-a-time Volcano
-	// iteration. Both engines produce identical results and plan
-	// text; this knob exists as the ablation baseline for T10.
-	Vectorized bool
 }
 
 // EffectiveParallelism resolves the Parallelism knob: 0 means "as many
@@ -57,7 +52,6 @@ func DefaultOptions() Options {
 	return Options{
 		SubtreeRewrite: true, Pushdown: true, JoinReorder: true,
 		UseIndexes: true, ConstantFold: true, PruneColumns: true,
-		Vectorized: true,
 	}
 }
 

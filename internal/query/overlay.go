@@ -55,7 +55,7 @@ type OverlayCatalog interface {
 // overlay read can never mix versions with the statement's other
 // scans. EXPLAIN renders the leaf as "OverlayRead table@node
 // [version=V rows=N]".
-func tryOverlayRead(n *AggNode, ec *execCtx, depth int) (iterator, bool) {
+func tryOverlayRead(n *AggNode, ec *execCtx, depth int) (batchIterator, bool) {
 	if !ec.opts.UseIndexes || ec.snap == nil || len(n.GroupBy) != 0 || len(n.Aggs) == 0 {
 		return nil, false
 	}
@@ -111,22 +111,25 @@ func tryOverlayRead(n *AggNode, ec *execCtx, depth int) (iterator, bool) {
 		return nil, false // overlay out of sync with the snapshot
 	}
 	op := ec.note(depth, "OverlayRead %s@%s [version=%d rows=%d]", scan.Table, sub.Node, ver, agg.Rows)
-	row := make(store.Row, len(n.Aggs))
+	cb := &store.ColBatch{Cols: make([]store.Col, len(n.Aggs)), Rows: 1}
 	for i, a := range n.Aggs {
+		var v store.Value
 		switch {
 		case a.Star:
-			row[i] = store.IntValue(agg.Rows)
+			v = store.IntValue(agg.Rows)
 		case a.Func == AggCount:
-			row[i] = store.IntValue(agg.Count)
+			v = store.IntValue(agg.Count)
 		case agg.Count == 0:
 			// SUM and AVG over zero non-NULL inputs are NULL — the same
 			// aggState semantics the scan path produces.
-			row[i] = store.NullValue()
 		case a.Func == AggSum:
-			row[i] = store.FloatValue(agg.Sum)
+			v = store.FloatValue(agg.Sum)
 		default: // AggAvg
-			row[i] = store.FloatValue(agg.Sum / float64(agg.Count))
+			v = store.FloatValue(agg.Sum / float64(agg.Count))
 		}
+		col := store.NewCol(v.K, 1)
+		col.Append(v)
+		cb.Cols[i] = *col
 	}
-	return &sliceIter{rows: []store.Row{row}, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, true
+	return &vecScan{batches: batchesOf(cb), cancel: canceller{ctx: ec.ctx}, op: op}, true
 }

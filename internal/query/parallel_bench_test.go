@@ -10,10 +10,8 @@ import (
 // Parallel executor benchmarks. Worker counts 1 and 2 are fixed so
 // the serial-vs-parallel ratio is comparable across machines; the
 // GOMAXPROCS variant shows what the default Options deliver on the
-// machine at hand. On a single-core runner all variants degenerate to
-// the serial path (runMorsels caps workers at 1 morsel consumer per
-// CPU only logically — the goroutines still exist but contend), so
-// the speedup acceptance belongs on a multi-core box.
+// machine at hand. On a single-core runner the workers still exist but
+// contend, so the speedup acceptance belongs on a multi-core box.
 
 func benchParallelisms() []int {
 	out := []int{1, 2}
@@ -25,12 +23,12 @@ func benchParallelisms() []int {
 
 func BenchmarkParallelScan(b *testing.B) {
 	cat := datagenCatalog(b, 5)
-	// Residual-heavy scan over the multi-morsel activities table.
+	// Residual-heavy scan over the multi-batch activities table.
 	const q = "SELECT protein_id, affinity FROM activities WHERE affinity > 5.5 AND ligand_id != 'LIG0000'"
 	for _, p := range benchParallelisms() {
 		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {
 			opts := DefaultOptions()
-			opts.UseIndexes = false // force the morsel seq-scan path
+			opts.UseIndexes = false // force the seq-scan path
 			opts.Parallelism = p
 			eng := NewEngine(cat, opts)
 			if _, err := eng.Query(context.Background(), q); err != nil {

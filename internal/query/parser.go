@@ -442,18 +442,16 @@ var aggFuncs = map[string]AggFunc{
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
-	case tokInt:
+	case tokInt, tokFloat:
 		p.next()
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("query: bad integer %q", t.text)
+		// Digits too wide for an INT are a FLOAT: that is how a FLOAT
+		// literal of integral value renders (no fraction).
+		if n, err := strconv.ParseInt(t.text, 10, 64); err == nil && t.kind == tokInt {
+			return &Literal{Val: store.IntValue(n)}, nil
 		}
-		return &Literal{Val: store.IntValue(n)}, nil
-	case tokFloat:
-		p.next()
 		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return nil, fmt.Errorf("query: bad float %q", t.text)
+			return nil, fmt.Errorf("query: bad number %q", t.text)
 		}
 		return &Literal{Val: store.FloatValue(f)}, nil
 	case tokString:

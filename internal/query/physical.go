@@ -11,12 +11,6 @@ import (
 	"drugtree/internal/store"
 )
 
-// iterator is the Volcano operator interface. Next returns the next
-// row, a validity flag (false at end of stream), and any error.
-type iterator interface {
-	Next() (store.Row, bool, error)
-}
-
 // ExecStats counts work done by one execution, used by experiments to
 // show *why* the optimized engine is faster. Counters are updated with
 // atomic adds so parallel workers can share one ExecStats; read them
@@ -47,28 +41,21 @@ func (s *ExecStats) Snapshot() ExecStats {
 }
 
 // OpStats counts one physical operator's work: rows in (where the
-// operator tracks it), rows out, and — for vectorized operators —
-// batches out. Counters are written only from the single-threaded
-// streaming driver (parallel workers hand their output to a streaming
-// operator first), so plain increments suffice.
+// operator tracks it), rows out and batches out. Counters are written
+// only from the single-threaded streaming driver (parallel workers hand
+// their output to a streaming operator first), so plain increments
+// suffice.
 type OpStats struct {
 	Name    string // operator description (the plan line, unindented)
 	RowsIn  int64  // rows entering the operator; 0 when untracked
 	RowsOut int64  // rows emitted
-	Batches int64  // batches emitted (vectorized execution only)
+	Batches int64  // batches emitted
 }
 
 // addIn records rows entering the operator.
 func (o *OpStats) addIn(n int64) {
 	if o != nil {
 		o.RowsIn += n
-	}
-}
-
-// addOut records emitted rows.
-func (o *OpStats) addOut(n int64) {
-	if o != nil {
-		o.RowsOut += n
 	}
 }
 
@@ -134,103 +121,6 @@ func (c *execCtx) note(depth int, format string, args ...any) *OpStats {
 	return op
 }
 
-// buildIterator lowers a logical plan node to a physical operator.
-func buildIterator(p LogicalPlan, ec *execCtx, depth int) (iterator, error) {
-	switch n := p.(type) {
-	case *ScanNode:
-		return buildScan(n, ec, depth)
-	case *FilterNode:
-		pred, err := bind(n.Pred, ec.env(n.Input.Schema()))
-		if err != nil {
-			return nil, err
-		}
-		op := ec.note(depth, "Filter %s", n.Pred)
-		in, err := buildIterator(n.Input, ec, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return &filterIter{in: in, pred: pred, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-	case *ProjectNode:
-		op := ec.note(depth, "%s", n.describe())
-		exprs := make([]*boundExpr, len(n.Exprs))
-		for i, e := range n.Exprs {
-			be, err := bind(e, ec.env(n.Input.Schema()))
-			if err != nil {
-				return nil, err
-			}
-			exprs[i] = be
-		}
-		in, err := buildIterator(n.Input, ec, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return &projectIter{in: in, exprs: exprs, op: op}, nil
-	case *JoinNode:
-		return buildJoin(n, ec, depth)
-	case *AggNode:
-		return buildAgg(n, ec, depth)
-	case *SortNode:
-		keys, descs, err := bindSortKeys(n, ec)
-		if err != nil {
-			return nil, err
-		}
-		op := ec.note(depth, "%s", n.describe())
-		in, err := buildIterator(n.Input, ec, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return &sortIter{in: in, keys: keys, descs: descs, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-	case *LimitNode:
-		// ORDER BY + LIMIT fuses into a bounded-heap top-k when the
-		// optimizer is allowed to choose physical operators. The sort
-		// may sit directly below the limit, or below a projection
-		// (the hidden-sort-column shape): Limit(Project(Sort)) runs
-		// as Project(TopK) — projection preserves order and count.
-		if proj, ok := n.Input.(*ProjectNode); ok && ec.opts.UseIndexes && n.N > 0 {
-			if sortNode, ok := proj.Input.(*SortNode); ok {
-				inner := &LimitNode{Input: sortNode, N: n.N}
-				outer := *proj
-				outer.Input = inner
-				return buildIterator(&outer, ec, depth)
-			}
-		}
-		if sortNode, ok := n.Input.(*SortNode); ok && ec.opts.UseIndexes && n.N > 0 {
-			keys, descs, err := bindSortKeys(sortNode, ec)
-			if err != nil {
-				return nil, err
-			}
-			op := ec.note(depth, "TopK %d (%s)", n.N, sortNode.describe())
-			in, err := buildIterator(sortNode.Input, ec, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			return &topKIter{in: in, keys: keys, descs: descs, k: n.N, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-		}
-		op := ec.note(depth, "Limit %d", n.N)
-		in, err := buildIterator(n.Input, ec, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return &limitIter{in: in, n: n.N, op: op}, nil
-	}
-	return nil, fmt.Errorf("query: cannot execute %T", p)
-}
-
-// bindSortKeys binds a sort's key expressions against its input.
-func bindSortKeys(n *SortNode, ec *execCtx) ([]*boundExpr, []bool, error) {
-	keys := make([]*boundExpr, len(n.Keys))
-	descs := make([]bool, len(n.Keys))
-	for i, k := range n.Keys {
-		be, err := bind(k.Expr, ec.env(n.Input.Schema()))
-		if err != nil {
-			return nil, nil, err
-		}
-		keys[i] = be
-		descs[i] = k.Desc
-	}
-	return keys, descs, nil
-}
-
 // --- Scans ---
 
 // accessPath describes the chosen way into a table.
@@ -282,8 +172,7 @@ func without(conjs []Expr, drop ...int) []Expr {
 // B+-tree range and a key union over a clade's node names, sized by
 // counting the index postings each would visit (an index dive: exact,
 // and unlike table statistics never stale after a commit). The choice
-// is made here, once, so the row and vectorized builders render the
-// same plan and hand the same store.Access to the store.
+// is made here, once, from the catalog alone.
 func chooseAccessPath(n *ScanNode, t *store.Table, tree *phylo.Tree, useIndexes bool) accessPath {
 	seq := accessPath{kind: "seqscan", residual: n.Conjuncts}
 	if !useIndexes {
@@ -537,57 +426,6 @@ func (l scanLeaf) indexed(ec *execCtx, examined int) {
 	l.op.addIn(int64(examined))
 }
 
-func buildScan(n *ScanNode, ec *execCtx, depth int) (iterator, error) {
-	leaf, err := lowerScan(n, ec, depth)
-	if err != nil {
-		return nil, err
-	}
-	op := leaf.op
-	if leaf.path.kind != "seqscan" {
-		rows, examined, err := leaf.tv.GatherRows(ec.ctx, leaf.access)
-		if err != nil {
-			return nil, err
-		}
-		leaf.indexed(ec, examined)
-		return &sliceIter{rows: rows, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-	}
-	var residual *boundExpr
-	if len(leaf.path.residual) > 0 {
-		if residual, err = bind(joinConjuncts(leaf.path.residual), ec.env(n.base)); err != nil {
-			return nil, err
-		}
-	}
-	if ec.para > 1 {
-		// Morsel-driven scan: snapshot the rows (private copies, so
-		// shared reads are safe), then filter the morsels on the
-		// worker pool.
-		refs := leaf.tv.Snapshot()
-		atomic.AddInt64(&ec.stats.RowsScanned, int64(len(refs)))
-		op.addIn(int64(len(refs)))
-		rows, err := parallelFilter(ec.ctx, refs, residual, ec.para)
-		if err != nil {
-			return nil, err
-		}
-		return &sliceIter{rows: rows, proj: n.proj, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-	}
-	var rows []store.Row
-	cancel := canceller{ctx: ec.ctx}
-	var scanErr error
-	leaf.tv.Scan(func(_ int64, r store.Row) bool {
-		if scanErr = cancel.check(); scanErr != nil {
-			return false
-		}
-		rows = append(rows, r.Clone())
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	atomic.AddInt64(&ec.stats.RowsScanned, int64(len(rows)))
-	op.addIn(int64(len(rows)))
-	return &sliceIter{rows: rows, residual: residual, proj: n.proj, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-}
-
 func residualNote(p accessPath) string {
 	if len(p.residual) == 0 {
 		return ""
@@ -604,444 +442,4 @@ func boundStr(v *store.Value) string {
 		return "∞"
 	}
 	return v.String()
-}
-
-// sliceIter iterates a materialized row slice with an optional
-// residual predicate, narrowing surviving rows to proj when set.
-type sliceIter struct {
-	rows     []store.Row
-	pos      int
-	residual *boundExpr
-	proj     []int
-	stats    *ExecStats
-	cancel   canceller
-	op       *OpStats
-}
-
-func (s *sliceIter) Next() (store.Row, bool, error) {
-	for s.pos < len(s.rows) {
-		if err := s.cancel.check(); err != nil {
-			return nil, false, err
-		}
-		r := s.rows[s.pos]
-		s.pos++
-		if s.residual != nil {
-			ok, err := s.residual.evalBool(r)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if s.proj != nil {
-			out := make(store.Row, len(s.proj))
-			for i, c := range s.proj {
-				out[i] = r[c]
-			}
-			r = out
-		}
-		s.op.addOut(1)
-		return r, true, nil
-	}
-	return nil, false, nil
-}
-
-// --- Filter / Project ---
-
-type filterIter struct {
-	in     iterator
-	pred   *boundExpr
-	cancel canceller
-	op     *OpStats
-}
-
-func (f *filterIter) Next() (store.Row, bool, error) {
-	for {
-		if err := f.cancel.check(); err != nil {
-			return nil, false, err
-		}
-		r, ok, err := f.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		f.op.addIn(1)
-		match, err := f.pred.evalBool(r)
-		if err != nil {
-			return nil, false, err
-		}
-		if match {
-			f.op.addOut(1)
-			return r, true, nil
-		}
-	}
-}
-
-type projectIter struct {
-	in    iterator
-	exprs []*boundExpr
-	op    *OpStats
-}
-
-func (p *projectIter) Next() (store.Row, bool, error) {
-	r, ok, err := p.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(store.Row, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := e.eval(r)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	p.op.addOut(1)
-	return out, true, nil
-}
-
-// --- Joins ---
-
-// buildJoin picks hash join for equi-conditions, nested loop
-// otherwise.
-func buildJoin(n *JoinNode, ec *execCtx, depth int) (iterator, error) {
-	leftSchema, rightSchema := n.Left.Schema(), n.Right.Schema()
-	conjs := splitConjuncts(n.Cond)
-	var leftKeys, rightKeys []*boundExpr
-	var residual []Expr
-	for _, c := range conjs {
-		if b, ok := c.(*BinaryExpr); ok && b.Op == OpEq {
-			lcol, lOK := b.L.(*ColumnRef)
-			rcol, rOK := b.R.(*ColumnRef)
-			if lOK && rOK {
-				// Which side does each belong to?
-				if _, err := leftSchema.resolve(lcol); err == nil {
-					if _, err := rightSchema.resolve(rcol); err == nil {
-						lk, _ := bind(lcol, ec.env(leftSchema))
-						rk, _ := bind(rcol, ec.env(rightSchema))
-						leftKeys = append(leftKeys, lk)
-						rightKeys = append(rightKeys, rk)
-						continue
-					}
-				}
-				if _, err := leftSchema.resolve(rcol); err == nil {
-					if _, err := rightSchema.resolve(lcol); err == nil {
-						lk, _ := bind(rcol, ec.env(leftSchema))
-						rk, _ := bind(lcol, ec.env(rightSchema))
-						leftKeys = append(leftKeys, lk)
-						rightKeys = append(rightKeys, rk)
-						continue
-					}
-				}
-			}
-		}
-		if lit, ok := c.(*Literal); ok && lit.Val.K == store.KindBool && lit.Val.Bool() {
-			continue // constant TRUE from pushdown
-		}
-		residual = append(residual, c)
-	}
-	var residualBound *boundExpr
-	if len(residual) > 0 {
-		be, err := bind(joinConjuncts(residual), ec.env(n.schema))
-		if err != nil {
-			return nil, err
-		}
-		residualBound = be
-	}
-	// Index merge join: both sides are scans whose join columns carry
-	// B+-tree indexes and neither side has a better access path.
-	if ls, rs, lcol, rcol, ok := mergeJoinable(n, leftKeys, rightKeys, ec); ok {
-		lt, _ := ec.cat.Table(ls.Table)
-		rt, _ := ec.cat.Table(rs.Table)
-		if chooseAccessPath(ls, lt, ec.cat.Tree(), true).kind == "seqscan" &&
-			chooseAccessPath(rs, rt, ec.cat.Tree(), true).kind == "seqscan" {
-			op := ec.note(depth, "MergeJoin (%s = %s)%s", lcol, rcol, joinResidualNote(residual))
-			li, lkIdx, err := buildOrderedScan(ls, lcol, ec, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			ri, rkIdx, err := buildOrderedScan(rs, rcol, ec, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			return newMergeJoin(li, ri, lkIdx, rkIdx, residualBound, ec, op)
-		}
-	}
-	var op *OpStats
-	if len(leftKeys) > 0 {
-		op = ec.note(depth, "HashJoin (%d key(s))%s", len(leftKeys), joinResidualNote(residual))
-	} else {
-		op = ec.note(depth, "NestedLoopJoin%s", joinResidualNote(residual))
-	}
-	left, err := buildIterator(n.Left, ec, depth+1)
-	if err != nil {
-		return nil, err
-	}
-	right, err := buildIterator(n.Right, ec, depth+1)
-	if err != nil {
-		return nil, err
-	}
-	if len(leftKeys) > 0 {
-		if ec.para > 1 {
-			return newParallelHashJoin(ec, left, right, leftKeys, rightKeys, residualBound, op)
-		}
-		return newHashJoin(left, right, leftKeys, rightKeys, residualBound, ec, op)
-	}
-	return newNestedLoopJoin(left, right, residualBound, ec, op)
-}
-
-func joinResidualNote(res []Expr) string {
-	if len(res) == 0 {
-		return ""
-	}
-	parts := make([]string, len(res))
-	for i, c := range res {
-		parts[i] = c.String()
-	}
-	return " residual: " + strings.Join(parts, " AND ")
-}
-
-// hashJoin builds a hash table on the right input and probes with the
-// left, emitting left⧺right rows.
-type hashJoin struct {
-	left      iterator
-	leftKeys  []*boundExpr
-	table     map[uint64][]store.Row
-	rightRows [][]store.Row // current match list
-	cur       store.Row     // current left row
-	matchPos  int
-	matches   []store.Row
-	residual  *boundExpr
-	stats     *ExecStats
-	cancel    canceller
-	op        *OpStats
-}
-
-func hashKeys(keys []*boundExpr, r store.Row) (uint64, bool, error) {
-	var h uint64 = 14695981039346656037
-	for _, k := range keys {
-		v, err := k.eval(r)
-		if err != nil {
-			return 0, false, err
-		}
-		if v.IsNull() {
-			return 0, false, nil // NULL keys never join
-		}
-		h = h*1099511628211 ^ v.Hash()
-	}
-	return h, true, nil
-}
-
-func newHashJoin(left, right iterator, leftKeys, rightKeys []*boundExpr, residual *boundExpr, ec *execCtx, op *OpStats) (iterator, error) {
-	table := make(map[uint64][]store.Row)
-	cancel := canceller{ctx: ec.ctx}
-	for {
-		if err := cancel.check(); err != nil {
-			return nil, err
-		}
-		r, ok, err := right.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		h, valid, err := hashKeys(rightKeys, r)
-		if err != nil {
-			return nil, err
-		}
-		if valid {
-			table[h] = append(table[h], r)
-		}
-	}
-	return &hashJoin{left: left, leftKeys: leftKeys, table: table, residual: residual, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-}
-
-func (j *hashJoin) Next() (store.Row, bool, error) {
-	for {
-		if err := j.cancel.check(); err != nil {
-			return nil, false, err
-		}
-		for j.matchPos < len(j.matches) {
-			right := j.matches[j.matchPos]
-			j.matchPos++
-			out := make(store.Row, 0, len(j.cur)+len(right))
-			out = append(out, j.cur...)
-			out = append(out, right...)
-			if j.residual != nil {
-				ok, err := j.residual.evalBool(out)
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			atomic.AddInt64(&j.stats.RowsJoined, 1)
-			j.op.addOut(1)
-			return out, true, nil
-		}
-		l, ok, err := j.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.op.addIn(1)
-		h, valid, err := hashKeys(j.leftKeys, l)
-		if err != nil {
-			return nil, false, err
-		}
-		if !valid {
-			continue
-		}
-		j.cur = l
-		j.matches = j.table[h]
-		j.matchPos = 0
-	}
-}
-
-// nestedLoopJoin materializes the right side and loops.
-type nestedLoopJoin struct {
-	left     iterator
-	rights   []store.Row
-	cur      store.Row
-	pos      int
-	started  bool
-	residual *boundExpr
-	stats    *ExecStats
-	cancel   canceller
-	op       *OpStats
-}
-
-func newNestedLoopJoin(left, right iterator, residual *boundExpr, ec *execCtx, op *OpStats) (iterator, error) {
-	rights, err := drainAll(ec.ctx, right)
-	if err != nil {
-		return nil, err
-	}
-	return &nestedLoopJoin{left: left, rights: rights, residual: residual, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-}
-
-func (j *nestedLoopJoin) Next() (store.Row, bool, error) {
-	for {
-		if err := j.cancel.check(); err != nil {
-			return nil, false, err
-		}
-		if !j.started || j.pos >= len(j.rights) {
-			l, ok, err := j.left.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.op.addIn(1)
-			j.cur = l
-			j.pos = 0
-			j.started = true
-		}
-		for j.pos < len(j.rights) {
-			right := j.rights[j.pos]
-			j.pos++
-			out := make(store.Row, 0, len(j.cur)+len(right))
-			out = append(out, j.cur...)
-			out = append(out, right...)
-			if j.residual != nil {
-				ok, err := j.residual.evalBool(out)
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			atomic.AddInt64(&j.stats.RowsJoined, 1)
-			j.op.addOut(1)
-			return out, true, nil
-		}
-	}
-}
-
-// --- Sort / Limit ---
-
-type sortIter struct {
-	in     iterator
-	keys   []*boundExpr
-	descs  []bool
-	cancel canceller
-	rows   []store.Row
-	sorted bool
-	pos    int
-	op     *OpStats
-}
-
-func (s *sortIter) Next() (store.Row, bool, error) {
-	if !s.sorted {
-		type keyed struct {
-			row  store.Row
-			keys []store.Value
-		}
-		var all []keyed
-		for {
-			if err := s.cancel.check(); err != nil {
-				return nil, false, err
-			}
-			r, ok, err := s.in.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			ks := make([]store.Value, len(s.keys))
-			for i, k := range s.keys {
-				v, err := k.eval(r)
-				if err != nil {
-					return nil, false, err
-				}
-				ks[i] = v
-			}
-			all = append(all, keyed{r, ks})
-		}
-		sort.SliceStable(all, func(i, j int) bool {
-			for k := range s.keys {
-				c := store.Compare(all[i].keys[k], all[j].keys[k])
-				if c == 0 {
-					continue
-				}
-				if s.descs[k] {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-		s.rows = make([]store.Row, len(all))
-		for i, kr := range all {
-			s.rows[i] = kr.row
-		}
-		s.sorted = true
-	}
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	s.op.addOut(1)
-	return r, true, nil
-}
-
-type limitIter struct {
-	in   iterator
-	n    int
-	seen int
-	op   *OpStats
-}
-
-func (l *limitIter) Next() (store.Row, bool, error) {
-	if l.seen >= l.n {
-		return nil, false, nil
-	}
-	r, ok, err := l.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	l.op.addOut(1)
-	return r, true, nil
 }

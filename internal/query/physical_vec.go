@@ -2,191 +2,112 @@ package query
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"drugtree/internal/store"
 )
 
-// Vectorized physical plan construction. buildVec mirrors
-// buildIterator node for node and emits byte-identical plan notes, so
-// EXPLAIN output — and the differential harness's plan-equality
-// assertion — cannot tell the engines apart. Operators whose
-// expressions vectorize run as batch loops; subtrees the batch model
-// cannot reproduce exactly (merge join, nested-loop join, sorts, and
-// any operator with an error-capable expression) reuse the row
-// operators verbatim, bridged with rowsFromBatches/batchesFromRows, so
-// their semantics cannot drift from the row engine's.
+// Physical plan construction. build is the one physical builder: it
+// lowers each logical node to a batch operator (batch.go), so batches
+// are the only unit operators exchange. Expressions that can fail at
+// evaluation time keep their row-major evaluation inside the compiled
+// expression (vec_eval.go); no operator branches on it.
 
-// built is the result of lowering one plan node: exactly one of b
-// (vectorized) or r (row fallback) is set.
-type built struct {
-	b batchIterator
-	r iterator
-}
-
-// batches adapts the subtree to the batch interface, bridging row
-// fallbacks through generic columns.
-func (bu built) batches(width int, ec *execCtx) batchIterator {
-	if bu.b != nil {
-		return bu.b
-	}
-	return &batchesFromRows{in: bu.r, width: width, cancel: canceller{ctx: ec.ctx}}
-}
-
-// rows adapts the subtree to the row interface; batch output is
-// materialized row by row as fresh store.Rows.
-func (bu built) rows(ec *execCtx) iterator {
-	if bu.r != nil {
-		return bu.r
-	}
-	return &rowsFromBatches{in: bu.b, cancel: canceller{ctx: ec.ctx}}
-}
-
-// buildVec lowers a logical plan node to a vectorized operator tree.
-func buildVec(p LogicalPlan, ec *execCtx, depth int) (built, error) {
+// build lowers a logical plan node to its operator tree.
+func build(p LogicalPlan, ec *execCtx, depth int) (batchIterator, error) {
 	switch n := p.(type) {
 	case *ScanNode:
-		return buildScanVec(n, ec, depth)
+		return buildScan(n, ec, depth)
 	case *FilterNode:
 		pred, err := bindVecPred(n.Pred, ec.env(n.Input.Schema()))
 		if err != nil {
-			return built{}, err
+			return nil, err
 		}
 		op := ec.note(depth, "Filter %s", n.Pred)
-		in, err := buildVec(n.Input, ec, depth+1)
+		in, err := build(n.Input, ec, depth+1)
 		if err != nil {
-			return built{}, err
+			return nil, err
 		}
-		return built{b: &vecFilter{
-			in:     in.batches(n.Input.Schema().Len(), ec),
-			pred:   pred,
-			cancel: canceller{ctx: ec.ctx},
-			op:     op,
-		}}, nil
+		return &vecFilter{in: in, pred: pred, cancel: canceller{ctx: ec.ctx}, op: op}, nil
 	case *ProjectNode:
 		op := ec.note(depth, "%s", n.describe())
-		// Build the child first so the expression form can follow it:
-		// a row-form child (sort fallback, small index scan) keeps the
-		// row projection operator instead of paying a batch bridge for
-		// a handful of rows. Exactly one expression form is bound
-		// either way, so bind-time subqueries still execute once.
-		in, err := buildVec(n.Input, ec, depth+1)
+		exprs, err := bindVecExprs(n.Exprs, ec.env(n.Input.Schema()))
 		if err != nil {
-			return built{}, err
+			return nil, err
 		}
-		if in.r != nil {
-			exprs := make([]*boundExpr, len(n.Exprs))
-			for i, e := range n.Exprs {
-				be, err := bind(e, ec.env(n.Input.Schema()))
-				if err != nil {
-					return built{}, err
-				}
-				exprs[i] = be
-			}
-			return built{r: &projectIter{in: in.r, exprs: exprs, op: op}}, nil
+		in, err := build(n.Input, ec, depth+1)
+		if err != nil {
+			return nil, err
 		}
-		exprs := make([]*vecExpr, len(n.Exprs))
-		for i, e := range n.Exprs {
-			ve, err := bindVecExpr(e, ec.env(n.Input.Schema()))
-			if err != nil {
-				return built{}, err
-			}
-			exprs[i] = ve
-		}
-		return built{b: &vecProject{
-			in:     in.batches(n.Input.Schema().Len(), ec),
-			exprs:  exprs,
-			cancel: canceller{ctx: ec.ctx},
-			op:     op,
-		}}, nil
+		return &vecProject{in: in, exprs: exprs, cancel: canceller{ctx: ec.ctx}, op: op}, nil
 	case *JoinNode:
-		return buildJoinVec(n, ec, depth)
+		return buildJoin(n, ec, depth)
 	case *AggNode:
-		return buildAggVec(n, ec, depth)
+		return buildAgg(n, ec, depth)
 	case *SortNode:
-		// Sorting drains its input anyway; the row sort operator is
-		// reused over the (vectorized) subtree so ordering — ties
-		// included — matches the row engine exactly.
-		keys, descs, err := bindSortKeys(n, ec)
+		keys, err := bindSortKeys(n, ec)
 		if err != nil {
-			return built{}, err
+			return nil, err
 		}
 		op := ec.note(depth, "%s", n.describe())
-		in, err := buildVec(n.Input, ec, depth+1)
+		in, err := build(n.Input, ec, depth+1)
 		if err != nil {
-			return built{}, err
+			return nil, err
 		}
-		return built{r: &sortIter{in: in.rows(ec), keys: keys, descs: descs, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
+		return &vecSort{in: in, keys: keys, cancel: canceller{ctx: ec.ctx}, op: op}, nil
 	case *LimitNode:
-		// Mirror the row builder's TopK fusion rewrites exactly (same
-		// notes, same shapes); see buildIterator.
+		// ORDER BY + LIMIT fuses into a bounded-heap top-k when the
+		// optimizer is allowed to choose physical operators. The sort
+		// may sit directly below the limit, or below a projection
+		// (the hidden-sort-column shape): Limit(Project(Sort)) runs
+		// as Project(TopK) — projection preserves order and count.
 		if proj, ok := n.Input.(*ProjectNode); ok && ec.opts.UseIndexes && n.N > 0 {
 			if sortNode, ok := proj.Input.(*SortNode); ok {
 				inner := &LimitNode{Input: sortNode, N: n.N}
 				outer := *proj
 				outer.Input = inner
-				return buildVec(&outer, ec, depth)
+				return build(&outer, ec, depth)
 			}
 		}
 		if sortNode, ok := n.Input.(*SortNode); ok && ec.opts.UseIndexes && n.N > 0 {
-			keys, descs, err := bindSortKeys(sortNode, ec)
+			keys, err := bindSortKeys(sortNode, ec)
 			if err != nil {
-				return built{}, err
+				return nil, err
 			}
 			op := ec.note(depth, "TopK %d (%s)", n.N, sortNode.describe())
-			in, err := buildVec(sortNode.Input, ec, depth+1)
+			in, err := build(sortNode.Input, ec, depth+1)
 			if err != nil {
-				return built{}, err
+				return nil, err
 			}
-			return built{r: &topKIter{in: in.rows(ec), keys: keys, descs: descs, k: n.N, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
+			return &vecTopK{in: in, keys: keys, k: n.N, cancel: canceller{ctx: ec.ctx}, op: op}, nil
 		}
 		op := ec.note(depth, "Limit %d", n.N)
-		in, err := buildVec(n.Input, ec, depth+1)
+		in, err := build(n.Input, ec, depth+1)
 		if err != nil {
-			return built{}, err
+			return nil, err
 		}
-		return built{b: &vecLimit{
-			in:     in.batches(n.Input.Schema().Len(), ec),
-			n:      n.N,
-			cancel: canceller{ctx: ec.ctx},
-			op:     op,
-		}}, nil
+		return &vecLimit{in: in, n: n.N, cancel: canceller{ctx: ec.ctx}, op: op}, nil
 	}
-	return built{}, fmt.Errorf("query: cannot execute %T", p)
+	return nil, fmt.Errorf("query: cannot execute %T", p)
 }
 
 // --- Scans ---
 
-// vecSmallGather is the index-result size below which the vectorized
-// engine serves cloned rows directly instead of gathering columns: a
-// point lookup touches a handful of rows, and building per-column
-// typed vectors for them costs more than it saves. Plan text and row
-// contents are identical to the columnar path; under EXPLAIN ANALYZE
-// the operator reports zero batches, which is accurate — no batch was
-// built.
-const vecSmallGather = 256
-
-func buildScanVec(n *ScanNode, ec *execCtx, depth int) (built, error) {
+func buildScan(n *ScanNode, ec *execCtx, depth int) (batchIterator, error) {
 	leaf, err := lowerScan(n, ec, depth)
 	if err != nil {
-		return built{}, err
+		return nil, err
 	}
 	op, a := leaf.op, leaf.access
 	if leaf.path.kind != "seqscan" {
-		if (a.Limit > 0 && a.Limit <= vecSmallGather) || leaf.tv.Table().CountPostings(a, vecSmallGather) <= vecSmallGather {
-			rows, examined, err := leaf.tv.GatherRows(ec.ctx, a)
-			if err != nil {
-				return built{}, err
-			}
-			leaf.indexed(ec, examined)
-			return built{r: &sliceIter{rows: rows, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
-		}
+		// A point lookup is a short batch like any other.
 		cb, examined, err := leaf.tv.Gather(ec.ctx, a)
 		if err != nil {
-			return built{}, err
+			return nil, err
 		}
 		leaf.indexed(ec, examined)
-		return built{b: &vecScan{batches: batchesOf(cb), cancel: canceller{ctx: ec.ctx}, op: op}}, nil
+		return &vecScan{batches: batchesOf(cb), cancel: canceller{ctx: ec.ctx}, op: op}, nil
 	}
 	// Sequential scan: gather the emitted columns plus any the residual
 	// reads, filter the batches vectorized, and drop the extras on emit.
@@ -204,28 +125,28 @@ func buildScanVec(n *ScanNode, ec *execCtx, depth int) (built, error) {
 				}
 				ci, err := n.base.resolve(ref)
 				if err != nil {
-					return built{}, err
+					return nil, err
 				}
 				layout.cols = append(layout.cols, n.base.cols[ci])
 				a.Cols = append(a.Cols, ci)
 			}
 		}
 		if residual, err = bindVecPred(pred, ec.env(layout)); err != nil {
-			return built{}, err
+			return nil, err
 		}
 	}
 	cb, total, err := leaf.tv.Gather(ec.ctx, a)
 	if err != nil {
-		return built{}, err
+		return nil, err
 	}
 	batches := batchesOf(cb)
 	atomic.AddInt64(&ec.stats.RowsScanned, int64(total))
 	op.addIn(int64(total))
 	scan := &vecScan{batches: batches, residual: residual, width: n.schema.Len(), cancel: canceller{ctx: ec.ctx}, op: op}
 	if ec.para > 1 && residual != nil && len(batches) > 1 {
-		// Morsel-style parallelism at batch granularity: workers
-		// narrow each batch's selection vector in place; batch
-		// order is preserved, so output order matches serial.
+		// One contiguous chunk of batches per worker: each narrows its
+		// batches' selection vectors in place; batch order is
+		// preserved, so output order matches serial.
 		err := runChunks(ec.ctx, splitChunks(len(batches), ec.para), func(_ int, r morselRange) error {
 			c := canceller{ctx: ec.ctx}
 			for _, b := range batches[r.lo:r.hi] {
@@ -241,11 +162,11 @@ func buildScanVec(n *ScanNode, ec *execCtx, depth int) (built, error) {
 			return nil
 		})
 		if err != nil {
-			return built{}, err
+			return nil, err
 		}
 		scan.residual = nil
 	}
-	return built{b: scan}, nil
+	return scan, nil
 }
 
 // vecScan streams materialized batches, applying an optional residual
@@ -271,9 +192,6 @@ func (s *vecScan) nextBatch() (*batch, error) {
 		}
 		b := s.batches[s.pos]
 		s.pos++
-		if b == nil {
-			continue
-		}
 		if s.residual != nil {
 			sel, err := s.residual.filter(b, b.selection())
 			if err != nil {
@@ -394,42 +312,29 @@ func (l *vecLimit) nextBatch() (*batch, error) {
 
 // --- Joins ---
 
-// buildJoinVec mirrors buildJoin's access-path analysis. Equi-joins
-// run as a vectorized hash join (HashAt-based build and probe over
-// column vectors); merge-joinable shapes and non-equi joins reuse the
-// row operators, which already match the row engine by construction.
-func buildJoinVec(n *JoinNode, ec *execCtx, depth int) (built, error) {
+// buildJoin picks the hash join for equi-conditions and the nested loop
+// otherwise; conjuncts that are not column = column across the two
+// sides run as a residual filter over the joined batch.
+func buildJoin(n *JoinNode, ec *execCtx, depth int) (batchIterator, error) {
 	leftSchema, rightSchema := n.Left.Schema(), n.Right.Schema()
-	conjs := splitConjuncts(n.Cond)
-	var leftKeys, rightKeys []*boundExpr
 	var leftIdx, rightIdx []int
 	var residual []Expr
-	for _, c := range conjs {
+	for _, c := range splitConjuncts(n.Cond) {
 		if b, ok := c.(*BinaryExpr); ok && b.Op == OpEq {
 			lcol, lOK := b.L.(*ColumnRef)
 			rcol, rOK := b.R.(*ColumnRef)
 			if lOK && rOK {
-				if li, err := leftSchema.resolve(lcol); err == nil {
-					if ri, err := rightSchema.resolve(rcol); err == nil {
-						lk, _ := bind(lcol, ec.env(leftSchema))
-						rk, _ := bind(rcol, ec.env(rightSchema))
-						leftKeys = append(leftKeys, lk)
-						rightKeys = append(rightKeys, rk)
-						leftIdx = append(leftIdx, li)
-						rightIdx = append(rightIdx, ri)
-						continue
-					}
+				// Which side does each belong to?
+				li, lerr := leftSchema.resolve(lcol)
+				ri, rerr := rightSchema.resolve(rcol)
+				if lerr != nil || rerr != nil {
+					li, lerr = leftSchema.resolve(rcol)
+					ri, rerr = rightSchema.resolve(lcol)
 				}
-				if li, err := leftSchema.resolve(rcol); err == nil {
-					if ri, err := rightSchema.resolve(lcol); err == nil {
-						lk, _ := bind(rcol, ec.env(leftSchema))
-						rk, _ := bind(lcol, ec.env(rightSchema))
-						leftKeys = append(leftKeys, lk)
-						rightKeys = append(rightKeys, rk)
-						leftIdx = append(leftIdx, li)
-						rightIdx = append(rightIdx, ri)
-						continue
-					}
+				if lerr == nil && rerr == nil {
+					leftIdx = append(leftIdx, li)
+					rightIdx = append(rightIdx, ri)
+					continue
 				}
 			}
 		}
@@ -438,107 +343,106 @@ func buildJoinVec(n *JoinNode, ec *execCtx, depth int) (built, error) {
 		}
 		residual = append(residual, c)
 	}
-	// Index merge join: reuse the row implementation wholesale (it is
-	// driven by ordered index scans, not batch flow).
-	if ls, rs, lcol, rcol, ok := mergeJoinable(n, leftKeys, rightKeys, ec); ok {
-		lt, _ := ec.cat.Table(ls.Table)
-		rt, _ := ec.cat.Table(rs.Table)
-		if chooseAccessPath(ls, lt, ec.cat.Tree(), true).kind == "seqscan" &&
-			chooseAccessPath(rs, rt, ec.cat.Tree(), true).kind == "seqscan" {
-			residualBound, err := bindJoinResidual(residual, n, ec)
-			if err != nil {
-				return built{}, err
-			}
-			op := ec.note(depth, "MergeJoin (%s = %s)%s", lcol, rcol, joinResidualNote(residual))
-			li, lkIdx, err := buildOrderedScan(ls, lcol, ec, depth+1)
-			if err != nil {
-				return built{}, err
-			}
-			ri, rkIdx, err := buildOrderedScan(rs, rcol, ec, depth+1)
-			if err != nil {
-				return built{}, err
-			}
-			mj, err := newMergeJoin(li, ri, lkIdx, rkIdx, residualBound, ec, op)
-			if err != nil {
-				return built{}, err
-			}
-			return built{r: mj}, nil
-		}
-	}
-	if len(leftKeys) > 0 {
-		var residualVec *vecPred
-		if len(residual) > 0 {
-			vp, err := bindVecPred(joinConjuncts(residual), ec.env(n.schema))
-			if err != nil {
-				return built{}, err
-			}
-			residualVec = vp
-		}
-		op := ec.note(depth, "HashJoin (%d key(s))%s", len(leftKeys), joinResidualNote(residual))
-		left, err := buildVec(n.Left, ec, depth+1)
+	var residualPred *vecPred
+	if len(residual) > 0 {
+		vp, err := bindVecPred(joinConjuncts(residual), ec.env(n.schema))
 		if err != nil {
-			return built{}, err
+			return nil, err
 		}
-		right, err := buildVec(n.Right, ec, depth+1)
-		if err != nil {
-			return built{}, err
-		}
-		bi, err := newVecHashJoin(ec,
-			left.batches(leftSchema.Len(), ec),
-			right.batches(rightSchema.Len(), ec),
-			leftIdx, rightIdx, residualVec, op)
-		if err != nil {
-			return built{}, err
-		}
-		return built{b: bi}, nil
+		residualPred = vp
 	}
-	residualBound, err := bindJoinResidual(residual, n, ec)
+	var op *OpStats
+	if len(leftIdx) > 0 {
+		op = ec.note(depth, "HashJoin (%d key(s))%s", len(leftIdx), joinResidualNote(residual))
+	} else {
+		op = ec.note(depth, "NestedLoopJoin%s", joinResidualNote(residual))
+	}
+	left, err := build(n.Left, ec, depth+1)
 	if err != nil {
-		return built{}, err
+		return nil, err
 	}
-	op := ec.note(depth, "NestedLoopJoin%s", joinResidualNote(residual))
-	left, err := buildVec(n.Left, ec, depth+1)
+	right, err := build(n.Right, ec, depth+1)
 	if err != nil {
-		return built{}, err
+		return nil, err
 	}
-	right, err := buildVec(n.Right, ec, depth+1)
-	if err != nil {
-		return built{}, err
+	if len(leftIdx) > 0 {
+		return newVecHashJoin(ec, left, right, leftIdx, rightIdx, residualPred, op)
 	}
-	nl, err := newNestedLoopJoin(left.rows(ec), right.rows(ec), residualBound, ec, op)
-	if err != nil {
-		return built{}, err
-	}
-	return built{r: nl}, nil
+	return newVecNestedLoop(ec, left, right, residualPred, op)
 }
 
-// bindJoinResidual binds the row form of a join's residual conjuncts.
-func bindJoinResidual(residual []Expr, n *JoinNode, ec *execCtx) (*boundExpr, error) {
-	if len(residual) == 0 {
+func joinResidualNote(res []Expr) string {
+	if len(res) == 0 {
+		return ""
+	}
+	parts := make([]string, len(res))
+	for i, c := range res {
+		parts[i] = c.String()
+	}
+	return " residual: " + strings.Join(parts, " AND ")
+}
+
+// pairs accumulates join output — a left row's cells, then a right
+// row's — into one batch. Output column kinds follow the input columns'
+// runtime kinds, which are stable across batches of one operator, so
+// typed appends never mismatch.
+type pairs struct {
+	cols []*store.Col
+	n    int
+}
+
+func newPairs(l, r *batch) *pairs {
+	p := &pairs{cols: make([]*store.Col, 0, len(l.cols)+len(r.cols))}
+	for _, c := range l.cols {
+		p.cols = append(p.cols, store.NewCol(c.Kind, vecBatchSize))
+	}
+	for _, c := range r.cols {
+		p.cols = append(p.cols, store.NewCol(c.Kind, vecBatchSize))
+	}
+	return p
+}
+
+func (p *pairs) add(l *batch, li int, r rowRef) {
+	for c, lc := range l.cols {
+		p.cols[c].AppendFrom(lc, li)
+	}
+	for c, rc := range r.b.cols {
+		p.cols[len(l.cols)+c].AppendFrom(rc, r.i)
+	}
+	p.n++
+}
+
+// batch returns the accumulated pairs the residual accepts, or nil
+// when none survive.
+func (p *pairs) batch(residual *vecPred) (*batch, error) {
+	if p == nil || p.n == 0 {
 		return nil, nil
 	}
-	return bind(joinConjuncts(residual), ec.env(n.schema))
+	out := &batch{cols: p.cols, n: p.n}
+	if residual != nil {
+		sel, err := residual.filter(out, out.selection())
+		if err != nil || len(sel) == 0 {
+			return nil, err
+		}
+		out.sel = sel
+	}
+	return out, nil
 }
 
-// rowRef addresses one build-side row inside its batch.
-type rowRef struct {
-	b *batch
-	i int
-}
-
-// vecHashJoin builds a hash table over the right input's batches and
-// probes with the left, emitting one output batch per probe batch.
-// Hash values come from Col.HashAt, which reproduces Value.Hash bit
-// for bit, so build/probe matching is identical to the row engine's
-// (including its treatment of NULL keys: they never join).
+// vecHashJoin builds a hash table over the right input's rows and
+// probes with the left, emitting at most vecBatchSize pairs per output
+// batch. A bucket is a list of candidates: key cells are compared on
+// every hash hit (distinct keys can share a hash — Value.Hash widens
+// integers to float64), and NULL keys never join.
 type vecHashJoin struct {
-	left     batchIterator
-	leftIdx  []int
-	table    map[uint64][]rowRef
-	residual *vecPred
-	stats    *ExecStats
-	cancel   canceller
-	op       *OpStats
+	left              batchIterator
+	leftIdx, rightIdx []int
+	table             map[uint64][]rowRef
+	residual          *vecPred
+	stats             *ExecStats
+	cancel            canceller
+	op                *OpStats
+	cur               probeCursor
 }
 
 func newVecHashJoin(ec *execCtx, left, right batchIterator, leftIdx, rightIdx []int, residual *vecPred, op *OpStats) (batchIterator, error) {
@@ -561,6 +465,7 @@ func newVecHashJoin(ec *execCtx, left, right batchIterator, leftIdx, rightIdx []
 	j := &vecHashJoin{
 		left:     left,
 		leftIdx:  leftIdx,
+		rightIdx: rightIdx,
 		table:    table,
 		residual: residual,
 		stats:    ec.stats,
@@ -575,38 +480,44 @@ func newVecHashJoin(ec *execCtx, left, right batchIterator, leftIdx, rightIdx []
 		if err != nil {
 			return nil, err
 		}
-		outs := make([]*batch, len(lbs))
+		outs := make([][]*batch, len(lbs))
 		err = runChunks(ec.ctx, splitChunks(len(lbs), ec.para), func(_ int, r morselRange) error {
 			c := canceller{ctx: ec.ctx}
 			for k := r.lo; k < r.hi; k++ {
-				if err := c.now(); err != nil {
-					return err
+				for cur := newProbeCursor(lbs[k]); !cur.done(); {
+					if err := c.now(); err != nil {
+						return err
+					}
+					out, err := j.probe(&cur)
+					if err != nil {
+						return err
+					}
+					if out != nil {
+						outs[k] = append(outs[k], out)
+					}
 				}
-				out, err := j.probe(lbs[k])
-				if err != nil {
-					return err
-				}
-				outs[k] = out
 			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
+		var flat []*batch
 		joined := int64(0)
 		for _, o := range outs {
-			if o != nil {
-				joined += int64(o.live())
+			for _, b := range o {
+				joined += int64(b.live())
 			}
+			flat = append(flat, o...)
 		}
 		atomic.AddInt64(&ec.stats.RowsJoined, joined)
-		return &vecScan{batches: outs, cancel: canceller{ctx: ec.ctx}, op: op}, nil
+		return &vecScan{batches: flat, cancel: canceller{ctx: ec.ctx}, op: op}, nil
 	}
 	return j, nil
 }
 
-// hashBatchKeys combines the key columns' hashes for row i exactly as
-// hashKeys does for a row; ok is false when any key cell is NULL.
+// hashBatchKeys combines the key columns' hashes for row i; ok is false
+// when any key cell is NULL.
 func hashBatchKeys(b *batch, idx []int, i int) (uint64, bool) {
 	var h uint64 = 14695981039346656037
 	for _, c := range idx {
@@ -619,20 +530,37 @@ func hashBatchKeys(b *batch, idx []int, i int) (uint64, bool) {
 	return h, true
 }
 
+// probeCursor is a probe's position inside one probe batch: the next
+// live row to hash, and what is left of the current row's bucket.
+type probeCursor struct {
+	lb     *batch
+	sel    []int
+	pos    int // next position in sel
+	li     int // row the bucket belongs to
+	bucket []rowRef
+}
+
+func newProbeCursor(lb *batch) probeCursor { return probeCursor{lb: lb, sel: lb.selection()} }
+
+func (c *probeCursor) done() bool { return c.pos >= len(c.sel) && len(c.bucket) == 0 }
+
 func (j *vecHashJoin) nextBatch() (*batch, error) {
 	for {
 		if err := j.cancel.now(); err != nil {
 			return nil, err
 		}
-		lb, err := j.left.nextBatch()
-		if err != nil || lb == nil {
-			return nil, err
+		if j.cur.done() {
+			lb, err := j.left.nextBatch()
+			if err != nil || lb == nil {
+				return nil, err
+			}
+			j.cur = newProbeCursor(lb)
 		}
-		out, err := j.probe(lb)
+		out, err := j.probe(&j.cur)
 		if err != nil {
 			return nil, err
 		}
-		if out == nil || out.live() == 0 {
+		if out == nil {
 			continue
 		}
 		atomic.AddInt64(&j.stats.RowsJoined, int64(out.live()))
@@ -641,182 +569,180 @@ func (j *vecHashJoin) nextBatch() (*batch, error) {
 	}
 }
 
-// probe joins one probe batch against the build table, producing a
-// fresh output batch (left columns then right columns). Stateless, so
-// parallel workers can share the join. Output column kinds follow the
-// input columns' runtime kinds, which are stable across batches of
-// one operator, so typed appends never mismatch.
-func (j *vecHashJoin) probe(lb *batch) (*batch, error) {
-	lw := len(lb.cols)
-	var cols []*store.Col
-	n := 0
-	for _, li := range lb.selection() {
-		h, ok := hashBatchKeys(lb, j.leftIdx, li)
-		if !ok {
+// probe advances cur by up to vecBatchSize matching pairs and returns
+// those the residual accepts as a fresh batch (nil when none do); the
+// caller polls its context and calls again until cur is done. It reads
+// the join and writes only cur, so parallel workers share the join.
+func (j *vecHashJoin) probe(cur *probeCursor) (*batch, error) {
+	var out *pairs
+	for !cur.done() && (out == nil || out.n < vecBatchSize) {
+		if len(cur.bucket) == 0 {
+			cur.li = cur.sel[cur.pos]
+			cur.pos++
+			if h, ok := hashBatchKeys(cur.lb, j.leftIdx, cur.li); ok {
+				cur.bucket = j.table[h]
+			}
 			continue
 		}
-		for _, rr := range j.table[h] {
-			if cols == nil {
-				cols = make([]*store.Col, lw+len(rr.b.cols))
-				for c, lc := range lb.cols {
-					cols[c] = store.NewCol(lc.Kind, vecBatchSize)
-				}
-				for c, rc := range rr.b.cols {
-					cols[lw+c] = store.NewCol(rc.Kind, vecBatchSize)
-				}
-			}
-			for c := range lb.cols {
-				cols[c].AppendFrom(lb.cols[c], li)
-			}
-			for c := range rr.b.cols {
-				cols[lw+c].AppendFrom(rr.b.cols[c], rr.i)
-			}
-			n++
+		rr := cur.bucket[0]
+		cur.bucket = cur.bucket[1:]
+		if !j.keysEqual(cur.lb, cur.li, rr) {
+			continue
+		}
+		if out == nil {
+			out = newPairs(cur.lb, rr.b)
+		}
+		out.add(cur.lb, cur.li, rr)
+	}
+	return out.batch(j.residual)
+}
+
+// keysEqual compares the probe row's key cells with a bucket entry's.
+func (j *vecHashJoin) keysEqual(lb *batch, li int, rr rowRef) bool {
+	for k, lc := range j.leftIdx {
+		if !store.Equal(lb.cols[lc].Value(li), rr.b.cols[j.rightIdx[k]].Value(rr.i)) {
+			return false
 		}
 	}
-	if n == 0 {
-		return nil, nil
+	return true
+}
+
+// vecNestedLoop joins every left row with every row of the drained
+// right side, at most vecBatchSize candidate pairs per output batch,
+// keeping those the residual accepts.
+type vecNestedLoop struct {
+	left     batchIterator
+	right    []rowRef
+	residual *vecPred
+	stats    *ExecStats
+	cancel   canceller
+	op       *OpStats
+
+	lb   *batch
+	lsel []int
+	lpos int // current left row (position in lsel)
+	rpos int // next right row for it
+}
+
+func newVecNestedLoop(ec *execCtx, left, right batchIterator, residual *vecPred, op *OpStats) (batchIterator, error) {
+	rbs, err := drainBatches(ec.ctx, right)
+	if err != nil {
+		return nil, err
 	}
-	out := &batch{cols: cols, n: n}
-	if j.residual != nil {
-		sel, err := j.residual.filter(out, out.selection())
+	var refs []rowRef
+	for _, rb := range rbs {
+		for _, i := range rb.selection() {
+			refs = append(refs, rowRef{rb, i})
+		}
+	}
+	return &vecNestedLoop{left: left, right: refs, residual: residual, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
+}
+
+func (j *vecNestedLoop) nextBatch() (*batch, error) {
+	for {
+		if err := j.cancel.now(); err != nil {
+			return nil, err
+		}
+		if j.lpos >= len(j.lsel) || len(j.right) == 0 {
+			lb, err := j.left.nextBatch()
+			if err != nil || lb == nil {
+				return nil, err
+			}
+			j.op.addIn(int64(lb.live()))
+			j.lb, j.lsel, j.lpos, j.rpos = lb, lb.selection(), 0, 0
+			continue
+		}
+		cand := newPairs(j.lb, j.right[0].b)
+		for cand.n < vecBatchSize && j.lpos < len(j.lsel) {
+			if j.rpos == len(j.right) {
+				j.lpos, j.rpos = j.lpos+1, 0
+				continue
+			}
+			cand.add(j.lb, j.lsel[j.lpos], j.right[j.rpos])
+			j.rpos++
+		}
+		out, err := cand.batch(j.residual)
 		if err != nil {
 			return nil, err
 		}
-		if len(sel) == 0 {
-			return nil, nil
+		if out == nil {
+			continue
 		}
-		out.sel = sel
+		atomic.AddInt64(&j.stats.RowsJoined, int64(out.live()))
+		j.op.emit(out)
+		return out, nil
 	}
-	return out, nil
 }
 
 // --- Aggregation ---
 
-// buildAggVec aggregates over batches when every group and argument
-// expression vectorizes; otherwise it reuses the row aggregation
-// operator over the bridged input.
-func buildAggVec(n *AggNode, ec *execCtx, depth int) (built, error) {
+// buildAgg lowers an AggNode to hash aggregation over batches, or to an
+// overlay read when the shape allows one.
+func buildAgg(n *AggNode, ec *execCtx, depth int) (batchIterator, error) {
 	if it, ok := tryOverlayRead(n, ec, depth); ok {
-		return built{r: it}, nil
+		return it, nil
 	}
 	env := ec.env(n.Input.Schema())
-	allSafe := true
-	for _, g := range n.GroupBy {
-		if _, ok := vecSafe(g, env.schema); !ok {
-			allSafe = false
-			break
-		}
-	}
-	if allSafe {
-		for _, a := range n.Aggs {
-			if a.Star {
-				continue
-			}
-			if _, ok := vecSafe(a.Arg, env.schema); !ok {
-				allSafe = false
-				break
-			}
-		}
-	}
-	if !allSafe {
-		groups := make([]*boundExpr, len(n.GroupBy))
-		for i, g := range n.GroupBy {
-			be, err := bind(g, env)
-			if err != nil {
-				return built{}, err
-			}
-			groups[i] = be
-		}
-		args := make([]*boundExpr, len(n.Aggs))
-		for i, a := range n.Aggs {
-			if a.Star {
-				continue
-			}
-			be, err := bind(a.Arg, env)
-			if err != nil {
-				return built{}, err
-			}
-			args[i] = be
-		}
-		op := ec.note(depth, "%s", n.describe())
-		in, err := buildVec(n.Input, ec, depth+1)
-		if err != nil {
-			return built{}, err
-		}
-		return built{r: &aggIter{in: in.rows(ec), groups: groups, aggs: n.Aggs, args: args, ec: ec, op: op}}, nil
-	}
-	groups := make([]*vecExpr, len(n.GroupBy))
-	for i, g := range n.GroupBy {
-		ve, err := bindVec(g, env)
-		if err != nil {
-			return built{}, err
-		}
-		groups[i] = ve
+	groups, err := bindVecExprs(n.GroupBy, env)
+	if err != nil {
+		return nil, err
 	}
 	args := make([]*vecExpr, len(n.Aggs))
 	for i, a := range n.Aggs {
 		if a.Star {
 			continue
 		}
-		ve, err := bindVec(a.Arg, env)
-		if err != nil {
-			return built{}, err
+		if args[i], err = bindVecExpr(a.Arg, env); err != nil {
+			return nil, err
 		}
-		args[i] = ve
 	}
 	op := ec.note(depth, "%s", n.describe())
-	in, err := buildVec(n.Input, ec, depth+1)
+	in, err := build(n.Input, ec, depth+1)
 	if err != nil {
-		return built{}, err
+		return nil, err
 	}
-	return built{r: &vecAggIter{
-		in:     in.batches(n.Input.Schema().Len(), ec),
-		groups: groups,
-		aggs:   n.Aggs,
-		args:   args,
-		ec:     ec,
-		op:     op,
-	}}, nil
+	return &vecAgg{in: in, groups: groups, aggs: n.Aggs, args: args, ec: ec, op: op}, nil
 }
 
-// vecAggIter is hash aggregation with vectorized key/argument
-// evaluation: expressions run per batch, accumulation reuses aggTable
-// (so grouping, DISTINCT, and merge semantics are shared with the row
-// engine). Output is row-at-a-time — aggregates emit one row per
-// group, far below batch granularity.
-type vecAggIter struct {
+// vecAgg is hash aggregation: group and argument expressions are
+// evaluated per batch, each live row is folded into an aggTable, and —
+// with Parallelism > 1 — per-worker partial tables over contiguous
+// input chunks are merged in chunk order, which reproduces the serial
+// first-seen group order exactly. It drains its input on the first
+// call, then streams one row per group (group keys, then aggregates).
+type vecAgg struct {
 	in     batchIterator
 	groups []*vecExpr
 	aggs   []*AggExpr
 	args   []*vecExpr // nil entries for star aggregates
 	ec     *execCtx
 	op     *OpStats
-
-	out []store.Row
-	pos int
-	run bool
+	out    *vecScan
 }
 
-func (a *vecAggIter) Next() (store.Row, bool, error) {
-	if !a.run {
-		if err := a.drain(); err != nil {
-			return nil, false, err
+func (a *vecAgg) nextBatch() (*batch, error) {
+	cancel := canceller{ctx: a.ec.ctx}
+	if err := cancel.now(); err != nil {
+		return nil, err
+	}
+	if a.out == nil {
+		final, err := a.drain()
+		if err != nil {
+			return nil, err
 		}
-		a.run = true
+		// A global aggregate over an empty input still yields one row.
+		if len(a.groups) == 0 && len(final.order) == 0 {
+			final.table[""] = &groupEntry{states: make([]aggState, len(a.aggs))}
+			final.order = append(final.order, "")
+		}
+		a.out = &vecScan{batches: batchesOf(final.output(len(a.groups))), cancel: cancel, op: a.op}
 	}
-	if a.pos >= len(a.out) {
-		return nil, false, nil
-	}
-	r := a.out[a.pos]
-	a.pos++
-	a.op.addOut(1)
-	return r, true, nil
+	return a.out.nextBatch()
 }
 
 // accumBatch evaluates group and argument expressions over one batch
 // and folds every live row into the table.
-func (a *vecAggIter) accumBatch(t *aggTable, b *batch) error {
+func (a *vecAgg) accumBatch(t *aggTable, b *batch) error {
 	sel := b.selection()
 	gcols := make([]*store.Col, len(a.groups))
 	for i, g := range a.groups {
@@ -853,47 +779,30 @@ func (a *vecAggIter) accumBatch(t *aggTable, b *batch) error {
 	return nil
 }
 
-func (a *vecAggIter) drain() error {
-	var final *aggTable
-	if a.ec.para > 1 {
-		t, err := a.drainParallel()
-		if err != nil {
-			return err
-		}
-		final = t
-	} else {
-		final = newAggTable(nil, a.aggs, nil)
+// drain folds the whole input into one table: batch by batch as it
+// streams in, or — with Parallelism > 1 and enough input for partial
+// tables to pay — materialized and split over the worker pool.
+func (a *vecAgg) drain() (*aggTable, error) {
+	final := newAggTable(a.aggs)
+	if a.ec.para == 1 {
 		cancel := canceller{ctx: a.ec.ctx}
 		for {
 			if err := cancel.now(); err != nil {
-				return err
+				return nil, err
 			}
 			b, err := a.in.nextBatch()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if b == nil {
-				break
+				return final, nil
 			}
 			a.op.addIn(int64(b.live()))
 			if err := a.accumBatch(final, b); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	// A global aggregate over an empty input still yields one row.
-	if len(a.groups) == 0 && len(final.order) == 0 {
-		final.table[""] = &groupEntry{states: make([]aggState, len(a.aggs))}
-		final.order = append(final.order, "")
-	}
-	a.out = final.rows()
-	return nil
-}
-
-// drainParallel materializes the input batches and aggregates
-// contiguous chunks into per-worker partial tables, merged in chunk
-// order — the same order-reproducing scheme the row engine uses.
-func (a *vecAggIter) drainParallel() (*aggTable, error) {
 	bs, err := drainBatches(a.ec.ctx, a.in)
 	if err != nil {
 		return nil, err
@@ -903,37 +812,28 @@ func (a *vecAggIter) drainParallel() (*aggTable, error) {
 		total += b.live()
 	}
 	a.op.addIn(int64(total))
-	if total < 2*morselSize {
-		// Partial tables would cost more than they save.
-		t := newAggTable(nil, a.aggs, nil)
-		for _, b := range bs {
-			if err := a.accumBatch(t, b); err != nil {
-				return nil, err
-			}
-		}
-		return t, nil
-	}
 	chunks := splitChunks(len(bs), a.ec.para)
+	if total < 2*vecBatchSize {
+		chunks = splitChunks(len(bs), 1)
+	}
 	partials := make([]*aggTable, len(chunks))
 	err = runChunks(a.ec.ctx, chunks, func(w int, r morselRange) error {
 		c := canceller{ctx: a.ec.ctx}
-		part := newAggTable(nil, a.aggs, nil)
+		partials[w] = newAggTable(a.aggs)
 		for _, b := range bs[r.lo:r.hi] {
 			if err := c.now(); err != nil {
 				return err
 			}
-			if err := a.accumBatch(part, b); err != nil {
+			if err := a.accumBatch(partials[w], b); err != nil {
 				return err
 			}
 		}
-		partials[w] = part
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	final := partials[0]
-	for _, p := range partials[1:] {
+	for _, p := range partials {
 		final.merge(p)
 	}
 	return final, nil

@@ -9,17 +9,14 @@ import (
 )
 
 // Reference executor: the differential baseline. It interprets the
-// *unoptimised* logical plan (BuildLogical's output: scans joined in
-// syntactic order, WHERE as one filter, then aggregate / projection /
-// sort / limit) operator at a time over []store.Row, with nested-loop
-// joins, a linear group table and sort.SliceStable — no optimizer, no
-// access paths, no batches, no hashing, no parallelism. It shares only
-// bind / boundExpr (expression semantics) with production, so any
-// disagreement between it and an engine configuration is a bug in the
-// optimizer or the physical operators (or in this file).
+// *unoptimised* logical plan (BuildLogical's output) operator at a time
+// over []store.Row, with nested-loop joins, a linear group table and
+// sort.SliceStable — no optimizer, no access paths, no batches, no
+// hashing, no parallelism. It shares only bind / boundExpr (expression
+// semantics) with production, so a disagreement with an engine is a bug
+// in the optimizer or the physical operators (or in this file).
 
-// refQuery parses and runs src on the reference executor at the
-// catalog's latest committed state.
+// refQuery runs src on the reference executor at the latest commit.
 func refQuery(cat Catalog, src string) (*Result, error) {
 	stmt, err := Parse(src)
 	if err != nil {
@@ -33,8 +30,7 @@ func refQuery(cat Catalog, src string) (*Result, error) {
 	return refRunAt(cat, stmt, snap)
 }
 
-// refRunAt runs a parsed statement against a pinned snapshot (nil
-// reads latest).
+// refRunAt runs a statement at a pinned snapshot (nil reads latest).
 func refRunAt(cat Catalog, stmt *SelectStmt, snap *store.SnapshotHandle) (*Result, error) {
 	plan, err := BuildLogical(stmt, cat)
 	if err != nil {
@@ -70,26 +66,12 @@ func (r *refExec) run(p LogicalPlan) ([]store.Row, error) {
 		}
 		return tv.Snapshot(), nil
 	case *FilterNode:
-		return r.filter(n.Pred, n.Input.Schema(), func(yield func(store.Row) error) error {
-			for _, row := range ins[0] {
-				if err := yield(row); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		return r.filter(n.Pred, n.Input.Schema(), len(ins[0]), func(i int) store.Row { return ins[0][i] })
 	case *JoinNode:
-		pair := make(store.Row, n.schema.Len())
-		return r.filter(n.Cond, n.schema, func(yield func(store.Row) error) error {
-			for _, l := range ins[0] {
-				for _, rr := range ins[1] {
-					copy(pair[copy(pair, l):], rr)
-					if err := yield(pair); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
+		pair, nr := make(store.Row, n.schema.Len()), len(ins[1])
+		return r.filter(n.Cond, n.schema, len(ins[0])*nr, func(i int) store.Row {
+			copy(pair[copy(pair, ins[0][i/nr]):], ins[1][i%nr])
+			return pair
 		})
 	case *ProjectNode:
 		return r.evalRows(n.Exprs, n.Input.Schema(), ins[0])
@@ -122,10 +104,7 @@ func (r *refExec) run(p LogicalPlan) ([]store.Row, error) {
 		}
 		return out, nil
 	case *LimitNode:
-		if len(ins[0]) > n.N {
-			return ins[0][:n.N], nil
-		}
-		return ins[0], nil
+		return ins[0][:min(n.N, len(ins[0]))], nil
 	}
 	return nil, fmt.Errorf("refexec: cannot execute %T", p)
 }
@@ -152,22 +131,25 @@ func (r *refExec) evalRows(exprs []Expr, schema *planSchema, in []store.Row) ([]
 	return out, nil
 }
 
-// filter keeps a copy of every row each yields that pred accepts (each
-// may reuse one scratch row).
-func (r *refExec) filter(pred Expr, schema *planSchema, each func(yield func(store.Row) error) error) ([]store.Row, error) {
+// filter keeps a copy of each of the n rows at(i) (which may reuse one
+// scratch row) that pred accepts.
+func (r *refExec) filter(pred Expr, schema *planSchema, n int, at func(i int) store.Row) ([]store.Row, error) {
 	be, err := bind(pred, r.ec.env(schema))
 	if err != nil {
 		return nil, err
 	}
 	var out []store.Row
-	err = each(func(row store.Row) error {
+	for i := 0; i < n; i++ {
+		row := at(i)
 		ok, err := be.evalBool(row)
+		if err != nil {
+			return nil, err
+		}
 		if ok {
 			out = append(out, row.Clone())
 		}
-		return err
-	})
-	return out, err
+	}
+	return out, nil
 }
 
 // aggregate groups by linear search in first-seen order — group

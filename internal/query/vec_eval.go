@@ -16,16 +16,16 @@ func errAncestorNoTree() error {
 	return fmt.Errorf("query: ANCESTOR_OF requires a tree-backed catalog")
 }
 
-// Vectorized expression compilation. bindVec compiles an expression to
+// Expression compilation for batches. bindVec compiles an expression to
 // a per-batch evaluator that loops over typed column slices; bindVecPred
 // compiles predicates to selection-vector filters. Expressions that can
 // fail at evaluation time (negation / NOT / arithmetic over columns
-// whose kind is not statically numeric or boolean) are NOT vectorized:
-// the row engine surfaces such errors in strict row-major order, and a
-// batch-at-a-time evaluator would reorder them. vecSafe rejects those
-// shapes up front and the caller falls back to evaluating the
-// row-compiled form row by row (or to the row operator entirely), so
-// the two engines stay observably identical.
+// whose kind is not statically numeric or boolean) do not get typed
+// loops: vecSafe rejects those shapes from static kinds alone, and
+// bindVecPred / bindVecExpr then evaluate the row-compiled form (bind)
+// row by row over a scratch row, in row-major order, so the error a
+// statement reports is the one its first failing row raises. That
+// choice is made here, per expression; no operator knows of it.
 
 // vecExpr is a compiled vectorized expression: eval returns a column
 // with b.n cells whose values are defined at the positions listed in
@@ -37,8 +37,8 @@ type vecExpr struct {
 }
 
 // vecPred is a compiled vectorized predicate: filter narrows sel to
-// the rows where the predicate is a non-NULL true (the row engine's
-// evalBool semantics).
+// the rows where the predicate is a non-NULL true (boundExpr.evalBool's
+// semantics).
 type vecPred struct {
 	filter func(b *batch, sel []int) ([]int, error)
 }
@@ -46,8 +46,8 @@ type vecPred struct {
 // vecSafe reports whether e can be evaluated batch-at-a-time without
 // changing observable behavior, and the static result kind (mirroring
 // bind's kind inference). Expressions whose evaluation can error are
-// unsafe: vectorized evaluation would surface errors in a different
-// row order than the row engine.
+// unsafe: column-at-a-time evaluation would surface errors in a
+// different order than row-major evaluation does.
 func vecSafe(e Expr, schema *planSchema) (store.Kind, bool) {
 	switch x := e.(type) {
 	case *Literal:
@@ -208,7 +208,7 @@ func bindVec(e Expr, env bindEnv) (*vecExpr, error) {
 		return rowEvalVec(be), nil
 	}
 	// Unreachable when callers respect vecSafe; bind row-form so the
-	// error matches the row engine's.
+	// error is bind's.
 	be, err := bind(e, env)
 	if err != nil {
 		return nil, err
@@ -253,7 +253,7 @@ func colTrue(c *store.Col, i int) bool {
 }
 
 // colBool reports (value, isBool) for cell i: isBool is true only for
-// a non-NULL boolean cell. Mirrors the row engine's AND/OR operand
+// a non-NULL boolean cell. Mirrors bind's AND/OR operand
 // handling (lb := lv.K == KindBool && lv.Bool()).
 func colBool(c *store.Col, i int) (bool, bool) {
 	if c.Null[i] {
@@ -470,7 +470,7 @@ func cmpHolds(op BinOp, cmp int) bool {
 }
 
 // compareCols evaluates a comparison over two aligned columns.
-// Comparisons with NULL are false (the row engine's two-valued logic);
+// Comparisons with NULL are false (two-valued logic, as in bind);
 // non-NULL cells compare exactly as store.Compare does: int/int
 // exactly, mixed numerics as float64, strings bytewise.
 func compareCols(op BinOp, lc, rc *store.Col, n int, sel []int) *store.Col {
@@ -523,7 +523,7 @@ func compareCols(op BinOp, lc, rc *store.Col, n int, sel []int) *store.Col {
 		}
 	default:
 		// Generic or cross-kind cells: defer to store.Compare for
-		// exact row-engine semantics (kind-tag ordering included).
+		// bind's exact semantics (kind-tag ordering included).
 		for _, i := range sel {
 			lv, rv := lc.Value(i), rc.Value(i)
 			if lv.IsNull() || rv.IsNull() {
@@ -596,7 +596,7 @@ func arithCols(op BinOp, lc, rc *store.Col, n int, sel []int) *store.Col {
 		}
 		return out
 	}
-	// Generic cells: mirror the row engine's scalar arithmetic
+	// Generic cells: mirror bind's scalar arithmetic
 	// (vecSafe guarantees the static kinds are numeric, so non-NULL
 	// cells are numeric).
 	out := store.NewDenseCol(store.KindNull, n)
@@ -715,7 +715,7 @@ func compareColScalar(op BinOp, c *store.Col, v store.Value, n int, sel []int, c
 		}
 	default:
 		// Generic cells or cross-kind constants: defer to
-		// store.Compare for exact row-engine semantics.
+		// store.Compare for bind's exact semantics.
 		for _, i := range sel {
 			cv := c.Value(i)
 			if cv.IsNull() {
@@ -965,6 +965,19 @@ func bindVecPred(e Expr, env bindEnv) (*vecPred, error) {
 		}
 		return out, nil
 	}}, nil
+}
+
+// bindVecExprs compiles a list of expressions with bindVecExpr.
+func bindVecExprs(exprs []Expr, env bindEnv) ([]*vecExpr, error) {
+	out := make([]*vecExpr, len(exprs))
+	for i, e := range exprs {
+		ve, err := bindVecExpr(e, env)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ve
+	}
+	return out, nil
 }
 
 // bindVecExpr compiles an output expression: vectorizable shapes get

@@ -40,8 +40,8 @@ func TestExplainAnalyzeAnnotations(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"vec", DefaultOptions()},
-		{"row", rowOptions(DefaultOptions())},
+		{"default", DefaultOptions()},
+		{"naive", NaiveOptions()},
 	} {
 		res := runQ(t, cat, tc.opts, "EXPLAIN ANALYZE "+q)
 		if len(res.Rows) != 0 {
@@ -102,10 +102,9 @@ func TestResultRowMutationIsolation(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"vec-serial", serialOptions()},
-		{"vec-parallel", parallelOptions(diffParallelism)},
-		{"row-serial", rowOptions(serialOptions())},
-		{"row-parallel", rowOptions(parallelOptions(diffParallelism))},
+		{"default-serial", serialOptions()},
+		{"default-parallel", parallelOptions(diffParallelism)},
+		{"naive-serial", naiveSerialOptions()},
 	} {
 		cat := testCatalog(t)
 		eng := NewEngine(cat, tc.opts)

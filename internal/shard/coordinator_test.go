@@ -18,7 +18,7 @@ func strVal(s string) store.Value { return store.StringValue(s) }
 // correct, this test proves the cheap classes are actually taken.
 func TestClassification(t *testing.T) {
 	db, tree := buildFixture(t, fixtureConfig(7))
-	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: rowOptions()})
+	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: serialOptions()})
 	cases := []struct {
 		q    string
 		want class
@@ -58,7 +58,7 @@ func TestClassification(t *testing.T) {
 // annotations.
 func TestExplainShardPruning(t *testing.T) {
 	db, tree := buildFixture(t, fixtureConfig(7))
-	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: vecOptions()})
+	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: serialOptions()})
 	ctx := context.Background()
 
 	// A tight preorder range prunes to the single owning shard.
@@ -141,7 +141,7 @@ func TestExplainShardPruning(t *testing.T) {
 // SkippedShards, and the pruned point lookups still exact.
 func TestFailoverDegradedService(t *testing.T) {
 	db, tree := buildFixture(t, fixtureConfig(7))
-	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: rowOptions(), AllowPartial: true})
+	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: serialOptions(), AllowPartial: true})
 	ctx := context.Background()
 
 	total, err := c.Query(ctx, "SELECT COUNT(*) FROM proteins")
@@ -220,7 +220,7 @@ func TestPerShardAdmission(t *testing.T) {
 	db, tree := buildFixture(t, fixtureConfig(7))
 	c := newCoordinator(t, db, tree, Options{
 		Shards:       3,
-		QueryOptions: rowOptions(),
+		QueryOptions: serialOptions(),
 		Admission:    &admission.Config{MaxConcurrency: 1, MaxQueue: 0},
 	})
 	ctx := context.Background()
@@ -281,7 +281,7 @@ func TestPerShardAdmission(t *testing.T) {
 func TestDurableReopen(t *testing.T) {
 	db, tree := buildFixture(t, fixtureConfig(7))
 	dir := t.TempDir()
-	opts := Options{Shards: 3, QueryOptions: rowOptions(), Dir: dir}
+	opts := Options{Shards: 3, QueryOptions: serialOptions(), Dir: dir}
 	ctx := context.Background()
 
 	c1, err := Partition(db, tree, opts)
@@ -330,7 +330,7 @@ func TestDurableReopen(t *testing.T) {
 // single-copy, and carry the source indexes.
 func TestGatherTables(t *testing.T) {
 	db, tree := buildFixture(t, fixtureConfig(7))
-	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: rowOptions()})
+	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: serialOptions()})
 	g, err := c.GatherTables(context.Background(), []string{"proteins", "ligands"})
 	if err != nil {
 		t.Fatal(err)
@@ -358,16 +358,16 @@ func TestGatherTables(t *testing.T) {
 // TestPartitionErrors pins the constructor's validation.
 func TestPartitionErrors(t *testing.T) {
 	db, tree := buildFixture(t, fixtureConfig(7))
-	if _, err := Partition(db, tree, Options{Shards: 1, QueryOptions: rowOptions()}); err == nil {
+	if _, err := Partition(db, tree, Options{Shards: 1, QueryOptions: serialOptions()}); err == nil {
 		t.Fatal("Partition with 1 shard did not fail")
 	}
-	if _, err := Partition(db, nil, Options{Shards: 2, QueryOptions: rowOptions()}); err == nil {
+	if _, err := Partition(db, nil, Options{Shards: 2, QueryOptions: serialOptions()}); err == nil {
 		t.Fatal("Partition without tree did not fail")
 	}
-	if _, err := Partition(db, tree, Options{Shards: 3, QueryOptions: rowOptions(), Cuts: []int64{5}}); err == nil {
+	if _, err := Partition(db, tree, Options{Shards: 3, QueryOptions: serialOptions(), Cuts: []int64{5}}); err == nil {
 		t.Fatal("Partition with wrong cut count did not fail")
 	}
-	if _, err := Partition(db, tree, Options{Shards: 3, QueryOptions: rowOptions(), Cuts: []int64{9, 4}}); err == nil {
+	if _, err := Partition(db, tree, Options{Shards: 3, QueryOptions: serialOptions(), Cuts: []int64{9, 4}}); err == nil {
 		t.Fatal("Partition with non-increasing cuts did not fail")
 	}
 }

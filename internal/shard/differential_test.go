@@ -12,7 +12,7 @@ import (
 )
 
 // TestShardedDifferentialCorpus drives the fixed corpus through the
-// four-way matrix: sharded vs single-node × row vs vectorized. Every
+// four-way matrix: sharded vs single-node × naive vs default options. Every
 // operator class crosses the coordinator here — replicated-only
 // routing, co-partitioned joins, partial re-aggregation, top-k
 // merge, shard pruning, and the gather fallback (subqueries and
@@ -246,7 +246,7 @@ func TestShardedUnorderedLimit(t *testing.T) {
 			"SELECT accession FROM proteins", 100000},
 	}
 	for _, c := range corpus {
-		full, err := f.singleRow.Query(ctx, c.unlimited)
+		full, err := f.singleNaive.Query(ctx, c.unlimited)
 		if err != nil {
 			t.Fatalf("query %q: unlimited baseline: %v", c.unlimited, err)
 		}
@@ -278,14 +278,14 @@ func TestShardedUnorderedLimit(t *testing.T) {
 				}
 			}
 		}
-		res, err := f.singleRow.Query(ctx, c.q)
-		run("single-row", res, err)
-		res, err = f.singleVec.Query(ctx, c.q)
-		run("single-vec", res, err)
-		res, err = f.shardRow.Query(ctx, c.q)
-		run("shard-row", res, err)
-		res, err = f.shardVec.Query(ctx, c.q)
-		run("shard-vec", res, err)
+		res, err := f.singleNaive.Query(ctx, c.q)
+		run("single-naive", res, err)
+		res, err = f.singleDefault.Query(ctx, c.q)
+		run("single-default", res, err)
+		res, err = f.shardNaive.Query(ctx, c.q)
+		run("shard-naive", res, err)
+		res, err = f.shardDefault.Query(ctx, c.q)
+		run("shard-default", res, err)
 	}
 }
 
@@ -303,10 +303,10 @@ func TestShardedCancelParity(t *testing.T) {
 		"SELECT accession, length FROM proteins ORDER BY length DESC LIMIT 7",
 	}
 	for _, q := range corpus {
-		if _, err := f.singleRow.Query(ctx, q); !errors.Is(err, context.Canceled) {
+		if _, err := f.singleNaive.Query(ctx, q); !errors.Is(err, context.Canceled) {
 			t.Fatalf("query %q: single-node error = %v, want context.Canceled", q, err)
 		}
-		for name, c := range map[string]*Coordinator{"row": f.shardRow, "vec": f.shardVec} {
+		for name, c := range map[string]*Coordinator{"naive": f.shardNaive, "default": f.shardDefault} {
 			if _, err := c.Query(ctx, q); !errors.Is(err, context.Canceled) {
 				t.Fatalf("query %q [%s]: sharded error = %v, want context.Canceled", q, name, err)
 			}

@@ -59,7 +59,7 @@ func TestManifestSurvivesCrash(t *testing.T) {
 	fsys := vfs.NewFault(7)
 	mem, tree := buildFixture(t, fixtureConfig(7))
 	db := cloneSourceOn(t, mem, fsys)
-	opts := Options{Shards: 3, QueryOptions: rowOptions(), Dir: "shards"}
+	opts := Options{Shards: 3, QueryOptions: serialOptions(), Dir: "shards"}
 	ctx := context.Background()
 
 	c1, err := Partition(db, tree, opts)
@@ -109,7 +109,7 @@ func TestManifestNeedsDirSync(t *testing.T) {
 	fsys := vfs.NewFault(7)
 	mem, tree := buildFixture(t, fixtureConfig(7))
 	db := cloneSourceOn(t, mem, vfs.NoDirSync(fsys))
-	opts := Options{Shards: 3, QueryOptions: rowOptions(), Dir: "shards"}
+	opts := Options{Shards: 3, QueryOptions: serialOptions(), Dir: "shards"}
 
 	c1, err := Partition(db, tree, opts)
 	if err != nil {
@@ -134,7 +134,7 @@ func TestScrubReplicasHealsCorruptFollower(t *testing.T) {
 	fsys := vfs.NewFault(3)
 	mem, tree := buildFixture(t, fixtureConfig(3))
 	db := cloneSourceOn(t, mem, fsys)
-	opts := Options{Shards: 2, Replicas: 1, MaxLagSeqs: -1, QueryOptions: rowOptions(), Dir: "shards"}
+	opts := Options{Shards: 2, Replicas: 1, MaxLagSeqs: -1, QueryOptions: serialOptions(), Dir: "shards"}
 	ctx := context.Background()
 
 	c, err := Partition(db, tree, opts)

@@ -20,7 +20,7 @@ import (
 // the slow goroutine.
 func TestCancelMidGatherSlowShard(t *testing.T) {
 	db, tree := buildFixture(t, fixtureConfig(7))
-	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: rowOptions()})
+	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: serialOptions()})
 
 	const slow = 2
 	entered := make(chan int, 3)
@@ -58,7 +58,7 @@ func TestCancelMidGatherSlowShard(t *testing.T) {
 // them, and report the injected error — not a cancellation echo.
 func TestShardErrorCancelsSiblings(t *testing.T) {
 	db, tree := buildFixture(t, fixtureConfig(7))
-	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: rowOptions()})
+	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: serialOptions()})
 
 	injected := fmt.Errorf("injected shard fault")
 	c.gateHook = func(ctx context.Context, shard int) error {
@@ -85,7 +85,7 @@ func TestShardErrorCancelsSiblings(t *testing.T) {
 // partial result.
 func TestCancelDuringMergePaths(t *testing.T) {
 	db, tree := buildFixture(t, fixtureConfig(7))
-	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: rowOptions()})
+	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: serialOptions()})
 
 	queries := []string{
 		"SELECT family, COUNT(*) FROM proteins GROUP BY family",

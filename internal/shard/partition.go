@@ -2,7 +2,7 @@
 // shard instances — each owning its own store (with its own WAL when
 // durable), secondary indexes, query engine, and admission limiter —
 // and serves DTQL through a coordinator that plans once, fans
-// subplans out over the shards' morsel/vectorized executors, and
+// subplans out over the shards' batch executors, and
 // merges the gathered results (partial re-aggregation for GROUP BY,
 // top-k merge for ORDER BY/LIMIT, full gather as the correctness
 // fallback).

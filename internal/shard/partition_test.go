@@ -33,7 +33,7 @@ func shardRowCount(t *testing.T, c *Coordinator, table string) int {
 func TestDurableInterruptedRepartition(t *testing.T) {
 	db, tree := buildFixture(t, fixtureConfig(7))
 	dir := t.TempDir()
-	opts := Options{Shards: 3, QueryOptions: rowOptions(), Dir: dir}
+	opts := Options{Shards: 3, QueryOptions: serialOptions(), Dir: dir}
 	ctx := context.Background()
 
 	c1, err := Partition(db, tree, opts)
@@ -102,7 +102,7 @@ func TestDurableInterruptedRepartition(t *testing.T) {
 func TestDurableSourceChangeRepartition(t *testing.T) {
 	db, tree := buildFixture(t, fixtureConfig(7))
 	dir := t.TempDir()
-	opts := Options{Shards: 3, QueryOptions: rowOptions(), Dir: dir}
+	opts := Options{Shards: 3, QueryOptions: serialOptions(), Dir: dir}
 	ctx := context.Background()
 
 	c1, err := Partition(db, tree, opts)
@@ -156,7 +156,7 @@ func TestDurableTopologyChangeRepartition(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	c1, err := Partition(db, tree, Options{Shards: 3, QueryOptions: rowOptions(), Dir: dir})
+	c1, err := Partition(db, tree, Options{Shards: 3, QueryOptions: serialOptions(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDurableTopologyChangeRepartition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := Partition(db, tree, Options{Shards: 2, QueryOptions: rowOptions(), Dir: dir})
+	c2, err := Partition(db, tree, Options{Shards: 2, QueryOptions: serialOptions(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestPartitionErrorClosesShards(t *testing.T) {
 	}
 
 	before := openFDs(t)
-	_, err = Partition(src, tree, Options{Shards: 3, QueryOptions: rowOptions(), Dir: t.TempDir()})
+	_, err = Partition(src, tree, Options{Shards: 3, QueryOptions: serialOptions(), Dir: t.TempDir()})
 	if err == nil {
 		t.Fatal("Partition over a keyless proteins table did not fail")
 	}
@@ -220,7 +220,7 @@ func TestPartitionErrorClosesShards(t *testing.T) {
 
 	// No manifest may be left behind by the failed run.
 	dir := t.TempDir()
-	if _, err := Partition(src, tree, Options{Shards: 3, QueryOptions: rowOptions(), Dir: dir}); err == nil {
+	if _, err := Partition(src, tree, Options{Shards: 3, QueryOptions: serialOptions(), Dir: dir}); err == nil {
 		t.Fatal("Partition did not fail")
 	}
 	if _, err := os.Stat(manifestPath(dir)); !os.IsNotExist(err) {

@@ -17,7 +17,7 @@ import (
 func replicaOptions(followers int) Options {
 	return Options{
 		Shards:       3,
-		QueryOptions: rowOptions(),
+		QueryOptions: serialOptions(),
 		Replicas:     followers,
 		MaxLagSeqs:   0,
 		Clock:        netsim.NewVirtualClock(),
@@ -31,7 +31,7 @@ func replicaOptions(followers int) Options {
 // leader-served and single-node answers, across every statement class.
 func TestReplicaDifferentialQuiesced(t *testing.T) {
 	db, tree := buildFixture(t, fixtureConfig(11))
-	single := query.NewEngine(query.NewDBCatalog(db, tree), rowOptions())
+	single := query.NewEngine(query.NewDBCatalog(db, tree), serialOptions())
 	c := newCoordinator(t, db, tree, replicaOptions(2))
 	ctx := context.Background()
 	if err := c.SyncReplicas(ctx); err != nil {

@@ -123,14 +123,16 @@ func buildFixture(t testing.TB, cfg datagen.Config) (*store.DB, *phylo.Tree) {
 	return db, tree
 }
 
-func rowOptions() query.Options {
-	o := query.DefaultOptions()
-	o.Vectorized = false
+// naiveOptions is the unoptimised serial engine: the baseline corner of
+// the four-way matrix (itself held to the reference executor by the
+// query package's differential suite).
+func naiveOptions() query.Options {
+	o := query.NaiveOptions()
 	o.Parallelism = 1
 	return o
 }
 
-func vecOptions() query.Options {
+func serialOptions() query.Options {
 	o := query.DefaultOptions()
 	o.Parallelism = 1
 	return o
@@ -234,53 +236,53 @@ func hasLimit(q string) bool {
 	return stmt.Limit >= 0
 }
 
-// runFourWay executes q against the single-node row-serial baseline
-// and the three other corners of the matrix — single-node vectorized,
-// sharded row, sharded vectorized — and requires identical results.
+// runFourWay executes q against the single-node naive-serial baseline
+// and the three other corners of the matrix — single-node default,
+// sharded naive, sharded default — and requires identical results.
 func runFourWay(t *testing.T, f *fourWay, q string, keyPos int) {
 	t.Helper()
 	ctx := context.Background()
-	base, err := f.singleRow.Query(ctx, q)
+	base, err := f.singleNaive.Query(ctx, q)
 	if err != nil {
 		t.Fatalf("query %q: single-node baseline: %v", q, err)
 	}
-	vec, err := f.singleVec.Query(ctx, q)
+	vec, err := f.singleDefault.Query(ctx, q)
 	if err != nil {
-		t.Fatalf("query %q: single-node vectorized: %v", q, err)
+		t.Fatalf("query %q: single-node default: %v", q, err)
 	}
-	assertSameRows(t, "single-vec", q, keyPos, base, vec)
-	sr, err := f.shardRow.Query(ctx, q)
+	assertSameRows(t, "single-default", q, keyPos, base, vec)
+	sr, err := f.shardNaive.Query(ctx, q)
 	if err != nil {
-		t.Fatalf("query %q: sharded row: %v", q, err)
+		t.Fatalf("query %q: sharded naive: %v", q, err)
 	}
-	assertSameRows(t, "shard-row", q, keyPos, base, sr)
-	sv, err := f.shardVec.Query(ctx, q)
+	assertSameRows(t, "shard-naive", q, keyPos, base, sr)
+	sv, err := f.shardDefault.Query(ctx, q)
 	if err != nil {
-		t.Fatalf("query %q: sharded vec: %v", q, err)
+		t.Fatalf("query %q: sharded default: %v", q, err)
 	}
-	assertSameRows(t, "shard-vec", q, keyPos, base, sv)
+	assertSameRows(t, "shard-default", q, keyPos, base, sv)
 }
 
 // fourWay holds the engine matrix built over one fixture.
 type fourWay struct {
-	db        *store.DB
-	tree      *phylo.Tree
-	singleRow *query.Engine
-	singleVec *query.Engine
-	shardRow  *Coordinator
-	shardVec  *Coordinator
+	db            *store.DB
+	tree          *phylo.Tree
+	singleNaive   *query.Engine
+	singleDefault *query.Engine
+	shardNaive    *Coordinator
+	shardDefault  *Coordinator
 }
 
 func newFourWay(t testing.TB, cfg datagen.Config, shards int, cuts []int64) *fourWay {
 	t.Helper()
 	db, tree := buildFixture(t, cfg)
 	return &fourWay{
-		db:        db,
-		tree:      tree,
-		singleRow: query.NewEngine(query.NewDBCatalog(db, tree), rowOptions()),
-		singleVec: query.NewEngine(query.NewDBCatalog(db, tree), vecOptions()),
-		shardRow:  newCoordinator(t, db, tree, Options{Shards: shards, QueryOptions: rowOptions(), Cuts: cuts}),
-		shardVec:  newCoordinator(t, db, tree, Options{Shards: shards, QueryOptions: vecOptions(), Cuts: cuts}),
+		db:            db,
+		tree:          tree,
+		singleNaive:   query.NewEngine(query.NewDBCatalog(db, tree), naiveOptions()),
+		singleDefault: query.NewEngine(query.NewDBCatalog(db, tree), serialOptions()),
+		shardNaive:    newCoordinator(t, db, tree, Options{Shards: shards, QueryOptions: naiveOptions(), Cuts: cuts}),
+		shardDefault:  newCoordinator(t, db, tree, Options{Shards: shards, QueryOptions: serialOptions(), Cuts: cuts}),
 	}
 }
 

@@ -50,12 +50,12 @@ func TestShardSkewTopologies(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := &fourWay{
-				db:        db,
-				tree:      tree,
-				singleRow: newSingle(db, tree, rowOptions()),
-				singleVec: newSingle(db, tree, vecOptions()),
-				shardRow:  newCoordinator(t, db, tree, Options{Shards: 4, QueryOptions: rowOptions(), Cuts: tc.cuts}),
-				shardVec:  newCoordinator(t, db, tree, Options{Shards: 4, QueryOptions: vecOptions(), Cuts: tc.cuts}),
+				db:            db,
+				tree:          tree,
+				singleNaive:   newSingle(db, tree, naiveOptions()),
+				singleDefault: newSingle(db, tree, serialOptions()),
+				shardNaive:    newCoordinator(t, db, tree, Options{Shards: 4, QueryOptions: naiveOptions(), Cuts: tc.cuts}),
+				shardDefault:  newCoordinator(t, db, tree, Options{Shards: 4, QueryOptions: serialOptions(), Cuts: tc.cuts}),
 			}
 			for _, c := range skewCorpus(clade) {
 				runFourWay(t, f, c.q, c.keyPos)
@@ -64,7 +64,7 @@ func TestShardSkewTopologies(t *testing.T) {
 	}
 	// Sanity on the extreme topologies: all-on-first really does
 	// leave shards 1..3 empty.
-	c := newCoordinator(t, db, tree, Options{Shards: 4, QueryOptions: rowOptions(), Cuts: []int64{n, n + 1, n + 2}})
+	c := newCoordinator(t, db, tree, Options{Shards: 4, QueryOptions: serialOptions(), Cuts: []int64{n, n + 1, n + 2}})
 	for _, h := range c.Health() {
 		if h.Shard == 0 && h.Rows == 0 {
 			t.Fatalf("all-on-first: shard 0 holds no rows")
@@ -85,12 +85,12 @@ func TestPartitionBoundaryPredicates(t *testing.T) {
 	cut := n / 2
 	cuts := []int64{cut / 2, cut, cut + cut/2}
 	f := &fourWay{
-		db:        db,
-		tree:      tree,
-		singleRow: newSingle(db, tree, rowOptions()),
-		singleVec: newSingle(db, tree, vecOptions()),
-		shardRow:  newCoordinator(t, db, tree, Options{Shards: 4, QueryOptions: rowOptions(), Cuts: cuts}),
-		shardVec:  newCoordinator(t, db, tree, Options{Shards: 4, QueryOptions: vecOptions(), Cuts: cuts}),
+		db:            db,
+		tree:          tree,
+		singleNaive:   newSingle(db, tree, naiveOptions()),
+		singleDefault: newSingle(db, tree, serialOptions()),
+		shardNaive:    newCoordinator(t, db, tree, Options{Shards: 4, QueryOptions: naiveOptions(), Cuts: cuts}),
+		shardDefault:  newCoordinator(t, db, tree, Options{Shards: 4, QueryOptions: serialOptions(), Cuts: cuts}),
 	}
 	queries := []string{
 		fmt.Sprintf("SELECT pre, name FROM tree_nodes WHERE pre = %d", cut),
@@ -173,7 +173,7 @@ func TestShardedZipfSkewCorpus(t *testing.T) {
 	// The skew must be real: the busiest shard holds at least twice
 	// the rows of the emptiest.
 	var lo, hi int64 = 1 << 62, 0
-	for _, h := range f.shardRow.Health() {
+	for _, h := range f.shardNaive.Health() {
 		if h.Rows < lo {
 			lo = h.Rows
 		}

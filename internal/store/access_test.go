@@ -150,13 +150,6 @@ func checkAccess(view *TableView, a Access, keyCol int, selects func(Row) bool) 
 	if err := verifyAccess(a, keyCol, want, visible, batchRows(cb), examined); err != nil {
 		return fmt.Errorf("Gather: %w", err)
 	}
-	rows, examined, err := view.GatherRows(ctx, a)
-	if err != nil {
-		return err
-	}
-	if err := verifyAccess(a, keyCol, want, visible, rows, examined); err != nil {
-		return fmt.Errorf("GatherRows: %w", err)
-	}
 	return nil
 }
 
@@ -412,7 +405,7 @@ func TestAccessAcceptError(t *testing.T) {
 		tb.Insert(accessRow(rng))
 	}
 	boom := errors.New("boom")
-	_, examined, err := tb.GatherRows(context.Background(), -1, Access{Column: "k", Accept: func(Row) (bool, error) { return false, boom }})
+	_, examined, err := tb.Gather(context.Background(), -1, Access{Column: "k", Accept: func(Row) (bool, error) { return false, boom }})
 	if !errors.Is(err, boom) || examined != 1 {
 		t.Fatalf("err = %v after %d rows, want boom after 1", err, examined)
 	}

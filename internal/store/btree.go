@@ -2,7 +2,7 @@ package store
 
 // btree is an in-memory B+ tree mapping Value keys to row-ID postings
 // lists. It backs ordered secondary indexes: equality probes, range
-// scans, and ordered iteration for merge joins.
+// scans, and ordered (index-order top-k) walks.
 //
 // Keys are unique within the tree; duplicate inserts append to the
 // key's postings list. Leaves are doubly chained so range scans run in

@@ -172,9 +172,3 @@ func (tv *TableView) Snapshot() []Row { return tv.t.SnapshotAt(tv.v) }
 func (tv *TableView) Gather(ctx context.Context, a Access) (*ColBatch, int, error) {
 	return tv.t.Gather(ctx, tv.v, a)
 }
-
-// GatherRows returns copies of the rows the access selects (see
-// Table.GatherRows).
-func (tv *TableView) GatherRows(ctx context.Context, a Access) ([]Row, int, error) {
-	return tv.t.GatherRows(ctx, tv.v, a)
-}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -587,8 +586,8 @@ func (t *Table) countAt(v int64) int {
 // Access describes one read of a table: which rows, in what order,
 // which columns, and how many. It is the one way the query layer
 // reaches stored rows — every scan, index probe, ordered walk and
-// key union is an Access handed to Gather or GatherRows, which resolve
-// it in a single pass under one read lock.
+// key union is an Access handed to Gather, which resolves it in a
+// single pass under one read lock.
 type Access struct {
 	// Column names the index that drives the read; "" reads every
 	// visible row in storage order.
@@ -822,24 +821,6 @@ func (t *Table) capacityLocked(a Access) int {
 		return n
 	}
 	return max
-}
-
-// GatherRows runs the access at commit version ver (negative reads the
-// latest) and returns copies of the selected rows narrowed to a.Cols,
-// plus the number of visible rows examined.
-func (t *Table) GatherRows(ctx context.Context, ver int64, a Access) ([]Row, int, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	cols := a.outputCols(t.schema)
-	out := make([]Row, 0, t.capacityLocked(a))
-	examined, err := t.readLocked(ctx.Err, ver, a, func(s int, old Row) {
-		pr := make(Row, len(cols))
-		for i, c := range cols {
-			pr[i] = t.cell(s, old, c)
-		}
-		out = append(out, pr)
-	})
-	return out, examined, err
 }
 
 // lookup collects the IDs an access selects at the latest version.
