@@ -107,7 +107,7 @@ bench-repo-smoke:
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
 # idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_21.json
+BENCH_JSON ?= BENCH_22.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \
@@ -124,12 +124,11 @@ bench-repo:
 	printf '\n ]}\n' >> $$tmp; mv $$tmp $(BENCH_JSON)
 
 # Storage-layer microbenchmarks with -benchmem: the store's insert,
-# lookup, range gather, sequential pass and 512+512 delta commit, and
-# the tree index's LCA. EXPERIMENTS "Compact storage" records them.
+# lookup, range gather, sequential pass and 512+512 delta commit.
+# EXPERIMENTS "Compact storage" records them.
 bench-micro:
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512' ./internal/store/
-	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkLCA' ./internal/phylo/
 
 # Parallel-executor microbenchmarks plus the experiment tables.
 bench:
@@ -140,7 +139,7 @@ bench:
 # timeline with the resilience stack on vs off, plus its gate test.
 chaos:
 	$(GO) test -run TestRunT8 -v ./internal/experiments/
-	$(GO) run ./cmd/drugtree-bench -exp T8
+	$(GO) run ./cmd/drugtree-experiments -exp T8
 
 # The T12 replication chaos experiment: scripted leader/follower
 # kill-restart sequence over a live read/write workload, plus its gate
@@ -148,14 +147,14 @@ chaos:
 # quiesced differential).
 chaos-replica:
 	$(GO) test -run TestRunT12 -v ./internal/experiments/
-	$(GO) run ./cmd/drugtree-bench -exp T12
+	$(GO) run ./cmd/drugtree-experiments -exp T12
 
 # The T9 overload experiment: Poisson load sweep past saturation,
 # deadline-aware shedding vs an unprotected queue, plus its gate test
 # under the race detector.
 overload:
 	$(GO) test -race -run TestRunT9 -v ./internal/experiments/
-	$(GO) run ./cmd/drugtree-bench -exp T9
+	$(GO) run ./cmd/drugtree-experiments -exp T9
 
 # The T13 crash-point torture experiment: a deterministic FaultFS
 # power-cuts every persistence path (store WAL/snapshot, shard
@@ -170,7 +169,7 @@ overload:
 # instead of idling.
 torture:
 	$(GO) test -count=1 -timeout=300s -run 'TestRunT13|TestT13HarnessHasTeeth' -v ./internal/experiments/
-	$(GO) run ./cmd/drugtree-bench -exp T13
+	$(GO) run ./cmd/drugtree-experiments -exp T13
 
 # The T14 live-ingest experiment under the race detector: snapshot
 # isolation while resync commits land (zero torn reads across atomic
@@ -182,7 +181,7 @@ torture:
 # seed and the failing gate.
 ingest:
 	$(GO) test -race -count=1 -timeout=300s -run TestRunT14 -v ./internal/experiments/
-	$(GO) run ./cmd/drugtree-bench -exp T14
+	$(GO) run ./cmd/drugtree-experiments -exp T14
 
 check: lint vet-compat build test bench-smoke bench-repo-smoke race chaos-replica
 

@@ -2,7 +2,7 @@ package drugtree
 
 // Benchmark harness: one benchmark family per experiment table and
 // figure in EXPERIMENTS.md. `go test -bench=. -benchmem` reproduces
-// the relative numbers; `go run ./cmd/drugtree-bench` prints the full
+// the relative numbers; `go run ./cmd/drugtree-experiments` prints the full
 // formatted tables.
 
 import (
@@ -171,7 +171,7 @@ func BenchmarkT4Resolve(b *testing.B) {
 }
 
 // --- T5: tree construction methods (time side; quality is in the
-// drugtree-bench table) ---
+// drugtree-experiments table) ---
 
 func BenchmarkT5TreeBuild(b *testing.B) {
 	gen := datagen.DefaultConfig()

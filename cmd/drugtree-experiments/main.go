@@ -1,12 +1,12 @@
-// drugtree-bench regenerates the DrugTree evaluation: every table
+// drugtree-experiments regenerates the DrugTree evaluation: every table
 // (T1–T14) and figure (F1–F4) documented in EXPERIMENTS.md.
 //
 // Usage:
 //
-//	drugtree-bench                 # run everything
-//	drugtree-bench -exp F3         # run one experiment
-//	drugtree-bench -exp F3 -csv    # emit the figure series as CSV
-//	drugtree-bench -seed 7         # change the dataset seed
+//	drugtree-experiments                 # run everything
+//	drugtree-experiments -exp F3         # run one experiment
+//	drugtree-experiments -exp F3 -csv    # emit the figure series as CSV
+//	drugtree-experiments -seed 7         # change the dataset seed
 package main
 
 import (

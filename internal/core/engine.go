@@ -186,8 +186,6 @@ type Engine struct {
 	Metrics    *metrics.Registry
 
 	healthFn func() []integrate.SourceHealth
-
-	byName map[string]phylo.NodeID
 }
 
 // New builds an engine over an integrated database (see
@@ -225,7 +223,7 @@ func NewWithTree(db *store.DB, tree *phylo.Tree, cfg Config) (*Engine, error) {
 	if err := tree.Index(); err != nil {
 		return nil, err
 	}
-	nameClades(tree)
+	tree.NameClades()
 	if err := materializeTree(db, tree); err != nil {
 		return nil, err
 	}
@@ -242,7 +240,6 @@ func NewWithTree(db *store.DB, tree *phylo.Tree, cfg Config) (*Engine, error) {
 		catalog:    query.NewDBCatalog(db, tree),
 		Metrics:    metrics.NewRegistry(),
 		prefetcher: cache.NewPrefetcher(),
-		byName:     make(map[string]phylo.NodeID, tree.Len()),
 	}
 	e.sql = query.NewEngine(e.catalog, cfg.QueryOptions)
 	if _, err := db.Table(integrate.TableActivities); err == nil {
@@ -302,9 +299,6 @@ func NewWithTree(db *store.DB, tree *phylo.Tree, cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		e.coord = coord
-	}
-	for i := 0; i < tree.Len(); i++ {
-		e.byName[tree.Node(phylo.NodeID(i)).Name] = phylo.NodeID(i)
 	}
 	return e, nil
 }
@@ -373,17 +367,6 @@ func buildTree(proteins []*seq.Protein, method TreeMethod, k int) (*phylo.Tree, 
 		return phylo.UPGMA(m)
 	}
 	return phylo.NeighborJoining(m)
-}
-
-// nameClades assigns synthetic names to unnamed internal nodes so
-// WITHIN_SUBTREE can reference any clade.
-func nameClades(t *phylo.Tree) {
-	for i := 0; i < t.Len(); i++ {
-		n := t.Node(phylo.NodeID(i))
-		if n.Name == "" {
-			n.Name = fmt.Sprintf("clade_%d", t.Pre(phylo.NodeID(i)))
-		}
-	}
 }
 
 // materializeTree (re)creates the tree_nodes relation.
@@ -483,7 +466,7 @@ func (e *Engine) SourceHealth() []integrate.SourceHealth {
 
 // NodeByName resolves a node name (protein accession or clade label).
 func (e *Engine) NodeByName(name string) (phylo.NodeID, error) {
-	id, ok := e.byName[name]
+	id, ok := e.tree.NodeByName(name)
 	if !ok {
 		return phylo.None, fmt.Errorf("core: no tree node named %q", name)
 	}

@@ -67,7 +67,6 @@ type ActivityOverlay struct {
 	tree      *phylo.Tree
 	keyIdx    int
 	metricIdx int
-	nameToPre map[string]int
 	parent    []int // preorder → parent preorder, -1 at the root
 
 	mu      sync.RWMutex
@@ -93,18 +92,13 @@ func newOverlayShell(tree *phylo.Tree, schema *store.Schema) (*ActivityOverlay, 
 		tree:      tree,
 		keyIdx:    keyIdx,
 		metricIdx: metricIdx,
-		nameToPre: make(map[string]int, n),
 		parent:    make([]int, n),
 		rows:      make([]int64, n),
 		count:     make([]int64, n),
 		sums:      make([]exactSum, n),
 	}
 	for p := 0; p < n; p++ {
-		id := tree.NodeAtPre(p)
-		node := tree.Node(id)
-		if node.Name != "" {
-			o.nameToPre[node.Name] = p
-		}
+		node := tree.Node(tree.NodeAtPre(p))
 		if node.Parent == phylo.None {
 			o.parent[p] = -1
 		} else {
@@ -217,7 +211,7 @@ func (o *ActivityOverlay) bumpLocked(r store.Row, sign int64) {
 	if key.K != store.KindString {
 		return
 	}
-	pre, ok := o.nameToPre[key.S]
+	id, ok := o.tree.NodeByName(key.S)
 	if !ok {
 		return
 	}
@@ -227,7 +221,7 @@ func (o *ActivityOverlay) bumpLocked(r store.Row, sign int64) {
 	if nonNull && m.Numeric() {
 		fx = fixedPoint(m.AsFloat())
 	}
-	for p := pre; p >= 0; p = o.parent[p] {
+	for p := o.tree.Pre(id); p >= 0; p = o.parent[p] {
 		o.rows[p] += sign
 		if nonNull {
 			o.count[p] += sign
@@ -261,11 +255,11 @@ func (o *ActivityOverlay) Read(node string, version int64) (query.OverlayAgg, bo
 	if !o.ready || version != o.version {
 		return query.OverlayAgg{}, false
 	}
-	pre, ok := o.nameToPre[node]
+	id, ok := o.tree.NodeByName(node)
 	if !ok {
 		return query.OverlayAgg{}, false
 	}
-	return o.aggLocked(pre), true
+	return o.aggLocked(o.tree.Pre(id)), true
 }
 
 // Version returns the activities commit version the overlay reflects.

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"drugtree/internal/datagen"
 	"drugtree/internal/netsim"
+	"drugtree/internal/phylo"
 	"drugtree/internal/query"
 	"drugtree/internal/store"
 )
@@ -397,5 +399,79 @@ func TestBenchShapesMatchAcrossTopologies(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDuplicateNodeNameResolvesOneWay gives two clades in different
+// thirds of the tree one name and requires every layer to mean the same
+// node by it — the lowest node ID, phylo.Tree.NodeByName's rule: the
+// engine's navigation lookup, the query engine's WITHIN_SUBTREE, and the
+// shard classifier, whose pruning (by the twin's preorder interval)
+// would drop the shard holding the rows if it resolved the other twin.
+func TestDuplicateNodeNameResolvesOneWay(t *testing.T) {
+	tree, err := datagen.RandomTopology(120, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The largest non-root clade lying wholly in the first third of the
+	// preorder, and the largest in the last third with another size.
+	var twins [2]phylo.NodeID
+	var sizes [2]int
+	for p := 1; p < tree.Len(); p++ {
+		id := tree.NodeAtPre(p)
+		lo, hi := tree.SubtreeInterval(id)
+		size := hi - lo + 1
+		switch {
+		case tree.Node(id).IsLeaf():
+		case hi < tree.Len()/3 && size > sizes[0]:
+			twins[0], sizes[0] = id, size
+		case lo > 2*tree.Len()/3 && size > sizes[1] && size != sizes[0]:
+			twins[1], sizes[1] = id, size
+		}
+	}
+	if sizes[0] == 0 || sizes[1] == 0 {
+		t.Fatalf("no twin clades found (sizes %v)", sizes)
+	}
+	tree.Node(twins[0]).Name, tree.Node(twins[1]).Name = "twin", "twin"
+	want, wantSize := twins[0], sizes[0]
+	if twins[1] < want {
+		want, wantSize = twins[1], sizes[1]
+	}
+
+	db, _ := store.Open("")
+	defer db.Close()
+	single, err := NewWithTree(db, tree, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Shards = 3
+	sharded, err := NewWithTree(db, tree, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sharded.Close() })
+
+	if id, err := single.NodeByName("twin"); err != nil || id != want {
+		t.Fatalf("NodeByName(twin) = %d, %v; want node %d (the lower of %v)", id, err, want, twins)
+	}
+	ctx := context.Background()
+	const q = "SELECT COUNT(*) FROM tree_nodes WHERE WITHIN_SUBTREE(pre, 'twin')"
+	for name, e := range map[string]*Engine{"single": single, "sharded": sharded} {
+		res, err := e.Query(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := res.Rows[0][0].I; got != int64(wantSize) {
+			t.Errorf("%s: WITHIN_SUBTREE(pre, 'twin') counts %d nodes, node %d's clade has %d (the other twin's %d)",
+				name, got, want, wantSize, sizes[0]+sizes[1]-wantSize)
+		}
+	}
+	res, err := sharded.Query(ctx, "EXPLAIN "+q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Plan, "pruned=2") {
+		t.Errorf("a clade inside one third of the tree did not prune to one shard:\n%s", res.Plan)
 	}
 }

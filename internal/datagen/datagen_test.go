@@ -177,7 +177,7 @@ func TestFamilyStructureRecoverable(t *testing.T) {
 			if a == b {
 				continue
 			}
-			d := tree.PathDistance(a, b)
+			d := pathDistance(tree, a, b)
 			if best == phylo.None || d < bestD {
 				best, bestD = b, d
 			}
@@ -187,6 +187,16 @@ func TestFamilyStructureRecoverable(t *testing.T) {
 				tree.Node(a).Name, tree.Node(best).Name)
 		}
 	}
+}
+
+// pathDistance sums the branch lengths on the path a..b: both root
+// distances less twice that of the first ancestor of a that is also b's.
+func pathDistance(t *phylo.Tree, a, b phylo.NodeID) float64 {
+	lca := a
+	for !t.IsAncestor(lca, b) {
+		lca = t.Node(lca).Parent
+	}
+	return t.RootDistance(a) + t.RootDistance(b) - 2*t.RootDistance(lca)
 }
 
 func TestActivityFamilyCorrelation(t *testing.T) {
@@ -266,7 +276,9 @@ func TestTrueTreeRecorded(t *testing.T) {
 	for f, ls := range famLeaves {
 		lca := ls[0]
 		for _, l := range ls[1:] {
-			lca = ds.TrueTree.LCA(lca, l)
+			for !ds.TrueTree.IsAncestor(lca, l) {
+				lca = ds.TrueTree.Node(lca).Parent
+			}
 		}
 		if got := ds.TrueTree.LeafCount(lca); got != len(ls) {
 			t.Fatalf("family %s is not a clade: LCA spans %d leaves, family has %d", f, got, len(ls))

@@ -1,6 +1,6 @@
 // Package experiments implements the DrugTree evaluation suite: every
 // table (T1–T14) and figure (F1–F4) in EXPERIMENTS.md is regenerated
-// by one Run* function. cmd/drugtree-bench prints them; bench_test.go
+// by one Run* function. cmd/drugtree-experiments prints them; bench_test.go
 // wraps them as testing.B benchmarks.
 //
 // The poster publishes no numbered tables or figures (see DESIGN.md

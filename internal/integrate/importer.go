@@ -2,7 +2,6 @@ package integrate
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -30,9 +29,11 @@ type ImportStats struct {
 }
 
 // Importer synchronizes the remote bundle into a local store DB.
-// ImportAll is the original append-only one-shot load; Sync is the
-// repeatable resilient path with replace semantics, degraded-mode
-// serving and per-source freshness tracking (see sync.go).
+// ImportAll is the strict one-shot load (any source failure is an
+// error); Sync is the repeatable resilient path with degraded-mode
+// serving and per-source freshness tracking. Both stage and publish
+// through syncTables (sync.go), so both have replace semantics: a second
+// run over unchanged sources changes nothing.
 type Importer struct {
 	DB     *store.DB
 	Bundle *source.Bundle
@@ -73,126 +74,89 @@ func (im *Importer) ensureTable(name string, schema *store.Schema, indexes map[s
 	return t, nil
 }
 
+// tableSpec describes one integrated relation: the source its rows come
+// from, the local table's layout, the entity-ID column other relations
+// resolve against, and its own reference columns.
+type tableSpec struct {
+	table   string
+	source  func(*source.Bundle) source.Source
+	schema  *store.Schema
+	indexes map[string]store.IndexType
+	// key names the entity-ID column references to this table resolve
+	// against; "" when nothing references it.
+	key string
+	// refs lists the columns holding another table's entity ID, each
+	// rewritten to its canonical form or, unresolvable, rejecting the row.
+	refs []tableRef
+}
+
+type tableRef struct{ column, table string }
+
+// tableSpecs lists the integrated relations, a table ahead of those that
+// reference it.
+var tableSpecs = []tableSpec{
+	{
+		table:  TableProteins,
+		source: func(b *source.Bundle) source.Source { return b.Proteins },
+		schema: source.ProteinSchema,
+		indexes: map[string]store.IndexType{
+			"accession": store.IndexHash,
+			"family":    store.IndexHash,
+			"length":    store.IndexBTree,
+		},
+		key: "accession",
+	},
+	{
+		table:  TableLigands,
+		source: func(b *source.Bundle) source.Source { return b.Ligands },
+		schema: source.LigandSchema,
+		indexes: map[string]store.IndexType{
+			"ligand_id": store.IndexHash,
+			"weight":    store.IndexBTree,
+		},
+		key: "ligand_id",
+	},
+	{
+		table:  TableActivities,
+		source: func(b *source.Bundle) source.Source { return b.Activities },
+		schema: source.ActivitySchema,
+		indexes: map[string]store.IndexType{
+			"protein_id": store.IndexHash,
+			"ligand_id":  store.IndexHash,
+			"affinity":   store.IndexBTree,
+		},
+		refs: []tableRef{{"protein_id", TableProteins}, {"ligand_id", TableLigands}},
+	},
+	{
+		table:  TableAnnotations,
+		source: func(b *source.Bundle) source.Source { return b.Annotations },
+		schema: source.AnnotationSchema,
+		indexes: map[string]store.IndexType{
+			"protein_id": store.IndexHash,
+			"organism":   store.IndexHash,
+		},
+		refs: []tableRef{{"protein_id", TableProteins}},
+	},
+}
+
 // ImportAll pulls every source into the local store, resolving
 // activity and annotation references against the imported protein and
 // ligand IDs. Rows whose references cannot be resolved are counted
-// and dropped, not guessed.
+// and dropped, not guessed. It is a sync into whatever the store holds
+// — an empty store is filled in source order, a filled one is brought
+// up to date — that fails, publishing nothing, if any source does.
 func (im *Importer) ImportAll(ctx context.Context) (*ImportStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	st := &ImportStats{}
-
-	if _, err := im.ensureTable(TableProteins, source.ProteinSchema, map[string]store.IndexType{
-		"accession": store.IndexHash,
-		"family":    store.IndexHash,
-		"length":    store.IndexBTree,
-	}); err != nil {
+	outs, err := im.syncTables(ctx, false)
+	if err != nil {
 		return nil, err
 	}
-	protRows, err := source.FetchAll(ctx, im.Bundle.Proteins, nil)
-	if err != nil {
-		return nil, fmt.Errorf("integrate: fetching proteins: %w", err)
+	st := &ImportStats{Elapsed: im.Bundle.TotalStats().Elapsed}
+	for _, o := range outs {
+		st.RowsImported += o.served
+		st.RowsRejected += o.rejected
+		st.ResolvedExact += o.tiers[TierExact]
+		st.ResolvedNorm += o.tiers[TierNormalized]
+		st.ResolvedFuzzy += o.tiers[TierFuzzy]
 	}
-	accIdx := source.ProteinSchema.ColumnIndex("accession")
-	var protIDs []string
-	for _, r := range protRows {
-		if _, err := im.DB.Insert(TableProteins, r); err != nil {
-			return nil, err
-		}
-		protIDs = append(protIDs, r[accIdx].S)
-		st.RowsImported++
-	}
-
-	if _, err := im.ensureTable(TableLigands, source.LigandSchema, map[string]store.IndexType{
-		"ligand_id": store.IndexHash,
-		"weight":    store.IndexBTree,
-	}); err != nil {
-		return nil, err
-	}
-	ligRows, err := source.FetchAll(ctx, im.Bundle.Ligands, nil)
-	if err != nil {
-		return nil, fmt.Errorf("integrate: fetching ligands: %w", err)
-	}
-	ligIDIdx := source.LigandSchema.ColumnIndex("ligand_id")
-	var ligIDs []string
-	for _, r := range ligRows {
-		if _, err := im.DB.Insert(TableLigands, r); err != nil {
-			return nil, err
-		}
-		ligIDs = append(ligIDs, r[ligIDIdx].S)
-		st.RowsImported++
-	}
-
-	protResolver := NewResolver(protIDs)
-	ligResolver := NewResolver(ligIDs)
-
-	if _, err := im.ensureTable(TableActivities, source.ActivitySchema, map[string]store.IndexType{
-		"protein_id": store.IndexHash,
-		"ligand_id":  store.IndexHash,
-		"affinity":   store.IndexBTree,
-	}); err != nil {
-		return nil, err
-	}
-	actRows, err := source.FetchAll(ctx, im.Bundle.Activities, nil)
-	if err != nil {
-		return nil, fmt.Errorf("integrate: fetching activities: %w", err)
-	}
-	pIdx := source.ActivitySchema.ColumnIndex("protein_id")
-	lIdx := source.ActivitySchema.ColumnIndex("ligand_id")
-	for _, r := range actRows {
-		pid, pTier, pOK := protResolver.Resolve(r[pIdx].S)
-		lid, lTier, lOK := ligResolver.Resolve(r[lIdx].S)
-		if !pOK || !lOK {
-			st.RowsRejected++
-			continue
-		}
-		st.countTier(pTier)
-		st.countTier(lTier)
-		r[pIdx] = store.StringValue(pid)
-		r[lIdx] = store.StringValue(lid)
-		if _, err := im.DB.Insert(TableActivities, r); err != nil {
-			return nil, err
-		}
-		st.RowsImported++
-	}
-
-	if _, err := im.ensureTable(TableAnnotations, source.AnnotationSchema, map[string]store.IndexType{
-		"protein_id": store.IndexHash,
-		"organism":   store.IndexHash,
-	}); err != nil {
-		return nil, err
-	}
-	annRows, err := source.FetchAll(ctx, im.Bundle.Annotations, nil)
-	if err != nil {
-		return nil, fmt.Errorf("integrate: fetching annotations: %w", err)
-	}
-	apIdx := source.AnnotationSchema.ColumnIndex("protein_id")
-	for _, r := range annRows {
-		pid, tier, ok := protResolver.Resolve(r[apIdx].S)
-		if !ok {
-			st.RowsRejected++
-			continue
-		}
-		st.countTier(tier)
-		r[apIdx] = store.StringValue(pid)
-		if _, err := im.DB.Insert(TableAnnotations, r); err != nil {
-			return nil, err
-		}
-		st.RowsImported++
-	}
-
-	st.Elapsed = im.Bundle.TotalStats().Elapsed
 	return st, nil
-}
-
-func (s *ImportStats) countTier(t Tier) {
-	switch t {
-	case TierExact:
-		s.ResolvedExact++
-	case TierNormalized:
-		s.ResolvedNorm++
-	case TierFuzzy:
-		s.ResolvedFuzzy++
-	}
 }

@@ -1,11 +1,10 @@
-// Resilient synchronization: the repeatable counterpart to ImportAll.
-// Sync diffs each answering source against the table's current version
-// and publishes every table's insert/delete delta as one atomic MVCC
-// commit; a source that does not answer falls back to the last
-// successfully imported rows — marked stale. A sync therefore degrades
-// per source instead of failing whole: a dark ActivityBank leaves
-// protein browsing fully live and activity queries answerable from
-// stale rows.
+// Synchronization: syncTables diffs each answering source against its
+// table's current version and publishes every table's insert/delete
+// delta as one atomic MVCC commit. Under Sync with resilience enabled a
+// source that does not answer falls back to the last successfully
+// imported rows — marked stale —, so a sync degrades per source instead
+// of failing whole: a dark ActivityBank leaves protein browsing fully
+// live and activity queries answerable from stale rows.
 package integrate
 
 import (
@@ -112,18 +111,19 @@ func encodeRowKey(r store.Row) string {
 	return string(buf)
 }
 
-// diffTable stages the delta that turns the named table's current
-// contents into rows. Matching is by whole-row value (a multiset, so
-// duplicate rows pair off): a desired row identical to a current one
-// keeps that row — and its row ID — in place, so an unchanged source
-// costs an empty delta and no new table version. transform may mutate
-// or reject a desired row; returning false drops it. Nothing is
-// applied here: the caller publishes every table's delta in one atomic
-// CommitDeltas.
-func (im *Importer) diffTable(name string, schema *store.Schema, indexes map[string]store.IndexType, rows []store.Row, transform func(store.Row) bool) (delta store.TableDelta, served, rejected int64, err error) {
-	t, err := im.ensureTable(name, schema, indexes)
+// diffTable stages, into o, the delta that turns spec's table into rows.
+// Reference columns are first rewritten through resolvers (keyed by the
+// referenced table); a row with an unresolvable reference is rejected.
+// Matching is by whole-row value (a multiset, so duplicate rows pair
+// off): a desired row identical to a current one keeps that row — and
+// its row ID — in place, so an unchanged source costs an empty delta and
+// no new table version, and an empty table takes the rows in source
+// order. Nothing is applied here: the caller publishes every table's
+// delta in one atomic CommitDeltas.
+func (im *Importer) diffTable(o *syncOutcome, spec tableSpec, rows []store.Row, resolvers map[string]*Resolver) error {
+	t, err := im.ensureTable(spec.table, spec.schema, spec.indexes)
 	if err != nil {
-		return store.TableDelta{}, 0, 0, err
+		return err
 	}
 	cur := make(map[string][]int64)
 	t.Scan(func(id int64, r store.Row) bool {
@@ -131,25 +131,39 @@ func (im *Importer) diffTable(name string, schema *store.Schema, indexes map[str
 		cur[k] = append(cur[k], id)
 		return true
 	})
-	delta.Table = name
+	n := len(spec.refs)
+	refCols, against := make([]int, n), make([]*Resolver, n)
+	for i, ref := range spec.refs {
+		refCols[i], against[i] = spec.schema.ColumnIndex(ref.column), resolvers[ref.table]
+	}
+	canon, tiers := make([]string, n), make([]Tier, n)
+	o.delta.Table = spec.table
+rows:
 	for _, r := range rows {
-		if transform != nil && !transform(r) {
-			rejected++
-			continue
+		for i, c := range refCols {
+			var ok bool
+			if canon[i], tiers[i], ok = against[i].Resolve(r[c].S); !ok {
+				o.rejected++
+				continue rows
+			}
 		}
-		served++
+		for i, c := range refCols {
+			r[c] = store.StringValue(canon[i])
+			o.tiers[tiers[i]]++
+		}
+		o.served++
 		k := encodeRowKey(r)
 		if ids := cur[k]; len(ids) > 0 {
 			cur[k] = ids[1:] // unchanged: the existing row keeps serving
 			continue
 		}
-		delta.Inserts = append(delta.Inserts, r)
+		o.delta.Inserts = append(o.delta.Inserts, r)
 	}
 	for _, ids := range cur {
-		delta.DeleteIDs = append(delta.DeleteIDs, ids...)
+		o.delta.DeleteIDs = append(o.delta.DeleteIDs, ids...)
 	}
-	sort.Slice(delta.DeleteIDs, func(i, j int) bool { return delta.DeleteIDs[i] < delta.DeleteIDs[j] })
-	return delta, served, rejected, nil
+	sort.Slice(o.delta.DeleteIDs, func(i, j int) bool { return o.delta.DeleteIDs[i] < o.delta.DeleteIDs[j] })
+	return nil
 }
 
 // tableIDs reads the entity IDs currently served for a table — the
@@ -214,135 +228,57 @@ type syncOutcome struct {
 	ferr             error
 	delta            store.TableDelta
 	served, rejected int64
+	tiers            [TierFuzzy + 1]int64 // references resolved, by tier
 }
 
-// Sync refreshes all integrated tables from the bundle as one MVCC
-// commit. Each answering source's rows are diffed against the table's
-// current version into an insert/delete delta; every fresh table's
-// delta is then published in a single store.CommitDeltas, so readers —
-// including snapshots pinned mid-sync — see either the complete old
-// state or the complete new state, never a half-sync. All
-// network-speed work (fetch, retry backoff, diffing) runs without any
-// importer or store lock held; the only critical sections are the O(
-// changed rows) publish and the brief health-map updates afterwards,
-// so Health() readers are never blocked behind a slow source.
+// syncTables is the one staging-and-publish path: for each relation of
+// tableSpecs it fetches the source, resolves the rows' references and
+// diffs them against the table's current version, then publishes every
+// fresh table's delta in a single store.CommitDeltas — so readers,
+// including snapshots pinned mid-sync, see either the complete old state
+// or the complete new state, never a half-sync. All network-speed work
+// (fetch, retry backoff, diffing) runs without any importer or store
+// lock held; the only critical section is the O(changed rows) publish.
 //
-// With resilience enabled, a source that is open-circuit or exhausts
-// its retries keeps its last-good rows and is reported Degraded
-// (Failed if it never synced); the sync itself still succeeds. Without
-// resilience any source failure aborts the sync with an error before
-// anything is published — the naive baseline T8 measures against.
-func (im *Importer) Sync(ctx context.Context) (*SyncReport, error) {
+// A source that fails is an error, nothing published, unless degrade is
+// set: then its table keeps its last-good rows (and keeps resolving the
+// references of the tables after it), its outcome carries the fetch
+// error, and the rest of the sync goes ahead.
+func (im *Importer) syncTables(ctx context.Context, degrade bool) ([]*syncOutcome, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	var outs []*syncOutcome
-	fetch := func(s source.Source, table string) (*syncOutcome, []store.Row, error) {
-		rows, ferr := im.fetchSource(ctx, s)
-		if ferr != nil && im.res == nil {
-			return nil, nil, fmt.Errorf("integrate: sync %s: %w", s.Name(), ferr)
+	resolvers := make(map[string]*Resolver)
+	for _, spec := range tableSpecs {
+		src := spec.source(im.Bundle)
+		rows, ferr := im.fetchSource(ctx, src)
+		if ferr != nil && !degrade {
+			return nil, fmt.Errorf("integrate: sync %s: %w", src.Name(), ferr)
 		}
-		o := &syncOutcome{name: s.Name(), table: table, ferr: ferr}
+		o := &syncOutcome{name: src.Name(), table: spec.table, ferr: ferr}
 		outs = append(outs, o)
-		return o, rows, nil
-	}
-
-	// Proteins.
-	protOut, protRows, err := fetch(im.Bundle.Proteins, TableProteins)
-	if err != nil {
-		return nil, err
-	}
-	var protIDs []string
-	if protOut.ferr == nil {
-		accIdx := source.ProteinSchema.ColumnIndex("accession")
-		for _, r := range protRows {
-			protIDs = append(protIDs, r[accIdx].S)
-		}
-		protOut.delta, protOut.served, protOut.rejected, err = im.diffTable(TableProteins, source.ProteinSchema, map[string]store.IndexType{
-			"accession": store.IndexHash,
-			"family":    store.IndexHash,
-			"length":    store.IndexBTree,
-		}, protRows, nil)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		protIDs = im.tableIDs(TableProteins, "accession", source.ProteinSchema)
-	}
-
-	// Ligands.
-	ligOut, ligRows, err := fetch(im.Bundle.Ligands, TableLigands)
-	if err != nil {
-		return nil, err
-	}
-	var ligIDs []string
-	if ligOut.ferr == nil {
-		idIdx := source.LigandSchema.ColumnIndex("ligand_id")
-		for _, r := range ligRows {
-			ligIDs = append(ligIDs, r[idIdx].S)
-		}
-		ligOut.delta, ligOut.served, ligOut.rejected, err = im.diffTable(TableLigands, source.LigandSchema, map[string]store.IndexType{
-			"ligand_id": store.IndexHash,
-			"weight":    store.IndexBTree,
-		}, ligRows, nil)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		ligIDs = im.tableIDs(TableLigands, "ligand_id", source.LigandSchema)
-	}
-
-	protResolver := NewResolver(protIDs)
-	ligResolver := NewResolver(ligIDs)
-
-	// Activities.
-	actOut, actRows, err := fetch(im.Bundle.Activities, TableActivities)
-	if err != nil {
-		return nil, err
-	}
-	if actOut.ferr == nil {
-		pIdx := source.ActivitySchema.ColumnIndex("protein_id")
-		lIdx := source.ActivitySchema.ColumnIndex("ligand_id")
-		actOut.delta, actOut.served, actOut.rejected, err = im.diffTable(TableActivities, source.ActivitySchema, map[string]store.IndexType{
-			"protein_id": store.IndexHash,
-			"ligand_id":  store.IndexHash,
-			"affinity":   store.IndexBTree,
-		}, actRows, func(r store.Row) bool {
-			pid, _, pOK := protResolver.Resolve(r[pIdx].S)
-			lid, _, lOK := ligResolver.Resolve(r[lIdx].S)
-			if !pOK || !lOK {
-				return false
+		if ferr == nil {
+			if err := im.diffTable(o, spec, rows, resolvers); err != nil {
+				return nil, err
 			}
-			r[pIdx] = store.StringValue(pid)
-			r[lIdx] = store.StringValue(lid)
-			return true
-		})
-		if err != nil {
-			return nil, err
 		}
-	}
-
-	// Annotations.
-	annOut, annRows, err := fetch(im.Bundle.Annotations, TableAnnotations)
-	if err != nil {
-		return nil, err
-	}
-	if annOut.ferr == nil {
-		apIdx := source.AnnotationSchema.ColumnIndex("protein_id")
-		annOut.delta, annOut.served, annOut.rejected, err = im.diffTable(TableAnnotations, source.AnnotationSchema, map[string]store.IndexType{
-			"protein_id": store.IndexHash,
-			"organism":   store.IndexHash,
-		}, annRows, func(r store.Row) bool {
-			pid, _, ok := protResolver.Resolve(r[apIdx].S)
-			if !ok {
-				return false
+		if spec.key == "" {
+			continue
+		}
+		// Later tables resolve against what this one will serve after the
+		// publish: the fetched rows, or the last-good ones.
+		var ids []string
+		if ferr == nil {
+			ki := spec.schema.ColumnIndex(spec.key)
+			for _, r := range rows {
+				ids = append(ids, r[ki].S)
 			}
-			r[apIdx] = store.StringValue(pid)
-			return true
-		})
-		if err != nil {
-			return nil, err
+		} else {
+			ids = im.tableIDs(spec.table, spec.key, spec.schema)
 		}
+		resolvers[spec.table] = NewResolver(ids)
 	}
-
-	// Publish: one atomic multi-table commit for every fresh source.
 	var deltas []store.TableDelta
 	for _, o := range outs {
 		if o.ferr == nil {
@@ -350,6 +286,24 @@ func (im *Importer) Sync(ctx context.Context) (*SyncReport, error) {
 		}
 	}
 	if err := im.DB.CommitDeltas(deltas); err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// Sync refreshes all integrated tables from the bundle as one MVCC
+// commit (see syncTables).
+//
+// With resilience enabled, a source that is open-circuit or exhausts
+// its retries keeps its last-good rows and is reported Degraded
+// (Failed if it never synced); the sync itself still succeeds. Without
+// resilience any source failure aborts the sync with an error before
+// anything is published — the naive baseline T8 measures against.
+// Health() readers are never blocked behind a slow source: the health
+// map is only touched in brief updates after the publish.
+func (im *Importer) Sync(ctx context.Context) (*SyncReport, error) {
+	outs, err := im.syncTables(ctx, im.res != nil)
+	if err != nil {
 		return nil, err
 	}
 

@@ -49,20 +49,6 @@ func BenchmarkSubtree(b *testing.B) {
 	}
 }
 
-func BenchmarkLCA(b *testing.B) {
-	tr := benchTree(b, 100000)
-	rng := rand.New(rand.NewSource(2))
-	pairs := make([][2]NodeID, 1024)
-	for i := range pairs {
-		pairs[i] = [2]NodeID{NodeID(rng.Intn(tr.Len())), NodeID(rng.Intn(tr.Len()))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		tr.LCA(p[0], p[1])
-	}
-}
-
 func BenchmarkIndexBuild(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("n-%d", n), func(b *testing.B) {

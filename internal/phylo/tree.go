@@ -1,14 +1,16 @@
 // Package phylo provides phylogenetic tree construction
 // (Neighbor-Joining and UPGMA over distance matrices), Newick
 // serialization, and the query-side tree indexes DrugTree depends on:
-// a preorder-interval subtree index and constant-time LCA.
+// a preorder-interval subtree index (subtree membership and ancestry in
+// O(1)) and a name → node index.
 package phylo
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
-	"math/bits"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a node within one Tree. IDs are dense: valid IDs
@@ -35,7 +37,8 @@ type Node struct {
 func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
 
 // Tree is a rooted phylogenetic tree. Trees are built once and then
-// read concurrently; mutation after Index() is not supported.
+// read concurrently; mutation after Index() is not supported (NameClades
+// aside). A Tree must not be copied after first use.
 type Tree struct {
 	nodes []Node
 	root  NodeID
@@ -49,19 +52,12 @@ type Tree struct {
 	leafCnt []int32 // number of leaves under each node
 	indexed bool
 
-	// LCA structures (built by Index): the Euler tour, each node's
-	// first position on it, and a sparse table over the shallowest
-	// position of each rmqBlock-position block of the tour.
-	euler    []NodeID
-	eulerPos []int32
-	sparse   [][]int32
+	// names is the name → node index (see NodeByName), built once on
+	// first use: an open-addressing table of node IDs + 1 (0 is an
+	// empty bucket) probed by the hash of the name.
+	namesOnce sync.Once
+	names     []NodeID
 }
-
-// rmqBlock is how many Euler positions one sparse-table entry covers.
-// The table shrinks by that factor (and loses log2 of it in levels)
-// against one over every position; a query pays for it with at most
-// two in-block scans.
-const rmqBlock = 32
 
 // NewTree creates an empty tree.
 func NewTree() *Tree {
@@ -128,9 +124,8 @@ func (t *Tree) Leaves() []NodeID {
 	return out
 }
 
-// FindLeaf returns the leaf with the given name, or None.
-// O(n); callers needing repeated lookup should build their own map or
-// use an indexed tree via LeafByName.
+// FindLeaf returns the leaf with the given name, or None. O(n), and
+// usable before Index; on an indexed tree NodeByName is the O(1) lookup.
 func (t *Tree) FindLeaf(name string) NodeID {
 	for i := range t.nodes {
 		if t.nodes[i].IsLeaf() && t.nodes[i].Name == name {
@@ -141,8 +136,8 @@ func (t *Tree) FindLeaf(name string) NodeID {
 }
 
 // Index freezes the tree and builds the preorder-interval subtree
-// index, depth/branch-length arrays, and the Euler-tour LCA structure.
-// Calling Index more than once is a no-op.
+// index and the depth/branch-length arrays. Calling Index more than
+// once is a no-op.
 func (t *Tree) Index() error {
 	if t.indexed {
 		return nil
@@ -157,11 +152,6 @@ func (t *Tree) Index() error {
 	t.depth = make([]int32, n)
 	t.dist = make([]float64, n)
 	t.leafCnt = make([]int32, n)
-	t.euler = make([]NodeID, 0, 2*n)
-	t.eulerPos = make([]int32, n)
-	for i := range t.eulerPos {
-		t.eulerPos[i] = -1
-	}
 
 	// Iterative DFS to avoid recursion depth limits on degenerate
 	// trees (caterpillar topologies from UPGMA chains).
@@ -173,8 +163,6 @@ func (t *Tree) Index() error {
 	var counter int32
 	t.pre[t.root] = 0
 	t.byPre[0] = t.root
-	t.euler = append(t.euler, t.root)
-	t.eulerPos[t.root] = 0
 	counter = 1
 	visited := 1
 	for len(stack) > 0 {
@@ -189,8 +177,6 @@ func (t *Tree) Index() error {
 			visited++
 			t.depth[c] = t.depth[f.id] + 1
 			t.dist[c] = t.dist[f.id] + t.nodes[c].Length
-			t.eulerPos[c] = int32(len(t.euler))
-			t.euler = append(t.euler, c)
 			stack = append(stack, frame{c, 0})
 			continue
 		}
@@ -206,57 +192,83 @@ func (t *Tree) Index() error {
 			t.leafCnt[f.id] = sum
 		}
 		stack = stack[:len(stack)-1]
-		if len(stack) > 0 {
-			t.euler = append(t.euler, stack[len(stack)-1].id)
-		}
 	}
 	if visited != n {
 		return fmt.Errorf("phylo: tree has %d nodes but only %d reachable from root", n, visited)
 	}
-	t.buildSparse()
 	t.indexed = true
 	return nil
 }
 
-// shallower returns whichever Euler position holds the shallower node
-// (the earlier one on a tie).
-func (t *Tree) shallower(a, b int32) int32 {
-	if t.depth[t.euler[a]] <= t.depth[t.euler[b]] {
-		return a
-	}
-	return b
-}
-
-// scanMin returns the shallowest Euler position in [lo, hi].
-func (t *Tree) scanMin(lo, hi int32) int32 {
-	best, depth := lo, t.depth[t.euler[lo]]
-	for i := lo + 1; i <= hi; i++ {
-		if d := t.depth[t.euler[i]]; d < depth {
-			best, depth = i, d
+// NameClades gives every unnamed node of an indexed tree the name
+// clade_<preorder number>, so a subtree predicate can reference any
+// clade; on a tree whose nodes are all named it does nothing. The name
+// index is built once, from the names the nodes carry then, and a node
+// renamed afterwards would keep answering to its old name — so the
+// first NameClades must precede the first NodeByName, and one that finds
+// the index built and a node unnamed panics.
+func (t *Tree) NameClades() {
+	t.mustIndexed()
+	t.namesOnce.Do(func() {
+		for i := range t.nodes {
+			if t.nodes[i].Name == "" {
+				t.nodes[i].Name = fmt.Sprintf("clade_%d", t.pre[i])
+			}
+		}
+		t.buildNames()
+	})
+	for i := range t.nodes {
+		if t.nodes[i].Name == "" { // only if the index was built before this call
+			panic("phylo: NameClades after the name index was built")
 		}
 	}
-	return best
 }
 
-// buildSparse constructs the sparse table of shallowest positions over
-// the Euler tour's blocks: level l, entry b covers blocks [b, b+2^l).
-func (t *Tree) buildSparse() {
-	m := int32(len(t.euler))
-	blocks := (m + rmqBlock - 1) / rmqBlock
-	base := make([]int32, blocks)
-	for b := range base {
-		lo := int32(b) * rmqBlock
-		base[b] = t.scanMin(lo, min(lo+rmqBlock, m)-1)
+// nameSeed keys the name index's hash for this process.
+var nameSeed = maphash.MakeSeed()
+
+// buildNames fills the name index: a power-of-two table at most half
+// full, so a probe run stays short.
+func (t *Tree) buildNames() {
+	size := 1
+	for size < 2*len(t.nodes) {
+		size *= 2
 	}
-	t.sparse = [][]int32{base}
-	for span := int32(2); span <= blocks; span *= 2 {
-		prev := t.sparse[len(t.sparse)-1]
-		row := make([]int32, blocks-span+1)
-		for i := range row {
-			row[i] = t.shallower(prev[i], prev[int32(i)+span/2])
+	t.names = make([]NodeID, size)
+	for i := range t.nodes {
+		name := t.nodes[i].Name
+		if name == "" {
+			continue
 		}
-		t.sparse = append(t.sparse, row)
+		b := int(maphash.String(nameSeed, name)) & (size - 1)
+		for t.names[b] != 0 && t.nodes[t.names[b]-1].Name != name {
+			b = (b + 1) & (size - 1)
+		}
+		if t.names[b] == 0 { // else an earlier node keeps the name
+			t.names[b] = NodeID(i) + 1
+		}
 	}
+}
+
+// NodeByName returns the node (leaf or internal) carrying name — of
+// several, the one with the lowest ID — and whether there is one.
+// Unnamed nodes are not indexed, so "" finds nothing. It is the one
+// name resolution every layer shares: the query engine's tree
+// predicates, the engine's navigation calls, the overlay and the shard
+// classifier cannot disagree about which node a duplicated name means.
+func (t *Tree) NodeByName(name string) (NodeID, bool) {
+	t.mustIndexed()
+	t.namesOnce.Do(t.buildNames)
+	if name == "" {
+		return None, false
+	}
+	mask := len(t.names) - 1
+	for b := int(maphash.String(nameSeed, name)) & mask; t.names[b] != 0; b = (b + 1) & mask {
+		if id := t.names[b] - 1; t.nodes[id].Name == name {
+			return id, true
+		}
+	}
+	return None, false
 }
 
 // Indexed reports whether Index has been called.
@@ -295,35 +307,6 @@ func (t *Tree) LeafCount(id NodeID) int { t.mustIndexed(); return int(t.leafCnt[
 func (t *Tree) IsAncestor(a, b NodeID) bool {
 	t.mustIndexed()
 	return t.pre[a] <= t.pre[b] && t.pre[b] <= t.end[a]
-}
-
-// LCA returns the lowest common ancestor of a and b in O(1): the
-// shallowest node between their first Euler positions, found as the
-// minimum of the partial blocks at either end (a scan each) and the
-// whole blocks between them (two overlapping sparse-table entries).
-func (t *Tree) LCA(a, b NodeID) NodeID {
-	t.mustIndexed()
-	pa, pb := t.eulerPos[a], t.eulerPos[b]
-	if pa > pb {
-		pa, pb = pb, pa
-	}
-	ba, bb := pa/rmqBlock, pb/rmqBlock
-	if ba == bb {
-		return t.euler[t.scanMin(pa, pb)]
-	}
-	best := t.shallower(t.scanMin(pa, (ba+1)*rmqBlock-1), t.scanMin(bb*rmqBlock, pb))
-	if span := bb - ba - 1; span > 0 {
-		level := bits.Len32(uint32(span)) - 1
-		row := t.sparse[level]
-		best = t.shallower(best, t.shallower(row[ba+1], row[bb-int32(1)<<level]))
-	}
-	return t.euler[best]
-}
-
-// PathDistance returns the sum of branch lengths on the path a..b.
-func (t *Tree) PathDistance(a, b NodeID) float64 {
-	l := t.LCA(a, b)
-	return t.dist[a] + t.dist[b] - 2*t.dist[l]
 }
 
 // SubtreeNaive collects the subtree of id by recursive traversal. It

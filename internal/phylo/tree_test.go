@@ -2,6 +2,7 @@ package phylo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -110,92 +111,72 @@ func TestIsAncestor(t *testing.T) {
 	}
 }
 
-func TestLCA(t *testing.T) {
+// TestNodeByName checks the name index against a linear scan: every
+// named node of the sample resolves to itself, unknown and empty names
+// to nothing, and — the rule every layer above shares — a duplicated
+// name to the lowest node ID carrying it.
+func TestNodeByName(t *testing.T) {
 	tr, ids := buildSample(t)
-	cases := []struct {
-		a, b, want string
-	}{
-		{"A", "B", "ab"}, {"A", "C", "root"}, {"C", "D", "cd"},
-		{"A", "A", "A"}, {"ab", "B", "ab"}, {"A", "cd", "root"},
-	}
-	for _, c := range cases {
-		if got := tr.LCA(ids[c.a], ids[c.b]); got != ids[c.want] {
-			t.Errorf("LCA(%s,%s) = %d, want %s", c.a, c.b, got, c.want)
+	for name, id := range ids {
+		if got, ok := tr.NodeByName(name); !ok || got != id {
+			t.Errorf("NodeByName(%q) = %d, %v; want %d", name, got, ok, id)
 		}
 	}
-}
+	for _, name := range []string{"", "nope", "clade_0"} {
+		if got, ok := tr.NodeByName(name); ok {
+			t.Errorf("NodeByName(%q) resolved to %d", name, got)
+		}
+	}
 
-// shapedTree builds an n-node tree whose node i hangs under parent(i).
-func shapedTree(t testing.TB, n int, parent func(i int) int) *Tree {
-	t.Helper()
-	tr := NewTree()
-	tr.AddNode("", None, 0)
-	for i := 1; i < n; i++ {
-		if _, err := tr.AddNode(fmt.Sprintf("n%d", i), NodeID(parent(i)), 1); err != nil {
+	rng := rand.New(rand.NewSource(4))
+	big := NewTree()
+	big.AddNode("", None, 0)
+	first := map[string]NodeID{}
+	for i := 1; i < 5000; i++ {
+		name := fmt.Sprintf("n%d", rng.Intn(3000)) // about a third of the names repeat
+		if i%7 == 0 {
+			name = "" // left for NameClades
+		}
+		id, err := big.AddNode(name, NodeID(rng.Intn(i)), 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := tr.Index(); err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
-// TestLCAMatchesNaiveOnRandomTrees checks LCA against the climb to the
-// root on random, caterpillar (depth = n), star and single-node trees,
-// at sizes whose Euler tours (2n−1 positions, so always odd) end just
-// short of, just past and well past an rmqBlock boundary: every pair on
-// the small trees, a sample on the large ones.
-func TestLCAMatchesNaiveOnRandomTrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	shapes := map[string]func(i int) int{
-		"random":      func(i int) int { return rng.Intn(i) },
-		"caterpillar": func(i int) int { return i - 1 },
-		"star":        func(int) int { return 0 },
-		"binary":      func(i int) int { return (i - 1) / 2 },
-	}
-	for name, parent := range shapes {
-		// Euler lengths 1, 3, 31, 33, 63, 65, 599, 1023, 1025, 4001.
-		for _, n := range []int{1, 2, 16, 17, 32, 33, 300, 512, 513, 2001} {
-			tr := shapedTree(t, n, parent)
-			if len(tr.euler) != 2*n-1 {
-				t.Fatalf("%s/%d: Euler tour has %d positions", name, n, len(tr.euler))
-			}
-			naiveLCA := func(a, b NodeID) NodeID {
-				anc := map[NodeID]bool{}
-				for v := a; v != None; v = tr.Node(v).Parent {
-					anc[v] = true
-				}
-				for v := b; v != None; v = tr.Node(v).Parent {
-					if anc[v] {
-						return v
-					}
-				}
-				return None
-			}
-			check := func(a, b NodeID) {
-				if got, want := tr.LCA(a, b), naiveLCA(a, b); got != want {
-					t.Fatalf("%s/%d: LCA(%d,%d) = %d, want %d", name, n, a, b, got, want)
-				}
-			}
-			if n <= 33 {
-				for a := 0; a < n; a++ {
-					for b := 0; b < n; b++ {
-						check(NodeID(a), NodeID(b))
-					}
-				}
-				continue
-			}
-			for trial := 0; trial < 400; trial++ {
-				check(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
-			}
+		if _, dup := first[name]; !dup && name != "" {
+			first[name] = id
 		}
 	}
+	if err := big.Index(); err != nil {
+		t.Fatal(err)
+	}
+	big.NameClades()
+	for i := 0; i < big.Len(); i++ {
+		name := big.Node(NodeID(i)).Name
+		want, named := first[name]
+		if !named { // a clade NameClades named after its preorder number
+			want = NodeID(i)
+			if name != fmt.Sprintf("clade_%d", big.Pre(want)) {
+				t.Fatalf("node %d is named %q", i, name)
+			}
+		}
+		if got, ok := big.NodeByName(name); !ok || got != want {
+			t.Fatalf("NodeByName(%q) = %d, %v; want %d", name, got, ok, want)
+		}
+	}
+	big.NameClades() // every node is named: a no-op, as for a second engine over one tree
+
+	late, _ := buildSample(t)
+	late.Node(late.Root()).Name = ""
+	late.NodeByName("A")
+	defer func() {
+		if recover() == nil {
+			t.Error("NameClades with a node to name after the name index was built did not panic")
+		}
+	}()
+	late.NameClades()
 }
 
 // TestIndexBytesPerNode is the tier-1 guard on what Index() retains: at
-// most 70 bytes a node on a 100 k-leaf random bifurcating tree (the
-// full sparse table over the Euler tour made it about 180).
+// most 70 bytes a node on a 100 k-leaf random bifurcating tree.
 func TestIndexBytesPerNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tr := NewTree()
@@ -224,27 +205,26 @@ func TestIndexBytesPerNode(t *testing.T) {
 	if perNode > 70 {
 		t.Errorf("Index() retains %.1f B a node, want ≤ 70", perNode)
 	}
-	if a, b := leaves[0], leaves[len(leaves)-1]; !tr.IsAncestor(tr.LCA(a, b), a) || !tr.IsAncestor(tr.LCA(a, b), b) {
-		t.Error("LCA of two leaves is not their ancestor")
-	}
 }
 
-func TestPathDistance(t *testing.T) {
-	tr, ids := buildSample(t)
-	cases := []struct {
-		a, b string
-		want float64
-	}{
-		{"A", "B", 3},       // 1 + 2
-		{"A", "C", 4.75},    // 1 + 0.5 + 0.25 + 3
-		{"A", "A", 0},       //
-		{"root", "D", 4.25}, // 0.25 + 4
+// pathDistance sums the branch lengths on the path a..b by climbing from
+// both ends to the first shared ancestor: the tree-construction tests'
+// reference for the metric a tree induces.
+func pathDistance(t *Tree, a, b NodeID) float64 {
+	fromA := map[NodeID]float64{}
+	d := 0.0
+	for v := a; v != None; v = t.Node(v).Parent {
+		fromA[v] = d
+		d += t.Node(v).Length
 	}
-	for _, c := range cases {
-		if got := tr.PathDistance(ids[c.a], ids[c.b]); !approxEqual(got, c.want) {
-			t.Errorf("PathDistance(%s,%s) = %g, want %g", c.a, c.b, got, c.want)
+	d = 0.0
+	for v := b; v != None; v = t.Node(v).Parent {
+		if da, ok := fromA[v]; ok {
+			return da + d
 		}
+		d += t.Node(v).Length
 	}
+	return math.NaN()
 }
 
 func approxEqual(a, b float64) bool {
@@ -403,8 +383,8 @@ func TestDeepCaterpillarTree(t *testing.T) {
 		t.Fatalf("depth = %d, want 10000", tr.Depth(prev))
 	}
 	leaf := prev
-	if got := tr.LCA(leaf, tr.Root()); got != tr.Root() {
-		t.Fatalf("LCA(leaf, root) = %d, want root", got)
+	if lo, hi := tr.SubtreeInterval(tr.Root()); lo != 0 || hi != 10000 || !tr.IsAncestor(tr.Root(), leaf) {
+		t.Fatalf("root interval [%d, %d], IsAncestor(root, leaf) = %v", lo, hi, tr.IsAncestor(tr.Root(), leaf))
 	}
 }
 

@@ -403,13 +403,17 @@ func mvccRow(rng *rand.Rand) store.Row {
 }
 
 // mvccCommit publishes one random change to activities: a delta of
-// deletes and inserts, or an update that moves a row's keys.
+// deletes and inserts, or a one-row replace that moves a row's keys.
 func mvccCommit(db *store.DB, act *store.Table, rng *rand.Rand) error {
 	var ids []int64
 	act.Scan(func(id int64, _ store.Row) bool { ids = append(ids, id); return true })
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	if rng.Intn(3) == 0 {
-		return db.Update("activities", ids[rng.Intn(len(ids))], mvccRow(rng))
+		return db.CommitDeltas([]store.TableDelta{{
+			Table:     "activities",
+			DeleteIDs: []int64{ids[rng.Intn(len(ids))]},
+			Inserts:   []store.Row{mvccRow(rng)},
+		}})
 	}
 	d := store.TableDelta{Table: "activities"}
 	seen := map[int64]bool{}

@@ -574,12 +574,11 @@ func bindAncestor(x *AncestorExpr, env bindEnv) (*boundExpr, error) {
 	}, nil
 }
 
-// findTreeNode locates a node by name (leaf or internal).
+// findTreeNode locates a node by name (leaf or internal) through the
+// tree's own name index.
 func findTreeNode(t *phylo.Tree, name string) (phylo.NodeID, error) {
-	for i := 0; i < t.Len(); i++ {
-		if t.Node(phylo.NodeID(i)).Name == name {
-			return phylo.NodeID(i), nil
-		}
+	if id, ok := t.NodeByName(name); ok {
+		return id, nil
 	}
 	return phylo.None, fmt.Errorf("query: tree has no node named %q", name)
 }

@@ -221,17 +221,6 @@ func (s *Set) Insert(table string, r store.Row) (int64, error) {
 	return lead.state.Load().db.Insert(table, r)
 }
 
-// Delete removes one row through the leader.
-func (s *Set) Delete(table string, id int64) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lead := s.nodes[s.leaderIdx.Load()]
-	if lead.down.Load() {
-		return false, ErrLeaderDown
-	}
-	return lead.state.Load().db.Delete(table, id)
-}
-
 // Ship applies the leader's pending WAL tail to every live follower
 // (one replication tick). A follower whose position has been
 // checkpointed away or whose stream is corrupt re-seeds from a fresh

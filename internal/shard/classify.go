@@ -345,7 +345,7 @@ func (c *Coordinator) pruneShards(stmt *query.SelectStmt, aliases []aliasInfo, h
 			if !ok || kind != store.KindInt {
 				break
 			}
-			id, ok := c.byName[x.Node]
+			id, ok := c.tree.NodeByName(x.Node)
 			if !ok {
 				break
 			}

@@ -90,7 +90,6 @@ type Coordinator struct {
 	tree   *phylo.Tree
 	opts   Options
 	specs  map[string]tableSpec
-	byName map[string]phylo.NodeID
 
 	// gateHook, when set, runs inside every scatter goroutine before
 	// the shard statement executes. Tests use it to make one shard
@@ -360,9 +359,9 @@ func (c *Coordinator) Epoch() int64 { return c.epoch.Load() }
 // Health is one shard's liveness and size snapshot.
 type Health struct {
 	Shard    int
-	Status   string // "ok", "degraded" (some replica down), or "failed"
-	Rows     int64  // partitioned rows resident on the shard
-	WALSeq   int64  // leader WAL frontier (0 for in-memory stores)
+	Status   string           // "ok", "degraded" (some replica down), or "failed"
+	Rows     int64            // partitioned rows resident on the shard
+	WALSeq   int64            // leader WAL frontier (0 for in-memory stores)
 	Replicas []replica.Health // per-replica status (nil without replication)
 }
 
@@ -705,16 +704,16 @@ func (c *Coordinator) GatherTables(ctx context.Context, names []string) (*store.
 		if len(c.specs[name].keys) == 0 {
 			from = healthy[:1]
 		}
+		var rows []store.Row
 		for _, si := range from {
 			st, err := c.shards[si].DB().Table(name)
 			if err != nil {
 				return nil, err
 			}
-			for _, r := range st.Snapshot() {
-				if _, err := tab.Insert(r); err != nil {
-					return nil, err
-				}
-			}
+			rows = append(rows, st.Snapshot()...)
+		}
+		if err := db.CommitDeltas([]store.TableDelta{{Table: name, Inserts: rows}}); err != nil {
+			return nil, err
 		}
 		for _, ix := range first.Indexes() {
 			if err := tab.CreateIndex(ix.Column, ix.Type); err != nil {

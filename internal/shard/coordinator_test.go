@@ -125,7 +125,8 @@ func TestExplainShardPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := tree.SubtreeInterval(c.byName[clade])
+	cladeID, _ := tree.NodeByName(clade)
+	lo, hi := tree.SubtreeInterval(cladeID)
 	part := c.specs["tree_nodes"].keys[0].part
 	lov, hiv := store.IntValue(int64(lo)), store.IntValue(int64(hi))
 	span := part.RouteRange(&lov, &hiv)

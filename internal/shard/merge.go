@@ -406,10 +406,8 @@ func (c *Coordinator) runFinal(ctx context.Context, ap *aggPlan, rows []store.Ro
 	if _, err := db.CreateTable("gather", schema); err != nil {
 		return nil, err
 	}
-	for _, r := range rows {
-		if _, err := db.Insert("gather", r); err != nil {
-			return nil, err
-		}
+	if err := db.CommitDeltas([]store.TableDelta{{Table: "gather", Inserts: rows}}); err != nil {
+		return nil, err
 	}
 	eng := query.NewEngine(query.NewDBCatalog(db, c.tree), c.opts.QueryOptions)
 	return eng.Run(ctx, cloneStmt(ap.finalStmt))

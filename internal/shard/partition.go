@@ -238,17 +238,6 @@ func Partition(src *store.DB, tree *phylo.Tree, opts Options) (*Coordinator, err
 		specs: specs,
 		fsys:  fsys,
 	}
-	for i := 0; i < tree.Len(); i++ {
-		id := phylo.NodeID(i)
-		if name := tree.Node(id).Name; name != "" {
-			if c.byName == nil {
-				c.byName = make(map[string]phylo.NodeID, tree.Len())
-			}
-			if _, dup := c.byName[name]; !dup {
-				c.byName[name] = id
-			}
-		}
-	}
 	if opts.Replicas > 0 && opts.Dir == "" {
 		td, err := fsys.MkdirTemp("", "drugtree-shards-")
 		if err != nil {
@@ -431,33 +420,31 @@ func (c *Coordinator) populate(src *store.DB, preloaded bool) error {
 			tabs[i] = tab
 		}
 		if !preloaded {
-			var rerr error
-			srcTab.Scan(func(_ int64, r store.Row) bool {
-				if len(spec.keys) == 0 {
-					for _, s := range c.shards {
-						if _, err := s.db.Insert(name, r); err != nil {
-							rerr = err
-							return false
+			// One batch per shard: a table lands on a shard as one commit
+			// (and, on a durable shard store, one WAL record). A
+			// replicated table goes whole to every shard.
+			rows := srcTab.Snapshot()
+			staged := make([][]store.Row, len(c.shards))
+			if len(spec.keys) == 0 {
+				for i := range staged {
+					staged[i] = rows
+				}
+			} else {
+				for _, r := range rows {
+					owner := spec.keys[0].part.Route(r[keyIdx[0]])
+					for k := 1; k < len(spec.keys); k++ {
+						if alt := spec.keys[k].part.Route(r[keyIdx[k]]); alt != owner {
+							return fmt.Errorf("shard: table %s row routes to shard %d by %s but %d by %s",
+								name, owner, spec.keys[0].column, alt, spec.keys[k].column)
 						}
 					}
-					return true
+					staged[owner] = append(staged[owner], r)
 				}
-				owner := spec.keys[0].part.Route(r[keyIdx[0]])
-				for k := 1; k < len(spec.keys); k++ {
-					if alt := spec.keys[k].part.Route(r[keyIdx[k]]); alt != owner {
-						rerr = fmt.Errorf("shard: table %s row routes to shard %d by %s but %d by %s",
-							name, owner, spec.keys[0].column, alt, spec.keys[k].column)
-						return false
-					}
+			}
+			for i, s := range c.shards {
+				if err := s.db.CommitDeltas([]store.TableDelta{{Table: name, Inserts: staged[i]}}); err != nil {
+					return fmt.Errorf("shard %d: %w", i, err)
 				}
-				if _, err := c.shards[owner].db.Insert(name, r); err != nil {
-					rerr = err
-					return false
-				}
-				return true
-			})
-			if rerr != nil {
-				return rerr
 			}
 		}
 		for i, tab := range tabs {

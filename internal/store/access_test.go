@@ -16,9 +16,9 @@ import (
 // TableView.Scan at the same pinned version (scanLocked — no index, no
 // posting verification), filtered and sorted in the test. The fixture
 // draws keys from a dozen values so duplicate keys straddle every
-// top-k cut, a fifth of the rows carry a NULL key, and db.Update moves
-// keys inside, outside and across whatever range a check draws while
-// older pins still see the old key under its old posting.
+// top-k cut, a fifth of the rows carry a NULL key, and one-delta
+// replaces move keys inside, outside and across whatever range a check
+// draws while older pins still see the old row under its old posting.
 
 var accessSchema = MustSchema(
 	Column{Name: "k", Kind: KindFloat},
@@ -53,8 +53,14 @@ func openAccessDB(t testing.TB) (*DB, *Table) {
 	return db, tb
 }
 
+// replaceRow is the only update the system issues: retire row id and
+// insert r in one delta.
+func replaceRow(db *DB, table string, id int64, r Row) error {
+	return db.CommitDeltas([]TableDelta{{Table: table, DeleteIDs: []int64{id}, Inserts: []Row{r}}})
+}
+
 // mutate applies one random committed change: a multi-row delta, a key-
-// moving update, or a delete.
+// moving replace, or a delete.
 func mutate(db *DB, tb *Table, rng *rand.Rand) error {
 	var ids []int64
 	tb.Scan(func(id int64, _ Row) bool { ids = append(ids, id); return true })
@@ -80,7 +86,7 @@ func mutate(db *DB, tb *Table, rng *rand.Rand) error {
 		_, err := db.Delete("t", pick())
 		return err
 	default:
-		return db.Update("t", pick(), accessRow(rng))
+		return replaceRow(db, "t", pick(), accessRow(rng))
 	}
 }
 

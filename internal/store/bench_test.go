@@ -33,32 +33,28 @@ func BenchmarkLookup(b *testing.B) {
 	const rows = 100000
 	indexed := benchTable(b, rows, true)
 	plain := benchTable(b, rows, false)
-	b.Run("HashIndexEqual", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			indexed.LookupEqual("name", StringValue("row-042000"))
-		}
-	})
-	b.Run("BTreeIndexEqual", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			indexed.LookupEqual("id", IntValue(42000))
-		}
-	})
-	b.Run("ScanEqual", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plain.LookupEqual("id", IntValue(42000))
-		}
-	})
+	ctx := context.Background()
+	id, name := []Value{IntValue(42000)}, []Value{StringValue("row-042000")}
 	lo, hi := IntValue(40000), IntValue(41000)
-	b.Run("BTreeRange1k", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			indexed.LookupRange("id", &lo, &hi)
-		}
-	})
-	b.Run("ScanRange1k", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plain.LookupRange("id", &lo, &hi)
-		}
-	})
+	for _, c := range []struct {
+		name string
+		t    *Table
+		a    Access
+	}{
+		{"HashIndexEqual", indexed, Access{Column: "name", Keys: name}},
+		{"BTreeIndexEqual", indexed, Access{Column: "id", Keys: id}},
+		{"ScanEqual", plain, Access{Column: "id", Keys: id}},
+		{"BTreeRange1k", indexed, Access{Column: "id", Lo: &lo, Hi: &hi}},
+		{"ScanRange1k", plain, Access{Column: "id", Lo: &lo, Hi: &hi}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.t.Gather(ctx, -1, c.a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkInsert(b *testing.B) {

@@ -266,7 +266,7 @@ func ColBatchFromRows(kinds []Kind, rows []Row) *ColBatch {
 
 // Gather runs the access at commit version ver (negative reads the
 // latest) and materializes the selected rows, narrowed to a.Cols, into
-// one columnar batch — index walk, version resolution, residual check
+// one columnar batch — index walk, visibility check, residual check
 // and the per-cell typed appends fused into a single pass under one
 // read lock. Cells are copied out of the storage vectors — typed, with
 // no Value in between —, so the batch stays valid while writers run. It
@@ -277,13 +277,9 @@ func (t *Table) Gather(ctx context.Context, ver int64, a Access) (*ColBatch, int
 	defer t.mu.RUnlock()
 	cols := a.outputCols(t.schema)
 	cb := NewColBatch(t.schema, cols, t.capacityLocked(a))
-	examined, err := t.readLocked(ctx.Err, ver, a, func(s int, old Row) {
+	examined, err := t.readLocked(ctx.Err, ver, a, func(s int) {
 		for i, c := range cols {
-			if old != nil {
-				cb.Cols[i].Append(old[c])
-			} else {
-				cb.Cols[i].AppendFrom(&t.cols[c], s)
-			}
+			cb.Cols[i].AppendFrom(&t.cols[c], s)
 		}
 		cb.Rows++
 	})

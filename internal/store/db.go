@@ -359,88 +359,19 @@ func (db *DB) tableLocked(name string) (*Table, error) {
 	return t, nil
 }
 
-// Insert inserts a row through the DB so it is WAL-logged. Single-row
-// mutations hold the database read lock for their whole span: they run
-// concurrently with each other and with snapshot pins, but never
-// interleave with a CommitDeltas publish (which holds the write lock).
+// Insert inserts one row — a one-row CommitDeltas — and returns its ID.
 func (db *DB) Insert(table string, r Row) (int64, error) {
-	if err := db.Failed(); err != nil {
-		return 0, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, err := db.tableLocked(table)
-	if err != nil {
-		return 0, err
-	}
-	id, err := t.Insert(r)
-	if err != nil {
-		return 0, err
-	}
-	if db.wal != nil {
-		if err := db.wal.logInsert(table, r); err != nil {
-			return 0, db.walFail(err)
-		}
-	}
-	return id, nil
+	return db.commit([]TableDelta{{Table: table, Inserts: []Row{r}}})
 }
 
-// Delete removes a row through the DB so it is WAL-logged. Row IDs
-// are not stable across recovery, so the log records the row's value;
-// replay removes one matching row.
+// Delete removes one row — a one-row CommitDeltas — reporting false when
+// the table holds no live row with that ID.
 func (db *DB) Delete(table string, id int64) (bool, error) {
-	if err := db.Failed(); err != nil {
-		return false, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, err := db.tableLocked(table)
-	if err != nil {
-		return false, err
-	}
-	row, ok := t.Get(id)
-	if !ok {
+	_, err := db.commit([]TableDelta{{Table: table, DeleteIDs: []int64{id}}})
+	if errors.Is(err, errNoRow) {
 		return false, nil
 	}
-	if !t.Delete(id) {
-		return false, nil
-	}
-	if db.wal != nil {
-		if err := db.wal.logDelete(table, row); err != nil {
-			return true, db.walFail(err)
-		}
-	}
-	return true, nil
-}
-
-// Update replaces a row through the DB so it is WAL-logged (as a
-// delete of the old value plus an insert of the new one).
-func (db *DB) Update(table string, id int64, r Row) error {
-	if err := db.Failed(); err != nil {
-		return err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, err := db.tableLocked(table)
-	if err != nil {
-		return err
-	}
-	old, ok := t.Get(id)
-	if !ok {
-		return fmt.Errorf("store: table %s has no row %d", table, id)
-	}
-	if err := t.Update(id, r); err != nil {
-		return err
-	}
-	if db.wal != nil {
-		if err := db.wal.logDelete(table, old); err != nil {
-			return db.walFail(err)
-		}
-		if err := db.wal.logInsert(table, r); err != nil {
-			return db.walFail(err)
-		}
-	}
-	return nil
+	return err == nil, err
 }
 
 // Checkpoint writes a full snapshot and truncates the WAL. The
@@ -700,6 +631,9 @@ func (db *DB) loadSnapshot() (int64, error) {
 	return int64(seq), nil
 }
 
+// loadChunk is how many snapshot rows loadTableSnapshot commits at once.
+const loadChunk = 4096
+
 func (db *DB) loadTableSnapshot(r *bufio.Reader) error {
 	name, err := readString(r)
 	if err != nil {
@@ -753,14 +687,20 @@ func (db *DB) loadTableSnapshot(r *bufio.Reader) error {
 	if err != nil {
 		return err
 	}
-	for i := uint64(0); i < nRows; i++ {
-		row, err := ReadRow(r)
-		if err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
+	// Rows load a chunk per commit, so the boxed rows in flight — and what
+	// a corrupt row count can make this allocate — stay bounded.
+	for done := uint64(0); done < nRows; {
+		rows := make([]Row, min(nRows-done, loadChunk))
+		for i := range rows {
+			if rows[i], err = ReadRow(r); err != nil {
+				return fmt.Errorf("row %d: %w", done+uint64(i), err)
+			}
 		}
-		if _, err := t.Insert(row); err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
+		if err := t.validateDelta(nil, rows); err != nil {
+			return fmt.Errorf("rows from %d: %w", done, err)
 		}
+		t.applyDelta(nil, rows, false)
+		done += uint64(len(rows))
 	}
 	// Build indexes after bulk load (cheaper than per-row upkeep).
 	for _, ix := range ixs {
@@ -819,7 +759,7 @@ func VerifyDir(fsys vfs.FS, dir string) error {
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
-		if err != nil || n > 64<<20 {
+		if err != nil || n > maxWALRecord {
 			return nil // torn tail
 		}
 		payload := make([]byte, n)
@@ -849,18 +789,26 @@ func VerifyDir(fsys vfs.FS, dir string) error {
 
 // --- WAL ---
 
-// WAL record types.
+// WAL record types. Types 2 and 3 were the single-row insert and delete
+// records; every mutation is a batch now, nothing writes them, and a log
+// holding one fails to open as an unknown record type (no deployed log
+// predates this, so there is no migration).
 const (
 	walCreateTable = 1
-	walInsert      = 2
-	walDelete      = 3
 	// walBatch is an atomic multi-table delta: per table, the deleted
 	// rows' values followed by the inserted rows. The whole batch rides
 	// in ONE length-prefixed CRC-protected record, so recovery replays
 	// it entirely or not at all — a power cut mid-publish lands on
-	// exactly the old or the new version, never between.
+	// exactly the old or the new version, never between — and a follower
+	// applies it under one write lock.
 	walBatch = 4
 )
+
+// maxWALRecord bounds one record's payload. Readers treat a longer
+// length prefix as a torn tail, so the writer refuses to produce one: a
+// whole commit is one record, and a commit too large for it fails (and
+// poisons the write path) instead of vanishing at the next replay.
+const maxWALRecord = 64 << 20
 
 // walWriter appends length-prefixed CRC-protected records, each
 // carrying a monotonic sequence number so replicas can tail the log.
@@ -1011,6 +959,9 @@ func (w *walWriter) maybeSync(ticket int64) error {
 func (w *walWriter) writeRecordLocked(seq int64, body []byte) error {
 	payload := binary.AppendUvarint(nil, uint64(seq))
 	payload = append(payload, body...)
+	if len(payload) > maxWALRecord {
+		return fmt.Errorf("store: WAL record of %d bytes exceeds the %d-byte limit replay accepts", len(payload), maxWALRecord)
+	}
 	w.buf = w.buf[:0]
 	w.buf = binary.AppendUvarint(w.buf, uint64(len(payload)))
 	w.buf = append(w.buf, payload...)
@@ -1034,22 +985,6 @@ func (w *walWriter) logCreateTable(name string, schema *Schema) error {
 		p = appendString(p, c.Name)
 		p = append(p, byte(c.Kind))
 	}
-	return w.writeRecord(p)
-}
-
-func (w *walWriter) logInsert(table string, r Row) error {
-	var p []byte
-	p = append(p, walInsert)
-	p = appendString(p, table)
-	p = AppendRow(p, r)
-	return w.writeRecord(p)
-}
-
-func (w *walWriter) logDelete(table string, r Row) error {
-	var p []byte
-	p = append(p, walDelete)
-	p = appendString(p, table)
-	p = AppendRow(p, r)
 	return w.writeRecord(p)
 }
 
@@ -1112,7 +1047,7 @@ func (db *DB) replayWALFrom(r *bufio.Reader, snapSeq int64) (int64, error) {
 		if err != nil {
 			return last, nil // torn length: stop replay
 		}
-		if n > 64<<20 {
+		if n > maxWALRecord {
 			return last, nil
 		}
 		payload := make([]byte, n)
@@ -1193,7 +1128,7 @@ func (db *DB) ScanWAL(fromSeq int64, fn func(seq int64, body []byte) error) erro
 			}
 			return nil
 		}
-		if n > 64<<20 {
+		if n > maxWALRecord {
 			return nil
 		}
 		payload := make([]byte, n)
@@ -1251,6 +1186,12 @@ func (db *DB) ApplyReplicated(seq int64, body []byte) error {
 	return nil
 }
 
+// applyWALRecord decodes one record body and applies it — the shared
+// tail of WAL replay and ApplyReplicated. A batch goes table by table
+// through Table.applyDeltaByValue, so it lands in the same
+// applyDeltaLocked a live commit uses; callers hold db.mu exclusively
+// (or own the database, at Open), which makes the record atomic with
+// respect to snapshot pins.
 func (db *DB) applyWALRecord(p []byte) error {
 	r := bufio.NewReader(bytes.NewReader(p))
 	typ, err := r.ReadByte()
@@ -1287,36 +1228,6 @@ func (db *DB) applyWALRecord(p []byte) error {
 			return nil // snapshot already has it
 		}
 		db.tables[name] = db.registerTable(NewTable(name, schema))
-		return nil
-	case walInsert:
-		name, err := readString(r)
-		if err != nil {
-			return err
-		}
-		row, err := ReadRow(r)
-		if err != nil {
-			return err
-		}
-		t, ok := db.tables[name]
-		if !ok {
-			return fmt.Errorf("insert into unknown table %q", name)
-		}
-		_, err = t.Insert(row)
-		return err
-	case walDelete:
-		name, err := readString(r)
-		if err != nil {
-			return err
-		}
-		row, err := ReadRow(r)
-		if err != nil {
-			return err
-		}
-		t, ok := db.tables[name]
-		if !ok {
-			return fmt.Errorf("delete from unknown table %q", name)
-		}
-		t.deleteByValue(row)
 		return nil
 	case walBatch:
 		nTables, err := binary.ReadUvarint(r)

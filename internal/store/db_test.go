@@ -74,9 +74,8 @@ func TestWALReplayAfterCrash(t *testing.T) {
 	if tb.Len() != 50 {
 		t.Fatalf("replayed %d rows, want 50", tb.Len())
 	}
-	ids, _ := tb.LookupEqual("name", StringValue("P7"))
-	if len(ids) != 1 {
-		t.Fatalf("lookup after replay = %v", ids)
+	if rows := gatherRows(t, tb, equalTo("name", StringValue("P7"))); len(rows) != 1 {
+		t.Fatalf("lookup after replay = %v", rows)
 	}
 }
 
@@ -126,9 +125,8 @@ func TestSnapshotAndWALTruncation(t *testing.T) {
 	if typ, ok := tb2.HasIndex("id"); !ok || typ != IndexBTree {
 		t.Fatalf("index lost across snapshot: %v %v", typ, ok)
 	}
-	ids, _ := tb2.LookupEqual("id", IntValue(110))
-	if len(ids) != 1 {
-		t.Fatalf("post-checkpoint row lost: %v", ids)
+	if rows := gatherRows(t, tb2, equalTo("id", IntValue(110))); len(rows) != 1 {
+		t.Fatalf("post-checkpoint row lost: %v", rows)
 	}
 }
 
@@ -148,14 +146,14 @@ func TestWALReplaysDeletesAndUpdates(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	// Delete two rows, update one; crash (no checkpoint).
+	// Delete two rows, replace one; crash (no checkpoint).
 	if ok, err := db.Delete("t", ids[3]); !ok || err != nil {
 		t.Fatalf("delete: %v %v", ok, err)
 	}
 	if ok, err := db.Delete("t", ids[7]); !ok || err != nil {
 		t.Fatalf("delete: %v %v", ok, err)
 	}
-	if err := db.Update("t", ids[5], Row{IntValue(5), StringValue("updated")}); err != nil {
+	if err := replaceRow(db, "t", ids[5], Row{IntValue(5), StringValue("updated")}); err != nil {
 		t.Fatal(err)
 	}
 	// Deleting a missing row is a clean no-op.

@@ -12,11 +12,12 @@ import (
 // The model every check in this file compares the table with is a list
 // of (id, begin, end, row) tuples read by linear scans: it shares no
 // code and no idea with the slot storage. Rows carry a serial number
-// that names the logical row for its whole life (an Update keeps it),
-// so the model learns the IDs CommitDeltas hands out by observation and
-// can still insist that ID ↔ serial is one-to-one over the whole run —
-// an ID given to a second row after its slot was collected and reused
-// would pair one ID with two serials.
+// that names the row for its whole life (a replace retires it and
+// inserts a row with a new one), so the model learns the IDs
+// CommitDeltas hands out by observation and can still insist that
+// ID ↔ serial is one-to-one over the whole run — an ID given to a second
+// row after its slot was collected and reused would pair one ID with two
+// serials.
 
 var modelSchema = MustSchema(
 	Column{Name: "k", Kind: KindFloat},
@@ -135,13 +136,14 @@ func (m *model) step(db *DB, tb *Table, rng *rand.Rand) error {
 		}
 		m.insert(id, r)
 	case op == 1:
-		mv := pick()
-		r := m.rowFor(rng, mv.row[2].I)
-		if err := db.Update("t", mv.id, r); err != nil {
+		// The only update the system issues: retire a row and insert its
+		// replacement in one delta.
+		mv, r := pick(), m.newRow(rng)
+		if err := replaceRow(db, "t", mv.id, r); err != nil {
 			return err
 		}
 		m.retire(mv.id)
-		m.insert(mv.id, r)
+		return m.adopt(tb, []Row{r})
 	case op == 2:
 		mv := pick()
 		if ok, err := db.Delete("t", mv.id); err != nil || !ok {
@@ -315,36 +317,16 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 	if v != m.commit {
 		return nil
 	}
-	// The ID-returning lookups read the latest version only.
-	probe := FloatValue(float64(rng.Intn(12)) / 2)
-	ids, err := tb.LookupEqual("k", probe)
-	if err != nil {
-		return err
-	}
-	var wantEq, wantRange []int64
+	// Get reads the latest version only, by ID.
 	for _, mv := range vis {
-		if Equal(mv.row[0], probe) {
-			wantEq = append(wantEq, mv.id)
-		}
-		if inRange(mv.row[0], lo, hi) {
-			wantRange = append(wantRange, mv.id)
+		if r, ok := tb.Get(mv.id); !ok || fmt.Sprint(canonRows([]Row{r})) != fmt.Sprint(canonRows([]Row{mv.row})) {
+			return fmt.Errorf("Get(%d) = %v, %v; model %v", mv.id, r, ok, mv.row)
 		}
 	}
-	sortIDs := func(ids []int64) []int64 {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		return ids
-	}
-	if fmt.Sprint(sortIDs(ids)) != fmt.Sprint(sortIDs(wantEq)) {
-		return fmt.Errorf("LookupEqual(k, %v) = %v, model %v", probe, ids, wantEq)
-	}
-	if ids, err = tb.LookupRange("k", lo, hi); err != nil {
-		return err
-	}
-	if fmt.Sprint(sortIDs(ids)) != fmt.Sprint(sortIDs(wantRange)) {
-		return fmt.Errorf("LookupRange(k) = %v, model %v", ids, wantRange)
-	}
-	if got := canonRows(tb.Rows(append(wantEq, -1, 1<<40))); fmt.Sprint(got) != fmt.Sprint(canonRows(rowsOf(vis, wantEq))) {
-		return fmt.Errorf("Rows(%v) = %q", wantEq, got)
+	for _, id := range []int64{-1, 1 << 40} {
+		if _, ok := tb.Get(id); ok {
+			return fmt.Errorf("Get(%d) resolved", id)
+		}
 	}
 	if tb.Len() != len(vis) || tb.Version() != m.commit {
 		return fmt.Errorf("Len/Version = %d/%d, model %d/%d", tb.Len(), tb.Version(), len(vis), m.commit)
@@ -352,26 +334,13 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 	return nil
 }
 
-func rowsOf(vis []modelVer, ids []int64) []Row {
-	var out []Row
-	for _, id := range ids {
-		for _, mv := range vis {
-			if mv.id == id {
-				out = append(out, mv.row)
-			}
-		}
-	}
-	return out
-}
-
-// atRest checks what the layout promises once nothing is pinned: no
-// dead version, an empty overflow and work list, and every slot either
-// live or on the free list.
+// atRest checks what the layout promises once nothing is pinned: an
+// empty GC work list and every slot either live or on the free list.
 func atRest(tb *Table) error {
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
-	if tb.dead != 0 || len(tb.older) != 0 || len(tb.dying) != 0 {
-		return fmt.Errorf("at rest: %d dead versions, %d overflow chains, %d dying slots", tb.dead, len(tb.older), len(tb.dying))
+	if len(tb.dying) != 0 {
+		return fmt.Errorf("at rest: %d dying slots", len(tb.dying))
 	}
 	if len(tb.end) != tb.live+len(tb.free) {
 		return fmt.Errorf("at rest: %d slots for %d live rows + %d free", len(tb.end), tb.live, len(tb.free))
@@ -559,7 +528,7 @@ func TestSlotReuseUnderChurn(t *testing.T) {
 	}
 	// Every first-generation slot has been reused by now, so a stale ID
 	// must not resolve to its slot's current tenant.
-	if _, ok := tb.Get(0); ok || tb.Delete(0) || len(tb.Rows([]int64{0, 1, 2})) != 0 {
+	if _, ok := tb.Get(0); ok || tb.Delete(0) {
 		t.Fatal("a first-generation id still resolves after its slot was reused")
 	}
 	if err := db.CommitDeltas([]TableDelta{{Table: "t", DeleteIDs: []int64{0}}}); err == nil {

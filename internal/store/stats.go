@@ -127,9 +127,9 @@ func (t *Table) Stats() *TableStats {
 	// eachCell visits every cell of every row visible at the latest
 	// version, reading storage in place.
 	eachCell := func(fn func(i int, v Value)) {
-		t.passLocked(nil, t.commit, 0, nil, func(s int, old Row) bool {
+		t.passLocked(nil, t.commit, 0, nil, func(s int) bool {
 			for i := 0; i < n; i++ {
-				fn(i, t.cell(s, old, i))
+				fn(i, t.cols[i].stored(s))
 			}
 			return true
 		})

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -26,10 +27,10 @@ func (t IndexType) String() string {
 	return "btree"
 }
 
-// index is a secondary index over one column. Under MVCC the postings
-// cover every value carried by any retained row version, so a pinned
-// snapshot can probe the index too; lookups verify candidates against
-// the row version visible at the read's commit version.
+// index is a secondary index over one column. A slot has exactly one
+// posting — its stored value — from the commit that fills it until GC
+// frees it, so a pinned snapshot can probe the index too; lookups check
+// each candidate's visibility at the read's commit version.
 type index struct {
 	column int
 	typ    IndexType
@@ -39,14 +40,6 @@ type index struct {
 
 // verMax is the end stamp of a live (undeleted) row version.
 const verMax = math.MaxInt64
-
-// oldVer is a row version an Update superseded, boxed into the overflow
-// until no pin can see it: visible to reads at commit version v when
-// begin ≤ v < end. The row is immutable.
-type oldVer struct {
-	begin, end int64
-	row        Row
-}
 
 // CommitEvent describes one committed mutation batch on one table —
 // the delta stream incremental overlay maintenance consumes. Version
@@ -63,18 +56,19 @@ type CommitEvent struct {
 }
 
 // Table is a multi-version table stored column-wise with optional
-// secondary indexes. A row lives in a slot: its newest version's cell c
-// is position slot of the typed vector cols[c], visible to reads at
-// commit version v when begin[slot] ≤ v < end[slot] (a free slot has
-// end 0 and is visible to nothing). Versions an Update superseded move
-// to the boxed overflow older, keyed by slot, so only rows with more
-// than one retained version pay for a chain. Once no pin can see a
-// slot's last version, GC puts the slot on the free list for inserts to
-// reuse and bumps its generation; a row ID is generation<<32 | slot, so
-// IDs are stable handles that are never handed out twice and a stale ID
-// never resolves to the slot's next tenant.
+// secondary indexes. A row lives in a slot and a slot holds exactly one
+// row version: cell c is position slot of the typed vector cols[c],
+// visible to reads at commit version v when begin[slot] ≤ v < end[slot]
+// (a free slot has end 0 and is visible to nothing). Rows are never
+// rewritten in place — a replace retires the old row and inserts the new
+// one in a fresh slot, both in one commit. Once no pin can see a retired
+// row, GC puts its slot on the free list for inserts to reuse and bumps
+// the slot's generation; a row ID is generation<<32 | slot, so IDs are
+// stable handles that are never handed out twice and a stale ID never
+// resolves to the slot's next tenant.
 //
-// Every mutation publishes a new commit version; readers either follow
+// Every mutation is one delta (applyDeltaLocked: retire these rows,
+// insert those) publishing one new commit version; readers either follow
 // the latest version or pin one via DB.PinSnapshot and read a frozen,
 // consistent image while writers keep committing. Reads copy cells out
 // of storage under the read lock — nothing they return aliases it, and
@@ -86,18 +80,16 @@ type Table struct {
 
 	mu      sync.RWMutex
 	cols    []Col   // one vector per schema column, indexed by slot; Null is nil until the column holds a NULL
-	begin   []int64 // per slot: commit version that wrote the stored version
+	begin   []int64 // per slot: commit version that wrote the row
 	end     []int64 // per slot: verMax while live, the deleting version once dead, 0 when free
 	gen     []uint32
 	free    []int32
-	older   map[int32][]oldVer // superseded versions per slot, oldest first
-	dying   []int32            // slots holding a dead version, each once: the GC work list
-	indexes map[string]*index  // keyed by column name
-	commit  int64              // last published commit version
-	live    int                // rows visible at commit
-	dead    int                // superseded versions awaiting GC
-	pins    map[int64]int      // pinned commit version → refcount
-	gcFloor int64              // min pin the last GC sweep ran against
+	dying   []int32           // slots holding a retired row: the GC work list
+	indexes map[string]*index // keyed by column name
+	commit  int64             // last published commit version
+	live    int               // rows visible at commit
+	pins    map[int64]int     // pinned commit version → refcount
+	gcFloor int64             // min pin the last GC sweep ran against
 	// onCommit, when set, receives one CommitEvent per committed
 	// mutation batch, invoked under mu (see CommitEvent).
 	onCommit func(CommitEvent)
@@ -145,13 +137,6 @@ func (t *Table) setOnCommit(fn func(CommitEvent)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.onCommit = fn
-}
-
-// emitLocked publishes a commit event; callers hold mu.
-func (t *Table) emitLocked(version int64, inserted, deleted []Row) {
-	if t.onCommit != nil && (len(inserted) > 0 || len(deleted) > 0) {
-		t.onCommit(CommitEvent{Table: t.name, Version: version, Inserted: inserted, Deleted: deleted})
-	}
 }
 
 // --- slot storage ---
@@ -217,22 +202,18 @@ func (t *Table) insertLocked(v int64, r Row) int64 {
 }
 
 // retireLocked end-stamps the live row in slot s at version v and
-// queues the slot for GC (an Update already queued it if the overflow
-// holds versions of the row).
+// queues the slot for GC.
 func (t *Table) retireLocked(s int, v int64) {
 	t.end[s] = v
 	t.live--
-	t.dead++
-	if len(t.older[int32(s)]) == 0 {
-		t.dying = append(t.dying, int32(s))
-	}
+	t.dying = append(t.dying, int32(s))
 }
 
 func (t *Table) idOf(s int) int64 { return int64(t.gen[s])<<32 | int64(s) }
 
 // liveSlot resolves id to its slot when the row is visible at the
 // latest version: the generation must match (else the ID names an
-// earlier tenant of the slot) and the stored version must be undeleted.
+// earlier tenant of the slot) and the row must be undeleted.
 func (t *Table) liveSlot(id int64) (int, bool) {
 	s := int(uint32(id))
 	return s, id >= 0 && s < len(t.end) && t.gen[s] == uint32(id>>32) && t.end[s] == verMax
@@ -244,35 +225,9 @@ func (c *Col) stored(i int) (v Value) {
 	return v
 }
 
-// olderAt returns the overflow version of slot s visible at ver, or nil.
-func (t *Table) olderAt(s int, ver int64) Row {
-	chain := t.older[int32(s)]
-	for i := len(chain) - 1; i >= 0; i-- {
-		if chain[i].begin <= ver && ver < chain[i].end {
-			return chain[i].row
-		}
-	}
-	return nil
-}
-
-// visible resolves slot s at commit version ver. ok reports whether a
-// version is visible; old is nil when that is the stored one and the
-// boxed overflow row otherwise.
-func (t *Table) visible(s int, ver int64) (old Row, ok bool) {
-	if t.begin[s] <= ver {
-		return nil, ver < t.end[s]
-	}
-	old = t.olderAt(s, ver)
-	return old, old != nil
-}
-
-// cell returns column c of the version visible() resolved.
-func (t *Table) cell(s int, old Row, c int) Value {
-	if old != nil {
-		return old[c]
-	}
-	return t.cols[c].stored(s)
-}
+// visible reports whether slot s holds a row visible at commit version
+// ver.
+func (t *Table) visible(s int, ver int64) bool { return t.begin[s] <= ver && ver < t.end[s] }
 
 // load refreshes the schema-wide row dst with slot s's stored cells at
 // columns cols (nil is all). Each dst cell must be zero or an earlier
@@ -315,23 +270,20 @@ func (t *Table) newSlab(n int) *slab {
 	return &slab{cells: make([]Value, n*len(t.cols)), w: len(t.cols)}
 }
 
-// row materialises the version of slot s that visible() resolved.
-func (sl *slab) row(t *Table, s int, old Row) Row {
+// row materialises the row in slot s.
+func (sl *slab) row(t *Table, s int) Row {
 	if len(sl.cells) < sl.w {
 		sl.cells = make([]Value, 256*sl.w)
 	}
 	r := sl.cells[:sl.w:sl.w]
 	sl.cells = sl.cells[sl.w:]
-	if old != nil {
-		copy(r, old)
-	} else {
-		t.load(r, s, nil)
-	}
+	t.load(r, s, nil)
 	return r
 }
 
 // CreateIndex builds a secondary index over the named column,
-// backfilling every retained row version. Creating an index that
+// backfilling every stored row, retired ones awaiting GC included (a
+// pinned snapshot may still read them). Creating an index that
 // already exists with the same type is a no-op.
 func (t *Table) CreateIndex(column string, typ IndexType) error {
 	ci := t.schema.ColumnIndex(column)
@@ -364,28 +316,8 @@ func (t *Table) CreateIndex(column string, typ IndexType) error {
 	for _, s := range slots {
 		idx.insert(col.stored(int(s)), t.idOf(int(s)))
 	}
-	for s, chain := range t.older {
-		for vi, o := range chain {
-			if !t.carried(chain[:vi], int(s), true, ci, o.row[ci]) {
-				idx.insert(o.row[ci], t.idOf(int(s)))
-			}
-		}
-	}
 	t.indexes[column] = idx
 	return nil
-}
-
-// carried reports whether a retained version of the row in slot s —
-// one of the overflow versions vers or, when withStored, the stored one
-// — holds v in column ci: the test that keeps index postings
-// set-valued per (value, id) pair.
-func (t *Table) carried(vers []oldVer, s int, withStored bool, ci int, v Value) bool {
-	for i := range vers {
-		if Equal(vers[i].row[ci], v) {
-			return true
-		}
-	}
-	return withStored && Equal(t.cols[ci].stored(s), v)
 }
 
 // IndexSpec describes one secondary index for introspection.
@@ -447,20 +379,15 @@ func (ix *index) remove(v Value, id int64) {
 	}
 }
 
-// Insert validates and stores a row, returning its row ID. The write
-// commits immediately as its own version.
+// Insert validates and stores a row, returning its row ID: a one-row
+// delta, committed immediately as its own version.
 func (t *Table) Insert(r Row) (int64, error) {
 	if err := t.schema.CheckRow(r); err != nil {
 		return 0, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.commit++
-	id := t.insertLocked(t.commit, r)
-	if t.onCommit != nil {
-		t.emitLocked(t.commit, []Row{r}, nil)
-	}
-	t.maybeGCLocked()
+	_, id := t.applyDeltaLocked(nil, []Row{r}, false)
 	return id, nil
 }
 
@@ -472,60 +399,20 @@ func (t *Table) Get(id int64) (Row, bool) {
 	if !ok {
 		return nil, false
 	}
-	return t.newSlab(1).row(t, s, nil), true
+	return t.newSlab(1).row(t, s), true
 }
 
-// Delete removes the row with the given ID: its current version is
+// Delete removes the row with the given ID — a one-row delta: the row is
 // end-stamped with the new commit version and retained until no pinned
 // snapshot can see it.
 func (t *Table) Delete(id int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s, ok := t.liveSlot(id)
-	if !ok {
+	if _, ok := t.liveSlot(id); !ok {
 		return false
 	}
-	t.commit++
-	t.retireLocked(s, t.commit)
-	if t.onCommit != nil {
-		t.emitLocked(t.commit, nil, []Row{t.newSlab(1).row(t, s, nil)})
-	}
-	t.maybeGCLocked()
+	t.applyDeltaLocked([]int64{id}, nil, false)
 	return true
-}
-
-// Update replaces the row with the given ID: the old version moves to
-// the overflow, end-stamped, and the slot takes the new version
-// beginning at the new commit version.
-func (t *Table) Update(id int64, r Row) error {
-	if err := t.schema.CheckRow(r); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s, ok := t.liveSlot(id)
-	if !ok {
-		return fmt.Errorf("store: table %s has no row %d", t.name, id)
-	}
-	v := t.commit + 1
-	old := t.newSlab(1).row(t, s, nil)
-	t.retireLocked(s, v)
-	if t.older == nil {
-		t.older = make(map[int32][]oldVer)
-	}
-	chain := append(t.older[int32(s)], oldVer{begin: t.begin[s], end: v, row: old})
-	t.older[int32(s)] = chain
-	t.putLocked(s, v, r)
-	t.live++
-	for _, idx := range t.indexes {
-		if nv := r[idx.column]; !t.carried(chain, s, false, idx.column, nv) {
-			idx.insert(nv, id)
-		}
-	}
-	t.commit = v
-	t.emitLocked(v, []Row{r}, []Row{old})
-	t.maybeGCLocked()
-	return nil
 }
 
 // Scan calls fn for every latest-version row in storage order until fn
@@ -545,12 +432,9 @@ func (t *Table) scanLocked(v int64, fn func(id int64, r Row) bool) {
 		v = t.commit
 	}
 	scratch := make(Row, len(t.cols))
-	t.passLocked(nil, v, 0, nil, func(s int, old Row) bool {
-		if old == nil {
-			t.load(scratch, s, nil)
-			old = scratch
-		}
-		return fn(t.idOf(s), old)
+	t.passLocked(nil, v, 0, nil, func(s int) bool {
+		t.load(scratch, s, nil)
+		return fn(t.idOf(s), scratch)
 	})
 }
 
@@ -567,8 +451,8 @@ func (t *Table) SnapshotAt(v int64) []Row {
 		v = t.commit
 	}
 	out, sl := make([]Row, 0, t.live), t.newSlab(t.live)
-	t.passLocked(nil, v, 0, nil, func(s int, old Row) bool {
-		out = append(out, sl.row(t, s, old))
+	t.passLocked(nil, v, 0, nil, func(s int) bool {
+		out = append(out, sl.row(t, s))
 		return true
 	})
 	return out
@@ -579,7 +463,7 @@ func (t *Table) countAt(v int64) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := 0
-	t.passLocked(nil, v, 0, nil, func(int, Row) bool { n++; return true })
+	t.passLocked(nil, v, 0, nil, func(int) bool { n++; return true })
 	return n
 }
 
@@ -627,11 +511,12 @@ func (a Access) outputCols(s *Schema) []int {
 }
 
 // pollEvery is how many postings a read visits between polls of its
-// caller's context (poll is nil for the context-free Lookup calls).
+// caller's context (poll is nil for the store's own context-free passes).
 const pollEvery = 1024
 
-// equalCandidates returns the raw index postings for v — unverified
-// candidate IDs the caller filters by version visibility.
+// equalCandidates returns the raw index postings for v — candidate IDs
+// the caller filters by version visibility and, a hash bucket being
+// shared by colliding values, by the stored value.
 func equalCandidates(ix *index, v Value) []int64 {
 	if ix.typ == IndexHash {
 		return ix.hash[v.Hash()]
@@ -662,16 +547,13 @@ func (t *Table) indexFor(a Access) *index {
 	return idx
 }
 
-// walkLocked calls fn with every row version the access selects at
-// commit version ver (as visible() resolves it), in access order, until
-// fn returns false. Index postings cover every value any retained
-// version carries, so a posting under key k is emitted only when the
-// row version visible at ver carries k: postings are set-valued per
-// (value, id), hence each visible row surfaces exactly once, under its
-// own key, with no dedup state. A column without a usable index (none,
-// or a hash index asked for a range) is served by filtering a full
-// pass, in storage order.
-func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(s int, old Row) bool) error {
+// walkLocked calls fn with the slot of every row the access selects at
+// commit version ver, in access order, until fn returns false. A slot
+// has one posting per index, so each visible row surfaces exactly once,
+// under its own key, with no dedup state. A column without a usable
+// index (none, or a hash index asked for a range) is served by filtering
+// a full pass, in storage order.
+func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(s int) bool) error {
 	if a.Column == "" {
 		return t.passLocked(poll, ver, 0, nil, fn)
 	}
@@ -700,7 +582,7 @@ func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(s int
 				}
 			}
 			s := int(uint32(id))
-			if old, ok := t.visible(s, ver); ok && Equal(t.cell(s, old, ci), k) && !fn(s, old) {
+			if t.visible(s, ver) && Equal(t.cols[ci].stored(s), k) && !fn(s) {
 				return false
 			}
 		}
@@ -721,16 +603,16 @@ func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(s int
 }
 
 // passLocked is the index-free walk, a loop over the slots: every
-// visible version whose column ci match accepts (nil accepts all), in
+// visible row whose column ci match accepts (nil accepts all), in
 // storage order.
-func (t *Table) passLocked(poll func() error, ver int64, ci int, match func(Value) bool, fn func(s int, old Row) bool) error {
+func (t *Table) passLocked(poll func() error, ver int64, ci int, match func(Value) bool, fn func(s int) bool) error {
 	for s := range t.end {
 		if poll != nil && (s+1)%pollEvery == 0 {
 			if err := poll(); err != nil {
 				return err
 			}
 		}
-		if old, ok := t.visible(s, ver); ok && (match == nil || match(t.cell(s, old, ci))) && !fn(s, old) {
+		if t.visible(s, ver) && (match == nil || match(t.cols[ci].stored(s))) && !fn(s) {
 			return nil
 		}
 	}
@@ -738,9 +620,9 @@ func (t *Table) passLocked(poll func() error, ver int64, ci int, match func(Valu
 }
 
 // readLocked runs the access at ver (negative reads the latest commit),
-// applying Accept and Limit, and hands each emitted version to sink. It
-// returns how many visible rows the walk examined — emitted or not.
-func (t *Table) readLocked(poll func() error, ver int64, a Access, sink func(s int, old Row)) (examined int, err error) {
+// applying Accept and Limit, and hands each emitted row's slot to sink.
+// It returns how many visible rows the walk examined — emitted or not.
+func (t *Table) readLocked(poll func() error, ver int64, a Access, sink func(s int)) (examined int, err error) {
 	if ver < 0 {
 		ver = t.commit
 	}
@@ -749,15 +631,11 @@ func (t *Table) readLocked(poll func() error, ver int64, a Access, sink func(s i
 		scratch = make(Row, len(t.cols))
 	}
 	emitted := 0
-	werr := t.walkLocked(poll, ver, a, func(s int, old Row) bool {
+	werr := t.walkLocked(poll, ver, a, func(s int) bool {
 		examined++
 		if a.Accept != nil {
-			r := old
-			if r == nil {
-				t.load(scratch, s, a.AcceptCols)
-				r = scratch
-			}
-			ok, aerr := a.Accept(r)
+			t.load(scratch, s, a.AcceptCols)
+			ok, aerr := a.Accept(scratch)
 			if aerr != nil {
 				err = aerr
 				return false
@@ -766,7 +644,7 @@ func (t *Table) readLocked(poll func() error, ver int64, a Access, sink func(s i
 				return true
 			}
 		}
-		sink(s, old)
+		sink(s)
 		emitted++
 		return a.Limit <= 0 || emitted < a.Limit
 	})
@@ -777,7 +655,7 @@ func (t *Table) readLocked(poll func() error, ver int64, a Access, sink func(s i
 }
 
 // CountPostings returns how many index postings the access would visit
-// — an upper bound on the rows it can emit, exact but for versions
+// — an upper bound on the rows it can emit, exact but for retired rows
 // awaiting GC — giving up once the count passes max (≤ 0 counts them
 // all). The planner sizes an index path against a full scan with it,
 // and Gather sizes its batch. A full scan, or a column without a usable
@@ -823,44 +701,11 @@ func (t *Table) capacityLocked(a Access) int {
 	return max
 }
 
-// lookup collects the IDs an access selects at the latest version.
-func (t *Table) lookup(a Access) ([]int64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var ids []int64
-	_, err := t.readLocked(nil, -1, a, func(s int, _ Row) { ids = append(ids, t.idOf(s)) })
-	return ids, err
-}
-
-// LookupEqual returns the IDs of rows whose column equals v at the
-// latest version, using an index when one exists and falling back to a
-// scan.
-func (t *Table) LookupEqual(column string, v Value) ([]int64, error) {
-	return t.lookup(Access{Column: column, Keys: []Value{v}})
-}
-
-// LookupRange returns the IDs of rows with lo ≤ column ≤ hi (nil
-// bounds are open) at the latest version, in key order when a B+-tree
-// index serves it; otherwise the table is scanned.
-func (t *Table) LookupRange(column string, lo, hi *Value) ([]int64, error) {
-	return t.lookup(Access{Column: column, Lo: lo, Hi: hi})
-}
-
-// Rows returns copies of the rows with the given IDs at the latest
-// version, skipping IDs that no longer exist.
-func (t *Table) Rows(ids []int64) []Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out, sl := make([]Row, 0, len(ids)), t.newSlab(len(ids))
-	for _, id := range ids {
-		if s, ok := t.liveSlot(id); ok {
-			out = append(out, sl.row(t, s, nil))
-		}
-	}
-	return out
-}
-
 // --- delta commits ---
+
+// errNoRow marks a delta that names a row ID not live at the latest
+// version (DB.Delete reports it as "no such row", not as a failure).
+var errNoRow = errors.New("no such row")
 
 // validateDeltaLocked checks a delta against the current version:
 // every delete ID must be visible exactly once and every insert must
@@ -873,7 +718,7 @@ func (t *Table) validateDeltaLocked(deleteIDs []int64, inserts []Row) error {
 		}
 		seen[id] = struct{}{}
 		if _, ok := t.liveSlot(id); !ok {
-			return fmt.Errorf("store: table %s delta deletes missing row %d", t.name, id)
+			return fmt.Errorf("store: table %s delta deletes missing row %d: %w", t.name, id, errNoRow)
 		}
 	}
 	for i, r := range inserts {
@@ -884,12 +729,15 @@ func (t *Table) validateDeltaLocked(deleteIDs []int64, inserts []Row) error {
 	return nil
 }
 
-// applyDeltaLocked applies deletes+inserts as ONE commit version. It
+// applyDeltaLocked is the table's one mutation — live commits, WAL
+// replay and replicated records all land here: it retires deleteIDs and
+// inserts the rows as ONE commit version, publishing one CommitEvent. It
 // returns copies of the deleted rows, cut from one slab, when the WAL
-// (wantDeleted) or a commit hook will read them, and nil otherwise. The
-// caller has validated the delta and holds t.mu exclusively; with no
+// (wantDeleted) or a commit hook will read them and nil otherwise, and
+// the ID of the last row inserted (what the one-row Insert hands back).
+// The caller has validated the delta and holds t.mu exclusively; with no
 // interleaved writer the apply cannot fail.
-func (t *Table) applyDeltaLocked(deleteIDs []int64, inserts []Row, wantDeleted bool) (deleted []Row) {
+func (t *Table) applyDeltaLocked(deleteIDs []int64, inserts []Row, wantDeleted bool) (deleted []Row, last int64) {
 	v := t.commit + 1
 	if (wantDeleted || t.onCommit != nil) && len(deleteIDs) > 0 {
 		deleted = make([]Row, 0, len(deleteIDs))
@@ -898,23 +746,27 @@ func (t *Table) applyDeltaLocked(deleteIDs []int64, inserts []Row, wantDeleted b
 	for _, id := range deleteIDs {
 		s, _ := t.liveSlot(id)
 		if deleted != nil {
-			deleted = append(deleted, sl.row(t, s, nil))
+			deleted = append(deleted, sl.row(t, s))
 		}
 		t.retireLocked(s, v)
 	}
+	last = -1
 	for _, r := range inserts {
-		t.insertLocked(v, r)
+		last = t.insertLocked(v, r)
 	}
 	t.commit = v
-	t.emitLocked(v, inserts, deleted)
+	if t.onCommit != nil && (len(inserts) > 0 || len(deleted) > 0) {
+		t.onCommit(CommitEvent{Table: t.name, Version: v, Inserted: inserts, Deleted: deleted})
+	}
 	t.maybeGCLocked()
-	return deleted
+	return deleted, last
 }
 
-// applyDeltaByValue applies a replayed/replicated batch delta: deletes
-// are matched by row value (row IDs are not stable across recovery),
-// and the whole delta commits as one version. Missing delete matches
-// are skipped, mirroring single-record delete replay.
+// applyDeltaByValue applies a replayed or replicated batch delta. Row
+// IDs are not stable across recovery, so the log names deleted rows by
+// value: each resolves to one live row equal to it (equal rows pair off
+// one to one, a value with no live match is skipped), and the resolved
+// delta goes through applyDeltaLocked like a live commit.
 func (t *Table) applyDeltaByValue(deletes []Row, inserts []Row) error {
 	for i, r := range inserts {
 		if err := t.schema.CheckRow(r); err != nil {
@@ -923,34 +775,31 @@ func (t *Table) applyDeltaByValue(deletes []Row, inserts []Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v := t.commit + 1
-	var deleted []Row
+	ids := make([]int64, 0, len(deletes))
+	taken := make(map[int]struct{}, len(deletes))
 	for _, r := range deletes {
-		if s, ok := t.findByValueLocked(r); ok {
-			t.retireLocked(s, v)
-			deleted = append(deleted, r)
+		if s, ok := t.findByValueLocked(r, taken); ok {
+			taken[s] = struct{}{}
+			ids = append(ids, t.idOf(s))
 		}
 	}
-	for _, r := range inserts {
-		t.insertLocked(v, r)
-	}
-	t.commit = v
-	t.emitLocked(v, inserts, deleted)
-	t.maybeGCLocked()
+	t.applyDeltaLocked(ids, inserts, false)
 	return nil
 }
 
-// findByValueLocked locates a slot whose row, live at the latest
-// version, equals r. With an index on the table the search compares
-// only the postings under r's value in the indexed column — the index
-// with the fewest — instead of every row; postings cover the stored
-// version's value, so no live match is missed.
-func (t *Table) findByValueLocked(r Row) (int, bool) {
+// findByValueLocked locates a slot outside taken whose row, live at the
+// latest version, equals r. With an index on the table the search
+// compares only the postings under r's value in the indexed column — the
+// index with the fewest — instead of every row.
+func (t *Table) findByValueLocked(r Row, taken map[int]struct{}) (int, bool) {
 	if len(r) != len(t.cols) {
 		return 0, false
 	}
 	match := func(s int) bool {
 		if t.end[s] != verMax {
+			return false
+		}
+		if _, dup := taken[s]; dup {
 			return false
 		}
 		for c := range t.cols {
@@ -981,22 +830,6 @@ func (t *Table) findByValueLocked(r Row) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// deleteByValue removes one row equal to r (WAL replay of single
-// delete records).
-func (t *Table) deleteByValue(r Row) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s, ok := t.findByValueLocked(r)
-	if !ok {
-		return false
-	}
-	t.commit++
-	t.retireLocked(s, t.commit)
-	t.emitLocked(t.commit, nil, []Row{r})
-	t.maybeGCLocked()
-	return true
 }
 
 // --- snapshot pins and version GC ---
@@ -1036,13 +869,13 @@ func (t *Table) PinnedVersions() int {
 	return len(t.pins)
 }
 
-// DeadVersions reports how many superseded row versions await GC. With
-// no snapshots pinned it settles to zero: every commit and unpin
-// sweeps versions below the pin floor.
+// DeadVersions reports how many retired rows await GC. With no
+// snapshots pinned it settles to zero: every commit and unpin sweeps
+// rows retired at or below the pin floor.
 func (t *Table) DeadVersions() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.dead
+	return len(t.dying)
 }
 
 // minPinLocked returns the lowest pinned commit version, or the
@@ -1058,14 +891,12 @@ func (t *Table) minPinLocked() int64 {
 }
 
 // maybeGCLocked sweeps the dying slots when the pin floor has advanced
-// since the last sweep. A dead version is removable once end ≤ floor:
-// no pinned snapshot and no latest read can see it. Removing a version
-// drops its index postings unless another retained version of the same
-// row carries the same value; a slot whose stored version goes (its
-// older ones ended no later, so they go too) is cleared of string
-// references, moves to the next generation and joins the free list.
+// since the last sweep. A retired row is removable once end ≤ floor: no
+// pinned snapshot and no latest read can see it. Its slot drops its
+// index postings, is cleared of string references, moves to the next
+// generation and joins the free list.
 func (t *Table) maybeGCLocked() {
-	if t.dead == 0 {
+	if len(t.dying) == 0 {
 		return
 	}
 	floor := t.minPinLocked()
@@ -1074,42 +905,22 @@ func (t *Table) maybeGCLocked() {
 	}
 	keep := t.dying[:0]
 	for _, s32 := range t.dying {
-		s, id, chain := int(s32), t.idOf(int(s32)), t.older[s32]
-		freed := t.end[s] <= floor
-		n := 0
-		for n < len(chain) && chain[n].end <= floor {
-			n++
+		s := int(s32)
+		if t.end[s] > floor {
+			keep = append(keep, s32)
+			continue
 		}
 		for _, idx := range t.indexes {
-			for _, o := range chain[:n] {
-				if !t.carried(chain[n:], s, !freed, idx.column, o.row[idx.column]) {
-					idx.remove(o.row[idx.column], id)
-				}
-			}
-			if freed {
-				idx.remove(t.cols[idx.column].stored(s), id)
+			idx.remove(t.cols[idx.column].stored(s), t.idOf(s))
+		}
+		t.begin[s], t.end[s] = 0, 0
+		t.gen[s]++
+		for c := range t.cols {
+			if t.cols[c].Kind == KindString {
+				t.cols[c].Str[s] = ""
 			}
 		}
-		t.dead -= n
-		if n == len(chain) {
-			delete(t.older, s32)
-		} else {
-			t.older[s32] = chain[n:]
-		}
-		switch {
-		case freed:
-			t.dead--
-			t.begin[s], t.end[s] = 0, 0
-			t.gen[s]++
-			for c := range t.cols {
-				if t.cols[c].Kind == KindString {
-					t.cols[c].Str[s] = ""
-				}
-			}
-			t.free = append(t.free, s32)
-		case n < len(chain) || t.end[s] != verMax:
-			keep = append(keep, s32)
-		}
+		t.free = append(t.free, s32)
 	}
 	t.dying = keep
 	t.gcFloor = floor

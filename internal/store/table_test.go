@@ -1,10 +1,24 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 )
+
+// gatherRows runs the access at the latest version through
+// TableView.Gather, the one read primitive.
+func gatherRows(t testing.TB, tb *Table, a Access) []Row {
+	t.Helper()
+	cb, _, err := tb.LatestView().Gather(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return batchRows(cb)
+}
+
+func equalTo(column string, v Value) Access { return Access{Column: column, Keys: []Value{v}} }
 
 func proteinSchema(t *testing.T) *Schema {
 	t.Helper()
@@ -90,23 +104,38 @@ func TestTableGetReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestTableUpdate(t *testing.T) {
-	tb := NewTable("p", proteinSchema(t))
-	tb.CreateIndex("family", IndexHash)
-	id, _ := tb.Insert(Row{StringValue("P1"), StringValue("F1"), IntValue(1), BoolValue(false)})
-	if err := tb.Update(id, Row{StringValue("P1"), StringValue("F2"), IntValue(2), BoolValue(true)}); err != nil {
+func TestTableReplace(t *testing.T) {
+	db, err := Open("")
+	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _ := tb.LookupEqual("family", StringValue("F2"))
-	if len(ids) != 1 || ids[0] != id {
-		t.Fatalf("index not updated: %v", ids)
+	tb, err := db.CreateTable("p", proteinSchema(t))
+	if err != nil {
+		t.Fatal(err)
 	}
-	ids, _ = tb.LookupEqual("family", StringValue("F1"))
-	if len(ids) != 0 {
-		t.Fatalf("stale index entry: %v", ids)
+	tb.CreateIndex("family", IndexHash)
+	id, _ := db.Insert("p", Row{StringValue("P1"), StringValue("F1"), IntValue(1), BoolValue(false)})
+	v := tb.Version()
+	if err := replaceRow(db, "p", id, Row{StringValue("P1"), StringValue("F2"), IntValue(2), BoolValue(true)}); err != nil {
+		t.Fatal(err)
 	}
-	if err := tb.Update(9999, Row{StringValue("x"), StringValue("y"), IntValue(0), BoolValue(false)}); err == nil {
-		t.Fatal("update of missing row accepted")
+	if tb.Version() != v+1 || tb.Len() != 1 {
+		t.Fatalf("replace took version %d → %d, %d rows: want one commit, one row", v, tb.Version(), tb.Len())
+	}
+	if rows := gatherRows(t, tb, equalTo("family", StringValue("F2"))); len(rows) != 1 || rows[0][2].I != 2 {
+		t.Fatalf("index not updated: %v", rows)
+	}
+	if rows := gatherRows(t, tb, equalTo("family", StringValue("F1"))); len(rows) != 0 {
+		t.Fatalf("stale index entry: %v", rows)
+	}
+	if _, ok := tb.Get(id); ok {
+		t.Fatal("the replaced row's ID still resolves")
+	}
+	if err := replaceRow(db, "p", 9999, Row{StringValue("x"), StringValue("y"), IntValue(0), BoolValue(false)}); err == nil {
+		t.Fatal("replace of a missing row accepted")
+	}
+	if tb.Len() != 1 || tb.Version() != v+1 {
+		t.Fatal("a rejected replace left its insert behind")
 	}
 }
 
@@ -121,22 +150,18 @@ func TestTableIndexLookup(t *testing.T) {
 				fam := fmt.Sprintf("FAM%d", i%10)
 				tb.Insert(Row{StringValue(fmt.Sprintf("P%03d", i)), StringValue(fam), IntValue(int64(i)), BoolValue(i%2 == 0)})
 			}
-			ids, err := tb.LookupEqual("family", StringValue("FAM3"))
-			if err != nil {
-				t.Fatal(err)
+			rows := gatherRows(t, tb, equalTo("family", StringValue("FAM3")))
+			if len(rows) != 10 {
+				t.Fatalf("FAM3 lookup = %d rows, want 10", len(rows))
 			}
-			if len(ids) != 10 {
-				t.Fatalf("FAM3 lookup = %d rows, want 10", len(ids))
-			}
-			for _, r := range tb.Rows(ids) {
+			for _, r := range rows {
 				if r[1].S != "FAM3" {
 					t.Fatalf("lookup returned family %q", r[1].S)
 				}
 			}
 			// Missing value.
-			ids, _ = tb.LookupEqual("family", StringValue("NOPE"))
-			if len(ids) != 0 {
-				t.Fatalf("missing value returned %d rows", len(ids))
+			if rows := gatherRows(t, tb, equalTo("family", StringValue("NOPE"))); len(rows) != 0 {
+				t.Fatalf("missing value returned %d rows", len(rows))
 			}
 		})
 	}
@@ -147,14 +172,10 @@ func TestTableLookupWithoutIndexFallsBack(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tb.Insert(Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
 	}
-	ids, err := tb.LookupEqual("length", IntValue(7))
-	if err != nil {
-		t.Fatal(err)
+	if rows := gatherRows(t, tb, equalTo("length", IntValue(7))); len(rows) != 1 || rows[0][0].S != "P7" {
+		t.Fatalf("scan lookup = %v", rows)
 	}
-	if len(ids) != 1 {
-		t.Fatalf("scan lookup = %v", ids)
-	}
-	if _, err := tb.LookupEqual("nope", IntValue(0)); err == nil {
+	if _, _, err := tb.LatestView().Gather(context.Background(), equalTo("nope", IntValue(0))); err == nil {
 		t.Fatal("unknown column accepted")
 	}
 }
@@ -166,21 +187,22 @@ func TestTableRangeLookup(t *testing.T) {
 		tb.Insert(Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
 	}
 	lo, hi := IntValue(10), IntValue(20)
-	ids, err := tb.LookupRange("length", &lo, &hi)
-	if err != nil {
-		t.Fatal(err)
+	rows := gatherRows(t, tb, Access{Column: "length", Lo: &lo, Hi: &hi})
+	if len(rows) != 11 {
+		t.Fatalf("range lookup = %d rows, want 11", len(rows))
 	}
-	if len(ids) != 11 {
-		t.Fatalf("range lookup = %d rows, want 11", len(ids))
+	for i, r := range rows {
+		if r[2].I != int64(10+i) {
+			t.Fatalf("range lookup row %d has length %d: want key order", i, r[2].I)
+		}
 	}
 	// Unindexed range lookup gives the same answer.
 	tb2 := NewTable("p2", proteinSchema(t))
 	for i := 0; i < 100; i++ {
 		tb2.Insert(Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
 	}
-	ids2, _ := tb2.LookupRange("length", &lo, &hi)
-	if len(ids2) != 11 {
-		t.Fatalf("scan range lookup = %d rows, want 11", len(ids2))
+	if rows := gatherRows(t, tb2, Access{Column: "length", Lo: &lo, Hi: &hi}); len(rows) != 11 {
+		t.Fatalf("scan range lookup = %d rows, want 11", len(rows))
 	}
 }
 
@@ -192,9 +214,8 @@ func TestCreateIndexBackfillsAndValidates(t *testing.T) {
 	if err := tb.CreateIndex("length", IndexBTree); err != nil {
 		t.Fatal(err)
 	}
-	ids, _ := tb.LookupEqual("length", IntValue(3))
-	if len(ids) != 10 {
-		t.Fatalf("backfilled index lookup = %d rows, want 10", len(ids))
+	if rows := gatherRows(t, tb, equalTo("length", IntValue(3))); len(rows) != 10 {
+		t.Fatalf("backfilled index lookup = %d rows, want 10", len(rows))
 	}
 	if err := tb.CreateIndex("length", IndexBTree); err != nil {
 		t.Fatalf("idempotent re-create failed: %v", err)
@@ -218,13 +239,8 @@ func TestTableVersionBumps(t *testing.T) {
 		t.Fatal("insert did not bump version")
 	}
 	v1 := tb.Version()
-	tb.Update(id, Row{StringValue("P"), StringValue("F"), IntValue(2), BoolValue(false)})
-	if tb.Version() == v1 {
-		t.Fatal("update did not bump version")
-	}
-	v2 := tb.Version()
 	tb.Delete(id)
-	if tb.Version() == v2 {
+	if tb.Version() == v1 {
 		t.Fatal("delete did not bump version")
 	}
 }
@@ -244,7 +260,7 @@ func TestTableConcurrentAccess(t *testing.T) {
 					IntValue(int64(i)), BoolValue(false),
 				})
 				if i%10 == 0 {
-					tb.LookupEqual("family", StringValue("FAM1"))
+					tb.LatestView().Gather(context.Background(), equalTo("family", StringValue("FAM1")))
 					tb.Scan(func(int64, Row) bool { return false })
 				}
 			}
