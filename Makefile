@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-replication vet vet-compat lint loc bench bench-smoke bench-micro bench-repo bench-repo-smoke chaos chaos-replica overload torture ingest check clean
+.PHONY: all build test race race-replication vet vet-compat lint loc bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos chaos-replica overload torture ingest check clean
 
 all: check
 
@@ -107,7 +107,7 @@ bench-repo-smoke:
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
 # idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_22.json
+BENCH_JSON ?= BENCH_23.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \
@@ -124,11 +124,20 @@ bench-repo:
 	printf '\n ]}\n' >> $$tmp; mv $$tmp $(BENCH_JSON)
 
 # Storage-layer microbenchmarks with -benchmem: the store's insert,
-# lookup, range gather, sequential pass and 512+512 delta commit.
-# EXPERIMENTS "Compact storage" records them.
+# lookup, range gather, sequential pass and 512+512 delta commit, and
+# one posting's insert / probe / remove / range walk through each index
+# form. EXPERIMENTS "Compact storage" and "Typed indexes" record them.
 bench-micro:
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512' ./internal/store/
+		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex' ./internal/store/
+
+# Ten seconds of each fuzz target over its checked-in corpus: the DTQL
+# parser's parse → String → parse and the Newick parser's parse →
+# Newick → parse round trips, neither ever panicking. `go test -fuzz`
+# takes one target and one package a run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/query/
+	$(GO) test -run '^$$' -fuzz '^FuzzNewick$$' -fuzztime 10s ./internal/phylo/
 
 # Parallel-executor microbenchmarks plus the experiment tables.
 bench:
@@ -183,7 +192,7 @@ ingest:
 	$(GO) test -race -count=1 -timeout=300s -run TestRunT14 -v ./internal/experiments/
 	$(GO) run ./cmd/drugtree-experiments -exp T14
 
-check: lint vet-compat build test bench-smoke bench-repo-smoke race chaos-replica
+check: lint vet-compat build test bench-smoke bench-repo-smoke fuzz-smoke race chaos-replica
 
 clean:
 	$(GO) clean ./...

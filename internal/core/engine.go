@@ -224,7 +224,8 @@ func NewWithTree(db *store.DB, tree *phylo.Tree, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	tree.NameClades()
-	if err := materializeTree(db, tree); err != nil {
+	layout := phylo.NewLayout(tree)
+	if err := materializeTree(db, tree, layout); err != nil {
 		return nil, err
 	}
 	treeTab, err := db.Table(TreeTable)
@@ -236,7 +237,7 @@ func NewWithTree(db *store.DB, tree *phylo.Tree, cfg Config) (*Engine, error) {
 		db:         db,
 		treeTab:    treeTab,
 		tree:       tree,
-		layout:     phylo.NewLayout(tree),
+		layout:     layout,
 		catalog:    query.NewDBCatalog(db, tree),
 		Metrics:    metrics.NewRegistry(),
 		prefetcher: cache.NewPrefetcher(),
@@ -370,7 +371,7 @@ func buildTree(proteins []*seq.Protein, method TreeMethod, k int) (*phylo.Tree, 
 }
 
 // materializeTree (re)creates the tree_nodes relation.
-func materializeTree(db *store.DB, t *phylo.Tree) error {
+func materializeTree(db *store.DB, t *phylo.Tree, layout *phylo.Layout) error {
 	tab, err := db.Table(TreeTable)
 	if err != nil {
 		tab, err = db.CreateTable(TreeTable, TreeSchema)
@@ -387,7 +388,6 @@ func materializeTree(db *store.DB, t *phylo.Tree) error {
 	// one hook dispatch, one GC check and (on a durable store) one WAL
 	// batch record per chunk, and only a chunk of boxed rows in flight.
 	const chunk = 4096
-	layout := phylo.NewLayout(t)
 	width := TreeSchema.Len()
 	for lo := 0; lo < t.Len(); lo += chunk {
 		hi := min(lo+chunk, t.Len())

@@ -432,7 +432,18 @@ func TestDuplicateNodeNameResolvesOneWay(t *testing.T) {
 	if sizes[0] == 0 || sizes[1] == 0 {
 		t.Fatalf("no twin clades found (sizes %v)", sizes)
 	}
-	tree.Node(twins[0]).Name, tree.Node(twins[1]).Name = "twin", "twin"
+	// Names freeze at Index: rebuild the same tree, node for node, with
+	// the twins renamed first.
+	renamed := phylo.NewTree()
+	for i := 0; i < tree.Len(); i++ {
+		n := tree.Node(phylo.NodeID(i))
+		if id, _ := renamed.AddNode(n.Name, n.Parent, n.Length); id == twins[0] || id == twins[1] {
+			if err := renamed.SetName(id, "twin"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tree = renamed
 	want, wantSize := twins[0], sizes[0]
 	if twins[1] < want {
 		want, wantSize = twins[1], sizes[1]

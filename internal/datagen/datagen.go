@@ -404,7 +404,9 @@ func RandomTopology(n int, seed int64) (*phylo.Tree, error) {
 		leaves = append(leaves, l2)
 	}
 	for i, id := range leaves {
-		t.Node(id).Name = fmt.Sprintf("L%05d", i)
+		if err := t.SetName(id, fmt.Sprintf("L%05d", i)); err != nil {
+			return nil, err
+		}
 	}
 	if err := t.Index(); err != nil {
 		return nil, err

@@ -73,6 +73,8 @@ func fieldLink(base string, t ast.Expr) (class string, ptr bool) {
 		if x, ok := t.X.(*ast.Ident); ok {
 			return x.Name + "." + t.Sel.Name, false
 		}
+	case *ast.IndexExpr: // generic instantiation
+		return fieldLink(base, t.X)
 	}
 	return "", false
 }

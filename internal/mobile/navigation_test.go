@@ -89,7 +89,9 @@ func multifurcatingEngine(t *testing.T, seed int64, internal int) *core.Engine {
 		}
 	}
 	for i, id := range leaves {
-		tree.Node(id).Name = fmt.Sprintf("L%05d", i)
+		if err := tree.SetName(id, fmt.Sprintf("L%05d", i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	db, err := store.Open("")
 	if err != nil {

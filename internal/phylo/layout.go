@@ -7,7 +7,8 @@ package phylo
 // children. The mobile layer uses these coordinates for viewport
 // clipping.
 type Layout struct {
-	// X and Y are indexed by NodeID.
+	// X and Y are indexed by NodeID. X is the tree's own root-distance
+	// array, shared rather than copied: read-only.
 	X []float64
 	Y []float64
 	// Width is the maximum X (tree height in branch-length units).
@@ -20,16 +21,15 @@ type Layout struct {
 func NewLayout(t *Tree) *Layout {
 	t.mustIndexed()
 	n := t.Len()
-	l := &Layout{X: make([]float64, n), Y: make([]float64, n)}
-	// First pass (preorder): X from root distance, leaf rows.
+	l := &Layout{X: t.dist, Y: make([]float64, n)}
+	// First pass (preorder): leaf rows.
 	row := 0
 	for p := 0; p < n; p++ {
 		id := t.byPre[p]
-		l.X[id] = t.RootDistance(id)
 		if l.X[id] > l.Width {
 			l.Width = l.X[id]
 		}
-		if t.Node(id).IsLeaf() {
+		if t.isLeaf(id) {
 			l.Y[id] = float64(row)
 			row++
 		}
@@ -39,15 +39,15 @@ func NewLayout(t *Tree) *Layout {
 	// internal Y is the mean of child Y.
 	for p := n - 1; p >= 0; p-- {
 		id := t.byPre[p]
-		node := t.Node(id)
-		if node.IsLeaf() {
+		children := t.children(id)
+		if len(children) == 0 {
 			continue
 		}
 		sum := 0.0
-		for _, c := range node.Children {
+		for _, c := range children {
 			sum += l.Y[c]
 		}
-		l.Y[id] = sum / float64(len(node.Children))
+		l.Y[id] = sum / float64(len(children))
 	}
 	return l
 }

@@ -89,8 +89,7 @@ func (p *newickParser) parseSubtree(t *Tree, parent NodeID) (NodeID, error) {
 		if err != nil {
 			return None, err
 		}
-		t.nodes[id].Name = name
-		t.nodes[id].Length = length
+		t.names[id], t.length[id] = name, length
 		return id, nil
 	}
 	// Leaf.
@@ -118,7 +117,7 @@ func (p *newickParser) parseLabel() (string, float64, error) {
 		p.pos += end + 2
 	} else {
 		start := p.pos
-		for p.pos < len(p.src) && !strings.ContainsRune("():,;' \t\n\r", rune(p.src[p.pos])) {
+		for p.pos < len(p.src) && strings.IndexByte(newickDelims, p.src[p.pos]) < 0 {
 			p.pos++
 		}
 		name = p.src[start:p.pos]
@@ -140,12 +139,17 @@ func (p *newickParser) parseLabel() (string, float64, error) {
 	return name, length, nil
 }
 
+// newickDelims are the bytes that end a bare label; a name holding one
+// is written quoted.
+const newickDelims = "():,;' \t\n\r"
+
 func isNumByte(c byte) bool {
 	return c >= '0' && c <= '9' || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E'
 }
 
-// Newick serializes the tree in Newick format with branch lengths.
-// Names containing Newick metacharacters are single-quoted.
+// Newick serializes the tree in Newick format with branch lengths (the
+// root's only when it has one). Names containing Newick metacharacters
+// are single-quoted.
 func (t *Tree) Newick() string {
 	if t.root == None {
 		return ";"
@@ -157,7 +161,7 @@ func (t *Tree) Newick() string {
 }
 
 func (t *Tree) writeNewick(b *strings.Builder, id NodeID) {
-	n := &t.nodes[id]
+	n := t.Node(id)
 	if !n.IsLeaf() {
 		b.WriteByte('(')
 		for i, c := range n.Children {
@@ -169,7 +173,7 @@ func (t *Tree) writeNewick(b *strings.Builder, id NodeID) {
 		b.WriteByte(')')
 	}
 	if n.Name != "" {
-		if strings.ContainsAny(n.Name, "():,; '\t") {
+		if strings.ContainsAny(n.Name, newickDelims) {
 			b.WriteByte('\'')
 			b.WriteString(n.Name)
 			b.WriteByte('\'')
@@ -177,7 +181,7 @@ func (t *Tree) writeNewick(b *strings.Builder, id NodeID) {
 			b.WriteString(n.Name)
 		}
 	}
-	if id != t.root {
+	if id != t.root || n.Length != 0 {
 		fmt.Fprintf(b, ":%g", n.Length)
 	}
 }

@@ -1,6 +1,7 @@
 package phylo
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -118,4 +119,44 @@ func TestNewickSingleLeaf(t *testing.T) {
 	if len(tr.Leaves()) != 1 {
 		t.Fatalf("leaves = %v", tr.Leaves())
 	}
+}
+
+// FuzzNewick: the parser never panics, and a string that parses
+// serialises (Newick) to text that parses back to the same tree — the
+// same node IDs, names, parents, child order and branch lengths — in
+// the build form and, after Index, in the frozen one.
+func FuzzNewick(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		tr, err := ParseNewick(src)
+		if err != nil {
+			return
+		}
+		text := tr.Newick()
+		again, err := ParseNewick(text)
+		if err != nil {
+			t.Fatalf("%q parsed, but its serialisation %q does not: %v", src, text, err)
+		}
+		same := func(stage string) {
+			if tr.Len() != again.Len() || tr.Root() != again.Root() {
+				t.Fatalf("%q %s: %d nodes rooted at %d, %d rooted at %d after the round trip", src, stage, tr.Len(), tr.Root(), again.Len(), again.Root())
+			}
+			for i := 0; i < tr.Len(); i++ {
+				a, b := tr.Node(NodeID(i)), again.Node(NodeID(i))
+				if a.Name != b.Name || a.Parent != b.Parent || a.Length != b.Length || !slices.Equal(a.Children, b.Children) {
+					t.Fatalf("%q %s: node %d is %+v, %+v after the round trip through %q", src, stage, i, a, b, text)
+				}
+			}
+		}
+		same("built")
+		if err := tr.Index(); err != nil {
+			t.Fatalf("%q: Index: %v", src, err)
+		}
+		if err := again.Index(); err != nil {
+			t.Fatalf("%q: Index after the round trip: %v", text, err)
+		}
+		same("indexed")
+		if indexed := tr.Newick(); indexed != text {
+			t.Fatalf("%q: serialises to %q built and %q indexed", src, text, indexed)
+		}
+	})
 }

@@ -9,7 +9,11 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -20,43 +24,63 @@ type NodeID int32
 // None is the null node ID (parent of the root).
 const None NodeID = -1
 
-// Node is one vertex of a phylogenetic tree.
+// Node is a by-value view of one vertex of a phylogenetic tree: reading
+// it allocates nothing and writing it changes nothing (SetName renames).
 type Node struct {
 	// Name is the taxon label for leaves (protein accession in
-	// DrugTree) and an optional label for internal nodes.
+	// DrugTree) and an optional label for internal nodes. On an indexed
+	// tree it is a substring of the tree's name arena.
 	Name string
 	// Parent is the parent node or None for the root.
 	Parent NodeID
-	// Children lists child nodes in stable order.
+	// Children lists child nodes in stable order: a window into the
+	// tree's child array, not to be modified.
 	Children []NodeID
 	// Length is the branch length to the parent (0 for the root).
 	Length float64
 }
 
 // IsLeaf reports whether the node has no children.
-func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
+func (n Node) IsLeaf() bool { return len(n.Children) == 0 }
 
 // Tree is a rooted phylogenetic tree. Trees are built once and then
 // read concurrently; mutation after Index() is not supported (NameClades
 // aside). A Tree must not be copied after first use.
+//
+// A tree has two forms. While it is built, every node has a name string
+// and a child list of its own. Index() freezes it into flat arrays
+// indexed by node ID — no pointer per node: the children of all nodes
+// in one array cut by offsets, the names in one string arena cut by
+// offsets — beside the preorder index arrays, and releases the build
+// form. Node IDs, child order and every accessor read the same either
+// way.
 type Tree struct {
-	nodes []Node
-	root  NodeID
+	root   NodeID
+	parent []NodeID  // by node
+	length []float64 // by node: branch length to the parent
 
-	// Index data, built lazily by Index().
-	pre     []int32  // preorder number of each node
-	end     []int32  // max preorder number within each node's subtree
-	byPre   []NodeID // node at each preorder position
-	depth   []int32  // edge depth of each node
-	dist    []float64
-	leafCnt []int32 // number of leaves under each node
-	indexed bool
+	// Build form; nil once indexed.
+	names []string
+	kids  [][]NodeID
 
-	// names is the name → node index (see NodeByName), built once on
+	// Frozen form, built by Index().
+	childOff []int32  // node i's children are childIDs[childOff[i]:childOff[i+1]]
+	childIDs []NodeID // every non-root node, grouped by parent in child order
+	nameOff  []uint32 // node i's name is arena[nameOff[i]:nameOff[i+1]]
+	arena    string
+	pre      []int32  // preorder number of each node
+	end      []int32  // max preorder number within each node's subtree
+	byPre    []NodeID // node at each preorder position
+	depth    []int32  // edge depth of each node
+	dist     []float64
+	leafCnt  []int32 // number of leaves under each node
+	indexed  bool
+
+	// nameTab is the name → node index (see NodeByName), built once on
 	// first use: an open-addressing table of node IDs + 1 (0 is an
 	// empty bucket) probed by the hash of the name.
 	namesOnce sync.Once
-	names     []NodeID
+	nameTab   []NodeID
 }
 
 // NewTree creates an empty tree.
@@ -74,34 +98,68 @@ func (t *Tree) AddNode(name string, parent NodeID, length float64) (NodeID, erro
 		if t.root != None {
 			return None, fmt.Errorf("phylo: tree already has a root")
 		}
-	} else if int(parent) < 0 || int(parent) >= len(t.nodes) {
+	} else if !t.Valid(parent) {
 		return None, fmt.Errorf("phylo: parent %d out of range", parent)
 	}
-	id := NodeID(len(t.nodes))
-	t.nodes = append(t.nodes, Node{Name: name, Parent: parent, Length: length})
+	id := NodeID(len(t.parent))
+	t.parent = append(t.parent, parent)
+	t.length = append(t.length, length)
+	t.names = append(t.names, name)
+	t.kids = append(t.kids, nil)
 	if parent == None {
 		t.root = id
 	} else {
-		t.nodes[parent].Children = append(t.nodes[parent].Children, id)
+		t.kids[parent] = append(t.kids[parent], id)
 	}
 	return id, nil
 }
 
+// SetName renames a node of a tree under construction. An indexed
+// tree's names are frozen — the name index and every layer that
+// resolved a name through it would keep answering to the old one — so
+// there it is an error (NameClades is the one naming step after Index).
+func (t *Tree) SetName(id NodeID, name string) error {
+	if t.indexed {
+		return fmt.Errorf("phylo: tree is indexed and immutable")
+	}
+	if !t.Valid(id) {
+		return fmt.Errorf("phylo: node %d out of range", id)
+	}
+	t.names[id] = name
+	return nil
+}
+
 // Len returns the number of nodes.
-func (t *Tree) Len() int { return len(t.nodes) }
+func (t *Tree) Len() int { return len(t.parent) }
 
 // Root returns the root node ID, or None for an empty tree.
 func (t *Tree) Root() NodeID { return t.root }
 
-// Node returns the node with the given ID. The returned pointer is
-// valid until the tree is mutated.
-func (t *Tree) Node(id NodeID) *Node {
-	return &t.nodes[id]
+// Node returns a view of the node with the given ID.
+func (t *Tree) Node(id NodeID) Node {
+	return Node{Name: t.name(id), Parent: t.parent[id], Children: t.children(id), Length: t.length[id]}
 }
+
+func (t *Tree) name(id NodeID) string {
+	if t.indexed {
+		return t.arena[t.nameOff[id]:t.nameOff[id+1]]
+	}
+	return t.names[id]
+}
+
+func (t *Tree) children(id NodeID) []NodeID {
+	if t.indexed {
+		lo, hi := t.childOff[id], t.childOff[id+1]
+		return t.childIDs[lo:hi:hi]
+	}
+	return t.kids[id]
+}
+
+func (t *Tree) isLeaf(id NodeID) bool { return len(t.children(id)) == 0 }
 
 // Valid reports whether id names a node of this tree.
 func (t *Tree) Valid(id NodeID) bool {
-	return id >= 0 && int(id) < len(t.nodes)
+	return id >= 0 && int(id) < len(t.parent)
 }
 
 // Leaves returns the IDs of all leaves in preorder (indexed trees) or
@@ -110,14 +168,14 @@ func (t *Tree) Leaves() []NodeID {
 	var out []NodeID
 	if t.indexed {
 		for _, id := range t.byPre {
-			if t.nodes[id].IsLeaf() {
+			if t.isLeaf(id) {
 				out = append(out, id)
 			}
 		}
 		return out
 	}
-	for i := range t.nodes {
-		if t.nodes[i].IsLeaf() {
+	for i := range t.parent {
+		if t.isLeaf(NodeID(i)) {
 			out = append(out, NodeID(i))
 		}
 	}
@@ -127,16 +185,17 @@ func (t *Tree) Leaves() []NodeID {
 // FindLeaf returns the leaf with the given name, or None. O(n), and
 // usable before Index; on an indexed tree NodeByName is the O(1) lookup.
 func (t *Tree) FindLeaf(name string) NodeID {
-	for i := range t.nodes {
-		if t.nodes[i].IsLeaf() && t.nodes[i].Name == name {
-			return NodeID(i)
+	for i := range t.parent {
+		if id := NodeID(i); t.isLeaf(id) && t.name(id) == name {
+			return id
 		}
 	}
 	return None
 }
 
-// Index freezes the tree and builds the preorder-interval subtree
-// index and the depth/branch-length arrays. Calling Index more than
+// Index freezes the tree: it builds the preorder-interval subtree index
+// and the depth/branch-length arrays, moves children and names into
+// their flat form and releases the build form. Calling Index more than
 // once is a no-op.
 func (t *Tree) Index() error {
 	if t.indexed {
@@ -145,13 +204,13 @@ func (t *Tree) Index() error {
 	if t.root == None {
 		return fmt.Errorf("phylo: cannot index empty tree")
 	}
-	n := len(t.nodes)
-	t.pre = make([]int32, n)
-	t.end = make([]int32, n)
-	t.byPre = make([]NodeID, n)
-	t.depth = make([]int32, n)
-	t.dist = make([]float64, n)
-	t.leafCnt = make([]int32, n)
+	n := len(t.parent)
+	pre := make([]int32, n)
+	end := make([]int32, n)
+	byPre := make([]NodeID, n)
+	depth := make([]int32, n)
+	dist := make([]float64, n)
+	leafCnt := make([]int32, n)
 
 	// Iterative DFS to avoid recursion depth limits on degenerate
 	// trees (caterpillar topologies from UPGMA chains).
@@ -160,92 +219,149 @@ func (t *Tree) Index() error {
 		child int
 	}
 	stack := []frame{{t.root, 0}}
-	var counter int32
-	t.pre[t.root] = 0
-	t.byPre[0] = t.root
-	counter = 1
-	visited := 1
+	counter := int32(1) // the root is preorder 0
+	byPre[0] = t.root
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		node := &t.nodes[f.id]
-		if f.child < len(node.Children) {
-			c := node.Children[f.child]
+		kids := t.kids[f.id]
+		if f.child < len(kids) {
+			c := kids[f.child]
 			f.child++
-			t.pre[c] = counter
-			t.byPre[counter] = c
+			pre[c] = counter
+			byPre[counter] = c
 			counter++
-			visited++
-			t.depth[c] = t.depth[f.id] + 1
-			t.dist[c] = t.dist[f.id] + t.nodes[c].Length
+			depth[c] = depth[f.id] + 1
+			dist[c] = dist[f.id] + t.length[c]
 			stack = append(stack, frame{c, 0})
 			continue
 		}
 		// Leaving f.id: subtree interval closes here.
-		t.end[f.id] = counter - 1
-		if node.IsLeaf() {
-			t.leafCnt[f.id] = 1
+		end[f.id] = counter - 1
+		if len(kids) == 0 {
+			leafCnt[f.id] = 1
 		} else {
 			var sum int32
-			for _, c := range node.Children {
-				sum += t.leafCnt[c]
+			for _, c := range kids {
+				sum += leafCnt[c]
 			}
-			t.leafCnt[f.id] = sum
+			leafCnt[f.id] = sum
 		}
 		stack = stack[:len(stack)-1]
 	}
-	if visited != n {
-		return fmt.Errorf("phylo: tree has %d nodes but only %d reachable from root", n, visited)
+	if int(counter) != n {
+		return fmt.Errorf("phylo: tree has %d nodes but only %d reachable from root", n, counter)
 	}
+	nameBytes := 0
+	for _, name := range t.names {
+		nameBytes += len(name)
+	}
+	if uint64(nameBytes)+uint64(maxCladeName*n) > math.MaxUint32 {
+		return fmt.Errorf("phylo: %d bytes of node names exceed the name arena", nameBytes)
+	}
+
+	t.childOff = make([]int32, n+1)
+	t.childIDs = make([]NodeID, 0, n-1)
+	for i, kids := range t.kids {
+		t.childIDs = append(t.childIDs, kids...)
+		t.childOff[i+1] = int32(len(t.childIDs))
+	}
+	names := t.names
+	t.setNames(nameBytes, func(b *strings.Builder, i int) { b.WriteString(names[i]) })
+	// The append-grown build arrays carry spare capacity; keep exact copies.
+	t.parent, t.length = slices.Clone(t.parent), slices.Clone(t.length)
+	t.names, t.kids = nil, nil
+	t.pre, t.end, t.byPre, t.depth, t.dist, t.leafCnt = pre, end, byPre, depth, dist, leafCnt
 	t.indexed = true
 	return nil
+}
+
+// maxCladeName bounds len("clade_<preorder number>").
+const maxCladeName = len("clade_") + 10
+
+// setNames lays the names of all nodes, in node order, into one new
+// arena of the given total length; write appends node i's name.
+func (t *Tree) setNames(total int, write func(arena *strings.Builder, i int)) {
+	var arena strings.Builder
+	arena.Grow(total)
+	off := make([]uint32, len(t.parent)+1)
+	for i := range t.parent {
+		write(&arena, i)
+		off[i+1] = uint32(arena.Len())
+	}
+	t.arena, t.nameOff = arena.String(), off
 }
 
 // NameClades gives every unnamed node of an indexed tree the name
 // clade_<preorder number>, so a subtree predicate can reference any
 // clade; on a tree whose nodes are all named it does nothing. The name
-// index is built once, from the names the nodes carry then, and a node
-// renamed afterwards would keep answering to its old name — so the
+// index is built once, from the names the nodes carry then — so the
 // first NameClades must precede the first NodeByName, and one that finds
 // the index built and a node unnamed panics.
 func (t *Tree) NameClades() {
 	t.mustIndexed()
-	t.namesOnce.Do(func() {
-		for i := range t.nodes {
-			if t.nodes[i].Name == "" {
-				t.nodes[i].Name = fmt.Sprintf("clade_%d", t.pre[i])
+	// cladeBytes is the total length of the names the unnamed nodes are due.
+	cladeBytes := func() (n int) {
+		for i := range t.parent {
+			if t.nameOff[i] == t.nameOff[i+1] {
+				n += len("clade_")
+				for p := t.pre[i]; ; p /= 10 {
+					if n++; p < 10 {
+						break
+					}
+				}
 			}
+		}
+		return n
+	}
+	t.namesOnce.Do(func() {
+		if n := cladeBytes(); n > 0 {
+			arena, off := t.arena, t.nameOff // being replaced
+			var digits []byte
+			t.setNames(len(arena)+n, func(b *strings.Builder, i int) {
+				if off[i] < off[i+1] {
+					b.WriteString(arena[off[i]:off[i+1]])
+					return
+				}
+				digits = strconv.AppendInt(digits[:0], int64(t.pre[i]), 10)
+				b.WriteString("clade_")
+				b.Write(digits)
+			})
 		}
 		t.buildNames()
 	})
-	for i := range t.nodes {
-		if t.nodes[i].Name == "" { // only if the index was built before this call
-			panic("phylo: NameClades after the name index was built")
-		}
+	if cladeBytes() > 0 { // only if the index was built before this call
+		panic("phylo: NameClades after the name index was built")
 	}
 }
 
 // nameSeed keys the name index's hash for this process.
 var nameSeed = maphash.MakeSeed()
 
-// buildNames fills the name index: a power-of-two table at most half
-// full, so a probe run stays short.
+// nameBucket is where the probe run of name starts in a table of size
+// buckets.
+func nameBucket(name string, size int) int {
+	hi, _ := bits.Mul64(maphash.String(nameSeed, name), uint64(size))
+	return int(hi)
+}
+
+// buildNames fills the name index: a table three quarters full, so a
+// probe run stays short.
 func (t *Tree) buildNames() {
-	size := 1
-	for size < 2*len(t.nodes) {
-		size *= 2
-	}
-	t.names = make([]NodeID, size)
-	for i := range t.nodes {
-		name := t.nodes[i].Name
+	size := len(t.parent)*4/3 + 1
+	t.nameTab = make([]NodeID, size)
+	for i := range t.parent {
+		name := t.name(NodeID(i))
 		if name == "" {
 			continue
 		}
-		b := int(maphash.String(nameSeed, name)) & (size - 1)
-		for t.names[b] != 0 && t.nodes[t.names[b]-1].Name != name {
-			b = (b + 1) & (size - 1)
+		b := nameBucket(name, size)
+		for t.nameTab[b] != 0 && t.name(t.nameTab[b]-1) != name {
+			if b++; b == size {
+				b = 0
+			}
 		}
-		if t.names[b] == 0 { // else an earlier node keeps the name
-			t.names[b] = NodeID(i) + 1
+		if t.nameTab[b] == 0 { // else an earlier node keeps the name
+			t.nameTab[b] = NodeID(i) + 1
 		}
 	}
 }
@@ -262,10 +378,12 @@ func (t *Tree) NodeByName(name string) (NodeID, bool) {
 	if name == "" {
 		return None, false
 	}
-	mask := len(t.names) - 1
-	for b := int(maphash.String(nameSeed, name)) & mask; t.names[b] != 0; b = (b + 1) & mask {
-		if id := t.names[b] - 1; t.nodes[id].Name == name {
+	for b := nameBucket(name, len(t.nameTab)); t.nameTab[b] != 0; {
+		if id := t.nameTab[b] - 1; t.name(id) == name {
 			return id, true
+		}
+		if b++; b == len(t.nameTab) {
+			b = 0
 		}
 	}
 	return None, false
@@ -319,7 +437,7 @@ func (t *Tree) SubtreeNaive(id NodeID) []NodeID {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		out = append(out, v)
-		children := t.nodes[v].Children
+		children := t.children(v)
 		for i := len(children) - 1; i >= 0; i-- {
 			stack = append(stack, children[i])
 		}
@@ -341,7 +459,7 @@ func (t *Tree) SubtreeLeaves(id NodeID) []NodeID {
 	lo, hi := t.SubtreeInterval(id)
 	out := make([]NodeID, 0, t.leafCnt[id])
 	for p := lo; p <= hi; p++ {
-		if t.nodes[t.byPre[p]].IsLeaf() {
+		if t.isLeaf(t.byPre[p]) {
 			out = append(out, t.byPre[p])
 		}
 	}
@@ -351,7 +469,7 @@ func (t *Tree) SubtreeLeaves(id NodeID) []NodeID {
 // Ancestors returns the path from id to the root, inclusive.
 func (t *Tree) Ancestors(id NodeID) []NodeID {
 	var out []NodeID
-	for v := id; v != None; v = t.nodes[v].Parent {
+	for v := id; v != None; v = t.parent[v] {
 		out = append(out, v)
 	}
 	return out
@@ -361,8 +479,8 @@ func (t *Tree) Ancestors(id NodeID) []NodeID {
 func (t *Tree) Height() float64 {
 	t.mustIndexed()
 	h := 0.0
-	for i := range t.nodes {
-		if t.nodes[i].IsLeaf() && t.dist[i] > h {
+	for i := range t.parent {
+		if t.isLeaf(NodeID(i)) && t.dist[i] > h {
 			h = t.dist[i]
 		}
 	}
@@ -374,18 +492,18 @@ func (t *Tree) Height() float64 {
 // names. It works on indexed and unindexed trees.
 func (t *Tree) Validate() error {
 	if t.root == None {
-		if len(t.nodes) == 0 {
+		if t.Len() == 0 {
 			return nil
 		}
-		return fmt.Errorf("phylo: %d nodes but no root", len(t.nodes))
+		return fmt.Errorf("phylo: %d nodes but no root", t.Len())
 	}
-	if t.nodes[t.root].Parent != None {
+	if t.parent[t.root] != None {
 		return fmt.Errorf("phylo: root has a parent")
 	}
 	seen := make(map[string]NodeID)
 	roots := 0
-	for i := range t.nodes {
-		n := &t.nodes[i]
+	for i := range t.parent {
+		n := t.Node(NodeID(i))
 		if n.Parent == None {
 			roots++
 		} else {
@@ -393,7 +511,7 @@ func (t *Tree) Validate() error {
 				return fmt.Errorf("phylo: node %d has invalid parent %d", i, n.Parent)
 			}
 			found := false
-			for _, c := range t.nodes[n.Parent].Children {
+			for _, c := range t.children(n.Parent) {
 				if c == NodeID(i) {
 					found = true
 					break
@@ -425,9 +543,9 @@ func (t *Tree) Validate() error {
 // LeafNames returns the sorted names of all leaves.
 func (t *Tree) LeafNames() []string {
 	var names []string
-	for i := range t.nodes {
-		if t.nodes[i].IsLeaf() {
-			names = append(names, t.nodes[i].Name)
+	for i := range t.parent {
+		if id := NodeID(i); t.isLeaf(id) {
+			names = append(names, t.name(id))
 		}
 	}
 	sort.Strings(names)

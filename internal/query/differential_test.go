@@ -311,11 +311,7 @@ func datagenCatalog(t testing.TB, seed int64) *DBCatalog {
 	}
 	// The generator names leaves only; clades get their preorder number
 	// so WITHIN_SUBTREE can address them (the root is clade_0).
-	for i := 0; i < tree.Len(); i++ {
-		if n := tree.Node(tree.NodeAtPre(i)); n.Name == "" {
-			n.Name = fmt.Sprintf("clade_%d", i)
-		}
-	}
+	tree.NameClades()
 	nodes, err := db.CreateTable("tree_nodes", store.MustSchema(
 		store.Column{Name: "pre", Kind: store.KindInt},
 		store.Column{Name: "name", Kind: store.KindString},

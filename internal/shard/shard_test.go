@@ -47,12 +47,7 @@ func buildFixture(t testing.TB, cfg datagen.Config) (*store.DB, *phylo.Tree) {
 		t.Fatal(err)
 	}
 	tree := ds.TrueTree
-	for i := 0; i < tree.Len(); i++ {
-		id := phylo.NodeID(i)
-		if tree.Node(id).Name == "" {
-			tree.Node(id).Name = fmt.Sprintf("clade_%d", tree.Pre(id))
-		}
-	}
+	tree.NameClades()
 	db, err := store.Open("")
 	if err != nil {
 		t.Fatal(err)

@@ -111,6 +111,104 @@ func BenchmarkStats(b *testing.B) {
 	}
 }
 
+// indexBenchKeys are 1<<16 distinct keys of a kind in random order: ints
+// spread over 1<<20, strings shaped like the tree's clade names.
+func indexBenchKeys(kind Kind) []Value {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]Value, 1<<16)
+	for i, n := range rng.Perm(1 << 20)[:len(keys)] {
+		if kind == KindInt {
+			keys[i] = IntValue(int64(n))
+		} else {
+			keys[i] = StringValue(fmt.Sprintf("clade_%d", n))
+		}
+	}
+	return keys
+}
+
+func loadedIndex(typ IndexType, kind Kind, keys []Value) *index {
+	ix := newIndex(0, typ, kind, 0)
+	for i, k := range keys {
+		ix.insert(k, int64(i))
+	}
+	return ix
+}
+
+var indexBenchSink int
+
+// BenchmarkIndexInsert, Probe and Remove price one posting's trip
+// through each index form, one row a key — what a commit pays per row
+// and per index (ingest's 512 + 512 churn) and what a point lookup pays
+// before it touches a row.
+func benchIndexForms(b *testing.B, run func(b *testing.B, typ IndexType, kind Kind, keys []Value)) {
+	for _, typ := range []IndexType{IndexHash, IndexBTree} {
+		for _, kind := range []Kind{KindInt, KindString} {
+			keys := indexBenchKeys(kind)
+			b.Run(fmt.Sprintf("%v/%v", typ, kind), func(b *testing.B) { run(b, typ, kind, keys) })
+		}
+	}
+}
+
+func BenchmarkIndexInsert(b *testing.B) {
+	benchIndexForms(b, func(b *testing.B, typ IndexType, kind Kind, keys []Value) {
+		b.ReportAllocs()
+		var ix *index
+		for i := 0; i < b.N; i++ {
+			if i%len(keys) == 0 {
+				ix = newIndex(0, typ, kind, 0)
+			}
+			ix.insert(keys[i%len(keys)], int64(i))
+		}
+	})
+}
+
+func BenchmarkIndexProbe(b *testing.B) {
+	benchIndexForms(b, func(b *testing.B, typ IndexType, kind Kind, keys []Value) {
+		ix := loadedIndex(typ, kind, keys)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ids, _ := ix.get(keys[i%len(keys)])
+			indexBenchSink += len(ids)
+		}
+	})
+}
+
+func BenchmarkIndexRemove(b *testing.B) {
+	benchIndexForms(b, func(b *testing.B, typ IndexType, kind Kind, keys []Value) {
+		b.ReportAllocs()
+		var ix *index
+		for i := 0; i < b.N; i++ {
+			if i%len(keys) == 0 {
+				b.StopTimer()
+				ix = loadedIndex(typ, kind, keys)
+				b.StartTimer()
+			}
+			ix.remove(keys[i%len(keys)], int64(i%len(keys)))
+		}
+	})
+}
+
+// BenchmarkIndexRangeWalk is a 1 k-key interval of a B+-tree over INT
+// keys, the subtree read's index half.
+func BenchmarkIndexRangeWalk(b *testing.B) {
+	keys := make([]Value, 100000)
+	for i := range keys {
+		keys[i] = IntValue(int64(i))
+	}
+	ix := loadedIndex(IndexBTree, KindInt, keys)
+	lo, hi := IntValue(40000), IntValue(40999)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		ix.walk(&lo, &hi, false, func(ids []int64) bool { n += len(ids); return true })
+		if n != 1000 {
+			b.Fatalf("walked %d postings", n)
+		}
+	}
+}
+
 func BenchmarkBTreeInsert(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]int64, 1<<16)
@@ -118,9 +216,9 @@ func BenchmarkBTreeInsert(b *testing.B) {
 		keys[i] = rng.Int63n(1 << 20)
 	}
 	b.ResetTimer()
-	bt := newBTree()
+	bt := newBTree[int64]()
 	for i := 0; i < b.N; i++ {
-		bt.Insert(IntValue(keys[i%len(keys)]), int64(i))
+		bt.Insert(keys[i%len(keys)], int64(i))
 	}
 }
 

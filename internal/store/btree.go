@@ -1,12 +1,21 @@
 package store
 
-// btree is an in-memory B+ tree mapping Value keys to row-ID postings
-// lists. It backs ordered secondary indexes: equality probes, range
-// scans, and ordered (index-order top-k) walks.
+import "cmp"
+
+// btreeKey is what a B+-tree can be keyed on: the machine form of a
+// column's cells — int64 for INT (and BOOL as 0/1), float64, string.
+type btreeKey interface{ int64 | float64 | string }
+
+// btree is an in-memory B+ tree mapping the non-NULL cells of one
+// column, in the column's own type, to row-ID postings lists. It backs
+// ordered secondary indexes: equality probes, range scans, and ordered
+// (index-order top-k) walks.
 //
-// Keys are unique within the tree; duplicate inserts append to the
-// key's postings list. Leaves are doubly chained so range scans run in
-// either direction.
+// Keys are ordered by cmp.Compare, which is store.Compare's order on
+// cells of one kind: -0 and +0 are one key, NaN is one key below every
+// other float. Keys are unique within the tree; duplicate inserts append
+// to the key's postings list. Leaves are doubly chained so range scans
+// run in either direction.
 //
 // Leaves are laid out for the common case of one row per key: a leaf's
 // key and id arrays are allocated once at full capacity and never
@@ -14,52 +23,52 @@ package store
 // slice exists only for a key that holds a second id. A full leaf at
 // either end of the chain splits at that end when the new key falls
 // outside it, so monotone loads leave every leaf full instead of half.
+type btree[K btreeKey] struct {
+	root *btreeNode[K]
+	size int // number of distinct keys
+}
 
 const (
-	// 67 40-byte keys fill a 2688-byte allocation size class exactly.
-	btreeOrder   = 68             // max children per interior node
+	// 64 keys of 8 bytes (16 for a string header) and 64 row IDs each
+	// fill an allocation size class exactly.
+	btreeOrder   = 65             // max children per interior node
 	btreeMaxKeys = btreeOrder - 1 // max keys per node
 )
 
-type btreeNode struct {
-	keys     []Value
-	children []*btreeNode // nil for leaves
-	ids      []int64      // leaf only: the row ID of a single-posting key
-	many     [][]int64    // leaf only: nil until a key holds ≥ 2 IDs; many[i] != nil holds all of key i's
-	next     *btreeNode   // leaf chain, ascending
-	prev     *btreeNode   // leaf chain, descending
+type btreeNode[K btreeKey] struct {
+	keys     []K
+	children []*btreeNode[K] // nil for leaves
+	ids      []int64         // leaf only: the row ID of a single-posting key
+	many     [][]int64       // leaf only: nil until a key holds ≥ 2 IDs; many[i] != nil holds all of key i's
+	next     *btreeNode[K]   // leaf chain, ascending
+	prev     *btreeNode[K]   // leaf chain, descending
 }
 
-func (n *btreeNode) isLeaf() bool { return n.children == nil }
+func (n *btreeNode[K]) isLeaf() bool { return n.children == nil }
 
 // postings returns key i's row IDs without allocating: the inline id
 // is handed out as a one-element window of the leaf's id array.
-func (n *btreeNode) postings(i int) []int64 {
+func (n *btreeNode[K]) postings(i int) []int64 {
 	if n.many != nil && n.many[i] != nil {
 		return n.many[i]
 	}
 	return n.ids[i : i+1 : i+1]
 }
 
-func newLeaf() *btreeNode {
-	return &btreeNode{keys: make([]Value, 0, btreeMaxKeys), ids: make([]int64, 0, btreeMaxKeys)}
+func newLeaf[K btreeKey]() *btreeNode[K] {
+	return &btreeNode[K]{keys: make([]K, 0, btreeMaxKeys), ids: make([]int64, 0, btreeMaxKeys)}
 }
 
-type btree struct {
-	root *btreeNode
-	size int // number of distinct keys
-}
-
-func newBTree() *btree {
-	return &btree{root: newLeaf()}
+func newBTree[K btreeKey]() *btree[K] {
+	return &btree[K]{root: newLeaf[K]()}
 }
 
 // findKey returns the position of the first key ≥ k in node n.
-func findKey(n *btreeNode, k Value) int {
+func findKey[K btreeKey](n *btreeNode[K], k K) int {
 	lo, hi := 0, len(n.keys)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if Compare(n.keys[mid], k) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if cmp.Less(n.keys[mid], k) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -68,62 +77,64 @@ func findKey(n *btreeNode, k Value) int {
 	return lo
 }
 
+// childFor returns the index of the child of interior node n that
+// covers k: a separator equal to k sends k right.
+func childFor[K btreeKey](n *btreeNode[K], k K) int {
+	i := findKey(n, k)
+	if i < len(n.keys) && cmp.Compare(k, n.keys[i]) == 0 {
+		i++
+	}
+	return i
+}
+
 // Insert adds rowID under key k.
-func (t *btree) Insert(k Value, rowID int64) {
-	root := t.root
-	if len(root.keys) == btreeMaxKeys {
-		newRoot := &btreeNode{children: []*btreeNode{root}}
+func (t *btree[K]) Insert(k K, rowID int64) {
+	if len(t.root.keys) == btreeMaxKeys {
+		newRoot := &btreeNode[K]{children: []*btreeNode[K]{t.root}}
 		t.splitChild(newRoot, 0, k)
 		t.root = newRoot
 	}
-	t.insertNonFull(t.root, k, rowID)
-}
-
-func (t *btree) insertNonFull(n *btreeNode, k Value, rowID int64) {
-	for {
-		i := findKey(n, k)
-		if n.isLeaf() {
-			if i < len(n.keys) && Equal(n.keys[i], k) {
-				if n.many == nil {
-					n.many = make([][]int64, len(n.keys), btreeMaxKeys)
-				}
-				n.many[i] = append(n.postings(i), rowID)
-				return
-			}
-			n.keys = append(n.keys, Value{})
-			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = k
-			n.ids = append(n.ids, 0)
-			copy(n.ids[i+1:], n.ids[i:])
-			n.ids[i] = rowID
-			if n.many != nil {
-				n.many = append(n.many, nil)
-				copy(n.many[i+1:], n.many[i:])
-				n.many[i] = nil
-			}
-			t.size++
-			return
-		}
-		if i < len(n.keys) && Compare(k, n.keys[i]) >= 0 {
-			i++
-		}
+	n := t.root
+	for !n.isLeaf() {
+		i := childFor(n, k)
 		if len(n.children[i].keys) == btreeMaxKeys {
 			t.splitChild(n, i, k)
-			if Compare(k, n.keys[i]) >= 0 {
+			if !cmp.Less(k, n.keys[i]) {
 				i++
 			}
 		}
 		n = n.children[i]
 	}
+	i := findKey(n, k)
+	if i < len(n.keys) && cmp.Compare(n.keys[i], k) == 0 {
+		if n.many == nil {
+			n.many = make([][]int64, len(n.keys), btreeMaxKeys)
+		}
+		n.many[i] = append(n.postings(i), rowID)
+		return
+	}
+	var zero K
+	n.keys = append(n.keys, zero)
+	copy(n.keys[i+1:], n.keys[i:])
+	n.keys[i] = k
+	n.ids = append(n.ids, 0)
+	copy(n.ids[i+1:], n.ids[i:])
+	n.ids[i] = rowID
+	if n.many != nil {
+		n.many = append(n.many, nil)
+		copy(n.many[i+1:], n.many[i:])
+		n.many[i] = nil
+	}
+	t.size++
 }
 
 // splitChild splits the full child at index i of parent p to make room
 // for k.
-func (t *btree) splitChild(p *btreeNode, i int, k Value) {
+func (t *btree[K]) splitChild(p *btreeNode[K], i int, k K) {
 	child := p.children[i]
 	mid := btreeMaxKeys / 2
-	var sib *btreeNode
-	var up Value
+	var sib *btreeNode[K]
+	var up K
 	if child.isLeaf() {
 		// Leaf split: sibling takes keys[mid:], separator is the
 		// sibling's first key (B+ tree: keys stay in leaves). At either
@@ -131,12 +142,12 @@ func (t *btree) splitChild(p *btreeNode, i int, k Value) {
 		// end: the full leaf stays full and k starts the empty one.
 		up = k
 		switch {
-		case child.next == nil && Compare(k, child.keys[len(child.keys)-1]) > 0:
+		case child.next == nil && cmp.Less(child.keys[len(child.keys)-1], k):
 			mid = len(child.keys)
-		case child.prev == nil && Compare(k, child.keys[0]) < 0:
+		case child.prev == nil && cmp.Less(k, child.keys[0]):
 			mid = 0
 		}
-		sib = newLeaf()
+		sib = newLeaf[K]()
 		sib.keys = append(sib.keys, child.keys[mid:]...)
 		sib.ids = append(sib.ids, child.ids[mid:]...)
 		sib.next, sib.prev = child.next, child
@@ -157,14 +168,15 @@ func (t *btree) splitChild(p *btreeNode, i int, k Value) {
 	} else {
 		// Interior split: middle key moves up.
 		up = child.keys[mid]
-		sib = &btreeNode{
-			keys:     append([]Value(nil), child.keys[mid+1:]...),
-			children: append([]*btreeNode(nil), child.children[mid+1:]...),
+		sib = &btreeNode[K]{
+			keys:     append([]K(nil), child.keys[mid+1:]...),
+			children: append([]*btreeNode[K](nil), child.children[mid+1:]...),
 		}
 		child.keys = child.keys[:mid:mid]
 		child.children = child.children[: mid+1 : mid+1]
 	}
-	p.keys = append(p.keys, Value{})
+	var zero K
+	p.keys = append(p.keys, zero)
 	copy(p.keys[i+1:], p.keys[i:])
 	p.keys[i] = up
 	p.children = append(p.children, nil)
@@ -173,23 +185,19 @@ func (t *btree) splitChild(p *btreeNode, i int, k Value) {
 }
 
 // leafFor descends to the leaf that would contain k.
-func (t *btree) leafFor(k Value) *btreeNode {
+func (t *btree[K]) leafFor(k K) *btreeNode[K] {
 	n := t.root
 	for !n.isLeaf() {
-		i := findKey(n, k)
-		if i < len(n.keys) && Compare(k, n.keys[i]) >= 0 {
-			i++
-		}
-		n = n.children[i]
+		n = n.children[childFor(n, k)]
 	}
 	return n
 }
 
 // Get returns the postings list for k, or nil.
-func (t *btree) Get(k Value) []int64 {
+func (t *btree[K]) Get(k K) []int64 {
 	n := t.leafFor(k)
 	i := findKey(n, k)
-	if i < len(n.keys) && Equal(n.keys[i], k) {
+	if i < len(n.keys) && cmp.Compare(n.keys[i], k) == 0 {
 		return n.postings(i)
 	}
 	return nil
@@ -200,10 +208,10 @@ func (t *btree) Get(k Value) []int64 {
 // (nodes may become sparse); the tree never loses keys and lookup
 // correctness is unaffected, which is the right trade-off for an
 // index whose tables are overwhelmingly append-mostly.
-func (t *btree) Delete(k Value, rowID int64) bool {
+func (t *btree[K]) Delete(k K, rowID int64) bool {
 	n := t.leafFor(k)
 	i := findKey(n, k)
-	if i >= len(n.keys) || !Equal(n.keys[i], k) {
+	if i >= len(n.keys) || cmp.Compare(n.keys[i], k) != 0 {
 		return false
 	}
 	post := n.postings(i)
@@ -213,8 +221,9 @@ func (t *btree) Delete(k Value, rowID int64) bool {
 		}
 		switch len(post) {
 		case 1:
+			var zero K
 			copy(n.keys[i:], n.keys[i+1:])
-			n.keys[len(n.keys)-1] = Value{}
+			n.keys[len(n.keys)-1] = zero
 			n.keys = n.keys[:len(n.keys)-1]
 			copy(n.ids[i:], n.ids[i+1:])
 			n.ids = n.ids[:len(n.ids)-1]
@@ -236,17 +245,17 @@ func (t *btree) Delete(k Value, rowID int64) bool {
 }
 
 // Len returns the number of distinct keys.
-func (t *btree) Len() int { return t.size }
+func (t *btree[K]) Len() int { return t.size }
 
 // Range calls fn for each (key, postings) pair with lo ≤ key ≤ hi in
 // ascending order. A nil lo means unbounded below; nil hi unbounded
 // above. Iteration stops early when fn returns false.
-func (t *btree) Range(lo, hi *Value, fn func(k Value, postings []int64) bool) {
+func (t *btree[K]) Range(lo, hi *K, fn func(k K, postings []int64) bool) {
 	t.walk(lo, hi, false, fn)
 }
 
 // edgeLeaf returns the leftmost (last=false) or rightmost leaf.
-func (t *btree) edgeLeaf(last bool) *btreeNode {
+func (t *btree[K]) edgeLeaf(last bool) *btreeNode[K] {
 	n := t.root
 	for !n.isLeaf() {
 		if last {
@@ -261,7 +270,7 @@ func (t *btree) edgeLeaf(last bool) *btreeNode {
 // walk is Range in either direction: desc visits the same keys from hi
 // down to lo. Deletes leave sparse or empty leaves behind; the chain
 // steps over them.
-func (t *btree) walk(lo, hi *Value, desc bool, fn func(k Value, postings []int64) bool) {
+func (t *btree[K]) walk(lo, hi *K, desc bool, fn func(k K, postings []int64) bool) {
 	if desc {
 		n := t.edgeLeaf(true)
 		if hi != nil {
@@ -269,10 +278,10 @@ func (t *btree) walk(lo, hi *Value, desc bool, fn func(k Value, postings []int64
 		}
 		for ; n != nil; n = n.prev {
 			for i := len(n.keys) - 1; i >= 0; i-- {
-				if hi != nil && Compare(n.keys[i], *hi) > 0 {
+				if hi != nil && cmp.Less(*hi, n.keys[i]) {
 					continue
 				}
-				if lo != nil && Compare(n.keys[i], *lo) < 0 {
+				if lo != nil && cmp.Less(n.keys[i], *lo) {
 					return
 				}
 				if !fn(n.keys[i], n.postings(i)) {
@@ -288,10 +297,10 @@ func (t *btree) walk(lo, hi *Value, desc bool, fn func(k Value, postings []int64
 	}
 	for ; n != nil; n = n.next {
 		for i := 0; i < len(n.keys); i++ {
-			if lo != nil && Compare(n.keys[i], *lo) < 0 {
+			if lo != nil && cmp.Less(n.keys[i], *lo) {
 				continue
 			}
-			if hi != nil && Compare(n.keys[i], *hi) > 0 {
+			if hi != nil && cmp.Less(*hi, n.keys[i]) {
 				return
 			}
 			if !fn(n.keys[i], n.postings(i)) {
@@ -304,23 +313,23 @@ func (t *btree) walk(lo, hi *Value, desc bool, fn func(k Value, postings []int64
 // Min returns the smallest key, or false when empty. Deletes may leave
 // the edge leaves empty; the chain is followed to the first leaf that
 // still holds a key.
-func (t *btree) Min() (Value, bool) {
+func (t *btree[K]) Min() (k K, ok bool) {
 	for n := t.edgeLeaf(false); n != nil && t.size > 0; n = n.next {
 		if len(n.keys) > 0 {
 			return n.keys[0], true
 		}
 	}
-	return Value{}, false
+	return k, false
 }
 
 // Max returns the largest key, or false when empty: the mirror of Min
 // over the prev links, so an emptied rightmost leaf costs a short
 // backward step, not a pass over the whole chain.
-func (t *btree) Max() (Value, bool) {
+func (t *btree[K]) Max() (k K, ok bool) {
 	for n := t.edgeLeaf(true); n != nil && t.size > 0; n = n.prev {
 		if len(n.keys) > 0 {
 			return n.keys[len(n.keys)-1], true
 		}
 	}
-	return Value{}, false
+	return k, false
 }

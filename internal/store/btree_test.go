@@ -7,14 +7,14 @@ import (
 )
 
 func TestBTreeInsertGet(t *testing.T) {
-	bt := newBTree()
+	bt := newBTree[int64]()
 	for i := int64(0); i < 1000; i++ {
-		bt.Insert(IntValue(i%100), i)
+		bt.Insert(i%100, i)
 	}
 	if bt.Len() != 100 {
 		t.Fatalf("Len = %d, want 100", bt.Len())
 	}
-	post := bt.Get(IntValue(42))
+	post := bt.Get(42)
 	if len(post) != 10 {
 		t.Fatalf("postings for 42 = %d entries, want 10", len(post))
 	}
@@ -23,21 +23,21 @@ func TestBTreeInsertGet(t *testing.T) {
 			t.Fatalf("posting %d not ≡42 mod 100", id)
 		}
 	}
-	if bt.Get(IntValue(1000)) != nil {
+	if bt.Get(1000) != nil {
 		t.Fatal("missing key returned postings")
 	}
 }
 
 func TestBTreeOrderedIteration(t *testing.T) {
-	bt := newBTree()
+	bt := newBTree[int64]()
 	rng := rand.New(rand.NewSource(42))
 	keys := rng.Perm(5000)
 	for _, k := range keys {
-		bt.Insert(IntValue(int64(k)), int64(k))
+		bt.Insert(int64(k), int64(k))
 	}
 	var got []int64
-	bt.Range(nil, nil, func(k Value, _ []int64) bool {
-		got = append(got, k.I)
+	bt.Range(nil, nil, func(k int64, _ []int64) bool {
+		got = append(got, k)
 		return true
 	})
 	if len(got) != 5000 {
@@ -49,14 +49,14 @@ func TestBTreeOrderedIteration(t *testing.T) {
 }
 
 func TestBTreeRangeBounds(t *testing.T) {
-	bt := newBTree()
+	bt := newBTree[int64]()
 	for i := int64(0); i < 100; i++ {
-		bt.Insert(IntValue(i), i)
+		bt.Insert(i, i)
 	}
-	lo, hi := IntValue(10), IntValue(19)
+	lo, hi := int64(10), int64(19)
 	var got []int64
-	bt.Range(&lo, &hi, func(k Value, _ []int64) bool {
-		got = append(got, k.I)
+	bt.Range(&lo, &hi, func(k int64, _ []int64) bool {
+		got = append(got, k)
 		return true
 	})
 	if len(got) != 10 || got[0] != 10 || got[9] != 19 {
@@ -64,16 +64,16 @@ func TestBTreeRangeBounds(t *testing.T) {
 	}
 	// Open bounds.
 	var below []int64
-	bt.Range(nil, &lo, func(k Value, _ []int64) bool {
-		below = append(below, k.I)
+	bt.Range(nil, &lo, func(k int64, _ []int64) bool {
+		below = append(below, k)
 		return true
 	})
 	if len(below) != 11 {
 		t.Fatalf("range (-inf,10] = %d keys, want 11", len(below))
 	}
 	var above []int64
-	bt.Range(&hi, nil, func(k Value, _ []int64) bool {
-		above = append(above, k.I)
+	bt.Range(&hi, nil, func(k int64, _ []int64) bool {
+		above = append(above, k)
 		return true
 	})
 	if len(above) != 81 {
@@ -82,12 +82,12 @@ func TestBTreeRangeBounds(t *testing.T) {
 }
 
 func TestBTreeRangeEarlyStop(t *testing.T) {
-	bt := newBTree()
+	bt := newBTree[int64]()
 	for i := int64(0); i < 100; i++ {
-		bt.Insert(IntValue(i), i)
+		bt.Insert(i, i)
 	}
 	count := 0
-	bt.Range(nil, nil, func(Value, []int64) bool {
+	bt.Range(nil, nil, func(int64, []int64) bool {
 		count++
 		return count < 5
 	})
@@ -97,39 +97,39 @@ func TestBTreeRangeEarlyStop(t *testing.T) {
 }
 
 func TestBTreeDelete(t *testing.T) {
-	bt := newBTree()
+	bt := newBTree[int64]()
 	for i := int64(0); i < 500; i++ {
-		bt.Insert(IntValue(i), i)
-		bt.Insert(IntValue(i), i+1000)
+		bt.Insert(i, i)
+		bt.Insert(i, i+1000)
 	}
 	// Remove one posting: key stays.
-	if !bt.Delete(IntValue(7), 7) {
+	if !bt.Delete(7, 7) {
 		t.Fatal("delete existing posting failed")
 	}
-	if post := bt.Get(IntValue(7)); len(post) != 1 || post[0] != 1007 {
+	if post := bt.Get(7); len(post) != 1 || post[0] != 1007 {
 		t.Fatalf("postings after partial delete = %v", post)
 	}
 	// Remove the other: key goes.
-	if !bt.Delete(IntValue(7), 1007) {
+	if !bt.Delete(7, 1007) {
 		t.Fatal("delete second posting failed")
 	}
-	if bt.Get(IntValue(7)) != nil {
+	if bt.Get(7) != nil {
 		t.Fatal("key survived full delete")
 	}
 	if bt.Len() != 499 {
 		t.Fatalf("Len = %d, want 499", bt.Len())
 	}
 	// Deleting a missing posting fails cleanly.
-	if bt.Delete(IntValue(8), 9999) {
+	if bt.Delete(8, 9999) {
 		t.Fatal("delete of missing posting succeeded")
 	}
-	if bt.Delete(IntValue(99999), 0) {
+	if bt.Delete(99999, 0) {
 		t.Fatal("delete of missing key succeeded")
 	}
 }
 
 func TestBTreeMinMax(t *testing.T) {
-	bt := newBTree()
+	bt := newBTree[int64]()
 	if _, ok := bt.Min(); ok {
 		t.Fatal("empty tree has Min")
 	}
@@ -137,29 +137,29 @@ func TestBTreeMinMax(t *testing.T) {
 		t.Fatal("empty tree has Max")
 	}
 	for _, k := range []int64{50, 10, 90, 30, 70} {
-		bt.Insert(IntValue(k), k)
+		bt.Insert(k, k)
 	}
-	if mn, _ := bt.Min(); mn.I != 10 {
+	if mn, _ := bt.Min(); mn != 10 {
 		t.Fatalf("Min = %v", mn)
 	}
-	if mx, _ := bt.Max(); mx.I != 90 {
+	if mx, _ := bt.Max(); mx != 90 {
 		t.Fatalf("Max = %v", mx)
 	}
-	bt.Delete(IntValue(90), 90)
-	if mx, ok := bt.Max(); !ok || mx.I != 70 {
+	bt.Delete(90, 90)
+	if mx, ok := bt.Max(); !ok || mx != 70 {
 		t.Fatalf("Max after delete = %v (%v)", mx, ok)
 	}
 }
 
 func TestBTreeStringKeys(t *testing.T) {
-	bt := newBTree()
+	bt := newBTree[string]()
 	words := []string{"kinase", "ligase", "hydrolase", "transferase", "oxidoreductase"}
 	for i, w := range words {
-		bt.Insert(StringValue(w), int64(i))
+		bt.Insert(w, int64(i))
 	}
 	var got []string
-	bt.Range(nil, nil, func(k Value, _ []int64) bool {
-		got = append(got, k.S)
+	bt.Range(nil, nil, func(k string, _ []int64) bool {
+		got = append(got, k)
 		return true
 	})
 	if !sort.StringsAreSorted(got) {
@@ -170,7 +170,7 @@ func TestBTreeStringKeys(t *testing.T) {
 func TestBTreeMatchesReferenceModel(t *testing.T) {
 	// Property test against a map+sort reference model under a random
 	// insert/delete workload.
-	bt := newBTree()
+	bt := newBTree[int64]()
 	ref := map[int64]map[int64]bool{}
 	rng := rand.New(rand.NewSource(99))
 	for op := 0; op < 20000; op++ {
@@ -184,11 +184,11 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 			}
 			if !ref[k][id] {
 				ref[k][id] = true
-				bt.Insert(IntValue(k), id)
+				bt.Insert(k, id)
 			}
 		} else {
 			want := ref[k] != nil && ref[k][id]
-			got := bt.Delete(IntValue(k), id)
+			got := bt.Delete(k, id)
 			if got != want {
 				t.Fatalf("op %d: Delete(%d,%d) = %v, want %v", op, k, id, got, want)
 			}
@@ -204,7 +204,7 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 		t.Fatalf("Len = %d, model = %d", bt.Len(), len(ref))
 	}
 	for k, ids := range ref {
-		post := bt.Get(IntValue(k))
+		post := bt.Get(k)
 		if len(post) != len(ids) {
 			t.Fatalf("key %d: %d postings, model %d", k, len(post), len(ids))
 		}
@@ -221,8 +221,8 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 	}
 	sort.Slice(modelKeys, func(i, j int) bool { return modelKeys[i] < modelKeys[j] })
 	var treeKeys []int64
-	bt.Range(nil, nil, func(k Value, _ []int64) bool {
-		treeKeys = append(treeKeys, k.I)
+	bt.Range(nil, nil, func(k int64, _ []int64) bool {
+		treeKeys = append(treeKeys, k)
 		return true
 	})
 	if len(treeKeys) != len(modelKeys) {
@@ -241,11 +241,11 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 // reference after every round. Max must reach the last key through the
 // prev links however many empty leaves trail it.
 func TestBTreeChurnEdgesAndDescending(t *testing.T) {
-	bt := newBTree()
+	bt := newBTree[int64]()
 	rng := rand.New(rand.NewSource(17))
 	live := map[int64]bool{}
 	for i := int64(0); i < 6000; i++ {
-		bt.Insert(IntValue(i), i)
+		bt.Insert(i, i)
 		live[i] = true
 	}
 	check := func(round int) {
@@ -263,20 +263,20 @@ func TestBTreeChurnEdgesAndDescending(t *testing.T) {
 		if len(ref) == 0 {
 			return
 		}
-		if mn.I != ref[0] || mx.I != ref[len(ref)-1] {
-			t.Fatalf("round %d: Min/Max = %d/%d, want %d/%d", round, mn.I, mx.I, ref[0], ref[len(ref)-1])
+		if mn != ref[0] || mx != ref[len(ref)-1] {
+			t.Fatalf("round %d: Min/Max = %d/%d, want %d/%d", round, mn, mx, ref[0], ref[len(ref)-1])
 		}
-		lo, hi := IntValue(ref[len(ref)/4]-1), IntValue(ref[3*len(ref)/4]+1)
-		for _, bounds := range [][2]*Value{{nil, nil}, {&lo, &hi}, {&lo, nil}, {nil, &hi}} {
+		lo, hi := ref[len(ref)/4]-1, ref[3*len(ref)/4]+1
+		for _, bounds := range [][2]*int64{{nil, nil}, {&lo, &hi}, {&lo, nil}, {nil, &hi}} {
 			var want []int64
 			for _, k := range ref {
-				if inRange(IntValue(k), bounds[0], bounds[1]) {
+				if (bounds[0] == nil || k >= *bounds[0]) && (bounds[1] == nil || k <= *bounds[1]) {
 					want = append(want, k)
 				}
 			}
 			var asc, desc []int64
-			bt.walk(bounds[0], bounds[1], false, func(k Value, _ []int64) bool { asc = append(asc, k.I); return true })
-			bt.walk(bounds[0], bounds[1], true, func(k Value, _ []int64) bool { desc = append(desc, k.I); return true })
+			bt.walk(bounds[0], bounds[1], false, func(k int64, _ []int64) bool { asc = append(asc, k); return true })
+			bt.walk(bounds[0], bounds[1], true, func(k int64, _ []int64) bool { desc = append(desc, k); return true })
 			if len(asc) != len(want) || len(desc) != len(want) {
 				t.Fatalf("round %d: walked %d asc, %d desc, want %d", round, len(asc), len(desc), len(want))
 			}
@@ -289,7 +289,7 @@ func TestBTreeChurnEdgesAndDescending(t *testing.T) {
 	}
 	del := func(k int64) {
 		if live[k] {
-			bt.Delete(IntValue(k), k)
+			bt.Delete(k, k)
 			delete(live, k)
 		}
 	}
@@ -299,15 +299,15 @@ func TestBTreeChurnEdgesAndDescending(t *testing.T) {
 		mx, _ := bt.Max()
 		mn, _ := bt.Min()
 		for i := int64(0); i < 150; i++ {
-			del(mx.I - i)
-			del(mn.I + i/3)
+			del(mx - i)
+			del(mn + i/3)
 			del(rng.Int63n(6000))
 		}
 		if round%4 == 0 && len(live) > 500 {
 			for i := 0; i < 20; i++ {
 				k := rng.Int63n(6000)
 				if !live[k] {
-					bt.Insert(IntValue(k), k)
+					bt.Insert(k, k)
 					live[k] = true
 				}
 			}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"math"
 )
 
 // Columnar batch support for the vectorized query executor. A Col is
@@ -191,44 +190,22 @@ func (c *Col) Slice(lo, hi int) Col {
 	return out
 }
 
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-// HashAt returns Value(i).Hash() without constructing the Value or a
-// hash.Hash: the same FNV-1a sequence Value.Hash feeds, computed
-// inline so hash-join build/probe loops stay allocation-free.
+// HashAt returns Value(i).Hash() without constructing the Value.
 func (c *Col) HashAt(i int) uint64 {
-	h := fnvOffset
 	if c.Null[i] {
-		return (h ^ 0) * fnvPrime
+		return hashNull
 	}
 	switch c.Kind {
-	case KindInt, KindFloat:
-		var bits uint64
-		if c.Kind == KindInt {
-			bits = math.Float64bits(float64(c.Int[i]))
-		} else {
-			bits = math.Float64bits(c.Float[i])
-		}
-		h = (h ^ 1) * fnvPrime
-		for s := 0; s < 64; s += 8 {
-			h = (h ^ (bits >> s & 0xff)) * fnvPrime
-		}
+	case KindInt:
+		return hashNumber(float64(c.Int[i]))
+	case KindFloat:
+		return hashNumber(c.Float[i])
 	case KindString:
-		h = (h ^ 2) * fnvPrime
-		s := c.Str[i]
-		for j := 0; j < len(s); j++ {
-			h = (h ^ uint64(s[j])) * fnvPrime
-		}
+		return hashString(c.Str[i])
 	case KindBool:
-		h = (h ^ 3) * fnvPrime
-		h = (h ^ uint64(c.Int[i]&0xff)) * fnvPrime
-	default:
-		return c.Vals[i].Hash()
+		return hashBool(c.Int[i])
 	}
-	return h
+	return c.Vals[i].Hash()
 }
 
 // ColBatch is a set of column vectors holding the same rows; one

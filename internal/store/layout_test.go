@@ -73,7 +73,7 @@ func TestReplayDeletesThroughIndex(t *testing.T) {
 }
 
 // leafFill returns keys held / key capacity over the tree's leaves.
-func leafFill(bt *btree) float64 {
+func leafFill(bt *btree[int64]) float64 {
 	keys, room := 0, 0
 	for n := bt.edgeLeaf(false); n != nil; n = n.next {
 		keys += len(n.keys)
@@ -98,16 +98,16 @@ func TestBTreeLeafFill(t *testing.T) {
 		"random":     {func(i int) int64 { return rng.Int63() }, 0.6},
 	}
 	for name, load := range loads {
-		bt := newBTree()
+		bt := newBTree[int64]()
 		for i := 0; i < n; i++ {
-			bt.Insert(IntValue(load.key(i)), int64(i))
+			bt.Insert(load.key(i), int64(i))
 		}
 		if got := leafFill(bt); got < load.fill {
 			t.Errorf("%s load: leaves %.2f full, want ≥ %.2f", name, got, load.fill)
 		}
-		prev, count := Value{}, 0
-		bt.walk(nil, nil, false, func(k Value, ids []int64) bool {
-			if count > 0 && Compare(prev, k) >= 0 {
+		prev, count := int64(0), 0
+		bt.walk(nil, nil, false, func(k int64, ids []int64) bool {
+			if count > 0 && prev >= k {
 				t.Fatalf("%s load: key %v after %v", name, k, prev)
 			}
 			prev, count = k, count+1
@@ -134,18 +134,60 @@ func liveHeap() uint64 {
 
 // TestBytesPerRow is the tier-1 guard on the storage layout: a
 // tree_nodes-shaped table with both its indexes must hold a row in at
-// most 280 bytes of live heap (the boxed row heap took about 720).
+// most 204 bytes of live heap (185 measured + 10 %; 250 with Value-keyed
+// indexes, about 720 with the boxed row heap).
 func TestBytesPerRow(t *testing.T) {
 	const n = 100000
 	before := liveHeap()
 	tb := loadTreeShaped(t, n)
 	perRow := float64(liveHeap()-before) / n
 	t.Logf("%.0f B a row, indexes included", perRow)
-	if perRow > 280 {
-		t.Errorf("%.0f B of live heap a row, want ≤ 280", perRow)
+	if perRow > 204 {
+		t.Errorf("%.0f B of live heap a row, want ≤ 204", perRow)
 	}
 	if tb.Len() != n {
 		t.Fatalf("Len = %d", tb.Len())
 	}
 	runtime.KeepAlive(tb)
+}
+
+// TestIndexBytesPerKey is the tier-1 guard on the index forms alone,
+// one row a key: a B+-tree over a dense INT column, loaded in key order
+// as CreateIndex loads it, costs at most 20 bytes a key (8 of key, 8 of
+// row ID, the rest node headers and interior nodes), and a hash index
+// over 100 k unique strings at most 24 (a 16-byte entry at the load a
+// power-of-two table has there), the strings themselves — the column's —
+// not counted.
+func TestIndexBytesPerKey(t *testing.T) {
+	const n = 100000
+	names := make([]Value, n)
+	for i := range names {
+		names[i] = StringValue(fmt.Sprintf("clade_%d", i))
+	}
+	for _, c := range []struct {
+		name string
+		typ  IndexType
+		kind Kind
+		key  func(i int) Value
+		max  float64
+	}{
+		{"btree over dense INT", IndexBTree, KindInt, func(i int) Value { return IntValue(int64(i)) }, 20},
+		{"hash over unique STRING", IndexHash, KindString, func(i int) Value { return names[i] }, 24},
+	} {
+		before := liveHeap()
+		ix := newIndex(0, c.typ, c.kind, n)
+		for i := 0; i < n; i++ {
+			ix.insert(c.key(i), int64(i))
+		}
+		perKey := float64(liveHeap()-before) / n
+		t.Logf("%s: %.1f B a key", c.name, perKey)
+		if perKey > c.max {
+			t.Errorf("%s: %.1f B of live heap a key, want ≤ %.0f", c.name, perKey, c.max)
+		}
+		if ids, _ := ix.get(c.key(n / 2)); len(ids) != 1 || ids[0] != n/2 {
+			t.Fatalf("%s: key %d holds %v", c.name, n/2, ids)
+		}
+		runtime.KeepAlive(ix)
+	}
+	runtime.KeepAlive(names)
 }

@@ -9,35 +9,6 @@ import (
 	"sync"
 )
 
-// IndexType selects a secondary index implementation.
-type IndexType uint8
-
-const (
-	// IndexHash supports equality probes only.
-	IndexHash IndexType = iota
-	// IndexBTree supports equality, range scans, and ordered
-	// iteration.
-	IndexBTree
-)
-
-func (t IndexType) String() string {
-	if t == IndexHash {
-		return "hash"
-	}
-	return "btree"
-}
-
-// index is a secondary index over one column. A slot has exactly one
-// posting — its stored value — from the commit that fills it until GC
-// frees it, so a pinned snapshot can probe the index too; lookups check
-// each candidate's visibility at the read's commit version.
-type index struct {
-	column int
-	typ    IndexType
-	hash   map[uint64][]int64 // IndexHash: value hash → row IDs
-	tree   *btree             // IndexBTree
-}
-
 // verMax is the end stamp of a live (undeleted) row version.
 const verMax = math.MaxInt64
 
@@ -298,7 +269,6 @@ func (t *Table) CreateIndex(column string, typ IndexType) error {
 		}
 		return fmt.Errorf("store: column %q already indexed as %v", column, existing.typ)
 	}
-	idx := &index{column: ci, typ: typ}
 	col := &t.cols[ci]
 	slots := make([]int32, 0, len(t.end)-len(t.free))
 	for s := range t.end {
@@ -306,11 +276,9 @@ func (t *Table) CreateIndex(column string, typ IndexType) error {
 			slots = append(slots, int32(s))
 		}
 	}
-	if typ == IndexHash {
-		idx.hash = make(map[uint64][]int64)
-	} else {
+	idx := newIndex(ci, typ, col.Kind, len(slots))
+	if typ == IndexBTree {
 		// Ascending inserts leave every B+-tree leaf full.
-		idx.tree = newBTree()
 		slices.SortFunc(slots, func(a, b int32) int { return Compare(col.stored(int(a)), col.stored(int(b))) })
 	}
 	for _, s := range slots {
@@ -349,34 +317,6 @@ func (t *Table) HasIndex(column string) (IndexType, bool) {
 		return 0, false
 	}
 	return idx.typ, true
-}
-
-func (ix *index) insert(v Value, id int64) {
-	if ix.typ == IndexHash {
-		h := v.Hash()
-		ix.hash[h] = append(ix.hash[h], id)
-	} else {
-		ix.tree.Insert(v, id)
-	}
-}
-
-func (ix *index) remove(v Value, id int64) {
-	if ix.typ == IndexHash {
-		h := v.Hash()
-		post := ix.hash[h]
-		for i, pid := range post {
-			if pid == id {
-				post[i] = post[len(post)-1]
-				ix.hash[h] = post[:len(post)-1]
-				if len(ix.hash[h]) == 0 {
-					delete(ix.hash, h)
-				}
-				return
-			}
-		}
-	} else {
-		ix.tree.Delete(v, id)
-	}
 }
 
 // Insert validates and stores a row, returning its row ID: a one-row
@@ -514,16 +454,6 @@ func (a Access) outputCols(s *Schema) []int {
 // caller's context (poll is nil for the store's own context-free passes).
 const pollEvery = 1024
 
-// equalCandidates returns the raw index postings for v — candidate IDs
-// the caller filters by version visibility and, a hash bucket being
-// shared by colliding values, by the stored value.
-func equalCandidates(ix *index, v Value) []int64 {
-	if ix.typ == IndexHash {
-		return ix.hash[v.Hash()]
-	}
-	return ix.tree.Get(v)
-}
-
 func inRange(v Value, lo, hi *Value) bool {
 	if v.IsNull() {
 		return false
@@ -574,7 +504,10 @@ func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(s int
 	}
 	var err error
 	visited := 0
-	postings := func(k Value, ids []int64) bool {
+	// check, when set, is the probed key, to be compared with each
+	// candidate's stored cell (hash postings are shared by colliding
+	// values; a tree's are exact).
+	postings := func(ids []int64, check *Value) bool {
 		for _, id := range ids {
 			if visited++; poll != nil && visited%pollEvery == 0 {
 				if err = poll(); err != nil {
@@ -582,23 +515,26 @@ func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(s int
 				}
 			}
 			s := int(uint32(id))
-			if t.visible(s, ver) && Equal(t.cols[ci].stored(s), k) && !fn(s) {
+			if t.visible(s, ver) && (check == nil || Equal(t.cols[ci].stored(s), *check)) && !fn(s) {
 				return false
 			}
 		}
 		return true
 	}
 	if a.Keys != nil {
-		for _, k := range a.Keys {
-			if !postings(k, equalCandidates(idx, k)) {
+		for i := range a.Keys {
+			ids, exact := idx.get(a.Keys[i])
+			check := &a.Keys[i]
+			if exact {
+				check = nil
+			}
+			if !postings(ids, check) {
 				break
 			}
 		}
 		return err
 	}
-	idx.tree.walk(a.Lo, a.Hi, a.Desc, func(k Value, ids []int64) bool {
-		return k.IsNull() || postings(k, ids)
-	})
+	idx.walk(a.Lo, a.Hi, a.Desc, func(ids []int64) bool { return postings(ids, nil) })
 	return err
 }
 
@@ -674,13 +610,14 @@ func (t *Table) countPostingsLocked(a Access, max int) int {
 	n := 0
 	if a.Keys != nil {
 		for _, k := range a.Keys {
-			if n += len(equalCandidates(idx, k)); max > 0 && n > max {
+			ids, _ := idx.get(k)
+			if n += len(ids); max > 0 && n > max {
 				break
 			}
 		}
 		return n
 	}
-	idx.tree.walk(a.Lo, a.Hi, a.Desc, func(_ Value, ids []int64) bool {
+	idx.walk(a.Lo, a.Hi, a.Desc, func(ids []int64) bool {
 		n += len(ids)
 		return max <= 0 || n <= max
 	})
@@ -820,7 +757,7 @@ func (t *Table) findByValueLocked(r Row, taken map[int]struct{}) (int, bool) {
 	var cand []int64
 	first := true
 	for _, idx := range t.indexes {
-		if c := equalCandidates(idx, r[idx.column]); first || len(c) < len(cand) {
+		if c, _ := idx.get(r[idx.column]); first || len(c) < len(cand) {
 			cand, first = c, false
 		}
 	}

@@ -4,9 +4,8 @@
 package store
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 )
@@ -106,10 +105,12 @@ func (v Value) AsFloat() float64 {
 // Numeric reports whether the value is INT or FLOAT.
 func (v Value) Numeric() bool { return v.K == KindInt || v.K == KindFloat }
 
-// Compare orders two values. NULL sorts before everything; numeric
-// kinds compare by value across INT/FLOAT; distinct non-numeric kinds
-// compare by kind tag (deterministic but meaningless, queries
-// type-check before reaching here). Returns -1, 0, or +1.
+// Compare orders two values — a total order. NULL sorts before
+// everything; numeric kinds compare by value across INT/FLOAT, with -0
+// equal to +0 and NaN equal to itself and below every other number;
+// distinct non-numeric kinds compare by kind tag (deterministic but
+// meaningless, queries type-check before reaching here). Returns -1, 0,
+// or +1.
 func Compare(a, b Value) int {
 	if a.K == KindNull || b.K == KindNull {
 		switch {
@@ -123,46 +124,18 @@ func Compare(a, b Value) int {
 	}
 	if a.Numeric() && b.Numeric() {
 		if a.K == KindInt && b.K == KindInt {
-			switch {
-			case a.I < b.I:
-				return -1
-			case a.I > b.I:
-				return 1
-			}
-			return 0
+			return cmp.Compare(a.I, b.I)
 		}
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.AsFloat(), b.AsFloat())
 	}
 	if a.K != b.K {
-		if a.K < b.K {
-			return -1
-		}
-		return 1
+		return cmp.Compare(a.K, b.K)
 	}
 	switch a.K {
 	case KindString:
-		switch {
-		case a.S < b.S:
-			return -1
-		case a.S > b.S:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.S, b.S)
 	case KindBool:
-		switch {
-		case a.I < b.I:
-			return -1
-		case a.I > b.I:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.I, b.I)
 	}
 	return 0
 }
@@ -170,30 +143,63 @@ func Compare(a, b Value) int {
 // Equal reports whether two values compare equal.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-// Hash returns a hash of the value consistent with Equal (numeric
-// values hash by their float64 widening so 1 and 1.0 collide, matching
-// Compare).
+// Hash returns a hash of the value consistent with Equal: numeric
+// values hash by their float64 widening so 1 and 1.0 collide, -0 hashes
+// as +0 and every NaN alike, matching Compare. It is FNV-1a over a kind
+// tag and the payload bytes, computed inline so index and join loops
+// stay allocation-free.
 func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
 	switch v.K {
-	case KindNull:
-		buf[0] = 0
-		h.Write(buf[:1])
-	case KindInt, KindFloat:
-		buf[0] = 1
-		binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(v.AsFloat()))
-		h.Write(buf[:9])
+	case KindInt:
+		return hashNumber(float64(v.I))
+	case KindFloat:
+		return hashNumber(v.F)
 	case KindString:
-		buf[0] = 2
-		h.Write(buf[:1])
-		h.Write([]byte(v.S))
+		return hashString(v.S)
 	case KindBool:
-		buf[0] = 3
-		buf[1] = byte(v.I)
-		h.Write(buf[:2])
+		return hashBool(v.I)
 	}
-	return h.Sum64()
+	return hashNull
+}
+
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// fnvTag starts a hash with the kind's tag byte.
+func fnvTag(tag uint64) uint64 {
+	h := fnvOffset
+	return (h ^ tag) * fnvPrime
+}
+
+var hashNull = fnvTag(0)
+
+func hashNumber(f float64) uint64 {
+	switch {
+	case f == 0:
+		f = 0 // -0 equals +0
+	case f != f:
+		f = math.NaN() // one NaN
+	}
+	bits := math.Float64bits(f)
+	h := fnvTag(1)
+	for s := 0; s < 64; s += 8 {
+		h = (h ^ (bits >> s & 0xff)) * fnvPrime
+	}
+	return h
+}
+
+func hashString(s string) uint64 {
+	h := fnvTag(2)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
+func hashBool(i int64) uint64 {
+	return (fnvTag(3) ^ uint64(i&0xff)) * fnvPrime
 }
 
 // String renders the value for display and EXPLAIN output.
