@@ -1,228 +1,312 @@
 package query
 
 import (
+	"cmp"
+
 	"drugtree/internal/store"
 )
 
-// aggState accumulates one aggregate for one group.
-type aggState struct {
-	count int64
-	sum   float64
-	min   store.Value
-	max   store.Value
-	seen  bool
-}
-
-func (s *aggState) add(fn AggFunc, v store.Value) {
-	if v.IsNull() {
-		return
-	}
-	s.count++
-	if v.Numeric() {
-		s.sum += v.AsFloat()
-	}
-	if !s.seen {
-		s.min, s.max = v, v
-		s.seen = true
-		return
-	}
-	if store.Compare(v, s.min) < 0 {
-		s.min = v
-	}
-	if store.Compare(v, s.max) > 0 {
-		s.max = v
-	}
-}
-
-// merge folds another partial state into s (plain aggregates only;
-// DISTINCT partials replay value-by-value through distinctSet).
-func (s *aggState) merge(o *aggState) {
-	s.count += o.count
-	s.sum += o.sum
-	if !o.seen {
-		return
-	}
-	if !s.seen {
-		s.min, s.max, s.seen = o.min, o.max, true
-		return
-	}
-	if store.Compare(o.min, s.min) < 0 {
-		s.min = o.min
-	}
-	if store.Compare(o.max, s.max) > 0 {
-		s.max = o.max
-	}
-}
-
-func (s *aggState) result(fn AggFunc) store.Value {
-	switch fn {
-	case AggCount:
-		return store.IntValue(s.count)
-	case AggSum:
-		if s.count == 0 {
-			return store.NullValue()
-		}
-		return store.FloatValue(s.sum)
-	case AggAvg:
-		if s.count == 0 {
-			return store.NullValue()
-		}
-		return store.FloatValue(s.sum / float64(s.count))
-	case AggMin:
-		if !s.seen {
-			return store.NullValue()
-		}
-		return s.min
-	case AggMax:
-		if !s.seen {
-			return store.NullValue()
-		}
-		return s.max
-	}
-	return store.NullValue()
-}
-
-// distinctSet dedups a DISTINCT aggregate's inputs — hash buckets of
-// values compared with store.Equal, since distinct values can share a
-// hash — remembering values in first-seen order so partial sets merge
-// with the same semantics the serial accumulation has.
-type distinctSet struct {
-	seen map[uint64][]store.Value
-	vals []store.Value
-}
-
-func newDistinctSet() *distinctSet {
-	return &distinctSet{seen: make(map[uint64][]store.Value)}
-}
-
-// insert reports whether v was new.
-func (d *distinctSet) insert(v store.Value) bool {
-	h := v.Hash()
-	for _, s := range d.seen[h] {
-		if store.Equal(s, v) {
-			return false
-		}
-	}
-	d.seen[h] = append(d.seen[h], v)
-	d.vals = append(d.vals, v)
-	return true
-}
-
-// groupEntry pairs the group's key values with per-aggregate states.
-type groupEntry struct {
-	keys   []store.Value
-	states []aggState
-	stars  int64
-	// distinct[i] dedups inputs for DISTINCT aggregates; nil for
-	// plain aggregates.
-	distinct []*distinctSet
-}
-
-// aggTable is one (partial or final) aggregation hash table with
-// deterministic first-seen group order.
+// aggTable is one (partial or final) aggregation state: a grouping
+// hashTab numbers the groups in first-seen order, and every aggregate
+// keeps its state as typed vectors indexed by that group id — nothing
+// is allocated per input row or per group beyond the vectors' growth.
 type aggTable struct {
-	aggs  []*AggExpr
-	table map[string]*groupEntry
-	order []string
+	aggs      []*AggExpr
+	groups    *hashTab // nil without GROUP BY: every row is group 0
+	n         int      // groups so far
+	countRows bool     // some aggregate is COUNT(*)
+	stars     []int64  // rows per group, when countRows
+	states    []aggVec // one per aggregate; unused for star aggregates
+	// distinct[i] holds the (group id, value) pairs a DISTINCT
+	// aggregate has folded; nil for plain aggregates.
+	distinct []*hashTab
+
+	// Per-batch scratch.
+	cols   []*store.Col // the batch's evaluated group keys, then arguments
+	gids   []int32      // the batch's group ids (all zeros without GROUP BY)
+	gidCol *store.Col   // the same as a key column of the DISTINCT tables
+	dsel   []int        // the rows, and their group ids, a DISTINCT
+	dgid   []int32      // aggregate has not folded yet
 }
 
-func newAggTable(aggs []*AggExpr) *aggTable {
-	return &aggTable{aggs: aggs, table: make(map[string]*groupEntry)}
+// aggVec is one aggregate's state across groups: the count of non-NULL
+// inputs for COUNT/SUM/AVG, their sum for SUM/AVG, the running extreme
+// for MIN/MAX (a column of the argument's kind, created by the first
+// fold; NULL until a value arrives).
+type aggVec struct {
+	count []int64
+	sum   []float64
+	ext   *store.Col
 }
 
-// addValues accumulates one input row whose group keys and aggregate
-// arguments are already evaluated (vecAgg batch-evaluates both). keys
-// is retained by the table on first sight of a group; callers must pass
-// a fresh slice per row. argv entries for star aggregates are ignored.
-func (t *aggTable) addValues(keys []store.Value, argv []store.Value) {
-	keyBuf := make([]byte, 0, 32)
-	for _, v := range keys {
-		keyBuf = store.AppendValue(keyBuf, v)
+func newAggTable(aggs []*AggExpr, grouped bool) *aggTable {
+	t := &aggTable{aggs: aggs, states: make([]aggVec, len(aggs)), distinct: make([]*hashTab, len(aggs))}
+	if grouped {
+		t.groups = newHashTab(true, 0)
 	}
-	k := string(keyBuf)
-	e, found := t.table[k]
-	if !found {
-		e = &groupEntry{
-			keys:     keys,
-			states:   make([]aggState, len(t.aggs)),
-			distinct: make([]*distinctSet, len(t.aggs)),
+	for i, a := range aggs {
+		if a.Star {
+			t.countRows = true
+		} else if a.Distinct {
+			t.distinct[i] = newHashTab(false, 0)
 		}
-		for i, agg := range t.aggs {
-			if agg.Distinct {
-				e.distinct[i] = newDistinctSet()
-			}
-		}
-		t.table[k] = e
-		t.order = append(t.order, k)
 	}
-	for i, agg := range t.aggs {
-		if agg.Star {
-			e.stars++
+	return t
+}
+
+// grow extends every state vector to n groups.
+func (t *aggTable) grow(n int) {
+	if n <= t.n {
+		return
+	}
+	add := n - t.n
+	t.n = n
+	if t.countRows {
+		t.stars = append(t.stars, make([]int64, add)...)
+	}
+	for i, a := range t.aggs {
+		if a.Star {
 			continue
 		}
-		v := argv[i]
-		if agg.Distinct {
-			if v.IsNull() || !e.distinct[i].insert(v) {
-				continue
+		s := &t.states[i]
+		switch a.Func {
+		case AggMin, AggMax:
+			for s.ext != nil && s.ext.Len() < n {
+				s.ext.Append(store.NullValue())
 			}
+		case AggSum, AggAvg:
+			s.sum = append(s.sum, make([]float64, add)...)
+			fallthrough
+		default:
+			s.count = append(s.count, make([]int64, add)...)
 		}
-		e.states[i].add(agg.Func, v)
 	}
 }
 
-// merge folds another partial table into t. Partials built over
-// contiguous input chunks merged in chunk order reproduce the global
-// first-seen group order: every row of chunk w precedes every row of
-// chunk w+1 in the original input.
-func (t *aggTable) merge(o *aggTable) {
-	for _, k := range o.order {
-		oe := o.table[k]
-		e, found := t.table[k]
-		if !found {
-			t.table[k] = oe
-			t.order = append(t.order, k)
+// accum folds the rows sel of one batch into the table: gcols are the
+// evaluated group keys, acols the evaluated arguments (nil for star
+// aggregates), both aligned with the batch's n rows.
+func (t *aggTable) accum(gcols, acols []*store.Col, sel []int, n int) {
+	if len(sel) == 0 {
+		return
+	}
+	gids := t.groupIDs(gcols, sel)
+	if t.countRows {
+		for _, g := range gids {
+			t.stars[g]++
+		}
+	}
+	for i, a := range t.aggs {
+		if a.Star {
 			continue
 		}
-		e.stars += oe.stars
-		for i, agg := range t.aggs {
-			if agg.Star {
+		fsel, fgid := sel, gids
+		if d := t.distinct[i]; d != nil {
+			// A DISTINCT aggregate folds only the rows whose (group,
+			// value) pair is new.
+			if t.gidCol == nil || t.gidCol.Len() < n {
+				t.gidCol = store.NewDenseCol(store.KindInt, max(n, vecBatchSize))
+			}
+			for k, r := range sel {
+				t.gidCol.SetInt(r, int64(gids[k]))
+			}
+			keys := []*store.Col{t.gidCol, acols[i]}
+			t.dsel, t.dgid = t.dsel[:0], t.dgid[:0]
+			for k, r := range sel {
+				if _, added := d.insert(keys, r); added {
+					t.dsel, t.dgid = append(t.dsel, r), append(t.dgid, gids[k])
+				}
+			}
+			fsel, fgid = t.dsel, t.dgid
+		}
+		t.states[i].fold(a.Func, acols[i], fsel, fgid, t.n)
+	}
+}
+
+// groupIDs probes one batch's group keys into the group table — new
+// keys become new groups — and returns the rows' group ids, aligned
+// with sel, with every state vector grown to cover them.
+func (t *aggTable) groupIDs(gcols []*store.Col, sel []int) []int32 {
+	if t.groups == nil {
+		t.grow(1)
+		for len(t.gids) < len(sel) {
+			t.gids = append(t.gids, 0)
+		}
+		return t.gids[:len(sel)]
+	}
+	t.gids = t.groups.insertBatch(gcols, sel, t.gids)
+	t.grow(t.groups.len())
+	return t.gids
+}
+
+// fold accumulates the non-NULL cells of col at rows sel into the
+// groups gids (aligned with sel) of n.
+func (s *aggVec) fold(fn AggFunc, col *store.Col, sel []int, gids []int32, n int) {
+	switch fn {
+	case AggMin, AggMax:
+		if s.ext == nil {
+			s.ext = store.NewDenseCol(col.Kind, n)
+		}
+		for k, r := range sel {
+			if col.Null[r] {
 				continue
 			}
-			if agg.Distinct {
-				// Replay the other partial's distinct values in
-				// first-seen order; cross-chunk duplicates drop out.
-				for _, v := range oe.distinct[i].vals {
-					if e.distinct[i].insert(v) {
-						e.states[i].add(agg.Func, v)
+			if g := int(gids[k]); s.ext.Null[g] || extremer(fn, col, r, s.ext, g) {
+				s.ext.SetValue(g, col.Value(r))
+			}
+		}
+	case AggCount:
+		for k, r := range sel {
+			if !col.Null[r] {
+				s.count[gids[k]]++
+			}
+		}
+	default: // SUM, AVG: non-numeric cells count but add nothing
+		switch col.Kind {
+		case store.KindFloat:
+			for k, r := range sel {
+				if !col.Null[r] {
+					s.count[gids[k]]++
+					s.sum[gids[k]] += col.Float[r]
+				}
+			}
+		case store.KindInt:
+			for k, r := range sel {
+				if !col.Null[r] {
+					s.count[gids[k]]++
+					s.sum[gids[k]] += float64(col.Int[r])
+				}
+			}
+		default:
+			for k, r := range sel {
+				if v := col.Value(r); !v.IsNull() {
+					s.count[gids[k]]++
+					if v.Numeric() {
+						s.sum[gids[k]] += v.AsFloat()
 					}
 				}
+			}
+		}
+	}
+}
+
+// extremer reports whether cell i of a is strictly beyond cell j of b
+// in fn's direction (below for MIN, above for MAX), by store.Compare's
+// order; neither is NULL.
+func extremer(fn AggFunc, a *store.Col, i int, b *store.Col, j int) bool {
+	var c int
+	switch {
+	case a.Kind == store.KindFloat && b.Kind == store.KindFloat:
+		c = cmp.Compare(a.Float[i], b.Float[j])
+	case a.Kind == store.KindInt && b.Kind == store.KindInt:
+		c = cmp.Compare(a.Int[i], b.Int[j])
+	case a.Kind == store.KindString && b.Kind == store.KindString:
+		c = cmp.Compare(a.Str[i], b.Str[j])
+	default:
+		c = store.Compare(a.Value(i), b.Value(j))
+	}
+	if fn == AggMin {
+		return c < 0
+	}
+	return c > 0
+}
+
+// merge folds another partial table into t by re-probing o's group keys
+// into t's table. Partials built over contiguous input chunks merged in
+// chunk order reproduce the global first-seen group order: every row of
+// chunk w precedes every row of chunk w+1 in the original input.
+func (t *aggTable) merge(o *aggTable) {
+	if o.n == 0 {
+		return
+	}
+	// to[g] is the group of t that o's group g lands in.
+	to := make([]int32, o.n)
+	if t.groups != nil {
+		keys := make([]*store.Col, len(o.groups.keys))
+		for c := range keys {
+			keys[c] = &o.groups.keys[c]
+		}
+		for g := range to {
+			to[g], _ = t.groups.insert(keys, g)
+		}
+		t.grow(t.groups.len())
+	} else {
+		t.grow(1)
+	}
+	for g, n := range o.stars {
+		t.stars[to[g]] += n
+	}
+	for i, a := range t.aggs {
+		if a.Star {
+			continue
+		}
+		s, os := &t.states[i], &o.states[i]
+		if d := t.distinct[i]; d != nil {
+			// Replay the other partial's distinct (group, value) pairs
+			// in first-seen order under t's group ids; pairs t has seen
+			// drop out.
+			od := o.distinct[i]
+			if od.len() == 0 {
 				continue
 			}
-			e.states[i].merge(&oe.states[i])
+			mapped := store.NewDenseCol(store.KindInt, od.len())
+			for e, g := range od.keys[0].Int {
+				mapped.SetInt(e, int64(to[g]))
+			}
+			keys := []*store.Col{mapped, &od.keys[1]}
+			var fsel []int
+			var fgid []int32
+			for e := 0; e < od.len(); e++ {
+				if _, added := d.insert(keys, e); added {
+					fsel, fgid = append(fsel, e), append(fgid, int32(mapped.Int[e]))
+				}
+			}
+			s.fold(a.Func, keys[1], fsel, fgid, t.n)
+			continue
+		}
+		for g, c := range os.count {
+			s.count[to[g]] += c
+		}
+		for g, x := range os.sum {
+			s.sum[to[g]] += x
+		}
+		if os.ext != nil {
+			// The partial's extremes are inputs like any other.
+			s.fold(a.Func, os.ext, identity(o.n), to, t.n)
 		}
 	}
 }
 
 // output renders the final one-row-per-group result — group keys, then
-// aggregates — as generic columns (an aggregate's kind is known only
-// from its inputs). groups is the number of group keys.
-func (t *aggTable) output(groups int) *store.ColBatch {
-	cb := &store.ColBatch{Cols: make([]store.Col, groups+len(t.aggs)), Rows: len(t.order)}
-	for c := range cb.Cols {
-		cb.Cols[c] = *store.NewCol(store.KindNull, len(t.order))
+// aggregates — as typed columns: the group table's key columns as they
+// stand, counts as INT, sums and averages as FLOAT (NULL over no
+// input), extremes in their argument's kind.
+func (t *aggTable) output() *store.ColBatch {
+	cb := &store.ColBatch{Rows: t.n}
+	if t.groups != nil && t.n > 0 {
+		cb.Cols = append(cb.Cols, t.groups.keys...)
 	}
-	for _, k := range t.order {
-		e := t.table[k]
-		for c, v := range e.keys {
-			cb.Cols[c].Append(v)
-		}
-		for i, agg := range t.aggs {
-			v := store.IntValue(e.stars)
-			if !agg.Star {
-				v = e.states[i].result(agg.Func)
+	for i, a := range t.aggs {
+		s := &t.states[i]
+		col := store.Col{Kind: store.KindInt, Null: make([]bool, t.n)}
+		switch {
+		case a.Star:
+			col.Int = t.stars
+		case a.Func == AggCount:
+			col.Int = s.count
+		case a.Func == AggSum || a.Func == AggAvg:
+			col.Kind, col.Float = store.KindFloat, s.sum
+			for g, c := range s.count {
+				if col.Null[g] = c == 0; a.Func == AggAvg && c > 0 {
+					col.Float[g] /= float64(c)
+				}
 			}
-			cb.Cols[groups+i].Append(v)
+		case s.ext == nil: // MIN/MAX that never saw a value
+			col = *store.NewDenseCol(store.KindNull, t.n)
+		default:
+			col = *s.ext
 		}
+		cb.Cols = append(cb.Cols, col)
 	}
 	return cb
 }

@@ -50,18 +50,36 @@ func (b *batch) rowIdx(k int) int {
 	return k
 }
 
-// selection returns the live row indices, materializing the identity
-// selection when sel is nil. The returned slice must be treated
-// read-only.
-func (b *batch) selection() []int {
-	if b.sel != nil {
-		return b.sel
-	}
-	sel := make([]int, b.n)
+// identitySel is the selection vector of every dense batch: identity
+// hands out windows of it, so nothing may ever write through one.
+var identitySel = func() (sel [vecBatchSize]int) {
 	for i := range sel {
 		sel[i] = i
 	}
 	return sel
+}()
+
+// identity returns the selection 0..n-1: a window of identitySel (a
+// longer one is allocated). The returned slice is read-only; its
+// capacity is its length, so an append can only copy.
+func identity(n int) []int {
+	if n <= vecBatchSize {
+		return identitySel[:n:n]
+	}
+	sel := make([]int, n)
+	for i := range sel {
+		sel[i] = i
+	}
+	return sel
+}
+
+// selection returns the live row indices: sel, or the identity for a
+// dense batch. The returned slice is read-only.
+func (b *batch) selection() []int {
+	if b.sel != nil {
+		return b.sel
+	}
+	return identity(b.n)
 }
 
 // rowAt materializes row index i as a store.Row. dst is reused when
@@ -83,30 +101,25 @@ type batchIterator interface {
 	nextBatch() (*batch, error)
 }
 
-// rowRef addresses one row inside a materialized batch.
-type rowRef struct {
-	b *batch
-	i int
-}
-
 // batchesOf slices a materialized ColBatch into vecBatchSize views
-// (zero-copy: the views alias the ColBatch's column storage).
+// (zero-copy: the views alias the ColBatch's column storage). All the
+// views' headers come from three allocations, however many there are.
 func batchesOf(cb *store.ColBatch) []*batch {
 	if cb.Rows == 0 {
 		return nil
 	}
-	out := make([]*batch, 0, (cb.Rows+vecBatchSize-1)/vecBatchSize)
-	for lo := 0; lo < cb.Rows; lo += vecBatchSize {
-		hi := lo + vecBatchSize
-		if hi > cb.Rows {
-			hi = cb.Rows
-		}
-		b := &batch{cols: make([]*store.Col, len(cb.Cols)), n: hi - lo}
+	nb, nc := (cb.Rows+vecBatchSize-1)/vecBatchSize, len(cb.Cols)
+	batches, views, ptrs := make([]batch, nb), make([]store.Col, nb*nc), make([]*store.Col, nb*nc)
+	out := make([]*batch, nb)
+	for k := range batches {
+		lo := k * vecBatchSize
+		hi := min(lo+vecBatchSize, cb.Rows)
 		for c := range cb.Cols {
-			v := cb.Cols[c].Slice(lo, hi)
-			b.cols[c] = &v
+			views[k*nc+c] = cb.Cols[c].Slice(lo, hi)
+			ptrs[k*nc+c] = &views[k*nc+c]
 		}
-		out = append(out, b)
+		batches[k] = batch{cols: ptrs[k*nc : (k+1)*nc : (k+1)*nc], n: hi - lo}
+		out[k] = &batches[k]
 	}
 	return out
 }
@@ -146,32 +159,99 @@ func drainColumns(ctx context.Context, in batchIterator, schema *planSchema) (*s
 	for c := range out.Cols {
 		dst := store.NewCol(outputKind(batches, c, schema.cols[c].Kind), out.Rows)
 		for _, b := range batches {
-			src := b.cols[c]
-			if b.sel == nil && src.Kind == dst.Kind {
-				v := src.Slice(0, b.n) // only the active vector is set
-				dst.Null = append(dst.Null, v.Null...)
-				dst.Int = append(dst.Int, v.Int...)
-				dst.Float = append(dst.Float, v.Float...)
-				dst.Str = append(dst.Str, v.Str...)
-				dst.Vals = append(dst.Vals, v.Vals...)
-				continue
-			}
-			for k, live := 0, b.live(); k < live; k++ {
-				dst.AppendFrom(src, b.rowIdx(k))
-			}
+			appendLive(dst, b, c)
 		}
 		out.Cols[c] = *dst
 	}
 	return out, nil
 }
 
+// appendLive appends the live cells of b's column c to dst, whose kind
+// is the column's or generic: a dense same-kind column is one bulk
+// append per vector.
+func appendLive(dst *store.Col, b *batch, c int) {
+	src := b.cols[c]
+	if b.sel == nil && src.Kind == dst.Kind {
+		v := src.Slice(0, b.n) // only the active vector is set
+		dst.Null = append(dst.Null, v.Null...)
+		dst.Int = append(dst.Int, v.Int...)
+		dst.Float = append(dst.Float, v.Float...)
+		dst.Str = append(dst.Str, v.Str...)
+		dst.Vals = append(dst.Vals, v.Vals...)
+		return
+	}
+	for k, live := 0, b.live(); k < live; k++ {
+		dst.AppendFrom(src, b.rowIdx(k))
+	}
+}
+
+// concatBatches returns the live rows of batches, narrowed to the
+// columns cols, as one dense batch: a lone dense batch's own columns,
+// or else copies sized exactly, in the kind the batches deliver.
+func concatBatches(batches []*batch, cols []int) *batch {
+	out := &batch{cols: make([]*store.Col, len(cols))}
+	if len(batches) == 1 && batches[0].sel == nil {
+		for k, c := range cols {
+			out.cols[k] = batches[0].cols[c]
+		}
+		out.n = batches[0].n
+		return out
+	}
+	for _, b := range batches {
+		out.n += b.live()
+	}
+	for k, c := range cols {
+		kind := store.KindNull
+		if len(batches) > 0 {
+			kind = batches[0].cols[c].Kind
+		}
+		out.cols[k] = store.NewCol(kind, out.n)
+		for _, b := range batches {
+			appendLive(out.cols[k], b, c)
+		}
+	}
+	return out
+}
+
+// gatherInto fills dst — its null mask allocated, len(idx) cells — with
+// the cells of src at the positions idx, in src's kind.
+func gatherInto(dst, src *store.Col, idx []int32) {
+	dst.Kind = src.Kind
+	for k, i := range idx {
+		dst.Null[k] = src.Null[i]
+	}
+	switch src.Kind {
+	case store.KindInt, store.KindBool:
+		dst.Int = make([]int64, len(idx))
+		for k, i := range idx {
+			dst.Int[k] = src.Int[i]
+		}
+	case store.KindFloat:
+		dst.Float = make([]float64, len(idx))
+		for k, i := range idx {
+			dst.Float[k] = src.Float[i]
+		}
+	case store.KindString:
+		dst.Str = make([]string, len(idx))
+		for k, i := range idx {
+			dst.Str[k] = src.Str[i]
+		}
+	default:
+		dst.Vals = make([]store.Value, len(idx))
+		for k, i := range idx {
+			dst.Vals[k] = src.Vals[i]
+		}
+	}
+}
+
 // outputKind picks the storage kind of output column c: the kind the
 // plan declares when every live cell is that kind or NULL, generic
 // otherwise. Declared kinds are static inferences (an arithmetic
-// expression over runtime-typed operands can miss), and two producers
-// deliver generic columns whose cells usually do all have the declared
-// kind: the aggregate's output and row-evaluated expressions (TANIMOTO,
-// subqueries, shapes that can fail at evaluation time).
+// expression over runtime-typed operands can miss), and one producer
+// delivers generic columns whose cells usually do all have the declared
+// kind: row-evaluated expressions (TANIMOTO, subqueries, shapes that can
+// fail at evaluation time) — also as an aggregate's group key or
+// MIN/MAX argument, whose output column keeps its input's kind.
 func outputKind(batches []*batch, c int, declared store.Kind) store.Kind {
 	if declared == store.KindNull {
 		return store.KindNull

@@ -232,13 +232,20 @@ func TestDifferentialFuzz(t *testing.T) {
 // split real work instead of falling back to small-input paths.
 func datagenCatalog(t testing.TB, seed int64) *DBCatalog {
 	t.Helper()
+	return datagenCatalogOf(t, func(cfg *datagen.Config) { cfg.Seed = seed })
+}
+
+// datagenCatalogOf is datagenCatalog with the generator's configuration
+// adjusted by tweak.
+func datagenCatalogOf(t testing.TB, tweak func(*datagen.Config)) *DBCatalog {
+	t.Helper()
 	cfg := datagen.DefaultConfig()
-	cfg.Seed = seed
 	cfg.NumFamilies = 6
 	cfg.ProteinsPerFamily = 30
 	cfg.SeqLen = 40 // sequences only feed the length column here
 	cfg.NumLigands = 50
 	cfg.ActivityDensity = 0.5
+	tweak(&cfg)
 	ds, err := datagen.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -247,23 +247,13 @@ func bindInSubquery(x *InSubqueryExpr, env bindEnv) (*boundExpr, error) {
 			src:  x,
 		}, nil
 	}
-	set := make(map[uint64][]store.Value, len(res.Rows))
+	col := store.NewCol(store.KindNull, len(res.Rows))
 	for _, r := range res.Rows {
-		v := r[0]
-		if v.IsNull() {
-			continue
-		}
-		h := v.Hash()
-		dup := false
-		for _, existing := range set[h] {
-			if store.Equal(existing, v) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			set[h] = append(set[h], v)
-		}
+		col.Append(r[0])
+	}
+	set := newHashTab(false, len(res.Rows))
+	for i, key := 0, []*store.Col{col}; i < col.Len(); i++ {
+		set.insert(key, i) // NULLs match nothing and are not kept
 	}
 	return &boundExpr{
 		eval: func(r store.Row) (store.Value, error) {
@@ -271,15 +261,7 @@ func bindInSubquery(x *InSubqueryExpr, env bindEnv) (*boundExpr, error) {
 			if err != nil {
 				return store.NullValue(), err
 			}
-			if v.IsNull() {
-				return store.BoolValue(false), nil
-			}
-			for _, candidate := range set[v.Hash()] {
-				if store.Equal(candidate, v) {
-					return store.BoolValue(true), nil
-				}
-			}
-			return store.BoolValue(false), nil
+			return store.BoolValue(set.contains(v)), nil
 		},
 		kind: store.KindBool,
 		src:  x,

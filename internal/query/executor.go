@@ -156,8 +156,9 @@ func (e *Engine) runAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 }
 
 // annotatePlan appends each operator's runtime counters to its plan
-// line: rows emitted, batches emitted, and selectivity (rows out / rows
-// in) where the operator saw input.
+// line: rows emitted, batches emitted, a hash join's input sizes (its
+// plan line names the build side), and selectivity (rows out / rows in) where the operator
+// saw input.
 func annotatePlan(plan []string, ops []*OpStats) string {
 	var b strings.Builder
 	for i, line := range plan {
@@ -168,6 +169,9 @@ func annotatePlan(plan []string, ops []*OpStats) string {
 		if i < len(ops) && ops[i] != nil {
 			op := ops[i]
 			fmt.Fprintf(&b, " [rows=%d batches=%d", op.RowsOut, op.Batches)
+			if op.Build != "" {
+				fmt.Fprintf(&b, " build_rows=%d probe_rows=%d", op.BuildRows, op.RowsIn)
+			}
 			if s := op.selectivity(); s >= 0 {
 				fmt.Fprintf(&b, " sel=%.1f%%", s*100)
 			}

@@ -230,7 +230,7 @@ func TestBTreeKeyedJoinUsesHashJoin(t *testing.T) {
 	cat := NewDBCatalog(db, nil)
 
 	q := "SELECT x.av, y.bv FROM a x JOIN b y ON x.k = y.k"
-	if plan := runDifferential(t, cat, q, false); !strings.Contains(plan, "HashJoin (1 key(s))") {
+	if plan := runDifferential(t, cat, q, false); !strings.Contains(plan, "HashJoin (1 key(s), build=") {
 		t.Fatalf("expected HashJoin:\n%s", plan)
 	}
 	if res := runQ(t, cat, DefaultOptions(), q); len(res.Rows) == 0 {

@@ -95,12 +95,36 @@ func (f *FilterNode) describe() string        { return fmt.Sprintf("Filter %s", 
 type JoinNode struct {
 	Left, Right LogicalPlan
 	Cond        Expr
-	schema      *planSchema
+	// schema describes the rows the join emits: Left's columns then
+	// Right's, narrowed to proj once column pruning has run.
+	schema *planSchema
+	// proj lists the columns of Left ++ Right the join emits, in order;
+	// nil emits them all. pruneInput sets it to what the parent reads, so
+	// join keys and residual-only columns are never materialized.
+	proj []int
+	// buildLeft is set when join ordering estimated Left the smaller
+	// input: the hash join then hashes Left and probes with Right.
+	buildLeft bool
 }
 
 func (j *JoinNode) Schema() *planSchema     { return j.schema }
 func (j *JoinNode) Children() []LogicalPlan { return []LogicalPlan{j.Left, j.Right} }
 func (j *JoinNode) describe() string        { return fmt.Sprintf("Join ON %s", j.Cond) }
+
+// colsNote renders the output projection of a narrowed join.
+func (j *JoinNode) colsNote() string {
+	if j.proj == nil {
+		return ""
+	}
+	names := make([]string, len(j.schema.cols))
+	for i, c := range j.schema.cols {
+		names[i] = c.Name
+		if c.Qualifier != "" {
+			names[i] = c.Qualifier + "." + c.Name
+		}
+	}
+	return " cols=(" + strings.Join(names, ", ") + ")"
+}
 
 // ProjectNode computes output expressions.
 type ProjectNode struct {

@@ -487,7 +487,8 @@ func copySubtree(j *JoinNode, from, to *ColumnRef) bool {
 
 // --- Join reordering ---
 
-// reorderJoins rebuilds chains of inner joins in cost order. It
+// reorderJoins rebuilds chains of inner joins in cost order and marks
+// each join's smaller input as its hash-build side. It
 // detects a maximal join tree (joins whose children are joins or
 // scans), collects the base relations and all equi-conditions, and
 // greedily builds a left-deep plan starting from the smallest
@@ -500,7 +501,8 @@ func reorderJoins(plan LogicalPlan, cat Catalog) (LogicalPlan, error) {
 	case *JoinNode:
 		rels, conds, ok := collectJoinTree(n)
 		if !ok || len(rels) < 3 {
-			// Reordering a 2-way join is a no-op; recurse children.
+			// Reordering a 2-way join is a no-op — only its build side
+			// is chosen; recurse children.
 			l, err := reorderJoins(n.Left, cat)
 			if err != nil {
 				return nil, err
@@ -509,9 +511,13 @@ func reorderJoins(plan LogicalPlan, cat Catalog) (LogicalPlan, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &JoinNode{Left: l, Right: r, Cond: n.Cond, schema: n.schema}, nil
+			out := &JoinNode{Left: l, Right: r, Cond: n.Cond, schema: n.schema}
+			if ok {
+				out.buildLeft = estimateScanRows(rels[0], cat) < estimateScanRows(rels[1], cat)
+			}
+			return out, nil
 		}
-		return buildJoinOrder(rels, conds, cat, n.schema)
+		return buildJoinOrder(rels, conds, cat)
 	case *FilterNode:
 		in, err := reorderJoins(n.Input, cat)
 		if err != nil {
@@ -639,7 +645,7 @@ func extractColLit(b *BinaryExpr) (*ColumnRef, *Literal) {
 }
 
 // buildJoinOrder greedily assembles a left-deep join over rels.
-func buildJoinOrder(rels []*ScanNode, conds []Expr, cat Catalog, finalSchema *planSchema) (LogicalPlan, error) {
+func buildJoinOrder(rels []*ScanNode, conds []Expr, cat Catalog) (LogicalPlan, error) {
 	n := len(rels)
 	card := make([]float64, n)
 	for i, r := range rels {
@@ -769,7 +775,8 @@ func buildJoinOrder(rels []*ScanNode, conds []Expr, cat Catalog, finalSchema *pl
 		if cond == nil {
 			cond = &Literal{Val: store.BoolValue(true)}
 		}
-		jn := &JoinNode{Left: cur, Right: rels[cand], Cond: cond}
+		// The hash join builds on whichever input is estimated smaller.
+		jn := &JoinNode{Left: cur, Right: rels[cand], Cond: cond, buildLeft: curCard < card[cand]}
 		jn.schema = cur.Schema().concat(rels[cand].Schema())
 		cur = jn
 		curCard = math.Max(1, bestCard)

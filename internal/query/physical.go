@@ -47,9 +47,13 @@ func (s *ExecStats) Snapshot() ExecStats {
 // suffice.
 type OpStats struct {
 	Name    string // operator description (the plan line, unindented)
-	RowsIn  int64  // rows entering the operator; 0 when untracked
+	RowsIn  int64  // rows entering the operator (a join's probe rows); 0 when untracked
 	RowsOut int64  // rows emitted
 	Batches int64  // batches emitted
+	// Build is the input a hash join hashed ("left" or "right", empty for
+	// every other operator) and BuildRows the rows it held.
+	Build     string
+	BuildRows int64
 }
 
 // addIn records rows entering the operator.

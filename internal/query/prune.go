@@ -25,9 +25,10 @@ func requiredFrom(e Expr, into map[colKey]bool) {
 	})
 }
 
-// pruneColumns rewrites the plan so scans emit only the columns the
-// operators above them read (ScanNode.proj): the store then copies
-// nothing else out, and joins hash and concatenate narrower rows.
+// pruneColumns rewrites the plan so scans and joins emit only the
+// columns the operators above them read (ScanNode.proj, JoinNode.proj):
+// the store copies nothing else out, and a join materializes neither
+// its keys nor what only its residual reads unless the parent asks.
 func pruneColumns(plan LogicalPlan) LogicalPlan {
 	switch n := plan.(type) {
 	case *ProjectNode:
@@ -92,15 +93,39 @@ func pruneInput(plan LogicalPlan, need map[colKey]bool) LogicalPlan {
 	case *JoinNode:
 		sub := copyNeed(need)
 		requiredFrom(n.Cond, sub)
-		left := pruneInput(n.Left, sub)
-		right := pruneInput(n.Right, sub)
-		out := &JoinNode{Left: left, Right: right, Cond: n.Cond}
-		out.schema = left.Schema().concat(right.Schema())
-		return out
+		out := *n
+		out.Left = pruneInput(n.Left, sub)
+		out.Right = pruneInput(n.Right, sub)
+		// The inputs carry what the condition reads; the join itself
+		// emits only what its parent does.
+		full := out.Left.Schema().concat(out.Right.Schema())
+		out.schema, out.proj = full, nil
+		if keep := neededCols(full, need); len(keep) < full.Len() {
+			out.proj = keep
+			out.schema = &planSchema{}
+			for _, i := range keep {
+				out.schema.cols = append(out.schema.cols, full.cols[i])
+			}
+		}
+		return &out
 	case *ScanNode:
 		return pruneScan(n, need)
 	}
 	return plan
+}
+
+// neededCols lists the columns of s a requirement set names, in schema
+// order: a column is required when an unqualified or alias-qualified
+// requirement resolves to it. The list is never nil: an empty one is a
+// projection onto no columns, not "no projection".
+func neededCols(s *planSchema, need map[colKey]bool) []int {
+	keep := []int{}
+	for i, c := range s.cols {
+		if need[colKey{"", c.Name}] || need[colKey{c.Qualifier, c.Name}] {
+			keep = append(keep, i)
+		}
+	}
+	return keep
 }
 
 func copyNeed(need map[colKey]bool) map[colKey]bool {
@@ -113,15 +138,9 @@ func copyNeed(need map[colKey]bool) map[colKey]bool {
 
 // pruneScan narrows a scan to the required columns. The scan's own
 // conjuncts still see the whole row: they bind against the table
-// schema and run before the projection. A column is required when an
-// unqualified or alias-qualified requirement resolves to it.
+// schema and run before the projection.
 func pruneScan(n *ScanNode, need map[colKey]bool) LogicalPlan {
-	var keep []int
-	for i, c := range n.base.cols {
-		if need[colKey{"", c.Name}] || need[colKey{c.Qualifier, c.Name}] {
-			keep = append(keep, i)
-		}
-	}
+	keep := neededCols(n.base, need)
 	if len(keep) == len(n.base.cols) || len(keep) == 0 {
 		return n // nothing to prune, or a degenerate requirement set
 	}
