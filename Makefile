@@ -107,7 +107,7 @@ bench-repo-smoke:
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
 # idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_24.json
+BENCH_JSON ?= BENCH_25.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \
@@ -127,14 +127,15 @@ bench-repo:
 # store's insert, lookup, range gather, sequential pass and 512+512
 # delta commit, one posting's insert / probe / remove / range walk
 # through each index form, and the query layer's hashing operators —
-# the hash join and the aggregate, serial and parallel, and the flat
-# table under both (8 192 keys inserted / probed). EXPERIMENTS "Compact
-# storage", "Typed indexes" and "Flat hash operators" record them.
+# the hash join and the aggregate, serial and parallel, the flat table
+# under both (8 192 keys inserted / probed), the keyed probe and the
+# group-join. EXPERIMENTS "Compact storage", "Typed indexes", "Flat hash
+# operators" and "Joins that read only what survives" record them.
 bench-micro:
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex' ./internal/store/
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab' ./internal/query/
+		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin' ./internal/query/
 
 # Ten seconds of each fuzz target over its checked-in corpus: the DTQL
 # parser's parse → String → parse and the Newick parser's parse →

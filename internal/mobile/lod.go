@@ -1,7 +1,6 @@
 package mobile
 
 import (
-	"container/heap"
 	"sort"
 
 	"drugtree/internal/core"
@@ -24,8 +23,7 @@ func BuildViewport(e *core.Engine, focus phylo.NodeID, budget int) []WireNode {
 	if budget < 1 {
 		budget = 1
 	}
-	pq := &itemHeap{}
-	heap.Init(pq)
+	var pq itemHeap
 	// Nodes enter the view only as children of an expanded view node,
 	// so one slice holds it: every node but focus has its parent in it.
 	type viewNode struct {
@@ -36,12 +34,12 @@ func BuildViewport(e *core.Engine, focus phylo.NodeID, budget int) []WireNode {
 	view := make([]viewNode, 0, min(budget, hi-lo+1)) // never outgrows the subtree
 
 	take := func(id phylo.NodeID) {
-		heap.Push(pq, heapItem{id: id, priority: int64(t.LeafCount(id)), slot: len(view)})
+		pq.push(heapItem{id: id, priority: int64(t.LeafCount(id)), slot: len(view)})
 		view = append(view, viewNode{id: id})
 	}
 	take(focus)
-	for pq.Len() > 0 && len(view) < budget {
-		it := heap.Pop(pq).(heapItem)
+	for len(pq) > 0 && len(view) < budget {
+		it := pq.pop()
 		node := t.Node(it.id)
 		if node.IsLeaf() {
 			continue
@@ -124,7 +122,10 @@ func DiffViewports(held map[int64]bool, next []WireNode) (add []WireNode, remove
 	return add, remove
 }
 
-// heapItem / itemHeap implement a max-heap on subtree leaf count.
+// heapItem / itemHeap implement a max-heap on subtree leaf count: a
+// binary heap over the typed slice that sifts exactly as container/heap
+// does (ties pop in the same order), without boxing an item per push
+// and pop.
 type heapItem struct {
 	id       phylo.NodeID
 	priority int64
@@ -133,14 +134,37 @@ type heapItem struct {
 
 type itemHeap []heapItem
 
-func (h itemHeap) Len() int           { return len(h) }
-func (h itemHeap) Less(i, j int) bool { return h[i].priority > h[j].priority }
-func (h itemHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap) Push(x any)        { *h = append(*h, x.(heapItem)) }
-func (h *itemHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *itemHeap) push(it heapItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if s[j].priority <= s[i].priority {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *itemHeap) pop() heapItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].priority > s[j].priority {
+			j = j2
+		}
+		if s[j].priority <= s[i].priority {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }

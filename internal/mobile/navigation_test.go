@@ -14,16 +14,17 @@ import (
 )
 
 // buildViewportWalk is the reference BuildViewport is pinned against:
-// the same best-first expansion, emitted by walking the focus's whole
-// preorder interval with a map probe per node.
+// the same best-first expansion over container/heap (which
+// BuildViewport's typed heap must pop in the same order, ties
+// included), emitted by walking the focus's whole preorder interval
+// with a map probe per node.
 func buildViewportWalk(e *core.Engine, focus phylo.NodeID, budget int) []WireNode {
 	t := e.Tree()
 	layout := e.Layout()
 	if budget < 1 {
 		budget = 1
 	}
-	pq := &itemHeap{}
-	heap.Init(pq)
+	pq := &boxedHeap{}
 	taken := map[phylo.NodeID]bool{}
 	expanded := map[phylo.NodeID]bool{}
 	take := func(id phylo.NodeID) {
@@ -62,6 +63,20 @@ func buildViewportWalk(e *core.Engine, focus phylo.NodeID, budget int) []WireNod
 		})
 	}
 	return out
+}
+
+// boxedHeap is the max-heap on leaf count as a container/heap.Interface.
+type boxedHeap []heapItem
+
+func (h boxedHeap) Len() int           { return len(h) }
+func (h boxedHeap) Less(i, j int) bool { return h[i].priority > h[j].priority }
+func (h boxedHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *boxedHeap) Push(x any)        { *h = append(*h, x.(heapItem)) }
+func (h *boxedHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
 }
 
 // multifurcatingEngine builds an engine over a seeded random tree

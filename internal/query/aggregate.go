@@ -24,7 +24,8 @@ type aggTable struct {
 	// Per-batch scratch.
 	cols   []*store.Col // the batch's evaluated group keys, then arguments
 	gids   []int32      // the batch's group ids (all zeros without GROUP BY)
-	gidCol *store.Col   // the same as a key column of the DISTINCT tables
+	gidCol *store.Col   // a DISTINCT table's key columns, cell k the
+	dval   store.Col    // (group id, value) pair of the k-th folded row
 	dsel   []int        // the rows, and their group ids, a DISTINCT
 	dgid   []int32      // aggregate has not folded yet
 }
@@ -85,12 +86,19 @@ func (t *aggTable) grow(n int) {
 
 // accum folds the rows sel of one batch into the table: gcols are the
 // evaluated group keys, acols the evaluated arguments (nil for star
-// aggregates), both aligned with the batch's n rows.
-func (t *aggTable) accum(gcols, acols []*store.Col, sel []int, n int) {
+// aggregates), both aligned with the batch's rows.
+func (t *aggTable) accum(gcols, acols []*store.Col, sel []int) {
 	if len(sel) == 0 {
 		return
 	}
-	gids := t.groupIDs(gcols, sel)
+	t.fold(acols, sel, t.groupIDs(gcols, sel))
+}
+
+// fold adds the argument cells acols at rows sel to the groups gids
+// (aligned with sel). A row may be listed more than once — a
+// group-join's probe row matched by several build rows — and then
+// counts once per listing.
+func (t *aggTable) fold(acols []*store.Col, sel []int, gids []int32) {
 	if t.countRows {
 		for _, g := range gids {
 			t.stars[g]++
@@ -102,25 +110,34 @@ func (t *aggTable) accum(gcols, acols []*store.Col, sel []int, n int) {
 		}
 		fsel, fgid := sel, gids
 		if d := t.distinct[i]; d != nil {
-			// A DISTINCT aggregate folds only the rows whose (group,
-			// value) pair is new.
-			if t.gidCol == nil || t.gidCol.Len() < n {
-				t.gidCol = store.NewDenseCol(store.KindInt, max(n, vecBatchSize))
-			}
-			for k, r := range sel {
-				t.gidCol.SetInt(r, int64(gids[k]))
-			}
-			keys := []*store.Col{t.gidCol, acols[i]}
-			t.dsel, t.dgid = t.dsel[:0], t.dgid[:0]
-			for k, r := range sel {
-				if _, added := d.insert(keys, r); added {
-					t.dsel, t.dgid = append(t.dsel, r), append(t.dgid, gids[k])
-				}
-			}
-			fsel, fgid = t.dsel, t.dgid
+			fsel, fgid = t.newPairs(d, acols[i], sel, gids)
 		}
 		t.states[i].fold(a.Func, acols[i], fsel, fgid, t.n)
 	}
+}
+
+// newPairs inserts the (group, value) pairs of a DISTINCT aggregate's
+// rows sel into its table d and returns the rows, and groups, whose
+// pair is new: only those are folded. The pairs are laid out by
+// position in sel, since a row may be listed under several groups.
+func (t *aggTable) newPairs(d *hashTab, col *store.Col, sel []int, gids []int32) ([]int, []int32) {
+	if t.gidCol == nil || t.gidCol.Len() < len(sel) {
+		t.gidCol = store.NewDenseCol(store.KindInt, max(len(sel), vecBatchSize))
+	}
+	v := &t.dval
+	*v = store.Col{Kind: col.Kind, Null: v.Null[:0], Int: v.Int[:0], Float: v.Float[:0], Str: v.Str[:0], Vals: v.Vals[:0]}
+	for k, r := range sel {
+		t.gidCol.SetInt(k, int64(gids[k]))
+		v.AppendFrom(col, r)
+	}
+	keys := []*store.Col{t.gidCol, v}
+	t.dsel, t.dgid = t.dsel[:0], t.dgid[:0]
+	for k, r := range sel {
+		if _, added := d.insert(keys, k); added {
+			t.dsel, t.dgid = append(t.dsel, r), append(t.dgid, gids[k])
+		}
+	}
+	return t.dsel, t.dgid
 }
 
 // groupIDs probes one batch's group keys into the group table — new

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"slices"
 
 	"drugtree/internal/store"
 )
@@ -144,9 +145,13 @@ func drainBatches(ctx context.Context, in batchIterator) ([]*batch, error) {
 }
 
 // drainColumns is the columnar result boundary: it materializes a
-// batch stream and concatenates the live cells into one exactly-sized
-// typed vector per output column, copying so the result never aliases
-// batch or table storage.
+// batch stream into one exactly-sized typed vector per output column.
+// Operators' vectors are private to the plan (scans copy cells out of
+// table storage), so a column whose batches are dense, in-order views
+// of the whole of one vector — what batchesOf hands out, passed through
+// by an identity projection — is that vector, adopted as is; every other
+// column concatenates its live cells into a fresh one. A vector adopted
+// once is copied the second time, so no two result columns share one.
 func drainColumns(ctx context.Context, in batchIterator, schema *planSchema) (*store.ColBatch, error) {
 	batches, err := drainBatches(ctx, in)
 	if err != nil {
@@ -156,14 +161,76 @@ func drainColumns(ctx context.Context, in batchIterator, schema *planSchema) (*s
 	for _, b := range batches {
 		out.Rows += b.live()
 	}
+	var adopted []*bool // the null masks of adopted vectors
 	for c := range out.Cols {
-		dst := store.NewCol(outputKind(batches, c, schema.cols[c].Kind), out.Rows)
+		kind := outputKind(batches, c, schema.cols[c].Kind)
+		if v, ok := wholeVector(batches, c, kind, out.Rows); ok && !slices.Contains(adopted, &v.Null[0]) {
+			adopted = append(adopted, &v.Null[0])
+			out.Cols[c] = v
+			continue
+		}
+		dst := store.NewCol(kind, out.Rows)
 		for _, b := range batches {
 			appendLive(dst, b, c)
 		}
 		out.Cols[c] = *dst
 	}
 	return out, nil
+}
+
+// wholeVector returns column c of the batches as the one vector they
+// view, when they are dense, of the given kind, and together exactly
+// that vector's rows cells, in order, from its first cell to the end of
+// its capacity (a larger vector is copied: the result cache charges
+// capacity).
+func wholeVector(batches []*batch, c int, kind store.Kind, rows int) (store.Col, bool) {
+	if rows == 0 {
+		return store.Col{}, false
+	}
+	first := batches[0].cols[c]
+	if first.Kind != kind || cap(first.Null) != rows || cellCap(first) != rows {
+		return store.Col{}, false
+	}
+	whole := first.Slice(0, rows)
+	at := 0
+	for _, b := range batches {
+		v := b.cols[c]
+		if b.sel != nil || v.Kind != kind || (b.n > 0 && !sameCell(v, &whole, at)) {
+			return store.Col{}, false
+		}
+		at += b.n
+	}
+	return whole, at == rows
+}
+
+// cellCap is the capacity of a column's active cell slice.
+func cellCap(c *store.Col) int {
+	switch c.Kind {
+	case store.KindInt, store.KindBool:
+		return cap(c.Int)
+	case store.KindFloat:
+		return cap(c.Float)
+	case store.KindString:
+		return cap(c.Str)
+	}
+	return cap(c.Vals)
+}
+
+// sameCell reports whether v's first cell is cell i of whole, in
+// storage: both its null flag and its active slice's element.
+func sameCell(v, whole *store.Col, i int) bool {
+	if &v.Null[0] != &whole.Null[i] {
+		return false
+	}
+	switch v.Kind {
+	case store.KindInt, store.KindBool:
+		return &v.Int[0] == &whole.Int[i]
+	case store.KindFloat:
+		return &v.Float[0] == &whole.Float[i]
+	case store.KindString:
+		return &v.Str[0] == &whole.Str[i]
+	}
+	return &v.Vals[0] == &whole.Vals[i]
 }
 
 // appendLive appends the live cells of b's column c to dst, whose kind
@@ -215,7 +282,7 @@ func concatBatches(batches []*batch, cols []int) *batch {
 
 // gatherInto fills dst — its null mask allocated, len(idx) cells — with
 // the cells of src at the positions idx, in src's kind.
-func gatherInto(dst, src *store.Col, idx []int32) {
+func gatherInto[I int | int32](dst, src *store.Col, idx []I) {
 	dst.Kind = src.Kind
 	for k, i := range idx {
 		dst.Null[k] = src.Null[i]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,6 +61,13 @@ var slowCancelQueries = []struct {
 		JOIN activities b ON a.protein_id = b.protein_id
 		JOIN activities c ON b.protein_id = c.protein_id
 		GROUP BY a.ligand_id`},
+	// Mid-group-join: the top join's build side holds the group key, so
+	// ≈ 70 M matches fold straight into the aggregate.
+	{"mid-group-join", `SELECT d.ligand_id, COUNT(*) FROM activities a
+		JOIN activities b ON a.protein_id = b.protein_id
+		JOIN activities c ON b.protein_id = c.protein_id
+		JOIN activities d ON c.protein_id = d.protein_id
+		GROUP BY d.ligand_id`},
 }
 
 func TestCancelMidQuery(t *testing.T) {
@@ -133,46 +141,58 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestCancelMidBatch sweeps a countdown fuse across every context
-// poll site of the engine (operators poll once per batch), asserting each landing unwinds cleanly: context.Canceled,
-// no partial result, no leaked goroutines. Fuses that outlast the
-// query must instead produce the complete result.
+// poll site of the engine (operators poll once per batch) for a hash
+// join, a keyed probe (the build side's keys drive the probe scan) and a
+// group-join, asserting each landing unwinds cleanly: context.Canceled,
+// no partial result, no leaked goroutines. Fuses that outlast the query
+// must instead produce the complete result.
 func TestCancelMidBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow cancellation sweep")
 	}
 	cat := datagenCatalog(t, 5)
-	const q = `SELECT p.accession, a.ligand_id FROM proteins p
-		JOIN activities a ON p.accession = a.protein_id WHERE a.affinity > 1`
-	for _, para := range []int{1, 4} {
-		opts := DefaultOptions()
-		opts.Parallelism = para
-		eng := NewEngine(cat, opts)
-		full, err := eng.Query(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cancelled := 0
-		for n := 1; n <= 64; n++ {
-			baseline := runtime.NumGoroutine()
-			res, err := eng.Query(newCountdownCtx(n), q)
+	for _, c := range []struct{ name, q, plan string }{
+		{"mid-join", `SELECT p.accession, a.ligand_id FROM proteins p
+			JOIN activities a ON p.accession = a.protein_id WHERE a.affinity > 1`, "HashJoin"},
+		{"mid-keyed-probe", `SELECT p.accession, a.ligand_id FROM proteins p
+			JOIN activities a ON p.accession = a.protein_id WHERE p.family = 'FAM01' AND a.affinity > 1`, "probe=keys"},
+		{"mid-group-join", `SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p
+			JOIN activities a ON p.accession = a.protein_id WHERE a.affinity > 1 GROUP BY p.family`, "GroupJoin"},
+	} {
+		for _, para := range []int{1, 4} {
+			opts := DefaultOptions()
+			opts.Parallelism = para
+			eng := NewEngine(cat, opts)
+			full, err := eng.Query(context.Background(), c.q)
 			if err != nil {
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("parallelism %d, fuse %d: err = %v, want context.Canceled", para, n, err)
-				}
-				if res != nil {
-					t.Fatalf("parallelism %d, fuse %d: partial result returned alongside error", para, n)
-				}
-				cancelled++
-				waitGoroutines(t, baseline, 2*time.Second)
-				continue
+				t.Fatal(err)
 			}
-			if len(res.Rows) != len(full.Rows) {
-				t.Fatalf("parallelism %d, fuse %d: completed with %d rows, want %d",
-					para, n, len(res.Rows), len(full.Rows))
+			if !strings.Contains(full.Plan, c.plan) {
+				t.Fatalf("%s: plan lacks %q:\n%s", c.name, c.plan, full.Plan)
 			}
-		}
-		if cancelled == 0 {
-			t.Fatalf("parallelism %d: no fuse landed mid-query", para)
+			cancelled := 0
+			for n := 1; n <= 64; n++ {
+				baseline := runtime.NumGoroutine()
+				res, err := eng.Query(newCountdownCtx(n), c.q)
+				if err != nil {
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("%s, parallelism %d, fuse %d: err = %v, want context.Canceled", c.name, para, n, err)
+					}
+					if res != nil {
+						t.Fatalf("%s, parallelism %d, fuse %d: partial result returned alongside error", c.name, para, n)
+					}
+					cancelled++
+					waitGoroutines(t, baseline, 2*time.Second)
+					continue
+				}
+				if len(res.Rows) != len(full.Rows) {
+					t.Fatalf("%s, parallelism %d, fuse %d: completed with %d rows, want %d",
+						c.name, para, n, len(res.Rows), len(full.Rows))
+				}
+			}
+			if cancelled == 0 {
+				t.Fatalf("%s, parallelism %d: no fuse landed mid-query", c.name, para)
+			}
 		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 
 // TestEveryOperatorEmitsBatches: the operators that used to hand rows
 // across a bridge — sort, top-k, nested-loop join, the aggregate's
-// output and OverlayRead — report at least one batch under EXPLAIN
-// ANALYZE.
+// output and OverlayRead — and the group-join, one plan line for two
+// operators, report at least one batch under EXPLAIN ANALYZE.
 func TestEveryOperatorEmitsBatches(t *testing.T) {
 	cat := testCatalog(t)
 	cat.OverlayAggs = fixedOverlay{}
@@ -24,6 +24,7 @@ func TestEveryOperatorEmitsBatches(t *testing.T) {
 		{"TopK", "SELECT accession, length FROM proteins ORDER BY length DESC LIMIT 7"},
 		{"NestedLoopJoin", "SELECT a.protein_id, l.ligand_id FROM activities a JOIN ligands l ON a.affinity < l.weight WHERE l.weight < 110"},
 		{"Aggregate", "SELECT family, COUNT(*) FROM proteins GROUP BY family"},
+		{"GroupJoin", "SELECT p.family, COUNT(*) FROM proteins p JOIN activities a ON p.accession = a.protein_id GROUP BY p.family"},
 		{"OverlayRead", "SELECT COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, 'FAM0')"},
 		{"IndexScan", "SELECT * FROM proteins WHERE accession = 'P007'"},
 	} {
@@ -33,6 +34,37 @@ func TestEveryOperatorEmitsBatches(t *testing.T) {
 			got := line.FindStringSubmatch(res.Plan)
 			if got == nil || got[1] == "0" || got[2] == "0" {
 				t.Errorf("%s [%s]: operator emitted no batch:\n%s", c.op, m.name, res.Plan)
+			}
+		}
+	}
+}
+
+// TestPlainExplainExecutesNothing: EXPLAIN without ANALYZE lowers every
+// operator but reads no table and runs no join — scans gather and joins
+// drain on their first call — serial and parallel alike, and EXPLAIN
+// ANALYZE renders the same plan lines with its counters appended.
+func TestPlainExplainExecutesNothing(t *testing.T) {
+	cat := hashOpsCatalog(t)
+	annotation := regexp.MustCompile(` \[rows=[^\]]*\]`)
+	for _, q := range []string{
+		"SELECT l.v, r.w FROM l JOIN r ON l.k = r.k",
+		"SELECT l.v, r.w FROM l JOIN r ON l.v < r.w",
+		"SELECT l.v, r.w, big.s FROM big JOIN l ON big.k = l.k JOIN r ON l.k = r.k WHERE big.s = 'y'",
+		"SELECT d.name, f.v FROM dim d JOIN fact f ON d.k = f.k WHERE f.v > 3",
+		"SELECT d.g, COUNT(*), SUM(f.v) FROM dim d JOIN fact f ON d.k = f.k GROUP BY d.g",
+		"SELECT k, COUNT(*) FROM fact WHERE v BETWEEN 10 AND 20 GROUP BY k",
+	} {
+		for _, para := range []int{1, diffParallelism} {
+			res := runQ(t, cat, parallelOptions(para), "EXPLAIN "+q)
+			if s := res.Stats; s.RowsScanned != 0 || s.RowsIndexed != 0 || s.RowsJoined != 0 {
+				t.Fatalf("%s (parallelism %d): plain EXPLAIN scanned %d, indexed %d and joined %d rows", q, para, s.RowsScanned, s.RowsIndexed, s.RowsJoined)
+			}
+			analyzed := runQ(t, cat, parallelOptions(para), "EXPLAIN ANALYZE "+q)
+			if got := annotation.ReplaceAllString(analyzed.Plan, ""); got != res.Plan {
+				t.Fatalf("%s (parallelism %d): EXPLAIN ANALYZE lines differ from EXPLAIN's:\n%s\nvs\n%s", q, para, analyzed.Plan, res.Plan)
+			}
+			if analyzed.Stats.RowsScanned+analyzed.Stats.RowsIndexed == 0 {
+				t.Fatalf("%s (parallelism %d): EXPLAIN ANALYZE read nothing", q, para)
 			}
 		}
 	}
@@ -88,6 +120,11 @@ func TestEvalErrorsAgree(t *testing.T) {
 		"SELECT accession FROM proteins ORDER BY -accession LIMIT 3",
 		"SELECT p.accession FROM proteins p JOIN activities a ON p.accession = a.protein_id AND -p.family = a.ligand_id",
 		"SELECT p.accession FROM proteins p JOIN ligands l ON NOT p.length AND p.length < l.weight",
+		// On a keyed probe's residual, a group-join's group key and its
+		// argument.
+		"SELECT p.accession FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE p.accession = 'P001' AND NOT a.affinity",
+		"SELECT -p.family, COUNT(*) FROM proteins p JOIN activities a ON p.accession = a.protein_id GROUP BY -p.family",
+		"SELECT p.family, MAX(-a.ligand_id) FROM proteins p JOIN activities a ON p.accession = a.protein_id GROUP BY p.family",
 	} {
 		_, want := refQuery(cat, q)
 		if want == nil || !strings.Contains(want.Error(), "query: ") {

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -116,6 +117,68 @@ func runQ(t *testing.T, cat Catalog, opts Options, src string) *Result {
 		t.Fatalf("Query(%q): %v", src, err)
 	}
 	return res
+}
+
+// TestColumnarSinkAdoptsPlanVectors: RunColumnsAt over a range scan
+// hands out the vectors the scan gathered — one copy of the rows in all,
+// where the sink used to copy them a second time — and still copies a
+// column selected twice, so no two result columns share storage, while
+// every configuration answers as RunAt does.
+func TestColumnarSinkAdoptsPlanVectors(t *testing.T) {
+	cat := hashOpsCatalog(t)
+	for _, c := range []struct {
+		q          string
+		rows       int
+		rowBytes   int // bytes of one result row's cells and null flags
+		sharedCols bool
+	}{
+		{"SELECT k, f, s FROM fact WHERE v BETWEEN 100 AND 399", 1800, 8 + 8 + 16 + 3, false},
+		{"SELECT k, k, f + 1 FROM fact WHERE v BETWEEN 100 AND 399", 1800, 3 * (8 + 1), true},
+	} {
+		stmt, err := Parse(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range diffMatrix() {
+			eng := NewEngine(cat, m.opts)
+			cols, err := eng.RunColumnsAt(context.Background(), stmt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := eng.RunAt(context.Background(), stmt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cols.Batch.Rows != c.rows || len(rows.Rows) != c.rows {
+				t.Fatalf("%s [%s]: %d columnar rows, %d rows; want %d", c.q, m.name, cols.Batch.Rows, len(rows.Rows), c.rows)
+			}
+			for i, r := range rows.Rows {
+				for j, v := range r {
+					if got := cols.Batch.Cols[j].Value(i); store.Compare(got, v) != 0 || got.K != v.K {
+						t.Fatalf("%s [%s]: cell (%d, %d) is %v in columns, %v in rows", c.q, m.name, i, j, got, v)
+					}
+				}
+			}
+			if c.sharedCols && &cols.Batch.Cols[0].Int[0] == &cols.Batch.Cols[1].Int[0] {
+				t.Fatalf("%s [%s]: two result columns share one vector", c.q, m.name)
+			}
+		}
+		eng := NewEngine(cat, serialOptions())
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := eng.RunColumnsAt(context.Background(), stmt, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		per, once := float64(after.TotalAlloc-before.TotalAlloc)/runs, float64(c.rows*c.rowBytes)
+		t.Logf("%s: %.1f KiB a statement, one copy of the rows is %.1f KiB", c.q, per/1024, once/1024)
+		if !c.sharedCols && per > 1.25*once+16<<10 {
+			t.Fatalf("%s: %.1f KiB a statement for %.1f KiB of rows: the sink copied them again", c.q, per/1024, once/1024)
+		}
+	}
 }
 
 func TestSimpleSelect(t *testing.T) {

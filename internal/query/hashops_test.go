@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +26,13 @@ import (
 //	big(k INT, s STRING) — 2 600 rows (three batches): k 0..49 repeated,
 //	  s "x" on one row and "y" on the rest
 //	e(k INT, v INT) — empty
+//	dim(k INT, g STRING, name STRING) — 12 rows: k 0, 7, 7, NULL, 2^53+1
+//	  and seven more under 300; g "p", "q", NULL; name d0..d11
+//	fact(k INT hash-indexed, f FLOAT and v INT B+-tree-indexed, s STRING) —
+//	  3 000 rows (three batches): k and f i mod 300 (NULL every 37th),
+//	  v i mod 500, s s0..s6 (NULL every 5th); the last row holds INT 2^53
+//	  in k and FLOAT 2^53 in f, which equals dim's INT 2^53+1 (store.Equal
+//	  widens) while k does not
 func hashOpsCatalog(t testing.TB) *DBCatalog {
 	t.Helper()
 	db, err := store.Open("")
@@ -66,6 +74,22 @@ func hashOpsCatalog(t testing.TB) *DBCatalog {
 		big.Insert(store.Row{store.IntValue(int64(i % 50)), store.StringValue(s)})
 	}
 	mk("e", store.Column{Name: "k", Kind: store.KindInt}, store.Column{Name: "v", Kind: store.KindInt})
+	dim := mk("dim", store.Column{Name: "k", Kind: store.KindInt}, store.Column{Name: "g", Kind: store.KindString}, store.Column{Name: "name", Kind: store.KindString})
+	gs := []store.Value{store.StringValue("p"), store.StringValue("q"), store.NullValue()}
+	for i, k := range []store.Value{store.IntValue(0), store.IntValue(7), store.IntValue(7), store.NullValue(), store.IntValue(1<<53 + 1),
+		store.IntValue(11), store.IntValue(42), store.IntValue(99), store.IntValue(150), store.IntValue(201), store.IntValue(250), store.IntValue(299)} {
+		dim.Insert(store.Row{k, gs[i%3], store.StringValue(fmt.Sprintf("d%d", i))})
+	}
+	fact := mk("fact", store.Column{Name: "k", Kind: store.KindInt}, store.Column{Name: "f", Kind: store.KindFloat},
+		store.Column{Name: "v", Kind: store.KindInt}, store.Column{Name: "s", Kind: store.KindString})
+	for i := 0; i < 2999; i++ {
+		fact.Insert(store.Row{nullEvery(i, 37, store.IntValue(int64(i%300))), nullEvery(i, 37, store.FloatValue(float64(i%300))),
+			store.IntValue(int64(i % 500)), nullEvery(i, 5, store.StringValue(fmt.Sprintf("s%d", i%7)))})
+	}
+	fact.Insert(store.Row{store.IntValue(1 << 53), store.FloatValue(1 << 53), store.IntValue(7), store.StringValue("wide")})
+	fact.CreateIndex("k", store.IndexHash)
+	fact.CreateIndex("f", store.IndexBTree)
+	fact.CreateIndex("v", store.IndexBTree)
 	return NewDBCatalog(db, nil)
 }
 
@@ -88,7 +112,7 @@ var hashOpsCorpus = []struct {
 	// residual reads columns nobody selects.
 	{q: "SELECT l.v FROM l JOIN r ON l.k = r.k AND l.k2 = r.k2 AND l.v > r.w", plan: "HashJoin (2 key(s), build=right) cols=(l.v) residual: (l.v > r.w)"},
 	{q: "SELECT l.v, r.w FROM l JOIN r ON l.k2 = r.k2 AND l.v + 1 > r.w"},
-	{q: "SELECT COUNT(*) FROM l JOIN r ON l.k = r.k", plan: "cols=()"},
+	{q: "SELECT COUNT(*) FROM l JOIN r ON l.k = r.k AND l.v > r.w", plan: "HashJoin (1 key(s), build=right) cols=() residual"},
 	// INT keys against FLOAT keys: 3 joins 3.0, nothing joins 2.5.
 	{q: "SELECT l.v, fk.w FROM l JOIN fk ON l.k = fk.k", plan: "build=right"},
 	{q: "SELECT l.v, fk.w FROM fk JOIN l ON l.k = fk.k", plan: "build=left"},
@@ -120,13 +144,43 @@ var hashOpsCorpus = []struct {
 	{q: "SELECT k2, MAX(v + (SELECT MIN(k) FROM r)) FROM l GROUP BY k2"},
 	// Global aggregates over empty input: one row, COUNT 0, the rest NULL.
 	{q: "SELECT COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v), COUNT(DISTINCT v) FROM e"},
-	{q: "SELECT COUNT(*), MIN(l.v) FROM l JOIN e ON l.k = e.k"},
+	{q: "SELECT COUNT(*), MIN(l.v) FROM l JOIN e ON l.k = e.k", plan: "GroupJoin COUNT(*), MIN(l.v) (1 key(s), build=right)"},
 	{q: "SELECT k, COUNT(*) FROM e GROUP BY k"},
 	{q: "SELECT COUNT(*), MAX(s) FROM big WHERE k < 0"},
 	// IN (subquery) over the same table: NULLs on both sides, widening.
 	{q: "SELECT v FROM l WHERE k IN (SELECT k FROM r)"},
 	{q: "SELECT w FROM fk WHERE k IN (SELECT k FROM l WHERE v > 3)"},
 	{q: "SELECT k, COUNT(*) FROM big WHERE k IN (SELECT k FROM r) GROUP BY k ORDER BY k", ordered: true},
+	// Keyed probes: the build side's distinct keys drive the probe
+	// table's index. NULL and duplicate build keys (dim's NULL and two
+	// 7s), a hash-indexed and a B+-tree-indexed INT probe key, INT build
+	// keys against a FLOAT B+-tree key (2^53+1 reaches FLOAT 2^53 and
+	// not INT 2^53), an empty build side, and a probe conjunct evaluated
+	// row by row (arithmetic over a scalar subquery).
+	{q: "SELECT d.name, f.v, f.s FROM dim d JOIN fact f ON d.k = f.k", plan: "HashJoin (1 key(s), build=left, probe=keys) cols=(d.name, f.v, f.s)\n    SeqScan dim cols=(k, name)\n    IndexUnionScan fact (k ∈ join keys) cols=(k, v, s)"},
+	{q: "SELECT d.name, f.k, f.f FROM dim d JOIN fact f ON d.k = f.f", plan: "IndexUnionScan fact (f ∈ join keys)"},
+	{q: "SELECT d.name, f.k FROM fact f JOIN dim d ON f.v = d.k WHERE f.s > 's3'", plan: "HashJoin (1 key(s), build=right, probe=keys) cols=(f.k, d.name)\n    IndexUnionScan fact (v ∈ join keys) cols=(k, v) filter: (f.s > \"s3\")"},
+	{q: "SELECT d.name, f.v FROM dim d JOIN fact f ON d.k = f.k WHERE d.name = 'none'", plan: "probe=keys"},
+	{q: "SELECT d.name, f.v FROM dim d JOIN fact f ON d.k = f.k WHERE f.v + (SELECT MIN(k) FROM dim) > 250", plan: "IndexUnionScan fact (k ∈ join keys) cols=(k, v) filter: ((f.v + (SELECT MIN(k) FROM dim)) > 250)"},
+	{q: "SELECT d.name, f.s FROM dim d JOIN fact f ON d.k = f.k WHERE f.v < 100 LIMIT 9", plan: "probe=keys"},
+	// Group-joins: an aggregate over a residual-free hash join whose
+	// group keys read the build side and arguments the probe side folds
+	// each match in place. NULL groups (r.k2, dim.g), COUNT over NULLs,
+	// string extremes, DISTINCT over a probe row several build rows of
+	// different groups match, HAVING, no GROUP BY over an empty join, a
+	// multi-batch probe side (partial tables merged), and a keyed probe
+	// underneath.
+	{q: "SELECT r.k2, COUNT(*), COUNT(l.k2), SUM(l.v), AVG(l.v), MIN(l.k2), MAX(l.k2), COUNT(DISTINCT l.v) FROM l JOIN r ON l.k = r.k GROUP BY r.k2", plan: "GroupJoin r.k2, COUNT(*), COUNT(l.k2), SUM(l.v), AVG(l.v), MIN(l.k2), MAX(l.k2), COUNT(DISTINCT l.v) (1 key(s), build=right)\n  SeqScan l\n  SeqScan r cols=(k, k2)"},
+	{q: "SELECT r.k2, r.w, COUNT(DISTINCT l.k2), SUM(l.v) FROM l JOIN r ON l.k = r.k GROUP BY r.k2, r.w HAVING COUNT(*) > 5", plan: "GroupJoin"},
+	{q: "SELECT COUNT(*), COUNT(l.v), SUM(l.v), AVG(l.v), MIN(l.k2), COUNT(DISTINCT l.v) FROM l JOIN e ON l.k = e.k", plan: "GroupJoin"},
+	{q: "SELECT l.k2, COUNT(*), COUNT(DISTINCT big.s), MIN(big.s), MAX(big.s) FROM big JOIN l ON big.k = l.k GROUP BY l.k2", plan: "GroupJoin l.k2, COUNT(*), COUNT(DISTINCT big.s), MIN(big.s), MAX(big.s) (1 key(s), build=right)"},
+	{q: "SELECT d.g, COUNT(*), SUM(f.v), MIN(f.s), COUNT(DISTINCT f.v), COUNT(f.s) FROM dim d JOIN fact f ON d.k = f.k GROUP BY d.g", plan: "GroupJoin d.g, COUNT(*), SUM(f.v), MIN(f.s), COUNT(DISTINCT f.v), COUNT(f.s) (1 key(s), build=left, probe=keys)\n  SeqScan dim cols=(k, g)\n  IndexUnionScan fact (k ∈ join keys) cols=(k, v, s)"},
+	{q: "SELECT d.name, MAX(f.f), AVG(f.f) FROM dim d JOIN fact f ON d.k = f.f WHERE f.v > 10 GROUP BY d.name ORDER BY d.name", ordered: true, plan: "GroupJoin d.name, MAX(f.f), AVG(f.f) (1 key(s), build=left, probe=keys)"},
+	// Declined: a group key on the probe side, an argument on the build
+	// side, a residual — each stays an Aggregate over a HashJoin.
+	{q: "SELECT l.k2, COUNT(*) FROM l JOIN r ON l.k = r.k GROUP BY l.k2", plan: "Aggregate l.k2, COUNT(*)\n  HashJoin"},
+	{q: "SELECT r.k2, SUM(r.w) FROM l JOIN r ON l.k = r.k GROUP BY r.k2", plan: "Aggregate r.k2, SUM(r.w)\n  HashJoin"},
+	{q: "SELECT r.k2, COUNT(*) FROM l JOIN r ON l.k = r.k AND l.v > r.w GROUP BY r.k2", plan: "Aggregate r.k2, COUNT(*)\n  HashJoin"},
 }
 
 func TestDifferentialHashOperators(t *testing.T) {
@@ -264,51 +318,67 @@ func TestSharedSelectionIsNeverWritten(t *testing.T) {
 	}
 }
 
-// allocCatalog is the datagen catalog at the size the allocation guard
-// is stated for: 18 000 potential activities, half of them present.
+// allocCatalog is the datagen catalog at the size the allocation guards
+// are stated for: 17 600 potential activities, half of them present,
+// over 16 families of 22 proteins — D1's family count, so a family is a
+// sixteenth of the activities as in the benchmark.
 func allocCatalog(t testing.TB) *DBCatalog {
 	t.Helper()
 	return datagenCatalogOf(t, func(cfg *datagen.Config) {
 		cfg.Seed = 9
-		cfg.ProteinsPerFamily = 60
+		cfg.NumFamilies = 16
+		cfg.ProteinsPerFamily = 22
 	})
 }
 
-// TestHashOperatorAllocs guards what the flat table bought: the
-// join- and aggregate-heavy benchmark shapes allocate O(batches +
-// groups) objects a statement, not O(rows). Each shape runs at two
-// affinity thresholds that select ≈ 1.4 k and ≈ 9 k activities (2 and 9
-// batches); the objects a statement allocates must stay under a budget
-// at the larger one and grow by at most perBatch for each batch of input
-// added — every operator a batch passes through allocates a few
-// headers and its output vectors, and nothing else may scale with the
-// input. Before the flat table the three shapes allocated 20 338,
-// 2 490 and 18 148 objects at the larger threshold (4 210, 1 741 and
-// 3 203 at the smaller): two objects per aggregated row.
+// allocThresholds are the two affinity cuts the allocation guards run
+// at, selecting ≈ 1.9 k and ≈ 8.6 k activities (2 and 9 batches).
+const allocLo, allocHi = 8.35, 0.0
+
+// allocShapes are the join- and aggregate-heavy benchmark shapes, with
+// an affinity threshold to fill in.
+var allocShapes = []struct {
+	name   string
+	q      string
+	budget float64 // objects per statement at the larger threshold
+}{
+	{"family_agg", "SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE a.affinity >= %.3f GROUP BY p.family", 350},
+	{"integration3", "SELECT p.accession, n.organism, l.weight, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id JOIN ligands l ON a.ligand_id = l.ligand_id JOIN annotations n ON p.accession = n.protein_id WHERE p.family = 'FAM01' AND a.affinity >= %.3f ORDER BY a.affinity DESC LIMIT 100", 950},
+	{"ligand_rank", "SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE affinity >= %.3f GROUP BY ligand_id ORDER BY AVG(affinity) DESC LIMIT 10", 280},
+}
+
+// allocActivities returns how many activities the two thresholds select.
+func allocActivities(t *testing.T, cat Catalog) (small, large int) {
+	t.Helper()
+	count := func(th float64) int {
+		res := runQ(t, cat, serialOptions(), fmt.Sprintf("SELECT COUNT(*) FROM activities WHERE affinity >= %.3f", th))
+		return int(res.Rows[0][0].I)
+	}
+	small, large = count(allocLo), count(allocHi)
+	if small < 1000 || small > 2000 || large < 8000 {
+		t.Fatalf("thresholds select %d and %d activities; want ≈ 1.9 k and ≈ 8.6 k", small, large)
+	}
+	return small, large
+}
+
+// TestHashOperatorAllocs guards what the flat table, the keyed probe and
+// the group-join bought: the join- and aggregate-heavy benchmark shapes
+// allocate O(batches + groups) objects a statement, not O(rows). Each
+// shape runs at both thresholds; the objects a statement allocates must
+// stay under a budget at the larger one and grow by at most perBatch for
+// each batch of input added — every operator a batch passes through
+// allocates a few headers and its output vectors, and nothing else may
+// scale with the input. Before the flat table the three shapes allocated
+// two objects per aggregated row; before the keyed probe and the
+// group-join they allocated 357, 1 159 and 256 objects at the larger
+// threshold (315, 1 017 and 257 at the smaller).
 func TestHashOperatorAllocs(t *testing.T) {
 	cat := allocCatalog(t)
 	eng := NewEngine(cat, serialOptions())
-	count := func(q string) int {
-		res := runQ(t, cat, serialOptions(), q)
-		return int(res.Rows[0][0].I)
-	}
-	const lo, hi = 8.35, 0.0
-	small, large := count(fmt.Sprintf("SELECT COUNT(*) FROM activities WHERE affinity >= %.3f", lo)), count(fmt.Sprintf("SELECT COUNT(*) FROM activities WHERE affinity >= %.3f", hi))
-	if small < 1000 || small > 2000 || large < 8000 {
-		t.Fatalf("thresholds select %d and %d activities; want ≈ 1.4 k and ≈ 9 k", small, large)
-	}
-	shapes := []struct {
-		name   string
-		q      string
-		budget float64 // objects per statement at the larger threshold
-	}{
-		{"family_agg", "SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE a.affinity >= %.3f GROUP BY p.family", 500},
-		{"integration3", "SELECT p.accession, n.organism, l.weight, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id JOIN ligands l ON a.ligand_id = l.ligand_id JOIN annotations n ON p.accession = n.protein_id WHERE p.family = 'FAM01' AND a.affinity >= %.3f ORDER BY a.affinity DESC LIMIT 100", 1600},
-		{"ligand_rank", "SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE affinity >= %.3f GROUP BY ligand_id ORDER BY AVG(affinity) DESC LIMIT 10", 350},
-	}
-	const perBatch = 32 // objects per added batch, summed over the plan's operators
+	small, large := allocActivities(t, cat)
+	const perBatch = 8 // objects per added batch, summed over the plan's operators
 	addedBatches := float64((large+vecBatchSize-1)/vecBatchSize - (small+vecBatchSize-1)/vecBatchSize)
-	for _, sh := range shapes {
+	for _, sh := range allocShapes {
 		allocs := func(th float64) float64 {
 			stmt, err := Parse(fmt.Sprintf(sh.q, th))
 			if err != nil {
@@ -320,7 +390,7 @@ func TestHashOperatorAllocs(t *testing.T) {
 				}
 			})
 		}
-		few, many := allocs(lo), allocs(hi)
+		few, many := allocs(allocLo), allocs(allocHi)
 		t.Logf("%s: %.0f objects over %d activities, %.0f over %d", sh.name, few, small, many, large)
 		if many > sh.budget {
 			t.Errorf("%s: %.0f objects a statement over %d activities, budget %.0f", sh.name, many, large, sh.budget)
@@ -328,5 +398,73 @@ func TestHashOperatorAllocs(t *testing.T) {
 		if many-few > perBatch*addedBatches {
 			t.Errorf("%s: objects grow %.0f → %.0f as input grows %d → %d rows — more than %d a batch: allocation is per row somewhere", sh.name, few, many, small, large, perBatch)
 		}
+	}
+}
+
+// TestJoinReadsOnlySurvivors guards the two ways a join reads only what
+// survives, at the allocation guards' two thresholds. The
+// integration3-shaped statement reads activities through the build
+// side's keys: its access examines exactly the family's postings and
+// emits exactly the rows the residual keeps (EXPLAIN ANALYZE's counters),
+// where a range scan examined every activity over the threshold. The
+// family_agg-shaped statement folds its matches without materializing
+// them, so its bytes grow by no more than the probe scan's own copy-out —
+// a protein_id string header, an affinity and two null flags, 26 bytes
+// a row — where the joined pairs doubled that.
+func TestJoinReadsOnlySurvivors(t *testing.T) {
+	cat := allocCatalog(t)
+	small, large := allocActivities(t, cat)
+	naive := func(q string) int64 {
+		res, err := NewEngine(cat, naiveSerialOptions()).Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].I
+	}
+	const family = "SELECT COUNT(*) FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE p.family = 'FAM01'"
+	postings := naive(family)
+	const keyed = "IndexUnionScan activities (protein_id ∈ join keys)"
+	for _, th := range []float64{allocLo, allocHi} {
+		survivors := naive(fmt.Sprintf(family+" AND a.affinity >= %.3f", th))
+		t.Logf("integration3 at %.2f: the family's %d postings, %d over the threshold", th, postings, survivors)
+		for _, para := range []int{1, diffParallelism} {
+			res := runQ(t, cat, parallelOptions(para), "EXPLAIN ANALYZE "+fmt.Sprintf(allocShapes[1].q, th))
+			var op *OpStats
+			for _, o := range res.Stats.Ops {
+				if strings.HasPrefix(o.Name, keyed) {
+					op = o
+				}
+			}
+			if op == nil {
+				t.Fatalf("threshold %.2f: no %q:\n%s", th, keyed, res.Plan)
+			}
+			if op.RowsIn != postings || op.RowsOut != survivors {
+				t.Fatalf("threshold %.2f, parallelism %d: activities examined %d and emitted %d; the family has %d postings, %d over the threshold:\n%s",
+					th, para, op.RowsIn, op.RowsOut, postings, survivors, res.Plan)
+			}
+		}
+	}
+	eng := NewEngine(cat, serialOptions())
+	bytes := func(th float64) float64 {
+		stmt, err := Parse(fmt.Sprintf(allocShapes[0].q, th))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := eng.Run(context.Background(), stmt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	few, many := bytes(allocLo), bytes(allocHi)
+	perRow := (many - few) / float64(large-small)
+	t.Logf("family_agg: %.1f KiB over %d activities, %.1f KiB over %d: %.1f bytes an added match", few/1024, small, many/1024, large, perRow)
+	if perRow > 26*1.25 {
+		t.Errorf("family_agg: bytes grow %.1f an added match; the probe scan's copy-out is 26", perRow)
 	}
 }

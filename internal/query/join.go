@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 
@@ -13,11 +14,61 @@ import (
 // match count — the columns the parent reads plus any the residual
 // needs (joinOutput). Result order follows the probe side: probe rows
 // in arrival order, each with its build matches in build arrival order.
+// Neither reads an input before its own first call, so a plain EXPLAIN
+// executes nothing.
 
 // buildJoin picks the hash join for equi-conditions and the nested loop
 // otherwise; conjuncts that are not column = column across the two
 // sides run as a residual filter over the joined batch.
 func buildJoin(n *JoinNode, ec *execCtx, depth int) (batchIterator, error) {
+	e := splitJoin(n)
+	out, err := newJoinOutput(n, e.buildLeft, joinConjuncts(e.residual), ec)
+	if err != nil {
+		return nil, err
+	}
+	cancel := canceller{ctx: ec.ctx}
+	if len(e.buildKeys) == 0 {
+		op := ec.note(depth, "NestedLoopJoin%s%s", n.colsNote(), joinResidualNote(e.residual))
+		left, err := build(n.Left, ec, depth+1)
+		if err != nil {
+			return nil, err
+		}
+		right, err := build(n.Right, ec, depth+1)
+		if err != nil {
+			return nil, err
+		}
+		return &vecNestedLoop{left: left, rightIn: right, out: out, stats: ec.stats, cancel: cancel, op: op}, nil
+	}
+	e.chooseProbe(ec)
+	op := ec.note(depth, "HashJoin %s%s%s", e.note(), n.colsNote(), joinResidualNote(e.residual))
+	op.Build = e.side()
+	buildIn, probeIn, err := e.lower(ec, depth)
+	if err != nil {
+		return nil, err
+	}
+	return &vecHashJoin{e: e, buildIn: buildIn, probeIn: probeIn, out: out, ec: ec, cancel: cancel, op: op}, nil
+}
+
+// equiJoin is a join lowered for hashing: which input is hashed, the
+// key columns on either side, the conjuncts left over and — when the
+// probe input is a scan a one-key join may key — the path it is read by.
+type equiJoin struct {
+	n                    *JoinNode
+	buildLeft            bool
+	buildKeys, probeKeys []int
+	residual             []Expr
+	// probe is probePath's choice for the probe scan (nil: the probe
+	// input is lowered as any input), and access that scan's store
+	// access, to which open gives the build's keys on a keyed probe.
+	probe  *accessPath
+	access *store.Access
+}
+
+// splitJoin sorts a join condition's conjuncts into column = column
+// pairs across the two sides and the residual. The hash join builds on
+// the side the optimizer estimated smaller; without keys the nested
+// loop drains the right.
+func splitJoin(n *JoinNode) *equiJoin {
 	leftSchema, rightSchema := n.Left.Schema(), n.Right.Schema()
 	var leftIdx, rightIdx []int
 	var residual []Expr
@@ -45,39 +96,128 @@ func buildJoin(n *JoinNode, ec *execCtx, depth int) (batchIterator, error) {
 		}
 		residual = append(residual, c)
 	}
-	// The hash join builds on the side the optimizer estimated smaller;
-	// the nested loop always drains the right.
-	buildLeft := n.buildLeft && len(leftIdx) > 0
-	out, err := newJoinOutput(n, buildLeft, joinConjuncts(residual), ec)
-	if err != nil {
-		return nil, err
+	e := &equiJoin{n: n, buildLeft: n.buildLeft && len(leftIdx) > 0, buildKeys: rightIdx, probeKeys: leftIdx, residual: residual}
+	if e.buildLeft {
+		e.buildKeys, e.probeKeys = leftIdx, rightIdx
 	}
-	var op *OpStats
-	if len(leftIdx) > 0 {
-		side := "right"
-		if buildLeft {
-			side = "left"
+	return e
+}
+
+// sides returns the build and the probe input.
+func (e *equiJoin) sides() (buildSide, probeSide LogicalPlan) {
+	if e.buildLeft {
+		return e.n.Left, e.n.Right
+	}
+	return e.n.Right, e.n.Left
+}
+
+// side names the build input on the plan line: "left" or "right".
+func (e *equiJoin) side() string {
+	if e.buildLeft {
+		return "left"
+	}
+	return "right"
+}
+
+// keyed reports whether the build side's keys drive the probe scan.
+func (e *equiJoin) keyed() bool { return e.probe != nil && e.probe.kind == "joinkeys" }
+
+// note renders the join's shape for its plan line.
+func (e *equiJoin) note() string {
+	probe := ""
+	if e.keyed() {
+		probe = ", probe=keys"
+	}
+	return fmt.Sprintf("(%d key(s), build=%s%s)", len(e.buildKeys), e.side(), probe)
+}
+
+// chooseProbe lets probePath decide how a one-key join reads a probe
+// input that is a scan.
+func (e *equiJoin) chooseProbe(ec *execCtx) {
+	buildSide, probeSide := e.sides()
+	scan, ok := probeSide.(*ScanNode)
+	if !ok || len(e.buildKeys) != 1 {
+		return
+	}
+	tv, err := ec.view(scan.Table)
+	if err != nil {
+		return // lowering the scan reports it
+	}
+	path := probePath(e.n, buildSide.Schema().cols[e.buildKeys[0]].Kind, scan, e.probeKeys[0], tv.Table(), ec)
+	e.probe = &path
+}
+
+// lower builds both inputs' operators in tree order, so their plan
+// lines follow the join's, a probe scan along the path chooseProbe
+// chose, and returns them build side first.
+func (e *equiJoin) lower(ec *execCtx, depth int) (buildIn, probeIn batchIterator, err error) {
+	var its [2]batchIterator
+	for i, child := range []LogicalPlan{e.n.Left, e.n.Right} {
+		if probe := (i == 1) == e.buildLeft; !probe || e.probe == nil {
+			if its[i], err = build(child, ec, depth+1); err != nil {
+				return nil, nil, err
+			}
+			continue
 		}
-		op = ec.note(depth, "HashJoin (%d key(s), build=%s)%s%s", len(leftIdx), side, n.colsNote(), joinResidualNote(residual))
-		op.Build = side
-	} else {
-		op = ec.note(depth, "NestedLoopJoin%s%s", n.colsNote(), joinResidualNote(residual))
+		scan := child.(*ScanNode)
+		tv, err := ec.view(scan.Table)
+		if err != nil {
+			return nil, nil, err
+		}
+		s, a, err := lowerScan(scan, tv, *e.probe, ec, depth+1)
+		if err != nil {
+			return nil, nil, err
+		}
+		its[i], e.access = s, a
 	}
-	left, err := build(n.Left, ec, depth+1)
+	if e.buildLeft {
+		return its[0], its[1], nil
+	}
+	return its[1], its[0], nil
+}
+
+// open drains and hashes the build input, keeping its columns cols, and
+// — for a keyed probe — gives the probe scan the build's distinct keys
+// before anything reads the probe side.
+func (e *equiJoin) open(ec *execCtx, in batchIterator, cols []int, op *OpStats) (*hashSide, error) {
+	bbs, err := drainBatches(ec.ctx, in)
 	if err != nil {
 		return nil, err
 	}
-	right, err := build(n.Right, ec, depth+1)
-	if err != nil {
-		return nil, err
+	h := &hashSide{rows: concatBatches(bbs, cols)}
+	op.BuildRows = int64(h.rows.n)
+	// First every row's entry id, written where its chain link will go;
+	// then, last row first, each row is pushed on the front of its
+	// entry's chain, which leaves the chains in arrival order.
+	h.tab = newHashTab(false, h.rows.n)
+	h.next = make([]int32, h.rows.n)
+	keys := make([]*store.Col, len(e.buildKeys))
+	cancel := canceller{ctx: ec.ctx}
+	row := 0
+	for _, bb := range bbs {
+		if err := cancel.now(); err != nil {
+			return nil, err
+		}
+		for k, c := range e.buildKeys {
+			keys[k] = bb.cols[c]
+		}
+		h.tab.insertBatch(keys, bb.selection(), h.next[row:row+bb.live()])
+		row += bb.live()
 	}
-	if len(leftIdx) == 0 {
-		return newVecNestedLoop(ec, left, right, out, op)
+	h.head = make([]int32, h.tab.len())
+	for id := range h.head {
+		h.head[id] = -1
 	}
-	if buildLeft {
-		return newVecHashJoin(ec, right, left, rightIdx, leftIdx, out, op)
+	for row := len(h.next) - 1; row >= 0; row-- {
+		if id := h.next[row]; id >= 0 { // a NULL key's row is in no chain
+			h.next[row], h.head[id] = h.head[id], int32(row)
+		}
 	}
-	return newVecHashJoin(ec, left, right, leftIdx, rightIdx, out, op)
+	if e.keyed() {
+		_, probeSide := e.sides()
+		e.access.Keys = h.accessKeys(probeSide.Schema().cols[e.probeKeys[0]].Kind)
+	}
+	return h, nil
 }
 
 func joinResidualNote(res []Expr) string {
@@ -164,7 +304,7 @@ func newJoinOutput(n *JoinNode, buildLeft bool, residual Expr, ec *execCtx) (*jo
 // dense batch — column at a time, sized to the pair count, the column
 // headers and the null masks one allocation each — and returns the rows
 // the residual accepts, or nil when none survive.
-func (o *joinOutput) emit(probe, build *batch, pi, bi []int32) (*batch, error) {
+func (o *joinOutput) emit(probe, build *batch, pi []int, bi []int32) (*batch, error) {
 	m := len(pi)
 	if m == 0 {
 		return nil, nil
@@ -191,85 +331,140 @@ func (o *joinOutput) emit(probe, build *batch, pi, bi []int32) (*batch, error) {
 	return out, nil
 }
 
-// vecHashJoin hashes the drained build side's keys into a hashTab —
-// one entry per distinct key, the rows sharing it chained through next
-// in arrival order over the one concatenated build batch — and probes
-// with the other input, at most vecBatchSize pairs per output batch.
-// NULL keys never join.
-type vecHashJoin struct {
-	probeIn batchIterator
-	build   *batch   // the build side's output columns, concatenated
-	tab     *hashTab // distinct build keys
-	head    []int32  // per entry: its first build row
-	next    []int32  // per build row: the next row with the same key, or -1
-	out     *joinOutput
-	stats   *ExecStats
-	cancel  canceller
-	op      *OpStats
-	cur     *prober
+// hashSide is a hash join's drained build side: its rows concatenated
+// into one batch, its distinct keys in a hashTab — one entry per key —
+// and the rows sharing a key chained through next in arrival order.
+// NULL keys are in no chain: they never join.
+type hashSide struct {
+	rows *batch
+	tab  *hashTab
+	head []int32 // per entry: its first build row
+	next []int32 // per build row: the next row with the same key, or -1
 }
 
-func newVecHashJoin(ec *execCtx, probeIn, buildIn batchIterator, probeKeys, buildKeys []int, out *joinOutput, op *OpStats) (batchIterator, error) {
-	bbs, err := drainBatches(ec.ctx, buildIn)
-	if err != nil {
-		return nil, err
+// match advances cur by up to vecBatchSize matching pairs, left in
+// cur.pi and cur.bi; the caller polls its context and calls again until
+// cur is done. It reads h and writes only cur, so parallel workers
+// share h.
+func (h *hashSide) match(cur *prober) {
+	cur.pi, cur.bi = cur.pi[:0], cur.bi[:0]
+	for !cur.done() && len(cur.pi) < vecBatchSize {
+		if cur.chain < 0 {
+			cur.row = cur.sel[cur.pos]
+			cur.pos++
+			if id := h.tab.find(cur.keys, cur.row); id >= 0 {
+				cur.chain = h.head[id]
+			}
+			continue
+		}
+		cur.pi, cur.bi = append(cur.pi, cur.row), append(cur.bi, cur.chain)
+		cur.chain = h.next[cur.chain]
 	}
-	j := &vecHashJoin{
-		probeIn: probeIn,
-		build:   concatBatches(bbs, out.buildCols),
-		out:     out,
-		stats:   ec.stats,
-		cancel:  canceller{ctx: ec.ctx},
-		op:      op,
+}
+
+// accessKeys lists the build side's distinct keys — a one-key table's
+// entries, non-NULL and distinct under store.Equal — in first-seen order
+// as index probes on a column of kind kind: a keyed probe scan's rows
+// follow this order. An INT key on a FLOAT column is widened as the
+// index would widen it, and keys that widen alike are listed once, so
+// no row is read twice.
+func (h *hashSide) accessKeys(kind store.Kind) []store.Value {
+	keys := make([]store.Value, 0, h.tab.len()) // non-nil: no keys reads no rows
+	var widened map[float64]bool
+	for e := 0; e < h.tab.len(); e++ {
+		v := h.tab.keys[0].Value(e)
+		if v.K == store.KindInt && kind == store.KindFloat {
+			f := float64(v.I)
+			if widened == nil {
+				widened = map[float64]bool{}
+			}
+			if widened[f] {
+				continue
+			}
+			widened[f], v = true, store.FloatValue(f)
+		}
+		keys = append(keys, v)
 	}
-	op.BuildRows = int64(j.build.n)
-	// First every row's entry id, written where its chain link will go;
-	// then, last row first, each row is pushed on the front of its
-	// entry's chain, which leaves the chains in arrival order.
-	j.tab = newHashTab(false, j.build.n)
-	j.next = make([]int32, j.build.n)
-	keys := make([]*store.Col, len(buildKeys))
-	row := 0
-	for _, bb := range bbs {
+	return keys
+}
+
+// vecHashJoin hashes its build side on the first call and probes with
+// the other input, at most vecBatchSize pairs per output batch — or,
+// with Parallelism > 1, probes the whole drained probe side on the pool
+// in contiguous chunks of batches, whose per-batch outputs keep their
+// slots, so concatenation preserves the serial output order.
+type vecHashJoin struct {
+	e                *equiJoin
+	buildIn, probeIn batchIterator
+	side             *hashSide // nil until the first call
+	out              *joinOutput
+	ec               *execCtx
+	cancel           canceller
+	op               *OpStats
+	cur              *prober  // the serial probe's position
+	flat             *vecScan // the parallel probe's output
+}
+
+func (j *vecHashJoin) nextBatch() (*batch, error) {
+	if j.side == nil {
+		if err := j.open(); err != nil {
+			return nil, err
+		}
+	}
+	if j.flat != nil {
+		return j.flat.nextBatch()
+	}
+	for {
 		if err := j.cancel.now(); err != nil {
 			return nil, err
 		}
-		for k, c := range buildKeys {
-			keys[k] = bb.cols[c]
+		if j.cur.done() {
+			pb, err := j.probeIn.nextBatch()
+			if err != nil || pb == nil {
+				return nil, err
+			}
+			j.op.addIn(int64(pb.live()))
+			j.cur.start(pb)
 		}
-		j.tab.insertBatch(keys, bb.selection(), j.next[row:row+bb.live()])
-		row += bb.live()
-	}
-	j.head = make([]int32, j.tab.len())
-	for id := range j.head {
-		j.head[id] = -1
-	}
-	for row := len(j.next) - 1; row >= 0; row-- {
-		if id := j.next[row]; id >= 0 { // a NULL key's row is in no chain
-			j.next[row], j.head[id] = j.head[id], int32(row)
+		j.side.match(j.cur)
+		out, err := j.out.emit(j.cur.pb, j.side.rows, j.cur.pi, j.cur.bi)
+		if err != nil {
+			return nil, err
 		}
+		if out == nil {
+			continue
+		}
+		atomic.AddInt64(&j.ec.stats.RowsJoined, int64(out.live()))
+		j.op.emit(out)
+		return out, nil
 	}
-	if ec.para == 1 {
-		j.cur = newProber(probeKeys)
-		return j, nil
-	}
-	// Parallel probe: drain the probe side and process contiguous
-	// chunks of batches on the pool. Per-batch outputs keep their
-	// slots, so concatenation preserves the serial output order.
-	pbs, err := drainBatches(ec.ctx, probeIn)
+}
+
+func (j *vecHashJoin) open() error {
+	side, err := j.e.open(j.ec, j.buildIn, j.out.buildCols, j.op)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	j.side = side
+	if j.ec.para == 1 {
+		j.cur = newProber(j.e.probeKeys)
+		return nil
+	}
+	pbs, err := drainBatches(j.ec.ctx, j.probeIn)
+	if err != nil {
+		return err
 	}
 	outs := make([][]*batch, len(pbs))
-	err = runChunks(ec.ctx, splitChunks(len(pbs), ec.para), func(_ int, r morselRange) error {
-		c := canceller{ctx: ec.ctx}
-		cur := newProber(probeKeys)
+	err = runChunks(j.ec.ctx, splitChunks(len(pbs), j.ec.para), func(_ int, r morselRange) error {
+		c := canceller{ctx: j.ec.ctx}
+		cur := newProber(j.e.probeKeys)
 		for k := r.lo; k < r.hi; k++ {
 			for cur.start(pbs[k]); !cur.done(); {
 				if err := c.now(); err != nil {
 					return err
 				}
-				out, err := j.probe(cur)
+				side.match(cur)
+				out, err := j.out.emit(cur.pb, side.rows, cur.pi, cur.bi)
 				if err != nil {
 					return err
 				}
@@ -281,19 +476,20 @@ func newVecHashJoin(ec *execCtx, probeIn, buildIn batchIterator, probeKeys, buil
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var flat []*batch
 	joined := int64(0)
 	for k, o := range outs {
-		op.addIn(int64(pbs[k].live()))
+		j.op.addIn(int64(pbs[k].live()))
 		for _, b := range o {
 			joined += int64(b.live())
 		}
 		flat = append(flat, o...)
 	}
-	atomic.AddInt64(&ec.stats.RowsJoined, joined)
-	return &vecScan{batches: flat, cancel: canceller{ctx: ec.ctx}, op: op}, nil
+	atomic.AddInt64(&j.ec.stats.RowsJoined, joined)
+	j.flat = &vecScan{batches: flat, cancel: j.cancel, op: j.op}
+	return nil
 }
 
 // prober is one worker's probe state: its position inside the current
@@ -307,7 +503,8 @@ type prober struct {
 	pos    int     // next position in sel
 	row    int     // row the chain belongs to
 	chain  int32   // next build row of the chain, or -1
-	pi, bi []int32 // the matches found: probe rows, build rows
+	pi     []int   // the matches found: probe rows (selection order),
+	bi     []int32 // and build rows
 }
 
 // newProber returns a prober that is done; start points it at a batch.
@@ -322,70 +519,24 @@ func (p *prober) start(pb *batch) {
 	p.pb, p.sel, p.pos, p.chain = pb, pb.selection(), 0, -1
 	if p.pi == nil {
 		// Most probes find at most a match a row; longer chains grow it.
-		p.pi, p.bi = make([]int32, 0, len(p.sel)), make([]int32, 0, len(p.sel))
+		p.pi, p.bi = make([]int, 0, len(p.sel)), make([]int32, 0, len(p.sel))
 	}
 }
 
 func (p *prober) done() bool { return p.pos >= len(p.sel) && p.chain < 0 }
 
-func (j *vecHashJoin) nextBatch() (*batch, error) {
-	for {
-		if err := j.cancel.now(); err != nil {
-			return nil, err
-		}
-		if j.cur.done() {
-			pb, err := j.probeIn.nextBatch()
-			if err != nil || pb == nil {
-				return nil, err
-			}
-			j.op.addIn(int64(pb.live()))
-			j.cur.start(pb)
-		}
-		out, err := j.probe(j.cur)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			continue
-		}
-		atomic.AddInt64(&j.stats.RowsJoined, int64(out.live()))
-		j.op.emit(out)
-		return out, nil
-	}
-}
-
-// probe advances cur by up to vecBatchSize matching pairs and returns
-// those the residual accepts as a fresh batch (nil when none do); the
-// caller polls its context and calls again until cur is done. It reads
-// the join and writes only cur, so parallel workers share the join.
-func (j *vecHashJoin) probe(cur *prober) (*batch, error) {
-	cur.pi, cur.bi = cur.pi[:0], cur.bi[:0]
-	for !cur.done() && len(cur.pi) < vecBatchSize {
-		if cur.chain < 0 {
-			cur.row = cur.sel[cur.pos]
-			cur.pos++
-			if id := j.tab.find(cur.keys, cur.row); id >= 0 {
-				cur.chain = j.head[id]
-			}
-			continue
-		}
-		cur.pi, cur.bi = append(cur.pi, int32(cur.row)), append(cur.bi, cur.chain)
-		cur.chain = j.next[cur.chain]
-	}
-	return j.out.emit(cur.pb, j.build, cur.pi, cur.bi)
-}
-
-// vecNestedLoop joins every left row with every row of the drained
-// right side, at most vecBatchSize candidate pairs per output batch,
-// keeping those the residual accepts.
+// vecNestedLoop joins every left row with every row of the right side,
+// drained on the first call, at most vecBatchSize candidate pairs per
+// output batch, keeping those the residual accepts.
 type vecNestedLoop struct {
-	left   batchIterator
-	right  *batch // the right side's output columns, concatenated
-	out    *joinOutput
-	stats  *ExecStats
-	cancel canceller
-	op     *OpStats
-	pi, bi []int32 // reusable candidate-pair index vectors
+	left, rightIn batchIterator
+	right         *batch // the right side's output columns, concatenated; nil until the first call
+	out           *joinOutput
+	stats         *ExecStats
+	cancel        canceller
+	op            *OpStats
+	pi            []int   // reusable candidate-pair index vectors:
+	bi            []int32 // left rows, right rows
 
 	lb   *batch
 	lsel []int
@@ -393,15 +544,14 @@ type vecNestedLoop struct {
 	rpos int // next right row for it
 }
 
-func newVecNestedLoop(ec *execCtx, left, right batchIterator, out *joinOutput, op *OpStats) (batchIterator, error) {
-	rbs, err := drainBatches(ec.ctx, right)
-	if err != nil {
-		return nil, err
-	}
-	return &vecNestedLoop{left: left, right: concatBatches(rbs, out.buildCols), out: out, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-}
-
 func (j *vecNestedLoop) nextBatch() (*batch, error) {
+	if j.right == nil {
+		rbs, err := drainBatches(j.cancel.ctx, j.rightIn)
+		if err != nil {
+			return nil, err
+		}
+		j.right = concatBatches(rbs, j.out.buildCols)
+	}
 	for {
 		if err := j.cancel.now(); err != nil {
 			return nil, err
@@ -421,7 +571,7 @@ func (j *vecNestedLoop) nextBatch() (*batch, error) {
 				j.lpos, j.rpos = j.lpos+1, 0
 				continue
 			}
-			pi, bi = append(pi, int32(j.lsel[j.lpos])), append(bi, int32(j.rpos))
+			pi, bi = append(pi, j.lsel[j.lpos]), append(bi, int32(j.rpos))
 			j.rpos++
 		}
 		j.pi, j.bi = pi, bi

@@ -105,6 +105,9 @@ type JoinNode struct {
 	// buildLeft is set when join ordering estimated Left the smaller
 	// input: the hash join then hashes Left and probes with Right.
 	buildLeft bool
+	// buildEst is join ordering's row estimate for the hashed input; 0
+	// when it made none (probePath then leaves the probe alone).
+	buildEst float64
 }
 
 func (j *JoinNode) Schema() *planSchema     { return j.schema }
@@ -155,7 +158,10 @@ type AggNode struct {
 
 func (a *AggNode) Schema() *planSchema     { return a.schema }
 func (a *AggNode) Children() []LogicalPlan { return []LogicalPlan{a.Input} }
-func (a *AggNode) describe() string {
+func (a *AggNode) describe() string        { return "Aggregate " + a.items() }
+
+// items renders the group keys, then the aggregates.
+func (a *AggNode) items() string {
 	var parts []string
 	for _, g := range a.GroupBy {
 		parts = append(parts, g.String())
@@ -163,7 +169,7 @@ func (a *AggNode) describe() string {
 	for _, ag := range a.Aggs {
 		parts = append(parts, ag.String())
 	}
-	return "Aggregate " + strings.Join(parts, ", ")
+	return strings.Join(parts, ", ")
 }
 
 // SortNode orders rows.

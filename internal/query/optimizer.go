@@ -488,7 +488,8 @@ func copySubtree(j *JoinNode, from, to *ColumnRef) bool {
 // --- Join reordering ---
 
 // reorderJoins rebuilds chains of inner joins in cost order and marks
-// each join's smaller input as its hash-build side. It
+// each join's smaller input as its hash-build side, recording that
+// input's estimated rows (probePath prices a keyed probe by it). It
 // detects a maximal join tree (joins whose children are joins or
 // scans), collects the base relations and all equi-conditions, and
 // greedily builds a left-deep plan starting from the smallest
@@ -513,7 +514,8 @@ func reorderJoins(plan LogicalPlan, cat Catalog) (LogicalPlan, error) {
 			}
 			out := &JoinNode{Left: l, Right: r, Cond: n.Cond, schema: n.schema}
 			if ok {
-				out.buildLeft = estimateScanRows(rels[0], cat) < estimateScanRows(rels[1], cat)
+				lc, rc := estimateScanRows(rels[0], cat), estimateScanRows(rels[1], cat)
+				out.buildLeft, out.buildEst = lc < rc, min(lc, rc)
 			}
 			return out, nil
 		}
@@ -776,7 +778,7 @@ func buildJoinOrder(rels []*ScanNode, conds []Expr, cat Catalog) (LogicalPlan, e
 			cond = &Literal{Val: store.BoolValue(true)}
 		}
 		// The hash join builds on whichever input is estimated smaller.
-		jn := &JoinNode{Left: cur, Right: rels[cand], Cond: cond, buildLeft: curCard < card[cand]}
+		jn := &JoinNode{Left: cur, Right: rels[cand], Cond: cond, buildLeft: curCard < card[cand], buildEst: min(curCard, card[cand])}
 		jn.schema = cur.Schema().concat(rels[cand].Schema())
 		cur = jn
 		curCard = math.Max(1, bestCard)

@@ -129,7 +129,10 @@ func (c *execCtx) note(depth int, format string, args ...any) *OpStats {
 
 // accessPath describes the chosen way into a table.
 type accessPath struct {
-	kind   string // "seqscan", "indexeq", "indexrange", "indexunion"
+	// "seqscan", "indexeq", "indexrange", "indexunion", or "joinkeys": a
+	// hash join's probe scan keyed by the build side's distinct keys
+	// (probePath), which the join supplies once it has hashed them.
+	kind   string
 	column string
 	eq     store.Value
 	lo, hi *store.Value
@@ -370,64 +373,65 @@ func (p accessPath) describe(n *ScanNode) string {
 		}
 	case "indexunion":
 		d = fmt.Sprintf("IndexUnionScan %s (%s ∈ subtree %s, %d keys)", n.Table, p.column, p.clade, len(p.keys))
+	case "joinkeys":
+		d = fmt.Sprintf("IndexUnionScan %s (%s ∈ join keys)", n.Table, p.column)
 	default:
 		d = "SeqScan " + n.Table
 	}
 	return d + n.colsNote() + residualNote(p)
 }
 
-// scanLeaf is a lowered scan: the view it reads, the chosen path, its
-// plan line's counters and — for the index paths — the store access
-// that serves it.
-type scanLeaf struct {
-	tv     *store.TableView
-	path   accessPath
-	op     *OpStats
-	access store.Access
+// access is the store access an index path hands Gather, emitting the
+// table columns cols; the caller attaches the residual. A sequential
+// path's is a full pass.
+func (p accessPath) access(cols []int) store.Access {
+	a := store.Access{Column: p.column, Lo: p.lo, Hi: p.hi, Desc: p.desc, Limit: p.limit, Keys: p.keys, Cols: cols}
+	if p.kind == "indexeq" {
+		a.Keys = []store.Value{p.eq}
+	}
+	return a
 }
 
-// lowerScan chooses the access path, notes the plan line and, for an
-// index path, builds the store access: index column and keys or range,
-// direction and row cap, projected columns, and the residual as an
-// Accept check the store runs per posting — so rejected rows are never
-// materialized and an ordered walk can stop at its k-th qualifying row.
-func lowerScan(n *ScanNode, ec *execCtx, depth int) (scanLeaf, error) {
-	tv, err := ec.view(n.Table)
+// probePath returns the path a one-key hash join reads its probe input
+// by, when that input is a scan: through the index on the probe key,
+// keyed by the build side's distinct keys — so a row that cannot join
+// is never copied out — when that is estimated cheaper, and the scan's
+// own chooseAccessPath otherwise. The keyed read is estimated at the
+// build side's estimated rows (JoinNode.buildEst) times the key's
+// fan-out (rows ÷ NDV from the table statistics the build-side choice
+// read), against what the scan's own path would visit: its exact
+// posting count on an index path, or the 1/unionScanMaxShare of the
+// table a key union must stay under against a sequential scan. Every
+// scan conjunct becomes the keyed read's residual. An INT build key may
+// probe a FLOAT column (keys are widened); a FLOAT key never probes an
+// INT one, whose B+-tree would miss the integers beyond 2^53 that round
+// to it.
+func probePath(j *JoinNode, buildKind store.Kind, probe *ScanNode, probeKey int, t *store.Table, ec *execCtx) accessPath {
+	own := chooseAccessPath(probe, t, ec.cat.Tree(), ec.opts.UseIndexes)
+	col := probe.schema.cols[probeKey]
+	if !ec.opts.UseIndexes || j.buildEst <= 0 || (buildKind != col.Kind && (buildKind != store.KindInt || col.Kind != store.KindFloat)) {
+		return own
+	}
+	if _, indexed := t.HasIndex(col.Name); !indexed {
+		return own
+	}
+	st, err := ec.cat.Stats(probe.Table)
 	if err != nil {
-		return scanLeaf{}, err
+		return own
 	}
-	path := chooseAccessPath(n, tv.Table(), ec.cat.Tree(), ec.opts.UseIndexes)
-	leaf := scanLeaf{tv: tv, path: path}
-	if path.kind != "seqscan" {
-		leaf.access = store.Access{Column: path.column, Lo: path.lo, Hi: path.hi, Desc: path.desc, Limit: path.limit, Keys: path.keys, Cols: n.proj}
-		if path.kind == "indexeq" {
-			leaf.access.Keys = []store.Value{path.eq}
-		}
-		if len(path.residual) > 0 {
-			pred := joinConjuncts(path.residual)
-			residual, err := bind(pred, ec.env(n.base))
-			if err != nil {
-				return scanLeaf{}, err
-			}
-			leaf.access.Accept = residual.evalBool
-			// The store fills only the columns the residual reads.
-			for _, ref := range exprColumns(pred) {
-				ci, err := n.base.resolve(ref)
-				if err != nil {
-					return scanLeaf{}, err
-				}
-				leaf.access.AcceptCols = append(leaf.access.AcceptCols, ci)
-			}
-		}
+	ndv := int64(1)
+	if cs := st.Column(col.Name); cs != nil && cs.NDV > 1 {
+		ndv = cs.NDV
 	}
-	leaf.op = ec.note(depth, "%s", path.describe(n))
-	return leaf, nil
-}
-
-// indexed records an index gather's examined-row count.
-func (l scanLeaf) indexed(ec *execCtx, examined int) {
-	atomic.AddInt64(&ec.stats.RowsIndexed, int64(examined))
-	l.op.addIn(int64(examined))
+	keyed := j.buildEst * float64(st.Rows) / float64(ndv)
+	visits := t.Len() / unionScanMaxShare
+	if own.kind != "seqscan" {
+		visits = t.CountPostings(own.access(nil), int(keyed)+1)
+	}
+	if keyed >= float64(visits) {
+		return own
+	}
+	return accessPath{kind: "joinkeys", column: col.Name, residual: probe.Conjuncts}
 }
 
 func residualNote(p accessPath) string {

@@ -94,27 +94,70 @@ func build(p LogicalPlan, ec *execCtx, depth int) (batchIterator, error) {
 // --- Scans ---
 
 func buildScan(n *ScanNode, ec *execCtx, depth int) (batchIterator, error) {
-	leaf, err := lowerScan(n, ec, depth)
+	tv, err := ec.view(n.Table)
 	if err != nil {
 		return nil, err
 	}
-	op, a := leaf.op, leaf.access
-	if leaf.path.kind != "seqscan" {
-		// A point lookup is a short batch like any other.
-		cb, examined, err := leaf.tv.Gather(ec.ctx, a)
+	scan, _, err := lowerScan(n, tv, chooseAccessPath(n, tv.Table(), ec.cat.Tree(), ec.opts.UseIndexes), ec, depth)
+	if err != nil {
+		return nil, err
+	}
+	return scan, nil
+}
+
+// lowerScan notes a scan's plan line and returns the operator reading
+// the table along path, which reads nothing before its first call (so a
+// plain EXPLAIN executes nothing). An index path is one store access —
+// index column and keys or range, direction and row cap, projected
+// columns, and the residual as an Accept check the store runs per
+// posting, so rejected rows are never materialized and an ordered walk
+// can stop at its k-th qualifying row; a point lookup is a short batch
+// like any other. That access is returned too: a keyed probe's join
+// gives it its keys before the scan's first call. A sequential scan
+// gathers the emitted columns plus any the residual reads, filters the
+// batches vectorized and drops the extras on emit.
+func lowerScan(n *ScanNode, tv *store.TableView, path accessPath, ec *execCtx, depth int) (*vecScan, *store.Access, error) {
+	if path.kind == "seqscan" {
+		scan, err := lowerSeqScan(n, tv, path, ec, depth)
+		return scan, nil, err
+	}
+	a := path.access(n.proj)
+	if len(path.residual) > 0 {
+		pred := joinConjuncts(path.residual)
+		residual, err := bind(pred, ec.env(n.base))
+		if err != nil {
+			return nil, nil, err
+		}
+		a.Accept = residual.evalBool
+		// The store fills only the columns the residual reads.
+		for _, ref := range exprColumns(pred) {
+			ci, err := n.base.resolve(ref)
+			if err != nil {
+				return nil, nil, err
+			}
+			a.AcceptCols = append(a.AcceptCols, ci)
+		}
+	}
+	op := ec.note(depth, "%s", path.describe(n))
+	scan := &vecScan{cancel: canceller{ctx: ec.ctx}, op: op}
+	scan.fill = func() ([]*batch, error) {
+		cb, examined, err := tv.Gather(ec.ctx, a)
 		if err != nil {
 			return nil, err
 		}
-		leaf.indexed(ec, examined)
-		return &vecScan{batches: batchesOf(cb), cancel: canceller{ctx: ec.ctx}, op: op}, nil
+		atomic.AddInt64(&ec.stats.RowsIndexed, int64(examined))
+		op.addIn(int64(examined))
+		return batchesOf(cb), nil
 	}
-	// Sequential scan: gather the emitted columns plus any the residual
-	// reads, filter the batches vectorized, and drop the extras on emit.
-	a.Cols = n.proj
+	return scan, &a, nil
+}
+
+func lowerSeqScan(n *ScanNode, tv *store.TableView, path accessPath, ec *execCtx, depth int) (*vecScan, error) {
+	a := store.Access{Cols: n.proj}
 	layout := n.schema
 	var residual *vecPred
-	if len(leaf.path.residual) > 0 {
-		pred := joinConjuncts(leaf.path.residual)
+	if len(path.residual) > 0 {
+		pred := joinConjuncts(path.residual)
 		if n.proj != nil {
 			layout = &planSchema{cols: append([]planCol(nil), n.schema.cols...)}
 			a.Cols = append([]int(nil), n.proj...)
@@ -130,23 +173,28 @@ func buildScan(n *ScanNode, ec *execCtx, depth int) (batchIterator, error) {
 				a.Cols = append(a.Cols, ci)
 			}
 		}
+		var err error
 		if residual, err = bindVecPred(pred, ec.env(layout)); err != nil {
 			return nil, err
 		}
 	}
-	cb, total, err := leaf.tv.Gather(ec.ctx, a)
-	if err != nil {
-		return nil, err
-	}
-	batches := batchesOf(cb)
-	atomic.AddInt64(&ec.stats.RowsScanned, int64(total))
-	op.addIn(int64(total))
-	scan := &vecScan{batches: batches, residual: residual, width: n.schema.Len(), cancel: canceller{ctx: ec.ctx}, op: op}
-	if ec.para > 1 && residual != nil && len(batches) > 1 {
+	op := ec.note(depth, "%s", path.describe(n))
+	scan := &vecScan{residual: residual, width: n.schema.Len(), cancel: canceller{ctx: ec.ctx}, op: op}
+	scan.fill = func() ([]*batch, error) {
+		cb, total, err := tv.Gather(ec.ctx, a)
+		if err != nil {
+			return nil, err
+		}
+		batches := batchesOf(cb)
+		atomic.AddInt64(&ec.stats.RowsScanned, int64(total))
+		op.addIn(int64(total))
+		if ec.para == 1 || residual == nil || len(batches) < 2 {
+			return batches, nil
+		}
 		// One contiguous chunk of batches per worker: each narrows its
 		// batches' selection vectors in place; batch order is
 		// preserved, so output order matches serial.
-		err := runChunks(ec.ctx, splitChunks(len(batches), ec.para), func(_ int, r morselRange) error {
+		err = runChunks(ec.ctx, splitChunks(len(batches), ec.para), func(_ int, r morselRange) error {
 			c := canceller{ctx: ec.ctx}
 			for _, b := range batches[r.lo:r.hi] {
 				if err := c.now(); err != nil {
@@ -160,19 +208,19 @@ func buildScan(n *ScanNode, ec *execCtx, depth int) (batchIterator, error) {
 			}
 			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
 		scan.residual = nil
+		return batches, err
 	}
 	return scan, nil
 }
 
-// vecScan streams materialized batches, applying an optional residual
-// predicate by narrowing each batch's selection vector, then trimming
-// the batch to its first width columns (0 keeps all): a sequential
-// scan gathers the columns its residual reads after the ones it emits.
+// vecScan streams materialized batches — fill's, on the first call,
+// when it is set — applying an optional residual predicate by narrowing
+// each batch's selection vector, then trimming the batch to its first
+// width columns (0 keeps all): a sequential scan gathers the columns its
+// residual reads after the ones it emits.
 type vecScan struct {
+	fill     func() ([]*batch, error)
 	batches  []*batch
 	pos      int
 	residual *vecPred
@@ -185,6 +233,13 @@ func (s *vecScan) nextBatch() (*batch, error) {
 	for {
 		if err := s.cancel.now(); err != nil {
 			return nil, err
+		}
+		if s.fill != nil {
+			bs, err := s.fill()
+			if err != nil {
+				return nil, err
+			}
+			s.batches, s.fill = bs, nil
 		}
 		if s.pos >= len(s.batches) {
 			return nil, nil
@@ -312,10 +367,13 @@ func (l *vecLimit) nextBatch() (*batch, error) {
 // --- Aggregation ---
 
 // buildAgg lowers an AggNode to hash aggregation over batches, or to an
-// overlay read when the shape allows one.
+// overlay read or a group-join when the shape allows one.
 func buildAgg(n *AggNode, ec *execCtx, depth int) (batchIterator, error) {
 	if it, ok := tryOverlayRead(n, ec, depth); ok {
 		return it, nil
+	}
+	if it, ok, err := tryGroupJoin(n, ec, depth); ok || err != nil {
+		return it, err
 	}
 	env := ec.env(n.Input.Schema())
 	groups, err := bindVecExprs(n.GroupBy, env)
@@ -362,16 +420,25 @@ func (a *vecAgg) nextBatch() (*batch, error) {
 		return nil, err
 	}
 	if a.out == nil {
-		final, err := a.drain()
+		final, err := foldAll(a.ec, a.in, a.op, func() (*aggTable, func(*batch) error) {
+			t := newAggTable(a.aggs, len(a.groups) > 0)
+			return t, func(b *batch) error { return a.accumBatch(t, b) }
+		})
 		if err != nil {
 			return nil, err
 		}
-		if len(a.groups) == 0 {
-			final.grow(1) // a global aggregate over an empty input still yields one row
-		}
-		a.out = &vecScan{batches: batchesOf(final.output()), cancel: cancel, op: a.op}
+		a.out = aggOutput(final, cancel, a.op)
 	}
 	return a.out.nextBatch()
+}
+
+// aggOutput streams a folded table's result, one row per group; a
+// global aggregate over an empty input still yields its one row.
+func aggOutput(t *aggTable, cancel canceller, op *OpStats) *vecScan {
+	if t.groups == nil {
+		t.grow(1)
+	}
+	return &vecScan{batches: batchesOf(t.output()), cancel: cancel, op: op}
 }
 
 // accumBatch evaluates group and argument expressions over one batch
@@ -399,35 +466,38 @@ func (a *vecAgg) accumBatch(t *aggTable, b *batch) error {
 		}
 		cols[len(a.groups)+i] = c
 	}
-	t.accum(cols[:len(a.groups)], cols[len(a.groups):], sel, b.n)
+	t.accum(cols[:len(a.groups)], cols[len(a.groups):], sel)
 	return nil
 }
 
-// drain folds the whole input into one table: batch by batch as it
+// foldAll folds the whole input into one table, counting its rows as
+// op's input; part returns a fresh partial table and the function that
+// folds one batch into it. The input is folded batch by batch as it
 // streams in, or — with Parallelism > 1 and enough input for partial
-// tables to pay — materialized and split over the worker pool.
-func (a *vecAgg) drain() (*aggTable, error) {
-	if a.ec.para == 1 {
-		final := newAggTable(a.aggs, len(a.groups) > 0)
-		cancel := canceller{ctx: a.ec.ctx}
+// tables to pay — materialized and split over the worker pool into one
+// partial per contiguous chunk, merged in chunk order.
+func foldAll(ec *execCtx, in batchIterator, op *OpStats, part func() (*aggTable, func(*batch) error)) (*aggTable, error) {
+	if ec.para == 1 {
+		final, fold := part()
+		cancel := canceller{ctx: ec.ctx}
 		for {
 			if err := cancel.now(); err != nil {
 				return nil, err
 			}
-			b, err := a.in.nextBatch()
+			b, err := in.nextBatch()
 			if err != nil {
 				return nil, err
 			}
 			if b == nil {
 				return final, nil
 			}
-			a.op.addIn(int64(b.live()))
-			if err := a.accumBatch(final, b); err != nil {
+			op.addIn(int64(b.live()))
+			if err := fold(b); err != nil {
 				return nil, err
 			}
 		}
 	}
-	bs, err := drainBatches(a.ec.ctx, a.in)
+	bs, err := drainBatches(ec.ctx, in)
 	if err != nil {
 		return nil, err
 	}
@@ -435,23 +505,25 @@ func (a *vecAgg) drain() (*aggTable, error) {
 	for _, b := range bs {
 		total += b.live()
 	}
-	a.op.addIn(int64(total))
-	chunks := splitChunks(len(bs), a.ec.para)
+	op.addIn(int64(total))
+	chunks := splitChunks(len(bs), ec.para)
 	if total < 2*vecBatchSize {
 		chunks = splitChunks(len(bs), 1)
 	}
 	if len(chunks) == 0 {
-		return newAggTable(a.aggs, len(a.groups) > 0), nil
+		final, _ := part()
+		return final, nil
 	}
 	partials := make([]*aggTable, len(chunks))
-	err = runChunks(a.ec.ctx, chunks, func(w int, r morselRange) error {
-		c := canceller{ctx: a.ec.ctx}
-		partials[w] = newAggTable(a.aggs, len(a.groups) > 0)
+	err = runChunks(ec.ctx, chunks, func(w int, r morselRange) error {
+		c := canceller{ctx: ec.ctx}
+		t, fold := part()
+		partials[w] = t
 		for _, b := range bs[r.lo:r.hi] {
 			if err := c.now(); err != nil {
 				return err
 			}
-			if err := a.accumBatch(partials[w], b); err != nil {
+			if err := fold(b); err != nil {
 				return err
 			}
 		}

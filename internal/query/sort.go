@@ -1,7 +1,6 @@
 package query
 
 import (
-	"container/heap"
 	"sort"
 
 	"drugtree/internal/store"
@@ -139,20 +138,54 @@ type vecTopK struct {
 }
 
 // refHeap keeps the *last* row (per the requested order) at the top so
-// it can be displaced by rows that sort ahead of it.
+// it can be displaced by rows that sort ahead of it. It is a binary
+// heap over the typed slice, sifting exactly as container/heap does,
+// without boxing a keyedRef per push and pop.
 type refHeap struct {
 	refs []keyedRef
 	keys sortKeys
 }
 
-func (h *refHeap) Len() int           { return len(h.refs) }
-func (h *refHeap) Less(i, j int) bool { return h.keys.before(h.refs[j], h.refs[i]) }
-func (h *refHeap) Swap(i, j int)      { h.refs[i], h.refs[j] = h.refs[j], h.refs[i] }
-func (h *refHeap) Push(x any)         { h.refs = append(h.refs, x.(keyedRef)) }
-func (h *refHeap) Pop() any {
-	last := h.refs[len(h.refs)-1]
-	h.refs = h.refs[:len(h.refs)-1]
-	return last
+// below reports whether ref i belongs nearer the top than ref j.
+func (h *refHeap) below(i, j int) bool { return h.keys.before(h.refs[j], h.refs[i]) }
+
+func (h *refHeap) push(r keyedRef) {
+	h.refs = append(h.refs, r)
+	for j := len(h.refs) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.below(j, i) {
+			break
+		}
+		h.refs[i], h.refs[j] = h.refs[j], h.refs[i]
+		j = i
+	}
+}
+
+// down sifts ref i down among the first n.
+func (h *refHeap) down(i, n int) {
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if j2 := j + 1; j2 < n && h.below(j2, j) {
+			j = j2
+		}
+		if !h.below(j, i) {
+			return
+		}
+		h.refs[i], h.refs[j] = h.refs[j], h.refs[i]
+		i = j
+	}
+}
+
+func (h *refHeap) pop() keyedRef {
+	n := len(h.refs) - 1
+	h.refs[0], h.refs[n] = h.refs[n], h.refs[0]
+	h.down(0, n)
+	r := h.refs[n]
+	h.refs = h.refs[:n]
+	return r
 }
 
 func (t *vecTopK) nextBatch() (*batch, error) {
@@ -160,20 +193,20 @@ func (t *vecTopK) nextBatch() (*batch, error) {
 		h := &refHeap{keys: t.keys}
 		err := t.keys.each(t.in, &t.cancel, func(r keyedRef) {
 			t.op.addIn(1)
-			if h.Len() < t.k {
-				heap.Push(h, r)
+			if len(h.refs) < t.k {
+				h.push(r)
 			} else if t.keys.before(r, h.refs[0]) {
 				h.refs[0] = r
-				heap.Fix(h, 0)
+				h.down(0, len(h.refs))
 			}
 		})
 		if err != nil {
 			return nil, err
 		}
-		// Pop yields last-first; fill back-to-front.
-		refs := make([]keyedRef, h.Len())
+		// pop yields last-first; fill back-to-front.
+		refs := make([]keyedRef, len(h.refs))
 		for i := len(refs) - 1; i >= 0; i-- {
-			refs[i] = heap.Pop(h).(keyedRef)
+			refs[i] = h.pop()
 		}
 		t.out = &vecScan{batches: gatherSorted(refs), cancel: t.cancel, op: t.op}
 	}

@@ -65,3 +65,21 @@ func BenchmarkIndexUnionScan(b *testing.B) {
 func BenchmarkGatherProjected(b *testing.B) {
 	benchQuery(b, "SELECT ligand_id FROM activities WHERE affinity >= 7.5")
 }
+
+// The joins that read only what survives (EXPERIMENTS "Joins that read
+// only what survives" records them against the parent commit, where
+// the first statement reads every activity over the cut and hashes a
+// family's proteins against them, and the second materializes every
+// joined pair for the aggregate above).
+
+func BenchmarkKeyedProbe(b *testing.B) {
+	benchQuery(b, `SELECT p.accession, a.ligand_id, a.affinity FROM proteins p
+		JOIN activities a ON p.accession = a.protein_id
+		WHERE p.family = 'FAM01' AND a.affinity >= 5`)
+}
+
+func BenchmarkGroupJoin(b *testing.B) {
+	benchQuery(b, `SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p
+		JOIN activities a ON p.accession = a.protein_id
+		WHERE a.affinity >= 5 GROUP BY p.family`)
+}

@@ -443,3 +443,40 @@ func TestCountPostings(t *testing.T) {
 		t.Errorf("bounded count = %d, want just past 25", got)
 	}
 }
+
+// TestFilteredGatherSizedExactly: a gather whose residual keeps 10 of
+// 5 000 postings allocates vectors for the 10 rows, plus the list of
+// accepted slots — not a batch's worth of every column grown by
+// doubling, as it did.
+func TestFilteredGatherSizedExactly(t *testing.T) {
+	_, tb := openAccessDB(t)
+	for i := 0; i < 5000; i++ {
+		tb.Insert(Row{FloatValue(float64(i % 10)), StringValue(fmt.Sprintf("g%d", i%4)), IntValue(int64(i))})
+	}
+	a := Access{Column: "k", AcceptCols: []int{2}, Accept: func(r Row) (bool, error) { return r[2].I%500 == 1, nil }}
+	cb, examined, err := tb.Gather(context.Background(), -1, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cb.Rows != 10 || examined != 5000 {
+		t.Fatalf("gathered %d rows after examining %d; want 10 of 5000", cb.Rows, examined)
+	}
+	for i, c := range cb.Cols {
+		if cap(c.Null) != 10 || cap(c.Int)+cap(c.Float)+cap(c.Str) != 10 {
+			t.Fatalf("column %d has room for %d cells (%d null flags); want 10", i, cap(c.Int)+cap(c.Float)+cap(c.Str), cap(c.Null))
+		}
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, _, err := tb.Gather(context.Background(), -1, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// 10 rows × 35 bytes, the 4 KiB slot list, the scratch row and headers.
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 6<<10 {
+		t.Fatalf("a gather of 10 rows allocates %d bytes", per)
+	}
+}

@@ -244,21 +244,40 @@ func ColBatchFromRows(kinds []Kind, rows []Row) *ColBatch {
 // Gather runs the access at commit version ver (negative reads the
 // latest) and materializes the selected rows, narrowed to a.Cols, into
 // one columnar batch — index walk, visibility check, residual check
-// and the per-cell typed appends fused into a single pass under one
-// read lock. Cells are copied out of the storage vectors — typed, with
-// no Value in between —, so the batch stays valid while writers run. It
-// also returns how many visible rows the walk examined; ctx is polled
-// as the walk goes.
+// and the typed cell copies under one read lock. Cells are copied out
+// of the storage vectors — typed, with no Value in between —, so the
+// batch stays valid while writers run, and into vectors sized exactly:
+// without Accept the posting count (capped by Limit) is the row count
+// up to retired versions, so cells are appended as the walk emits rows;
+// with Accept the walk collects the accepted slots first and the cells
+// are copied once, column at a time. It also returns how many visible
+// rows the walk examined; ctx is polled as the walk goes.
 func (t *Table) Gather(ctx context.Context, ver int64, a Access) (*ColBatch, int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	cols := a.outputCols(t.schema)
-	cb := NewColBatch(t.schema, cols, t.capacityLocked(a))
-	examined, err := t.readLocked(ctx.Err, ver, a, func(s int) {
-		for i, c := range cols {
-			cb.Cols[i].AppendFrom(&t.cols[c], s)
+	if a.Accept == nil {
+		cb := NewColBatch(t.schema, cols, t.capacityLocked(a, a.Limit))
+		examined, err := t.readLocked(ctx.Err, ver, a, func(s int) {
+			for i, c := range cols {
+				cb.Cols[i].AppendFrom(&t.cols[c], s)
+			}
+			cb.Rows++
+		})
+		return cb, examined, err
+	}
+	max := pollEvery // a residual may reject most postings: one batch's worth, grown on demand
+	if a.Limit > 0 {
+		max = min(max, a.Limit)
+	}
+	slots := make([]int32, 0, t.capacityLocked(a, max))
+	examined, err := t.readLocked(ctx.Err, ver, a, func(s int) { slots = append(slots, int32(s)) })
+	cb := NewColBatch(t.schema, cols, len(slots))
+	for i, c := range cols {
+		for _, s := range slots {
+			cb.Cols[i].AppendFrom(&t.cols[c], int(s))
 		}
-		cb.Rows++
-	})
+	}
+	cb.Rows = len(slots)
 	return cb, examined, err
 }

@@ -624,14 +624,9 @@ func (t *Table) countPostingsLocked(a Access, max int) int {
 	return n
 }
 
-// capacityLocked sizes the output of an access: the posting count,
-// capped by Limit, and — when Accept may reject most of it — by one
-// batch, grown on demand.
-func (t *Table) capacityLocked(a Access) int {
-	max := a.Limit
-	if a.Accept != nil && (max <= 0 || max > pollEvery) {
-		max = pollEvery
-	}
+// capacityLocked bounds the rows an access can emit — its posting count
+// — capped by max (≤ 0 is no cap), counting no further than that.
+func (t *Table) capacityLocked(a Access, max int) int {
 	if n := t.countPostingsLocked(a, max); max <= 0 || n < max {
 		return n
 	}
