@@ -107,7 +107,7 @@ bench-repo-smoke:
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
 # idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_25.json
+BENCH_JSON ?= BENCH_26.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \
@@ -129,21 +129,27 @@ bench-repo:
 # through each index form, and the query layer's hashing operators —
 # the hash join and the aggregate, serial and parallel, the flat table
 # under both (8 192 keys inserted / probed), the keyed probe and the
-# group-join. EXPERIMENTS "Compact storage", "Typed indexes", "Flat hash
-# operators" and "Joins that read only what survives" record them.
+# group-join — and the subtree overlay's share of a 512 + 512-row
+# commit. EXPERIMENTS "Compact storage", "Typed indexes", "Flat hash
+# operators", "Joins that read only what survives" and "Commits that
+# allocate nothing per changed row" record them.
 bench-micro:
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex' ./internal/store/
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin' ./internal/query/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply' ./internal/core/
 
 # Ten seconds of each fuzz target over its checked-in corpus: the DTQL
 # parser's parse → String → parse and the Newick parser's parse →
-# Newick → parse round trips, neither ever panicking. `go test -fuzz`
-# takes one target and one package a run.
+# Newick → parse round trips, neither ever panicking, and the subtree
+# overlay's exact sum against its big.Int oracle under adds and removes
+# of arbitrary float64s. `go test -fuzz` takes one target and one
+# package a run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzNewick$$' -fuzztime 10s ./internal/phylo/
+	$(GO) test -run '^$$' -fuzz '^FuzzExactSum$$' -fuzztime 10s ./internal/core/
 
 # Parallel-executor microbenchmarks plus the experiment tables.
 bench:

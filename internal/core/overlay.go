@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 	"sync"
 
 	"drugtree/internal/integrate"
@@ -30,33 +32,135 @@ const (
 	overlayMetricColumn = "affinity"
 )
 
-// exactSum accumulates float64 values exactly: each addend f is the
-// integer f × 2^1074 (every finite float64 is an integer multiple of
-// 2^-1074), summed in arbitrary-precision integers. Add and remove are
-// exact inverses, so an overlay maintained by incremental deltas lands
-// on bit-identical state to one rebuilt from scratch regardless of the
-// order rows arrived or left in — the T14 byte-identity gate rests on
-// this.
-type exactSum struct{ acc big.Int }
+// exactSum accumulates float64 values exactly, one bucket per exponent.
+// A finite float64 is M × 2^(E−1075) for a 53-bit integer mantissa M
+// and a biased exponent E (a subnormal is E = 1 without the hidden bit),
+// so the sum keeps, for each distinct E among its addends, one signed
+// 128-bit total of M: exact for up to 2^74 addends, commutative, and
+// with add and remove exact inverses. An overlay maintained by
+// incremental deltas therefore holds the same exact value as one rebuilt
+// from scratch, whatever order rows arrived or left in — the T14
+// bit-identity gate rests on this — and folding a row into a node costs
+// two 64-bit additions, not an arbitrary-precision integer. Non-finite
+// addends are counted in the same list under keys past the finite
+// exponents, so a node that never saw one pays nothing for them. A
+// bucket whose total returns to zero is dropped: the empty list is the
+// empty sum.
+type exactSum struct{ b []expBucket }
 
-// fixedPoint returns f × 2^1074 as an exact integer.
-func fixedPoint(f float64) *big.Int {
-	bf := new(big.Float).SetFloat64(f)
-	bf.SetMantExp(bf, 1074)
-	i, _ := bf.Int(nil)
-	return i
+// expBucket is one key's total, the two's-complement integer hi:lo:
+// mantissa units of 2^(e−1075) under a finite exponent key, an addend
+// count under a non-finite one.
+type expBucket struct {
+	e      int64
+	hi, lo uint64
 }
 
-// Float64 rounds the exact accumulator to the nearest float64 — one
-// correctly-rounded conversion, no intermediate rounding.
-func (s *exactSum) Float64() float64 {
-	prec := uint(s.acc.BitLen()) + 1
-	if prec < 64 {
-		prec = 64
+// Bucket keys past the finite biased exponents 1…2046.
+const (
+	keyPosInf = 2047 + iota
+	keyNegInf
+	keyNaN
+)
+
+// addend is one value decomposed for exactSum — its bucket key and
+// signed mantissa — once per row rather than once per ancestor.
+type addend struct {
+	e   int64
+	m   uint64 // 0 for a zero of either sign, which adds nothing
+	neg bool
+}
+
+func addendOf(f float64) addend {
+	b := math.Float64bits(f)
+	e, m, neg := int64(b>>52&0x7ff), b&(1<<52-1), b>>63 != 0
+	switch {
+	case e == 0x7ff && m != 0:
+		return addend{e: keyNaN, m: 1}
+	case e == 0x7ff && neg:
+		return addend{e: keyNegInf, m: 1}
+	case e == 0x7ff:
+		return addend{e: keyPosInf, m: 1}
+	case e == 0:
+		e = 1
+	default:
+		m |= 1 << 52
 	}
-	bf := new(big.Float).SetPrec(prec).SetInt(&s.acc)
-	bf.SetMantExp(bf, -1074)
-	f, _ := bf.Float64()
+	return addend{e: e, m: m, neg: neg}
+}
+
+// add folds a into the sum, or takes it back out when remove is set.
+func (s *exactSum) add(a addend, remove bool) {
+	if a.m == 0 {
+		return
+	}
+	i := 0
+	for i < len(s.b) && s.b[i].e != a.e {
+		i++
+	}
+	if i == len(s.b) {
+		s.b = append(s.b, expBucket{e: a.e})
+	}
+	b := &s.b[i]
+	var c uint64
+	if a.neg != remove {
+		b.lo, c = bits.Sub64(b.lo, a.m, 0)
+		b.hi -= c
+	} else {
+		b.lo, c = bits.Add64(b.lo, a.m, 0)
+		b.hi += c
+	}
+	if b.hi == 0 && b.lo == 0 {
+		last := len(s.b) - 1
+		s.b[i] = s.b[last]
+		s.b = s.b[:last]
+	}
+}
+
+// Float64 returns the sum as IEEE summation of the addends has it, but
+// with no intermediate rounding: NaN when a NaN or both infinities are
+// present, the infinity when only one sign is, and otherwise the exact
+// finite total rounded once to the nearest float64 (±Inf past
+// MaxFloat64). The buckets are combined here, in math/big, once per
+// read.
+func (s *exactSum) Float64() float64 {
+	var nan, posInf, negInf bool
+	for _, b := range s.b {
+		switch b.e {
+		case keyNaN:
+			nan = true
+		case keyPosInf:
+			posInf = true
+		case keyNegInf:
+			negInf = true
+		}
+	}
+	switch {
+	case nan || posInf && negInf:
+		return math.NaN()
+	case posInf:
+		return math.Inf(1)
+	case negInf:
+		return math.Inf(-1)
+	}
+	// Every bucket is finite: the total is Σ hi:lo × 2^(e−1), an exact
+	// integer multiple of 2^-1074.
+	var acc, x, lo big.Int
+	for _, b := range s.b {
+		hi, l, neg := b.hi, b.lo, int64(b.hi) < 0
+		if neg {
+			var borrow uint64
+			l, borrow = bits.Sub64(0, l, 0)
+			hi = -hi - borrow
+		}
+		x.SetUint64(hi).Lsh(&x, 64).Add(&x, lo.SetUint64(l)).Lsh(&x, uint(b.e-1))
+		if neg {
+			x.Neg(&x)
+		}
+		acc.Add(&acc, &x)
+	}
+	bf := new(big.Float).SetPrec(max(uint(acc.BitLen())+1, 64)).SetInt(&acc)
+	f, _ := bf.SetMantExp(bf, -1074).Float64()
 	return f
 }
 
@@ -125,28 +229,11 @@ func NewActivityOverlay(db *store.DB, tree *phylo.Tree) (*ActivityOverlay, error
 	db.OnCommit(o.onCommit)
 	snap := db.PinSnapshot()
 	defer snap.Release()
-	tv, err := snap.View(integrate.TableActivities)
+	ver, err := o.loadBase(snap)
 	if err != nil {
 		return nil, err
 	}
-	// All store reads happen before taking o.mu: the commit hook runs
-	// under the table lock and takes o.mu, so the reverse order here
-	// would be a lock-order cycle.
-	ver := tv.Version()
-	base := tv.Snapshot()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for _, r := range base {
-		o.bumpLocked(r, +1)
-	}
-	o.version = ver
-	o.ready = true
-	for _, ev := range o.pending {
-		if ev.Version > ver {
-			o.applyLocked(ev)
-		}
-	}
-	o.pending = nil
+	o.publish(ver)
 	return o, nil
 }
 
@@ -162,16 +249,45 @@ func RebuildActivityOverlay(snap *store.SnapshotHandle, tree *phylo.Tree) (*Acti
 	if err != nil {
 		return nil, err
 	}
-	ver := tv.Version()
-	base := tv.Snapshot()
+	ver, err := o.loadBase(snap)
+	if err != nil {
+		return nil, err
+	}
+	o.publish(ver)
+	return o, nil
+}
+
+// loadBase folds the activities image snap pins into the per-node state
+// and returns its version. Scan shows each row in place, under the
+// table's read lock, so the base image materialises nothing. The fold
+// takes no o.mu: taking it around the scan would invert the commit
+// hook's table-then-overlay lock order, and none is needed — until
+// publish no reader holds the overlay and the hook touches only pending.
+func (o *ActivityOverlay) loadBase(snap *store.SnapshotHandle) (int64, error) {
+	tv, err := snap.View(integrate.TableActivities)
+	if err != nil {
+		return 0, err
+	}
+	tv.Scan(func(_ int64, r store.Row) bool {
+		o.bumpLocked(r[o.keyIdx], r[o.metricIdx], +1)
+		return true
+	})
+	return tv.Version(), nil
+}
+
+// publish marks the overlay current at the base image's version ver
+// and replays the commits buffered since the subscription, skipping
+// those the base image already holds.
+func (o *ActivityOverlay) publish(ver int64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for _, r := range base {
-		o.bumpLocked(r, +1)
+	o.version, o.ready = ver, true
+	for _, ev := range o.pending {
+		if ev.Version > ver {
+			o.applyLocked(ev)
+		}
 	}
-	o.version = ver
-	o.ready = true
-	return o, nil
+	o.pending = nil
 }
 
 // onCommit is the db hook: it applies activities deltas in commit
@@ -185,7 +301,8 @@ func (o *ActivityOverlay) onCommit(ev store.CommitEvent) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if !o.ready {
-		o.pending = append(o.pending, ev)
+		// The event's retired rows are readable only during this call.
+		o.pending = append(o.pending, ev.Detach())
 		return
 	}
 	o.applyLocked(ev)
@@ -193,21 +310,20 @@ func (o *ActivityOverlay) onCommit(ev store.CommitEvent) {
 
 func (o *ActivityOverlay) applyLocked(ev store.CommitEvent) {
 	for _, r := range ev.Inserted {
-		o.bumpLocked(r, +1)
+		o.bumpLocked(r[o.keyIdx], r[o.metricIdx], +1)
 	}
-	for _, r := range ev.Deleted {
-		o.bumpLocked(r, -1)
+	for i := 0; i < ev.NumDeleted(); i++ {
+		o.bumpLocked(ev.DeletedCell(i, o.keyIdx), ev.DeletedCell(i, o.metricIdx), -1)
 	}
 	o.version = ev.Version
 }
 
-// bumpLocked propagates one row up its key node's ancestor chain.
-// Aggregation semantics mirror the executor's aggState: every row
-// counts toward Rows, non-NULL metrics toward Count, numeric metrics
-// toward Sum. Rows keyed outside the tree contribute nothing — the
-// scan path's subtree-membership test would not match them either.
-func (o *ActivityOverlay) bumpLocked(r store.Row, sign int64) {
-	key := r[o.keyIdx]
+// bumpLocked propagates one row's (key, metric) cells up the key node's
+// ancestor chain. Aggregation semantics mirror the executor's aggState:
+// every row counts toward Rows, non-NULL metrics toward Count, numeric
+// metrics toward Sum. Rows keyed outside the tree contribute nothing —
+// the scan path's subtree-membership test would not match them either.
+func (o *ActivityOverlay) bumpLocked(key, metric store.Value, sign int64) {
 	if key.K != store.KindString {
 		return
 	}
@@ -215,24 +331,17 @@ func (o *ActivityOverlay) bumpLocked(r store.Row, sign int64) {
 	if !ok {
 		return
 	}
-	m := r[o.metricIdx]
-	nonNull := !m.IsNull()
-	var fx *big.Int
-	if nonNull && m.Numeric() {
-		fx = fixedPoint(m.AsFloat())
+	nonNull := !metric.IsNull()
+	var a addend
+	if nonNull && metric.Numeric() {
+		a = addendOf(metric.AsFloat())
 	}
 	for p := o.tree.Pre(id); p >= 0; p = o.parent[p] {
 		o.rows[p] += sign
 		if nonNull {
 			o.count[p] += sign
 		}
-		if fx != nil {
-			if sign > 0 {
-				o.sums[p].acc.Add(&o.sums[p].acc, fx)
-			} else {
-				o.sums[p].acc.Sub(&o.sums[p].acc, fx)
-			}
-		}
+		o.sums[p].add(a, sign < 0)
 	}
 }
 

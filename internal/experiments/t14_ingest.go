@@ -401,7 +401,7 @@ func RunT14(ctx context.Context, seed int64) (*Report, error) {
 			{"dead versions at rest", "0", "0", "ok"},
 		},
 		Notes: fmt.Sprintf(
-			"resync is diff+publish, never stop-the-world: readers pin one MVCC snapshot per statement and observed zero mixed-generation rows; the subtree overlay tracked %d atomic delta batches bit-for-bit (exact big-int summation); seed %d",
+			"resync is diff+publish, never stop-the-world: readers pin one MVCC snapshot per statement and observed zero mixed-generation rows; the subtree overlay tracked %d atomic delta batches bit-for-bit (exact per-exponent summation); seed %d",
 			t14Batches, seed),
 	}
 	return rep, nil

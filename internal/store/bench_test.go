@@ -332,7 +332,7 @@ func BenchmarkCommitDelta512(b *testing.B) {
 		b.Fatal(err)
 	}
 	events := 0
-	db.OnCommit(func(ev CommitEvent) { events += len(ev.Inserted) + len(ev.Deleted) })
+	db.OnCommit(func(ev CommitEvent) { events += len(ev.Inserted) + ev.NumDeleted() })
 	rng := rand.New(rand.NewSource(1))
 	fresh := func(n int) []Row {
 		out := make([]Row, n)

@@ -127,13 +127,17 @@ type DB struct {
 	// table; hookMu guards registration against concurrent dispatch.
 	hookMu sync.RWMutex
 	hooks  []func(CommitEvent)
+	// idScratch is CommitDeltas' working space for the duplicate-delete
+	// check, guarded by mu.
+	idScratch []int64
 }
 
 // OnCommit registers fn to receive one CommitEvent per committed
 // mutation batch on any table, including tables created later. fn runs
 // synchronously inside the table's commit critical section — in strict
-// per-table version order — so it must be fast and must not call back
-// into the store.
+// per-table version order — so it must be fast, must not call back
+// into the store, and may read the event's retired rows only until it
+// returns (see CommitEvent).
 func (db *DB) OnCommit(fn func(CommitEvent)) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -696,7 +700,7 @@ func (db *DB) loadTableSnapshot(r *bufio.Reader) error {
 				return fmt.Errorf("row %d: %w", done+uint64(i), err)
 			}
 		}
-		if err := t.validateDelta(nil, rows); err != nil {
+		if err := t.validateDelta(nil, rows, nil); err != nil {
 			return fmt.Errorf("rows from %d: %w", done, err)
 		}
 		t.applyDelta(nil, rows, false)

@@ -2,8 +2,10 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -271,5 +273,87 @@ func TestMultipleCheckpointCycles(t *testing.T) {
 	tb, _ := db2.Table("t")
 	if tb.Len() != total {
 		t.Fatalf("rows = %d, want %d", tb.Len(), total)
+	}
+}
+
+// TestCommitEventRetiredRows checks what a commit hook sees of the rows
+// a delta retires — read in place without a WAL, the logged copies with
+// one — that Detach's copy still reads them after GC has handed their
+// slots to later inserts, and that a delta naming a row twice is
+// refused whole.
+func TestCommitEventRetiredRows(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		db, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := db.CreateTable("t", accessSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		fresh := func(n int) []Row {
+			rows := make([]Row, n)
+			for i := range rows {
+				rows[i] = accessRow(rng)
+			}
+			return rows
+		}
+		if err := db.CommitDeltas([]TableDelta{{Table: "t", Inserts: fresh(64)}}); err != nil {
+			t.Fatal(err)
+		}
+		var ids []int64
+		var want []Row
+		tb.Scan(func(id int64, r Row) bool {
+			ids, want = append(ids, id), append(want, append(Row(nil), r...))
+			return len(ids) < 10
+		})
+		var seen []Row
+		var kept CommitEvent
+		db.OnCommit(func(ev CommitEvent) {
+			if seen != nil {
+				return
+			}
+			for i := 0; i < ev.NumDeleted(); i++ {
+				r := make(Row, len(accessSchema.Columns))
+				for c := range r {
+					r[c] = ev.DeletedCell(i, c)
+				}
+				seen = append(seen, r)
+			}
+			kept = ev.Detach()
+		})
+		if err := db.CommitDeltas([]TableDelta{{Table: "t", DeleteIDs: ids, Inserts: fresh(2)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CommitDeltas([]TableDelta{{Table: "t", Inserts: fresh(len(ids))}}); err != nil {
+			t.Fatal(err)
+		}
+		if tb.Len() != 64-len(ids)+2+len(ids) {
+			t.Fatalf("dir %q: Len = %d", dir, tb.Len())
+		}
+		if len(seen) != len(want) || kept.NumDeleted() != len(want) {
+			t.Fatalf("dir %q: hook saw %d retired rows, kept %d, want %d", dir, len(seen), kept.NumDeleted(), len(want))
+		}
+		for i, w := range want {
+			for c := range w {
+				if seen[i][c] != w[c] || kept.DeletedCell(i, c) != w[c] {
+					t.Fatalf("dir %q: retired row %d column %d read %v in the hook and %v detached, want %v", dir, i, c, seen[i][c], kept.DeletedCell(i, c), w[c])
+				}
+			}
+		}
+
+		var live []int64
+		tb.Scan(func(id int64, _ Row) bool { live = append(live, id); return len(live) < 3 })
+		err = db.CommitDeltas([]TableDelta{{Table: "t", DeleteIDs: []int64{live[0], live[1], live[2], live[1]}}})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("deletes row %d twice", live[1])) {
+			t.Fatalf("dir %q: a delta deleting row %d twice returned %v", dir, live[1], err)
+		}
+		if tb.Len() != 64+2 {
+			t.Fatalf("dir %q: the refused delta changed Len to %d", dir, tb.Len())
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

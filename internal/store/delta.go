@@ -63,7 +63,7 @@ func (db *DB) commit(deltas []TableDelta) (last int64, err error) {
 		if err != nil {
 			return -1, err
 		}
-		if err := t.validateDelta(d.DeleteIDs, d.Inserts); err != nil {
+		if err := t.validateDelta(d.DeleteIDs, d.Inserts, &db.idScratch); err != nil {
 			return -1, err
 		}
 		stage = append(stage, stagedDelta{t, d})
@@ -94,10 +94,10 @@ func (db *DB) commit(deltas []TableDelta) (last int64, err error) {
 
 // validateDelta checks a delta against the table's current version
 // without applying it.
-func (t *Table) validateDelta(deleteIDs []int64, inserts []Row) error {
+func (t *Table) validateDelta(deleteIDs []int64, inserts []Row, scratch *[]int64) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.validateDeltaLocked(deleteIDs, inserts)
+	return t.validateDeltaLocked(deleteIDs, inserts, scratch)
 }
 
 // applyDelta is applyDeltaLocked under the table's write lock.

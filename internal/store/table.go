@@ -14,16 +14,56 @@ const verMax = math.MaxInt64
 
 // CommitEvent describes one committed mutation batch on one table —
 // the delta stream incremental overlay maintenance consumes. Version
-// is the table's commit version after the batch; Inserted holds the
-// rows the committer passed in and Deleted copies of the rows it
-// retired (consumers must not mutate either). Hooks run synchronously
-// inside the commit critical section, so events arrive in strict
-// per-table version order.
+// is the table's commit version after the batch and Inserted holds the
+// rows the committer passed in (consumers must not mutate them). The
+// rows the batch retired are read through NumDeleted and DeletedCell,
+// in place in the table's storage: a hook runs under the table's write
+// lock after the rows are end-stamped and before GC may free their
+// slots, so those reads are valid only during the hook call. A consumer
+// that keeps the event past the call keeps Detach's copy instead. (When
+// the WAL logs the commit, the event reads the rows' log copies.) Hooks
+// run synchronously inside the commit critical section, so events
+// arrive in strict per-table version order.
 type CommitEvent struct {
 	Table    string
 	Version  int64
 	Inserted []Row
-	Deleted  []Row
+
+	// t is set while the retired rows are read in place, from the slots
+	// deleteIDs name; otherwise deleted holds copies of them.
+	t         *Table
+	deleteIDs []int64
+	deleted   []Row
+}
+
+// NumDeleted returns how many rows the batch retired.
+func (ev CommitEvent) NumDeleted() int {
+	if ev.t == nil {
+		return len(ev.deleted)
+	}
+	return len(ev.deleteIDs)
+}
+
+// DeletedCell returns column col of the i-th retired row.
+func (ev CommitEvent) DeletedCell(i, col int) Value {
+	if ev.t == nil {
+		return ev.deleted[i][col]
+	}
+	return ev.t.cols[col].stored(int(uint32(ev.deleteIDs[i])))
+}
+
+// Detach returns the event with its retired rows copied out of storage,
+// readable after the hook call returns. It must itself be called during
+// the call.
+func (ev CommitEvent) Detach() CommitEvent {
+	if ev.t == nil {
+		return ev
+	}
+	sl, rows := ev.t.newSlab(len(ev.deleteIDs)), make([]Row, len(ev.deleteIDs))
+	for i, id := range ev.deleteIDs {
+		rows[i] = sl.row(ev.t, int(uint32(id)))
+	}
+	return CommitEvent{Table: ev.Table, Version: ev.Version, Inserted: ev.Inserted, deleted: rows}
 }
 
 // Table is a multi-version table stored column-wise with optional
@@ -641,16 +681,23 @@ var errNoRow = errors.New("no such row")
 
 // validateDeltaLocked checks a delta against the current version:
 // every delete ID must be visible exactly once and every insert must
-// match the schema. Callers hold at least a read lock.
-func (t *Table) validateDeltaLocked(deleteIDs []int64, inserts []Row) error {
-	seen := make(map[int64]struct{}, len(deleteIDs))
+// match the schema. Duplicates are found by sorting a copy of the IDs in
+// *scratch, working space the caller owns and reuses across deltas (nil
+// will do when there are no deletes). Callers hold at least a read lock.
+func (t *Table) validateDeltaLocked(deleteIDs []int64, inserts []Row, scratch *[]int64) error {
 	for _, id := range deleteIDs {
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("store: table %s delta deletes row %d twice", t.name, id)
-		}
-		seen[id] = struct{}{}
 		if _, ok := t.liveSlot(id); !ok {
 			return fmt.Errorf("store: table %s delta deletes missing row %d: %w", t.name, id, errNoRow)
+		}
+	}
+	if len(deleteIDs) > 1 {
+		ids := append((*scratch)[:0], deleteIDs...)
+		*scratch = ids
+		slices.Sort(ids)
+		for i := 1; i < len(ids); i++ {
+			if ids[i] == ids[i-1] {
+				return fmt.Errorf("store: table %s delta deletes row %d twice", t.name, ids[i])
+			}
 		}
 	}
 	for i, r := range inserts {
@@ -665,19 +712,22 @@ func (t *Table) validateDeltaLocked(deleteIDs []int64, inserts []Row) error {
 // replay and replicated records all land here: it retires deleteIDs and
 // inserts the rows as ONE commit version, publishing one CommitEvent. It
 // returns copies of the deleted rows, cut from one slab, when the WAL
-// (wantDeleted) or a commit hook will read them and nil otherwise, and
-// the ID of the last row inserted (what the one-row Insert hands back).
-// The caller has validated the delta and holds t.mu exclusively; with no
-// interleaved writer the apply cannot fail.
+// will log them (wantDeleted; the event then reads the same copies) and
+// nil otherwise, and the ID of the last row inserted (what the one-row
+// Insert hands back). A commit hook reads the retired rows in place:
+// their slots go to the GC work list, not the free list, so the inserts
+// cannot reuse them and their cells hold until maybeGCLocked, after the
+// hook. The caller has validated the delta and holds t.mu exclusively;
+// with no interleaved writer the apply cannot fail.
 func (t *Table) applyDeltaLocked(deleteIDs []int64, inserts []Row, wantDeleted bool) (deleted []Row, last int64) {
 	v := t.commit + 1
-	if (wantDeleted || t.onCommit != nil) && len(deleteIDs) > 0 {
-		deleted = make([]Row, 0, len(deleteIDs))
+	var sl *slab
+	if wantDeleted && len(deleteIDs) > 0 {
+		deleted, sl = make([]Row, 0, len(deleteIDs)), t.newSlab(len(deleteIDs))
 	}
-	sl := t.newSlab(cap(deleted))
 	for _, id := range deleteIDs {
 		s, _ := t.liveSlot(id)
-		if deleted != nil {
+		if sl != nil {
 			deleted = append(deleted, sl.row(t, s))
 		}
 		t.retireLocked(s, v)
@@ -687,8 +737,12 @@ func (t *Table) applyDeltaLocked(deleteIDs []int64, inserts []Row, wantDeleted b
 		last = t.insertLocked(v, r)
 	}
 	t.commit = v
-	if t.onCommit != nil && (len(inserts) > 0 || len(deleted) > 0) {
-		t.onCommit(CommitEvent{Table: t.name, Version: v, Inserted: inserts, Deleted: deleted})
+	if t.onCommit != nil && (len(inserts) > 0 || len(deleteIDs) > 0) {
+		ev := CommitEvent{Table: t.name, Version: v, Inserted: inserts, deleted: deleted}
+		if deleted == nil {
+			ev.t, ev.deleteIDs = t, deleteIDs
+		}
+		t.onCommit(ev)
 	}
 	t.maybeGCLocked()
 	return deleted, last
