@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-replication vet vet-compat lint loc bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos chaos-replica overload torture ingest check clean
+.PHONY: all build test race vet vet-compat lint loc bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload torture ingest check clean
 
 all: check
 
@@ -26,18 +26,20 @@ loc:
 # The concurrency certificate: differential, cancellation, and stress
 # tests under the race detector — the parallel query executor, the
 # engine serving it, the scatter-gather shard coordinator (fan-out
-# goroutines, mid-gather cancellation, failover), the replica sets
-# (WAL shipping, lag-bounded routing, promotion), and the resilience
-# layer (sources hammered by concurrent fetchers, health map read
-# during sync, mobile sessions), plus the two layers underneath them
-# all: the MVCC store (pinned index walks and gathers against a
-# concurrent committer) and the fault-injecting VFS.
+# goroutines, mid-gather cancellation), and the resilience layer
+# (sources hammered by concurrent fetchers, health map read during
+# sync, mobile sessions), plus the two layers underneath them all: the
+# MVCC store (pinned index walks and gathers against a concurrent
+# committer) and the fault-injecting VFS. The -timeout is the wedge
+# watchdog: a lock-order bug in the coordinator's fan-out manifests as
+# a silent hang rather than a failure, so the test runner panics at the
+# deadline and dumps every goroutine's stack.
 race:
-	$(GO) test -race ./internal/query/... ./internal/core/... ./internal/cache/... \
-		./internal/shard/... ./internal/replica/... \
+	$(GO) test -race -timeout=300s ./internal/query/... ./internal/core/... ./internal/cache/... \
+		./internal/shard/... \
 		./internal/source/... ./internal/integrate/... ./internal/mobile/... \
 		./internal/admission/... ./internal/store/... ./internal/vfs/...
-	$(GO) test -race -run 'TestRunT9|TestRunT12' ./internal/experiments/
+	$(GO) test -race -timeout=300s -run 'TestRunT9' ./internal/experiments/
 
 vet:
 	$(GO) vet ./...
@@ -53,15 +55,6 @@ vet-compat:
 	$(GO) vet -vettool=$(CURDIR)/bin/drugtree-lint ./...
 	@echo "vet-compat: all analyzers clean under the vet driver"
 
-# Replication-layer race certificate with a wedge watchdog: the
-# replica sets and the shard coordinator are the packages where a
-# lock-order bug manifests as a silent wedge rather than a failure,
-# so the run carries an explicit -timeout — if anything deadlocks,
-# the Go test runner panics at the deadline and dumps every
-# goroutine's stack, turning a hung CI job into a readable report.
-race-replication:
-	$(GO) test -race -count=1 -timeout=180s ./internal/replica/... ./internal/shard/...
-
 # Static-analysis gate: go vet, then the drugtree analyzer suite
 # (clockcheck, ctxcheck, fscheck, lockcheck, snapcheck, spawncheck,
 # wrapcheck, plus the fact-propagating lockorder, errcmp, atomiccheck,
@@ -69,9 +62,10 @@ race-replication:
 # and over the repository benchmark's own module under bench/. staticcheck runs when a
 # pinned binary is available; the container image does not bake one in
 # and the build is offline, so it is gated rather than required.
-# Baseline (2026-08-08): 0 findings over all eleven analyzers,
-# suppressions ctxcheck 1/1 (mobile/server.go async prefetch root)
-# and lockcheck 1/1 (store/db.go checkpoint fsync under db.mu).
+# Baseline: 0 findings over all eleven analyzers, suppressions
+# ctxcheck 1/1 (mobile/server.go async prefetch root) and lockcheck 3/3
+# (store/db.go: the checkpoint fsync under db.mu, the WAL truncation
+# fsync and the group-commit fsync under the writer's mutexes).
 STATICCHECK ?= staticcheck
 STATICCHECK_VERSION ?= 2024.1.1
 
@@ -162,14 +156,6 @@ chaos:
 	$(GO) test -run TestRunT8 -v ./internal/experiments/
 	$(GO) run ./cmd/drugtree-experiments -exp T8
 
-# The T12 replication chaos experiment: scripted leader/follower
-# kill-restart sequence over a live read/write workload, plus its gate
-# test (zero failed reads, bounded staleness, promotion measured,
-# quiesced differential).
-chaos-replica:
-	$(GO) test -run TestRunT12 -v ./internal/experiments/
-	$(GO) run ./cmd/drugtree-experiments -exp T12
-
 # The T9 overload experiment: Poisson load sweep past saturation,
 # deadline-aware shedding vs an unprotected queue, plus its gate test
 # under the race detector.
@@ -178,8 +164,8 @@ overload:
 	$(GO) run ./cmd/drugtree-experiments -exp T9
 
 # The T13 crash-point torture experiment: a deterministic FaultFS
-# power-cuts every persistence path (store WAL/snapshot, shard
-# MANIFEST, replica seed/ship) at every mutating operation, under
+# power-cuts every persistence path (the store's WAL and snapshot, the
+# only durable state) at every mutating operation, under
 # every -wal-sync policy and three fault mixes (clean cut, torn write
 # + cut, failed fsync + cut). The gate test re-runs the full matrix
 # and demands zero durability violations over >= 200 distinct crash
@@ -204,7 +190,7 @@ ingest:
 	$(GO) test -race -count=1 -timeout=300s -run TestRunT14 -v ./internal/experiments/
 	$(GO) run ./cmd/drugtree-experiments -exp T14
 
-check: lint vet-compat build test bench-smoke bench-repo-smoke fuzz-smoke race chaos-replica
+check: lint vet-compat build test bench-smoke bench-repo-smoke fuzz-smoke race
 
 clean:
 	$(GO) clean ./...

@@ -114,11 +114,6 @@ func newMux(eng *core.Engine) *http.ServeMux {
 			LastError    string `json:"last_error,omitempty"`
 			BreakerState string `json:"breaker_state,omitempty"`
 			BreakerTrips int64  `json:"breaker_trips,omitempty"`
-			WALSeq       int64  `json:"wal_seq,omitempty"`
-			Role         string `json:"role,omitempty"`
-			AppliedSeq   int64  `json:"applied_seq,omitempty"`
-			Lag          int64  `json:"lag,omitempty"`
-			Reseeds      int64  `json:"reseeds,omitempty"`
 		}
 		out := []sourceHealthPayload{}
 		degraded := false
@@ -135,34 +130,6 @@ func newMux(eng *core.Engine) *http.ServeMux {
 			})
 			if h.Stale {
 				degraded = true
-			}
-		}
-		// Partitioned topologies surface shard liveness (plus per-replica
-		// WAL positions when replication is on) alongside source health,
-		// so one scrape answers "is the data whole and how far behind is
-		// each replica". A failed shard means missing rows (stale); a
-		// dead replica only means degraded redundancy.
-		for _, h := range eng.ShardHealth() {
-			out = append(out, sourceHealthPayload{
-				Source: fmt.Sprintf("shard-%d", h.Shard),
-				Status: h.Status,
-				Stale:  h.Status == "failed",
-				Rows:   int(h.Rows),
-				WALSeq: h.WALSeq,
-			})
-			if h.Status == "failed" {
-				degraded = true
-			}
-			for _, rh := range h.Replicas {
-				out = append(out, sourceHealthPayload{
-					Source:     fmt.Sprintf("shard-%d-replica-%d", h.Shard, rh.Replica),
-					Status:     rh.Status,
-					Stale:      rh.Status != "ok",
-					Role:       rh.Role,
-					AppliedSeq: rh.AppliedSeq,
-					Lag:        rh.Lag,
-					Reseeds:    rh.Reseeds,
-				})
 			}
 		}
 		w.Header().Set("Content-Type", "application/json")

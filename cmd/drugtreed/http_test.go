@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -287,12 +286,10 @@ func TestRateLimitMiddleware(t *testing.T) {
 	}
 }
 
-// TestHealthSourcesReplicated pins the /health/sources contract for a
-// replicated topology: shard pseudo-sources carry the WAL frontier,
-// replica pseudo-sources carry role/applied-seq/lag, a dead follower
-// degrades (not fails) its shard, and the endpoint keeps answering 200
-// because no data is missing.
-func TestHealthSourcesReplicated(t *testing.T) {
+// TestHealthSourcesSharded pins that /health/sources reports sources
+// only: a sharded engine's partitions are in-memory copies of the one
+// store, not sources, and add no entries.
+func TestHealthSourcesSharded(t *testing.T) {
 	gen := datagen.DefaultConfig()
 	gen.NumFamilies = 2
 	gen.ProteinsPerFamily = 6
@@ -307,78 +304,37 @@ func TestHealthSourcesReplicated(t *testing.T) {
 	}
 	t.Cleanup(func() { db.Close() })
 	bundle := source.NewBundle(ds, netsim.ProfileLAN, 1, true)
-	if _, err := integrate.NewImporter(db, bundle).ImportAll(context.Background()); err != nil {
+	im := integrate.NewImporter(db, bundle)
+	if _, err := im.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Shards = 3
-	cfg.Replicas = 1
-	cfg.ReplicaClock = netsim.NewVirtualClock()
 	eng, err := core.New(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
+	eng.AttachHealth(im.Health)
 	srv := httptest.NewServer(newMux(eng))
 	t.Cleanup(srv.Close)
 
-	type entry struct {
-		Source     string `json:"source"`
-		Status     string `json:"status"`
-		Stale      bool   `json:"stale"`
-		WALSeq     int64  `json:"wal_seq"`
-		Role       string `json:"role"`
-		AppliedSeq int64  `json:"applied_seq"`
-		Lag        int64  `json:"lag"`
+	resp, body := get(t, srv.URL+"/health/sources")
+	if resp.StatusCode != 200 {
+		t.Fatalf("/health/sources = %d %q", resp.StatusCode, body)
 	}
-	fetch := func() map[string]entry {
-		t.Helper()
-		resp, body := get(t, srv.URL+"/health/sources")
-		if resp.StatusCode != 200 {
-			t.Fatalf("/health/sources = %d %q", resp.StatusCode, body)
-		}
-		var entries []entry
-		if err := json.Unmarshal([]byte(body), &entries); err != nil {
-			t.Fatalf("decode %q: %v", body, err)
-		}
-		out := map[string]entry{}
-		for _, e := range entries {
-			out[e.Source] = e
-		}
-		return out
+	var entries []struct {
+		Source string `json:"source"`
 	}
-
-	byName := fetch()
-	for i := 0; i < 3; i++ {
-		sh, ok := byName[fmtShard(i)]
-		if !ok || sh.Status != "ok" || sh.Stale || sh.WALSeq == 0 {
-			t.Fatalf("%s = %+v, want ok with nonzero wal_seq", fmtShard(i), sh)
-		}
-		for j := 0; j < 2; j++ {
-			name := fmtReplica(i, j)
-			rh, ok := byName[name]
-			if !ok || rh.Status != "ok" || rh.Lag != 0 || rh.AppliedSeq != sh.WALSeq {
-				t.Fatalf("%s = %+v, want ok at applied seq %d", name, rh, sh.WALSeq)
-			}
-			wantRole := "follower"
-			if j == 0 {
-				wantRole = "leader"
-			}
-			if rh.Role != wantRole {
-				t.Fatalf("%s role %q, want %q", name, rh.Role, wantRole)
-			}
-		}
+	if err := json.Unmarshal([]byte(body), &entries); err != nil {
+		t.Fatalf("decode %q: %v", body, err)
 	}
-
-	eng.Coordinator().KillReplica(1, 1)
-	byName = fetch()
-	if sh := byName[fmtShard(1)]; sh.Status != "degraded" || sh.Stale {
-		t.Fatalf("shard with dead follower = %+v, want degraded and not stale", sh)
+	if len(entries) == 0 || len(entries) != len(im.Health()) {
+		t.Fatalf("/health/sources lists %d entries, the importer %d sources: %s", len(entries), len(im.Health()), body)
 	}
-	if rh := byName[fmtReplica(1, 1)]; rh.Status != "down" || !rh.Stale {
-		t.Fatalf("dead follower = %+v, want down+stale", rh)
+	for _, e := range entries {
+		if strings.HasPrefix(e.Source, "shard-") {
+			t.Fatalf("/health/sources lists a shard: %s", body)
+		}
 	}
 }
-
-func fmtShard(i int) string      { return "shard-" + strconv.Itoa(i) }
-func fmtReplica(i, j int) string { return fmtShard(i) + "-replica-" + strconv.Itoa(j) }

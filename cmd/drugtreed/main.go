@@ -14,18 +14,14 @@
 // and -drain-timeout bounds the ordered graceful shutdown (HTTP →
 // wire sessions → engine) on SIGINT/SIGTERM.
 //
-// Replication (DESIGN.md §9): with -shards N and -replicas M each
-// shard becomes a replica set — WAL tails ship to followers every
-// -ship-interval, reads route across replicas within -max-lag records
-// of the frontier, and a dead leader is promoted over on the next
-// tick. -allow-partial trades refusal for annotated partial results
-// when a whole shard is down.
+// Sharding (DESIGN.md §8): -shards N answers queries scatter-gather
+// over N in-memory partitions cut from the store at startup.
 //
 // Durability (DESIGN §10): -wal-sync picks the WAL fsync policy —
 // `always` acknowledges no write before it is on disk, `interval`
 // (default) group-commits every -wal-sync-every records, `off` leaves
-// flushing to the OS. Shard partitions and replica followers inherit
-// the source store's policy, so the flag governs the whole topology.
+// flushing to the OS. The store is the only durable state: shards are
+// rebuilt from it on every start.
 //
 // HTTP endpoints:
 //
@@ -67,10 +63,6 @@ func main() {
 	listen := flag.String("listen", ":7047", "wire-protocol listen address")
 	httpAddr := flag.String("http", ":8047", "HTTP listen address")
 	shards := flag.Int("shards", 0, "partition the store across N in-process shards served scatter-gather (0/1 = single-node)")
-	replicas := flag.Int("replicas", 0, "read replicas per shard fed by WAL shipping (0 = leaders only; requires -shards > 1)")
-	maxLag := flag.Int64("max-lag", 0, "max WAL records a replica may trail and still serve reads (0 = fully caught up, <0 = unbounded)")
-	allowPartial := flag.Bool("allow-partial", false, "answer queries with shards skipped (annotated) instead of refusing when a shard has no live replica")
-	shipInterval := flag.Duration("ship-interval", 250*time.Millisecond, "WAL shipping/promotion tick period when -replicas > 0")
 	maxConc := flag.Int("max-concurrency", 8, "concurrent queries admitted before shedding (0 disables admission control)")
 	maxQueue := flag.Int("max-queue", 64, "queries waiting for admission before shedding")
 	maxSessions := flag.Int("max-sessions", 256, "concurrent wire-protocol sessions (0 = unlimited)")
@@ -88,38 +80,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	eng, cleanup, err := buildEngine(*dir, *generate, *seed, *families, *perFamily, *ligands, *maxConc, *maxQueue, *shards, *replicas, *maxLag, *allowPartial, syncPolicy, *walSyncEvery)
+	eng, cleanup, err := buildEngine(*dir, *generate, *seed, *families, *perFamily, *ligands, *maxConc, *maxQueue, *shards, syncPolicy, *walSyncEvery)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cleanup()
-
-	// Replication pump: SyncReplicas is a pure tick (ship tails, promote
-	// over dead leaders) with no goroutines of its own, so the daemon
-	// drives it on a wall-clock ticker. Joined before cleanup so a
-	// mid-tick ship never races the engine teardown.
-	shipDone := make(chan struct{})
-	if coord := eng.Coordinator(); *replicas > 0 && coord != nil {
-		log.Printf("replication: %d replicas/shard, shipping every %v", *replicas, *shipInterval)
-		go func() {
-			defer close(shipDone)
-			tick := time.NewTicker(*shipInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					if err := coord.SyncReplicas(ctx); err != nil && ctx.Err() == nil {
-						log.Printf("replication tick: %v", err)
-					}
-				}
-			}
-		}()
-		defer func() { <-shipDone }()
-	} else {
-		close(shipDone)
-	}
 
 	server := mobile.NewServer(eng)
 	server.Async = true
@@ -172,10 +137,9 @@ func main() {
 	log.Printf("shutdown complete")
 }
 
-func buildEngine(dir string, generate bool, seed int64, families, perFamily, ligands, maxConc, maxQueue, shards, replicas int, maxLag int64, allowPartial bool, walSync store.SyncPolicy, walSyncEvery int) (*core.Engine, func(), error) {
+func buildEngine(dir string, generate bool, seed int64, families, perFamily, ligands, maxConc, maxQueue, shards int, walSync store.SyncPolicy, walSyncEvery int) (*core.Engine, func(), error) {
 	cfg := core.DefaultConfig()
-	// The WAL fsync policy is set on the source store at open time;
-	// shard partitions and replica followers inherit it (DESIGN §10).
+	// The WAL fsync policy is set on the store at open time (DESIGN §10).
 	cfg.WALSync = walSync
 	cfg.WALSyncEvery = walSyncEvery
 	var db *store.DB
@@ -222,12 +186,6 @@ func buildEngine(dir string, generate bool, seed int64, families, perFamily, lig
 	// Scatter-gather partitioning (experiment T11): the store is split
 	// across in-process shards at build time and queries fan out.
 	cfg.Shards = shards
-	// WAL-shipped read replicas (experiment T12): each shard becomes a
-	// replica set; reads route across followers within the lag bound
-	// and a dead leader is promoted over on the next replication tick.
-	cfg.Replicas = replicas
-	cfg.MaxLagSeqs = maxLag
-	cfg.AllowPartial = allowPartial
 	eng, err := core.New(db, cfg)
 	if err != nil {
 		db.Close()

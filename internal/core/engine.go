@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -18,7 +17,6 @@ import (
 	"drugtree/internal/cache"
 	"drugtree/internal/integrate"
 	"drugtree/internal/metrics"
-	"drugtree/internal/netsim"
 	"drugtree/internal/phylo"
 	"drugtree/internal/query"
 	"drugtree/internal/shard"
@@ -74,49 +72,28 @@ type Config struct {
 	// in-process shard instances at build time — tree_nodes by
 	// preorder interval, proteins/activities/annotations following
 	// their protein's leaf — and answers Query through the
-	// scatter-gather coordinator (internal/shard). Each shard owns its
-	// own store (durable under <dir>/shards when the source store is
-	// durable), indexes, and, when Admission is set, its own limiter.
-	// 0 or 1 keeps the single-node path unchanged.
+	// scatter-gather coordinator (internal/shard). Each shard owns an
+	// in-memory copy of its rows, indexes, and, when Admission is set,
+	// its own limiter; the source store stays the only durable one, and
+	// the copies are rebuilt from it whenever an engine is built. They
+	// do not see later commits to it (ROADMAP item 1). 0 or 1 keeps the
+	// single-node path unchanged.
 	//
 	// The engine-level caches sit in front of the coordinator exactly
 	// as they do in front of the single-node executor: statement-cache
 	// hits (QueryCacheEntries) are served before admission and before
-	// any shard work, with entries additionally invalidated on shard
-	// failure/recovery via the coordinator's topology epoch; the
-	// semantic range cache and prefetcher serve tree navigation from
-	// the engine's retained source store and are unaffected by the
-	// query topology.
+	// any shard work, keyed on the source store's table versions like
+	// every other entry; the semantic range cache and prefetcher serve
+	// tree navigation from the engine's retained source store and are
+	// unaffected by the query topology.
 	Shards int
-	// Replicas, when > 0 (and Shards >= 2), gives every shard a
-	// replica set: one leader plus Replicas followers kept current by
-	// per-shard WAL shipping, with read subplans routed across the
-	// healthy replicas and promotion failover when a leader dies
-	// (internal/replica). Replication needs a durable log, so an
-	// in-memory store gets a private temporary durability root that is
-	// removed on Close. 0 leaves the single-store shard path
-	// unchanged.
-	Replicas int
-	// MaxLagSeqs bounds replica read staleness (WAL records behind
-	// the shard frontier); 0 demands fully-caught-up replicas,
-	// negative disables the bound. Ignored without Replicas.
-	MaxLagSeqs int64
-	// AllowPartial serves queries that need unavailable shards (every
-	// replica down) from the reachable ones — annotating results with
-	// SkippedShards — instead of failing with shard.ErrShardUnavailable.
-	AllowPartial bool
-	// ReplicaClock injects the replication time source (experiments
-	// use a virtual clock); nil means wall clock. Ignored without
-	// Replicas.
-	ReplicaClock netsim.Clock
 	// WALSync selects the store's WAL fsync policy — the durability
 	// contract of DESIGN §10. The zero value (store.SyncInterval)
 	// group-commits every WALSyncEvery records; store.SyncAlways
 	// fsyncs before acknowledging each write; store.SyncOff leaves
 	// flushing to the OS. The policy must be set on the source store
-	// at open time (see StoreOptions); shard stores and replica
-	// followers inherit it from there, so one setting governs every
-	// persistence path in the topology.
+	// at open time (see StoreOptions); it is the only store with a WAL,
+	// so one setting governs every persistence path.
 	WALSync store.SyncPolicy
 	// WALSyncEvery is the group-commit interval for WALSync ==
 	// store.SyncInterval (records between fsyncs); zero means
@@ -127,9 +104,7 @@ type Config struct {
 // StoreOptions translates the config's durability knobs into the
 // store.Options the source database must be opened with. The engine
 // never reopens the source store itself — callers (drugtreed, tests)
-// open it with these options and every derived store (shard
-// partitions under <dir>/shards, replica followers) inherits them
-// through src.Opts().
+// open it with these options.
 func (c Config) StoreOptions() store.Options {
 	return store.Options{Sync: c.WALSync, SyncEvery: c.WALSyncEvery}
 }
@@ -273,14 +248,7 @@ func NewWithTree(db *store.DB, tree *phylo.Tree, cfg Config) (*Engine, error) {
 		e.limiter = admission.NewLimiter(ac)
 	}
 	if cfg.Shards >= 2 {
-		sopts := shard.Options{
-			Shards:       cfg.Shards,
-			QueryOptions: cfg.QueryOptions,
-			Replicas:     cfg.Replicas,
-			MaxLagSeqs:   cfg.MaxLagSeqs,
-			AllowPartial: cfg.AllowPartial,
-			Clock:        cfg.ReplicaClock,
-		}
+		sopts := shard.Options{Shards: cfg.Shards, QueryOptions: cfg.QueryOptions}
 		if cfg.Admission != nil {
 			// Each shard gets its own limiter over the same bounds; the
 			// engine-level gate above already caps whole-query
@@ -291,9 +259,6 @@ func NewWithTree(db *store.DB, tree *phylo.Tree, cfg Config) (*Engine, error) {
 				ac.Metrics = e.Metrics
 			}
 			sopts.Admission = &ac
-		}
-		if dir := db.Dir(); dir != "" {
-			sopts.Dir = filepath.Join(dir, "shards")
 		}
 		coord, err := shard.Partition(db, tree, sopts)
 		if err != nil {
@@ -508,7 +473,7 @@ func (e *Engine) Query(ctx context.Context, src string) (*query.Result, error) {
 		}
 		e.Metrics.Counter("query.stmt_cache_misses").Inc()
 	}
-	res, err := e.execute(ctx, src, stmt, snap, start, nil)
+	res, err := e.execute(ctx, stmt, snap, start, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -529,7 +494,7 @@ func (e *Engine) Query(ctx context.Context, src string) (*query.Result, error) {
 // names the output columns' kinds: the single-node executor delivers
 // columns itself, the coordinator merges rows, so its answer is
 // transposed once to those kinds.
-func (e *Engine) execute(ctx context.Context, src string, stmt *query.SelectStmt, snap *store.SnapshotHandle, start time.Time, kinds []store.Kind) (*query.Result, error) {
+func (e *Engine) execute(ctx context.Context, stmt *query.SelectStmt, snap *store.SnapshotHandle, start time.Time, kinds []store.Kind) (*query.Result, error) {
 	if e.limiter != nil {
 		release, err := e.limiter.Acquire(ctx, 1)
 		if err != nil {
@@ -542,7 +507,7 @@ func (e *Engine) execute(ctx context.Context, src string, stmt *query.SelectStmt
 	var err error
 	switch {
 	case e.coord != nil:
-		res, err = e.coord.Query(ctx, src)
+		res, err = e.coord.Run(ctx, stmt)
 		if err == nil && kinds != nil {
 			res.Batch, res.Rows = store.ColBatchFromRows(kinds, res.Rows), nil
 		}
@@ -568,19 +533,8 @@ func (e *Engine) Limiter() *admission.Limiter { return e.limiter }
 // Config.Shards < 2).
 func (e *Engine) Coordinator() *shard.Coordinator { return e.coord }
 
-// ShardHealth reports per-shard liveness and resident row counts, or
-// nil for a single-node engine. Serving layers surface these next to
-// source freshness so clients see a degraded (not dead) system when a
-// partition is down.
-func (e *Engine) ShardHealth() []shard.Health {
-	if e.coord == nil {
-		return nil
-	}
-	return e.coord.Health()
-}
-
-// Close releases sharded resources (the shard stores and their WALs).
-// A no-op for single-node engines, whose store the caller owns.
+// Close releases the shard stores. A no-op for single-node engines,
+// whose store the caller owns.
 func (e *Engine) Close() error {
 	if e.coord == nil {
 		return nil

@@ -124,7 +124,7 @@ func (e *Engine) fetchSubtree(ctx context.Context, lo, hi int) (*store.ColBatch,
 	}
 	snap := e.db.PinSnapshot()
 	defer snap.Release()
-	res, err := e.execute(ctx, src, stmt, snap, start, treeViewKinds)
+	res, err := e.execute(ctx, stmt, snap, start, treeViewKinds)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 
 	"drugtree/internal/query"
@@ -98,11 +97,11 @@ func (c *queryCache) len() int {
 
 // versionKey renders the per-table commit versions of exactly the
 // tables stmt reads — taken from the statement's pinned snapshot, so
-// the currency check and the execution agree on one image — plus the
-// coordinator's topology epoch when sharded (a shard failing or
-// recovering changes which rows a query can see). A commit to a table
-// the statement never reads leaves its key unchanged, so a ligands
-// sync no longer evicts cached tree_nodes plans.
+// the currency check and the execution agree on one image. Table
+// versions are the statement cache's only invalidation signal, sharded
+// or not. A commit to a table the statement never reads leaves its key
+// unchanged, so a ligands sync no longer evicts cached tree_nodes
+// plans.
 func (e *Engine) versionKey(stmt *query.SelectStmt, snap *store.SnapshotHandle) string {
 	vers := make(map[string]int64)
 	for _, name := range query.TablesReferenced(stmt) {
@@ -110,9 +109,5 @@ func (e *Engine) versionKey(stmt *query.SelectStmt, snap *store.SnapshotHandle) 
 			vers[name] = v
 		}
 	}
-	key := store.VersionKey(vers)
-	if e.coord != nil {
-		key = fmt.Sprintf("%sepoch=%d;", key, e.coord.Epoch())
-	}
-	return key
+	return store.VersionKey(vers)
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"drugtree/internal/datagen"
-	"drugtree/internal/netsim"
 	"drugtree/internal/phylo"
 	"drugtree/internal/query"
 	"drugtree/internal/store"
@@ -48,7 +47,7 @@ func TestShardedEngineMatchesSingleNode(t *testing.T) {
 	if sharded.Coordinator() == nil {
 		t.Fatal("Shards=3 engine has no coordinator")
 	}
-	if single.Coordinator() != nil || single.ShardHealth() != nil {
+	if single.Coordinator() != nil {
 		t.Fatal("single-node engine reports a coordinator")
 	}
 
@@ -115,20 +114,25 @@ func TestShardedEngineMatchesSingleNode(t *testing.T) {
 		}
 	}
 
-	// Shard health: three live partitions, all holding rows.
-	hs := sharded.ShardHealth()
-	if len(hs) != 3 {
-		t.Fatalf("ShardHealth reports %d shards, want 3", len(hs))
+	// Three partitions, every protein on exactly one of them.
+	coord := sharded.Coordinator()
+	if coord.Shards() != 3 {
+		t.Fatalf("coordinator has %d shards, want 3", coord.Shards())
 	}
-	var total int64
-	for _, h := range hs {
-		if h.Status != "ok" {
-			t.Fatalf("shard %d status %q, want ok", h.Shard, h.Status)
+	src, err := single.DB().Table("proteins")
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for i := 0; i < coord.Shards(); i++ {
+		tab, err := coord.Shard(i).DB().Table("proteins")
+		if err != nil {
+			t.Fatal(err)
 		}
-		total += h.Rows
+		total += tab.Len()
 	}
-	if total == 0 {
-		t.Fatal("no partitioned rows resident on any shard")
+	if total != src.Len() {
+		t.Fatalf("shards hold %d proteins, the source %d", total, src.Len())
 	}
 
 	// EXPLAIN through the engine surfaces the gather header, and a
@@ -151,17 +155,13 @@ func TestShardedEngineMatchesSingleNode(t *testing.T) {
 
 // TestShardedStatementCache pins that the statement cache fronts the
 // scatter-gather coordinator exactly as it fronts the single-node
-// executor — repeated statements hit without re-scattering — and that
-// a topology transition (shard failure or recovery) invalidates
-// entries filled against the old topology, so a cached full COUNT is
-// never served while a partition is down, nor a degraded COUNT after
-// it recovers.
+// executor: a repeated statement hits without re-scattering, and a
+// commit to a table the statement reads invalidates the entry, because
+// the key is the source store's table versions.
 func TestShardedStatementCache(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Shards = 3
 	cfg.QueryCacheEntries = 16
-	// The degraded-topology phases query across a failed shard.
-	cfg.AllowPartial = true
 	e := buildEngine(t, cfg)
 	t.Cleanup(func() { e.Close() })
 	ctx := context.Background()
@@ -186,137 +186,58 @@ func TestShardedStatementCache(t *testing.T) {
 		t.Fatalf("cached COUNT = %d, want %d", again.Rows[0][0].I, full.Rows[0][0].I)
 	}
 
-	// Failing a shard must invalidate the cached full answer.
-	e.Coordinator().FailShard(1)
-	degraded, err := e.Query(ctx, q)
+	// A commit to proteins on the base store moves the key. The shard
+	// copies do not see the row (ROADMAP item 1), so only the miss is
+	// pinned here, not the count.
+	prot, err := e.DB().Table("proteins")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits() != 1 {
-		t.Fatalf("degraded topology served a cached full result (%d hits)", hits())
-	}
-	victim, err := e.Coordinator().Shard(1).DB().Table("proteins")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := full.Rows[0][0].I - int64(victim.Len()); degraded.Rows[0][0].I != want {
-		t.Fatalf("degraded COUNT = %d, want %d", degraded.Rows[0][0].I, want)
-	}
-
-	// Restoring it must invalidate the cached degraded answer.
-	e.Coordinator().RestoreShard(1)
-	restored, err := e.Query(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits() != 1 {
-		t.Fatalf("restored topology served a cached degraded result (%d hits)", hits())
-	}
-	if restored.Rows[0][0].I != full.Rows[0][0].I {
-		t.Fatalf("restored COUNT = %d, want %d", restored.Rows[0][0].I, full.Rows[0][0].I)
-	}
-	// And the restored-topology entry itself caches again.
-	if _, err := e.Query(ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	if hits() != 2 {
-		t.Fatalf("restored topology does not cache (%d hits)", hits())
-	}
-}
-
-// TestReplicatedEngineCacheInvalidatesOnPromotion runs a replicated
-// sharded engine and pins that both replication topology transitions —
-// a leader kill and the follower promotion that heals it — move the
-// topology epoch the statement cache is keyed on, so no answer crosses
-// a transition, while the query itself keeps succeeding throughout
-// (the follower serves reads while the leader is dead).
-func TestReplicatedEngineCacheInvalidatesOnPromotion(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 3
-	cfg.Replicas = 1
-	cfg.QueryCacheEntries = 16
-	cfg.ReplicaClock = netsim.NewVirtualClock()
-	e := buildEngine(t, cfg)
-	t.Cleanup(func() { e.Close() })
-	ctx := context.Background()
-	hits := func() int64 { return e.Metrics.Counter("query.stmt_cache_hits").Value() }
-
-	const q = "SELECT COUNT(*) FROM proteins"
-	full, err := e.Query(ctx, q)
-	if err != nil {
+	row := prot.Snapshot()[0]
+	row[prot.Schema().ColumnIndex("accession")] = store.StringValue("ZZ-CACHE-PROBE")
+	if err := e.DB().CommitDeltas([]store.TableDelta{{Table: "proteins", Inserts: []store.Row{row}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Query(ctx, q); err != nil {
 		t.Fatal(err)
 	}
 	if hits() != 1 {
-		t.Fatalf("repeat execution missed the cache (%d hits)", hits())
-	}
-
-	// A dead leader is a topology transition: the cached entry must not
-	// be served, but the shard's follower answers the re-execution with
-	// the full count — zero failed reads, zero missing rows.
-	e.Coordinator().KillLeader(1)
-	deg, err := e.Query(ctx, q)
-	if err != nil {
-		t.Fatalf("query with dead leader: %v", err)
-	}
-	if hits() != 1 {
-		t.Fatalf("dead-leader topology served a cached result (%d hits)", hits())
-	}
-	if deg.Rows[0][0].I != full.Rows[0][0].I {
-		t.Fatalf("follower-served COUNT = %d, want %d", deg.Rows[0][0].I, full.Rows[0][0].I)
-	}
-	if hs := e.ShardHealth(); hs[1].Status != "degraded" || len(hs[1].Replicas) != 2 {
-		t.Fatalf("health with dead leader: %+v", hs[1])
-	}
-
-	// Promotion is another transition: it must invalidate again, then
-	// the healed topology caches normally.
-	if err := e.Coordinator().SyncReplicas(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if e.Coordinator().Promotions() != 1 {
-		t.Fatalf("promotions = %d, want 1", e.Coordinator().Promotions())
-	}
-	if _, err := e.Query(ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	if hits() != 1 {
-		t.Fatalf("post-promotion topology served a cached result (%d hits)", hits())
+		t.Fatalf("a commit to proteins left the sharded entry current (%d hits)", hits())
 	}
 	if _, err := e.Query(ctx, q); err != nil {
 		t.Fatal(err)
 	}
 	if hits() != 2 {
-		t.Fatalf("healed topology does not cache (%d hits)", hits())
+		t.Fatalf("the post-commit entry does not cache (%d hits)", hits())
 	}
 }
 
-// TestShardedEngineDegradedHealth fails one shard through the
-// coordinator and checks the engine keeps answering with degraded
-// health — the serving layers surface this as a stale pseudo-source.
-func TestShardedEngineDegradedHealth(t *testing.T) {
+// TestShardedVersionKeyIsTableVersions pins the statement cache's one
+// invalidation signal: for the same statement at the same snapshot, a
+// sharded engine keys its entry exactly as the single-node engine does.
+func TestShardedVersionKeyIsTableVersions(t *testing.T) {
+	single := buildEngine(t, DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.Shards = 3
-	// Degraded service across a failed shard is opt-in.
-	cfg.AllowPartial = true
-	e := buildEngine(t, cfg)
-	t.Cleanup(func() { e.Close() })
-	if e.Coordinator() == nil {
-		t.Fatal("Shards=3 engine has no coordinator")
-	}
-	e.Coordinator().FailShard(1)
-	hs := e.ShardHealth()
-	if hs[1].Status != "failed" || hs[0].Status != "ok" || hs[2].Status != "ok" {
-		t.Fatalf("health after failure: %+v", hs)
-	}
-	res, err := e.Query(context.Background(), "SELECT COUNT(*) FROM proteins")
+	sharded, err := NewWithTree(single.DB(), single.Tree(), cfg)
 	if err != nil {
-		t.Fatalf("query with failed shard: %v", err)
+		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("degraded COUNT returned %d rows", len(res.Rows))
+	t.Cleanup(func() { sharded.Close() })
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM proteins",
+		"SELECT p.family, COUNT(*) FROM proteins p JOIN activities a ON p.accession = a.protein_id GROUP BY p.family",
+	} {
+		stmt, err := query.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := single.DB().PinSnapshot()
+		want, got := single.versionKey(stmt, snap), sharded.versionKey(stmt, snap)
+		snap.Release()
+		if got != want {
+			t.Fatalf("%s: sharded key %q, single-node key %q", q, got, want)
+		}
 	}
 }
 

@@ -97,8 +97,7 @@ func All() []Runner {
 		{"T8", "Availability under scripted source faults: resilience on vs off", RunT8},
 		{"T9", "Overload protection: deadline-aware shedding vs unprotected queueing", RunT9},
 		{"T11", "Scatter-gather sharding: single-node vs 4 partitioned shards", RunT11},
-		{"T12", "Replication chaos: WAL-shipped replicas, kill-tested promotion failover", RunT12},
-		{"T13", "Crash-point torture: deterministic power cuts over every persistence path", RunT13},
+		{"T13", "Crash-point torture: deterministic power cuts over the store's WAL and snapshot", RunT13},
 		{"T14", "Live ingest: snapshot isolation, incremental overlay identity, reader latency", RunT14},
 		{"F1", "Subtree-query latency vs tree size", RunF1},
 		{"F2", "Interactive session: semantic cache and prefetching", RunF2},

@@ -411,33 +411,3 @@ func TestRunT11(t *testing.T) {
 		t.Error("T11 report has no notes")
 	}
 }
-
-func TestRunT12(t *testing.T) {
-	rep, err := RunT12(context.Background(), 1)
-	if err != nil {
-		// RunT12 enforces its claims inline — zero failed reads under
-		// chaos, staleness within the bound, exactly one promotion, a
-		// re-seed on the bumped-term rejoin, and post-quiesce row
-		// identity — so any broken claim surfaces here.
-		t.Fatal(err)
-	}
-	cells := map[string]string{}
-	for _, row := range rep.Rows {
-		cells[row[0]] = row[1]
-	}
-	if cells["failed reads"] != "0" {
-		t.Errorf("failed reads = %s, want 0", cells["failed reads"])
-	}
-	if cells["max served staleness (WAL records)"] != "0" {
-		t.Errorf("served staleness = %s, want 0", cells["max served staleness (WAL records)"])
-	}
-	if cells["promotions"] != "1" {
-		t.Errorf("promotions = %s, want 1", cells["promotions"])
-	}
-	if cells["snapshot re-seeds (rejoin on bumped term)"] == "0" {
-		t.Error("no snapshot re-seed recorded for the bumped-term rejoin")
-	}
-	if rep.Notes == "" {
-		t.Error("T12 report has no notes")
-	}
-}

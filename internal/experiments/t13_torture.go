@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"sort"
 
-	"drugtree/internal/netsim"
-	"drugtree/internal/query"
-	"drugtree/internal/replica"
 	"drugtree/internal/store"
 	"drugtree/internal/vfs"
 )
 
 // T13 — crash-point torture. Every persistence path in the system
-// (store WAL + snapshot, replica seed + shipped apply) runs over a
+// (the store's WAL and snapshot, the only durable state) runs over a
 // deterministic vfs.FaultFS, and the harness enumerates *every*
 // mutating filesystem operation in a workload as a power-cut point:
 // for each point it re-runs the workload from scratch, cuts power at
@@ -30,9 +27,7 @@ import (
 //     interval; with -wal-sync=off loss is unbounded but the
 //     prefix-fold invariant still holds (crashes lose, never corrupt);
 //   - the surviving directory passes store.VerifyDir (crash residue is
-//     torn tails, never checksum-bad records);
-//   - on the replicated workload the leader always reopens and a
-//     follower can always be re-seeded from it afterwards.
+//     torn tails, never checksum-bad records).
 //
 // Beyond pure crashes, mixed runs land a torn write or a failed fsync
 // first and cut power shortly after — the fsyncgate shape: the store
@@ -97,7 +92,6 @@ func t13Row(id int64) store.Row {
 // the power cut) and never fails the harness itself.
 type t13Workload struct {
 	name string
-	ship bool // replicated: verify the follower and the re-seed path
 	run  func(ctx context.Context, fsys vfs.FS, opts store.Options) (attempted []t13Op, acked int)
 }
 
@@ -238,62 +232,7 @@ func t13Workloads() []t13Workload {
 			}
 			return attempted, acked
 		}},
-		{name: "ship", ship: true, run: func(ctx context.Context, fsys vfs.FS, opts store.Options) ([]t13Op, int) {
-			var attempted []t13Op
-			acked := 0
-			db, err := store.OpenWith("lead", opts)
-			if err != nil {
-				return attempted, acked
-			}
-			if _, err := db.CreateTable("t", t13Schema()); err != nil {
-				db.Close()
-				return attempted, acked
-			}
-			rowIDs := make(map[int64]int64)
-			for i := 0; i < 4; i++ {
-				if !t13Insert(db, int64(i), rowIDs, &attempted, &acked) {
-					db.Close()
-					return attempted, acked
-				}
-			}
-			set, err := replica.NewSet(db, replica.Config{
-				Followers:  1,
-				MaxLagSeqs: -1,
-				Clock:      netsim.NewVirtualClock(),
-				OpenEngine: t13Engine,
-			}, nil)
-			if err != nil {
-				db.Close()
-				return attempted, acked
-			}
-			defer set.Close()
-			for i := 4; i < 10; i++ {
-				attempted = append(attempted, t13Op{id: int64(i)})
-				if _, err := set.Insert("t", t13Row(int64(i))); err != nil {
-					return attempted, acked
-				}
-				acked++
-			}
-			if err := set.Ship(ctx); err != nil {
-				return attempted, acked
-			}
-			for i := 10; i < 14; i++ {
-				attempted = append(attempted, t13Op{id: int64(i)})
-				if _, err := set.Insert("t", t13Row(int64(i))); err != nil {
-					return attempted, acked
-				}
-				acked++
-			}
-			if err := set.Ship(ctx); err != nil {
-				return attempted, acked
-			}
-			return attempted, acked
-		}},
 	}
-}
-
-func t13Engine(db *store.DB) *query.Engine {
-	return query.NewEngine(query.NewDBCatalog(db, nil), query.Options{})
 }
 
 // t13Policy is one -wal-sync policy row of the matrix with its
@@ -381,7 +320,7 @@ type t13Cell struct {
 
 // t13Verify reopens the surviving bytes after a reboot and checks the
 // durability contract. It returns "" when every invariant holds.
-func t13Verify(fsys *vfs.FaultFS, opts store.Options, dir string, attempted []t13Op, acked, maxLoss int, ship bool) string {
+func t13Verify(fsys *vfs.FaultFS, opts store.Options, dir string, attempted []t13Op, acked, maxLoss int) string {
 	if _, err := fsys.Stat(dir); err != nil {
 		// The crash predates the store directory: the empty state is
 		// the fold of the empty prefix, valid only if nothing (beyond
@@ -423,25 +362,6 @@ func t13Verify(fsys *vfs.FaultFS, opts store.Options, dir string, attempted []t1
 		return fmt.Sprintf("lost %d acknowledged ops (acked=%d, recovered prefix=%d, bound %d)",
 			acked-match, acked, match, maxLoss)
 	}
-	if ship {
-		// The leader reopened; the follower must be re-seedable from it
-		// regardless of what the crash left in its directory (the
-		// scrub/Restart self-heal path quarantines and re-seeds).
-		set, err := replica.NewSet(db, replica.Config{
-			Followers:  1,
-			MaxLagSeqs: -1,
-			Clock:      netsim.NewVirtualClock(),
-			OpenEngine: t13Engine,
-		}, nil)
-		if err != nil {
-			return fmt.Sprintf("post-crash follower re-seed failed: %v", err)
-		}
-		h := set.Health()
-		set.Close()
-		if len(h) != 2 || h[1].AppliedSeq != h[0].AppliedSeq {
-			return "re-seeded follower did not reach the leader frontier"
-		}
-	}
 	return ""
 }
 
@@ -471,10 +391,6 @@ func t13Matrix(ctx context.Context, seed int64, wrap func(vfs.FS) vfs.FS) ([]t13
 	var violations []t13Violation
 	total := 0
 	for _, w := range t13Workloads() {
-		dir := "db"
-		if w.ship {
-			dir = "lead"
-		}
 		for _, pol := range t13Policies() {
 			opts := func(fsys vfs.FS) store.Options {
 				return store.Options{FS: fsys, Sync: pol.pol, SyncEvery: t13SyncEvery}
@@ -496,7 +412,7 @@ func t13Matrix(ctx context.Context, seed int64, wrap func(vfs.FS) vfs.FS) ([]t13
 					attempted, acked := w.run(ctx, wfs, opts(wfs))
 					fsys.SetInjector(nil)
 					fsys.Reboot()
-					if detail := t13Verify(fsys, opts(wfs), dir, attempted, acked, pol.maxLoss, w.ship); detail != "" {
+					if detail := t13Verify(fsys, opts(wfs), "db", attempted, acked, pol.maxLoss); detail != "" {
 						violations = append(violations, t13Violation{
 							workload: w.name, policy: pol.name, mix: mix.name, point: k, detail: detail,
 						})
@@ -538,7 +454,7 @@ func RunT13(ctx context.Context, seed int64) (*Report, error) {
 	}
 	rep := &Report{
 		ID:     "T13",
-		Title:  fmt.Sprintf("Crash-point torture: %d power cuts across {insert,delete,checkpoint,sync-commit,ship} × {always,interval,off} × fault mixes", total),
+		Title:  fmt.Sprintf("Crash-point torture: %d power cuts across {insert,delete,checkpoint,sync-commit} × {always,interval,off} × fault mixes", total),
 		Header: []string{"workload", "wal-sync", "crash points", "violations"},
 	}
 	for _, c := range cells {
@@ -546,7 +462,7 @@ func RunT13(ctx context.Context, seed int64) (*Report, error) {
 	}
 	rep.Rows = append(rep.Rows, []string{"TOTAL", "", fmt.Sprintf("%d", total), "0"})
 	rep.Notes = fmt.Sprintf(
-		"every mutating fs op is a power-cut point (seed %d): recovered state is always a prefix fold of the acked op sequence; always loses 0 acked writes, interval at most %d, off never corrupts; leader reopens and re-seeds a follower after every crash",
+		"every mutating fs op is a power-cut point (seed %d): recovered state is always a prefix fold of the acked op sequence; always loses 0 acked writes, interval at most %d, off never corrupts",
 		seed, t13SyncEvery)
 	return rep, nil
 }

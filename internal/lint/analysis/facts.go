@@ -13,7 +13,7 @@ import (
 // The driver merges every package's facts into one table per analyzer
 // and hands the merged table to Run through Pass.Facts, so an
 // analyzer inspecting internal/shard can reason about what a call
-// into internal/replica acquires or blocks on.
+// into internal/store acquires or blocks on.
 //
 // FactSet is the serialized form: analyzer name → key → value. Its
 // encoding is stable (JSON with sorted keys) so a facts file produced

@@ -13,7 +13,7 @@ import (
 // session all run on injected time so scripted timelines (T8) and
 // latency measurements (T1–T7, F2–F4) are exact under test.
 var deterministicPkgs = []string{
-	"netsim", "source", "integrate", "experiments", "query", "mobile", "admission", "shard", "replica",
+	"netsim", "source", "integrate", "experiments", "query", "mobile", "admission", "shard",
 }
 
 // wallClockShims are the only files in deterministic packages allowed

@@ -28,14 +28,6 @@ var admissionCtxVerbs = []string{"Acquire", "Begin", "Drain"}
 // (store.GatherCols).
 var shardCtxVerbs = []string{"Scatter", "Gather"}
 
-// replicaCtxVerbs extends the verb set inside internal/replica: a
-// ship streams a WAL tail to every follower, an apply replays records
-// into a follower store, and a promote replays a dead leader's tail
-// before taking over — all unbounded-work paths a caller must be able
-// to abandon mid-flight. Scoped to the replica package so Apply*
-// elsewhere (pure in-memory appliers) stays unconstrained.
-var replicaCtxVerbs = []string{"Ship", "Apply", "Promote"}
-
 // ctxExemptSegments are path segments whose packages ctxcheck skips
 // entirely: command mains and examples are context roots by
 // definition (bench is the repository benchmark's main, a module of
@@ -70,9 +62,6 @@ func runCtxCheck(pass *analysis.Pass) (interface{}, error) {
 	}
 	if anySegment(pass.PkgPath, []string{"shard"}) {
 		verbs = append(append([]string{}, ctxVerbs...), shardCtxVerbs...)
-	}
-	if anySegment(pass.PkgPath, []string{"replica"}) {
-		verbs = append(append([]string{}, ctxVerbs...), replicaCtxVerbs...)
 	}
 	for _, f := range pass.Files {
 		checkCtxSignatures(pass, f, verbs)

@@ -29,8 +29,7 @@ import (
 //
 // Comparisons inside methods named Is or As are exempt: that is the
 // errors.Is/errors.As protocol being implemented, the one place raw
-// identity is the point (shard.UnavailableError.Is is the house
-// example).
+// identity is the point.
 var ErrCmp = &analysis.Analyzer{
 	Name: "errcmp",
 	Doc: "compare sentinel errors with errors.Is and match error types with errors.As; " +
@@ -93,8 +92,8 @@ func treeWraps(facts map[string]string) bool {
 }
 
 // sentinelName renders e as a sentinel-error reference: an identifier
-// or selector whose final name has the Err prefix ("ErrShardUnavailable",
-// "shard.ErrTooStale"), or a curated stdlib sentinel. Empty when e is
+// or selector whose final name has the Err prefix ("ErrPoisoned",
+// "store.ErrWALCorrupt"), or a curated stdlib sentinel. Empty when e is
 // not sentinel-shaped.
 func sentinelName(e ast.Expr) string {
 	switch e := e.(type) {
@@ -119,7 +118,7 @@ func sentinelName(e ast.Expr) string {
 }
 
 // errTypeName renders t as a concrete error-type reference
-// (*QueryError, shard.UnavailableError) by the house convention that
+// (*QueryError, mobile.BusyError) by the house convention that
 // error types end in "Error". Empty otherwise.
 func errTypeName(t ast.Expr) string {
 	switch t := t.(type) {

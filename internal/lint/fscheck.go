@@ -7,13 +7,12 @@ import (
 )
 
 // vfsSeamPkgs are the packages whose every byte of file I/O must flow
-// through the internal/vfs seam: the durable store (WAL, snapshot),
-// the shard layer (partition dirs, MANIFEST), and the replica layer
-// (snapshot seed, shipped-WAL apply). A raw os.* call in any of them
-// is a persistence path the crash-point torture harness (T13) cannot
-// see — a fault the FaultFS can never inject and a durability bug the
-// matrix can never catch.
-var vfsSeamPkgs = []string{"store", "shard", "replica"}
+// through the internal/vfs seam: the durable store (WAL, snapshot), the
+// only package that persists anything. A raw os.* call there is a
+// persistence path the crash-point torture harness (T13) cannot see — a
+// fault the FaultFS can never inject and a durability bug the matrix
+// can never catch.
+var vfsSeamPkgs = []string{"store"}
 
 // fsForbiddenFuncs are the os package's filesystem entry points. Note
 // what is NOT here: error predicates (os.IsNotExist), open-flag and
@@ -37,7 +36,7 @@ var fsForbiddenFuncs = []string{
 // honoring import aliasing.
 var FSCheck = &analysis.Analyzer{
 	Name: "fscheck",
-	Doc: "forbid raw os file I/O (os.Open, os.Rename, ...) in store/shard/replica; " +
+	Doc: "forbid raw os file I/O (os.Open, os.Rename, ...) in store; " +
 		"route it through the vfs.FS seam so crash-point fault injection covers every persistence path",
 	Run: runFSCheck,
 }

@@ -2,12 +2,12 @@
 // analyzers that machine-check the invariants the system's
 // correctness rests on, from the intra-function discipline PR 1/PR 2
 // introduced (clock injection, context threading, lock/blocking
-// hygiene, goroutine shutdown, %w wrapping) to the distributed
-// invariants of the sharded, replicated engine (PRs 6–7): a
-// cross-package lock-order contract over shard.Coordinator →
-// replica.Set → store.DB → admission, errors.Is-only handling of
-// wrapped sentinels like shard.ErrShardUnavailable, atomic-everywhere
-// access to seq/lag counters, leak-proof channel operations inside
+// hygiene, goroutine shutdown, %w wrapping) to the cross-package
+// invariants of the sharded engine: a lock-order contract over
+// shard.Coordinator → store.DB → admission.Limiter, errors.Is-only
+// handling of wrapped sentinels like store.ErrPoisoned,
+// atomic-everywhere access to shared counters, leak-proof channel
+// operations inside
 // spawned goroutines, the durability seam of the crash-safe I/O layer
 // (fscheck: persistence packages do file I/O through vfs.FS, never
 // raw os.*, so the T13 crash-point torture harness sees every byte
@@ -24,8 +24,8 @@
 // the exported per-function facts ("acquires mu", "blocks on a
 // channel", "wraps sentinel X", "field f is atomic") into one table,
 // so the analysis phase can follow a call from internal/shard into
-// internal/replica and internal/store and reason about what it
-// acquires or blocks on across the package boundary.
+// internal/store and reason about what it acquires or blocks on across
+// the package boundary.
 //
 // Each analyzer is documented on its own file; Check runs them all
 // over a set of loaded packages, applies `//lint:ignore` suppressions,
@@ -79,12 +79,7 @@ var Budget = map[string]int{
 	// durable), and walWriter.syncTo holds syncMu across the group-
 	// commit fsync (that hold is the ticket concurrent committers
 	// piggyback on).
-	"lockcheck": 3,
-	// replica.Set.Ship/Promote hold Set.mu across store WAL scans by
-	// design (the mutex quiesces leader writes so a follower's image
-	// is consistent) and stay clean here: the store calls acquire
-	// db.mu strictly below Set.mu per the documented hierarchy, and
-	// lockorder's blocking rule is channel ops and Wait, not disk I/O.
+	"lockcheck":   3,
 	"lockorder":   0,
 	"atomiccheck": 0,
 	"clockcheck":  0,

@@ -29,12 +29,12 @@ import (
 //     transitive closure performs a channel op or Wait while a mutex
 //     is held.
 //
-// Lock identity is a class, not an instance: "replica.Set.mu" names
-// the mu field of every replica.Set. Classes come from the receiver
-// or parameter type when the lock expression roots there ("s.mu" in a
-// *Set method), and are function-scoped for true locals (a local
+// Lock identity is a class, not an instance: "store.DB.mu" names
+// the mu field of every store.DB. Classes come from the receiver
+// or parameter type when the lock expression roots there ("db.mu" in a
+// *DB method), and are function-scoped for true locals (a local
 // mutex cannot alias another function's). The documented hierarchy —
-// shard.Coordinator → replica.Set → store.DB → admission.Limiter
+// shard.Coordinator → store.DB → admission.Limiter
 // (DESIGN.md "Lock-order contract") — is whatever keeps this graph
 // acyclic.
 //
@@ -56,7 +56,7 @@ var LockOrder = &analysis.Analyzer{
 
 // loFact is one function's exported lock behavior.
 type loFact struct {
-	// Recv is the receiver type class ("replica.Set"), empty for free
+	// Recv is the receiver type class ("store.DB"), empty for free
 	// functions.
 	Recv string `json:",omitempty"`
 	// Acquires lists each lock acquisition with the locks held at it.
@@ -155,8 +155,8 @@ func pkgBase(path string) string {
 }
 
 // typeClass renders a receiver/parameter type expression as a lock
-// class prefix: *replica.Set and replica.Set both become
-// "replica.Set"; a bare *Set inside package replica does too.
+// class prefix: *store.DB and store.DB both become "store.DB"; a bare
+// *DB inside package store does too.
 func typeClass(base string, t ast.Expr) string {
 	switch t := t.(type) {
 	case *ast.StarExpr:
@@ -464,8 +464,8 @@ func lockOrderExpr(sc *loScope, fact *loFact, e ast.Expr, held map[string]bool, 
 // cross-function deadlock shapes — its contract is "channel op or
 // Wait in the call chain" (see the Budget note in lint.go). Folding
 // fsync into the closure would flag every WAL group-commit reachable
-// under a coordinator or replica mutex, which is the durability
-// design, not a deadlock.
+// under a coordinator mutex, which is the durability design, not a
+// deadlock.
 var loWaitCalls = map[string]bool{"Wait": true, "Do": true}
 
 // isOnceDo recognizes the sync.Once.Do shape — bounded one-time

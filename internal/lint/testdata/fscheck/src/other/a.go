@@ -1,6 +1,6 @@
-// Fixture: a package outside the persistence set (no store/shard/
-// replica path segment) may use raw os file I/O freely — command
-// mains, examples, and the lint tree itself are not fault-injected.
+// Fixture: a package outside the persistence set (no store path
+// segment) may use raw os file I/O freely — command mains, examples,
+// and the lint tree itself are not fault-injected.
 package other
 
 import "os"

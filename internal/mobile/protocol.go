@@ -157,21 +157,16 @@ type ErrorMsg struct {
 // as live.
 type StatusReq struct{}
 
-// SourceStatus is one source's freshness on the wire.
+// SourceStatus is one ingestion source's freshness on the wire: a
+// STATUS frame carries name, status, stale flag and age per source,
+// nothing else. Shards are copies of one store, not sources, and have
+// no entry.
 type SourceStatus struct {
 	Name   string
 	Status string // "fresh" | "degraded" | "failed"
 	Stale  bool
 	// AgeMs is milliseconds since the source last synced successfully.
 	AgeMs int64
-	// Seq is the WAL position backing a shard or replica pseudo-source:
-	// the shard frontier for shard-<i>, the applied sequence for
-	// shard-<i>-replica-<j>. 0 for real ingestion sources.
-	Seq int64
-	// Lag is how many WAL records a replica pseudo-source trails its
-	// shard's frontier by — the client's staleness signal for reads
-	// served under a lag bound.
-	Lag int64
 }
 
 // StatusMsg answers a StatusReq. Empty Sources means the server has
@@ -382,8 +377,6 @@ func encodeMsg(msg any) ([]byte, error) {
 				b = append(b, 0)
 			}
 			b = binary.AppendVarint(b, s.AgeMs)
-			b = binary.AppendVarint(b, s.Seq)
-			b = binary.AppendVarint(b, s.Lag)
 		}
 	default:
 		return nil, fmt.Errorf("mobile: cannot encode %T", msg)
@@ -541,12 +534,6 @@ func decodeMsg(p []byte) (any, error) {
 			}
 			s.Stale = sb == 1
 			if s.AgeMs, err = binary.ReadVarint(r); err != nil {
-				return nil, err
-			}
-			if s.Seq, err = binary.ReadVarint(r); err != nil {
-				return nil, err
-			}
-			if s.Lag, err = binary.ReadVarint(r); err != nil {
 				return nil, err
 			}
 			m.Sources = append(m.Sources, s)

@@ -307,10 +307,8 @@ func (s *Server) armReadDeadline(conn io.ReadWriter) {
 	}
 }
 
-// statusMsg snapshots per-source freshness for the wire, plus one
-// pseudo-source per shard when the engine is partitioned: a failed
-// partition shows up as a stale source, so the client badges the
-// affected panels instead of treating degraded results as complete.
+// statusMsg snapshots per-source freshness for the wire: one entry
+// per ingestion source, none for a static snapshot.
 func (s *Server) statusMsg() *StatusMsg {
 	out := &StatusMsg{}
 	for _, h := range s.engine.SourceHealth() {
@@ -320,38 +318,6 @@ func (s *Server) statusMsg() *StatusMsg {
 			Stale:  h.Stale,
 			AgeMs:  h.Age.Milliseconds(),
 		})
-	}
-	for _, h := range s.engine.ShardHealth() {
-		status := "fresh"
-		switch h.Status {
-		case "degraded":
-			// Some replica is down but the shard still serves complete
-			// answers — degraded redundancy, not stale data.
-			status = "degraded"
-		case "failed":
-			status = "failed"
-		}
-		out.Sources = append(out.Sources, SourceStatus{
-			Name:   fmt.Sprintf("shard-%d", h.Shard),
-			Status: status,
-			Stale:  h.Status == "failed",
-			Seq:    h.WALSeq,
-		})
-		for _, rh := range h.Replicas {
-			rs := "fresh"
-			if rh.Status != "ok" {
-				rs = "failed"
-			} else if rh.Lag > 0 {
-				rs = "degraded"
-			}
-			out.Sources = append(out.Sources, SourceStatus{
-				Name:   fmt.Sprintf("shard-%d-replica-%d", h.Shard, rh.Replica),
-				Status: rs,
-				Stale:  rh.Status != "ok",
-				Seq:    rh.AppliedSeq,
-				Lag:    rh.Lag,
-			})
-		}
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package mobile
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"os"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"drugtree/internal/core"
-	"drugtree/internal/netsim"
 )
 
 // serveOnce spawns one ServeConn session over a fresh in-memory pipe
@@ -252,9 +250,9 @@ func TestStatusOverWire(t *testing.T) {
 }
 
 func TestShardStatusOverWire(t *testing.T) {
-	// A partitioned engine surfaces one pseudo-source per shard: a
-	// failed partition shows up as a stale source so the client badges
-	// degraded panels instead of presenting partial results as live.
+	// Shards are in-memory copies of one store, not sources: a
+	// partitioned engine's STATUS lists exactly what a single-node one
+	// does — here, with no importer attached, nothing.
 	cfg := core.DefaultConfig()
 	cfg.Shards = 3
 	e := testEngineCfg(t, cfg)
@@ -269,89 +267,8 @@ func TestShardStatusOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Sources) != 3 {
-		t.Fatalf("sharded engine reported %d sources, want 3", len(st.Sources))
-	}
-	for i, s := range st.Sources {
-		if s.Name != fmt.Sprintf("shard-%d", i) || s.Status != "fresh" || s.Stale {
-			t.Fatalf("shard source %d = %+v, want fresh shard-%d", i, s, i)
-		}
-	}
-	e.Coordinator().FailShard(1)
-	st, err = c.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Sources[1].Status != "failed" || !st.Sources[1].Stale {
-		t.Fatalf("failed shard source = %+v, want failed+stale", st.Sources[1])
-	}
-	if st.Sources[0].Stale || st.Sources[2].Stale {
-		t.Fatalf("healthy shards marked stale: %+v", st.Sources)
-	}
-	c.Close()
-	waitSession(t, done)
-}
-
-func TestReplicaStatusOverWire(t *testing.T) {
-	// With replication on, STATUS carries one pseudo-source per shard
-	// (WAL frontier in Seq) plus one per replica (applied seq + lag), so
-	// a mobile client can badge degraded redundancy — a dead follower —
-	// separately from missing data.
-	cfg := core.DefaultConfig()
-	cfg.Shards = 3
-	cfg.Replicas = 1
-	cfg.ReplicaClock = netsim.NewVirtualClock()
-	e := testEngineCfg(t, cfg)
-	server := NewServer(e)
-	conn, done := serveOnce(t, server)
-	defer conn.Close()
-	c, err := Dial(conn, StrategyLOD, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 shard sources, each followed by its 2 replica sources.
-	if len(st.Sources) != 9 {
-		t.Fatalf("replicated engine reported %d sources, want 9", len(st.Sources))
-	}
-	byName := map[string]SourceStatus{}
-	for _, s := range st.Sources {
-		byName[s.Name] = s
-	}
-	for i := 0; i < 3; i++ {
-		sh, ok := byName[fmt.Sprintf("shard-%d", i)]
-		if !ok || sh.Status != "fresh" || sh.Stale || sh.Seq == 0 {
-			t.Fatalf("shard-%d source = %+v, want fresh with nonzero Seq", i, sh)
-		}
-		for j := 0; j < 2; j++ {
-			rh, ok := byName[fmt.Sprintf("shard-%d-replica-%d", i, j)]
-			if !ok || rh.Status != "fresh" || rh.Stale || rh.Lag != 0 {
-				t.Fatalf("shard-%d-replica-%d source = %+v, want fresh at lag 0", i, j, rh)
-			}
-			if rh.Seq != sh.Seq {
-				t.Fatalf("shard-%d-replica-%d applied seq %d, frontier %d", i, j, rh.Seq, sh.Seq)
-			}
-		}
-	}
-	// A dead follower degrades the shard's redundancy, not its data:
-	// the shard source stays un-stale while the replica source fails.
-	e.Coordinator().KillReplica(1, 1)
-	st, err = c.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName = map[string]SourceStatus{}
-	for _, s := range st.Sources {
-		byName[s.Name] = s
-	}
-	if sh := byName["shard-1"]; sh.Status != "degraded" || sh.Stale {
-		t.Fatalf("shard-1 with dead follower = %+v, want degraded and not stale", sh)
-	}
-	if rh := byName["shard-1-replica-1"]; rh.Status != "failed" || !rh.Stale {
-		t.Fatalf("dead follower source = %+v, want failed+stale", rh)
+	if len(st.Sources) != 0 {
+		t.Fatalf("sharded engine reported sources %+v, want none", st.Sources)
 	}
 	c.Close()
 	waitSession(t, done)

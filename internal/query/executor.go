@@ -25,10 +25,6 @@ type Result struct {
 	Plan string
 	// Stats counts the work the execution performed.
 	Stats ExecStats
-	// SkippedShards lists shards whose rows this answer may be missing
-	// because every replica was down. Only the shard coordinator sets
-	// it, and only when its AllowPartial policy admitted the query.
-	SkippedShards []int
 }
 
 // Engine executes DTQL against a catalog.
@@ -192,7 +188,6 @@ func (r *Result) Clone() *Result {
 	}
 	out := *r
 	out.Columns = append([]string(nil), r.Columns...)
-	out.SkippedShards = append([]int(nil), r.SkippedShards...)
 	if r.Rows != nil {
 		out.Rows = make([]store.Row, len(r.Rows))
 		for i, row := range r.Rows {

@@ -16,7 +16,7 @@ type class int
 
 const (
 	// classReplicated: every referenced table is replicated; answer
-	// from one healthy shard, prune the rest.
+	// from one shard, prune the rest.
 	classReplicated class = iota
 	// classScatter: run the statement verbatim on each participating
 	// shard and concatenate.
@@ -58,16 +58,12 @@ type mergeKey struct {
 // execution paths need.
 type plan struct {
 	class       class
-	participate []int // healthy shard ids running the statement
+	participate []int // shard ids running the statement
 	pruned      int   // shards excluded by partition-key predicates
-	// skipped lists unavailable shards (every replica down) whose rows
-	// the answer may need — the predicates did not prune them. Run
-	// refuses such plans unless Options.AllowPartial opted in.
-	skipped    []int
-	shardStmt  *query.SelectStmt
-	hiddenKeys int // trailing __k columns appended for the merge
-	mergeKeys  []mergeKey
-	agg        *aggPlan
+	shardStmt   *query.SelectStmt
+	hiddenKeys  int // trailing __k columns appended for the merge
+	mergeKeys   []mergeKey
+	agg         *aggPlan
 }
 
 // aliasInfo is one resolved FROM/JOIN entry.
@@ -80,18 +76,14 @@ type aliasInfo struct {
 
 // classify inspects stmt and picks the cheapest strategy whose merge
 // is provably equivalent to single-node execution.
-func (c *Coordinator) classify(stmt *query.SelectStmt) (*plan, error) {
-	healthy := c.healthy()
-	if len(healthy) == 0 {
-		return nil, &UnavailableError{Shards: c.deadShards()}
-	}
-	fallback := &plan{class: classFallback, participate: healthy}
+func (c *Coordinator) classify(stmt *query.SelectStmt) *plan {
+	fallback := &plan{class: classFallback}
 
 	aliases, ok := c.resolveAliases(stmt)
 	if !ok {
 		// Unknown table or duplicate alias: the fallback engine (or
 		// the shard engine it feeds) reports the single-node error.
-		return fallback, nil
+		return fallback
 	}
 	partitioned := 0
 	for _, a := range aliases {
@@ -100,29 +92,24 @@ func (c *Coordinator) classify(stmt *query.SelectStmt) (*plan, error) {
 		}
 	}
 	if partitioned == 0 {
-		// Replicated tables are whole on every shard; any healthy one
-		// answers completely, so down shards cost no rows.
-		return &plan{class: classReplicated, participate: healthy[:1], pruned: len(c.shards) - 1}, nil
+		// Replicated tables are whole on every shard; any one answers.
+		return &plan{class: classReplicated, participate: []int{0}, pruned: len(c.shards) - 1}
 	}
-	// Partitioned rows on an unavailable shard cannot be gathered or
-	// scattered over; every plan built past this point carries the
-	// list for the coordinator's availability policy.
-	fallback.skipped = c.deadShards()
 	if hasSubquery(stmt) || hasDistinctAgg(stmt) {
-		return fallback, nil
+		return fallback
 	}
 	for _, it := range stmt.Items {
 		if len(it.Alias) >= 2 && it.Alias[:2] == "__" {
 			// User aliases in the coordinator's reserved namespace
 			// would collide with hidden merge columns.
-			return fallback, nil
+			return fallback
 		}
 	}
 	if partitioned > 1 && !c.coPartitioned(stmt, aliases) {
-		return fallback, nil
+		return fallback
 	}
 
-	participate, pruned, skipped := c.pruneShards(stmt, aliases, healthy)
+	participate, pruned := c.pruneShards(stmt, aliases)
 
 	isAgg := len(stmt.GroupBy) > 0 || stmt.Having != nil
 	for _, it := range stmt.Items {
@@ -133,21 +120,21 @@ func (c *Coordinator) classify(stmt *query.SelectStmt) (*plan, error) {
 	if isAgg {
 		ap, ok := c.buildAggPlan(stmt, aliases)
 		if !ok {
-			return fallback, nil
+			return fallback
 		}
-		return &plan{class: classPartialAgg, participate: participate, pruned: pruned, skipped: skipped, agg: ap}, nil
+		return &plan{class: classPartialAgg, participate: participate, pruned: pruned, agg: ap}
 	}
 	if len(stmt.Order) > 0 {
 		sp, keys, hidden, ok := buildOrderedShardStmt(stmt)
 		if !ok {
-			return fallback, nil
+			return fallback
 		}
 		return &plan{
-			class: classScatterOrdered, participate: participate, pruned: pruned, skipped: skipped,
+			class: classScatterOrdered, participate: participate, pruned: pruned,
 			shardStmt: sp, mergeKeys: keys, hiddenKeys: hidden,
-		}, nil
+		}
 	}
-	return &plan{class: classScatter, participate: participate, pruned: pruned, skipped: skipped}, nil
+	return &plan{class: classScatter, participate: participate, pruned: pruned}
 }
 
 // resolveAliases maps the statement's FROM/JOIN entries to tables,
@@ -284,13 +271,10 @@ func (c *Coordinator) coPartitioned(stmt *query.SelectStmt, aliases []aliasInfo)
 
 // pruneShards intersects the shard sets implied by partition-key
 // predicates in the top-level WHERE conjuncts. The returned slice is
-// never empty: a contradiction is served by one healthy shard, which
-// provably returns zero rows (any qualifying row would have to live
-// in the empty intersection). pruned counts against the full shard
-// set, before the health filter. skipped lists the unavailable shards
-// the predicates did NOT prune — shards whose rows the answer may
-// need but cannot reach.
-func (c *Coordinator) pruneShards(stmt *query.SelectStmt, aliases []aliasInfo, healthy []int) ([]int, int, []int) {
+// never empty: a contradiction is served by one shard, which provably
+// returns zero rows (any qualifying row would have to live in the
+// empty intersection). pruned counts the shards left out.
+func (c *Coordinator) pruneShards(stmt *query.SelectStmt, aliases []aliasInfo) ([]int, int) {
 	in := make([]bool, len(c.shards))
 	for i := range in {
 		in[i] = true
@@ -356,28 +340,16 @@ func (c *Coordinator) pruneShards(stmt *query.SelectStmt, aliases []aliasInfo, h
 		}
 	}
 	var participate []int
-	healthySet := make(map[int]bool, len(healthy))
-	for _, id := range healthy {
-		healthySet[id] = true
-		if in[id] {
+	for id, keep := range in {
+		if keep {
 			participate = append(participate, id)
 		}
 	}
-	constrained := 0
-	var skipped []int
-	for id, keep := range in {
-		if keep {
-			constrained++
-			if !healthySet[id] {
-				skipped = append(skipped, id)
-			}
-		}
-	}
-	pruned := len(c.shards) - constrained
+	pruned := len(c.shards) - len(participate)
 	if len(participate) == 0 {
-		participate = healthy[:1]
+		participate = []int{0}
 	}
-	return participate, pruned, skipped
+	return participate, pruned
 }
 
 // keyComparison matches `col <op> literal` (either operand order,

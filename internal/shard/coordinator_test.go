@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -10,8 +11,6 @@ import (
 	"drugtree/internal/query"
 	"drugtree/internal/store"
 )
-
-func strVal(s string) store.Value { return store.StringValue(s) }
 
 // TestClassification pins the strategy the classifier picks per
 // statement shape: the differential matrix proves each class
@@ -42,11 +41,7 @@ func TestClassification(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", tc.q, err)
 		}
-		pl, err := c.classify(stmt)
-		if err != nil {
-			t.Fatalf("classify %q: %v", tc.q, err)
-		}
-		if pl.class != tc.want {
+		if pl := c.classify(stmt); pl.class != tc.want {
 			t.Fatalf("classify %q = %v, want %v", tc.q, pl.class, tc.want)
 		}
 	}
@@ -136,85 +131,6 @@ func TestExplainShardPruning(t *testing.T) {
 	}
 }
 
-// TestFailoverDegradedService fails one shard and requires queries —
-// under the AllowPartial policy — to keep answering from the healthy
-// remainder, with the loss visible in Health, annotated on results as
-// SkippedShards, and the pruned point lookups still exact.
-func TestFailoverDegradedService(t *testing.T) {
-	db, tree := buildFixture(t, fixtureConfig(7))
-	c := newCoordinator(t, db, tree, Options{Shards: 3, QueryOptions: serialOptions(), AllowPartial: true})
-	ctx := context.Background()
-
-	total, err := c.Query(ctx, "SELECT COUNT(*) FROM proteins")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := total.Rows[0][0].I
-	prot, err := db.Table("proteins")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(prot.Len()) != want {
-		t.Fatalf("sharded COUNT(*) = %d, want %d", want, prot.Len())
-	}
-
-	// Fail the shard owning DT00000.
-	victim := c.specs["proteins"].keys[0].part.Route(strVal("DT00000"))
-	c.FailShard(victim)
-
-	for _, h := range c.Health() {
-		wantStatus := "ok"
-		if h.Shard == victim {
-			wantStatus = "failed"
-		}
-		if h.Status != wantStatus {
-			t.Fatalf("shard %d status %q, want %q", h.Shard, h.Status, wantStatus)
-		}
-	}
-
-	degraded, err := c.Query(ctx, "SELECT COUNT(*) FROM proteins")
-	if err != nil {
-		t.Fatalf("query against degraded topology: %v", err)
-	}
-	got := degraded.Rows[0][0].I
-	if len(degraded.SkippedShards) != 1 || degraded.SkippedShards[0] != victim {
-		t.Fatalf("degraded result SkippedShards = %v, want [%d]", degraded.SkippedShards, victim)
-	}
-	var victimRows int64
-	vt, err := c.Shard(victim).DB().Table("proteins")
-	if err != nil {
-		t.Fatal(err)
-	}
-	victimRows = int64(vt.Len())
-	if got != want-victimRows {
-		t.Fatalf("degraded COUNT(*) = %d, want %d (total %d minus victim's %d)", got, want-victimRows, want, victimRows)
-	}
-
-	// A point lookup routed to the failed shard returns empty (served
-	// by a healthy shard that provably lacks the row), not an error.
-	res, err := c.Query(ctx, "SELECT family FROM proteins WHERE accession = 'DT00000'")
-	if err != nil {
-		t.Fatalf("point lookup on failed shard: %v", err)
-	}
-	if len(res.Rows) != 0 {
-		t.Fatalf("point lookup on failed shard returned %d rows", len(res.Rows))
-	}
-
-	// The fallback path must also survive on the healthy remainder.
-	if _, err := c.Query(ctx, "SELECT COUNT(DISTINCT family) FROM proteins"); err != nil {
-		t.Fatalf("fallback on degraded topology: %v", err)
-	}
-
-	c.RestoreShard(victim)
-	restored, err := c.Query(ctx, "SELECT COUNT(*) FROM proteins")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Rows[0][0].I != want {
-		t.Fatalf("restored COUNT(*) = %d, want %d", restored.Rows[0][0].I, want)
-	}
-}
-
 // TestPerShardAdmission gives every shard its own limiter and checks
 // that saturating one shard sheds only queries routed to it.
 func TestPerShardAdmission(t *testing.T) {
@@ -226,7 +142,7 @@ func TestPerShardAdmission(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	victim := c.specs["proteins"].keys[0].part.Route(strVal("DT00000"))
+	victim := c.specs["proteins"].keys[0].part.Route(store.StringValue("DT00000"))
 	release, err := c.Shard(victim).Limiter().Acquire(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -275,57 +191,6 @@ func TestPerShardAdmission(t *testing.T) {
 	}
 }
 
-// TestDurableReopen partitions into an on-disk directory, reopens
-// over the same directory, and requires the reopened topology to
-// reuse the persisted shard stores (same row counts, same results)
-// rather than double-inserting.
-func TestDurableReopen(t *testing.T) {
-	db, tree := buildFixture(t, fixtureConfig(7))
-	dir := t.TempDir()
-	opts := Options{Shards: 3, QueryOptions: serialOptions(), Dir: dir}
-	ctx := context.Background()
-
-	c1, err := Partition(db, tree, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := c1.Query(ctx, "SELECT COUNT(*), SUM(length) FROM proteins")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var perShard []int
-	for i := 0; i < c1.Shards(); i++ {
-		tab, err := c1.Shard(i).DB().Table("proteins")
-		if err != nil {
-			t.Fatal(err)
-		}
-		perShard = append(perShard, tab.Len())
-	}
-	if err := c1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := Partition(db, tree, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	for i := 0; i < c2.Shards(); i++ {
-		tab, err := c2.Shard(i).DB().Table("proteins")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tab.Len() != perShard[i] {
-			t.Fatalf("reopened shard %d has %d rows, want %d (duplicated repopulation?)", i, tab.Len(), perShard[i])
-		}
-	}
-	second, err := c2.Query(ctx, "SELECT COUNT(*), SUM(length) FROM proteins")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "durable-reopen", "SELECT COUNT(*), SUM(length) FROM proteins", -1, first, second)
-}
-
 // TestGatherTables checks the rebalancing primitive in isolation:
 // gathered tables union the partitions, keep replicated tables
 // single-copy, and carry the source indexes.
@@ -370,5 +235,49 @@ func TestPartitionErrors(t *testing.T) {
 	}
 	if _, err := Partition(db, tree, Options{Shards: 3, QueryOptions: serialOptions(), Cuts: []int64{9, 4}}); err == nil {
 		t.Fatal("Partition with non-increasing cuts did not fail")
+	}
+}
+
+// openFDs counts the process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(ents)
+}
+
+// TestPartitionErrorClosesShards makes populate fail after every
+// shard store has been opened, and requires the failed construction
+// to hand back no coordinator, leak no file handles, and leave the
+// source intact.
+func TestPartitionErrorClosesShards(t *testing.T) {
+	_, tree := buildFixture(t, fixtureConfig(7))
+	// A source whose proteins table lacks the partition column makes
+	// populate fail after the shard stores are open.
+	src, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.CreateTable("proteins", store.MustSchema(
+		store.Column{Name: "id", Kind: store.KindString},
+	)); err != nil {
+		t.Fatal(err)
+	}
+
+	before := openFDs(t)
+	c, err := Partition(src, tree, Options{Shards: 3, QueryOptions: serialOptions()})
+	if err == nil {
+		t.Fatal("Partition over a keyless proteins table did not fail")
+	}
+	if c != nil {
+		t.Fatal("failed Partition returned a coordinator")
+	}
+	if after := openFDs(t); after != before {
+		t.Fatalf("failed Partition leaked file descriptors: %d before, %d after", before, after)
+	}
+	if names := src.TableNames(); len(names) != 1 || names[0] != "proteins" {
+		t.Fatalf("failed Partition changed the source tables: %v", names)
 	}
 }

@@ -353,7 +353,7 @@ func (c *Coordinator) runPartialAgg(ctx context.Context, stmt *query.SelectStmt,
 	}
 	res.Stats = mergeStats(results)
 	res.Stats.RowsReturned = int64(len(res.Rows))
-	res.Plan = gatherHeader("partial-agg", len(pl.participate), pl.pruned, len(pl.skipped))
+	res.Plan = gatherHeader("partial-agg", len(pl.participate), pl.pruned)
 	return res, nil
 }
 

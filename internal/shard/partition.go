@@ -1,11 +1,12 @@
 // Package shard partitions a DrugTree database across N in-process
-// shard instances — each owning its own store (with its own WAL when
-// durable), secondary indexes, query engine, and admission limiter —
-// and serves DTQL through a coordinator that plans once, fans
-// subplans out over the shards' batch executors, and
-// merges the gathered results (partial re-aggregation for GROUP BY,
-// top-k merge for ORDER BY/LIMIT, full gather as the correctness
-// fallback).
+// shard instances — each owning its own in-memory store, secondary
+// indexes, query engine, and admission limiter — and serves DTQL
+// through a coordinator that plans once, fans subplans out over the
+// shards' batch executors, and merges the gathered results (partial
+// re-aggregation for GROUP BY, top-k merge for ORDER BY/LIMIT, full
+// gather as the correctness fallback). The shards are copies: the
+// durable store they were cut from stays the only one with a WAL, and
+// Partition rebuilds them from it.
 //
 // Placement follows the phylogeny, the axis the paper's workload
 // navigates: tree_nodes is range-partitioned on the preorder number
@@ -19,13 +20,10 @@ package shard
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"drugtree/internal/admission"
-	"drugtree/internal/netsim"
 	"drugtree/internal/phylo"
 	"drugtree/internal/query"
-	"drugtree/internal/replica"
 	"drugtree/internal/store"
 )
 
@@ -130,15 +128,6 @@ type Options struct {
 	// Shards is the partition count; values below 2 are rejected
 	// (0/1 is the single-node path and never reaches this package).
 	Shards int
-	// Dir, when non-empty, makes each shard durable in
-	// Dir/shard-<i> with its own snapshot and WAL. A completed
-	// partitioning writes Dir/MANIFEST (topology plus per-table
-	// source fingerprints); reopening an engine over the same Dir
-	// reuses the populated shard stores only when the manifest
-	// matches the current source, and re-partitions from scratch
-	// when it is absent (interrupted populate) or mismatched
-	// (changed dataset or topology). Empty keeps shards in memory.
-	Dir string
 	// QueryOptions configures each shard's DTQL engine.
 	QueryOptions query.Options
 	// Admission, when set, gives every shard its own limiter with
@@ -149,32 +138,12 @@ type Options struct {
 	// Shards-1, strictly increasing). Tests use it to force skew:
 	// empty shards, or every row on one shard.
 	Cuts []int64
-	// Replicas, when positive, wraps every shard in a replica set:
-	// one leader plus Replicas followers kept current by WAL
-	// shipping, with read subplans routed across the set. WAL
-	// shipping needs a log, so an in-memory topology (empty Dir) gets
-	// a private temporary durability root that lives and dies with
-	// the coordinator. 0 keeps the single-store path.
-	Replicas int
-	// MaxLagSeqs bounds replica read staleness: a follower more than
-	// this many WAL records behind its set's frontier is skipped by
-	// the read router. 0 demands fully-caught-up followers; negative
-	// disables the bound.
-	MaxLagSeqs int64
-	// AllowPartial serves queries that need unavailable shards (every
-	// replica down) from the reachable ones, annotating the result
-	// with SkippedShards, instead of failing with ErrShardUnavailable.
-	AllowPartial bool
-	// Clock is the replication time source (promotion latency is
-	// measured through it). Defaults to the wall clock; the chaos
-	// experiments inject a virtual one.
-	Clock netsim.Clock
 }
 
-// Partition splits src across opts.Shards shard stores and returns
-// the coordinator serving them. The source database is read, never
-// mutated; the sharded topology is a point-in-time partitioning of
-// it, matching the engine's build-then-serve lifecycle.
+// Partition splits src across opts.Shards in-memory shard stores and
+// returns the coordinator serving them. The source database is read,
+// never mutated; the sharded topology is a point-in-time partitioning
+// of it, matching the engine's build-then-serve lifecycle.
 func Partition(src *store.DB, tree *phylo.Tree, opts Options) (*Coordinator, error) {
 	n := opts.Shards
 	if n < 2 {
@@ -227,77 +196,10 @@ func Partition(src *store.DB, tree *phylo.Tree, opts Options) (*Coordinator, err
 		}
 	}
 
-	// Every shard store, the manifest, and the temp durability root go
-	// through the source store's filesystem seam and inherit its fsync
-	// policy, so a FaultFS injected at the source covers the whole
-	// sharded topology.
-	fsys := src.FS()
-	c := &Coordinator{
-		tree:  tree,
-		opts:  opts,
-		specs: specs,
-		fsys:  fsys,
-	}
-	if opts.Replicas > 0 && opts.Dir == "" {
-		td, err := fsys.MkdirTemp("", "drugtree-shards-")
-		if err != nil {
-			return nil, fmt.Errorf("shard: replica durability root: %w", err)
-		}
-		opts.Dir = td
-		c.tempDir = td
-		c.opts.Dir = td
-	}
-	done := false
-	defer func() {
-		if !done && c.tempDir != "" {
-			fsys.RemoveAll(c.tempDir)
-		}
-	}()
-
-	// Durable topologies are crash-safe through a completion
-	// manifest: only a previous run that populated and checkpointed
-	// every shard left one behind, and it must still describe the
-	// current source. Anything else — an interrupted populate, a
-	// re-generated dataset under the same -dir, a changed shard
-	// count or cuts — wipes the shard directories and re-partitions,
-	// never trusting a nonzero table length as proof of completeness.
-	durable := opts.Dir != ""
-	var fp *manifest
-	preloaded := false
-	if durable {
-		var err error
-		fp, err = fingerprint(src, n, starts)
-		if err != nil {
-			return nil, err
-		}
-		if prev, err := readManifest(fsys, opts.Dir); err == nil && prev.equal(fp) {
-			preloaded = true
-		} else {
-			fsys.Remove(manifestPath(opts.Dir))
-			for i := 0; i < n; i++ {
-				if err := fsys.RemoveAll(filepath.Join(opts.Dir, fmt.Sprintf("shard-%d", i))); err != nil {
-					return nil, fmt.Errorf("shard: clearing stale shard %d: %w", i, err)
-				}
-			}
-		}
-	}
-
-	// From here on shard stores (and their WALs) are open: every
-	// error path must close what was opened so a failed construction
-	// does not leak file handles.
-	closeAll := func() {
-		for _, s := range c.shards {
-			s.db.Close()
-		}
-	}
+	c := &Coordinator{tree: tree, opts: opts, specs: specs}
 	for i := 0; i < n; i++ {
-		dir := ""
-		if durable {
-			dir = filepath.Join(opts.Dir, fmt.Sprintf("shard-%d", i))
-		}
-		db, err := store.OpenWith(dir, src.Opts())
+		db, err := store.Open("")
 		if err != nil {
-			closeAll()
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		s := &Shard{id: i, db: db}
@@ -313,50 +215,10 @@ func Partition(src *store.DB, tree *phylo.Tree, opts Options) (*Coordinator, err
 		}
 		c.shards = append(c.shards, s)
 	}
-	if err := c.populate(src, preloaded); err != nil {
-		closeAll()
+	if err := c.populate(src); err != nil {
+		c.Close()
 		return nil, err
 	}
-	if durable && !preloaded {
-		for i, s := range c.shards {
-			if err := s.db.Checkpoint(); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("shard %d checkpoint: %w", i, err)
-			}
-		}
-		if err := writeManifest(fsys, opts.Dir, fp); err != nil {
-			closeAll()
-			return nil, err
-		}
-	}
-	// Replica sets wrap the populated leaders last, so followers seed
-	// from the complete partitioning in one snapshot each.
-	if opts.Replicas > 0 {
-		for i, s := range c.shards {
-			set, err := replica.NewSet(s.db, replica.Config{
-				Followers:  opts.Replicas,
-				MaxLagSeqs: opts.MaxLagSeqs,
-				Clock:      opts.Clock,
-				OpenEngine: func(db *store.DB) *query.Engine {
-					return query.NewEngine(query.NewDBCatalog(db, tree), opts.QueryOptions)
-				},
-			}, func() { c.epoch.Add(1) })
-			if err != nil {
-				// NewSet closed shard i's leader on its own failure;
-				// close the sets already built and the untouched leaders.
-				for _, t := range c.shards {
-					if t.set != nil {
-						t.set.Close()
-					} else if t != s {
-						t.db.Close()
-					}
-				}
-				return nil, fmt.Errorf("shard %d replicas: %w", i, err)
-			}
-			s.set = set
-		}
-	}
-	done = true
 	return c, nil
 }
 
@@ -387,12 +249,8 @@ func preCuts(total, n int, cuts []int64) ([]int64, error) {
 // populate copies src's tables into the shard stores: partitioned
 // tables route each row by the first key (verifying that any
 // additional co-partitioning keys agree), replicated tables are
-// copied to every shard. preloaded means a valid completion manifest
-// proved the durable shard stores already hold the full partitioning,
-// so only the schema and index layout are (idempotently) ensured —
-// never a table-length heuristic, which cannot distinguish a complete
-// shard from one interrupted mid-populate.
-func (c *Coordinator) populate(src *store.DB, preloaded bool) error {
+// copied to every shard.
+func (c *Coordinator) populate(src *store.DB) error {
 	for _, name := range src.TableNames() {
 		srcTab, err := src.Table(name)
 		if err != nil {
@@ -408,44 +266,36 @@ func (c *Coordinator) populate(src *store.DB, preloaded bool) error {
 			}
 			keyIdx = append(keyIdx, ci)
 		}
+		// One batch per shard: a table lands on a shard as one commit. A
+		// replicated table goes whole to every shard.
+		rows := srcTab.Snapshot()
+		staged := make([][]store.Row, len(c.shards))
+		if len(spec.keys) == 0 {
+			for i := range staged {
+				staged[i] = rows
+			}
+		} else {
+			for _, r := range rows {
+				owner := spec.keys[0].part.Route(r[keyIdx[0]])
+				for k := 1; k < len(spec.keys); k++ {
+					if alt := spec.keys[k].part.Route(r[keyIdx[k]]); alt != owner {
+						return fmt.Errorf("shard: table %s row routes to shard %d by %s but %d by %s",
+							name, owner, spec.keys[0].column, alt, spec.keys[k].column)
+					}
+				}
+				staged[owner] = append(staged[owner], r)
+			}
+		}
 		tabs := make([]*store.Table, len(c.shards))
 		for i, s := range c.shards {
-			tab, err := s.db.Table(name)
+			tab, err := s.db.CreateTable(name, schema)
 			if err != nil {
-				tab, err = s.db.CreateTable(name, schema)
-				if err != nil {
-					return fmt.Errorf("shard %d: %w", i, err)
-				}
+				return fmt.Errorf("shard %d: %w", i, err)
+			}
+			if err := s.db.CommitDeltas([]store.TableDelta{{Table: name, Inserts: staged[i]}}); err != nil {
+				return fmt.Errorf("shard %d: %w", i, err)
 			}
 			tabs[i] = tab
-		}
-		if !preloaded {
-			// One batch per shard: a table lands on a shard as one commit
-			// (and, on a durable shard store, one WAL record). A
-			// replicated table goes whole to every shard.
-			rows := srcTab.Snapshot()
-			staged := make([][]store.Row, len(c.shards))
-			if len(spec.keys) == 0 {
-				for i := range staged {
-					staged[i] = rows
-				}
-			} else {
-				for _, r := range rows {
-					owner := spec.keys[0].part.Route(r[keyIdx[0]])
-					for k := 1; k < len(spec.keys); k++ {
-						if alt := spec.keys[k].part.Route(r[keyIdx[k]]); alt != owner {
-							return fmt.Errorf("shard: table %s row routes to shard %d by %s but %d by %s",
-								name, owner, spec.keys[0].column, alt, spec.keys[k].column)
-						}
-					}
-					staged[owner] = append(staged[owner], r)
-				}
-			}
-			for i, s := range c.shards {
-				if err := s.db.CommitDeltas([]store.TableDelta{{Table: name, Inserts: staged[i]}}); err != nil {
-					return fmt.Errorf("shard %d: %w", i, err)
-				}
-			}
 		}
 		for i, tab := range tabs {
 			for _, ix := range srcTab.Indexes() {

@@ -144,6 +144,23 @@ func newCoordinator(t testing.TB, db *store.DB, tree *phylo.Tree, opts Options) 
 	return c
 }
 
+// partitionedRows counts each shard's rows across the partitioned
+// tables.
+func partitionedRows(t testing.TB, c *Coordinator) []int64 {
+	t.Helper()
+	out := make([]int64, c.Shards())
+	for i := range out {
+		for name := range c.specs {
+			tab, err := c.Shard(i).DB().Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] += int64(tab.Len())
+		}
+	}
+	return out
+}
+
 // canonKey encodes a row for multiset comparison with floats rounded
 // to 10 significant digits: scatter-gather merges associate SUM/AVG
 // additions differently than a single-node run, so bit-exact float

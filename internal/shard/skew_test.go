@@ -65,12 +65,12 @@ func TestShardSkewTopologies(t *testing.T) {
 	// Sanity on the extreme topologies: all-on-first really does
 	// leave shards 1..3 empty.
 	c := newCoordinator(t, db, tree, Options{Shards: 4, QueryOptions: serialOptions(), Cuts: []int64{n, n + 1, n + 2}})
-	for _, h := range c.Health() {
-		if h.Shard == 0 && h.Rows == 0 {
+	for i, rows := range partitionedRows(t, c) {
+		if i == 0 && rows == 0 {
 			t.Fatalf("all-on-first: shard 0 holds no rows")
 		}
-		if h.Shard > 0 && h.Rows != 0 {
-			t.Fatalf("all-on-first: shard %d holds %d rows, want 0", h.Shard, h.Rows)
+		if i > 0 && rows != 0 {
+			t.Fatalf("all-on-first: shard %d holds %d rows, want 0", i, rows)
 		}
 	}
 }
@@ -173,13 +173,8 @@ func TestShardedZipfSkewCorpus(t *testing.T) {
 	// The skew must be real: the busiest shard holds at least twice
 	// the rows of the emptiest.
 	var lo, hi int64 = 1 << 62, 0
-	for _, h := range f.shardNaive.Health() {
-		if h.Rows < lo {
-			lo = h.Rows
-		}
-		if h.Rows > hi {
-			hi = h.Rows
-		}
+	for _, rows := range partitionedRows(t, f.shardNaive) {
+		lo, hi = min(lo, rows), max(hi, rows)
 	}
 	if hi < 2*lo {
 		t.Fatalf("zipf fixture not skewed: shard rows range [%d, %d]", lo, hi)

@@ -18,15 +18,9 @@ import (
 	"drugtree/internal/vfs"
 )
 
-// Replication stream errors. ErrWALGap means the requested range has
-// been truncated (checkpointed away) or an applied record is not the
-// immediate successor of the local sequence — the subscriber must
-// re-seed from a snapshot. ErrWALCorrupt means a fully-present record
-// failed its checksum: the stream cannot be trusted past that point.
-var (
-	ErrWALGap     = errors.New("store: WAL sequence gap")
-	ErrWALCorrupt = errors.New("store: WAL record corrupt")
-)
+// ErrWALCorrupt is VerifyDir's verdict on a fully-present WAL record
+// that failed its checksum: mid-log rot, not crash residue.
+var ErrWALCorrupt = errors.New("store: WAL record corrupt")
 
 // ErrPoisoned marks a database whose write path hit an I/O failure
 // (WAL append or fsync). Once a WAL write fails the log's tail is in
@@ -115,7 +109,6 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	dir    string
-	opts   Options
 	fsys   vfs.FS
 	wal    *walWriter
 	// failed holds the poisoning error once a WAL write/fsync fails;
@@ -181,13 +174,10 @@ func (db *DB) registerTable(t *Table) *Table {
 // loaded, and the WAL is replayed.
 func Open(dir string) (*DB, error) { return OpenWith(dir, Options{}) }
 
-// OpenWith is Open with explicit durability options. Layers that
-// derive child stores from a parent (shard partitions, replica
-// followers) pass the parent's Opts() so the whole tree shares one
-// filesystem seam and fsync policy.
+// OpenWith is Open with explicit durability options.
 func OpenWith(dir string, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
-	db := &DB{tables: make(map[string]*Table), dir: dir, opts: opts, fsys: opts.FS}
+	db := &DB{tables: make(map[string]*Table), dir: dir, fsys: opts.FS}
 	if dir == "" {
 		return db, nil
 	}
@@ -253,19 +243,6 @@ func (db *DB) removeOrphanedTemps() error {
 	return nil
 }
 
-// Dir returns the durability directory, or "" for an in-memory
-// database. Layers that derive per-partition stores from a parent
-// (the shard coordinator) use it to place their own directories.
-func (db *DB) Dir() string { return db.dir }
-
-// Opts returns the durability options the database was opened with
-// (FS seam, sync policy), with defaults filled in. Derived stores
-// (shard partitions, replica followers) are opened with these.
-func (db *DB) Opts() Options { return db.opts }
-
-// FS returns the filesystem seam the database does its I/O through.
-func (db *DB) FS() vfs.FS { return db.fsys }
-
 // Failed reports the poisoning error if the write path has been
 // disabled by an earlier I/O failure, else nil. errors.Is(err,
 // ErrPoisoned) identifies it.
@@ -282,16 +259,6 @@ func (db *DB) poison(err error) error {
 	wrapped := fmt.Errorf("%w: %w", ErrPoisoned, err)
 	db.failed.CompareAndSwap(nil, &wrapped)
 	return db.Failed()
-}
-
-// walFail routes a WAL append error: logical stream errors (sequence
-// gaps) pass through untouched, I/O errors poison the write path so
-// no further append can land after a possibly-torn tail.
-func (db *DB) walFail(err error) error {
-	if errors.Is(err, ErrWALGap) {
-		return err
-	}
-	return db.poison(err)
 }
 
 // Close flushes and closes the WAL.
@@ -325,7 +292,7 @@ func (db *DB) CreateTable(name string, schema *Schema) (*Table, error) {
 	db.tables[name] = t
 	if db.wal != nil {
 		if err := db.wal.logCreateTable(name, schema); err != nil {
-			return nil, db.walFail(err)
+			return nil, db.poison(err)
 		}
 	}
 	return t, nil
@@ -501,24 +468,6 @@ func (db *DB) writeSnapshot(w *bufio.Writer, seq int64) error {
 	binary.LittleEndian.PutUint32(crc[:], cw.sum)
 	_, err := w.Write(crc[:])
 	return err
-}
-
-// WriteSnapshotTo streams a snapshot of the current contents to w and
-// returns the WAL sequence the image is current through. The caller
-// must quiesce writers for the image/seq pair to be consistent — the
-// replica layer serializes seeding against leader writes.
-func (db *DB) WriteSnapshotTo(w io.Writer) (int64, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var seq int64
-	if db.wal != nil {
-		seq = db.wal.Seq()
-	}
-	bw := bufio.NewWriter(w)
-	if err := db.writeSnapshot(bw, seq); err != nil {
-		return 0, err
-	}
-	return seq, bw.Flush()
 }
 
 func writeTableSnapshot(w io.Writer, t *Table) error {
@@ -721,8 +670,8 @@ func (db *DB) loadTableSnapshot(r *bufio.Reader) error {
 // file checksum) and every fully-present WAL record must pass its CRC.
 // A torn WAL tail is fine — that is normal crash residue recovery
 // truncates — but a checksum-bad snapshot or mid-log record returns an
-// error (ErrWALCorrupt for the latter). The replica scrubber runs this
-// before routing reads to a follower.
+// error (ErrWALCorrupt for the latter). The T13 torture harness runs it
+// on every directory a power cut leaves behind.
 func VerifyDir(fsys vfs.FS, dir string) error {
 	if fsys == nil {
 		fsys = vfs.OS()
@@ -803,8 +752,7 @@ const (
 	// rows' values followed by the inserted rows. The whole batch rides
 	// in ONE length-prefixed CRC-protected record, so recovery replays
 	// it entirely or not at all — a power cut mid-publish lands on
-	// exactly the old or the new version, never between — and a follower
-	// applies it under one write lock.
+	// exactly the old or the new version, never between.
 	walBatch = 4
 )
 
@@ -815,8 +763,8 @@ const (
 const maxWALRecord = 64 << 20
 
 // walWriter appends length-prefixed CRC-protected records, each
-// carrying a monotonic sequence number so replicas can tail the log.
-// Fsync is group-committed: appends run under mu, fsyncs under the
+// carrying a monotonic sequence number, so replay can skip what a
+// snapshot already holds. Fsync is group-committed: appends run under mu, fsyncs under the
 // separate syncMu, and a waiter whose record was already covered by a
 // concurrent fsync returns without issuing its own.
 type walWriter struct {
@@ -863,7 +811,8 @@ func (w *walWriter) CloseSync(sync bool) error {
 // truncation so a post-checkpoint crash cannot resurrect pre-checkpoint
 // records — replaying those on top of the new snapshot would duplicate
 // rows. The sequence counter is NOT reset: seq is monotonic for the
-// lifetime of the database so replicas can detect a truncation as a gap.
+// lifetime of the database: replay skips records at or below the
+// snapshot's trailer, so a reset counter would hide every later one.
 func (w *walWriter) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -917,36 +866,12 @@ func (w *walWriter) syncTo(ticket int64) error {
 // applies the fsync policy before acknowledging.
 func (w *walWriter) writeRecord(body []byte) error {
 	w.mu.Lock()
-	err := w.writeRecordLocked(w.seq+1, body)
+	err := w.writeRecordLocked(body)
 	ticket := w.written
 	w.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return w.maybeSync(ticket)
-}
-
-// writeRecordAt appends body under an externally-assigned sequence
-// number (a replicated record): it must be the immediate successor of
-// the local stream or the caller has lost records.
-func (w *walWriter) writeRecordAt(seq int64, body []byte) error {
-	w.mu.Lock()
-	if seq != w.seq+1 {
-		w.mu.Unlock()
-		return fmt.Errorf("store: WAL append seq %d after %d: %w", seq, w.seq, ErrWALGap)
-	}
-	err := w.writeRecordLocked(seq, body)
-	ticket := w.written
-	w.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return w.maybeSync(ticket)
-}
-
-// maybeSync applies the fsync policy after a successful append of the
-// ticket'th record.
-func (w *walWriter) maybeSync(ticket int64) error {
 	switch w.policy {
 	case SyncAlways:
 		return w.syncTo(ticket)
@@ -958,9 +883,11 @@ func (w *walWriter) maybeSync(ticket int64) error {
 	return nil
 }
 
-// writeRecordLocked frames `uvarint(seq) ++ body` as: uvarint length,
-// payload, crc32. Callers hold w.mu.
-func (w *walWriter) writeRecordLocked(seq int64, body []byte) error {
+// writeRecordLocked frames `uvarint(seq) ++ body`, seq the next
+// sequence number, as: uvarint length, payload, crc32. Callers hold
+// w.mu.
+func (w *walWriter) writeRecordLocked(body []byte) error {
+	seq := w.seq + 1
 	payload := binary.AppendUvarint(nil, uint64(seq))
 	payload = append(payload, body...)
 	if len(payload) > maxWALRecord {
@@ -1091,111 +1018,10 @@ func (db *DB) WALSeq() int64 {
 	return db.wal.Seq()
 }
 
-// ScanWAL streams the bodies of WAL records with sequence numbers
-// strictly greater than fromSeq, in order. It is the replication
-// segment-read API: a follower at fromSeq calls it on the leader's
-// store and applies each record via ApplyReplicated.
-//
-// Error contract:
-//   - A torn tail (bytes run out mid-record) ends the scan cleanly —
-//     the record was never durably committed.
-//   - A fully-present record failing its CRC yields ErrWALCorrupt.
-//   - Records missing below fromSeq+1 (checkpoint truncated them
-//     away) yield ErrWALGap: the caller must re-seed from a snapshot.
-func (db *DB) ScanWAL(fromSeq int64, fn func(seq int64, body []byte) error) error {
-	if db.dir == "" {
-		return errors.New("store: ScanWAL requires a durable database")
-	}
-	frontier := db.WALSeq()
-	f, err := db.fsys.Open(db.walPath())
-	if os.IsNotExist(err) {
-		if frontier > fromSeq {
-			return fmt.Errorf("store: records after seq %d truncated: %w", fromSeq, ErrWALGap)
-		}
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	next := fromSeq + 1
-	var prev int64
-	for {
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			// EOF or torn length: end of committed log. An empty log
-			// while the database is ahead of the caller means a
-			// checkpoint truncated the records away.
-			if prev == 0 && next <= frontier {
-				return fmt.Errorf("store: records after seq %d truncated: %w", fromSeq, ErrWALGap)
-			}
-			return nil
-		}
-		if n > maxWALRecord {
-			return nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil // torn payload
-		}
-		var crc [4]byte
-		if _, err := io.ReadFull(r, crc[:]); err != nil {
-			return nil // torn checksum
-		}
-		if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(payload) {
-			return fmt.Errorf("store: WAL record after seq %d: %w", prev, ErrWALCorrupt)
-		}
-		seq, m := binary.Uvarint(payload)
-		if m <= 0 {
-			return fmt.Errorf("store: WAL record after seq %d: %w", prev, ErrWALCorrupt)
-		}
-		prev = int64(seq)
-		if int64(seq) < next {
-			continue // already applied by the caller
-		}
-		if int64(seq) > next {
-			return fmt.Errorf("store: want seq %d, log resumes at %d: %w", next, seq, ErrWALGap)
-		}
-		if err := fn(int64(seq), payload[m:]); err != nil {
-			return err
-		}
-		next++
-	}
-}
-
-// ApplyReplicated applies a WAL record body shipped from a leader and
-// appends it to the local WAL under the same sequence number, so a
-// follower's log stays byte-compatible with the stream it consumed.
-// seq must be the immediate successor of WALSeq(): anything else is a
-// gap (ErrWALGap) and the follower must re-seed.
-func (db *DB) ApplyReplicated(seq int64, body []byte) error {
-	if err := db.Failed(); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.wal == nil {
-		return errors.New("store: ApplyReplicated requires a durable database")
-	}
-	if cur := db.wal.Seq(); seq != cur+1 {
-		return fmt.Errorf("store: apply seq %d after %d: %w", seq, cur, ErrWALGap)
-	}
-	if err := db.applyWALRecord(body); err != nil {
-		return fmt.Errorf("store: applying replicated record %d: %w", seq, err)
-	}
-	if err := db.wal.writeRecordAt(seq, body); err != nil {
-		return db.walFail(err)
-	}
-	return nil
-}
-
-// applyWALRecord decodes one record body and applies it — the shared
-// tail of WAL replay and ApplyReplicated. A batch goes table by table
-// through Table.applyDeltaByValue, so it lands in the same
-// applyDeltaLocked a live commit uses; callers hold db.mu exclusively
-// (or own the database, at Open), which makes the record atomic with
-// respect to snapshot pins.
+// applyWALRecord decodes one record body and applies it during replay.
+// A batch goes table by table through Table.applyDeltaByValue, so it
+// lands in the same applyDeltaLocked a live commit uses; replay runs at
+// Open, before the database is shared.
 func (db *DB) applyWALRecord(p []byte) error {
 	r := bufio.NewReader(bytes.NewReader(p))
 	typ, err := r.ReadByte()

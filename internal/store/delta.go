@@ -22,11 +22,11 @@ func (d TableDelta) Empty() bool { return len(d.DeleteIDs) == 0 && len(d.Inserts
 // call sees none of it and one pinned after sees all of it — readers
 // never observe a half-sync. Durability matches the atomicity: the
 // batch is logged as ONE CRC-protected WAL record, replayed entirely
-// or not at all after a crash, and shipped to a follower whole.
+// or not at all after a crash.
 //
 // It is the store's only write path: Insert and Delete are one-row
-// deltas through it, and replay and ApplyReplicated decode the same
-// record back into the same per-table apply.
+// deltas through it, and replay decodes the same record back into the
+// same per-table apply.
 //
 // The critical section is O(changed rows): deltas are validated first
 // (nothing applied on a validation error), then applied, then logged.
@@ -86,7 +86,7 @@ func (db *DB) commit(deltas []TableDelta) (last int64, err error) {
 	}
 	if len(walDeltas) > 0 {
 		if err := db.wal.logBatch(walDeltas); err != nil {
-			return last, db.walFail(err)
+			return last, db.poison(err)
 		}
 	}
 	return last, nil

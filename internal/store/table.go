@@ -708,8 +708,8 @@ func (t *Table) validateDeltaLocked(deleteIDs []int64, inserts []Row, scratch *[
 	return nil
 }
 
-// applyDeltaLocked is the table's one mutation — live commits, WAL
-// replay and replicated records all land here: it retires deleteIDs and
+// applyDeltaLocked is the table's one mutation — live commits and WAL
+// replay both land here: it retires deleteIDs and
 // inserts the rows as ONE commit version, publishing one CommitEvent. It
 // returns copies of the deleted rows, cut from one slab, when the WAL
 // will log them (wantDeleted; the event then reads the same copies) and
@@ -748,7 +748,7 @@ func (t *Table) applyDeltaLocked(deleteIDs []int64, inserts []Row, wantDeleted b
 	return deleted, last
 }
 
-// applyDeltaByValue applies a replayed or replicated batch delta. Row
+// applyDeltaByValue applies a replayed batch delta. Row
 // IDs are not stable across recovery, so the log names deleted rows by
 // value: each resolves to one live row equal to it (equal rows pair off
 // one to one, a value with no live match is skipped), and the resolved

@@ -51,8 +51,8 @@ func TestWALHoldsOnlyCreateTableAndBatchRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[byte]int{}
-	if err := db.ScanWAL(0, func(_ int64, body []byte) error { kinds[body[0]]++; return nil }); err != nil {
-		t.Fatal(err)
+	for _, body := range walBodies(t, db) {
+		kinds[body[0]]++
 	}
 	// 3 inserts + 1 delete + 1 replace + 1 two-table commit.
 	if len(kinds) != 2 || kinds[walCreateTable] != 2 || kinds[walBatch] != 6 {
@@ -90,5 +90,60 @@ func TestWALHoldsOnlyCreateTableAndBatchRecords(t *testing.T) {
 		if !strings.Contains(err.Error(), "store: replaying WAL: unknown WAL record type") {
 			t.Fatalf("Open on retired kind %d: %v, want a wrapped unknown-record-type error", retired, err)
 		}
+	}
+}
+
+// TestWALSeqMonotonic pins the sequencing contract: every mutation
+// advances WALSeq by one, a checkpoint preserves the counter (the WAL
+// truncates but seq is for the database's lifetime), and a reopen
+// restores it from the snapshot trailer plus surviving WAL records.
+func TestWALSeqMonotonic(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	schema := MustSchema(Column{Name: "id", Kind: KindInt}, Column{Name: "v", Kind: KindString})
+	if _, err := db.CreateTable("t", schema); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(db *DB, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := db.Insert("t", Row{IntValue(int64(i)), StringValue("v")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := db.WALSeq(); got != 1 { // the create-table record
+		t.Fatalf("WALSeq after create = %d, want 1", got)
+	}
+	insert(db, 5)
+	if got := db.WALSeq(); got != 6 {
+		t.Fatalf("WALSeq after 5 inserts = %d, want 6", got)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.WALSeq(); got != 6 {
+		t.Fatalf("WALSeq after checkpoint = %d, want 6 (checkpoint must not reset seq)", got)
+	}
+	insert(db, 2)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := db2.WALSeq(); got != 8 {
+		t.Fatalf("WALSeq after reopen = %d, want 8", got)
+	}
+	insert(db2, 1)
+	if got := db2.WALSeq(); got != 9 {
+		t.Fatalf("WALSeq after post-reopen insert = %d, want 9", got)
 	}
 }

@@ -132,7 +132,6 @@ type FaultFS struct {
 	inj     Injector
 	muts    int
 	crashed bool
-	tempSeq int
 	// cur is the live namespace; durable is the namespace as of each
 	// directory's last successful SyncDir. Directories themselves are
 	// durable on creation (a deliberate simplification: the crash
@@ -352,31 +351,6 @@ func (f *FaultFS) Remove(name string) error {
 	return nil
 }
 
-func (f *FaultFS) RemoveAll(path string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	p := filepath.Clean(path)
-	fault, err := f.step(OpRemove, p)
-	if err != nil {
-		return err
-	}
-	if fault == FaultCrash {
-		return ErrCrashed
-	}
-	prefix := p + string(filepath.Separator)
-	for q := range f.cur {
-		if q == p || strings.HasPrefix(q, prefix) {
-			delete(f.cur, q)
-		}
-	}
-	for d := range f.dirs {
-		if d == p || strings.HasPrefix(d, prefix) {
-			delete(f.dirs, d)
-		}
-	}
-	return nil
-}
-
 func (f *FaultFS) Rename(oldpath, newpath string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -388,50 +362,9 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 	if fault == FaultCrash {
 		return ErrCrashed
 	}
-	if ino, ok := f.cur[op]; ok { // plain file rename
+	if ino, ok := f.cur[op]; ok {
 		f.cur[np] = ino
 		delete(f.cur, op)
-		return nil
-	}
-	if f.dirs[op] { // directory rename: move the whole prefix
-		prefix := op + string(filepath.Separator)
-		moved := make(map[string]*inode)
-		for q, ino := range f.cur {
-			if strings.HasPrefix(q, prefix) {
-				moved[np+string(filepath.Separator)+q[len(prefix):]] = ino
-				delete(f.cur, q)
-			}
-		}
-		for q, ino := range moved {
-			f.cur[q] = ino
-		}
-		movedDirs := make([]string, 0)
-		for d := range f.dirs {
-			if d == op || strings.HasPrefix(d, prefix) {
-				movedDirs = append(movedDirs, d)
-			}
-		}
-		for _, d := range movedDirs {
-			delete(f.dirs, d)
-			if d == op {
-				f.dirs[np] = true
-			} else {
-				f.dirs[np+string(filepath.Separator)+d[len(prefix):]] = true
-			}
-		}
-		// Directory renames commit durably at once (the simplified
-		// always-durable directory model): the durable file entries
-		// under the old prefix move with it.
-		movedDur := make(map[string]*inode)
-		for q, ino := range f.durable {
-			if strings.HasPrefix(q, prefix) {
-				movedDur[np+string(filepath.Separator)+q[len(prefix):]] = ino
-				delete(f.durable, q)
-			}
-		}
-		for q, ino := range movedDur {
-			f.durable[q] = ino
-		}
 		return nil
 	}
 	return notExist("rename", oldpath)
@@ -453,24 +386,6 @@ func (f *FaultFS) MkdirAll(path string, perm fs.FileMode) error {
 		p = parent
 	}
 	return nil
-}
-
-func (f *FaultFS) MkdirTemp(dir, pattern string) (string, error) {
-	f.mu.Lock()
-	f.tempSeq++
-	name := strings.ReplaceAll(pattern, "*", fmt.Sprintf("%06d", f.tempSeq))
-	if !strings.Contains(pattern, "*") {
-		name = fmt.Sprintf("%s%06d", pattern, f.tempSeq)
-	}
-	if dir == "" {
-		dir = "tmp"
-	}
-	f.mu.Unlock()
-	p := filepath.Join(dir, name)
-	if err := f.MkdirAll(p, 0o755); err != nil {
-		return "", err
-	}
-	return p, nil
 }
 
 func (f *FaultFS) Stat(name string) (fs.FileInfo, error) {

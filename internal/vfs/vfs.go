@@ -1,14 +1,13 @@
 // Package vfs is the filesystem seam every DrugTree persistence path
-// goes through: the store's WAL and snapshots, the shard partition
-// directories and MANIFEST, and the replica seed/apply paths all do
-// file I/O against the FS interface instead of the os package. In
+// goes through: the store's WAL and snapshots, the only durable state,
+// do file I/O against the FS interface instead of the os package. In
 // production the seam is a zero-cost passthrough to os (OS()); under
 // test it is a deterministic fault injector (FaultFS) that can tear
 // writes, exhaust the disk, fail fsyncs, flip bits on read, and — the
 // centerpiece — cut power at any chosen operation, discarding
 // everything that was never fsynced, so a torture harness can
 // enumerate every crash point in a workload and prove the recovery
-// invariants at each one (see internal/torture and experiment T13).
+// invariants at each one (experiment T13, internal/experiments).
 //
 // The crash model is strict POSIX: a write is durable only after a
 // successful Sync of the file, and a namespace operation (create,
@@ -59,15 +58,11 @@ type FS interface {
 	ReadFile(name string) ([]byte, error)
 	// Remove deletes one file (os.Remove).
 	Remove(name string) error
-	// RemoveAll deletes a tree (os.RemoveAll).
-	RemoveAll(path string) error
 	// Rename atomically replaces newpath with oldpath (os.Rename).
 	// Durability of the new entry requires SyncDir on the parent.
 	Rename(oldpath, newpath string) error
 	// MkdirAll creates a directory chain (os.MkdirAll).
 	MkdirAll(path string, perm fs.FileMode) error
-	// MkdirTemp creates a unique directory (os.MkdirTemp).
-	MkdirTemp(dir, pattern string) (string, error)
 	// Stat describes a file (os.Stat).
 	Stat(name string) (fs.FileInfo, error)
 	// ReadDir lists a directory (os.ReadDir).
@@ -89,18 +84,14 @@ type osFS struct{}
 func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
-func (osFS) Open(name string) (File, error)             { return os.Open(name) }
-func (osFS) Create(name string) (File, error)           { return os.Create(name) }
-func (osFS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
-func (osFS) Remove(name string) error                   { return os.Remove(name) }
-func (osFS) RemoveAll(path string) error                { return os.RemoveAll(path) }
-func (osFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
+func (osFS) Open(name string) (File, error)               { return os.Open(name) }
+func (osFS) Create(name string) (File, error)             { return os.Create(name) }
+func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
-func (osFS) MkdirTemp(dir, pattern string) (string, error) {
-	return os.MkdirTemp(dir, pattern)
-}
-func (osFS) Stat(name string) (fs.FileInfo, error)      { return os.Stat(name) }
-func (osFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
+func (osFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
+func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 
 func (osFS) SyncDir(name string) error {
 	d, err := os.Open(name)
