@@ -101,7 +101,7 @@ bench-repo-smoke:
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
 # idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_26.json
+BENCH_JSON ?= BENCH_28.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \
@@ -122,16 +122,18 @@ bench-repo:
 # delta commit, one posting's insert / probe / remove / range walk
 # through each index form, and the query layer's hashing operators —
 # the hash join and the aggregate, serial and parallel, the flat table
-# under both (8 192 keys inserted / probed), the keyed probe and the
-# group-join — and the subtree overlay's share of a 512 + 512-row
-# commit. EXPERIMENTS "Compact storage", "Typed indexes", "Flat hash
-# operators", "Joins that read only what survives" and "Commits that
-# allocate nothing per changed row" record them.
+# under both (8 192 keys inserted / probed), the keyed probe, the
+# group-join and an aggregate folded straight from storage over 8.6 k
+# index-selected rows at one and two workers — and the subtree
+# overlay's share of a 512 + 512-row commit. EXPERIMENTS "Compact
+# storage", "Typed indexes", "Flat hash operators", "Joins that read
+# only what survives", "Commits that allocate nothing per changed row"
+# and "Folds that read storage" record them.
 bench-micro:
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex' ./internal/store/
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin' ./internal/query/
+		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan' ./internal/query/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply' ./internal/core/
 
 # Ten seconds of each fuzz target over its checked-in corpus: the DTQL

@@ -108,19 +108,28 @@ func TestCancelMidQuery(t *testing.T) {
 // scheduler happens to be.
 type countdownCtx struct {
 	context.Context
-	mu   sync.Mutex
-	n    int
-	ch   chan struct{}
-	done bool
+	mu    sync.Mutex
+	n     int
+	polls int
+	ch    chan struct{}
+	done  bool
 }
 
 func newCountdownCtx(n int) *countdownCtx {
 	return &countdownCtx{Context: context.Background(), n: n, ch: make(chan struct{})}
 }
 
+// polled returns how many times Done has been called.
+func (c *countdownCtx) polled() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.polls
+}
+
 func (c *countdownCtx) Done() <-chan struct{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.polls++
 	if !c.done {
 		c.n--
 		if c.n <= 0 {
@@ -145,19 +154,30 @@ func (c *countdownCtx) Err() error {
 // join, a keyed probe (the build side's keys drive the probe scan) and a
 // group-join, asserting each landing unwinds cleanly: context.Canceled,
 // no partial result, no leaked goroutines. Fuses that outlast the query
-// must instead produce the complete result.
+// must instead produce the complete result. The folds that read storage
+// — an aggregate over an index range, one over a sequential scan with a
+// residual, and the group-join — poll once per batch their residual
+// filters and once per morsel they fill: their sweep covers every poll
+// the statement makes, and a fuse on any of them must cancel.
 func TestCancelMidBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow cancellation sweep")
 	}
 	cat := datagenCatalog(t, 5)
-	for _, c := range []struct{ name, q, plan string }{
+	for _, c := range []struct {
+		name, q, plan string
+		fill          bool // a fold reads storage: sweep every poll
+	}{
 		{"mid-join", `SELECT p.accession, a.ligand_id FROM proteins p
-			JOIN activities a ON p.accession = a.protein_id WHERE a.affinity > 1`, "HashJoin"},
+			JOIN activities a ON p.accession = a.protein_id WHERE a.affinity > 1`, "HashJoin", false},
 		{"mid-keyed-probe", `SELECT p.accession, a.ligand_id FROM proteins p
-			JOIN activities a ON p.accession = a.protein_id WHERE p.family = 'FAM01' AND a.affinity > 1`, "probe=keys"},
+			JOIN activities a ON p.accession = a.protein_id WHERE p.family = 'FAM01' AND a.affinity > 1`, "probe=keys", false},
 		{"mid-group-join", `SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p
-			JOIN activities a ON p.accession = a.protein_id WHERE a.affinity > 1 GROUP BY p.family`, "GroupJoin"},
+			JOIN activities a ON p.accession = a.protein_id WHERE a.affinity > 1 GROUP BY p.family`, "GroupJoin", true},
+		{"mid-fill-range", `SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities
+			WHERE affinity > 1 GROUP BY ligand_id`, "IndexRangeScan", true},
+		{"mid-fill-seq", `SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities
+			WHERE affinity * 2.0 > 2.0 GROUP BY ligand_id`, "SeqScan", true},
 	} {
 		for _, para := range []int{1, 4} {
 			opts := DefaultOptions()
@@ -170,8 +190,22 @@ func TestCancelMidBatch(t *testing.T) {
 			if !strings.Contains(full.Plan, c.plan) {
 				t.Fatalf("%s: plan lacks %q:\n%s", c.name, c.plan, full.Plan)
 			}
+			fuses := 64
+			if c.fill {
+				// Every poll of the statement, and one fuse past them.
+				probe := newCountdownCtx(1 << 30)
+				res, err := eng.Query(probe, c.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if filled := res.Stats.RowsFilled; filled < 4*vecBatchSize || probe.polled() < int(filled)/foldMorsel {
+					t.Fatalf("%s, parallelism %d: %d rows filled over %d polls; want > %d rows, a poll a morsel", c.name, para, filled, probe.polled(), 4*vecBatchSize)
+				}
+				fuses = probe.polled() + 1
+				t.Logf("%s, parallelism %d: %d rows filled, %d polls", c.name, para, res.Stats.RowsFilled, probe.polled())
+			}
 			cancelled := 0
-			for n := 1; n <= 64; n++ {
+			for n := 1; n <= fuses; n++ {
 				baseline := runtime.NumGoroutine()
 				res, err := eng.Query(newCountdownCtx(n), c.q)
 				if err != nil {
@@ -190,8 +224,8 @@ func TestCancelMidBatch(t *testing.T) {
 						c.name, para, n, len(res.Rows), len(full.Rows))
 				}
 			}
-			if cancelled == 0 {
-				t.Fatalf("%s, parallelism %d: no fuse landed mid-query", c.name, para)
+			if cancelled == 0 || (c.fill && cancelled != fuses-1) {
+				t.Fatalf("%s, parallelism %d: %d of %d fuses cancelled the query", c.name, para, cancelled, fuses)
 			}
 		}
 	}

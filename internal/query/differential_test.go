@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"strings"
 	"testing"
 
 	"drugtree/internal/datagen"
@@ -392,6 +393,40 @@ func TestDifferentialDatagen(t *testing.T) {
 	for _, q := range aggCorpus {
 		runDifferential(t, cat, q, false)
 	}
+	// Folds that read storage (foldscan.go): each shape must also take
+	// that path, over more than two batches unless the selection is empty.
+	for _, q := range foldShapes {
+		runDifferential(t, cat, q, false)
+		stmt, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := NewEngine(cat, serialOptions()).Run(context.Background(), stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if empty := strings.Contains(q, "1000"); (res.Stats.RowsFilled > 2*vecBatchSize) == empty {
+			t.Fatalf("query %q folded %d rows straight from storage", q, res.Stats.RowsFilled)
+		}
+	}
+}
+
+// foldShapes are aggregates and group-joins over scans that a fold reads
+// straight from storage: an index range aggregate, a sequential scan
+// with a vectorized residual under GROUP BY, COUNT(DISTINCT) and string
+// MIN/MAX, a group-join over a range probe and over a sequential one,
+// and empty selections grouped and global.
+var foldShapes = []string{
+	"SELECT ligand_id, COUNT(*), SUM(affinity), AVG(affinity), MIN(affinity), MAX(affinity) FROM activities WHERE affinity >= 1 GROUP BY ligand_id",
+	"SELECT protein_id, COUNT(*), AVG(affinity) FROM activities WHERE affinity * 2.0 > 3.0 GROUP BY protein_id",
+	"SELECT protein_id, COUNT(DISTINCT ligand_id), MIN(ligand_id), MAX(ligand_id) FROM activities WHERE affinity >= 1 GROUP BY protein_id",
+	"SELECT COUNT(DISTINCT ligand_id), MIN(protein_id), MAX(protein_id), SUM(affinity) FROM activities WHERE affinity >= 1",
+	`SELECT p.family, COUNT(*), AVG(a.affinity), MIN(a.ligand_id) FROM proteins p
+	 JOIN activities a ON p.accession = a.protein_id WHERE a.affinity >= 1 GROUP BY p.family`,
+	`SELECT p.family, COUNT(*), SUM(a.affinity) FROM proteins p
+	 JOIN activities a ON p.accession = a.protein_id WHERE a.affinity * 2.0 > 3.0 GROUP BY p.family`,
+	"SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE affinity > 1000 GROUP BY ligand_id",
+	"SELECT COUNT(*), AVG(affinity), MIN(ligand_id) FROM activities WHERE affinity * 2.0 > 1000",
 }
 
 // TestParallelismDefaults pins the Options knob semantics the

@@ -28,23 +28,31 @@ func (s *planSchema) Len() int { return len(s.cols) }
 // resolve maps a column reference to its position, diagnosing unknown
 // and ambiguous names.
 func (s *planSchema) resolve(ref *ColumnRef) (int, error) {
+	i, ok := s.lookup(ref)
+	switch {
+	case ok:
+		return i, nil
+	case i >= 0:
+		return 0, fmt.Errorf("query: ambiguous column %s", ref)
+	}
+	return 0, fmt.Errorf("query: unknown column %s", ref)
+}
+
+// lookup is resolve without the error, for callers that probe a schema
+// expecting misses: ok reports that exactly one column matches, and i is
+// that column — or the first of several, or -1 when none matches.
+func (s *planSchema) lookup(ref *ColumnRef) (i int, ok bool) {
 	found := -1
 	for i, c := range s.cols {
-		if c.Name != ref.Name {
-			continue
-		}
-		if ref.Qualifier != "" && c.Qualifier != ref.Qualifier {
+		if c.Name != ref.Name || (ref.Qualifier != "" && c.Qualifier != ref.Qualifier) {
 			continue
 		}
 		if found >= 0 {
-			return 0, fmt.Errorf("query: ambiguous column %s", ref)
+			return found, false
 		}
 		found = i
 	}
-	if found < 0 {
-		return 0, fmt.Errorf("query: unknown column %s", ref)
-	}
-	return found, nil
+	return found, found >= 0
 }
 
 func (s *planSchema) String() string {

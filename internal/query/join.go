@@ -78,13 +78,13 @@ func splitJoin(n *JoinNode) *equiJoin {
 			rcol, rOK := b.R.(*ColumnRef)
 			if lOK && rOK {
 				// Which side does each belong to?
-				li, lerr := leftSchema.resolve(lcol)
-				ri, rerr := rightSchema.resolve(rcol)
-				if lerr != nil || rerr != nil {
-					li, lerr = leftSchema.resolve(rcol)
-					ri, rerr = rightSchema.resolve(lcol)
+				li, lok := leftSchema.lookup(lcol)
+				ri, rok := rightSchema.lookup(rcol)
+				if !lok || !rok {
+					li, lok = leftSchema.lookup(rcol)
+					ri, rok = rightSchema.lookup(lcol)
 				}
-				if lerr == nil && rerr == nil {
+				if lok && rok {
 					leftIdx = append(leftIdx, li)
 					rightIdx = append(rightIdx, ri)
 					continue
@@ -286,7 +286,7 @@ func newJoinOutput(n *JoinNode, buildLeft bool, residual Expr, ec *execCtx) (*jo
 		return out, nil
 	}
 	for _, ref := range exprColumns(residual) {
-		if _, err := layout.resolve(ref); err == nil {
+		if _, ok := layout.lookup(ref); ok {
 			continue
 		}
 		ci, err := full.resolve(ref)

@@ -188,7 +188,7 @@ func rewriteSubtreeExpr(e Expr, cat Catalog, schema *planSchema) (Expr, error) {
 		// there is no interval to range over, so the membership form
 		// stays (pushdown still lands it in scan conjuncts, where the
 		// OverlayRead rewrite can recognize it).
-		if idx, rerr := schema.resolve(x.Column); rerr == nil && schema.cols[idx].Kind == store.KindString {
+		if idx, ok := schema.lookup(x.Column); ok && schema.cols[idx].Kind == store.KindString {
 			return e, nil
 		}
 		lo, hi := tree.SubtreeInterval(node)
@@ -207,7 +207,7 @@ func rewriteSubtreeExpr(e Expr, cat Catalog, schema *planSchema) (Expr, error) {
 			return nil, err
 		}
 		endRef := &ColumnRef{Qualifier: x.Column.Qualifier, Name: "end_pre"}
-		if _, err := schema.resolve(endRef); err != nil {
+		if _, ok := schema.lookup(endRef); !ok {
 			return e, nil // relation lacks end_pre: keep membership eval
 		}
 		p := int64(tree.Pre(node))
@@ -275,7 +275,7 @@ func exprColumns(e Expr) []*ColumnRef {
 // coveredBy reports whether every column in e resolves in s.
 func coveredBy(e Expr, s *planSchema) bool {
 	for _, c := range exprColumns(e) {
-		if _, err := s.resolve(c); err != nil {
+		if _, ok := s.lookup(c); !ok {
 			return false
 		}
 	}
@@ -437,10 +437,7 @@ func propagateSubtrees(node LogicalPlan) bool {
 func joinScan(p LogicalPlan, ref *ColumnRef) (*ScanNode, string) {
 	switch n := p.(type) {
 	case *ScanNode:
-		if ref.Qualifier != "" && ref.Qualifier != n.Alias {
-			return nil, "" // a failed resolve formats an error: skip it
-		}
-		if i, err := n.schema.resolve(ref); err == nil && n.schema.cols[i].Kind == store.KindString {
+		if i, ok := n.schema.lookup(ref); ok && n.schema.cols[i].Kind == store.KindString {
 			return n, n.schema.cols[i].Name
 		}
 	case *FilterNode:
@@ -664,7 +661,7 @@ func buildJoinOrder(rels []*ScanNode, conds []Expr, cat Catalog) (LogicalPlan, e
 		ci := condInfo{expr: c, rels: map[int]bool{}}
 		for _, col := range exprColumns(c) {
 			for i, r := range rels {
-				if _, err := r.schema.resolve(col); err == nil {
+				if _, ok := r.schema.lookup(col); ok {
 					ci.rels[i] = true
 				}
 			}
@@ -732,7 +729,7 @@ func buildJoinOrder(rels []*ScanNode, conds []Expr, cat Catalog) (LogicalPlan, e
 					rc, _ := b.R.(*ColumnRef)
 					if lc != nil && rc != nil {
 						var candCol *ColumnRef
-						if _, err := rels[cand].schema.resolve(lc); err == nil {
+						if _, ok := rels[cand].schema.lookup(lc); ok {
 							candCol = lc
 						} else {
 							candCol = rc

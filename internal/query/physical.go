@@ -20,6 +20,10 @@ type ExecStats struct {
 	RowsIndexed  int64 // rows fetched through an index
 	RowsJoined   int64 // rows emitted by join operators
 	RowsReturned int64
+	// RowsFilled counts the rows folds read straight from table storage,
+	// a morsel at a time under the statement's pin, instead of from a
+	// gathered copy (foldscan.go).
+	RowsFilled int64
 	// Ops holds per-operator counters, one entry per Result.Plan line
 	// in the same order. They are filled while rows stream out and
 	// rendered by EXPLAIN ANALYZE (Result.AnnotatedPlan).
@@ -36,6 +40,7 @@ func (s *ExecStats) Snapshot() ExecStats {
 		RowsIndexed:  atomic.LoadInt64(&s.RowsIndexed),
 		RowsJoined:   atomic.LoadInt64(&s.RowsJoined),
 		RowsReturned: atomic.LoadInt64(&s.RowsReturned),
+		RowsFilled:   atomic.LoadInt64(&s.RowsFilled),
 		Ops:          s.Ops,
 	}
 }
@@ -64,10 +69,13 @@ func (o *OpStats) addIn(n int64) {
 }
 
 // emit records one emitted batch and its live rows.
-func (o *OpStats) emit(b *batch) {
+func (o *OpStats) emit(b *batch) { o.emitRows(b.live()) }
+
+// emitRows records one emitted batch of n rows.
+func (o *OpStats) emitRows(n int) {
 	if o != nil {
 		o.Batches++
-		o.RowsOut += int64(b.live())
+		o.RowsOut += int64(n)
 	}
 }
 

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"drugtree/internal/store"
@@ -139,30 +140,22 @@ func lowerScan(n *ScanNode, tv *store.TableView, path accessPath, ec *execCtx, d
 		}
 	}
 	op := ec.note(depth, "%s", path.describe(n))
-	scan := &vecScan{cancel: canceller{ctx: ec.ctx}, op: op}
-	scan.fill = func() ([]*batch, error) {
-		cb, examined, err := tv.Gather(ec.ctx, a)
-		if err != nil {
-			return nil, err
-		}
-		atomic.AddInt64(&ec.stats.RowsIndexed, int64(examined))
-		op.addIn(int64(examined))
-		return batchesOf(cb), nil
-	}
-	return scan, &a, nil
+	scan := &vecScan{read: &scanRead{tv: tv, a: a, ec: ec, indexed: true}, width: n.schema.Len(), cancel: canceller{ctx: ec.ctx}, op: op}
+	return scan, &scan.read.a, nil
 }
 
 func lowerSeqScan(n *ScanNode, tv *store.TableView, path accessPath, ec *execCtx, depth int) (*vecScan, error) {
 	a := store.Access{Cols: n.proj}
 	layout := n.schema
 	var residual *vecPred
+	var filterCols []int
 	if len(path.residual) > 0 {
 		pred := joinConjuncts(path.residual)
 		if n.proj != nil {
 			layout = &planSchema{cols: append([]planCol(nil), n.schema.cols...)}
 			a.Cols = append([]int(nil), n.proj...)
 			for _, ref := range exprColumns(pred) {
-				if _, err := layout.resolve(ref); err == nil {
+				if _, ok := layout.lookup(ref); ok {
 					continue
 				}
 				ci, err := n.base.resolve(ref)
@@ -177,50 +170,52 @@ func lowerSeqScan(n *ScanNode, tv *store.TableView, path accessPath, ec *execCtx
 		if residual, err = bindVecPred(pred, ec.env(layout)); err != nil {
 			return nil, err
 		}
+		for _, ref := range exprColumns(pred) {
+			if i, ok := layout.lookup(ref); ok && !slices.Contains(filterCols, i) {
+				filterCols = append(filterCols, i)
+			}
+		}
 	}
 	op := ec.note(depth, "%s", path.describe(n))
-	scan := &vecScan{residual: residual, width: n.schema.Len(), cancel: canceller{ctx: ec.ctx}, op: op}
-	scan.fill = func() ([]*batch, error) {
-		cb, total, err := tv.Gather(ec.ctx, a)
-		if err != nil {
-			return nil, err
-		}
-		batches := batchesOf(cb)
-		atomic.AddInt64(&ec.stats.RowsScanned, int64(total))
-		op.addIn(int64(total))
-		if ec.para == 1 || residual == nil || len(batches) < 2 {
-			return batches, nil
-		}
-		// One contiguous chunk of batches per worker: each narrows its
-		// batches' selection vectors in place; batch order is
-		// preserved, so output order matches serial.
-		err = runChunks(ec.ctx, splitChunks(len(batches), ec.para), func(_ int, r morselRange) error {
-			c := canceller{ctx: ec.ctx}
-			for _, b := range batches[r.lo:r.hi] {
-				if err := c.now(); err != nil {
-					return err
-				}
-				sel, err := residual.filter(b, b.selection())
-				if err != nil {
-					return err
-				}
-				b.sel = sel
-			}
-			return nil
-		})
-		scan.residual = nil
-		return batches, err
-	}
-	return scan, nil
+	return &vecScan{read: &scanRead{tv: tv, a: a, ec: ec, filterCols: filterCols}, residual: residual, width: n.schema.Len(),
+		cancel: canceller{ctx: ec.ctx}, op: op}, nil
 }
 
-// vecScan streams materialized batches — fill's, on the first call,
-// when it is set — applying an optional residual predicate by narrowing
-// each batch's selection vector, then trimming the batch to its first
-// width columns (0 keeps all): a sequential scan gathers the columns its
-// residual reads after the ones it emits.
+// scanRead is the table read behind a scan operator: one store access on
+// the statement's view of the table. A scan runs it once, either
+// gathering every row it emits (gather) or — when a fold consumes the
+// scan over a pinned view — selecting them and filling a morsel at a
+// time (foldSelected).
+type scanRead struct {
+	tv *store.TableView
+	a  store.Access
+	ec *execCtx
+	// indexed: the access walks an index (its examined rows count as
+	// RowsIndexed), else it is a sequential pass (RowsScanned).
+	indexed bool
+	// filterCols lists the output columns a sequential scan's residual
+	// reads.
+	filterCols []int
+}
+
+// count records the rows the read examined, on the statement's counters
+// and as op's input.
+func (r *scanRead) count(examined int, op *OpStats) {
+	if r.indexed {
+		atomic.AddInt64(&r.ec.stats.RowsIndexed, int64(examined))
+	} else {
+		atomic.AddInt64(&r.ec.stats.RowsScanned, int64(examined))
+	}
+	op.addIn(int64(examined))
+}
+
+// vecScan streams materialized batches — its read's, gathered on the
+// first call, when it has one — applying an optional residual predicate
+// by narrowing each batch's selection vector, then trimming the batch to
+// its first width columns (0 keeps all): a sequential scan gathers the
+// columns its residual reads after the ones it emits.
 type vecScan struct {
-	fill     func() ([]*batch, error)
+	read     *scanRead
 	batches  []*batch
 	pos      int
 	residual *vecPred
@@ -234,12 +229,12 @@ func (s *vecScan) nextBatch() (*batch, error) {
 		if err := s.cancel.now(); err != nil {
 			return nil, err
 		}
-		if s.fill != nil {
-			bs, err := s.fill()
+		if s.read != nil {
+			bs, err := s.gather()
 			if err != nil {
 				return nil, err
 			}
-			s.batches, s.fill = bs, nil
+			s.batches = bs
 		}
 		if s.pos >= len(s.batches) {
 			return nil, nil
@@ -262,6 +257,42 @@ func (s *vecScan) nextBatch() (*batch, error) {
 		s.op.emit(b)
 		return b, nil
 	}
+}
+
+// gather runs the scan's read, copying every row it emits out of
+// storage into vecBatchSize batches, and — with Parallelism > 1 — runs
+// a sequential scan's residual over them on the pool: one contiguous
+// chunk of batches per worker, each narrowing its batches' selection
+// vectors in place. Batch order is preserved, so output order matches
+// serial.
+func (s *vecScan) gather() ([]*batch, error) {
+	r := s.read
+	s.read = nil
+	cb, examined, err := r.tv.Gather(r.ec.ctx, r.a)
+	if err != nil {
+		return nil, err
+	}
+	r.count(examined, s.op)
+	batches := batchesOf(cb)
+	if r.ec.para == 1 || s.residual == nil || len(batches) < 2 {
+		return batches, nil
+	}
+	err = runChunks(r.ec.ctx, splitChunks(len(batches), r.ec.para), func(_ int, c morselRange) error {
+		poll := canceller{ctx: r.ec.ctx}
+		for _, b := range batches[c.lo:c.hi] {
+			if err := poll.now(); err != nil {
+				return err
+			}
+			sel, err := s.residual.filter(b, b.selection())
+			if err != nil {
+				return err
+			}
+			b.sel = sel
+		}
+		return nil
+	})
+	s.residual = nil
+	return batches, err
 }
 
 // --- Filter / Project / Limit ---
@@ -472,11 +503,14 @@ func (a *vecAgg) accumBatch(t *aggTable, b *batch) error {
 
 // foldAll folds the whole input into one table, counting its rows as
 // op's input; part returns a fresh partial table and the function that
-// folds one batch into it. The input is folded batch by batch as it
-// streams in, or — with Parallelism > 1 and enough input for partial
-// tables to pay — materialized and split over the worker pool into one
-// partial per contiguous chunk, merged in chunk order.
+// folds one batch into it. A scan over a pinned view is folded straight
+// from storage (foldSelected). Any other input is folded batch by batch
+// as it streams in, or — with Parallelism > 1 — materialized and
+// folded by foldChunks.
 func foldAll(ec *execCtx, in batchIterator, op *OpStats, part func() (*aggTable, func(*batch) error)) (*aggTable, error) {
+	if s, ok := in.(*vecScan); ok && s.read != nil && s.read.tv.Pinned() {
+		return s.foldSelected(op, part)
+	}
 	if ec.para == 1 {
 		final, fold := part()
 		cancel := canceller{ctx: ec.ctx}
@@ -506,19 +540,8 @@ func foldAll(ec *execCtx, in batchIterator, op *OpStats, part func() (*aggTable,
 		total += b.live()
 	}
 	op.addIn(int64(total))
-	chunks := splitChunks(len(bs), ec.para)
-	if total < 2*vecBatchSize {
-		chunks = splitChunks(len(bs), 1)
-	}
-	if len(chunks) == 0 {
-		final, _ := part()
-		return final, nil
-	}
-	partials := make([]*aggTable, len(chunks))
-	err = runChunks(ec.ctx, chunks, func(w int, r morselRange) error {
+	return foldChunks(ec, len(bs), total, part, func(r morselRange, fold func(*batch) error) error {
 		c := canceller{ctx: ec.ctx}
-		t, fold := part()
-		partials[w] = t
 		for _, b := range bs[r.lo:r.hi] {
 			if err := c.now(); err != nil {
 				return err
@@ -528,6 +551,27 @@ func foldAll(ec *execCtx, in batchIterator, op *OpStats, part func() (*aggTable,
 			}
 		}
 		return nil
+	})
+}
+
+// foldChunks folds n input batches holding total rows: one partial
+// table per contiguous chunk of batches — one chunk per worker, or a
+// single one when too few rows for partial tables to pay —, each chunk
+// folded by foldRange, the partials merged in chunk order.
+func foldChunks(ec *execCtx, n, total int, part func() (*aggTable, func(*batch) error), foldRange func(morselRange, func(*batch) error) error) (*aggTable, error) {
+	chunks := splitChunks(n, ec.para)
+	if total < 2*vecBatchSize {
+		chunks = splitChunks(n, 1)
+	}
+	if len(chunks) == 0 {
+		final, _ := part()
+		return final, nil
+	}
+	partials := make([]*aggTable, len(chunks))
+	err := runChunks(ec.ctx, chunks, func(w int, r morselRange) error {
+		t, fold := part()
+		partials[w] = t
+		return foldRange(r, fold)
 	})
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -82,4 +83,29 @@ func BenchmarkGroupJoin(b *testing.B) {
 	benchQuery(b, `SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p
 		JOIN activities a ON p.accession = a.protein_id
 		WHERE a.affinity >= 5 GROUP BY p.family`)
+}
+
+// BenchmarkFoldScan is an aggregate over ≈ 8.6 k index-selected
+// activities, which the fold reads straight from storage a morsel at a
+// time (EXPERIMENTS "Folds that read storage" records it against the
+// parent commit, where the range was gathered whole first), serial and
+// on two workers.
+func BenchmarkFoldScan(b *testing.B) {
+	cat := allocCatalog(b)
+	q := fmt.Sprintf("SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE affinity >= %.3f GROUP BY ligand_id", allocHi)
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {
+			eng := NewEngine(cat, parallelOptions(p))
+			if _, err := eng.Query(context.Background(), q); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Query(context.Background(), q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

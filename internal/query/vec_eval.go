@@ -53,8 +53,8 @@ func vecSafe(e Expr, schema *planSchema) (store.Kind, bool) {
 	case *Literal:
 		return x.Val.K, true
 	case *ColumnRef:
-		idx, err := schema.resolve(x)
-		if err != nil {
+		idx, ok := schema.lookup(x)
+		if !ok {
 			return store.KindNull, false
 		}
 		return schema.cols[idx].Kind, true

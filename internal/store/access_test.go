@@ -124,8 +124,8 @@ func batchRows(cb *ColBatch) []Row {
 	return out
 }
 
-// checkAccess runs a through both sinks of view and compares with the
-// scan oracle: select says which stored rows qualify, keyCol (≥ 0) that
+// checkAccess runs a through view's Gather — and, on a pinned view,
+// its Select and Fill — and compares with the scan oracle: select says which stored rows qualify, keyCol (≥ 0) that
 // the output must follow that column's order.
 func checkAccess(view *TableView, a Access, keyCol int, selects func(Row) bool) error {
 	ctx := context.Background()
@@ -155,6 +155,25 @@ func checkAccess(view *TableView, a Access, keyCol int, selects func(Row) bool) 
 	}
 	if err := verifyAccess(a, keyCol, want, visible, batchRows(cb), examined); err != nil {
 		return fmt.Errorf("Gather: %w", err)
+	}
+	if !view.Pinned() {
+		return nil
+	}
+	// A pinned view's Select, filled a few rows at a time into one reused
+	// buffer, must pass the same check. (Postings under one key may
+	// reorder between the two reads while writers run.)
+	sel, selExamined, err := view.Select(ctx, a)
+	if err != nil {
+		return err
+	}
+	var buf ColBatch
+	var filled []Row
+	for lo := 0; lo < len(sel.Slots); lo += 3 {
+		sel.Fill(&buf, lo, min(lo+3, len(sel.Slots)))
+		filled = append(filled, batchRows(&buf)...)
+	}
+	if err := verifyAccess(a, keyCol, want, visible, filled, selExamined); err != nil {
+		return fmt.Errorf("Select: %w", err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"fmt"
 )
 
 // Columnar batch support for the vectorized query executor. A Col is
@@ -249,7 +250,7 @@ func ColBatchFromRows(kinds []Kind, rows []Row) *ColBatch {
 // batch stays valid while writers run, and into vectors sized exactly:
 // without Accept the posting count (capped by Limit) is the row count
 // up to retired versions, so cells are appended as the walk emits rows;
-// with Accept the walk collects the accepted slots first and the cells
+// with Accept the walk selects the accepted slots first and the cells
 // are copied once, column at a time. It also returns how many visible
 // rows the walk examined; ctx is polled as the walk goes.
 func (t *Table) Gather(ctx context.Context, ver int64, a Access) (*ColBatch, int, error) {
@@ -266,18 +267,114 @@ func (t *Table) Gather(ctx context.Context, ver int64, a Access) (*ColBatch, int
 		})
 		return cb, examined, err
 	}
-	max := pollEvery // a residual may reject most postings: one batch's worth, grown on demand
-	if a.Limit > 0 {
-		max = min(max, a.Limit)
+	sel, examined, err := t.selectLocked(ctx, ver, a)
+	cb := NewColBatch(t.schema, cols, len(sel.Slots))
+	sel.Fill(cb, 0, len(sel.Slots))
+	return cb, examined, err
+}
+
+// Selection is an access resolved to the slots of the rows it emits,
+// with no cell copied yet: Fill copies them later, a range at a time,
+// into a buffer the caller reuses. It holds copies of the output
+// columns' storage-vector headers taken under the read lock, and Fill
+// reads through them without the lock. That is sound only while a pin
+// holds the selected rows' version (TableView.Select demands a pinned
+// view): GC frees a slot only once no pin can see its row, an insert
+// writes only a free slot or one past every vector's old length, and a
+// vector an append reallocates leaves the old array — the one the
+// captured header names — intact.
+type Selection struct {
+	// Slots lists the selected rows in access order. A caller may narrow
+	// it in place to a subsequence of itself, never add to it.
+	Slots []int32
+	cols  []Col
+}
+
+// Select resolves the access at the view's pinned version to a
+// Selection — visibility, Accept and Limit applied under the read lock
+// by the same walk Gather runs — and returns how many visible rows the
+// walk examined. Reading the cells is left to Fill, outside the lock,
+// so the view must stay pinned until the last Fill returns.
+func (tv *TableView) Select(ctx context.Context, a Access) (*Selection, int, error) {
+	if tv.v < 0 {
+		return nil, 0, fmt.Errorf("store: select on %s needs a pinned view", tv.t.name)
 	}
-	slots := make([]int32, 0, t.capacityLocked(a, max))
-	examined, err := t.readLocked(ctx.Err, ver, a, func(s int) { slots = append(slots, int32(s)) })
-	cb := NewColBatch(t.schema, cols, len(slots))
-	for i, c := range cols {
-		for _, s := range slots {
-			cb.Cols[i].AppendFrom(&t.cols[c], int(s))
+	tv.t.mu.RLock()
+	defer tv.t.mu.RUnlock()
+	return tv.t.selectLocked(ctx, tv.v, a)
+}
+
+// selectLocked runs the access at ver, collecting the emitted slots and
+// the output columns' headers. Without Accept the posting count (capped
+// by Limit) sizes the slot list; with one a residual may reject most
+// postings, so it starts at one batch's worth and grows on demand.
+func (t *Table) selectLocked(ctx context.Context, ver int64, a Access) (*Selection, int, error) {
+	max := a.Limit
+	if a.Accept != nil {
+		max = pollEvery
+		if a.Limit > 0 {
+			max = min(max, a.Limit)
 		}
 	}
-	cb.Rows = len(slots)
-	return cb, examined, err
+	cols := a.outputCols(t.schema)
+	sel := &Selection{Slots: make([]int32, 0, t.capacityLocked(a, max)), cols: make([]Col, len(cols))}
+	for i, c := range cols {
+		sel.cols[i] = t.cols[c]
+	}
+	examined, err := t.readLocked(ctx.Err, ver, a, func(s int) { sel.Slots = append(sel.Slots, int32(s)) })
+	return sel, examined, err
+}
+
+// Fill copies the cells of the rows Slots[lo:hi] into dst, one vector
+// per output column, overwriting what dst held and reusing its vectors'
+// capacity.
+func (s *Selection) Fill(dst *ColBatch, lo, hi int) {
+	if len(dst.Cols) != len(s.cols) {
+		dst.Cols = make([]Col, len(s.cols))
+	}
+	for i := range s.cols {
+		s.FillCol(&dst.Cols[i], i, lo, hi)
+	}
+	dst.Rows = hi - lo
+}
+
+// FillCol is Fill for output column i alone: dst becomes that column's
+// cells at the rows Slots[lo:hi], in its storage kind.
+func (s *Selection) FillCol(dst *Col, i, lo, hi int) {
+	src, slots := &s.cols[i], s.Slots[lo:hi]
+	dst.Kind = src.Kind
+	dst.Null = resized(dst.Null, len(slots))
+	if src.Null == nil {
+		clear(dst.Null)
+	} else {
+		for k, sl := range slots {
+			dst.Null[k] = src.Null[sl]
+		}
+	}
+	switch src.Kind {
+	case KindInt, KindBool:
+		dst.Int = resized(dst.Int, len(slots))
+		for k, sl := range slots {
+			dst.Int[k] = src.Int[sl]
+		}
+	case KindFloat:
+		dst.Float = resized(dst.Float, len(slots))
+		for k, sl := range slots {
+			dst.Float[k] = src.Float[sl]
+		}
+	default:
+		dst.Str = resized(dst.Str, len(slots))
+		for k, sl := range slots {
+			dst.Str[k] = src.Str[sl]
+		}
+	}
+}
+
+// resized returns x with length n, reallocated only when its capacity
+// falls short.
+func resized[T any](x []T, n int) []T {
+	if cap(x) < n {
+		return make([]T, n)
+	}
+	return x[:n]
 }

@@ -81,10 +81,12 @@ func (ev CommitEvent) Detach() CommitEvent {
 // Every mutation is one delta (applyDeltaLocked: retire these rows,
 // insert those) publishing one new commit version; readers either follow
 // the latest version or pin one via DB.PinSnapshot and read a frozen,
-// consistent image while writers keep committing. Reads copy cells out
-// of storage under the read lock — nothing they return aliases it, and
-// the scratch rows shown to Scan callbacks and Access.Accept are
-// overwritten by the next row.
+// consistent image while writers keep committing. A read resolves the
+// slots it emits under the read lock. Gather copies their cells out
+// under that same lock; a Selection copies them later, outside it, and
+// only a pinned view may take that path (see Selection). Nothing a read
+// returns aliases storage, and the scratch rows shown to Scan callbacks
+// and Access.Accept are overwritten by the next row.
 type Table struct {
 	name   string
 	schema *Schema
