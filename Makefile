@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vet-compat lint loc bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload torture ingest check clean
+.PHONY: all build test race vet vet-compat lint loc knobs bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload torture ingest check clean
 
 all: check
 
@@ -22,6 +22,15 @@ loc:
 	@for d in internal/* cmd; do \
 		printf '%-24s %s\n' $$d "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)"; \
 	done
+
+# Exported fields of each configuration struct, then drugtreed's flag
+# count: the knob inventory EXPERIMENTS sections quote before and after
+# a change that retires options.
+knobs:
+	@for t in core.Config admission.Config store.Options query.Options shard.Options; do \
+		printf '%-24s %s\n' $$t "$$($(GO) doc -all ./internal/$${t%%.*} $${t#*.} | grep -cE '^[[:space:]][A-Z][[:alnum:]_]* ')"; \
+	done
+	@printf '%-24s %s\n' drugtreed-flags "$$(grep -c '= flag\.' cmd/drugtreed/main.go)"
 
 # The concurrency certificate: differential, cancellation, and stress
 # tests under the race detector — the parallel query executor, the
@@ -101,7 +110,7 @@ bench-repo-smoke:
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
 # idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_28.json
+BENCH_JSON ?= BENCH_29.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \

@@ -191,7 +191,7 @@ func BenchmarkT5TreeBuild(b *testing.B) {
 	if _, err := integrate.NewImporter(db, bundle).ImportAll(context.Background()); err != nil {
 		b.Fatal(err)
 	}
-	for _, method := range []core.TreeMethod{core.TreeNJAlign, core.TreeNJKmer, core.TreeUPGMA} {
+	for _, method := range []core.TreeMethod{core.TreeNJAlign, core.TreeNJKmer} {
 		b.Run(string(method), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Each build needs a fresh DB (tree_nodes is
@@ -498,7 +498,7 @@ func BenchmarkT8ResilientSync(b *testing.B) {
 // arrivals at 2x saturation, with all waiting carried on the virtual
 // clock.
 func BenchmarkT9Overload(b *testing.B) {
-	for _, mode := range []string{"unprotected", "shed-fifo", "shed-lifo"} {
+	for _, mode := range []string{"unprotected", "shed-fifo"} {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := experiments.T9Mode(context.Background(), 1, mode, []float64{2}); err != nil {

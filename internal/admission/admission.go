@@ -1,9 +1,8 @@
 // Package admission is DrugTree's overload-protection layer: a
-// weighted concurrency limiter with a bounded wait queue (FIFO for
-// fairness, LIFO for tail latency under saturation), deadline-aware
-// load shedding (reject immediately when the caller's deadline cannot
-// survive the predicted queue wait), per-client token-bucket rate
-// limiting, an AIMD adaptive-concurrency mode, and graceful drain.
+// weighted concurrency limiter with a fixed limit and a bounded FIFO
+// wait queue, deadline-aware load shedding (reject immediately when the
+// caller's deadline cannot survive the predicted queue wait),
+// per-client token-bucket rate limiting, and graceful drain.
 //
 // The poster's complaint is interactive lag; the ROADMAP's north star
 // is heavy traffic. Without admission control an offered load past
@@ -27,26 +26,6 @@ import (
 	"drugtree/internal/metrics"
 	"drugtree/internal/netsim"
 )
-
-// Policy selects the wait-queue service order.
-type Policy uint8
-
-const (
-	// FIFO serves waiters oldest-first: fair, but under sustained
-	// saturation every request waits the full queue depth.
-	FIFO Policy = iota
-	// LIFO serves waiters newest-first: under saturation the freshest
-	// requests (whose deadlines can still be met) ride a short queue
-	// while stale ones age out — the adaptive-LIFO tail-latency trade.
-	LIFO
-)
-
-func (p Policy) String() string {
-	if p == LIFO {
-		return "lifo"
-	}
-	return "fifo"
-}
 
 // Shed reasons. Every rejection wraps one of these inside a
 // *Rejection carrying the retry hint.
@@ -117,27 +96,22 @@ func deadlineAt(ctx context.Context) (time.Duration, bool) {
 type Config struct {
 	// Name prefixes the limiter's metric names ("admission.<name>.*").
 	Name string
-	// MaxConcurrency is the admitted-weight capacity (default 4). The
-	// AIMD mode moves the live limit within [AIMD.Min, AIMD.Max].
+	// MaxConcurrency is the admitted-weight capacity (default 4).
 	MaxConcurrency int
 	// MaxQueue bounds the number of queued waiters; 0 disables
 	// queueing entirely (admit or shed, never wait).
 	MaxQueue int
-	// Policy selects FIFO (default) or LIFO queue service order.
-	Policy Policy
 	// Clock supplies time; nil uses the wall clock. Experiments inject
 	// a netsim.VirtualClock.
 	Clock netsim.Clock
 	// Metrics, when set, receives admission counters and the
 	// queue-wait histogram.
 	Metrics *metrics.Registry
-	// AIMD, when set, adapts the concurrency limit to observed
-	// latency instead of holding MaxConcurrency fixed.
-	AIMD *AIMDConfig
-	// RetryHint is the rejection hint used before the limiter has a
-	// service-time estimate (default 50ms).
-	RetryHint time.Duration
 }
+
+// retryHint is the rejection hint used before the limiter has a
+// service-time estimate.
+const retryHint = 50 * time.Millisecond
 
 // Waiter lifecycle states (guarded by Limiter.mu).
 const (
@@ -169,7 +143,6 @@ type Limiter struct {
 	clock netsim.Clock
 
 	mu       sync.Mutex
-	limit    int // live concurrency limit (AIMD moves it)
 	inflight int // admitted weight
 	queue    []*waiter
 	draining bool
@@ -177,7 +150,6 @@ type Limiter struct {
 	// ewmaSvc estimates service time per unit weight (EWMA over
 	// completions); 0 until the first completion.
 	ewmaSvc time.Duration
-	aimd    aimdState
 	stats   Stats
 
 	// Metric handles (nil when no registry is configured).
@@ -187,9 +159,6 @@ type Limiter struct {
 
 // Stats is a point-in-time snapshot of the limiter.
 type Stats struct {
-	// Limit is the live concurrency limit (AIMD may have moved it off
-	// Config.MaxConcurrency).
-	Limit int
 	// Inflight is the currently admitted weight.
 	Inflight int
 	// Queued is the number of waiters in the queue.
@@ -210,19 +179,13 @@ func NewLimiter(cfg Config) *Limiter {
 	if cfg.MaxQueue < 0 {
 		cfg.MaxQueue = 0
 	}
-	if cfg.RetryHint <= 0 {
-		cfg.RetryHint = 50 * time.Millisecond
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = netsim.NewWallClock()
 	}
 	if cfg.Name == "" {
 		cfg.Name = "limiter"
 	}
-	l := &Limiter{cfg: cfg, clock: cfg.Clock, limit: cfg.MaxConcurrency}
-	if a := cfg.AIMD; a != nil {
-		l.limit = a.normalize(cfg.MaxConcurrency)
-	}
+	l := &Limiter{cfg: cfg, clock: cfg.Clock}
 	if m := cfg.Metrics; m != nil {
 		p := "admission." + cfg.Name
 		l.mAdmitted = m.Counter(p + ".admitted")
@@ -448,21 +411,17 @@ func (l *Limiter) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := l.stats
-	s.Limit = l.limit
 	s.Inflight = l.inflight
 	s.Queued = len(l.queue)
 	s.Draining = l.draining
 	return s
 }
 
-// canAdmitNowLocked reports whether weight fits right now. FIFO never
-// lets a newcomer overtake the queue; LIFO overtaking is the policy's
-// point (the newest request is exactly who it would serve next).
+// canAdmitNowLocked reports whether weight fits right now. A newcomer
+// never overtakes the queue, even when it would fit where the head
+// waiter does not.
 func (l *Limiter) canAdmitNowLocked(weight int) bool {
-	if l.inflight+weight > l.limit {
-		return false
-	}
-	return len(l.queue) == 0 || l.cfg.Policy == LIFO
+	return len(l.queue) == 0 && l.inflight+weight <= l.cfg.MaxConcurrency
 }
 
 // predictWaitLocked estimates the queue wait for a new waiter of the
@@ -475,12 +434,10 @@ func (l *Limiter) predictWaitLocked(weight int) time.Duration {
 		return 0
 	}
 	ahead := 0
-	if l.cfg.Policy == FIFO {
-		for _, w := range l.queue {
-			ahead += w.weight
-		}
+	for _, w := range l.queue {
+		ahead += w.weight
 	}
-	return l.ewmaSvc * time.Duration(ahead+weight) / time.Duration(l.limit)
+	return l.ewmaSvc * time.Duration(ahead+weight) / time.Duration(l.cfg.MaxConcurrency)
 }
 
 // retryHintLocked sizes a rejection's retry hint: roughly when the
@@ -489,7 +446,7 @@ func (l *Limiter) retryHintLocked(weight int) time.Duration {
 	if hint := l.predictWaitLocked(weight); hint > 0 {
 		return hint
 	}
-	return l.cfg.RetryHint
+	return retryHint
 }
 
 // releaser builds the one-shot release function for an admission.
@@ -507,7 +464,7 @@ type wakeEntry struct {
 }
 
 // finish returns weight to the pool, folds the observed service time
-// into the estimator and AIMD controller, and admits queued waiters.
+// into the estimator, and admits queued waiters.
 // Channel deliveries happen strictly outside l.mu (the lockcheck
 // invariant: no channel operations while a mutex is held).
 func (l *Limiter) finish(weight int, admittedAt time.Duration) {
@@ -524,7 +481,6 @@ func (l *Limiter) finish(weight int, admittedAt time.Duration) {
 		// query, fresh enough to track a shifting workload.
 		l.ewmaSvc += (perUnit - l.ewmaSvc) / 8
 	}
-	l.aimdOnFinishLocked(now, svc, weight)
 	wake := l.admitQueuedLocked(now)
 	ch := l.drainedChLocked()
 	l.mu.Unlock()
@@ -542,31 +498,27 @@ func (l *Limiter) finish(weight int, admittedAt time.Duration) {
 	}
 }
 
-// admitQueuedLocked pops waiters in policy order while they fit,
+// admitQueuedLocked pops waiters oldest-first while they fit,
 // shedding any whose deadline lapsed in the queue. Returns the
 // deliveries to perform after unlocking.
 func (l *Limiter) admitQueuedLocked(now time.Duration) []wakeEntry {
 	var wake []wakeEntry
 	for len(l.queue) > 0 {
-		i := 0
-		if l.cfg.Policy == LIFO {
-			i = len(l.queue) - 1
-		}
-		w := l.queue[i]
+		w := l.queue[0]
 		if w.deadline > 0 && now > w.deadline {
 			// Expired while queued: admitting it would burn capacity
 			// on work whose caller already gave up.
-			l.queue = append(l.queue[:i], l.queue[i+1:]...)
+			l.queue = append(l.queue[:0], l.queue[1:]...)
 			w.state = wShed
 			w.rej = &Rejection{Err: ErrDeadline, RetryAfter: l.retryHintLocked(w.weight)}
 			l.stats.Expired++
 			wake = append(wake, wakeEntry{w: w})
 			continue
 		}
-		if l.inflight+w.weight > l.limit {
+		if l.inflight+w.weight > l.cfg.MaxConcurrency {
 			break
 		}
-		l.queue = append(l.queue[:i], l.queue[i+1:]...)
+		l.queue = append(l.queue[:0], l.queue[1:]...)
 		l.inflight += w.weight
 		l.stats.Admitted++
 		w.state = wAdmitted

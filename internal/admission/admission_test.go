@@ -134,17 +134,8 @@ func TestLimiterZeroQueueShedsImmediately(t *testing.T) {
 }
 
 func TestLimiterFIFOOrder(t *testing.T) {
-	testQueueOrder(t, FIFO, []int{0, 1, 2})
-}
-
-func TestLimiterLIFOOrder(t *testing.T) {
-	testQueueOrder(t, LIFO, []int{2, 1, 0})
-}
-
-func testQueueOrder(t *testing.T, p Policy, wantOrder []int) {
-	t.Helper()
 	vc := netsim.NewVirtualClock()
-	l := NewLimiter(Config{MaxConcurrency: 1, MaxQueue: 8, Policy: p, Clock: vc})
+	l := NewLimiter(Config{MaxConcurrency: 1, MaxQueue: 8, Clock: vc})
 	ctx := context.Background()
 
 	first, _ := l.Begin(ctx, 1)
@@ -182,40 +173,28 @@ func testQueueOrder(t *testing.T, p Policy, wantOrder []int) {
 		}
 	}
 	rel()
-	for i, want := range wantOrder {
-		if order[i] != want {
-			t.Fatalf("%v admission order = %v, want %v", p, order, wantOrder)
-		}
+	if order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("admission order = %v, want [0 1 2]", order)
 	}
 }
 
-// LIFO lets a newcomer overtake the queue when capacity frees for a
-// light request a heavy head-of-queue waiter cannot use.
-func TestLIFOOvertakesFIFODoesNot(t *testing.T) {
-	for _, p := range []Policy{FIFO, LIFO} {
-		l := NewLimiter(Config{MaxConcurrency: 2, MaxQueue: 8, Policy: p, Clock: netsim.NewVirtualClock()})
-		ctx := context.Background()
-		a, _ := l.Begin(ctx, 1)
-		relA := take(t, a)
-		heavy, _ := l.Begin(ctx, 2) // queued: 1+2 exceeds the limit
-		pending(t, heavy)
-		// One unit of capacity is free, which heavy cannot use.
-		narrow, _ := l.Begin(ctx, 1)
-		if p == LIFO {
-			// The newcomer fits and LIFO serves newest first: overtake.
-			take(t, narrow)()
-		} else {
-			// FIFO refuses to overtake: the newcomer queues behind heavy.
-			pending(t, narrow)
-		}
-		// Unwind: freeing A admits heavy; freeing heavy admits the
-		// FIFO-queued narrow.
-		relA()
-		take(t, heavy)()
-		if p == FIFO {
-			take(t, narrow)()
-		}
-	}
+// A newcomer never overtakes the queue, even when capacity frees for
+// a light request a heavy head-of-queue waiter cannot use.
+func TestFIFONeverOvertakes(t *testing.T) {
+	l := NewLimiter(Config{MaxConcurrency: 2, MaxQueue: 8, Clock: netsim.NewVirtualClock()})
+	ctx := context.Background()
+	a, _ := l.Begin(ctx, 1)
+	relA := take(t, a)
+	heavy, _ := l.Begin(ctx, 2) // queued: 1+2 exceeds the limit
+	pending(t, heavy)
+	// One unit of capacity is free, which heavy cannot use; the
+	// newcomer would fit but queues behind heavy.
+	narrow, _ := l.Begin(ctx, 1)
+	pending(t, narrow)
+	// Unwind: freeing A admits heavy; freeing heavy admits narrow.
+	relA()
+	take(t, heavy)()
+	take(t, narrow)()
 }
 
 func TestLimiterDeadlineShed(t *testing.T) {
@@ -414,62 +393,6 @@ func TestAcquireCancelWhileQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	release()
-}
-
-func TestAIMDBackoffAndRecovery(t *testing.T) {
-	vc := netsim.NewVirtualClock()
-	l := NewLimiter(Config{
-		MaxConcurrency: 8, MaxQueue: 8, Clock: vc,
-		AIMD: &AIMDConfig{Target: 10 * time.Millisecond, Min: 1, Max: 8, IncreaseEvery: 2},
-	})
-	ctx := context.Background()
-	if l.Stats().Limit != 8 {
-		t.Fatalf("starting limit = %d", l.Stats().Limit)
-	}
-	slow := func() {
-		tk, err := l.Begin(ctx, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel := take(t, tk)
-		vc.Sleep(50 * time.Millisecond) // 5× target: congestion
-		rel()
-	}
-	fast := func() {
-		tk, err := l.Begin(ctx, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel := take(t, tk)
-		vc.Sleep(time.Millisecond)
-		rel()
-	}
-	slow()
-	if got := l.Stats().Limit; got != 4 {
-		t.Fatalf("limit after one congestion signal = %d, want 4", got)
-	}
-	// Within the cooldown a second slow completion is the same signal.
-	vc.Sleep(time.Millisecond)
-	slow()
-	// Cooldown (= target) elapsed during the slow call itself, so the
-	// second backoff landed: 4 → 2.
-	if got := l.Stats().Limit; got != 2 {
-		t.Fatalf("limit after second congestion = %d, want 2", got)
-	}
-	// Additive recovery: two on-target completions buy +1.
-	for i := 0; i < 4; i++ {
-		fast()
-	}
-	if got := l.Stats().Limit; got != 4 {
-		t.Fatalf("limit after recovery = %d, want 4", got)
-	}
-	// Recovery never exceeds Max.
-	for i := 0; i < 64; i++ {
-		fast()
-	}
-	if got := l.Stats().Limit; got != 8 {
-		t.Fatalf("limit capped = %d, want 8", got)
-	}
 }
 
 // The race certificate: concurrent acquire/release with the limit

@@ -3,12 +3,11 @@ package cache
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 func BenchmarkCacheGet(b *testing.B) {
 	c := New(16 << 20)
-	c.Put(mkEntry(k1, 0, 4095, 1, time.Millisecond))
+	c.Put(mkEntry(k1, 0, 4095, 1))
 	b.Run("ExactHit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c.Get(k1, 0, 4095, 1)
@@ -27,7 +26,7 @@ func BenchmarkCacheGet(b *testing.B) {
 func BenchmarkSubsumedGet(b *testing.B) {
 	const rows = 1 << 16
 	c := New(64 << 20)
-	c.Put(mkEntry(k1, 0, rows-1, 1, time.Millisecond))
+	c.Put(mkEntry(k1, 0, rows-1, 1))
 	for _, width := range []int64{64, 4096, rows / 2} {
 		b.Run(fmt.Sprintf("rows=%d", width), func(b *testing.B) {
 			b.ReportAllocs()
@@ -52,6 +51,6 @@ func BenchmarkCachePutEvict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := Key{Relation: "r", RangeCol: "pre", Residual: ""}
 		lo := int64(i%64) * 1000
-		c.Put(mkEntry(k, lo, lo+99, 1, time.Millisecond))
+		c.Put(mkEntry(k, lo, lo+99, 1))
 	}
 }

@@ -5,16 +5,15 @@
 // The cache is range-semantic: entries remember the predicate range
 // they cover, so a query for preorder interval [10,20] is answered
 // from a cached [0,100] result by slicing out the covered rows
-// (subsumption), not only by exact match. Eviction is cost-aware
-// (GreedyDual-Size): entries that were expensive to compute and cheap
-// to keep survive longer.
+// (subsumption), not only by exact match. Eviction is least recently
+// used: a hit, a Covers and a Put refresh an entry, and the entry
+// touched longest ago goes first.
 package cache
 
 import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"drugtree/internal/store"
 )
@@ -47,11 +46,9 @@ type Entry struct {
 	RangeIdx int
 	// Version is the data version the entry was computed at.
 	Version int64
-	// Cost is the compute cost the entry saved (eviction weight).
-	Cost time.Duration
 
-	bytes    int64
-	priority float64
+	bytes   int64
+	lastUse uint64 // the cache's tick at the last hit or Put
 }
 
 // Stats reports cache effectiveness.
@@ -76,7 +73,7 @@ type Cache struct {
 	capacity int64
 	used     int64
 	entries  map[Key][]*Entry
-	clock    float64 // GreedyDual-Size aging clock
+	tick     uint64 // recency clock: one step per hit or Put
 	stats    Stats
 }
 
@@ -161,9 +158,9 @@ func (e *Entry) window(lo, hi int64) *store.ColBatch {
 }
 
 // lookupLocked finds a current entry that can answer [lo,hi], counting
-// the hit or miss, refreshing the hit entry's GreedyDual-Size priority
-// and dropping stale entries on contact. exact reports that the entry
-// covers precisely [lo,hi].
+// the hit or miss, refreshing the hit entry's recency and dropping
+// stale entries on contact. exact reports that the entry covers
+// precisely [lo,hi].
 func (c *Cache) lookupLocked(key Key, lo, hi int64, version int64) (e *Entry, exact bool) {
 	list := c.entries[key]
 	for i := 0; i < len(list); i++ {
@@ -182,7 +179,7 @@ func (c *Cache) lookupLocked(key Key, lo, hi int64, version int64) (e *Entry, ex
 		if !exact && (e.RangeIdx < 0 || c.ExactOnly) {
 			continue // subsumption unavailable for this entry
 		}
-		e.priority = c.clock + float64(e.Cost.Microseconds())/float64(e.bytes+1)
+		c.touchLocked(e)
 		c.stats.Hits++
 		if !exact {
 			c.stats.SubsumedHits++
@@ -212,7 +209,7 @@ func (c *Cache) Get(key Key, lo, hi int64, version int64) (*store.ColBatch, []st
 }
 
 // Covers is Get without the result: it reports whether the cache can
-// answer [lo,hi], with the same counting, priority refresh and
+// answer [lo,hi], with the same counting, recency refresh and
 // stale-entry invalidation — the caller is about to rely on the range
 // being resident — but builds nothing.
 func (c *Cache) Covers(key Key, lo, hi int64, version int64) bool {
@@ -246,32 +243,34 @@ func (c *Cache) Put(e *Entry) {
 			return
 		}
 	}
-	e.priority = c.clock + float64(e.Cost.Microseconds())/float64(e.bytes+1)
+	c.touchLocked(e)
 	c.entries[e.Key] = append(c.entries[e.Key], e)
 	c.used += e.bytes
 	c.stats.BytesCached = c.used
 }
 
-// evictLocked removes the minimum-priority entry (GreedyDual-Size).
+// touchLocked marks e as the most recently used entry.
+func (c *Cache) touchLocked(e *Entry) {
+	c.tick++
+	e.lastUse = c.tick
+}
+
+// evictLocked removes the least recently used entry. Ticks are unique,
+// so the victim never depends on map order.
 func (c *Cache) evictLocked() bool {
-	var victimKey Key
-	victimIdx := -1
-	min := 0.0
-	first := true
-	for k, list := range c.entries {
+	var victim *Entry
+	var victimIdx int
+	for _, list := range c.entries {
 		for i, e := range list {
-			if first || e.priority < min {
-				min = e.priority
-				victimKey, victimIdx = k, i
-				first = false
+			if victim == nil || e.lastUse < victim.lastUse {
+				victim, victimIdx = e, i
 			}
 		}
 	}
-	if victimIdx < 0 {
+	if victim == nil {
 		return false
 	}
-	c.clock = min // age the clock to the evicted priority
-	c.removeLocked(victimKey, victimIdx)
+	c.removeLocked(victim.Key, victimIdx)
 	c.stats.Evictions++
 	return true
 }
@@ -283,25 +282,6 @@ func (c *Cache) removeLocked(k Key, i int) {
 	c.entries[k] = list[:len(list)-1]
 	if len(c.entries[k]) == 0 {
 		delete(c.entries, k)
-	}
-	c.stats.BytesCached = c.used
-}
-
-// InvalidateRelation drops every entry for the relation (called on
-// writes).
-func (c *Cache) InvalidateRelation(relation string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k := range c.entries {
-		if k.Relation == relation {
-			for range c.entries[k] {
-				c.stats.Invalidations++
-			}
-			for _, e := range c.entries[k] {
-				c.used -= e.bytes
-			}
-			delete(c.entries, k)
-		}
 	}
 	c.stats.BytesCached = c.used
 }

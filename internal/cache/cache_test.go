@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"drugtree/internal/phylo"
 	"drugtree/internal/store"
@@ -19,14 +18,13 @@ func mkBatch(lo, hi int64) *store.ColBatch {
 	return store.ColBatchFromRows(testKinds, rows)
 }
 
-func mkEntry(key Key, lo, hi int64, version int64, cost time.Duration) *Entry {
+func mkEntry(key Key, lo, hi int64, version int64) *Entry {
 	return &Entry{
 		Key: key, Lo: lo, Hi: hi,
 		Columns:  []string{"pre", "name"},
 		Batch:    mkBatch(lo, hi),
 		RangeIdx: 0,
 		Version:  version,
-		Cost:     cost,
 	}
 }
 
@@ -34,7 +32,7 @@ var k1 = Key{Relation: "tree_nodes", RangeCol: "pre", Residual: ""}
 
 func TestCacheExactHit(t *testing.T) {
 	c := New(1 << 20)
-	c.Put(mkEntry(k1, 10, 20, 1, time.Millisecond))
+	c.Put(mkEntry(k1, 10, 20, 1))
 	cb, cols, ok := c.Get(k1, 10, 20, 1)
 	if !ok || cb.Rows != 11 || cols[0] != "pre" {
 		t.Fatalf("exact hit: ok=%v rows=%d", ok, cb.Rows)
@@ -47,7 +45,7 @@ func TestCacheExactHit(t *testing.T) {
 
 func TestCacheSubsumedHit(t *testing.T) {
 	c := New(1 << 20)
-	c.Put(mkEntry(k1, 0, 100, 1, time.Millisecond))
+	c.Put(mkEntry(k1, 0, 100, 1))
 	cb, _, ok := c.Get(k1, 40, 50, 1)
 	if !ok {
 		t.Fatal("subsumed query missed")
@@ -67,7 +65,7 @@ func TestCacheSubsumedHit(t *testing.T) {
 
 func TestCacheMissOutsideRange(t *testing.T) {
 	c := New(1 << 20)
-	c.Put(mkEntry(k1, 10, 20, 1, time.Millisecond))
+	c.Put(mkEntry(k1, 10, 20, 1))
 	if _, _, ok := c.Get(k1, 15, 25, 1); ok {
 		t.Fatal("partially-covered query hit")
 	}
@@ -81,7 +79,7 @@ func TestCacheMissOutsideRange(t *testing.T) {
 
 func TestCacheKeyIsolation(t *testing.T) {
 	c := New(1 << 20)
-	c.Put(mkEntry(k1, 0, 100, 1, time.Millisecond))
+	c.Put(mkEntry(k1, 0, 100, 1))
 	k2 := Key{Relation: "tree_nodes", RangeCol: "pre", Residual: "is_leaf = true"}
 	if _, _, ok := c.Get(k2, 10, 20, 1); ok {
 		t.Fatal("different residual hit the same entry")
@@ -94,7 +92,7 @@ func TestCacheKeyIsolation(t *testing.T) {
 
 func TestCacheVersionInvalidation(t *testing.T) {
 	c := New(1 << 20)
-	c.Put(mkEntry(k1, 0, 100, 1, time.Millisecond))
+	c.Put(mkEntry(k1, 0, 100, 1))
 	if _, _, ok := c.Get(k1, 10, 20, 2); ok {
 		t.Fatal("stale entry served")
 	}
@@ -107,56 +105,50 @@ func TestCacheVersionInvalidation(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidateRelation(t *testing.T) {
-	c := New(1 << 20)
-	c.Put(mkEntry(k1, 0, 50, 1, time.Millisecond))
-	k2 := Key{Relation: "proteins", RangeCol: "length"}
-	c.Put(mkEntry(k2, 0, 50, 1, time.Millisecond))
-	c.InvalidateRelation("tree_nodes")
-	if _, _, ok := c.Get(k1, 0, 50, 1); ok {
-		t.Fatal("invalidated relation served")
-	}
-	if _, _, ok := c.Get(k2, 0, 50, 1); !ok {
-		t.Fatal("unrelated relation dropped")
-	}
-}
-
 func TestCachePutCoversNarrower(t *testing.T) {
 	c := New(1 << 20)
-	c.Put(mkEntry(k1, 40, 50, 1, time.Millisecond))
-	c.Put(mkEntry(k1, 0, 100, 1, time.Millisecond))
+	c.Put(mkEntry(k1, 40, 50, 1))
+	c.Put(mkEntry(k1, 0, 100, 1))
 	if c.Len() != 1 {
 		t.Fatalf("covered narrower entry kept: %d entries", c.Len())
 	}
 }
 
-func TestCacheEvictionRespectsCost(t *testing.T) {
-	// Capacity fits ~2 entries; the cheap one should be evicted when
-	// a third arrives.
-	e1 := mkEntry(k1, 0, 30, 1, 100*time.Millisecond) // expensive
-	k2 := Key{Relation: "a", RangeCol: "x"}
-	e2 := mkEntry(k2, 0, 30, 1, time.Microsecond) // cheap
-	k3 := Key{Relation: "b", RangeCol: "x"}
-	e3 := mkEntry(k3, 0, 30, 1, 50*time.Millisecond)
-	size := batchBytes(e1.Batch)
-	c := New(size*2 + 100)
-	c.Put(e1)
-	c.Put(e2)
-	c.Put(e3) // must evict e2 (cheapest per byte)
-	if _, _, ok := c.Get(k1, 0, 30, 1); !ok {
-		t.Fatal("expensive entry evicted")
+// Capacity fits two entries: each Put past that evicts the entry
+// touched longest ago, and a Get or a Covers hit counts as a touch.
+func TestCacheEvictionLRUOrder(t *testing.T) {
+	keys := []Key{k1, {Relation: "a", RangeCol: "x"}, {Relation: "b", RangeCol: "x"}, {Relation: "c", RangeCol: "x"}}
+	c := New(batchBytes(mkBatch(0, 30))*2 + 100)
+	resident := func() (in []int) {
+		for i, k := range keys {
+			if c.Covers(k, 0, 30, 1) {
+				in = append(in, i)
+			}
+		}
+		return in
 	}
-	if _, _, ok := c.Get(k2, 0, 30, 1); ok {
-		t.Fatal("cheap entry survived")
+	c.Put(mkEntry(keys[0], 0, 30, 1))
+	c.Put(mkEntry(keys[1], 0, 30, 1))
+	if _, _, ok := c.Get(keys[0], 0, 30, 1); !ok { // 0 is now newer than 1
+		t.Fatal("entry 0 missed")
 	}
-	if st := c.Stats(); st.Evictions != 1 {
+	c.Put(mkEntry(keys[2], 0, 30, 1)) // evicts 1
+	if !c.Covers(keys[0], 5, 10, 1) { // 0 is now newer than 2
+		t.Fatal("entry 0 not covered")
+	}
+	c.Put(mkEntry(keys[3], 0, 30, 1)) // evicts 2
+	st := c.Stats()
+	if got := resident(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
+		t.Fatalf("resident entries %v, want [0 3]", got)
+	}
+	if st.Evictions != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestCacheOversizeEntryRejected(t *testing.T) {
 	c := New(100)
-	c.Put(mkEntry(k1, 0, 1000, 1, time.Millisecond))
+	c.Put(mkEntry(k1, 0, 1000, 1))
 	if c.Len() != 0 {
 		t.Fatal("oversize entry cached")
 	}
@@ -164,7 +156,7 @@ func TestCacheOversizeEntryRejected(t *testing.T) {
 
 func TestCacheClear(t *testing.T) {
 	c := New(1 << 20)
-	c.Put(mkEntry(k1, 0, 10, 1, time.Millisecond))
+	c.Put(mkEntry(k1, 0, 10, 1))
 	c.Clear()
 	if c.Len() != 0 {
 		t.Fatal("clear incomplete")

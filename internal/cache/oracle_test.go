@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"drugtree/internal/store"
 )
@@ -17,6 +17,7 @@ import (
 type modelEntry struct {
 	rows    []store.Row
 	rangeOK bool // every range key is a non-NULL INT
+	lastUse int  // the walk's step at the entry's last hit or Put
 }
 
 // answer is what a naive cache returns for [lo,hi] from this entry: the
@@ -131,7 +132,7 @@ func runOracle(t *testing.T, seed int64, exactOnly bool) {
 			e := &Entry{
 				Key: key, Lo: lo, Hi: hi, Columns: []string{"pre", "name"},
 				Batch:   store.ColBatchFromRows(testKinds, m.rows),
-				Version: version[key.Relation], Cost: time.Duration(1+rng.Intn(5000)) * time.Microsecond,
+				Version: version[key.Relation],
 			}
 			before, evBefore := c.live(), c.Stats().Evictions
 			c.Put(e)
@@ -143,6 +144,7 @@ func runOracle(t *testing.T, seed int64, exactOnly bool) {
 				}
 				break
 			}
+			m.lastUse = step
 			model[e] = m
 			if !m.rangeOK {
 				nullKeyed++
@@ -152,37 +154,39 @@ func runOracle(t *testing.T, seed int64, exactOnly bool) {
 			if (e.RangeIdx >= 0) != m.rangeOK {
 				t.Fatalf("step %d: RangeIdx=%d for rangeOK=%v", step, e.RangeIdx, m.rangeOK)
 			}
-			found, replaced := false, 0
-			for _, x := range after[key] {
-				if x == e {
-					found = true
-				} else if x.Version == e.Version && e.Lo <= x.Lo && x.Hi <= e.Hi {
-					t.Fatalf("step %d: narrower [%d,%d] survived Put of [%d,%d]", step, x.Lo, x.Hi, e.Lo, e.Hi)
-				}
-			}
-			if !found {
-				t.Fatalf("step %d: admissible entry not cached", step)
-			}
-			for _, x := range before[key] {
-				if x.Version == e.Version && e.Lo <= x.Lo && x.Hi <= e.Hi {
-					replaced++
-				}
-			}
-			gone := 0
+			// The naive LRU: drop what the Put replaces, then the least
+			// recently used of the rest until the newcomer fits.
+			var kept []*Entry
+			used := int64(0)
 			for k, list := range before {
 				for _, x := range list {
-					kept := false
-					for _, y := range after[k] {
-						kept = kept || x == y
+					if k == key && x.Version == e.Version && e.Lo <= x.Lo && x.Hi <= e.Hi {
+						continue
 					}
-					if !kept {
-						gone++
-					}
+					kept = append(kept, x)
+					used += x.bytes
 				}
 			}
-			ev := int(c.Stats().Evictions - evBefore)
-			if gone != replaced+ev {
-				t.Fatalf("step %d: %d entries left, %d replaced + %d evicted", step, gone, replaced, ev)
+			sort.Slice(kept, func(a, b int) bool { return model[kept[a]].lastUse < model[kept[b]].lastUse })
+			ev := 0
+			for ; used+e.bytes > c.capacity; ev++ {
+				used -= kept[ev].bytes
+			}
+			if got := int(c.Stats().Evictions - evBefore); got != ev {
+				t.Fatalf("step %d: %d evictions, model says %d", step, got, ev)
+			}
+			kept = append(kept[ev:], e)
+			cached := 0
+			for _, list := range after {
+				cached += len(list)
+			}
+			if cached != len(kept) {
+				t.Fatalf("step %d: %d entries cached, model keeps %d", step, cached, len(kept))
+			}
+			for _, x := range kept {
+				if !slices.Contains(after[x.Key], x) {
+					t.Fatalf("step %d: [%d,%d] of %v dropped, model keeps it", step, x.Lo, x.Hi, x.Key)
+				}
 			}
 			evicted += ev
 		case op < 90: // Get or Covers
@@ -221,6 +225,9 @@ func runOracle(t *testing.T, seed int64, exactOnly bool) {
 				t.Fatalf("step %d: Covers(%v,[%d,%d])=%v, model says %v", step, key, lo, hi, ok, want != nil)
 			}
 			st1 := c.Stats()
+			if want != nil {
+				model[want].lastUse = step
+			}
 			switch {
 			case want == nil:
 				if st1.Misses != st0.Misses+1 || st1.Hits != st0.Hits {
@@ -242,15 +249,8 @@ func runOracle(t *testing.T, seed int64, exactOnly bool) {
 					t.Fatalf("step %d: stale entry survived a full scan", step)
 				}
 			}
-		case op < 95: // a commit elsewhere: callers move to the next version
+		default: // a commit elsewhere: callers move to the next version
 			version[key.Relation]++
-		default:
-			c.InvalidateRelation(key.Relation)
-			for k := range c.live() {
-				if k.Relation == key.Relation {
-					t.Fatalf("step %d: %v survived InvalidateRelation", step, k)
-				}
-			}
 		}
 		checkAccounting(t, c, step)
 	}
@@ -261,8 +261,8 @@ func runOracle(t *testing.T, seed int64, exactOnly bool) {
 }
 
 // TestWindowsOutliveTheirEntries holds batches and windows handed out
-// by Get while other goroutines replace, evict and invalidate the
-// entries behind them: the cells must not change (and, under -race,
+// by Get while other goroutines replace, evict, invalidate and clear
+// the entries behind them: the cells must not change (and, under -race,
 // nothing may write them).
 func TestWindowsOutliveTheirEntries(t *testing.T) {
 	c := New(batchBytes(mkBatch(0, 299)) * 2)
@@ -278,7 +278,7 @@ func TestWindowsOutliveTheirEntries(t *testing.T) {
 		}
 		views = append(views, held{cb, rowsOf(cb)})
 	}
-	c.Put(mkEntry(k1, 0, 299, 1, time.Millisecond))
+	c.Put(mkEntry(k1, 0, 299, 1))
 	hold(0, 299)
 	hold(17, 42)
 	hold(250, 299)
@@ -298,12 +298,12 @@ func TestWindowsOutliveTheirEntries(t *testing.T) {
 				}
 				switch rng.Intn(4) {
 				case 0: // replaces narrower entries, evicts the rest
-					c.Put(mkEntry(k1, 0, int64(100+rng.Intn(250)), 1, time.Microsecond))
+					c.Put(mkEntry(k1, 0, int64(100+rng.Intn(250)), 1))
 				case 1:
 					lo := int64(rng.Intn(250))
-					c.Put(mkEntry(k1, lo, lo+int64(rng.Intn(40)), 1, time.Microsecond))
+					c.Put(mkEntry(k1, lo, lo+int64(rng.Intn(40)), 1))
 				case 2:
-					c.InvalidateRelation(k1.Relation)
+					c.Clear()
 				default:
 					c.Get(k1, 5, 9, 2) // stale on contact
 				}
@@ -327,7 +327,7 @@ func TestWindowsOutliveTheirEntries(t *testing.T) {
 // with the rows it covers.
 func TestSubsumedGetAllocsIndependentOfWindow(t *testing.T) {
 	c := New(64 << 20)
-	c.Put(mkEntry(k1, 0, 1<<16-1, 1, time.Millisecond))
+	c.Put(mkEntry(k1, 0, 1<<16-1, 1))
 	small := testing.AllocsPerRun(100, func() { c.Get(k1, 100, 163, 1) })
 	large := testing.AllocsPerRun(100, func() { c.Get(k1, 100, 60000, 1) })
 	if small != large || small > 2 {

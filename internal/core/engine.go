@@ -33,9 +33,10 @@ const (
 	// TreeNJKmer builds an NJ tree over alignment-free k-mer cosine
 	// distances (fast; the default above a few hundred proteins).
 	TreeNJKmer TreeMethod = "nj-kmer"
-	// TreeUPGMA builds a UPGMA tree over k-mer distances.
-	TreeUPGMA TreeMethod = "upgma"
 )
+
+// kmerK is the k-mer length for alignment-free distances.
+const kmerK = 4
 
 // Config tunes the engine.
 type Config struct {
@@ -59,8 +60,6 @@ type Config struct {
 	QueryCacheEntries int
 	// EnablePrefetch turns on navigation prefetching.
 	EnablePrefetch bool
-	// KmerK is the k-mer length for alignment-free distances.
-	KmerK int
 	// Admission, when set, gates Query behind an overload-protection
 	// limiter (internal/admission): past the configured concurrency
 	// and queue bounds, queries fail fast with a *admission.Rejection
@@ -115,7 +114,6 @@ func DefaultConfig() Config {
 		QueryOptions:   query.DefaultOptions(),
 		CacheBytes:     8 << 20,
 		EnablePrefetch: true,
-		KmerK:          4,
 	}
 }
 
@@ -182,10 +180,7 @@ func New(db *store.DB, cfg Config) (*Engine, error) {
 			method = TreeNJKmer
 		}
 	}
-	if cfg.KmerK == 0 {
-		cfg.KmerK = 4
-	}
-	tree, err := buildTree(proteins, method, cfg.KmerK)
+	tree, err := buildTree(proteins, method)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +297,7 @@ func loadProteins(db *store.DB) ([]*seq.Protein, error) {
 }
 
 // buildTree constructs the phylogeny with the selected method.
-func buildTree(proteins []*seq.Protein, method TreeMethod, k int) (*phylo.Tree, error) {
+func buildTree(proteins []*seq.Protein, method TreeMethod) (*phylo.Tree, error) {
 	names := make([]string, len(proteins))
 	for i, p := range proteins {
 		names[i] = p.ID
@@ -314,10 +309,10 @@ func buildTree(proteins []*seq.Protein, method TreeMethod, k int) (*phylo.Tree, 
 		m = phylo.ComputeDistances(names, func(i, j int) float64 {
 			return align.DistanceBanded(proteins[i].Residues, proteins[j].Residues, scoring, 32)
 		})
-	case TreeNJKmer, TreeUPGMA:
+	case TreeNJKmer:
 		profiles := make([]*seq.KmerProfile, len(proteins))
 		for i, p := range proteins {
-			prof, err := seq.NewKmerProfile(p.Residues, k)
+			prof, err := seq.NewKmerProfile(p.Residues, kmerK)
 			if err != nil {
 				return nil, err
 			}
@@ -328,9 +323,6 @@ func buildTree(proteins []*seq.Protein, method TreeMethod, k int) (*phylo.Tree, 
 		})
 	default:
 		return nil, fmt.Errorf("core: unknown tree method %q", method)
-	}
-	if method == TreeUPGMA {
-		return phylo.UPGMA(m)
 	}
 	return phylo.NeighborJoining(m)
 }

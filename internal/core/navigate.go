@@ -131,7 +131,6 @@ func (e *Engine) fetchSubtree(ctx context.Context, lo, hi int) (*store.ColBatch,
 	entry := &cache.Entry{
 		Key: treeCacheKey, Lo: int64(lo), Hi: int64(hi),
 		Columns: res.Columns, Batch: res.Batch, RangeIdx: 0,
-		Cost: time.Since(start),
 	}
 	entry.Version, _ = snap.Version(TreeTable)
 	if e.cache != nil {

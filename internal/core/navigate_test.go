@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"drugtree/internal/cache"
 	"drugtree/internal/datagen"
 	"drugtree/internal/phylo"
 	"drugtree/internal/query"
@@ -105,6 +107,51 @@ func TestOpenSubtreeMatchesTree(t *testing.T) {
 				t.Fatalf("navigation consulted the statement cache: %d hits, %d misses", hits, misses)
 			}
 		})
+	}
+}
+
+// TestTwinEnginesEvictIdentically drives two engines built alike
+// through one seeded sequence of opens and prefetches over a cache far
+// smaller than the tree: eviction depends only on that sequence, so
+// both end with the same counters, evictions included.
+func TestTwinEnginesEvictIdentically(t *testing.T) {
+	ctx := context.Background()
+	twin := func() cache.Stats {
+		tree, err := datagen.RandomTopology(1500, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := store.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		cfg := DefaultConfig()
+		cfg.CacheBytes = 48 << 10
+		e, err := NewWithTree(db, tree, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for step := 0; step < 400; step++ {
+			// A random node, widened to an ancestor now and then.
+			id := tree.NodeAtPre(rng.Intn(tree.Len()))
+			for p := tree.Node(id).Parent; p != phylo.None && tree.LeafCount(p) <= 64 && rng.Intn(2) == 0; p = tree.Node(id).Parent {
+				id = p
+			}
+			if _, err := e.VisitSubtree(ctx, tree.Node(id).Name); err != nil {
+				t.Fatal(err)
+			}
+			e.RunPrefetch(ctx)
+		}
+		return e.CacheStats()
+	}
+	first, second := twin(), twin()
+	if first.Evictions == 0 || first.Hits == 0 {
+		t.Fatalf("walk too tame: %+v", first)
+	}
+	if first != second {
+		t.Fatalf("twin engines' cache counters differ:\n%+v\n%+v", first, second)
 	}
 }
 

@@ -342,9 +342,9 @@ func TestRunT9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 modes × 4 loads.
-	if len(rep.Rows) != 12 {
-		t.Fatalf("T9 rows = %d, want 12", len(rep.Rows))
+	// 2 modes × 4 loads.
+	if len(rep.Rows) != 8 {
+		t.Fatalf("T9 rows = %d, want 8", len(rep.Rows))
 	}
 	goodput := func(row []string) float64 {
 		v, err := strconv.ParseFloat(row[3], 64)
@@ -353,8 +353,8 @@ func TestRunT9(t *testing.T) {
 		}
 		return v
 	}
-	// Row layout: unprotected 0..3, shed-fifo 4..7, shed-lifo 8..11;
-	// loads 0.5/1/2/3 within each. The headline claim: at 3x
+	// Row layout: unprotected 0..3, shed-fifo 4..7; loads 0.5/1/2/3
+	// within each. The headline claim: at 3x
 	// saturation the shedding limiter retains most of its peak goodput
 	// while the unprotected queue collapses.
 	un3x, fifo3x := rep.Rows[3], rep.Rows[7]

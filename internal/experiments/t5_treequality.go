@@ -11,8 +11,9 @@ import (
 	"drugtree/internal/phylo"
 )
 
-// RunT5 scores the tree-construction methods core.TreeMethod exposes
-// against the generating topology: normalized Robinson–Foulds
+// RunT5 scores the tree-construction methods core.TreeMethod exposes,
+// plus UPGMA as the fast, rough reference, against the generating
+// topology: normalized Robinson–Foulds
 // distance (0 = exact recovery) and construction time. This is the
 // quality side of the speed/accuracy trade-off the engine's method
 // auto-selection makes.

@@ -15,7 +15,7 @@ import (
 // tier on a virtual clock — Poisson arrivals against a fixed worker
 // pool with a 100ms interactive deadline — comparing an unprotected
 // unbounded FIFO queue against the admission limiter's deadline-aware
-// shedding (FIFO and LIFO wait queues).
+// shedding.
 //
 // The claim under test is the load-shedding tradeoff: past
 // saturation, an unprotected queue keeps accepting work it can no
@@ -113,13 +113,12 @@ func t9RunUnprotected(arrivals []time.Duration) *t9Cell {
 // single-threaded event loop (completions are applied before
 // arrivals at equal timestamps, and pending tickets resolve in
 // arrival order, so the run is deterministic).
-func t9RunProtected(ctx context.Context, arrivals []time.Duration, policy admission.Policy) (*t9Cell, error) {
+func t9RunProtected(ctx context.Context, arrivals []time.Duration) (*t9Cell, error) {
 	vc := netsim.NewVirtualClock()
 	lim := admission.NewLimiter(admission.Config{
 		Name:           "t9",
 		MaxConcurrency: t9Workers,
 		MaxQueue:       t9Queue,
-		Policy:         policy,
 		Clock:          vc,
 	})
 
@@ -214,7 +213,7 @@ func t9RunProtected(ctx context.Context, arrivals []time.Duration, policy admiss
 }
 
 // T9Mode runs one protection mode across the load sweep (exported for
-// bench_test.go). Mode is "unprotected", "shed-fifo" or "shed-lifo".
+// bench_test.go). Mode is "unprotected" or "shed-fifo".
 func T9Mode(ctx context.Context, seed int64, mode string, loads []float64) ([]*t9Cell, error) {
 	cells := make([]*t9Cell, 0, len(loads))
 	for _, load := range loads {
@@ -225,9 +224,7 @@ func T9Mode(ctx context.Context, seed int64, mode string, loads []float64) ([]*t
 		case "unprotected":
 			cell = t9RunUnprotected(arrivals)
 		case "shed-fifo":
-			cell, err = t9RunProtected(ctx, arrivals, admission.FIFO)
-		case "shed-lifo":
-			cell, err = t9RunProtected(ctx, arrivals, admission.LIFO)
+			cell, err = t9RunProtected(ctx, arrivals)
 		default:
 			err = fmt.Errorf("T9: unknown mode %q", mode)
 		}
@@ -243,7 +240,7 @@ func T9Mode(ctx context.Context, seed int64, mode string, loads []float64) ([]*t
 // admission control off vs on.
 func RunT9(ctx context.Context, seed int64) (*Report, error) {
 	loads := []float64{0.5, 1, 2, 3}
-	modes := []string{"unprotected", "shed-fifo", "shed-lifo"}
+	modes := []string{"unprotected", "shed-fifo"}
 
 	rep := &Report{
 		ID:     "T9",
@@ -288,26 +285,24 @@ func RunT9(ctx context.Context, seed int64) (*Report, error) {
 	// deadline; the unprotected queue collapses; shedding is load-
 	// proportional (none below saturation, plenty past it).
 	unPeak := peak(results["unprotected"])
-	for _, mode := range []string{"shed-fifo", "shed-lifo"} {
-		cells := results[mode]
-		p := peak(cells)
-		for i, load := range loads {
-			c := cells[i]
-			if load >= 2 {
-				if c.goodput < 0.8*p {
-					return nil, fmt.Errorf("T9: %s goodput %.0f qps at %.1fx below 80%% of peak %.0f",
-						mode, c.goodput, load, p)
-				}
-				if c.p99 > 3*t9Deadline/2 {
-					return nil, fmt.Errorf("T9: %s p99 %v at %.1fx exceeds 1.5x deadline", mode, c.p99, load)
-				}
-				if c.shed == 0 {
-					return nil, fmt.Errorf("T9: %s shed nothing at %.1fx saturation", mode, load)
-				}
+	cells := results["shed-fifo"]
+	p := peak(cells)
+	for i, load := range loads {
+		c := cells[i]
+		if load >= 2 {
+			if c.goodput < 0.8*p {
+				return nil, fmt.Errorf("T9: shed-fifo goodput %.0f qps at %.1fx below 80%% of peak %.0f",
+					c.goodput, load, p)
 			}
-			if load <= 0.5 && c.shed != 0 {
-				return nil, fmt.Errorf("T9: %s shed %d requests at %.1fx (underload)", mode, c.shed, load)
+			if c.p99 > 3*t9Deadline/2 {
+				return nil, fmt.Errorf("T9: shed-fifo p99 %v at %.1fx exceeds 1.5x deadline", c.p99, load)
 			}
+			if c.shed == 0 {
+				return nil, fmt.Errorf("T9: shed-fifo shed nothing at %.1fx saturation", load)
+			}
+		}
+		if load <= 0.5 && c.shed != 0 {
+			return nil, fmt.Errorf("T9: shed-fifo shed %d requests at %.1fx (underload)", c.shed, load)
 		}
 	}
 	unFinal := results["unprotected"][len(loads)-1]
@@ -316,10 +311,9 @@ func RunT9(ctx context.Context, seed int64) (*Report, error) {
 			unFinal.goodput, loads[len(loads)-1], unPeak)
 	}
 
-	fifo2x := results["shed-fifo"][2]
 	rep.Notes = fmt.Sprintf(
 		"Saturation %.0f qps. At 2x load shedding holds %.0f qps goodput (p99 %v) while the unprotected queue decays to %.0f qps (p99 %v).",
-		t9Capacity(), fifo2x.goodput, fifo2x.p99,
+		t9Capacity(), cells[2].goodput, cells[2].p99,
 		results["unprotected"][2].goodput, results["unprotected"][2].p99)
 	return rep, nil
 }
