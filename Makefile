@@ -110,7 +110,7 @@ bench-repo-smoke:
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
 # idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_29.json
+BENCH_JSON ?= BENCH_30.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \
@@ -134,27 +134,32 @@ bench-repo:
 # under both (8 192 keys inserted / probed), the keyed probe, the
 # group-join and an aggregate folded straight from storage over 8.6 k
 # index-selected rows at one and two workers — and the subtree
-# overlay's share of a 512 + 512-row commit. EXPERIMENTS "Compact
-# storage", "Typed indexes", "Flat hash operators", "Joins that read
-# only what survives", "Commits that allocate nothing per changed row"
-# and "Folds that read storage" record them.
+# overlay's share of a 512 + 512-row commit, and one 100-row, 4-column
+# query reply through the wire codec (encoded from shared columns,
+# framed, decoded into one slab). EXPERIMENTS "Compact storage", "Typed
+# indexes", "Flat hash operators", "Joins that read only what
+# survives", "Commits that allocate nothing per changed row", "Folds
+# that read storage" and "Replies that stay columnar" record them.
 bench-micro:
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex' ./internal/store/
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan' ./internal/query/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply' ./internal/core/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkQueryReply' ./internal/mobile/
 
 # Ten seconds of each fuzz target over its checked-in corpus: the DTQL
 # parser's parse → String → parse and the Newick parser's parse →
-# Newick → parse round trips, neither ever panicking, and the subtree
+# Newick → parse round trips, neither ever panicking, the subtree
 # overlay's exact sum against its big.Int oracle under adds and removes
-# of arbitrary float64s. `go test -fuzz` takes one target and one
-# package a run.
+# of arbitrary float64s, and the mobile message decoder (never a panic,
+# allocation bounded by the payload, decode → encode byte-identical).
+# `go test -fuzz` takes one target and one package a run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzNewick$$' -fuzztime 10s ./internal/phylo/
 	$(GO) test -run '^$$' -fuzz '^FuzzExactSum$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime 10s ./internal/mobile/
 
 # Parallel-executor microbenchmarks plus the experiment tables.
 bench:

@@ -51,9 +51,9 @@ type Config struct {
 	// CacheExactOnly disables cache range subsumption (ablation).
 	CacheExactOnly bool
 	// QueryCacheEntries enables the statement-level result cache with
-	// the given LRU capacity; 0 (the default) disables it. Cached
-	// results are returned by pointer, so callers must treat query
-	// results as immutable when this is on. Opt-in because repeated
+	// the given LRU capacity; 0 (the default) disables it. QueryColumns
+	// returns a cached result by pointer, read-only; Query copies it
+	// out. Opt-in because repeated
 	// identical statements short-circuit the optimizer and executor
 	// entirely, which would invalidate latency experiments that rerun
 	// one query (the server enables it; see experiment T6).
@@ -432,17 +432,68 @@ func (e *Engine) NodeByName(name string) (phylo.NodeID, error) {
 
 // Query runs a DTQL statement through the engine's optimizer
 // settings, consulting the statement cache first when enabled. The
-// caller owns the returned result and may mutate it freely: cache
-// entries are cloned on both fill and hit. The context cancels
-// mid-flight execution — a client that navigates away mid-query
-// aborts the work instead of waiting it out.
+// caller owns the returned result and may mutate it freely: it is
+// QueryColumns' shared answer copied into Rows (one cell slab, each row
+// cap-clipped to its own cells), with its own column names and
+// per-operator stats, and no Batch. The context cancels mid-flight
+// execution — a client that navigates away mid-query aborts the work
+// instead of waiting it out.
+func (e *Engine) Query(ctx context.Context, src string) (*query.Result, error) {
+	shared, err := e.QueryColumns(ctx, src)
+	if err != nil {
+		return nil, err
+	}
+	res := *shared
+	res.Columns = append([]string(nil), shared.Columns...)
+	res.Batch, res.Rows = nil, rowsOf(shared.Batch)
+	if ops := shared.Stats.Ops; ops != nil {
+		copies := make([]query.OpStats, len(ops))
+		res.Stats.Ops = make([]*query.OpStats, len(ops))
+		for i, op := range ops {
+			if op != nil {
+				copies[i] = *op
+				res.Stats.Ops[i] = &copies[i]
+			}
+		}
+	}
+	return &res, nil
+}
+
+// rowsOf copies a batch's rows into one cell slab. Nil (an EXPLAIN's
+// result) has no rows.
+func rowsOf(cb *store.ColBatch) []store.Row {
+	if cb == nil || cb.Rows == 0 {
+		return nil
+	}
+	w := len(cb.Cols)
+	slab := make([]store.Value, cb.Rows*w)
+	rows := make([]store.Row, cb.Rows)
+	for i := range rows {
+		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	for c := range cb.Cols {
+		col := &cb.Cols[c]
+		for i, r := range rows {
+			r[c] = col.Value(i)
+		}
+	}
+	return rows
+}
+
+// QueryColumns is Query's served form: the answer as Result.Batch, typed
+// columns (generic ones when sharded), and no Rows. The result is
+// shared — the statement cache holds it and every hit returns the same
+// pointer — so it is read-only: neither the caller nor anything it
+// hands the result to may write its columns, names or stats. That is
+// sound because nothing writes a columnar result after the executor's
+// result boundary returns it (DESIGN §4 item 12).
 //
 // Each statement runs against one pinned MVCC snapshot: the cache
 // currency check and the execution read the same frozen image, so a
 // sync publishing between them can neither serve a stale hit against
 // new versions nor fill the cache with a result no single version ever
 // contained.
-func (e *Engine) Query(ctx context.Context, src string) (*query.Result, error) {
+func (e *Engine) QueryColumns(ctx context.Context, src string) (*query.Result, error) {
 	start := time.Now()
 	stmt, err := query.Parse(src)
 	if err != nil {
@@ -470,22 +521,19 @@ func (e *Engine) Query(ctx context.Context, src string) (*query.Result, error) {
 		return nil, err
 	}
 	if e.stmtCache != nil {
-		// Store a private copy: the caller owns res and may mutate its
-		// rows, which must not reach the cached entry (get clones on
-		// the way out for the same reason).
-		e.stmtCache.put(src, version, res.Clone())
+		e.stmtCache.put(src, version, res)
 	}
 	return res, nil
 }
 
-// execute is the half of Query behind the statement cache: admission,
-// then plan and run at snap — on the coordinator when sharded. Tree
-// navigation enters here directly (the semantic cache already fronts
-// it; a statement-cache copy of every subtree would be a second one).
-// A non-nil kinds asks for Result.Batch in place of Result.Rows and
-// names the output columns' kinds: the single-node executor delivers
-// columns itself, the coordinator merges rows, so its answer is
-// transposed once to those kinds.
+// execute is the half of QueryColumns behind the statement cache:
+// admission, then plan and run at snap — on the coordinator when
+// sharded — delivering Result.Batch. Tree navigation enters here
+// directly (the semantic cache already fronts it; a statement-cache
+// copy of every subtree would be a second one). The single-node
+// executor delivers columns itself; the coordinator merges rows, so its
+// answer is transposed once, to kinds when the caller names the output
+// columns' kinds and to generic columns otherwise.
 func (e *Engine) execute(ctx context.Context, stmt *query.SelectStmt, snap *store.SnapshotHandle, start time.Time, kinds []store.Kind) (*query.Result, error) {
 	if e.limiter != nil {
 		release, err := e.limiter.Acquire(ctx, 1)
@@ -497,16 +545,13 @@ func (e *Engine) execute(ctx context.Context, stmt *query.SelectStmt, snap *stor
 	}
 	var res *query.Result
 	var err error
-	switch {
-	case e.coord != nil:
-		res, err = e.coord.Run(ctx, stmt)
-		if err == nil && kinds != nil {
-			res.Batch, res.Rows = store.ColBatchFromRows(kinds, res.Rows), nil
-		}
-	case kinds != nil:
+	if e.coord == nil {
 		res, err = e.sql.RunColumnsAt(ctx, stmt, snap)
-	default:
-		res, err = e.sql.RunAt(ctx, stmt, snap)
+	} else if res, err = e.coord.Run(ctx, stmt); err == nil && !stmt.Explain {
+		if kinds == nil {
+			kinds = make([]store.Kind, len(res.Columns)) // all KindNull: generic
+		}
+		res.Batch, res.Rows = store.ColBatchFromRows(kinds, res.Rows), nil
 	}
 	e.Metrics.Histogram("query.latency").Record(time.Since(start))
 	if err != nil {

@@ -15,9 +15,11 @@ import (
 // this one serves exact repeats of arbitrary statements — the
 // dashboard-refresh pattern.
 //
-// get returns a deep copy (query.Result.Clone), so a caller mutating
-// the rows it was handed cannot corrupt the cached entry that later
-// hits serve from.
+// Entries are columnar results shared as they are, never copied: a fill
+// stores the executor's *query.Result and every hit returns that same
+// pointer, which is sound because nothing writes a columnar result
+// after the executor returns it. Engine.Query copies one out for
+// callers that want rows of their own.
 type queryCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -54,7 +56,7 @@ func (c *queryCache) get(key string, version string) (*query.Result, bool) {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	return e.res.Clone(), true
+	return e.res, true
 }
 
 // put stores a result, evicting the least-recently-used entry at

@@ -70,6 +70,61 @@ func TestStatementCacheHitIsolation(t *testing.T) {
 	if got := fmt.Sprintf("%v", again.Rows); got != want {
 		t.Fatalf("mutating a hit result corrupted the cache:\n got %s\nwant %s", got, want)
 	}
+	// The per-operator stats are the caller's too.
+	if len(again.Stats.Ops) == 0 {
+		t.Fatal("result carries no per-operator stats")
+	}
+	wantOps := fmt.Sprintf("%+v", *again.Stats.Ops[0])
+	for _, op := range again.Stats.Ops {
+		op.RowsOut, op.Name = -99, "CORRUPTED"
+	}
+	again.Stats.Ops[0] = nil
+	last, err := e.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.Stats.Ops[0] == nil {
+		t.Fatal("clearing a hit's per-operator stats reached the cache")
+	}
+	if got := fmt.Sprintf("%+v", *last.Stats.Ops[0]); got != wantOps {
+		t.Fatalf("mutating a hit's per-operator stats corrupted the cache:\n got %s\nwant %s", got, wantOps)
+	}
+}
+
+// TestQueryColumnsHitSharesResult pins the served path's contract: a
+// statement-cache hit through QueryColumns is the cached result itself —
+// the same pointer and the same batch, copied nowhere.
+func TestQueryColumnsHitSharesResult(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.QueryCacheEntries = 16
+	e := buildEngine(t, cfg)
+	ctx := context.Background()
+	q := "SELECT family, COUNT(*) FROM proteins GROUP BY family ORDER BY family"
+	fill, err := e.QueryColumns(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fill.Batch == nil || fill.Rows != nil {
+		t.Fatalf("QueryColumns returned Batch %v and %d rows, want a batch and no rows", fill.Batch, len(fill.Rows))
+	}
+	hit, err := e.QueryColumns(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit != fill || hit.Batch != fill.Batch {
+		t.Fatal("a hit did not return the cached result")
+	}
+	// What a hit costs is parsing the statement, pinning a snapshot and
+	// rendering its version key; the result itself is not copied.
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := e.QueryColumns(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a QueryColumns hit allocates %.0f objects", allocs)
+	if allocs > 48 {
+		t.Fatalf("a QueryColumns hit allocates %.0f objects, bound 48", allocs)
+	}
 }
 
 func TestStatementCacheInvalidatedByWrite(t *testing.T) {

@@ -39,6 +39,8 @@ func IsBusy(err error) bool {
 type Client struct {
 	conn io.ReadWriter
 	r    *bufio.Reader
+	in   frameReader // reads every reply, interning column names
+	out  frameWriter // frames every request
 
 	strategy Strategy
 	budget   int
@@ -104,6 +106,7 @@ func dial(conn io.ReadWriter, strategy Strategy, budget int, compress bool) (*Cl
 		Clock:    netsim.NewWallClock(),
 		Nodes:    make(map[int64]WireNode),
 	}
+	c.in.names = make(map[string]string)
 	if err := WriteMsg(conn, &Hello{Strategy: strategy, Budget: budget, Compress: compress}); err != nil {
 		return nil, err
 	}
@@ -118,7 +121,7 @@ func dial(conn io.ReadWriter, strategy Strategy, budget int, compress bool) (*Cl
 // bytes are protocol overhead, not payload, so they are excluded from
 // BytesDown.
 func (c *Client) readHelloVerdict() error {
-	msg, _, err := ReadMsg(c.r)
+	msg, _, err := c.in.read(c.r)
 	if err != nil {
 		return fmt.Errorf("mobile: reading hello ack: %w", err)
 	}
@@ -136,10 +139,10 @@ func (c *Client) readHelloVerdict() error {
 
 // exchange performs one request/response on the current transport.
 func (c *Client) exchange(req any) (any, int64, error) {
-	if err := WriteMsg(c.conn, req); err != nil {
+	if _, err := c.out.write(c.conn, req, false); err != nil {
 		return nil, 0, err
 	}
-	return ReadMsg(c.r)
+	return c.in.read(c.r)
 }
 
 // reconnect redials and replays the session handshake.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -144,14 +145,34 @@ func TestMsgSizeMatchesEncoding(t *testing.T) {
 }
 
 func TestDecodeRejectsCorrupt(t *testing.T) {
-	if _, err := decodeMsg(nil); err == nil {
-		t.Error("empty message accepted")
-	}
-	if _, err := decodeMsg([]byte{99}); err == nil {
-		t.Error("unknown type accepted")
-	}
-	if _, err := decodeMsg([]byte{byte(MsgOpen), 0xFF}); err == nil {
-		t.Error("truncated open accepted")
+	huge := binary.AppendUvarint(nil, 1<<40)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	oneCol := []byte{byte(MsgQueryResult), 1, 1, 'a'}
+	for name, p := range map[string][]byte{
+		"empty message":           nil,
+		"unknown type":            {99},
+		"truncated open":          {byte(MsgOpen), 0xFF},
+		"non-minimal varint":      {byte(MsgOpen), 0x80, 0x00},
+		"flag byte 2":             {byte(MsgHello), 0, 5, 2},
+		"trailing byte":           {byte(MsgBye), 0},
+		"row narrower than cols":  cat(oneCol, []byte{1, 0}),
+		"row wider than cols":     cat(oneCol, []byte{1, 2, 0, 0}),
+		"unknown value kind":      cat(oneCol, []byte{1, 1, 9}),
+		"bool value byte 2":       cat(oneCol, []byte{1, 1, byte(store.KindBool), 2}),
+		"row count past payload":  cat(oneCol, huge, []byte{1, 0, 1, 0}),
+		"column count past bytes": cat([]byte{byte(MsgQueryResult)}, huge, []byte{1, 'a'}),
+		"node count past payload": cat([]byte{byte(MsgTreeDelta), 0, 0}, huge, make([]byte, 64)),
+		"source count past bytes": cat([]byte{byte(MsgStatus)}, huge, []byte{0, 0, 0, 0}),
+	} {
+		var err error
+		// A count is checked against the bytes left before anything is
+		// sized by it, so a rejected frame costs next to nothing.
+		if n := allocatedBy(func() { _, err = decodeMsg(p) }); n > 4096 {
+			t.Errorf("%s: rejecting it allocated %d bytes", name, n)
+		}
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -7,12 +7,9 @@
 package mobile
 
 import (
-	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"drugtree/internal/store"
@@ -141,10 +138,15 @@ type TreeDelta struct {
 	Focus int64
 }
 
-// QueryResult returns DTQL output.
+// QueryResult returns DTQL output. A decoded QueryResult carries Rows,
+// all of whose cells share one slab.
 type QueryResult struct {
 	Columns []string
 	Rows    []store.Row
+	// Batch, when set, holds the rows as columns and is encoded in place
+	// of Rows, to the same bytes. The server sets it to the engine's
+	// shared result, so the encoder only reads it.
+	Batch *store.ColBatch
 }
 
 // ErrorMsg reports a failure.
@@ -190,136 +192,21 @@ type HelloAck struct {
 	SessionID int64
 }
 
-// maxFrame bounds one message (defensive).
-const maxFrame = 64 << 20
+// Bye closes a session.
+type Bye struct{}
 
-// Frame layout: uvarint body length, then body = flag byte + payload.
-// flag 0 is a raw payload; flag 1 a DEFLATE-compressed payload.
-const (
-	frameRaw     = 0
-	frameDeflate = 1
-	// compressThreshold is the minimum payload size worth deflating;
-	// below it the flate header overhead wins.
-	compressThreshold = 512
-)
-
-// WriteMsg frames and writes one message uncompressed. It returns the
-// number of bytes put on the wire.
-func WriteMsg(w io.Writer, msg any) error {
-	_, err := writeMsg(w, msg, false)
-	return err
-}
-
-// WriteMsgCompressed frames one message, deflating payloads above the
-// size threshold. It returns the bytes put on the wire.
-func WriteMsgCompressed(w io.Writer, msg any) (int64, error) {
-	return writeMsg(w, msg, true)
-}
-
-func writeMsg(w io.Writer, msg any, allowCompress bool) (int64, error) {
-	payload, err := encodeMsg(msg)
-	if err != nil {
-		return 0, err
-	}
-	flag := byte(frameRaw)
-	if allowCompress && len(payload) >= compressThreshold {
-		var buf bytes.Buffer
-		fw, err := flate.NewWriter(&buf, flate.BestSpeed)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := fw.Write(payload); err != nil {
-			return 0, err
-		}
-		if err := fw.Close(); err != nil {
-			return 0, err
-		}
-		if buf.Len() < len(payload) {
-			payload = buf.Bytes()
-			flag = frameDeflate
-		}
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)+1))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write([]byte{flag}); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return 0, err
-	}
-	return int64(n + 1 + len(payload)), nil
-}
-
-// ReadMsg reads one framed message, returning the decoded message and
-// the number of bytes it occupied on the wire (so clients can account
-// for compression accurately).
-func ReadMsg(r *bufio.Reader) (any, int64, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n > maxFrame {
-		return nil, 0, fmt.Errorf("mobile: frame of %d bytes exceeds limit", n)
-	}
-	if n < 1 {
-		return nil, 0, fmt.Errorf("mobile: empty frame")
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, 0, err
-	}
-	wire := int64(uvarintLen(n) + len(body))
-	payload := body[1:]
-	if body[0] == frameDeflate {
-		fr := flate.NewReader(bytes.NewReader(payload))
-		raw, err := io.ReadAll(io.LimitReader(fr, maxFrame))
-		if err != nil {
-			return nil, 0, fmt.Errorf("mobile: inflating frame: %w", err)
-		}
-		fr.Close()
-		payload = raw
-	} else if body[0] != frameRaw {
-		return nil, 0, fmt.Errorf("mobile: unknown frame flag %d", body[0])
-	}
-	msg, err := decodeMsg(payload)
-	return msg, wire, err
-}
-
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
-// MsgSize returns the uncompressed framed size of a message, for byte
-// accounting without writing.
-func MsgSize(msg any) (int64, error) {
-	payload, err := encodeMsg(msg)
-	if err != nil {
-		return 0, err
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)+1))
-	return int64(n + 1 + len(payload)), nil
-}
-
+// encodeMsg returns msg's payload: its type byte and fields.
 func encodeMsg(msg any) ([]byte, error) {
-	var b []byte
+	return appendMsg(nil, msg)
+}
+
+// appendMsg appends msg's payload to b.
+func appendMsg(b []byte, msg any) ([]byte, error) {
 	switch m := msg.(type) {
 	case *Hello:
 		b = append(b, byte(MsgHello), byte(m.Strategy))
 		b = binary.AppendUvarint(b, uint64(m.Budget))
-		if m.Compress {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = appendFlag(b, m.Compress)
 	case *Open:
 		b = append(b, byte(MsgOpen))
 		b = appendStr(b, m.Node)
@@ -330,11 +217,7 @@ func encodeMsg(msg any) ([]byte, error) {
 		b = append(b, byte(MsgBye))
 	case *TreeDelta:
 		b = append(b, byte(MsgTreeDelta))
-		if m.Reset {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = appendFlag(b, m.Reset)
 		b = binary.AppendVarint(b, m.Focus)
 		b = binary.AppendUvarint(b, uint64(len(m.Add)))
 		for _, n := range m.Add {
@@ -349,6 +232,13 @@ func encodeMsg(msg any) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(len(m.Columns)))
 		for _, c := range m.Columns {
 			b = appendStr(b, c)
+		}
+		if m.Batch != nil {
+			b = binary.AppendUvarint(b, uint64(m.Batch.Rows))
+			for i := 0; i < m.Batch.Rows; i++ {
+				b = store.AppendBatchRow(b, m.Batch, i)
+			}
+			break
 		}
 		b = binary.AppendUvarint(b, uint64(len(m.Rows)))
 		for _, r := range m.Rows {
@@ -371,176 +261,274 @@ func encodeMsg(msg any) ([]byte, error) {
 		for _, s := range m.Sources {
 			b = appendStr(b, s.Name)
 			b = appendStr(b, s.Status)
-			if s.Stale {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
-			}
+			b = appendFlag(b, s.Stale)
 			b = binary.AppendVarint(b, s.AgeMs)
 		}
 	default:
-		return nil, fmt.Errorf("mobile: cannot encode %T", msg)
+		return b, fmt.Errorf("mobile: cannot encode %T", msg)
 	}
 	return b, nil
 }
 
-// Bye closes a session.
-type Bye struct{}
-
+// decodeMsg decodes one message payload.
 func decodeMsg(p []byte) (any, error) {
-	if len(p) == 0 {
-		return nil, fmt.Errorf("mobile: empty message")
+	d := decoder{p: p}
+	return d.msg()
+}
+
+// decoder reads one message payload. Every count it reads is checked
+// against the bytes left before anything is sized by it, so a payload
+// cannot make it allocate more than a small multiple of its own length.
+// Varints must be minimal, flag bytes 0 or 1 and the payload used up
+// exactly, so a payload it accepts re-encodes to its own bytes. The
+// first failure sticks: later reads return zero values.
+type decoder struct {
+	p   []byte
+	err error
+	// names interns column names across messages; nil copies each one.
+	names map[string]string
+}
+
+// minWireNode is the shortest encoding of a WireNode: five one-byte
+// fields and three floats.
+const minWireNode = 5 + 3*8
+
+// errShort reports a payload that ends before its fields do.
+var errShort = errors.New("message truncated")
+
+func (d *decoder) msg() (any, error) {
+	if len(d.p) == 0 {
+		return nil, errors.New("mobile: empty message")
 	}
-	r := bytes.NewReader(p[1:])
-	switch MsgType(p[0]) {
+	t := MsgType(d.byte())
+	var msg any
+	switch t {
 	case MsgHello:
-		sb, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		budget, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		cb, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		return &Hello{Strategy: Strategy(sb), Budget: int(budget), Compress: cb == 1}, nil
+		msg = &Hello{Strategy: Strategy(d.byte()), Budget: int(d.uvarint()), Compress: d.flag()}
 	case MsgOpen:
-		s, err := readStr(r)
-		if err != nil {
-			return nil, err
-		}
-		return &Open{Node: s}, nil
+		msg = &Open{Node: d.str()}
 	case MsgQuery:
-		s, err := readStr(r)
-		if err != nil {
-			return nil, err
-		}
-		return &Query{DTQL: s}, nil
+		msg = &Query{DTQL: d.str()}
 	case MsgBye:
-		return &Bye{}, nil
+		msg = &Bye{}
 	case MsgTreeDelta:
-		rb, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		focus, err := binary.ReadVarint(r)
-		if err != nil {
-			return nil, err
-		}
-		nAdd, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		if nAdd > maxFrame/8 {
-			return nil, fmt.Errorf("mobile: add count %d too large", nAdd)
-		}
-		d := &TreeDelta{Reset: rb == 1, Focus: focus}
-		for i := uint64(0); i < nAdd; i++ {
-			wn, err := readWireNode(r)
-			if err != nil {
-				return nil, err
-			}
-			d.Add = append(d.Add, wn)
-		}
-		nRem, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		if nRem > maxFrame/2 {
-			return nil, fmt.Errorf("mobile: remove count %d too large", nRem)
-		}
-		for i := uint64(0); i < nRem; i++ {
-			pre, err := binary.ReadVarint(r)
-			if err != nil {
-				return nil, err
-			}
-			d.Remove = append(d.Remove, pre)
-		}
-		return d, nil
+		msg = d.treeDelta()
 	case MsgQueryResult:
-		nCols, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		if nCols > 4096 {
-			return nil, fmt.Errorf("mobile: column count %d too large", nCols)
-		}
-		q := &QueryResult{}
-		for i := uint64(0); i < nCols; i++ {
-			c, err := readStr(r)
-			if err != nil {
-				return nil, err
-			}
-			q.Columns = append(q.Columns, c)
-		}
-		nRows, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		if nRows > maxFrame/4 {
-			return nil, fmt.Errorf("mobile: row count %d too large", nRows)
-		}
-		for i := uint64(0); i < nRows; i++ {
-			row, err := store.ReadRow(r)
-			if err != nil {
-				return nil, err
-			}
-			q.Rows = append(q.Rows, row)
-		}
-		return q, nil
+		msg = d.queryResult()
 	case MsgError:
-		s, err := readStr(r)
-		if err != nil {
-			return nil, err
-		}
-		return &ErrorMsg{Text: s}, nil
+		msg = &ErrorMsg{Text: d.str()}
 	case MsgRetry:
-		ms, err := binary.ReadVarint(r)
-		if err != nil {
-			return nil, err
-		}
-		return &RetryMsg{AfterMS: ms}, nil
+		msg = &RetryMsg{AfterMS: d.varint()}
 	case MsgHelloAck:
-		id, err := binary.ReadVarint(r)
-		if err != nil {
-			return nil, err
-		}
-		return &HelloAck{SessionID: id}, nil
+		msg = &HelloAck{SessionID: d.varint()}
 	case MsgStatusReq:
-		return &StatusReq{}, nil
+		msg = &StatusReq{}
 	case MsgStatus:
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		if n > 4096 {
-			return nil, fmt.Errorf("mobile: source count %d too large", n)
-		}
 		m := &StatusMsg{}
-		for i := uint64(0); i < n; i++ {
-			var s SourceStatus
-			if s.Name, err = readStr(r); err != nil {
-				return nil, err
+		if n := d.count(4); n > 0 {
+			m.Sources = make([]SourceStatus, n)
+			for i := 0; i < n && d.err == nil; i++ {
+				m.Sources[i] = SourceStatus{Name: d.str(), Status: d.str(), Stale: d.flag(), AgeMs: d.varint()}
 			}
-			if s.Status, err = readStr(r); err != nil {
-				return nil, err
-			}
-			sb, err := r.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			s.Stale = sb == 1
-			if s.AgeMs, err = binary.ReadVarint(r); err != nil {
-				return nil, err
-			}
-			m.Sources = append(m.Sources, s)
 		}
-		return m, nil
+		msg = m
+	default:
+		return nil, fmt.Errorf("mobile: unknown message type %d", t)
 	}
-	return nil, fmt.Errorf("mobile: unknown message type %d", p[0])
+	if d.err == nil && len(d.p) > 0 {
+		d.fail(fmt.Errorf("%d bytes after the message", len(d.p)))
+	}
+	if d.err != nil {
+		return nil, fmt.Errorf("mobile: decoding %v: %w", t, d.err)
+	}
+	return msg, nil
+}
+
+func (d *decoder) treeDelta() *TreeDelta {
+	m := &TreeDelta{Reset: d.flag(), Focus: d.varint()}
+	if n := d.count(minWireNode); n > 0 {
+		m.Add = make([]WireNode, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			m.Add[i] = d.wireNode()
+		}
+	}
+	if n := d.count(1); n > 0 {
+		m.Remove = make([]int64, n)
+		for i := range m.Remove {
+			m.Remove[i] = d.varint()
+		}
+	}
+	return m
+}
+
+// queryReply is a decoded QueryResult with room for the names of a
+// narrow result, so the message and its column names are one
+// allocation.
+type queryReply struct {
+	QueryResult
+	names [8]string
+}
+
+// queryResult decodes a result's rows into one cell slab. Every row
+// must be as wide as the column list; each takes at least its cell count
+// and a kind byte per cell, which bounds the slab by the payload.
+func (d *decoder) queryResult() *QueryResult {
+	r := &queryReply{}
+	q := &r.QueryResult
+	if w := d.count(1); w <= len(r.names) {
+		q.Columns = r.names[:w:w]
+	} else {
+		q.Columns = make([]string, w)
+	}
+	for i := range q.Columns {
+		q.Columns[i] = d.name()
+	}
+	w := len(q.Columns)
+	n := d.count(w + 1)
+	if n == 0 {
+		return q
+	}
+	slab := make([]store.Value, n*w)
+	q.Rows = make([]store.Row, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		if cells := d.uvarint(); cells != uint64(w) && d.err == nil {
+			d.fail(fmt.Errorf("result row %d has %d cells, want %d", i, cells, w))
+		}
+		row := slab[i*w : (i+1)*w : (i+1)*w]
+		for j := range row {
+			row[j] = d.value()
+		}
+		q.Rows[i] = row
+	}
+	return q
+}
+
+func (d *decoder) wireNode() WireNode {
+	n := WireNode{Pre: d.varint(), Name: d.str(), ParentPre: d.varint()}
+	flags := d.byte()
+	if flags > 3 {
+		d.fail(fmt.Errorf("node flags %#x", flags))
+	}
+	n.IsLeaf, n.Collapsed = flags&1 != 0, flags&2 != 0
+	n.LeafCount = int64(d.uvarint())
+	n.Length, n.X, n.Y = d.f64(), d.f64(), d.f64()
+	return n
+}
+
+// value reads one cell in store.AppendValue's format.
+func (d *decoder) value() store.Value {
+	switch k := store.Kind(d.byte()); k {
+	case store.KindNull:
+		return store.Value{}
+	case store.KindInt:
+		return store.IntValue(d.varint())
+	case store.KindFloat:
+		return store.FloatValue(d.f64())
+	case store.KindString:
+		return store.StringValue(d.str())
+	case store.KindBool:
+		return store.BoolValue(d.flag())
+	default:
+		d.fail(fmt.Errorf("unknown value kind %d", k))
+		return store.Value{}
+	}
+}
+
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.p = nil
+}
+
+// take consumes the next n bytes; the slice aliases the payload.
+func (d *decoder) take(n uint64) []byte {
+	if n > uint64(len(d.p)) {
+		d.fail(errShort)
+		return nil
+	}
+	b := d.p[:n]
+	d.p = d.p[n:]
+	return b
+}
+
+func (d *decoder) byte() byte {
+	if b := d.take(1); len(b) == 1 {
+		return b[0]
+	}
+	return 0
+}
+
+func (d *decoder) flag() bool {
+	b := d.byte()
+	if b > 1 {
+		d.fail(fmt.Errorf("flag byte %d", b))
+	}
+	return b == 1
+}
+
+func (d *decoder) uvarint() uint64 {
+	x, n := binary.Uvarint(d.p)
+	switch {
+	case n == 0:
+		d.fail(errShort)
+		return 0
+	case n < 0:
+		d.fail(errors.New("varint overflows 64 bits"))
+		return 0
+	case n != uvarintLen(x):
+		d.fail(errors.New("varint not minimally encoded"))
+		return 0
+	}
+	d.p = d.p[n:]
+	return x
+}
+
+// varint reads a zigzag varint (binary.AppendVarint's format).
+func (d *decoder) varint() int64 {
+	ux := d.uvarint()
+	return int64(ux>>1) ^ -int64(ux&1)
+}
+
+// count reads an item count and fails unless the bytes left could hold
+// that many items of at least minBytes each.
+func (d *decoder) count(minBytes int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.p)/minBytes) {
+		d.fail(errShort)
+		return 0
+	}
+	return int(n)
+}
+
+// str reads a length-prefixed string, copying its bytes once.
+func (d *decoder) str() string {
+	return string(d.take(d.uvarint()))
+}
+
+// name is str for a column name: interned when the decoder keeps names,
+// so a client repeating a statement holds one copy of its column names.
+func (d *decoder) name() string {
+	b := d.take(d.uvarint())
+	if d.names == nil {
+		return string(b)
+	}
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	if len(d.names) >= maxInterned {
+		clear(d.names)
+	}
+	s := string(b)
+	d.names[s] = s
+	return s
+}
+
+func (d *decoder) f64() float64 {
+	if b := d.take(8); len(b) == 8 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
 }
 
 func appendStr(b []byte, s string) []byte {
@@ -548,33 +536,11 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func readStr(r *bytes.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
+func appendFlag(b []byte, f bool) []byte {
+	if f {
+		return append(b, 1)
 	}
-	if n > maxFrame {
-		return "", fmt.Errorf("mobile: string of %d bytes exceeds limit", n)
-	}
-	b := make([]byte, n)
-	if err := readFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// readFull is io.ReadFull on the concrete reader, so a caller's stack
-// buffer does not escape through an io.Reader: a *bytes.Reader comes
-// up short only where the frame ends.
-func readFull(r *bytes.Reader, b []byte) error {
-	n, err := r.Read(b)
-	if n == len(b) {
-		return nil
-	}
-	if n > 0 {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	return append(b, 0)
 }
 
 func appendWireNode(b []byte, n WireNode) []byte {
@@ -596,51 +562,6 @@ func appendWireNode(b []byte, n WireNode) []byte {
 	return b
 }
 
-func readWireNode(r *bytes.Reader) (WireNode, error) {
-	var n WireNode
-	var err error
-	if n.Pre, err = binary.ReadVarint(r); err != nil {
-		return n, err
-	}
-	if n.Name, err = readStr(r); err != nil {
-		return n, err
-	}
-	if n.ParentPre, err = binary.ReadVarint(r); err != nil {
-		return n, err
-	}
-	flags, err := r.ReadByte()
-	if err != nil {
-		return n, err
-	}
-	n.IsLeaf = flags&1 != 0
-	n.Collapsed = flags&2 != 0
-	lc, err := binary.ReadUvarint(r)
-	if err != nil {
-		return n, err
-	}
-	n.LeafCount = int64(lc)
-	if n.Length, err = readF64(r); err != nil {
-		return n, err
-	}
-	if n.X, err = readF64(r); err != nil {
-		return n, err
-	}
-	if n.Y, err = readF64(r); err != nil {
-		return n, err
-	}
-	return n, nil
-}
-
 func appendF64(b []byte, f float64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(f))
-	return append(b, tmp[:]...)
-}
-
-func readF64(r *bytes.Reader) (float64, error) {
-	var tmp [8]byte
-	if err := readFull(r, tmp[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(tmp[:])), nil
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }

@@ -290,6 +290,7 @@ type session struct {
 	compress bool
 	key      string         // per-session rate-limit bucket key
 	held     map[int64]bool // node pre numbers the client holds
+	out      frameWriter    // frames every reply respond sends
 }
 
 // armReadDeadline applies the server's per-message read deadline when
@@ -344,9 +345,10 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) (err error) 
 	}()
 
 	r := bufio.NewReader(conn)
+	var in frameReader
 	// First message must be Hello.
 	s.armReadDeadline(conn)
-	first, _, err := ReadMsg(r)
+	first, _, err := in.read(r)
 	if err != nil {
 		return fmt.Errorf("mobile: reading hello: %w", err)
 	}
@@ -379,7 +381,7 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) (err error) 
 	}
 	for {
 		s.armReadDeadline(conn)
-		msg, _, err := ReadMsg(r)
+		msg, _, err := in.read(r)
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
@@ -498,7 +500,7 @@ func (s *Server) handleOpen(ctx context.Context, w io.Writer, sess *session, m *
 }
 
 func (s *Server) handleQuery(ctx context.Context, w io.Writer, sess *session, m *Query) error {
-	res, err := s.engine.Query(ctx, m.DTQL)
+	res, err := s.engine.QueryColumns(ctx, m.DTQL)
 	if err != nil {
 		if admission.IsShed(err) {
 			// The engine's limiter turned the query away: tell the
@@ -509,15 +511,13 @@ func (s *Server) handleQuery(ctx context.Context, w io.Writer, sess *session, m 
 		}
 		return WriteMsg(w, &ErrorMsg{Text: err.Error()})
 	}
-	return s.respond(w, sess, &QueryResult{Columns: res.Columns, Rows: res.Rows})
+	// res is the engine's shared result: it is encoded, never written.
+	return s.respond(w, sess, &QueryResult{Columns: res.Columns, Batch: res.Batch})
 }
 
-// respond writes a response honoring the session's compression
-// negotiation.
+// respond writes a reply through the session's frame buffer, honoring
+// its compression negotiation.
 func (s *Server) respond(w io.Writer, sess *session, msg any) error {
-	if sess.compress {
-		_, err := WriteMsgCompressed(w, msg)
-		return err
-	}
-	return WriteMsg(w, msg)
+	_, err := sess.out.write(w, msg, sess.compress)
+	return err
 }

@@ -19,7 +19,8 @@ type Result struct {
 	// Rows are the result rows.
 	Rows []store.Row
 	// Batch is the result as typed column vectors, set in place of Rows
-	// by RunColumnsAt.
+	// by RunColumnsAt. Nothing writes it once RunColumnsAt returns, so
+	// it may be shared read-only.
 	Batch *store.ColBatch
 	// Plan is the physical plan rendered as indented text.
 	Plan string
@@ -175,35 +176,6 @@ func annotatePlan(plan []string, ops []*OpStats) string {
 		}
 	}
 	return b.String()
-}
-
-// Clone returns a deep copy of the result: rows, columns, and
-// per-operator stats share no storage with the receiver (a columnar
-// Batch is shared, not copied). Callers that hand one Result to
-// multiple consumers (the statement cache does) clone so a consumer
-// mutating its rows cannot corrupt the others'.
-func (r *Result) Clone() *Result {
-	if r == nil {
-		return nil
-	}
-	out := *r
-	out.Columns = append([]string(nil), r.Columns...)
-	if r.Rows != nil {
-		out.Rows = make([]store.Row, len(r.Rows))
-		for i, row := range r.Rows {
-			out.Rows[i] = append(store.Row(nil), row...)
-		}
-	}
-	if r.Stats.Ops != nil {
-		out.Stats.Ops = make([]*OpStats, len(r.Stats.Ops))
-		for i, op := range r.Stats.Ops {
-			if op != nil {
-				c := *op
-				out.Stats.Ops[i] = &c
-			}
-		}
-	}
-	return &out
 }
 
 // OutputColumns returns the output column names stmt would produce,

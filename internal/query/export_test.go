@@ -2,16 +2,27 @@ package query
 
 import "math/rand"
 
-// Test-only exports for the external test package (sharded_test.go),
-// which may import internal/shard — a package that itself imports this
-// one — where an in-package test may not.
+// Test-only exports for the external test package (sharded_test.go,
+// wire_test.go), which may import internal/shard, internal/core and
+// internal/mobile — packages that themselves import this one — where an
+// in-package test may not.
 var (
 	RefQuery         = refQuery
 	DatagenCatalog   = datagenCatalog
 	CladeOfSize      = cladeOfSize
 	AssertSameResult = assertSameResult
 	SerialOptions    = serialOptions
+	TestCatalog      = testCatalog
 )
+
+// DifferentialCorpus lists the statements of differentialCorpus.
+func DifferentialCorpus() []string {
+	out := make([]string, len(differentialCorpus))
+	for i, c := range differentialCorpus {
+		out[i] = c.q
+	}
+	return out
+}
 
 // QueryGen is the seeded DTQL generator of the differential suites.
 type QueryGen = queryGen

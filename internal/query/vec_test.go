@@ -9,9 +9,9 @@ import (
 )
 
 // Tests specific to the vectorized executor and the interfaces the
-// refactor touched: EXPLAIN ANALYZE annotations, result-row aliasing,
-// and Result.Clone. Engine-equivalence itself lives in the
-// differential harness (differential_test.go).
+// refactor touched: EXPLAIN ANALYZE annotations and result-row
+// aliasing. Engine-equivalence itself lives in the differential
+// harness (differential_test.go).
 
 func TestParseExplainAnalyze(t *testing.T) {
 	stmt, err := Parse("EXPLAIN ANALYZE SELECT * FROM t")
@@ -130,33 +130,5 @@ func TestResultRowMutationIsolation(t *testing.T) {
 					tc.name, q, len(before.Rows), len(after.Rows))
 			}
 		}
-	}
-}
-
-func TestResultClone(t *testing.T) {
-	cat := testCatalog(t)
-	orig := runQ(t, cat, DefaultOptions(), "EXPLAIN ANALYZE SELECT * FROM proteins WHERE length > 100")
-	orig.Rows = []store.Row{{store.IntValue(1), store.IntValue(2)}}
-	c := orig.Clone()
-	c.Rows[0][0] = store.StringValue("CORRUPTED")
-	c.Columns[0] = "CORRUPTED"
-	if orig.Rows[0][0].K == store.KindString {
-		t.Fatal("Clone shares row storage")
-	}
-	if orig.Columns[0] == "CORRUPTED" {
-		t.Fatal("Clone shares column names")
-	}
-	if len(c.Stats.Ops) != len(orig.Stats.Ops) {
-		t.Fatalf("Clone dropped ops: %d vs %d", len(c.Stats.Ops), len(orig.Stats.Ops))
-	}
-	if len(orig.Stats.Ops) > 0 && orig.Stats.Ops[0] != nil {
-		c.Stats.Ops[0].RowsOut = -99
-		if orig.Stats.Ops[0].RowsOut == -99 {
-			t.Fatal("Clone shares OpStats")
-		}
-	}
-	var nilRes *Result
-	if nilRes.Clone() != nil {
-		t.Fatal("nil Clone should be nil")
 	}
 }

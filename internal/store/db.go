@@ -524,6 +524,12 @@ func readString(r *bufio.Reader) (string, error) {
 	if n > maxStringLen {
 		return "", fmt.Errorf("store: string length %d exceeds limit", n)
 	}
+	// Bytes already buffered are copied once, straight into the string.
+	if b, err := r.Peek(int(n)); err == nil {
+		s := string(b)
+		_, _ = r.Discard(len(b)) // cannot come up short: Peek returned them
+		return s, nil
+	}
 	b := make([]byte, n)
 	if _, err := io.ReadFull(r, b); err != nil {
 		return "", err

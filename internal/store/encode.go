@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -25,14 +26,6 @@ const (
 	maxStringLen = 16 << 20 // 16 MiB
 	maxRowCells  = 1 << 16
 )
-
-// ByteStream is what the decoders read from: WAL and snapshot files
-// hand in a *bufio.Reader, the wire protocol a *bytes.Reader over a
-// frame it has already read.
-type ByteStream interface {
-	io.Reader
-	io.ByteReader
-}
 
 // AppendValue appends the encoding of v to buf.
 func AppendValue(buf []byte, v Value) []byte {
@@ -63,8 +56,38 @@ func AppendRow(buf []byte, r Row) []byte {
 	return buf
 }
 
+// AppendCell appends the encoding of cell i of c: the bytes AppendValue
+// writes for c.Value(i), without building the Value.
+func AppendCell(buf []byte, c *Col, i int) []byte {
+	if c.Null[i] {
+		return append(buf, byte(KindNull))
+	}
+	switch c.Kind {
+	case KindInt:
+		return binary.AppendVarint(append(buf, byte(KindInt)), c.Int[i])
+	case KindBool:
+		return append(buf, byte(KindBool), byte(c.Int[i]))
+	case KindFloat:
+		return binary.LittleEndian.AppendUint64(append(buf, byte(KindFloat)), math.Float64bits(c.Float[i]))
+	case KindString:
+		buf = binary.AppendUvarint(append(buf, byte(KindString)), uint64(len(c.Str[i])))
+		return append(buf, c.Str[i]...)
+	}
+	return AppendValue(buf, c.Vals[i])
+}
+
+// AppendBatchRow appends the encoding of row i of cb: the bytes
+// AppendRow writes for that row.
+func AppendBatchRow(buf []byte, cb *ColBatch, i int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(cb.Cols)))
+	for c := range cb.Cols {
+		buf = AppendCell(buf, &cb.Cols[c], i)
+	}
+	return buf
+}
+
 // ReadValue decodes one value from r.
-func ReadValue(r ByteStream) (Value, error) {
+func ReadValue(r *bufio.Reader) (Value, error) {
 	kb, err := r.ReadByte()
 	if err != nil {
 		return Value{}, err
@@ -85,18 +108,11 @@ func ReadValue(r ByteStream) (Value, error) {
 		}
 		return FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(tmp[:]))), nil
 	case KindString:
-		n, err := binary.ReadUvarint(r)
+		s, err := readString(r)
 		if err != nil {
-			return Value{}, fmt.Errorf("store: decoding string length: %w", err)
-		}
-		if n > maxStringLen {
-			return Value{}, fmt.Errorf("store: string length %d exceeds limit", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
 			return Value{}, fmt.Errorf("store: decoding string: %w", err)
 		}
-		return StringValue(string(b)), nil
+		return StringValue(s), nil
 	case KindBool:
 		b, err := r.ReadByte()
 		if err != nil {
@@ -108,7 +124,7 @@ func ReadValue(r ByteStream) (Value, error) {
 }
 
 // ReadRow decodes one row from r.
-func ReadRow(r ByteStream) (Row, error) {
+func ReadRow(r *bufio.Reader) (Row, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
