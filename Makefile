@@ -16,10 +16,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Non-test Go lines per internal/* package (and cmd/), one line each:
-# the table EXPERIMENTS sections quote before and after a change.
+# Non-test Go lines per internal/* package (and cmd/, examples/), one
+# line each: the table EXPERIMENTS sections quote before and after a
+# change.
 loc:
-	@for d in internal/* cmd; do \
+	@for d in internal/* cmd examples; do \
 		printf '%-24s %s\n' $$d "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)"; \
 	done
 

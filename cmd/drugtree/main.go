@@ -208,7 +208,7 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	defer db.Close()
-	res, err := eng.Query(rootCtx, fs.Arg(0))
+	res, err := eng.QueryColumns(rootCtx, fs.Arg(0))
 	if err != nil {
 		return err
 	}

@@ -176,7 +176,7 @@ func newMux(eng *core.Engine) *http.ServeMux {
 		if !checkParam(w, "q", q, maxQueryBytes) {
 			return
 		}
-		res, err := eng.Query(r.Context(), q)
+		res, err := eng.QueryColumns(r.Context(), q)
 		if err != nil {
 			if admission.IsShed(err) {
 				writeShed(w, err)
@@ -186,13 +186,13 @@ func newMux(eng *core.Engine) *http.ServeMux {
 			return
 		}
 		p := queryPayload{Columns: res.Columns, Plan: res.Plan}
-		for _, row := range res.Rows {
-			cells := make([]string, len(row))
-			for i, v := range row {
-				if v.K == store.KindString {
-					cells[i] = v.S
+		for i := 0; res.Batch != nil && i < res.Batch.Rows; i++ {
+			cells := make([]string, len(res.Batch.Cols))
+			for c := range res.Batch.Cols {
+				if v := res.Batch.Cols[c].Value(i); v.K == store.KindString {
+					cells[c] = v.S
 				} else {
-					cells[i] = v.String()
+					cells[c] = v.String()
 				}
 			}
 			p.Rows = append(p.Rows, cells)

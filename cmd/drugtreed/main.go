@@ -183,8 +183,9 @@ func buildEngine(dir string, generate bool, seed int64, families, perFamily, lig
 		// retry hints instead of collapsing latency (experiment T9).
 		cfg.Admission = &admission.Config{MaxConcurrency: maxConc, MaxQueue: maxQueue}
 	}
-	// Scatter-gather partitioning (experiment T11): the store is split
-	// across in-process shards at build time and queries fan out.
+	// Scatter-gather partitioning (the sharded benchmark workload): the
+	// store is split across in-process shards at build time and queries
+	// fan out.
 	cfg.Shards = shards
 	eng, err := core.New(db, cfg)
 	if err != nil {

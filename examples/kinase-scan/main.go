@@ -48,13 +48,13 @@ func main() {
 
 	// Pick the lead compound: the ligand with the single strongest
 	// measured affinity anywhere in the screen.
-	res, err := eng.Query(context.Background(), `SELECT ligand_id, MAX(affinity) AS best FROM activities
+	res, err := eng.QueryColumns(context.Background(), `SELECT ligand_id, MAX(affinity) AS best FROM activities
 		GROUP BY ligand_id ORDER BY best DESC LIMIT 1`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lead := res.Rows[0][0].S
-	fmt.Printf("lead compound: %s (best pKd %.2f)\n\n", lead, res.Rows[0][1].AsFloat())
+	lead := res.Batch.Cols[0].Value(0).S
+	fmt.Printf("lead compound: %s (best pKd %.2f)\n\n", lead, res.Batch.Cols[1].Value(0).AsFloat())
 
 	// Which clades are enriched for binders of the lead?
 	clades, err := eng.FamilyEnrichment(context.Background(), lead, 6, 5)
@@ -89,11 +89,11 @@ func main() {
 
 	// Chemical neighborhood of the lead: analogues in the screen by
 	// Tanimoto similarity (the scaffold-hopping question).
-	leadRow, err := eng.Query(context.Background(), fmt.Sprintf("SELECT smiles FROM ligands WHERE ligand_id = '%s'", lead))
+	leadRow, err := eng.QueryColumns(context.Background(), fmt.Sprintf("SELECT smiles FROM ligands WHERE ligand_id = '%s'", lead))
 	if err != nil {
 		log.Fatal(err)
 	}
-	analogues, err := eng.SimilarLigands(context.Background(), leadRow.Rows[0][0].S, 4, 0.2)
+	analogues, err := eng.SimilarLigands(context.Background(), leadRow.Batch.Cols[0].Value(0).S, 4, 0.2)
 	if err != nil {
 		log.Fatal(err)
 	}

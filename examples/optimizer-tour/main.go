@@ -81,7 +81,7 @@ func main() {
 	fmt.Println()
 	for _, step := range steps {
 		eng := buildEngine(step.opts)
-		res, err := eng.Query(context.Background(), q)
+		res, err := eng.QueryColumns(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}

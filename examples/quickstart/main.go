@@ -66,7 +66,7 @@ func main() {
 		 WHERE WITHIN_SUBTREE(pre, '%s') AND is_leaf = TRUE`, eng.Root().Name),
 	} {
 		fmt.Println(">", q)
-		res, err := eng.Query(context.Background(), q)
+		res, err := eng.QueryColumns(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}

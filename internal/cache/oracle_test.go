@@ -41,18 +41,6 @@ func (m *modelEntry) answer(lo, hi int64, exact bool) []store.Row {
 	return out
 }
 
-func rowsOf(cb *store.ColBatch) []store.Row {
-	var rows []store.Row
-	for i := 0; i < cb.Rows; i++ {
-		r := make(store.Row, len(cb.Cols))
-		for c := range cb.Cols {
-			r[c] = cb.Cols[c].Value(i)
-		}
-		rows = append(rows, r)
-	}
-	return rows
-}
-
 // live snapshots the cache's entries per key, in lookup order.
 func (c *Cache) live() map[Key][]*Entry {
 	c.mu.Lock()
@@ -214,7 +202,7 @@ func runOracle(t *testing.T, seed int64, exactOnly bool) {
 					t.Fatalf("step %d: Get(%v,[%d,%d]) ok=%v, model says %v", step, key, lo, hi, ok, want != nil)
 				}
 				if ok {
-					if got, exp := rowsOf(cb), model[want].answer(lo, hi, wantExact); !reflect.DeepEqual(got, exp) {
+					if got, exp := store.RowsFromColBatch(cb), model[want].answer(lo, hi, wantExact); !reflect.DeepEqual(got, exp) {
 						t.Fatalf("step %d: Get [%d,%d] from [%d,%d] exact=%v:\n got %v\nwant %v", step, lo, hi, want.Lo, want.Hi, wantExact, got, exp)
 					}
 					if cols[0] != "pre" {
@@ -276,7 +264,7 @@ func TestWindowsOutliveTheirEntries(t *testing.T) {
 		if !ok {
 			t.Fatalf("Get [%d,%d] missed", lo, hi)
 		}
-		views = append(views, held{cb, rowsOf(cb)})
+		views = append(views, held{cb, store.RowsFromColBatch(cb)})
 	}
 	c.Put(mkEntry(k1, 0, 299, 1))
 	hold(0, 299)
@@ -312,7 +300,7 @@ func TestWindowsOutliveTheirEntries(t *testing.T) {
 	}
 	for round := 0; round < 200; round++ {
 		for _, v := range views {
-			if got := rowsOf(v.cb); !reflect.DeepEqual(got, v.want) {
+			if got := store.RowsFromColBatch(v.cb); !reflect.DeepEqual(got, v.want) {
 				close(stop)
 				wg.Wait()
 				t.Fatalf("round %d: a held window changed", round)

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+
+	"drugtree/internal/query"
 )
 
 // ActivitySummary aggregates the binding activity measured beneath
@@ -24,35 +26,34 @@ func (e *Engine) SubtreeActivity(ctx context.Context, nodeName string) (*Activit
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.Query(ctx, fmt.Sprintf(
+	res, err := e.QueryColumns(ctx, fmt.Sprintf(
 		`SELECT COUNT(*) AS n, AVG(a.affinity) AS mean_aff, MAX(a.affinity) AS max_aff
 		 FROM tree_nodes t
 		 JOIN activities a ON t.name = a.protein_id
-		 WHERE WITHIN_SUBTREE(t.pre, '%s') AND t.is_leaf = TRUE`, nodeName))
+		 WHERE WITHIN_SUBTREE(t.pre, %s) AND t.is_leaf = TRUE`, query.Quote(nodeName)))
 	if err != nil {
 		return nil, err
 	}
 	out := &ActivitySummary{Node: nodeName, Proteins: int64(e.tree.LeafCount(id))}
-	if len(res.Rows) == 1 {
-		r := res.Rows[0]
-		out.Activities = r[0].I
-		if !r[1].IsNull() {
-			out.MeanAff = r[1].F
+	if c := res.Batch.Cols; res.Batch.Rows == 1 {
+		out.Activities = c[0].Value(0).I
+		if mean := c[1].Value(0); !mean.IsNull() {
+			out.MeanAff = mean.F
 		}
-		if !r[2].IsNull() {
-			out.MaxAff = r[2].AsFloat()
+		if best := c[2].Value(0); !best.IsNull() {
+			out.MaxAff = best.AsFloat()
 		}
 	}
 	// Distinct ligands: count grouped ligand_ids.
-	res2, err := e.Query(ctx, fmt.Sprintf(
+	res2, err := e.QueryColumns(ctx, fmt.Sprintf(
 		`SELECT a.ligand_id, COUNT(*) FROM tree_nodes t
 		 JOIN activities a ON t.name = a.protein_id
-		 WHERE WITHIN_SUBTREE(t.pre, '%s') AND t.is_leaf = TRUE
-		 GROUP BY a.ligand_id`, nodeName))
+		 WHERE WITHIN_SUBTREE(t.pre, %s) AND t.is_leaf = TRUE
+		 GROUP BY a.ligand_id`, query.Quote(nodeName)))
 	if err != nil {
 		return nil, err
 	}
-	out.DistinctLig = int64(len(res2.Rows))
+	out.DistinctLig = int64(res2.Batch.Rows)
 	return out, nil
 }
 
@@ -70,24 +71,24 @@ func (e *Engine) TopLigands(ctx context.Context, nodeName string, k, minMeasurem
 	if _, err := e.NodeByName(nodeName); err != nil {
 		return nil, err
 	}
-	res, err := e.Query(ctx, fmt.Sprintf(
+	res, err := e.QueryColumns(ctx, fmt.Sprintf(
 		`SELECT a.ligand_id AS lig, COUNT(*) AS n, AVG(a.affinity) AS mean_aff, MAX(a.affinity) AS max_aff
 		 FROM tree_nodes t
 		 JOIN activities a ON t.name = a.protein_id
-		 WHERE WITHIN_SUBTREE(t.pre, '%s') AND t.is_leaf = TRUE
+		 WHERE WITHIN_SUBTREE(t.pre, %s) AND t.is_leaf = TRUE
 		 GROUP BY a.ligand_id
-		 ORDER BY mean_aff DESC`, nodeName))
+		 ORDER BY mean_aff DESC`, query.Quote(nodeName)))
 	if err != nil {
 		return nil, err
 	}
 	var out []LigandHit
-	for _, r := range res.Rows {
-		hit := LigandHit{LigandID: r[0].S, Count: r[1].I}
-		if !r[2].IsNull() {
-			hit.MeanAff = r[2].F
+	for i, c := 0, res.Batch.Cols; i < res.Batch.Rows; i++ {
+		hit := LigandHit{LigandID: c[0].Value(i).S, Count: c[1].Value(i).I}
+		if mean := c[2].Value(i); !mean.IsNull() {
+			hit.MeanAff = mean.F
 		}
-		if !r[3].IsNull() {
-			hit.MaxAff = r[3].AsFloat()
+		if best := c[3].Value(i); !best.IsNull() {
+			hit.MaxAff = best.AsFloat()
 		}
 		if hit.Count < int64(minMeasurements) {
 			continue
@@ -113,27 +114,27 @@ type ProteinProfile struct {
 // ProteinProfile gathers the cross-source profile of one protein (the
 // three-source integration query class).
 func (e *Engine) ProteinProfile(ctx context.Context, accession string) (*ProteinProfile, error) {
-	res, err := e.Query(ctx, fmt.Sprintf(
+	res, err := e.QueryColumns(ctx, fmt.Sprintf(
 		`SELECT p.accession, p.family, n.organism, n.ec
 		 FROM proteins p JOIN annotations n ON p.accession = n.protein_id
-		 WHERE p.accession = '%s'`, accession))
+		 WHERE p.accession = %s`, query.Quote(accession)))
 	if err != nil {
 		return nil, err
 	}
-	if len(res.Rows) == 0 {
+	if res.Batch.Rows == 0 {
 		return nil, fmt.Errorf("core: no protein %q", accession)
 	}
-	r := res.Rows[0]
-	out := &ProteinProfile{Accession: r[0].S, Family: r[1].S, Organism: r[2].S, EC: r[3].S}
-	res2, err := e.Query(ctx, fmt.Sprintf(
+	c := res.Batch.Cols
+	out := &ProteinProfile{Accession: c[0].Value(0).S, Family: c[1].Value(0).S, Organism: c[2].Value(0).S, EC: c[3].Value(0).S}
+	res2, err := e.QueryColumns(ctx, fmt.Sprintf(
 		`SELECT a.ligand_id, a.affinity FROM activities a
-		 WHERE a.protein_id = '%s' ORDER BY a.affinity DESC`, accession))
+		 WHERE a.protein_id = %s ORDER BY a.affinity DESC`, query.Quote(accession)))
 	if err != nil {
 		return nil, err
 	}
-	for _, ar := range res2.Rows {
+	for i, c := 0, res2.Batch.Cols; i < res2.Batch.Rows; i++ {
 		out.Activities = append(out.Activities, LigandHit{
-			LigandID: ar[0].S, Count: 1, MeanAff: ar[1].F, MaxAff: ar[1].F,
+			LigandID: c[0].Value(i).S, Count: 1, MeanAff: c[1].Value(i).F, MaxAff: c[1].Value(i).F,
 		})
 	}
 	return out, nil
@@ -154,20 +155,20 @@ func (e *Engine) SimilarLigands(ctx context.Context, smiles string, k int, thres
 	if k <= 0 {
 		k = 10
 	}
-	res, err := e.Query(ctx, fmt.Sprintf(
-		`SELECT ligand_id, smiles, TANIMOTO(smiles, '%s') AS sim
+	res, err := e.QueryColumns(ctx, fmt.Sprintf(
+		`SELECT ligand_id, smiles, TANIMOTO(smiles, %s) AS sim
 		 FROM ligands
-		 WHERE TANIMOTO(smiles, '%s') >= %g
-		 ORDER BY sim DESC LIMIT %d`, smiles, smiles, threshold, k))
+		 WHERE TANIMOTO(smiles, %s) >= %g
+		 ORDER BY sim DESC LIMIT %d`, query.Quote(smiles), query.Quote(smiles), threshold, k))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SimilarLigand, 0, len(res.Rows))
-	for _, r := range res.Rows {
+	out := make([]SimilarLigand, 0, res.Batch.Rows)
+	for i, c := 0, res.Batch.Cols; i < res.Batch.Rows; i++ {
 		out = append(out, SimilarLigand{
-			LigandID:   r[0].S,
-			SMILES:     r[1].S,
-			Similarity: r[2].F,
+			LigandID:   c[0].Value(i).S,
+			SMILES:     c[1].Value(i).S,
+			Similarity: c[2].Value(i).F,
 		})
 	}
 	return out, nil
@@ -192,22 +193,23 @@ func (e *Engine) FamilyEnrichment(ctx context.Context, ligandID string, maxDepth
 		if n.IsLeaf() || e.tree.Depth(id) > maxDepth {
 			continue
 		}
-		res, err := e.Query(ctx, fmt.Sprintf(
+		res, err := e.QueryColumns(ctx, fmt.Sprintf(
 			`SELECT COUNT(*) AS n, AVG(a.affinity) AS mean_aff
 			 FROM tree_nodes t JOIN activities a ON t.name = a.protein_id
-			 WHERE WITHIN_SUBTREE(t.pre, '%s') AND t.is_leaf = TRUE AND a.ligand_id = '%s'`,
-			n.Name, ligandID))
+			 WHERE WITHIN_SUBTREE(t.pre, %s) AND t.is_leaf = TRUE AND a.ligand_id = %s`,
+			query.Quote(n.Name), query.Quote(ligandID)))
 		if err != nil {
 			return nil, err
 		}
-		if len(res.Rows) != 1 || res.Rows[0][0].I == 0 {
+		c := res.Batch.Cols
+		if res.Batch.Rows != 1 || c[0].Value(0).I == 0 {
 			continue
 		}
 		out = append(out, EnrichedClade{
 			Clade:   n.Name,
 			Leaves:  int64(e.tree.LeafCount(id)),
-			Hits:    res.Rows[0][0].I,
-			MeanAff: res.Rows[0][1].F,
+			Hits:    c[0].Value(0).I,
+			MeanAff: c[1].Value(0).F,
 		})
 	}
 	// Sort by mean affinity, strongest first (insertion sort; clade

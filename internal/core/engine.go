@@ -430,14 +430,12 @@ func (e *Engine) NodeByName(name string) (phylo.NodeID, error) {
 	return id, nil
 }
 
-// Query runs a DTQL statement through the engine's optimizer
-// settings, consulting the statement cache first when enabled. The
-// caller owns the returned result and may mutate it freely: it is
-// QueryColumns' shared answer copied into Rows (one cell slab, each row
-// cap-clipped to its own cells), with its own column names and
-// per-operator stats, and no Batch. The context cancels mid-flight
-// execution — a client that navigates away mid-query aborts the work
-// instead of waiting it out.
+// Query is QueryColumns' row adapter. The caller owns the returned
+// result and may mutate it freely: it is QueryColumns' shared answer
+// copied into Rows by store.RowsFromColBatch, with its own column names
+// and per-operator stats, and no Batch. Nothing in the module outside
+// tests calls it; it stays for the repository benchmark, whose checks
+// and traced frames read Result.Rows.
 func (e *Engine) Query(ctx context.Context, src string) (*query.Result, error) {
 	shared, err := e.QueryColumns(ctx, src)
 	if err != nil {
@@ -445,7 +443,7 @@ func (e *Engine) Query(ctx context.Context, src string) (*query.Result, error) {
 	}
 	res := *shared
 	res.Columns = append([]string(nil), shared.Columns...)
-	res.Batch, res.Rows = nil, rowsOf(shared.Batch)
+	res.Batch, res.Rows = nil, store.RowsFromColBatch(shared.Batch)
 	if ops := shared.Stats.Ops; ops != nil {
 		copies := make([]query.OpStats, len(ops))
 		res.Stats.Ops = make([]*query.OpStats, len(ops))
@@ -459,34 +457,17 @@ func (e *Engine) Query(ctx context.Context, src string) (*query.Result, error) {
 	return &res, nil
 }
 
-// rowsOf copies a batch's rows into one cell slab. Nil (an EXPLAIN's
-// result) has no rows.
-func rowsOf(cb *store.ColBatch) []store.Row {
-	if cb == nil || cb.Rows == 0 {
-		return nil
-	}
-	w := len(cb.Cols)
-	slab := make([]store.Value, cb.Rows*w)
-	rows := make([]store.Row, cb.Rows)
-	for i := range rows {
-		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
-	}
-	for c := range cb.Cols {
-		col := &cb.Cols[c]
-		for i, r := range rows {
-			r[c] = col.Value(i)
-		}
-	}
-	return rows
-}
-
-// QueryColumns is Query's served form: the answer as Result.Batch, typed
-// columns (generic ones when sharded), and no Rows. The result is
+// QueryColumns runs a DTQL statement through the engine's optimizer
+// settings, consulting the statement cache first when enabled, and
+// returns the answer as Result.Batch — typed columns, generic ones when
+// sharded, read cell by cell with Col.Value — and no Rows. The result is
 // shared — the statement cache holds it and every hit returns the same
 // pointer — so it is read-only: neither the caller nor anything it
 // hands the result to may write its columns, names or stats. That is
 // sound because nothing writes a columnar result after the executor's
-// result boundary returns it (DESIGN §4 item 12).
+// result boundary returns it (DESIGN §4 item 12). The context cancels
+// mid-flight execution — a client that navigates away mid-query aborts
+// the work instead of waiting it out.
 //
 // Each statement runs against one pinned MVCC snapshot: the cache
 // currency check and the execution read the same frozen image, so a
@@ -546,7 +527,7 @@ func (e *Engine) execute(ctx context.Context, stmt *query.SelectStmt, snap *stor
 	var res *query.Result
 	var err error
 	if e.coord == nil {
-		res, err = e.sql.RunColumnsAt(ctx, stmt, snap)
+		res, err = e.sql.RunAt(ctx, stmt, snap)
 	} else if res, err = e.coord.Run(ctx, stmt); err == nil && !stmt.Explain {
 		if kinds == nil {
 			kinds = make([]store.Kind, len(res.Columns)) // all KindNull: generic

@@ -37,22 +37,22 @@ var treeViewKinds = func() []store.Kind {
 }()
 
 // viewsFromBatch decodes tree_nodes rows held as treeViewCols vectors,
-// reading the typed slices directly (tree_nodes has no NULLs).
+// typed or generic (a sharded statement's), through Col.Value.
 func viewsFromBatch(cb *store.ColBatch) []NodeView {
 	c := cb.Cols
 	views := make([]NodeView, cb.Rows)
 	for i := range views {
 		views[i] = NodeView{
-			Pre:       c[0].Int[i],
-			Name:      c[1].Str[i],
-			ParentPre: c[2].Int[i],
-			Depth:     c[3].Int[i],
-			IsLeaf:    c[4].Int[i] != 0,
-			Length:    c[5].Float[i],
-			RootDist:  c[6].Float[i],
-			LeafCount: c[7].Int[i],
-			X:         c[8].Float[i],
-			Y:         c[9].Float[i],
+			Pre:       c[0].Value(i).I,
+			Name:      c[1].Value(i).S,
+			ParentPre: c[2].Value(i).I,
+			Depth:     c[3].Value(i).I,
+			IsLeaf:    c[4].Value(i).I != 0,
+			Length:    c[5].Value(i).F,
+			RootDist:  c[6].Value(i).F,
+			LeafCount: c[7].Value(i).I,
+			X:         c[8].Value(i).F,
+			Y:         c[9].Value(i).F,
 		}
 	}
 	return views
@@ -223,11 +223,11 @@ func (e *Engine) Breadcrumbs(ctx context.Context, nodeName string) ([]NodeView, 
 	if _, err := e.NodeByName(nodeName); err != nil {
 		return nil, err
 	}
-	res, err := e.Query(ctx, fmt.Sprintf(
-		"SELECT %s FROM %s WHERE ANCESTOR_OF(pre, '%s') ORDER BY depth",
-		treeViewCols, TreeTable, nodeName))
+	res, err := e.QueryColumns(ctx, fmt.Sprintf(
+		"SELECT %s FROM %s WHERE ANCESTOR_OF(pre, %s) ORDER BY depth",
+		treeViewCols, TreeTable, query.Quote(nodeName)))
 	if err != nil {
 		return nil, err
 	}
-	return viewsFromBatch(store.ColBatchFromRows(treeViewKinds, res.Rows)), nil
+	return viewsFromBatch(res.Batch), nil
 }

@@ -110,6 +110,46 @@ func TestOpenSubtreeMatchesTree(t *testing.T) {
 	}
 }
 
+// TestBreadcrumbsMatchTree asks for the breadcrumbs of every node of a
+// tree, single-node and on three shards, whose coordinator hands back
+// generic columns, and demands the in-memory tree's path each time:
+// nodeView of the root, then of each node down to the one asked for.
+func TestBreadcrumbsMatchTree(t *testing.T) {
+	tree, err := datagen.RandomTopology(60, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, err := store.Open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			cfg := DefaultConfig()
+			cfg.Shards = shards
+			e, err := NewWithTree(db, tree, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for id := phylo.NodeID(0); int(id) < tree.Len(); id++ {
+				var want []NodeView
+				for n := id; n != phylo.None; n = tree.Node(n).Parent {
+					want = append([]NodeView{e.nodeView(n)}, want...)
+				}
+				got, err := e.Breadcrumbs(context.Background(), tree.Node(id).Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("breadcrumbs of %s:\n got %+v\nwant %+v", tree.Node(id).Name, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestTwinEnginesEvictIdentically drives two engines built alike
 // through one seeded sequence of opens and prefetches over a cache far
 // smaller than the tree: eviction depends only on that sequence, so

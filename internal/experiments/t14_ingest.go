@@ -170,13 +170,13 @@ func t14TornReads(ctx context.Context, fx *t14Fixture) (int64, int64, error) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < t14TornQueries; i++ {
-				res, err := fx.eng.Query(ctx, t14ProbeQuery)
+				res, err := fx.eng.QueryColumns(ctx, t14ProbeQuery)
 				if err != nil {
 					errv.Store(fmt.Errorf("probe query: %w", err))
 					return
 				}
-				row := res.Rows[0]
-				if row[0].I != t14ProbeRows || row[1].I != row[2].I {
+				c := res.Batch.Cols
+				if c[0].Value(0).I != t14ProbeRows || c[1].Value(0).I != c[2].Value(0).I {
 					atomic.AddInt64(&torn, 1)
 				}
 				atomic.AddInt64(&ran, 1)
@@ -298,7 +298,7 @@ func t14Latency(ctx context.Context, fx *t14Fixture, leaves []string, churn bool
 		}
 		q := queries[i%len(queries)]
 		start := clock.Now()
-		if _, err := fx.eng.Query(ctx, q); err != nil {
+		if _, err := fx.eng.QueryColumns(ctx, q); err != nil {
 			return nil, err
 		}
 		samples = append(samples, clock.Now()-start)

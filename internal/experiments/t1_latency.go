@@ -77,12 +77,12 @@ func t1MidClade(e *core.Engine) string {
 // read from the experiment clock.
 func MeasureQuery(ctx context.Context, e *core.Engine, dtql string, reps int) (time.Duration, error) {
 	// Warm once (and validate).
-	if _, err := e.Query(ctx, dtql); err != nil {
+	if _, err := e.QueryColumns(ctx, dtql); err != nil {
 		return 0, err
 	}
 	start := clock.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := e.Query(ctx, dtql); err != nil {
+		if _, err := e.QueryColumns(ctx, dtql); err != nil {
 			return 0, err
 		}
 	}

@@ -76,16 +76,16 @@ func RunT3(ctx context.Context, seed int64) (*Report, error) {
 			return nil, fmt.Errorf("T3 %s ordered: %w", q.name, err)
 		}
 		// Row-level work comparison.
-		rs, err := syn.Query(ctx, q.dtql)
+		rs, err := syn.QueryColumns(ctx, q.dtql)
 		if err != nil {
 			return nil, err
 		}
-		ro, err := ord.Query(ctx, q.dtql)
+		ro, err := ord.QueryColumns(ctx, q.dtql)
 		if err != nil {
 			return nil, err
 		}
-		if len(rs.Rows) != len(ro.Rows) {
-			return nil, fmt.Errorf("T3 %s: engines disagree (%d vs %d rows)", q.name, len(rs.Rows), len(ro.Rows))
+		if rs.Batch.Rows != ro.Batch.Rows {
+			return nil, fmt.Errorf("T3 %s: engines disagree (%d vs %d rows)", q.name, rs.Batch.Rows, ro.Batch.Rows)
 		}
 		rep.Rows = append(rep.Rows, []string{
 			q.name,

@@ -30,13 +30,13 @@ func RunT6(ctx context.Context, seed int64) (*Report, error) {
 	for _, cls := range t1QueryClasses() {
 		q := cls.mk(e)
 		start := clock.Now()
-		if _, err := e.Query(ctx, q); err != nil {
+		if _, err := e.QueryColumns(ctx, q); err != nil {
 			return nil, fmt.Errorf("T6 %s: %w", cls.name, err)
 		}
 		first := clock.Now() - start
 		start = clock.Now()
 		for i := 0; i < repeats; i++ {
-			if _, err := e.Query(ctx, q); err != nil {
+			if _, err := e.QueryColumns(ctx, q); err != nil {
 				return nil, err
 			}
 		}

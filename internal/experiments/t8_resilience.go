@@ -135,7 +135,7 @@ func runT8Mode(ctx context.Context, seed int64, resilient bool) (*t8Outcome, err
 			out.failed++
 			continue
 		}
-		if _, qerr := eng.Query(ctx, t8Query); qerr != nil {
+		if _, qerr := eng.QueryColumns(ctx, t8Query); qerr != nil {
 			out.failed++
 			continue
 		}

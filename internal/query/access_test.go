@@ -450,11 +450,12 @@ func checkAtSnapshot(cat Catalog, snap *store.SnapshotHandle) error {
 			if !strings.Contains(got.Plan, st.path) {
 				return fmt.Errorf("%s [%s]: plan lacks %q:\n%s", st.q, c.name, st.path, got.Plan)
 			}
-			if len(got.Rows) != len(want.Rows) {
-				return fmt.Errorf("%s [%s]: %d rows, the reference has %d", st.q, c.name, len(got.Rows), len(want.Rows))
+			rows := store.RowsFromColBatch(got.Batch)
+			if len(rows) != len(want.Rows) {
+				return fmt.Errorf("%s [%s]: %d rows, the reference has %d", st.q, c.name, len(rows), len(want.Rows))
 			}
 			if st.key < 0 {
-				if !sameRowMultisetCanon(want.Rows, got.Rows) {
+				if !sameRowMultisetCanon(want.Rows, rows) {
 					return fmt.Errorf("%s [%s]: rows differ from the reference", st.q, c.name)
 				}
 				continue
@@ -463,12 +464,12 @@ func checkAtSnapshot(cat Catalog, snap *store.SnapshotHandle) error {
 			var a, b []store.Row
 			cut := want.Rows[len(want.Rows)-1][st.key]
 			for i := range want.Rows {
-				w, g := want.Rows[i][st.key], got.Rows[i][st.key]
+				w, g := want.Rows[i][st.key], rows[i][st.key]
 				if store.Compare(w, g) != 0 {
 					return fmt.Errorf("%s [%s]: sort key %d is %v, the reference has %v", st.q, c.name, i, g, w)
 				}
 				if store.Compare(w, cut) != 0 {
-					a, b = append(a, want.Rows[i]), append(b, got.Rows[i])
+					a, b = append(a, want.Rows[i]), append(b, rows[i])
 				}
 			}
 			if !sameRowMultisetCanon(a, b) {

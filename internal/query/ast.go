@@ -93,9 +93,10 @@ type NegExpr struct {
 
 func (n *NegExpr) String() string { return fmt.Sprintf("(-%s)", n.E) }
 
-// quoteName renders a node name or SMILES argument as a single-quoted
-// DTQL string (a quote inside it doubled), so the rendering parses.
-func quoteName(s string) string {
+// Quote renders a node name, accession, ligand ID or SMILES string as a
+// single-quoted DTQL string literal (a quote inside it doubled), so a
+// statement built around it parses to exactly that string.
+func Quote(s string) string {
 	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
 }
 
@@ -110,7 +111,7 @@ type SubtreeExpr struct {
 }
 
 func (s *SubtreeExpr) String() string {
-	return fmt.Sprintf("WITHIN_SUBTREE(%s, %s)", s.Column, quoteName(s.Node))
+	return fmt.Sprintf("WITHIN_SUBTREE(%s, %s)", s.Column, Quote(s.Node))
 }
 
 // AncestorExpr is the ancestor-axis predicate
@@ -125,7 +126,7 @@ type AncestorExpr struct {
 }
 
 func (a *AncestorExpr) String() string {
-	return fmt.Sprintf("ANCESTOR_OF(%s, %s)", a.Column, quoteName(a.Node))
+	return fmt.Sprintf("ANCESTOR_OF(%s, %s)", a.Column, Quote(a.Node))
 }
 
 // TanimotoExpr is the chemical-similarity scalar
@@ -139,7 +140,7 @@ type TanimotoExpr struct {
 }
 
 func (t *TanimotoExpr) String() string {
-	return fmt.Sprintf("TANIMOTO(%s, %s)", t.Column, quoteName(t.SMILES))
+	return fmt.Sprintf("TANIMOTO(%s, %s)", t.Column, Quote(t.SMILES))
 }
 
 // SubqueryExpr is an uncorrelated scalar subquery: it must produce

@@ -10,10 +10,10 @@ import (
 // Batch execution. Batches — fixed-capacity column vectors plus a
 // selection vector — are the only unit operators exchange, so
 // predicate and projection work runs as tight loops over typed slices
-// (see vec_eval.go). Row form exists in two places only: inside a
-// compiled expression that can fail at evaluation time (vec_eval.go
-// evaluates it row-major over a scratch row), and at the Result.Rows
-// sink (drainRows below).
+// (see vec_eval.go), and the result leaves as columns (drainColumns
+// below). Row form exists inside a compiled expression that can fail at
+// evaluation time only: vec_eval.go evaluates it row-major over a
+// scratch row.
 //
 // Cancellation: every nextBatch implementation polls its context at
 // batch granularity (one poll per ~vecBatchSize rows) via
@@ -338,27 +338,4 @@ func outputKind(batches []*batch, c int, declared store.Kind) store.Kind {
 		}
 	}
 	return declared
-}
-
-// drainRows is the row result boundary, the one place batches become
-// rows: each live row is materialized as a fresh store.Row that never
-// aliases batch or table storage, so callers may mutate it freely.
-func drainRows(ctx context.Context, in batchIterator) ([]store.Row, error) {
-	c := canceller{ctx: ctx}
-	var rows []store.Row
-	for {
-		if err := c.now(); err != nil {
-			return nil, err
-		}
-		b, err := in.nextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return rows, nil
-		}
-		for k, live := 0, b.live(); k < live; k++ {
-			rows = append(rows, b.rowAt(b.rowIdx(k), nil))
-		}
-	}
 }

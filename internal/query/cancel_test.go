@@ -260,7 +260,10 @@ func TestNilContextRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 60 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Batch.Rows != 1 {
+		t.Fatalf("%d rows, want 1", res.Batch.Rows)
+	}
+	if got := res.Batch.Cols[0].Value(0); got.I != 60 {
+		t.Fatalf("COUNT(*) = %v, want 60", got)
 	}
 }

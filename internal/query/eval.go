@@ -223,12 +223,12 @@ func bindScalarSubquery(x *SubqueryExpr, env bindEnv) (*boundExpr, error) {
 			src:  x,
 		}, nil
 	}
-	if len(res.Rows) > 1 {
-		return nil, fmt.Errorf("query: scalar subquery returned %d rows", len(res.Rows))
+	if res.Batch.Rows > 1 {
+		return nil, fmt.Errorf("query: scalar subquery returned %d rows", res.Batch.Rows)
 	}
 	v := store.NullValue()
-	if len(res.Rows) == 1 {
-		v = res.Rows[0][0]
+	if res.Batch.Rows == 1 {
+		v = res.Batch.Cols[0].Value(0)
 	}
 	return &boundExpr{
 		eval: func(store.Row) (store.Value, error) { return v, nil },
@@ -255,11 +255,8 @@ func bindInSubquery(x *InSubqueryExpr, env bindEnv) (*boundExpr, error) {
 			src:  x,
 		}, nil
 	}
-	col := store.NewCol(store.KindNull, len(res.Rows))
-	for _, r := range res.Rows {
-		col.Append(r[0])
-	}
-	set := newHashTab(false, len(res.Rows))
+	col := &res.Batch.Cols[0]
+	set := newHashTab(false, col.Len())
 	for i, key := 0, []*store.Col{col}; i < col.Len(); i++ {
 		set.insert(key, i) // NULLs match nothing and are not kept
 	}

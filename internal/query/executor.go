@@ -16,12 +16,14 @@ import (
 type Result struct {
 	// Columns are the output column names in SELECT order.
 	Columns []string
-	// Rows are the result rows.
-	Rows []store.Row
-	// Batch is the result as typed column vectors, set in place of Rows
-	// by RunColumnsAt. Nothing writes it once RunColumnsAt returns, so
+	// Batch is the result as typed column vectors: what Run and RunAt
+	// deliver (nil for EXPLAIN). Nothing writes it once they return, so
 	// it may be shared read-only.
 	Batch *store.ColBatch
+	// Rows is the result as rows, set in place of Batch only by the row
+	// adapters Engine.Query and core.Engine.Query, and by the shard
+	// gather's merge.
+	Rows []store.Row
 	// Plan is the physical plan rendered as indented text.
 	Plan string
 	// Stats counts the work the execution performed.
@@ -46,18 +48,22 @@ func (e *Engine) Options() Options { return e.opts }
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() Catalog { return e.cat }
 
-// Query parses, plans, optimizes, and executes a DTQL string. For
-// EXPLAIN statements the plan is produced but not executed. The
-// context cancels mid-flight execution: scans, joins, aggregation,
-// and sorts all poll it and unwind with ctx.Err() — the abandonment
-// path a mobile client takes when it navigates away from a viewport
-// whose query is still running.
+// Query is the row adapter: it parses src, runs it, and returns the
+// answer as Rows (store.RowsFromColBatch of the Batch Run delivers) with
+// Batch nil. Nothing in the module outside tests calls it; it stays for
+// the repository benchmark's single-node oracle, whose checks read
+// Result.Rows.
 func (e *Engine) Query(ctx context.Context, src string) (*Result, error) {
 	stmt, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(ctx, stmt)
+	res, err := e.Run(ctx, stmt)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows, res.Batch = store.RowsFromColBatch(res.Batch), nil
+	return res, nil
 }
 
 // SnapshotCatalog is implemented by catalogs that can pin an MVCC
@@ -70,9 +76,14 @@ type SnapshotCatalog interface {
 	PinSnapshot() *store.SnapshotHandle
 }
 
-// Run executes a parsed statement under the given context. When the
-// catalog supports snapshots, the whole statement runs against one
-// pinned snapshot, released when execution finishes.
+// Run executes a parsed statement under the given context and delivers
+// Result.Batch; for EXPLAIN the plan is produced but not executed. The
+// context cancels mid-flight execution: scans, joins, aggregation, and
+// sorts all poll it and unwind with ctx.Err() — the abandonment path a
+// mobile client takes when it navigates away from a viewport whose
+// query is still running. When the catalog supports snapshots, the
+// whole statement runs against one pinned snapshot, released when
+// execution finishes.
 func (e *Engine) Run(ctx context.Context, stmt *SelectStmt) (*Result, error) {
 	if sc, ok := e.cat.(SnapshotCatalog); ok {
 		snap := sc.PinSnapshot()
@@ -88,18 +99,6 @@ func (e *Engine) Run(ctx context.Context, stmt *SelectStmt) (*Result, error) {
 // can run several statements, or statement-cache key computation plus
 // the statement itself, against one frozen image.
 func (e *Engine) RunAt(ctx context.Context, stmt *SelectStmt, snap *store.SnapshotHandle) (*Result, error) {
-	return e.runAt(ctx, stmt, snap, false)
-}
-
-// RunColumnsAt is RunAt delivering Result.Batch instead of Result.Rows:
-// the same plan and operators, but the result boundary concatenates
-// the live batch cells into typed columns rather than boxing every row
-// — for callers that keep or scan the result column-wise.
-func (e *Engine) RunColumnsAt(ctx context.Context, stmt *SelectStmt, snap *store.SnapshotHandle) (*Result, error) {
-	return e.runAt(ctx, stmt, snap, true)
-}
-
-func (e *Engine) runAt(ctx context.Context, stmt *SelectStmt, snap *store.SnapshotHandle, columnar bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -128,25 +127,16 @@ func (e *Engine) runAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 	if stmt.Explain && !stmt.Analyze {
 		return res, nil
 	}
-	returned := 0
-	if columnar {
-		if res.Batch, err = drainColumns(ctx, root, optimized.Schema()); err != nil {
-			return nil, err
-		}
-		returned = res.Batch.Rows
-	} else {
-		if res.Rows, err = drainRows(ctx, root); err != nil {
-			return nil, err
-		}
-		returned = len(res.Rows)
+	if res.Batch, err = drainColumns(ctx, root, optimized.Schema()); err != nil {
+		return nil, err
 	}
-	atomic.StoreInt64(&ec.stats.RowsReturned, int64(returned))
+	atomic.StoreInt64(&ec.stats.RowsReturned, int64(res.Batch.Rows))
 	if stmt.Analyze {
 		// EXPLAIN ANALYZE: the query ran to completion; render the
 		// plan with per-operator execution counters and drop the rows
 		// (the plan is the payload, as in EXPLAIN).
 		res.Plan = annotatePlan(ec.plan, ec.stats.Ops)
-		res.Rows, res.Batch = nil, nil
+		res.Batch = nil
 	}
 	res.Stats = ec.stats.Snapshot()
 	return res, nil
@@ -213,8 +203,8 @@ func outputColumns(p LogicalPlan) []string {
 	return names
 }
 
-// FormatResult renders a result as an aligned text table (used by the
-// CLI and examples).
+// FormatResult renders a result's Batch as an aligned text table (used
+// by the CLI and examples).
 func FormatResult(r *Result) string {
 	if len(r.Columns) == 0 {
 		return "(no columns)\n"
@@ -223,10 +213,16 @@ func FormatResult(r *Result) string {
 	for i, c := range r.Columns {
 		widths[i] = len(c)
 	}
-	cells := make([][]string, len(r.Rows))
-	for ri, row := range r.Rows {
-		cells[ri] = make([]string, len(row))
-		for ci, v := range row {
+	var cols []store.Col
+	n := 0
+	if r.Batch != nil {
+		cols, n = r.Batch.Cols, r.Batch.Rows
+	}
+	cells := make([][]string, n)
+	for ri := range cells {
+		cells[ri] = make([]string, len(cols))
+		for ci := range cols {
+			v := cols[ci].Value(ri)
 			s := v.String()
 			if v.K == store.KindString {
 				s = v.S // unquoted for display
@@ -261,7 +257,7 @@ func FormatResult(r *Result) string {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "(%d row(s))\n", len(r.Rows))
+	fmt.Fprintf(&b, "(%d row(s))\n", n)
 	return b.String()
 }
 

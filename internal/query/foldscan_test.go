@@ -168,8 +168,8 @@ func TestUnpinnedFoldsGather(t *testing.T) {
 					t.Fatalf("%q, parallelism %d: folded %d rows from storage with no pin", c.q, para, res.Stats.RowsFilled)
 				}
 				sum := int64(0)
-				for _, r := range res.Rows {
-					sum += r[1].I
+				for i := 0; i < res.Batch.Rows; i++ {
+					sum += res.Batch.Cols[1].Value(i).I
 				}
 				// A read may straddle no commit: the counts add up to the
 				// table's unchanging size.

@@ -15,11 +15,11 @@ import (
 
 // TestWireMatchesRowExecutor is the wire column of the differential
 // matrix. Every statement of the fixed corpus, asked by a mobile client
-// of a served engine, must arrive as exactly the rows the row executor
-// returns, in order and bit for bit. The served path executes columnar,
-// fills the statement cache and is then hit from it, and encodes the
-// shared columns cell by cell. Single-node, the reference is
-// query.Engine.Query over the same store. Sharded, it is the
+// of a served engine, must arrive as exactly the rows the row adapter
+// returns, in order and bit for bit. The served path fills the statement
+// cache and is then hit from it, and encodes the shared columns cell by
+// cell. Single-node, the reference is query.Engine.Query over the same
+// store, its own engine's columns transposed into rows. Sharded, it is the
 // coordinator's own rows, which the served engine transposes into
 // generic columns.
 func TestWireMatchesRowExecutor(t *testing.T) {

@@ -103,7 +103,18 @@ func (c *Coordinator) Run(ctx context.Context, stmt *query.SelectStmt) (*query.R
 
 // runStmt clones and executes one shard-local statement on s.
 func (c *Coordinator) runStmt(ctx context.Context, s *Shard, stmt *query.SelectStmt) (*query.Result, error) {
-	return s.engine.Run(ctx, cloneStmt(stmt))
+	return runRows(ctx, s.engine, cloneStmt(stmt))
+}
+
+// runRows executes stmt on eng and transposes the columns it delivers
+// into Result.Rows, the form the gather merges.
+func runRows(ctx context.Context, eng *query.Engine, stmt *query.SelectStmt) (*query.Result, error) {
+	res, err := eng.Run(ctx, stmt)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows, res.Batch = store.RowsFromColBatch(res.Batch), nil
+	return res, nil
 }
 
 // gatherHeader renders the scatter plan header.
@@ -337,7 +348,7 @@ func (c *Coordinator) runFallback(ctx context.Context, stmt *query.SelectStmt) (
 		return nil, err
 	}
 	eng := query.NewEngine(query.NewDBCatalog(db, c.tree), c.opts.QueryOptions)
-	res, err := eng.Run(ctx, cloneStmt(stmt))
+	res, err := runRows(ctx, eng, cloneStmt(stmt))
 	if err != nil {
 		return nil, err
 	}

@@ -410,5 +410,5 @@ func (c *Coordinator) runFinal(ctx context.Context, ap *aggPlan, rows []store.Ro
 		return nil, err
 	}
 	eng := query.NewEngine(query.NewDBCatalog(db, c.tree), c.opts.QueryOptions)
-	return eng.Run(ctx, cloneStmt(ap.finalStmt))
+	return runRows(ctx, eng, cloneStmt(ap.finalStmt))
 }

@@ -113,17 +113,6 @@ func projectRows(rows []Row, cols []int) []Row {
 	return out
 }
 
-func batchRows(cb *ColBatch) []Row {
-	out := make([]Row, cb.Rows)
-	for i := range out {
-		out[i] = make(Row, len(cb.Cols))
-		for c := range cb.Cols {
-			out[i][c] = cb.Cols[c].Value(i)
-		}
-	}
-	return out
-}
-
 // checkAccess runs a through view's Gather — and, on a pinned view,
 // its Select and Fill — and compares with the scan oracle: select says which stored rows qualify, keyCol (≥ 0) that
 // the output must follow that column's order.
@@ -153,7 +142,7 @@ func checkAccess(view *TableView, a Access, keyCol int, selects func(Row) bool) 
 	if err != nil {
 		return err
 	}
-	if err := verifyAccess(a, keyCol, want, visible, batchRows(cb), examined); err != nil {
+	if err := verifyAccess(a, keyCol, want, visible, RowsFromColBatch(cb), examined); err != nil {
 		return fmt.Errorf("Gather: %w", err)
 	}
 	if !view.Pinned() {
@@ -170,7 +159,7 @@ func checkAccess(view *TableView, a Access, keyCol int, selects func(Row) bool) 
 	var filled []Row
 	for lo := 0; lo < len(sel.Slots); lo += 3 {
 		sel.Fill(&buf, lo, min(lo+3, len(sel.Slots)))
-		filled = append(filled, batchRows(&buf)...)
+		filled = append(filled, RowsFromColBatch(&buf)...)
 	}
 	if err := verifyAccess(a, keyCol, want, visible, filled, selExamined); err != nil {
 		return fmt.Errorf("Select: %w", err)

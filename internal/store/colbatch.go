@@ -242,6 +242,28 @@ func ColBatchFromRows(kinds []Kind, rows []Row) *ColBatch {
 	return cb
 }
 
+// RowsFromColBatch is ColBatchFromRows' inverse: it copies the batch's
+// rows into one cell slab, each row cap-clipped to its own cells so an
+// append to one never overwrites the next. Nil or empty has no rows.
+func RowsFromColBatch(cb *ColBatch) []Row {
+	if cb == nil || cb.Rows == 0 {
+		return nil
+	}
+	w := len(cb.Cols)
+	slab := make([]Value, cb.Rows*w)
+	rows := make([]Row, cb.Rows)
+	for i := range rows {
+		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	for c := range cb.Cols {
+		col := &cb.Cols[c]
+		for i, r := range rows {
+			r[c] = col.Value(i)
+		}
+	}
+	return rows
+}
+
 // Gather runs the access at commit version ver (negative reads the
 // latest) and materializes the selected rows, narrowed to a.Cols, into
 // one columnar batch — index walk, visibility check, residual check

@@ -275,7 +275,7 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 		}
 		cb, examined, err := view.Gather(ctx, a)
 		if err == nil {
-			err = verifyAccess(a, keyCol, want, visible, batchRows(cb), examined)
+			err = verifyAccess(a, keyCol, want, visible, RowsFromColBatch(cb), examined)
 		}
 		if err != nil {
 			return fmt.Errorf("%s Gather %+v: %w", what, a, err)
@@ -524,7 +524,7 @@ func TestSlotReuseUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heldCanon, gatheredCanon := canonRows(held), canonRows(batchRows(gathered))
+	heldCanon, gatheredCanon := canonRows(held), canonRows(RowsFromColBatch(gathered))
 	var pin *SnapshotHandle
 	retained := 0
 	for round := 0; round < rounds; round++ {
@@ -573,7 +573,7 @@ func TestSlotReuseUnderChurn(t *testing.T) {
 	if err := sameStrings("held Snapshot", canonRows(held), heldCanon); err != nil {
 		t.Fatal(err)
 	}
-	if err := sameStrings("held Gather", canonRows(batchRows(gathered)), gatheredCanon); err != nil {
+	if err := sameStrings("held Gather", canonRows(RowsFromColBatch(gathered)), gatheredCanon); err != nil {
 		t.Fatal(err)
 	}
 	// Every first-generation slot has been reused by now, so a stale ID

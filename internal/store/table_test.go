@@ -15,7 +15,7 @@ func gatherRows(t testing.TB, tb *Table, a Access) []Row {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return batchRows(cb)
+	return RowsFromColBatch(cb)
 }
 
 func equalTo(column string, v Value) Access { return Access{Column: column, Keys: []Value{v}} }
