@@ -143,6 +143,15 @@ func TestColumnarSinkAdoptsPlanVectors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Each column's kind, as the reference executor's cells carry it.
+		kinds := make([]store.Kind, len(want.Columns))
+		for _, r := range want.Rows {
+			for j, v := range r {
+				if v.K != store.KindNull {
+					kinds[j] = v.K
+				}
+			}
+		}
 		for _, m := range diffMatrix() {
 			res, err := NewEngine(cat, m.opts).RunAt(context.Background(), stmt, nil)
 			if err != nil {
@@ -153,6 +162,13 @@ func TestColumnarSinkAdoptsPlanVectors(t *testing.T) {
 			}
 			if !sameRowMultisetCanon(store.RowsFromColBatch(res.Batch), want.Rows) {
 				t.Fatalf("%s [%s]: columns differ from the reference executor's rows", c.q, m.name)
+			}
+			for j := range res.Batch.Cols {
+				for i := 0; i < res.Batch.Rows; i++ {
+					if v := res.Batch.Cols[j].Value(i); v.K != store.KindNull && v.K != kinds[j] {
+						t.Fatalf("%s [%s]: cell (%d, %d) is %v of kind %v, want kind %v", c.q, m.name, i, j, v, v.K, kinds[j])
+					}
+				}
 			}
 			if c.sharedCols && &res.Batch.Cols[0].Int[0] == &res.Batch.Cols[1].Int[0] {
 				t.Fatalf("%s [%s]: two result columns share one vector", c.q, m.name)
