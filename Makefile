@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vet-compat lint loc knobs bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload torture ingest check clean
+.PHONY: all build test race vet vet-compat lint loc knobs bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload check clean
 
 all: check
 
@@ -40,7 +40,10 @@ knobs:
 # (sources hammered by concurrent fetchers, health map read during
 # sync, mobile sessions), plus the two layers underneath them all: the
 # MVCC store (pinned index walks and gathers against a concurrent
-# committer) and the fault-injecting VFS. The -timeout is the wedge
+# committer, and the crash-point torture matrix) and the
+# fault-injecting VFS; core carries the live-ingest tests (no torn read
+# during resync, nothing pinned or unswept at rest, the incremental
+# overlay equal to a rebuild). The -timeout is the wedge
 # watchdog: a lock-order bug in the coordinator's fan-out manifests as
 # a silent hang rather than a failure, so the test runner panics at the
 # deadline and dumps every goroutine's stack.
@@ -162,10 +165,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExactSum$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime 10s ./internal/mobile/
 
-# Parallel-executor microbenchmarks plus the experiment tables.
+# The parallel-executor microbenchmarks (experiment T7): a residual
+# scan, a hash join and a grouped aggregate at 1, 2 and GOMAXPROCS
+# workers.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkParallel' -benchmem ./internal/query/...
-	$(GO) test -run xxx -bench 'BenchmarkT7Parallelism' -benchmem .
 
 # The T8 chaos experiment: scripted outage/brownout/error-burst
 # timeline with the resilience stack on vs off, plus its gate test.
@@ -179,33 +183,6 @@ chaos:
 overload:
 	$(GO) test -race -run TestRunT9 -v ./internal/experiments/
 	$(GO) run ./cmd/drugtree-experiments -exp T9
-
-# The T13 crash-point torture experiment: a deterministic FaultFS
-# power-cuts every persistence path (the store's WAL and snapshot, the
-# only durable state) at every mutating operation, under
-# every -wal-sync policy and three fault mixes (clean cut, torn write
-# + cut, failed fsync + cut). The gate test re-runs the full matrix
-# and demands zero durability violations over >= 200 distinct crash
-# points; a failure prints the seed and crash-point index to replay
-# it. The meta-test proves the harness has teeth by re-running with
-# directory fsync disabled and demanding violations. The -timeout is
-# the wedge watchdog: a crash point that hangs recovery dumps stacks
-# instead of idling.
-torture:
-	$(GO) test -count=1 -timeout=300s -run 'TestRunT13|TestT13HarnessHasTeeth' -v ./internal/experiments/
-	$(GO) run ./cmd/drugtree-experiments -exp T13
-
-# The T14 live-ingest experiment under the race detector: snapshot
-# isolation while resync commits land (zero torn reads across atomic
-# generation flips), the incrementally maintained subtree overlay
-# bit-identical to a from-scratch recompute over 120 seeded delta
-# batches, per-statement p99 right after a commit within 1.5x of
-# quiescent, and a leak-free quiescent state (zero pinned snapshots,
-# zero unswept dead versions). Deterministic — a red run prints the
-# seed and the failing gate.
-ingest:
-	$(GO) test -race -count=1 -timeout=300s -run TestRunT14 -v ./internal/experiments/
-	$(GO) run ./cmd/drugtree-experiments -exp T14
 
 check: lint vet-compat build test bench-smoke bench-repo-smoke fuzz-smoke race
 

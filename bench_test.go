@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"runtime"
 	"testing"
 	"time"
 
@@ -384,54 +383,6 @@ func BenchmarkF4Ablation(b *testing.B) {
 			b.ReportMetric(float64(last.Mean().Microseconds())/1e3, "ms-mean-3G")
 			b.ReportMetric(float64(last.Percentile(0.99).Microseconds())/1e3, "ms-p99-3G")
 		})
-	}
-}
-
-// --- T7: parallel execution (serial vs morsel-driven workers) ---
-
-// BenchmarkT7Parallelism compares the serial executor (Parallelism: 1)
-// against morsel-driven execution at 2 and GOMAXPROCS workers over the
-// heavy query classes the parallel operators target: residual scans,
-// hash joins, and grouped aggregation. On a single-core runner the
-// variants collapse to roughly serial cost; the speedup claim is
-// evaluated on multi-core hardware.
-func BenchmarkT7Parallelism(b *testing.B) {
-	workerCounts := []int{1, 2}
-	if p := runtime.GOMAXPROCS(0); p > 2 {
-		workerCounts = append(workerCounts, p)
-	}
-	queries := []struct {
-		name string
-		q    string
-	}{
-		{"Scan", "SELECT protein_id, affinity FROM activities WHERE affinity > 5.5 AND assay != 'x'"},
-		{"Join", `SELECT p.accession, a.ligand_id FROM proteins p
-			JOIN activities a ON p.accession = a.protein_id WHERE a.affinity > 6`},
-		{"Aggregate", "SELECT protein_id, COUNT(*), AVG(affinity) FROM activities GROUP BY protein_id"},
-	}
-	for _, workers := range workerCounts {
-		cfg := core.DefaultConfig()
-		cfg.Method = core.TreeNJKmer
-		cfg.CacheBytes = 0
-		cfg.QueryOptions.Parallelism = workers
-		cfg.QueryOptions.UseIndexes = false
-		e, err := experiments.EngineWithConfig(context.Background(), 1, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, qc := range queries {
-			b.Run(fmt.Sprintf("%s/workers=%d", qc.name, workers), func(b *testing.B) {
-				if _, err := e.Query(context.Background(), qc.q); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.Query(context.Background(), qc.q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

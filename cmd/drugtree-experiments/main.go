@@ -1,5 +1,5 @@
-// drugtree-experiments regenerates the DrugTree evaluation: every table
-// (T1–T14) and figure (F1–F4) documented in EXPERIMENTS.md.
+// drugtree-experiments regenerates the DrugTree evaluation: the tables
+// (T1–T6, T8, T9) and figures (F1–F4) documented in EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment ID to run (T1..T14, F1..F4); empty runs all")
+	exp := flag.String("exp", "", "experiment ID to run (T1..T6, T8, T9, F1..F4); empty runs all")
 	seed := flag.Int64("seed", 1, "dataset seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	flag.Parse()

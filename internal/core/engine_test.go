@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -16,15 +17,28 @@ import (
 	"drugtree/internal/store"
 )
 
-// buildEngine generates a dataset, integrates it, and builds the
-// engine with the given config.
-func buildEngine(t *testing.T, cfg Config) *Engine {
-	t.Helper()
+// smallDataset is the three-family dataset most engine tests build on.
+func smallDataset() datagen.Config {
 	gen := datagen.DefaultConfig()
 	gen.NumFamilies = 3
 	gen.ProteinsPerFamily = 8
 	gen.NumLigands = 15
 	gen.ActivityDensity = 0.5
+	return gen
+}
+
+// buildEngine builds an engine with the given config over smallDataset.
+func buildEngine(t *testing.T, cfg Config) *Engine {
+	t.Helper()
+	e, _ := buildEngineFrom(t, smallDataset(), cfg)
+	return e
+}
+
+// buildEngineFrom generates the dataset gen describes, integrates it
+// into a fresh in-memory store and builds an engine over it; the
+// importer is returned for tests that resync.
+func buildEngineFrom(t *testing.T, gen datagen.Config, cfg Config) (*Engine, *integrate.Importer) {
+	t.Helper()
 	ds, err := datagen.Generate(gen)
 	if err != nil {
 		t.Fatal(err)
@@ -34,15 +48,42 @@ func buildEngine(t *testing.T, cfg Config) *Engine {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	bundle := source.NewBundle(ds, netsim.ProfileLAN, 5, true)
-	if _, err := integrate.NewImporter(db, bundle).ImportAll(context.Background()); err != nil {
+	im := integrate.NewImporter(db, source.NewBundle(ds, netsim.ProfileLAN, 5, true))
+	if _, err := im.ImportAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	e, err := New(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return e, im
+}
+
+// canonRow encodes a row for multiset comparison with floats rounded
+// to 10 significant digits: parallel and sharded merges reassociate
+// float addition, so bit-exact comparison is unsound.
+func canonRow(r store.Row) string {
+	var b []byte
+	for _, v := range r {
+		if v.K == store.KindFloat {
+			b = append(b, fmt.Sprintf("|%.9e", v.F)...)
+			continue
+		}
+		b = append(b, '|')
+		b = store.AppendValue(b, v)
+	}
+	return string(b)
+}
+
+// canonRows returns the rows' canonRow encodings sorted: two results
+// hold the same row multiset exactly when these are equal.
+func canonRows(rows []store.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = canonRow(r)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestEngineBuildsTree(t *testing.T) {

@@ -123,61 +123,71 @@ func TestOverlayRequiresMatchingVersion(t *testing.T) {
 	}
 }
 
-// TestOverlayIncrementalMatchesRebuild is the byte-identity property
-// T14 gates on: after a churn of delta commits, the incrementally
-// maintained overlay must equal a from-scratch rebuild bit for bit —
-// same Rows, same Count, same Float64bits of every node's Sum.
+// TestOverlayIncrementalMatchesRebuild is the byte-identity property:
+// after a churn of delta commits, the incrementally maintained overlay
+// must equal a from-scratch rebuild bit for bit — same Rows, same
+// Count, same Float64bits of every node's Sum. Two churns feed it: 20
+// rounds that retire the oldest rows and insert affinities a hair
+// apart, then 120 seeded batches of random deletes plus inserts at
+// random leaves, one insert in 16 keyed to a protein outside the tree
+// (which the overlay must ignore, as the scan path does), compared
+// every 10 batches.
 func TestOverlayIncrementalMatchesRebuild(t *testing.T) {
 	e := buildEngine(t, DefaultConfig())
 	db := e.DB()
-
-	// Churn: rounds of deletes (oldest surviving ids) plus inserts,
-	// committed as atomic deltas so the overlay advances one version
-	// per round.
 	for round := 0; round < 20; round++ {
-		var ids []int64
-		snap := db.PinSnapshot()
-		tv, err := snap.View(integrate.TableActivities)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tv.Scan(func(id int64, r store.Row) bool {
-			ids = append(ids, id)
-			return len(ids) < 3
-		})
-		snap.Release()
-		delta := store.TableDelta{Table: integrate.TableActivities, DeleteIDs: ids}
+		var rows []store.Row
 		for i := 0; i < 5; i++ {
-			delta.Inserts = append(delta.Inserts, store.Row{
-				store.StringValue("DT000" + string(rune('0'+round%10)) + string(rune('0'+i))),
-				store.StringValue("L1"),
-				store.FloatValue(float64(round)*0.1 + float64(i)*1e-9),
-				store.StringValue("kd"),
-			})
+			rows = append(rows, activityRow(fmt.Sprintf("DT000%d%d", round%10, i), float64(round)*0.1+float64(i)*1e-9))
 		}
-		if err := db.CommitDeltas([]store.TableDelta{delta}); err != nil {
-			t.Fatal(err)
+		commitActivities(t, db, activityIDs(t, db, 3, nil), rows)
+	}
+	overlayMatchesRebuild(t, db, e.Tree(), e.Overlay(), "after 20 rounds")
+
+	rng := rand.New(rand.NewSource(1))
+	leaves := e.Tree().LeafNames()
+	for b := 1; b <= 120; b++ {
+		ids := activityIDs(t, db, 0, nil)
+		k := 3 + rng.Intn(5)
+		var del []int64
+		for i := 0; i < k && len(ids) > 0; i++ {
+			j := rng.Intn(len(ids))
+			del = append(del, ids[j])
+			ids[j] = ids[len(ids)-1]
+			ids = ids[:len(ids)-1]
+		}
+		rows := make([]store.Row, k)
+		for i := range rows {
+			key := leaves[rng.Intn(len(leaves))]
+			if rng.Intn(16) == 0 {
+				key = fmt.Sprintf("UNKNOWN-%d", b)
+			}
+			rows[i] = activityRow(key, rng.NormFloat64()*3.5)
+		}
+		commitActivities(t, db, del, rows)
+		if b%10 == 0 {
+			overlayMatchesRebuild(t, db, e.Tree(), e.Overlay(), fmt.Sprintf("after seeded batch %d", b))
 		}
 	}
+}
 
+// overlayMatchesRebuild fails the test unless o equals a from-scratch
+// rebuild at db's current version, node for node and bit for bit.
+func overlayMatchesRebuild(t *testing.T, db *store.DB, tree *phylo.Tree, o *ActivityOverlay, stage string) {
+	t.Helper()
 	snap := db.PinSnapshot()
 	defer snap.Release()
-	rebuilt, err := RebuildActivityOverlay(snap, e.Tree())
+	rebuilt, err := RebuildActivityOverlay(snap, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := e.Overlay()
-	if lv, rv := live.Version(), rebuilt.Version(); lv != rv {
-		t.Fatalf("live overlay at version %d, rebuild at %d", lv, rv)
+	if o.Version() != rebuilt.Version() {
+		t.Fatalf("%s: overlay at version %d, rebuild at %d", stage, o.Version(), rebuilt.Version())
 	}
-	if live.Nodes() != rebuilt.Nodes() {
-		t.Fatalf("node counts differ: %d vs %d", live.Nodes(), rebuilt.Nodes())
-	}
-	for p := 0; p < live.Nodes(); p++ {
-		a, b := live.Agg(p), rebuilt.Agg(p)
-		if a.Rows != b.Rows || a.Count != b.Count ||
-			math.Float64bits(a.Sum) != math.Float64bits(b.Sum) {
-			t.Fatalf("node pre=%d diverged: incremental %+v rebuild %+v", p, a, b)
+	for p := 0; p < o.Nodes(); p++ {
+		a, b := o.Agg(p), rebuilt.Agg(p)
+		if a.Rows != b.Rows || a.Count != b.Count || math.Float64bits(a.Sum) != math.Float64bits(b.Sum) {
+			t.Fatalf("%s: node pre=%d diverged: overlay %+v rebuild %+v", stage, p, a, b)
 		}
 	}
 }
@@ -344,22 +354,7 @@ func TestOverlayPendingReplaysRetiredRows(t *testing.T) {
 		t.Fatal("no retired slot was reused before the replay; the test proves nothing")
 	}
 	o.publish(ver)
-
-	snap := db.PinSnapshot()
-	defer snap.Release()
-	rebuilt, err := RebuildActivityOverlay(snap, e.Tree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Version() != rebuilt.Version() {
-		t.Fatalf("replayed overlay at version %d, rebuild at %d", o.Version(), rebuilt.Version())
-	}
-	for p := 0; p < o.Nodes(); p++ {
-		a, b := o.Agg(p), rebuilt.Agg(p)
-		if a.Rows != b.Rows || a.Count != b.Count || math.Float64bits(a.Sum) != math.Float64bits(b.Sum) {
-			t.Fatalf("node pre=%d diverged after %d reused slots: replayed %+v rebuild %+v", p, reused, a, b)
-		}
-	}
+	overlayMatchesRebuild(t, db, e.Tree(), o, fmt.Sprintf("replayed after %d reused slots", reused))
 }
 
 // randomActivities returns a generator of activities rows keyed at

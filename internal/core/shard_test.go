@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,22 +12,6 @@ import (
 	"drugtree/internal/query"
 	"drugtree/internal/store"
 )
-
-// canonShardRow encodes a row for multiset comparison with floats
-// rounded to 10 significant digits: the coordinator's merge
-// reassociates float addition, so bit-exact comparison is unsound.
-func canonShardRow(r store.Row) string {
-	var b []byte
-	for _, v := range r {
-		if v.K == store.KindFloat {
-			b = append(b, fmt.Sprintf("|%.9e", v.F)...)
-			continue
-		}
-		b = append(b, '|')
-		b = store.AppendValue(b, v)
-	}
-	return string(b)
-}
 
 // TestShardedEngineMatchesSingleNode builds the same integrated
 // dataset twice — once single-node, once partitioned across three
@@ -95,22 +80,14 @@ func TestShardedEngineMatchesSingleNode(t *testing.T) {
 		if c.keyPos >= 0 {
 			for j := range base.Rows {
 				a, b := base.Rows[j][c.keyPos], got.Rows[j][c.keyPos]
-				if a.K != b.K || canonShardRow(store.Row{a}) != canonShardRow(store.Row{b}) {
+				if a.K != b.K || canonRow(store.Row{a}) != canonRow(store.Row{b}) {
 					t.Fatalf("query %q: sort key %d differs: %v vs %v", c.q, j, a, b)
 				}
 			}
 			continue
 		}
-		counts := map[string]int{}
-		for _, r := range base.Rows {
-			counts[canonShardRow(r)]++
-		}
-		for _, r := range got.Rows {
-			k := canonShardRow(r)
-			counts[k]--
-			if counts[k] < 0 {
-				t.Fatalf("query %q: result multisets differ", c.q)
-			}
+		if !slices.Equal(canonRows(base.Rows), canonRows(got.Rows)) {
+			t.Fatalf("query %q: result multisets differ", c.q)
 		}
 	}
 
@@ -280,7 +257,7 @@ func TestBenchShapesMatchAcrossTopologies(t *testing.T) {
 		{"family_agg", fmt.Sprintf("SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE a.affinity >= %.3f GROUP BY p.family", 5.5), "IndexRangeScan activities", -1},
 	}
 	ctx := context.Background()
-	canonVal := func(v store.Value) string { return canonShardRow(store.Row{v}) }
+	canonVal := func(v store.Value) string { return canonRow(store.Row{v}) }
 	for _, sh := range shapes {
 		plan, err := single.Query(ctx, "EXPLAIN "+sh.q)
 		if err != nil {
@@ -311,8 +288,8 @@ func TestBenchShapesMatchAcrossTopologies(t *testing.T) {
 						continue // tied with the cut: any of the tied rows is right
 					}
 				}
-				counts[canonShardRow(w)]++
-				counts[canonShardRow(got.Rows[i])]--
+				counts[canonRow(w)]++
+				counts[canonRow(got.Rows[i])]--
 			}
 			for k, n := range counts {
 				if n != 0 {

@@ -4,15 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"drugtree/internal/datagen"
-	"drugtree/internal/integrate"
-	"drugtree/internal/netsim"
 	"drugtree/internal/query"
-	"drugtree/internal/source"
 	"drugtree/internal/store"
 )
 
@@ -23,28 +20,17 @@ import (
 // beyond mere survival it asserts exact snapshot isolation: a probe
 // table is rewritten generation by generation through atomic delta
 // commits, and every reader must observe one complete generation —
-// full row count, a single gen value — never a mix of two. The
-// statement cache is off, so every query truly executes.
+// full row count, a single gen value — never a mix of two, through the
+// row adapter and through QueryColumns, the served path. The readers
+// set the run length; the writer alternates resyncs with probe flips
+// until they finish. At rest no snapshot stays pinned and the version
+// GC has swept every superseded row. The statement cache is off, so
+// every query truly executes.
 func TestConcurrentQueriesDuringResync(t *testing.T) {
-	gen := datagen.DefaultConfig()
-	gen.NumFamilies = 3
-	gen.ProteinsPerFamily = 8
-	gen.NumLigands = 15
-	gen.ActivityDensity = 0.5
-	ds, err := datagen.Generate(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := store.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	bundle := source.NewBundle(ds, netsim.ProfileLAN, 5, true)
-	importer := integrate.NewImporter(db, bundle)
-	if _, err := importer.ImportAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	cfg := DefaultConfig()
+	cfg.QueryOptions.Parallelism = 4 // force parallel operators even on 1 CPU
+	e, importer := buildEngineFrom(t, smallDataset(), cfg)
+	db, ctx := e.DB(), context.Background()
 
 	// Isolation probe: probeRows rows that always share one gen value.
 	// Each flip deletes the whole old generation and inserts the new
@@ -52,30 +38,25 @@ func TestConcurrentQueriesDuringResync(t *testing.T) {
 	// straddled the publish would see COUNT != probeRows or
 	// MIN(gen) != MAX(gen).
 	const probeRows = 32
-	probeSchema := store.MustSchema(
+	probe, err := db.CreateTable("ingest_probe", store.MustSchema(
 		store.Column{Name: "slot", Kind: store.KindInt},
 		store.Column{Name: "gen", Kind: store.KindInt},
-	)
-	if _, err := db.CreateTable("ingest_probe", probeSchema); err != nil {
-		t.Fatal(err)
-	}
-	probeGen := func(g int64) []store.Row {
-		rows := make([]store.Row, probeRows)
-		for i := range rows {
-			rows[i] = store.Row{store.IntValue(int64(i)), store.IntValue(g)}
-		}
-		return rows
-	}
-	if err := db.CommitDeltas([]store.TableDelta{
-		{Table: "ingest_probe", Inserts: probeGen(0)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := DefaultConfig()
-	cfg.QueryOptions.Parallelism = 4 // force parallel operators even on 1 CPU
-	e, err := New(db, cfg)
+	))
 	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(g int64) error {
+		delta := store.TableDelta{Table: "ingest_probe"}
+		probe.Scan(func(id int64, _ store.Row) bool {
+			delta.DeleteIDs = append(delta.DeleteIDs, id)
+			return true
+		})
+		for i := int64(0); i < probeRows; i++ {
+			delta.Inserts = append(delta.Inserts, store.Row{store.IntValue(i), store.IntValue(g)})
+		}
+		return db.CommitDeltas([]store.TableDelta{delta})
+	}
+	if err := flip(0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -88,84 +69,92 @@ func TestConcurrentQueriesDuringResync(t *testing.T) {
 	}
 	const probeQuery = "SELECT COUNT(*), MIN(gen), MAX(gen) FROM ingest_probe"
 
-	const (
-		workers      = 8
-		perWorker    = 25
-		resyncRounds = 10
-	)
+	const workers, perWorker = 8, 25
 	var (
-		wg       sync.WaitGroup
-		ran      int64
-		firstErr atomic.Value
+		ran, flips atomic.Int64
+		errOnce    sync.Once
+		firstErr   error
 	)
+	fail := func(err error) { errOnce.Do(func() { firstErr = err }) }
 	stop := make(chan struct{})
-	// Re-sync loop: each round diffs the same logical rows and flips
-	// the probe generation while readers are mid-scan.
-	wg.Add(1)
+	var writer, readers sync.WaitGroup
+	writer.Add(1)
 	go func() {
-		defer wg.Done()
-		for i := 0; i < resyncRounds; i++ {
+		defer writer.Done()
+		for g := int64(1); ; g++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if _, err := importer.Sync(context.Background()); err != nil {
-				firstErr.Store(fmt.Errorf("resync: %w", err))
+			if _, err := importer.Sync(ctx); err != nil {
+				fail(fmt.Errorf("resync: %w", err))
 				return
 			}
-			var old []int64
-			snap := db.PinSnapshot()
-			if tv, verr := snap.View("ingest_probe"); verr == nil {
-				tv.Scan(func(id int64, r store.Row) bool {
-					old = append(old, id)
-					return true
-				})
-			}
-			snap.Release()
-			if err := db.CommitDeltas([]store.TableDelta{{
-				Table:     "ingest_probe",
-				DeleteIDs: old,
-				Inserts:   probeGen(int64(i + 1)),
-			}}); err != nil {
-				firstErr.Store(fmt.Errorf("probe flip: %w", err))
+			if err := flip(g); err != nil {
+				fail(fmt.Errorf("probe flip: %w", err))
 				return
 			}
+			flips.Add(1)
 		}
 	}()
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer readers.Done()
 			for i := 0; i < perWorker; i++ {
 				q := queries[(w+i)%len(queries)]
-				if _, err := e.Query(context.Background(), q); err != nil {
-					firstErr.Store(fmt.Errorf("worker %d: %q: %w", w, q, err))
+				if _, err := e.Query(ctx, q); err != nil {
+					fail(fmt.Errorf("worker %d: %q: %w", w, q, err))
 					return
 				}
-				res, err := e.Query(context.Background(), probeQuery)
+				rows, err := e.Query(ctx, probeQuery)
 				if err != nil {
-					firstErr.Store(fmt.Errorf("worker %d: probe: %w", w, err))
+					fail(fmt.Errorf("worker %d: probe: %w", w, err))
 					return
 				}
-				row := res.Rows[0]
-				if row[0].I != probeRows || row[1].I != row[2].I {
-					firstErr.Store(fmt.Errorf(
-						"worker %d: torn read: COUNT=%d MIN(gen)=%d MAX(gen)=%d",
-						w, row[0].I, row[1].I, row[2].I))
+				cols, err := e.QueryColumns(ctx, probeQuery)
+				if err != nil {
+					fail(fmt.Errorf("worker %d: probe columns: %w", w, err))
 					return
 				}
-				atomic.AddInt64(&ran, 1)
+				c := cols.Batch.Cols
+				for path, r := range map[string]store.Row{
+					"Query":        rows.Rows[0],
+					"QueryColumns": {c[0].Value(0), c[1].Value(0), c[2].Value(0)},
+				} {
+					if r[0].I != probeRows || r[1].I != r[2].I {
+						fail(fmt.Errorf("worker %d: torn read through %s: COUNT=%d MIN(gen)=%d MAX(gen)=%d",
+							w, path, r[0].I, r[1].I, r[2].I))
+						return
+					}
+				}
+				ran.Add(1)
 			}
 		}(w)
 	}
-	wg.Wait()
+	readers.Wait()
 	close(stop)
-	if err, ok := firstErr.Load().(error); ok && err != nil {
-		t.Fatal(err)
+	writer.Wait()
+	if firstErr != nil {
+		t.Fatal(firstErr)
 	}
-	if ran != workers*perWorker {
-		t.Fatalf("ran %d queries, want %d", ran, workers*perWorker)
+	if ran.Load() != workers*perWorker {
+		t.Fatalf("ran %d probe rounds, want %d", ran.Load(), workers*perWorker)
+	}
+	if flips.Load() == 0 {
+		t.Fatal("no probe generation was published while the readers ran")
+	}
+	t.Logf("%d probe rounds across %d resync + flip rounds", ran.Load(), flips.Load())
+
+	// At rest: one pin and release lets the version GC sweep what the
+	// last commits retired; nothing may stay pinned or unswept.
+	db.PinSnapshot().Release()
+	if n := db.ActiveSnapshots(); n != 0 {
+		t.Fatalf("%d snapshot pins leaked at rest", n)
+	}
+	if n := db.DeadVersions(); n != 0 {
+		t.Fatalf("%d dead row versions survived GC at rest", n)
 	}
 }
 
@@ -185,20 +174,29 @@ func TestQueryCancellationThroughCore(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerialThroughCore runs the analysis layer's
-// query shapes under both executors via core engines sharing one
-// database, pinning end-to-end equivalence above the query package.
+// TestParallelMatchesSerialThroughCore runs T7's three operator classes
+// — a residual scan, a hash join and a grouped aggregate — and the
+// analysis layer's shapes on a serial core engine and a 4-worker query
+// engine sharing one database. The dataset holds about 3 200
+// activities, several executor batches, so every parallel operator
+// splits its input across workers. Plans must be byte-identical and the
+// rows one multiset, floats to 10 significant digits.
 func TestParallelMatchesSerialThroughCore(t *testing.T) {
+	gen := smallDataset()
+	gen.NumFamilies, gen.ProteinsPerFamily, gen.NumLigands = 4, 20, 80
 	serialCfg := DefaultConfig()
 	serialCfg.QueryOptions.Parallelism = 1
 	serialCfg.CacheBytes = 0
-	e := buildEngine(t, serialCfg)
+	e, _ := buildEngineFrom(t, gen, serialCfg)
 
 	parallelOpts := query.DefaultOptions()
 	parallelOpts.Parallelism = 4
 	par := query.NewEngine(query.NewDBCatalog(e.DB(), e.Tree()), parallelOpts)
 
 	queries := []string{
+		"SELECT protein_id, ligand_id, affinity FROM activities WHERE assay != 'x' AND ligand_id != 'LIG0000'",
+		"SELECT p.accession, a.ligand_id, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE a.affinity > 6",
+		"SELECT protein_id, COUNT(*), AVG(affinity), MIN(affinity) FROM activities GROUP BY protein_id",
 		"SELECT family, COUNT(*), AVG(length) FROM proteins GROUP BY family",
 		`SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p
 		 JOIN activities a ON p.accession = a.protein_id GROUP BY p.family`,
@@ -213,11 +211,11 @@ func TestParallelMatchesSerialThroughCore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallel %q: %v", q, err)
 		}
-		if len(sres.Rows) != len(pres.Rows) {
-			t.Fatalf("%q: %d vs %d rows", q, len(sres.Rows), len(pres.Rows))
-		}
 		if sres.Plan != pres.Plan {
 			t.Fatalf("%q: plans diverge:\n%s\nvs\n%s", q, sres.Plan, pres.Plan)
+		}
+		if s, p := canonRows(sres.Rows), canonRows(pres.Rows); !slices.Equal(s, p) {
+			t.Fatalf("%q: serial and parallel rows differ (%d vs %d rows)", q, len(s), len(p))
 		}
 	}
 }

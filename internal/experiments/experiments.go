@@ -1,7 +1,7 @@
-// Package experiments implements the DrugTree evaluation suite: every
-// table (T1–T14) and figure (F1–F4) in EXPERIMENTS.md is regenerated
-// by one Run* function. cmd/drugtree-experiments prints them; bench_test.go
-// wraps them as testing.B benchmarks.
+// Package experiments implements the DrugTree evaluation suite: the
+// tables T1–T6, T8 and T9 and the figures F1–F4 in EXPERIMENTS.md are
+// each regenerated by one Run* function. cmd/drugtree-experiments prints
+// them; bench_test.go wraps them as testing.B benchmarks.
 //
 // The poster publishes no numbered tables or figures (see DESIGN.md
 // §0), so this suite operationalizes its claims: tree-query lag and
@@ -96,8 +96,6 @@ func All() []Runner {
 		{"T6", "Statement cache: first execution vs exact repeat", RunT6},
 		{"T8", "Availability under scripted source faults: resilience on vs off", RunT8},
 		{"T9", "Overload protection: deadline-aware shedding vs unprotected queueing", RunT9},
-		{"T13", "Crash-point torture: deterministic power cuts over the store's WAL and snapshot", RunT13},
-		{"T14", "Live ingest: snapshot isolation, incremental overlay identity, reader latency", RunT14},
 		{"F1", "Subtree-query latency vs tree size", RunF1},
 		{"F2", "Interactive session: semantic cache and prefetching", RunF2},
 		{"F3", "Mobile transfer strategies: bytes and modelled latency", RunF3},
