@@ -43,7 +43,8 @@ knobs:
 # committer, and the crash-point torture matrix) and the
 # fault-injecting VFS; core carries the live-ingest tests (no torn read
 # during resync, nothing pinned or unswept at rest, the incremental
-# overlay equal to a rebuild). The -timeout is the wedge
+# overlay equal to a rebuild), and phylo the distance matrix, whose
+# workers fill one shared triangle row by row. The -timeout is the wedge
 # watchdog: a lock-order bug in the coordinator's fan-out manifests as
 # a silent hang rather than a failure, so the test runner panics at the
 # deadline and dumps every goroutine's stack.
@@ -51,7 +52,8 @@ race:
 	$(GO) test -race -timeout=300s ./internal/query/... ./internal/core/... ./internal/cache/... \
 		./internal/shard/... \
 		./internal/source/... ./internal/integrate/... ./internal/mobile/... \
-		./internal/admission/... ./internal/store/... ./internal/vfs/...
+		./internal/admission/... ./internal/store/... ./internal/vfs/... \
+		./internal/phylo/...
 	$(GO) test -race -timeout=300s -run 'TestRunT9' ./internal/experiments/
 
 vet:
@@ -140,10 +142,12 @@ bench-repo:
 # index-selected rows at one and two workers — and the subtree
 # overlay's share of a 512 + 512-row commit, and one 100-row, 4-column
 # query reply through the wire codec (encoded from shared columns,
-# framed, decoded into one slab). EXPERIMENTS "Compact storage", "Typed
-# indexes", "Flat hash operators", "Joins that read only what
-# survives", "Commits that allocate nothing per changed row", "Folds
-# that read storage" and "Replies that stay columnar" record them.
+# framed, decoded into one slab), and the k-mer distance matrix at
+# dataset D1's size (800 sequences × 240 residues, k = 4). EXPERIMENTS
+# "Compact storage", "Typed indexes", "Flat hash operators", "Joins
+# that read only what survives", "Commits that allocate nothing per
+# changed row", "Folds that read storage", "Replies that stay columnar"
+# and "Set-up that does each piece of work once" record them.
 bench-micro:
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex' ./internal/store/
@@ -151,19 +155,23 @@ bench-micro:
 		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan' ./internal/query/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply' ./internal/core/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkQueryReply' ./internal/mobile/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkKmerDistances' ./internal/phylo/
 
 # Ten seconds of each fuzz target over its checked-in corpus: the DTQL
 # parser's parse → String → parse and the Newick parser's parse →
 # Newick → parse round trips, neither ever panicking, the subtree
 # overlay's exact sum against its big.Int oracle under adds and removes
-# of arbitrary float64s, and the mobile message decoder (never a panic,
-# allocation bounded by the payload, decode → encode byte-identical).
+# of arbitrary float64s, the mobile message decoder (never a panic,
+# allocation bounded by the payload, decode → encode byte-identical),
+# and the k-mer distance (the merge Cosine and the matrix kernel equal
+# the map-based oracle bit for bit, inside [0, 1]).
 # `go test -fuzz` takes one target and one package a run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzNewick$$' -fuzztime 10s ./internal/phylo/
 	$(GO) test -run '^$$' -fuzz '^FuzzExactSum$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime 10s ./internal/mobile/
+	$(GO) test -run '^$$' -fuzz '^FuzzKmerCosine$$' -fuzztime 10s ./internal/bio/seq/
 
 # The parallel-executor microbenchmarks (experiment T7): a residual
 # scan, a hash join and a grouped aggregate at 1, 2 and GOMAXPROCS

@@ -2,6 +2,8 @@ package seq
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -231,4 +233,220 @@ func TestFASTAEmptyInput(t *testing.T) {
 	if len(out) != 0 {
 		t.Fatalf("parsed %d records from empty input", len(out))
 	}
+}
+
+// mapProfile is the map-keyed k-mer profile NewKmerProfile built before
+// profiles became sorted arrays, kept with its Cosine as the oracle the
+// array form and CosineRows must match bit for bit.
+type mapProfile struct {
+	K      int
+	Counts map[uint64]uint32
+	Total  int
+}
+
+func newMapProfile(residues string, k int) *mapProfile {
+	p := &mapProfile{K: k, Counts: make(map[uint64]uint32)}
+	if len(residues) < k {
+		return p
+	}
+	var code uint64
+	var pow uint64 = 1
+	for i := 1; i < k; i++ {
+		pow *= 20
+	}
+	valid := 0
+	for i := 0; i < len(residues); i++ {
+		r := ResidueIndex(residues[i])
+		if r < 0 {
+			valid = 0
+			code = 0
+			continue
+		}
+		if valid < k {
+			code = code*20 + uint64(r)
+			valid++
+		} else {
+			code = (code%(pow))*20 + uint64(r)
+		}
+		if valid >= k {
+			p.Counts[code]++
+			p.Total++
+		}
+	}
+	return p
+}
+
+func (p *mapProfile) Cosine(q *mapProfile) float64 {
+	if p.K != q.K || p.Total == 0 || q.Total == 0 {
+		return 1
+	}
+	small, large := p, q
+	if len(small.Counts) > len(large.Counts) {
+		small, large = large, small
+	}
+	var dot, np, nq float64
+	for code, c := range small.Counts {
+		if d, ok := large.Counts[code]; ok {
+			dot += float64(c) * float64(d)
+		}
+	}
+	for _, c := range p.Counts {
+		np += float64(c) * float64(c)
+	}
+	for _, c := range q.Counts {
+		nq += float64(c) * float64(c)
+	}
+	if np == 0 || nq == 0 {
+		return 1
+	}
+	sim := dot / (math.Sqrt(np) * math.Sqrt(nq))
+	if sim > 1 {
+		sim = 1
+	}
+	return 1 - sim
+}
+
+// proteinSet draws n sequences in a few families, each a mutated copy
+// of its family's ancestor, so that pairs share k-mers even at k = 12.
+// It mixes in what the kernel must survive: empty sequences, sequences
+// shorter than every k, lower-case letters, residues that are not among
+// the 20 and break k-mer runs, and exact duplicates (distance 0).
+func proteinSet(rng *rand.Rand, n int) []string {
+	const families = 4
+	ancestors := make([]string, families)
+	for f := range ancestors {
+		b := make([]byte, 60+rng.Intn(240))
+		for i := range b {
+			b[i] = AminoAcids[rng.Intn(len(AminoAcids))]
+		}
+		ancestors[f] = string(b)
+	}
+	out := []string{"", "A", "ACDEFGHIKLM", "acdefghiklmnpq", "MKVXLAARHG*MKVLAARHGBZ"}
+	for len(out) < n {
+		b := []byte(ancestors[rng.Intn(families)])
+		for i := range b {
+			switch x := rng.Float64(); {
+			case x < 0.08:
+				b[i] = AminoAcids[rng.Intn(len(AminoAcids))]
+			case x < 0.09:
+				b[i] = "XBZ-"[rng.Intn(4)]
+			}
+		}
+		out = append(out, string(b[:len(b)-rng.Intn(len(b)/4+1)]))
+		if rng.Intn(8) == 0 {
+			out = append(out, out[len(out)-1])
+		}
+	}
+	return out
+}
+
+func TestKmerProfileMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	seqs := proteinSet(rng, 40)
+	for _, k := range []int{1, 2, 3, 4, 6, 12} {
+		for _, s := range seqs {
+			p, err := NewKmerProfile(s, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := newMapProfile(s, k)
+			if p.K != k || p.Total != want.Total || len(p.Codes) != len(want.Counts) || len(p.Counts) != len(p.Codes) {
+				t.Fatalf("k=%d %q: K %d, Total %d, %d codes, %d counts; oracle Total %d, %d codes",
+					k, s, p.K, p.Total, len(p.Codes), len(p.Counts), want.Total, len(want.Counts))
+			}
+			var sumSq uint64
+			for x, c := range p.Codes {
+				if x > 0 && c <= p.Codes[x-1] {
+					t.Fatalf("k=%d %q: codes not strictly ascending at %d", k, s, x)
+				}
+				if p.Counts[x] != want.Counts[c] {
+					t.Fatalf("k=%d %q: code %d counted %d, oracle %d", k, s, c, p.Counts[x], want.Counts[c])
+				}
+				sumSq += uint64(p.Counts[x]) * uint64(p.Counts[x])
+			}
+			if p.Norm != math.Sqrt(float64(sumSq)) {
+				t.Fatalf("k=%d %q: Norm %g, want √%d", k, s, p.Norm, sumSq)
+			}
+		}
+	}
+}
+
+// TestCosineRowsMatchMapOracle drives the matrix kernel the way
+// phylo.ComputeDistances does, with several fillers taking rows in a
+// shuffled order (so a filler that left counts in its dense vector
+// would corrupt a later row), and requires every entry, and the merge
+// Cosine of every pair, to equal the map oracle bit for bit.
+func TestCosineRowsMatchMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, k := range []int{1, 2, 3, 4, 6, 12} {
+		seqs := proteinSet(rng, 60)
+		profiles := make([]*KmerProfile, len(seqs))
+		oracle := make([]*mapProfile, len(seqs))
+		for i, s := range seqs {
+			var err error
+			if profiles[i], err = NewKmerProfile(s, k); err != nil {
+				t.Fatal(err)
+			}
+			oracle[i] = newMapProfile(s, k)
+		}
+		newRow := CosineRows(profiles)
+		fillers := []func(int, []float64){newRow(), newRow(), newRow()}
+		zeros := 0
+		for n, i := range rng.Perm(len(seqs)) {
+			row := make([]float64, i)
+			fillers[n%len(fillers)](i, row)
+			for j, got := range row {
+				want := oracle[i].Cosine(oracle[j])
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("k=%d: row %d col %d = %v (%#x), oracle %v (%#x)\n%q\n%q",
+						k, i, j, got, math.Float64bits(got), want, math.Float64bits(want), seqs[i], seqs[j])
+				}
+				if merged := profiles[i].Cosine(profiles[j]); math.Float64bits(merged) != math.Float64bits(want) {
+					t.Fatalf("k=%d: Cosine(%d, %d) = %v, oracle %v", k, i, j, merged, want)
+				}
+				if got == 0 {
+					zeros++
+				}
+			}
+		}
+		if zeros == 0 {
+			t.Fatalf("k=%d: no pair at distance 0; the set lost its duplicates", k)
+		}
+		for i := range profiles {
+			self, want := profiles[i].Cosine(profiles[i]), oracle[i].Cosine(oracle[i])
+			if math.Float64bits(self) != math.Float64bits(want) {
+				t.Fatalf("k=%d: self distance of %q = %v, oracle %v", k, seqs[i], self, want)
+			}
+		}
+	}
+}
+
+// FuzzKmerCosine: for any two byte strings and any k in [1, 12], the
+// merge Cosine and the matrix kernel both equal the map oracle bit for
+// bit, and the distance lies in [0, 1].
+func FuzzKmerCosine(f *testing.F) {
+	f.Add("MKVLAARHGCDEFGHIKL", "MKVLAARHGAAAA", 3)
+	f.Fuzz(func(t *testing.T, a, b string, k int) {
+		k = 1 + int(uint(k)%12)
+		p, err := NewKmerProfile(a, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := NewKmerProfile(b, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := newMapProfile(a, k).Cosine(newMapProfile(b, k))
+		if got := p.Cosine(q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("k=%d: Cosine = %v, oracle %v", k, got, want)
+		}
+		if !(want >= 0 && want <= 1) {
+			t.Fatalf("k=%d: distance %v outside [0, 1]", k, want)
+		}
+		row := make([]float64, 1)
+		CosineRows([]*KmerProfile{p, q})()(1, row)
+		if want := newMapProfile(b, k).Cosine(newMapProfile(a, k)); math.Float64bits(row[0]) != math.Float64bits(want) {
+			t.Fatalf("k=%d: kernel = %v, oracle %v", k, row[0], want)
+		}
+	})
 }

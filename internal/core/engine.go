@@ -306,9 +306,9 @@ func buildTree(proteins []*seq.Protein, method TreeMethod) (*phylo.Tree, error) 
 	switch method {
 	case TreeNJAlign:
 		scoring := align.BLOSUM62(8)
-		m = phylo.ComputeDistances(names, func(i, j int) float64 {
+		m = phylo.ComputeDistances(names, phylo.PairRows(func(i, j int) float64 {
 			return align.DistanceBanded(proteins[i].Residues, proteins[j].Residues, scoring, 32)
-		})
+		}))
 	case TreeNJKmer:
 		profiles := make([]*seq.KmerProfile, len(proteins))
 		for i, p := range proteins {
@@ -318,9 +318,7 @@ func buildTree(proteins []*seq.Protein, method TreeMethod) (*phylo.Tree, error) 
 			}
 			profiles[i] = prof
 		}
-		m = phylo.ComputeDistances(names, func(i, j int) float64 {
-			return profiles[i].Cosine(profiles[j])
-		})
+		m = phylo.ComputeDistances(names, seq.CosineRows(profiles))
 	default:
 		return nil, fmt.Errorf("core: unknown tree method %q", method)
 	}

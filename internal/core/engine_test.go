@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -607,5 +609,53 @@ func TestTwoBuildsNumberCladesIdentically(t *testing.T) {
 				t.Fatalf("build %d: tree_nodes row %d differs from the first build", build, i)
 			}
 		}
+	}
+}
+
+// smokeD1 is the smoke-sized dataset D1 the repository benchmark builds
+// with -short: 8 families × 40 proteins = 320, just above the 300 at
+// which New switches from alignment to k-mer distances, so it is the
+// first dataset whose tree the k-mer kernel builds.
+func smokeD1() datagen.Config {
+	gen := datagen.DefaultConfig()
+	gen.Seed = 1
+	gen.NumFamilies = 8
+	gen.ProteinsPerFamily = 40
+	gen.SeqLen = 240
+	gen.NumLigands = 80
+	gen.ActivityDensity = 0.3
+	return gen
+}
+
+// TestKmerTreeGolden pins the tree New builds over smokeD1 by the
+// sha256 of its Newick text and of its tree_nodes rows in preorder
+// (store.AppendRow encoding, so every float is compared bit for bit).
+// Any change to the k-mer distances that moves one matrix entry by one
+// ulp moves a branch length and fails here.
+func TestKmerTreeGolden(t *testing.T) {
+	e, _ := buildEngineFrom(t, smokeD1(), DefaultConfig())
+	tab, err := e.DB().Table(TreeTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Scan lends each row only for the call, so it is encoded there.
+	rows := make([][]byte, tab.Len())
+	pre := TreeSchema.ColumnIndex("pre")
+	tab.Scan(func(_ int64, r store.Row) bool {
+		rows[r[pre].I] = store.AppendRow(nil, r)
+		return true
+	})
+	nodes := sha256.New()
+	for _, r := range rows {
+		nodes.Write(r)
+	}
+	got := fmt.Sprintf("newick %x\ntree_nodes %x\n",
+		sha256.Sum256([]byte(e.Tree().Newick())), nodes.Sum(nil))
+	want, err := os.ReadFile("testdata/kmer_tree.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("k-mer tree differs from testdata/kmer_tree.golden:\n%s", got)
 	}
 }

@@ -157,9 +157,9 @@ func TestFamilyStructureRecoverable(t *testing.T) {
 		names[i] = p.ID
 		famOf[p.ID] = p.Family
 	}
-	m := phylo.ComputeDistances(names, func(i, j int) float64 {
+	m := phylo.ComputeDistances(names, phylo.PairRows(func(i, j int) float64 {
 		return align.Distance(ds.Proteins[i].Residues, ds.Proteins[j].Residues, scoring)
-	})
+	}))
 	tree, err := phylo.NeighborJoining(m)
 	if err != nil {
 		t.Fatal(err)
@@ -303,9 +303,9 @@ func TestReconstructionRecoversTrueTopology(t *testing.T) {
 	for i, p := range ds.Proteins {
 		names[i] = p.ID
 	}
-	m := phylo.ComputeDistances(names, func(i, j int) float64 {
+	m := phylo.ComputeDistances(names, phylo.PairRows(func(i, j int) float64 {
 		return align.Distance(ds.Proteins[i].Residues, ds.Proteins[j].Residues, scoring)
-	})
+	}))
 	got, err := phylo.NeighborJoining(m)
 	if err != nil {
 		t.Fatal(err)

@@ -40,18 +40,16 @@ func RunT5(ctx context.Context, seed int64) (*Report, error) {
 	}
 	scoring := align.BLOSUM62(8)
 	alignDist := func() *phylo.DistanceMatrix {
-		return phylo.ComputeDistances(names, func(i, j int) float64 {
+		return phylo.ComputeDistances(names, phylo.PairRows(func(i, j int) float64 {
 			return align.DistanceBanded(ds.Proteins[i].Residues, ds.Proteins[j].Residues, scoring, 32)
-		})
+		}))
 	}
 	kmerDist := func() *phylo.DistanceMatrix {
 		profiles := make([]*seq.KmerProfile, len(ds.Proteins))
 		for i, p := range ds.Proteins {
 			profiles[i], _ = seq.NewKmerProfile(p.Residues, 4)
 		}
-		return phylo.ComputeDistances(names, func(i, j int) float64 {
-			return profiles[i].Cosine(profiles[j])
-		})
+		return phylo.ComputeDistances(names, seq.CosineRows(profiles))
 	}
 	methods := []method{
 		{"nj-align", func() (*phylo.Tree, error) { return phylo.NeighborJoining(alignDist()) }},

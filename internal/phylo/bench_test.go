@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"drugtree/internal/bio/seq"
 )
 
 // benchTree builds an indexed random tree of n nodes.
@@ -75,7 +77,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 func BenchmarkNeighborJoining(b *testing.B) {
-	for _, n := range []int{50, 200} {
+	for _, n := range []int{50, 200, 800} {
 		b.Run(fmt.Sprintf("taxa-%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))
 			names := make([]string, n)
@@ -93,6 +95,32 @@ func BenchmarkNeighborJoining(b *testing.B) {
 				if _, err := NeighborJoining(m); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkKmerDistances is core.New's k-mer distance step at dataset
+// D1's size: 800 sequences of 240 residues in 16 families, k = 4,
+// profiles built and the 319 600-pair matrix filled. kernel is the
+// engine's path (seq.CosineRows); merge fills the same matrix with the
+// pair-at-a-time sorted-merge Cosine, for comparison.
+func BenchmarkKmerDistances(b *testing.B) {
+	seqs := kmerSeqs(rand.New(rand.NewSource(1)), 16, 50, 240)
+	for _, c := range []struct {
+		name string
+		rows func([]*seq.KmerProfile) func() func(int, []float64)
+	}{
+		{"kernel", seq.CosineRows},
+		{"merge", func(p []*seq.KmerProfile) func() func(int, []float64) {
+			return PairRows(func(i, j int) float64 { return p[i].Cosine(p[j]) })
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				names, profiles := kmerProfiles(b, seqs, 4)
+				ComputeDistances(names, c.rows(profiles))
 			}
 		})
 	}

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"drugtree/internal/bio/seq"
 )
 
 // additiveMatrix builds the distance matrix induced by a known tree's
@@ -224,13 +227,67 @@ func TestComputeDistancesParallel(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("T%d", i)
 	}
-	m := ComputeDistances(names, func(i, j int) float64 {
+	m := ComputeDistances(names, PairRows(func(i, j int) float64 {
 		return float64(i + j)
-	})
+	}))
 	for i := 1; i < len(names); i++ {
 		for j := 0; j < i; j++ {
 			if m.At(i, j) != float64(i+j) {
 				t.Fatalf("At(%d,%d) = %g, want %d", i, j, m.At(i, j), i+j)
+			}
+		}
+	}
+}
+
+// kmerSeqs draws families × perFamily sequences of length n, each a
+// copy of its family's random ancestor with a tenth of its residues
+// redrawn: the shape of dataset D1's proteins.
+func kmerSeqs(rng *rand.Rand, families, perFamily, n int) []string {
+	var out []string
+	for f := 0; f < families; f++ {
+		anc := make([]byte, n)
+		for i := range anc {
+			anc[i] = seq.AminoAcids[rng.Intn(len(seq.AminoAcids))]
+		}
+		for p := 0; p < perFamily; p++ {
+			b := append([]byte(nil), anc...)
+			for i := range b {
+				if rng.Float64() < 0.1 {
+					b[i] = seq.AminoAcids[rng.Intn(len(seq.AminoAcids))]
+				}
+			}
+			out = append(out, string(b))
+		}
+	}
+	return out
+}
+
+func kmerProfiles(tb testing.TB, seqs []string, k int) ([]string, []*seq.KmerProfile) {
+	tb.Helper()
+	names := make([]string, len(seqs))
+	profiles := make([]*seq.KmerProfile, len(seqs))
+	for i, s := range seqs {
+		names[i] = fmt.Sprintf("T%d", i)
+		var err error
+		if profiles[i], err = seq.NewKmerProfile(s, k); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return names, profiles
+}
+
+// TestComputeDistancesKmerRows runs the k-mer kernel through the
+// parallel matrix with more workers than rows need, so that under the
+// race detector concurrent fillers share the triangle, and requires
+// the matrix to equal the pairwise Cosine bit for bit.
+func TestComputeDistancesKmerRows(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	names, profiles := kmerProfiles(t, kmerSeqs(rand.New(rand.NewSource(4)), 4, 12, 120), 4)
+	m := ComputeDistances(names, seq.CosineRows(profiles))
+	for i := 1; i < len(names); i++ {
+		for j := 0; j < i; j++ {
+			if got, want := m.At(i, j), profiles[i].Cosine(profiles[j]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("At(%d,%d) = %v, Cosine %v", i, j, got, want)
 			}
 		}
 	}

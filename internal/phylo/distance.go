@@ -63,9 +63,26 @@ func (m *DistanceMatrix) Validate() error {
 // safe for concurrent calls.
 type PairwiseFunc func(i, j int) float64
 
-// ComputeDistances fills a matrix over names by evaluating f on every
-// pair in parallel.
-func ComputeDistances(names []string, f PairwiseFunc) *DistanceMatrix {
+// PairRows adapts a pair function to ComputeDistances: every worker
+// shares f and fills a row one pair at a time.
+func PairRows(f PairwiseFunc) func() func(i int, row []float64) {
+	return func() func(i int, row []float64) {
+		return func(i int, row []float64) {
+			for j := range row {
+				row[j] = f(i, j)
+			}
+		}
+	}
+}
+
+// ComputeDistances fills a matrix over names one row at a time, in
+// parallel. newRow is called once per worker and returns that worker's
+// filler, which writes the distances from taxon i to taxa 0..i-1 into
+// row[0:i] in place; a filler may therefore keep per-worker scratch
+// (seq.CosineRows keeps a dense k-mer vector), while the fillers of
+// different workers run concurrently and must share only read-only
+// state. Rows are handed out longest first.
+func ComputeDistances(names []string, newRow func() func(i int, row []float64)) *DistanceMatrix {
 	m := NewDistanceMatrix(names)
 	n := len(names)
 	workers := runtime.GOMAXPROCS(0)
@@ -76,7 +93,7 @@ func ComputeDistances(names []string, f PairwiseFunc) *DistanceMatrix {
 		workers = 1
 	}
 	rows := make(chan int, n)
-	for i := 1; i < n; i++ {
+	for i := n - 1; i >= 1; i-- {
 		rows <- i
 	}
 	close(rows)
@@ -85,11 +102,10 @@ func ComputeDistances(names []string, f PairwiseFunc) *DistanceMatrix {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			fill := newRow()
 			for i := range rows {
 				base := i * (i - 1) / 2
-				for j := 0; j < i; j++ {
-					m.tri[base+j] = f(i, j)
-				}
+				fill(i, m.tri[base:base+i:base+i])
 			}
 		}()
 	}

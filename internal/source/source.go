@@ -317,31 +317,30 @@ func (b *bank) Fetch(ctx context.Context, req Request) (*Result, error) {
 		limit = b.pageSize
 	}
 
-	// Server-side evaluation.
-	var matched []store.Row
+	// Server-side evaluation: every match is counted into total, and
+	// only the rows of [Offset, Offset+limit) are kept.
+	cols := make([]int, len(req.Filters))
+	for k, f := range req.Filters {
+		cols[k] = b.schema.ColumnIndex(f.Column)
+	}
+	page := make([]store.Row, 0, min(limit, len(b.rows)))
+	total := 0
 	for _, r := range b.rows {
 		ok := true
-		for _, f := range req.Filters {
-			ci := b.schema.ColumnIndex(f.Column)
-			if !f.Op.Eval(r[ci], f.Value) {
+		for k, f := range req.Filters {
+			if !f.Op.Eval(r[cols[k]], f.Value) {
 				ok = false
 				break
 			}
 		}
-		if ok {
-			matched = append(matched, r)
+		if !ok {
+			continue
 		}
+		if total >= req.Offset && total-req.Offset < limit {
+			page = append(page, r)
+		}
+		total++
 	}
-	total := len(matched)
-	start := req.Offset
-	if start > total {
-		start = total
-	}
-	end := start + limit
-	if end > total {
-		end = total
-	}
-	page := matched[start:end]
 
 	// Charge the link.
 	respBytes := int64(responseOverheadBytes)
@@ -366,11 +365,10 @@ func (b *bank) Fetch(ctx context.Context, req Request) (*Result, error) {
 	b.stats.Elapsed += elapsed
 	b.mu.Unlock()
 
-	out := make([]store.Row, len(page))
 	for i, r := range page {
-		out[i] = r.Clone()
+		page[i] = r.Clone()
 	}
-	return &Result{Rows: out, Total: total, BytesOnWire: respBytes, Elapsed: elapsed}, nil
+	return &Result{Rows: page, Total: total, BytesOnWire: respBytes, Elapsed: elapsed}, nil
 }
 
 func (b *bank) Stats() Stats {
