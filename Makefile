@@ -142,12 +142,14 @@ bench-repo:
 # index-selected rows at one and two workers — and the subtree
 # overlay's share of a 512 + 512-row commit, and one 100-row, 4-column
 # query reply through the wire codec (encoded from shared columns,
-# framed, decoded into one slab), and the k-mer distance matrix at
-# dataset D1's size (800 sequences × 240 residues, k = 4). EXPERIMENTS
+# framed, decoded into one slab), the k-mer distance matrix at
+# dataset D1's size (800 sequences × 240 residues, k = 4), and
+# neighbour-joining over 50, 200 and 800 taxa. EXPERIMENTS
 # "Compact storage", "Typed indexes", "Flat hash operators", "Joins
 # that read only what survives", "Commits that allocate nothing per
-# changed row", "Folds that read storage", "Replies that stay columnar"
-# and "Set-up that does each piece of work once" record them.
+# changed row", "Folds that read storage", "Replies that stay columnar",
+# "Set-up that does each piece of work once" and "Set-up with no serial
+# quadratic pass" record them.
 bench-micro:
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex' ./internal/store/
@@ -155,7 +157,7 @@ bench-micro:
 		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan' ./internal/query/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply' ./internal/core/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkQueryReply' ./internal/mobile/
-	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkKmerDistances' ./internal/phylo/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkKmerDistances|BenchmarkNeighborJoining' ./internal/phylo/
 
 # Ten seconds of each fuzz target over its checked-in corpus: the DTQL
 # parser's parse → String → parse and the Newick parser's parse →
@@ -163,8 +165,10 @@ bench-micro:
 # overlay's exact sum against its big.Int oracle under adds and removes
 # of arbitrary float64s, the mobile message decoder (never a panic,
 # allocation bounded by the payload, decode → encode byte-identical),
-# and the k-mer distance (the merge Cosine and the matrix kernel equal
-# the map-based oracle bit for bit, inside [0, 1]).
+# the k-mer distance (the merge Cosine and the matrix kernel equal
+# the map-based oracle bit for bit, inside [0, 1]), and neighbour-joining
+# (never a panic, an error for a NaN or ±Inf entry, and otherwise the
+# full-matrix loop's tree bit for bit).
 # `go test -fuzz` takes one target and one package a run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/query/
@@ -172,6 +176,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExactSum$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime 10s ./internal/mobile/
 	$(GO) test -run '^$$' -fuzz '^FuzzKmerCosine$$' -fuzztime 10s ./internal/bio/seq/
+	$(GO) test -run '^$$' -fuzz '^FuzzNeighborJoining$$' -fuzztime 10s ./internal/phylo/
 
 # The parallel-executor microbenchmarks (experiment T7): a residual
 # scan, a hash join and a grouped aggregate at 1, 2 and GOMAXPROCS

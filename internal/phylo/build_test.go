@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"drugtree/internal/bio/seq"
@@ -342,4 +343,389 @@ func TestLayoutInternalWithinChildSpan(t *testing.T) {
 			t.Fatalf("node %d Y=%g outside child span [%g,%g]", i, l.Y[NodeID(i)], lo, hi)
 		}
 	}
+}
+
+// njOracle is NeighborJoining as it was before it walked only the live
+// clusters: each step sums every row over all n columns and scans
+// every (i, j), skipping dead clusters by a branch.
+// It is the reference the bit-identity tests hold NeighborJoining to.
+// It panics when a step finds no Q below +Inf.
+func njOracle(m *DistanceMatrix) (*Tree, error) {
+	n := m.Len()
+	if n == 0 {
+		return nil, fmt.Errorf("phylo: empty distance matrix")
+	}
+	t := NewTree()
+	if n == 1 {
+		// Single taxon: a root with one leaf child keeps leaf
+		// semantics consistent for consumers.
+		root, _ := t.AddNode("", None, 0)
+		if _, err := t.AddNode(m.Names[0], root, 0); err != nil {
+			return nil, err
+		}
+		return t, nil
+	}
+	if n == 2 {
+		root, _ := t.AddNode("", None, 0)
+		d := m.At(0, 1)
+		t.AddNode(m.Names[0], root, d/2)
+		t.AddNode(m.Names[1], root, d/2)
+		return t, nil
+	}
+
+	// Working copy of distances between "active" cluster indices.
+	// dist is a full square matrix for cache-friendly row scans.
+	dist := make([][]float64, n)
+	for i := range dist {
+		dist[i] = make([]float64, n)
+		for j := range dist[i] {
+			dist[i][j] = m.At(i, j)
+		}
+	}
+	// The tree is assembled bottom-up, but Tree.AddNode requires the
+	// parent to exist first, so joins are recorded in a small forest
+	// representation and converted top-down at the end.
+	type fnode struct {
+		name     string
+		children []int // indices into forest
+		lengths  []float64
+	}
+	forest := make([]fnode, 0, 2*n)
+	active := make([]int, n) // active[i] = forest index of cluster i
+	for i := 0; i < n; i++ {
+		forest = append(forest, fnode{name: m.Names[i]})
+		active[i] = i
+	}
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
+	}
+	r := make([]float64, n) // row sums
+	remaining := n
+	for remaining > 3 {
+		// Row sums over alive entries.
+		for i := 0; i < n; i++ {
+			if !alive[i] {
+				continue
+			}
+			s := 0.0
+			for j := 0; j < n; j++ {
+				if alive[j] && j != i {
+					s += dist[i][j]
+				}
+			}
+			r[i] = s
+		}
+		// Find the pair minimizing Q(i,j) = (r-2)d(i,j) - r_i - r_j.
+		bestQ := math.Inf(1)
+		bi, bj := -1, -1
+		rm2 := float64(remaining - 2)
+		for i := 0; i < n; i++ {
+			if !alive[i] {
+				continue
+			}
+			for j := i + 1; j < n; j++ {
+				if !alive[j] {
+					continue
+				}
+				q := rm2*dist[i][j] - r[i] - r[j]
+				if q < bestQ {
+					bestQ, bi, bj = q, i, j
+				}
+			}
+		}
+		// Branch lengths from the new internal node u to i and j.
+		dij := dist[bi][bj]
+		li := dij/2 + (r[bi]-r[bj])/(2*rm2)
+		lj := dij - li
+		if li < 0 {
+			li = 0
+			lj = dij
+		}
+		if lj < 0 {
+			lj = 0
+			li = dij
+		}
+		u := len(forest)
+		forest = append(forest, fnode{
+			children: []int{active[bi], active[bj]},
+			lengths:  []float64{li, lj},
+		})
+		// Update distances: cluster bi becomes u; bj dies.
+		for k := 0; k < n; k++ {
+			if !alive[k] || k == bi || k == bj {
+				continue
+			}
+			duk := (dist[bi][k] + dist[bj][k] - dij) / 2
+			if duk < 0 {
+				duk = 0
+			}
+			dist[bi][k] = duk
+			dist[k][bi] = duk
+		}
+		active[bi] = u
+		alive[bj] = false
+		remaining--
+	}
+	// Three clusters left: join them at a star root with standard
+	// three-point branch lengths.
+	var idx []int
+	for i := 0; i < n; i++ {
+		if alive[i] {
+			idx = append(idx, i)
+		}
+	}
+	a, b, c := idx[0], idx[1], idx[2]
+	la := (dist[a][b] + dist[a][c] - dist[b][c]) / 2
+	lb := (dist[a][b] + dist[b][c] - dist[a][c]) / 2
+	lc := (dist[a][c] + dist[b][c] - dist[a][b]) / 2
+	clamp := func(x float64) float64 {
+		if x < 0 {
+			return 0
+		}
+		return x
+	}
+	root := len(forest)
+	forest = append(forest, fnode{
+		children: []int{active[a], active[b], active[c]},
+		lengths:  []float64{clamp(la), clamp(lb), clamp(lc)},
+	})
+
+	// Convert the forest to a Tree.
+	out := NewTree()
+	var convert func(fi int, parent NodeID, length float64) error
+	convert = func(fi int, parent NodeID, length float64) error {
+		id, err := out.AddNode(forest[fi].name, parent, length)
+		if err != nil {
+			return err
+		}
+		for k, ci := range forest[fi].children {
+			if err := convert(ci, id, forest[fi].lengths[k]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := convert(root, None, 0); err != nil {
+		return nil, err
+	}
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// njOracleOutcome runs njOracle and reports whether it panicked.
+func njOracleOutcome(m *DistanceMatrix) (tr *Tree, err error, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			tr, err, panicked = nil, nil, true
+		}
+	}()
+	tr, err = njOracle(m)
+	return tr, err, false
+}
+
+// njMatrix draws an n-taxon matrix of one kind: "random" distances in
+// [0.1, 1.1); "ties" integer distances in [0, 4), so many Q values tie;
+// "equal" every distance 1; "nanq" random distances except that taxon
+// n/2 is 0.3·MaxFloat64 from every other, so while six or more clusters
+// are left its row sum is +Inf and every Q with it is NaN, met in the
+// scan after finite ones, yet the tree stays finite; and "overflow"
+// random distances except that the first third of the taxa are
+// MaxFloat64/2 from everyone, so every row sum is +Inf and every Q of a
+// pair touching those taxa is NaN.
+func njMatrix(n int, kind string, seed int64) *DistanceMatrix {
+	rng := rand.New(rand.NewSource(seed))
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("T%03d", i)
+	}
+	m := NewDistanceMatrix(names)
+	for i := 1; i < n; i++ {
+		for j := 0; j < i; j++ {
+			var d float64
+			switch kind {
+			case "random":
+				d = 0.1 + rng.Float64()
+			case "ties":
+				d = float64(rng.Intn(4))
+			case "equal":
+				d = 1
+			case "nanq":
+				d = 0.1 + rng.Float64()
+				if i == n/2 || j == n/2 {
+					d = 0.3 * math.MaxFloat64
+				}
+			case "overflow":
+				d = 0.1 + rng.Float64()
+				if j < n/3 {
+					d = math.MaxFloat64 / 2
+				}
+			}
+			m.Set(i, j, d)
+		}
+	}
+	return m
+}
+
+// sameOutcome reports how one build's result differs from another's:
+// the error text, then the Newick text, then node by node the name,
+// parent and branch-length bits.
+func sameOutcome(got *Tree, gotErr error, want *Tree, wantErr error) error {
+	if gotErr != nil || wantErr != nil {
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			return fmt.Errorf("error %v, want %v", gotErr, wantErr)
+		}
+		return nil
+	}
+	if g, w := got.Newick(), want.Newick(); g != w {
+		return fmt.Errorf("Newick\n%s\nwant\n%s", g, w)
+	}
+	if got.Len() != want.Len() {
+		return fmt.Errorf("%d nodes, want %d", got.Len(), want.Len())
+	}
+	for i := 0; i < got.Len(); i++ {
+		g, w := got.Node(NodeID(i)), want.Node(NodeID(i))
+		if g.Name != w.Name || g.Parent != w.Parent || math.Float64bits(g.Length) != math.Float64bits(w.Length) {
+			return fmt.Errorf("node %d is %+v, want %+v", i, g, w)
+		}
+	}
+	return nil
+}
+
+// TestNeighborJoiningMatchesOracle holds NeighborJoining to the serial
+// full-matrix loop bit for bit — error text, Newick text and every
+// branch length's bits — on random, tie-heavy, all-equal, NaN-Q and
+// overflowing matrices from 3 taxa up to dataset D1's 800.
+func TestNeighborJoiningMatchesOracle(t *testing.T) {
+	for _, n := range []int{3, 4, 5, 63, 64, 65, 200, 800} {
+		if n == 800 && (testing.Short() || raceEnabled) {
+			continue
+		}
+		for _, kind := range []string{"random", "ties", "equal", "nanq", "overflow"} {
+			m := njMatrix(n, kind, int64(n))
+			want, wantErr, panicked := njOracleOutcome(m)
+			got, err := NeighborJoining(m)
+			if panicked {
+				if err == nil {
+					t.Fatalf("n=%d %s: the oracle found no pair, but NeighborJoining returned a tree", n, kind)
+				}
+				continue
+			}
+			if d := sameOutcome(got, err, want, wantErr); d != nil {
+				t.Fatalf("n=%d %s: %v", n, kind, d)
+			}
+		}
+	}
+}
+
+func TestNeighborJoiningRejectsNonFinite(t *testing.T) {
+	testRejectsNonFinite(t, NeighborJoining, 5)
+}
+
+func TestUPGMARejectsNonFinite(t *testing.T) {
+	testRejectsNonFinite(t, UPGMA, 3)
+}
+
+// testRejectsNonFinite checks that build returns an error, and never
+// panics, on an all-NaN 5-taxon matrix (the serial NJ loop panicked
+// with index out of range [-1]: no Q is below +Inf) and on ±Inf
+// entries, naming the first non-finite entry in row order; and on an
+// overflowing n-taxon matrix whose entries are all MaxFloat64, where a
+// step finds no join below +Inf.
+func testRejectsNonFinite(t *testing.T, build func(*DistanceMatrix) (*Tree, error), overflowN int) {
+	t.Helper()
+	names := []string{"A", "B", "C", "D", "E"}
+	fill := func(n int, d float64) *DistanceMatrix {
+		m := NewDistanceMatrix(names[:n])
+		for i := 1; i < n; i++ {
+			for j := 0; j < i; j++ {
+				m.Set(i, j, d)
+			}
+		}
+		return m
+	}
+	inf := fill(5, 1)
+	inf.Set(3, 2, math.Inf(-1))
+	inf.Set(4, 0, math.Inf(1))
+	for _, c := range []struct {
+		name string
+		m    *DistanceMatrix
+		want string
+	}{
+		{"all-NaN", fill(5, math.NaN()), `distance between "B" and "A" is NaN`},
+		{"two-taxa-NaN", fill(2, math.NaN()), `distance between "B" and "A" is NaN`},
+		{"inf", inf, `distance between "D" and "C" is -Inf`},
+		{"overflow", fill(overflowN, math.MaxFloat64), "found no pair"},
+	} {
+		tr, err := build(c.m)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: tree %v, error %v; want an error containing %q", c.name, tr, err, c.want)
+		}
+	}
+}
+
+// fuzzMatrix decodes a matrix: the first byte gives n in [0, 12], and
+// each later byte one lower-triangle entry in row order (missing ones
+// are 0). Bytes 251–255 are −0, MaxFloat64, −Inf, +Inf and NaN; any
+// other byte b is (b − 16)/8, so entries run from −2 to 29.25 in steps
+// that tie often.
+func fuzzMatrix(data []byte) *DistanceMatrix {
+	n := 0
+	if len(data) > 0 {
+		n, data = int(data[0])%13, data[1:]
+	}
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("T%d", i)
+	}
+	m := NewDistanceMatrix(names)
+	for k := range m.tri {
+		if k == len(data) {
+			break
+		}
+		switch b := data[k]; b {
+		case 251:
+			m.tri[k] = math.Copysign(0, -1)
+		case 252:
+			m.tri[k] = math.MaxFloat64
+		case 253:
+			m.tri[k] = math.Inf(-1)
+		case 254:
+			m.tri[k] = math.Inf(1)
+		case 255:
+			m.tri[k] = math.NaN()
+		default:
+			m.tri[k] = float64(int(b)-16) / 8
+		}
+	}
+	return m
+}
+
+// FuzzNeighborJoining: NeighborJoining never panics; on a matrix with a
+// NaN or ±Inf entry it returns the error naming the first one; where
+// the serial loop panicked (no Q below +Inf) it returns an error; and
+// otherwise it equals the serial loop bit for bit.
+func FuzzNeighborJoining(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := fuzzMatrix(data)
+		got, err := NeighborJoining(m)
+		if finite := m.checkFinite(); finite != nil {
+			if fmt.Sprint(err) != finite.Error() {
+				t.Fatalf("error %v, want %v", err, finite)
+			}
+			return
+		}
+		want, wantErr, panicked := njOracleOutcome(m)
+		if panicked {
+			if err == nil {
+				t.Fatal("the oracle found no pair, but NeighborJoining returned a tree")
+			}
+			return
+		}
+		if d := sameOutcome(got, err, want, wantErr); d != nil {
+			t.Fatal(d)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package phylo
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 )
@@ -54,6 +55,20 @@ func (m *DistanceMatrix) Validate() error {
 	for idx, d := range m.tri {
 		if d < 0 || d != d {
 			return fmt.Errorf("phylo: invalid distance %g at tri index %d", d, idx)
+		}
+	}
+	return nil
+}
+
+// checkFinite returns an error naming the first NaN or ±Inf entry, in
+// row order over the lower triangle, or nil when every entry is finite.
+func (m *DistanceMatrix) checkFinite() error {
+	for i := 1; i < m.Len(); i++ {
+		base := i * (i - 1) / 2
+		for j, d := range m.tri[base : base+i] {
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				return fmt.Errorf("phylo: distance between %q and %q is %g", m.Names[i], m.Names[j], d)
+			}
 		}
 	}
 	return nil

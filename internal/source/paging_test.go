@@ -198,3 +198,37 @@ func TestFetchPagesMatchCollectThenSlice(t *testing.T) {
 		})
 	}
 }
+
+// TestUnfilteredPageIsPrivate: an unfiltered page is a window of the
+// bank's rows copied into a slice of its own, so appending to a page or
+// writing through its rows changes neither the bank's rows nor the page
+// a later request returns.
+func TestUnfilteredPageIsPrivate(t *testing.T) {
+	ds := testDataset(t)
+	b := NewActivityBank(ds, netsim.NewLink(netsim.ProfileLAN, 11, true)).(*bank)
+	before := make([]store.Row, len(b.rows))
+	for i, r := range b.rows {
+		before[i] = r.Clone()
+	}
+	junk := store.Row{store.StringValue("junk"), store.StringValue("junk"), store.FloatValue(-1), store.StringValue("junk")}
+	ctx := context.Background()
+	for _, limit := range []int{1, 7, 0} {
+		res, err := b.Fetch(ctx, Request{Offset: 3, Limit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown := append(res.Rows, junk, junk)
+		grown[0][0] = store.StringValue("overwritten")
+		off := 3 + len(res.Rows)
+		next, err := b.Fetch(ctx, Request{Offset: off, Limit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := before[off : off+len(next.Rows)]; !reflect.DeepEqual(next.Rows, want) {
+			t.Fatalf("limit %d: page at offset %d is %v after appending to the page before it, want %v", limit, off, next.Rows, want)
+		}
+	}
+	if !reflect.DeepEqual(b.rows, before) {
+		t.Fatal("appending to or writing through a page changed the bank's rows")
+	}
+}

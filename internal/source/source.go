@@ -318,28 +318,39 @@ func (b *bank) Fetch(ctx context.Context, req Request) (*Result, error) {
 	}
 
 	// Server-side evaluation: every match is counted into total, and
-	// only the rows of [Offset, Offset+limit) are kept.
-	cols := make([]int, len(req.Filters))
-	for k, f := range req.Filters {
-		cols[k] = b.schema.ColumnIndex(f.Column)
-	}
-	page := make([]store.Row, 0, min(limit, len(b.rows)))
+	// only the rows of [Offset, Offset+limit) are kept. With no filter
+	// every row matches, so the page is a window of the rows, copied
+	// into a slice of its own.
+	var page []store.Row
 	total := 0
-	for _, r := range b.rows {
-		ok := true
+	if len(req.Filters) == 0 {
+		total = len(b.rows)
+		lo := min(req.Offset, total)
+		hi := min(lo+limit, total)
+		page = make([]store.Row, hi-lo)
+		copy(page, b.rows[lo:hi])
+	} else {
+		cols := make([]int, len(req.Filters))
 		for k, f := range req.Filters {
-			if !f.Op.Eval(r[cols[k]], f.Value) {
-				ok = false
-				break
+			cols[k] = b.schema.ColumnIndex(f.Column)
+		}
+		page = make([]store.Row, 0, min(limit, len(b.rows)))
+		for _, r := range b.rows {
+			ok := true
+			for k, f := range req.Filters {
+				if !f.Op.Eval(r[cols[k]], f.Value) {
+					ok = false
+					break
+				}
 			}
+			if !ok {
+				continue
+			}
+			if total >= req.Offset && total-req.Offset < limit {
+				page = append(page, r)
+			}
+			total++
 		}
-		if !ok {
-			continue
-		}
-		if total >= req.Offset && total-req.Offset < limit {
-			page = append(page, r)
-		}
-		total++
 	}
 
 	// Charge the link.
