@@ -116,7 +116,7 @@ bench-repo-smoke:
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
 # idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_30.json
+BENCH_JSON ?= BENCH_36.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \
@@ -144,12 +144,15 @@ bench-repo:
 # query reply through the wire codec (encoded from shared columns,
 # framed, decoded into one slab), the k-mer distance matrix at
 # dataset D1's size (800 sequences × 240 residues, k = 4), and
-# neighbour-joining over 50, 200 and 800 taxa. EXPERIMENTS
+# neighbour-joining over random matrices of 50, 200, 800 and 3 200 taxa
+# and D1-shaped k-mer matrices of 200, 800, 1 600 and 3 200 taxa (the
+# two 3 200-taxon builds take ≈ 3 s and ≈ 250 MB each). EXPERIMENTS
 # "Compact storage", "Typed indexes", "Flat hash operators", "Joins
 # that read only what survives", "Commits that allocate nothing per
 # changed row", "Folds that read storage", "Replies that stay columnar",
-# "Set-up that does each piece of work once" and "Set-up with no serial
-# quadratic pass" record them.
+# "Set-up that does each piece of work once", "Set-up with no serial
+# quadratic pass" and "Set-up that touches only the pairs that can
+# matter" record them.
 bench-micro:
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex' ./internal/store/

@@ -200,61 +200,88 @@ func cosineDistance(dot uint64, np, nq float64) float64 {
 // factory for phylo.ComputeDistances whose rows hold Cosine between
 // profiles[i] and each of profiles[0..i-1], bit for bit.
 //
-// Every distinct code of the whole profile set gets its rank in the
-// set's sorted vocabulary, so one dense vector indexed by rank covers
-// any k (20^12 codes could not be indexed directly). Each filler the
-// factory returns owns one such vector: it scatters row i's counts into
-// it once, and each pair then costs |profiles[j]| indexed loads and
-// multiply-adds, with no search and no branch per k-mer. Fillers share
-// only read-only state, so one per worker may run concurrently.
+// Every distinct code of the whole profile set gets a dense id (through
+// a map: 20^12 codes could not be indexed directly), and each id one
+// postings list: the (profile, count) of every profile holding that
+// code, in ascending profile order. Row i walks the postings of its own
+// codes only up to profile i and adds cᵢ·cⱼ into profile j's integer
+// accumulator, so a pair costs work only for the k-mers the two share.
+// The integer dot product is exact in any order, so each distance
+// equals the sorted merge's. Codes of profiles with different K may be
+// equal numbers, and so share an id; such a pair's sum is discarded
+// (the distance is 1) and its accumulator still cleared. Each filler
+// the factory returns owns its accumulators; fillers share only
+// read-only state, so one per worker may run concurrently.
 func CosineRows(profiles []*KmerProfile) func() func(i int, row []float64) {
 	n := 0
 	for _, p := range profiles {
 		n += len(p.Codes)
 	}
-	vocab := make([]uint64, 0, n)
-	for _, p := range profiles {
-		vocab = append(vocab, p.Codes...)
-	}
-	slices.Sort(vocab)
-	vocab = slices.Compact(vocab)
-	// ranks[i][x] is the vocabulary rank of profiles[i].Codes[x]; the
-	// per-profile slices share one backing array.
+	// ids[i][x] numbers profiles[i].Codes[x]: each distinct code of
+	// the set gets one id, in order of first appearance; the
+	// per-profile slices share one backing array. start[v+1] counts
+	// code v's postings.
+	id := make(map[uint64]uint32, n)
 	flat := make([]uint32, n)
-	ranks := make([][]uint32, len(profiles))
+	ids := make([][]uint32, len(profiles))
+	start := []uint32{0}
 	for i, p := range profiles {
 		r := flat[:len(p.Codes):len(p.Codes)]
 		flat = flat[len(p.Codes):]
 		for x, c := range p.Codes {
-			pos, _ := slices.BinarySearch(vocab, c)
-			r[x] = uint32(pos)
+			v, ok := id[c]
+			if !ok {
+				v = uint32(len(start) - 1)
+				id[c] = v
+				start = append(start, 0)
+			}
+			r[x] = v
+			start[v+1]++
 		}
-		ranks[i] = r
+		ids[i] = r
+	}
+	for v := 1; v < len(start); v++ {
+		start[v] += start[v-1]
+	}
+	// postings[start[v]:start[v+1]] is code v's list, filled in
+	// profile order.
+	postings := make([]posting, n)
+	next := slices.Clone(start[:len(start)-1])
+	for j, r := range ids {
+		for x, v := range r {
+			postings[next[v]] = posting{uint32(j), profiles[j].Counts[x]}
+			next[v]++
+		}
 	}
 	return func() func(i int, row []float64) {
-		dense := make([]uint32, len(vocab))
+		acc := make([]uint64, len(profiles))
 		return func(i int, row []float64) {
 			pi := profiles[i]
-			for x, r := range ranks[i] {
-				dense[r] = pi.Counts[x]
+			for x, v := range ids[i] {
+				ci := uint64(pi.Counts[x])
+				for _, p := range postings[start[v]:start[v+1]] {
+					if int(p.profile) >= i {
+						break
+					}
+					acc[p.profile] += ci * uint64(p.count)
+				}
 			}
 			for j := range row {
+				dot := acc[j]
+				acc[j] = 0
 				pj := profiles[j]
 				if pi.K != pj.K || pi.Total == 0 || pj.Total == 0 {
 					row[j] = 1
 					continue
 				}
-				var dot uint64
-				rj := ranks[j]
-				cj := pj.Counts[:len(rj)]
-				for x, r := range rj {
-					dot += uint64(dense[r]) * uint64(cj[x])
-				}
 				row[j] = cosineDistance(dot, pi.Norm, pj.Norm)
-			}
-			for _, r := range ranks[i] {
-				dense[r] = 0
 			}
 		}
 	}
+}
+
+// posting is one profile's count of one k-mer code.
+type posting struct {
+	profile uint32
+	count   uint32
 }

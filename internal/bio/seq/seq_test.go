@@ -421,6 +421,64 @@ func TestCosineRowsMatchMapOracle(t *testing.T) {
 	}
 }
 
+// TestCosineRowsMixedK drives the matrix kernel over profiles of
+// K = 2 and K = 4 and an empty one. The sequences are rich in 'A', so
+// many 4-mer codes (AAxy) equal 2-mer codes and share their postings:
+// a K = 2 row then sums products into the accumulators of K = 4
+// profiles, whose distance is 1 all the same. One filler takes every
+// row in a shuffled order, so a sum left in an accumulator would show
+// in a later row; every entry must equal Cosine bit for bit.
+func TestCosineRowsMixedK(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var profiles []*KmerProfile
+	codes := map[int]map[uint64]bool{2: {}, 4: {}}
+	for len(profiles) < 40 {
+		b := make([]byte, 20+rng.Intn(60))
+		for i := range b {
+			if rng.Intn(2) == 0 {
+				b[i] = 'A'
+			} else {
+				b[i] = AminoAcids[rng.Intn(len(AminoAcids))]
+			}
+		}
+		k := 2 + 2*rng.Intn(2)
+		p, err := NewKmerProfile(string(b), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range p.Codes {
+			codes[k][c] = true
+		}
+		profiles = append(profiles, p)
+		if len(profiles) == 20 {
+			empty, err := NewKmerProfile("", 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			profiles = append(profiles, empty)
+		}
+	}
+	shared := 0
+	for c := range codes[2] {
+		if codes[4][c] {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no 2-mer code is also a 4-mer code; the set does not exercise shared postings")
+	}
+	fill := CosineRows(profiles)()
+	for _, i := range rng.Perm(len(profiles)) {
+		row := make([]float64, i)
+		fill(i, row)
+		for j, got := range row {
+			if want := profiles[i].Cosine(profiles[j]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("row %d col %d (K %d, %d) = %v, Cosine %v", i, j, profiles[i].K, profiles[j].K, got, want)
+			}
+		}
+	}
+}
+
 // FuzzKmerCosine: for any two byte strings and any k in [1, 12], the
 // merge Cosine and the matrix kernel both equal the map oracle bit for
 // bit, and the distance lies in [0, 1].

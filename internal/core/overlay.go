@@ -39,8 +39,8 @@ const (
 // 128-bit total of M: exact for up to 2^74 addends, commutative, and
 // with add and remove exact inverses. An overlay maintained by
 // incremental deltas therefore holds the same exact value as one rebuilt
-// from scratch, whatever order rows arrived or left in — the T14
-// bit-identity gate rests on this — and folding a row into a node costs
+// from scratch, whatever order rows arrived or left in —
+// TestOverlayIncrementalMatchesRebuild rests on this — and folding a row into a node costs
 // two 64-bit additions, not an arbitrary-precision integer. Non-finite
 // addends are counted in the same list under keys past the finite
 // exponents, so a node that never saw one pays nothing for them. A
@@ -239,7 +239,8 @@ func NewActivityOverlay(db *store.DB, tree *phylo.Tree) (*ActivityOverlay, error
 
 // RebuildActivityOverlay computes the overlay from scratch against the
 // image pinned by snap, without subscribing to commits — the full-
-// recompute oracle T14 compares the live overlay against.
+// recompute oracle TestOverlayIncrementalMatchesRebuild compares the
+// live overlay against.
 func RebuildActivityOverlay(snap *store.SnapshotHandle, tree *phylo.Tree) (*ActivityOverlay, error) {
 	tv, err := snap.View(integrate.TableActivities)
 	if err != nil {
@@ -382,7 +383,7 @@ func (o *ActivityOverlay) Version() int64 {
 func (o *ActivityOverlay) Nodes() int { return len(o.rows) }
 
 // Agg returns the aggregate at preorder position p — the comparison
-// hook the T14 byte-identity gate walks.
+// hook TestOverlayIncrementalMatchesRebuild walks.
 func (o *ActivityOverlay) Agg(p int) query.OverlayAgg {
 	o.mu.RLock()
 	defer o.mu.RUnlock()

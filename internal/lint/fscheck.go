@@ -9,7 +9,7 @@ import (
 // vfsSeamPkgs are the packages whose every byte of file I/O must flow
 // through the internal/vfs seam: the durable store (WAL, snapshot), the
 // only package that persists anything. A raw os.* call there is a
-// persistence path the crash-point torture harness (T13) cannot see — a
+// persistence path the crash-point matrix (store.TestTortureMatrix) cannot see — a
 // fault the FaultFS can never inject and a durability bug the matrix
 // can never catch.
 var vfsSeamPkgs = []string{"store"}

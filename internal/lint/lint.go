@@ -10,7 +10,7 @@
 // operations inside
 // spawned goroutines, the durability seam of the crash-safe I/O layer
 // (fscheck: persistence packages do file I/O through vfs.FS, never
-// raw os.*, so the T13 crash-point torture harness sees every byte
+// raw os.*, so the crash-point matrix store.TestTortureMatrix sees every byte
 // that matters), and the MVCC snapshot lifecycle (snapcheck: every
 // PinSnapshot gets a Release on all paths, so pinned versions cannot
 // leak and block the version GC).

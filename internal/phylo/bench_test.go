@@ -76,27 +76,30 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkNeighborJoining builds trees from two kinds of matrix:
+// random distances in [0.1, 1.1), with no family structure, and kmer,
+// the k-mer distances of D1-shaped families of 50 sequences
+// (kmerMatrix; 800 taxa is dataset D1's size), the matrix core.New
+// builds.
 func BenchmarkNeighborJoining(b *testing.B) {
-	for _, n := range []int{50, 200, 800} {
-		b.Run(fmt.Sprintf("taxa-%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			names := make([]string, n)
-			for i := range names {
-				names[i] = fmt.Sprintf("T%d", i)
-			}
-			m := NewDistanceMatrix(names)
-			for i := 1; i < n; i++ {
-				for j := 0; j < i; j++ {
-					m.Set(i, j, 0.1+rng.Float64())
+	for _, c := range []struct {
+		kind string
+		taxa []int
+	}{
+		{"random", []int{50, 200, 800, 3200}},
+		{"kmer", []int{200, 800, 1600, 3200}},
+	} {
+		for _, n := range c.taxa {
+			b.Run(fmt.Sprintf("%s/taxa-%d", c.kind, n), func(b *testing.B) {
+				m := njMatrix(b, n, c.kind, 3)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := NeighborJoining(m); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := NeighborJoining(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -263,6 +263,14 @@ func kmerSeqs(rng *rand.Rand, families, perFamily, n int) []string {
 	return out
 }
 
+// kmerMatrix is the k-mer distance matrix (k = 4, through CosineRows)
+// of n sequences shaped like dataset D1's: families of 50 proteins of
+// 240 residues, the last family cut short when 50 does not divide n.
+func kmerMatrix(tb testing.TB, rng *rand.Rand, n int) *DistanceMatrix {
+	names, profiles := kmerProfiles(tb, kmerSeqs(rng, (n+49)/50, 50, 240)[:n], 4)
+	return ComputeDistances(names, seq.CosineRows(profiles))
+}
+
 func kmerProfiles(tb testing.TB, seqs []string, k int) ([]string, []*seq.KmerProfile) {
 	tb.Helper()
 	names := make([]string, len(seqs))
@@ -534,9 +542,14 @@ func njOracleOutcome(m *DistanceMatrix) (tr *Tree, err error, panicked bool) {
 // scan after finite ones, yet the tree stays finite; and "overflow"
 // random distances except that the first third of the taxa are
 // MaxFloat64/2 from everyone, so every row sum is +Inf and every Q of a
-// pair touching those taxa is NaN.
-func njMatrix(n int, kind string, seed int64) *DistanceMatrix {
+// pair touching those taxa is NaN; and "kmer" the k-mer distances of
+// kmerMatrix, whose family structure is where the bounded Q-search
+// cuts rows short.
+func njMatrix(tb testing.TB, n int, kind string, seed int64) *DistanceMatrix {
 	rng := rand.New(rand.NewSource(seed))
+	if kind == "kmer" {
+		return kmerMatrix(tb, rng, n)
+	}
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("T%03d", i)
@@ -596,15 +609,16 @@ func sameOutcome(got *Tree, gotErr error, want *Tree, wantErr error) error {
 
 // TestNeighborJoiningMatchesOracle holds NeighborJoining to the serial
 // full-matrix loop bit for bit — error text, Newick text and every
-// branch length's bits — on random, tie-heavy, all-equal, NaN-Q and
-// overflowing matrices from 3 taxa up to dataset D1's 800.
+// branch length's bits — on random, tie-heavy, all-equal, NaN-Q,
+// overflowing and family-structured k-mer matrices from 3 taxa up to
+// dataset D1's 800.
 func TestNeighborJoiningMatchesOracle(t *testing.T) {
 	for _, n := range []int{3, 4, 5, 63, 64, 65, 200, 800} {
 		if n == 800 && (testing.Short() || raceEnabled) {
 			continue
 		}
-		for _, kind := range []string{"random", "ties", "equal", "nanq", "overflow"} {
-			m := njMatrix(n, kind, int64(n))
+		for _, kind := range []string{"random", "ties", "equal", "nanq", "overflow", "kmer"} {
+			m := njMatrix(t, n, kind, int64(n))
 			want, wantErr, panicked := njOracleOutcome(m)
 			got, err := NeighborJoining(m)
 			if panicked {
@@ -617,6 +631,29 @@ func TestNeighborJoiningMatchesOracle(t *testing.T) {
 				t.Fatalf("n=%d %s: %v", n, kind, d)
 			}
 		}
+	}
+}
+
+// TestQSearchBoundsBothOrientations pins the second half of the
+// Q-search bound. Slot 2 holds a joined cluster whose row has the pair
+// (0, 2), in which slot 2 is hi, and Q(0, 2) = fl(fl(d − r₀) − r₂) ties
+// Q(1, 2), found first, and wins on the lower slot. With r₀ = rmax, the
+// bound in the lo orientation, fl(fl(d − r₂) − rmax), rounds one ulp
+// above that Q; cutting the row on it alone would hand the join to
+// (1, 2).
+func TestQSearchBoundsBothOrientations(t *testing.T) {
+	// Variables, not constants: constant arithmetic would be exact.
+	var (
+		d02, d12   = 1.4865661205450107, 0.7654508296323121
+		r0, r1, r2 = 0.7211152909126985, 0.0, 0.25158069415076423
+	)
+	q02 := d02 - r0 - r2
+	if lo := d02 - r2 - r0; !(lo > q02) || d12-r1-r2 != q02 {
+		t.Fatalf("the constants no longer round apart: Q %v, lo-orientation bound %v, Q(1, 2) %v", q02, lo, d12-r1-r2)
+	}
+	rows := []njRow{{}, {e: []njEntry{{d12, 2, 2}}}, {e: []njEntry{{d02, 0, 0}}}}
+	if bi, bj := qSearch(rows, []int{0, 1, 2}, []int32{0, 1, 2}, []float64{r0, r1, r2}, 1, r0); bi != 0 || bj != 2 {
+		t.Fatalf("qSearch chose (%d, %d), want (0, 2)", bi, bj)
 	}
 }
 

@@ -94,9 +94,9 @@ func PairRows(f PairwiseFunc) func() func(i int, row []float64) {
 // parallel. newRow is called once per worker and returns that worker's
 // filler, which writes the distances from taxon i to taxa 0..i-1 into
 // row[0:i] in place; a filler may therefore keep per-worker scratch
-// (seq.CosineRows keeps a dense k-mer vector), while the fillers of
-// different workers run concurrently and must share only read-only
-// state. Rows are handed out longest first.
+// (seq.CosineRows keeps one dot-product accumulator a profile), while
+// the fillers of different workers run concurrently and must share
+// only read-only state. Rows are handed out longest first.
 func ComputeDistances(names []string, newRow func() func(i int, row []float64)) *DistanceMatrix {
 	m := NewDistanceMatrix(names)
 	n := len(names)

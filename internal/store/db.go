@@ -676,8 +676,9 @@ func (db *DB) loadTableSnapshot(r *bufio.Reader) error {
 // file checksum) and every fully-present WAL record must pass its CRC.
 // A torn WAL tail is fine — that is normal crash residue recovery
 // truncates — but a checksum-bad snapshot or mid-log record returns an
-// error (ErrWALCorrupt for the latter). The T13 torture harness runs it
-// on every directory a power cut leaves behind.
+// error (ErrWALCorrupt for the latter). The crash-point matrix,
+// TestTortureMatrix, runs it on every directory a power cut leaves
+// behind.
 func VerifyDir(fsys vfs.FS, dir string) error {
 	if fsys == nil {
 		fsys = vfs.OS()

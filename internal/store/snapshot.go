@@ -40,7 +40,8 @@ func (db *DB) PinSnapshot() *SnapshotHandle {
 }
 
 // ActiveSnapshots reports how many pinned snapshots are outstanding —
-// zero after every acquirer has released (the T14 leak gate).
+// zero after every acquirer has released (the leak check of
+// core.TestConcurrentQueriesDuringResync).
 func (db *DB) ActiveSnapshots() int64 {
 	return db.snapCount.Load()
 }

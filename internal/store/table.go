@@ -850,7 +850,8 @@ func (t *Table) unpin(v int64) {
 }
 
 // PinnedVersions reports how many distinct commit versions are pinned
-// (leak accounting for the T14 refcount gate).
+// (leak accounting: TestStorageMatchesModel and
+// TestAccessUnderConcurrentCommits require 0 at rest).
 func (t *Table) PinnedVersions() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -7,7 +7,7 @@
 // centerpiece — cut power at any chosen operation, discarding
 // everything that was never fsynced, so a torture harness can
 // enumerate every crash point in a workload and prove the recovery
-// invariants at each one (experiment T13, internal/experiments).
+// invariants at each one (store.TestTortureMatrix).
 //
 // The crash model is strict POSIX: a write is durable only after a
 // successful Sync of the file, and a namespace operation (create,
