@@ -116,7 +116,7 @@ bench-repo-smoke:
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
 # idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_36.json
+BENCH_JSON ?= BENCH_37.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \
@@ -171,10 +171,14 @@ bench-micro:
 # the k-mer distance (the merge Cosine and the matrix kernel equal
 # the map-based oracle bit for bit, inside [0, 1]), and neighbour-joining
 # (never a panic, an error for a NaN or ±Inf entry, and otherwise the
-# full-matrix loop's tree bit for bit).
+# full-matrix loop's tree bit for bit), and the batch expression
+# compiler (over a random batch with NULL, NaN, ±Inf and −0 cells it
+# equals the test-only row compiler cell for cell, bit for bit, and
+# fails at the same row with the same error).
 # `go test -fuzz` takes one target and one package a run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/query/
+	$(GO) test -run '^$$' -fuzz '^FuzzVecEval$$' -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzNewick$$' -fuzztime 10s ./internal/phylo/
 	$(GO) test -run '^$$' -fuzz '^FuzzExactSum$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime 10s ./internal/mobile/

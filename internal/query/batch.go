@@ -11,9 +11,7 @@ import (
 // selection vector — are the only unit operators exchange, so
 // predicate and projection work runs as tight loops over typed slices
 // (see vec_eval.go), and the result leaves as columns (drainColumns
-// below). Row form exists inside a compiled expression that can fail at
-// evaluation time only: vec_eval.go evaluates it row-major over a
-// scratch row.
+// below).
 //
 // Cancellation: every nextBatch implementation polls its context at
 // batch granularity (one poll per ~vecBatchSize rows) via
@@ -32,6 +30,9 @@ type batch struct {
 	cols []*store.Col
 	sel  []int
 	n    int
+	// pool, when set, recycles the columns and selection vectors an
+	// evaluation over the batch allocates (see colPool).
+	pool *colPool
 }
 
 // live returns the number of selected rows.
@@ -81,19 +82,6 @@ func (b *batch) selection() []int {
 		return b.sel
 	}
 	return identity(b.n)
-}
-
-// rowAt materializes row index i as a store.Row. dst is reused when
-// non-nil and of the batch's width; pass nil to get a fresh row the
-// caller may retain.
-func (b *batch) rowAt(i int, dst store.Row) store.Row {
-	if dst == nil || len(dst) != len(b.cols) {
-		dst = make(store.Row, len(b.cols))
-	}
-	for c, col := range b.cols {
-		dst[c] = col.Value(i)
-	}
-	return dst
 }
 
 // batchIterator is the operator interface: nextBatch returns the next
@@ -314,11 +302,11 @@ func gatherInto[I int | int32](dst, src *store.Col, idx []I) {
 // outputKind picks the storage kind of output column c: the kind the
 // plan declares when every live cell is that kind or NULL, generic
 // otherwise. Declared kinds are static inferences (an arithmetic
-// expression over runtime-typed operands can miss), and one producer
-// delivers generic columns whose cells usually do all have the declared
-// kind: row-evaluated expressions (TANIMOTO, subqueries, shapes that can
-// fail at evaluation time) — also as an aggregate's group key or
-// MIN/MAX argument, whose output column keeps its input's kind.
+// expression over runtime-typed operands can miss), and generic
+// columns' cells usually do all have the declared kind: a scalar
+// subquery's constant, or arithmetic and negation over generic cells —
+// also as an aggregate's group key or MIN/MAX argument, whose output
+// column keeps its input's kind.
 func outputKind(batches []*batch, c int, declared store.Kind) store.Kind {
 	if declared == store.KindNull {
 		return store.KindNull

@@ -189,6 +189,20 @@ var differentialCorpus = []struct {
 	{"SELECT x.k, y.k FROM wide_a x JOIN wide_b y ON x.k = y.k", false},
 	{"SELECT x.k, y.k FROM wide_a x JOIN wide_b y ON x.k >= y.k AND x.k <= y.k", false},
 	{"SELECT COUNT(DISTINCT k) FROM wide_b", false},
+	// specials' NaN, ±Inf, −0 and NULL cells compare as store.Compare
+	// orders them on every path: x = 5.0 probes x's B+-tree while y = 5.0
+	// scans, and i * 1e308 * 10.0 - i * 1e308 * 10.0 is Inf − Inf, a NaN,
+	// at every non-NULL row.
+	{"SELECT i FROM specials WHERE x = 5.0", false},
+	{"SELECT i FROM specials WHERE y = 5.0", false},
+	{"SELECT i FROM specials WHERE x < 1.0", false},
+	{"SELECT i FROM specials WHERE y < 1.0", false},
+	{"SELECT i FROM specials WHERE y >= -0.0 AND y <= 0.0", false},
+	{"SELECT i FROM specials WHERE x != y", false},
+	{"SELECT i, x = y, x < y, 1.0 > y FROM specials", false},
+	{"SELECT i FROM specials WHERE x = 5.0 AND y * 2.0 > 1.0", false},
+	{"SELECT i FROM specials WHERE i * 1e308 * 10.0 - i * 1e308 * 10.0 = 1.0", false},
+	{"SELECT x, i FROM specials ORDER BY x LIMIT 4", true},
 }
 
 // batchless matches an EXPLAIN ANALYZE annotation of an operator that

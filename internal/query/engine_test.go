@@ -106,7 +106,9 @@ func TestSortTiesKeepScanOrder(t *testing.T) {
 // (negating a string, NOT over an integer) returns the same error from
 // the reference executor and from every engine configuration, whether
 // it sits in a filter, a projection, a group key, an aggregate
-// argument, a sort key or a join residual.
+// argument, a sort key, a join residual, a keyed probe's residual or an
+// ordered index walk's: the error of the first row that fails, in row
+// order, the left operand before the right within a row.
 func TestEvalErrorsAgree(t *testing.T) {
 	cat := testCatalog(t)
 	for _, q := range []string{
@@ -126,21 +128,52 @@ func TestEvalErrorsAgree(t *testing.T) {
 		"SELECT -p.family, COUNT(*) FROM proteins p JOIN activities a ON p.accession = a.protein_id GROUP BY -p.family",
 		"SELECT p.family, MAX(-a.ligand_id) FROM proteins p JOIN activities a ON p.accession = a.protein_id GROUP BY p.family",
 	} {
-		_, want := refQuery(cat, q)
-		if want == nil || !strings.Contains(want.Error(), "query: ") {
-			t.Fatalf("%s: reference error = %v, want an evaluation error", q, want)
+		assertEvalErrorAgrees(t, cat, q)
+	}
+	// Over errs, evaluating a column at a time fails at row 1, negating
+	// "f"; row order fails at row 0, whose NOT length runs because its
+	// -family is NULL. Every engine must report row 0's error, and each
+	// statement must keep the shape it covers under the default plan.
+	for _, c := range []struct{ q, plan string }{
+		{"SELECT pos FROM errs WHERE -family = 'x' OR NOT length", "SeqScan errs"},
+		{"SELECT pos FROM errs WHERE -family = (NOT length)", "SeqScan errs"},
+		{"SELECT -family + (NOT length) FROM errs", "Project"},
+		{"SELECT -family = 'x' OR NOT length FROM errs", "Project"},
+		{"SELECT pos, -family, NOT length FROM errs", "Project"},
+		{"SELECT e.pos FROM wide_a w JOIN errs e ON w.k = e.k AND (-e.family = w.k OR NOT e.length)", "residual: "},
+		{"SELECT e.pos FROM wide_a w JOIN errs e ON w.k = e.k WHERE -e.family = 'x' OR NOT e.length", "IndexUnionScan errs (k ∈ join keys) cols=(k, pos) filter: "},
+		{"SELECT pos FROM errs WHERE pos >= 0 AND (-family = 'x' OR NOT length) ORDER BY pos LIMIT 2", "order=ASC limit=2 cols=(pos) filter: "},
+	} {
+		want := assertEvalErrorAgrees(t, cat, c.q)
+		if !strings.Contains(want.Error(), "NOT expects BOOL, got INT") {
+			t.Errorf("%s: reference error = %v, want row 0's", c.q, want)
 		}
-		configs := append(diffMatrix(), struct {
-			name string
-			opts Options
-		}{"naive-serial", naiveSerialOptions()})
-		for _, m := range configs {
-			_, err := NewEngine(cat, m.opts).Query(context.Background(), q)
-			if err == nil || err.Error() != want.Error() {
-				t.Errorf("%s [%s]: err = %v, reference says %v", q, m.name, err, want)
-			}
+		if plan := runQ(t, cat, serialOptions(), "EXPLAIN "+c.q).Plan; !strings.Contains(plan, c.plan) {
+			t.Errorf("%s: plan lacks %q:\n%s", c.q, c.plan, plan)
 		}
 	}
+}
+
+// assertEvalErrorAgrees checks that q fails with an evaluation error on
+// the reference executor and with the same error on every engine
+// configuration, and returns the reference's.
+func assertEvalErrorAgrees(t *testing.T, cat Catalog, q string) error {
+	t.Helper()
+	_, want := refQuery(cat, q)
+	if want == nil || !strings.Contains(want.Error(), "query: ") {
+		t.Fatalf("%s: reference error = %v, want an evaluation error", q, want)
+	}
+	configs := append(diffMatrix(), struct {
+		name string
+		opts Options
+	}{"naive-serial", naiveSerialOptions()})
+	for _, m := range configs {
+		_, err := NewEngine(cat, m.opts).Query(context.Background(), q)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s [%s]: err = %v, reference says %v", q, m.name, err, want)
+		}
+	}
+	return want
 }
 
 // FuzzParse: the parser never panics, and a statement that parses

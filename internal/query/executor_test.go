@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -107,6 +108,54 @@ func testCatalog(t *testing.T) *DBCatalog {
 			wide.Insert(store.Row{store.IntValue(k)})
 		}
 	}
+	// specials holds the float cells a comparison must order as
+	// store.Compare does — NaN below every number and equal only to NaN,
+	// ±Inf, −0 equal to 0 — and a NULL; x is B+-tree indexed, y holds the
+	// same cells unindexed.
+	specials, err := db.CreateTable("specials", store.MustSchema(
+		store.Column{Name: "i", Kind: store.KindInt},
+		store.Column{Name: "x", Kind: store.KindFloat},
+		store.Column{Name: "y", Kind: store.KindFloat},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range []store.Value{
+		store.FloatValue(math.NaN()), store.FloatValue(5), store.FloatValue(math.Inf(1)), store.FloatValue(math.Inf(-1)),
+		store.FloatValue(math.Copysign(0, -1)), store.FloatValue(0), store.NullValue(), store.FloatValue(5), store.FloatValue(math.NaN()),
+	} {
+		specials.Insert(store.Row{store.IntValue(int64(i + 1)), f, f})
+	}
+	specials.CreateIndex("x", store.IndexBTree)
+	// errs places NULLs so that evaluating an expression a column at a
+	// time fails at another row, with another error, than row order
+	// does: row 0's family is NULL, so -family fails first at row 1,
+	// while NOT length fails at row 0. Its rows are inserted in pos order
+	// and the four that can fail share k = 1, so a scan, a walk of either
+	// index and a join on k all meet them in the same order; the all-NULL
+	// rows after them, one per k, make a join on k key its probe.
+	errs, err := db.CreateTable("errs", store.MustSchema(
+		store.Column{Name: "k", Kind: store.KindInt},
+		store.Column{Name: "pos", Kind: store.KindInt},
+		store.Column{Name: "family", Kind: store.KindString},
+		store.Column{Name: "length", Kind: store.KindInt},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos, r := range []struct{ family, length store.Value }{
+		{store.NullValue(), store.IntValue(3)},
+		{store.StringValue("f"), store.IntValue(4)},
+		{store.NullValue(), store.NullValue()},
+		{store.StringValue("g"), store.IntValue(5)},
+	} {
+		errs.Insert(store.Row{store.IntValue(1), store.IntValue(int64(pos)), r.family, r.length})
+	}
+	for pos := 4; pos < 64; pos++ {
+		errs.Insert(store.Row{store.IntValue(int64(pos - 2)), store.IntValue(int64(pos)), store.NullValue(), store.NullValue()})
+	}
+	errs.CreateIndex("k", store.IndexHash)
+	errs.CreateIndex("pos", store.IndexBTree)
 	return NewDBCatalog(db, tree)
 }
 

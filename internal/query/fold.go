@@ -72,10 +72,10 @@ func foldConstants(e Expr) Expr {
 	return e
 }
 
-// evalConstBinary evaluates op over two literals, reusing the runtime
-// evaluator through a throwaway binding (no columns involved).
+// evalConstBinary evaluates op over two literals with the runtime
+// evaluator, over a one-row batch (no columns involved).
 func evalConstBinary(op BinOp, l, r store.Value) (store.Value, bool) {
-	be, err := bindBinary(&BinaryExpr{
+	ve, err := bindVecBinary(&BinaryExpr{
 		Op: op,
 		L:  &Literal{Val: l},
 		R:  &Literal{Val: r},
@@ -83,11 +83,11 @@ func evalConstBinary(op BinOp, l, r store.Value) (store.Value, bool) {
 	if err != nil {
 		return store.Value{}, false
 	}
-	v, err := be.eval(nil)
+	c, err := ve.eval(&batch{n: 1}, identity(1))
 	if err != nil {
 		return store.Value{}, false
 	}
-	return v, true
+	return c.Value(0), true
 }
 
 // foldPlan applies constant folding to every expression in a plan.

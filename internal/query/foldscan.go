@@ -69,16 +69,13 @@ func (s *vecScan) filterSelected(r *scanRead, sel *store.Selection, batches []mo
 	kept := make([]int, len(batches))
 	err := runChunks(r.ec.ctx, splitChunks(len(batches), r.ec.para), func(_ int, c morselRange) error {
 		poll := canceller{ctx: r.ec.ctx}
-		// The columns the residual does not read stay NULL: only a
-		// row-evaluated residual looks at them, to build its scratch row.
+		// The columns the residual does not read stay unset: nothing
+		// reads them.
 		width := len(r.a.Cols)
 		if r.a.Cols == nil {
 			width = r.tv.Table().Schema().Len()
 		}
 		b := &batch{cols: make([]*store.Col, width)}
-		for i := range b.cols {
-			b.cols[i] = &nullCol
-		}
 		for _, i := range r.filterCols {
 			b.cols[i] = &store.Col{}
 		}
@@ -91,7 +88,7 @@ func (s *vecScan) filterSelected(r *scanRead, sel *store.Selection, batches []mo
 				sel.FillCol(b.cols[i], i, lo, hi)
 			}
 			b.n = hi - lo
-			pass, err := s.residual.filter(b, identity(b.n))
+			pass, err := s.residual(b, identity(b.n))
 			if err != nil {
 				return err
 			}
@@ -116,16 +113,6 @@ func (s *vecScan) filterSelected(r *scanRead, sel *store.Selection, batches []mo
 	sel.Slots = sel.Slots[:w]
 	return out, nil
 }
-
-// nullCol is a batch column of vecBatchSize NULL cells, shared
-// read-only.
-var nullCol = func() store.Col {
-	c := store.Col{Null: make([]bool, vecBatchSize)}
-	for i := range c.Null {
-		c.Null[i] = true
-	}
-	return c
-}()
 
 // foldSlots folds the selected rows Slots[lo:hi] — the scan's emitted
 // columns only — a morsel at a time through one reused buffer.

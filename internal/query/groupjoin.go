@@ -38,7 +38,7 @@ func tryGroupJoin(n *AggNode, ec *execCtx, depth int) (batchIterator, bool, erro
 			return nil, false, nil
 		}
 	}
-	groups, err := bindVecExprs(n.GroupBy, ec.env(buildSide.Schema()))
+	groups, err := bindVecs(n.GroupBy, ec.env(buildSide.Schema()))
 	if err != nil {
 		return nil, false, err
 	}
@@ -47,7 +47,7 @@ func tryGroupJoin(n *AggNode, ec *execCtx, depth int) (batchIterator, bool, erro
 		if a.Star {
 			continue
 		}
-		if args[i], err = bindVecExpr(a.Arg, ec.env(probeSide.Schema())); err != nil {
+		if args[i], err = bindVec(a.Arg, ec.env(probeSide.Schema())); err != nil {
 			return nil, false, err
 		}
 	}
@@ -155,12 +155,8 @@ func (p *groupJoinPart) foldRound(pb *batch) error {
 		// Group keys are evaluated on matched build rows only, in match
 		// order, so an expression that can fail fails as it would have
 		// over the joined pairs.
-		for i, ge := range p.g.groups {
-			col, err := ge.eval(p.side.rows, p.fresh)
-			if err != nil {
-				return err
-			}
-			p.gcols[i] = col
+		if err := evalAll(p.g.groups, p.side.rows, p.fresh, p.gcols); err != nil {
+			return err
 		}
 		for k, id := range p.t.groupIDs(p.gcols, p.fresh) {
 			p.gid[p.fresh[k]] = id
@@ -171,15 +167,8 @@ func (p *groupJoinPart) foldRound(pb *batch) error {
 	}
 	// The arguments are evaluated at the matches' probe rows, a row
 	// matched more than once listed as often (which only repeats work).
-	for i, ae := range p.g.args {
-		if ae == nil {
-			continue
-		}
-		col, err := ae.eval(pb, pi)
-		if err != nil {
-			return err
-		}
-		p.acols[i] = col
+	if err := evalAll(p.g.args, pb, pi, p.acols); err != nil {
+		return err
 	}
 	p.t.fold(p.acols, pi, bi)
 	return nil

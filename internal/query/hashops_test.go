@@ -403,6 +403,67 @@ func TestHashOperatorAllocs(t *testing.T) {
 	}
 }
 
+// TestKeyedProbeResidualAllocs: a keyed probe runs its residual over
+// the postings it reaches a chunk at a time, through buffers the read
+// sizes once and reuses, so a probe over ≈ 5 000 postings allocates the
+// same objects as one over ≈ 500 when the residual keeps the same rows
+// (none here): nothing is allocated per posting or per chunk. The build
+// side is the same four keys both times; only their fan-out differs.
+func TestKeyedProbeResidualAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("object counts vary under the race detector")
+	}
+	const q = "SELECT p.v FROM keys k JOIN posts p ON k.k = p.k WHERE p.v + 1 < 0"
+	allocs := func(fanout int) (float64, int64) {
+		db, err := store.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, err := db.CreateTable("keys", store.MustSchema(store.Column{Name: "k", Kind: store.KindInt}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		posts, err := db.CreateTable("posts", store.MustSchema(store.Column{Name: "k", Kind: store.KindInt}, store.Column{Name: "v", Kind: store.KindInt}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 10000; k++ {
+			if k < 4 {
+				keys.Insert(store.Row{store.IntValue(int64(k))})
+				for j := 0; j < fanout; j++ {
+					posts.Insert(store.Row{store.IntValue(int64(k)), store.IntValue(int64(j))})
+				}
+				continue
+			}
+			posts.Insert(store.Row{store.IntValue(int64(k)), store.IntValue(0)})
+		}
+		posts.CreateIndex("k", store.IndexHash)
+		eng := NewEngine(NewDBCatalog(db, nil), serialOptions())
+		res := runQ(t, eng.Catalog(), serialOptions(), "EXPLAIN ANALYZE "+q)
+		if !strings.Contains(res.Plan, "probe=keys") || !strings.Contains(res.Plan, "filter: ((p.v + 1) < 0) [rows=0") {
+			t.Fatalf("not a keyed probe whose residual keeps nothing:\n%s", res.Plan)
+		}
+		stmt, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := eng.Run(context.Background(), stmt); err != nil {
+				t.Fatal(err)
+			}
+		}), res.Stats.RowsIndexed
+	}
+	few, small := allocs(125)
+	many, large := allocs(1250)
+	t.Logf("%.0f objects over %d postings, %.0f over %d", few, small, many, large)
+	if small != 500 || large != 5000 {
+		t.Fatalf("the probes examine %d and %d postings; want 500 and 5 000", small, large)
+	}
+	if many != few {
+		t.Errorf("objects grow %.0f → %.0f as the probe's postings grow %d → %d", few, many, small, large)
+	}
+}
+
 // TestJoinReadsOnlySurvivors guards the two ways a join reads only what
 // survives, at the allocation guards' two thresholds. The
 // integration3-shaped statement reads activities through the build

@@ -125,12 +125,6 @@ func (t *hashTab) find(cols []*store.Col, i int) int32 {
 	return id
 }
 
-// contains reports whether a one-column table holds v.
-func (t *hashTab) contains(v store.Value) bool {
-	cell := store.Col{Null: []bool{v.IsNull()}, Vals: []store.Value{v}}
-	return t.find([]*store.Col{&cell}, 0) >= 0
-}
-
 // insert returns the entry for row i of cols, adding it when the key is
 // new; id is -1 for a key that matches nothing.
 func (t *hashTab) insert(cols []*store.Col, i int) (id int32, added bool) {

@@ -245,7 +245,7 @@ type joinCol struct {
 type joinOutput struct {
 	cols     []joinCol
 	width    int
-	residual *vecPred
+	residual vecPred
 	// buildCols lists the build-side input columns some joinCol reads;
 	// the join keeps only these of the drained side, and a build joinCol's
 	// idx is a position in this list.
@@ -321,7 +321,7 @@ func (o *joinOutput) emit(probe, build *batch, pi []int, bi []int32) (*batch, er
 	}
 	out := &batch{cols: ptrs, n: m}
 	if o.residual != nil {
-		sel, err := o.residual.filter(out, out.selection())
+		sel, err := o.residual(out, out.selection())
 		if err != nil || len(sel) == 0 {
 			return nil, err
 		}

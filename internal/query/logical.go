@@ -258,7 +258,7 @@ func BuildLogical(stmt *SelectStmt, cat Catalog) (LogicalPlan, error) {
 		jn := &JoinNode{Left: cur, Right: right, Cond: j.On}
 		jn.schema = cur.Schema().concat(right.Schema())
 		// Validate the ON condition binds.
-		if _, err := bind(j.On, bindEnv{schema: jn.schema, cat: cat, tree: cat.Tree(), validateOnly: true}); err != nil {
+		if _, err := bindVec(j.On, bindEnv{schema: jn.schema, cat: cat, tree: cat.Tree(), validateOnly: true}); err != nil {
 			return nil, fmt.Errorf("query: JOIN ON: %w", err)
 		}
 		cur = jn
@@ -267,7 +267,7 @@ func BuildLogical(stmt *SelectStmt, cat Catalog) (LogicalPlan, error) {
 		if containsAgg(stmt.Where) {
 			return nil, fmt.Errorf("query: aggregates not allowed in WHERE")
 		}
-		if _, err := bind(stmt.Where, bindEnv{schema: cur.Schema(), cat: cat, tree: cat.Tree(), validateOnly: true}); err != nil {
+		if _, err := bindVec(stmt.Where, bindEnv{schema: cur.Schema(), cat: cat, tree: cat.Tree(), validateOnly: true}); err != nil {
 			return nil, err
 		}
 		cur = &FilterNode{Input: cur, Pred: stmt.Where}
@@ -320,7 +320,7 @@ func buildSort(stmt *SelectStmt, cur LogicalPlan, cat Catalog) (LogicalPlan, err
 	order := make([]OrderKey, len(stmt.Order))
 	copy(order, stmt.Order)
 	for i, k := range order {
-		if _, err := bind(k.Expr, outEnv); err == nil {
+		if _, err := bindVec(k.Expr, outEnv); err == nil {
 			continue // resolves directly; leave it alone
 		}
 		rendered := k.Expr.String()
@@ -338,7 +338,7 @@ func buildSort(stmt *SelectStmt, cur LogicalPlan, cat Catalog) (LogicalPlan, err
 	}
 	allBind := true
 	for _, k := range stmt.Order {
-		if _, err := bind(k.Expr, outEnv); err != nil {
+		if _, err := bindVec(k.Expr, outEnv); err != nil {
 			allBind = false
 			break
 		}
@@ -351,7 +351,7 @@ func buildSort(stmt *SelectStmt, cur LogicalPlan, cat Catalog) (LogicalPlan, err
 		// Aggregate output: keys must reference group keys or
 		// aggregate aliases; re-run the binding to surface the error.
 		for _, k := range stmt.Order {
-			if _, err := bind(k.Expr, outEnv); err != nil {
+			if _, err := bindVec(k.Expr, outEnv); err != nil {
 				return nil, fmt.Errorf("query: ORDER BY: %w", err)
 			}
 		}
@@ -367,11 +367,11 @@ func buildSort(stmt *SelectStmt, cur LogicalPlan, cat Catalog) (LogicalPlan, err
 	keys := make([]OrderKey, len(stmt.Order))
 	hidden := 0
 	for i, k := range stmt.Order {
-		if _, err := bind(k.Expr, outEnv); err == nil {
+		if _, err := bindVec(k.Expr, outEnv); err == nil {
 			keys[i] = k
 			continue
 		}
-		be, err := bind(k.Expr, inEnv)
+		be, err := bindVec(k.Expr, inEnv)
 		if err != nil {
 			return nil, fmt.Errorf("query: ORDER BY: %w", err)
 		}
@@ -410,7 +410,7 @@ func buildProjection(stmt *SelectStmt, input LogicalPlan, cat Catalog) (LogicalP
 			}
 			continue
 		}
-		be, err := bind(it.Expr, bindEnv{schema: input.Schema(), cat: cat, tree: cat.Tree(), validateOnly: true})
+		be, err := bindVec(it.Expr, bindEnv{schema: input.Schema(), cat: cat, tree: cat.Tree(), validateOnly: true})
 		if err != nil {
 			return nil, err
 		}
@@ -434,7 +434,7 @@ func buildAggregate(stmt *SelectStmt, input LogicalPlan, cat Catalog) (LogicalPl
 		if containsAgg(g) {
 			return nil, fmt.Errorf("query: aggregates not allowed in GROUP BY")
 		}
-		if _, err := bind(g, env); err != nil {
+		if _, err := bindVec(g, env); err != nil {
 			return nil, err
 		}
 	}
@@ -459,7 +459,7 @@ func buildAggregate(stmt *SelectStmt, input LogicalPlan, cat Catalog) (LogicalPl
 		}
 	}
 	for _, g := range stmt.GroupBy {
-		be, _ := bind(g, env)
+		be, _ := bindVec(g, env)
 		name := uniqueName(g.String())
 		node.Names = append(node.Names, name)
 		schema.cols = append(schema.cols, planCol{Name: name, Kind: be.kind})
@@ -478,7 +478,7 @@ func buildAggregate(stmt *SelectStmt, input LogicalPlan, cat Catalog) (LogicalPl
 				if containsAgg(agg.Arg) {
 					return nil, fmt.Errorf("query: nested aggregates not allowed")
 				}
-				if _, err := bind(agg.Arg, env); err != nil {
+				if _, err := bindVec(agg.Arg, env); err != nil {
 					return nil, err
 				}
 			}
@@ -493,7 +493,7 @@ func buildAggregate(stmt *SelectStmt, input LogicalPlan, cat Catalog) (LogicalPl
 			if agg.Func == AggCount {
 				kind = store.KindInt
 			} else if !agg.Star {
-				be, _ := bind(agg.Arg, env)
+				be, _ := bindVec(agg.Arg, env)
 				if agg.Func == AggMin || agg.Func == AggMax {
 					kind = be.kind
 				}
@@ -529,7 +529,7 @@ func buildAggregate(stmt *SelectStmt, input LogicalPlan, cat Catalog) (LogicalPl
 		}
 		// Validate the rewritten predicate binds against the
 		// (possibly extended) aggregate output.
-		if _, err := bind(pred, bindEnv{schema: schema, cat: cat, tree: cat.Tree(), validateOnly: true}); err != nil {
+		if _, err := bindVec(pred, bindEnv{schema: schema, cat: cat, tree: cat.Tree(), validateOnly: true}); err != nil {
 			return nil, fmt.Errorf("query: HAVING: %w", err)
 		}
 		out = &FilterNode{Input: node, Pred: pred}
@@ -576,7 +576,7 @@ func rewriteHaving(e Expr, node *AggNode, schema *planSchema, uniqueName func(st
 			if containsAgg(x.Arg) {
 				return nil, fmt.Errorf("query: nested aggregates not allowed in HAVING")
 			}
-			if _, err := bind(x.Arg, inputEnv); err != nil {
+			if _, err := bindVec(x.Arg, inputEnv); err != nil {
 				return nil, fmt.Errorf("query: HAVING: %w", err)
 			}
 		}
@@ -594,7 +594,7 @@ func rewriteHaving(e Expr, node *AggNode, schema *planSchema, uniqueName func(st
 		if x.Func == AggCount {
 			kind = store.KindInt
 		} else if !x.Star {
-			if be, err := bind(x.Arg, inputEnv); err == nil && (x.Func == AggMin || x.Func == AggMax) {
+			if be, err := bindVec(x.Arg, inputEnv); err == nil && (x.Func == AggMin || x.Func == AggMax) {
 				kind = be.kind
 			}
 		}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -10,9 +11,9 @@ import (
 
 // Physical plan construction. build is the one physical builder: it
 // lowers each logical node to a batch operator (batch.go), so batches
-// are the only unit operators exchange. Expressions that can fail at
-// evaluation time keep their row-major evaluation inside the compiled
-// expression (vec_eval.go); no operator branches on it.
+// are the only unit operators exchange. An expression that fails at
+// evaluation time reports the error of its first failing row in row
+// order (vec_eval.go); no operator branches on it.
 
 // build lowers a logical plan node to its operator tree.
 func build(p LogicalPlan, ec *execCtx, depth int) (batchIterator, error) {
@@ -32,7 +33,7 @@ func build(p LogicalPlan, ec *execCtx, depth int) (batchIterator, error) {
 		return &vecFilter{in: in, pred: pred, cancel: canceller{ctx: ec.ctx}, op: op}, nil
 	case *ProjectNode:
 		op := ec.note(depth, "%s", n.describe())
-		exprs, err := bindVecExprs(n.Exprs, ec.env(n.Input.Schema()))
+		exprs, err := bindVecs(n.Exprs, ec.env(n.Input.Schema()))
 		if err != nil {
 			return nil, err
 		}
@@ -110,10 +111,10 @@ func buildScan(n *ScanNode, ec *execCtx, depth int) (batchIterator, error) {
 // the table along path, which reads nothing before its first call (so a
 // plain EXPLAIN executes nothing). An index path is one store access —
 // index column and keys or range, direction and row cap, projected
-// columns, and the residual as an Accept check the store runs per
-// posting, so rejected rows are never materialized and an ordered walk
-// can stop at its k-th qualifying row; a point lookup is a short batch
-// like any other. That access is returned too: a keyed probe's join
+// columns, and the residual as an Accept check the store runs over each
+// chunk of postings, so rejected rows are never materialized and an
+// ordered walk can stop at its k-th qualifying row; a point lookup is a
+// short batch like any other. That access is returned too: a keyed probe's join
 // gives it its keys before the scan's first call. A sequential scan
 // gathers the emitted columns plus any the residual reads, filters the
 // batches vectorized and drops the extras on emit.
@@ -124,19 +125,9 @@ func lowerScan(n *ScanNode, tv *store.TableView, path accessPath, ec *execCtx, d
 	}
 	a := path.access(n.proj)
 	if len(path.residual) > 0 {
-		pred := joinConjuncts(path.residual)
-		residual, err := bind(pred, ec.env(n.base))
-		if err != nil {
+		var err error
+		if a.Accept, err = indexResidual(joinConjuncts(path.residual), n.base, ec); err != nil {
 			return nil, nil, err
-		}
-		a.Accept = residual.evalBool
-		// The store fills only the columns the residual reads.
-		for _, ref := range exprColumns(pred) {
-			ci, err := n.base.resolve(ref)
-			if err != nil {
-				return nil, nil, err
-			}
-			a.AcceptCols = append(a.AcceptCols, ci)
 		}
 	}
 	op := ec.note(depth, "%s", path.describe(n))
@@ -144,10 +135,66 @@ func lowerScan(n *ScanNode, tv *store.TableView, path accessPath, ec *execCtx, d
 	return scan, &scan.read.a, nil
 }
 
+// indexResidual compiles an index path's residual to the store's
+// Accept. Each chunk of candidates is filled — the columns the residual
+// reads only — into buffers the read reuses, and the batch predicate
+// narrows it to the rows it accepts, its output columns drawn from a
+// pool the read reuses too: a read allocates nothing per chunk once its
+// first chunk has sized the buffers.
+func indexResidual(pred Expr, base *planSchema, ec *execCtx) (func(*store.Selection) (int, error), error) {
+	r := &residualRead{b: batch{cols: make([]*store.Col, base.Len())}}
+	r.b.pool = &r.pool
+	for _, ref := range exprColumns(pred) {
+		ci, err := base.resolve(ref)
+		if err != nil {
+			return nil, err
+		}
+		if r.b.cols[ci] == nil {
+			r.b.cols[ci], r.cols = &store.Col{}, append(r.cols, ci)
+		}
+	}
+	var err error
+	if r.pred, err = bindVecPred(pred, ec.env(base)); err != nil {
+		return nil, err
+	}
+	return r.accept, nil
+}
+
+// residualRead is one index read's residual: the predicate, the table
+// columns it reads, and the batch and pool its chunks reuse.
+type residualRead struct {
+	pred vecPred
+	cols []int
+	b    batch
+	pool colPool
+}
+
+// accept narrows a chunk of candidates to the rows the predicate
+// accepts, in place.
+func (r *residualRead) accept(chunk *store.Selection) (int, error) {
+	r.b.n = len(chunk.Slots)
+	r.pool.reset()
+	for _, c := range r.cols {
+		chunk.FillCol(r.b.cols[c], c, 0, r.b.n)
+	}
+	pass, err := r.pred(&r.b, identity(r.b.n))
+	if err != nil {
+		if re := (*rowError)(nil); errors.As(err, &re) {
+			return re.row, re.err
+		}
+		return r.b.n - 1, err
+	}
+	for j, i := range pass {
+		chunk.Slots[j] = chunk.Slots[i]
+	}
+	chunk.Slots = chunk.Slots[:len(pass)]
+	return 0, nil
+}
+
 func lowerSeqScan(n *ScanNode, tv *store.TableView, path accessPath, ec *execCtx, depth int) (*vecScan, error) {
 	a := store.Access{Cols: n.proj}
 	layout := n.schema
-	var residual *vecPred
+	var residual vecPred
 	var filterCols []int
 	if len(path.residual) > 0 {
 		pred := joinConjuncts(path.residual)
@@ -218,7 +265,7 @@ type vecScan struct {
 	read     *scanRead
 	batches  []*batch
 	pos      int
-	residual *vecPred
+	residual vecPred
 	width    int
 	cancel   canceller
 	op       *OpStats
@@ -242,7 +289,7 @@ func (s *vecScan) nextBatch() (*batch, error) {
 		b := s.batches[s.pos]
 		s.pos++
 		if s.residual != nil {
-			sel, err := s.residual.filter(b, b.selection())
+			sel, err := s.residual(b, b.selection())
 			if err != nil {
 				return nil, err
 			}
@@ -283,7 +330,7 @@ func (s *vecScan) gather() ([]*batch, error) {
 			if err := poll.now(); err != nil {
 				return err
 			}
-			sel, err := s.residual.filter(b, b.selection())
+			sel, err := s.residual(b, b.selection())
 			if err != nil {
 				return err
 			}
@@ -299,7 +346,7 @@ func (s *vecScan) gather() ([]*batch, error) {
 
 type vecFilter struct {
 	in     batchIterator
-	pred   *vecPred
+	pred   vecPred
 	cancel canceller
 	op     *OpStats
 }
@@ -314,7 +361,7 @@ func (f *vecFilter) nextBatch() (*batch, error) {
 			return nil, err
 		}
 		f.op.addIn(int64(b.live()))
-		sel, err := f.pred.filter(b, b.selection())
+		sel, err := f.pred(b, b.selection())
 		if err != nil {
 			return nil, err
 		}
@@ -342,14 +389,9 @@ func (p *vecProject) nextBatch() (*batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	sel := b.selection()
 	cols := make([]*store.Col, len(p.exprs))
-	for i, e := range p.exprs {
-		c, err := e.eval(b, sel)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
+	if err := evalAll(p.exprs, b, b.selection(), cols); err != nil {
+		return nil, err
 	}
 	out := &batch{cols: cols, sel: b.sel, n: b.n}
 	p.op.emit(out)
@@ -407,7 +449,7 @@ func buildAgg(n *AggNode, ec *execCtx, depth int) (batchIterator, error) {
 		return it, err
 	}
 	env := ec.env(n.Input.Schema())
-	groups, err := bindVecExprs(n.GroupBy, env)
+	groups, err := bindVecs(n.GroupBy, env)
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +458,7 @@ func buildAgg(n *AggNode, ec *execCtx, depth int) (batchIterator, error) {
 		if a.Star {
 			continue
 		}
-		if args[i], err = bindVecExpr(a.Arg, env); err != nil {
+		if args[i], err = bindVec(a.Arg, env); err != nil {
 			return nil, err
 		}
 	}
@@ -472,32 +514,22 @@ func aggOutput(t *aggTable, cancel canceller, op *OpStats) *vecScan {
 	return &vecScan{batches: batchesOf(t.output()), cancel: cancel, op: op}
 }
 
-// accumBatch evaluates group and argument expressions over one batch
-// and folds its live rows into the table.
+// accumBatch evaluates group and argument expressions over one batch —
+// every group key, then every argument, as the reference executor
+// does — and folds its live rows into the table.
 func (a *vecAgg) accumBatch(t *aggTable, b *batch) error {
 	sel := b.selection()
 	if t.cols == nil {
 		t.cols = make([]*store.Col, len(a.groups)+len(a.args))
 	}
-	cols := t.cols
-	for i, g := range a.groups {
-		c, err := g.eval(b, sel)
-		if err != nil {
-			return err
-		}
-		cols[i] = c
+	gcols, acols := t.cols[:len(a.groups)], t.cols[len(a.groups):]
+	if err := evalAll(a.groups, b, sel, gcols); err != nil {
+		return err
 	}
-	for i, ae := range a.args {
-		if ae == nil {
-			continue
-		}
-		c, err := ae.eval(b, sel)
-		if err != nil {
-			return err
-		}
-		cols[len(a.groups)+i] = c
+	if err := evalAll(a.args, b, sel, acols); err != nil {
+		return err
 	}
-	t.accum(cols[:len(a.groups)], cols[len(a.groups):], sel)
+	t.accum(gcols, acols, sel)
 	return nil
 }
 

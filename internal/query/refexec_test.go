@@ -12,9 +12,12 @@ import (
 // *unoptimised* logical plan (BuildLogical's output) operator at a time
 // over []store.Row, with nested-loop joins, a linear group table and
 // sort.SliceStable — no optimizer, no access paths, no batches, no
-// hashing, no parallelism. It shares only bind / boundExpr (expression
-// semantics) with production, so a disagreement with an engine is a bug
-// in the optimizer or the physical operators (or in this file).
+// hashing, no parallelism. Its expressions run on the test-only row
+// compiler (bind / boundExpr, rowbind_test.go), row by row, so it
+// shares no evaluation code with production — only the parser,
+// BuildLogical, name resolution and subquery execution — and a
+// disagreement with an engine is a bug in the batch expression
+// compiler, the optimizer or the physical operators (or in this file).
 
 // refQuery runs src on the reference executor at the latest commit.
 func refQuery(cat Catalog, src string) (*Result, error) {

@@ -28,7 +28,7 @@ func bindSortKeys(n *SortNode, ec *execCtx) (sortKeys, error) {
 		exprs[i], keys.descs[i] = k.Expr, k.Desc
 	}
 	var err error
-	keys.exprs, err = bindVecExprs(exprs, ec.env(n.Input.Schema()))
+	keys.exprs, err = bindVecs(exprs, ec.env(n.Input.Schema()))
 	return keys, err
 }
 
@@ -59,10 +59,8 @@ func (k sortKeys) each(in batchIterator, cancel *canceller, visit func(keyedRef)
 		}
 		kb := &keyedBatch{batch: b, keys: make([]*store.Col, len(k.exprs)), seq: seq}
 		sel := b.selection()
-		for i, e := range k.exprs {
-			if kb.keys[i], err = e.eval(b, sel); err != nil {
-				return err
-			}
+		if err := evalAll(k.exprs, b, sel, kb.keys); err != nil {
+			return err
 		}
 		for _, i := range sel {
 			visit(keyedRef{kb, i})

@@ -113,17 +113,55 @@ func projectRows(rows []Row, cols []int) []Row {
 	return out
 }
 
-// checkAccess runs a through view's Gather — and, on a pinned view,
-// its Select and Fill — and compares with the scan oracle: select says which stored rows qualify, keyCol (≥ 0) that
-// the output must follow that column's order.
-func checkAccess(view *TableView, a Access, keyCol int, selects func(Row) bool) error {
+// acceptRows is a per-row check in Access.Accept's batch form: each
+// candidate of a chunk is rebuilt as a schema-wide row, filled only at
+// the columns cols (every column when nil) from the chunk's cells, and
+// kept when keep accepts it; an error is keep's, at that candidate's
+// position. The row is one scratch row, so the result serves one read
+// at a time.
+func acceptRows(width int, cols []int, keep func(Row) (bool, error)) func(*Selection) (int, error) {
+	row := make(Row, width)
+	if cols == nil {
+		cols = make([]int, width)
+		for i := range cols {
+			cols[i] = i
+		}
+	}
+	var cell Col
+	return func(chunk *Selection) (int, error) {
+		kept := chunk.Slots[:0]
+		for k, s := range chunk.Slots {
+			for _, c := range cols {
+				chunk.FillCol(&cell, c, k, k+1)
+				row[c] = cell.Value(0)
+			}
+			ok, err := keep(row)
+			if err != nil {
+				return k, err
+			}
+			if ok {
+				kept = append(kept, s)
+			}
+		}
+		chunk.Slots = kept
+		return 0, nil
+	}
+}
+
+// checkAccess runs a, with keep as its Accept, through view's Gather —
+// and, on a pinned view, its Select and Fill — and compares with the
+// scan oracle: select says which stored rows qualify, keep which of
+// those are emitted, keyCol (≥ 0) that the output must follow that
+// column's order.
+func checkAccess(view *TableView, a Access, keep func(Row) (bool, error), keyCol int, selects func(Row) bool) error {
 	ctx := context.Background()
+	a.Accept = acceptRows(view.t.schema.Len(), nil, keep)
 	var want []Row
 	visible := 0
 	view.Scan(func(_ int64, r Row) bool {
 		if selects(r) {
 			visible++
-			if ok, _ := a.Accept(r); ok {
+			if ok, _ := keep(r); ok {
 				want = append(want, r.Clone())
 			}
 		}
@@ -232,11 +270,11 @@ func randomChecks(view *TableView, rng *rand.Rand) error {
 		return &v
 	}
 	lo, hi := bound(), bound()
-	rangeAccess := Access{Column: "k", Lo: lo, Hi: hi, Desc: rng.Intn(2) == 0, Cols: cols, Accept: accept}
+	rangeAccess := Access{Column: "k", Lo: lo, Hi: hi, Desc: rng.Intn(2) == 0, Cols: cols}
 	if rng.Intn(2) == 0 {
 		rangeAccess.Limit = 1 + rng.Intn(9)
 	}
-	if err := checkAccess(view, rangeAccess, 0, func(r Row) bool { return inRange(r[0], lo, hi) }); err != nil {
+	if err := checkAccess(view, rangeAccess, accept, 0, func(r Row) bool { return inRange(r[0], lo, hi) }); err != nil {
 		return fmt.Errorf("range %+v: %w", rangeAccess, err)
 	}
 	keys := []Value{StringValue("absent")}
@@ -245,16 +283,16 @@ func randomChecks(view *TableView, rng *rand.Rand) error {
 		keys = append(keys, StringValue(fmt.Sprintf("g%d", i)))
 		member[fmt.Sprintf("g%d", i)] = true
 	}
-	union := Access{Column: "g", Keys: keys, Cols: cols, Accept: accept}
-	if err := checkAccess(view, union, -1, func(r Row) bool { return member[r[1].S] }); err != nil {
+	union := Access{Column: "g", Keys: keys, Cols: cols}
+	if err := checkAccess(view, union, accept, -1, func(r Row) bool { return member[r[1].S] }); err != nil {
 		return fmt.Errorf("union %v: %w", keys, err)
 	}
 	// A column with no index serves keys and ranges by filtering a pass.
-	byN := Access{Column: "n", Keys: []Value{IntValue(int64(rng.Intn(1000))), IntValue(7)}, Cols: cols, Accept: accept}
-	if err := checkAccess(view, byN, -1, func(r Row) bool { return Equal(r[2], byN.Keys[0]) || r[2].I == 7 }); err != nil {
+	byN := Access{Column: "n", Keys: []Value{IntValue(int64(rng.Intn(1000))), IntValue(7)}, Cols: cols}
+	if err := checkAccess(view, byN, accept, -1, func(r Row) bool { return Equal(r[2], byN.Keys[0]) || r[2].I == 7 }); err != nil {
 		return fmt.Errorf("unindexed keys: %w", err)
 	}
-	if err := checkAccess(view, Access{Cols: cols, Accept: accept}, -1, func(Row) bool { return true }); err != nil {
+	if err := checkAccess(view, Access{Cols: cols}, accept, -1, func(Row) bool { return true }); err != nil {
 		return fmt.Errorf("full read: %w", err)
 	}
 	return nil
@@ -394,12 +432,12 @@ func TestAccessPollsContext(t *testing.T) {
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		seen := 0
-		a.Accept = func(Row) (bool, error) {
+		a.Accept = acceptRows(3, nil, func(Row) (bool, error) {
 			if seen++; seen == 10 {
 				cancel()
 			}
 			return true, nil
-		}
+		})
 		cb, _, err := tb.Gather(ctx, -1, a)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
@@ -419,9 +457,92 @@ func TestAccessAcceptError(t *testing.T) {
 		tb.Insert(accessRow(rng))
 	}
 	boom := errors.New("boom")
-	_, examined, err := tb.Gather(context.Background(), -1, Access{Column: "k", Accept: func(Row) (bool, error) { return false, boom }})
+	_, examined, err := tb.Gather(context.Background(), -1, Access{Column: "k", Accept: acceptRows(3, nil, func(Row) (bool, error) { return false, boom })})
 	if !errors.Is(err, boom) || examined != 1 {
 		t.Fatalf("err = %v after %d rows, want boom after 1", err, examined)
+	}
+}
+
+// TestAcceptChunkBoundaries: Accept sees candidates a chunk at a time,
+// and a read still examines and emits exactly what a row-at-a-time
+// check would — the per-row model below — at every Limit around a chunk
+// boundary and past the posting count, in an ascending walk, a
+// descending one and a key union, with a rejecting Accept and with one
+// that fails at a given row; and, without a limit or with one past the
+// slot list's first capacity, while the list grows under the candidates
+// waiting in it.
+func TestAcceptChunkBoundaries(t *testing.T) {
+	_, tb := openAccessDB(t)
+	const rows = 2500
+	for i := 0; i < rows; i++ {
+		tb.Insert(Row{FloatValue(float64(i)), StringValue(fmt.Sprintf("g%d", i%2)), IntValue(int64(i))})
+	}
+	keep := func(r Row) (bool, error) { return r[2].I%3 != 0, nil }
+	boom := errors.New("boom")
+	failAt := func(n int64) func(Row) (bool, error) {
+		return func(r Row) (bool, error) {
+			if r[2].I == n {
+				return false, boom
+			}
+			return keep(r)
+		}
+	}
+	walks := map[string]struct {
+		a     Access
+		order func(i int) int64 // the n of the walk's i-th posting
+	}{
+		"ascending":  {Access{Column: "k"}, func(i int) int64 { return int64(i) }},
+		"descending": {Access{Column: "k", Desc: true}, func(i int) int64 { return int64(rows - 1 - i) }},
+		"key union": {Access{Column: "g", Keys: []Value{StringValue("g1"), StringValue("g0")}}, func(i int) int64 {
+			if i < rows/2 {
+				return int64(2*i + 1)
+			}
+			return int64(2 * (i - rows/2))
+		}},
+	}
+	for name, w := range walks {
+		for _, limit := range []int{1, acceptChunk - 1, acceptChunk, acceptChunk + 1, 3*acceptChunk + 7, pollEvery + 7, 0, rows + 1} {
+			for _, fail := range []int64{-1, w.order(2*acceptChunk + 3)} {
+				check := keep
+				if fail >= 0 {
+					check = failAt(fail)
+				}
+				var want []int64
+				examined, failed := 0, false
+				for i := 0; i < rows && (limit == 0 || len(want) < limit); i++ {
+					n := w.order(i)
+					examined++
+					if n == fail {
+						failed = true
+						break
+					}
+					if n%3 != 0 {
+						want = append(want, n)
+					}
+				}
+				a := w.a
+				a.Limit, a.Cols = limit, []int{2}
+				a.Accept = acceptRows(3, []int{2}, check)
+				cb, gotExamined, err := tb.Gather(context.Background(), -1, a)
+				what := fmt.Sprintf("%s, limit %d, failing at n=%d", name, limit, fail)
+				if failed != (err != nil) || (err != nil && !errors.Is(err, boom)) {
+					t.Fatalf("%s: err = %v, want failure %v", what, err, failed)
+				}
+				if gotExamined != examined {
+					t.Fatalf("%s: examined %d rows, the per-row model %d", what, gotExamined, examined)
+				}
+				if failed {
+					continue
+				}
+				got := make([]int64, cb.Rows)
+				for i := range got {
+					got[i] = cb.Cols[0].Int[i]
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: emitted %d rows, the per-row model %d:\n%v\n%v", what, len(got), len(want), got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -461,7 +582,7 @@ func TestFilteredGatherSizedExactly(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		tb.Insert(Row{FloatValue(float64(i % 10)), StringValue(fmt.Sprintf("g%d", i%4)), IntValue(int64(i))})
 	}
-	a := Access{Column: "k", AcceptCols: []int{2}, Accept: func(r Row) (bool, error) { return r[2].I%500 == 1, nil }}
+	a := Access{Column: "k", Accept: acceptRows(3, []int{2}, func(r Row) (bool, error) { return r[2].I%500 == 1, nil })}
 	cb, examined, err := tb.Gather(context.Background(), -1, a)
 	if err != nil {
 		t.Fatal(err)
@@ -483,7 +604,8 @@ func TestFilteredGatherSizedExactly(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// 10 rows × 35 bytes, the 4 KiB slot list, the scratch row and headers.
+	// 10 rows × 35 bytes, the 4 KiB slot list (whose spare room holds the
+	// chunks of candidates), the chunk's Selection and headers.
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 6<<10 {
 		t.Fatalf("a gather of 10 rows allocates %d bytes", per)
 	}

@@ -308,7 +308,21 @@ func BenchmarkSeqPass(b *testing.B) {
 		}
 	})
 	b.Run("GatherFiltered", func(b *testing.B) {
-		a := Access{Cols: []int{0, 6}, Accept: func(r Row) (bool, error) { return r[3].I < 4, nil }}
+		// The residual reads column 3 as the query layer's does: each
+		// chunk's cells filled into a reused vector, the chunk narrowed
+		// in place.
+		var fill Col
+		a := Access{Cols: []int{0, 6}, Accept: func(chunk *Selection) (int, error) {
+			chunk.FillCol(&fill, 3, 0, len(chunk.Slots))
+			kept := chunk.Slots[:0]
+			for k, s := range chunk.Slots {
+				if !fill.Null[k] && fill.Int[k] < 4 {
+					kept = append(kept, s)
+				}
+			}
+			chunk.Slots = kept
+			return 0, nil
+		}}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cb, _, err := t.Gather(context.Background(), -1, a)

@@ -289,9 +289,11 @@ func (t *Table) Gather(ctx context.Context, ver int64, a Access) (*ColBatch, int
 		})
 		return cb, examined, err
 	}
-	sel, examined, err := t.selectLocked(ctx, ver, a)
-	cb := NewColBatch(t.schema, cols, len(sel.Slots))
-	sel.Fill(cb, 0, len(sel.Slots))
+	slots, examined, err := t.slotsLocked(ctx.Err, ver, a)
+	cb, all := &ColBatch{Cols: make([]Col, len(cols)), Rows: len(slots)}, Selection{Slots: slots, cols: t.cols}
+	for i, c := range cols {
+		all.FillCol(&cb.Cols[i], c, 0, len(slots))
+	}
 	return cb, examined, err
 }
 
@@ -327,24 +329,35 @@ func (tv *TableView) Select(ctx context.Context, a Access) (*Selection, int, err
 }
 
 // selectLocked runs the access at ver, collecting the emitted slots and
-// the output columns' headers. Without Accept the posting count (capped
-// by Limit) sizes the slot list; with one a residual may reject most
-// postings, so it starts at one batch's worth and grows on demand.
+// the output columns' headers.
 func (t *Table) selectLocked(ctx context.Context, ver int64, a Access) (*Selection, int, error) {
-	max := a.Limit
-	if a.Accept != nil {
-		max = pollEvery
-		if a.Limit > 0 {
-			max = min(max, a.Limit)
-		}
-	}
 	cols := a.outputCols(t.schema)
-	sel := &Selection{Slots: make([]int32, 0, t.capacityLocked(a, max)), cols: make([]Col, len(cols))}
+	sel := &Selection{cols: make([]Col, len(cols))}
 	for i, c := range cols {
 		sel.cols[i] = t.cols[c]
 	}
-	examined, err := t.readLocked(ctx.Err, ver, a, func(s int) { sel.Slots = append(sel.Slots, int32(s)) })
+	slots, examined, err := t.slotsLocked(ctx.Err, ver, a)
+	sel.Slots = slots
 	return sel, examined, err
+}
+
+// slotsLocked runs the access at ver and returns the slots of the rows it
+// emits, in access order, and how many visible rows it examined. Without
+// Accept the posting count (capped by Limit) sizes the slot list; with
+// one a residual may reject most postings, so it starts at one batch's
+// worth, holds the candidates awaiting Accept in its spare capacity, and
+// grows on demand.
+func (t *Table) slotsLocked(poll func() error, ver int64, a Access) ([]int32, int, error) {
+	if a.Accept == nil {
+		slots := make([]int32, 0, t.capacityLocked(a, a.Limit))
+		examined, err := t.readLocked(poll, ver, a, func(s int) { slots = append(slots, int32(s)) })
+		return slots, examined, err
+	}
+	max := pollEvery
+	if a.Limit > 0 {
+		max = min(max, a.Limit)
+	}
+	return t.acceptLocked(poll, ver, a, make([]int32, 0, t.capacityLocked(a, max)))
 }
 
 // Fill copies the cells of the rows Slots[lo:hi] into dst, one vector

@@ -238,28 +238,29 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 	if view.Len() != len(vis) {
 		return fmt.Errorf("Len = %d, model %d", view.Len(), len(vis))
 	}
-	// The accepts read one column each, and say so: a scratch row filled
-	// anywhere else would make them misjudge.
-	accepts := []Access{
-		{},
-		{Accept: func(r Row) (bool, error) { return r[2].I%3 != 0, nil }, AcceptCols: []int{2}},
-		{Accept: func(r Row) (bool, error) { return !r[1].IsNull() && r[1].S != "g1", nil }, AcceptCols: []int{1}},
-		{Accept: func(r Row) (bool, error) { return r[0].IsNull() || r[2].I%2 == 0, nil }},
+	// Two accepts name the one column they read: acceptRows fills only
+	// the named columns, so a check reading any other would misjudge.
+	accepts := []struct {
+		keep func(Row) (bool, error)
+		cols []int
+	}{
+		{func(Row) (bool, error) { return true, nil }, nil},
+		{func(r Row) (bool, error) { return r[2].I%3 != 0, nil }, []int{2}},
+		{func(r Row) (bool, error) { return !r[1].IsNull() && r[1].S != "g1", nil }, []int{1}},
+		{func(r Row) (bool, error) { return r[0].IsNull() || r[2].I%2 == 0, nil }, nil},
 	}
-	base := accepts[rng.Intn(len(accepts))]
+	pick := accepts[rng.Intn(len(accepts))]
+	base := Access{Accept: acceptRows(len(modelSchema.Columns), pick.cols, pick.keep)}
 	if rng.Intn(2) == 0 {
 		base.Cols = [][]int{{0}, {2, 0}, {1, 0, 2}, {0, 1}}[rng.Intn(4)]
 	}
 	run := func(what string, a Access, keyCol int, selects func(Row) bool) error {
-		if a.Accept == nil {
-			a.Accept = func(Row) (bool, error) { return true, nil }
-		}
 		var want []Row
 		visible := 0
 		for _, r := range wantRows {
 			if selects(r) {
 				visible++
-				if ok, _ := a.Accept(r); ok {
+				if ok, _ := pick.keep(r); ok {
 					want = append(want, r)
 				}
 			}

@@ -85,8 +85,8 @@ func (ev CommitEvent) Detach() CommitEvent {
 // slots it emits under the read lock. Gather copies their cells out
 // under that same lock; a Selection copies them later, outside it, and
 // only a pinned view may take that path (see Selection). Nothing a read
-// returns aliases storage, and the scratch rows shown to Scan callbacks
-// and Access.Accept are overwritten by the next row.
+// returns aliases storage, and the scratch row shown to Scan callbacks
+// is overwritten by the next row.
 type Table struct {
 	name   string
 	schema *Schema
@@ -242,17 +242,11 @@ func (c *Col) stored(i int) (v Value) {
 // ver.
 func (t *Table) visible(s int, ver int64) bool { return t.begin[s] <= ver && ver < t.end[s] }
 
-// load refreshes the schema-wide row dst with slot s's stored cells at
-// columns cols (nil is all). Each dst cell must be zero or an earlier
-// load of the same column, so only its kind and payload are written.
-func (t *Table) load(dst Row, s int, cols []int) {
-	if cols == nil {
-		for c := range t.cols {
-			t.cols[c].loadCell(&dst[c], s)
-		}
-		return
-	}
-	for _, c := range cols {
+// load refreshes the schema-wide row dst with slot s's stored cells.
+// Each dst cell must be zero or an earlier load of the same column, so
+// only its kind and payload are written.
+func (t *Table) load(dst Row, s int) {
+	for c := range t.cols {
 		t.cols[c].loadCell(&dst[c], s)
 	}
 }
@@ -290,7 +284,7 @@ func (sl *slab) row(t *Table, s int) Row {
 	}
 	r := sl.cells[:sl.w:sl.w]
 	sl.cells = sl.cells[sl.w:]
-	t.load(r, s, nil)
+	t.load(r, s)
 	return r
 }
 
@@ -415,7 +409,7 @@ func (t *Table) scanLocked(v int64, fn func(id int64, r Row) bool) {
 	}
 	scratch := make(Row, len(t.cols))
 	t.passLocked(nil, v, 0, nil, func(s int) bool {
-		t.load(scratch, s, nil)
+		t.load(scratch, s)
 		return fn(t.idOf(s), scratch)
 	})
 }
@@ -470,14 +464,17 @@ type Access struct {
 	Cols []int
 	// Limit stops the read after that many emitted rows; 0 is no limit.
 	Limit int
-	// Accept, when set, is shown every visible row the walk reaches and
-	// decides whether it is emitted. The row is a schema-wide scratch
-	// copy, filled only at AcceptCols and overwritten by the next row:
-	// read-only, not to be retained. Accept runs under the table's read
-	// lock, so it must not touch the store. An error aborts the read.
-	Accept func(Row) (bool, error)
-	// AcceptCols lists the columns Accept reads; nil fills them all.
-	AcceptCols []int
+	// Accept, when set, decides which of the visible rows the walk
+	// reaches are emitted. It is shown them a chunk at a time, in access
+	// order, as a Selection whose Slots are the chunk's rows and whose
+	// columns are the table's, by schema position: it fills the ones it
+	// reads (FillCol) and narrows Slots in place to the rows it emits. A
+	// chunk holds at most acceptChunk rows and never more than Limit
+	// still allows, so a walk stops at the row a row-at-a-time check
+	// would stop at. Accept runs under the table's read lock, so it must
+	// not touch the store. An error aborts the read; Accept returns with
+	// it the position in the chunk of the row that raised it.
+	Accept func(chunk *Selection) (int, error)
 }
 
 // outputCols resolves Cols against the schema: nil is every column.
@@ -495,6 +492,11 @@ func (a Access) outputCols(s *Schema) []int {
 // pollEvery is how many postings a read visits between polls of its
 // caller's context (poll is nil for the store's own context-free passes).
 const pollEvery = 1024
+
+// acceptChunk is the most rows Access.Accept is shown at once. A reader
+// sizes its buffers to a chunk once a read, so a short chunk keeps a
+// read's allocation small; the call costs little against 32 rows.
+const acceptChunk = 32
 
 func inRange(v Value, lo, hi *Value) bool {
 	if v.IsNull() {
@@ -598,38 +600,65 @@ func (t *Table) passLocked(poll func() error, ver int64, ci int, match func(Valu
 }
 
 // readLocked runs the access at ver (negative reads the latest commit),
-// applying Accept and Limit, and hands each emitted row's slot to sink.
-// It returns how many visible rows the walk examined — emitted or not.
+// applying Limit, and hands each emitted row's slot to sink. It returns
+// how many visible rows the walk examined — every one it emitted, as
+// there is no Accept to reject one.
 func (t *Table) readLocked(poll func() error, ver int64, a Access, sink func(s int)) (examined int, err error) {
 	if ver < 0 {
 		ver = t.commit
 	}
-	var scratch Row
-	if a.Accept != nil {
-		scratch = make(Row, len(t.cols))
-	}
-	emitted := 0
-	werr := t.walkLocked(poll, ver, a, func(s int) bool {
-		examined++
-		if a.Accept != nil {
-			t.load(scratch, s, a.AcceptCols)
-			ok, aerr := a.Accept(scratch)
-			if aerr != nil {
-				err = aerr
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
+	err = t.walkLocked(poll, ver, a, func(s int) bool {
 		sink(s)
-		emitted++
-		return a.Limit <= 0 || emitted < a.Limit
+		examined++
+		return a.Limit <= 0 || examined < a.Limit
 	})
+	return examined, err
+}
+
+// acceptLocked runs the access at ver (negative reads the latest commit)
+// through its Accept, applying Limit, and appends the slots of the rows
+// it emits to slots. Candidates collect behind the emitted slots, in the
+// list's spare capacity — grown only once emitted rows fill it — and go
+// to Accept a chunk at a time. It returns the list and how many visible
+// rows the walk examined: the candidates Accept was shown, up to and
+// including the one that failed.
+func (t *Table) acceptLocked(poll func() error, ver int64, a Access, slots []int32) (_ []int32, examined int, err error) {
+	if ver < 0 {
+		ver = t.commit
+	}
+	chunk := &Selection{cols: t.cols}
+	emitted := len(slots)
+	flush := func() bool {
+		chunk.Slots = slots[emitted:len(slots):len(slots)]
+		at, aerr := a.Accept(chunk)
+		if aerr != nil {
+			examined += at + 1
+			err = aerr
+			return false
+		}
+		examined += len(slots) - emitted
+		emitted += copy(slots[emitted:], chunk.Slots)
+		slots = slots[:emitted]
+		return a.Limit <= 0 || emitted < a.Limit
+	}
+	werr := t.walkLocked(poll, ver, a, func(s int) bool {
+		if len(slots) == cap(slots) { // no candidate waits: a full chunk was flushed
+			slots = slices.Grow(slots, 1)
+		}
+		slots = append(slots, int32(s))
+		room := min(cap(slots)-emitted, acceptChunk)
+		if a.Limit > 0 {
+			room = min(room, a.Limit-emitted)
+		}
+		return len(slots)-emitted < room || flush()
+	})
+	if err == nil && werr == nil && len(slots) > emitted {
+		flush()
+	}
 	if err == nil {
 		err = werr
 	}
-	return examined, err
+	return slots[:emitted], examined, err
 }
 
 // CountPostings returns how many index postings the access would visit
