@@ -39,8 +39,8 @@ knobs:
 # goroutines, mid-gather cancellation), and the resilience layer
 # (sources hammered by concurrent fetchers, health map read during
 # sync, mobile sessions), plus the two layers underneath them all: the
-# MVCC store (pinned index walks and gathers against a concurrent
-# committer, and the crash-point torture matrix) and the
+# MVCC store (pinned index walks, selects and fills against a
+# concurrent committer, and the crash-point torture matrix) and the
 # fault-injecting VFS; core carries the live-ingest tests (no torn read
 # during resync, nothing pinned or unswept at rest, the incremental
 # overlay equal to a rebuild), and phylo the distance matrix, whose
@@ -116,7 +116,7 @@ bench-repo-smoke:
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
 # idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_37.json
+BENCH_JSON ?= BENCH_38.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \
@@ -133,7 +133,7 @@ bench-repo:
 	printf '\n ]}\n' >> $$tmp; mv $$tmp $(BENCH_JSON)
 
 # Storage- and operator-layer microbenchmarks with -benchmem: the
-# store's insert, lookup, range gather, sequential pass and 512+512
+# store's insert, lookup, range read, sequential pass and 512+512
 # delta commit, one posting's insert / probe / remove / range walk
 # through each index form, and the query layer's hashing operators —
 # the hash join and the aggregate, serial and parallel, the flat table

@@ -24,8 +24,9 @@ var admissionCtxVerbs = []string{"Acquire", "Begin", "Drain"}
 // fans goroutines out over the shard engines and a gather blocks on
 // joining them (or copies whole tables), so both shapes must thread
 // context.Context for mid-flight cancellation. Scoped to the shard
-// package because elsewhere Gather* names pure column gathers
-// (store.GatherCols).
+// package because elsewhere a gather is an in-memory copy that neither
+// blocks nor spawns — the query layer's gatherSorted copies sorted rows
+// into batches — and so owes its caller no context.
 var shardCtxVerbs = []string{"Scatter", "Gather"}
 
 // ctxExemptSegments are path segments whose packages ctxcheck skips

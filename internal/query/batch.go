@@ -90,19 +90,35 @@ type batchIterator interface {
 	nextBatch() (*batch, error)
 }
 
-// batchesOf slices a materialized ColBatch into vecBatchSize views
-// (zero-copy: the views alias the ColBatch's column storage). All the
-// views' headers come from three allocations, however many there are.
-func batchesOf(cb *store.ColBatch) []*batch {
-	if cb.Rows == 0 {
+// batchRanges cuts n rows into vecBatchSize ranges: the batches a
+// materialized input streams as.
+func batchRanges(n int) []morselRange {
+	out := make([]morselRange, 0, (n+vecBatchSize-1)/vecBatchSize)
+	for lo := 0; lo < n; lo += vecBatchSize {
+		out = append(out, morselRange{lo, min(lo+vecBatchSize, n)})
+	}
+	return out
+}
+
+// batchesOf slices a materialized ColBatch into one view per range, or
+// — ranges nil — into the views of batchRanges(cb.Rows) (zero-copy: the
+// views alias the ColBatch's column storage). All the views' headers
+// come from three allocations, however many there are.
+func batchesOf(cb *store.ColBatch, ranges []morselRange) []*batch {
+	nb, nc := len(ranges), len(cb.Cols)
+	if ranges == nil {
+		nb = (cb.Rows + vecBatchSize - 1) / vecBatchSize
+	}
+	if nb == 0 {
 		return nil
 	}
-	nb, nc := (cb.Rows+vecBatchSize-1)/vecBatchSize, len(cb.Cols)
 	batches, views, ptrs := make([]batch, nb), make([]store.Col, nb*nc), make([]*store.Col, nb*nc)
 	out := make([]*batch, nb)
 	for k := range batches {
-		lo := k * vecBatchSize
-		hi := min(lo+vecBatchSize, cb.Rows)
+		lo, hi := k*vecBatchSize, min((k+1)*vecBatchSize, cb.Rows)
+		if ranges != nil {
+			lo, hi = ranges[k].lo, ranges[k].hi
+		}
 		for c := range cb.Cols {
 			views[k*nc+c] = cb.Cols[c].Slice(lo, hi)
 			ptrs[k*nc+c] = &views[k*nc+c]

@@ -407,8 +407,9 @@ func TestDifferentialDatagen(t *testing.T) {
 	for _, q := range aggCorpus {
 		runDifferential(t, cat, q, false)
 	}
-	// Folds that read storage (foldscan.go): each shape must also take
-	// that path, over more than two batches unless the selection is empty.
+	// Folds that read storage (foldscan.go): each shape must fill more
+	// than two batches unless the selection is empty
+	// (TestFoldFromStorageMatchesGather checks that a fold reads the scan).
 	for _, q := range foldShapes {
 		runDifferential(t, cat, q, false)
 		stmt, err := Parse(q)
@@ -419,8 +420,8 @@ func TestDifferentialDatagen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if empty := strings.Contains(q, "1000"); (res.Stats.RowsFilled > 2*vecBatchSize) == empty {
-			t.Fatalf("query %q folded %d rows straight from storage", q, res.Stats.RowsFilled)
+		if empty := strings.Contains(q, "1000"); (scanRowsOut(res, "activities") > 2*vecBatchSize) == empty {
+			t.Fatalf("query %q folded %d rows straight from storage", q, scanRowsOut(res, "activities"))
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"drugtree/internal/store"
 )
 
 // Tests of the one-engine contract: every operator exchanges batches,
@@ -147,6 +149,52 @@ func TestEvalErrorsAgree(t *testing.T) {
 		want := assertEvalErrorAgrees(t, cat, c.q)
 		if !strings.Contains(want.Error(), "NOT expects BOOL, got INT") {
 			t.Errorf("%s: reference error = %v, want row 0's", c.q, want)
+		}
+		if plan := runQ(t, cat, serialOptions(), "EXPLAIN "+c.q).Plan; !strings.Contains(plan, c.plan) {
+			t.Errorf("%s: plan lacks %q:\n%s", c.q, c.plan, plan)
+		}
+	}
+	// Over far, row 0 passes and only row 3 000 — in the third of five
+	// batches, in the second worker's chunk at four workers — fails. A
+	// LIMIT that row 0 satisfies must not hide the failure: a sequential
+	// scan's residual (and, without pushdown, a filter over the scan)
+	// runs over the whole table before anything above it reads a row, at
+	// every Parallelism, as the reference executor's does. The scan sits
+	// under the limit behind a projection that only passes its column on,
+	// and behind one that computes. Row 4 500, in the third worker's chunk,
+	// fails too, at NOT b, where the second worker's row 3 000 never gets:
+	// the first chunk's error must win, however the workers finish.
+	far, err := cat.DB.CreateTable("far", store.MustSchema(
+		store.Column{Name: "pos", Kind: store.KindInt},
+		store.Column{Name: "name", Kind: store.KindString},
+		store.Column{Name: "x", Kind: store.KindInt},
+		store.Column{Name: "b", Kind: store.KindInt},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []store.Row
+	for pos := 0; pos < 5000; pos++ {
+		name, b := store.NullValue(), store.NullValue()
+		if pos == 3000 {
+			name = store.StringValue("n")
+		}
+		if pos == 4500 {
+			b = store.IntValue(1)
+		}
+		rows = append(rows, store.Row{store.IntValue(int64(pos)), name, store.IntValue(int64(pos)), b})
+	}
+	if err := cat.DB.CommitDeltas([]store.TableDelta{{Table: far.Name(), Inserts: rows}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ q, plan string }{
+		{"SELECT pos FROM far WHERE -name = 'x' OR x >= 0 LIMIT 1", "Limit 1\n  Project pos\n    SeqScan far cols=(pos) filter: "},
+		{"SELECT pos + 1 FROM far WHERE -name = 'x' OR x >= 0 LIMIT 1", "Limit 1\n  Project (pos + 1)\n    SeqScan far cols=(pos) filter: "},
+		{"SELECT pos FROM far WHERE -name = 'x' OR NOT b OR x >= 0 LIMIT 1", "Limit 1\n  Project pos\n    SeqScan far cols=(pos) filter: "},
+	} {
+		want := assertEvalErrorAgrees(t, cat, c.q)
+		if !strings.Contains(want.Error(), "cannot negate STRING") {
+			t.Errorf("%s: reference error = %v, want row 3 000's", c.q, want)
 		}
 		if plan := runQ(t, cat, serialOptions(), "EXPLAIN "+c.q).Plan; !strings.Contains(plan, c.plan) {
 			t.Errorf("%s: plan lacks %q:\n%s", c.q, c.plan, plan)

@@ -66,44 +66,35 @@ func (e *Engine) Query(ctx context.Context, src string) (*Result, error) {
 	return res, nil
 }
 
-// SnapshotCatalog is implemented by catalogs that can pin an MVCC
-// snapshot of their backing store. Engines over such a catalog pin one
-// snapshot per statement, so every scan — across tables and inside
-// subqueries — reads the same consistent image even while writers
-// commit concurrently.
-type SnapshotCatalog interface {
-	Catalog
-	PinSnapshot() *store.SnapshotHandle
-}
-
 // Run executes a parsed statement under the given context and delivers
 // Result.Batch; for EXPLAIN the plan is produced but not executed. The
 // context cancels mid-flight execution: scans, joins, aggregation, and
 // sorts all poll it and unwind with ctx.Err() — the abandonment path a
 // mobile client takes when it navigates away from a viewport whose
-// query is still running. When the catalog supports snapshots, the
-// whole statement runs against one pinned snapshot, released when
-// execution finishes.
+// query is still running. The whole statement runs against one snapshot
+// pinned from the catalog, released when execution finishes.
 func (e *Engine) Run(ctx context.Context, stmt *SelectStmt) (*Result, error) {
-	if sc, ok := e.cat.(SnapshotCatalog); ok {
-		snap := sc.PinSnapshot()
-		defer snap.Release()
-		return e.RunAt(ctx, stmt, snap)
-	}
-	return e.RunAt(ctx, stmt, nil)
+	snap := e.cat.PinSnapshot()
+	defer snap.Release()
+	return e.RunAt(ctx, stmt, snap)
 }
 
-// RunAt executes a parsed statement against an already-pinned
-// snapshot (nil runs unpinned, reading latest versions). Ownership of
-// snap stays with the caller — RunAt never releases it — so a caller
+// RunAt executes a parsed statement against an already-pinned snapshot,
+// which every scan — across tables and inside subqueries — reads, so the
+// statement sees one consistent image while writers commit. Ownership
+// of snap stays with the caller — RunAt never releases it — so a caller
 // can run several statements, or statement-cache key computation plus
-// the statement itself, against one frozen image.
+// the statement itself, against one frozen image. A nil snap is an
+// error: no statement reads unpinned.
 func (e *Engine) RunAt(ctx context.Context, stmt *SelectStmt, snap *store.SnapshotHandle) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if snap == nil {
+		return nil, fmt.Errorf("query: statement run with no pinned snapshot")
 	}
 	logical, err := BuildLogical(stmt, e.cat)
 	if err != nil {
@@ -308,7 +299,7 @@ func (c *DBCatalog) Stats(name string) (*store.TableStats, error) {
 // Tree implements Catalog.
 func (c *DBCatalog) Tree() *phylo.Tree { return c.PhyloTree }
 
-// PinSnapshot implements SnapshotCatalog.
+// PinSnapshot implements Catalog.
 func (c *DBCatalog) PinSnapshot() *store.SnapshotHandle { return c.DB.PinSnapshot() }
 
 // Overlay implements OverlayCatalog.

@@ -169,7 +169,7 @@ func runQ(t *testing.T, cat Catalog, opts Options, src string) *Result {
 }
 
 // TestColumnarSinkAdoptsPlanVectors: RunAt over a range scan hands out
-// the vectors the scan gathered — one copy of the rows in all, where the
+// the vectors the scan filled — one copy of the rows in all, where the
 // sink used to copy them a second time — and still copies a column
 // selected twice, so no two result columns share storage, while every
 // configuration answers as the reference executor does.
@@ -188,7 +188,9 @@ func TestColumnarSinkAdoptsPlanVectors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refRunAt(cat, stmt, nil)
+		snap := cat.PinSnapshot()
+		defer snap.Release()
+		want, err := refRunAt(cat, stmt, snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +204,7 @@ func TestColumnarSinkAdoptsPlanVectors(t *testing.T) {
 			}
 		}
 		for _, m := range diffMatrix() {
-			res, err := NewEngine(cat, m.opts).RunAt(context.Background(), stmt, nil)
+			res, err := NewEngine(cat, m.opts).RunAt(context.Background(), stmt, snap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +230,7 @@ func TestColumnarSinkAdoptsPlanVectors(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if _, err := eng.RunAt(context.Background(), stmt, nil); err != nil {
+			if _, err := eng.RunAt(context.Background(), stmt, snap); err != nil {
 				t.Fatal(err)
 			}
 		}

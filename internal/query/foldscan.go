@@ -1,23 +1,22 @@
 package query
 
-import (
-	"sync/atomic"
+import "drugtree/internal/store"
 
-	"drugtree/internal/store"
-)
-
-// Folds that read storage. An aggregate, or a group-join's probe, over a
-// scan of a pinned view never gathers the scan: every row it reads is
-// folded once and dropped, so a copy of the whole input is wasted. The
-// scan's access is resolved instead to the slots of the rows it emits
-// (TableView.Select, under the table's read lock), and each worker
-// copies its rows' cells out of storage a morsel at a time into one
-// buffer it reuses (Selection.Fill, outside the lock; the statement's
-// pin keeps them intact). The slot list is cut into the vecBatchSize
-// batches gathering would have made, and those batches into the same
-// chunks per worker, so partial tables, their merge order and float sums
-// are those of the gathered path bit for bit. Unpinned views keep the
-// gather: with no pin, the next commit may free and reuse any slot.
+// Scans read storage through one Selection. A scan's access is
+// resolved under the table's read lock to the slots of the rows it
+// emits (TableView.Select), and every cell is copied out of storage
+// afterwards, outside the lock, under the statement's pin
+// (Selection.Fill). A sequential scan's residual runs once over the
+// whole selection (filterSelected), filling only the columns it reads.
+// Then either a fold consumes the scan — an aggregate, or a group-join's
+// probe — and each worker fills its rows' emitted columns a morsel at a
+// time into one buffer it reuses, since every row is folded once and
+// dropped (foldSelected); or the scan streams, and the surviving rows'
+// emitted columns are filled into one exactly sized batch (stream).
+// Either way the rows come in the vecBatchSize batches of the
+// selection, minus the rows the residual rejected, so batch counts,
+// chunks per worker, partial tables, their merge order and float sums
+// do not depend on who consumes the scan.
 
 // foldMorsel is how many rows a fold copies out of storage at a time:
 // the rows of one worker's buffer. EXPERIMENTS "Folds that read
@@ -26,46 +25,66 @@ import (
 // the calls, and the allocations of any argument computed per morsel.
 const foldMorsel = 128
 
-// foldSelected is foldAll over a scan that has not read yet, on a pinned
-// view: select, run a sequential scan's residual batch by batch, then
-// fold the surviving rows in morsels. The scan's counters come out as
-// gathering would have left them: rows examined in, one batch and its
-// rows out per non-empty batch.
-func (s *vecScan) foldSelected(op *OpStats, part func() (*aggTable, func(*batch) error)) (*aggTable, error) {
+// selectRows runs the scan's read: it selects, runs a sequential
+// scan's residual, and returns the selection and the ranges of its
+// non-empty batches, counting the rows examined as the scan's input.
+func (s *vecScan) selectRows() (*scanRead, *store.Selection, []morselRange, error) {
 	r := s.read
 	s.read = nil
 	sel, examined, err := r.tv.Select(r.ec.ctx, r.a)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	r.count(examined, s.op)
-	batches := make([]morselRange, 0, (len(sel.Slots)+vecBatchSize-1)/vecBatchSize)
-	for lo := 0; lo < len(sel.Slots); lo += vecBatchSize {
-		batches = append(batches, morselRange{lo, min(lo+vecBatchSize, len(sel.Slots))})
+	batches := batchRanges(len(sel.Slots))
+	if r.residual != nil {
+		batches, err = r.filterSelected(sel, batches)
 	}
-	if s.residual != nil {
-		if batches, err = s.filterSelected(r, sel, batches); err != nil {
-			return nil, err
-		}
+	return r, sel, batches, err
+}
+
+// stream copies the emitted columns of the rows the read selects out of
+// storage into one exactly sized batch and cuts it into the selection's
+// batches.
+func (s *vecScan) stream() ([]*batch, error) {
+	r, sel, batches, err := s.selectRows()
+	if err != nil {
+		return nil, err
+	}
+	cb := &store.ColBatch{Cols: make([]store.Col, r.width), Rows: len(sel.Slots)}
+	for i := range cb.Cols {
+		sel.FillCol(&cb.Cols[i], i, 0, cb.Rows)
+	}
+	return batchesOf(cb, batches), nil
+}
+
+// foldSelected is foldAll over a scan that has not read yet: select,
+// then fold the surviving rows in morsels. The scan's counters come out
+// as streaming would leave them: rows examined in, one batch and its
+// rows out per non-empty batch.
+func (s *vecScan) foldSelected(op *OpStats, part func() (*aggTable, func(*batch) error)) (*aggTable, error) {
+	r, sel, batches, err := s.selectRows()
+	if err != nil {
+		return nil, err
 	}
 	for _, b := range batches {
 		s.op.emitRows(b.hi - b.lo)
 	}
 	total := len(sel.Slots)
 	op.addIn(int64(total))
-	atomic.AddInt64(&r.ec.stats.RowsFilled, int64(total))
 	return foldChunks(r.ec, len(batches), total, part, func(c morselRange, fold func(*batch) error) error {
-		return s.foldSlots(r, sel, batches[c.lo].lo, batches[c.hi-1].hi, fold)
+		return r.foldSlots(sel, batches[c.lo].lo, batches[c.hi-1].hi, fold)
 	})
 }
 
 // filterSelected runs a sequential scan's residual over the selection
-// one batch at a time, the batches split over the pool as gathering
-// splits them: each worker fills one batch-sized buffer with the
-// columns the residual reads and narrows its batches' slots to the rows
-// that pass. The surviving slots are then packed to the front of the
-// selection, and the non-empty batches' ranges in it returned.
-func (s *vecScan) filterSelected(r *scanRead, sel *store.Selection, batches []morselRange) ([]morselRange, error) {
+// one batch at a time, the batches split into one contiguous chunk per
+// worker: each worker fills one batch-sized buffer with the columns the
+// residual reads and narrows its batches' slots to the rows that pass.
+// The surviving slots are then packed to the front of the selection,
+// and the non-empty batches' ranges in it returned. An error is the
+// first failing row's in selection order, at any Parallelism.
+func (r *scanRead) filterSelected(sel *store.Selection, batches []morselRange) ([]morselRange, error) {
 	kept := make([]int, len(batches))
 	err := runChunks(r.ec.ctx, splitChunks(len(batches), r.ec.para), func(_ int, c morselRange) error {
 		poll := canceller{ctx: r.ec.ctx}
@@ -88,7 +107,7 @@ func (s *vecScan) filterSelected(r *scanRead, sel *store.Selection, batches []mo
 				sel.FillCol(b.cols[i], i, lo, hi)
 			}
 			b.n = hi - lo
-			pass, err := s.residual(b, identity(b.n))
+			pass, err := r.residual(b, identity(b.n))
 			if err != nil {
 				return err
 			}
@@ -116,10 +135,10 @@ func (s *vecScan) filterSelected(r *scanRead, sel *store.Selection, batches []mo
 
 // foldSlots folds the selected rows Slots[lo:hi] — the scan's emitted
 // columns only — a morsel at a time through one reused buffer.
-func (s *vecScan) foldSlots(r *scanRead, sel *store.Selection, lo, hi int, fold func(*batch) error) error {
+func (r *scanRead) foldSlots(sel *store.Selection, lo, hi int, fold func(*batch) error) error {
 	poll := canceller{ctx: r.ec.ctx}
-	cols := make([]store.Col, s.width)
-	b := &batch{cols: make([]*store.Col, s.width)}
+	cols := make([]store.Col, r.width)
+	b := &batch{cols: make([]*store.Col, r.width)}
 	for i := range cols {
 		b.cols[i] = &cols[i]
 	}

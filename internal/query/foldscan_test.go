@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,15 +29,93 @@ func exactRows(rows []store.Row) string {
 	return string(b)
 }
 
+// sortedRows is exactRows with the rows in sorted order.
+func sortedRows(rows []store.Row) string {
+	lines := strings.Split(exactRows(rows), "\n")
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// passThrough hands its input's batches on unchanged. Wrapped around a
+// scan it hides the scan from foldAll, which then folds the batches the
+// scan streams — the oracle for a fold that reads storage.
+type passThrough struct{ in batchIterator }
+
+func (p passThrough) nextBatch() (*batch, error) { return p.in.nextBatch() }
+
+// streamFolds wraps each scan that a fold in the operator tree reads
+// directly — an aggregate's input, a group-join's probe — in a
+// passThrough, and returns how many it wrapped.
+func streamFolds(it batchIterator) int {
+	switch o := it.(type) {
+	case *vecProject:
+		return streamFolds(o.in)
+	case *vecFilter:
+		return streamFolds(o.in)
+	case *vecLimit:
+		return streamFolds(o.in)
+	case *vecSort:
+		return streamFolds(o.in)
+	case *vecTopK:
+		return streamFolds(o.in)
+	case *vecAgg:
+		if s, ok := o.in.(*vecScan); ok {
+			o.in = passThrough{s}
+			return 1
+		}
+		return streamFolds(o.in)
+	case *vecGroupJoin:
+		n := streamFolds(o.buildIn)
+		if s, ok := o.probeIn.(*vecScan); ok {
+			o.probeIn = passThrough{s}
+			return n + 1
+		}
+		return n + streamFolds(o.probeIn)
+	}
+	return 0
+}
+
+// runStreamed is Engine.RunAt with every fold over a scan folding the
+// scan's streamed batches instead of reading storage; it also returns
+// how many folds it rewired.
+func runStreamed(e *Engine, stmt *SelectStmt, snap *store.SnapshotHandle) (*Result, int, error) {
+	ctx := context.Background()
+	logical, err := BuildLogical(stmt, e.cat)
+	if err != nil {
+		return nil, 0, err
+	}
+	optimized, err := Optimize(logical, e.cat, e.opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	ec := &execCtx{ctx: ctx, cat: e.cat, snap: snap, opts: e.opts, stats: &ExecStats{}, para: e.opts.EffectiveParallelism()}
+	root, err := build(optimized, ec, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	wrapped := streamFolds(root)
+	res := &Result{Columns: outputColumns(optimized), Plan: strings.Join(ec.plan, "\n")}
+	if res.Batch, err = drainColumns(ctx, root, optimized.Schema()); err != nil {
+		return nil, 0, err
+	}
+	if stmt.Analyze {
+		res.Plan, res.Batch = annotatePlan(ec.plan, ec.stats.Ops), nil
+	}
+	return res, wrapped, nil
+}
+
 // TestFoldFromStorageMatchesGather runs every fold shape twice at each
-// worker count: pinned, where the fold reads storage, and unpinned
-// (RunAt with no snapshot), where the scan gathers as it always did.
-// The answers must agree bit for bit and in order — float sums
-// included, since the batches and the chunks per worker are the same —
-// and so must EXPLAIN ANALYZE's per-operator counters.
+// worker count, at one pin: as the engine runs it, where the fold reads
+// storage a morsel at a time, and with the fold's scan hidden behind a
+// pass-through, where the fold takes its batch path over the batches
+// the scan streams. The answers must agree bit for bit and in order —
+// float sums included, since the batches and the chunks per worker are
+// the same — and so must EXPLAIN ANALYZE's per-operator counters.
 func TestFoldFromStorageMatchesGather(t *testing.T) {
 	cat := datagenCatalog(t, 7)
 	ctx := context.Background()
+	snap := cat.PinSnapshot()
+	defer snap.Release()
 	for _, q := range foldShapes {
 		for _, para := range []int{1, diffParallelism} {
 			eng := NewEngine(cat, parallelOptions(para))
@@ -45,28 +124,25 @@ func TestFoldFromStorageMatchesGather(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pinned, err := eng.Run(ctx, stmt)
+				filled, err := eng.RunAt(ctx, stmt, snap)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gathered, err := eng.RunAt(ctx, stmt, nil)
+				streamed, wrapped, err := runStreamed(eng, stmt, snap)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if empty := strings.Contains(q, "1000"); (pinned.Stats.RowsFilled == 0) != empty {
-					t.Fatalf("%q, parallelism %d: a pinned run folded %d rows from storage", q, para, pinned.Stats.RowsFilled)
+				if wrapped != 1 {
+					t.Fatalf("%q, parallelism %d: %d folds read a scan, want 1", q, para, wrapped)
 				}
-				if gathered.Stats.RowsFilled != 0 {
-					t.Fatalf("%q, parallelism %d: an unpinned run folded %d rows from storage", q, para, gathered.Stats.RowsFilled)
-				}
-				if prefix == "" && (pinned.Batch == nil || gathered.Batch == nil) {
+				if prefix == "" && (filled.Batch == nil || streamed.Batch == nil) {
 					t.Fatalf("%q, parallelism %d: a run delivered no batch", q, para)
 				}
-				if got, want := exactRows(store.RowsFromColBatch(pinned.Batch)), exactRows(store.RowsFromColBatch(gathered.Batch)); got != want {
-					t.Fatalf("%q, parallelism %d: folded from storage\n%s\ngathered\n%s", q, para, got, want)
+				if got, want := exactRows(store.RowsFromColBatch(filled.Batch)), exactRows(store.RowsFromColBatch(streamed.Batch)); got != want {
+					t.Fatalf("%q, parallelism %d: folded from storage\n%s\nfolded from the stream\n%s", q, para, got, want)
 				}
-				if pinned.Plan != gathered.Plan {
-					t.Fatalf("%q, parallelism %d: counters differ\nfolded from storage:\n%s\ngathered:\n%s", q, para, pinned.Plan, gathered.Plan)
+				if filled.Plan != streamed.Plan {
+					t.Fatalf("%q, parallelism %d: counters differ\nfolded from storage:\n%s\nfolded from the stream:\n%s", q, para, filled.Plan, streamed.Plan)
 				}
 			}
 		}
@@ -75,11 +151,14 @@ func TestFoldFromStorageMatchesGather(t *testing.T) {
 
 // TestUnpinnedFoldsGather: the two reads with no pin behind them — a
 // statement run with no snapshot, and a table created after the
-// statement's pin — keep gathering under the read lock while a
-// committer retires and inserts rows, so GC frees and reuses slots
-// between reads. Run under the race detector (make race).
+// statement's pin — once gathered under the read lock; now neither
+// reads. At one worker and at four, a fold statement run with no
+// snapshot is an error, and a fold over a table created after its
+// caller's pin returns the snapshot's error, while the same fold run at
+// a fresh pin counts every row of the late table.
 func TestUnpinnedFoldsGather(t *testing.T) {
 	cat := datagenCatalog(t, 7)
+	ctx := context.Background()
 	snap := cat.PinSnapshot()
 	defer snap.Release()
 	late, err := cat.DB.CreateTable("late", store.MustSchema(
@@ -100,6 +179,83 @@ func TestUnpinnedFoldsGather(t *testing.T) {
 	if err := cat.DB.CommitDeltas([]store.TableDelta{{Table: "late", Inserts: rows}}); err != nil {
 		t.Fatal(err)
 	}
+	lateFold, err := Parse("SELECT g, COUNT(*) FROM late WHERE x >= 0 GROUP BY g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, para := range []int{1, diffParallelism} {
+		eng := NewEngine(cat, parallelOptions(para))
+		for _, c := range []struct {
+			q    string
+			snap *store.SnapshotHandle
+			want string
+		}{
+			{"SELECT protein_id, COUNT(*) FROM activities WHERE affinity >= 0 GROUP BY protein_id", nil, "query: statement run with no pinned snapshot"},
+			{"SELECT g, COUNT(*) FROM late WHERE x >= 0 GROUP BY g", snap, `store: no table "late" in snapshot`},
+		} {
+			stmt, err := Parse(c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.RunAt(ctx, stmt, c.snap); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%q, parallelism %d: err = %v, want %q", c.q, para, err, c.want)
+			}
+		}
+		res, err := eng.Run(ctx, lateFold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := int64(0)
+		for i := 0; i < res.Batch.Rows; i++ {
+			sum += res.Batch.Cols[1].Value(i).I
+		}
+		if res.Batch.Rows != 7 || sum != n {
+			t.Fatalf("parallelism %d: %d groups count %d rows, want 7 groups of %d", para, res.Batch.Rows, sum, n)
+		}
+	}
+}
+
+// TestStatementsReadTheirPin: every statement reads one pinned image.
+// While a committer replaces rows of activities again and again — the
+// contents never change, the slots do, so GC frees and reuses them
+// between reads — each Run of a fold and of a streaming scan, over an
+// index range and a sequential pass with a residual, at one worker and
+// at four, must answer exactly as before the first commit: a read that
+// straddled two versions would see a replaced row twice or not at all.
+// Once the committer stops, no snapshot, pinned version or dead version
+// remains. Run under the race detector (make race).
+func TestStatementsReadTheirPin(t *testing.T) {
+	cat := datagenCatalog(t, 7)
+	ctx := context.Background()
+	var err error
+	queries := []string{
+		"SELECT protein_id, COUNT(*) FROM activities WHERE affinity >= 0 GROUP BY protein_id",
+		"SELECT protein_id, COUNT(*), MIN(ligand_id) FROM activities WHERE affinity * 2.0 >= 0 GROUP BY protein_id",
+		"SELECT protein_id, ligand_id FROM activities WHERE affinity >= 0",
+		"SELECT protein_id, ligand_id FROM activities WHERE affinity * 2.0 >= 0",
+	}
+	stmts := make([]*SelectStmt, len(queries))
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		if stmts[i], err = Parse(q); err != nil {
+			t.Fatal(err)
+		}
+		res, err := NewEngine(cat, serialOptions()).Run(ctx, stmts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sortedRows(store.RowsFromColBatch(res.Batch))
+	}
+	plans := ""
+	for _, q := range queries {
+		plans += runQ(t, cat, serialOptions(), "EXPLAIN "+q).Plan + "\n"
+	}
+	for _, shape := range []string{"IndexRangeScan activities", "SeqScan activities"} {
+		if !strings.Contains(plans, shape) {
+			t.Fatalf("no statement reads by %s:\n%s", shape, plans)
+		}
+	}
+
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var commitErr error
@@ -107,79 +263,68 @@ func TestUnpinnedFoldsGather(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Replace every row of both tables read below, again and again:
-		// the row count never changes, the slots do.
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			for _, name := range []string{"late", "activities"} {
-				tb, err := cat.DB.Table(name)
-				if err != nil {
-					commitErr = err
-					return
-				}
-				d := store.TableDelta{Table: name}
-				tb.Scan(func(id int64, r store.Row) bool {
-					if len(d.DeleteIDs) < 500 {
-						d.DeleteIDs, d.Inserts = append(d.DeleteIDs, id), append(d.Inserts, r.Clone())
-					}
-					return true
-				})
-				if commitErr = cat.DB.CommitDeltas([]store.TableDelta{d}); commitErr != nil {
-					return
-				}
-				commits.Add(1)
+			tb, err := cat.DB.Table("activities")
+			if err != nil {
+				commitErr = err
+				return
 			}
+			d := store.TableDelta{Table: "activities"}
+			tb.Scan(func(id int64, r store.Row) bool {
+				if len(d.DeleteIDs) < 500 {
+					d.DeleteIDs, d.Inserts = append(d.DeleteIDs, id), append(d.Inserts, r.Clone())
+				}
+				return true
+			})
+			if commitErr = cat.DB.CommitDeltas([]store.TableDelta{d}); commitErr != nil {
+				return
+			}
+			commits.Add(1)
 		}
 	}()
-	defer func() {
-		close(stop)
-		wg.Wait()
-		if commitErr != nil {
-			t.Fatal(commitErr)
+	stopped := false
+	halt := func() {
+		if !stopped {
+			stopped = true
+			close(stop)
+			wg.Wait()
 		}
-	}()
-	activities, err := cat.DB.Table("activities")
-	if err != nil {
-		t.Fatal(err)
 	}
-	total := int64(activities.Len())
+	defer halt()
 	for _, para := range []int{1, diffParallelism} {
 		eng := NewEngine(cat, parallelOptions(para))
 		// Read until the committer has landed twenty commits in between.
 		for round, start := 0, commits.Load(); round < 10000 && commits.Load() < start+20; round++ {
-			for _, c := range []struct {
-				q    string
-				snap *store.SnapshotHandle
-				want int64
-			}{
-				{"SELECT g, COUNT(*) FROM late WHERE x >= 0 GROUP BY g", snap, n},
-				{"SELECT protein_id, COUNT(*) FROM activities WHERE affinity >= 0 GROUP BY protein_id", nil, total},
-			} {
-				stmt, err := Parse(c.q)
+			for i, stmt := range stmts {
+				res, err := eng.Run(ctx, stmt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := eng.RunAt(context.Background(), stmt, c.snap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Stats.RowsFilled != 0 {
-					t.Fatalf("%q, parallelism %d: folded %d rows from storage with no pin", c.q, para, res.Stats.RowsFilled)
-				}
-				sum := int64(0)
-				for i := 0; i < res.Batch.Rows; i++ {
-					sum += res.Batch.Cols[1].Value(i).I
-				}
-				// A read may straddle no commit: the counts add up to the
-				// table's unchanging size.
-				if sum != c.want {
-					t.Fatalf("%q, parallelism %d: groups count %d rows, want %d", c.q, para, sum, c.want)
+				if got := sortedRows(store.RowsFromColBatch(res.Batch)); got != want[i] {
+					t.Fatalf("%q, parallelism %d, round %d: the answer is not the pinned image's", queries[i], para, round)
 				}
 			}
 		}
+	}
+	halt()
+	if commitErr != nil {
+		t.Fatal(commitErr)
+	}
+	if commits.Load() < 40 {
+		t.Fatalf("only %d commits landed between the reads", commits.Load())
+	}
+	if n := cat.DB.ActiveSnapshots(); n != 0 {
+		t.Fatalf("%d snapshots still active", n)
+	}
+	if n := cat.DB.PinnedVersions(); n != 0 {
+		t.Fatalf("%d versions still pinned", n)
+	}
+	if n := cat.DB.DeadVersions(); n != 0 {
+		t.Fatalf("%d dead versions at rest", n)
 	}
 }

@@ -9,7 +9,9 @@ import (
 )
 
 // Catalog supplies the planner with tables, statistics, and the
-// phylogenetic tree backing WITHIN_SUBTREE.
+// phylogenetic tree backing WITHIN_SUBTREE, and the executor with the
+// pinned snapshot a statement reads: rows are read only through the
+// snapshot's views, never through Table.
 type Catalog interface {
 	// Table returns the named base table.
 	Table(name string) (*store.Table, error)
@@ -18,6 +20,9 @@ type Catalog interface {
 	// Tree returns the current phylogenetic tree, or nil when the
 	// catalog has none.
 	Tree() *phylo.Tree
+	// PinSnapshot pins an MVCC snapshot of the backing store: Run reads
+	// every table of a statement at the one it pins.
+	PinSnapshot() *store.SnapshotHandle
 }
 
 // LogicalPlan is a relational operator tree produced by the planner

@@ -50,13 +50,12 @@ type OverlayCatalog interface {
 // whose only predicate is one WITHIN_SUBTREE conjunct on the key
 // column, with every aggregate function derivable from (Rows, Count,
 // Sum) — and answers it from the overlay without touching a row. The
-// rewrite fires only when the statement holds a pinned snapshot and
-// the overlay is synchronized at exactly the pinned version, so an
-// overlay read can never mix versions with the statement's other
-// scans. EXPLAIN renders the leaf as "OverlayRead table@node
-// [version=V rows=N]".
+// rewrite fires only when the overlay is synchronized at exactly the
+// version the statement's snapshot pinned, so an overlay read can never
+// mix versions with the statement's other scans. EXPLAIN renders the
+// leaf as "OverlayRead table@node [version=V rows=N]".
 func tryOverlayRead(n *AggNode, ec *execCtx, depth int) (batchIterator, bool) {
-	if !ec.opts.UseIndexes || ec.snap == nil || len(n.GroupBy) != 0 || len(n.Aggs) == 0 {
+	if !ec.opts.UseIndexes || len(n.GroupBy) != 0 || len(n.Aggs) == 0 {
 		return nil, false
 	}
 	oc, ok := ec.cat.(OverlayCatalog)
@@ -131,5 +130,5 @@ func tryOverlayRead(n *AggNode, ec *execCtx, depth int) (batchIterator, bool) {
 		col.Append(v)
 		cb.Cols[i] = *col
 	}
-	return &vecScan{batches: batchesOf(cb), cancel: canceller{ctx: ec.ctx}, op: op}, true
+	return &vecScan{batches: batchesOf(cb, nil), cancel: canceller{ctx: ec.ctx}, op: op}, true
 }

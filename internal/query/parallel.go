@@ -10,9 +10,11 @@ import (
 // aggregation) split the materialized batches into one contiguous
 // chunk per worker. Workers write into per-batch output slots, so
 // concatenating the slots in order reproduces the serial operator's
-// row sequence exactly — parallel execution is observationally
-// identical to Parallelism: 1, which is what the differential harness
-// asserts.
+// row sequence exactly, and runChunks reports the error of the first
+// chunk that failed, which is the error the serial pass stops at. So
+// parallel execution is observationally identical to Parallelism: 1,
+// in its rows and in its errors. The differential harness and
+// TestEvalErrorsAgree assert this.
 //
 // Cancellation: every worker and every serial drain loop polls its
 // context through a canceller once per batch, so a context cancelled
@@ -64,8 +66,10 @@ func splitChunks(n, k int) []morselRange {
 }
 
 // runChunks runs fn once per chunk, one goroutine per chunk, joining
-// all workers before returning. The first error wins; a context error
-// inside fn should surface through fn's own canceller.
+// all workers before returning. The error of the first chunk in chunk
+// order that failed wins — the one a serial pass over the chunks would
+// have stopped at —; a context error inside fn should surface through
+// fn's own canceller.
 func runChunks(ctx context.Context, chunks []morselRange, fn func(w int, r morselRange) error) error {
 	if len(chunks) == 0 {
 		return nil
@@ -73,23 +77,20 @@ func runChunks(ctx context.Context, chunks []morselRange, fn func(w int, r morse
 	if len(chunks) == 1 {
 		return fn(0, chunks[0])
 	}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
+	var wg sync.WaitGroup
+	errs := make([]error, len(chunks))
 	for w := range chunks {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if err := fn(w, chunks[w]); err != nil {
-				errOnce.Do(func() { firstErr = err })
-			}
+			errs[w] = fn(w, chunks[w])
 		}(w)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return ctx.Err()
 }

@@ -20,10 +20,6 @@ type ExecStats struct {
 	RowsIndexed  int64 // rows fetched through an index
 	RowsJoined   int64 // rows emitted by join operators
 	RowsReturned int64
-	// RowsFilled counts the rows folds read straight from table storage,
-	// a morsel at a time under the statement's pin, instead of from a
-	// gathered copy (foldscan.go).
-	RowsFilled int64
 	// Ops holds per-operator counters, one entry per Result.Plan line
 	// in the same order. They are filled while rows stream out and
 	// rendered by EXPLAIN ANALYZE (Result.AnnotatedPlan).
@@ -40,7 +36,6 @@ func (s *ExecStats) Snapshot() ExecStats {
 		RowsIndexed:  atomic.LoadInt64(&s.RowsIndexed),
 		RowsJoined:   atomic.LoadInt64(&s.RowsJoined),
 		RowsReturned: atomic.LoadInt64(&s.RowsReturned),
-		RowsFilled:   atomic.LoadInt64(&s.RowsFilled),
 		Ops:          s.Ops,
 	}
 }
@@ -91,7 +86,7 @@ func (o *OpStats) selectivity() float64 {
 type execCtx struct {
 	ctx   context.Context
 	cat   Catalog
-	snap  *store.SnapshotHandle // pinned statement snapshot; nil reads latest
+	snap  *store.SnapshotHandle // the statement's pinned snapshot: every scan reads its views
 	opts  Options
 	stats *ExecStats
 	plan  []string // physical plan description lines (depth-first)
@@ -106,20 +101,10 @@ func (c *execCtx) env(schema *planSchema) bindEnv {
 }
 
 // view returns the statement's read view of a table: the pinned
-// snapshot's frozen version when one is held, the live latest-version
-// table otherwise. Tables created after the pin also fall back to the
-// live table (the snapshot cannot cover them).
+// snapshot's. A table created after the pin is not in the snapshot, and
+// reading it is the snapshot's error.
 func (c *execCtx) view(name string) (*store.TableView, error) {
-	if c.snap != nil {
-		if tv, err := c.snap.View(name); err == nil {
-			return tv, nil
-		}
-	}
-	t, err := c.cat.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	return t.LatestView(), nil
+	return c.snap.View(name)
 }
 
 // note appends a plan line and allocates its per-operator counter
@@ -389,7 +374,7 @@ func (p accessPath) describe(n *ScanNode) string {
 	return d + n.colsNote() + residualNote(p)
 }
 
-// access is the store access an index path hands Gather, emitting the
+// access is the store access an index path hands Select, emitting the
 // table columns cols; the caller attaches the residual. A sequential
 // path's is a full pass.
 func (p accessPath) access(cols []int) store.Access {

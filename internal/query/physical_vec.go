@@ -116,8 +116,9 @@ func buildScan(n *ScanNode, ec *execCtx, depth int) (batchIterator, error) {
 // ordered walk can stop at its k-th qualifying row; a point lookup is a
 // short batch like any other. That access is returned too: a keyed probe's join
 // gives it its keys before the scan's first call. A sequential scan
-// gathers the emitted columns plus any the residual reads, filters the
-// batches vectorized and drops the extras on emit.
+// selects every visible row, runs its residual once over the whole
+// selection — filling only the columns the residual reads — and copies
+// out only the emitted columns of the rows that pass (foldscan.go).
 func lowerScan(n *ScanNode, tv *store.TableView, path accessPath, ec *execCtx, depth int) (*vecScan, *store.Access, error) {
 	if path.kind == "seqscan" {
 		scan, err := lowerSeqScan(n, tv, path, ec, depth)
@@ -131,7 +132,7 @@ func lowerScan(n *ScanNode, tv *store.TableView, path accessPath, ec *execCtx, d
 		}
 	}
 	op := ec.note(depth, "%s", path.describe(n))
-	scan := &vecScan{read: &scanRead{tv: tv, a: a, ec: ec, indexed: true}, width: n.schema.Len(), cancel: canceller{ctx: ec.ctx}, op: op}
+	scan := &vecScan{read: &scanRead{tv: tv, a: a, ec: ec, indexed: true, width: n.schema.Len()}, cancel: canceller{ctx: ec.ctx}, op: op}
 	return scan, &scan.read.a, nil
 }
 
@@ -192,15 +193,13 @@ func (r *residualRead) accept(chunk *store.Selection) (int, error) {
 }
 
 func lowerSeqScan(n *ScanNode, tv *store.TableView, path accessPath, ec *execCtx, depth int) (*vecScan, error) {
-	a := store.Access{Cols: n.proj}
+	r := &scanRead{tv: tv, a: store.Access{Cols: n.proj}, ec: ec, width: n.schema.Len()}
 	layout := n.schema
-	var residual vecPred
-	var filterCols []int
 	if len(path.residual) > 0 {
 		pred := joinConjuncts(path.residual)
 		if n.proj != nil {
 			layout = &planSchema{cols: append([]planCol(nil), n.schema.cols...)}
-			a.Cols = append([]int(nil), n.proj...)
+			r.a.Cols = append([]int(nil), n.proj...)
 			for _, ref := range exprColumns(pred) {
 				if _, ok := layout.lookup(ref); ok {
 					continue
@@ -210,29 +209,28 @@ func lowerSeqScan(n *ScanNode, tv *store.TableView, path accessPath, ec *execCtx
 					return nil, err
 				}
 				layout.cols = append(layout.cols, n.base.cols[ci])
-				a.Cols = append(a.Cols, ci)
+				r.a.Cols = append(r.a.Cols, ci)
 			}
 		}
 		var err error
-		if residual, err = bindVecPred(pred, ec.env(layout)); err != nil {
+		if r.residual, err = bindVecPred(pred, ec.env(layout)); err != nil {
 			return nil, err
 		}
 		for _, ref := range exprColumns(pred) {
-			if i, ok := layout.lookup(ref); ok && !slices.Contains(filterCols, i) {
-				filterCols = append(filterCols, i)
+			if i, ok := layout.lookup(ref); ok && !slices.Contains(r.filterCols, i) {
+				r.filterCols = append(r.filterCols, i)
 			}
 		}
 	}
 	op := ec.note(depth, "%s", path.describe(n))
-	return &vecScan{read: &scanRead{tv: tv, a: a, ec: ec, filterCols: filterCols}, residual: residual, width: n.schema.Len(),
-		cancel: canceller{ctx: ec.ctx}, op: op}, nil
+	return &vecScan{read: r, cancel: canceller{ctx: ec.ctx}, op: op}, nil
 }
 
 // scanRead is the table read behind a scan operator: one store access on
-// the statement's view of the table. A scan runs it once, either
-// gathering every row it emits (gather) or — when a fold consumes the
-// scan over a pinned view — selecting them and filling a morsel at a
-// time (foldSelected).
+// the statement's pinned view of the table, run once (foldscan.go). Its
+// output columns are the scan's width emitted columns, then — on a
+// sequential scan with a residual — the other columns the residual
+// reads.
 type scanRead struct {
 	tv *store.TableView
 	a  store.Access
@@ -240,8 +238,11 @@ type scanRead struct {
 	// indexed: the access walks an index (its examined rows count as
 	// RowsIndexed), else it is a sequential pass (RowsScanned).
 	indexed bool
-	// filterCols lists the output columns a sequential scan's residual
-	// reads.
+	// width is how many of the access's output columns the scan emits.
+	width int
+	// residual is a sequential scan's filter, and filterCols the output
+	// columns it reads.
+	residual   vecPred
 	filterCols []int
 }
 
@@ -256,19 +257,14 @@ func (r *scanRead) count(examined int, op *OpStats) {
 	op.addIn(int64(examined))
 }
 
-// vecScan streams materialized batches — its read's, gathered on the
-// first call, when it has one — applying an optional residual predicate
-// by narrowing each batch's selection vector, then trimming the batch to
-// its first width columns (0 keeps all): a sequential scan gathers the
-// columns its residual reads after the ones it emits.
+// vecScan streams materialized batches: its read's, copied out of
+// storage on the first call (stream), when it has one.
 type vecScan struct {
-	read     *scanRead
-	batches  []*batch
-	pos      int
-	residual vecPred
-	width    int
-	cancel   canceller
-	op       *OpStats
+	read    *scanRead
+	batches []*batch
+	pos     int
+	cancel  canceller
+	op      *OpStats
 }
 
 func (s *vecScan) nextBatch() (*batch, error) {
@@ -276,82 +272,66 @@ func (s *vecScan) nextBatch() (*batch, error) {
 		if err := s.cancel.now(); err != nil {
 			return nil, err
 		}
-		if s.read != nil {
-			bs, err := s.gather()
-			if err != nil {
-				return nil, err
-			}
-			s.batches = bs
+		if err := s.load(); err != nil {
+			return nil, err
 		}
 		if s.pos >= len(s.batches) {
 			return nil, nil
 		}
 		b := s.batches[s.pos]
 		s.pos++
-		if s.residual != nil {
-			sel, err := s.residual(b, b.selection())
-			if err != nil {
-				return nil, err
-			}
-			b = &batch{cols: b.cols, sel: sel, n: b.n}
-		}
 		if b.live() == 0 {
 			continue
-		}
-		if s.width > 0 && s.width < len(b.cols) {
-			b = &batch{cols: b.cols[:s.width], sel: b.sel, n: b.n}
 		}
 		s.op.emit(b)
 		return b, nil
 	}
 }
 
-// gather runs the scan's read, copying every row it emits out of
-// storage into vecBatchSize batches, and — with Parallelism > 1 — runs
-// a sequential scan's residual over them on the pool: one contiguous
-// chunk of batches per worker, each narrowing its batches' selection
-// vectors in place. Batch order is preserved, so output order matches
-// serial.
-func (s *vecScan) gather() ([]*batch, error) {
-	r := s.read
-	s.read = nil
-	cb, examined, err := r.tv.Gather(r.ec.ctx, r.a)
-	if err != nil {
-		return nil, err
-	}
-	r.count(examined, s.op)
-	batches := batchesOf(cb)
-	if r.ec.para == 1 || s.residual == nil || len(batches) < 2 {
-		return batches, nil
-	}
-	err = runChunks(r.ec.ctx, splitChunks(len(batches), r.ec.para), func(_ int, c morselRange) error {
-		poll := canceller{ctx: r.ec.ctx}
-		for _, b := range batches[c.lo:c.hi] {
-			if err := poll.now(); err != nil {
-				return err
-			}
-			sel, err := s.residual(b, b.selection())
-			if err != nil {
-				return err
-			}
-			b.sel = sel
-		}
+// load runs the scan's read, when it has one that has not run, without
+// emitting a batch.
+func (s *vecScan) load() error {
+	if s.read == nil {
 		return nil
-	})
-	s.residual = nil
-	return batches, err
+	}
+	bs, err := s.stream()
+	s.batches = bs
+	return err
 }
 
 // --- Filter / Project / Limit ---
 
 type vecFilter struct {
-	in     batchIterator
-	pred   vecPred
+	in   batchIterator
+	pred vecPred
+	// sels, over a scan, holds the predicate's selection of each batch
+	// the scan has yet to emit, in emit order.
+	sels   [][]int
 	cancel canceller
 	op     *OpStats
 }
 
 func (f *vecFilter) nextBatch() (*batch, error) {
+	// A filter over a scan — a plan without pushdown — runs its predicate
+	// over every row the scan read before the first row leaves, as a
+	// sequential scan's residual does, so a LIMIT above cannot hide a row
+	// that fails. The scan still emits, and is counted, batch by batch.
+	if s, ok := f.in.(*vecScan); ok && s.read != nil {
+		if err := s.load(); err != nil {
+			return nil, err
+		}
+		f.sels = make([][]int, len(s.batches))
+		for i, b := range s.batches {
+			if err := f.cancel.now(); err != nil {
+				return nil, err
+			}
+			sel, err := f.pred(b, b.selection())
+			if err != nil {
+				return nil, err
+			}
+			f.sels[i] = sel
+		}
+	}
 	for {
 		if err := f.cancel.now(); err != nil {
 			return nil, err
@@ -361,8 +341,10 @@ func (f *vecFilter) nextBatch() (*batch, error) {
 			return nil, err
 		}
 		f.op.addIn(int64(b.live()))
-		sel, err := f.pred(b, b.selection())
-		if err != nil {
+		var sel []int
+		if f.sels != nil {
+			sel, f.sels = f.sels[0], f.sels[1:]
+		} else if sel, err = f.pred(b, b.selection()); err != nil {
 			return nil, err
 		}
 		if len(sel) == 0 {
@@ -511,7 +493,7 @@ func aggOutput(t *aggTable, cancel canceller, op *OpStats) *vecScan {
 	if t.groups == nil {
 		t.grow(1)
 	}
-	return &vecScan{batches: batchesOf(t.output()), cancel: cancel, op: op}
+	return &vecScan{batches: batchesOf(t.output(), nil), cancel: cancel, op: op}
 }
 
 // accumBatch evaluates group and argument expressions over one batch —
@@ -535,12 +517,12 @@ func (a *vecAgg) accumBatch(t *aggTable, b *batch) error {
 
 // foldAll folds the whole input into one table, counting its rows as
 // op's input; part returns a fresh partial table and the function that
-// folds one batch into it. A scan over a pinned view is folded straight
-// from storage (foldSelected). Any other input is folded batch by batch
-// as it streams in, or — with Parallelism > 1 — materialized and
-// folded by foldChunks.
+// folds one batch into it. A scan that has not read yet is folded
+// straight from storage (foldSelected). Any other input is folded batch
+// by batch as it streams in, or — with Parallelism > 1 — materialized
+// and folded by foldChunks.
 func foldAll(ec *execCtx, in batchIterator, op *OpStats, part func() (*aggTable, func(*batch) error)) (*aggTable, error) {
-	if s, ok := in.(*vecScan); ok && s.read != nil && s.read.tv.Pinned() {
+	if s, ok := in.(*vecScan); ok && s.read != nil {
 		return s.foldSelected(op, part)
 	}
 	if ec.para == 1 {

@@ -19,21 +19,18 @@ import (
 // disagreement with an engine is a bug in the batch expression
 // compiler, the optimizer or the physical operators (or in this file).
 
-// refQuery runs src on the reference executor at the latest commit.
+// refQuery runs src on the reference executor at a snapshot it pins.
 func refQuery(cat Catalog, src string) (*Result, error) {
 	stmt, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	var snap *store.SnapshotHandle
-	if sc, ok := cat.(SnapshotCatalog); ok {
-		snap = sc.PinSnapshot()
-		defer snap.Release()
-	}
+	snap := cat.PinSnapshot()
+	defer snap.Release()
 	return refRunAt(cat, stmt, snap)
 }
 
-// refRunAt runs a statement at a pinned snapshot (nil reads latest).
+// refRunAt runs a statement at a pinned snapshot.
 func refRunAt(cat Catalog, stmt *SelectStmt, snap *store.SnapshotHandle) (*Result, error) {
 	plan, err := BuildLogical(stmt, cat)
 	if err != nil {

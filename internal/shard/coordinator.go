@@ -194,7 +194,6 @@ func mergeStats(results []*query.Result) query.ExecStats {
 		st.RowsScanned += r.Stats.RowsScanned
 		st.RowsIndexed += r.Stats.RowsIndexed
 		st.RowsJoined += r.Stats.RowsJoined
-		st.RowsFilled += r.Stats.RowsFilled
 	}
 	return st
 }

@@ -148,9 +148,9 @@ func acceptRows(width int, cols []int, keep func(Row) (bool, error)) func(*Selec
 	}
 }
 
-// checkAccess runs a, with keep as its Accept, through view's Gather —
-// and, on a pinned view, its Select and Fill — and compares with the
-// scan oracle: select says which stored rows qualify, keep which of
+// checkAccess runs a, with keep as its Accept, through view's Select,
+// filled once into an exactly sized batch and once a few rows at a time
+// into one reused buffer, and compares each with the scan oracle: select says which stored rows qualify, keep which of
 // those are emitted, keyCol (≥ 0) that the output must follow that
 // column's order.
 func checkAccess(view *TableView, a Access, keep func(Row) (bool, error), keyCol int, selects func(Row) bool) error {
@@ -176,19 +176,15 @@ func checkAccess(view *TableView, a Access, keep func(Row) (bool, error), keyCol
 			return c < 0
 		})
 	}
-	cb, examined, err := view.Gather(ctx, a)
+	cb, examined, err := selectAll(ctx, view, a)
 	if err != nil {
 		return err
 	}
 	if err := verifyAccess(a, keyCol, want, visible, RowsFromColBatch(cb), examined); err != nil {
-		return fmt.Errorf("Gather: %w", err)
+		return fmt.Errorf("Select: %w", err)
 	}
-	if !view.Pinned() {
-		return nil
-	}
-	// A pinned view's Select, filled a few rows at a time into one reused
-	// buffer, must pass the same check. (Postings under one key may
-	// reorder between the two reads while writers run.)
+	// A second Select, filled a few rows at a time into one reused
+	// buffer, must pass the same check.
 	sel, selExamined, err := view.Select(ctx, a)
 	if err != nil {
 		return err
@@ -200,7 +196,7 @@ func checkAccess(view *TableView, a Access, keep func(Row) (bool, error), keyCol
 		filled = append(filled, RowsFromColBatch(&buf)...)
 	}
 	if err := verifyAccess(a, keyCol, want, visible, filled, selExamined); err != nil {
-		return fmt.Errorf("Select: %w", err)
+		return fmt.Errorf("Select, filled in pieces: %w", err)
 	}
 	return nil
 }
@@ -314,19 +310,19 @@ func TestAccessMatchesScanOracle(t *testing.T) {
 					pins = pins[1:]
 				}
 			}
-			views := []*TableView{tb.LatestView()}
-			for _, p := range pins {
+			// The latest version, at a pin taken for the check, then the
+			// older pins.
+			fresh := db.PinSnapshot()
+			for _, p := range append([]*SnapshotHandle{fresh}, pins...) {
 				v, err := p.View("t")
 				if err != nil {
 					t.Fatal(err)
 				}
-				views = append(views, v)
-			}
-			for _, v := range views {
 				if err := randomChecks(v, rng); err != nil {
 					t.Fatalf("seed %d step %d at version %d (latest %d): %v", seed, step, v.Version(), tb.Version(), err)
 				}
 			}
+			fresh.Release()
 		}
 		for _, p := range pins {
 			p.Release()
@@ -414,7 +410,7 @@ func TestAccessUnderConcurrentCommits(t *testing.T) {
 // TestAccessPollsContext: a read over many postings notices a context
 // cancelled while it runs, on the index paths and the full pass alike.
 func TestAccessPollsContext(t *testing.T) {
-	_, tb := openAccessDB(t)
+	db, tb := openAccessDB(t)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 4*pollEvery; i++ {
 		if _, err := tb.Insert(accessRow(rng)); err != nil {
@@ -438,7 +434,10 @@ func TestAccessPollsContext(t *testing.T) {
 			}
 			return true, nil
 		})
-		cb, _, err := tb.Gather(ctx, -1, a)
+		snap := db.PinSnapshot()
+		view, _ := snap.View("t")
+		cb, _, err := selectAll(ctx, view, a)
+		snap.Release()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
 		}
@@ -457,7 +456,9 @@ func TestAccessAcceptError(t *testing.T) {
 		tb.Insert(accessRow(rng))
 	}
 	boom := errors.New("boom")
-	_, examined, err := tb.Gather(context.Background(), -1, Access{Column: "k", Accept: acceptRows(3, nil, func(Row) (bool, error) { return false, boom })})
+	view, release := pinView(tb)
+	defer release()
+	_, examined, err := view.Select(context.Background(), Access{Column: "k", Accept: acceptRows(3, nil, func(Row) (bool, error) { return false, boom })})
 	if !errors.Is(err, boom) || examined != 1 {
 		t.Fatalf("err = %v after %d rows, want boom after 1", err, examined)
 	}
@@ -477,6 +478,8 @@ func TestAcceptChunkBoundaries(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		tb.Insert(Row{FloatValue(float64(i)), StringValue(fmt.Sprintf("g%d", i%2)), IntValue(int64(i))})
 	}
+	view, release := pinView(tb)
+	defer release()
 	keep := func(r Row) (bool, error) { return r[2].I%3 != 0, nil }
 	boom := errors.New("boom")
 	failAt := func(n int64) func(Row) (bool, error) {
@@ -523,7 +526,7 @@ func TestAcceptChunkBoundaries(t *testing.T) {
 				a := w.a
 				a.Limit, a.Cols = limit, []int{2}
 				a.Accept = acceptRows(3, []int{2}, check)
-				cb, gotExamined, err := tb.Gather(context.Background(), -1, a)
+				cb, gotExamined, err := selectAll(context.Background(), view, a)
 				what := fmt.Sprintf("%s, limit %d, failing at n=%d", name, limit, fail)
 				if failed != (err != nil) || (err != nil && !errors.Is(err, boom)) {
 					t.Fatalf("%s: err = %v, want failure %v", what, err, failed)
@@ -573,17 +576,19 @@ func TestCountPostings(t *testing.T) {
 	}
 }
 
-// TestFilteredGatherSizedExactly: a gather whose residual keeps 10 of
-// 5 000 postings allocates vectors for the 10 rows, plus the list of
-// accepted slots — not a batch's worth of every column grown by
-// doubling, as it did.
+// TestFilteredGatherSizedExactly: a read whose residual keeps 10 of
+// 5 000 postings, filled whole, allocates vectors for the 10 rows, plus
+// the list of accepted slots — not a batch's worth of every column
+// grown by doubling.
 func TestFilteredGatherSizedExactly(t *testing.T) {
 	_, tb := openAccessDB(t)
 	for i := 0; i < 5000; i++ {
 		tb.Insert(Row{FloatValue(float64(i % 10)), StringValue(fmt.Sprintf("g%d", i%4)), IntValue(int64(i))})
 	}
+	view, release := pinView(tb)
+	defer release()
 	a := Access{Column: "k", Accept: acceptRows(3, []int{2}, func(r Row) (bool, error) { return r[2].I%500 == 1, nil })}
-	cb, examined, err := tb.Gather(context.Background(), -1, a)
+	cb, examined, err := selectAll(context.Background(), view, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,14 +604,15 @@ func TestFilteredGatherSizedExactly(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if _, _, err := tb.Gather(context.Background(), -1, a); err != nil {
+		if _, _, err := selectAll(context.Background(), view, a); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&after)
 	// 10 rows × 35 bytes, the 4 KiB slot list (whose spare room holds the
-	// chunks of candidates), the chunk's Selection and headers.
+	// chunks of candidates), the chunk's and the read's Selection and
+	// headers.
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 6<<10 {
-		t.Fatalf("a gather of 10 rows allocates %d bytes", per)
+		t.Fatalf("a read of 10 rows allocates %d bytes", per)
 	}
 }

@@ -48,8 +48,10 @@ func BenchmarkLookup(b *testing.B) {
 		{"ScanRange1k", plain, Access{Column: "id", Lo: &lo, Hi: &hi}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			view, release := pinView(c.t)
+			defer release()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := c.t.Gather(ctx, -1, c.a); err != nil {
+				if _, _, err := selectAll(ctx, view, c.a); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -278,23 +280,27 @@ func loadTreeShaped(tb testing.TB, n int) *Table {
 }
 
 // BenchmarkGatherRange is a navigation miss: a 2 k-row subtree interval
-// read through the B+-tree on pre into a ten-column batch.
+// selected through the B+-tree on pre and filled into a ten-column
+// batch, at one pin.
 func BenchmarkGatherRange(b *testing.B) {
 	t := loadTreeShaped(b, 100000)
+	view, release := pinView(t)
+	defer release()
 	lo, hi := IntValue(40000), IntValue(41999)
 	a := Access{Column: "pre", Lo: &lo, Hi: &hi, Cols: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cb, _, err := t.Gather(context.Background(), -1, a)
+		cb, _, err := selectAll(context.Background(), view, a)
 		if err != nil || cb.Rows != 2000 {
-			b.Fatalf("gathered %d rows, %v", cb.Rows, err)
+			b.Fatalf("filled %d rows, %v", cb.Rows, err)
 		}
 	}
 }
 
 // BenchmarkSeqPass is the index-free pass over 100 k rows, as a
-// callback scan and as a two-column gather with a residual.
+// callback scan and as a two-column Select with a residual, filled
+// whole at one pin.
 func BenchmarkSeqPass(b *testing.B) {
 	t := loadTreeShaped(b, 100000)
 	b.Run("Scan", func(b *testing.B) {
@@ -323,11 +329,13 @@ func BenchmarkSeqPass(b *testing.B) {
 			chunk.Slots = kept
 			return 0, nil
 		}}
+		view, release := pinView(t)
+		defer release()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cb, _, err := t.Gather(context.Background(), -1, a)
+			cb, _, err := selectAll(context.Background(), view, a)
 			if err != nil || cb.Rows != 10000 {
-				b.Fatalf("gathered %d rows, %v", cb.Rows, err)
+				b.Fatalf("filled %d rows, %v", cb.Rows, err)
 			}
 		}
 	})

@@ -1,14 +1,11 @@
 package store
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // Columnar batch support for the vectorized query executor. A Col is
 // one typed column vector; a ColBatch is a fixed-capacity set of
-// column vectors. Table.Gather fills a batch straight from table
-// storage with one typed append per projected cell — no per-row Row
+// column vectors. Selection.Fill fills a batch straight from table
+// storage with one typed copy per projected cell — no per-row Row
 // allocation — and the query layer's operators loop over the typed
 // slices directly (in ~1024-row zero-copy views).
 //
@@ -216,16 +213,6 @@ type ColBatch struct {
 	Rows int
 }
 
-// NewColBatch allocates an empty batch holding the schema's columns
-// cols, in that order, with room for capacity rows per column.
-func NewColBatch(s *Schema, cols []int, capacity int) *ColBatch {
-	cb := &ColBatch{Cols: make([]Col, len(cols))}
-	for i, c := range cols {
-		cb.Cols[i] = *NewCol(s.Columns[c].Kind, capacity)
-	}
-	return cb
-}
-
 // ColBatchFromRows transposes rows into typed column vectors of the
 // given kinds, sized exactly. Every cell must be its column's kind or
 // NULL (what Col.Append demands), which holds for rows read from a
@@ -264,49 +251,17 @@ func RowsFromColBatch(cb *ColBatch) []Row {
 	return rows
 }
 
-// Gather runs the access at commit version ver (negative reads the
-// latest) and materializes the selected rows, narrowed to a.Cols, into
-// one columnar batch — index walk, visibility check, residual check
-// and the typed cell copies under one read lock. Cells are copied out
-// of the storage vectors — typed, with no Value in between —, so the
-// batch stays valid while writers run, and into vectors sized exactly:
-// without Accept the posting count (capped by Limit) is the row count
-// up to retired versions, so cells are appended as the walk emits rows;
-// with Accept the walk selects the accepted slots first and the cells
-// are copied once, column at a time. It also returns how many visible
-// rows the walk examined; ctx is polled as the walk goes.
-func (t *Table) Gather(ctx context.Context, ver int64, a Access) (*ColBatch, int, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	cols := a.outputCols(t.schema)
-	if a.Accept == nil {
-		cb := NewColBatch(t.schema, cols, t.capacityLocked(a, a.Limit))
-		examined, err := t.readLocked(ctx.Err, ver, a, func(s int) {
-			for i, c := range cols {
-				cb.Cols[i].AppendFrom(&t.cols[c], s)
-			}
-			cb.Rows++
-		})
-		return cb, examined, err
-	}
-	slots, examined, err := t.slotsLocked(ctx.Err, ver, a)
-	cb, all := &ColBatch{Cols: make([]Col, len(cols)), Rows: len(slots)}, Selection{Slots: slots, cols: t.cols}
-	for i, c := range cols {
-		all.FillCol(&cb.Cols[i], c, 0, len(slots))
-	}
-	return cb, examined, err
-}
-
 // Selection is an access resolved to the slots of the rows it emits,
 // with no cell copied yet: Fill copies them later, a range at a time,
-// into a buffer the caller reuses. It holds copies of the output
-// columns' storage-vector headers taken under the read lock, and Fill
-// reads through them without the lock. That is sound only while a pin
-// holds the selected rows' version (TableView.Select demands a pinned
-// view): GC frees a slot only once no pin can see its row, an insert
-// writes only a free slot or one past every vector's old length, and a
-// vector an append reallocates leaves the old array — the one the
-// captured header names — intact.
+// into a buffer the caller reuses or one sized to the whole selection.
+// It holds copies of the output columns' storage-vector headers taken
+// under the read lock, and Fill reads through them without the lock.
+// That is sound only while a pin holds the selected rows' version, and
+// every TableView belongs to a SnapshotHandle that holds one: GC frees a
+// slot only once no pin can see its row, an insert writes only a free
+// slot or one past every vector's old length, and a vector an append
+// reallocates leaves the old array — the one the captured header names
+// — intact.
 type Selection struct {
 	// Slots lists the selected rows in access order. A caller may narrow
 	// it in place to a subsequence of itself, never add to it.
@@ -315,49 +270,42 @@ type Selection struct {
 }
 
 // Select resolves the access at the view's pinned version to a
-// Selection — visibility, Accept and Limit applied under the read lock
-// by the same walk Gather runs — and returns how many visible rows the
-// walk examined. Reading the cells is left to Fill, outside the lock,
-// so the view must stay pinned until the last Fill returns.
+// Selection — index walk, visibility, Accept and Limit applied under
+// the read lock, in one pass — and returns how many visible rows the
+// walk examined; ctx is polled as the walk goes. It is the one way the
+// query layer reaches stored rows. Reading the cells is left to Fill,
+// outside the lock, so the view's handle must stay pinned until the last
+// Fill returns.
 func (tv *TableView) Select(ctx context.Context, a Access) (*Selection, int, error) {
-	if tv.v < 0 {
-		return nil, 0, fmt.Errorf("store: select on %s needs a pinned view", tv.t.name)
-	}
-	tv.t.mu.RLock()
-	defer tv.t.mu.RUnlock()
-	return tv.t.selectLocked(ctx, tv.v, a)
-}
-
-// selectLocked runs the access at ver, collecting the emitted slots and
-// the output columns' headers.
-func (t *Table) selectLocked(ctx context.Context, ver int64, a Access) (*Selection, int, error) {
+	t := tv.t
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	cols := a.outputCols(t.schema)
 	sel := &Selection{cols: make([]Col, len(cols))}
 	for i, c := range cols {
 		sel.cols[i] = t.cols[c]
 	}
-	slots, examined, err := t.slotsLocked(ctx.Err, ver, a)
-	sel.Slots = slots
-	return sel, examined, err
-}
-
-// slotsLocked runs the access at ver and returns the slots of the rows it
-// emits, in access order, and how many visible rows it examined. Without
-// Accept the posting count (capped by Limit) sizes the slot list; with
-// one a residual may reject most postings, so it starts at one batch's
-// worth, holds the candidates awaiting Accept in its spare capacity, and
-// grows on demand.
-func (t *Table) slotsLocked(poll func() error, ver int64, a Access) ([]int32, int, error) {
-	if a.Accept == nil {
-		slots := make([]int32, 0, t.capacityLocked(a, a.Limit))
-		examined, err := t.readLocked(poll, ver, a, func(s int) { slots = append(slots, int32(s)) })
-		return slots, examined, err
+	if a.Accept != nil {
+		// A residual may reject most postings, so the list starts at one
+		// batch's worth, holds the candidates awaiting Accept in its
+		// spare capacity, and grows on demand.
+		max := pollEvery
+		if a.Limit > 0 {
+			max = min(max, a.Limit)
+		}
+		var examined int
+		var err error
+		sel.Slots, examined, err = t.acceptLocked(ctx.Err, tv.v, a, make([]int32, 0, t.capacityLocked(a, max)))
+		return sel, examined, err
 	}
-	max := pollEvery
-	if a.Limit > 0 {
-		max = min(max, a.Limit)
-	}
-	return t.acceptLocked(poll, ver, a, make([]int32, 0, t.capacityLocked(a, max)))
+	// With no Accept every row the walk examines is emitted, and the
+	// posting count (capped by Limit) sizes the list.
+	sel.Slots = make([]int32, 0, t.capacityLocked(a, a.Limit))
+	err := t.walkLocked(ctx.Err, tv.v, a, func(s int) bool {
+		sel.Slots = append(sel.Slots, int32(s))
+		return a.Limit <= 0 || len(sel.Slots) < a.Limit
+	})
+	return sel, len(sel.Slots), err
 }
 
 // Fill copies the cells of the rows Slots[lo:hi] into dst, one vector

@@ -76,7 +76,7 @@ func TestWALReplayAfterCrash(t *testing.T) {
 	if tb.Len() != 50 {
 		t.Fatalf("replayed %d rows, want 50", tb.Len())
 	}
-	if rows := gatherRows(t, tb, equalTo("name", StringValue("P7"))); len(rows) != 1 {
+	if rows := readRows(t, tb, equalTo("name", StringValue("P7"))); len(rows) != 1 {
 		t.Fatalf("lookup after replay = %v", rows)
 	}
 }
@@ -127,7 +127,7 @@ func TestSnapshotAndWALTruncation(t *testing.T) {
 	if typ, ok := tb2.HasIndex("id"); !ok || typ != IndexBTree {
 		t.Fatalf("index lost across snapshot: %v %v", typ, ok)
 	}
-	if rows := gatherRows(t, tb2, equalTo("id", IntValue(110))); len(rows) != 1 {
+	if rows := readRows(t, tb2, equalTo("id", IntValue(110))); len(rows) != 1 {
 		t.Fatalf("post-checkpoint row lost: %v", rows)
 	}
 }

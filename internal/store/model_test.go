@@ -274,12 +274,12 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 				return c < 0
 			})
 		}
-		cb, examined, err := view.Gather(ctx, a)
+		cb, examined, err := selectAll(ctx, view, a)
 		if err == nil {
 			err = verifyAccess(a, keyCol, want, visible, RowsFromColBatch(cb), examined)
 		}
 		if err != nil {
-			return fmt.Errorf("%s Gather %+v: %w", what, a, err)
+			return fmt.Errorf("%s Select %+v: %w", what, a, err)
 		}
 		return nil
 	}
@@ -447,7 +447,11 @@ func TestStorageMatchesModel(t *testing.T) {
 				pins[i].h.Release()
 				pins = append(pins[:i], pins[i+1:]...)
 			}
-			if err := m.check(tb, tb.LatestView(), m.commit, rng); err != nil {
+			latest := db.PinSnapshot()
+			view, _ := latest.View("t")
+			err = m.check(tb, view, m.commit, rng)
+			latest.Release()
+			if err != nil {
 				t.Fatalf("seed %d step %d latest (v%d): %v", seed, step, m.commit, err)
 			}
 			for _, p := range pins {
@@ -521,7 +525,11 @@ func TestSlotReuseUnderChurn(t *testing.T) {
 		issued[id] = true
 	}
 	held := tb.Snapshot()
-	gathered, _, err := tb.Gather(context.Background(), -1, Access{Column: "k", Lo: nil, Hi: nil})
+	// A filled batch must hold its cells after its pin is gone and every
+	// slot it read is reused.
+	view, release := pinView(tb)
+	gathered, _, err := selectAll(context.Background(), view, Access{Column: "k", Lo: nil, Hi: nil})
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +582,7 @@ func TestSlotReuseUnderChurn(t *testing.T) {
 	if err := sameStrings("held Snapshot", canonRows(held), heldCanon); err != nil {
 		t.Fatal(err)
 	}
-	if err := sameStrings("held Gather", canonRows(RowsFromColBatch(gathered)), gatheredCanon); err != nil {
+	if err := sameStrings("held Fill", canonRows(RowsFromColBatch(gathered)), gatheredCanon); err != nil {
 		t.Fatal(err)
 	}
 	// Every first-generation slot has been reused by now, so a stale ID

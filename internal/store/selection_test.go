@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -60,23 +61,33 @@ func TestSelectionFillUnderPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A full pass and a projected descending range walk, each checked
-	// against what Gather copied under the lock before any commit.
+	// against the pinned image as Snapshot copied it under the lock
+	// before any commit: every visible row in storage order, the order a
+	// full pass selects in, and those rows' i in [100, n], descending, as
+	// (s, i).
+	image := view.Snapshot()
+	var ranged []Row
+	for _, r := range image {
+		if r[0].I >= 100 && r[0].I <= n {
+			ranged = append(ranged, Row{r[2], r[0]})
+		}
+	}
+	sort.Slice(ranged, func(a, b int) bool { return ranged[a][1].I > ranged[b][1].I })
+	wants := []*ColBatch{
+		ColBatchFromRows([]Kind{KindInt, KindFloat, KindString}, image),
+		ColBatchFromRows([]Kind{KindString, KindInt}, ranged),
+	}
 	lo, hi := IntValue(100), IntValue(n)
 	var sels []*Selection
-	var wants []*ColBatch
-	for _, a := range []Access{{}, {Column: "i", Lo: &lo, Hi: &hi, Desc: true, Cols: []int{2, 0}}} {
-		want, _, err := view.Gather(context.Background(), a)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, a := range []Access{{}, {Column: "i", Lo: &lo, Hi: &hi, Desc: true, Cols: []int{2, 0}}} {
 		sel, _, err := view.Select(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sel.Slots) != want.Rows {
-			t.Fatalf("selected %d rows, gathered %d", len(sel.Slots), want.Rows)
+		if len(sel.Slots) != wants[i].Rows {
+			t.Fatalf("selected %d rows, the pinned image has %d", len(sel.Slots), wants[i].Rows)
 		}
-		sels, wants = append(sels, sel), append(wants, want)
+		sels = append(sels, sel)
 	}
 	fills := func() error {
 		var buf ColBatch
@@ -142,11 +153,56 @@ func TestSelectionFillUnderPin(t *testing.T) {
 	}
 }
 
-// TestSelectNeedsPin pins the contract's guard: an unpinned view, whose
-// rows GC may free at the next commit, cannot select.
+// TestSelectNeedsPin: Select reads only through a view that a
+// SnapshotHandle pinned. A table created after the pin has no view in
+// the handle to select through, a view keeps selecting its pinned rows
+// after later commits while a fresh pin selects them all, and once the
+// handle is released no version stays pinned.
 func TestSelectNeedsPin(t *testing.T) {
-	_, tb := openAccessDB(t)
-	if _, _, err := tb.LatestView().Select(context.Background(), Access{}); err == nil {
-		t.Fatal("an unpinned view selected")
+	db, tb := openAccessDB(t)
+	rows := func(from, to int) []Row {
+		var out []Row
+		for i := from; i < to; i++ {
+			out = append(out, Row{FloatValue(float64(i)), StringValue(fmt.Sprintf("g%d", i%3)), IntValue(int64(i))})
+		}
+		return out
+	}
+	if err := db.CommitDeltas([]TableDelta{{Table: "t", Inserts: rows(0, 10)}}); err != nil {
+		t.Fatal(err)
+	}
+	snap := db.PinSnapshot()
+	defer snap.Release()
+	if _, err := db.CreateTable("late", accessSchema); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.View("late"); err == nil || err.Error() != `store: no table "late" in snapshot` {
+		t.Fatalf("a table created after the pin: err = %v, want the snapshot's", err)
+	}
+	if _, ok := snap.Version("late"); ok {
+		t.Fatal("a table created after the pin has a pinned version")
+	}
+	if err := db.CommitDeltas([]TableDelta{{Table: "t", Inserts: rows(10, 15)}}); err != nil {
+		t.Fatal(err)
+	}
+	view, err := snap.View("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, _, err := selectAll(context.Background(), view, Access{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(RowsFromColBatch(cb)), fmt.Sprint(rows(0, 10)); got != want {
+		t.Fatalf("the pinned view selected\n%s\nwant\n%s", got, want)
+	}
+	if got, want := fmt.Sprint(readRows(t, tb, Access{})), fmt.Sprint(rows(0, 15)); got != want {
+		t.Fatalf("a fresh pin selected\n%s\nwant\n%s", got, want)
+	}
+	if db.PinnedVersions() == 0 {
+		t.Fatal("a held snapshot pins no version")
+	}
+	snap.Release()
+	if n := db.PinnedVersions(); n != 0 {
+		t.Fatalf("%d versions still pinned after the release", n)
 	}
 }

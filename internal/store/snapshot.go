@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -126,50 +125,26 @@ func VersionKey(versions map[string]int64) string {
 	return b.String()
 }
 
-// TableView reads one table at a fixed commit version. A view with a
-// negative version is unpinned and follows the latest commit on every
-// read (the path engines without a snapshot catalog use).
+// TableView reads one table at the commit version its SnapshotHandle
+// pinned; a view exists only inside a handle, so every read through one
+// is pinned.
 type TableView struct {
 	t *Table
 	v int64
 }
 
-// LatestView returns an unpinned view that follows the table's latest
-// commit version on every read.
-func (t *Table) LatestView() *TableView { return &TableView{t: t, v: -1} }
-
 // Table exposes the underlying table for schema and index
 // introspection (planning never reads rows through it).
 func (tv *TableView) Table() *Table { return tv.t }
 
-// Version returns the pinned commit version, or the current one for an
-// unpinned view.
-func (tv *TableView) Version() int64 {
-	if tv.v < 0 {
-		return tv.t.Version()
-	}
-	return tv.v
-}
-
-// Pinned reports whether the view is frozen at a pinned version.
-func (tv *TableView) Pinned() bool { return tv.v >= 0 }
+// Version returns the pinned commit version.
+func (tv *TableView) Version() int64 { return tv.v }
 
 // Len returns the number of rows visible in the view.
-func (tv *TableView) Len() int {
-	if tv.v < 0 {
-		return tv.t.Len()
-	}
-	return tv.t.countAt(tv.v)
-}
+func (tv *TableView) Len() int { return tv.t.countAt(tv.v) }
 
 // Scan calls fn for every visible row until fn returns false.
 func (tv *TableView) Scan(fn func(id int64, r Row) bool) { tv.t.ScanAt(tv.v, fn) }
 
 // Snapshot returns copies of every visible row.
 func (tv *TableView) Snapshot() []Row { return tv.t.SnapshotAt(tv.v) }
-
-// Gather materializes the rows the access selects into one columnar
-// batch (see Table.Gather).
-func (tv *TableView) Gather(ctx context.Context, a Access) (*ColBatch, int, error) {
-	return tv.t.Gather(ctx, tv.v, a)
-}

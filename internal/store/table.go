@@ -81,12 +81,12 @@ func (ev CommitEvent) Detach() CommitEvent {
 // Every mutation is one delta (applyDeltaLocked: retire these rows,
 // insert those) publishing one new commit version; readers either follow
 // the latest version or pin one via DB.PinSnapshot and read a frozen,
-// consistent image while writers keep committing. A read resolves the
-// slots it emits under the read lock. Gather copies their cells out
-// under that same lock; a Selection copies them later, outside it, and
-// only a pinned view may take that path (see Selection). Nothing a read
-// returns aliases storage, and the scratch row shown to Scan callbacks
-// is overwritten by the next row.
+// consistent image while writers keep committing. The query layer reads
+// through a pinned view only: Select resolves the slots it emits under
+// the read lock, and the Selection copies their cells out later, outside
+// it, under the pin (see Selection). Nothing a read returns aliases
+// storage, and the scratch row shown to Scan callbacks is overwritten by
+// the next row.
 type Table struct {
 	name   string
 	schema *Schema
@@ -446,8 +446,8 @@ func (t *Table) countAt(v int64) int {
 // Access describes one read of a table: which rows, in what order,
 // which columns, and how many. It is the one way the query layer
 // reaches stored rows — every scan, index probe, ordered walk and
-// key union is an Access handed to Gather, which resolves it in a
-// single pass under one read lock.
+// key union is an Access handed to TableView.Select, which resolves it
+// in a single pass under one read lock.
 type Access struct {
 	// Column names the index that drives the read; "" reads every
 	// visible row in storage order.
@@ -599,33 +599,13 @@ func (t *Table) passLocked(poll func() error, ver int64, ci int, match func(Valu
 	return nil
 }
 
-// readLocked runs the access at ver (negative reads the latest commit),
-// applying Limit, and hands each emitted row's slot to sink. It returns
-// how many visible rows the walk examined — every one it emitted, as
-// there is no Accept to reject one.
-func (t *Table) readLocked(poll func() error, ver int64, a Access, sink func(s int)) (examined int, err error) {
-	if ver < 0 {
-		ver = t.commit
-	}
-	err = t.walkLocked(poll, ver, a, func(s int) bool {
-		sink(s)
-		examined++
-		return a.Limit <= 0 || examined < a.Limit
-	})
-	return examined, err
-}
-
-// acceptLocked runs the access at ver (negative reads the latest commit)
-// through its Accept, applying Limit, and appends the slots of the rows
-// it emits to slots. Candidates collect behind the emitted slots, in the
-// list's spare capacity — grown only once emitted rows fill it — and go
-// to Accept a chunk at a time. It returns the list and how many visible
+// acceptLocked runs the access at ver through its Accept, applying
+// Limit, and appends the slots of the rows it emits to slots. Candidates
+// collect behind the emitted slots, in the list's spare capacity — grown
+// only once emitted rows fill it — and go to Accept a chunk at a time. It returns the list and how many visible
 // rows the walk examined: the candidates Accept was shown, up to and
 // including the one that failed.
 func (t *Table) acceptLocked(poll func() error, ver int64, a Access, slots []int32) (_ []int32, examined int, err error) {
-	if ver < 0 {
-		ver = t.commit
-	}
 	chunk := &Selection{cols: t.cols}
 	emitted := len(slots)
 	flush := func() bool {
@@ -665,8 +645,8 @@ func (t *Table) acceptLocked(poll func() error, ver int64, a Access, slots []int
 // — an upper bound on the rows it can emit, exact but for retired rows
 // awaiting GC — giving up once the count passes max (≤ 0 counts them
 // all). The planner sizes an index path against a full scan with it,
-// and Gather sizes its batch. A full scan, or a column without a usable
-// index, counts every stored row.
+// and Select sizes its slot list. A full scan, or a column without a
+// usable index, counts every stored row.
 func (t *Table) CountPostings(a Access, max int) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

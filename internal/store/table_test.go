@@ -7,11 +7,31 @@ import (
 	"testing"
 )
 
-// gatherRows runs the access at the latest version through
-// TableView.Gather, the one read primitive.
-func gatherRows(t testing.TB, tb *Table, a Access) []Row {
+// pinView pins the table's latest commit version, as DB.PinSnapshot
+// pins each of its tables', and returns the view and the release of the
+// pin: the read path of a table outside a database.
+func pinView(tb *Table) (*TableView, func()) {
+	v := tb.pin()
+	return &TableView{t: tb, v: v}, func() { tb.unpin(v) }
+}
+
+// selectAll runs the access on view through Select and fills every row
+// it selected into one exactly sized batch, as a streaming scan does. On
+// an error the batch holds the rows selected before it.
+func selectAll(ctx context.Context, view *TableView, a Access) (*ColBatch, int, error) {
+	sel, examined, err := view.Select(ctx, a)
+	cb := &ColBatch{}
+	sel.Fill(cb, 0, len(sel.Slots))
+	return cb, examined, err
+}
+
+// readRows runs the access at a fresh pin of the latest version through
+// Select and Fill, the one read primitive.
+func readRows(t testing.TB, tb *Table, a Access) []Row {
 	t.Helper()
-	cb, _, err := tb.LatestView().Gather(context.Background(), a)
+	view, release := pinView(tb)
+	defer release()
+	cb, _, err := selectAll(context.Background(), view, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +142,10 @@ func TestTableReplace(t *testing.T) {
 	if tb.Version() != v+1 || tb.Len() != 1 {
 		t.Fatalf("replace took version %d → %d, %d rows: want one commit, one row", v, tb.Version(), tb.Len())
 	}
-	if rows := gatherRows(t, tb, equalTo("family", StringValue("F2"))); len(rows) != 1 || rows[0][2].I != 2 {
+	if rows := readRows(t, tb, equalTo("family", StringValue("F2"))); len(rows) != 1 || rows[0][2].I != 2 {
 		t.Fatalf("index not updated: %v", rows)
 	}
-	if rows := gatherRows(t, tb, equalTo("family", StringValue("F1"))); len(rows) != 0 {
+	if rows := readRows(t, tb, equalTo("family", StringValue("F1"))); len(rows) != 0 {
 		t.Fatalf("stale index entry: %v", rows)
 	}
 	if _, ok := tb.Get(id); ok {
@@ -150,7 +170,7 @@ func TestTableIndexLookup(t *testing.T) {
 				fam := fmt.Sprintf("FAM%d", i%10)
 				tb.Insert(Row{StringValue(fmt.Sprintf("P%03d", i)), StringValue(fam), IntValue(int64(i)), BoolValue(i%2 == 0)})
 			}
-			rows := gatherRows(t, tb, equalTo("family", StringValue("FAM3")))
+			rows := readRows(t, tb, equalTo("family", StringValue("FAM3")))
 			if len(rows) != 10 {
 				t.Fatalf("FAM3 lookup = %d rows, want 10", len(rows))
 			}
@@ -160,7 +180,7 @@ func TestTableIndexLookup(t *testing.T) {
 				}
 			}
 			// Missing value.
-			if rows := gatherRows(t, tb, equalTo("family", StringValue("NOPE"))); len(rows) != 0 {
+			if rows := readRows(t, tb, equalTo("family", StringValue("NOPE"))); len(rows) != 0 {
 				t.Fatalf("missing value returned %d rows", len(rows))
 			}
 		})
@@ -172,10 +192,12 @@ func TestTableLookupWithoutIndexFallsBack(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tb.Insert(Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
 	}
-	if rows := gatherRows(t, tb, equalTo("length", IntValue(7))); len(rows) != 1 || rows[0][0].S != "P7" {
+	if rows := readRows(t, tb, equalTo("length", IntValue(7))); len(rows) != 1 || rows[0][0].S != "P7" {
 		t.Fatalf("scan lookup = %v", rows)
 	}
-	if _, _, err := tb.LatestView().Gather(context.Background(), equalTo("nope", IntValue(0))); err == nil {
+	view, release := pinView(tb)
+	defer release()
+	if _, _, err := view.Select(context.Background(), equalTo("nope", IntValue(0))); err == nil {
 		t.Fatal("unknown column accepted")
 	}
 }
@@ -187,7 +209,7 @@ func TestTableRangeLookup(t *testing.T) {
 		tb.Insert(Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
 	}
 	lo, hi := IntValue(10), IntValue(20)
-	rows := gatherRows(t, tb, Access{Column: "length", Lo: &lo, Hi: &hi})
+	rows := readRows(t, tb, Access{Column: "length", Lo: &lo, Hi: &hi})
 	if len(rows) != 11 {
 		t.Fatalf("range lookup = %d rows, want 11", len(rows))
 	}
@@ -201,7 +223,7 @@ func TestTableRangeLookup(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tb2.Insert(Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
 	}
-	if rows := gatherRows(t, tb2, Access{Column: "length", Lo: &lo, Hi: &hi}); len(rows) != 11 {
+	if rows := readRows(t, tb2, Access{Column: "length", Lo: &lo, Hi: &hi}); len(rows) != 11 {
 		t.Fatalf("scan range lookup = %d rows, want 11", len(rows))
 	}
 }
@@ -214,7 +236,7 @@ func TestCreateIndexBackfillsAndValidates(t *testing.T) {
 	if err := tb.CreateIndex("length", IndexBTree); err != nil {
 		t.Fatal(err)
 	}
-	if rows := gatherRows(t, tb, equalTo("length", IntValue(3))); len(rows) != 10 {
+	if rows := readRows(t, tb, equalTo("length", IntValue(3))); len(rows) != 10 {
 		t.Fatalf("backfilled index lookup = %d rows, want 10", len(rows))
 	}
 	if err := tb.CreateIndex("length", IndexBTree); err != nil {
@@ -260,7 +282,9 @@ func TestTableConcurrentAccess(t *testing.T) {
 					IntValue(int64(i)), BoolValue(false),
 				})
 				if i%10 == 0 {
-					tb.LatestView().Gather(context.Background(), equalTo("family", StringValue("FAM1")))
+					view, release := pinView(tb)
+					selectAll(context.Background(), view, equalTo("family", StringValue("FAM1")))
+					release()
 					tb.Scan(func(int64, Row) bool { return false })
 				}
 			}
