@@ -27,7 +27,6 @@ type queryPayload struct {
 const (
 	maxQueryBytes = 8 << 10 // DTQL text
 	maxNodeBytes  = 256     // node names
-	maxBudget     = 100000  // viewport budget
 )
 
 // checkParam rejects oversized or non-UTF-8 parameter values. It
@@ -151,8 +150,8 @@ func newMux(eng *core.Engine) *http.ServeMux {
 		budget := 100
 		if b := r.URL.Query().Get("budget"); b != "" {
 			n, err := strconv.Atoi(b)
-			if err != nil || n <= 0 || n > maxBudget {
-				http.Error(w, fmt.Sprintf("budget must be an integer in [1, %d]", maxBudget),
+			if err != nil || n <= 0 || n > mobile.MaxBudget {
+				http.Error(w, fmt.Sprintf("budget must be an integer in [1, %d]", mobile.MaxBudget),
 					http.StatusBadRequest)
 				return
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -120,6 +121,17 @@ func TestTreeEndpoint(t *testing.T) {
 	resp, _ = get(t, srv.URL+"/tree?node=missing")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing node = %d", resp.StatusCode)
+	}
+}
+
+// TestTreeBudgetBound holds GET /tree to the mobile protocol's budget
+// range: mobile.MaxBudget is served, one more is a 400.
+func TestTreeBudgetBound(t *testing.T) {
+	srv := testServer(t)
+	for budget, want := range map[int]int{mobile.MaxBudget: http.StatusOK, mobile.MaxBudget + 1: http.StatusBadRequest} {
+		if resp, body := get(t, srv.URL+"/tree?budget="+strconv.Itoa(budget)); resp.StatusCode != want {
+			t.Errorf("budget %d = %d, want %d: %s", budget, resp.StatusCode, want, body)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unsafe"
 )
 
 // maxFrame bounds one message (defensive).
@@ -30,8 +31,9 @@ const frameHead = binary.MaxVarintLen64 + 1
 var zeroHead [frameHead]byte
 
 // maxRetained is the most buffer a frameWriter or frameReader keeps
-// between frames, so one multi-megabyte reply is not pinned for the
-// rest of its session.
+// between frames, and a LOD-delta session keeps of each scratch buffer
+// between Opens, so one multi-megabyte reply or viewport is not pinned
+// for the rest of its session.
 const maxRetained = 64 << 10
 
 // maxInterned bounds the column names a frameReader interns; past it
@@ -146,10 +148,11 @@ func sized(b []byte, n int) []byte {
 	return b[:n]
 }
 
-// retained is what a reused buffer keeps for the next frame: b, or
-// nothing once b has outgrown maxRetained.
-func retained(b []byte) []byte {
-	if cap(b) > maxRetained {
+// retained is what a reused buffer keeps for the next frame or Open:
+// b, or nothing once b has outgrown maxRetained bytes.
+func retained[S ~[]E, E any](b S) S {
+	var e E
+	if uintptr(cap(b))*unsafe.Sizeof(e) > maxRetained {
 		return nil
 	}
 	return b

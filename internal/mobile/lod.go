@@ -1,7 +1,7 @@
 package mobile
 
 import (
-	"sort"
+	"slices"
 
 	"drugtree/internal/core"
 	"drugtree/internal/phylo"
@@ -18,63 +18,137 @@ import (
 // The returned nodes always form a connected subtree containing
 // focus, so the client can draw edges from ParentPre alone.
 func BuildViewport(e *core.Engine, focus phylo.NodeID, budget int) []WireNode {
-	t := e.Tree()
-	layout := e.Layout()
-	if budget < 1 {
-		budget = 1
-	}
-	var pq itemHeap
-	// Nodes enter the view only as children of an expanded view node,
-	// so one slice holds it: every node but focus has its parent in it.
-	type viewNode struct {
-		id       phylo.NodeID
-		expanded bool
-	}
-	lo, hi := t.SubtreeInterval(focus)
-	view := make([]viewNode, 0, min(budget, hi-lo+1)) // never outgrows the subtree
-
-	take := func(id phylo.NodeID) {
-		pq.push(heapItem{id: id, priority: int64(t.LeafCount(id)), slot: len(view)})
-		view = append(view, viewNode{id: id})
-	}
-	take(focus)
-	for len(pq) > 0 && len(view) < budget {
-		it := pq.pop()
-		node := t.Node(it.id)
-		if node.IsLeaf() {
-			continue
-		}
-		if len(view)+len(node.Children) > budget {
-			continue // expanding would blow the budget; stays collapsed
-		}
-		view[it.slot].expanded = true
-		for _, c := range node.Children {
-			take(c)
-		}
-	}
-	// Emit in preorder for deterministic output: sorting the view costs
-	// O(budget log budget) however wide the subtree is.
-	sort.Slice(view, func(i, j int) bool { return t.Pre(view[i].id) < t.Pre(view[j].id) })
-	out := make([]WireNode, 0, len(view))
-	for _, v := range view {
-		node := t.Node(v.id)
-		parentPre := int64(-1)
-		if v.id != focus {
-			parentPre = int64(t.Pre(node.Parent))
-		}
-		out = append(out, WireNode{
-			Pre:       int64(t.Pre(v.id)),
-			Name:      node.Name,
-			ParentPre: parentPre,
-			IsLeaf:    node.IsLeaf(),
-			Collapsed: !node.IsLeaf() && !v.expanded,
-			LeafCount: int64(t.LeafCount(v.id)),
-			Length:    node.Length,
-			X:         layout.X[v.id],
-			Y:         layout.Y[v.id],
-		})
+	var v viewport
+	t, layout := e.Tree(), e.Layout()
+	v.build(t, focus, budget)
+	out := make([]WireNode, len(v.order))
+	for i := range out {
+		out[i] = v.wireNode(t, layout, i)
 	}
 	return out
+}
+
+// viewport is one level-of-detail build and the buffers it reuses from
+// build to build.
+type viewport struct {
+	pq    itemHeap
+	view  []viewNode // in the order taken, the focus first
+	stack []int32    // view slots still to emit
+	order []int32    // view slots in preorder
+	pres  []int64    // their preorder numbers, ascending
+}
+
+// viewNode is one node of the view. An expanded node's children sit
+// at view[first : first+kids], in child order; kids is 0 for a node
+// left collapsed (and for a leaf).
+type viewNode struct {
+	id          phylo.NodeID
+	first, kids int32
+}
+
+// build selects the view of focus under budget into v.view, then
+// emits it in preorder into v.order and v.pres.
+func (v *viewport) build(t *phylo.Tree, focus phylo.NodeID, budget int) {
+	budget = max(budget, 1)
+	lo, hi := t.SubtreeInterval(focus)
+	// Nodes enter the view only as children of an expanded view node,
+	// so every node but focus has its parent in it, and it never
+	// outgrows the subtree.
+	v.pq = v.pq[:0]
+	v.view = slices.Grow(v.view[:0], min(budget, hi-lo+1))
+	v.take(t, focus)
+	for len(v.pq) > 0 && len(v.view) < budget {
+		it := v.pq.pop()
+		kids := t.Node(it.id).Children
+		if len(kids) == 0 || len(v.view)+len(kids) > budget {
+			continue // a leaf, or expanding would blow the budget: stays collapsed
+		}
+		v.view[it.slot].first, v.view[it.slot].kids = int32(len(v.view)), int32(len(kids))
+		for _, c := range kids {
+			v.take(t, c)
+		}
+	}
+	// Emit by a depth-first walk of the view: Index numbers children in
+	// child order, the order their slots run in, so the walk is the
+	// view's preorder and no sort is needed.
+	v.order = slices.Grow(v.order[:0], len(v.view))
+	v.pres = slices.Grow(v.pres[:0], len(v.view))
+	v.stack = append(v.stack[:0], 0)
+	for len(v.stack) > 0 {
+		s := v.stack[len(v.stack)-1]
+		v.stack = v.stack[:len(v.stack)-1]
+		n := v.view[s]
+		v.order = append(v.order, s)
+		v.pres = append(v.pres, int64(t.Pre(n.id)))
+		for c := n.first + n.kids; c > n.first; c-- {
+			v.stack = append(v.stack, c-1)
+		}
+	}
+}
+
+// take adds id to the view and to the expansion heap.
+func (v *viewport) take(t *phylo.Tree, id phylo.NodeID) {
+	v.pq.push(heapItem{id: id, priority: int64(t.LeafCount(id)), slot: len(v.view)})
+	v.view = append(v.view, viewNode{id: id})
+}
+
+// wireNode renders the view's i-th node in preorder.
+func (v *viewport) wireNode(t *phylo.Tree, layout *phylo.Layout, i int) WireNode {
+	s := v.order[i]
+	n := v.view[s]
+	node := t.Node(n.id)
+	parentPre := int64(-1)
+	if s > 0 { // slot 0 is the focus
+		parentPre = int64(t.Pre(node.Parent))
+	}
+	return WireNode{
+		Pre:       v.pres[i],
+		Name:      node.Name,
+		ParentPre: parentPre,
+		IsLeaf:    node.IsLeaf(),
+		Collapsed: !node.IsLeaf() && n.kids == 0,
+		LeafCount: int64(t.LeafCount(n.id)),
+		Length:    node.Length,
+		X:         layout.X[n.id],
+		Y:         layout.Y[n.id],
+	}
+}
+
+// trim drops every buffer grown past maxRetained.
+func (v *viewport) trim() {
+	v.pq, v.view, v.stack = retained(v.pq), retained(v.view), retained(v.stack)
+	v.order, v.pres = retained(v.order), retained(v.pres)
+}
+
+// lodSession is a LOD-delta session's viewport state: the preorder
+// numbers of the nodes the client holds, ascending, and the buffers
+// every Open reuses to build the next view and diff it against them.
+type lodSession struct {
+	held   []int64
+	view   viewport
+	addAt  []int32
+	add    []WireNode
+	remove []int64
+}
+
+// open builds the view of focus and returns the delta from the held
+// nodes to it, which then become the held nodes. add and remove alias
+// the session's buffers: they hold until the next open.
+func (l *lodSession) open(t *phylo.Tree, layout *phylo.Layout, focus phylo.NodeID, budget int) (add []WireNode, remove []int64) {
+	v := &l.view
+	v.build(t, focus, budget)
+	l.addAt, l.remove = mergeViews(l.held, v.pres, l.addAt[:0], l.remove[:0])
+	l.add = l.add[:0]
+	for _, i := range l.addAt {
+		l.add = append(l.add, v.wireNode(t, layout, int(i)))
+	}
+	add, remove = l.add, l.remove
+	// The new view's preorder list is the held set now; the old one's
+	// storage takes the next build.
+	l.held, v.pres = v.pres, l.held
+	l.addAt, l.add, l.remove = retained(l.addAt), retained(l.add), retained(l.remove)
+	v.trim()
+	return add, remove
 }
 
 // FullTree emits every node (the baseline strategy).
@@ -104,22 +178,54 @@ func FullTree(e *core.Engine) []WireNode {
 }
 
 // DiffViewports computes the delta from the node set the client holds
-// to the new viewport.
+// (the pre numbers mapped to true) to the new viewport, whose nodes
+// must be in ascending Pre order, as BuildViewport returns them. add
+// keeps next's order; remove is ascending.
 func DiffViewports(held map[int64]bool, next []WireNode) (add []WireNode, remove []int64) {
-	nextSet := make(map[int64]bool, len(next))
-	for _, n := range next {
-		nextSet[n.Pre] = true
-		if !held[n.Pre] {
-			add = append(add, n)
+	have := make([]int64, 0, len(held))
+	for pre, ok := range held {
+		if ok {
+			have = append(have, pre)
 		}
 	}
-	for pre := range held {
-		if !nextSet[pre] {
-			remove = append(remove, pre)
+	slices.Sort(have) // a map is unordered; the merge takes ascending lists
+	pres := make([]int64, len(next))
+	for i, n := range next {
+		pres[i] = n.Pre
+	}
+	at, remove := mergeViews(have, pres, nil, nil)
+	if len(at) > 0 {
+		add = make([]WireNode, len(at))
+		for k, i := range at {
+			add[k] = next[i]
 		}
 	}
-	sort.Slice(remove, func(i, j int) bool { return remove[i] < remove[j] })
 	return add, remove
+}
+
+// mergeViews walks the ascending held list against the ascending next
+// list once, appending to addAt the index in next of every pre number
+// held lacks and to remove every held pre number next lacks.
+func mergeViews(held, next []int64, addAt []int32, remove []int64) ([]int32, []int64) {
+	i, j := 0, 0
+	for i < len(held) && j < len(next) {
+		switch h, n := held[i], next[j]; {
+		case h < n:
+			remove = append(remove, h)
+			i++
+		case h > n:
+			addAt = append(addAt, int32(j))
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	remove = append(remove, held[i:]...)
+	for ; j < len(next); j++ {
+		addAt = append(addAt, int32(j))
+	}
+	return addAt, remove
 }
 
 // heapItem / itemHeap implement a max-heap on subtree leaf count: a
@@ -129,7 +235,7 @@ func DiffViewports(held map[int64]bool, next []WireNode) (add []WireNode, remove
 type heapItem struct {
 	id       phylo.NodeID
 	priority int64
-	slot     int // the node's position in BuildViewport's view
+	slot     int // the node's position in the viewport's view
 }
 
 type itemHeap []heapItem

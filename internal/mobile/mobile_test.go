@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -263,14 +266,30 @@ func TestBuildViewportMonotoneInBudget(t *testing.T) {
 }
 
 func TestDiffViewports(t *testing.T) {
-	held := map[int64]bool{1: true, 2: true, 3: true}
-	next := []WireNode{{Pre: 2}, {Pre: 3}, {Pre: 4}}
-	add, remove := DiffViewports(held, next)
-	if len(add) != 1 || add[0].Pre != 4 {
-		t.Fatalf("add = %v", add)
+	nodes := func(pres ...int64) []WireNode {
+		out := make([]WireNode, len(pres))
+		for i, p := range pres {
+			out[i] = WireNode{Pre: p, Name: fmt.Sprint("n", p)}
+		}
+		return out
 	}
-	if len(remove) != 1 || remove[0] != 1 {
-		t.Fatalf("remove = %v", remove)
+	cases := []struct {
+		name   string
+		held   map[int64]bool
+		next   []WireNode
+		add    []WireNode
+		remove []int64
+	}{
+		{"overlap", map[int64]bool{1: true, 2: true, 3: true}, nodes(2, 3, 4), nodes(4), []int64{1}},
+		{"empty held set", map[int64]bool{}, nodes(0, 5, 9), nodes(0, 5, 9), nil},
+		{"disjoint", map[int64]bool{1: true, 4: true, 8: true}, nodes(2, 3, 9), nodes(2, 3, 9), []int64{1, 4, 8}},
+		{"identical", map[int64]bool{2: true, 3: true, 7: true}, nodes(2, 3, 7), nil, nil},
+	}
+	for _, tc := range cases {
+		add, remove := DiffViewports(tc.held, tc.next)
+		if !reflect.DeepEqual(add, tc.add) || !reflect.DeepEqual(remove, tc.remove) {
+			t.Errorf("%s: add %v remove %v, want add %v remove %v", tc.name, add, remove, tc.add, tc.remove)
+		}
 	}
 }
 
@@ -414,6 +433,64 @@ func TestServerRejectsMissingHello(t *testing.T) {
 	clientConn.Close()
 	if err := <-done; err == nil {
 		t.Fatal("server accepted session without hello")
+	}
+}
+
+// TestHelloBudgetBounded pins the Hello budget's range: a budget of
+// MaxBudget opens a session, zero or a negative one means 100, and one
+// above MaxBudget — up to the largest uvarint, which an int conversion
+// would have wrapped negative — is answered with an ErrorMsg and ends
+// the session before it is admitted.
+func TestHelloBudgetBounded(t *testing.T) {
+	e := multifurcatingEngine(t, 3, 120)
+	root := e.Tree().Root()
+	server := NewServer(e)
+	for _, budget := range []int{MaxBudget, 0, -7} {
+		conn, done := serveOnce(t, server)
+		c, err := Dial(conn, StrategyLODDelta, budget)
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if _, err := c.Open(e.Tree().Node(root).Name); err != nil {
+			t.Fatal(err)
+		}
+		want := len(BuildViewport(e, root, max(budget, 100)))
+		if budget <= 0 && want != 100 {
+			t.Fatalf("tree too small to tell a budget of 100: %d nodes", want)
+		}
+		if len(c.Nodes) != want {
+			t.Errorf("budget %d: client holds %d nodes, want %d", budget, len(c.Nodes), want)
+		}
+		c.Close()
+		if err := waitSession(t, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, budget := range []uint64{MaxBudget + 1, 1 << 63, ^uint64(0)} {
+		conn, done := serveOnce(t, server)
+		payload := binary.AppendUvarint([]byte{byte(MsgHello), byte(StrategyLODDelta)}, budget)
+		frame := binary.AppendUvarint(nil, uint64(len(payload)+2))
+		frame = append(append(append(frame, frameRaw), payload...), 0)
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		msg, _, err := ReadMsg(bufio.NewReader(conn))
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if m, ok := msg.(*ErrorMsg); !ok || m.Text != errBudget.Error() {
+			t.Errorf("budget %d answered with %+v, want the budget error", budget, msg)
+		}
+		if err := waitSession(t, done); !errors.Is(err, errBudget) {
+			t.Errorf("budget %d: session ended with %v, want the budget error", budget, err)
+		}
+	}
+	if n := server.Sessions(); n != 3 {
+		t.Errorf("%d sessions admitted, want 3", n)
+	}
+	conn, _ := serveOnce(t, server)
+	if _, err := Dial(conn, StrategyLODDelta, MaxBudget+1); err == nil {
+		t.Error("a client asking for MaxBudget+1 was admitted")
 	}
 }
 

@@ -81,7 +81,7 @@ func (h *boxedHeap) Pop() any {
 
 // multifurcatingEngine builds an engine over a seeded random tree
 // whose internal nodes have two to six children.
-func multifurcatingEngine(t *testing.T, seed int64, internal int) *core.Engine {
+func multifurcatingEngine(t testing.TB, seed int64, internal int) *core.Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tree := phylo.NewTree()

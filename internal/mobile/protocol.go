@@ -96,10 +96,19 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", uint8(s))
 }
 
+// MaxBudget bounds a viewport budget: a Hello asking for more is
+// refused, as is an HTTP GET /tree.
+const MaxBudget = 100000
+
+// errBudget is the decoding error of a Hello whose budget exceeds
+// MaxBudget.
+var errBudget = fmt.Errorf("viewport budget exceeds %d nodes", MaxBudget)
+
 // Hello opens a session.
 type Hello struct {
 	Strategy Strategy
-	// Budget is the max nodes the client viewport displays.
+	// Budget is the max nodes the client viewport displays, at most
+	// MaxBudget; zero or less means 100 (and is sent as zero).
 	Budget int
 	// Compress asks the server to deflate large responses.
 	Compress bool
@@ -205,7 +214,7 @@ func appendMsg(b []byte, msg any) ([]byte, error) {
 	switch m := msg.(type) {
 	case *Hello:
 		b = append(b, byte(MsgHello), byte(m.Strategy))
-		b = binary.AppendUvarint(b, uint64(m.Budget))
+		b = binary.AppendUvarint(b, uint64(max(m.Budget, 0)))
 		b = appendFlag(b, m.Compress)
 	case *Open:
 		b = append(b, byte(MsgOpen))
@@ -304,7 +313,7 @@ func (d *decoder) msg() (any, error) {
 	var msg any
 	switch t {
 	case MsgHello:
-		msg = &Hello{Strategy: Strategy(d.byte()), Budget: int(d.uvarint()), Compress: d.flag()}
+		msg = &Hello{Strategy: Strategy(d.byte()), Budget: d.budget(), Compress: d.flag()}
 	case MsgOpen:
 		msg = &Open{Node: d.str()}
 	case MsgQuery:
@@ -465,6 +474,17 @@ func (d *decoder) flag() bool {
 		d.fail(fmt.Errorf("flag byte %d", b))
 	}
 	return b == 1
+}
+
+// budget reads a Hello's viewport budget, refusing one above
+// MaxBudget before it is narrowed to an int.
+func (d *decoder) budget() int {
+	x := d.uvarint()
+	if x > MaxBudget {
+		d.fail(errBudget)
+		return 0
+	}
+	return int(x)
 }
 
 func (d *decoder) uvarint() uint64 {

@@ -288,9 +288,9 @@ type session struct {
 	strategy Strategy
 	budget   int
 	compress bool
-	key      string         // per-session rate-limit bucket key
-	held     map[int64]bool // node pre numbers the client holds
-	out      frameWriter    // frames every reply respond sends
+	key      string      // per-session rate-limit bucket key
+	lod      lodSession  // the held node set and viewport buffers of StrategyLODDelta
+	out      frameWriter // frames every reply respond sends
 }
 
 // armReadDeadline applies the server's per-message read deadline when
@@ -350,6 +350,10 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) (err error) 
 	s.armReadDeadline(conn)
 	first, _, err := in.read(r)
 	if err != nil {
+		if errors.Is(err, errBudget) {
+			// The session ends either way; the reply tells the client why.
+			_ = WriteMsg(conn, &ErrorMsg{Text: errBudget.Error()})
+		}
 		return fmt.Errorf("mobile: reading hello: %w", err)
 	}
 	hello, ok := first.(*Hello)
@@ -374,7 +378,6 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) (err error) 
 		budget:   hello.Budget,
 		compress: hello.Compress,
 		key:      fmt.Sprintf("session-%d", id),
-		held:     make(map[int64]bool),
 	}
 	if sess.budget <= 0 {
 		sess.budget = 100
@@ -467,32 +470,19 @@ func (s *Server) handleOpen(ctx context.Context, w io.Writer, sess *session, m *
 		s.engine.RunPrefetch(ctx)
 	}
 
+	// The strategy is fixed for the session, so only StrategyLODDelta
+	// keeps the client's node set.
+	focus := int64(s.engine.Tree().Pre(id))
 	var delta *TreeDelta
 	switch sess.strategy {
 	case StrategyFull:
-		nodes := FullTree(s.engine)
-		delta = &TreeDelta{Reset: true, Add: nodes, Focus: int64(s.engine.Tree().Pre(id))}
-		sess.held = make(map[int64]bool, len(nodes))
-		for _, n := range nodes {
-			sess.held[n.Pre] = true
-		}
+		delta = &TreeDelta{Reset: true, Add: FullTree(s.engine), Focus: focus}
 	case StrategyLOD:
-		nodes := BuildViewport(s.engine, id, sess.budget)
-		delta = &TreeDelta{Reset: true, Add: nodes, Focus: int64(s.engine.Tree().Pre(id))}
-		sess.held = make(map[int64]bool, len(nodes))
-		for _, n := range nodes {
-			sess.held[n.Pre] = true
-		}
+		delta = &TreeDelta{Reset: true, Add: BuildViewport(s.engine, id, sess.budget), Focus: focus}
 	case StrategyLODDelta:
-		nodes := BuildViewport(s.engine, id, sess.budget)
-		add, remove := DiffViewports(sess.held, nodes)
-		delta = &TreeDelta{Add: add, Remove: remove, Focus: int64(s.engine.Tree().Pre(id))}
-		for _, n := range add {
-			sess.held[n.Pre] = true
-		}
-		for _, pre := range remove {
-			delete(sess.held, pre)
-		}
+		// respond encodes the delta before the next Open reuses its buffers.
+		add, remove := sess.lod.open(s.engine.Tree(), s.engine.Layout(), id, sess.budget)
+		delta = &TreeDelta{Add: add, Remove: remove, Focus: focus}
 	default:
 		return WriteMsg(w, &ErrorMsg{Text: fmt.Sprintf("unknown strategy %d", sess.strategy)})
 	}
