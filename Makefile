@@ -116,7 +116,7 @@ bench-repo-smoke:
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
 # idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_39.json
+BENCH_JSON ?= BENCH_40.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \
@@ -143,7 +143,8 @@ bench-repo:
 # overlay's share of a 512 + 512-row commit, and one 100-row, 4-column
 # query reply through the wire codec (encoded from shared columns,
 # framed, decoded into one slab), one LOD-delta Open's viewport build
-# and merge diff at a budget of 100, the k-mer distance matrix at
+# and merge diff at a budget of 100, one 64-node TreeDelta's decode,
+# the k-mer distance matrix at
 # dataset D1's size (800 sequences × 240 residues, k = 4), and
 # neighbour-joining over random matrices of 50, 200, 800 and 3 200 taxa
 # and D1-shaped k-mer matrices of 200, 800, 1 600 and 3 200 taxa (the
@@ -153,14 +154,15 @@ bench-repo:
 # changed row", "Folds that read storage", "Replies that stay columnar",
 # "Set-up that does each piece of work once", "Set-up with no serial
 # quadratic pass", "Set-up that touches only the pairs that can
-# matter" and "Viewport deltas by merge" record them.
+# matter", "Viewport deltas by merge" and "Node records that cannot
+# go stale" record them.
 bench-micro:
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex' ./internal/store/
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan' ./internal/query/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply' ./internal/core/
-	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkQueryReply|BenchmarkOpenDelta' ./internal/mobile/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkQueryReply|BenchmarkOpenDelta|BenchmarkDecodeTreeDelta' ./internal/mobile/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkKmerDistances|BenchmarkNeighborJoining' ./internal/phylo/
 
 # Ten seconds of each fuzz target over its checked-in corpus: the DTQL

@@ -139,6 +139,13 @@ func newMux(eng *core.Engine) *http.ServeMux {
 		}
 		json.NewEncoder(w).Encode(out)
 	})
+	// GET /tree?node=&budget= answers mobile.BuildViewport's view of the
+	// node (the root by default) as a JSON array of WireNodes in
+	// preorder. Each record holds tree facts only: ParentPre is the tree
+	// parent, −1 at the tree root alone. The focus comes first and is
+	// the one node whose parent is not in the array; an internal node
+	// that no node in the array names as parent is collapsed and stands
+	// for its LeafCount leaves.
 	mux.HandleFunc("GET /tree", func(w http.ResponseWriter, r *http.Request) {
 		node := r.URL.Query().Get("node")
 		if !checkParam(w, "node", node, maxNodeBytes) {

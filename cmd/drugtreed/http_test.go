@@ -15,11 +15,19 @@ import (
 	"drugtree/internal/integrate"
 	"drugtree/internal/mobile"
 	"drugtree/internal/netsim"
+	"drugtree/internal/phylo"
 	"drugtree/internal/source"
 	"drugtree/internal/store"
 )
 
 func testServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv, _ := testServerEngine(t)
+	return srv
+}
+
+// testServerEngine is testServer that also returns the engine it serves.
+func testServerEngine(t *testing.T) (*httptest.Server, *core.Engine) {
 	t.Helper()
 	gen := datagen.DefaultConfig()
 	gen.NumFamilies = 2
@@ -44,7 +52,7 @@ func testServer(t *testing.T) *httptest.Server {
 	}
 	srv := httptest.NewServer(newMux(eng))
 	t.Cleanup(srv.Close)
-	return srv
+	return srv, eng
 }
 
 func get(t *testing.T, url string) (*http.Response, string) {
@@ -121,6 +129,48 @@ func TestTreeEndpoint(t *testing.T) {
 	resp, _ = get(t, srv.URL+"/tree?node=missing")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing node = %d", resp.StatusCode)
+	}
+}
+
+// TestTreeRecordsHoldTreeFacts holds GET /tree's records to protocol
+// rev 4: each node's ParentPre is its tree parent, even at the focus,
+// there is no Collapsed key, and the view's root — the one node whose
+// parent is not in the view — is the focus, listed first.
+func TestTreeRecordsHoldTreeFacts(t *testing.T) {
+	srv, eng := testServerEngine(t)
+	tr := eng.Tree()
+	for _, focus := range []string{tr.Node(tr.Root()).Name, tr.Node(tr.Node(tr.Root()).Children[0]).Name} {
+		resp, body := get(t, srv.URL+"/tree?budget=7&node="+focus)
+		if resp.StatusCode != 200 {
+			t.Fatalf("tree status = %d: %s", resp.StatusCode, body)
+		}
+		var raw []map[string]any
+		var nodes []mobile.WireNode
+		if err := json.Unmarshal([]byte(body), &raw); err != nil {
+			t.Fatalf("bad JSON: %v", err)
+		}
+		if err := json.Unmarshal([]byte(body), &nodes); err != nil {
+			t.Fatalf("bad JSON: %v", err)
+		}
+		held := map[int64]bool{}
+		for i, n := range nodes {
+			if _, ok := raw[i]["Collapsed"]; ok {
+				t.Errorf("node %d carries a Collapsed key: %s", n.Pre, body)
+			}
+			held[n.Pre] = true
+		}
+		for i, n := range nodes {
+			want := int64(-1)
+			if p := tr.Node(tr.NodeAtPre(int(n.Pre))).Parent; p != phylo.None {
+				want = int64(tr.Pre(p))
+			}
+			if n.ParentPre != want {
+				t.Errorf("focus %s: node %d has ParentPre %d, its tree parent is %d", focus, n.Pre, n.ParentPre, want)
+			}
+			if !held[n.ParentPre] && (i != 0 || n.Name != focus) {
+				t.Errorf("focus %s: node %d at index %d has its parent outside the view", focus, n.Pre, i)
+			}
+		}
 	}
 }
 

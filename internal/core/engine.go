@@ -495,7 +495,7 @@ func (e *Engine) QueryColumns(ctx context.Context, src string) (*query.Result, e
 		}
 		e.Metrics.Counter("query.stmt_cache_misses").Inc()
 	}
-	res, err := e.execute(ctx, stmt, snap, start, nil)
+	res, err := e.execute(ctx, stmt, snap, start, e.coord != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -506,14 +506,14 @@ func (e *Engine) QueryColumns(ctx context.Context, src string) (*query.Result, e
 }
 
 // execute is the half of QueryColumns behind the statement cache:
-// admission, then plan and run at snap — on the coordinator when
-// sharded — delivering Result.Batch. Tree navigation enters here
-// directly (the semantic cache already fronts it; a statement-cache
-// copy of every subtree would be a second one). The single-node
-// executor delivers columns itself; the coordinator merges rows, so its
-// answer is transposed once, to kinds when the caller names the output
-// columns' kinds and to generic columns otherwise.
-func (e *Engine) execute(ctx context.Context, stmt *query.SelectStmt, snap *store.SnapshotHandle, start time.Time, kinds []store.Kind) (*query.Result, error) {
+// admission, then plan and run — on the coordinator when scatter is
+// set, at snap on the engine's own executor otherwise — delivering
+// Result.Batch. Tree navigation enters here directly, never scattered
+// (the semantic cache already fronts it; a statement-cache copy of
+// every subtree would be a second one). The executor delivers columns
+// itself; the coordinator merges rows, so its answer is transposed
+// once, into generic columns.
+func (e *Engine) execute(ctx context.Context, stmt *query.SelectStmt, snap *store.SnapshotHandle, start time.Time, scatter bool) (*query.Result, error) {
 	if e.limiter != nil {
 		release, err := e.limiter.Acquire(ctx, 1)
 		if err != nil {
@@ -524,13 +524,11 @@ func (e *Engine) execute(ctx context.Context, stmt *query.SelectStmt, snap *stor
 	}
 	var res *query.Result
 	var err error
-	if e.coord == nil {
+	if !scatter {
 		res, err = e.sql.RunAt(ctx, stmt, snap)
 	} else if res, err = e.coord.Run(ctx, stmt); err == nil && !stmt.Explain {
-		if kinds == nil {
-			kinds = make([]store.Kind, len(res.Columns)) // all KindNull: generic
-		}
-		res.Batch, res.Rows = store.ColBatchFromRows(kinds, res.Rows), nil
+		generic := make([]store.Kind, len(res.Columns)) // all KindNull
+		res.Batch, res.Rows = store.ColBatchFromRows(generic, res.Rows), nil
 	}
 	e.Metrics.Histogram("query.latency").Record(time.Since(start))
 	if err != nil {

@@ -25,16 +25,8 @@ type NodeView struct {
 }
 
 // treeViewCols are the tree_nodes columns a NodeView carries, in
-// NodeView field order; treeViewKinds are their kinds.
+// NodeView field order.
 const treeViewCols = "pre, name, parent_pre, depth, is_leaf, branch_length, root_dist, leaf_count, x, y"
-
-var treeViewKinds = func() []store.Kind {
-	kinds := make([]store.Kind, 10)
-	for i := range kinds {
-		kinds[i] = TreeSchema.Columns[i].Kind
-	}
-	return kinds
-}()
 
 // viewsFromBatch decodes tree_nodes rows held as treeViewCols vectors,
 // typed or generic (a sharded statement's), through Col.Value.
@@ -114,7 +106,10 @@ func (e *Engine) visit(ctx context.Context, nodeName string, wantRows bool) (cb 
 // the query path behind the statement cache and caches them, tagged
 // with the tree_nodes version of the snapshot the read ran at — so a
 // commit landing meanwhile can never leave newer rows under an older
-// tag. It returns the entry's batch, which Put has ordered on pre.
+// tag. It returns the entry's batch, which Put has ordered on pre. The
+// read runs on the engine's own executor at its pin on every topology:
+// tree_nodes is written once, in NewWithTree, so every shard's copy
+// equals the source.
 func (e *Engine) fetchSubtree(ctx context.Context, lo, hi int) (*store.ColBatch, error) {
 	start := time.Now()
 	src := fmt.Sprintf("SELECT %s FROM %s WHERE pre BETWEEN %d AND %d", treeViewCols, TreeTable, lo, hi)
@@ -124,7 +119,7 @@ func (e *Engine) fetchSubtree(ctx context.Context, lo, hi int) (*store.ColBatch,
 	}
 	snap := e.db.PinSnapshot()
 	defer snap.Release()
-	res, err := e.execute(ctx, stmt, snap, start, treeViewKinds)
+	res, err := e.execute(ctx, stmt, snap, start, false)
 	if err != nil {
 		return nil, err
 	}

@@ -284,12 +284,25 @@ func (c *Client) apply(d *TreeDelta) {
 	}
 }
 
+// Collapsed reports whether the held node pre is collapsed: internal,
+// with no held node naming it as parent. A view takes all of a node's
+// children or none, and an internal node's first child is the next
+// preorder number, so one probe decides.
+func (c *Client) Collapsed(pre int64) bool {
+	n, ok := c.Nodes[pre]
+	if !ok || n.IsLeaf {
+		return false
+	}
+	_, expanded := c.Nodes[pre+1]
+	return !expanded
+}
+
 // VisibleLeaves counts rendered leaf nodes (collapsed markers count
 // once).
 func (c *Client) VisibleLeaves() int {
 	n := 0
-	for _, node := range c.Nodes {
-		if node.IsLeaf || node.Collapsed {
+	for pre, node := range c.Nodes {
+		if node.IsLeaf || c.Collapsed(pre) {
 			n++
 		}
 	}

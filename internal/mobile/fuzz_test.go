@@ -29,7 +29,9 @@ func allocatedBy(f func()) uint64 {
 // payload's length — a Value is 40 bytes and a NULL cell one, so 64×
 // plus the error's formatting — and every payload it accepts must
 // re-encode to exactly its own bytes. The corpus in
-// testdata/fuzz/FuzzDecodeMsg holds one payload of each message type.
+// testdata/fuzz/FuzzDecodeMsg holds one payload of each message type,
+// a TreeDelta in protocol rev 4 (tree_delta_rev4) among them; the older
+// tree_delta sets a node's collapsed bit, which rev 4 refuses.
 func FuzzDecodeMsg(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		var msg any

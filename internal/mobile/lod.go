@@ -11,19 +11,19 @@ import (
 // rooted at focus under a node budget: a best-first expansion from
 // the focus that always expands the internal node with the largest
 // subtree (the clade the eye is drawn to), until the budget is
-// exhausted. Internal nodes whose children were pruned are marked
-// Collapsed, carrying their leaf count so the client can render a
-// "+N" placeholder.
-//
-// The returned nodes always form a connected subtree containing
-// focus, so the client can draw edges from ParentPre alone.
+// exhausted. The nodes come in preorder, focus first, and form a
+// connected subtree: focus is the one node whose parent is not among
+// them. Each record holds tree facts only (see nodeRecord), so a node
+// is collapsed where the view is held: internal, with no node of the
+// view naming it as parent. The client draws it as a "+N" placeholder
+// from its LeafCount.
 func BuildViewport(e *core.Engine, focus phylo.NodeID, budget int) []WireNode {
 	var v viewport
 	t, layout := e.Tree(), e.Layout()
 	v.build(t, focus, budget)
 	out := make([]WireNode, len(v.order))
-	for i := range out {
-		out[i] = v.wireNode(t, layout, i)
+	for i, s := range v.order {
+		out[i] = nodeRecord(t, layout, v.view[s].id)
 	}
 	return out
 }
@@ -92,25 +92,25 @@ func (v *viewport) take(t *phylo.Tree, id phylo.NodeID) {
 	v.view = append(v.view, viewNode{id: id})
 }
 
-// wireNode renders the view's i-th node in preorder.
-func (v *viewport) wireNode(t *phylo.Tree, layout *phylo.Layout, i int) WireNode {
-	s := v.order[i]
-	n := v.view[s]
-	node := t.Node(n.id)
+// nodeRecord is node id's wire record. It holds tree facts only —
+// ParentPre is the tree parent, −1 at the tree root alone — so it is
+// the same in every view of one tree version, and a delta that
+// compares preorder numbers never leaves a held record stale.
+func nodeRecord(t *phylo.Tree, layout *phylo.Layout, id phylo.NodeID) WireNode {
+	node := t.Node(id)
 	parentPre := int64(-1)
-	if s > 0 { // slot 0 is the focus
+	if node.Parent != phylo.None {
 		parentPre = int64(t.Pre(node.Parent))
 	}
 	return WireNode{
-		Pre:       v.pres[i],
+		Pre:       int64(t.Pre(id)),
 		Name:      node.Name,
 		ParentPre: parentPre,
 		IsLeaf:    node.IsLeaf(),
-		Collapsed: !node.IsLeaf() && n.kids == 0,
-		LeafCount: int64(t.LeafCount(n.id)),
+		LeafCount: int64(t.LeafCount(id)),
 		Length:    node.Length,
-		X:         layout.X[n.id],
-		Y:         layout.Y[n.id],
+		X:         layout.X[id],
+		Y:         layout.Y[id],
 	}
 }
 
@@ -140,7 +140,7 @@ func (l *lodSession) open(t *phylo.Tree, layout *phylo.Layout, focus phylo.NodeI
 	l.addAt, l.remove = mergeViews(l.held, v.pres, l.addAt[:0], l.remove[:0])
 	l.add = l.add[:0]
 	for _, i := range l.addAt {
-		l.add = append(l.add, v.wireNode(t, layout, int(i)))
+		l.add = append(l.add, nodeRecord(t, layout, v.view[v.order[i]].id))
 	}
 	add, remove = l.add, l.remove
 	// The new view's preorder list is the held set now; the old one's
@@ -153,26 +153,10 @@ func (l *lodSession) open(t *phylo.Tree, layout *phylo.Layout, focus phylo.NodeI
 
 // FullTree emits every node (the baseline strategy).
 func FullTree(e *core.Engine) []WireNode {
-	t := e.Tree()
-	layout := e.Layout()
-	out := make([]WireNode, 0, t.Len())
-	for p := 0; p < t.Len(); p++ {
-		id := t.NodeAtPre(p)
-		node := t.Node(id)
-		parentPre := int64(-1)
-		if node.Parent != phylo.None {
-			parentPre = int64(t.Pre(node.Parent))
-		}
-		out = append(out, WireNode{
-			Pre:       int64(p),
-			Name:      node.Name,
-			ParentPre: parentPre,
-			IsLeaf:    node.IsLeaf(),
-			LeafCount: int64(t.LeafCount(id)),
-			Length:    node.Length,
-			X:         layout.X[id],
-			Y:         layout.Y[id],
-		})
+	t, layout := e.Tree(), e.Layout()
+	out := make([]WireNode, t.Len())
+	for p := range out {
+		out[p] = nodeRecord(t, layout, t.NodeAtPre(p))
 	}
 	return out
 }

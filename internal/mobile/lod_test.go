@@ -2,6 +2,7 @@ package mobile
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
 	"slices"
@@ -66,62 +67,80 @@ func openWalk(t *phylo.Tree, rng *rand.Rand, n, minLeaves int) []phylo.NodeID {
 }
 
 // TestSessionDeltaMatchesOracle runs seeded Open walks through a
-// LOD-delta session over the wire and holds every reply to the map
-// oracle: the delta encodes to the oracle's bytes (a decoded message
-// re-encodes to its own payload, see FuzzDecodeMsg), and afterwards the
-// client holds exactly BuildViewport's nodes.
+// session of each strategy over the wire and holds every reply to an
+// oracle: a LOD-delta reply to the map diff against BuildViewport, a
+// LOD one to BuildViewport and a full one to FullTree, each as a
+// message encoding to the oracle's bytes (a decoded message re-encodes
+// to its own payload, see FuzzDecodeMsg). Afterwards the client holds
+// exactly the oracle's view, record for record and field by field, and
+// Client.Collapsed marks exactly what the collapse rule marks in it.
 func TestSessionDeltaMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		e := multifurcatingEngine(t, seed, 120)
 		tr := e.Tree()
 		for _, budget := range []int{1, 5, 64, 100, tr.Len() + 2} {
-			clientConn, serverConn := net.Pipe()
-			done := make(chan error, 1)
-			go func() { done <- NewServer(e).ServeConn(context.Background(), serverConn) }()
-			c, err := Dial(clientConn, StrategyLODDelta, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			held := map[int64]bool{}
-			rng := rand.New(rand.NewSource(seed*1000 + int64(budget)))
-			for step, id := range openWalk(tr, rng, 40, 1) {
-				got, err := c.Open(tr.Node(id).Name)
+			for _, strategy := range []Strategy{StrategyLODDelta, StrategyLOD, StrategyFull} {
+				clientConn, serverConn := net.Pipe()
+				done := make(chan error, 1)
+				go func() { done <- NewServer(e).ServeConn(context.Background(), serverConn) }()
+				c, err := Dial(clientConn, strategy, budget)
 				if err != nil {
 					t.Fatal(err)
 				}
-				view := BuildViewport(e, id, budget)
-				add, remove := diffViewportsMap(held, view)
-				for _, n := range add {
-					held[n.Pre] = true
-				}
-				for _, pre := range remove {
-					delete(held, pre)
-				}
-				gotMsg, err := encodeMsg(got)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantMsg, _ := encodeMsg(&TreeDelta{Add: add, Remove: remove, Focus: int64(tr.Pre(id))})
-				if string(gotMsg) != string(wantMsg) {
-					t.Fatalf("seed %d budget %d step %d (focus %d): delta\n got %+v\nwant add %+v remove %v",
-						seed, budget, step, id, got, add, remove)
-				}
-				if len(c.Nodes) != len(view) {
-					t.Fatalf("seed %d budget %d step %d: client holds %d nodes, viewport has %d", seed, budget, step, len(c.Nodes), len(view))
-				}
-				for _, n := range view {
-					if _, ok := c.Nodes[n.Pre]; !ok {
-						t.Fatalf("seed %d budget %d step %d: client lacks node pre=%d", seed, budget, step, n.Pre)
+				held := map[int64]bool{}
+				rng := rand.New(rand.NewSource(seed*1000 + int64(budget)))
+				for step, id := range openWalk(tr, rng, 40, 1) {
+					got, err := c.Open(tr.Node(id).Name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					at := fmt.Sprintf("seed %d budget %d %v step %d (focus %d)", seed, budget, strategy, step, id)
+					view := FullTree(e)
+					if strategy != StrategyFull {
+						view = BuildViewport(e, id, budget)
+					}
+					want := &TreeDelta{Reset: true, Add: view, Focus: int64(tr.Pre(id))}
+					if strategy == StrategyLODDelta {
+						want.Reset = false
+						want.Add, want.Remove = diffViewportsMap(held, view)
+						for _, n := range want.Add {
+							held[n.Pre] = true
+						}
+						for _, pre := range want.Remove {
+							delete(held, pre)
+						}
+					}
+					gotMsg, err := encodeMsg(got)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantMsg, _ := encodeMsg(want)
+					if string(gotMsg) != string(wantMsg) {
+						t.Fatalf("%s: delta\n got %+v\nwant %+v", at, got, want)
+					}
+					if len(c.Nodes) != len(view) {
+						t.Fatalf("%s: client holds %d nodes, the view has %d", at, len(c.Nodes), len(view))
+					}
+					collapsed := collapsedIn(view)
+					for _, n := range view {
+						if h, ok := c.Nodes[n.Pre]; !ok {
+							t.Fatalf("%s: client lacks node pre=%d", at, n.Pre)
+						} else if h != n {
+							t.Fatalf("%s: client holds\n%+v\nthe view has\n%+v", at, h, n)
+						}
+						if c.Collapsed(n.Pre) != collapsed[n.Pre] {
+							t.Fatalf("%s: Collapsed(%d) = %v, the rule says %v", at, n.Pre, c.Collapsed(n.Pre), collapsed[n.Pre])
+						}
 					}
 				}
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+				clientConn.Close()
 			}
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-			clientConn.Close()
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestMessageRoundTrips(t *testing.T) {
 			Reset: true, Focus: 7,
 			Add: []WireNode{
 				{Pre: 1, Name: "a", ParentPre: 0, IsLeaf: true, LeafCount: 1, Length: 0.5, X: 1.5, Y: 2},
-				{Pre: 2, Name: "clade", ParentPre: 0, Collapsed: true, LeafCount: 42, Length: 0.1, X: 0.4, Y: 9},
+				{Pre: 2, Name: "clade", ParentPre: 0, LeafCount: 42, Length: 0.1, X: 0.4, Y: 9},
 			},
 			Remove: []int64{3, 4, 5},
 		},
@@ -147,6 +147,30 @@ func TestMsgSizeMatchesEncoding(t *testing.T) {
 	}
 }
 
+// TestDecodeNodeFlags holds a node's flags byte to protocol rev 4: the
+// leaf bit alone, so 0 and 1 decode and the old collapsed bit (2, and 3
+// with the leaf bit) is a decode error.
+func TestDecodeNodeFlags(t *testing.T) {
+	for flags := byte(0); flags < 4; flags++ {
+		// A TreeDelta adding node pre=1 "a" under pre 0, one leaf, zero
+		// floats, and removing nothing.
+		p := append([]byte{byte(MsgTreeDelta), 0, 0, 1, 2, 1, 'a', 0, flags, 1}, make([]byte, 3*8+1)...)
+		msg, err := decodeMsg(p)
+		if flags > 1 {
+			if err == nil {
+				t.Errorf("flags byte %d accepted", flags)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("flags byte %d: %v", flags, err)
+		}
+		if got := msg.(*TreeDelta).Add[0].IsLeaf; got != (flags == 1) {
+			t.Errorf("flags byte %d decodes IsLeaf %v", flags, got)
+		}
+	}
+}
+
 func TestDecodeRejectsCorrupt(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<40)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
@@ -196,33 +220,51 @@ func TestBuildViewportBudget(t *testing.T) {
 	if len(all) != e.Tree().Len() {
 		t.Fatalf("full budget = %d nodes, want %d", len(all), e.Tree().Len())
 	}
-	for _, n := range all {
-		if n.Collapsed {
-			t.Fatalf("node %d collapsed under full budget", n.Pre)
+	if collapsed := collapsedIn(all); len(collapsed) != 0 {
+		t.Fatalf("nodes %v collapsed under full budget", collapsed)
+	}
+}
+
+// collapsedIn applies the collapse rule to a view: the pre numbers of
+// its internal nodes that no node of the view names as parent.
+func collapsedIn(view []WireNode) map[int64]bool {
+	parents := map[int64]bool{}
+	for _, n := range view {
+		parents[n.ParentPre] = true
+	}
+	collapsed := map[int64]bool{}
+	for _, n := range view {
+		if !n.IsLeaf && !parents[n.Pre] {
+			collapsed[n.Pre] = true
 		}
 	}
+	return collapsed
 }
 
 func TestBuildViewportConnected(t *testing.T) {
 	e := testEngine(t)
-	root := e.Tree().Root()
-	nodes := BuildViewport(e, root, 15)
-	pres := map[int64]bool{}
-	for _, n := range nodes {
-		pres[n.Pre] = true
-	}
-	rootSeen := 0
-	for _, n := range nodes {
-		if n.ParentPre == -1 {
-			rootSeen++
-			continue
+	tr := e.Tree()
+	for _, focus := range []phylo.NodeID{tr.Root(), tr.Node(tr.Root()).Children[0]} {
+		nodes := BuildViewport(e, focus, 15)
+		pres := map[int64]bool{}
+		for _, n := range nodes {
+			pres[n.Pre] = true
 		}
-		if !pres[n.ParentPre] {
-			t.Fatalf("node %d references missing parent %d", n.Pre, n.ParentPre)
+		// The view's root is the one node whose parent is not in the
+		// view, and it is the focus, first in preorder.
+		roots := 0
+		for i, n := range nodes {
+			if pres[n.ParentPre] {
+				continue
+			}
+			roots++
+			if i != 0 || n.Pre != int64(tr.Pre(focus)) {
+				t.Fatalf("focus %d: node %d (index %d) references missing parent %d; only the focus may", focus, n.Pre, i, n.ParentPre)
+			}
 		}
-	}
-	if rootSeen != 1 {
-		t.Fatalf("viewport has %d roots", rootSeen)
+		if roots != 1 {
+			t.Fatalf("focus %d: viewport has %d roots", focus, roots)
+		}
 	}
 }
 
@@ -231,11 +273,12 @@ func TestBuildViewportLeafCoverage(t *testing.T) {
 	e := testEngine(t)
 	root := e.Tree().Root()
 	nodes := BuildViewport(e, root, 12)
+	collapsed := collapsedIn(nodes)
 	var covered int64
 	for _, n := range nodes {
 		if n.IsLeaf {
 			covered++
-		} else if n.Collapsed {
+		} else if collapsed[n.Pre] {
 			covered += n.LeafCount
 		}
 	}

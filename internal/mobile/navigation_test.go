@@ -26,7 +26,6 @@ func buildViewportWalk(e *core.Engine, focus phylo.NodeID, budget int) []WireNod
 	}
 	pq := &boxedHeap{}
 	taken := map[phylo.NodeID]bool{}
-	expanded := map[phylo.NodeID]bool{}
 	take := func(id phylo.NodeID) {
 		taken[id] = true
 		heap.Push(pq, heapItem{id: id, priority: int64(t.LeafCount(id))})
@@ -38,7 +37,6 @@ func buildViewportWalk(e *core.Engine, focus phylo.NodeID, budget int) []WireNod
 		if node.IsLeaf() || len(taken)+len(node.Children) > budget {
 			continue
 		}
-		expanded[it.id] = true
 		for _, c := range node.Children {
 			take(c)
 		}
@@ -52,12 +50,11 @@ func buildViewportWalk(e *core.Engine, focus phylo.NodeID, budget int) []WireNod
 		}
 		node := t.Node(id)
 		parentPre := int64(-1)
-		if node.Parent != phylo.None && taken[node.Parent] {
+		if node.Parent != phylo.None {
 			parentPre = int64(t.Pre(node.Parent))
 		}
 		out = append(out, WireNode{
-			Pre: int64(p), Name: node.Name, ParentPre: parentPre,
-			IsLeaf: node.IsLeaf(), Collapsed: !node.IsLeaf() && !expanded[id],
+			Pre: int64(p), Name: node.Name, ParentPre: parentPre, IsLeaf: node.IsLeaf(),
 			LeafCount: int64(t.LeafCount(id)), Length: node.Length,
 			X: layout.X[id], Y: layout.Y[id],
 		})
@@ -198,7 +195,7 @@ func BenchmarkDecodeTreeDelta(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		d.Add = append(d.Add, WireNode{
 			Pre: int64(4711 + i), Name: fmt.Sprintf("clade_%d", 4711+i), ParentPre: int64(4711 + i/2),
-			IsLeaf: i%2 == 1, Collapsed: i%3 == 0, LeafCount: int64(1 + i), Length: 0.25, X: float64(i), Y: 0.5,
+			IsLeaf: i%2 == 1, LeafCount: int64(1 + i), Length: 0.25, X: float64(i), Y: 0.5,
 		})
 		d.Remove = append(d.Remove, int64(100+i))
 	}

@@ -40,6 +40,12 @@ const (
 	// can distinguish acceptance from refusal before sending work.
 	MsgRetry
 	MsgHelloAck
+
+	// Protocol rev 4 adds no message: a WireNode holds tree facts only.
+	// Its flags byte is the leaf bit alone, any other bit a decode
+	// error; ParentPre is the tree parent, even at a view's focus; and
+	// the client derives collapse from the nodes it holds
+	// (Client.Collapsed).
 )
 
 func (m MsgType) String() string {
@@ -124,13 +130,13 @@ type Query struct {
 	DTQL string
 }
 
-// WireNode is the on-wire representation of one visible tree node.
+// WireNode is the on-wire representation of one visible tree node:
+// facts of the tree alone, the same in every view of one tree version.
 type WireNode struct {
 	Pre       int64
 	Name      string
-	ParentPre int64
+	ParentPre int64 // the tree parent; −1 only at the tree root
 	IsLeaf    bool
-	Collapsed bool // true when the node summarizes a pruned subtree
 	LeafCount int64
 	Length    float64
 	X, Y      float64
@@ -413,12 +419,7 @@ func (d *decoder) queryResult() *QueryResult {
 }
 
 func (d *decoder) wireNode() WireNode {
-	n := WireNode{Pre: d.varint(), Name: d.str(), ParentPre: d.varint()}
-	flags := d.byte()
-	if flags > 3 {
-		d.fail(fmt.Errorf("node flags %#x", flags))
-	}
-	n.IsLeaf, n.Collapsed = flags&1 != 0, flags&2 != 0
+	n := WireNode{Pre: d.varint(), Name: d.str(), ParentPre: d.varint(), IsLeaf: d.flag()}
 	n.LeafCount = int64(d.uvarint())
 	n.Length, n.X, n.Y = d.f64(), d.f64(), d.f64()
 	return n
@@ -567,14 +568,7 @@ func appendWireNode(b []byte, n WireNode) []byte {
 	b = binary.AppendVarint(b, n.Pre)
 	b = appendStr(b, n.Name)
 	b = binary.AppendVarint(b, n.ParentPre)
-	flags := byte(0)
-	if n.IsLeaf {
-		flags |= 1
-	}
-	if n.Collapsed {
-		flags |= 2
-	}
-	b = append(b, flags)
+	b = appendFlag(b, n.IsLeaf)
 	b = binary.AppendUvarint(b, uint64(n.LeafCount))
 	b = appendF64(b, n.Length)
 	b = appendF64(b, n.X)
