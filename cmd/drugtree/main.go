@@ -159,7 +159,8 @@ func cmdInit(args []string) error {
 	}
 	fmt.Printf("imported %d rows (%d rejected) from 4 sources; modelled network time %v\n",
 		st.RowsImported, st.RowsRejected, st.Elapsed.Round(1e6))
-	// Build and persist the tree as part of init so queries are fast.
+	// Build the tree once to report it; tree_nodes is frozen and never
+	// persisted, so every later open builds and publishes it again.
 	eng, err := core.New(db, core.DefaultConfig())
 	if err != nil {
 		return err

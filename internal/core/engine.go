@@ -78,6 +78,10 @@ type Config struct {
 	// do not see later commits to it (ROADMAP item 1). 0 or 1 keeps the
 	// single-node path unchanged.
 	//
+	// A shard's tree_nodes is a stored table cut from the frozen image
+	// the engine published, indexed on pre and name as that image
+	// reports.
+	//
 	// The engine-level caches sit in front of the coordinator exactly
 	// as they do in front of the single-node executor: statement-cache
 	// hits (QueryCacheEntries) are served before admission and before
@@ -163,7 +167,7 @@ type Engine struct {
 
 // New builds an engine over an integrated database (see
 // internal/integrate): it constructs the phylogenetic tree from the
-// proteins table, materializes tree_nodes, and wires the query stack.
+// proteins table, publishes tree_nodes, and wires the query stack.
 func New(db *store.DB, cfg Config) (*Engine, error) {
 	proteins, err := loadProteins(db)
 	if err != nil {
@@ -195,10 +199,7 @@ func NewWithTree(db *store.DB, tree *phylo.Tree, cfg Config) (*Engine, error) {
 	}
 	tree.NameClades()
 	layout := phylo.NewLayout(tree)
-	if err := materializeTree(db, tree, layout); err != nil {
-		return nil, err
-	}
-	treeTab, err := db.Table(TreeTable)
+	treeTab, err := publishTree(db, tree, layout)
 	if err != nil {
 		return nil, err
 	}
@@ -325,63 +326,49 @@ func buildTree(proteins []*seq.Protein, method TreeMethod) (*phylo.Tree, error) 
 	return phylo.NeighborJoining(m)
 }
 
-// materializeTree (re)creates the tree_nodes relation.
-func materializeTree(db *store.DB, t *phylo.Tree, layout *phylo.Layout) error {
-	tab, err := db.Table(TreeTable)
+// treeImage lays the tree out as tree_nodes' frozen image: one row per
+// node in preorder, so pre is the slot. Names are the tree's own
+// strings, and x and root_dist share one vector, as Layout.X is the
+// tree's root-distance array.
+func treeImage(t *phylo.Tree, layout *phylo.Layout) store.FrozenImage {
+	n := t.Len()
+	ints := func() store.Col { return store.Col{Kind: store.KindInt, Int: make([]int64, n)} }
+	floats := func() store.Col { return store.Col{Kind: store.KindFloat, Float: make([]float64, n)} }
+	pre, parent, depth, leafCount, end := ints(), ints(), ints(), ints(), ints()
+	leaf := store.Col{Kind: store.KindBool, Int: make([]int64, n)}
+	length, dist, y := floats(), floats(), floats()
+	names := store.Col{Kind: store.KindString, Str: make([]string, n)}
+	for p := 0; p < n; p++ {
+		id := t.NodeAtPre(p)
+		node := t.Node(id)
+		pre.Int[p], names.Str[p], parent.Int[p] = int64(p), node.Name, -1
+		if node.Parent != phylo.None {
+			parent.Int[p] = int64(t.Pre(node.Parent))
+		}
+		if node.IsLeaf() {
+			leaf.Int[p] = 1
+		}
+		_, last := t.SubtreeInterval(id)
+		depth.Int[p], leafCount.Int[p], end.Int[p] = int64(t.Depth(id)), int64(t.LeafCount(id)), int64(last)
+		length.Float[p], dist.Float[p], y.Float[p] = node.Length, layout.X[id], layout.Y[id]
+	}
+	return store.FrozenImage{
+		Cols:  []store.Col{pre, names, parent, depth, leaf, length, dist, leafCount, dist, y, end},
+		Dense: "pre",
+		Hash:  "name",
+	}
+}
+
+// publishTree publishes tree_nodes as a frozen table: whole, at one
+// commit version, never logged. Builds before the frozen kind persisted
+// tree_nodes as a stored table; the store refuses to replace one, so an
+// engine over such a directory fails to build until it is rebuilt.
+func publishTree(db *store.DB, t *phylo.Tree, layout *phylo.Layout) (*store.Table, error) {
+	tab, err := db.PublishFrozen(TreeTable, TreeSchema, treeImage(t, layout))
 	if err != nil {
-		tab, err = db.CreateTable(TreeTable, TreeSchema)
-		if err != nil {
-			return err
-		}
-	} else if tab.Len() == t.Len() {
-		// Reopened database with the same tree already materialized.
-		return nil
-	} else if tab.Len() > 0 {
-		return fmt.Errorf("core: %s holds %d rows but the tree has %d nodes", TreeTable, tab.Len(), t.Len())
+		return nil, fmt.Errorf("core: publishing %s: %w", TreeTable, err)
 	}
-	// Rows are committed a few thousand at a time: one commit version,
-	// one hook dispatch, one GC check and (on a durable store) one WAL
-	// batch record per chunk, and only a chunk of boxed rows in flight.
-	const chunk = 4096
-	width := TreeSchema.Len()
-	for lo := 0; lo < t.Len(); lo += chunk {
-		hi := min(lo+chunk, t.Len())
-		cells := make([]store.Value, 0, (hi-lo)*width)
-		rows := make([]store.Row, 0, hi-lo)
-		for p := lo; p < hi; p++ {
-			id := t.NodeAtPre(p)
-			n := t.Node(id)
-			parentPre := int64(-1)
-			if n.Parent != phylo.None {
-				parentPre = int64(t.Pre(n.Parent))
-			}
-			_, endPre := t.SubtreeInterval(id)
-			cells = append(cells,
-				store.IntValue(int64(p)),
-				store.StringValue(n.Name),
-				store.IntValue(parentPre),
-				store.IntValue(int64(t.Depth(id))),
-				store.BoolValue(n.IsLeaf()),
-				store.FloatValue(n.Length),
-				store.FloatValue(t.RootDistance(id)),
-				store.IntValue(int64(t.LeafCount(id))),
-				store.FloatValue(layout.X[id]),
-				store.FloatValue(layout.Y[id]),
-				store.IntValue(int64(endPre)),
-			)
-			rows = append(rows, cells[len(cells)-width:len(cells):len(cells)])
-		}
-		if err := db.CommitDeltas([]store.TableDelta{{Table: TreeTable, Inserts: rows}}); err != nil {
-			return err
-		}
-	}
-	if err := tab.CreateIndex("pre", store.IndexBTree); err != nil {
-		return err
-	}
-	if err := tab.CreateIndex("name", store.IndexHash); err != nil {
-		return err
-	}
-	return nil
+	return tab, nil
 }
 
 // Tree returns the engine's phylogenetic tree.

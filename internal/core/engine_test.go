@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -367,9 +369,10 @@ func TestResetSession(t *testing.T) {
 
 func TestEnginePersistenceRoundTrip(t *testing.T) {
 	// Full durability cycle: integrate into a disk-backed DB, build
-	// the engine (materializing tree_nodes), checkpoint, close,
-	// reopen, rebuild the engine — the materialized tree must be
-	// reused and queries must agree.
+	// the engine (publishing tree_nodes), checkpoint, close, reopen,
+	// rebuild the engine. tree_nodes is frozen, so neither the
+	// checkpoint nor the WAL holds it: the reopened store lacks it until
+	// New publishes it again, and queries must agree.
 	dir := t.TempDir()
 	gen := datagen.DefaultConfig()
 	gen.NumFamilies = 2
@@ -391,6 +394,11 @@ func TestEnginePersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab1, err := db.Table(TreeTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows1 := tab1.Snapshot()
 	sum1, err := e1.SubtreeActivity(context.Background(), e1.Root().Name)
 	if err != nil {
 		t.Fatal(err)
@@ -405,19 +413,22 @@ func TestEnginePersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	tab, err := db2.Table(TreeTable)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := db2.Table(TreeTable); err == nil {
+		t.Fatalf("the reopened store holds %s", TreeTable)
 	}
-	rowsBefore := tab.Len()
 	e2, err := New(db2, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same deterministic data → same tree; materialization reused
-	// (no duplicate rows).
-	if tab.Len() != rowsBefore {
-		t.Fatalf("tree_nodes grew on reopen: %d → %d", rowsBefore, tab.Len())
+	tab2, err := db2.Table(TreeTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab2.Len() != len(rows1) {
+		t.Fatalf("tree_nodes holds %d rows after the restart, %d before", tab2.Len(), len(rows1))
+	}
+	if !slices.Equal(canonRows(tab2.Snapshot()), canonRows(rows1)) {
+		t.Fatal("tree_nodes rows changed across restart")
 	}
 	sum2, err := e2.SubtreeActivity(context.Background(), e2.Root().Name)
 	if err != nil {
@@ -425,6 +436,50 @@ func TestEnginePersistenceRoundTrip(t *testing.T) {
 	}
 	if sum1.Activities != sum2.Activities || sum1.DistinctLig != sum2.DistinctLig {
 		t.Fatalf("answers changed across restart: %+v vs %+v", sum1, sum2)
+	}
+}
+
+// TestNewRefusesPersistedTreeNodes: a store whose checkpoint holds
+// tree_nodes as a stored table (what builds before the frozen kind
+// wrote) is refused by New with an error naming the table, and the
+// stored table is left as it was.
+func TestNewRefusesPersistedTreeNodes(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := datagen.Generate(smallDataset())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := integrate.NewImporter(db, source.NewBundle(ds, netsim.ProfileLAN, 1, true)).ImportAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable(TreeTable, TreeSchema); err != nil {
+		t.Fatal(err)
+	}
+	row := store.Row{store.IntValue(0), store.StringValue("root"), store.IntValue(-1), store.IntValue(0), store.BoolValue(false),
+		store.FloatValue(0), store.FloatValue(0), store.IntValue(1), store.FloatValue(0), store.FloatValue(0), store.IntValue(0)}
+	if _, err := db.Insert(TreeTable, row); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	db2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	_, err = New(db2, DefaultConfig())
+	if err == nil || !strings.Contains(err.Error(), TreeTable) {
+		t.Fatalf("New over a persisted %s: err = %v, want one naming the table", TreeTable, err)
+	}
+	if tab, err := db2.Table(TreeTable); err != nil || tab.Len() != 1 {
+		t.Fatalf("the stored %s was touched by the refused build", TreeTable)
 	}
 }
 
@@ -516,6 +571,52 @@ func TestEngineWithSyntheticTopology(t *testing.T) {
 	if len(views) != tree.Len() {
 		t.Fatalf("views = %d, want %d", len(views), tree.Len())
 	}
+}
+
+// TestTreeNodesHeap is the tier-1 guard on what an engine holds beside
+// its tree: NewWithTree over a 100 000-leaf topology (199 999 nodes)
+// adds at most 22 MB of live heap to the indexed, named tree and its
+// layout — tree_nodes' frozen vectors and name lookup, ≈ 18.7 MB, and
+// the engine's own small state. A stored tree_nodes with its B+-tree on
+// pre and hash index on name added 33.5 MB.
+func TestTreeNodesHeap(t *testing.T) {
+	tree, err := datagen.RandomTopology(100000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Index(); err != nil {
+		t.Fatal(err)
+	}
+	tree.NameClades()
+	db, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// The base holds a layout like the one NewWithTree builds.
+	base := func() uint64 {
+		layout := phylo.NewLayout(tree)
+		h := liveHeap()
+		runtime.KeepAlive(layout)
+		return h
+	}()
+	e, err := NewWithTree(db, tree, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := float64(liveHeap()) - float64(base)
+	t.Logf("NewWithTree over %d nodes adds %.1f MB", tree.Len(), added/1e6)
+	if added > 22e6 {
+		t.Errorf("NewWithTree adds %.1f MB of live heap, want ≤ 22", added/1e6)
+	}
+	runtime.KeepAlive(e)
 }
 
 func TestQueryAdmissionGate(t *testing.T) {

@@ -108,8 +108,8 @@ func (e *Engine) visit(ctx context.Context, nodeName string, wantRows bool) (cb 
 // commit landing meanwhile can never leave newer rows under an older
 // tag. It returns the entry's batch, which Put has ordered on pre. The
 // read runs on the engine's own executor at its pin on every topology:
-// tree_nodes is written once, in NewWithTree, so every shard's copy
-// equals the source.
+// the source's tree_nodes is the frozen image NewWithTree published,
+// which shard copies cut at build time would miss a republish of.
 func (e *Engine) fetchSubtree(ctx context.Context, lo, hi int) (*store.ColBatch, error) {
 	start := time.Now()
 	src := fmt.Sprintf("SELECT %s FROM %s WHERE pre BETWEEN %d AND %d", treeViewCols, TreeTable, lo, hi)

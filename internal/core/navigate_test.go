@@ -195,13 +195,12 @@ func TestTwinEnginesEvictIdentically(t *testing.T) {
 	}
 }
 
-// TestCacheEntriesTaggedWithReadVersion rewrites every tree_nodes row
-// commit after commit — each generation stamps the version it creates
-// into x — while readers navigate. Whatever OpenSubtree returns must be
-// one generation (the rows of a single pinned read), and whatever the
-// cache serves under tag v must be generation v: an entry tagged with a
-// version read before its statement pinned would carry v+1 rows under
-// tag v.
+// TestCacheEntriesTaggedWithReadVersion republishes tree_nodes image
+// after image — each one stamps the version it creates into x — while
+// readers navigate. Whatever OpenSubtree returns must be one generation
+// (the rows of a single pinned read), and whatever the cache serves
+// under tag v must be generation v: an entry tagged with a version read
+// before its statement pinned would carry v+1 rows under tag v.
 func TestCacheEntriesTaggedWithReadVersion(t *testing.T) {
 	tree, err := datagen.RandomTopology(40, 5)
 	if err != nil {
@@ -221,21 +220,19 @@ func TestCacheEntriesTaggedWithReadVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	const xCol = 8
-	stamp := func() error { // one commit: every row re-inserted with x = the version this commit creates
+	stamp := func() error { // one republish: the tree's image with x = the version it creates
 		next := tab.Version() + 1
-		delta := store.TableDelta{Table: TreeTable}
-		tab.Scan(func(id int64, r store.Row) bool {
-			row := append(store.Row(nil), r...)
-			row[xCol] = store.FloatValue(float64(next))
-			delta.DeleteIDs = append(delta.DeleteIDs, id)
-			delta.Inserts = append(delta.Inserts, row)
-			return true
-		})
-		if err := db.CommitDeltas([]store.TableDelta{delta}); err != nil {
+		img := treeImage(tree, e.layout)
+		x := make([]float64, tree.Len())
+		for i := range x {
+			x[i] = float64(next)
+		}
+		img.Cols[xCol] = store.Col{Kind: store.KindFloat, Float: x}
+		if _, err := db.PublishFrozen(TreeTable, TreeSchema, img); err != nil {
 			return err
 		}
 		if got := tab.Version(); got != next {
-			return fmt.Errorf("commit produced version %d, stamped %d", got, next)
+			return fmt.Errorf("republish produced version %d, stamped %d", got, next)
 		}
 		return nil
 	}
@@ -245,19 +242,23 @@ func TestCacheEntriesTaggedWithReadVersion(t *testing.T) {
 
 	ctx := context.Background()
 	var stop atomic.Bool
+	var opens, probes atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 150 && !stop.Load(); i++ {
+		// A republish takes microseconds, so the writer keeps going
+		// until the readers have met enough generations, not for a fixed
+		// count; the cap bounds a run in which they never do.
+		for i := 0; i < 1_000_000 && !stop.Load() && (i < 150 || opens.Load() < 300 || probes.Load() < 30); i++ {
 			if err := stamp(); err != nil {
 				t.Error(err)
+				stop.Store(true)
 				return
 			}
 		}
 		stop.Store(true)
 	}()
-	var opens, probes atomic.Int64
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {

@@ -141,7 +141,7 @@ func TestStatementCacheInvalidatedByWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lig.Insert(store.Row{
+	if _, err := e.DB().Insert(lig.Name(), store.Row{
 		store.StringValue("LIGX"), store.StringValue("x"),
 		store.StringValue("CCO"), store.FloatValue(46), store.StringValue("C2H6O"),
 	}); err != nil {

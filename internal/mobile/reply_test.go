@@ -333,7 +333,7 @@ func TestSharedResultEncodedConcurrently(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < commits; i++ {
-			if _, err := lig.Insert(store.Row{
+			if _, err := e.DB().Insert(lig.Name(), store.Row{
 				store.StringValue(fmt.Sprintf("LIGX%03d", i)), store.StringValue("x"),
 				store.StringValue("CCO"), store.FloatValue(46), store.StringValue("C2H6O"),
 			}); err != nil {

@@ -319,7 +319,7 @@ func TestIndexWalksPollContext(t *testing.T) {
 		name := fmt.Sprintf("P%02d", p)
 		tree.AddNode(name, parent, 1)
 		for i := 0; i < 600; i++ {
-			act.Insert(store.Row{store.StringValue(name), store.StringValue(fmt.Sprintf("L%03d", i)), store.FloatValue(float64(i%97) / 10)})
+			db.Insert(act.Name(), store.Row{store.StringValue(name), store.StringValue(fmt.Sprintf("L%03d", i)), store.FloatValue(float64(i%97) / 10)})
 		}
 	}
 	if err := tree.Index(); err != nil {

@@ -300,25 +300,25 @@ func datagenCatalogOf(t testing.TB, tweak func(*datagen.Config)) *DBCatalog {
 		t.Fatal(err)
 	}
 	for _, a := range ds.Annotations {
-		ann.Insert(store.Row{store.StringValue(a.ProteinID), store.StringValue(a.Organism)})
+		db.Insert(ann.Name(), store.Row{store.StringValue(a.ProteinID), store.StringValue(a.Organism)})
 	}
 	ann.CreateIndex("protein_id", store.IndexHash)
 	for _, p := range ds.Proteins {
-		prot.Insert(store.Row{
+		db.Insert(prot.Name(), store.Row{
 			store.StringValue(p.ID),
 			store.StringValue(p.Family),
 			store.IntValue(int64(100 + len(p.Residues))),
 		})
 	}
 	for _, a := range ds.Activities {
-		act.Insert(store.Row{
+		db.Insert(act.Name(), store.Row{
 			store.StringValue(a.ProteinID),
 			store.StringValue(a.LigandID),
 			store.FloatValue(a.Affinity),
 		})
 	}
 	for _, l := range ds.Ligands {
-		lig.Insert(store.Row{store.StringValue(l.ID), store.FloatValue(l.Weight)})
+		db.Insert(lig.Name(), store.Row{store.StringValue(l.ID), store.FloatValue(l.Weight)})
 	}
 	prot.CreateIndex("accession", store.IndexHash)
 	prot.CreateIndex("family", store.IndexHash)
@@ -344,7 +344,7 @@ func datagenCatalogOf(t testing.TB, tweak func(*datagen.Config)) *DBCatalog {
 	}
 	for i := 0; i < tree.Len(); i++ {
 		id := phylo.NodeID(i)
-		nodes.Insert(store.Row{
+		db.Insert(nodes.Name(), store.Row{
 			store.IntValue(int64(tree.Pre(id))),
 			store.StringValue(tree.Node(id).Name),
 			store.BoolValue(tree.Node(id).IsLeaf()),

@@ -22,7 +22,12 @@ import (
 //	internal nodes
 //	wide_a(k), wide_b(k) — integers around 2^53, where two of them
 //	widen to one float64
-func testCatalog(t *testing.T) *DBCatalog {
+func testCatalog(t *testing.T) *DBCatalog { return testCatalogWith(t, true) }
+
+// testCatalogWith is testCatalog, leaving tree_nodes out unless
+// withTreeNodes is set: an engine built over the catalog publishes its
+// own.
+func testCatalogWith(t *testing.T, withTreeNodes bool) *DBCatalog {
 	t.Helper()
 	db, err := store.Open("")
 	if err != nil {
@@ -54,14 +59,14 @@ func testCatalog(t *testing.T) *DBCatalog {
 	for i := 0; i < 60; i++ {
 		acc := fmt.Sprintf("P%03d", i)
 		fam := fmt.Sprintf("FAM%d", i%4)
-		prot.Insert(store.Row{store.StringValue(acc), store.StringValue(fam), store.IntValue(int64(100 + i))})
+		db.Insert(prot.Name(), store.Row{store.StringValue(acc), store.StringValue(fam), store.IntValue(int64(100 + i))})
 		for j := 0; j < 3; j++ {
 			lid := fmt.Sprintf("L%02d", (i+j)%10)
-			act.Insert(store.Row{store.StringValue(acc), store.StringValue(lid), store.FloatValue(float64(4 + (i+j)%7))})
+			db.Insert(act.Name(), store.Row{store.StringValue(acc), store.StringValue(lid), store.FloatValue(float64(4 + (i+j)%7))})
 		}
 	}
 	for j := 0; j < 10; j++ {
-		lig.Insert(store.Row{store.StringValue(fmt.Sprintf("L%02d", j)), store.FloatValue(float64(100 + 10*j))})
+		db.Insert(lig.Name(), store.Row{store.StringValue(fmt.Sprintf("L%02d", j)), store.FloatValue(float64(100 + 10*j))})
 	}
 	prot.CreateIndex("accession", store.IndexHash)
 	prot.CreateIndex("family", store.IndexHash)
@@ -82,30 +87,32 @@ func testCatalog(t *testing.T) *DBCatalog {
 	if err := tree.Index(); err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := db.CreateTable("tree_nodes", store.MustSchema(
-		store.Column{Name: "pre", Kind: store.KindInt},
-		store.Column{Name: "name", Kind: store.KindString},
-		store.Column{Name: "is_leaf", Kind: store.KindBool},
-	))
-	if err != nil {
-		t.Fatal(err)
+	if withTreeNodes {
+		nodes, err := db.CreateTable("tree_nodes", store.MustSchema(
+			store.Column{Name: "pre", Kind: store.KindInt},
+			store.Column{Name: "name", Kind: store.KindString},
+			store.Column{Name: "is_leaf", Kind: store.KindBool},
+		))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tree.Len(); i++ {
+			id := phylo.NodeID(i)
+			db.Insert(nodes.Name(), store.Row{
+				store.IntValue(int64(tree.Pre(id))),
+				store.StringValue(tree.Node(id).Name),
+				store.BoolValue(tree.Node(id).IsLeaf()),
+			})
+		}
+		nodes.CreateIndex("pre", store.IndexBTree)
 	}
-	for i := 0; i < tree.Len(); i++ {
-		id := phylo.NodeID(i)
-		nodes.Insert(store.Row{
-			store.IntValue(int64(tree.Pre(id))),
-			store.StringValue(tree.Node(id).Name),
-			store.BoolValue(tree.Node(id).IsLeaf()),
-		})
-	}
-	nodes.CreateIndex("pre", store.IndexBTree)
 	for name, ks := range map[string][]int64{"wide_a": {1<<53 + 1, 1}, "wide_b": {1 << 53, 1<<53 + 1, 1}} {
 		wide, err := db.CreateTable(name, store.MustSchema(store.Column{Name: "k", Kind: store.KindInt}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range ks {
-			wide.Insert(store.Row{store.IntValue(k)})
+			db.Insert(wide.Name(), store.Row{store.IntValue(k)})
 		}
 	}
 	// specials holds the float cells a comparison must order as
@@ -124,7 +131,7 @@ func testCatalog(t *testing.T) *DBCatalog {
 		store.FloatValue(math.NaN()), store.FloatValue(5), store.FloatValue(math.Inf(1)), store.FloatValue(math.Inf(-1)),
 		store.FloatValue(math.Copysign(0, -1)), store.FloatValue(0), store.NullValue(), store.FloatValue(5), store.FloatValue(math.NaN()),
 	} {
-		specials.Insert(store.Row{store.IntValue(int64(i + 1)), f, f})
+		db.Insert(specials.Name(), store.Row{store.IntValue(int64(i + 1)), f, f})
 	}
 	specials.CreateIndex("x", store.IndexBTree)
 	// errs places NULLs so that evaluating an expression a column at a
@@ -149,10 +156,10 @@ func testCatalog(t *testing.T) *DBCatalog {
 		{store.NullValue(), store.NullValue()},
 		{store.StringValue("g"), store.IntValue(5)},
 	} {
-		errs.Insert(store.Row{store.IntValue(1), store.IntValue(int64(pos)), r.family, r.length})
+		db.Insert(errs.Name(), store.Row{store.IntValue(1), store.IntValue(int64(pos)), r.family, r.length})
 	}
 	for pos := 4; pos < 64; pos++ {
-		errs.Insert(store.Row{store.IntValue(int64(pos - 2)), store.IntValue(int64(pos)), store.NullValue(), store.NullValue()})
+		db.Insert(errs.Name(), store.Row{store.IntValue(int64(pos - 2)), store.IntValue(int64(pos)), store.NullValue(), store.NullValue()})
 	}
 	errs.CreateIndex("k", store.IndexHash)
 	errs.CreateIndex("pos", store.IndexBTree)

@@ -1,6 +1,9 @@
 package query
 
-import "math/rand"
+import (
+	"math/rand"
+	"testing"
+)
 
 // Test-only exports for the external test package (sharded_test.go,
 // wire_test.go), which may import internal/shard, internal/core and
@@ -12,8 +15,11 @@ var (
 	CladeOfSize      = cladeOfSize
 	AssertSameResult = assertSameResult
 	SerialOptions    = serialOptions
-	TestCatalog      = testCatalog
 )
+
+// EngineCatalog is testCatalog without tree_nodes, for a core engine
+// built over it to publish its own.
+func EngineCatalog(t *testing.T) *DBCatalog { return testCatalogWith(t, false) }
 
 // DifferentialCorpus lists the statements of differentialCorpus.
 func DifferentialCorpus() []string {

@@ -220,9 +220,9 @@ func TestBTreeKeyedJoinUsesHashJoin(t *testing.T) {
 		store.Column{Name: "bv", Kind: store.KindString},
 	))
 	for i := 0; i < 50; i++ {
-		a.Insert(store.Row{store.IntValue(int64(i % 10)), store.StringValue("a")})
+		db.Insert(a.Name(), store.Row{store.IntValue(int64(i % 10)), store.StringValue("a")})
 		if i%2 == 0 {
-			bt.Insert(store.Row{store.IntValue(int64(i % 14)), store.StringValue("b")})
+			db.Insert(bt.Name(), store.Row{store.IntValue(int64(i % 14)), store.StringValue("b")})
 		}
 	}
 	a.CreateIndex("k", store.IndexBTree)
@@ -251,14 +251,14 @@ func TestJoinDuplicateKeysBothSides(t *testing.T) {
 	))
 	// Key 5 appears 3 times left, 4 times right → 12 output rows.
 	for i := 0; i < 3; i++ {
-		a.Insert(store.Row{store.IntValue(5), store.IntValue(int64(i))})
+		db.Insert(a.Name(), store.Row{store.IntValue(5), store.IntValue(int64(i))})
 	}
 	for j := 0; j < 4; j++ {
-		bt.Insert(store.Row{store.IntValue(5), store.IntValue(int64(j))})
+		db.Insert(bt.Name(), store.Row{store.IntValue(5), store.IntValue(int64(j))})
 	}
 	// Non-matching keys around it.
-	a.Insert(store.Row{store.IntValue(1), store.IntValue(99)})
-	bt.Insert(store.Row{store.IntValue(9), store.IntValue(99)})
+	db.Insert(a.Name(), store.Row{store.IntValue(1), store.IntValue(99)})
+	db.Insert(bt.Name(), store.Row{store.IntValue(9), store.IntValue(99)})
 	a.CreateIndex("k", store.IndexBTree)
 	bt.CreateIndex("k", store.IndexBTree)
 	cat := NewDBCatalog(db, nil)

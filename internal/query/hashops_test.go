@@ -55,15 +55,15 @@ func hashOpsCatalog(t testing.TB) *DBCatalog {
 	k2s := []string{"", "a", "b"}
 	l := mk("l", store.Column{Name: "k", Kind: store.KindInt}, store.Column{Name: "k2", Kind: store.KindString}, store.Column{Name: "v", Kind: store.KindInt})
 	for i := 0; i < 120; i++ {
-		l.Insert(store.Row{nullEvery(i, 11, store.IntValue(int64(i%10))), nullEvery(i, 7, store.StringValue(k2s[i%3])), store.IntValue(int64(i))})
+		db.Insert(l.Name(), store.Row{nullEvery(i, 11, store.IntValue(int64(i%10))), nullEvery(i, 7, store.StringValue(k2s[i%3])), store.IntValue(int64(i))})
 	}
 	r := mk("r", store.Column{Name: "k", Kind: store.KindInt}, store.Column{Name: "k2", Kind: store.KindString}, store.Column{Name: "w", Kind: store.KindFloat})
 	for i := 0; i < 90; i++ {
-		r.Insert(store.Row{nullEvery(i, 13, store.IntValue(int64(5+i%10))), nullEvery(i, 5, store.StringValue(k2s[(i/2)%3])), store.FloatValue(float64(i) / 4)})
+		db.Insert(r.Name(), store.Row{nullEvery(i, 13, store.IntValue(int64(5+i%10))), nullEvery(i, 5, store.StringValue(k2s[(i/2)%3])), store.FloatValue(float64(i) / 4)})
 	}
 	fk := mk("fk", store.Column{Name: "k", Kind: store.KindFloat}, store.Column{Name: "w", Kind: store.KindInt})
 	for i := 0; i < 24; i++ {
-		fk.Insert(store.Row{store.FloatValue(float64(i) / 2), store.IntValue(int64(i))})
+		db.Insert(fk.Name(), store.Row{store.FloatValue(float64(i) / 2), store.IntValue(int64(i))})
 	}
 	big := mk("big", store.Column{Name: "k", Kind: store.KindInt}, store.Column{Name: "s", Kind: store.KindString})
 	for i := 0; i < 2600; i++ {
@@ -71,22 +71,22 @@ func hashOpsCatalog(t testing.TB) *DBCatalog {
 		if i == 1300 {
 			s = "x"
 		}
-		big.Insert(store.Row{store.IntValue(int64(i % 50)), store.StringValue(s)})
+		db.Insert(big.Name(), store.Row{store.IntValue(int64(i % 50)), store.StringValue(s)})
 	}
 	mk("e", store.Column{Name: "k", Kind: store.KindInt}, store.Column{Name: "v", Kind: store.KindInt})
 	dim := mk("dim", store.Column{Name: "k", Kind: store.KindInt}, store.Column{Name: "g", Kind: store.KindString}, store.Column{Name: "name", Kind: store.KindString})
 	gs := []store.Value{store.StringValue("p"), store.StringValue("q"), store.NullValue()}
 	for i, k := range []store.Value{store.IntValue(0), store.IntValue(7), store.IntValue(7), store.NullValue(), store.IntValue(1<<53 + 1),
 		store.IntValue(11), store.IntValue(42), store.IntValue(99), store.IntValue(150), store.IntValue(201), store.IntValue(250), store.IntValue(299)} {
-		dim.Insert(store.Row{k, gs[i%3], store.StringValue(fmt.Sprintf("d%d", i))})
+		db.Insert(dim.Name(), store.Row{k, gs[i%3], store.StringValue(fmt.Sprintf("d%d", i))})
 	}
 	fact := mk("fact", store.Column{Name: "k", Kind: store.KindInt}, store.Column{Name: "f", Kind: store.KindFloat},
 		store.Column{Name: "v", Kind: store.KindInt}, store.Column{Name: "s", Kind: store.KindString})
 	for i := 0; i < 2999; i++ {
-		fact.Insert(store.Row{nullEvery(i, 37, store.IntValue(int64(i%300))), nullEvery(i, 37, store.FloatValue(float64(i%300))),
+		db.Insert(fact.Name(), store.Row{nullEvery(i, 37, store.IntValue(int64(i%300))), nullEvery(i, 37, store.FloatValue(float64(i%300))),
 			store.IntValue(int64(i % 500)), nullEvery(i, 5, store.StringValue(fmt.Sprintf("s%d", i%7)))})
 	}
-	fact.Insert(store.Row{store.IntValue(1 << 53), store.FloatValue(1 << 53), store.IntValue(7), store.StringValue("wide")})
+	db.Insert(fact.Name(), store.Row{store.IntValue(1 << 53), store.FloatValue(1 << 53), store.IntValue(7), store.StringValue("wide")})
 	fact.CreateIndex("k", store.IndexHash)
 	fact.CreateIndex("f", store.IndexBTree)
 	fact.CreateIndex("v", store.IndexBTree)
@@ -429,13 +429,13 @@ func TestKeyedProbeResidualAllocs(t *testing.T) {
 		}
 		for k := 0; k < 10000; k++ {
 			if k < 4 {
-				keys.Insert(store.Row{store.IntValue(int64(k))})
+				db.Insert(keys.Name(), store.Row{store.IntValue(int64(k))})
 				for j := 0; j < fanout; j++ {
-					posts.Insert(store.Row{store.IntValue(int64(k)), store.IntValue(int64(j))})
+					db.Insert(posts.Name(), store.Row{store.IntValue(int64(k)), store.IntValue(int64(j))})
 				}
 				continue
 			}
-			posts.Insert(store.Row{store.IntValue(int64(k)), store.IntValue(0)})
+			db.Insert(posts.Name(), store.Row{store.IntValue(int64(k)), store.IntValue(0)})
 		}
 		posts.CreateIndex("k", store.IndexHash)
 		eng := NewEngine(NewDBCatalog(db, nil), serialOptions())

@@ -97,8 +97,8 @@ func TestCrossJoinViaTrueCondition(t *testing.T) {
 	a, _ := db.CreateTable("a", store.MustSchema(store.Column{Name: "x", Kind: store.KindInt}))
 	bt, _ := db.CreateTable("b", store.MustSchema(store.Column{Name: "y", Kind: store.KindInt}))
 	for i := 0; i < 3; i++ {
-		a.Insert(store.Row{store.IntValue(int64(i))})
-		bt.Insert(store.Row{store.IntValue(int64(10 + i))})
+		db.Insert(a.Name(), store.Row{store.IntValue(int64(i))})
+		db.Insert(bt.Name(), store.Row{store.IntValue(int64(10 + i))})
 	}
 	cat := NewDBCatalog(db, nil)
 	res := runQ(t, cat, DefaultOptions(), "SELECT p.x, q.y FROM a p JOIN b q ON 1 = 1")

@@ -30,7 +30,7 @@ func tanimotoCatalog(t *testing.T) *DBCatalog {
 		{"NAP", "c1ccc2ccccc2c1"}, // naphthalene
 	}
 	for _, r := range rows {
-		lig.Insert(store.Row{store.StringValue(r[0]), store.StringValue(r[1])})
+		db.Insert(lig.Name(), store.Row{store.StringValue(r[0]), store.StringValue(r[1])})
 	}
 	return NewDBCatalog(db, nil)
 }
@@ -94,7 +94,7 @@ func TestTanimotoUnparseableRowScoresNull(t *testing.T) {
 	cat := tanimotoCatalog(t)
 	db := cat.DB
 	lig, _ := db.Table("ligands")
-	lig.Insert(store.Row{store.StringValue("BAD"), store.StringValue("garbage(((")})
+	db.Insert(lig.Name(), store.Row{store.StringValue("BAD"), store.StringValue("garbage(((")})
 	// NULL similarity rows are excluded by the threshold comparison.
 	res := runQ(t, cat, DefaultOptions(),
 		"SELECT ligand_id FROM ligands WHERE TANIMOTO(smiles, 'CCO') >= 0")

@@ -26,7 +26,7 @@ func TestWireMatchesRowExecutor(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			ctx := context.Background()
-			cat := query.TestCatalog(t)
+			cat := query.EngineCatalog(t)
 			cfg := core.DefaultConfig()
 			cfg.QueryOptions = query.SerialOptions()
 			cfg.QueryCacheEntries = 64

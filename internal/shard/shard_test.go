@@ -84,25 +84,25 @@ func buildFixture(t testing.TB, cfg datagen.Config) (*store.DB, *phylo.Tree) {
 		t.Fatal(err)
 	}
 	for _, p := range ds.Proteins {
-		prot.Insert(store.Row{
+		db.Insert(prot.Name(), store.Row{
 			store.StringValue(p.ID),
 			store.StringValue(p.Family),
 			store.IntValue(int64(100 + len(p.Residues))),
 		})
 	}
 	for _, a := range ds.Activities {
-		act.Insert(store.Row{
+		db.Insert(act.Name(), store.Row{
 			store.StringValue(a.ProteinID),
 			store.StringValue(a.LigandID),
 			store.FloatValue(a.Affinity),
 		})
 	}
 	for _, l := range ds.Ligands {
-		lig.Insert(store.Row{store.StringValue(l.ID), store.FloatValue(l.Weight)})
+		db.Insert(lig.Name(), store.Row{store.StringValue(l.ID), store.FloatValue(l.Weight)})
 	}
 	for i := 0; i < tree.Len(); i++ {
 		id := phylo.NodeID(i)
-		nodes.Insert(store.Row{
+		db.Insert(nodes.Name(), store.Row{
 			store.IntValue(int64(tree.Pre(id))),
 			store.StringValue(tree.Node(id).Name),
 			store.BoolValue(tree.Node(id).IsLeaf()),

@@ -13,7 +13,7 @@ import (
 )
 
 // The oracle for every Access is the path that shares no code with it:
-// TableView.Scan at the same pinned version (scanLocked — no index, no
+// TableView.Scan at the same pinned version (a full pass — no index, no
 // posting verification), filtered and sorted in the test. The fixture
 // draws keys from a dozen values so duplicate keys straddle every
 // top-k cut, a fifth of the rows carry a NULL key, and one-delta
@@ -413,7 +413,7 @@ func TestAccessPollsContext(t *testing.T) {
 	db, tb := openAccessDB(t)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 4*pollEvery; i++ {
-		if _, err := tb.Insert(accessRow(rng)); err != nil {
+		if _, err := insertRow(tb, accessRow(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,7 +453,7 @@ func TestAccessAcceptError(t *testing.T) {
 	_, tb := openAccessDB(t)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 50; i++ {
-		tb.Insert(accessRow(rng))
+		insertRow(tb, accessRow(rng))
 	}
 	boom := errors.New("boom")
 	view, release := pinView(tb)
@@ -476,7 +476,7 @@ func TestAcceptChunkBoundaries(t *testing.T) {
 	_, tb := openAccessDB(t)
 	const rows = 2500
 	for i := 0; i < rows; i++ {
-		tb.Insert(Row{FloatValue(float64(i)), StringValue(fmt.Sprintf("g%d", i%2)), IntValue(int64(i))})
+		insertRow(tb, Row{FloatValue(float64(i)), StringValue(fmt.Sprintf("g%d", i%2)), IntValue(int64(i))})
 	}
 	view, release := pinView(tb)
 	defer release()
@@ -552,7 +552,7 @@ func TestAcceptChunkBoundaries(t *testing.T) {
 func TestCountPostings(t *testing.T) {
 	_, tb := openAccessDB(t)
 	for i := 0; i < 100; i++ {
-		tb.Insert(Row{FloatValue(float64(i % 10)), StringValue(fmt.Sprintf("g%d", i%4)), IntValue(int64(i))})
+		insertRow(tb, Row{FloatValue(float64(i % 10)), StringValue(fmt.Sprintf("g%d", i%4)), IntValue(int64(i))})
 	}
 	lo, hi := FloatValue(2), FloatValue(4)
 	for _, c := range []struct {
@@ -583,7 +583,7 @@ func TestCountPostings(t *testing.T) {
 func TestFilteredGatherSizedExactly(t *testing.T) {
 	_, tb := openAccessDB(t)
 	for i := 0; i < 5000; i++ {
-		tb.Insert(Row{FloatValue(float64(i % 10)), StringValue(fmt.Sprintf("g%d", i%4)), IntValue(int64(i))})
+		insertRow(tb, Row{FloatValue(float64(i % 10)), StringValue(fmt.Sprintf("g%d", i%4)), IntValue(int64(i))})
 	}
 	view, release := pinView(tb)
 	defer release()

@@ -19,7 +19,7 @@ func benchTable(b *testing.B, rows int, indexed bool) *Table {
 		t.CreateIndex("name", IndexHash)
 	}
 	for i := 0; i < rows; i++ {
-		t.Insert(Row{
+		insertRow(t, Row{
 			IntValue(int64(i)),
 			StringValue(fmt.Sprintf("row-%06d", i)),
 			FloatValue(float64(i) * 0.5)})
@@ -66,10 +66,10 @@ func BenchmarkInsert(b *testing.B) {
 			name = "TwoIndexes"
 		}
 		b.Run(name, func(b *testing.B) {
-			t := benchTable(b, 0, indexed)
+			db := dbOf(benchTable(b, 0, indexed))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				t.Insert(Row{
+				db.Insert("bench", Row{
 					IntValue(int64(i)),
 					StringValue(fmt.Sprintf("row-%06d", i)),
 					FloatValue(float64(i)),

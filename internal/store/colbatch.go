@@ -280,10 +280,11 @@ func (tv *TableView) Select(ctx context.Context, a Access) (*Selection, int, err
 	t := tv.t
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	cols := a.outputCols(t.schema)
+	r := tv.reader
+	cols, storage := a.outputCols(t.schema), r.storage()
 	sel := &Selection{cols: make([]Col, len(cols))}
 	for i, c := range cols {
-		sel.cols[i] = t.cols[c]
+		sel.cols[i] = storage[c]
 	}
 	if a.Accept != nil {
 		// A residual may reject most postings, so the list starts at one
@@ -295,13 +296,13 @@ func (tv *TableView) Select(ctx context.Context, a Access) (*Selection, int, err
 		}
 		var examined int
 		var err error
-		sel.Slots, examined, err = t.acceptLocked(ctx.Err, tv.v, a, make([]int32, 0, t.capacityLocked(a, max)))
+		sel.Slots, examined, err = acceptSlots(r, ctx.Err, a, make([]int32, 0, capacity(r, a, max)))
 		return sel, examined, err
 	}
 	// With no Accept every row the walk examines is emitted, and the
 	// posting count (capped by Limit) sizes the list.
-	sel.Slots = make([]int32, 0, t.capacityLocked(a, a.Limit))
-	err := t.walkLocked(ctx.Err, tv.v, a, func(s int) bool {
+	sel.Slots = make([]int32, 0, capacity(r, a, a.Limit))
+	err := r.walk(ctx.Err, a, func(s int) bool {
 		sel.Slots = append(sel.Slots, int32(s))
 		return a.Limit <= 0 || len(sel.Slots) < a.Limit
 	})

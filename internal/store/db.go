@@ -439,9 +439,13 @@ func (db *DB) writeSnapshot(w *bufio.Writer, seq int64) error {
 	if _, err := cw.Write(snapshotMagicV2); err != nil {
 		return err
 	}
+	// A frozen table is published by its owner on every open, so no
+	// checkpoint holds one.
 	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
+	for n, t := range db.tables {
+		if t.img == nil {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	var buf []byte
@@ -503,7 +507,7 @@ func writeTableSnapshot(w io.Writer, t *Table) error {
 	}
 	var rowBuf []byte
 	var err error
-	t.scanLocked(t.commit, func(_ int64, r Row) bool {
+	scanRows(t.latestLocked(), func(_ int64, r Row) bool {
 		rowBuf = AppendRow(rowBuf[:0], r)
 		_, err = w.Write(rowBuf)
 		return err == nil

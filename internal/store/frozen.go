@@ -1,0 +1,304 @@
+package store
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+	"sync"
+)
+
+// FrozenImage is the whole content of a frozen table, handed to
+// DB.PublishFrozen: one vector per schema column in slot order, all of
+// one length, each of its column's kind with no NULL cell (Null nil).
+// The table takes the vectors over and nothing writes them afterwards,
+// so two columns of one kind may share a vector.
+type FrozenImage struct {
+	Cols []Col
+	// Dense, when set, names an INT column whose cell in slot s is s.
+	// It reports as a B+-tree index, and a key probe or range walk on it
+	// is slot arithmetic.
+	Dense string
+	// Hash, when set, names a column that reports as a hash index and is
+	// probed through a slot table.
+	Hash string
+}
+
+// frozenImage is one published image of a frozen table. It is
+// immutable, so reads need no lock and a view keeps the image it pinned.
+type frozenImage struct {
+	name    string
+	schema  *Schema
+	version int64
+	cols    []Col
+	n       int
+	dense   int // column position of FrozenImage.Dense, -1 for none
+	hash    int // column position of FrozenImage.Hash, -1 for none
+	indexes []IndexSpec
+	// slots is the hash column's lookup: an open-addressed table of
+	// slot+1 (0 is empty), probed linearly from a Fibonacci-hashed home,
+	// at most 7/8 full. It is filled in slot order and never deleted
+	// from, so the slots holding one value lie along its probe run in
+	// ascending order, the order a hash index hands out their postings.
+	slots []int32
+	shift uint8
+
+	statsOnce sync.Once
+	stats     *TableStats
+}
+
+// PublishFrozen publishes img as the whole content of the frozen table
+// name: created at commit version 1 when absent, republished at the next
+// version when it exists. A frozen table reads like any other — Scan,
+// Snapshot, Stats, CountPostings and pinned Selects — but holds no row
+// versions, free slots or index structures, and a view pinned before a
+// republish keeps reading the image it pinned. Its only write is a
+// republish: CommitDeltas refuses it. Neither the WAL nor a checkpoint
+// holds it and a publish fires no CommitEvent, so its owner publishes it
+// again after every Open.
+func (db *DB) PublishFrozen(name string, schema *Schema, img FrozenImage) (*Table, error) {
+	f, err := newFrozenImage(name, schema, img)
+	if err != nil {
+		return nil, err
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	t, ok := db.tables[name]
+	switch {
+	case !ok:
+		t = NewTable(name, schema)
+		t.img = f
+		db.tables[name] = t
+	case t.img == nil:
+		return nil, fmt.Errorf("store: table %q is a stored table (the WAL or a checkpoint holds it), so no frozen image can replace it", name)
+	case !slices.Equal(t.schema.Columns, schema.Columns):
+		return nil, fmt.Errorf("store: frozen table %q republished with schema (%v), want (%v)", name, schema, t.schema)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	f.schema, f.version = t.schema, t.commit+1
+	t.img, t.live, t.commit = f, f.n, f.version
+	return t, nil
+}
+
+// newFrozenImage checks img against the schema and builds its lookups.
+func newFrozenImage(name string, schema *Schema, img FrozenImage) (*frozenImage, error) {
+	if len(img.Cols) != schema.Len() {
+		return nil, fmt.Errorf("store: frozen table %s: %d vectors for %d columns", name, len(img.Cols), schema.Len())
+	}
+	f := &frozenImage{name: name, schema: schema, cols: img.Cols, dense: -1, hash: -1}
+	for c := range img.Cols {
+		col, want := &img.Cols[c], schema.Columns[c]
+		var n int
+		switch col.Kind {
+		case KindInt, KindBool:
+			n = len(col.Int)
+		case KindFloat:
+			n = len(col.Float)
+		default:
+			n = len(col.Str)
+		}
+		switch {
+		case col.Kind != want.Kind:
+			return nil, fmt.Errorf("store: frozen table %s: column %s holds %v, want %v", name, want.Name, col.Kind, want.Kind)
+		case col.Null != nil || col.Vals != nil:
+			return nil, fmt.Errorf("store: frozen table %s: column %s has a null mask or generic cells", name, want.Name)
+		case c > 0 && n != f.n:
+			return nil, fmt.Errorf("store: frozen table %s: column %s holds %d cells, want %d", name, want.Name, n, f.n)
+		}
+		f.n = n
+	}
+	if f.n >= math.MaxInt32 {
+		return nil, fmt.Errorf("store: frozen table %s: %d rows exceed the slot range", name, f.n)
+	}
+	if img.Dense != "" {
+		if f.dense = schema.ColumnIndex(img.Dense); f.dense < 0 || schema.Columns[f.dense].Kind != KindInt {
+			return nil, fmt.Errorf("store: frozen table %s: dense column %q is not an INT column", name, img.Dense)
+		}
+		for s, v := range img.Cols[f.dense].Int {
+			if v != int64(s) {
+				return nil, fmt.Errorf("store: frozen table %s: dense column %s holds %d in slot %d", name, img.Dense, v, s)
+			}
+		}
+		f.indexes = append(f.indexes, IndexSpec{Column: img.Dense, Type: IndexBTree})
+	}
+	if img.Hash != "" {
+		if f.hash = schema.ColumnIndex(img.Hash); f.hash < 0 || f.hash == f.dense {
+			return nil, fmt.Errorf("store: frozen table %s: hash column %q is not a column or is the dense one", name, img.Hash)
+		}
+		f.buildSlots()
+		f.indexes = append(f.indexes, IndexSpec{Column: img.Hash, Type: IndexHash})
+	}
+	slices.SortFunc(f.indexes, func(a, b IndexSpec) int { return cmp.Compare(a.Column, b.Column) })
+	return f, nil
+}
+
+// buildSlots fills the hash column's slot table.
+func (f *frozenImage) buildSlots() {
+	size := hashMinSize
+	for f.n*8 > size*7 {
+		size *= 2
+	}
+	f.slots, f.shift = make([]int32, size), uint8(64-bits.TrailingZeros(uint(size)))
+	col := &f.cols[f.hash]
+	for s := 0; s < f.n; s++ {
+		i := f.home(col.stored(s).Hash())
+		for f.slots[i] != 0 {
+			i = (i + 1) & (size - 1)
+		}
+		f.slots[i] = int32(s) + 1
+	}
+}
+
+// home is where the probe run of hash x starts (hashIndex.home's rule).
+func (f *frozenImage) home(x uint64) int { return int(x * 0x9E3779B97F4A7C15 >> f.shift) }
+
+// probe calls fn with every slot whose hash-column cell equals k, in
+// ascending order, until fn returns false; it reports whether fn never
+// did.
+func (f *frozenImage) probe(k Value, fn func(s int) bool) bool {
+	col, mask := &f.cols[f.hash], len(f.slots)-1
+	for i := f.home(k.Hash()); f.slots[i] != 0; i = (i + 1) & mask {
+		if s := int(f.slots[i] - 1); Equal(col.stored(s), k) && !fn(s) {
+			return false
+		}
+	}
+	return true
+}
+
+// denseSlot resolves a key probe on the dense column: the slot holding
+// a key equal to k, as a B+-tree over the INT column would find it.
+func (f *frozenImage) denseSlot(k Value) (int, bool) {
+	if k.K != KindInt {
+		lo, los := keyBound(KindInt, k, false)
+		hi, his := keyBound(KindInt, k, true)
+		if los != boundKey || his != boundKey || lo.I != hi.I {
+			return 0, false
+		}
+		k = lo
+	}
+	return int(k.I), k.I >= 0 && k.I < int64(f.n)
+}
+
+// denseRange resolves a range walk on the dense column to the slots
+// [first, last] (empty when first > last), bounds restated in INT as a
+// B+-tree walk restates them.
+func (f *frozenImage) denseRange(lo, hi *Value) (first, last int) {
+	a, b := int64(0), int64(f.n-1)
+	if lo != nil {
+		switch v, state := keyBound(KindInt, *lo, false); state {
+		case boundEmpty:
+			return 0, -1
+		case boundKey:
+			a = max(a, v.I)
+		}
+	}
+	if hi != nil {
+		switch v, state := keyBound(KindInt, *hi, true); state {
+		case boundEmpty:
+			return 0, -1
+		case boundKey:
+			b = min(b, v.I)
+		}
+	}
+	if a > b {
+		return 0, -1
+	}
+	return int(a), int(b)
+}
+
+// walk selects the access's rows: the dense column by slot arithmetic,
+// the hash column's keys through the slot table, and anything else by
+// filtering a pass over the slots, as a mutable table without a usable
+// index does.
+func (f *frozenImage) walk(poll func() error, a Access, fn func(s int) bool) error {
+	ci := -1
+	if a.Column != "" {
+		if ci = f.schema.ColumnIndex(a.Column); ci < 0 {
+			return fmt.Errorf("store: table %s has no column %q", f.name, a.Column)
+		}
+	}
+	var err error
+	visited := 0
+	// tick counts one slot visited, polling every pollEvery; visit also
+	// hands the slot to fn.
+	tick := func() bool {
+		if visited++; poll != nil && visited%pollEvery == 0 {
+			err = poll()
+		}
+		return err == nil
+	}
+	visit := func(s int) bool { return tick() && fn(s) }
+	switch {
+	case ci >= 0 && ci == f.dense && a.Keys != nil:
+		for _, k := range a.Keys {
+			if s, ok := f.denseSlot(k); ok && !visit(s) {
+				break
+			}
+		}
+	case ci >= 0 && ci == f.dense:
+		first, last := f.denseRange(a.Lo, a.Hi)
+		if a.Desc {
+			for s := last; s >= first && visit(s); s-- {
+			}
+		} else {
+			for s := first; s <= last && visit(s); s++ {
+			}
+		}
+	case ci >= 0 && ci == f.hash && a.Keys != nil:
+		for _, k := range a.Keys {
+			if !f.probe(k, visit) {
+				break
+			}
+		}
+	case ci >= 0:
+		col := &f.cols[ci]
+		for s := 0; s < f.n && tick() && (!a.matches(col.stored(s)) || fn(s)); s++ {
+		}
+	default:
+		for s := 0; s < f.n && visit(s); s++ {
+		}
+	}
+	return err
+}
+
+// countPostings counts what the index a frozen image reports would
+// visit, giving up past max as Table.CountPostings does.
+func (f *frozenImage) countPostings(a Access, max int) int {
+	ci := f.schema.ColumnIndex(a.Column)
+	n := 0
+	switch {
+	case ci < 0:
+		return f.n
+	case ci == f.dense && a.Keys != nil:
+		for _, k := range a.Keys {
+			if _, ok := f.denseSlot(k); ok {
+				if n++; max > 0 && n > max {
+					break
+				}
+			}
+		}
+	case ci == f.dense:
+		first, last := f.denseRange(a.Lo, a.Hi)
+		if n = last - first + 1; max > 0 && n > max {
+			n = max + 1
+		}
+	case ci == f.hash && a.Keys != nil:
+		for _, k := range a.Keys {
+			f.probe(k, func(int) bool { n++; return true })
+			if max > 0 && n > max {
+				break
+			}
+		}
+	default:
+		return f.n
+	}
+	return n
+}
+
+// tableStats returns the image's statistics, computed on first call.
+func (f *frozenImage) tableStats() *TableStats {
+	f.statsOnce.Do(func() { f.stats = computeStats(f.name, f.schema, reader{img: f}, f.n, f.version) })
+	return f.stats
+}

@@ -32,7 +32,7 @@ func (db *DB) PinSnapshot() *SnapshotHandle {
 	defer db.mu.RUnlock()
 	s := &SnapshotHandle{db: db, views: make(map[string]*TableView, len(db.tables))}
 	for name, t := range db.tables {
-		s.views[name] = &TableView{t: t, v: t.pin()}
+		s.views[name] = t.pin()
 	}
 	db.snapCount.Add(1)
 	return s
@@ -75,7 +75,7 @@ func (s *SnapshotHandle) Release() {
 		return
 	}
 	for _, tv := range s.views {
-		tv.t.unpin(tv.v)
+		tv.t.unpin(tv.ver)
 	}
 	s.db.snapCount.Add(-1)
 }
@@ -96,14 +96,14 @@ func (s *SnapshotHandle) Version(name string) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return tv.v, true
+	return tv.ver, true
 }
 
 // Versions returns the pinned per-table commit versions.
 func (s *SnapshotHandle) Versions() map[string]int64 {
 	out := make(map[string]int64, len(s.views))
 	for name, tv := range s.views {
-		out[name] = tv.v
+		out[name] = tv.ver
 	}
 	return out
 }
@@ -129,8 +129,9 @@ func VersionKey(versions map[string]int64) string {
 // pinned; a view exists only inside a handle, so every read through one
 // is pinned.
 type TableView struct {
-	t *Table
-	v int64
+	// reader is the pinned image: the table at the pinned version, or
+	// the frozen image current at the pin.
+	reader
 }
 
 // Table exposes the underlying table for schema and index
@@ -138,13 +139,30 @@ type TableView struct {
 func (tv *TableView) Table() *Table { return tv.t }
 
 // Version returns the pinned commit version.
-func (tv *TableView) Version() int64 { return tv.v }
+func (tv *TableView) Version() int64 { return tv.ver }
 
 // Len returns the number of rows visible in the view.
-func (tv *TableView) Len() int { return tv.t.countAt(tv.v) }
+func (tv *TableView) Len() int {
+	if tv.img != nil {
+		return tv.img.n
+	}
+	return tv.t.countAt(tv.ver)
+}
 
 // Scan calls fn for every visible row until fn returns false.
-func (tv *TableView) Scan(fn func(id int64, r Row) bool) { tv.t.ScanAt(tv.v, fn) }
+func (tv *TableView) Scan(fn func(id int64, r Row) bool) {
+	tv.t.mu.RLock()
+	defer tv.t.mu.RUnlock()
+	scanRows(tv.reader, fn)
+}
 
 // Snapshot returns copies of every visible row.
-func (tv *TableView) Snapshot() []Row { return tv.t.SnapshotAt(tv.v) }
+func (tv *TableView) Snapshot() []Row {
+	tv.t.mu.RLock()
+	defer tv.t.mu.RUnlock()
+	n := tv.t.live
+	if tv.img != nil {
+		n = tv.img.n
+	}
+	return snapshotRows(tv.reader, n)
+}

@@ -114,22 +114,31 @@ func clamp01(x float64) float64 {
 
 // Stats computes fresh statistics over the whole table. For DrugTree
 // dataset sizes a full pass is cheap; a production system would
-// sample.
+// sample. A frozen image's are computed once, on first call, and shared:
+// callers must not write them.
 func (t *Table) Stats() *TableStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ts := &TableStats{
-		Table:   t.name,
-		Rows:    int64(t.live),
-		Version: t.commit,
+	if t.img != nil {
+		return t.img.tableStats()
 	}
-	n := t.schema.Len()
-	// eachCell visits every cell of every row visible at the latest
-	// version, reading storage in place.
+	return computeStats(t.name, t.schema, t.latestLocked(), t.live, t.commit)
+}
+
+// computeStats passes over every row r holds: rows of them, at version.
+func computeStats(name string, schema *Schema, r reader, rows int, version int64) *TableStats {
+	ts := &TableStats{
+		Table:   name,
+		Rows:    int64(rows),
+		Version: version,
+	}
+	n := schema.Len()
+	cols := r.storage()
+	// eachCell visits every cell of every row, reading storage in place.
 	eachCell := func(fn func(i int, v Value)) {
-		t.passLocked(nil, t.commit, 0, nil, func(s int) bool {
+		_ = r.walk(nil, Access{}, func(s int) bool { // a pass without poll cannot fail
 			for i := 0; i < n; i++ {
-				fn(i, t.cols[i].stored(s))
+				fn(i, cols[i].stored(s))
 			}
 			return true
 		})
@@ -142,7 +151,7 @@ func (t *Table) Stats() *TableStats {
 	accs := make([]acc, n)
 	for i := range accs {
 		accs[i].distinct = make(map[uint64]struct{})
-		accs[i].cs = ColumnStats{Name: t.schema.Columns[i].Name, Kind: t.schema.Columns[i].Kind}
+		accs[i].cs = ColumnStats{Name: schema.Columns[i].Name, Kind: schema.Columns[i].Kind}
 	}
 	eachCell(func(i int, v Value) {
 		if v.IsNull() {

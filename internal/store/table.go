@@ -59,9 +59,9 @@ func (ev CommitEvent) Detach() CommitEvent {
 	if ev.t == nil {
 		return ev
 	}
-	sl, rows := ev.t.newSlab(len(ev.deleteIDs)), make([]Row, len(ev.deleteIDs))
+	sl, rows := newSlab(ev.t.cols, len(ev.deleteIDs)), make([]Row, len(ev.deleteIDs))
 	for i, id := range ev.deleteIDs {
-		rows[i] = sl.row(ev.t, int(uint32(id)))
+		rows[i] = sl.row(int(uint32(id)))
 	}
 	return CommitEvent{Table: ev.Table, Version: ev.Version, Inserted: ev.Inserted, deleted: rows}
 }
@@ -106,6 +106,10 @@ type Table struct {
 	// onCommit, when set, receives one CommitEvent per committed
 	// mutation batch, invoked under mu (see CommitEvent).
 	onCommit func(CommitEvent)
+	// img is set on a frozen table (see DB.PublishFrozen): its current
+	// image, which a republish replaces whole. Such a table has no slot
+	// bookkeeping, pins or indexes; live and commit mirror the image.
+	img *frozenImage
 }
 
 // NewTable creates an empty table.
@@ -242,12 +246,12 @@ func (c *Col) stored(i int) (v Value) {
 // ver.
 func (t *Table) visible(s int, ver int64) bool { return t.begin[s] <= ver && ver < t.end[s] }
 
-// load refreshes the schema-wide row dst with slot s's stored cells.
-// Each dst cell must be zero or an earlier load of the same column, so
-// only its kind and payload are written.
-func (t *Table) load(dst Row, s int) {
-	for c := range t.cols {
-		t.cols[c].loadCell(&dst[c], s)
+// loadRow refreshes the schema-wide row dst with slot s's cells in the
+// storage vectors cols. Each dst cell must be zero or an earlier load of
+// the same column, so only its kind and payload are written.
+func loadRow(cols []Col, dst Row, s int) {
+	for c := range cols {
+		cols[c].loadCell(&dst[c], s)
 	}
 }
 
@@ -266,25 +270,27 @@ func (c *Col) loadCell(v *Value, i int) {
 	}
 }
 
-// slab cuts materialised rows out of shared allocations: n rows in the
-// first, further chunks only if the caller undercounted.
+// slab cuts rows materialised from the storage vectors cols out of
+// shared allocations: n rows in the first, further chunks only if the
+// caller undercounted.
 type slab struct {
+	cols  []Col
 	cells []Value
-	w     int
 }
 
-func (t *Table) newSlab(n int) *slab {
-	return &slab{cells: make([]Value, n*len(t.cols)), w: len(t.cols)}
+func newSlab(cols []Col, n int) *slab {
+	return &slab{cols: cols, cells: make([]Value, n*len(cols))}
 }
 
 // row materialises the row in slot s.
-func (sl *slab) row(t *Table, s int) Row {
-	if len(sl.cells) < sl.w {
-		sl.cells = make([]Value, 256*sl.w)
+func (sl *slab) row(s int) Row {
+	w := len(sl.cols)
+	if len(sl.cells) < w {
+		sl.cells = make([]Value, 256*w)
 	}
-	r := sl.cells[:sl.w:sl.w]
-	sl.cells = sl.cells[sl.w:]
-	t.load(r, s)
+	r := sl.cells[:w:w]
+	sl.cells = sl.cells[w:]
+	loadRow(sl.cols, r, s)
 	return r
 }
 
@@ -299,6 +305,9 @@ func (t *Table) CreateIndex(column string, typ IndexType) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.img != nil {
+		return fmt.Errorf("store: table %s is frozen and takes no index", t.name)
+	}
 	if existing, ok := t.indexes[column]; ok {
 		if existing.typ == typ {
 			return nil
@@ -336,6 +345,9 @@ type IndexSpec struct {
 func (t *Table) Indexes() []IndexSpec {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	if t.img != nil {
+		return slices.Clone(t.img.indexes)
+	}
 	out := make([]IndexSpec, 0, len(t.indexes))
 	for col, ix := range t.indexes {
 		out = append(out, IndexSpec{Column: col, Type: ix.typ})
@@ -348,6 +360,14 @@ func (t *Table) Indexes() []IndexSpec {
 func (t *Table) HasIndex(column string) (IndexType, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	if t.img != nil {
+		for _, ix := range t.img.indexes {
+			if ix.Column == column {
+				return ix.Type, true
+			}
+		}
+		return 0, false
+	}
 	idx, ok := t.indexes[column]
 	if !ok {
 		return 0, false
@@ -355,80 +375,111 @@ func (t *Table) HasIndex(column string) (IndexType, bool) {
 	return idx.typ, true
 }
 
-// Insert validates and stores a row, returning its row ID: a one-row
-// delta, committed immediately as its own version.
-func (t *Table) Insert(r Row) (int64, error) {
-	if err := t.schema.CheckRow(r); err != nil {
-		return 0, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, id := t.applyDeltaLocked(nil, []Row{r}, false)
-	return id, nil
-}
-
 // Get returns a copy of the row with the given ID at the latest version.
 func (t *Table) Get(id int64) (Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	s, ok := t.liveSlot(id)
+	r := t.latestLocked()
+	s, ok := r.slotOf(id)
 	if !ok {
 		return nil, false
 	}
-	return t.newSlab(1).row(t, s), true
-}
-
-// Delete removes the row with the given ID — a one-row delta: the row is
-// end-stamped with the new commit version and retained until no pinned
-// snapshot can see it.
-func (t *Table) Delete(id int64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.liveSlot(id); !ok {
-		return false
-	}
-	t.applyDeltaLocked([]int64{id}, nil, false)
-	return true
+	return newSlab(r.storage(), 1).row(s), true
 }
 
 // Scan calls fn for every latest-version row in storage order until fn
 // returns false. The row passed to fn is a scratch copy overwritten by
 // the next call: it must not be retained.
-func (t *Table) Scan(fn func(id int64, r Row) bool) { t.ScanAt(-1, fn) }
-
-// ScanAt is Scan at a pinned commit version (negative reads the latest).
-func (t *Table) ScanAt(v int64, fn func(id int64, r Row) bool) {
+func (t *Table) Scan(fn func(id int64, r Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.scanLocked(v, fn)
-}
-
-func (t *Table) scanLocked(v int64, fn func(id int64, r Row) bool) {
-	if v < 0 {
-		v = t.commit
-	}
-	scratch := make(Row, len(t.cols))
-	t.passLocked(nil, v, 0, nil, func(s int) bool {
-		t.load(scratch, s)
-		return fn(t.idOf(s), scratch)
-	})
+	scanRows(t.latestLocked(), fn)
 }
 
 // Snapshot returns copies of every row visible at the latest version,
 // in storage order, cut from one allocation.
-func (t *Table) Snapshot() []Row { return t.SnapshotAt(-1) }
-
-// SnapshotAt is Snapshot at a pinned commit version (negative reads the
-// latest).
-func (t *Table) SnapshotAt(v int64) []Row {
+func (t *Table) Snapshot() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if v < 0 {
-		v = t.commit
+	return snapshotRows(t.latestLocked(), t.live)
+}
+
+// reader is one image of a table that reads run against, under the
+// table's read lock: a frozen image when img is set, else the stored
+// table t at commit version ver. Scan, Snapshot, Get, Stats,
+// CountPostings and Select all read through one. It dispatches by a
+// branch rather than an interface so the callbacks of a walk stay on
+// the stack.
+type reader struct {
+	t   *Table
+	ver int64
+	img *frozenImage
+}
+
+// walk calls fn with the slot of every row the access selects, in
+// access order, until fn returns false, polling poll (when set) as it
+// goes.
+func (r reader) walk(poll func() error, a Access, fn func(s int) bool) error {
+	if r.img != nil {
+		return r.img.walk(poll, a, fn)
 	}
-	out, sl := make([]Row, 0, t.live), t.newSlab(t.live)
-	t.passLocked(nil, v, 0, nil, func(s int) bool {
-		out = append(out, sl.row(t, s))
+	return r.t.walkLocked(poll, r.ver, a, fn)
+}
+
+// countPostings is CountPostings on this image.
+func (r reader) countPostings(a Access, max int) int {
+	if r.img != nil {
+		return r.img.countPostings(a, max)
+	}
+	return r.t.countPostingsLocked(a, max)
+}
+
+// storage returns the column vectors, indexed by slot.
+func (r reader) storage() []Col {
+	if r.img != nil {
+		return r.img.cols
+	}
+	return r.t.cols
+}
+
+// rowID returns the ID of the row in slot s: a frozen row's is its slot.
+func (r reader) rowID(s int) int64 {
+	if r.img != nil {
+		return int64(s)
+	}
+	return r.t.idOf(s)
+}
+
+// slotOf resolves a row ID to the slot of a row visible in this image.
+func (r reader) slotOf(id int64) (int, bool) {
+	if r.img != nil {
+		return int(id), id >= 0 && id < int64(r.img.n)
+	}
+	s, ok := r.t.liveSlot(id)
+	return s, ok && r.t.visible(s, r.ver)
+}
+
+// latestLocked is the reader of the latest version; the caller holds
+// the read lock.
+func (t *Table) latestLocked() reader { return reader{t: t, ver: t.commit, img: t.img} }
+
+// scanRows calls fn with every row r holds, in storage order, in one
+// scratch row.
+func scanRows(r reader, fn func(id int64, row Row) bool) {
+	cols := r.storage()
+	scratch := make(Row, len(cols))
+	_ = r.walk(nil, Access{}, func(s int) bool { // a pass without poll cannot fail
+		loadRow(cols, scratch, s)
+		return fn(r.rowID(s), scratch)
+	})
+}
+
+// snapshotRows copies out every row r holds, cut from one slab sized
+// for n rows.
+func snapshotRows(r reader, n int) []Row {
+	out, sl := make([]Row, 0, n), newSlab(r.storage(), n)
+	_ = r.walk(nil, Access{}, func(s int) bool { // a pass without poll cannot fail
+		out = append(out, sl.row(s))
 		return true
 	})
 	return out
@@ -498,6 +549,18 @@ const pollEvery = 1024
 // read's allocation small; the call costs little against 32 rows.
 const acceptChunk = 32
 
+// matches reports whether a stored cell v qualifies for the access on
+// its column when no index serves it: equal to one of the Keys, else
+// within the range.
+func (a Access) matches(v Value) bool {
+	for _, k := range a.Keys {
+		if Equal(v, k) {
+			return true
+		}
+	}
+	return a.Keys == nil && inRange(v, a.Lo, a.Hi)
+}
+
 func inRange(v Value, lo, hi *Value) bool {
 	if v.IsNull() {
 		return false
@@ -537,14 +600,7 @@ func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(s int
 	}
 	idx := t.indexFor(a)
 	if idx == nil {
-		return t.passLocked(poll, ver, ci, func(v Value) bool {
-			for _, k := range a.Keys {
-				if Equal(v, k) {
-					return true
-				}
-			}
-			return a.Keys == nil && inRange(v, a.Lo, a.Hi)
-		}, fn)
+		return t.passLocked(poll, ver, ci, a.matches, fn)
 	}
 	var err error
 	visited := 0
@@ -599,14 +655,14 @@ func (t *Table) passLocked(poll func() error, ver int64, ci int, match func(Valu
 	return nil
 }
 
-// acceptLocked runs the access at ver through its Accept, applying
-// Limit, and appends the slots of the rows it emits to slots. Candidates
+// acceptSlots runs the access on r through its Accept, applying Limit,
+// and appends the slots of the rows it emits to slots. Candidates
 // collect behind the emitted slots, in the list's spare capacity — grown
-// only once emitted rows fill it — and go to Accept a chunk at a time. It returns the list and how many visible
-// rows the walk examined: the candidates Accept was shown, up to and
-// including the one that failed.
-func (t *Table) acceptLocked(poll func() error, ver int64, a Access, slots []int32) (_ []int32, examined int, err error) {
-	chunk := &Selection{cols: t.cols}
+// only once emitted rows fill it — and go to Accept a chunk at a time.
+// It returns the list and how many visible rows the walk examined: the
+// candidates Accept was shown, up to and including the one that failed.
+func acceptSlots(r reader, poll func() error, a Access, slots []int32) (_ []int32, examined int, err error) {
+	chunk := &Selection{cols: r.storage()}
 	emitted := len(slots)
 	flush := func() bool {
 		chunk.Slots = slots[emitted:len(slots):len(slots)]
@@ -621,7 +677,7 @@ func (t *Table) acceptLocked(poll func() error, ver int64, a Access, slots []int
 		slots = slots[:emitted]
 		return a.Limit <= 0 || emitted < a.Limit
 	}
-	werr := t.walkLocked(poll, ver, a, func(s int) bool {
+	werr := r.walk(poll, a, func(s int) bool {
 		if len(slots) == cap(slots) { // no candidate waits: a full chunk was flushed
 			slots = slices.Grow(slots, 1)
 		}
@@ -650,7 +706,7 @@ func (t *Table) acceptLocked(poll func() error, ver int64, a Access, slots []int
 func (t *Table) CountPostings(a Access, max int) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.countPostingsLocked(a, max)
+	return t.latestLocked().countPostings(a, max)
 }
 
 func (t *Table) countPostingsLocked(a Access, max int) int {
@@ -675,10 +731,10 @@ func (t *Table) countPostingsLocked(a Access, max int) int {
 	return n
 }
 
-// capacityLocked bounds the rows an access can emit — its posting count
+// capacity bounds the rows an access on r can emit — its posting count
 // — capped by max (≤ 0 is no cap), counting no further than that.
-func (t *Table) capacityLocked(a Access, max int) int {
-	if n := t.countPostingsLocked(a, max); max <= 0 || n < max {
+func capacity(r reader, a Access, max int) int {
+	if n := r.countPostings(a, max); max <= 0 || n < max {
 		return n
 	}
 	return max
@@ -695,7 +751,11 @@ var errNoRow = errors.New("no such row")
 // match the schema. Duplicates are found by sorting a copy of the IDs in
 // *scratch, working space the caller owns and reuses across deltas (nil
 // will do when there are no deletes). Callers hold at least a read lock.
+// It is where a frozen table refuses every delta.
 func (t *Table) validateDeltaLocked(deleteIDs []int64, inserts []Row, scratch *[]int64) error {
+	if t.img != nil {
+		return fmt.Errorf("store: table %s is frozen: only a whole-image republish writes it", t.name)
+	}
 	for _, id := range deleteIDs {
 		if _, ok := t.liveSlot(id); !ok {
 			return fmt.Errorf("store: table %s delta deletes missing row %d: %w", t.name, id, errNoRow)
@@ -725,7 +785,7 @@ func (t *Table) validateDeltaLocked(deleteIDs []int64, inserts []Row, scratch *[
 // returns copies of the deleted rows, cut from one slab, when the WAL
 // will log them (wantDeleted; the event then reads the same copies) and
 // nil otherwise, and the ID of the last row inserted (what the one-row
-// Insert hands back). A commit hook reads the retired rows in place:
+// DB.Insert hands back). A commit hook reads the retired rows in place:
 // their slots go to the GC work list, not the free list, so the inserts
 // cannot reuse them and their cells hold until maybeGCLocked, after the
 // hook. The caller has validated the delta and holds t.mu exclusively;
@@ -734,12 +794,12 @@ func (t *Table) applyDeltaLocked(deleteIDs []int64, inserts []Row, wantDeleted b
 	v := t.commit + 1
 	var sl *slab
 	if wantDeleted && len(deleteIDs) > 0 {
-		deleted, sl = make([]Row, 0, len(deleteIDs)), t.newSlab(len(deleteIDs))
+		deleted, sl = make([]Row, 0, len(deleteIDs)), newSlab(t.cols, len(deleteIDs))
 	}
 	for _, id := range deleteIDs {
 		s, _ := t.liveSlot(id)
 		if sl != nil {
-			deleted = append(deleted, sl.row(t, s))
+			deleted = append(deleted, sl.row(s))
 		}
 		t.retireLocked(s, v)
 	}
@@ -832,13 +892,16 @@ func (t *Table) findByValueLocked(r Row, taken map[int]struct{}) (int, bool) {
 // --- snapshot pins and version GC ---
 
 // pin registers a reference on the current commit version and returns
-// it. Versions at or above the minimum pinned version are retained
-// until unpinned.
-func (t *Table) pin() int64 {
+// a view of it. Versions at or above the minimum pinned version are
+// retained until unpinned. A frozen table's view holds its image
+// instead, which no republish changes, so nothing is registered.
+func (t *Table) pin() *TableView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.pins[t.commit]++
-	return t.commit
+	if t.img == nil {
+		t.pins[t.commit]++
+	}
+	return &TableView{t.latestLocked()}
 }
 
 // unpin drops one reference on v, garbage-collecting versions that are

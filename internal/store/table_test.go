@@ -11,8 +11,23 @@ import (
 // pins each of its tables', and returns the view and the release of the
 // pin: the read path of a table outside a database.
 func pinView(tb *Table) (*TableView, func()) {
-	v := tb.pin()
-	return &TableView{t: tb, v: v}, func() { tb.unpin(v) }
+	view := tb.pin()
+	return view, func() { tb.unpin(view.ver) }
+}
+
+// dbOf wraps a table built outside a database in an in-memory one
+// holding only it, so tests write it through CommitDeltas like any
+// other.
+func dbOf(tb *Table) *DB { return &DB{tables: map[string]*Table{tb.name: tb}} }
+
+// insertRow commits r to tb as a one-row delta and returns its ID.
+func insertRow(tb *Table, r Row) (int64, error) { return dbOf(tb).Insert(tb.name, r) }
+
+// deleteRow retires the row with the given ID as a one-row delta,
+// reporting whether tb held it live.
+func deleteRow(tb *Table, id int64) bool {
+	ok, err := dbOf(tb).Delete(tb.name, id)
+	return ok && err == nil
 }
 
 // selectAll runs the access on view through Select and fills every row
@@ -91,7 +106,7 @@ func TestSchemaCheckRow(t *testing.T) {
 
 func TestTableInsertGetDelete(t *testing.T) {
 	tb := NewTable("proteins", proteinSchema(t))
-	id, err := tb.Insert(Row{StringValue("P001"), StringValue("FAM1"), IntValue(300), BoolValue(true)})
+	id, err := insertRow(tb, Row{StringValue("P001"), StringValue("FAM1"), IntValue(300), BoolValue(true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +117,10 @@ func TestTableInsertGetDelete(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
-	if !tb.Delete(id) {
+	if !deleteRow(tb, id) {
 		t.Fatal("delete failed")
 	}
-	if tb.Delete(id) {
+	if deleteRow(tb, id) {
 		t.Fatal("double delete succeeded")
 	}
 	if _, ok := tb.Get(id); ok {
@@ -115,7 +130,7 @@ func TestTableInsertGetDelete(t *testing.T) {
 
 func TestTableGetReturnsCopy(t *testing.T) {
 	tb := NewTable("p", proteinSchema(t))
-	id, _ := tb.Insert(Row{StringValue("P1"), StringValue("F"), IntValue(1), BoolValue(false)})
+	id, _ := insertRow(tb, Row{StringValue("P1"), StringValue("F"), IntValue(1), BoolValue(false)})
 	r, _ := tb.Get(id)
 	r[2] = IntValue(999)
 	r2, _ := tb.Get(id)
@@ -168,7 +183,7 @@ func TestTableIndexLookup(t *testing.T) {
 			}
 			for i := 0; i < 100; i++ {
 				fam := fmt.Sprintf("FAM%d", i%10)
-				tb.Insert(Row{StringValue(fmt.Sprintf("P%03d", i)), StringValue(fam), IntValue(int64(i)), BoolValue(i%2 == 0)})
+				insertRow(tb, Row{StringValue(fmt.Sprintf("P%03d", i)), StringValue(fam), IntValue(int64(i)), BoolValue(i%2 == 0)})
 			}
 			rows := readRows(t, tb, equalTo("family", StringValue("FAM3")))
 			if len(rows) != 10 {
@@ -190,7 +205,7 @@ func TestTableIndexLookup(t *testing.T) {
 func TestTableLookupWithoutIndexFallsBack(t *testing.T) {
 	tb := NewTable("p", proteinSchema(t))
 	for i := 0; i < 20; i++ {
-		tb.Insert(Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
+		insertRow(tb, Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
 	}
 	if rows := readRows(t, tb, equalTo("length", IntValue(7))); len(rows) != 1 || rows[0][0].S != "P7" {
 		t.Fatalf("scan lookup = %v", rows)
@@ -206,7 +221,7 @@ func TestTableRangeLookup(t *testing.T) {
 	tb := NewTable("p", proteinSchema(t))
 	tb.CreateIndex("length", IndexBTree)
 	for i := 0; i < 100; i++ {
-		tb.Insert(Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
+		insertRow(tb, Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
 	}
 	lo, hi := IntValue(10), IntValue(20)
 	rows := readRows(t, tb, Access{Column: "length", Lo: &lo, Hi: &hi})
@@ -221,7 +236,7 @@ func TestTableRangeLookup(t *testing.T) {
 	// Unindexed range lookup gives the same answer.
 	tb2 := NewTable("p2", proteinSchema(t))
 	for i := 0; i < 100; i++ {
-		tb2.Insert(Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
+		insertRow(tb2, Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
 	}
 	if rows := readRows(t, tb2, Access{Column: "length", Lo: &lo, Hi: &hi}); len(rows) != 11 {
 		t.Fatalf("scan range lookup = %d rows, want 11", len(rows))
@@ -231,7 +246,7 @@ func TestTableRangeLookup(t *testing.T) {
 func TestCreateIndexBackfillsAndValidates(t *testing.T) {
 	tb := NewTable("p", proteinSchema(t))
 	for i := 0; i < 50; i++ {
-		tb.Insert(Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i % 5)), BoolValue(false)})
+		insertRow(tb, Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i % 5)), BoolValue(false)})
 	}
 	if err := tb.CreateIndex("length", IndexBTree); err != nil {
 		t.Fatal(err)
@@ -256,12 +271,12 @@ func TestCreateIndexBackfillsAndValidates(t *testing.T) {
 func TestTableVersionBumps(t *testing.T) {
 	tb := NewTable("p", proteinSchema(t))
 	v0 := tb.Version()
-	id, _ := tb.Insert(Row{StringValue("P"), StringValue("F"), IntValue(1), BoolValue(false)})
+	id, _ := insertRow(tb, Row{StringValue("P"), StringValue("F"), IntValue(1), BoolValue(false)})
 	if tb.Version() == v0 {
 		t.Fatal("insert did not bump version")
 	}
 	v1 := tb.Version()
-	tb.Delete(id)
+	deleteRow(tb, id)
 	if tb.Version() == v1 {
 		t.Fatal("delete did not bump version")
 	}
@@ -276,7 +291,7 @@ func TestTableConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tb.Insert(Row{
+				insertRow(tb, Row{
 					StringValue(fmt.Sprintf("P%d-%d", g, i)),
 					StringValue(fmt.Sprintf("FAM%d", i%4)),
 					IntValue(int64(i)), BoolValue(false),
@@ -299,7 +314,7 @@ func TestTableConcurrentAccess(t *testing.T) {
 func TestTableScanEarlyStop(t *testing.T) {
 	tb := NewTable("p", proteinSchema(t))
 	for i := 0; i < 10; i++ {
-		tb.Insert(Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
+		insertRow(tb, Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
 	}
 	count := 0
 	tb.Scan(func(int64, Row) bool {
@@ -315,9 +330,9 @@ func TestStatsBasics(t *testing.T) {
 	tb := NewTable("p", proteinSchema(t))
 	for i := 0; i < 100; i++ {
 		fam := fmt.Sprintf("FAM%d", i%5)
-		tb.Insert(Row{StringValue(fmt.Sprintf("P%d", i)), StringValue(fam), IntValue(int64(i)), BoolValue(i%2 == 0)})
+		insertRow(tb, Row{StringValue(fmt.Sprintf("P%d", i)), StringValue(fam), IntValue(int64(i)), BoolValue(i%2 == 0)})
 	}
-	tb.Insert(Row{StringValue("PX"), NullValue(), NullValue(), NullValue()})
+	insertRow(tb, Row{StringValue("PX"), NullValue(), NullValue(), NullValue()})
 	st := tb.Stats()
 	if st.Rows != 101 {
 		t.Fatalf("Rows = %d", st.Rows)
@@ -351,7 +366,7 @@ func TestStatsBasics(t *testing.T) {
 func TestStatsSelectivity(t *testing.T) {
 	tb := NewTable("p", proteinSchema(t))
 	for i := 0; i < 1000; i++ {
-		tb.Insert(Row{StringValue(fmt.Sprintf("P%d", i)), StringValue(fmt.Sprintf("FAM%d", i%10)), IntValue(int64(i)), BoolValue(false)})
+		insertRow(tb, Row{StringValue(fmt.Sprintf("P%d", i)), StringValue(fmt.Sprintf("FAM%d", i%10)), IntValue(int64(i)), BoolValue(false)})
 	}
 	st := tb.Stats()
 	if sel := st.SelectivityEqual("family"); sel < 0.05 || sel > 0.2 {
