@@ -35,8 +35,7 @@ knobs:
 
 # The concurrency certificate: differential, cancellation, and stress
 # tests under the race detector — the parallel query executor, the
-# engine serving it, the scatter-gather shard coordinator (fan-out
-# goroutines, mid-gather cancellation), and the resilience layer
+# engine serving it, and the resilience layer
 # (sources hammered by concurrent fetchers, health map read during
 # sync, mobile sessions), plus the two layers underneath them all: the
 # MVCC store (pinned index walks, selects and fills against a
@@ -45,12 +44,11 @@ knobs:
 # during resync, nothing pinned or unswept at rest, the incremental
 # overlay equal to a rebuild), and phylo the distance matrix, whose
 # workers fill one shared triangle row by row. The -timeout is the wedge
-# watchdog: a lock-order bug in the coordinator's fan-out manifests as
-# a silent hang rather than a failure, so the test runner panics at the
-# deadline and dumps every goroutine's stack.
+# watchdog: a lock-order bug in the executor's workers or a mobile
+# session manifests as a silent hang rather than a failure, so the test
+# runner panics at the deadline and dumps every goroutine's stack.
 race:
 	$(GO) test -race -timeout=300s ./internal/query/... ./internal/core/... ./internal/cache/... \
-		./internal/shard/... \
 		./internal/source/... ./internal/integrate/... ./internal/mobile/... \
 		./internal/admission/... ./internal/store/... ./internal/vfs/... \
 		./internal/phylo/...
@@ -116,7 +114,7 @@ bench-repo-smoke:
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
 # idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_41.json
+BENCH_JSON ?= BENCH_42.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \

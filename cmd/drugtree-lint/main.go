@@ -139,7 +139,7 @@ type vetCfg struct {
 // package's Collect output, the merged table is written to VetxOutput
 // for packages downstream, and the analysis phase runs against it —
 // so lockorder sees internal/store's lock graph while it checks
-// internal/shard even though vet hands the tool one package at a time.
+// internal/core even though vet hands the tool one package at a time.
 //
 // The suppression budget is global-by-design and vet invokes the tool
 // per package, so vet mode filters suppressions but leaves budget

@@ -349,8 +349,7 @@ func TestRateLimitMiddleware(t *testing.T) {
 }
 
 // TestHealthSourcesSharded pins that /health/sources reports sources
-// only: a sharded engine's partitions are in-memory copies of the one
-// store, not sources, and add no entries.
+// only: Config.Shards is a no-op, not a source, and adds no entries.
 func TestHealthSourcesSharded(t *testing.T) {
 	gen := datagen.DefaultConfig()
 	gen.NumFamilies = 2

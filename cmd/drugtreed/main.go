@@ -14,14 +14,10 @@
 // and -drain-timeout bounds the ordered graceful shutdown (HTTP →
 // wire sessions → engine) on SIGINT/SIGTERM.
 //
-// Sharding (DESIGN.md §8): -shards N answers queries scatter-gather
-// over N in-memory partitions cut from the store at startup.
-//
 // Durability (DESIGN §10): -wal-sync picks the WAL fsync policy —
 // `always` acknowledges no write before it is on disk, `interval`
 // (default) group-commits every -wal-sync-every records, `off` leaves
-// flushing to the OS. The store is the only durable state: shards are
-// rebuilt from it on every start.
+// flushing to the OS. The store is the only durable state.
 //
 // HTTP endpoints:
 //
@@ -62,7 +58,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for -generate")
 	listen := flag.String("listen", ":7047", "wire-protocol listen address")
 	httpAddr := flag.String("http", ":8047", "HTTP listen address")
-	shards := flag.Int("shards", 0, "partition the store across N in-process shards served scatter-gather (0/1 = single-node)")
 	maxConc := flag.Int("max-concurrency", 8, "concurrent queries admitted before shedding (0 disables admission control)")
 	maxQueue := flag.Int("max-queue", 64, "queries waiting for admission before shedding")
 	maxSessions := flag.Int("max-sessions", 256, "concurrent wire-protocol sessions (0 = unlimited)")
@@ -80,7 +75,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	eng, cleanup, err := buildEngine(*dir, *generate, *seed, *families, *perFamily, *ligands, *maxConc, *maxQueue, *shards, syncPolicy, *walSyncEvery)
+	eng, cleanup, err := buildEngine(*dir, *generate, *seed, *families, *perFamily, *ligands, *maxConc, *maxQueue, syncPolicy, *walSyncEvery)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -137,7 +132,7 @@ func main() {
 	log.Printf("shutdown complete")
 }
 
-func buildEngine(dir string, generate bool, seed int64, families, perFamily, ligands, maxConc, maxQueue, shards int, walSync store.SyncPolicy, walSyncEvery int) (*core.Engine, func(), error) {
+func buildEngine(dir string, generate bool, seed int64, families, perFamily, ligands, maxConc, maxQueue int, walSync store.SyncPolicy, walSyncEvery int) (*core.Engine, func(), error) {
 	cfg := core.DefaultConfig()
 	// The WAL fsync policy is set on the store at open time (DESIGN §10).
 	cfg.WALSync = walSync
@@ -183,10 +178,6 @@ func buildEngine(dir string, generate bool, seed int64, families, perFamily, lig
 		// retry hints instead of collapsing latency (experiment T9).
 		cfg.Admission = &admission.Config{MaxConcurrency: maxConc, MaxQueue: maxQueue}
 	}
-	// Scatter-gather partitioning (the sharded benchmark workload): the
-	// store is split across in-process shards at build time and queries
-	// fan out.
-	cfg.Shards = shards
 	eng, err := core.New(db, cfg)
 	if err != nil {
 		db.Close()

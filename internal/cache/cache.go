@@ -37,12 +37,13 @@ type Entry struct {
 	Key     Key
 	Lo, Hi  int64 // inclusive covered range on RangeCol
 	Columns []string
-	// Batch holds the rows. Put orders it ascending on the range column
-	// so a subsumed Get is a slice of it.
+	// Batch holds the rows as the producer delivered them. While
+	// RangeIdx >= 0 they ascend on the range column, so a subsumed Get
+	// is a slice of it.
 	Batch *store.ColBatch
 	// RangeIdx is the position of RangeCol in Batch; -1 disables
 	// subsumption for this entry (Put sets it when the column is not
-	// INT or holds a NULL).
+	// INT, holds a NULL or is out of order).
 	RangeIdx int
 	// Version is the data version the entry was computed at.
 	Version int64
@@ -110,38 +111,18 @@ func batchBytes(cb *store.ColBatch) int64 {
 	return n
 }
 
-// sortOnRange orders the entry's batch ascending on the range column,
-// or clears RangeIdx when that column cannot be searched (not INT, or
-// a NULL key). An index-ordered scan arrives sorted and costs only the
-// check; a gather merged from shards does not, and gets one stable
-// permutation applied to every column.
-func (e *Entry) sortOnRange() {
+// checkRange clears RangeIdx when the range column cannot be searched:
+// not INT, a NULL key, or keys out of ascending order. Such an entry
+// serves exact hits only. Every producer delivers its rows ordered on
+// the range column, so the check is all a Put pays.
+func (e *Entry) checkRange() {
 	if e.RangeIdx < 0 {
 		return
 	}
 	key := &e.Batch.Cols[e.RangeIdx]
-	if key.Kind != store.KindInt || slices.Contains(key.Null, true) {
+	if key.Kind != store.KindInt || slices.Contains(key.Null, true) || !slices.IsSorted(key.Int) {
 		e.RangeIdx = -1
-		return
 	}
-	if slices.IsSorted(key.Int) {
-		return
-	}
-	perm := make([]int, e.Batch.Rows)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool { return key.Int[perm[a]] < key.Int[perm[b]] })
-	out := &store.ColBatch{Cols: make([]store.Col, len(e.Batch.Cols)), Rows: e.Batch.Rows}
-	for c := range out.Cols {
-		src := &e.Batch.Cols[c]
-		dst := store.NewCol(src.Kind, len(perm))
-		for _, i := range perm {
-			dst.AppendFrom(src, i)
-		}
-		out.Cols[c] = *dst
-	}
-	e.Batch = out
 }
 
 // window returns the rows whose range key lies in [lo,hi] as zero-copy
@@ -193,8 +174,8 @@ func (c *Cache) lookupLocked(key Key, lo, hi int64, version int64) (e *Entry, ex
 // Get answers a range query [lo,hi] from the cache. version is the
 // caller's current data version; stale entries are invalidated on
 // contact. The returned batch holds the cached rows restricted to the
-// requested range, in range-column order; it aliases cache storage and
-// must be treated read-only.
+// requested range, in the order they were put; it aliases cache storage
+// and must be treated read-only.
 func (c *Cache) Get(key Key, lo, hi int64, version int64) (*store.ColBatch, []string, bool) {
 	c.mu.Lock()
 	e, exact := c.lookupLocked(key, lo, hi, version)
@@ -221,7 +202,7 @@ func (c *Cache) Covers(key Key, lo, hi int64, version int64) bool {
 
 // Put inserts a computed result covering [lo,hi].
 func (c *Cache) Put(e *Entry) {
-	e.sortOnRange()
+	e.checkRange()
 	e.bytes = batchBytes(e.Batch)
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -16,24 +16,20 @@ import (
 // were handed in, answered by filtering on every lookup.
 type modelEntry struct {
 	rows    []store.Row
-	rangeOK bool // every range key is a non-NULL INT
+	rangeOK bool // every range key is a non-NULL INT, in ascending order
 	lastUse int  // the walk's step at the entry's last hit or Put
 }
 
 // answer is what a naive cache returns for [lo,hi] from this entry: the
-// rows in range-key order (ties in arrival order) restricted to the
-// range, or the rows untouched when the key cannot be ordered.
+// rows untouched on an exact hit, else those whose range key lies in
+// [lo,hi]. Only a rangeOK entry is ever asked for a range it does not
+// cover exactly.
 func (m *modelEntry) answer(lo, hi int64, exact bool) []store.Row {
-	if !m.rangeOK {
+	if exact {
 		return m.rows
 	}
-	rows := append([]store.Row(nil), m.rows...)
-	sort.SliceStable(rows, func(a, b int) bool { return rows[a][0].I < rows[b][0].I })
-	if exact {
-		return rows
-	}
 	var out []store.Row
-	for _, r := range rows {
+	for _, r := range m.rows {
 		if r[0].I >= lo && r[0].I <= hi {
 			out = append(out, r)
 		}
@@ -109,14 +105,23 @@ func runOracle(t *testing.T, seed int64, exactOnly bool) {
 			if rng.Intn(25) == 0 {
 				n = 400 // over capacity on its own
 			}
-			m := &modelEntry{rangeOK: true}
+			m := &modelEntry{}
+			nullKey := false
 			for i := 0; i < n; i++ {
-				pre := store.IntValue(lo + int64(rng.Intn(int(hi-lo)+1))) // unsorted, with duplicates
+				pre := store.IntValue(lo + int64(rng.Intn(int(hi-lo)+1))) // with duplicates
 				if rng.Intn(60) == 0 && n < 400 {
-					pre, m.rangeOK = store.NullValue(), false
+					pre, nullKey = store.NullValue(), true
 				}
 				m.rows = append(m.rows, store.Row{pre, store.StringValue(fmt.Sprintf("s%d-%d", step, i))})
 			}
+			// Producers deliver rows ordered on the key; one Put in four
+			// keeps the draw's order, which the cache must serve exactly
+			// only.
+			if !nullKey && rng.Intn(4) != 0 {
+				sort.SliceStable(m.rows, func(a, b int) bool { return m.rows[a][0].I < m.rows[b][0].I })
+			}
+			sorted := sort.SliceIsSorted(m.rows, func(a, b int) bool { return m.rows[a][0].I < m.rows[b][0].I })
+			m.rangeOK = !nullKey && sorted
 			e := &Entry{
 				Key: key, Lo: lo, Hi: hi, Columns: []string{"pre", "name"},
 				Batch:   store.ColBatchFromRows(testKinds, m.rows),
@@ -134,9 +139,9 @@ func runOracle(t *testing.T, seed int64, exactOnly bool) {
 			}
 			m.lastUse = step
 			model[e] = m
-			if !m.rangeOK {
+			if nullKey {
 				nullKeyed++
-			} else if !sort.SliceIsSorted(m.rows, func(a, b int) bool { return m.rows[a][0].I < m.rows[b][0].I }) {
+			} else if !sorted {
 				unsorted++
 			}
 			if (e.RangeIdx >= 0) != m.rangeOK {

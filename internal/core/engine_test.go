@@ -64,8 +64,8 @@ func buildEngineFrom(t *testing.T, gen datagen.Config, cfg Config) (*Engine, *in
 }
 
 // canonRow encodes a row for multiset comparison with floats rounded
-// to 10 significant digits: parallel and sharded merges reassociate
-// float addition, so bit-exact comparison is unsound.
+// to 10 significant digits: parallel merges reassociate float
+// addition, so bit-exact comparison is unsound.
 func canonRow(r store.Row) string {
 	var b []byte
 	for _, v := range r {

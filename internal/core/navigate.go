@@ -28,8 +28,8 @@ type NodeView struct {
 // NodeView field order.
 const treeViewCols = "pre, name, parent_pre, depth, is_leaf, branch_length, root_dist, leaf_count, x, y"
 
-// viewsFromBatch decodes tree_nodes rows held as treeViewCols vectors,
-// typed or generic (a sharded statement's), through Col.Value.
+// viewsFromBatch decodes tree_nodes rows held as treeViewCols vectors
+// through Col.Value.
 func viewsFromBatch(cb *store.ColBatch) []NodeView {
 	c := cb.Cols
 	views := make([]NodeView, cb.Rows)
@@ -106,10 +106,7 @@ func (e *Engine) visit(ctx context.Context, nodeName string, wantRows bool) (cb 
 // the query path behind the statement cache and caches them, tagged
 // with the tree_nodes version of the snapshot the read ran at — so a
 // commit landing meanwhile can never leave newer rows under an older
-// tag. It returns the entry's batch, which Put has ordered on pre. The
-// read runs on the engine's own executor at its pin on every topology:
-// the source's tree_nodes is the frozen image NewWithTree published,
-// which shard copies cut at build time would miss a republish of.
+// tag. It returns the entry's batch, which arrives ordered on pre.
 func (e *Engine) fetchSubtree(ctx context.Context, lo, hi int) (*store.ColBatch, error) {
 	start := time.Now()
 	src := fmt.Sprintf("SELECT %s FROM %s WHERE pre BETWEEN %d AND %d", treeViewCols, TreeTable, lo, hi)
@@ -119,7 +116,7 @@ func (e *Engine) fetchSubtree(ctx context.Context, lo, hi int) (*store.ColBatch,
 	}
 	snap := e.db.PinSnapshot()
 	defer snap.Release()
-	res, err := e.execute(ctx, stmt, snap, start, false)
+	res, err := e.execute(ctx, stmt, snap, start)
 	if err != nil {
 		return nil, err
 	}

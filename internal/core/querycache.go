@@ -100,8 +100,7 @@ func (c *queryCache) len() int {
 // versionKey renders the per-table commit versions of exactly the
 // tables stmt reads — taken from the statement's pinned snapshot, so
 // the currency check and the execution agree on one image. Table
-// versions are the statement cache's only invalidation signal, sharded
-// or not. A commit to a table the statement never reads leaves its key
+// versions are the statement cache's only invalidation signal. A commit to a table the statement never reads leaves its key
 // unchanged, so a ligands sync no longer evicts cached tree_nodes
 // plans.
 func (e *Engine) versionKey(stmt *query.SelectStmt, snap *store.SnapshotHandle) string {

@@ -8,21 +8,22 @@ import (
 	"testing"
 
 	"drugtree/internal/datagen"
+	"drugtree/internal/integrate"
 	"drugtree/internal/phylo"
 	"drugtree/internal/query"
 	"drugtree/internal/store"
 )
 
 // TestShardedEngineMatchesSingleNode builds the same integrated
-// dataset twice — once single-node, once partitioned across three
-// shards — and requires identical answers over the integrate-schema
-// corpus: scans, co-partitioned joins, partial re-aggregation, top-k
-// merge, subtree predicates, and the gather fallback.
+// dataset twice — once single-node, once with Shards=3 over the same
+// store — and requires byte-identical answers and EXPLAIN text over the
+// integrate-schema corpus: scans, joins, aggregates, top-k, subtree
+// predicates and subqueries. Config.Shards is a no-op.
 func TestShardedEngineMatchesSingleNode(t *testing.T) {
 	single := buildEngine(t, DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.Shards = 3
-	// Same store, same tree: only the execution topology differs.
+	// Same store, same tree: only Config.Shards differs.
 	sharded, err := NewWithTree(single.DB(), single.Tree(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -47,94 +48,150 @@ func TestShardedEngineMatchesSingleNode(t *testing.T) {
 		}
 	}
 
-	corpus := []struct {
-		q      string
-		keyPos int // sort-key column for ordered queries, -1 otherwise
-	}{
-		{"SELECT accession, family, length FROM proteins", -1},
-		{"SELECT accession FROM proteins WHERE family = 'FAM01'", -1},
-		{"SELECT p.accession, a.ligand_id, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE a.affinity > 6", -1},
-		{"SELECT p.accession, n.organism FROM proteins p JOIN annotations n ON p.accession = n.protein_id", -1},
-		{"SELECT COUNT(*), SUM(affinity), AVG(affinity), MIN(affinity), MAX(affinity) FROM activities", -1},
-		{"SELECT family, COUNT(*), AVG(length) FROM proteins GROUP BY family", -1},
-		{"SELECT protein_id, AVG(affinity) AS m FROM activities GROUP BY protein_id ORDER BY m DESC LIMIT 5", 1},
-		{"SELECT accession, length FROM proteins ORDER BY length DESC LIMIT 7", 1},
-		{"SELECT ligand_id, weight FROM ligands WHERE weight > 100", -1},
-		{fmt.Sprintf("SELECT name FROM tree_nodes WHERE WITHIN_SUBTREE(pre, '%s') AND is_leaf = TRUE", clade), -1},
-		{"SELECT accession FROM proteins WHERE accession IN (SELECT protein_id FROM activities WHERE affinity > 7)", -1},
-		{"SELECT pre, name FROM tree_nodes WHERE pre >= 5 AND pre <= 20", -1},
+	corpus := []string{
+		"SELECT accession, family, length FROM proteins",
+		"SELECT accession FROM proteins WHERE family = 'FAM01'",
+		"SELECT p.accession, a.ligand_id, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE a.affinity > 6",
+		"SELECT p.accession, n.organism FROM proteins p JOIN annotations n ON p.accession = n.protein_id",
+		"SELECT COUNT(*), SUM(affinity), AVG(affinity), MIN(affinity), MAX(affinity) FROM activities",
+		"SELECT family, COUNT(*), AVG(length) FROM proteins GROUP BY family",
+		"SELECT protein_id, AVG(affinity) AS m FROM activities GROUP BY protein_id ORDER BY m DESC LIMIT 5",
+		"SELECT accession, length FROM proteins ORDER BY length DESC LIMIT 7",
+		"SELECT ligand_id, weight FROM ligands WHERE weight > 100",
+		fmt.Sprintf("SELECT name FROM tree_nodes WHERE WITHIN_SUBTREE(pre, '%s') AND is_leaf = TRUE", clade),
+		fmt.Sprintf("SELECT COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s')", clade),
+		"SELECT accession FROM proteins WHERE accession IN (SELECT protein_id FROM activities WHERE affinity > 7)",
+		"SELECT pre, name FROM tree_nodes WHERE pre >= 5 AND pre <= 20",
+		"SELECT name FROM tree_nodes WHERE pre = 0",
 	}
 	ctx := context.Background()
-	for _, c := range corpus {
-		base, err := single.Query(ctx, c.q)
-		if err != nil {
-			t.Fatalf("query %q: single-node: %v", c.q, err)
-		}
-		got, err := sharded.Query(ctx, c.q)
-		if err != nil {
-			t.Fatalf("query %q: sharded: %v", c.q, err)
-		}
-		if len(base.Rows) != len(got.Rows) {
-			t.Fatalf("query %q: row counts diverge: single %d, sharded %d", c.q, len(base.Rows), len(got.Rows))
-		}
-		if c.keyPos >= 0 {
-			for j := range base.Rows {
-				a, b := base.Rows[j][c.keyPos], got.Rows[j][c.keyPos]
-				if a.K != b.K || canonRow(store.Row{a}) != canonRow(store.Row{b}) {
-					t.Fatalf("query %q: sort key %d differs: %v vs %v", c.q, j, a, b)
-				}
+	for _, q := range corpus {
+		requireSameAnswer(t, ctx, q, single, sharded)
+		for _, explain := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
+			base, err := single.Query(ctx, explain+q)
+			if err != nil {
+				t.Fatalf("%s%s: single-node: %v", explain, q, err)
 			}
-			continue
+			got, err := sharded.Query(ctx, explain+q)
+			if err != nil {
+				t.Fatalf("%s%s: sharded: %v", explain, q, err)
+			}
+			if got.Plan != base.Plan {
+				t.Fatalf("%s%s: plans differ:\nsharded:\n%s\nsingle-node:\n%s", explain, q, got.Plan, base.Plan)
+			}
 		}
-		if !slices.Equal(canonRows(base.Rows), canonRows(got.Rows)) {
-			t.Fatalf("query %q: result multisets differ", c.q)
-		}
-	}
-
-	// Three partitions, every protein on exactly one of them.
-	coord := sharded.Coordinator()
-	if coord.Shards() != 3 {
-		t.Fatalf("coordinator has %d shards, want 3", coord.Shards())
-	}
-	src, err := single.DB().Table("proteins")
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i := 0; i < coord.Shards(); i++ {
-		tab, err := coord.Shard(i).DB().Table("proteins")
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += tab.Len()
-	}
-	if total != src.Len() {
-		t.Fatalf("shards hold %d proteins, the source %d", total, src.Len())
-	}
-
-	// EXPLAIN through the engine surfaces the gather header, and a
-	// point lookup on the partition key prunes to one shard.
-	res, err := sharded.Query(ctx, "EXPLAIN SELECT accession FROM proteins")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Plan, "Gather [shards=3 pruned=0") {
-		t.Fatalf("EXPLAIN plan lacks gather header:\n%s", res.Plan)
-	}
-	res, err = sharded.Query(ctx, "EXPLAIN SELECT name FROM tree_nodes WHERE pre = 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Plan, "Gather [shards=1 pruned=2") {
-		t.Fatalf("point lookup did not prune shards:\n%s", res.Plan)
 	}
 }
 
-// TestShardedStatementCache pins that the statement cache fronts the
-// scatter-gather coordinator exactly as it fronts the single-node
-// executor: a repeated statement hits without re-scattering, and a
-// commit to a table the statement reads invalidates the entry, because
-// the key is the source store's table versions.
+// requireSameAnswer runs q on both engines and requires the same
+// columns and the same rows, in order and byte for byte.
+func requireSameAnswer(t *testing.T, ctx context.Context, q string, single, sharded *Engine) {
+	t.Helper()
+	want, err := single.Query(ctx, q)
+	if err != nil {
+		t.Fatalf("%s: single-node: %v", q, err)
+	}
+	got, err := sharded.Query(ctx, q)
+	if err != nil {
+		t.Fatalf("%s: sharded: %v", q, err)
+	}
+	if !slices.Equal(got.Columns, want.Columns) || len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%s: sharded answers %v × %d rows, single-node %v × %d", q, got.Columns, len(got.Rows), want.Columns, len(want.Rows))
+	}
+	for i := range want.Rows {
+		if g, w := store.AppendRow(nil, got.Rows[i]), store.AppendRow(nil, want.Rows[i]); string(g) != string(w) {
+			t.Fatalf("%s: row %d is %v sharded, %v single-node", q, i, got.Rows[i], want.Rows[i])
+		}
+	}
+}
+
+// TestShardedAnswersFollowCommits is the stale-read regression: a
+// Shards=3 engine used to answer from copies cut when it was built, so
+// a commit to the store moved the single-node COUNT(*) and not the
+// sharded one. After every commit — activities inserted, activities
+// deleted, a protein and its activities added — both engines over the
+// one store must give the same answers, and the coordinator that
+// Engine.Coordinator returns must count what the store holds.
+func TestShardedAnswersFollowCommits(t *testing.T) {
+	single := buildEngine(t, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Shards = 3
+	sharded, err := NewWithTree(single.DB(), single.Tree(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sharded.Close() })
+	db, ctx := single.DB(), context.Background()
+	root := single.Root().Name
+
+	acts, err := db.Table(integrate.TableActivities)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prots, err := db.Table(integrate.TableProteins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := single.Tree().Node(single.Tree().Leaves()[0]).Name
+	var firstIDs []int64
+	acts.Scan(func(id int64, _ store.Row) bool {
+		firstIDs = append(firstIDs, id)
+		return len(firstIDs) < 5
+	})
+	newProt := prots.Snapshot()[0]
+	newProt[prots.Schema().ColumnIndex("accession")] = store.StringValue("ZZ-STALE-PROBE")
+	commits := []struct {
+		name  string
+		delta []store.TableDelta
+	}{
+		{"insert activities", []store.TableDelta{{Table: integrate.TableActivities, Inserts: []store.Row{
+			activityRow(leaf, 9.25), activityRow(leaf, 3.5), activityRow(leaf, 7.75),
+		}}}},
+		{"delete activities", []store.TableDelta{{Table: integrate.TableActivities, DeleteIDs: firstIDs}}},
+		{"insert a protein and its activities", []store.TableDelta{
+			{Table: integrate.TableProteins, Inserts: []store.Row{newProt}},
+			{Table: integrate.TableActivities, Inserts: []store.Row{activityRow("ZZ-STALE-PROBE", 8.5)}},
+		}},
+	}
+	queries := []string{
+		"SELECT COUNT(*) FROM activities",
+		"SELECT COUNT(*) FROM proteins",
+		"SELECT COUNT(*), SUM(affinity), MIN(affinity), MAX(affinity) FROM activities",
+		"SELECT family, COUNT(*), AVG(length) FROM proteins GROUP BY family",
+		"SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p JOIN activities a ON p.accession = a.protein_id GROUP BY p.family",
+		"SELECT protein_id, ligand_id, affinity FROM activities ORDER BY affinity DESC LIMIT 10",
+		fmt.Sprintf("SELECT COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s')", root),
+		fmt.Sprintf("SELECT COUNT(*) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s')", leaf),
+	}
+	check := func(stage string) {
+		t.Helper()
+		for _, q := range queries {
+			requireSameAnswer(t, ctx, q, single, sharded)
+		}
+		for name, tab := range map[string]*store.Table{"activities": acts, "proteins": prots} {
+			res, err := sharded.Coordinator().Query(ctx, "SELECT COUNT(*) FROM "+name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Rows[0][0].I; got != int64(tab.Len()) {
+				t.Fatalf("%s: coordinator counts %d %s, the store holds %d", stage, got, name, tab.Len())
+			}
+		}
+	}
+	check("before any commit")
+	for _, c := range commits {
+		if err := db.CommitDeltas(c.delta); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		check("after " + c.name)
+	}
+}
+
+// TestShardedStatementCache pins that a Shards=3 engine's statement
+// cache behaves as the single-node engine's: a repeated statement hits,
+// and a commit to a table the statement reads invalidates the entry,
+// because the key is the store's table versions, and the next answer
+// counts the committed row.
 func TestShardedStatementCache(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Shards = 3
@@ -163,9 +220,7 @@ func TestShardedStatementCache(t *testing.T) {
 		t.Fatalf("cached COUNT = %d, want %d", again.Rows[0][0].I, full.Rows[0][0].I)
 	}
 
-	// A commit to proteins on the base store moves the key. The shard
-	// copies do not see the row (ROADMAP item 1), so only the miss is
-	// pinned here, not the count.
+	// A commit to proteins moves the key, and the answer counts the row.
 	prot, err := e.DB().Table("proteins")
 	if err != nil {
 		t.Fatal(err)
@@ -175,11 +230,15 @@ func TestShardedStatementCache(t *testing.T) {
 	if err := e.DB().CommitDeltas([]store.TableDelta{{Table: "proteins", Inserts: []store.Row{row}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query(ctx, q); err != nil {
+	after, err := e.Query(ctx, q)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if hits() != 1 {
 		t.Fatalf("a commit to proteins left the sharded entry current (%d hits)", hits())
+	}
+	if got, want := after.Rows[0][0].I, full.Rows[0][0].I+1; got != want {
+		t.Fatalf("post-commit COUNT = %d, want %d", got, want)
 	}
 	if _, err := e.Query(ctx, q); err != nil {
 		t.Fatal(err)
@@ -225,7 +284,8 @@ func TestShardedVersionKeyIsTableVersions(t *testing.T) {
 // access paths — gives over the same store: identical row multisets
 // (floats to ten digits), and for the ranked shapes the exact sort-key
 // sequence, rows tied with the cut key aside. The single-node plans
-// must take the paths the shapes are there to exercise.
+// must take the paths the shapes are there to exercise, and the
+// Shards=3 plans must be the same text.
 func TestBenchShapesMatchAcrossTopologies(t *testing.T) {
 	single := buildEngine(t, DefaultConfig())
 	cfg := DefaultConfig()
@@ -266,6 +326,13 @@ func TestBenchShapesMatchAcrossTopologies(t *testing.T) {
 		if !strings.Contains(plan.Plan, sh.path) {
 			t.Fatalf("%s: single-node plan lacks %q:\n%s", sh.name, sh.path, plan.Plan)
 		}
+		splan, err := sharded.Query(ctx, "EXPLAIN "+sh.q)
+		if err != nil {
+			t.Fatalf("%s: EXPLAIN [shards=3]: %v", sh.name, err)
+		}
+		if splan.Plan != plan.Plan {
+			t.Fatalf("%s: shards=3 plan differs:\n%s\nsingle-node:\n%s", sh.name, splan.Plan, plan.Plan)
+		}
 		want, err := naive.Query(ctx, sh.q)
 		if err != nil {
 			t.Fatalf("%s: naive: %v", sh.name, err)
@@ -303,9 +370,8 @@ func TestBenchShapesMatchAcrossTopologies(t *testing.T) {
 // TestDuplicateNodeNameResolvesOneWay gives two clades in different
 // thirds of the tree one name and requires every layer to mean the same
 // node by it — the lowest node ID, phylo.Tree.NodeByName's rule: the
-// engine's navigation lookup, the query engine's WITHIN_SUBTREE, and the
-// shard classifier, whose pruning (by the twin's preorder interval)
-// would drop the shard holding the rows if it resolved the other twin.
+// engine's navigation lookup and the query engine's WITHIN_SUBTREE, on
+// every Config.Shards.
 func TestDuplicateNodeNameResolvesOneWay(t *testing.T) {
 	tree, err := datagen.RandomTopology(120, 5)
 	if err != nil {
@@ -375,12 +441,5 @@ func TestDuplicateNodeNameResolvesOneWay(t *testing.T) {
 			t.Errorf("%s: WITHIN_SUBTREE(pre, 'twin') counts %d nodes, node %d's clade has %d (the other twin's %d)",
 				name, got, want, wantSize, sizes[0]+sizes[1]-wantSize)
 		}
-	}
-	res, err := sharded.Query(ctx, "EXPLAIN "+q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Plan, "pruned=2") {
-		t.Errorf("a clade inside one third of the tree did not prune to one shard:\n%s", res.Plan)
 	}
 }

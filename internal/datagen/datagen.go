@@ -53,8 +53,7 @@ type Config struct {
 	// proportional to 1/(i+1)^ActivitySkew, renormalized so the
 	// expected total row count is unchanged). 0 keeps the uniform
 	// density and produces bit-identical datasets to builds predating
-	// the knob. Shard-skew tests use it to generate partitions whose
-	// row counts differ by orders of magnitude.
+	// the knob.
 	ActivitySkew float64
 }
 

@@ -12,7 +12,7 @@ import (
 // (conventionally "<pkgpath>.<Recv>.<Func>" for per-function facts).
 // The driver merges every package's facts into one table per analyzer
 // and hands the merged table to Run through Pass.Facts, so an
-// analyzer inspecting internal/shard can reason about what a call
+// analyzer inspecting internal/core can reason about what a call
 // into internal/store acquires or blocks on.
 //
 // FactSet is the serialized form: analyzer name → key → value. Its

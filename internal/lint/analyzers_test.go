@@ -22,7 +22,7 @@ func TestClockCheck(t *testing.T) {
 
 func TestCtxCheck(t *testing.T) {
 	analysistest.Run(t, "testdata/ctxcheck", CtxCheck,
-		"source", "cmd/tool", "admission", "batch", "shard")
+		"source", "cmd/tool", "admission", "batch")
 }
 
 func TestErrCmp(t *testing.T) {

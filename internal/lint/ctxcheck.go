@@ -20,15 +20,6 @@ var ctxVerbs = []string{"Fetch", "Sync", "Serve", "Import", "Run"}
 // list.
 var admissionCtxVerbs = []string{"Acquire", "Begin", "Drain"}
 
-// shardCtxVerbs extends the verb set inside internal/shard: a scatter
-// fans goroutines out over the shard engines and a gather blocks on
-// joining them (or copies whole tables), so both shapes must thread
-// context.Context for mid-flight cancellation. Scoped to the shard
-// package because elsewhere a gather is an in-memory copy that neither
-// blocks nor spawns — the query layer's gatherSorted copies sorted rows
-// into batches — and so owes its caller no context.
-var shardCtxVerbs = []string{"Scatter", "Gather"}
-
 // ctxExemptSegments are path segments whose packages ctxcheck skips
 // entirely: command mains and examples are context roots by
 // definition (bench is the repository benchmark's main, a module of
@@ -60,9 +51,6 @@ func runCtxCheck(pass *analysis.Pass) (interface{}, error) {
 	verbs := ctxVerbs
 	if anySegment(pass.PkgPath, []string{"admission"}) {
 		verbs = append(append([]string{}, ctxVerbs...), admissionCtxVerbs...)
-	}
-	if anySegment(pass.PkgPath, []string{"shard"}) {
-		verbs = append(append([]string{}, ctxVerbs...), shardCtxVerbs...)
 	}
 	for _, f := range pass.Files {
 		checkCtxSignatures(pass, f, verbs)

@@ -3,8 +3,8 @@
 // correctness rests on, from the intra-function discipline PR 1/PR 2
 // introduced (clock injection, context threading, lock/blocking
 // hygiene, goroutine shutdown, %w wrapping) to the cross-package
-// invariants of the sharded engine: a lock-order contract over
-// shard.Coordinator → store.DB → admission.Limiter, errors.Is-only
+// invariants of the engine: a lock-order contract over
+// store.DB → admission.Limiter, errors.Is-only
 // handling of wrapped sentinels like store.ErrPoisoned,
 // atomic-everywhere access to shared counters, leak-proof channel
 // operations inside
@@ -23,7 +23,7 @@
 // runs every analyzer's Collect hook over every package and merges
 // the exported per-function facts ("acquires mu", "blocks on a
 // channel", "wraps sentinel X", "field f is atomic") into one table,
-// so the analysis phase can follow a call from internal/shard into
+// so the analysis phase can follow a call from internal/core into
 // internal/store and reason about what it acquires or blocks on across
 // the package boundary.
 //

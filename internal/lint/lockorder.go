@@ -34,7 +34,7 @@ import (
 // or parameter type when the lock expression roots there ("db.mu" in a
 // *DB method), and are function-scoped for true locals (a local
 // mutex cannot alias another function's). The documented hierarchy —
-// shard.Coordinator → store.DB → admission.Limiter
+// store.DB → admission.Limiter
 // (DESIGN.md "Lock-order contract") — is whatever keeps this graph
 // acyclic.
 //

@@ -14,7 +14,7 @@ import (
 // `results <- r` in a worker blocks forever once the consumer stops
 // draining (it returned early on error, the client disconnected), and
 // the goroutine — plus everything it pins — leaks. The accepted
-// shapes, matching the idioms the scatter-gather and mobile layers
+// shapes, matching the idioms the query executor and mobile layers
 // use:
 //
 //   - the op is a case of a select that also has a ctx.Done()/signal

@@ -176,8 +176,8 @@ type StatusReq struct{}
 
 // SourceStatus is one ingestion source's freshness on the wire: a
 // STATUS frame carries name, status, stale flag and age per source,
-// nothing else. Shards are copies of one store, not sources, and have
-// no entry.
+// nothing else. Config.Shards is a no-op, not a source, and adds no
+// entry.
 type SourceStatus struct {
 	Name   string
 	Status string // "fresh" | "degraded" | "failed"

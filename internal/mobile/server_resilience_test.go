@@ -250,9 +250,9 @@ func TestStatusOverWire(t *testing.T) {
 }
 
 func TestShardStatusOverWire(t *testing.T) {
-	// Shards are in-memory copies of one store, not sources: a
-	// partitioned engine's STATUS lists exactly what a single-node one
-	// does — here, with no importer attached, nothing.
+	// Config.Shards is a no-op, not a source: a Shards=3 engine's
+	// STATUS lists exactly what a single-node one does — here, with no
+	// importer attached, nothing.
 	cfg := core.DefaultConfig()
 	cfg.Shards = 3
 	e := testEngineCfg(t, cfg)

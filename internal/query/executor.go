@@ -21,8 +21,7 @@ type Result struct {
 	// it may be shared read-only.
 	Batch *store.ColBatch
 	// Rows is the result as rows, set in place of Batch only by the row
-	// adapters Engine.Query and core.Engine.Query, and by the shard
-	// gather's merge.
+	// adapters Engine.Query and core.Engine.Query.
 	Rows []store.Row
 	// Plan is the physical plan rendered as indented text.
 	Plan string
@@ -157,19 +156,6 @@ func annotatePlan(plan []string, ops []*OpStats) string {
 		}
 	}
 	return b.String()
-}
-
-// OutputColumns returns the output column names stmt would produce,
-// without executing it. The shard coordinator uses it to label merged
-// scatter-gather results with exactly the names the single-node
-// engine would emit (including the uniqueName _2-style dedup suffixes
-// buildAggregate applies).
-func OutputColumns(stmt *SelectStmt, cat Catalog) ([]string, error) {
-	p, err := BuildLogical(stmt, cat)
-	if err != nil {
-		return nil, err
-	}
-	return outputColumns(p), nil
 }
 
 // outputColumns extracts the final column names of a plan.

@@ -19,9 +19,9 @@ import (
 // returns, in order and bit for bit. The served path fills the statement
 // cache and is then hit from it, and encodes the shared columns cell by
 // cell. Single-node, the reference is query.Engine.Query over the same
-// store, its own engine's columns transposed into rows. Sharded, it is the
-// coordinator's own rows, which the served engine transposes into
-// generic columns.
+// store, its own engine's columns transposed into rows. With
+// Config.Shards = 2, a no-op, it is the rows of the coordinator the
+// engine returns, which answers from the same store.
 func TestWireMatchesRowExecutor(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

@@ -340,8 +340,8 @@ type IndexSpec struct {
 }
 
 // Indexes lists the table's secondary indexes sorted by column name,
-// so callers cloning a table's physical layout (the shard partitioner
-// does) can recreate them on the copy.
+// so a caller cloning a table's physical layout can recreate them on
+// the copy.
 func (t *Table) Indexes() []IndexSpec {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
