@@ -17,12 +17,13 @@ test:
 	$(GO) test ./...
 
 # Non-test Go lines per internal/* package (and cmd/, examples/), one
-# line each: the table EXPERIMENTS sections quote before and after a
-# change.
+# line each, then their total: the table EXPERIMENTS sections quote
+# before and after a change.
 loc:
-	@for d in internal/* cmd examples; do \
-		printf '%-24s %s\n' $$d "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)"; \
-	done
+	@total=0; for d in internal/* cmd examples; do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l); \
+		printf '%-24s %s\n' $$d $$n; total=$$((total + n)); \
+	done; printf '%-24s %s\n' total $$total
 
 # Exported fields of each configuration struct, then drugtreed's flag
 # count: the knob inventory EXPERIMENTS sections quote before and after
@@ -114,7 +115,7 @@ bench-repo-smoke:
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
 # idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_42.json
+BENCH_JSON ?= BENCH_43.json
 
 bench-repo:
 	@set -e; tmp=$(BENCH_JSON).tmp; \

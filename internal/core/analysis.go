@@ -26,8 +26,11 @@ func (e *Engine) SubtreeActivity(ctx context.Context, nodeName string) (*Activit
 	if err != nil {
 		return nil, err
 	}
+	// Integration rejects an activity without a ligand, so COUNT(DISTINCT)
+	// skipping NULLs counts every ligand measured under the node.
 	res, err := e.QueryColumns(ctx, fmt.Sprintf(
-		`SELECT COUNT(*) AS n, AVG(a.affinity) AS mean_aff, MAX(a.affinity) AS max_aff
+		`SELECT COUNT(*) AS n, AVG(a.affinity) AS mean_aff, MAX(a.affinity) AS max_aff,
+		        COUNT(DISTINCT a.ligand_id) AS ligands
 		 FROM tree_nodes t
 		 JOIN activities a ON t.name = a.protein_id
 		 WHERE WITHIN_SUBTREE(t.pre, %s) AND t.is_leaf = TRUE`, query.Quote(nodeName)))
@@ -43,17 +46,8 @@ func (e *Engine) SubtreeActivity(ctx context.Context, nodeName string) (*Activit
 		if best := c[2].Value(0); !best.IsNull() {
 			out.MaxAff = best.AsFloat()
 		}
+		out.DistinctLig = c[3].Value(0).I
 	}
-	// Distinct ligands: count grouped ligand_ids.
-	res2, err := e.QueryColumns(ctx, fmt.Sprintf(
-		`SELECT a.ligand_id, COUNT(*) FROM tree_nodes t
-		 JOIN activities a ON t.name = a.protein_id
-		 WHERE WITHIN_SUBTREE(t.pre, %s) AND t.is_leaf = TRUE
-		 GROUP BY a.ligand_id`, query.Quote(nodeName)))
-	if err != nil {
-		return nil, err
-	}
-	out.DistinctLig = int64(res2.Batch.Rows)
 	return out, nil
 }
 

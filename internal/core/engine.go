@@ -262,8 +262,9 @@ func loadProteins(db *store.DB) ([]*seq.Protein, error) {
 		out = append(out, p)
 		return true
 	})
-	// Table scans run in map order; tree building breaks distance ties
-	// by input position, so a fixed input order is what makes two
+	// A scan runs in storage order, which follows the table's commit
+	// history (freed slots are reused); tree building breaks distance
+	// ties by input position, so a fixed input order is what makes two
 	// builds of one dataset number and name their clades identically.
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil

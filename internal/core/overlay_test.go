@@ -431,3 +431,98 @@ func BenchmarkOverlayApply(b *testing.B) {
 	}
 	b.ReportMetric(float64(with-without)/float64(b.N*2*batch), "overlay-ns/row")
 }
+
+// TestDuplicateNameAnswersOneWay: on ((A,B)X,((C,D)A,E)Y)R the name A is
+// a leaf under X and a clade under Y, and Tree.NodeByName resolves it
+// to the lower node ID, the leaf. A row keyed A therefore lies under R,
+// X and the leaf A and never under Y, whichever path answers: the
+// overlay, an IndexUnionScan (a GROUP BY, which the overlay cannot
+// serve) or a full scan with indexes off. For every named node COUNT and
+// SUM agree across the three and with the counts worked out by hand.
+func TestDuplicateNameAnswersOneWay(t *testing.T) {
+	tree, err := phylo.ParseNewick("((A:1,B:1)X:1,((C:1,D:1)A:1,E:1)Y:1)R;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	act, err := db.CreateTable(integrate.TableActivities, source.ActivitySchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for col, typ := range map[string]store.IndexType{"protein_id": store.IndexHash, "ligand_id": store.IndexHash, "affinity": store.IndexBTree} {
+		if err := act.CreateIndex(col, typ); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, f := store.StringValue, store.FloatValue
+	rows := []store.Row{{s("A"), s("L1"), f(7), s("Kd")}, {s("C"), s("L1"), f(5), s("Kd")}}
+	// Rows keyed outside the tree count under no clade; they size the
+	// table so a key union stays under its share of it.
+	for i := 0; i < 48; i++ {
+		rows = append(rows, store.Row{s("Z"), s("L2"), f(1), s("Kd")})
+	}
+	if err := db.CommitDeltas([]store.TableDelta{{Table: integrate.TableActivities, Inserts: rows}}); err != nil {
+		t.Fatal(err)
+	}
+	indexed, err := NewWithTree(db, tree, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.QueryOptions.UseIndexes = false
+	scanned, err := NewWithTree(db, tree, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, _ := tree.NodeByName("A"); !tree.Node(id).IsLeaf() {
+		t.Fatalf("NodeByName(A) = node %d, an internal node: want the leaf, the lower ID", id)
+	}
+
+	type agg struct {
+		n   int64
+		sum float64
+	}
+	want := map[string]agg{"R": {2, 12}, "X": {1, 7}, "Y": {1, 5}, "A": {1, 7}, "B": {}, "C": {1, 5}, "D": {}, "E": {}}
+	ctx := context.Background()
+	read := func(e *Engine, path, q string) agg {
+		t.Helper()
+		plan, err := e.Query(ctx, "EXPLAIN "+q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan.Plan, path) {
+			t.Fatalf("plan of %s lacks %s:\n%s", q, path, plan.Plan)
+		}
+		res, err := e.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out agg
+		for _, r := range res.Rows { // the GROUP BY form has one group, or none
+			out.n += r[len(r)-2].I
+			if v := r[len(r)-1]; !v.IsNull() {
+				out.sum += v.AsFloat()
+			}
+		}
+		return out
+	}
+	for node, w := range want {
+		global := fmt.Sprintf("SELECT COUNT(*), SUM(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s')", node)
+		grouped := fmt.Sprintf("SELECT assay, COUNT(*), SUM(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s') GROUP BY assay", node)
+		got := map[string]agg{
+			"overlay":      read(indexed, "OverlayRead", global),
+			"index union":  read(indexed, "IndexUnionScan", grouped),
+			"scan":         read(scanned, "SeqScan", global),
+			"grouped scan": read(scanned, "SeqScan", grouped),
+		}
+		for path, g := range got {
+			if g != w {
+				t.Errorf("clade %s: %s counts %d rows summing to %g, want %d summing to %g", node, path, g.n, g.sum, w.n, w.sum)
+			}
+		}
+	}
+}

@@ -371,7 +371,7 @@ func TestBenchShapesMatchAcrossTopologies(t *testing.T) {
 // thirds of the tree one name and requires every layer to mean the same
 // node by it — the lowest node ID, phylo.Tree.NodeByName's rule: the
 // engine's navigation lookup and the query engine's WITHIN_SUBTREE, on
-// every Config.Shards.
+// the preorder column and on the name column, on every Config.Shards.
 func TestDuplicateNodeNameResolvesOneWay(t *testing.T) {
 	tree, err := datagen.RandomTopology(120, 5)
 	if err != nil {
@@ -440,6 +440,32 @@ func TestDuplicateNodeNameResolvesOneWay(t *testing.T) {
 		if got := res.Rows[0][0].I; got != int64(wantSize) {
 			t.Errorf("%s: WITHIN_SUBTREE(pre, 'twin') counts %d nodes, node %d's clade has %d (the other twin's %d)",
 				name, got, want, wantSize, sizes[0]+sizes[1]-wantSize)
+		}
+	}
+	// On a name column a row means the node its name resolves to: the
+	// other twin's row counts under the lower twin's ancestors, not its
+	// own, through a key union on small clades and a scan on large ones.
+	for p := 0; p < tree.Len(); p++ {
+		clade := tree.NodeAtPre(p)
+		name := tree.Node(clade).Name
+		if id, _ := tree.NodeByName(name); id != clade {
+			continue // the other twin: its name means the lower one
+		}
+		n := 0
+		for q := 0; q < tree.Len(); q++ {
+			if id, _ := tree.NodeByName(tree.Node(tree.NodeAtPre(q)).Name); tree.IsAncestor(clade, id) {
+				n++
+			}
+		}
+		q := fmt.Sprintf("SELECT COUNT(*) FROM tree_nodes WHERE WITHIN_SUBTREE(name, '%s')", name)
+		for topo, e := range map[string]*Engine{"single": single, "sharded": sharded} {
+			res, err := e.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("%s: %v", topo, err)
+			}
+			if got := res.Rows[0][0].I; got != int64(n) {
+				t.Errorf("%s: WITHIN_SUBTREE(name, '%s') counts %d rows, %d name a node in the clade", topo, name, got, n)
+			}
 		}
 	}
 }

@@ -15,7 +15,6 @@ package datagen
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 
@@ -48,13 +47,6 @@ type Config struct {
 	// FamilyAffinity controls how strongly affinity correlates with
 	// family (0 = none, 1 = fully family-determined).
 	FamilyAffinity float64
-	// ActivitySkew concentrates activity rows on low-numbered
-	// proteins with zipf-style weights (protein i draws density
-	// proportional to 1/(i+1)^ActivitySkew, renormalized so the
-	// expected total row count is unchanged). 0 keeps the uniform
-	// density and produces bit-identical datasets to builds predating
-	// the knob.
-	ActivitySkew float64
 }
 
 // DefaultConfig returns the configuration used by the quickstart
@@ -189,29 +181,9 @@ func Generate(cfg Config) (*Dataset, error) {
 	// latent base affinity; members deviate by noise.
 	base := make(map[string]float64)
 	assays := []string{"Kd", "Ki", "IC50"}
-	// Per-protein density weights: uniform 1.0 by default, zipf-shaped
-	// under ActivitySkew. The weight multiplies the inclusion
-	// probability of the same rng draw, so the random stream (and
-	// therefore every downstream value) is identical when the skew is
-	// off.
-	weights := make([]float64, len(ds.Proteins))
-	for i := range weights {
-		weights[i] = 1
-	}
-	if cfg.ActivitySkew > 0 {
-		var sum float64
-		for i := range weights {
-			weights[i] = math.Pow(1/float64(i+1), cfg.ActivitySkew)
-			sum += weights[i]
-		}
-		norm := float64(len(weights)) / sum
-		for i := range weights {
-			weights[i] *= norm
-		}
-	}
-	for pi, p := range ds.Proteins {
+	for _, p := range ds.Proteins {
 		for _, l := range ds.Ligands {
-			if rng.Float64() >= cfg.ActivityDensity*weights[pi] {
+			if rng.Float64() >= cfg.ActivityDensity {
 				continue
 			}
 			key := p.Family + "/" + l.ID

@@ -347,70 +347,3 @@ func TestRandomTopology(t *testing.T) {
 		t.Fatal("zero leaves accepted")
 	}
 }
-
-// TestActivitySkewZeroIsIdentity pins the rng-stream compatibility
-// promise: ActivitySkew = 0 produces the same Activities, row for
-// row, as a config without the knob — adding skew support must not
-// perturb any existing seeded fixture.
-func TestActivitySkewZeroIsIdentity(t *testing.T) {
-	cfg := DefaultConfig()
-	base, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ActivitySkew = 0
-	same, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Activities) != len(same.Activities) {
-		t.Fatalf("skew 0 changed activity count: %d vs %d", len(base.Activities), len(same.Activities))
-	}
-	for i := range base.Activities {
-		if base.Activities[i] != same.Activities[i] {
-			t.Fatalf("activity %d differs under skew 0: %+v vs %+v", i, base.Activities[i], same.Activities[i])
-		}
-	}
-}
-
-// TestActivitySkewConcentrates checks the zipf weighting does what the
-// shard skew tests rely on: the first-quarter proteins hold a
-// disproportionate share of activity rows, while the expected total
-// stays in the same ballpark as the unskewed dataset.
-func TestActivitySkewConcentrates(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ActivityDensity = 0.4
-	flat, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ActivitySkew = 1.5
-	skewed, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	index := map[string]int{}
-	for i, p := range skewed.Proteins {
-		index[p.ID] = i
-	}
-	quarter := len(skewed.Proteins) / 4
-	var head int
-	for _, a := range skewed.Activities {
-		if index[a.ProteinID] < quarter {
-			head++
-		}
-	}
-	if frac := float64(head) / float64(len(skewed.Activities)); frac < 0.5 {
-		t.Fatalf("skew 1.5: first-quarter proteins hold %.0f%% of activities, want >= 50%%", frac*100)
-	}
-	// Renormalization keeps the totals in the same ballpark (within
-	// 3x — probability capping at 1.0 truncates some of the zipf
-	// head's mass, so exact parity is not expected).
-	lo, hi := len(skewed.Activities), len(flat.Activities)
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if lo*3 < hi {
-		t.Fatalf("skew changed activity volume too much: flat %d, skewed %d", len(flat.Activities), len(skewed.Activities))
-	}
-}

@@ -101,12 +101,14 @@ func Quote(s string) string {
 }
 
 // SubtreeExpr is the tree-aware predicate
-// WITHIN_SUBTREE(column, 'nodeName'): true when the tree node whose
-// preorder number is in the given column lies inside the subtree
-// rooted at the named node. The optimizer rewrites it to a preorder
-// range; unrewritten evaluation resolves it against the catalog tree.
+// WITHIN_SUBTREE(column, 'nodeName'): true when the tree node the
+// column names lies inside the subtree rooted at the named node. An INT
+// column names a node by its preorder number, a STRING column by its
+// name, which means the node Tree.NodeByName resolves it to. The
+// optimizer rewrites the INT form to a preorder range; unrewritten
+// evaluation resolves it against the catalog tree.
 type SubtreeExpr struct {
-	Column *ColumnRef // column holding a preorder number
+	Column *ColumnRef // column holding a preorder number or a node name
 	Node   string     // name of the subtree root (leaf or internal)
 }
 
@@ -118,8 +120,9 @@ func (s *SubtreeExpr) String() string {
 // ANCESTOR_OF(column, 'nodeName'): true when the tree node whose
 // preorder number is in the given column lies on the path from the
 // root to the named node (inclusive). It serves breadcrumb and
-// path-context queries; the optimizer rewrites it to the explicit
-// preorder list of the (short) root path.
+// path-context queries; on a relation with an end_pre column the
+// optimizer rewrites it to the interval test pre ≤ P ≤ end_pre, and
+// elsewhere it is Tree.IsAncestor on the row's node.
 type AncestorExpr struct {
 	Column *ColumnRef
 	Node   string

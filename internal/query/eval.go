@@ -114,19 +114,6 @@ func runSubquery(stmt *SelectStmt, env bindEnv) (*Result, *planSchema, error) {
 	return res, logical.Schema(), nil
 }
 
-// subtreeNameSet collects the names of every tree node whose preorder
-// number falls in [lo, hi] — the string-column form of a subtree
-// membership test.
-func subtreeNameSet(tree *phylo.Tree, lo, hi int) map[string]bool {
-	member := make(map[string]bool, hi-lo+1)
-	for p := lo; p <= hi; p++ {
-		if name := tree.Node(tree.NodeAtPre(p)).Name; name != "" {
-			member[name] = true
-		}
-	}
-	return member
-}
-
 // findTreeNode locates a node by name (leaf or internal) through the
 // tree's own name index.
 func findTreeNode(t *phylo.Tree, name string) (phylo.NodeID, error) {

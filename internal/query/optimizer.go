@@ -169,10 +169,11 @@ func rewriteSubtrees(plan LogicalPlan, cat Catalog) (LogicalPlan, error) {
 }
 
 // rewriteSubtreeExpr rewrites tree predicates inside an expression
-// tree: SubtreeExpr becomes a preorder-interval range, AncestorExpr
-// becomes the interval-containment form pre ≤ P ≤ end_pre when the
-// relation carries an end_pre column (left for set-membership
-// evaluation otherwise).
+// tree: SubtreeExpr on a preorder column becomes a preorder-interval
+// range, AncestorExpr becomes the interval-containment form
+// pre ≤ P ≤ end_pre when the relation carries an end_pre column. The
+// rest are evaluated against the tree (see bindVecSubtree and
+// bindVecAncestor).
 func rewriteSubtreeExpr(e Expr, cat Catalog, schema *planSchema) (Expr, error) {
 	switch x := e.(type) {
 	case *SubtreeExpr:
@@ -208,7 +209,7 @@ func rewriteSubtreeExpr(e Expr, cat Catalog, schema *planSchema) (Expr, error) {
 		}
 		endRef := &ColumnRef{Qualifier: x.Column.Qualifier, Name: "end_pre"}
 		if _, ok := schema.lookup(endRef); !ok {
-			return e, nil // relation lacks end_pre: keep membership eval
+			return e, nil // relation lacks end_pre: evaluated by Tree.IsAncestor
 		}
 		p := int64(tree.Pre(node))
 		return &BinaryExpr{

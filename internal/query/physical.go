@@ -234,13 +234,21 @@ func chooseUnion(n *ScanNode, t *store.Table, tree *phylo.Tree) (accessPath, int
 		if err != nil || tree.LeafCount(node) > budget {
 			continue
 		}
+		// The keys are the names of the clade's nodes that are their own
+		// name's node (Tree.NodeByName), so a row naming a duplicated
+		// name is gathered only under the clade holding that node, as
+		// the predicate decides it. Sorted keys make the gather order (and
+		// so every downstream tie-break) a function of the data alone.
 		lo, hi := tree.SubtreeInterval(node)
 		keys := make([]store.Value, 0, hi-lo+1)
-		for name := range subtreeNameSet(tree, lo, hi) {
-			keys = append(keys, store.StringValue(name))
+		for p := lo; p <= hi; p++ {
+			id := tree.NodeAtPre(p)
+			if name := tree.Node(id).Name; name != "" {
+				if own, _ := tree.NodeByName(name); own == id {
+					keys = append(keys, store.StringValue(name))
+				}
+			}
 		}
-		// Set order is random; sorted keys make the gather order (and so
-		// every downstream tie-break) a function of the data alone.
 		sort.Slice(keys, func(a, b int) bool { return keys[a].S < keys[b].S })
 		cost := t.CountPostings(store.Access{Column: x.Column.Name, Keys: keys}, budget)
 		if cost > budget {

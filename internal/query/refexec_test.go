@@ -64,7 +64,12 @@ func (r *refExec) run(p LogicalPlan) ([]store.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		return tv.Snapshot(), nil
+		var rows []store.Row
+		tv.Scan(func(_ int64, r store.Row) bool {
+			rows = append(rows, r.Clone())
+			return true
+		})
+		return rows, nil
 	case *FilterNode:
 		return r.filter(n.Pred, n.Input.Schema(), len(ins[0]), func(i int) store.Row { return ins[0][i] })
 	case *JoinNode:

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"drugtree/internal/chem"
+	"drugtree/internal/phylo"
 	"drugtree/internal/store"
 )
 
@@ -383,7 +384,9 @@ func bindBinary(x *BinaryExpr, env bindEnv) (*boundExpr, error) {
 // bindSubtree resolves the subtree root at bind time and compiles the
 // membership test: a preorder-interval check for INT columns (preorder
 // numbers), a node-name set membership for STRING columns (accessions
-// naming tree nodes directly).
+// naming tree nodes directly). A name means the lowest-ID node carrying
+// it — Tree.NodeByName's rule, restated here over every node — so the
+// set holds the names whose lowest-ID node lies in the clade.
 func bindSubtree(x *SubtreeExpr, env bindEnv) (*boundExpr, error) {
 	if env.tree == nil {
 		return nil, fmt.Errorf("query: WITHIN_SUBTREE requires a tree-backed catalog")
@@ -398,7 +401,16 @@ func bindSubtree(x *SubtreeExpr, env bindEnv) (*boundExpr, error) {
 		return nil, err
 	}
 	if env.schema.cols[idx].Kind == store.KindString {
-		member := subtreeNameSet(env.tree, lo, hi)
+		owner := map[string]int{}
+		for id := env.tree.Len() - 1; id >= 0; id-- {
+			if name := env.tree.Node(phylo.NodeID(id)).Name; name != "" {
+				owner[name] = env.tree.Pre(phylo.NodeID(id))
+			}
+		}
+		member := map[string]bool{}
+		for name, p := range owner {
+			member[name] = p >= lo && p <= hi
+		}
 		return &boundExpr{
 			eval: func(r store.Row) (store.Value, error) {
 				v := r[idx]

@@ -807,9 +807,11 @@ func arithColScalar(b *batch, op BinOp, c *store.Col, v store.Value, sel []int, 
 	return out, nil
 }
 
-// bindVecSubtree compiles WITHIN_SUBTREE to a preorder-interval loop
-// over an INT column, or to a node-name set membership over a STRING
-// column (accessions naming tree nodes directly).
+// bindVecSubtree compiles WITHIN_SUBTREE to a preorder-interval test:
+// over an INT column on the preorder number itself, over a STRING column
+// (accessions naming tree nodes directly) on the node Tree.NodeByName
+// resolves the name to — the one name resolution the overlay and the
+// index union share, so a duplicated name counts at one node only.
 func bindVecSubtree(x *SubtreeExpr, env bindEnv) (*vecExpr, error) {
 	if env.tree == nil {
 		return nil, fmt.Errorf("query: WITHIN_SUBTREE requires a tree-backed catalog")
@@ -818,7 +820,8 @@ func bindVecSubtree(x *SubtreeExpr, env bindEnv) (*vecExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := env.tree.SubtreeInterval(node)
+	tree := env.tree
+	lo, hi := tree.SubtreeInterval(node)
 	idx, err := env.schema.resolve(x.Column)
 	if err != nil {
 		return nil, err
@@ -827,19 +830,22 @@ func bindVecSubtree(x *SubtreeExpr, env bindEnv) (*vecExpr, error) {
 		return kindOnly(store.KindBool), nil
 	}
 	if env.schema.cols[idx].Kind == store.KindString {
-		member := subtreeNameSet(env.tree, lo, hi)
+		within := func(name string) bool {
+			id, ok := tree.NodeByName(name)
+			return ok && tree.IsAncestor(node, id)
+		}
 		return &vecExpr{kind: store.KindBool, fn: func(b *batch, sel []int) (*store.Col, error) {
 			c := b.cols[idx]
 			out := b.newCol(store.KindBool)
 			if c.Kind == store.KindString {
 				for _, i := range sel {
-					out.SetBool(i, !c.Null[i] && member[c.Str[i]])
+					out.SetBool(i, !c.Null[i] && within(c.Str[i]))
 				}
 				return out, nil
 			}
 			for _, i := range sel {
 				v := c.Value(i)
-				out.SetBool(i, v.K == store.KindString && member[v.S])
+				out.SetBool(i, v.K == store.KindString && within(v.S))
 			}
 			return out, nil
 		}}, nil
@@ -861,8 +867,9 @@ func bindVecSubtree(x *SubtreeExpr, env bindEnv) (*vecExpr, error) {
 	}}, nil
 }
 
-// bindVecAncestor resolves the target node's root path at bind time and
-// compiles ANCESTOR_OF to a preorder-set loop.
+// bindVecAncestor compiles ANCESTOR_OF, on a relation without end_pre
+// (with it, the optimizer rewrote it to an interval test), to
+// Tree.IsAncestor on the node at each row's preorder number.
 func bindVecAncestor(x *AncestorExpr, env bindEnv) (*vecExpr, error) {
 	if env.tree == nil {
 		return nil, fmt.Errorf("query: ANCESTOR_OF requires a tree-backed catalog")
@@ -871,9 +878,9 @@ func bindVecAncestor(x *AncestorExpr, env bindEnv) (*vecExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := make(map[int64]bool)
-	for _, anc := range env.tree.Ancestors(node) {
-		path[int64(env.tree.Pre(anc))] = true
+	tree := env.tree
+	onPath := func(p int64) bool {
+		return p >= 0 && p < int64(tree.Len()) && tree.IsAncestor(tree.NodeAtPre(int(p)), node)
 	}
 	idx, err := env.schema.resolve(x.Column)
 	if err != nil {
@@ -887,13 +894,13 @@ func bindVecAncestor(x *AncestorExpr, env bindEnv) (*vecExpr, error) {
 		out := b.newCol(store.KindBool)
 		if c.Kind == store.KindInt {
 			for _, i := range sel {
-				out.SetBool(i, !c.Null[i] && path[c.Int[i]])
+				out.SetBool(i, !c.Null[i] && onPath(c.Int[i]))
 			}
 			return out, nil
 		}
 		for _, i := range sel {
 			v := c.Value(i)
-			out.SetBool(i, v.K == store.KindInt && path[v.I])
+			out.SetBool(i, v.K == store.KindInt && onPath(v.I))
 		}
 		return out, nil
 	}}, nil

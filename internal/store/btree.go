@@ -25,7 +25,6 @@ type btreeKey interface{ int64 | float64 | string }
 // outside it, so monotone loads leave every leaf full instead of half.
 type btree[K btreeKey] struct {
 	root *btreeNode[K]
-	size int // number of distinct keys
 }
 
 const (
@@ -125,7 +124,6 @@ func (t *btree[K]) Insert(k K, rowID int64) {
 		copy(n.many[i+1:], n.many[i:])
 		n.many[i] = nil
 	}
-	t.size++
 }
 
 // splitChild splits the full child at index i of parent p to make room
@@ -232,7 +230,6 @@ func (t *btree[K]) Delete(k K, rowID int64) bool {
 				n.many[len(n.many)-1] = nil
 				n.many = n.many[:len(n.many)-1]
 			}
-			t.size--
 		case 2: // back to one inline posting
 			n.ids[i], n.many[i] = post[1-j], nil
 		default:
@@ -242,16 +239,6 @@ func (t *btree[K]) Delete(k K, rowID int64) bool {
 		return true
 	}
 	return false
-}
-
-// Len returns the number of distinct keys.
-func (t *btree[K]) Len() int { return t.size }
-
-// Range calls fn for each (key, postings) pair with lo ≤ key ≤ hi in
-// ascending order. A nil lo means unbounded below; nil hi unbounded
-// above. Iteration stops early when fn returns false.
-func (t *btree[K]) Range(lo, hi *K, fn func(k K, postings []int64) bool) {
-	t.walk(lo, hi, false, fn)
 }
 
 // edgeLeaf returns the leftmost (last=false) or rightmost leaf.
@@ -267,9 +254,11 @@ func (t *btree[K]) edgeLeaf(last bool) *btreeNode[K] {
 	return n
 }
 
-// walk is Range in either direction: desc visits the same keys from hi
-// down to lo. Deletes leave sparse or empty leaves behind; the chain
-// steps over them.
+// walk calls fn for each (key, postings) pair with lo ≤ key ≤ hi, in
+// ascending order or, when desc is set, descending, until fn returns
+// false. A nil lo means unbounded below; nil hi unbounded above.
+// Deletes leave sparse or empty leaves behind; the chain steps over
+// them.
 func (t *btree[K]) walk(lo, hi *K, desc bool, fn func(k K, postings []int64) bool) {
 	if desc {
 		n := t.edgeLeaf(true)
@@ -308,28 +297,4 @@ func (t *btree[K]) walk(lo, hi *K, desc bool, fn func(k K, postings []int64) boo
 			}
 		}
 	}
-}
-
-// Min returns the smallest key, or false when empty. Deletes may leave
-// the edge leaves empty; the chain is followed to the first leaf that
-// still holds a key.
-func (t *btree[K]) Min() (k K, ok bool) {
-	for n := t.edgeLeaf(false); n != nil && t.size > 0; n = n.next {
-		if len(n.keys) > 0 {
-			return n.keys[0], true
-		}
-	}
-	return k, false
-}
-
-// Max returns the largest key, or false when empty: the mirror of Min
-// over the prev links, so an emptied rightmost leaf costs a short
-// backward step, not a pass over the whole chain.
-func (t *btree[K]) Max() (k K, ok bool) {
-	for n := t.edgeLeaf(true); n != nil && t.size > 0; n = n.prev {
-		if len(n.keys) > 0 {
-			return n.keys[len(n.keys)-1], true
-		}
-	}
-	return k, false
 }

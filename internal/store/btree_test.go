@@ -6,13 +6,27 @@ import (
 	"testing"
 )
 
+// keysOf lists the tree's keys, ascending, through walk.
+func keysOf[K btreeKey](bt *btree[K]) []K {
+	var out []K
+	bt.walk(nil, nil, false, func(k K, _ []int64) bool { out = append(out, k); return true })
+	return out
+}
+
+// edgeKey returns the smallest key (last false) or the largest, through
+// a walk in that direction, and false when the tree is empty.
+func edgeKey[K btreeKey](bt *btree[K], last bool) (k K, ok bool) {
+	bt.walk(nil, nil, last, func(key K, _ []int64) bool { k, ok = key, true; return false })
+	return k, ok
+}
+
 func TestBTreeInsertGet(t *testing.T) {
 	bt := newBTree[int64]()
 	for i := int64(0); i < 1000; i++ {
 		bt.Insert(i%100, i)
 	}
-	if bt.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", bt.Len())
+	if len(keysOf(bt)) != 100 {
+		t.Fatalf("Len = %d, want 100", len(keysOf(bt)))
 	}
 	post := bt.Get(42)
 	if len(post) != 10 {
@@ -36,7 +50,7 @@ func TestBTreeOrderedIteration(t *testing.T) {
 		bt.Insert(int64(k), int64(k))
 	}
 	var got []int64
-	bt.Range(nil, nil, func(k int64, _ []int64) bool {
+	bt.walk(nil, nil, false, func(k int64, _ []int64) bool {
 		got = append(got, k)
 		return true
 	})
@@ -55,7 +69,7 @@ func TestBTreeRangeBounds(t *testing.T) {
 	}
 	lo, hi := int64(10), int64(19)
 	var got []int64
-	bt.Range(&lo, &hi, func(k int64, _ []int64) bool {
+	bt.walk(&lo, &hi, false, func(k int64, _ []int64) bool {
 		got = append(got, k)
 		return true
 	})
@@ -64,7 +78,7 @@ func TestBTreeRangeBounds(t *testing.T) {
 	}
 	// Open bounds.
 	var below []int64
-	bt.Range(nil, &lo, func(k int64, _ []int64) bool {
+	bt.walk(nil, &lo, false, func(k int64, _ []int64) bool {
 		below = append(below, k)
 		return true
 	})
@@ -72,7 +86,7 @@ func TestBTreeRangeBounds(t *testing.T) {
 		t.Fatalf("range (-inf,10] = %d keys, want 11", len(below))
 	}
 	var above []int64
-	bt.Range(&hi, nil, func(k int64, _ []int64) bool {
+	bt.walk(&hi, nil, false, func(k int64, _ []int64) bool {
 		above = append(above, k)
 		return true
 	})
@@ -87,7 +101,7 @@ func TestBTreeRangeEarlyStop(t *testing.T) {
 		bt.Insert(i, i)
 	}
 	count := 0
-	bt.Range(nil, nil, func(int64, []int64) bool {
+	bt.walk(nil, nil, false, func(int64, []int64) bool {
 		count++
 		return count < 5
 	})
@@ -116,8 +130,8 @@ func TestBTreeDelete(t *testing.T) {
 	if bt.Get(7) != nil {
 		t.Fatal("key survived full delete")
 	}
-	if bt.Len() != 499 {
-		t.Fatalf("Len = %d, want 499", bt.Len())
+	if len(keysOf(bt)) != 499 {
+		t.Fatalf("Len = %d, want 499", len(keysOf(bt)))
 	}
 	// Deleting a missing posting fails cleanly.
 	if bt.Delete(8, 9999) {
@@ -130,23 +144,23 @@ func TestBTreeDelete(t *testing.T) {
 
 func TestBTreeMinMax(t *testing.T) {
 	bt := newBTree[int64]()
-	if _, ok := bt.Min(); ok {
+	if _, ok := edgeKey(bt, false); ok {
 		t.Fatal("empty tree has Min")
 	}
-	if _, ok := bt.Max(); ok {
+	if _, ok := edgeKey(bt, true); ok {
 		t.Fatal("empty tree has Max")
 	}
 	for _, k := range []int64{50, 10, 90, 30, 70} {
 		bt.Insert(k, k)
 	}
-	if mn, _ := bt.Min(); mn != 10 {
+	if mn, _ := edgeKey(bt, false); mn != 10 {
 		t.Fatalf("Min = %v", mn)
 	}
-	if mx, _ := bt.Max(); mx != 90 {
+	if mx, _ := edgeKey(bt, true); mx != 90 {
 		t.Fatalf("Max = %v", mx)
 	}
 	bt.Delete(90, 90)
-	if mx, ok := bt.Max(); !ok || mx != 70 {
+	if mx, ok := edgeKey(bt, true); !ok || mx != 70 {
 		t.Fatalf("Max after delete = %v (%v)", mx, ok)
 	}
 }
@@ -158,7 +172,7 @@ func TestBTreeStringKeys(t *testing.T) {
 		bt.Insert(w, int64(i))
 	}
 	var got []string
-	bt.Range(nil, nil, func(k string, _ []int64) bool {
+	bt.walk(nil, nil, false, func(k string, _ []int64) bool {
 		got = append(got, k)
 		return true
 	})
@@ -200,8 +214,8 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 			}
 		}
 	}
-	if bt.Len() != len(ref) {
-		t.Fatalf("Len = %d, model = %d", bt.Len(), len(ref))
+	if len(keysOf(bt)) != len(ref) {
+		t.Fatalf("Len = %d, model = %d", len(keysOf(bt)), len(ref))
 	}
 	for k, ids := range ref {
 		post := bt.Get(k)
@@ -221,7 +235,7 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 	}
 	sort.Slice(modelKeys, func(i, j int) bool { return modelKeys[i] < modelKeys[j] })
 	var treeKeys []int64
-	bt.Range(nil, nil, func(k int64, _ []int64) bool {
+	bt.walk(nil, nil, false, func(k int64, _ []int64) bool {
 		treeKeys = append(treeKeys, k)
 		return true
 	})
@@ -237,9 +251,9 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 
 // TestBTreeChurnEdgesAndDescending deletes from both ends and the
 // middle until whole leaves (the rightmost among them) stand empty, and
-// checks Min, Max and walks in both directions against a sorted
-// reference after every round. Max must reach the last key through the
-// prev links however many empty leaves trail it.
+// checks the edge keys and walks in both directions against a sorted
+// reference after every round. A descending walk must reach the last key
+// through the prev links however many empty leaves trail it.
 func TestBTreeChurnEdgesAndDescending(t *testing.T) {
 	bt := newBTree[int64]()
 	rng := rand.New(rand.NewSource(17))
@@ -255,8 +269,8 @@ func TestBTreeChurnEdgesAndDescending(t *testing.T) {
 			ref = append(ref, k)
 		}
 		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
-		mn, okMin := bt.Min()
-		mx, okMax := bt.Max()
+		mn, okMin := edgeKey(bt, false)
+		mx, okMax := edgeKey(bt, true)
 		if okMin != (len(ref) > 0) || okMax != (len(ref) > 0) {
 			t.Fatalf("round %d: Min ok=%v Max ok=%v with %d keys", round, okMin, okMax, len(ref))
 		}
@@ -296,8 +310,8 @@ func TestBTreeChurnEdgesAndDescending(t *testing.T) {
 	for round := 0; len(live) > 0; round++ {
 		// Shave the top (emptying the rightmost leaves), the bottom, and
 		// a random sprinkle; re-insert a few so splits meet sparse leaves.
-		mx, _ := bt.Max()
-		mn, _ := bt.Min()
+		mx, _ := edgeKey(bt, true)
+		mn, _ := edgeKey(bt, false)
 		for i := int64(0); i < 150; i++ {
 			del(mx - i)
 			del(mn + i/3)
@@ -315,7 +329,7 @@ func TestBTreeChurnEdgesAndDescending(t *testing.T) {
 		check(round)
 	}
 	check(-1)
-	if bt.Len() != 0 {
-		t.Fatalf("Len = %d after deleting everything", bt.Len())
+	if len(keysOf(bt)) != 0 {
+		t.Fatalf("Len = %d after deleting everything", len(keysOf(bt)))
 	}
 }

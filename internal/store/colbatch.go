@@ -273,7 +273,8 @@ type Selection struct {
 // Selection — index walk, visibility, Accept and Limit applied under
 // the read lock, in one pass — and returns how many visible rows the
 // walk examined; ctx is polled as the walk goes. It is the one way the
-// query layer reaches stored rows. Reading the cells is left to Fill,
+// query layer reaches stored rows, and an access no index serves is an
+// error naming the table and column (see Access). Reading the cells is left to Fill,
 // outside the lock, so the view's handle must stay pinned until the last
 // Fill returns.
 func (tv *TableView) Select(ctx context.Context, a Access) (*Selection, int, error) {

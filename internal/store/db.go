@@ -413,13 +413,11 @@ func (db *DB) Checkpoint() error {
 	return nil
 }
 
-// Snapshot magics. V2 appends a CRC32 of the entire preceding file to
-// the end, so at-rest corruption is detected at load instead of being
-// served. V1 (no checksum) is still read for compatibility.
-var (
-	snapshotMagic   = []byte("DTSNAP1\n")
-	snapshotMagicV2 = []byte("DTSNAP2\n")
-)
+// snapshotMagic opens a snapshot, whose last four bytes are a CRC32 of
+// everything before them, so at-rest corruption is detected at load
+// instead of being served. The checksum-less DTSNAP1 form, which nothing
+// writes any more, is refused.
+var snapshotMagic = []byte("DTSNAP2\n")
 
 // crcWriter tees writes into a running CRC32 so the snapshot checksum
 // covers exactly the bytes that reached the writer.
@@ -436,7 +434,7 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 
 func (db *DB) writeSnapshot(w *bufio.Writer, seq int64) error {
 	cw := &crcWriter{w: w}
-	if _, err := cw.Write(snapshotMagicV2); err != nil {
+	if _, err := cw.Write(snapshotMagic); err != nil {
 		return err
 	}
 	// A frozen table is published by its owner on every open, so no
@@ -541,28 +539,34 @@ func readString(r *bufio.Reader) (string, error) {
 	return string(b), nil
 }
 
-// checkSnapshotEnvelope validates magic and (for v2) the whole-file
-// CRC, returning the body (after the magic, before any checksum
-// trailer) ready for structural parsing.
-func checkSnapshotEnvelope(path string, data []byte) ([]byte, error) {
-	if len(data) < len(snapshotMagic) {
-		return nil, fmt.Errorf("store: %s: truncated snapshot header", path)
+// parseSnapshot loads the snapshot file path holds, data, into db's
+// tables and returns the WAL sequence its trailer records. The magic,
+// the whole-file checksum and the trailer are all required: without the
+// sequence, recovery would replay every WAL record over rows the
+// snapshot already holds.
+func (db *DB) parseSnapshot(path string, data []byte) (int64, error) {
+	if len(data) < len(snapshotMagic)+4 || !bytes.Equal(data[:len(snapshotMagic)], snapshotMagic) {
+		return 0, fmt.Errorf("store: %s is not a DrugTree snapshot (want magic %q and a checksum)", path, snapshotMagic)
 	}
-	magic := data[:len(snapshotMagic)]
-	switch {
-	case bytes.Equal(magic, snapshotMagicV2):
-		if len(data) < len(snapshotMagicV2)+4 {
-			return nil, fmt.Errorf("store: %s: truncated snapshot checksum", path)
-		}
-		body, tail := data[:len(data)-4], data[len(data)-4:]
-		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-			return nil, fmt.Errorf("store: %s: snapshot checksum mismatch", path)
-		}
-		return body[len(snapshotMagicV2):], nil
-	case bytes.Equal(magic, snapshotMagic):
-		return data[len(snapshotMagic):], nil
+	body, tail := data[:len(data)-4], data[len(data)-4:]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
+		return 0, fmt.Errorf("store: %s: snapshot checksum mismatch", path)
 	}
-	return nil, fmt.Errorf("store: %s is not a DrugTree snapshot", path)
+	r := bufio.NewReader(bytes.NewReader(body[len(snapshotMagic):]))
+	nTables, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, fmt.Errorf("store: %s: %w", path, err)
+	}
+	for ti := uint64(0); ti < nTables; ti++ {
+		if err := db.loadTableSnapshot(r); err != nil {
+			return 0, fmt.Errorf("store: %s: table %d: %w", path, ti, err)
+		}
+	}
+	seq, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, fmt.Errorf("store: %s: no WAL sequence trailer: %w", path, err)
+	}
+	return int64(seq), nil
 }
 
 func (db *DB) loadSnapshot() (int64, error) {
@@ -573,25 +577,7 @@ func (db *DB) loadSnapshot() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	body, err := checkSnapshotEnvelope(db.snapshotPath(), data)
-	if err != nil {
-		return 0, err
-	}
-	r := bufio.NewReader(bytes.NewReader(body))
-	nTables, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, err
-	}
-	for ti := uint64(0); ti < nTables; ti++ {
-		if err := db.loadTableSnapshot(r); err != nil {
-			return 0, fmt.Errorf("store: loading table %d: %w", ti, err)
-		}
-	}
-	seq, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, nil // legacy snapshot without a seq trailer
-	}
-	return int64(seq), nil
+	return db.parseSnapshot(db.snapshotPath(), data)
 }
 
 // loadChunk is how many snapshot rows loadTableSnapshot commits at once.
@@ -676,8 +662,9 @@ func (db *DB) loadTableSnapshot(r *bufio.Reader) error {
 }
 
 // VerifyDir checks the on-disk integrity of a store directory without
-// opening it: the snapshot must parse (and, for v2, match its whole-
-// file checksum) and every fully-present WAL record must pass its CRC.
+// opening it: the snapshot must match its whole-file checksum, parse
+// and end in its WAL sequence trailer, and every fully-present WAL
+// record must pass its CRC.
 // A torn WAL tail is fine — that is normal crash residue recovery
 // truncates — but a checksum-bad snapshot or mid-log record returns an
 // error (ErrWALCorrupt for the latter). The crash-point matrix,
@@ -689,21 +676,9 @@ func VerifyDir(fsys vfs.FS, dir string) error {
 	}
 	snapPath := filepath.Join(dir, "snapshot.dts")
 	if data, err := fsys.ReadFile(snapPath); err == nil {
-		body, err := checkSnapshotEnvelope(snapPath, data)
-		if err != nil {
+		// A structural parse into a scratch DB, so row payloads decode.
+		if _, err := (&DB{tables: make(map[string]*Table)}).parseSnapshot(snapPath, data); err != nil {
 			return err
-		}
-		// Structural parse into a scratch DB so row payloads decode.
-		scratch := &DB{tables: make(map[string]*Table)}
-		r := bufio.NewReader(bytes.NewReader(body))
-		nTables, err := binary.ReadUvarint(r)
-		if err != nil {
-			return fmt.Errorf("store: %s: %w", snapPath, err)
-		}
-		for ti := uint64(0); ti < nTables; ti++ {
-			if err := scratch.loadTableSnapshot(r); err != nil {
-				return fmt.Errorf("store: %s: table %d: %w", snapPath, ti, err)
-			}
 		}
 	} else if !os.IsNotExist(err) {
 		return err

@@ -50,13 +50,13 @@ type frozenImage struct {
 
 // PublishFrozen publishes img as the whole content of the frozen table
 // name: created at commit version 1 when absent, republished at the next
-// version when it exists. A frozen table reads like any other — Scan,
-// Snapshot, Stats, CountPostings and pinned Selects — but holds no row
-// versions, free slots or index structures, and a view pinned before a
-// republish keeps reading the image it pinned. Its only write is a
-// republish: CommitDeltas refuses it. Neither the WAL nor a checkpoint
-// holds it and a publish fires no CommitEvent, so its owner publishes it
-// again after every Open.
+// version when it exists, with the same schema, Dense and Hash. A frozen
+// table reads like any other — Scan, Snapshot, Stats, CountPostings and
+// pinned Selects — but holds no row versions, free slots or index
+// structures, and a view pinned before a republish keeps reading the
+// image it pinned. Its only write is a republish: CommitDeltas refuses
+// it. Neither the WAL nor a checkpoint holds it and a publish fires no
+// CommitEvent, so its owner publishes it again after every Open.
 func (db *DB) PublishFrozen(name string, schema *Schema, img FrozenImage) (*Table, error) {
 	f, err := newFrozenImage(name, schema, img)
 	if err != nil {
@@ -74,6 +74,11 @@ func (db *DB) PublishFrozen(name string, schema *Schema, img FrozenImage) (*Tabl
 		return nil, fmt.Errorf("store: table %q is a stored table (the WAL or a checkpoint holds it), so no frozen image can replace it", name)
 	case !slices.Equal(t.schema.Columns, schema.Columns):
 		return nil, fmt.Errorf("store: frozen table %q republished with schema (%v), want (%v)", name, schema, t.schema)
+	case f.dense != t.img.dense || f.hash != t.img.hash:
+		// The planner reads a table's indexes at plan time and a pinned
+		// view keeps its image, so an access planned against one image
+		// must be served by the next.
+		return nil, fmt.Errorf("store: frozen table %q republished with indexes %v, want %v", name, f.indexes, t.img.indexes)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -208,36 +213,38 @@ func (f *frozenImage) denseRange(lo, hi *Value) (first, last int) {
 	return int(a), int(b)
 }
 
-// walk selects the access's rows: the dense column by slot arithmetic,
-// the hash column's keys through the slot table, and anything else by
-// filtering a pass over the slots, as a mutable table without a usable
-// index does.
+// walk selects the access's rows: a full pass over the slots, the
+// dense column by slot arithmetic and the hash column's keys through the
+// slot table. Any other access is refused, as on a stored table: the
+// columns named here are the indexes the image reports.
 func (f *frozenImage) walk(poll func() error, a Access, fn func(s int) bool) error {
 	ci := -1
 	if a.Column != "" {
-		if ci = f.schema.ColumnIndex(a.Column); ci < 0 {
-			return fmt.Errorf("store: table %s has no column %q", f.name, a.Column)
+		ci = f.schema.ColumnIndex(a.Column)
+		if ci < 0 || ci != f.dense && (ci != f.hash || a.Keys == nil) {
+			return unserved(f.name, f.schema, a)
 		}
 	}
 	var err error
 	visited := 0
-	// tick counts one slot visited, polling every pollEvery; visit also
-	// hands the slot to fn.
-	tick := func() bool {
+	// visit hands one slot to fn, polling every pollEvery slots.
+	visit := func(s int) bool {
 		if visited++; poll != nil && visited%pollEvery == 0 {
 			err = poll()
 		}
-		return err == nil
+		return err == nil && fn(s)
 	}
-	visit := func(s int) bool { return tick() && fn(s) }
 	switch {
-	case ci >= 0 && ci == f.dense && a.Keys != nil:
+	case ci < 0:
+		for s := 0; s < f.n && visit(s); s++ {
+		}
+	case ci == f.dense && a.Keys != nil:
 		for _, k := range a.Keys {
 			if s, ok := f.denseSlot(k); ok && !visit(s) {
 				break
 			}
 		}
-	case ci >= 0 && ci == f.dense:
+	case ci == f.dense:
 		first, last := f.denseRange(a.Lo, a.Hi)
 		if a.Desc {
 			for s := last; s >= first && visit(s); s-- {
@@ -246,18 +253,11 @@ func (f *frozenImage) walk(poll func() error, a Access, fn func(s int) bool) err
 			for s := first; s <= last && visit(s); s++ {
 			}
 		}
-	case ci >= 0 && ci == f.hash && a.Keys != nil:
+	default:
 		for _, k := range a.Keys {
 			if !f.probe(k, visit) {
 				break
 			}
-		}
-	case ci >= 0:
-		col := &f.cols[ci]
-		for s := 0; s < f.n && tick() && (!a.matches(col.stored(s)) || fn(s)); s++ {
-		}
-	default:
-		for s := 0; s < f.n && visit(s); s++ {
 		}
 	}
 	return err

@@ -82,16 +82,16 @@ func sortedIDs(ids []int64) []int64 {
 func (ix *index) minMax() (lo, hi Value, ok bool) {
 	switch {
 	case ix.floats != nil:
-		a, ok := ix.floats.Min()
-		b, _ := ix.floats.Max()
+		a, ok := edgeKey(ix.floats, false)
+		b, _ := edgeKey(ix.floats, true)
 		return FloatValue(a), FloatValue(b), ok
 	case ix.strs != nil:
-		a, ok := ix.strs.Min()
-		b, _ := ix.strs.Max()
+		a, ok := edgeKey(ix.strs, false)
+		b, _ := edgeKey(ix.strs, true)
 		return StringValue(a), StringValue(b), ok
 	}
-	a, ok := ix.ints.Min()
-	b, _ := ix.ints.Max()
+	a, ok := edgeKey(ix.ints, false)
+	b, _ := edgeKey(ix.ints, true)
 	return Value{K: ix.kind, I: a}, Value{K: ix.kind, I: b}, ok
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -232,12 +233,6 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 	if err := sameStrings("Scan", canonIDRows(gotIDs, gotRows), canonIDRows(wantIDs, wantRows)); err != nil {
 		return err
 	}
-	if err := sameStrings("Snapshot", canonRows(view.Snapshot()), canonRows(wantRows)); err != nil {
-		return err
-	}
-	if view.Len() != len(vis) {
-		return fmt.Errorf("Len = %d, model %d", view.Len(), len(vis))
-	}
 	// Two accepts name the one column they read: acceptRows fills only
 	// the named columns, so a check reading any other would misjudge.
 	accepts := []struct {
@@ -255,6 +250,15 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 		base.Cols = [][]int{{0}, {2, 0}, {1, 0, 2}, {0, 1}}[rng.Intn(4)]
 	}
 	run := func(what string, a Access, keyCol int, selects func(Row) bool) error {
+		// Until its index is created a column serves no access, and a
+		// hash index serves no range: Select refuses those, naming the
+		// column.
+		if typ, ok := tb.HasIndex(a.Column); a.Column != "" && (!ok || a.Keys == nil && typ != IndexBTree) {
+			if _, _, err := view.Select(ctx, a); err == nil || !strings.Contains(err.Error(), a.Column) {
+				return fmt.Errorf("%s Select %+v on an index that cannot serve it: err = %v", what, a, err)
+			}
+			return nil
+		}
 		var want []Row
 		visible := 0
 		for _, r := range wantRows {
@@ -298,14 +302,10 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 	lo, hi := bound(), bound()
 	ranged := base
 	ranged.Column, ranged.Lo, ranged.Hi, ranged.Desc = "k", lo, hi, rng.Intn(2) == 0
-	keyCol := -1 // a range is ordered, and so can be cut, only when a B+-tree walks it
-	if typ, ok := tb.HasIndex("k"); ok && typ == IndexBTree {
-		keyCol = 0
-		if rng.Intn(2) == 0 {
-			ranged.Limit = 1 + rng.Intn(9)
-		}
+	if rng.Intn(2) == 0 {
+		ranged.Limit = 1 + rng.Intn(9)
 	}
-	if err := run("range", ranged, keyCol, func(r Row) bool { return inRange(r[0], lo, hi) }); err != nil {
+	if err := run("range", ranged, 0, func(r Row) bool { return inRange(r[0], lo, hi) }); err != nil {
 		return err
 	}
 	for _, col := range []int{0, 1} {
@@ -352,11 +352,7 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 	if serials.Cols != nil {
 		serials.Cols = []int{2, 0} // the ordered check reads the key column
 	}
-	keyCol = -1
-	if _, ok := tb.HasIndex("serial"); ok {
-		keyCol = 2
-	}
-	if err := run("serial range", serials, keyCol, func(r Row) bool { return inRange(r[2], &slo, &shi) }); err != nil {
+	if err := run("serial range", serials, 2, func(r Row) bool { return inRange(r[2], &slo, &shi) }); err != nil {
 		return err
 	}
 	if err := run("full", base, -1, func(Row) bool { return true }); err != nil {
@@ -364,17 +360,6 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 	}
 	if v != m.commit {
 		return nil
-	}
-	// Get reads the latest version only, by ID.
-	for _, mv := range vis {
-		if r, ok := tb.Get(mv.id); !ok || fmt.Sprint(canonRows([]Row{r})) != fmt.Sprint(canonRows([]Row{mv.row})) {
-			return fmt.Errorf("Get(%d) = %v, %v; model %v", mv.id, r, ok, mv.row)
-		}
-	}
-	for _, id := range []int64{-1, 1 << 40} {
-		if _, ok := tb.Get(id); ok {
-			return fmt.Errorf("Get(%d) resolved", id)
-		}
 	}
 	if tb.Len() != len(vis) || tb.Version() != m.commit {
 		return fmt.Errorf("Len/Version = %d/%d, model %d/%d", tb.Len(), tb.Version(), len(vis), m.commit)
@@ -587,7 +572,7 @@ func TestSlotReuseUnderChurn(t *testing.T) {
 	}
 	// Every first-generation slot has been reused by now, so a stale ID
 	// must not resolve to its slot's current tenant.
-	if _, ok := tb.Get(0); ok || deleteRow(tb, 0) {
+	if _, ok := getRow(tb, 0); ok || deleteRow(tb, 0) {
 		t.Fatal("a first-generation id still resolves after its slot was reused")
 	}
 	if err := db.CommitDeltas([]TableDelta{{Table: "t", DeleteIDs: []int64{0}}}); err == nil {

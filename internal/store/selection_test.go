@@ -61,11 +61,11 @@ func TestSelectionFillUnderPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A full pass and a projected descending range walk, each checked
-	// against the pinned image as Snapshot copied it under the lock
-	// before any commit: every visible row in storage order, the order a
-	// full pass selects in, and those rows' i in [100, n], descending, as
+	// against the pinned image as Scan copied it under the lock before
+	// any commit: every visible row in storage order, the order a full
+	// pass selects in, and those rows' i in [100, n], descending, as
 	// (s, i).
-	image := view.Snapshot()
+	image := viewImage(view)
 	var ranged []Row
 	for _, r := range image {
 		if r[0].I >= 100 && r[0].I <= n {

@@ -141,28 +141,12 @@ func (tv *TableView) Table() *Table { return tv.t }
 // Version returns the pinned commit version.
 func (tv *TableView) Version() int64 { return tv.ver }
 
-// Len returns the number of rows visible in the view.
-func (tv *TableView) Len() int {
-	if tv.img != nil {
-		return tv.img.n
-	}
-	return tv.t.countAt(tv.ver)
-}
-
-// Scan calls fn for every visible row until fn returns false.
+// Scan calls fn for every visible row, in storage order, until fn
+// returns false; the row is a scratch copy overwritten by the next call.
+// Statements read through Select; Scan serves core's overlay loader and
+// the repository benchmark.
 func (tv *TableView) Scan(fn func(id int64, r Row) bool) {
 	tv.t.mu.RLock()
 	defer tv.t.mu.RUnlock()
 	scanRows(tv.reader, fn)
-}
-
-// Snapshot returns copies of every visible row.
-func (tv *TableView) Snapshot() []Row {
-	tv.t.mu.RLock()
-	defer tv.t.mu.RUnlock()
-	n := tv.t.live
-	if tv.img != nil {
-		n = tv.img.n
-	}
-	return snapshotRows(tv.reader, n)
 }

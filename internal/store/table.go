@@ -375,21 +375,11 @@ func (t *Table) HasIndex(column string) (IndexType, bool) {
 	return idx.typ, true
 }
 
-// Get returns a copy of the row with the given ID at the latest version.
-func (t *Table) Get(id int64) (Row, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	r := t.latestLocked()
-	s, ok := r.slotOf(id)
-	if !ok {
-		return nil, false
-	}
-	return newSlab(r.storage(), 1).row(s), true
-}
-
 // Scan calls fn for every latest-version row in storage order until fn
 // returns false. The row passed to fn is a scratch copy overwritten by
-// the next call: it must not be retained.
+// the next call: it must not be retained. Statements read through
+// TableView.Select; Scan serves integrate's sync diff, core's protein
+// loader and the repository benchmark.
 func (t *Table) Scan(fn func(id int64, r Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -397,19 +387,25 @@ func (t *Table) Scan(fn func(id int64, r Row) bool) {
 }
 
 // Snapshot returns copies of every row visible at the latest version,
-// in storage order, cut from one allocation.
+// in storage order, cut from one allocation. Only the repository
+// benchmark calls it.
 func (t *Table) Snapshot() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return snapshotRows(t.latestLocked(), t.live)
+	r := t.latestLocked()
+	out, sl := make([]Row, 0, t.live), newSlab(r.storage(), t.live)
+	_ = r.walk(nil, Access{}, func(s int) bool { // a pass without poll cannot fail
+		out = append(out, sl.row(s))
+		return true
+	})
+	return out
 }
 
 // reader is one image of a table that reads run against, under the
 // table's read lock: a frozen image when img is set, else the stored
-// table t at commit version ver. Scan, Snapshot, Get, Stats,
-// CountPostings and Select all read through one. It dispatches by a
-// branch rather than an interface so the callbacks of a walk stay on
-// the stack.
+// table t at commit version ver. Scan, Snapshot, Stats, CountPostings
+// and Select all read through one. It dispatches by a branch rather than
+// an interface so the callbacks of a walk stay on the stack.
 type reader struct {
 	t   *Table
 	ver int64
@@ -450,15 +446,6 @@ func (r reader) rowID(s int) int64 {
 	return r.t.idOf(s)
 }
 
-// slotOf resolves a row ID to the slot of a row visible in this image.
-func (r reader) slotOf(id int64) (int, bool) {
-	if r.img != nil {
-		return int(id), id >= 0 && id < int64(r.img.n)
-	}
-	s, ok := r.t.liveSlot(id)
-	return s, ok && r.t.visible(s, r.ver)
-}
-
 // latestLocked is the reader of the latest version; the caller holds
 // the read lock.
 func (t *Table) latestLocked() reader { return reader{t: t, ver: t.commit, img: t.img} }
@@ -474,31 +461,13 @@ func scanRows(r reader, fn func(id int64, row Row) bool) {
 	})
 }
 
-// snapshotRows copies out every row r holds, cut from one slab sized
-// for n rows.
-func snapshotRows(r reader, n int) []Row {
-	out, sl := make([]Row, 0, n), newSlab(r.storage(), n)
-	_ = r.walk(nil, Access{}, func(s int) bool { // a pass without poll cannot fail
-		out = append(out, sl.row(s))
-		return true
-	})
-	return out
-}
-
-// countAt returns the number of rows visible at commit version v.
-func (t *Table) countAt(v int64) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := 0
-	t.passLocked(nil, v, 0, nil, func(int) bool { n++; return true })
-	return n
-}
-
 // Access describes one read of a table: which rows, in what order,
 // which columns, and how many. It is the one way the query layer
 // reaches stored rows — every scan, index probe, ordered walk and
 // key union is an Access handed to TableView.Select, which resolves it
-// in a single pass under one read lock.
+// in a single pass under one read lock. A read on a column goes through
+// that column's index and nothing else: any index serves Keys, only a
+// B+-tree serves a range, and an access no index serves is an error.
 type Access struct {
 	// Column names the index that drives the read; "" reads every
 	// visible row in storage order.
@@ -549,31 +518,6 @@ const pollEvery = 1024
 // read's allocation small; the call costs little against 32 rows.
 const acceptChunk = 32
 
-// matches reports whether a stored cell v qualifies for the access on
-// its column when no index serves it: equal to one of the Keys, else
-// within the range.
-func (a Access) matches(v Value) bool {
-	for _, k := range a.Keys {
-		if Equal(v, k) {
-			return true
-		}
-	}
-	return a.Keys == nil && inRange(v, a.Lo, a.Hi)
-}
-
-func inRange(v Value, lo, hi *Value) bool {
-	if v.IsNull() {
-		return false
-	}
-	if lo != nil && Compare(v, *lo) < 0 {
-		return false
-	}
-	if hi != nil && Compare(v, *hi) > 0 {
-		return false
-	}
-	return true
-}
-
 // indexFor returns the index that can serve the access, or nil: any
 // index answers key probes, only a B+-tree walks a range.
 func (t *Table) indexFor(a Access) *index {
@@ -584,24 +528,33 @@ func (t *Table) indexFor(a Access) *index {
 	return idx
 }
 
+// unserved is the error for an access on a column no index serves: an
+// unknown column, one without an index, or a hash index asked for a
+// range.
+func unserved(table string, schema *Schema, a Access) error {
+	if schema.ColumnIndex(a.Column) < 0 {
+		return fmt.Errorf("store: table %s has no column %q", table, a.Column)
+	}
+	if a.Keys == nil {
+		return fmt.Errorf("store: table %s has no B+-tree index on column %s to walk a range by", table, a.Column)
+	}
+	return fmt.Errorf("store: table %s has no index on column %s to probe", table, a.Column)
+}
+
 // walkLocked calls fn with the slot of every row the access selects at
-// commit version ver, in access order, until fn returns false. A slot
-// has one posting per index, so each visible row surfaces exactly once,
-// under its own key, with no dedup state. A column without a usable
-// index (none, or a hash index asked for a range) is served by filtering
-// a full pass, in storage order.
+// commit version ver, in access order, until fn returns false: every
+// visible row in storage order for a full pass, else the postings of
+// the column's index. A slot has one posting per index, so each visible
+// row surfaces exactly once, under its own key, with no dedup state.
 func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(s int) bool) error {
 	if a.Column == "" {
-		return t.passLocked(poll, ver, 0, nil, fn)
-	}
-	ci := t.schema.ColumnIndex(a.Column)
-	if ci < 0 {
-		return fmt.Errorf("store: table %s has no column %q", t.name, a.Column)
+		return t.passLocked(poll, ver, fn)
 	}
 	idx := t.indexFor(a)
 	if idx == nil {
-		return t.passLocked(poll, ver, ci, a.matches, fn)
+		return unserved(t.name, t.schema, a)
 	}
+	ci := idx.column
 	var err error
 	visited := 0
 	// check, when set, is the probed key, to be compared with each
@@ -638,17 +591,16 @@ func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(s int
 	return err
 }
 
-// passLocked is the index-free walk, a loop over the slots: every
-// visible row whose column ci match accepts (nil accepts all), in
-// storage order.
-func (t *Table) passLocked(poll func() error, ver int64, ci int, match func(Value) bool, fn func(s int) bool) error {
+// passLocked is the full pass, a loop over the slots: every row visible
+// at ver, in storage order.
+func (t *Table) passLocked(poll func() error, ver int64, fn func(s int) bool) error {
 	for s := range t.end {
 		if poll != nil && (s+1)%pollEvery == 0 {
 			if err := poll(); err != nil {
 				return err
 			}
 		}
-		if t.visible(s, ver) && (match == nil || match(t.cols[ci].stored(s))) && !fn(s) {
+		if t.visible(s, ver) && !fn(s) {
 			return nil
 		}
 	}
@@ -701,8 +653,8 @@ func acceptSlots(r reader, poll func() error, a Access, slots []int32) (_ []int3
 // — an upper bound on the rows it can emit, exact but for retired rows
 // awaiting GC — giving up once the count passes max (≤ 0 counts them
 // all). The planner sizes an index path against a full scan with it,
-// and Select sizes its slot list. A full scan, or a column without a
-// usable index, counts every stored row.
+// and Select sizes its slot list. A full pass counts every stored row,
+// and so does an access no index serves, which Select refuses.
 func (t *Table) CountPostings(a Access, max int) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

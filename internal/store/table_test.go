@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -51,6 +52,30 @@ func readRows(t testing.TB, tb *Table, a Access) []Row {
 		t.Fatal(err)
 	}
 	return RowsFromColBatch(cb)
+}
+
+// viewImage copies every row the view holds, in storage order, through
+// Scan: the image Select's reads are checked against.
+func viewImage(view *TableView) []Row {
+	var out []Row
+	view.Scan(func(_ int64, r Row) bool {
+		out = append(out, r.Clone())
+		return true
+	})
+	return out
+}
+
+// getRow returns a copy of the row with the given ID at the latest
+// version, found by a Scan.
+func getRow(tb *Table, id int64) (Row, bool) {
+	var out Row
+	tb.Scan(func(rid int64, r Row) bool {
+		if rid == id {
+			out = r.Clone()
+		}
+		return out == nil
+	})
+	return out, out != nil
 }
 
 func equalTo(column string, v Value) Access { return Access{Column: column, Keys: []Value{v}} }
@@ -110,9 +135,9 @@ func TestTableInsertGetDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := tb.Get(id)
+	r, ok := getRow(tb, id)
 	if !ok || r[0].S != "P001" {
-		t.Fatalf("Get(%d) = %v, %v", id, r, ok)
+		t.Fatalf("row %d = %v, %v", id, r, ok)
 	}
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d", tb.Len())
@@ -123,19 +148,8 @@ func TestTableInsertGetDelete(t *testing.T) {
 	if deleteRow(tb, id) {
 		t.Fatal("double delete succeeded")
 	}
-	if _, ok := tb.Get(id); ok {
+	if _, ok := getRow(tb, id); ok {
 		t.Fatal("deleted row still visible")
-	}
-}
-
-func TestTableGetReturnsCopy(t *testing.T) {
-	tb := NewTable("p", proteinSchema(t))
-	id, _ := insertRow(tb, Row{StringValue("P1"), StringValue("F"), IntValue(1), BoolValue(false)})
-	r, _ := tb.Get(id)
-	r[2] = IntValue(999)
-	r2, _ := tb.Get(id)
-	if r2[2].I != 1 {
-		t.Fatal("Get leaked internal storage")
 	}
 }
 
@@ -163,7 +177,7 @@ func TestTableReplace(t *testing.T) {
 	if rows := readRows(t, tb, equalTo("family", StringValue("F1"))); len(rows) != 0 {
 		t.Fatalf("stale index entry: %v", rows)
 	}
-	if _, ok := tb.Get(id); ok {
+	if _, ok := getRow(tb, id); ok {
 		t.Fatal("the replaced row's ID still resolves")
 	}
 	if err := replaceRow(db, "p", 9999, Row{StringValue("x"), StringValue("y"), IntValue(0), BoolValue(false)}); err == nil {
@@ -202,18 +216,67 @@ func TestTableIndexLookup(t *testing.T) {
 	}
 }
 
-func TestTableLookupWithoutIndexFallsBack(t *testing.T) {
-	tb := NewTable("p", proteinSchema(t))
-	for i := 0; i < 20; i++ {
-		insertRow(tb, Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
+// TestSelectRefusesUnservedAccess: a read on a column goes through the
+// column's index or not at all. On a stored and on a frozen table,
+// Select refuses a probe on a column without an index, a range on a
+// hash-indexed one and any access on an unknown column, with an error
+// naming the table and the column.
+func TestSelectRefusesUnservedAccess(t *testing.T) {
+	db, err := Open("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rows := readRows(t, tb, equalTo("length", IntValue(7))); len(rows) != 1 || rows[0][0].S != "P7" {
-		t.Fatalf("scan lookup = %v", rows)
+	defer db.Close()
+	stored, err := db.CreateTable("stored", treeShapedSchema)
+	if err != nil {
+		t.Fatal(err)
 	}
-	view, release := pinView(tb)
-	defer release()
-	if _, _, err := view.Select(context.Background(), equalTo("nope", IntValue(0))); err == nil {
-		t.Fatal("unknown column accepted")
+	rows := frozenTreeRows(50, 0)
+	if err := db.CommitDeltas([]TableDelta{{Table: "stored", Inserts: rows}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := stored.CreateIndex("pre", IndexBTree); err != nil {
+		t.Fatal(err)
+	}
+	if err := stored.CreateIndex("name", IndexHash); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.PublishFrozen("frozen", treeShapedSchema, imageOf(rows)); err != nil {
+		t.Fatal(err)
+	}
+	snap := db.PinSnapshot()
+	defer snap.Release()
+	lo := IntValue(3)
+	for _, table := range []string{"stored", "frozen"} {
+		view, err := snap.View(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range []Access{
+			equalTo("depth", IntValue(2)),
+			{Column: "depth", Lo: &lo},
+			{Column: "name", Lo: &lo},
+			{Column: "name", Desc: true, Limit: 1},
+			equalTo("nope", IntValue(0)),
+		} {
+			for _, accept := range []bool{false, true} {
+				if accept {
+					a.Accept = func(*Selection) (int, error) { return 0, nil }
+				}
+				sel, _, err := view.Select(context.Background(), a)
+				if err == nil || !strings.Contains(err.Error(), table) || !strings.Contains(err.Error(), a.Column) {
+					t.Fatalf("%s: Select %+v = %v, want an error naming the table and column %s", table, a, err, a.Column)
+				}
+				if len(sel.Slots) != 0 {
+					t.Fatalf("%s: a refused Select %+v selected %d rows", table, a, len(sel.Slots))
+				}
+			}
+		}
+		for _, a := range []Access{{}, equalTo("name", StringValue("N3")), equalTo("pre", IntValue(3)), {Column: "pre", Lo: &lo}} {
+			if _, _, err := view.Select(context.Background(), a); err != nil {
+				t.Fatalf("%s: Select %+v: %v", table, a, err)
+			}
+		}
 	}
 }
 
@@ -233,13 +296,15 @@ func TestTableRangeLookup(t *testing.T) {
 			t.Fatalf("range lookup row %d has length %d: want key order", i, r[2].I)
 		}
 	}
-	// Unindexed range lookup gives the same answer.
+	// Without the index the same range lookup is refused.
 	tb2 := NewTable("p2", proteinSchema(t))
 	for i := 0; i < 100; i++ {
 		insertRow(tb2, Row{StringValue(fmt.Sprintf("P%d", i)), StringValue("F"), IntValue(int64(i)), BoolValue(false)})
 	}
-	if rows := readRows(t, tb2, Access{Column: "length", Lo: &lo, Hi: &hi}); len(rows) != 11 {
-		t.Fatalf("scan range lookup = %d rows, want 11", len(rows))
+	view, release := pinView(tb2)
+	defer release()
+	if _, _, err := view.Select(context.Background(), Access{Column: "length", Lo: &lo, Hi: &hi}); err == nil {
+		t.Fatal("an unindexed range lookup was served")
 	}
 }
 
