@@ -55,8 +55,13 @@ func retryAfterSeconds(hint float64) string {
 	return strconv.Itoa(s)
 }
 
-// writeShed maps an admission rejection to 429 + Retry-After.
-func writeShed(w http.ResponseWriter, err error) {
+// writeError answers a failed call with status, or — when admission
+// shed it — with 429 and Retry-After.
+func writeError(w http.ResponseWriter, err error, status int) {
+	if !admission.IsShed(err) {
+		http.Error(w, err.Error(), status)
+		return
+	}
 	hint := admission.RetryAfterHint(err, 0)
 	w.Header().Set("Retry-After", retryAfterSeconds(hint.Seconds()))
 	http.Error(w, "server overloaded, retry later", http.StatusTooManyRequests)
@@ -80,7 +85,7 @@ func withRateLimit(eng *core.Engine, rate *admission.RateLimiter, next http.Hand
 		}
 		if err := rate.Allow(client); err != nil {
 			eng.Metrics.Counter("http.rate_limited").Inc()
-			writeShed(w, err)
+			writeError(w, err, http.StatusTooManyRequests)
 			return
 		}
 		next.ServeHTTP(w, r)
@@ -184,11 +189,7 @@ func newMux(eng *core.Engine) *http.ServeMux {
 		}
 		res, err := eng.QueryColumns(r.Context(), q)
 		if err != nil {
-			if admission.IsShed(err) {
-				writeShed(w, err)
-				return
-			}
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			writeError(w, err, http.StatusBadRequest)
 			return
 		}
 		p := queryPayload{Columns: res.Columns, Plan: res.Plan}
@@ -217,7 +218,7 @@ func newMux(eng *core.Engine) *http.ServeMux {
 		}
 		crumbs, err := eng.Breadcrumbs(r.Context(), node)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
+			writeError(w, err, http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -234,7 +235,7 @@ func newMux(eng *core.Engine) *http.ServeMux {
 		}
 		sum, err := eng.SubtreeActivity(r.Context(), node)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
+			writeError(w, err, http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

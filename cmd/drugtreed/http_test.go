@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -160,11 +161,7 @@ func TestTreeRecordsHoldTreeFacts(t *testing.T) {
 			held[n.Pre] = true
 		}
 		for i, n := range nodes {
-			want := int64(-1)
-			if p := tr.Node(tr.NodeAtPre(int(n.Pre))).Parent; p != phylo.None {
-				want = int64(tr.Pre(p))
-			}
-			if n.ParentPre != want {
+			if want := int64(tr.Node(phylo.NodeID(n.Pre)).Parent); n.ParentPre != want {
 				t.Errorf("focus %s: node %d has ParentPre %d, its tree parent is %d", focus, n.Pre, n.ParentPre, want)
 			}
 			if !held[n.ParentPre] && (i != 0 || n.Name != focus) {
@@ -320,6 +317,34 @@ func TestQueryShedMapsTo429(t *testing.T) {
 	}
 	if eng.Metrics.Counter("query.shed").Value() == 0 {
 		t.Fatal("query.shed not counted")
+	}
+}
+
+// TestNodeRoutesShedMapTo429: /breadcrumbs and /subtree run a query
+// behind the engine's admission gate, so a shed answers 429 with
+// Retry-After as /query does, while an unknown node — resolved before
+// any query — still answers 404.
+func TestNodeRoutesShedMapTo429(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Admission = &admission.Config{MaxConcurrency: 1, MaxQueue: 0}
+	srv, eng := testServerWithEngine(t, cfg, nil)
+	release, err := eng.Limiter().Acquire(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	root := url.QueryEscape(eng.Root().Name)
+	for _, route := range []string{"/breadcrumbs", "/subtree"} {
+		resp, body := get(t, srv.URL+route+"?node="+root)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("shed %s = %d (%s), want 429", route, resp.StatusCode, body)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra == "" {
+			t.Fatalf("%s: 429 without Retry-After header", route)
+		}
+		if resp, _ := get(t, srv.URL+route+"?node=no-such-node"); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s on an unknown node = %d, want 404", route, resp.StatusCode)
+		}
 	}
 }
 

@@ -168,21 +168,23 @@ func TestCacheClear(t *testing.T) {
 
 // --- Prefetcher ---
 
-// prefTree builds root(a(a1,a2,a3), b(b1,b2), c).
+// prefTree builds root(a(a1,a2,a3), b(b1,b2), c), breadth-first, and
+// maps each name to its node: a name lookup, as Index renumbers the
+// nodes in preorder.
 func prefTree(t *testing.T) (*phylo.Tree, map[string]phylo.NodeID) {
 	t.Helper()
 	tr := phylo.NewTree()
-	ids := map[string]phylo.NodeID{}
+	build := map[string]phylo.NodeID{}
 	var err error
-	if ids["root"], err = tr.AddNode("root", phylo.None, 0); err != nil {
+	if build["root"], err = tr.AddNode("root", phylo.None, 0); err != nil {
 		t.Fatal(err)
 	}
 	add := func(name string, parent string) {
-		id, err := tr.AddNode(name, ids[parent], 1)
+		id, err := tr.AddNode(name, build[parent], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids[name] = id
+		build[name] = id
 	}
 	add("a", "root")
 	add("b", "root")
@@ -194,6 +196,10 @@ func prefTree(t *testing.T) (*phylo.Tree, map[string]phylo.NodeID) {
 	add("b2", "b")
 	if err := tr.Index(); err != nil {
 		t.Fatal(err)
+	}
+	ids := map[string]phylo.NodeID{}
+	for name := range build {
+		ids[name], _ = tr.NodeByName(name)
 	}
 	return tr, ids
 }

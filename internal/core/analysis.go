@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"drugtree/internal/phylo"
 	"drugtree/internal/query"
 )
 
@@ -168,9 +169,9 @@ func (e *Engine) SimilarLigands(ctx context.Context, smiles string, k int, thres
 	return out, nil
 }
 
-// FamilyEnrichment finds the clades most enriched for strong binders
-// of one ligand: for each internal node at most maxDepth deep, the
-// mean affinity of the ligand across its subtree leaves.
+// EnrichedClade is one clade FamilyEnrichment ranks: its name, its
+// leaf count, the ligand's activity rows under it and their mean
+// affinity.
 type EnrichedClade struct {
 	Clade   string
 	Leaves  int64
@@ -178,11 +179,14 @@ type EnrichedClade struct {
 	MeanAff float64
 }
 
-// FamilyEnrichment ranks clades by mean affinity for the ligand.
+// FamilyEnrichment finds the clades most enriched for strong binders
+// of one ligand: for each internal node at most maxDepth deep, in
+// preorder, the mean affinity of the ligand across its subtree leaves.
+// It returns the clades the ligand has activity under, strongest first
+// (ties in preorder), cut to topK when topK > 0.
 func (e *Engine) FamilyEnrichment(ctx context.Context, ligandID string, maxDepth, topK int) ([]EnrichedClade, error) {
 	var out []EnrichedClade
-	for i := 0; i < e.tree.Len(); i++ {
-		id := e.tree.NodeAtPre(i)
+	for id := range phylo.NodeID(e.tree.Len()) {
 		n := e.tree.Node(id)
 		if n.IsLeaf() || e.tree.Depth(id) > maxDepth {
 			continue

@@ -300,31 +300,29 @@ func buildTree(proteins []*seq.Protein, method TreeMethod) (*phylo.Tree, error) 
 }
 
 // treeImage lays the tree out as tree_nodes' frozen image: one row per
-// node in preorder, so pre is the slot. Names are the tree's own
-// strings, and x and root_dist share one vector, as Layout.X is the
-// tree's root-distance array.
+// node in preorder, so a node's ID is its slot and its pre. Names are
+// the tree's own strings, and the float columns are the tree's and the
+// layout's own vectors, shared rather than copied: branch_length is
+// the tree's branch lengths, root_dist and x are both Layout.X (the
+// tree's root distances) and y is Layout.Y.
 func treeImage(t *phylo.Tree, layout *phylo.Layout) store.FrozenImage {
 	n := t.Len()
 	ints := func() store.Col { return store.Col{Kind: store.KindInt, Int: make([]int64, n)} }
-	floats := func() store.Col { return store.Col{Kind: store.KindFloat, Float: make([]float64, n)} }
 	pre, parent, depth, leafCount, end := ints(), ints(), ints(), ints(), ints()
 	leaf := store.Col{Kind: store.KindBool, Int: make([]int64, n)}
-	length, dist, y := floats(), floats(), floats()
 	names := store.Col{Kind: store.KindString, Str: make([]string, n)}
-	for p := 0; p < n; p++ {
-		id := t.NodeAtPre(p)
+	for p := range n {
+		id := phylo.NodeID(p)
 		node := t.Node(id)
-		pre.Int[p], names.Str[p], parent.Int[p] = int64(p), node.Name, -1
-		if node.Parent != phylo.None {
-			parent.Int[p] = int64(t.Pre(node.Parent))
-		}
+		pre.Int[p], names.Str[p], parent.Int[p] = int64(p), node.Name, int64(node.Parent)
 		if node.IsLeaf() {
 			leaf.Int[p] = 1
 		}
 		_, last := t.SubtreeInterval(id)
 		depth.Int[p], leafCount.Int[p], end.Int[p] = int64(t.Depth(id)), int64(t.LeafCount(id)), int64(last)
-		length.Float[p], dist.Float[p], y.Float[p] = node.Length, layout.X[id], layout.Y[id]
 	}
+	floats := func(v []float64) store.Col { return store.Col{Kind: store.KindFloat, Float: v} }
+	length, dist, y := floats(t.Lengths()), floats(layout.X), floats(layout.Y)
 	return store.FrozenImage{
 		Cols:  []store.Col{pre, names, parent, depth, leaf, length, dist, leafCount, dist, y, end},
 		Dense: "pre",

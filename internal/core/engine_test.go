@@ -575,10 +575,12 @@ func TestEngineWithSyntheticTopology(t *testing.T) {
 
 // TestTreeNodesHeap is the tier-1 guard on what an engine holds beside
 // its tree: NewWithTree over a 100 000-leaf topology (199 999 nodes)
-// adds at most 22 MB of live heap to the indexed, named tree and its
-// layout — tree_nodes' frozen vectors and name lookup, ≈ 18.7 MB, and
-// the engine's own small state. A stored tree_nodes with its B+-tree on
-// pre and hash index on name added 33.5 MB.
+// adds at most 15 MB of live heap to the indexed, named tree and its
+// layout — tree_nodes' integer and name vectors and name lookup,
+// ≈ 13.9 MB, and the engine's own small state. Its float columns are
+// the tree's and the layout's own vectors, which the test checks are
+// shared, not copied. Copying them cost 4.8 MB; a stored tree_nodes
+// with its B+-tree on pre and hash index on name added 33.5 MB.
 func TestTreeNodesHeap(t *testing.T) {
 	tree, err := datagen.RandomTopology(100000, 1)
 	if err != nil {
@@ -613,8 +615,16 @@ func TestTreeNodesHeap(t *testing.T) {
 	}
 	added := float64(liveHeap()) - float64(base)
 	t.Logf("NewWithTree over %d nodes adds %.1f MB", tree.Len(), added/1e6)
-	if added > 22e6 {
-		t.Errorf("NewWithTree adds %.1f MB of live heap, want ≤ 22", added/1e6)
+	if added > 15e6 {
+		t.Errorf("NewWithTree adds %.1f MB of live heap, want ≤ 15", added/1e6)
+	}
+	img := treeImage(tree, e.Layout())
+	for col, v := range map[string][]float64{
+		"branch_length": tree.Lengths(), "root_dist": e.Layout().X, "x": e.Layout().X, "y": e.Layout().Y,
+	} {
+		if got := img.Cols[TreeSchema.ColumnIndex(col)].Float; &got[0] != &v[0] {
+			t.Errorf("tree_nodes.%s copies its vector instead of sharing it", col)
+		}
 	}
 	runtime.KeepAlive(e)
 }

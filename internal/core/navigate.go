@@ -185,14 +185,10 @@ func (e *Engine) Children(nodeName string) ([]NodeView, error) {
 // for structural navigation that skips the query path).
 func (e *Engine) nodeView(id phylo.NodeID) NodeView {
 	n := e.tree.Node(id)
-	parentPre := int64(-1)
-	if n.Parent != phylo.None {
-		parentPre = int64(e.tree.Pre(n.Parent))
-	}
 	return NodeView{
-		Pre:       int64(e.tree.Pre(id)),
+		Pre:       int64(id),
 		Name:      n.Name,
-		ParentPre: parentPre,
+		ParentPre: int64(n.Parent),
 		Depth:     int64(e.tree.Depth(id)),
 		IsLeaf:    n.IsLeaf(),
 		Length:    n.Length,

@@ -22,8 +22,8 @@ import (
 func wantViews(e *Engine, id phylo.NodeID) []NodeView {
 	lo, hi := e.tree.SubtreeInterval(id)
 	out := make([]NodeView, 0, hi-lo+1)
-	for p := lo; p <= hi; p++ {
-		out = append(out, e.nodeView(e.tree.NodeAtPre(p)))
+	for id := phylo.NodeID(lo); id <= phylo.NodeID(hi); id++ {
+		out = append(out, e.nodeView(id))
 	}
 	return out
 }
@@ -175,7 +175,7 @@ func TestTwinEnginesEvictIdentically(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		for step := 0; step < 400; step++ {
 			// A random node, widened to an ancestor now and then.
-			id := tree.NodeAtPre(rng.Intn(tree.Len()))
+			id := phylo.NodeID(rng.Intn(tree.Len()))
 			for p := tree.Node(id).Parent; p != phylo.None && tree.LeafCount(p) <= 64 && rng.Intn(2) == 0; p = tree.Node(id).Parent {
 				id = p
 			}
@@ -264,7 +264,7 @@ func TestCacheEntriesTaggedWithReadVersion(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; !stop.Load(); i++ {
-				id := tree.NodeAtPre((i * 7) % tree.Len())
+				id := phylo.NodeID((i * 7) % tree.Len())
 				lo, hi := tree.SubtreeInterval(id)
 				v0 := tab.Version()
 				views, _, err := e.OpenSubtree(ctx, tree.Node(id).Name)

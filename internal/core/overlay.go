@@ -171,7 +171,6 @@ type ActivityOverlay struct {
 	tree      *phylo.Tree
 	keyIdx    int
 	metricIdx int
-	parent    []int // preorder → parent preorder, -1 at the root
 
 	mu      sync.RWMutex
 	ready   bool
@@ -179,12 +178,13 @@ type ActivityOverlay struct {
 	// pending buffers events that land while the base image is still
 	// loading; they replay (version-filtered) once the load finishes.
 	pending []store.CommitEvent
-	rows    []int64
-	count   []int64
-	sums    []exactSum
+	// Per-node state by node ID, which is the preorder number.
+	rows  []int64
+	count []int64
+	sums  []exactSum
 }
 
-// newOverlayShell allocates the per-node state and tree mappings.
+// newOverlayShell allocates the per-node state.
 func newOverlayShell(tree *phylo.Tree, schema *store.Schema) (*ActivityOverlay, error) {
 	keyIdx := schema.ColumnIndex(overlayKeyColumn)
 	metricIdx := schema.ColumnIndex(overlayMetricColumn)
@@ -196,18 +196,9 @@ func newOverlayShell(tree *phylo.Tree, schema *store.Schema) (*ActivityOverlay, 
 		tree:      tree,
 		keyIdx:    keyIdx,
 		metricIdx: metricIdx,
-		parent:    make([]int, n),
 		rows:      make([]int64, n),
 		count:     make([]int64, n),
 		sums:      make([]exactSum, n),
-	}
-	for p := 0; p < n; p++ {
-		node := tree.Node(tree.NodeAtPre(p))
-		if node.Parent == phylo.None {
-			o.parent[p] = -1
-		} else {
-			o.parent[p] = tree.Pre(node.Parent)
-		}
 	}
 	return o, nil
 }
@@ -337,12 +328,12 @@ func (o *ActivityOverlay) bumpLocked(key, metric store.Value, sign int64) {
 	if nonNull && metric.Numeric() {
 		a = addendOf(metric.AsFloat())
 	}
-	for p := o.tree.Pre(id); p >= 0; p = o.parent[p] {
-		o.rows[p] += sign
+	for ; id != phylo.None; id = o.tree.Parent(id) {
+		o.rows[id] += sign
 		if nonNull {
-			o.count[p] += sign
+			o.count[id] += sign
 		}
-		o.sums[p].add(a, sign < 0)
+		o.sums[id].add(a, sign < 0)
 	}
 }
 
@@ -369,7 +360,7 @@ func (o *ActivityOverlay) Read(node string, version int64) (query.OverlayAgg, bo
 	if !ok {
 		return query.OverlayAgg{}, false
 	}
-	return o.aggLocked(o.tree.Pre(id)), true
+	return o.aggLocked(int(id)), true
 }
 
 // Version returns the activities commit version the overlay reflects.
@@ -382,8 +373,8 @@ func (o *ActivityOverlay) Version() int64 {
 // Nodes returns the number of tree nodes the overlay covers.
 func (o *ActivityOverlay) Nodes() int { return len(o.rows) }
 
-// Agg returns the aggregate at preorder position p — the comparison
-// hook TestOverlayIncrementalMatchesRebuild walks.
+// Agg returns the aggregate at node p (its preorder number) — the
+// comparison hook TestOverlayIncrementalMatchesRebuild walks.
 func (o *ActivityOverlay) Agg(p int) query.OverlayAgg {
 	o.mu.RLock()
 	defer o.mu.RUnlock()

@@ -40,9 +40,8 @@ func TestShardedEngineMatchesSingleNode(t *testing.T) {
 	// A named clade for the subtree query: first non-root internal node.
 	tree := single.Tree()
 	clade := ""
-	for i := 0; i < tree.Len(); i++ {
-		id := tree.NodeAtPre(i)
-		if !tree.Node(id).IsLeaf() && i != 0 {
+	for id := range phylo.NodeID(tree.Len()) {
+		if !tree.Node(id).IsLeaf() && id != 0 {
 			clade = tree.Node(id).Name
 			break
 		}
@@ -300,8 +299,8 @@ func TestBenchShapesMatchAcrossTopologies(t *testing.T) {
 	// A clade of 2–4 of the 24 leaves stays under the union crossover.
 	tree := single.Tree()
 	clade := ""
-	for i := 1; i < tree.Len() && clade == ""; i++ {
-		if id := tree.NodeAtPre(i); !tree.Node(id).IsLeaf() && tree.LeafCount(id) <= 4 {
+	for id := phylo.NodeID(1); int(id) < tree.Len() && clade == ""; id++ {
+		if !tree.Node(id).IsLeaf() && tree.LeafCount(id) <= 4 {
 			clade = tree.Node(id).Name
 		}
 	}
@@ -381,8 +380,7 @@ func TestDuplicateNodeNameResolvesOneWay(t *testing.T) {
 	// preorder, and the largest in the last third with another size.
 	var twins [2]phylo.NodeID
 	var sizes [2]int
-	for p := 1; p < tree.Len(); p++ {
-		id := tree.NodeAtPre(p)
+	for id := phylo.NodeID(1); int(id) < tree.Len(); id++ {
 		lo, hi := tree.SubtreeInterval(id)
 		size := hi - lo + 1
 		switch {
@@ -445,15 +443,14 @@ func TestDuplicateNodeNameResolvesOneWay(t *testing.T) {
 	// On a name column a row means the node its name resolves to: the
 	// other twin's row counts under the lower twin's ancestors, not its
 	// own, through a key union on small clades and a scan on large ones.
-	for p := 0; p < tree.Len(); p++ {
-		clade := tree.NodeAtPre(p)
+	for clade := range phylo.NodeID(tree.Len()) {
 		name := tree.Node(clade).Name
 		if id, _ := tree.NodeByName(name); id != clade {
 			continue // the other twin: its name means the lower one
 		}
 		n := 0
-		for q := 0; q < tree.Len(); q++ {
-			if id, _ := tree.NodeByName(tree.Node(tree.NodeAtPre(q)).Name); tree.IsAncestor(clade, id) {
+		for q := range phylo.NodeID(tree.Len()) {
+			if id, _ := tree.NodeByName(tree.Node(q).Name); tree.IsAncestor(clade, id) {
 				n++
 			}
 		}

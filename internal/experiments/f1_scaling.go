@@ -47,8 +47,7 @@ func f1PickClades(t *phylo.Tree) []string {
 			want = total
 		}
 		best, bestDiff := t.Root(), total
-		for i := 0; i < t.Len(); i++ {
-			id := t.NodeAtPre(i)
+		for id := range phylo.NodeID(t.Len()) {
 			if t.Node(id).IsLeaf() {
 				continue
 			}

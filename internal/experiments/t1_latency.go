@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"drugtree/internal/core"
+	"drugtree/internal/phylo"
 	"drugtree/internal/query"
 )
 
@@ -55,8 +56,7 @@ func t1MidClade(e *core.Engine) string {
 	total := len(t.Leaves())
 	best := t.Root()
 	bestDiff := total
-	for i := 0; i < t.Len(); i++ {
-		id := t.NodeAtPre(i)
+	for id := range phylo.NodeID(t.Len()) {
 		if t.Node(id).IsLeaf() {
 			continue
 		}

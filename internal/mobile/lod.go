@@ -79,7 +79,7 @@ func (v *viewport) build(t *phylo.Tree, focus phylo.NodeID, budget int) {
 		v.stack = v.stack[:len(v.stack)-1]
 		n := v.view[s]
 		v.order = append(v.order, s)
-		v.pres = append(v.pres, int64(t.Pre(n.id)))
+		v.pres = append(v.pres, int64(n.id))
 		for c := n.first + n.kids; c > n.first; c-- {
 			v.stack = append(v.stack, c-1)
 		}
@@ -98,14 +98,10 @@ func (v *viewport) take(t *phylo.Tree, id phylo.NodeID) {
 // compares preorder numbers never leaves a held record stale.
 func nodeRecord(t *phylo.Tree, layout *phylo.Layout, id phylo.NodeID) WireNode {
 	node := t.Node(id)
-	parentPre := int64(-1)
-	if node.Parent != phylo.None {
-		parentPre = int64(t.Pre(node.Parent))
-	}
 	return WireNode{
-		Pre:       int64(t.Pre(id)),
+		Pre:       int64(id),
 		Name:      node.Name,
-		ParentPre: parentPre,
+		ParentPre: int64(node.Parent),
 		IsLeaf:    node.IsLeaf(),
 		LeafCount: int64(t.LeafCount(id)),
 		Length:    node.Length,
@@ -156,7 +152,7 @@ func FullTree(e *core.Engine) []WireNode {
 	t, layout := e.Tree(), e.Layout()
 	out := make([]WireNode, t.Len())
 	for p := range out {
-		out[p] = nodeRecord(t, layout, t.NodeAtPre(p))
+		out[p] = nodeRecord(t, layout, phylo.NodeID(p))
 	}
 	return out
 }

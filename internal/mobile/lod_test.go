@@ -99,7 +99,7 @@ func TestSessionDeltaMatchesOracle(t *testing.T) {
 					if strategy != StrategyFull {
 						view = BuildViewport(e, id, budget)
 					}
-					want := &TreeDelta{Reset: true, Add: view, Focus: int64(tr.Pre(id))}
+					want := &TreeDelta{Reset: true, Add: view, Focus: int64(id)}
 					if strategy == StrategyLODDelta {
 						want.Reset = false
 						want.Add, want.Remove = diffViewportsMap(held, view)

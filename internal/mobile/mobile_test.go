@@ -258,7 +258,7 @@ func TestBuildViewportConnected(t *testing.T) {
 				continue
 			}
 			roots++
-			if i != 0 || n.Pre != int64(tr.Pre(focus)) {
+			if i != 0 || n.Pre != int64(focus) {
 				t.Fatalf("focus %d: node %d (index %d) references missing parent %d; only the focus may", focus, n.Pre, i, n.ParentPre)
 			}
 		}

@@ -43,18 +43,13 @@ func buildViewportWalk(e *core.Engine, focus phylo.NodeID, budget int) []WireNod
 	}
 	out := make([]WireNode, 0, len(taken))
 	lo, hi := t.SubtreeInterval(focus)
-	for p := lo; p <= hi; p++ {
-		id := t.NodeAtPre(p)
+	for id := phylo.NodeID(lo); id <= phylo.NodeID(hi); id++ {
 		if !taken[id] {
 			continue
 		}
 		node := t.Node(id)
-		parentPre := int64(-1)
-		if node.Parent != phylo.None {
-			parentPre = int64(t.Pre(node.Parent))
-		}
 		out = append(out, WireNode{
-			Pre: int64(p), Name: node.Name, ParentPre: parentPre, IsLeaf: node.IsLeaf(),
+			Pre: int64(id), Name: node.Name, ParentPre: int64(node.Parent), IsLeaf: node.IsLeaf(),
 			LeafCount: int64(t.LeafCount(id)), Length: node.Length,
 			X: layout.X[id], Y: layout.Y[id],
 		})
@@ -151,8 +146,8 @@ func TestOpenVisitsSubtree(t *testing.T) {
 	// Zoom into the root and a few clades, revisiting the root, opening
 	// one child after each.
 	var clades []phylo.NodeID
-	for p := 1; p < tr.Len() && len(clades) < 4; p += 5 {
-		if id := tr.NodeAtPre(p); !tr.Node(id).IsLeaf() {
+	for id := phylo.NodeID(1); int(id) < tr.Len() && len(clades) < 4; id += 5 {
+		if !tr.Node(id).IsLeaf() {
 			clades = append(clades, id)
 		}
 	}

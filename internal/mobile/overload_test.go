@@ -191,6 +191,84 @@ func TestClientZeroRetriesSurfacesBusy(t *testing.T) {
 	waitSession(t, done)
 }
 
+// TestOpenShedSurfacesBusy: an Open whose cache fill the engine's
+// limiter sheds is answered with a RetryMsg carrying the limiter's
+// hint, not an error, and counts as a shed on both ends.
+func TestOpenShedSurfacesBusy(t *testing.T) {
+	eng := core.DefaultConfig()
+	eng.Admission = &admission.Config{MaxConcurrency: 1, MaxQueue: 0}
+	e, release := heldEngine(t, eng)
+	defer release()
+	server := NewServer(e)
+
+	conn, done := serveOnce(t, server)
+	c, err := Dial(conn, StrategyLODDelta, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Open(e.Root().Name)
+	var busy *BusyError
+	if !errors.As(err, &busy) || busy.After <= 0 {
+		t.Fatalf("shed Open with MaxRetries=0 got %v, want BusyError with a retry hint", err)
+	}
+	if c.Sheds != 1 {
+		t.Fatalf("Sheds = %d, want 1", c.Sheds)
+	}
+	if got := e.Metrics.Counter("mobile.sheds").Value(); got != 1 {
+		t.Fatalf("mobile.sheds = %d, want 1", got)
+	}
+	c.Close()
+	waitSession(t, done)
+}
+
+// TestClientBackoffRetriesShedOpen: with retries on, an Open rides out
+// the sheds on backoff and completes once the slot is released.
+func TestClientBackoffRetriesShedOpen(t *testing.T) {
+	eng := core.DefaultConfig()
+	eng.Admission = &admission.Config{MaxConcurrency: 1, MaxQueue: 0}
+	e, release := heldEngine(t, eng)
+	server := NewServer(e)
+	server.RetryAfter = time.Millisecond
+
+	conn, done := serveOnce(t, server)
+	c, err := Dial(conn, StrategyLODDelta, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Backoff = source.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, JitterSeed: 7}
+	c.MaxRetries = 100
+	got := make(chan error, 1)
+	go func() {
+		_, oerr := c.Open(e.Root().Name)
+		got <- oerr
+	}()
+	// Free the slot once the server has shed the Open at least once.
+	deadline := time.Now().Add(5 * time.Second)
+	for e.Metrics.Counter("mobile.sheds").Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the Open was never shed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	select {
+	case oerr := <-got:
+		if oerr != nil {
+			t.Fatalf("Open after backoff retries: %v", oerr)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Open did not complete after slot release")
+	}
+	if c.Sheds == 0 {
+		t.Fatal("client never observed a shed")
+	}
+	if len(c.Nodes) == 0 {
+		t.Fatal("the completed Open delivered no nodes")
+	}
+	c.Close()
+	waitSession(t, done)
+}
+
 // TestDrainFinishesInFlightQuery proves the graceful-drain guarantee:
 // a query already dispatched when Drain starts completes and its
 // response reaches the client — zero dropped in-flight work — while

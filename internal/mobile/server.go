@@ -459,7 +459,7 @@ func (s *Server) handleOpen(ctx context.Context, w io.Writer, sess *session, m *
 	// prefetcher observe the interaction exactly as the poster's
 	// system would; the reply itself is built from the in-memory tree.
 	if _, err := s.engine.VisitSubtree(ctx, m.Node); err != nil {
-		return WriteMsg(w, &ErrorMsg{Text: err.Error()})
+		return s.replyError(w, sess, err)
 	}
 	if s.Async {
 		// Background prefetch outlives the interaction that triggered
@@ -472,7 +472,7 @@ func (s *Server) handleOpen(ctx context.Context, w io.Writer, sess *session, m *
 
 	// The strategy is fixed for the session, so only StrategyLODDelta
 	// keeps the client's node set.
-	focus := int64(s.engine.Tree().Pre(id))
+	focus := int64(id)
 	var delta *TreeDelta
 	switch sess.strategy {
 	case StrategyFull:
@@ -492,17 +492,22 @@ func (s *Server) handleOpen(ctx context.Context, w io.Writer, sess *session, m *
 func (s *Server) handleQuery(ctx context.Context, w io.Writer, sess *session, m *Query) error {
 	res, err := s.engine.QueryColumns(ctx, m.DTQL)
 	if err != nil {
-		if admission.IsShed(err) {
-			// The engine's limiter turned the query away: tell the
-			// client when to retry rather than reporting a failure.
-			s.engine.Metrics.Counter("mobile.sheds").Inc()
-			after := admission.RetryAfterHint(err, s.retryHint())
-			return s.respond(w, sess, &RetryMsg{AfterMS: after.Milliseconds()})
-		}
-		return WriteMsg(w, &ErrorMsg{Text: err.Error()})
+		return s.replyError(w, sess, err)
 	}
 	// res is the engine's shared result: it is encoded, never written.
 	return s.respond(w, sess, &QueryResult{Columns: res.Columns, Batch: res.Batch})
+}
+
+// replyError answers a failed engine call. When the engine's limiter
+// turned the call away it tells the client when to retry rather than
+// reporting a failure.
+func (s *Server) replyError(w io.Writer, sess *session, err error) error {
+	if admission.IsShed(err) {
+		s.engine.Metrics.Counter("mobile.sheds").Inc()
+		after := admission.RetryAfterHint(err, s.retryHint())
+		return s.respond(w, sess, &RetryMsg{AfterMS: after.Milliseconds()})
+	}
+	return WriteMsg(w, &ErrorMsg{Text: err.Error()})
 }
 
 // respond writes a reply through the session's frame buffer, honoring

@@ -31,10 +31,11 @@ func randomBuiltTree(t *testing.T, rng *rand.Rand, n int) *Tree {
 }
 
 // TestFrozenTreeEqualsBuiltTree records every accessor's answer on a
-// tree under construction, indexes it — which moves topology and names
-// into their flat form and releases the build form — and demands the
-// same answers node for node: IDs, names, parents, child order, branch
-// lengths, leaves, serialisation.
+// tree under construction, indexes it — which renumbers the nodes in
+// preorder, moves topology and names into their flat form and releases
+// the build form — and demands the same answers node for node under
+// the renumbering: names, parents, child order, branch lengths,
+// leaves, serialisation.
 func TestFrozenTreeEqualsBuiltTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{1, 2, 3, 50, 3000} {
@@ -42,50 +43,39 @@ func TestFrozenTreeEqualsBuiltTree(t *testing.T) {
 		if err := tr.SetName(NodeID(n-1), "renamed"); err != nil {
 			t.Fatal(err)
 		}
-		built := make([]Node, n)
-		for i := range built {
-			built[i] = tr.Node(NodeID(i))
-			built[i].Children = append([]NodeID{}, built[i].Children...)
+		built := recordBuilt(tr)
+		if built.nodes[n-1].Name != "renamed" {
+			t.Fatalf("SetName did not take: node %d is %q", n-1, built.nodes[n-1].Name)
 		}
-		if built[n-1].Name != "renamed" {
-			t.Fatalf("SetName did not take: node %d is %q", n-1, built[n-1].Name)
-		}
-		leaves, leafNames, newick, naive := tr.Leaves(), tr.LeafNames(), tr.Newick(), tr.SubtreeNaive(tr.Root())
-		sortNodeIDs := func(ids []NodeID) []NodeID {
-			out := slices.Clone(ids)
-			slices.Sort(out)
-			return out
+		leaves, leafNames, newick := tr.Leaves(), tr.LeafNames(), tr.Newick()
+		if naive := tr.SubtreeNaive(tr.Root()); !slices.Equal(naive, built.order) {
+			t.Fatalf("n=%d: SubtreeNaive is not the preorder walk", n)
 		}
 
-		if err := tr.Index(); err != nil {
-			t.Fatal(err)
-		}
+		checkRenumbered(t, fmt.Sprintf("n=%d", n), tr, built)
 		if tr.names != nil || tr.kids != nil {
 			t.Fatalf("n=%d: Index kept the build form", n)
 		}
-		if tr.Len() != n {
-			t.Fatalf("n=%d: Len = %d after Index", n, tr.Len())
-		}
-		for i, want := range built {
-			got := tr.Node(NodeID(i))
-			if got.Name != want.Name || got.Parent != want.Parent || got.Length != want.Length ||
-				got.IsLeaf() != want.IsLeaf() || !reflect.DeepEqual(append([]NodeID{}, got.Children...), want.Children) {
-				t.Fatalf("n=%d node %d: frozen %+v, built %+v", n, i, got, want)
-			}
-			if cap(got.Children) != len(got.Children) {
-				t.Fatalf("n=%d node %d: the child window has room to append into its neighbour's", n, i)
+		for id := range NodeID(n) {
+			if kids := tr.Node(id).Children; cap(kids) != len(kids) {
+				t.Fatalf("n=%d node %d: the child window has room to append into its neighbour's", n, id)
 			}
 		}
-		// Leaves come in preorder once indexed, insertion order before.
-		if got := sortNodeIDs(tr.Leaves()); !reflect.DeepEqual(got, sortNodeIDs(leaves)) {
+		// Leaves come in ID order: preorder once indexed, insertion order before.
+		renumbered := make([]NodeID, len(leaves))
+		for i, b := range leaves {
+			renumbered[i] = built.pos[b]
+		}
+		slices.Sort(renumbered)
+		if !slices.Equal(tr.Leaves(), renumbered) {
 			t.Fatalf("n=%d: Leaves changed", n)
 		}
-		if !reflect.DeepEqual(tr.LeafNames(), leafNames) || tr.Newick() != newick || !reflect.DeepEqual(tr.SubtreeNaive(tr.Root()), naive) {
-			t.Fatalf("n=%d: LeafNames, Newick or SubtreeNaive changed across Index", n)
+		if !reflect.DeepEqual(tr.LeafNames(), leafNames) || tr.Newick() != newick {
+			t.Fatalf("n=%d: LeafNames or Newick changed across Index", n)
 		}
-		for p, id := range naive { // the naive traversal is the preorder
-			if tr.Pre(id) != p || tr.NodeAtPre(p) != id {
-				t.Fatalf("n=%d: node %d has preorder %d, the traversal reaches it at %d", n, id, tr.Pre(id), p)
+		for p, id := range tr.SubtreeNaive(tr.Root()) { // the naive traversal is the preorder
+			if int(id) != p || tr.Pre(id) != p || tr.NodeAtPre(p) != id {
+				t.Fatalf("n=%d: the traversal reaches node %d at %d", n, id, p)
 			}
 		}
 
@@ -98,15 +88,16 @@ func TestFrozenTreeEqualsBuiltTree(t *testing.T) {
 			t.Fatalf("n=%d: AddNode on an indexed tree succeeded", n)
 		}
 		tr.NameClades()
-		for i, want := range built {
-			got := tr.Node(NodeID(i)).Name
+		for b, want := range built.nodes {
+			i := built.pos[b]
+			got := tr.Node(i).Name
 			if want.Name == "" {
-				want.Name = fmt.Sprintf("clade_%d", tr.Pre(NodeID(i)))
+				want.Name = fmt.Sprintf("clade_%d", i)
 			}
 			if got != want.Name {
 				t.Fatalf("n=%d node %d: named %q after NameClades, want %q", n, i, got, want.Name)
 			}
-			if id, ok := tr.NodeByName(got); !ok || tr.Node(id).Name != got || id > NodeID(i) {
+			if id, ok := tr.NodeByName(got); !ok || tr.Node(id).Name != got || id > i {
 				t.Fatalf("n=%d: NodeByName(%q) = %d, %v; node %d carries it", n, got, id, ok, i)
 			}
 		}

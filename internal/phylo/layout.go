@@ -7,8 +7,8 @@ package phylo
 // children. The mobile layer uses these coordinates for viewport
 // clipping.
 type Layout struct {
-	// X and Y are indexed by NodeID. X is the tree's own root-distance
-	// array, shared rather than copied: read-only.
+	// X and Y are indexed by NodeID, so in preorder. X is the tree's
+	// own root-distance array, shared rather than copied: read-only.
 	X []float64
 	Y []float64
 	// Width is the maximum X (tree height in branch-length units).
@@ -22,10 +22,9 @@ func NewLayout(t *Tree) *Layout {
 	t.mustIndexed()
 	n := t.Len()
 	l := &Layout{X: t.dist, Y: make([]float64, n)}
-	// First pass (preorder): leaf rows.
+	// First pass (preorder = ID order): leaf rows.
 	row := 0
-	for p := 0; p < n; p++ {
-		id := t.byPre[p]
+	for id := range NodeID(n) {
 		if l.X[id] > l.Width {
 			l.Width = l.X[id]
 		}
@@ -37,8 +36,7 @@ func NewLayout(t *Tree) *Layout {
 	l.HeightRows = row
 	// Second pass (reverse preorder = children before parents):
 	// internal Y is the mean of child Y.
-	for p := n - 1; p >= 0; p-- {
-		id := t.byPre[p]
+	for id := NodeID(n) - 1; id >= 0; id-- {
 		children := t.children(id)
 		if len(children) == 0 {
 			continue

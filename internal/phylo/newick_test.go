@@ -124,7 +124,8 @@ func TestNewickSingleLeaf(t *testing.T) {
 // FuzzNewick: the parser never panics, and a string that parses
 // serialises (Newick) to text that parses back to the same tree — the
 // same node IDs, names, parents, child order and branch lengths — in
-// the build form and, after Index, in the frozen one.
+// the build form and, after Index, in the frozen one. The parser adds
+// nodes in preorder, so Index keeps every ID and the Newick bytes.
 func FuzzNewick(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		tr, err := ParseNewick(src)
@@ -148,8 +149,14 @@ func FuzzNewick(f *testing.F) {
 			}
 		}
 		same("built")
+		built := recordBuilt(tr)
 		if err := tr.Index(); err != nil {
 			t.Fatalf("%q: Index: %v", src, err)
+		}
+		for i, want := range built.nodes {
+			if got := tr.Node(NodeID(i)); got.Name != want.Name || got.Parent != want.Parent || got.Length != want.Length || !slices.Equal(got.Children, want.Children) {
+				t.Fatalf("%q: Index moved node %d: %+v built, %+v indexed", src, i, want, got)
+			}
 		}
 		if err := again.Index(); err != nil {
 			t.Fatalf("%q: Index after the round trip: %v", text, err)

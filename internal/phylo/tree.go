@@ -10,7 +10,6 @@ import (
 	"hash/maphash"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,7 +17,11 @@ import (
 )
 
 // NodeID identifies a node within one Tree. IDs are dense: valid IDs
-// are 0..Len()-1. The root is not necessarily 0; use Root().
+// are 0..Len()-1. While a tree is built, a node's ID is its place in
+// AddNode order — a build ID, valid only until Index. Index renumbers
+// every node by its preorder position, so on an indexed tree the root
+// is 0, a parent's ID is below its children's, and a subtree is the ID
+// range SubtreeInterval returns.
 type NodeID int32
 
 // None is the null node ID (parent of the root).
@@ -48,12 +51,13 @@ func (n Node) IsLeaf() bool { return len(n.Children) == 0 }
 // aside). A Tree must not be copied after first use.
 //
 // A tree has two forms. While it is built, every node has a name string
-// and a child list of its own. Index() freezes it into flat arrays
-// indexed by node ID — no pointer per node: the children of all nodes
-// in one array cut by offsets, the names in one string arena cut by
-// offsets — beside the preorder index arrays, and releases the build
-// form. Node IDs, child order and every accessor read the same either
-// way.
+// and a child list of its own. Index() renumbers the nodes in preorder
+// and freezes the tree into flat arrays indexed by that number — no
+// pointer per node: the children of all nodes in one array cut by
+// offsets, the names in one string arena cut by offsets — and releases
+// the build form. Names, child order, branch lengths and every
+// structural answer read the same either way; only the IDs change,
+// and not at all for a tree built in preorder (NJ, UPGMA, Newick).
 type Tree struct {
 	root   NodeID
 	parent []NodeID  // by node
@@ -63,15 +67,13 @@ type Tree struct {
 	names []string
 	kids  [][]NodeID
 
-	// Frozen form, built by Index().
+	// Frozen form, built by Index() in preorder.
 	childOff []int32  // node i's children are childIDs[childOff[i]:childOff[i+1]]
 	childIDs []NodeID // every non-root node, grouped by parent in child order
 	nameOff  []uint32 // node i's name is arena[nameOff[i]:nameOff[i+1]]
 	arena    string
-	pre      []int32  // preorder number of each node
-	end      []int32  // max preorder number within each node's subtree
-	byPre    []NodeID // node at each preorder position
-	depth    []int32  // edge depth of each node
+	end      []int32 // highest ID within each node's subtree
+	depth    []int32 // edge depth of each node
 	dist     []float64
 	leafCnt  []int32 // number of leaves under each node
 	indexed  bool
@@ -88,8 +90,9 @@ func NewTree() *Tree {
 	return &Tree{root: None}
 }
 
-// AddNode appends a node and returns its ID. parent must already exist
-// (or be None for the root; only one root is allowed).
+// AddNode appends a node and returns its build ID, which holds until
+// Index renumbers the tree. parent must already exist (or be None for
+// the root; only one root is allowed).
 func (t *Tree) AddNode(name string, parent NodeID, length float64) (NodeID, error) {
 	if t.indexed {
 		return None, fmt.Errorf("phylo: tree is indexed and immutable")
@@ -162,18 +165,10 @@ func (t *Tree) Valid(id NodeID) bool {
 	return id >= 0 && int(id) < len(t.parent)
 }
 
-// Leaves returns the IDs of all leaves in preorder (indexed trees) or
-// insertion order (unindexed).
+// Leaves returns the IDs of all leaves in ID order: preorder once
+// indexed, insertion order before.
 func (t *Tree) Leaves() []NodeID {
 	var out []NodeID
-	if t.indexed {
-		for _, id := range t.byPre {
-			if t.isLeaf(id) {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
 	for i := range t.parent {
 		if t.isLeaf(NodeID(i)) {
 			out = append(out, NodeID(i))
@@ -193,10 +188,12 @@ func (t *Tree) FindLeaf(name string) NodeID {
 	return None
 }
 
-// Index freezes the tree: it builds the preorder-interval subtree index
-// and the depth/branch-length arrays, moves children and names into
-// their flat form and releases the build form. Calling Index more than
-// once is a no-op.
+// Index renumbers the nodes in preorder and freezes the tree: in one
+// depth-first walk it lays parents, branch lengths, children and names
+// out in their flat form by preorder ID beside the subtree-interval,
+// depth, root-distance and leaf-count arrays, then releases the build
+// form. Every build ID is stale afterwards; look nodes up by name.
+// Calling Index more than once is a no-op.
 func (t *Tree) Index() error {
 	if t.indexed {
 		return nil
@@ -205,52 +202,6 @@ func (t *Tree) Index() error {
 		return fmt.Errorf("phylo: cannot index empty tree")
 	}
 	n := len(t.parent)
-	pre := make([]int32, n)
-	end := make([]int32, n)
-	byPre := make([]NodeID, n)
-	depth := make([]int32, n)
-	dist := make([]float64, n)
-	leafCnt := make([]int32, n)
-
-	// Iterative DFS to avoid recursion depth limits on degenerate
-	// trees (caterpillar topologies from UPGMA chains).
-	type frame struct {
-		id    NodeID
-		child int
-	}
-	stack := []frame{{t.root, 0}}
-	counter := int32(1) // the root is preorder 0
-	byPre[0] = t.root
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		kids := t.kids[f.id]
-		if f.child < len(kids) {
-			c := kids[f.child]
-			f.child++
-			pre[c] = counter
-			byPre[counter] = c
-			counter++
-			depth[c] = depth[f.id] + 1
-			dist[c] = dist[f.id] + t.length[c]
-			stack = append(stack, frame{c, 0})
-			continue
-		}
-		// Leaving f.id: subtree interval closes here.
-		end[f.id] = counter - 1
-		if len(kids) == 0 {
-			leafCnt[f.id] = 1
-		} else {
-			var sum int32
-			for _, c := range kids {
-				sum += leafCnt[c]
-			}
-			leafCnt[f.id] = sum
-		}
-		stack = stack[:len(stack)-1]
-	}
-	if int(counter) != n {
-		return fmt.Errorf("phylo: tree has %d nodes but only %d reachable from root", n, counter)
-	}
 	nameBytes := 0
 	for _, name := range t.names {
 		nameBytes += len(name)
@@ -258,45 +209,82 @@ func (t *Tree) Index() error {
 	if uint64(nameBytes)+uint64(maxCladeName*n) > math.MaxUint32 {
 		return fmt.Errorf("phylo: %d bytes of node names exceed the name arena", nameBytes)
 	}
+	parent := make([]NodeID, n)
+	length := make([]float64, n)
+	childOff := make([]int32, n+1)
+	childIDs := make([]NodeID, n-1)
+	nameOff := make([]uint32, n+1)
+	end := make([]int32, n)
+	depth := make([]int32, n)
+	dist := make([]float64, n)
+	leafCnt := make([]int32, n)
+	var arena strings.Builder
+	arena.Grow(nameBytes)
 
-	t.childOff = make([]int32, n+1)
-	t.childIDs = make([]NodeID, 0, n-1)
-	for i, kids := range t.kids {
-		t.childIDs = append(t.childIDs, kids...)
-		t.childOff[i+1] = int32(len(t.childIDs))
+	// Iterative DFS to avoid recursion depth limits on degenerate
+	// trees (caterpillar topologies from UPGMA chains). A frame is a
+	// node entered: its build ID, its preorder ID and the next child
+	// to enter.
+	type frame struct {
+		build, id NodeID
+		child     int32
 	}
-	names := t.names
-	t.setNames(nameBytes, func(b *strings.Builder, i int) { b.WriteString(names[i]) })
-	// The append-grown build arrays carry spare capacity; keep exact copies.
-	t.parent, t.length = slices.Clone(t.parent), slices.Clone(t.length)
+	var stack []frame
+	next := NodeID(0)
+	// enter gives build node b the next preorder ID, as a child of p.
+	enter := func(b, p NodeID) {
+		id := next
+		next++
+		parent[id], length[id] = p, t.length[b]
+		if p != None {
+			depth[id], dist[id] = depth[p]+1, dist[p]+t.length[b]
+		}
+		arena.WriteString(t.names[b])
+		nameOff[id+1] = uint32(arena.Len())
+		childOff[id+1] = childOff[id] + int32(len(t.kids[b]))
+		stack = append(stack, frame{build: b, id: id})
+	}
+	enter(t.root, None)
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		kids := t.kids[f.build]
+		if int(f.child) < len(kids) {
+			childIDs[childOff[f.id]+f.child] = next
+			f.child++
+			enter(kids[f.child-1], f.id)
+			continue
+		}
+		// Leaving f.id: its subtree interval closes here.
+		end[f.id] = int32(next - 1)
+		if len(kids) == 0 {
+			leafCnt[f.id] = 1
+		}
+		if p := parent[f.id]; p != None {
+			leafCnt[p] += leafCnt[f.id]
+		}
+		stack = stack[:len(stack)-1]
+	}
+	if int(next) != n {
+		return fmt.Errorf("phylo: tree has %d nodes but only %d reachable from root", n, next)
+	}
+	t.root, t.parent, t.length = 0, parent, length
+	t.childOff, t.childIDs, t.arena, t.nameOff = childOff, childIDs, arena.String(), nameOff
+	t.end, t.depth, t.dist, t.leafCnt = end, depth, dist, leafCnt
 	t.names, t.kids = nil, nil
-	t.pre, t.end, t.byPre, t.depth, t.dist, t.leafCnt = pre, end, byPre, depth, dist, leafCnt
 	t.indexed = true
 	return nil
 }
 
-// maxCladeName bounds len("clade_<preorder number>").
+// maxCladeName bounds len("clade_<ID>").
 const maxCladeName = len("clade_") + 10
 
-// setNames lays the names of all nodes, in node order, into one new
-// arena of the given total length; write appends node i's name.
-func (t *Tree) setNames(total int, write func(arena *strings.Builder, i int)) {
-	var arena strings.Builder
-	arena.Grow(total)
-	off := make([]uint32, len(t.parent)+1)
-	for i := range t.parent {
-		write(&arena, i)
-		off[i+1] = uint32(arena.Len())
-	}
-	t.arena, t.nameOff = arena.String(), off
-}
-
 // NameClades gives every unnamed node of an indexed tree the name
-// clade_<preorder number>, so a subtree predicate can reference any
-// clade; on a tree whose nodes are all named it does nothing. The name
-// index is built once, from the names the nodes carry then — so the
-// first NameClades must precede the first NodeByName, and one that finds
-// the index built and a node unnamed panics.
+// clade_<ID> (its preorder number), so a subtree predicate can
+// reference any clade; on a tree whose nodes are all named it does
+// nothing. The name index is built once, from the names the nodes
+// carry then — so the first NameClades must precede the first
+// NodeByName, and one that finds the index built and a node unnamed
+// panics.
 func (t *Tree) NameClades() {
 	t.mustIndexed()
 	// cladeBytes is the total length of the names the unnamed nodes are due.
@@ -304,7 +292,7 @@ func (t *Tree) NameClades() {
 		for i := range t.parent {
 			if t.nameOff[i] == t.nameOff[i+1] {
 				n += len("clade_")
-				for p := t.pre[i]; ; p /= 10 {
+				for p := i; ; p /= 10 {
 					if n++; p < 10 {
 						break
 					}
@@ -314,18 +302,21 @@ func (t *Tree) NameClades() {
 		return n
 	}
 	t.namesOnce.Do(func() {
-		if n := cladeBytes(); n > 0 {
-			arena, off := t.arena, t.nameOff // being replaced
+		if n := cladeBytes(); n > 0 { // lay every name into a new arena
+			var arena strings.Builder
+			arena.Grow(len(t.arena) + n)
+			off := make([]uint32, len(t.nameOff))
 			var digits []byte
-			t.setNames(len(arena)+n, func(b *strings.Builder, i int) {
-				if off[i] < off[i+1] {
-					b.WriteString(arena[off[i]:off[i+1]])
-					return
+			for i := range t.parent {
+				if name := t.name(NodeID(i)); name != "" {
+					arena.WriteString(name)
+				} else {
+					digits = strconv.AppendInt(append(digits[:0], "clade_"...), int64(i), 10)
+					arena.Write(digits)
 				}
-				digits = strconv.AppendInt(digits[:0], int64(t.pre[i]), 10)
-				b.WriteString("clade_")
-				b.Write(digits)
-			})
+				off[i+1] = uint32(arena.Len())
+			}
+			t.arena, t.nameOff = arena.String(), off
 		}
 		t.buildNames()
 	})
@@ -367,7 +358,8 @@ func (t *Tree) buildNames() {
 }
 
 // NodeByName returns the node (leaf or internal) carrying name — of
-// several, the one with the lowest ID — and whether there is one.
+// several, the one first in preorder (the lowest ID) — and whether
+// there is one.
 // Unnamed nodes are not indexed, so "" finds nothing. It is the one
 // name resolution every layer shares: the query engine's tree
 // predicates (the node they name and, on a name column, the node each
@@ -400,18 +392,27 @@ func (t *Tree) mustIndexed() {
 	}
 }
 
-// Pre returns the preorder number of id (indexed trees only).
-func (t *Tree) Pre(id NodeID) int { t.mustIndexed(); return int(t.pre[id]) }
+// Pre returns id: an indexed tree's IDs are preorder numbers. Pre and
+// NodeAtPre are identities that only the repository benchmark (bench/)
+// still calls.
+func (t *Tree) Pre(id NodeID) int { t.mustIndexed(); return int(id) }
 
-// SubtreeInterval returns the half-open-free inclusive preorder range
-// [lo, hi] covering exactly the subtree rooted at id.
+// NodeAtPre returns the node with preorder number p, which is p.
+func (t *Tree) NodeAtPre(p int) NodeID { t.mustIndexed(); return NodeID(p) }
+
+// SubtreeInterval returns the inclusive ID range [lo, hi] covering
+// exactly the subtree rooted at id; lo is id.
 func (t *Tree) SubtreeInterval(id NodeID) (lo, hi int) {
 	t.mustIndexed()
-	return int(t.pre[id]), int(t.end[id])
+	return int(id), int(t.end[id])
 }
 
-// NodeAtPre returns the node with preorder number p.
-func (t *Tree) NodeAtPre(p int) NodeID { t.mustIndexed(); return t.byPre[p] }
+// Parent returns the parent of id, or None for the root.
+func (t *Tree) Parent(id NodeID) NodeID { return t.parent[id] }
+
+// Lengths returns every node's branch length by ID. It is the tree's
+// own vector, shared rather than copied: read-only.
+func (t *Tree) Lengths() []float64 { return t.length }
 
 // Depth returns the number of edges from the root to id.
 func (t *Tree) Depth(id NodeID) int { t.mustIndexed(); return int(t.depth[id]) }
@@ -426,7 +427,7 @@ func (t *Tree) LeafCount(id NodeID) int { t.mustIndexed(); return int(t.leafCnt[
 // answered in O(1) from the interval index.
 func (t *Tree) IsAncestor(a, b NodeID) bool {
 	t.mustIndexed()
-	return t.pre[a] <= t.pre[b] && t.pre[b] <= t.end[a]
+	return a <= b && int32(b) <= t.end[a]
 }
 
 // SubtreeNaive collects the subtree of id by recursive traversal. It
@@ -448,11 +449,13 @@ func (t *Tree) SubtreeNaive(id NodeID) []NodeID {
 }
 
 // SubtreeIndexed collects the subtree of id via the preorder interval:
-// a single contiguous slice scan.
+// the IDs id..end, no traversal.
 func (t *Tree) SubtreeIndexed(id NodeID) []NodeID {
 	lo, hi := t.SubtreeInterval(id)
 	out := make([]NodeID, hi-lo+1)
-	copy(out, t.byPre[lo:hi+1])
+	for i := range out {
+		out[i] = NodeID(lo + i)
+	}
 	return out
 }
 
@@ -460,9 +463,9 @@ func (t *Tree) SubtreeIndexed(id NodeID) []NodeID {
 func (t *Tree) SubtreeLeaves(id NodeID) []NodeID {
 	lo, hi := t.SubtreeInterval(id)
 	out := make([]NodeID, 0, t.leafCnt[id])
-	for p := lo; p <= hi; p++ {
-		if t.isLeaf(t.byPre[p]) {
-			out = append(out, t.byPre[p])
+	for v := NodeID(lo); v <= NodeID(hi); v++ {
+		if t.isLeaf(v) {
+			out = append(out, v)
 		}
 	}
 	return out

@@ -10,7 +10,9 @@ import (
 )
 
 // buildSample builds the tree ((A:1,B:2)ab:0.5,(C:3,D:4)cd:0.25)root
-// and indexes it, returning the tree and a name→ID map.
+// breadth-first — not in preorder, so Index renumbers it — indexes it,
+// and returns the tree and a name→ID map found by a linear scan of the
+// indexed tree (build IDs are stale after Index).
 func buildSample(t *testing.T) (*Tree, map[string]NodeID) {
 	t.Helper()
 	tr := NewTree()
@@ -20,19 +22,21 @@ func buildSample(t *testing.T) (*Tree, map[string]NodeID) {
 	}
 	ab, _ := tr.AddNode("ab", root, 0.5)
 	cd, _ := tr.AddNode("cd", root, 0.25)
-	a, _ := tr.AddNode("A", ab, 1)
-	b, _ := tr.AddNode("B", ab, 2)
-	c, _ := tr.AddNode("C", cd, 3)
-	d, _ := tr.AddNode("D", cd, 4)
+	tr.AddNode("A", ab, 1)
+	tr.AddNode("B", ab, 2)
+	tr.AddNode("C", cd, 3)
+	tr.AddNode("D", cd, 4)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Index(); err != nil {
 		t.Fatal(err)
 	}
-	return tr, map[string]NodeID{
-		"root": root, "ab": ab, "cd": cd, "A": a, "B": b, "C": c, "D": d,
+	ids := map[string]NodeID{}
+	for id := range NodeID(tr.Len()) {
+		ids[tr.Node(id).Name] = id
 	}
+	return tr, ids
 }
 
 func TestAddNodeErrors(t *testing.T) {
@@ -56,9 +60,12 @@ func TestIndexImmutability(t *testing.T) {
 func TestSubtreeIntervalCoversExactSubtree(t *testing.T) {
 	tr, ids := buildSample(t)
 	lo, hi := tr.SubtreeInterval(ids["ab"])
+	if lo != int(ids["ab"]) {
+		t.Fatalf("the interval of node %d starts at %d", ids["ab"], lo)
+	}
 	got := map[NodeID]bool{}
 	for p := lo; p <= hi; p++ {
-		got[tr.NodeAtPre(p)] = true
+		got[NodeID(p)] = true
 	}
 	want := map[NodeID]bool{ids["ab"]: true, ids["A"]: true, ids["B"]: true}
 	if len(got) != len(want) {
@@ -114,7 +121,7 @@ func TestIsAncestor(t *testing.T) {
 // TestNodeByName checks the name index against a linear scan: every
 // named node of the sample resolves to itself, unknown and empty names
 // to nothing, and — the rule every layer above shares — a duplicated
-// name to the lowest node ID carrying it.
+// name to the node carrying it first in preorder, the lowest ID.
 func TestNodeByName(t *testing.T) {
 	tr, ids := buildSample(t)
 	for name, id := range ids {
@@ -131,33 +138,35 @@ func TestNodeByName(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	big := NewTree()
 	big.AddNode("", None, 0)
-	first := map[string]NodeID{}
+	given := map[string]bool{}
 	for i := 1; i < 5000; i++ {
 		name := fmt.Sprintf("n%d", rng.Intn(3000)) // about a third of the names repeat
 		if i%7 == 0 {
 			name = "" // left for NameClades
 		}
-		id, err := big.AddNode(name, NodeID(rng.Intn(i)), 1)
-		if err != nil {
+		if _, err := big.AddNode(name, NodeID(rng.Intn(i)), 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, dup := first[name]; !dup && name != "" {
-			first[name] = id
-		}
+		given[name] = true
 	}
 	if err := big.Index(); err != nil {
 		t.Fatal(err)
 	}
 	big.NameClades()
-	for i := 0; i < big.Len(); i++ {
-		name := big.Node(NodeID(i)).Name
-		want, named := first[name]
-		if !named { // a clade NameClades named after its preorder number
-			want = NodeID(i)
-			if name != fmt.Sprintf("clade_%d", big.Pre(want)) {
-				t.Fatalf("node %d is named %q", i, name)
+	first := map[string]NodeID{}
+	for id := range NodeID(big.Len()) {
+		if name := big.Node(id).Name; !given[name] {
+			if name != fmt.Sprintf("clade_%d", id) { // NameClades names a clade after its ID
+				t.Fatalf("node %d is named %q", id, name)
 			}
 		}
+		if _, dup := first[big.Node(id).Name]; !dup {
+			first[big.Node(id).Name] = id
+		}
+	}
+	for i := 0; i < big.Len(); i++ {
+		name := big.Node(NodeID(i)).Name
+		want := first[name]
 		if got, ok := big.NodeByName(name); !ok || got != want {
 			t.Fatalf("NodeByName(%q) = %d, %v; want %d", name, got, ok, want)
 		}
@@ -181,10 +190,10 @@ func TestNodeByName(t *testing.T) {
 
 // TestIndexBytesPerNode is the tier-1 guard on what a served tree
 // costs at rest: on a 100 k-leaf random bifurcating tree named as the
-// benchmark's is (L00000… leaves, clade_<pre> clades), everything the
+// benchmark's is (L00000… leaves, clade_<ID> clades), everything the
 // tree holds after Index() and NameClades() — topology, name arena,
-// index arrays and name table, the build form released — is at most 73
-// bytes a node (66.3 measured + 10 %).
+// index arrays and name table, the build form released — is at most 61
+// bytes a node (58.2 measured + 5 %).
 func TestIndexBytesPerNode(t *testing.T) {
 	liveHeap := func() uint64 {
 		runtime.GC()
@@ -194,31 +203,15 @@ func TestIndexBytesPerNode(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := liveHeap()
-	rng := rand.New(rand.NewSource(1))
-	tr := NewTree()
-	root, _ := tr.AddNode("", None, 0)
-	leaves := []NodeID{root}
-	for len(leaves) < 100000 {
-		i := rng.Intn(len(leaves))
-		l1, _ := tr.AddNode("", leaves[i], 0.1)
-		l2, _ := tr.AddNode("", leaves[i], 0.1)
-		leaves[i] = l1
-		leaves = append(leaves, l2)
-	}
-	for i, id := range leaves {
-		if err := tr.SetName(id, fmt.Sprintf("L%05d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	leaves = nil
+	tr := yuleBuild(t, rand.New(rand.NewSource(1)), 100000)
 	if err := tr.Index(); err != nil {
 		t.Fatal(err)
 	}
 	tr.NameClades()
 	perNode := float64(liveHeap()-before) / float64(tr.Len())
 	t.Logf("an indexed, named tree holds %.1f B a node", perNode)
-	if perNode > 73 {
-		t.Errorf("an indexed, named tree holds %.1f B a node, want ≤ 73", perNode)
+	if perNode > 61 {
+		t.Errorf("an indexed, named tree holds %.1f B a node, want ≤ 61", perNode)
 	}
 	if id, ok := tr.NodeByName("L00042"); !ok || !tr.Node(id).IsLeaf() {
 		t.Fatalf("NodeByName(L00042) = %d, %v", id, ok)

@@ -345,7 +345,7 @@ func datagenCatalogOf(t testing.TB, tweak func(*datagen.Config)) *DBCatalog {
 	for i := 0; i < tree.Len(); i++ {
 		id := phylo.NodeID(i)
 		db.Insert(nodes.Name(), store.Row{
-			store.IntValue(int64(tree.Pre(id))),
+			store.IntValue(int64(id)),
 			store.StringValue(tree.Node(id).Name),
 			store.BoolValue(tree.Node(id).IsLeaf()),
 		})
@@ -461,8 +461,7 @@ func TestParallelismDefaults(t *testing.T) {
 // with lo..hi leaves.
 func cladeOfSize(t testing.TB, tree *phylo.Tree, lo, hi int) string {
 	t.Helper()
-	for i := 0; i < tree.Len(); i++ {
-		id := tree.NodeAtPre(i)
+	for id := range phylo.NodeID(tree.Len()) {
 		if n := tree.LeafCount(id); !tree.Node(id).IsLeaf() && n >= lo && n <= hi {
 			return tree.Node(id).Name
 		}

@@ -99,7 +99,7 @@ func testCatalogWith(t *testing.T, withTreeNodes bool) *DBCatalog {
 		for i := 0; i < tree.Len(); i++ {
 			id := phylo.NodeID(i)
 			db.Insert(nodes.Name(), store.Row{
-				store.IntValue(int64(tree.Pre(id))),
+				store.IntValue(int64(id)),
 				store.StringValue(tree.Node(id).Name),
 				store.BoolValue(tree.Node(id).IsLeaf()),
 			})

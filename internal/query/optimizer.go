@@ -211,7 +211,7 @@ func rewriteSubtreeExpr(e Expr, cat Catalog, schema *planSchema) (Expr, error) {
 		if _, ok := schema.lookup(endRef); !ok {
 			return e, nil // relation lacks end_pre: evaluated by Tree.IsAncestor
 		}
-		p := int64(tree.Pre(node))
+		p := int64(node)
 		return &BinaryExpr{
 			Op: OpAnd,
 			L:  &BinaryExpr{Op: OpLe, L: x.Column, R: &Literal{Val: store.IntValue(p)}},

@@ -241,8 +241,7 @@ func chooseUnion(n *ScanNode, t *store.Table, tree *phylo.Tree) (accessPath, int
 		// so every downstream tie-break) a function of the data alone.
 		lo, hi := tree.SubtreeInterval(node)
 		keys := make([]store.Value, 0, hi-lo+1)
-		for p := lo; p <= hi; p++ {
-			id := tree.NodeAtPre(p)
+		for id := phylo.NodeID(lo); id <= phylo.NodeID(hi); id++ {
 			if name := tree.Node(id).Name; name != "" {
 				if own, _ := tree.NodeByName(name); own == id {
 					keys = append(keys, store.StringValue(name))

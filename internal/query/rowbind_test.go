@@ -404,7 +404,7 @@ func bindSubtree(x *SubtreeExpr, env bindEnv) (*boundExpr, error) {
 		owner := map[string]int{}
 		for id := env.tree.Len() - 1; id >= 0; id-- {
 			if name := env.tree.Node(phylo.NodeID(id)).Name; name != "" {
-				owner[name] = env.tree.Pre(phylo.NodeID(id))
+				owner[name] = id
 			}
 		}
 		member := map[string]bool{}
@@ -445,7 +445,7 @@ func bindAncestor(x *AncestorExpr, env bindEnv) (*boundExpr, error) {
 	}
 	path := make(map[int64]bool)
 	for _, anc := range env.tree.Ancestors(node) {
-		path[int64(env.tree.Pre(anc))] = true
+		path[int64(anc)] = true
 	}
 	idx, err := env.schema.resolve(x.Column)
 	if err != nil {

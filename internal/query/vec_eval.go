@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"drugtree/internal/chem"
+	"drugtree/internal/phylo"
 	"drugtree/internal/store"
 )
 
@@ -880,7 +881,7 @@ func bindVecAncestor(x *AncestorExpr, env bindEnv) (*vecExpr, error) {
 	}
 	tree := env.tree
 	onPath := func(p int64) bool {
-		return p >= 0 && p < int64(tree.Len()) && tree.IsAncestor(tree.NodeAtPre(int(p)), node)
+		return p >= 0 && p < int64(tree.Len()) && tree.IsAncestor(phylo.NodeID(p), node)
 	}
 	idx, err := env.schema.resolve(x.Column)
 	if err != nil {
