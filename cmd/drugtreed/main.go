@@ -135,14 +135,13 @@ func main() {
 func buildEngine(dir string, generate bool, seed int64, families, perFamily, ligands, maxConc, maxQueue int, walSync store.SyncPolicy, walSyncEvery int) (*core.Engine, func(), error) {
 	cfg := core.DefaultConfig()
 	// The WAL fsync policy is set on the store at open time (DESIGN §10).
-	cfg.WALSync = walSync
-	cfg.WALSyncEvery = walSyncEvery
+	opts := store.Options{Sync: walSync, SyncEvery: walSyncEvery}
 	var db *store.DB
 	var importer *integrate.Importer
 	var err error
 	switch {
 	case generate:
-		db, err = store.OpenWith("", cfg.StoreOptions())
+		db, err = store.OpenWith("", opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -162,7 +161,7 @@ func buildEngine(dir string, generate bool, seed int64, families, perFamily, lig
 			return nil, nil, err
 		}
 	case dir != "":
-		db, err = store.OpenWith(dir, cfg.StoreOptions())
+		db, err = store.OpenWith(dir, opts)
 		if err != nil {
 			return nil, nil, err
 		}

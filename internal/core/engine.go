@@ -74,26 +74,14 @@ type Config struct {
 	// because the repository benchmark's `sharded` workload probes one;
 	// both go when that workload is retired.
 	Shards int
-	// WALSync selects the store's WAL fsync policy — the durability
-	// contract of DESIGN §10. The zero value (store.SyncInterval)
-	// group-commits every WALSyncEvery records; store.SyncAlways
-	// fsyncs before acknowledging each write; store.SyncOff leaves
-	// flushing to the OS. The policy must be set on the source store
-	// at open time (see StoreOptions); it is the only store with a WAL,
-	// so one setting governs every persistence path.
-	WALSync store.SyncPolicy
-	// WALSyncEvery is the group-commit interval for WALSync ==
-	// store.SyncInterval (records between fsyncs); zero means
-	// store.DefaultSyncEvery.
-	WALSyncEvery int
 }
 
-// StoreOptions translates the config's durability knobs into the
-// store.Options the source database must be opened with. The engine
-// never reopens the source store itself — callers (drugtreed, tests)
-// open it with these options.
+// StoreOptions returns the in-memory store defaults. It is kept for the
+// repository benchmark, which opens its source store with it; the WAL
+// fsync policy is the opener's choice (drugtreed's -wal-sync flags,
+// DESIGN §10), not the engine's.
 func (c Config) StoreOptions() store.Options {
-	return store.Options{Sync: c.WALSync, SyncEvery: c.WALSyncEvery}
+	return store.Options{}
 }
 
 // DefaultConfig returns the fully optimized configuration.

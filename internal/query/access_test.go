@@ -182,6 +182,55 @@ func TestAccessPathCrossover(t *testing.T) {
 	}
 }
 
+// TestRangeColumnChoice: with ranges on two B+-tree columns, the scan
+// walks the one that visits fewer postings, whatever the conjunct
+// order, and a tie goes to the earlier column in the schema.
+func TestRangeColumnChoice(t *testing.T) {
+	db, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := db.CreateTable("two", store.MustSchema(
+		store.Column{Name: "a", Kind: store.KindInt},
+		store.Column{Name: "b", Kind: store.KindInt},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := db.Insert(two.Name(), store.Row{store.IntValue(int64(i)), store.IntValue(int64(100 - i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, col := range []string{"a", "b"} {
+		if err := two.CreateIndex(col, store.IndexBTree); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := NewEngine(NewDBCatalog(db, nil), serialOptions())
+	for _, c := range []struct{ where, path string }{
+		// a visits 11 postings, b 91.
+		{"a >= 10 AND a <= 20 AND b >= 5 AND b <= 95", "a in [10, 20]"},
+		{"b >= 5 AND b <= 95 AND a >= 10 AND a <= 20", "a in [10, 20]"},
+		// b visits 11 postings, a 91.
+		{"a >= 5 AND a <= 95 AND b >= 10 AND b <= 20", "b in [10, 20]"},
+		// 11 postings each: the schema's first column wins.
+		{"b >= 80 AND b <= 90 AND a >= 10 AND a <= 20", "a in [10, 20]"},
+		{"a >= 10 AND a <= 20 AND b >= 80 AND b <= 90", "a in [10, 20]"},
+	} {
+		q := "SELECT a FROM two WHERE " + c.where
+		for i := 0; i < 100; i++ {
+			res, err := eng.Query(context.Background(), "EXPLAIN "+q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(res.Plan, "IndexRangeScan two ("+c.path+")") {
+				t.Fatalf("run %d of %s: want the range %s:\n%s", i, q, c.path, res.Plan)
+			}
+		}
+	}
+}
+
 // TestSubtreePredicateCrossesJoin: the subtree predicate on one side of
 // an equi-join reaches the other side's scan, in either direction and
 // along a chain, and never crosses a non-equi condition.

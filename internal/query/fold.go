@@ -92,49 +92,41 @@ func evalConstBinary(op BinOp, l, r store.Value) (store.Value, bool) {
 
 // foldPlan applies constant folding to every expression in a plan.
 func foldPlan(plan LogicalPlan) LogicalPlan {
-	switch n := plan.(type) {
+	switch n := mapInputs(plan, foldPlan).(type) {
 	case *FilterNode:
-		in := foldPlan(n.Input)
-		pred := foldConstants(n.Pred)
+		n.Pred = foldConstants(n.Pred)
 		// A filter that folded to TRUE disappears; FALSE keeps the
 		// filter (it correctly yields zero rows at execution).
-		if lit, ok := pred.(*Literal); ok && lit.Val.K == store.KindBool && lit.Val.Bool() {
-			return in
+		if isTrue(n.Pred) {
+			return n.Input
 		}
-		return &FilterNode{Input: in, Pred: pred}
+		return n
 	case *JoinNode:
-		out := *n
-		out.Left = foldPlan(n.Left)
-		out.Right = foldPlan(n.Right)
-		out.Cond = foldConstants(n.Cond)
-		return &out
+		n.Cond = foldConstants(n.Cond)
+		return n
 	case *ScanNode:
 		out := *n
 		out.Conjuncts = nil
 		for _, c := range n.Conjuncts {
-			fc := foldConstants(c)
-			if lit, ok := fc.(*Literal); ok && lit.Val.K == store.KindBool && lit.Val.Bool() {
-				continue
+			if fc := foldConstants(c); !isTrue(fc) {
+				out.Conjuncts = append(out.Conjuncts, fc)
 			}
-			out.Conjuncts = append(out.Conjuncts, fc)
 		}
 		return &out
 	case *ProjectNode:
-		out := *n
-		out.Input = foldPlan(n.Input)
-		out.Exprs = make([]Expr, len(n.Exprs))
+		exprs := make([]Expr, len(n.Exprs))
 		for i, e := range n.Exprs {
-			out.Exprs[i] = foldConstants(e)
+			exprs[i] = foldConstants(e)
 		}
-		return &out
-	case *AggNode:
-		out := *n
-		out.Input = foldPlan(n.Input)
-		return &out
-	case *SortNode:
-		return &SortNode{Input: foldPlan(n.Input), Keys: n.Keys}
-	case *LimitNode:
-		return &LimitNode{Input: foldPlan(n.Input), N: n.N}
+		n.Exprs = exprs
+		return n
+	default:
+		return n
 	}
-	return plan
+}
+
+// isTrue reports whether e is the literal TRUE.
+func isTrue(e Expr) bool {
+	lit, ok := e.(*Literal)
+	return ok && lit.Val.K == store.KindBool && lit.Val.Bool()
 }

@@ -91,7 +91,7 @@ func splitJoin(n *JoinNode) *equiJoin {
 				}
 			}
 		}
-		if lit, ok := c.(*Literal); ok && lit.Val.K == store.KindBool && lit.Val.Bool() {
+		if isTrue(c) {
 			continue // constant TRUE from pushdown
 		}
 		residual = append(residual, c)

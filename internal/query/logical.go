@@ -206,6 +206,40 @@ func (l *LimitNode) Schema() *planSchema     { return l.Input.Schema() }
 func (l *LimitNode) Children() []LogicalPlan { return []LogicalPlan{l.Input} }
 func (l *LimitNode) describe() string        { return fmt.Sprintf("Limit %d", l.N) }
 
+// mapInputs returns a shallow copy of p whose inputs are f of p's
+// inputs, so a pass names only the node kinds it changes and sets their
+// fields on the copy. A scan has no inputs and is returned as it is: a
+// pass copies a scan before changing it.
+func mapInputs(p LogicalPlan, f func(LogicalPlan) LogicalPlan) LogicalPlan {
+	switch n := p.(type) {
+	case *FilterNode:
+		out := *n
+		out.Input = f(n.Input)
+		return &out
+	case *JoinNode:
+		out := *n
+		out.Left, out.Right = f(n.Left), f(n.Right)
+		return &out
+	case *ProjectNode:
+		out := *n
+		out.Input = f(n.Input)
+		return &out
+	case *AggNode:
+		out := *n
+		out.Input = f(n.Input)
+		return &out
+	case *SortNode:
+		out := *n
+		out.Input = f(n.Input)
+		return &out
+	case *LimitNode:
+		out := *n
+		out.Input = f(n.Input)
+		return &out
+	}
+	return p
+}
+
 // ExplainPlan renders a logical plan as an indented tree.
 func ExplainPlan(p LogicalPlan) string {
 	var b strings.Builder

@@ -71,10 +71,7 @@ func Optimize(plan LogicalPlan, cat Catalog, opts Options) (LogicalPlan, error) 
 		plan = pushPredicates(plan)
 	}
 	if opts.JoinReorder {
-		plan, err = reorderJoins(plan, cat)
-		if err != nil {
-			return nil, err
-		}
+		plan = reorderJoins(plan, cat)
 	}
 	if opts.Pushdown {
 		// After join ordering, so the copied predicates change how a scan
@@ -96,74 +93,44 @@ func Optimize(plan LogicalPlan, cat Catalog, opts Options) (LogicalPlan, error) 
 
 // --- Subtree rewrite ---
 
-// rewriteSubtrees replaces every SubtreeExpr in filters and scan
-// conjuncts with (col >= lo AND col <= hi) over the node's preorder
-// interval.
+// rewriteSubtrees replaces every SubtreeExpr in filters, join
+// conditions and scan conjuncts with (col >= lo AND col <= hi) over the
+// node's preorder interval. It reports the first error in plan order.
 func rewriteSubtrees(plan LogicalPlan, cat Catalog) (LogicalPlan, error) {
-	switch n := plan.(type) {
-	case *FilterNode:
-		in, err := rewriteSubtrees(n.Input, cat)
-		if err != nil {
-			return nil, err
-		}
-		p, err := rewriteSubtreeExpr(n.Pred, cat, n.Input.Schema())
-		if err != nil {
-			return nil, err
-		}
-		return &FilterNode{Input: in, Pred: p}, nil
-	case *JoinNode:
-		l, err := rewriteSubtrees(n.Left, cat)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rewriteSubtrees(n.Right, cat)
-		if err != nil {
-			return nil, err
-		}
-		c, err := rewriteSubtreeExpr(n.Cond, cat, n.schema)
-		if err != nil {
-			return nil, err
-		}
-		return &JoinNode{Left: l, Right: r, Cond: c, schema: n.schema}, nil
-	case *ScanNode:
-		out := *n
-		out.Conjuncts = nil
-		for _, c := range n.Conjuncts {
-			rc, err := rewriteSubtreeExpr(c, cat, n.schema)
-			if err != nil {
-				return nil, err
+	var err error
+	expr := func(e Expr, schema *planSchema) Expr {
+		out, xerr := rewriteSubtreeExpr(e, cat, schema)
+		if xerr != nil {
+			if err == nil {
+				err = xerr
 			}
-			out.Conjuncts = append(out.Conjuncts, rc)
+			return e
 		}
-		return &out, nil
-	case *ProjectNode:
-		in, err := rewriteSubtrees(n.Input, cat)
-		if err != nil {
-			return nil, err
+		return out
+	}
+	var rewrite func(LogicalPlan) LogicalPlan
+	rewrite = func(p LogicalPlan) LogicalPlan {
+		switch n := mapInputs(p, rewrite).(type) {
+		case *FilterNode:
+			n.Pred = expr(n.Pred, n.Input.Schema())
+			return n
+		case *JoinNode:
+			n.Cond = expr(n.Cond, n.schema)
+			return n
+		case *ScanNode:
+			out := *n
+			out.Conjuncts = nil
+			for _, c := range n.Conjuncts {
+				out.Conjuncts = append(out.Conjuncts, expr(c, n.schema))
+			}
+			return &out
+		default:
+			return n
 		}
-		out := *n
-		out.Input = in
-		return &out, nil
-	case *AggNode:
-		in, err := rewriteSubtrees(n.Input, cat)
-		if err != nil {
-			return nil, err
-		}
-		out := *n
-		out.Input = in
-		return &out, nil
-	case *SortNode:
-		in, err := rewriteSubtrees(n.Input, cat)
-		if err != nil {
-			return nil, err
-		}
-		return &SortNode{Input: in, Keys: n.Keys}, nil
-	case *LimitNode:
-		in, err := rewriteSubtrees(n.Input, cat)
-		if err != nil {
-			return nil, err
-		}
-		return &LimitNode{Input: in, N: n.N}, nil
+	}
+	plan = rewrite(plan)
+	if err != nil {
+		return nil, err
 	}
 	return plan, nil
 }
@@ -259,10 +226,9 @@ func joinConjuncts(cs []Expr) Expr {
 	return out
 }
 
-// exprQualifiers collects the table qualifiers an expression touches.
-// Unqualified references resolve against the schema they are pushed
-// through, so pushing decisions use resolved columns: the caller
-// passes the full schema to qualify them first.
+// exprColumns collects the column references an expression makes, in
+// walk order, as written: an unqualified reference stays unqualified,
+// and the caller resolves it against a schema (coveredBy, for one).
 func exprColumns(e Expr) []*ColumnRef {
 	var refs []*ColumnRef
 	walkExpr(e, func(x Expr) {
@@ -284,57 +250,45 @@ func coveredBy(e Expr, s *planSchema) bool {
 }
 
 // pushPredicates moves filter conjuncts to the deepest covering node.
+// A filter whose conjuncts all land below it disappears, so it is
+// rebuilt only when some remain rather than copied first.
 func pushPredicates(plan LogicalPlan) LogicalPlan {
-	switch n := plan.(type) {
-	case *FilterNode:
-		input := pushPredicates(n.Input)
-		remaining := pushInto(&input, splitConjuncts(n.Pred))
+	if f, ok := plan.(*FilterNode); ok {
+		input := pushPredicates(f.Input)
+		remaining := pushInto(&input, splitConjuncts(f.Pred))
 		if len(remaining) == 0 {
 			return input
 		}
 		return &FilterNode{Input: input, Pred: joinConjuncts(remaining)}
-	case *JoinNode:
-		l := pushPredicates(n.Left)
-		r := pushPredicates(n.Right)
-		// Join conditions that only touch one side migrate there.
-		conjs := splitConjuncts(n.Cond)
-		var keep []Expr
-		for _, c := range conjs {
-			switch {
-			case coveredBy(c, l.Schema()):
-				rem := pushInto(&l, []Expr{c})
-				keep = append(keep, rem...)
-			case coveredBy(c, r.Schema()):
-				rem := pushInto(&r, []Expr{c})
-				keep = append(keep, rem...)
-			default:
-				keep = append(keep, c)
-			}
-		}
-		cond := joinConjuncts(keep)
-		if cond == nil {
-			cond = &Literal{Val: store.BoolValue(true)}
-		}
-		return &JoinNode{Left: l, Right: r, Cond: cond, schema: n.schema}
-	case *ProjectNode:
-		out := *n
-		out.Input = pushPredicates(n.Input)
-		return &out
-	case *AggNode:
-		out := *n
-		out.Input = pushPredicates(n.Input)
-		return &out
-	case *SortNode:
-		return &SortNode{Input: pushPredicates(n.Input), Keys: n.Keys}
-	case *LimitNode:
-		return &LimitNode{Input: pushPredicates(n.Input), N: n.N}
 	}
-	return plan
+	p := mapInputs(plan, pushPredicates)
+	j, ok := p.(*JoinNode)
+	if !ok {
+		return p
+	}
+	// Join conditions that only touch one side migrate there.
+	var keep []Expr
+	for _, c := range splitConjuncts(j.Cond) {
+		switch {
+		case coveredBy(c, j.Left.Schema()):
+			keep = append(keep, pushInto(&j.Left, []Expr{c})...)
+		case coveredBy(c, j.Right.Schema()):
+			keep = append(keep, pushInto(&j.Right, []Expr{c})...)
+		default:
+			keep = append(keep, c)
+		}
+	}
+	j.Cond = joinConjuncts(keep)
+	if j.Cond == nil {
+		j.Cond = &Literal{Val: store.BoolValue(true)}
+	}
+	return j
 }
 
 // pushInto pushes conjuncts into *plan as deep as possible, returning
 // the conjuncts that could not be absorbed. *plan is replaced by the
-// rewritten subtree.
+// rewritten subtree. WHERE, the only filter pushed, sits on a scan or a
+// join tree of scans; HAVING's sits on an aggregate and stays there.
 func pushInto(plan *LogicalPlan, conjs []Expr) []Expr {
 	switch n := (*plan).(type) {
 	case *ScanNode:
@@ -349,53 +303,19 @@ func pushInto(plan *LogicalPlan, conjs []Expr) []Expr {
 		}
 		*plan = &out
 		return remaining
-	case *FilterNode:
-		// Merge into the existing filter's input.
-		input := n.Input
-		remaining := pushInto(&input, conjs)
-		nf := &FilterNode{Input: input, Pred: n.Pred}
-		*plan = nf
-		if len(remaining) == 0 {
-			return nil
-		}
-		// Absorb the remainder into this filter.
-		nf.Pred = joinConjuncts(append(splitConjuncts(n.Pred), remaining...))
-		return nil
 	case *JoinNode:
-		l, r := n.Left, n.Right
+		out := *n
 		var remaining []Expr
 		for _, c := range conjs {
 			switch {
-			case coveredBy(c, l.Schema()):
-				remaining = append(remaining, pushInto(&l, []Expr{c})...)
-			case coveredBy(c, r.Schema()):
-				remaining = append(remaining, pushInto(&r, []Expr{c})...)
+			case coveredBy(c, out.Left.Schema()):
+				remaining = append(remaining, pushInto(&out.Left, []Expr{c})...)
+			case coveredBy(c, out.Right.Schema()):
+				remaining = append(remaining, pushInto(&out.Right, []Expr{c})...)
 			default:
 				remaining = append(remaining, c)
 			}
 		}
-		*plan = &JoinNode{Left: l, Right: r, Cond: n.Cond, schema: n.schema}
-		return remaining
-	case *ProjectNode:
-		// Predicates referencing projected names cannot cross; only
-		// push what the input covers under the same names. For the
-		// common case (projection of plain columns) this succeeds.
-		input := n.Input
-		var remaining []Expr
-		var pushable []Expr
-		for _, c := range conjs {
-			if coveredBy(c, input.Schema()) {
-				pushable = append(pushable, c)
-			} else {
-				remaining = append(remaining, c)
-			}
-		}
-		if len(pushable) > 0 {
-			rem := pushInto(&input, pushable)
-			remaining = append(remaining, rem...)
-		}
-		out := *n
-		out.Input = input
 		*plan = &out
 		return remaining
 	}
@@ -433,16 +353,15 @@ func propagateSubtrees(node LogicalPlan) bool {
 	return changed
 }
 
-// joinScan finds the scan under an inner-join tree (through filters)
-// whose schema resolves ref to a string column, and the column's name.
+// joinScan finds the scan under an inner-join tree whose schema
+// resolves ref to a string column, and the column's name. After
+// pushdown a join tree holds only joins and scans.
 func joinScan(p LogicalPlan, ref *ColumnRef) (*ScanNode, string) {
 	switch n := p.(type) {
 	case *ScanNode:
 		if i, ok := n.schema.lookup(ref); ok && n.schema.cols[i].Kind == store.KindString {
 			return n, n.schema.cols[i].Name
 		}
-	case *FilterNode:
-		return joinScan(n.Input, ref)
 	case *JoinNode:
 		if s, name := joinScan(n.Left, ref); s != nil {
 			return s, name
@@ -492,68 +411,26 @@ func copySubtree(j *JoinNode, from, to *ColumnRef) bool {
 // scans), collects the base relations and all equi-conditions, and
 // greedily builds a left-deep plan starting from the smallest
 // filtered relation, always joining the relation that yields the
-// smallest estimated intermediate result (for ≤8 relations this
-// greedy is exhaustive-checked against connected pairs; beyond that
-// greedy only).
-func reorderJoins(plan LogicalPlan, cat Catalog) (LogicalPlan, error) {
-	switch n := plan.(type) {
-	case *JoinNode:
-		rels, conds, ok := collectJoinTree(n)
-		if !ok || len(rels) < 3 {
-			// Reordering a 2-way join is a no-op — only its build side
-			// is chosen; recurse children.
-			l, err := reorderJoins(n.Left, cat)
-			if err != nil {
-				return nil, err
-			}
-			r, err := reorderJoins(n.Right, cat)
-			if err != nil {
-				return nil, err
-			}
-			out := &JoinNode{Left: l, Right: r, Cond: n.Cond, schema: n.schema}
-			if ok {
-				lc, rc := estimateScanRows(rels[0], cat), estimateScanRows(rels[1], cat)
-				out.buildLeft, out.buildEst = lc < rc, min(lc, rc)
-			}
-			return out, nil
-		}
-		return buildJoinOrder(rels, conds, cat)
-	case *FilterNode:
-		in, err := reorderJoins(n.Input, cat)
-		if err != nil {
-			return nil, err
-		}
-		return &FilterNode{Input: in, Pred: n.Pred}, nil
-	case *ProjectNode:
-		in, err := reorderJoins(n.Input, cat)
-		if err != nil {
-			return nil, err
-		}
-		out := *n
-		out.Input = in
-		return &out, nil
-	case *AggNode:
-		in, err := reorderJoins(n.Input, cat)
-		if err != nil {
-			return nil, err
-		}
-		out := *n
-		out.Input = in
-		return &out, nil
-	case *SortNode:
-		in, err := reorderJoins(n.Input, cat)
-		if err != nil {
-			return nil, err
-		}
-		return &SortNode{Input: in, Keys: n.Keys}, nil
-	case *LimitNode:
-		in, err := reorderJoins(n.Input, cat)
-		if err != nil {
-			return nil, err
-		}
-		return &LimitNode{Input: in, N: n.N}, nil
+// smallest estimated intermediate result. The greedy order is the only
+// one priced: no alternative order is enumerated or checked.
+func reorderJoins(plan LogicalPlan, cat Catalog) LogicalPlan {
+	recurse := func(p LogicalPlan) LogicalPlan { return reorderJoins(p, cat) }
+	j, ok := plan.(*JoinNode)
+	if !ok {
+		return mapInputs(plan, recurse)
 	}
-	return plan, nil
+	rels, conds, ok := collectJoinTree(j)
+	if ok && len(rels) >= 3 {
+		return buildJoinOrder(rels, conds, cat)
+	}
+	// Reordering a 2-way join is a no-op — only its build side is
+	// chosen.
+	out := mapInputs(j, recurse).(*JoinNode)
+	if ok {
+		lc, rc := estimateScanRows(rels[0], cat), estimateScanRows(rels[1], cat)
+		out.buildLeft, out.buildEst = lc < rc, min(lc, rc)
+	}
+	return out
 }
 
 // collectJoinTree flattens a tree of inner joins over scans into base
@@ -645,7 +522,7 @@ func extractColLit(b *BinaryExpr) (*ColumnRef, *Literal) {
 }
 
 // buildJoinOrder greedily assembles a left-deep join over rels.
-func buildJoinOrder(rels []*ScanNode, conds []Expr, cat Catalog) (LogicalPlan, error) {
+func buildJoinOrder(rels []*ScanNode, conds []Expr, cat Catalog) LogicalPlan {
 	n := len(rels)
 	card := make([]float64, n)
 	for i, r := range rels {
@@ -796,5 +673,5 @@ func buildJoinOrder(rels []*ScanNode, conds []Expr, cat Catalog) (LogicalPlan, e
 	}
 	// The reordered schema is a permutation of the original; keep the
 	// new column order (projection above restores user order).
-	return cur, nil
+	return cur
 }

@@ -318,38 +318,41 @@ func chooseRange(n *ScanNode, t *store.Table) accessPath {
 			usable[col.Name] = append(usable[col.Name], i)
 		}
 	}
-	// Pick the column with both bounds if any, else any bounded one.
-	bestCol := ""
-	for col := range usable {
-		_, hasLo := los[col]
-		_, hasHi := his[col]
-		if hasLo && hasHi {
-			bestCol = col
-			break
+	// Walk the bounded column whose range visits the fewest postings (an
+	// index dive, as chooseAccessPath sizes paths; a lone candidate needs
+	// none); a tie goes to the earlier column in the schema.
+	var out accessPath
+	best := 0
+	for _, c := range t.Schema().Columns {
+		if usable[c.Name] == nil {
+			continue
 		}
-		if bestCol == "" {
-			bestCol = col
+		p := accessPath{kind: "indexrange", column: c.Name}
+		if b, ok := los[c.Name]; ok {
+			v := b.v
+			p.lo, p.loOpen = &v, b.open
 		}
+		if b, ok := his[c.Name]; ok {
+			v := b.v
+			p.hi, p.hiOpen = &v, b.open
+		}
+		if len(usable) > 1 {
+			cost := t.CountPostings(store.Access{Column: c.Name, Lo: p.lo, Hi: p.hi}, best)
+			if out.kind != "" && cost >= best {
+				continue
+			}
+			best = cost
+		}
+		out = p
 	}
-	if bestCol == "" {
-		return accessPath{}
+	if out.kind == "" {
+		return out
 	}
-	out := accessPath{kind: "indexrange", column: bestCol}
-	if b, ok := los[bestCol]; ok {
-		v := b.v
-		out.lo = &v
-		out.loOpen = b.open
-	}
-	if b, ok := his[bestCol]; ok {
-		v := b.v
-		out.hi = &v
-		out.hiOpen = b.open
-	}
-	out.residual = without(n.Conjuncts, usable[bestCol]...)
+	out.residual = without(n.Conjuncts, usable[out.column]...)
 	// Exclusive bounds are re-checked as residuals (the index range
 	// is inclusive).
 	if out.loOpen || out.hiOpen {
-		for _, i := range usable[bestCol] {
+		for _, i := range usable[out.column] {
 			out.residual = append(out.residual, n.Conjuncts[i])
 		}
 	}

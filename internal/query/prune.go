@@ -29,6 +29,8 @@ func requiredFrom(e Expr, into map[colKey]bool) {
 // columns the operators above them read (ScanNode.proj, JoinNode.proj):
 // the store copies nothing else out, and a join materializes neither
 // its keys nor what only its residual reads unless the parent asks.
+// The requirement starts at the first projection or aggregate from the
+// root: above it sit only a sort, a limit or HAVING's filter.
 func pruneColumns(plan LogicalPlan) LogicalPlan {
 	switch n := plan.(type) {
 	case *ProjectNode:
@@ -52,52 +54,30 @@ func pruneColumns(plan LogicalPlan) LogicalPlan {
 		out := *n
 		out.Input = pruneInput(n.Input, need)
 		return &out
-	case *FilterNode:
-		// Cannot know the ancestor requirements without context; the
-		// interesting shapes (Project/Agg on top) are handled above.
-		out := *n
-		out.Input = pruneColumns(n.Input)
-		return &out
-	case *SortNode:
-		out := *n
-		out.Input = pruneColumns(n.Input)
-		return &out
-	case *LimitNode:
-		return &LimitNode{Input: pruneColumns(n.Input), N: n.N}
-	case *JoinNode:
-		out := *n
-		out.Left = pruneColumns(n.Left)
-		out.Right = pruneColumns(n.Right)
-		out.schema = out.Left.Schema().concat(out.Right.Schema())
-		return &out
 	}
-	return plan
+	return mapInputs(plan, pruneColumns)
 }
 
 // pruneInput pushes a requirement set down through filters, sorts and
-// joins to the scans.
+// joins to the scans: each one's inputs carry what it emits and what it
+// reads itself.
 func pruneInput(plan LogicalPlan, need map[colKey]bool) LogicalPlan {
 	switch n := plan.(type) {
 	case *FilterNode:
-		sub := copyNeed(need)
-		requiredFrom(n.Pred, sub)
-		return &FilterNode{Input: pruneInput(n.Input, sub), Pred: n.Pred}
+		inner := copyNeed(need)
+		requiredFrom(n.Pred, inner)
+		return mapInputs(n, func(p LogicalPlan) LogicalPlan { return pruneInput(p, inner) })
 	case *SortNode:
-		sub := copyNeed(need)
+		inner := copyNeed(need)
 		for _, k := range n.Keys {
-			requiredFrom(k.Expr, sub)
+			requiredFrom(k.Expr, inner)
 		}
-		return &SortNode{Input: pruneInput(n.Input, sub), Keys: n.Keys}
-	case *LimitNode:
-		return &LimitNode{Input: pruneInput(n.Input, need), N: n.N}
+		return mapInputs(n, func(p LogicalPlan) LogicalPlan { return pruneInput(p, inner) })
 	case *JoinNode:
-		sub := copyNeed(need)
-		requiredFrom(n.Cond, sub)
-		out := *n
-		out.Left = pruneInput(n.Left, sub)
-		out.Right = pruneInput(n.Right, sub)
-		// The inputs carry what the condition reads; the join itself
-		// emits only what its parent does.
+		inner := copyNeed(need)
+		requiredFrom(n.Cond, inner)
+		out := mapInputs(n, func(p LogicalPlan) LogicalPlan { return pruneInput(p, inner) }).(*JoinNode)
+		// The join itself emits only what its parent reads.
 		full := out.Left.Schema().concat(out.Right.Schema())
 		out.schema, out.proj = full, nil
 		if keep := neededCols(full, need); len(keep) < full.Len() {
@@ -107,7 +87,7 @@ func pruneInput(plan LogicalPlan, need map[colKey]bool) LogicalPlan {
 				out.schema.cols = append(out.schema.cols, full.cols[i])
 			}
 		}
-		return &out
+		return out
 	case *ScanNode:
 		return pruneScan(n, need)
 	}
