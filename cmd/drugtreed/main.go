@@ -82,7 +82,6 @@ func main() {
 	defer cleanup()
 
 	server := mobile.NewServer(eng)
-	server.Async = true
 	server.MaxSessions = *maxSessions
 	server.DrainTimeout = *drainTimeout
 	var rate *admission.RateLimiter

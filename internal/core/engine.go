@@ -58,7 +58,8 @@ type Config struct {
 	// entirely, which would invalidate latency experiments that rerun
 	// one query (the server enables it; see experiment T6).
 	QueryCacheEntries int
-	// EnablePrefetch turns on navigation prefetching.
+	// EnablePrefetch turns on navigation prefetching: RunPrefetch
+	// warms the semantic cache for later OpenSubtree calls.
 	EnablePrefetch bool
 	// Admission, when set, gates Query behind an overload-protection
 	// limiter (internal/admission): past the configured concurrency

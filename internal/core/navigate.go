@@ -57,25 +57,6 @@ var treeCacheKey = cache.Key{Relation: TreeTable, RangeCol: "pre", Residual: ""}
 // the visit for the prefetcher. cached reports whether the cache
 // answered.
 func (e *Engine) OpenSubtree(ctx context.Context, nodeName string) (views []NodeView, cached bool, err error) {
-	cb, cached, err := e.visit(ctx, nodeName, true)
-	if err != nil {
-		return nil, false, err
-	}
-	return viewsFromBatch(cb), cached, nil
-}
-
-// VisitSubtree is OpenSubtree for a caller that renders from the
-// in-memory tree and needs only the side effects: the visit is
-// recorded, the cache is consulted and, on a miss, filled, and the
-// navigate counters move — but no views are built.
-func (e *Engine) VisitSubtree(ctx context.Context, nodeName string) (cached bool, err error) {
-	_, cached, err = e.visit(ctx, nodeName, false)
-	return cached, err
-}
-
-// visit is one navigation step. The batch is nil when the caller does
-// not want rows and the cache covered the subtree.
-func (e *Engine) visit(ctx context.Context, nodeName string, wantRows bool) (cb *store.ColBatch, cached bool, err error) {
 	id, err := e.NodeByName(nodeName)
 	if err != nil {
 		return nil, false, err
@@ -86,20 +67,19 @@ func (e *Engine) visit(ctx context.Context, nodeName string, wantRows bool) (cb 
 	}()
 	e.prefetcher.RecordVisit(id)
 	lo, hi := e.tree.SubtreeInterval(id)
-	if e.cache != nil && wantRows {
+	var cb *store.ColBatch
+	if e.cache != nil {
 		cb, _, cached = e.cache.Get(treeCacheKey, int64(lo), int64(hi), e.treeTab.Version())
-	} else if e.cache != nil {
-		cached = e.cache.Covers(treeCacheKey, int64(lo), int64(hi), e.treeTab.Version())
 	}
 	if cached {
 		e.Metrics.Counter("navigate.cache_hits").Inc()
-		return cb, true, nil
+		return viewsFromBatch(cb), true, nil
 	}
 	if cb, err = e.fetchSubtree(ctx, lo, hi); err != nil {
 		return nil, false, err
 	}
 	e.Metrics.Counter("navigate.cache_misses").Inc()
-	return cb, false, nil
+	return viewsFromBatch(cb), false, nil
 }
 
 // fetchSubtree reads the tree_nodes rows with pre in [lo,hi] through
@@ -132,9 +112,9 @@ func (e *Engine) fetchSubtree(ctx context.Context, lo, hi int) (*store.ColBatch,
 }
 
 // RunPrefetch executes the prefetcher's current suggestions, warming
-// the cache. It returns the number of subtrees prefetched. The server
-// calls this in the background after answering each interaction; the
-// experiments call it synchronously for determinism.
+// the cache for later OpenSubtree calls. It returns the number of
+// subtrees prefetched. Callers run it between navigation steps; the
+// mobile server never does, because its replies read no cache entry.
 func (e *Engine) RunPrefetch(ctx context.Context) int {
 	if !e.cfg.EnablePrefetch || e.cache == nil {
 		return 0

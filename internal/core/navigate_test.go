@@ -179,7 +179,7 @@ func TestTwinEnginesEvictIdentically(t *testing.T) {
 			for p := tree.Node(id).Parent; p != phylo.None && tree.LeafCount(p) <= 64 && rng.Intn(2) == 0; p = tree.Node(id).Parent {
 				id = p
 			}
-			if _, err := e.VisitSubtree(ctx, tree.Node(id).Name); err != nil {
+			if _, _, err := e.OpenSubtree(ctx, tree.Node(id).Name); err != nil {
 				t.Fatal(err)
 			}
 			e.RunPrefetch(ctx)

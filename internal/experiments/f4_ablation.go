@@ -16,12 +16,12 @@ import (
 )
 
 // F4Config is one rung of the end-to-end ablation ladder: the full
-// stack with one mechanism removed.
+// stack with one mechanism removed. The ladder drives the mobile
+// server, whose Open reads neither the semantic cache nor the
+// prefetcher, so neither is a rung; F2 prices them.
 type F4Config struct {
 	Name     string
 	Query    query.Options
-	Cache    bool
-	Prefetch bool
 	Strategy mobile.Strategy
 	Budget   int
 }
@@ -29,17 +29,10 @@ type F4Config struct {
 // F4Configs returns the ladder, full stack first.
 func F4Configs() []F4Config {
 	full := F4Config{
-		Name:  "full stack",
-		Query: query.DefaultOptions(), Cache: true, Prefetch: true,
+		Name:     "full stack",
+		Query:    query.DefaultOptions(),
 		Strategy: mobile.StrategyLODDelta, Budget: 100,
 	}
-	noCache := full
-	noCache.Name = "- semantic cache"
-	noCache.Cache = false
-	noCache.Prefetch = false // prefetch is useless without the cache
-	noPrefetch := full
-	noPrefetch.Name = "- prefetch"
-	noPrefetch.Prefetch = false
 	noDelta := full
 	noDelta.Name = "- delta encoding"
 	noDelta.Strategy = mobile.StrategyLOD
@@ -54,7 +47,7 @@ func F4Configs() []F4Config {
 		Query:    query.NaiveOptions(),
 		Strategy: mobile.StrategyFull, Budget: 100,
 	}
-	return []F4Config{full, noPrefetch, noDelta, noCache, noOpt, noLOD, naive}
+	return []F4Config{full, noDelta, noOpt, noLOD, naive}
 }
 
 // F4Steps is the session length of the ablation run.
@@ -83,12 +76,6 @@ func RunF4SessionSplit(ctx context.Context, leaves int, seed int64, fc F4Config)
 	}
 	cfg := core.DefaultConfig()
 	cfg.QueryOptions = fc.Query
-	cfg.EnablePrefetch = fc.Prefetch
-	if !fc.Cache {
-		cfg.CacheBytes = 0
-	} else {
-		cfg.CacheBytes = 32 << 20
-	}
 	e, err := core.NewWithTree(db, tree, cfg)
 	if err != nil {
 		return nil, nil, nil, err
@@ -162,7 +149,7 @@ func RunF4(ctx context.Context, seed int64) (*Report, error) {
 		}
 	}
 	rep.Notes = fmt.Sprintf(
-		"expectation: on 3G the network term dominates, so LOD streaming is the top contributor and the compute-side mechanisms (cache, optimizer) show up in the compute column; full stack vs naive = %.1fx",
+		"expectation: on 3G the network term dominates, so LOD streaming is the top contributor; an Open runs no statement, so the optimizer rung reads the full stack's compute; full stack vs naive = %.1fx",
 		float64(naiveMean)/float64(fullMean))
 	return rep, nil
 }

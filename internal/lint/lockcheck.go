@@ -15,7 +15,7 @@ var lockBlockingCalls = map[string]bool{
 	"Sleep": true, "Fetch": true, "FetchAll": true, "Wait": true,
 	"ReadMsg": true, "WriteMsg": true, "Accept": true,
 	"Serve": true, "ServeConn": true, "Sync": true, "Query": true,
-	"OpenSubtree": true, "VisitSubtree": true, "RunPrefetch": true, "Do": true,
+	"OpenSubtree": true, "RunPrefetch": true, "Do": true,
 }
 
 // LockCheck enforces mutex discipline: no blocking call or channel

@@ -98,37 +98,52 @@ func TestSessionCapRefusesHandshake(t *testing.T) {
 	waitSession(t, doneC)
 }
 
+// TestRateLimitedRequestGetsRetryMsg: the per-session token bucket
+// answers a dry bucket with a RetryMsg whatever the request. For an
+// Open it is the one shed path, since an Open needs no admission slot.
 func TestRateLimitedRequestGetsRetryMsg(t *testing.T) {
-	vc := netsim.NewVirtualClock()
-	server := NewServer(testEngine(t))
-	server.Rate = admission.NewRateLimiter(admission.RateConfig{QPS: 1, Burst: 1, Clock: vc})
+	e := testEngine(t)
+	for _, tc := range []struct {
+		name string
+		send func(c *Client) error
+	}{
+		{"query", func(c *Client) error { _, err := c.Query("SELECT COUNT(*) FROM proteins"); return err }},
+		{"open", func(c *Client) error { _, err := c.Open(e.Root().Name); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vc := netsim.NewVirtualClock()
+			server := NewServer(e)
+			server.Rate = admission.NewRateLimiter(admission.RateConfig{QPS: 1, Burst: 1, Clock: vc})
+			limited := e.Metrics.Counter("mobile.rate_limited").Value()
 
-	conn, done := serveOnce(t, server)
-	c, err := Dial(conn, StrategyLOD, 50)
-	if err != nil {
-		t.Fatal(err)
+			conn, done := serveOnce(t, server)
+			c, err := Dial(conn, StrategyLOD, 50)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.send(c); err != nil {
+				t.Fatalf("first %s (burst token): %v", tc.name, err)
+			}
+			// Bucket dry: the server answers RETRY with a refill-based hint,
+			// and with no retry budget the client surfaces it as BusyError.
+			err = tc.send(c)
+			var busy *BusyError
+			if !errors.As(err, &busy) {
+				t.Fatalf("rate-limited %s got %v, want BusyError", tc.name, err)
+			}
+			if busy.After < 900*time.Millisecond || busy.After > 1100*time.Millisecond {
+				t.Fatalf("retry hint = %v, want ≈1s at 1 QPS", busy.After)
+			}
+			if c.Sheds != 1 {
+				t.Fatalf("Sheds = %d, want 1", c.Sheds)
+			}
+			if got := e.Metrics.Counter("mobile.rate_limited").Value() - limited; got != 1 {
+				t.Fatalf("rate_limited counter moved by %d, want 1", got)
+			}
+			c.Close()
+			waitSession(t, done)
+		})
 	}
-	if _, err := c.Query("SELECT COUNT(*) FROM proteins"); err != nil {
-		t.Fatalf("first query (burst token): %v", err)
-	}
-	// Bucket dry: the server answers RETRY with a refill-based hint,
-	// and with no retry budget the client surfaces it as BusyError.
-	_, err = c.Query("SELECT COUNT(*) FROM proteins")
-	var busy *BusyError
-	if !errors.As(err, &busy) {
-		t.Fatalf("rate-limited query got %v, want BusyError", err)
-	}
-	if busy.After < 900*time.Millisecond || busy.After > 1100*time.Millisecond {
-		t.Fatalf("retry hint = %v, want ≈1s at 1 QPS", busy.After)
-	}
-	if c.Sheds != 1 {
-		t.Fatalf("Sheds = %d, want 1", c.Sheds)
-	}
-	if got := server.engine.Metrics.Counter("mobile.rate_limited").Value(); got != 1 {
-		t.Fatalf("rate_limited counter = %d", got)
-	}
-	c.Close()
-	waitSession(t, done)
 }
 
 func TestClientBackoffRetriesShedQuery(t *testing.T) {
@@ -191,10 +206,10 @@ func TestClientZeroRetriesSurfacesBusy(t *testing.T) {
 	waitSession(t, done)
 }
 
-// TestOpenShedSurfacesBusy: an Open whose cache fill the engine's
-// limiter sheds is answered with a RetryMsg carrying the limiter's
-// hint, not an error, and counts as a shed on both ends.
-func TestOpenShedSurfacesBusy(t *testing.T) {
+// TestOpenNeedsNoAdmissionSlot: an Open runs no statement, so it never
+// waits on the engine's limiter. With the only slot held and no queue,
+// it still completes with nodes, and nothing is shed.
+func TestOpenNeedsNoAdmissionSlot(t *testing.T) {
 	eng := core.DefaultConfig()
 	eng.Admission = &admission.Config{MaxConcurrency: 1, MaxQueue: 0}
 	e, release := heldEngine(t, eng)
@@ -206,64 +221,17 @@ func TestOpenShedSurfacesBusy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Open(e.Root().Name)
-	var busy *BusyError
-	if !errors.As(err, &busy) || busy.After <= 0 {
-		t.Fatalf("shed Open with MaxRetries=0 got %v, want BusyError with a retry hint", err)
-	}
-	if c.Sheds != 1 {
-		t.Fatalf("Sheds = %d, want 1", c.Sheds)
-	}
-	if got := e.Metrics.Counter("mobile.sheds").Value(); got != 1 {
-		t.Fatalf("mobile.sheds = %d, want 1", got)
-	}
-	c.Close()
-	waitSession(t, done)
-}
-
-// TestClientBackoffRetriesShedOpen: with retries on, an Open rides out
-// the sheds on backoff and completes once the slot is released.
-func TestClientBackoffRetriesShedOpen(t *testing.T) {
-	eng := core.DefaultConfig()
-	eng.Admission = &admission.Config{MaxConcurrency: 1, MaxQueue: 0}
-	e, release := heldEngine(t, eng)
-	server := NewServer(e)
-	server.RetryAfter = time.Millisecond
-
-	conn, done := serveOnce(t, server)
-	c, err := Dial(conn, StrategyLODDelta, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Backoff = source.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, JitterSeed: 7}
-	c.MaxRetries = 100
-	got := make(chan error, 1)
-	go func() {
-		_, oerr := c.Open(e.Root().Name)
-		got <- oerr
-	}()
-	// Free the slot once the server has shed the Open at least once.
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Metrics.Counter("mobile.sheds").Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the Open was never shed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	release()
-	select {
-	case oerr := <-got:
-		if oerr != nil {
-			t.Fatalf("Open after backoff retries: %v", oerr)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Open did not complete after slot release")
-	}
-	if c.Sheds == 0 {
-		t.Fatal("client never observed a shed")
+	if _, err := c.Open(e.Root().Name); err != nil {
+		t.Fatalf("Open with the admission slot held: %v", err)
 	}
 	if len(c.Nodes) == 0 {
-		t.Fatal("the completed Open delivered no nodes")
+		t.Fatal("the Open delivered no nodes")
+	}
+	if c.Sheds != 0 {
+		t.Fatalf("Sheds = %d, want 0", c.Sheds)
+	}
+	if got := e.Metrics.Counter("mobile.sheds").Value(); got != 0 {
+		t.Fatalf("mobile.sheds = %d, want 0", got)
 	}
 	c.Close()
 	waitSession(t, done)

@@ -37,9 +37,9 @@ const defaultDrainTimeout = 5 * time.Second
 // session per connection.
 type Server struct {
 	engine *core.Engine
-	// Async controls whether prefetching runs in a goroutine after
-	// each interaction (production) or synchronously (deterministic
-	// experiments).
+	// Async does nothing. An Open runs no prefetch, in the background
+	// or otherwise; the field is kept only because the repository
+	// benchmark under bench/ still sets it.
 	Async bool
 	// ReadTimeout bounds the wait for each client message on
 	// connections that support read deadlines (net.Conn); zero waits
@@ -420,7 +420,7 @@ func (s *Server) dispatch(ctx context.Context, conn io.ReadWriter, cs *connState
 		if !s.allowRate(conn, sess) {
 			return false, nil
 		}
-		return false, s.handleOpen(ctx, conn, sess, m)
+		return false, s.handleOpen(conn, sess, m)
 	case *Query:
 		if !s.allowRate(conn, sess) {
 			return false, nil
@@ -450,28 +450,15 @@ func (s *Server) allowRate(w io.Writer, sess *session) bool {
 	return false
 }
 
-func (s *Server) handleOpen(ctx context.Context, w io.Writer, sess *session, m *Open) error {
+func (s *Server) handleOpen(w io.Writer, sess *session, m *Open) error {
 	id, err := s.engine.NodeByName(m.Node)
 	if err != nil {
 		return WriteMsg(w, &ErrorMsg{Text: err.Error()})
 	}
-	// Touch the cached navigation path so the semantic cache and
-	// prefetcher observe the interaction exactly as the poster's
-	// system would; the reply itself is built from the in-memory tree.
-	if _, err := s.engine.VisitSubtree(ctx, m.Node); err != nil {
-		return s.replyError(w, sess, err)
-	}
-	if s.Async {
-		// Background prefetch outlives the interaction that triggered
-		// it, so it runs under its own context, not the session's.
-		//lint:ignore drugtree/ctxcheck async prefetch is one bounded pass that deliberately outlives the session context
-		go s.engine.RunPrefetch(context.Background())
-	} else {
-		s.engine.RunPrefetch(ctx)
-	}
-
-	// The strategy is fixed for the session, so only StrategyLODDelta
-	// keeps the client's node set.
+	// The reply is built from the in-memory tree alone: an Open runs no
+	// statement and touches neither the semantic cache nor the
+	// prefetcher. The strategy is fixed for the session, so only
+	// StrategyLODDelta keeps the client's node set.
 	focus := int64(id)
 	var delta *TreeDelta
 	switch sess.strategy {
