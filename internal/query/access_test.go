@@ -231,6 +231,44 @@ func TestRangeColumnChoice(t *testing.T) {
 	}
 }
 
+// TestMirroredComparisonsPlanAlike: lit OP col is estimated and served
+// as col flipCompare(OP) lit, so the two spellings of one comparison
+// give the same plan but for the filter's rendering — the join order,
+// build sides, probe paths and index ranges included.
+func TestMirroredComparisonsPlanAlike(t *testing.T) {
+	eng := NewEngine(testCatalog(t), serialOptions())
+	const (
+		threeWay = "SELECT p.accession, l.weight FROM proteins p JOIN activities a ON p.accession = a.protein_id JOIN ligands l ON a.ligand_id = l.ligand_id WHERE "
+		twoWay   = "SELECT p.accession, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE "
+	)
+	for _, c := range []struct{ q, col, mirror string }{
+		{threeWay, "a.affinity > 8.5", "8.5 < a.affinity"},
+		{threeWay, "a.affinity <= 5", "5 >= a.affinity"},
+		{twoWay, "p.length < 200", "200 > p.length"},
+		{twoWay, "p.length >= 150", "150 <= p.length"},
+		{twoWay, "p.length > 150 AND a.affinity < 6", "150 < p.length AND 6 > a.affinity"},
+	} {
+		explain := func(where string) string {
+			t.Helper()
+			res, err := eng.Query(context.Background(), "EXPLAIN "+c.q+where)
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			return res.Plan
+		}
+		want := explain(c.col)
+		got := explain(c.mirror)
+		// Restate each rendered mirrored conjunct in col OP lit form.
+		cols, mirrors := strings.Split(c.col, " AND "), strings.Split(c.mirror, " AND ")
+		for i := range cols {
+			got = strings.ReplaceAll(got, "("+mirrors[i]+")", "("+cols[i]+")")
+		}
+		if got != want {
+			t.Errorf("WHERE %s plans differently from WHERE %s:\n%s\nvs\n%s", c.mirror, c.col, got, want)
+		}
+	}
+}
+
 // TestSubtreePredicateCrossesJoin: the subtree predicate on one side of
 // an equi-join reaches the other side's scan, in either direction and
 // along a chain, and never crosses a non-equi condition.
