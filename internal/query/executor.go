@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"drugtree/internal/phylo"
@@ -238,49 +237,25 @@ func FormatResult(r *Result) string {
 	return b.String()
 }
 
-// DBCatalog is a Catalog over a store.DB with version-checked cached
-// statistics and an optional phylogenetic tree.
+// DBCatalog is a Catalog over a store.DB and an optional phylogenetic
+// tree. It keeps no statistics: the planner sizes scans and joins from
+// the tables' indexes (Table.CountPostings, Table.DistinctKeys), which
+// are never stale after a commit.
 type DBCatalog struct {
 	DB        *store.DB
 	PhyloTree *phylo.Tree
 	// OverlayAggs, when set, serves precomputed subtree aggregates to
 	// the OverlayRead rewrite (see overlay.go).
 	OverlayAggs SubtreeOverlay
-
-	mu         sync.Mutex
-	statsCache map[string]cachedStats
-}
-
-type cachedStats struct {
-	stats   *store.TableStats
-	version int64
 }
 
 // NewDBCatalog wires a catalog; tree may be nil for tables-only use.
 func NewDBCatalog(db *store.DB, tree *phylo.Tree) *DBCatalog {
-	return &DBCatalog{DB: db, PhyloTree: tree, statsCache: make(map[string]cachedStats)}
+	return &DBCatalog{DB: db, PhyloTree: tree}
 }
 
 // Table implements Catalog.
 func (c *DBCatalog) Table(name string) (*store.Table, error) { return c.DB.Table(name) }
-
-// Stats implements Catalog, recomputing only when the table version
-// changed since the cached snapshot.
-func (c *DBCatalog) Stats(name string) (*store.TableStats, error) {
-	t, err := c.DB.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	v := t.Version()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cached, ok := c.statsCache[name]; ok && cached.version == v {
-		return cached.stats, nil
-	}
-	st := t.Stats()
-	c.statsCache[name] = cachedStats{stats: st, version: v}
-	return st, nil
-}
 
 // Tree implements Catalog.
 func (c *DBCatalog) Tree() *phylo.Tree { return c.PhyloTree }

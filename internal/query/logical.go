@@ -8,15 +8,14 @@ import (
 	"drugtree/internal/store"
 )
 
-// Catalog supplies the planner with tables, statistics, and the
-// phylogenetic tree backing WITHIN_SUBTREE, and the executor with the
-// pinned snapshot a statement reads: rows are read only through the
-// snapshot's views, never through Table.
+// Catalog supplies the planner with tables — whose indexes it sizes
+// scans and joins by — and the phylogenetic tree backing
+// WITHIN_SUBTREE, and the executor with the pinned snapshot a statement
+// reads: rows are read only through the snapshot's views, never through
+// Table.
 type Catalog interface {
 	// Table returns the named base table.
 	Table(name string) (*store.Table, error)
-	// Stats returns (possibly cached) statistics for the table.
-	Stats(name string) (*store.TableStats, error)
 	// Tree returns the current phylogenetic tree, or nil when the
 	// catalog has none.
 	Tree() *phylo.Tree

@@ -110,14 +110,6 @@ func BenchmarkWALInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkStats(b *testing.B) {
-	t := benchTable(b, 50000, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Stats()
-	}
-}
-
 // indexBenchKeys are 1<<16 distinct keys of a kind in random order: ints
 // spread over 1<<20, strings shaped like the tree's clade names.
 func indexBenchKeys(kind Kind) []Value {
@@ -213,6 +205,41 @@ func BenchmarkIndexRangeWalk(b *testing.B) {
 		if n != 1000 {
 			b.Fatalf("walked %d postings", n)
 		}
+	}
+}
+
+// BenchmarkIndexCountRange counts the postings of a 5 k-posting range
+// of a B+-tree over 48 k FLOAT keys filled in random order — the
+// activities affinity index an access path, a join estimate and a
+// Select's slot list are sized by: leaf is index.count, a leaf at a
+// time; per-key is the walk it replaced, one callback a key.
+func BenchmarkIndexCountRange(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]Value, 48000)
+	for i := range keys {
+		keys[i] = FloatValue(rng.Float64())
+	}
+	ix := loadedIndex(IndexBTree, KindFloat, keys)
+	lo, hi := FloatValue(0.5), FloatValue(0.5+5000.0/48000)
+	want := countByWalk(ix, &lo, &hi, 0)
+	if want < 4800 || want > 5200 {
+		b.Fatalf("range holds %d postings", want)
+	}
+	for _, c := range []struct {
+		name  string
+		count func() int
+	}{
+		{"per-key", func() int { return countByWalk(ix, &lo, &hi, 0) }},
+		{"leaf", func() int { return ix.count(&lo, &hi, 0) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n := c.count(); n != want {
+					b.Fatalf("counted %d postings, want %d", n, want)
+				}
+			}
+		})
 	}
 }
 

@@ -25,6 +25,7 @@ type btreeKey interface{ int64 | float64 | string }
 // outside it, so monotone loads leave every leaf full instead of half.
 type btree[K btreeKey] struct {
 	root *btreeNode[K]
+	keys int // distinct keys held; Insert and Delete keep it
 }
 
 const (
@@ -113,6 +114,7 @@ func (t *btree[K]) Insert(k K, rowID int64) {
 		return
 	}
 	var zero K
+	t.keys++
 	n.keys = append(n.keys, zero)
 	copy(n.keys[i+1:], n.keys[i:])
 	n.keys[i] = k
@@ -220,6 +222,7 @@ func (t *btree[K]) Delete(k K, rowID int64) bool {
 		switch len(post) {
 		case 1:
 			var zero K
+			t.keys--
 			copy(n.keys[i:], n.keys[i+1:])
 			n.keys[len(n.keys)-1] = zero
 			n.keys = n.keys[:len(n.keys)-1]
@@ -297,4 +300,45 @@ func (t *btree[K]) walk(lo, hi *K, desc bool, fn func(k K, postings []int64) boo
 			}
 		}
 	}
+}
+
+// count returns the postings of the keys in [lo, hi] (nil is open), as
+// an ascending walk would sum them, stopping where it stops: at the
+// first key that takes the sum past max (≤ 0 never stops). A leaf whose
+// keys hold one posting each adds its in-range keys at once; any other
+// leaf sums key by key. Only the first leaf can hold keys below lo and
+// only the last keys above hi, so a leaf in between is searched not at
+// all.
+func (t *btree[K]) count(lo, hi *K, max int) int {
+	n, i := t.edgeLeaf(false), 0
+	if lo != nil {
+		n = t.leafFor(*lo)
+		i = findKey(n, *lo)
+	}
+	sum := 0
+	for ; n != nil; n, i = n.next, 0 {
+		j := len(n.keys) // the leaf's keys in range are [i, j)
+		if hi != nil && j > 0 && cmp.Less(*hi, n.keys[j-1]) {
+			if j = findKey(n, *hi); cmp.Compare(n.keys[j], *hi) == 0 {
+				j++
+			}
+		}
+		if n.many == nil {
+			if j > i {
+				if sum += j - i; max > 0 && sum > max {
+					return max + 1
+				}
+			}
+		} else {
+			for k := i; k < j; k++ {
+				if sum += len(n.postings(k)); max > 0 && sum > max {
+					return sum
+				}
+			}
+		}
+		if j < len(n.keys) { // a key past hi ends the range
+			return sum
+		}
+	}
+	return sum
 }

@@ -120,32 +120,27 @@ func (ix *index) get(v Value) (ids []int64, exact bool) {
 	return ix.ints.Get(v.I), true
 }
 
+// distinct returns how many distinct non-NULL keys the index holds.
+func (ix *index) distinct() int {
+	switch {
+	case ix.hash != nil:
+		return ix.hash.distinct()
+	case ix.floats != nil:
+		return ix.floats.keys
+	case ix.strs != nil:
+		return ix.strs.keys
+	}
+	return ix.ints.keys
+}
+
 // walk visits the postings of a B+-tree's non-NULL keys in [lo, hi]
 // (nil is open) in key order, descending when desc is set, until fn
 // returns false.
 func (ix *index) walk(lo, hi *Value, desc bool, fn func(ids []int64) bool) {
-	var klo, khi Value // the bounds restated in the column's kind
-	if lo != nil {
-		switch v, state := keyBound(ix.kind, *lo, false); state {
-		case boundEmpty:
-			return
-		case boundOpen:
-			lo = nil
-		default:
-			klo, lo = v, &klo
-		}
-	}
-	if hi != nil {
-		switch v, state := keyBound(ix.kind, *hi, true); state {
-		case boundEmpty:
-			return
-		case boundOpen:
-			hi = nil
-		default:
-			khi, hi = v, &khi
-		}
-	}
+	var buf [2]Value
+	lo, hi, ok := ix.keyRange(lo, hi, &buf)
 	switch {
+	case !ok:
 	case ix.floats != nil:
 		walkKeys(ix.floats, lo, hi, func(v Value) float64 { return v.F }, desc, fn)
 	case ix.strs != nil:
@@ -155,18 +150,69 @@ func (ix *index) walk(lo, hi *Value, desc bool, fn func(ids []int64) bool) {
 	}
 }
 
-// walkKeys walks t between bounds of the column's kind, whose payload
-// key extracts.
-func walkKeys[K btreeKey](t *btree[K], lo, hi *Value, key func(Value) K, desc bool, fn func(ids []int64) bool) {
-	var klo, khi K
-	var plo, phi *K
+// count returns the postings of a B+-tree's non-NULL keys in [lo, hi]
+// (nil is open) as an ascending walk would sum them, stopping at the
+// first key that takes the sum past max (≤ 0 never stops).
+func (ix *index) count(lo, hi *Value, max int) int {
+	var buf [2]Value
+	lo, hi, ok := ix.keyRange(lo, hi, &buf)
+	switch {
+	case !ok:
+		return 0
+	case ix.floats != nil:
+		return countKeys(ix.floats, lo, hi, func(v Value) float64 { return v.F }, max)
+	case ix.strs != nil:
+		return countKeys(ix.strs, lo, hi, func(v Value) string { return v.S }, max)
+	}
+	return countKeys(ix.ints, lo, hi, func(v Value) int64 { return v.I }, max)
+}
+
+// keyRange restates the bounds [lo, hi] (nil is open) in the column's
+// kind, into buf; ok is false when no key can lie between them.
+func (ix *index) keyRange(lo, hi *Value, buf *[2]Value) (klo, khi *Value, ok bool) {
 	if lo != nil {
-		klo, plo = key(*lo), &klo
+		switch v, state := keyBound(ix.kind, *lo, false); state {
+		case boundEmpty:
+			return nil, nil, false
+		case boundKey:
+			buf[0], klo = v, &buf[0]
+		}
 	}
 	if hi != nil {
-		khi, phi = key(*hi), &khi
+		switch v, state := keyBound(ix.kind, *hi, true); state {
+		case boundEmpty:
+			return nil, nil, false
+		case boundKey:
+			buf[1], khi = v, &buf[1]
+		}
 	}
+	return klo, khi, true
+}
+
+// treeBounds restates bounds of the column's kind as B+-tree keys, whose
+// payload key extracts.
+func treeBounds[K btreeKey](lo, hi *Value, key func(Value) K, buf *[2]K) (plo, phi *K) {
+	if lo != nil {
+		buf[0], plo = key(*lo), &buf[0]
+	}
+	if hi != nil {
+		buf[1], phi = key(*hi), &buf[1]
+	}
+	return plo, phi
+}
+
+// walkKeys walks t between bounds of the column's kind.
+func walkKeys[K btreeKey](t *btree[K], lo, hi *Value, key func(Value) K, desc bool, fn func(ids []int64) bool) {
+	var buf [2]K
+	plo, phi := treeBounds(lo, hi, key, &buf)
 	t.walk(plo, phi, desc, func(_ K, ids []int64) bool { return fn(ids) })
+}
+
+// countKeys counts t's postings between bounds of the column's kind.
+func countKeys[K btreeKey](t *btree[K], lo, hi *Value, key func(Value) K, max int) int {
+	var buf [2]K
+	plo, phi := treeBounds(lo, hi, key, &buf)
+	return t.count(plo, phi, max)
 }
 
 // removePosting swap-deletes id from a postings list.
@@ -354,6 +400,15 @@ func (h *hashIndex) remove(v Value, id int64) {
 	if size := len(h.hashes); size > hashMinSize && h.used*4 < size {
 		h.resize(size / 2)
 	}
+}
+
+// distinct returns how many distinct non-NULL hashes the table holds:
+// its occupied positions, less the NULL cell's.
+func (h *hashIndex) distinct() int {
+	if _, null := h.find(h.hash(NullValue())); null {
+		return h.used - 1
+	}
+	return h.used
 }
 
 // get returns the IDs filed under v's hash; the one inline ID is handed

@@ -10,9 +10,9 @@ import (
 
 // The index model is a slice of (key, id) pairs kept sorted by
 // store.Compare: everything an index answers — point probes, range
-// walks in both directions, Min and Max — is recomputed from it by
-// linear passes and compared, for every index form over every column
-// kind, NULL keys mixed in.
+// walks in both directions and counts, distinct keys, Min and Max — is
+// recomputed from it by linear passes and compared, for every index form
+// over every column kind, NULL keys mixed in.
 
 type indexEntry struct {
 	key Value
@@ -209,6 +209,12 @@ func verifyIndex(ix *index, m *indexModel, rng *rand.Rand) error {
 			return fmt.Errorf("probe %v: ids %v, model %v", p, got, want)
 		}
 	}
+	// A colliding hash table counts its hashes, not the keys they stand for.
+	if ix.hash == nil || ix.hash.hashOf == nil {
+		if got, want := ix.distinct(), m.distinctKeys(); got != want {
+			return fmt.Errorf("%d distinct keys, model %d", got, want)
+		}
+	}
 	if ix.hash != nil {
 		return ix.hash.check()
 	}
@@ -227,6 +233,11 @@ func verifyIndex(ix *index, m *indexModel, rng *rand.Rand) error {
 		})
 		if want := m.groups(lo, hi, desc); fmt.Sprint(got) != fmt.Sprint(want) {
 			return fmt.Errorf("walk [%v, %v] desc=%v:\ngot  %v\nwant %v", lo, hi, desc, got, want)
+		}
+		for _, max := range []int{0, 1, 3, 1 + rng.Intn(80), 200} {
+			if got, want := ix.count(lo, hi, max), countByWalk(ix, lo, hi, max); got != want {
+				return fmt.Errorf("count [%v, %v] max %d = %d, the per-key walk %d", lo, hi, max, got, want)
+			}
 		}
 		stopAt, seen := 1+rng.Intn(3), 0
 		ix.walk(lo, hi, desc, func([]int64) bool { seen++; return seen < stopAt })
@@ -251,6 +262,30 @@ func verifyIndex(ix *index, m *indexModel, rng *rand.Rand) error {
 }
 
 func first(ids []int64, _ bool) []int64 { return ids }
+
+// countByWalk is the per-key count index.count replaced, kept as its
+// oracle: an ascending walk summing each key's postings, stopping at the
+// first key that takes the sum past max (≤ 0 never stops).
+func countByWalk(ix *index, lo, hi *Value, max int) int {
+	n := 0
+	ix.walk(lo, hi, false, func(ids []int64) bool {
+		n += len(ids)
+		return max <= 0 || n <= max
+	})
+	return n
+}
+
+// distinctKeys is the brute-force count of the model's distinct non-NULL
+// keys.
+func (m *indexModel) distinctKeys() int {
+	n := 0
+	for i, e := range m.entries {
+		if !e.key.IsNull() && (i == 0 || !Equal(m.entries[i-1].key, e.key)) {
+			n++
+		}
+	}
+	return n
+}
 
 // TestIndexMatchesModel drives each index form over each column kind
 // through a seeded grow / churn / drain schedule — duplicate-heavy at

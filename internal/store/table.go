@@ -403,8 +403,8 @@ func (t *Table) Snapshot() []Row {
 
 // reader is one image of a table that reads run against, under the
 // table's read lock: a frozen image when img is set, else the stored
-// table t at commit version ver. Scan, Snapshot, Stats, CountPostings
-// and Select all read through one. It dispatches by a branch rather than
+// table t at commit version ver. Scan, Snapshot, CountPostings and
+// Select all read through one. It dispatches by a branch rather than
 // an interface so the callbacks of a walk stay on the stack.
 type reader struct {
 	t   *Table
@@ -652,13 +652,33 @@ func acceptSlots(r reader, poll func() error, a Access, slots []int32) (_ []int3
 // CountPostings returns how many index postings the access would visit
 // — an upper bound on the rows it can emit, exact but for retired rows
 // awaiting GC — giving up once the count passes max (≤ 0 counts them
-// all). The planner sizes an index path against a full scan with it,
-// and Select sizes its slot list. A full pass counts every stored row,
-// and so does an access no index serves, which Select refuses.
+// all). It is the planner's cardinality source, with DistinctKeys: it
+// sizes access paths, scan estimates and the keyed probe from it, and
+// Select sizes its slot list. A range is counted in ascending key order
+// whatever a.Desc says, a leaf at a time. A full pass counts every
+// stored row, and so does an access no index serves, which Select
+// refuses.
 func (t *Table) CountPostings(a Access, max int) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.latestLocked().countPostings(a, max)
+}
+
+// DistinctKeys returns how many distinct non-NULL keys the index on
+// column holds, in O(1) — retired rows awaiting GC still hold theirs,
+// and a hash index counts distinct hashes; ok is false when no index
+// covers the column. The planner reads a join key's fan-out from it.
+func (t *Table) DistinctKeys(column string) (n int, ok bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if t.img != nil {
+		return t.img.distinctKeys(column)
+	}
+	idx := t.indexes[column]
+	if idx == nil {
+		return 0, false
+	}
+	return idx.distinct(), true
 }
 
 func (t *Table) countPostingsLocked(a Access, max int) int {
@@ -676,11 +696,7 @@ func (t *Table) countPostingsLocked(a Access, max int) int {
 		}
 		return n
 	}
-	idx.walk(a.Lo, a.Hi, a.Desc, func(ids []int64) bool {
-		n += len(ids)
-		return max <= 0 || n <= max
-	})
-	return n
+	return idx.count(a.Lo, a.Hi, max)
 }
 
 // capacity bounds the rows an access on r can emit — its posting count

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -391,63 +392,128 @@ func TestTableScanEarlyStop(t *testing.T) {
 	}
 }
 
-func TestStatsBasics(t *testing.T) {
-	tb := NewTable("p", proteinSchema(t))
-	for i := 0; i < 100; i++ {
-		fam := fmt.Sprintf("FAM%d", i%5)
-		insertRow(tb, Row{StringValue(fmt.Sprintf("P%d", i)), StringValue(fam), IntValue(int64(i)), BoolValue(i%2 == 0)})
+// TestDistinctKeysMatchesModel drives a table with a B+-tree over INT
+// and over FLOAT and a hash index over STRING through seeded inserts
+// (NULLs and duplicate keys mixed in) and deletes, some of them under a
+// pinned snapshot, and after every batch compares DistinctKeys per
+// column with a brute-force count of the distinct non-NULL cells of the
+// rows that still hold postings: the live rows and, until the pin is
+// released and GC sweeps them, the rows retired under it.
+func TestDistinctKeysMatchesModel(t *testing.T) {
+	schema := MustSchema(
+		Column{Name: "i", Kind: KindInt},
+		Column{Name: "s", Kind: KindString},
+		Column{Name: "f", Kind: KindFloat},
+		Column{Name: "plain", Kind: KindInt},
+	)
+	db, err := Open("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	insertRow(tb, Row{StringValue("PX"), NullValue(), NullValue(), NullValue()})
-	st := tb.Stats()
-	if st.Rows != 101 {
-		t.Fatalf("Rows = %d", st.Rows)
+	tb, err := db.CreateTable("t", schema)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fam := st.Column("family")
-	if fam.NDV != 5 || fam.NonNull != 100 {
-		t.Fatalf("family stats: ndv=%d nonNull=%d", fam.NDV, fam.NonNull)
+	for col, typ := range map[string]IndexType{"i": IndexBTree, "s": IndexHash, "f": IndexBTree} {
+		if err := tb.CreateIndex(col, typ); err != nil {
+			t.Fatal(err)
+		}
 	}
-	length := st.Column("length")
-	if length.Min.I != 0 || length.Max.I != 99 {
-		t.Fatalf("length range = [%v,%v]", length.Min, length.Max)
+	rng := rand.New(rand.NewSource(5))
+	cell := func(k Kind, spread int) Value {
+		n := rng.Intn(spread)
+		switch {
+		case rng.Intn(6) == 0:
+			return NullValue()
+		case k == KindInt:
+			return IntValue(int64(n))
+		case k == KindFloat:
+			return FloatValue(float64(n)/2 + 0.25)
+		}
+		return StringValue(fmt.Sprintf("k%d", n))
 	}
-	if length.Hist == nil {
-		t.Fatal("numeric column has no histogram")
+	live := map[int64]Row{}
+	var retired []Row // deleted under the pin: GC keeps them until it goes
+	check := func(stage string) {
+		t.Helper()
+		if got := tb.DeadVersions(); got != len(retired) {
+			t.Fatalf("%s: %d rows await GC, model %d", stage, got, len(retired))
+		}
+		for c, col := range schema.Columns {
+			seen := map[Value]bool{}
+			for _, r := range live {
+				seen[r[c]] = true
+			}
+			for _, r := range retired {
+				seen[r[c]] = true
+			}
+			delete(seen, NullValue())
+			n, ok := tb.DistinctKeys(col.Name)
+			if want := col.Name != "plain"; ok != want || ok && n != len(seen) {
+				t.Fatalf("%s: DistinctKeys(%s) = %d, %v; model %d distinct, indexed %v", stage, col.Name, n, ok, len(seen), want)
+			}
+		}
 	}
-	var total int64
-	for _, c := range length.Hist {
-		total += c
+	check("empty")
+	for round := 0; round < 60; round++ {
+		spread := 4 + round*8 // duplicate-heavy first, then wide
+		var snap *SnapshotHandle
+		if round%3 == 1 {
+			snap = db.PinSnapshot()
+		}
+		for op := 0; op < 40; op++ {
+			if rng.Intn(3) > 0 || len(live) == 0 {
+				r := Row{cell(KindInt, spread), cell(KindString, spread), cell(KindFloat, spread), IntValue(int64(op))}
+				id, err := db.Insert("t", r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[id] = r
+				continue
+			}
+			for id, r := range live {
+				if ok, err := db.Delete("t", id); !ok || err != nil {
+					t.Fatalf("delete %d: %v, %v", id, ok, err)
+				}
+				delete(live, id)
+				if snap != nil {
+					retired = append(retired, r)
+				}
+				break
+			}
+		}
+		check(fmt.Sprintf("round %d", round))
+		if snap != nil {
+			snap.Release()
+			retired = nil
+			check(fmt.Sprintf("round %d after GC", round))
+		}
 	}
-	if total != 100 {
-		t.Fatalf("histogram total = %d, want 100", total)
+	// Drain: every key leaves the indexes.
+	for id := range live {
+		db.Delete("t", id)
+		delete(live, id)
 	}
-	if st.Column("nope") != nil {
-		t.Fatal("missing column returned stats")
-	}
-	if st.String() == "" {
-		t.Fatal("empty stats dump")
-	}
-}
+	check("drained")
 
-func TestStatsSelectivity(t *testing.T) {
-	tb := NewTable("p", proteinSchema(t))
-	for i := 0; i < 1000; i++ {
-		insertRow(tb, Row{StringValue(fmt.Sprintf("P%d", i)), StringValue(fmt.Sprintf("FAM%d", i%10)), IntValue(int64(i)), BoolValue(false)})
-	}
-	st := tb.Stats()
-	if sel := st.SelectivityEqual("family"); sel < 0.05 || sel > 0.2 {
-		t.Fatalf("equality selectivity = %g, want ≈0.1", sel)
-	}
-	lo, hi := IntValue(0), IntValue(99)
-	if sel := st.SelectivityRange("length", &lo, &hi); sel < 0.05 || sel > 0.15 {
-		t.Fatalf("range selectivity = %g, want ≈0.1", sel)
-	}
-	// Degenerate range.
-	hi2 := IntValue(-5)
-	if sel := st.SelectivityRange("length", &lo, &hi2); sel != 0 {
-		t.Fatalf("empty range selectivity = %g", sel)
-	}
-	// Unknown column gets a default.
-	if sel := st.SelectivityEqual("nope"); sel != 0.1 {
-		t.Fatalf("default selectivity = %g", sel)
+	// A frozen image: every dense key is one slot's, and the hash
+	// column's distinct names are counted once at publish, a republish
+	// included.
+	for _, dup := range []int{0, 97, 1} {
+		rows := frozenTreeRows(500, dup)
+		frozen, err := db.PublishFrozen("frozen", treeShapedSchema, imageOf(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := map[string]bool{}
+		for _, r := range rows {
+			names[r[1].S] = true
+		}
+		for col, want := range map[string]int{"pre": len(rows), "name": len(names), "depth": -1} {
+			n, ok := frozen.DistinctKeys(col)
+			if ok != (want >= 0) || ok && n != want {
+				t.Fatalf("frozen, %d-name cycle: DistinctKeys(%s) = %d, %v; want %d", dup, col, n, ok, want)
+			}
+		}
 	}
 }
