@@ -139,7 +139,9 @@ bench-repo:
 # under both (8 192 keys inserted / probed), the keyed probe, the
 # group-join and an aggregate folded straight from storage over 8.6 k
 # index-selected rows at one and two workers — and the subtree
-# overlay's share of a 512 + 512-row commit, and one 100-row, 4-column
+# overlay's share of a 512 + 512-row commit, served-path planning
+# (BuildLogical + Optimize) of the 18 analytics statements the core
+# plan golden pins, one a op, and one 100-row, 4-column
 # query reply through the wire codec (encoded from shared columns,
 # framed, decoded into one slab), one LOD-delta Open's viewport build
 # and merge diff at a budget of 100, one 64-node TreeDelta's decode,
@@ -160,7 +162,7 @@ bench-micro:
 		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex' ./internal/store/
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan' ./internal/query/
-	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply' ./internal/core/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply|BenchmarkServedPlan' ./internal/core/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkQueryReply|BenchmarkOpenDelta|BenchmarkDecodeTreeDelta' ./internal/mobile/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkKmerDistances|BenchmarkNeighborJoining' ./internal/phylo/
 
@@ -176,7 +178,10 @@ bench-micro:
 # full-matrix loop's tree bit for bit), and the batch expression
 # compiler (over a random batch with NULL, NaN, ±Inf and −0 cells it
 # equals the test-only row compiler cell for cell, bit for bit, and
-# fails at the same row with the same error).
+# fails at the same row with the same error), and the SMILES parser
+# (never a panic; a string that parses gives the same formula and
+# fingerprint twice, and a molecule with atoms a finite positive
+# weight, a formula and a self-Tanimoto of 1).
 # `go test -fuzz` takes one target and one package a run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/query/
@@ -186,6 +191,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime 10s ./internal/mobile/
 	$(GO) test -run '^$$' -fuzz '^FuzzKmerCosine$$' -fuzztime 10s ./internal/bio/seq/
 	$(GO) test -run '^$$' -fuzz '^FuzzNeighborJoining$$' -fuzztime 10s ./internal/phylo/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSMILES$$' -fuzztime 10s ./internal/chem/
 
 # The parallel-executor microbenchmarks (experiment T7): a residual
 # scan, a hash join and a grouped aggregate at 1, 2 and GOMAXPROCS

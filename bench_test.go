@@ -235,12 +235,31 @@ func BenchmarkT6StatementCache(b *testing.B) {
 			}
 		}
 	})
-	// A statement-cached engine over the same data.
+	// A statement-cached engine over the same data: T1Engines' dataset
+	// (seed 1, 10 families of 20 proteins, 60 ligands).
+	gen := datagen.DefaultConfig()
+	gen.Seed = 1
+	gen.NumFamilies = 10
+	gen.ProteinsPerFamily = 20
+	gen.NumLigands = 60
+	gen.ActivityDensity = 0.3
+	ds, err := datagen.Generate(gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := store.Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := integrate.NewImporter(db, source.NewBundle(ds, netsim.ProfileLAN, 1, true)).ImportAll(context.Background()); err != nil {
+		b.Fatal(err)
+	}
 	cfg := core.DefaultConfig()
 	cfg.Method = core.TreeNJKmer
 	cfg.CacheBytes = 0
 	cfg.QueryCacheEntries = 16
-	cached, err := experiments.EngineWithConfig(context.Background(), 1, cfg)
+	cached, err := core.New(db, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -374,7 +393,7 @@ func BenchmarkF4Ablation(b *testing.B) {
 			// small because each session costs ~0.5s of compute.
 			var last *metrics.Histogram
 			for i := 0; i < b.N; i++ {
-				hist, err := experiments.RunF4Session(context.Background(), 1000, 1, fc)
+				hist, _, _, err := experiments.RunF4SessionSplit(context.Background(), 1000, 1, fc)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -303,7 +303,7 @@ func TestQueryShedMapsTo429(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Admission = &admission.Config{MaxConcurrency: 1, MaxQueue: 0}
 	srv, eng := testServerWithEngine(t, cfg, nil)
-	release, err := eng.Limiter().Acquire(context.Background(), 1)
+	release, err := eng.Limiter().Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestNodeRoutesShedMapTo429(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Admission = &admission.Config{MaxConcurrency: 1, MaxQueue: 0}
 	srv, eng := testServerWithEngine(t, cfg, nil)
-	release, err := eng.Limiter().Acquire(context.Background(), 1)
+	release, err := eng.Limiter().Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package admission is DrugTree's overload-protection layer: a
-// weighted concurrency limiter with a fixed limit and a bounded FIFO
+// concurrency limiter with a fixed limit and a bounded FIFO
 // wait queue, deadline-aware load shedding (reject immediately when the
 // caller's deadline cannot survive the predicted queue wait),
 // per-client token-bucket rate limiting, and graceful drain.
@@ -96,7 +96,7 @@ func deadlineAt(ctx context.Context) (time.Duration, bool) {
 type Config struct {
 	// Name prefixes the limiter's metric names ("admission.<name>.*").
 	Name string
-	// MaxConcurrency is the admitted-weight capacity (default 4).
+	// MaxConcurrency is how many requests run at once (default 4).
 	MaxConcurrency int
 	// MaxQueue bounds the number of queued waiters; 0 disables
 	// queueing entirely (admit or shed, never wait).
@@ -123,7 +123,6 @@ const (
 
 // waiter is one pending admission.
 type waiter struct {
-	weight     int
 	enqueuedAt time.Duration
 	// deadline is absolute on the limiter clock's timeline; 0 = none.
 	deadline time.Duration
@@ -135,7 +134,7 @@ type waiter struct {
 	admit chan func()
 }
 
-// Limiter is a weighted concurrency limiter with a bounded wait
+// Limiter is a concurrency limiter with a bounded wait
 // queue, deadline-aware shedding, and graceful drain. The zero value
 // is not usable; construct with NewLimiter.
 type Limiter struct {
@@ -143,11 +142,11 @@ type Limiter struct {
 	clock netsim.Clock
 
 	mu       sync.Mutex
-	inflight int // admitted weight
+	inflight int // admitted requests
 	queue    []*waiter
 	draining bool
 	drained  chan struct{} // lazily made by Drain; closed at idle
-	// ewmaSvc estimates service time per unit weight (EWMA over
+	// ewmaSvc estimates a request's service time (EWMA over
 	// completions); 0 until the first completion.
 	ewmaSvc time.Duration
 	stats   Stats
@@ -159,7 +158,7 @@ type Limiter struct {
 
 // Stats is a point-in-time snapshot of the limiter.
 type Stats struct {
-	// Inflight is the currently admitted weight.
+	// Inflight is the number of currently admitted requests.
 	Inflight int
 	// Queued is the number of waiters in the queue.
 	Queued int
@@ -272,25 +271,21 @@ func (l *Limiter) drainedChLocked() chan struct{} {
 	return nil
 }
 
-// Begin requests admission for weight units without blocking. It
-// returns a Ticket whose channel resolves to a release function (or
-// nil on shed), or an immediate rejection error. Experiments use it
-// to drive the limiter from a single-threaded event loop; most
-// callers want Acquire.
-func (l *Limiter) Begin(ctx context.Context, weight int) (*Ticket, error) {
+// Begin requests admission without blocking. It returns a Ticket
+// whose channel resolves to a release function (or nil on shed), or an
+// immediate rejection error. Experiments use it to drive the limiter
+// from a single-threaded event loop; most callers want Acquire.
+func (l *Limiter) Begin(ctx context.Context) (*Ticket, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if weight <= 0 {
-		weight = 1
-	}
 	now := l.clock.Now()
 	dl, hasDL := l.resolveDeadline(ctx, now)
 
-	w := &waiter{weight: weight, enqueuedAt: now, admit: make(chan func(), 1)}
+	w := &waiter{enqueuedAt: now, admit: make(chan func(), 1)}
 	if hasDL {
 		w.deadline = dl
 	}
@@ -298,16 +293,18 @@ func (l *Limiter) Begin(ctx context.Context, weight int) (*Ticket, error) {
 	l.mu.Lock()
 	if l.draining {
 		l.stats.ShedDraining++
-		hint := l.retryHintLocked(weight)
+		hint := l.retryHintLocked()
 		l.mu.Unlock()
 		inc(l.mDraining)
 		return nil, &Rejection{Err: ErrDraining, RetryAfter: hint}
 	}
-	if l.canAdmitNowLocked(weight) {
-		l.inflight += weight
+	// The queue holds waiters only while every slot is taken, so a
+	// newcomer never overtakes it.
+	if len(l.queue) == 0 && l.inflight < l.cfg.MaxConcurrency {
+		l.inflight++
 		l.stats.Admitted++
 		w.state = wAdmitted
-		rel := l.releaser(weight, now)
+		rel := l.releaser(now)
 		l.mu.Unlock()
 		inc(l.mAdmitted)
 		w.admit <- rel
@@ -315,7 +312,7 @@ func (l *Limiter) Begin(ctx context.Context, weight int) (*Ticket, error) {
 	}
 	if len(l.queue) >= l.cfg.MaxQueue {
 		l.stats.ShedQueueFull++
-		hint := l.retryHintLocked(weight)
+		hint := l.retryHintLocked()
 		l.mu.Unlock()
 		inc(l.mQueueFull)
 		return nil, &Rejection{Err: ErrQueueFull, RetryAfter: hint}
@@ -324,10 +321,10 @@ func (l *Limiter) Begin(ctx context.Context, weight int) (*Ticket, error) {
 		// Predicted completion = queue wait ahead of us + our own
 		// service; shed now if it lands past the deadline, instead of
 		// wasting a queue slot on work that will time out anyway.
-		eta := now + l.predictWaitLocked(weight) + l.ewmaSvc*time.Duration(weight)
+		eta := now + l.predictWaitLocked() + l.ewmaSvc
 		if dl <= now || (l.ewmaSvc > 0 && eta > dl) {
 			l.stats.ShedDeadline++
-			hint := l.retryHintLocked(weight)
+			hint := l.retryHintLocked()
 			l.mu.Unlock()
 			inc(l.mDeadline)
 			return nil, &Rejection{Err: ErrDeadline, RetryAfter: hint}
@@ -340,12 +337,14 @@ func (l *Limiter) Begin(ctx context.Context, weight int) (*Ticket, error) {
 
 // Acquire blocks until the request is admitted, shed, or ctx is done.
 // On success it returns the release function, which the caller must
-// invoke exactly once when the work completes.
-func (l *Limiter) Acquire(ctx context.Context, weight int) (func(), error) {
+// invoke exactly once when the work completes. Every request counts
+// one; the ignored variadic tail keeps compiling the weight of 1 that
+// the repository benchmark under bench/ still passes.
+func (l *Limiter) Acquire(ctx context.Context, _ ...int) (func(), error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	t, err := l.Begin(ctx, weight)
+	t, err := l.Begin(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +401,7 @@ func (l *Limiter) Drain(ctx context.Context) error {
 		l.mu.Lock()
 		inflight := l.inflight
 		l.mu.Unlock()
-		return fmt.Errorf("admission: drain aborted with %d weight in flight: %w", inflight, ctx.Err())
+		return fmt.Errorf("admission: drain aborted with %d requests in flight: %w", inflight, ctx.Err())
 	}
 }
 
@@ -417,43 +416,31 @@ func (l *Limiter) Stats() Stats {
 	return s
 }
 
-// canAdmitNowLocked reports whether weight fits right now. A newcomer
-// never overtakes the queue, even when it would fit where the head
-// waiter does not.
-func (l *Limiter) canAdmitNowLocked(weight int) bool {
-	return len(l.queue) == 0 && l.inflight+weight <= l.cfg.MaxConcurrency
-}
-
-// predictWaitLocked estimates the queue wait for a new waiter of the
-// given weight: the weight ahead of it served at the limit's
-// parallelism, priced at the EWMA service time. A heuristic, not a
-// queueing model — it only needs to be right about "can this deadline
-// possibly survive".
-func (l *Limiter) predictWaitLocked(weight int) time.Duration {
+// predictWaitLocked estimates the queue wait for a new waiter: the
+// waiters ahead of it and itself served at the limit's parallelism,
+// priced at the EWMA service time. A heuristic, not a queueing model —
+// it only needs to be right about "can this deadline possibly survive".
+func (l *Limiter) predictWaitLocked() time.Duration {
 	if l.ewmaSvc == 0 {
 		return 0
 	}
-	ahead := 0
-	for _, w := range l.queue {
-		ahead += w.weight
-	}
-	return l.ewmaSvc * time.Duration(ahead+weight) / time.Duration(l.cfg.MaxConcurrency)
+	return l.ewmaSvc * time.Duration(len(l.queue)+1) / time.Duration(l.cfg.MaxConcurrency)
 }
 
 // retryHintLocked sizes a rejection's retry hint: roughly when the
 // present queue should clear, with a floor before any estimate.
-func (l *Limiter) retryHintLocked(weight int) time.Duration {
-	if hint := l.predictWaitLocked(weight); hint > 0 {
+func (l *Limiter) retryHintLocked() time.Duration {
+	if hint := l.predictWaitLocked(); hint > 0 {
 		return hint
 	}
 	return retryHint
 }
 
 // releaser builds the one-shot release function for an admission.
-func (l *Limiter) releaser(weight int, admittedAt time.Duration) func() {
+func (l *Limiter) releaser(admittedAt time.Duration) func() {
 	var once sync.Once
 	return func() {
-		once.Do(func() { l.finish(weight, admittedAt) })
+		once.Do(func() { l.finish(admittedAt) })
 	}
 }
 
@@ -463,23 +450,22 @@ type wakeEntry struct {
 	rel func() // nil = shed
 }
 
-// finish returns weight to the pool, folds the observed service time
+// finish frees the request's slot, folds the observed service time
 // into the estimator, and admits queued waiters.
 // Channel deliveries happen strictly outside l.mu (the lockcheck
 // invariant: no channel operations while a mutex is held).
-func (l *Limiter) finish(weight int, admittedAt time.Duration) {
+func (l *Limiter) finish(admittedAt time.Duration) {
 	now := l.clock.Now()
 	svc := now - admittedAt
 
 	l.mu.Lock()
-	l.inflight -= weight
-	perUnit := svc / time.Duration(weight)
+	l.inflight--
 	if l.ewmaSvc == 0 {
-		l.ewmaSvc = perUnit
+		l.ewmaSvc = svc
 	} else {
 		// EWMA with alpha = 1/8: smooth enough to ride out one slow
 		// query, fresh enough to track a shifting workload.
-		l.ewmaSvc += (perUnit - l.ewmaSvc) / 8
+		l.ewmaSvc += (svc - l.ewmaSvc) / 8
 	}
 	wake := l.admitQueuedLocked(now)
 	ch := l.drainedChLocked()
@@ -510,22 +496,22 @@ func (l *Limiter) admitQueuedLocked(now time.Duration) []wakeEntry {
 			// on work whose caller already gave up.
 			l.queue = append(l.queue[:0], l.queue[1:]...)
 			w.state = wShed
-			w.rej = &Rejection{Err: ErrDeadline, RetryAfter: l.retryHintLocked(w.weight)}
+			w.rej = &Rejection{Err: ErrDeadline, RetryAfter: l.retryHintLocked()}
 			l.stats.Expired++
 			wake = append(wake, wakeEntry{w: w})
 			continue
 		}
-		if l.inflight+w.weight > l.cfg.MaxConcurrency {
+		if l.inflight >= l.cfg.MaxConcurrency {
 			break
 		}
 		l.queue = append(l.queue[:0], l.queue[1:]...)
-		l.inflight += w.weight
+		l.inflight++
 		l.stats.Admitted++
 		w.state = wAdmitted
 		if l.mQueueWait != nil {
 			l.mQueueWait.Record(now - w.enqueuedAt)
 		}
-		wake = append(wake, wakeEntry{w: w, rel: l.releaser(w.weight, now)})
+		wake = append(wake, wakeEntry{w: w, rel: l.releaser(now)})
 	}
 	return wake
 }

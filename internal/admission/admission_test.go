@@ -60,17 +60,17 @@ func TestLimiterAdmitAndQueue(t *testing.T) {
 	l := NewLimiter(Config{Name: "t", MaxConcurrency: 2, MaxQueue: 4, Clock: vc, Metrics: reg})
 	ctx := context.Background()
 
-	t1, err := l.Begin(ctx, 1)
+	t1, err := l.Begin(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := l.Begin(ctx, 1)
+	t2, err := l.Begin(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel1, rel2 := take(t, t1), take(t, t2)
 
-	t3, err := l.Begin(ctx, 1)
+	t3, err := l.Begin(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +101,14 @@ func TestLimiterQueueBound(t *testing.T) {
 	l := NewLimiter(Config{MaxConcurrency: 1, MaxQueue: 2, Clock: vc})
 	ctx := context.Background()
 
-	t1, _ := l.Begin(ctx, 1)
+	t1, _ := l.Begin(ctx)
 	rel := take(t, t1)
-	q1, _ := l.Begin(ctx, 1)
-	q2, _ := l.Begin(ctx, 1)
+	q1, _ := l.Begin(ctx)
+	q2, _ := l.Begin(ctx)
 	pending(t, q1)
 	pending(t, q2)
 
-	_, err := l.Begin(ctx, 1)
+	_, err := l.Begin(ctx)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third waiter got %v, want ErrQueueFull", err)
 	}
@@ -125,9 +125,9 @@ func TestLimiterQueueBound(t *testing.T) {
 
 func TestLimiterZeroQueueShedsImmediately(t *testing.T) {
 	l := NewLimiter(Config{MaxConcurrency: 1, MaxQueue: 0, Clock: netsim.NewVirtualClock()})
-	t1, _ := l.Begin(context.Background(), 1)
+	t1, _ := l.Begin(context.Background())
 	rel := take(t, t1)
-	if _, err := l.Begin(context.Background(), 1); !errors.Is(err, ErrQueueFull) {
+	if _, err := l.Begin(context.Background()); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("got %v, want ErrQueueFull with MaxQueue=0", err)
 	}
 	rel()
@@ -138,11 +138,11 @@ func TestLimiterFIFOOrder(t *testing.T) {
 	l := NewLimiter(Config{MaxConcurrency: 1, MaxQueue: 8, Clock: vc})
 	ctx := context.Background()
 
-	first, _ := l.Begin(ctx, 1)
+	first, _ := l.Begin(ctx)
 	rel := take(t, first)
 	var tickets []*Ticket
 	for i := 0; i < 3; i++ {
-		tk, err := l.Begin(ctx, 1)
+		tk, err := l.Begin(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,52 +178,33 @@ func TestLimiterFIFOOrder(t *testing.T) {
 	}
 }
 
-// A newcomer never overtakes the queue, even when capacity frees for
-// a light request a heavy head-of-queue waiter cannot use.
-func TestFIFONeverOvertakes(t *testing.T) {
-	l := NewLimiter(Config{MaxConcurrency: 2, MaxQueue: 8, Clock: netsim.NewVirtualClock()})
-	ctx := context.Background()
-	a, _ := l.Begin(ctx, 1)
-	relA := take(t, a)
-	heavy, _ := l.Begin(ctx, 2) // queued: 1+2 exceeds the limit
-	pending(t, heavy)
-	// One unit of capacity is free, which heavy cannot use; the
-	// newcomer would fit but queues behind heavy.
-	narrow, _ := l.Begin(ctx, 1)
-	pending(t, narrow)
-	// Unwind: freeing A admits heavy; freeing heavy admits narrow.
-	relA()
-	take(t, heavy)()
-	take(t, narrow)()
-}
-
 func TestLimiterDeadlineShed(t *testing.T) {
 	vc := netsim.NewVirtualClock()
 	l := NewLimiter(Config{MaxConcurrency: 1, MaxQueue: 8, Clock: vc})
 	ctx := context.Background()
 
 	// Teach the estimator: one request served in 10ms.
-	t1, _ := l.Begin(ctx, 1)
+	t1, _ := l.Begin(ctx)
 	rel := take(t, t1)
 	vc.Sleep(10 * time.Millisecond)
 	rel()
 
 	// Occupy capacity and half the queue.
-	hold, _ := l.Begin(ctx, 1)
+	hold, _ := l.Begin(ctx)
 	relHold := take(t, hold)
-	q1, _ := l.Begin(ctx, 1)
-	q2, _ := l.Begin(ctx, 1)
+	q1, _ := l.Begin(ctx)
+	q2, _ := l.Begin(ctx)
 
 	// Predicted completion for a 4th concurrent request ≈ 3 queued
 	// services + its own ≈ 40ms; a 5ms budget cannot survive it.
 	tight := WithDeadlineAt(ctx, vc.Now()+5*time.Millisecond)
-	_, err := l.Begin(tight, 1)
+	_, err := l.Begin(tight)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("tight deadline got %v, want ErrDeadline", err)
 	}
 	// A roomy budget queues fine.
 	roomy := WithDeadlineAt(ctx, vc.Now()+time.Second)
-	q3, err := l.Begin(roomy, 1)
+	q3, err := l.Begin(roomy)
 	if err != nil {
 		t.Fatalf("roomy deadline rejected: %v", err)
 	}
@@ -242,11 +223,11 @@ func TestLimiterExpiredInQueueShed(t *testing.T) {
 	l := NewLimiter(Config{MaxConcurrency: 1, MaxQueue: 8, Clock: vc})
 	ctx := context.Background()
 
-	hold, _ := l.Begin(ctx, 1)
+	hold, _ := l.Begin(ctx)
 	rel := take(t, hold)
 	// Queued with a deadline that lapses while waiting (no service
 	// estimate yet, so the arrival-time shed cannot catch it).
-	short, _ := l.Begin(WithDeadlineAt(ctx, vc.Now()+5*time.Millisecond), 1)
+	short, _ := l.Begin(WithDeadlineAt(ctx, vc.Now()+5*time.Millisecond))
 	pending(t, short)
 	vc.Sleep(50 * time.Millisecond)
 	rel()
@@ -258,7 +239,7 @@ func TestLimiterExpiredInQueueShed(t *testing.T) {
 		t.Fatalf("Expired = %d", s.Expired)
 	}
 	// The expired waiter must not have consumed the freed capacity.
-	next, _ := l.Begin(ctx, 1)
+	next, _ := l.Begin(ctx)
 	take(t, next)()
 }
 
@@ -267,18 +248,18 @@ func TestLimiterWallClockContextDeadline(t *testing.T) {
 	// path through the wallRemaining shim.
 	l := NewLimiter(Config{MaxConcurrency: 1, MaxQueue: 8})
 	ctx := context.Background()
-	t1, _ := l.Begin(ctx, 1)
+	t1, _ := l.Begin(ctx)
 	rel := take(t, t1)
 	time.Sleep(2 * time.Millisecond)
 	rel() // seed the estimator with ~2ms service
 
-	hold, _ := l.Begin(ctx, 1)
+	hold, _ := l.Begin(ctx)
 	relHold := take(t, hold)
 	tight, cancel := context.WithDeadline(ctx, time.Now().Add(time.Millisecond))
 	defer cancel()
 	// Either the shim sheds it (predicted wait ≈ 4ms > 1ms budget) or
 	// the context expired on the way in; both must refuse admission.
-	if _, err := l.Begin(tight, 1); err == nil {
+	if _, err := l.Begin(tight); err == nil {
 		t.Fatal("un-meetable wall deadline admitted")
 	}
 	relHold()
@@ -289,10 +270,10 @@ func TestLimiterDrain(t *testing.T) {
 	l := NewLimiter(Config{MaxConcurrency: 2, MaxQueue: 4, Clock: vc})
 	ctx := context.Background()
 
-	a, _ := l.Begin(ctx, 1)
-	b, _ := l.Begin(ctx, 1)
+	a, _ := l.Begin(ctx)
+	b, _ := l.Begin(ctx)
 	relA, relB := take(t, a), take(t, b)
-	queued, _ := l.Begin(ctx, 1)
+	queued, _ := l.Begin(ctx)
 	pending(t, queued)
 
 	drained := make(chan error, 1)
@@ -318,7 +299,7 @@ func TestLimiterDrain(t *testing.T) {
 		t.Fatalf("queued waiter reason = %v", err)
 	}
 	// ...new arrivals are refused...
-	if _, err := l.Begin(ctx, 1); !errors.Is(err, ErrDraining) {
+	if _, err := l.Begin(ctx); !errors.Is(err, ErrDraining) {
 		t.Fatalf("begin during drain = %v", err)
 	}
 	// ...and Drain waits for both in-flight releases: zero dropped.
@@ -350,7 +331,7 @@ func TestLimiterDrain(t *testing.T) {
 
 func TestLimiterDrainDeadline(t *testing.T) {
 	l := NewLimiter(Config{MaxConcurrency: 1, Clock: netsim.NewVirtualClock()})
-	tk, _ := l.Begin(context.Background(), 1)
+	tk, _ := l.Begin(context.Background())
 	rel := take(t, tk)
 	dctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -367,13 +348,13 @@ func TestLimiterDrainDeadline(t *testing.T) {
 
 func TestAcquireCancelWhileQueued(t *testing.T) {
 	l := NewLimiter(Config{MaxConcurrency: 1, MaxQueue: 4, Clock: netsim.NewVirtualClock()})
-	hold, _ := l.Begin(context.Background(), 1)
+	hold, _ := l.Begin(context.Background())
 	rel := take(t, hold)
 
 	cctx, cancel := context.WithCancel(context.Background())
 	got := make(chan error, 1)
 	go func() {
-		_, err := l.Acquire(cctx, 1)
+		_, err := l.Acquire(cctx)
 		got <- err
 	}()
 	// Wait until the acquire is queued, then cancel it.
@@ -388,7 +369,7 @@ func TestAcquireCancelWhileQueued(t *testing.T) {
 	}
 	// The slot is intact: release and reacquire.
 	rel()
-	release, err := l.Acquire(context.Background(), 1)
+	release, err := l.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +389,7 @@ func TestLimiterConcurrentInvariant(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				rel, err := l.Acquire(ctx, 1)
+				rel, err := l.Acquire(ctx)
 				if err != nil {
 					// Queue overflow under contention is a valid shed.
 					if !errors.Is(err, ErrQueueFull) {
@@ -453,7 +434,7 @@ func TestLimiterDrainUnderLoad(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 20; i++ {
-				rel, err := l.Acquire(ctx, 1)
+				rel, err := l.Acquire(ctx)
 				if err != nil {
 					if !IsShed(err) {
 						t.Errorf("non-shed acquire error: %v", err)

@@ -1,7 +1,6 @@
 // Package align implements pairwise protein sequence alignment
-// (Needleman–Wunsch global and Smith–Waterman local, plus a banded
-// global variant) and the evolutionary distances the phylogenetics
-// layer consumes.
+// (Needleman–Wunsch global, plus a banded global variant) and the
+// evolutionary distance the phylogenetics layer consumes.
 package align
 
 import (
@@ -14,12 +13,8 @@ type Result struct {
 	// Score is the optimal alignment score under the scoring used.
 	Score int
 	// A and B are the aligned sequences with '-' gap characters; both
-	// have equal length. For local alignment they cover only the
-	// optimal local region.
+	// have equal length.
 	A, B string
-	// StartA/StartB are the 0-based offsets of the aligned region in
-	// the original sequences (always 0 for global alignment).
-	StartA, StartB int
 	// Identity is the fraction of aligned columns (gaps included in
 	// the denominator) where the residues match exactly.
 	Identity float64
@@ -86,48 +81,8 @@ func Global(a, b string, s *Scoring) *Result {
 			trace[row+j] = mv
 		}
 	}
-	res := traceback(a, b, trace, w, n, m, func(i, j int) bool { return i == 0 && j == 0 })
+	res := traceback(a, b, trace, w, n, m)
 	res.Score = score[n*w+m]
-	res.computeIdentity()
-	return res
-}
-
-// Local computes the optimal Smith–Waterman local alignment of a and b
-// under s with linear gap penalties.
-func Local(a, b string, s *Scoring) *Result {
-	n, m := len(a), len(b)
-	gap := s.GapPenalty
-	w := m + 1
-	score := make([]int, (n+1)*w)
-	trace := make([]move, (n+1)*w)
-	bestScore, bi, bj := 0, 0, 0
-	for i := 1; i <= n; i++ {
-		rowPrev := (i - 1) * w
-		row := i * w
-		ca := a[i-1]
-		for j := 1; j <= m; j++ {
-			diag := score[rowPrev+j-1] + s.Score(ca, b[j-1])
-			up := score[rowPrev+j] - gap
-			left := score[row+j-1] - gap
-			best, mv := 0, moveNone
-			if diag > best {
-				best, mv = diag, moveDiag
-			}
-			if up > best {
-				best, mv = up, moveUp
-			}
-			if left > best {
-				best, mv = left, moveLeft
-			}
-			score[row+j] = best
-			trace[row+j] = mv
-			if best > bestScore {
-				bestScore, bi, bj = best, i, j
-			}
-		}
-	}
-	res := traceback(a, b, trace, w, bi, bj, func(i, j int) bool { return trace[i*w+j] == moveNone })
-	res.Score = bestScore
 	res.computeIdentity()
 	return res
 }
@@ -201,17 +156,17 @@ func GlobalBanded(a, b string, s *Scoring, k int) (*Result, error) {
 	if score[n*w+m] == minScore {
 		return nil, fmt.Errorf("align: band %d too narrow to reach the end", k)
 	}
-	res := traceback(a, b, trace, w, n, m, func(i, j int) bool { return i == 0 && j == 0 })
+	res := traceback(a, b, trace, w, n, m)
 	res.Score = score[n*w+m]
 	res.computeIdentity()
 	return res, nil
 }
 
-// traceback reconstructs the alignment from the trace matrix starting
-// at (i, j) and stopping when stop reports true.
-func traceback(a, b string, trace []move, w, i, j int, stop func(i, j int) bool) *Result {
+// traceback reconstructs the alignment from the trace matrix, walking
+// from (i, j) back to the origin.
+func traceback(a, b string, trace []move, w, i, j int) *Result {
 	var ra, rb []byte
-	for !stop(i, j) {
+	for i > 0 || j > 0 {
 		switch trace[i*w+j] {
 		case moveDiag:
 			ra = append(ra, a[i-1])
@@ -228,12 +183,12 @@ func traceback(a, b string, trace []move, w, i, j int, stop func(i, j int) bool)
 			j--
 		default:
 			// Defensive: a malformed trace would loop forever.
-			panic("align: traceback hit moveNone before stop condition")
+			panic("align: traceback hit moveNone before the origin")
 		}
 	}
 	reverse(ra)
 	reverse(rb)
-	return &Result{A: string(ra), B: string(rb), StartA: i, StartB: j}
+	return &Result{A: string(ra), B: string(rb)}
 }
 
 func reverse(b []byte) {
@@ -242,17 +197,12 @@ func reverse(b []byte) {
 	}
 }
 
-// Distance converts a global alignment into an evolutionary distance
-// estimate in [0, ~3]: the Jukes–Cantor-style corrected p-distance
-// d = -ln(1 - p·19/20)·(19/20) computed over aligned non-gap columns.
-// Identical sequences give 0; p ≥ 0.95 saturates to the cap.
-func Distance(a, b string, s *Scoring) float64 {
-	res := Global(a, b, s)
-	return resultDistance(res)
-}
-
-// DistanceBanded is Distance over a banded alignment, falling back to
-// the exact algorithm if the band fails.
+// DistanceBanded converts a banded global alignment into an
+// evolutionary distance estimate in [0, ~3]: the Jukes–Cantor-style
+// corrected p-distance d = -ln(1 - p·19/20)·(19/20) computed over
+// aligned non-gap columns. Identical sequences give 0; p ≥ 0.95
+// saturates to the cap. It falls back to the exact algorithm (Global)
+// when the band fails.
 func DistanceBanded(a, b string, s *Scoring, k int) float64 {
 	res, err := GlobalBanded(a, b, s, k)
 	if err != nil {

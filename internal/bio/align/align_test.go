@@ -142,50 +142,6 @@ func TestGlobalScoreSymmetric(t *testing.T) {
 	}
 }
 
-func TestLocalFindsEmbeddedMotif(t *testing.T) {
-	s := Identity(3, 3, 4)
-	a := "WWWWWACDEFGHWWWWW"
-	b := "YYACDEFGHYY"
-	r := Local(a, b, s)
-	if r.A != "ACDEFGH" || r.B != "ACDEFGH" {
-		t.Fatalf("local alignment = %q/%q, want ACDEFGH motif", r.A, r.B)
-	}
-	if r.Score != 21 {
-		t.Fatalf("score = %d, want 21", r.Score)
-	}
-	if r.StartA != 5 || r.StartB != 2 {
-		t.Fatalf("starts = %d/%d, want 5/2", r.StartA, r.StartB)
-	}
-}
-
-func TestLocalNoPositiveScore(t *testing.T) {
-	s := Identity(1, 5, 5)
-	r := Local("AAAA", "WWWW", s)
-	if r.Score != 0 || r.A != "" {
-		t.Fatalf("expected empty local alignment, got score=%d %q", r.Score, r.A)
-	}
-}
-
-func TestLocalScoreAtLeastGlobal(t *testing.T) {
-	// Property: the optimal local score is ≥ max(0, global score).
-	s := BLOSUM62(8)
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		var a, b strings.Builder
-		for i := 0; i < 10+rng.Intn(30); i++ {
-			a.WriteByte(seq.AminoAcids[rng.Intn(20)])
-		}
-		for i := 0; i < 10+rng.Intn(30); i++ {
-			b.WriteByte(seq.AminoAcids[rng.Intn(20)])
-		}
-		g := Global(a.String(), b.String(), s).Score
-		l := Local(a.String(), b.String(), s).Score
-		if l < g || l < 0 {
-			t.Fatalf("local %d < global %d (or negative)", l, g)
-		}
-	}
-}
-
 func TestGlobalBandedMatchesExactForWideBand(t *testing.T) {
 	s := BLOSUM62(8)
 	rng := rand.New(rand.NewSource(3))
@@ -233,16 +189,16 @@ func TestGlobalBandedIdentical(t *testing.T) {
 func TestDistanceProperties(t *testing.T) {
 	s := BLOSUM62(8)
 	a := "MKVLAARHGCDEFGHIKLMNPQRST"
-	if d := Distance(a, a, s); d != 0 {
+	if d := resultDistance(Global(a, a, s)); d != 0 {
 		t.Fatalf("self distance = %g, want 0", d)
 	}
 	b := "MKVLAARHGCDEFGHIKLMNPQRSV" // one substitution
-	d1 := Distance(a, b, s)
+	d1 := resultDistance(Global(a, b, s))
 	if d1 <= 0 || d1 > 0.2 {
 		t.Fatalf("one-substitution distance = %g, want small positive", d1)
 	}
 	c := "WWWWWWWWWWWWWWWWWWWWWWWWW"
-	d2 := Distance(a, c, s)
+	d2 := resultDistance(Global(a, c, s))
 	if d2 <= d1 {
 		t.Fatalf("unrelated distance %g not greater than near distance %g", d2, d1)
 	}
@@ -255,7 +211,7 @@ func TestDistanceSymmetric(t *testing.T) {
 	s := BLOSUM62(8)
 	a := "MKVLAARHGCDEF"
 	b := "MKVLWWRHGCD"
-	if d1, d2 := Distance(a, b, s), Distance(b, a, s); d1 != d2 {
+	if d1, d2 := resultDistance(Global(a, b, s)), resultDistance(Global(b, a, s)); d1 != d2 {
 		t.Fatalf("asymmetric distance: %g vs %g", d1, d2)
 	}
 }
@@ -264,7 +220,7 @@ func TestDistanceBandedFallsBack(t *testing.T) {
 	s := BLOSUM62(8)
 	// Band of 1 cannot cover a length difference of 5 → falls back.
 	d := DistanceBanded("ACDEFGHIKL", "ACDEF", s, 1)
-	want := Distance("ACDEFGHIKL", "ACDEF", s)
+	want := resultDistance(Global("ACDEFGHIKL", "ACDEF", s))
 	if d != want {
 		t.Fatalf("fallback distance %g != exact %g", d, want)
 	}

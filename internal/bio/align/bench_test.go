@@ -46,11 +46,6 @@ func BenchmarkAlignment(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Local", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Local(seqs[0], seqs[1], s)
-		}
-	})
 }
 
 // BenchmarkDistance compares alignment-based and alignment-free

@@ -1,7 +1,6 @@
 package seq
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"strings"
@@ -158,80 +157,6 @@ func TestKmerCosineRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFASTARoundTrip(t *testing.T) {
-	in := []*Protein{
-		{ID: "P001", Name: "kinase alpha", Family: "FAM1", Residues: strings.Repeat("ACDEFGHIKLMNPQRSTVWY", 7)},
-		{ID: "P002", Name: "", Family: "", Residues: "MKVLA"},
-		{ID: "P003", Name: "two words here", Family: "FAM2", Residues: "WWWWW"},
-	}
-	var buf bytes.Buffer
-	if err := WriteFASTA(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ParseFASTA(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("parsed %d records, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i].ID != in[i].ID || out[i].Name != in[i].Name ||
-			out[i].Family != in[i].Family || out[i].Residues != in[i].Residues {
-			t.Errorf("record %d mismatch:\n got %+v\nwant %+v", i, out[i], in[i])
-		}
-	}
-}
-
-func TestFASTAWrapsLongLines(t *testing.T) {
-	long := strings.Repeat("A", 150)
-	var buf bytes.Buffer
-	if err := WriteFASTA(&buf, []*Protein{{ID: "P", Residues: long}}); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if len(line) > 60 && line[0] != '>' {
-			t.Fatalf("sequence line longer than 60 cols: %d", len(line))
-		}
-	}
-	out, err := ParseFASTA(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Residues != long {
-		t.Fatalf("wrapped sequence did not round-trip")
-	}
-}
-
-func TestFASTAErrors(t *testing.T) {
-	if _, err := ParseFASTA(strings.NewReader("ACDEF\n")); err == nil {
-		t.Error("sequence before defline accepted")
-	}
-	if _, err := ParseFASTA(strings.NewReader(">P1 ok\nAC1DEF\n")); err == nil {
-		t.Error("invalid residue accepted")
-	}
-}
-
-func TestFASTALowercaseNormalized(t *testing.T) {
-	out, err := ParseFASTA(strings.NewReader(">P1\nacdef\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Residues != "ACDEF" {
-		t.Fatalf("Residues = %q, want ACDEF", out[0].Residues)
-	}
-}
-
-func TestFASTAEmptyInput(t *testing.T) {
-	out, err := ParseFASTA(strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 {
-		t.Fatalf("parsed %d records from empty input", len(out))
 	}
 }
 

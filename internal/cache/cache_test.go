@@ -286,7 +286,7 @@ func TestPrefetcherHistoryBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.RecordVisit(ids["a"])
 	}
-	if got := len(p.History()); got > 8 {
+	if got := len(p.history); got > 8 {
 		t.Fatalf("history length = %d", got)
 	}
 	_ = tr

@@ -40,13 +40,6 @@ func (p *Prefetcher) RecordVisit(node phylo.NodeID) {
 	}
 }
 
-// History returns a copy of the recorded visits (most recent last).
-func (p *Prefetcher) History() []phylo.NodeID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]phylo.NodeID(nil), p.history...)
-}
-
 // Reset clears the history (new session).
 func (p *Prefetcher) Reset() {
 	p.mu.Lock()

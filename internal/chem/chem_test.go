@@ -16,8 +16,8 @@ func mustParse(t *testing.T, s string) *Mol {
 
 func TestParseMethane(t *testing.T) {
 	m := mustParse(t, "C")
-	if m.NumAtoms() != 1 || m.NumBonds() != 0 {
-		t.Fatalf("atoms=%d bonds=%d", m.NumAtoms(), m.NumBonds())
+	if len(m.Atoms) != 1 || len(m.Bonds) != 0 {
+		t.Fatalf("atoms=%d bonds=%d", len(m.Atoms), len(m.Bonds))
 	}
 	if m.Atoms[0].HCount != 4 {
 		t.Fatalf("methane H count = %d, want 4", m.Atoms[0].HCount)
@@ -67,8 +67,8 @@ func TestParseBranches(t *testing.T) {
 
 func TestParseCyclohexane(t *testing.T) {
 	m := mustParse(t, "C1CCCCC1")
-	if m.NumAtoms() != 6 || m.NumBonds() != 6 {
-		t.Fatalf("atoms=%d bonds=%d, want 6/6", m.NumAtoms(), m.NumBonds())
+	if len(m.Atoms) != 6 || len(m.Bonds) != 6 {
+		t.Fatalf("atoms=%d bonds=%d, want 6/6", len(m.Atoms), len(m.Bonds))
 	}
 	if m.Formula() != "C6H12" {
 		t.Fatalf("cyclohexane formula = %q", m.Formula())
@@ -146,8 +146,8 @@ func TestParseHalogens(t *testing.T) {
 
 func TestParseDisconnected(t *testing.T) {
 	m := mustParse(t, "C.C")
-	if m.NumAtoms() != 2 || m.NumBonds() != 0 {
-		t.Fatalf("atoms=%d bonds=%d", m.NumAtoms(), m.NumBonds())
+	if len(m.Atoms) != 2 || len(m.Bonds) != 0 {
+		t.Fatalf("atoms=%d bonds=%d", len(m.Atoms), len(m.Bonds))
 	}
 	if m.RingCount() != 0 {
 		t.Fatalf("ring count = %d", m.RingCount())
@@ -157,8 +157,8 @@ func TestParseDisconnected(t *testing.T) {
 func TestParsePercentRingClosure(t *testing.T) {
 	// Same molecule as cyclohexane but via %12 closure.
 	m := mustParse(t, "C%12CCCCC%12")
-	if m.NumBonds() != 6 {
-		t.Fatalf("bonds = %d, want 6", m.NumBonds())
+	if len(m.Bonds) != 6 {
+		t.Fatalf("bonds = %d, want 6", len(m.Bonds))
 	}
 }
 

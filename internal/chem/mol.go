@@ -101,15 +101,6 @@ var defaultValence = map[string]int{
 	"F": 1, "Cl": 1, "Br": 1, "I": 1,
 }
 
-// NumAtoms returns the number of heavy atoms.
-func (m *Mol) NumAtoms() int { return len(m.Atoms) }
-
-// NumBonds returns the number of bonds.
-func (m *Mol) NumBonds() int { return len(m.Bonds) }
-
-// Neighbors returns the bond indices incident to atom i.
-func (m *Mol) Neighbors(i int) []int { return m.adj[i] }
-
 // Other returns the atom at the far end of bond b from atom i.
 func (m *Mol) Other(b Bond, i int) int {
 	if b.A == i {

@@ -453,7 +453,7 @@ func (e *Engine) QueryColumns(ctx context.Context, src string) (*query.Result, e
 // subtree would be a second one).
 func (e *Engine) execute(ctx context.Context, stmt *query.SelectStmt, snap *store.SnapshotHandle, start time.Time) (*query.Result, error) {
 	if e.limiter != nil {
-		release, err := e.limiter.Acquire(ctx, 1)
+		release, err := e.limiter.Acquire(ctx)
 		if err != nil {
 			e.Metrics.Counter("query.shed").Inc()
 			return nil, fmt.Errorf("core: query admission: %w", err)

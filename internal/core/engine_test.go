@@ -41,7 +41,7 @@ func buildEngine(t *testing.T, cfg Config) *Engine {
 // buildEngineFrom generates the dataset gen describes, integrates it
 // into a fresh in-memory store and builds an engine over it; the
 // importer is returned for tests that resync.
-func buildEngineFrom(t *testing.T, gen datagen.Config, cfg Config) (*Engine, *integrate.Importer) {
+func buildEngineFrom(t testing.TB, gen datagen.Config, cfg Config) (*Engine, *integrate.Importer) {
 	t.Helper()
 	ds, err := datagen.Generate(gen)
 	if err != nil {
@@ -639,7 +639,7 @@ func TestQueryAdmissionGate(t *testing.T) {
 
 	// Saturate the single slot, then a second query must shed with a
 	// typed rejection instead of queueing.
-	release, err := e.Limiter().Acquire(context.Background(), 1)
+	release, err := e.Limiter().Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +675,7 @@ func TestQueryStmtCacheBypassesAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Saturate the limiter: the cached statement must still answer.
-	release, err := e.Limiter().Acquire(context.Background(), 1)
+	release, err := e.Limiter().Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"drugtree/internal/datagen"
 	"drugtree/internal/phylo"
+	"drugtree/internal/query"
 )
 
 var updatePlans = flag.Bool("update-plans", false, "rewrite testdata/analytics_plans.golden from the current planner")
@@ -56,20 +57,25 @@ func spread[T any](xs []T) [3]T {
 	return [3]T{xs[0], xs[len(xs)/2], xs[len(xs)-1]}
 }
 
-// TestAnalyticsPlansGolden pins the plans the analytics workload is
-// served: EXPLAIN of the repository benchmark's six statement classes
-// (texts as bench/oplist.go's classStatements writes them) at three
-// parameter draws each — the smallest, middle and largest panel clade,
-// the 0.81, 0.89 and 0.97 affinity quantiles and the first, middle and
-// last family — over the smoke-sized D1 the benchmark builds, with the
-// importer's indexes. Rewrite testdata/analytics_plans.golden only for
-// an intended plan change, with `go test ./internal/core -run
-// TestAnalyticsPlansGolden -update-plans`.
-func TestAnalyticsPlansGolden(t *testing.T) {
-	e, _ := buildEngineFrom(t, smokeD1(), DefaultConfig())
+// analyticsStmt is one statement of the analytics workload: its class
+// and parameter draw, and its text.
+type analyticsStmt struct {
+	class string
+	draw  int
+	text  string
+}
+
+// analyticsStatements writes the repository benchmark's six analytics
+// statement classes (texts as bench/oplist.go's classStatements writes
+// them) at three parameter draws each — the smallest, middle and
+// largest panel clade, the 0.81, 0.89 and 0.97 affinity quantiles and
+// the first, middle and last family — for an engine built over
+// smokeD1.
+func analyticsStatements(tb testing.TB, e *Engine) []analyticsStmt {
+	tb.Helper()
 	ds, err := datagen.Generate(smokeD1())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	tree := e.Tree()
 	panel := spread(cladesBySize(tree, 30, 120))
@@ -118,18 +124,32 @@ func TestAnalyticsPlansGolden(t *testing.T) {
 			return fmt.Sprintf("SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE a.affinity >= %.3f GROUP BY p.family", th[i])
 		}},
 	}
-	var b strings.Builder
+	var out []analyticsStmt
 	for _, c := range classes {
 		for i := range 3 {
-			q := c.stmt(i)
-			res, err := e.Query(context.Background(), "EXPLAIN "+q)
-			if err != nil {
-				t.Fatalf("%s: EXPLAIN %q: %v", c.name, q, err)
-			}
-			fmt.Fprintf(&b, "> [%s %d] %s\n%s", c.name, i, q, res.Plan)
-			if !strings.HasSuffix(res.Plan, "\n") {
-				b.WriteByte('\n')
-			}
+			out = append(out, analyticsStmt{c.name, i, c.stmt(i)})
+		}
+	}
+	return out
+}
+
+// TestAnalyticsPlansGolden pins the plans the analytics workload is
+// served: EXPLAIN of analyticsStatements over the smoke-sized D1 the
+// repository benchmark builds, with the importer's indexes. Rewrite
+// testdata/analytics_plans.golden only for an intended plan change,
+// with `go test ./internal/core -run TestAnalyticsPlansGolden
+// -update-plans`.
+func TestAnalyticsPlansGolden(t *testing.T) {
+	e, _ := buildEngineFrom(t, smokeD1(), DefaultConfig())
+	var b strings.Builder
+	for _, s := range analyticsStatements(t, e) {
+		res, err := e.Query(context.Background(), "EXPLAIN "+s.text)
+		if err != nil {
+			t.Fatalf("%s: EXPLAIN %q: %v", s.class, s.text, err)
+		}
+		fmt.Fprintf(&b, "> [%s %d] %s\n%s", s.class, s.draw, s.text, res.Plan)
+		if !strings.HasSuffix(res.Plan, "\n") {
+			b.WriteByte('\n')
 		}
 	}
 	const path = "testdata/analytics_plans.golden"
@@ -145,5 +165,36 @@ func TestAnalyticsPlansGolden(t *testing.T) {
 	}
 	if got := b.String(); got != string(want) {
 		t.Fatalf("analytics plans differ from %s (rerun with -update-plans only for an intended change):\n%s", path, got)
+	}
+}
+
+// BenchmarkServedPlan times served-path planning: BuildLogical and
+// Optimize, the two calls the repository benchmark's query.plan span
+// times, over the engine's own catalog (the live overlay attached, as
+// served) warmed by serving each of analyticsStatements once. One op
+// plans one statement, the 18 in turn; parsing is outside the timer.
+func BenchmarkServedPlan(b *testing.B) {
+	e, _ := buildEngineFrom(b, smokeD1(), DefaultConfig())
+	var stmts []*query.SelectStmt
+	for _, s := range analyticsStatements(b, e) {
+		if _, err := e.Query(context.Background(), s.text); err != nil {
+			b.Fatalf("%s: %q: %v", s.class, s.text, err)
+		}
+		stmt, err := query.Parse(s.text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stmts = append(stmts, stmt)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		logical, err := query.BuildLogical(stmts[i%len(stmts)], e.catalog)
+		if err == nil {
+			_, err = query.Optimize(logical, e.catalog, e.cfg.QueryOptions)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }

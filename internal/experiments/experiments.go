@@ -144,13 +144,6 @@ func buildStandardEngine(ctx context.Context, seed int64, families, perFamily, l
 	return e, bundle, nil
 }
 
-// EngineWithConfig builds the standard benchmark dataset engine with
-// an explicit core configuration (exported for bench_test.go).
-func EngineWithConfig(ctx context.Context, seed int64, cfg core.Config) (*core.Engine, error) {
-	e, _, err := buildStandardEngine(ctx, seed, 10, 20, 60, cfg)
-	return e, err
-}
-
 // fmtDur renders a duration in microseconds with 1 decimal.
 func fmtDur(us float64) string { return fmt.Sprintf("%.1fµs", us) }
 

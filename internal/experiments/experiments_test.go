@@ -296,11 +296,11 @@ func TestF4SmallScale(t *testing.T) {
 	// on modelled 3G by a wide margin.
 	fullCfg := F4Configs()[0]
 	naiveCfg := F4Configs()[len(F4Configs())-1]
-	fullHist, err := RunF4Session(context.Background(), 500, 1, fullCfg)
+	fullHist, _, _, err := RunF4SessionSplit(context.Background(), 500, 1, fullCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naiveHist, err := RunF4Session(context.Background(), 500, 1, naiveCfg)
+	naiveHist, _, _, err := RunF4SessionSplit(context.Background(), 500, 1, naiveCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,16 +53,6 @@ func F4Configs() []F4Config {
 // F4Steps is the session length of the ablation run.
 const F4Steps = 120
 
-// RunF4Session runs one config and returns the per-interaction
-// total-latency histogram (server compute measured + 3G network
-// modelled from actual bytes). The one-return-value wrapper keeps the
-// benchmark harness simple; RunF4SessionSplit exposes the compute and
-// network components separately.
-func RunF4Session(ctx context.Context, leaves int, seed int64, fc F4Config) (*metrics.Histogram, error) {
-	total, _, _, err := RunF4SessionSplit(ctx, leaves, seed, fc)
-	return total, err
-}
-
 // RunF4SessionSplit runs one config and returns the total, compute,
 // and network per-interaction histograms.
 func RunF4SessionSplit(ctx context.Context, leaves int, seed int64, fc F4Config) (total, compute, network *metrics.Histogram, err error) {

@@ -173,7 +173,7 @@ func t9RunProtected(ctx context.Context, arrivals []time.Duration) (*t9Cell, err
 			next++
 			vc.AdvanceTo(arr)
 			reqCtx := admission.WithDeadlineAt(ctx, arr+t9Deadline)
-			tk, err := lim.Begin(reqCtx, 1)
+			tk, err := lim.Begin(reqCtx)
 			if err != nil {
 				cell.shed++
 				continue

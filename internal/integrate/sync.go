@@ -80,7 +80,8 @@ type SyncReport struct {
 	RowsDeleted  int64
 }
 
-// Degraded reports whether any source fell back to stale rows.
+// AnyDegraded reports whether any source was not fresh: it fell back
+// to stale rows or failed outright.
 func (r *SyncReport) AnyDegraded() bool { return r.Degraded > 0 || r.Failed > 0 }
 
 // fetchSource pulls one source through the configured resilience

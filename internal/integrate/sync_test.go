@@ -310,12 +310,7 @@ func TestSyncUnchangedSourceKeepsVersion(t *testing.T) {
 	if _, err := im.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	before := make(map[string]int64)
-	snap := im.DB.PinSnapshot()
-	for name, v := range snap.Versions() {
-		before[name] = v
-	}
-	snap.Release()
+	before := tableVersions(im.DB)
 
 	rep, err := im.Sync(ctx)
 	if err != nil {
@@ -324,9 +319,7 @@ func TestSyncUnchangedSourceKeepsVersion(t *testing.T) {
 	if rep.RowsInserted != 0 || rep.RowsDeleted != 0 {
 		t.Fatalf("unchanged resync produced a delta: +%d -%d", rep.RowsInserted, rep.RowsDeleted)
 	}
-	snap = im.DB.PinSnapshot()
-	defer snap.Release()
-	for name, v := range snap.Versions() {
+	for name, v := range tableVersions(im.DB) {
 		if before[name] != v {
 			t.Fatalf("table %s version moved %d → %d on an unchanged resync", name, before[name], v)
 		}

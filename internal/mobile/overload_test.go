@@ -42,7 +42,7 @@ func heldEngine(t *testing.T, cfg core.Config) (*core.Engine, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release, err := e.Limiter().Acquire(context.Background(), 1)
+	release, err := e.Limiter().Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -48,21 +47,6 @@ var (
 	Profile2G   = Profile{Name: "2G", RTT: 400 * time.Millisecond, DownBps: 20_000, UpBps: 10_000, Jitter: 80 * time.Millisecond, LossPct: 0.05}
 )
 
-// Profiles lists the standard profiles from fastest to slowest.
-func Profiles() []Profile {
-	return []Profile{ProfileLAN, ProfileWiFi, Profile4G, Profile3G, Profile2G}
-}
-
-// ProfileByName returns the named standard profile.
-func ProfileByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("netsim: unknown profile %q", name)
-}
-
 // Link is a deterministic cost model over a Profile. It is safe for
 // concurrent use; the random stream is protected by a mutex so
 // concurrent callers still see a reproducible *set* of delays for a
@@ -95,10 +79,6 @@ func NewLink(profile Profile, seed int64, simulated bool) *Link {
 
 // Profile returns the link's profile.
 func (l *Link) Profile() Profile { return l.profile }
-
-// Simulated reports whether the link advances a virtual clock rather
-// than sleeping.
-func (l *Link) Simulated() bool { return l.simulated }
 
 // transferTime computes the one-way cost of moving n bytes at bps
 // including half-RTT, jitter, and possible retransmission.

@@ -7,21 +7,6 @@ import (
 	"time"
 )
 
-func TestProfileByName(t *testing.T) {
-	for _, want := range Profiles() {
-		got, err := ProfileByName(want.Name)
-		if err != nil {
-			t.Fatalf("ProfileByName(%q): %v", want.Name, err)
-		}
-		if got.RTT != want.RTT {
-			t.Errorf("%s RTT = %v, want %v", want.Name, got.RTT, want.RTT)
-		}
-	}
-	if _, err := ProfileByName("5G"); err == nil {
-		t.Error("unknown profile accepted")
-	}
-}
-
 func TestSimulatedLinkDeterministic(t *testing.T) {
 	run := func() (time.Duration, int64, int64) {
 		l := NewLink(Profile3G, 42, true)
@@ -95,8 +80,8 @@ func TestFasterProfilesAreFaster(t *testing.T) {
 
 func TestLinkAccessors(t *testing.T) {
 	l := NewLink(Profile3G, 1, true)
-	if l.Profile().Name != "3G" || !l.Simulated() {
-		t.Fatalf("accessors: %v %v", l.Profile().Name, l.Simulated())
+	if l.Profile().Name != "3G" {
+		t.Fatalf("Profile().Name = %v", l.Profile().Name)
 	}
 }
 

@@ -25,32 +25,6 @@ func benchTree(b *testing.B, n int) *Tree {
 	return tr
 }
 
-// BenchmarkSubtree is the micro-ablation behind experiment F1: naive
-// traversal vs interval-index slice copy.
-func BenchmarkSubtree(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		tr := benchTree(b, n)
-		// A node with a mid-sized subtree.
-		var target NodeID
-		for i := 0; i < tr.Len(); i++ {
-			if c := tr.LeafCount(NodeID(i)); c > n/20 && c < n/5 {
-				target = NodeID(i)
-				break
-			}
-		}
-		b.Run(fmt.Sprintf("n-%d/Naive", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tr.SubtreeNaive(target)
-			}
-		})
-		b.Run(fmt.Sprintf("n-%d/Indexed", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tr.SubtreeIndexed(target)
-			}
-		})
-	}
-}
-
 func BenchmarkIndexBuild(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("n-%d", n), func(b *testing.B) {

@@ -49,11 +49,8 @@ func TestNeighborJoiningRecoversAdditiveTree(t *testing.T) {
 	// distances exactly (up to float error).
 	for i := 0; i < m.Len(); i++ {
 		for j := 0; j < i; j++ {
-			a := got.FindLeaf(m.Names[i])
-			b := got.FindLeaf(m.Names[j])
-			if a == None || b == None {
-				t.Fatalf("NJ tree missing leaf %s or %s", m.Names[i], m.Names[j])
-			}
+			a := mustNode(t, got, m.Names[i])
+			b := mustNode(t, got, m.Names[j])
 			want := m.At(i, j)
 			if d := pathDistance(got, a, b); math.Abs(d-want) > 1e-6 {
 				t.Errorf("NJ distance %s-%s = %g, want %g", m.Names[i], m.Names[j], d, want)
@@ -79,7 +76,7 @@ func TestNeighborJoiningSmallCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr2.Index()
-	if d := pathDistance(tr2, tr2.FindLeaf("A"), tr2.FindLeaf("B")); !approxEqual(d, 4) {
+	if d := pathDistance(tr2, mustNode(t, tr2, "A"), mustNode(t, tr2, "B")); !approxEqual(d, 4) {
 		t.Fatalf("2-taxon distance = %g, want 4", d)
 	}
 
@@ -92,7 +89,7 @@ func TestNeighborJoiningSmallCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr3.Index()
-	if d := pathDistance(tr3, tr3.FindLeaf("A"), tr3.FindLeaf("B")); !approxEqual(d, 2) {
+	if d := pathDistance(tr3, mustNode(t, tr3, "A"), mustNode(t, tr3, "B")); !approxEqual(d, 2) {
 		t.Fatalf("3-taxon A-B = %g, want 2", d)
 	}
 
@@ -176,10 +173,10 @@ func TestUPGMARecoversUltrametricTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Index()
-	if ab := tr.Node(tr.FindLeaf("A")).Parent; ab != tr.Node(tr.FindLeaf("B")).Parent || tr.LeafCount(ab) != 2 {
+	if ab := tr.Node(mustNode(t, tr, "A")).Parent; ab != tr.Node(mustNode(t, tr, "B")).Parent || tr.LeafCount(ab) != 2 {
 		t.Fatalf("A,B do not form a clade")
 	}
-	if d := pathDistance(tr, tr.FindLeaf("A"), tr.FindLeaf("C")); !approxEqual(d, 6) {
+	if d := pathDistance(tr, mustNode(t, tr, "A"), mustNode(t, tr, "C")); !approxEqual(d, 6) {
 		t.Fatalf("A-C distance = %g, want 6", d)
 	}
 }
@@ -312,7 +309,7 @@ func TestLayoutBasics(t *testing.T) {
 	if l.HeightRows != 3 {
 		t.Fatalf("HeightRows = %d, want 3", l.HeightRows)
 	}
-	a, b, c := tr.FindLeaf("A"), tr.FindLeaf("B"), tr.FindLeaf("C")
+	a, b, c := mustNode(t, tr, "A"), mustNode(t, tr, "B"), mustNode(t, tr, "C")
 	if !approxEqual(l.X[a], 2) || !approxEqual(l.X[c], 2) {
 		t.Fatalf("leaf X wrong: A=%g C=%g", l.X[a], l.X[c])
 	}

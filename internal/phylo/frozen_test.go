@@ -48,9 +48,6 @@ func TestFrozenTreeEqualsBuiltTree(t *testing.T) {
 			t.Fatalf("SetName did not take: node %d is %q", n-1, built.nodes[n-1].Name)
 		}
 		leaves, leafNames, newick := tr.Leaves(), tr.LeafNames(), tr.Newick()
-		if naive := tr.SubtreeNaive(tr.Root()); !slices.Equal(naive, built.order) {
-			t.Fatalf("n=%d: SubtreeNaive is not the preorder walk", n)
-		}
 
 		checkRenumbered(t, fmt.Sprintf("n=%d", n), tr, built)
 		if tr.names != nil || tr.kids != nil {
@@ -73,7 +70,7 @@ func TestFrozenTreeEqualsBuiltTree(t *testing.T) {
 		if !reflect.DeepEqual(tr.LeafNames(), leafNames) || tr.Newick() != newick {
 			t.Fatalf("n=%d: LeafNames or Newick changed across Index", n)
 		}
-		for p, id := range tr.SubtreeNaive(tr.Root()) { // the naive traversal is the preorder
+		for p, id := range recordBuilt(tr).order { // a depth-first walk of the indexed tree is the preorder
 			if int(id) != p || tr.Pre(id) != p || tr.NodeAtPre(p) != id {
 				t.Fatalf("n=%d: the traversal reaches node %d at %d", n, id, p)
 			}

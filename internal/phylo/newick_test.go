@@ -17,7 +17,7 @@ func TestParseNewickSimple(t *testing.T) {
 	if err := tr.Index(); err != nil {
 		t.Fatal(err)
 	}
-	a := tr.FindLeaf("A")
+	a := mustNode(t, tr, "A")
 	if !approxEqual(tr.Node(a).Length, 0.1) {
 		t.Fatalf("A length = %g", tr.Node(a).Length)
 	}
@@ -31,12 +31,11 @@ func TestParseNewickQuotedAndSpaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.FindLeaf("protein one") == None {
-		t.Fatal("quoted leaf not found")
+	if err := tr.Index(); err != nil {
+		t.Fatal(err)
 	}
-	if tr.FindLeaf("B") == None {
-		t.Fatal("leaf B not found")
-	}
+	mustNode(t, tr, "protein one")
+	mustNode(t, tr, "B")
 }
 
 func TestParseNewickInternalLabels(t *testing.T) {
@@ -88,8 +87,8 @@ func TestNewickRoundTrip(t *testing.T) {
 	tr.Index()
 	tr2.Index()
 	for _, name := range tr.LeafNames() {
-		d1 := tr.RootDistance(tr.FindLeaf(name))
-		d2 := tr2.RootDistance(tr2.FindLeaf(name))
+		d1 := tr.RootDistance(mustNode(t, tr, name))
+		d2 := tr2.RootDistance(mustNode(t, tr2, name))
 		if !approxEqual(d1, d2) {
 			t.Fatalf("leaf %s root distance %g != %g", name, d1, d2)
 		}
@@ -106,9 +105,11 @@ func TestNewickQuotesSpecialNames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parse %q: %v", out, err)
 	}
-	if tr2.FindLeaf("with space") == None || tr2.FindLeaf("with:colon") == None {
-		t.Fatalf("special names lost: %q", out)
+	if err := tr2.Index(); err != nil {
+		t.Fatal(err)
 	}
+	mustNode(t, tr2, "with space")
+	mustNode(t, tr2, "with:colon")
 }
 
 func TestNewickSingleLeaf(t *testing.T) {

@@ -177,17 +177,6 @@ func (t *Tree) Leaves() []NodeID {
 	return out
 }
 
-// FindLeaf returns the leaf with the given name, or None. O(n), and
-// usable before Index; on an indexed tree NodeByName is the O(1) lookup.
-func (t *Tree) FindLeaf(name string) NodeID {
-	for i := range t.parent {
-		if id := NodeID(i); t.isLeaf(id) && t.name(id) == name {
-			return id
-		}
-	}
-	return None
-}
-
 // Index renumbers the nodes in preorder and freezes the tree: in one
 // depth-first walk it lays parents, branch lengths, children and names
 // out in their flat form by preorder ID beside the subtree-interval,
@@ -430,35 +419,6 @@ func (t *Tree) IsAncestor(a, b NodeID) bool {
 	return a <= b && int32(b) <= t.end[a]
 }
 
-// SubtreeNaive collects the subtree of id by recursive traversal. It
-// exists as the baseline for the interval index in experiment F1.
-func (t *Tree) SubtreeNaive(id NodeID) []NodeID {
-	var out []NodeID
-	var stack []NodeID
-	stack = append(stack, id)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, v)
-		children := t.children(v)
-		for i := len(children) - 1; i >= 0; i-- {
-			stack = append(stack, children[i])
-		}
-	}
-	return out
-}
-
-// SubtreeIndexed collects the subtree of id via the preorder interval:
-// the IDs id..end, no traversal.
-func (t *Tree) SubtreeIndexed(id NodeID) []NodeID {
-	lo, hi := t.SubtreeInterval(id)
-	out := make([]NodeID, hi-lo+1)
-	for i := range out {
-		out[i] = NodeID(lo + i)
-	}
-	return out
-}
-
 // SubtreeLeaves returns the leaves under id in preorder.
 func (t *Tree) SubtreeLeaves(id NodeID) []NodeID {
 	lo, hi := t.SubtreeInterval(id)
@@ -467,15 +427,6 @@ func (t *Tree) SubtreeLeaves(id NodeID) []NodeID {
 		if t.isLeaf(v) {
 			out = append(out, v)
 		}
-	}
-	return out
-}
-
-// Ancestors returns the path from id to the root, inclusive.
-func (t *Tree) Ancestors(id NodeID) []NodeID {
-	var out []NodeID
-	for v := id; v != None; v = t.parent[v] {
-		out = append(out, v)
 	}
 	return out
 }

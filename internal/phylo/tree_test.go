@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"testing"
 )
 
@@ -76,29 +75,6 @@ func TestSubtreeIntervalCoversExactSubtree(t *testing.T) {
 			t.Errorf("interval missing node %d", id)
 		}
 	}
-}
-
-func TestSubtreeNaiveMatchesIndexed(t *testing.T) {
-	tr := randomTree(t, 200, 17)
-	for trial := 0; trial < 20; trial++ {
-		id := NodeID(trial * 7 % tr.Len())
-		naive := tr.SubtreeNaive(id)
-		indexed := tr.SubtreeIndexed(id)
-		sortIDs(naive)
-		sortIDs(indexed)
-		if len(naive) != len(indexed) {
-			t.Fatalf("node %d: naive %d nodes, indexed %d", id, len(naive), len(indexed))
-		}
-		for i := range naive {
-			if naive[i] != indexed[i] {
-				t.Fatalf("node %d: subtree mismatch at %d", id, i)
-			}
-		}
-	}
-}
-
-func sortIDs(ids []NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 func TestIsAncestor(t *testing.T) {
@@ -238,6 +214,17 @@ func pathDistance(t *Tree, a, b NodeID) float64 {
 	return math.NaN()
 }
 
+// mustNode resolves name on an indexed tree, failing the test when no
+// node carries it.
+func mustNode(t *testing.T, tr *Tree, name string) NodeID {
+	t.Helper()
+	id, ok := tr.NodeByName(name)
+	if !ok {
+		t.Fatalf("no node named %q", name)
+	}
+	return id
+}
+
 func approxEqual(a, b float64) bool {
 	d := a - b
 	if d < 0 {
@@ -269,20 +256,6 @@ func TestLeafCount(t *testing.T) {
 	}
 	if tr.LeafCount(ids["A"]) != 1 {
 		t.Errorf("LeafCount(A) = %d, want 1", tr.LeafCount(ids["A"]))
-	}
-}
-
-func TestAncestors(t *testing.T) {
-	tr, ids := buildSample(t)
-	anc := tr.Ancestors(ids["A"])
-	want := []NodeID{ids["A"], ids["ab"], ids["root"]}
-	if len(anc) != len(want) {
-		t.Fatalf("Ancestors(A) = %v, want %v", anc, want)
-	}
-	for i := range want {
-		if anc[i] != want[i] {
-			t.Fatalf("Ancestors(A)[%d] = %d, want %d", i, anc[i], want[i])
-		}
 	}
 }
 
@@ -333,20 +306,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if tr.Root() != None {
 		t.Error("empty tree has a root")
-	}
-}
-
-func TestFindLeaf(t *testing.T) {
-	tr, ids := buildSample(t)
-	if got := tr.FindLeaf("C"); got != ids["C"] {
-		t.Errorf("FindLeaf(C) = %d, want %d", got, ids["C"])
-	}
-	if got := tr.FindLeaf("missing"); got != None {
-		t.Errorf("FindLeaf(missing) = %d, want None", got)
-	}
-	// Internal node names must not match FindLeaf.
-	if got := tr.FindLeaf("ab"); got != None {
-		t.Errorf("FindLeaf(ab) = %d, want None (internal)", got)
 	}
 }
 

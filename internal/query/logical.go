@@ -29,8 +29,6 @@ type Catalog interface {
 type LogicalPlan interface {
 	Schema() *planSchema
 	Children() []LogicalPlan
-	// describe renders one line for EXPLAIN.
-	describe() string
 }
 
 // ScanNode reads a base table. Conjuncts are predicates pushed into
@@ -68,22 +66,6 @@ func (s *ScanNode) colsNote() string {
 	return " cols=(" + strings.Join(names, ", ") + ")"
 }
 
-func (s *ScanNode) describe() string {
-	d := fmt.Sprintf("Scan %s", s.Table)
-	if s.Alias != s.Table {
-		d += " AS " + s.Alias
-	}
-	d += s.colsNote()
-	if len(s.Conjuncts) > 0 {
-		parts := make([]string, len(s.Conjuncts))
-		for i, c := range s.Conjuncts {
-			parts[i] = c.String()
-		}
-		d += " [pushed: " + strings.Join(parts, " AND ") + "]"
-	}
-	return d
-}
-
 // FilterNode applies a predicate.
 type FilterNode struct {
 	Input LogicalPlan
@@ -92,7 +74,6 @@ type FilterNode struct {
 
 func (f *FilterNode) Schema() *planSchema     { return f.Input.Schema() }
 func (f *FilterNode) Children() []LogicalPlan { return []LogicalPlan{f.Input} }
-func (f *FilterNode) describe() string        { return fmt.Sprintf("Filter %s", f.Pred) }
 
 // JoinNode is an inner join with an arbitrary ON condition; the
 // physical planner extracts equi-pairs for the hash join.
@@ -116,7 +97,6 @@ type JoinNode struct {
 
 func (j *JoinNode) Schema() *planSchema     { return j.schema }
 func (j *JoinNode) Children() []LogicalPlan { return []LogicalPlan{j.Left, j.Right} }
-func (j *JoinNode) describe() string        { return fmt.Sprintf("Join ON %s", j.Cond) }
 
 // colsNote renders the output projection of a narrowed join.
 func (j *JoinNode) colsNote() string {
@@ -203,7 +183,6 @@ type LimitNode struct {
 
 func (l *LimitNode) Schema() *planSchema     { return l.Input.Schema() }
 func (l *LimitNode) Children() []LogicalPlan { return []LogicalPlan{l.Input} }
-func (l *LimitNode) describe() string        { return fmt.Sprintf("Limit %d", l.N) }
 
 // mapInputs returns a shallow copy of p whose inputs are f of p's
 // inputs, so a pass names only the node kinds it changes and sets their
@@ -237,22 +216,6 @@ func mapInputs(p LogicalPlan, f func(LogicalPlan) LogicalPlan) LogicalPlan {
 		return &out
 	}
 	return p
-}
-
-// ExplainPlan renders a logical plan as an indented tree.
-func ExplainPlan(p LogicalPlan) string {
-	var b strings.Builder
-	var walk func(n LogicalPlan, depth int)
-	walk = func(n LogicalPlan, depth int) {
-		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(n.describe())
-		b.WriteByte('\n')
-		for _, c := range n.Children() {
-			walk(c, depth+1)
-		}
-	}
-	walk(p, 0)
-	return b.String()
 }
 
 // scanSchema builds the plan schema of a base table under an alias.

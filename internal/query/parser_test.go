@@ -1,9 +1,6 @@
 package query
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func mustParseQ(t *testing.T, src string) *SelectStmt {
 	t.Helper()
@@ -221,15 +218,5 @@ func TestLikeMatch(t *testing.T) {
 		if got := likeMatch(c.s, c.p); got != c.want {
 			t.Errorf("likeMatch(%q,%q) = %v, want %v", c.s, c.p, got, c.want)
 		}
-	}
-}
-
-func TestExplainPlanRendering(t *testing.T) {
-	// Smoke test that plan rendering indents children.
-	s := &ScanNode{Table: "t", Alias: "t", schema: &planSchema{}}
-	f := &FilterNode{Input: s, Pred: &Literal{}}
-	out := ExplainPlan(f)
-	if !strings.Contains(out, "Filter") || !strings.Contains(out, "  Scan t") {
-		t.Fatalf("plan rendering:\n%s", out)
 	}
 }

@@ -58,7 +58,7 @@ func (r *refExec) run(p LogicalPlan) ([]store.Row, error) {
 	switch n := p.(type) {
 	case *ScanNode:
 		if len(n.Conjuncts) > 0 || n.proj != nil {
-			return nil, fmt.Errorf("refexec: optimised scan %s", n.describe())
+			return nil, fmt.Errorf("refexec: optimised scan %s", n.Table)
 		}
 		tv, err := r.ec.view(n.Table)
 		if err != nil {

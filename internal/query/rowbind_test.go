@@ -444,8 +444,8 @@ func bindAncestor(x *AncestorExpr, env bindEnv) (*boundExpr, error) {
 		return nil, err
 	}
 	path := make(map[int64]bool)
-	for _, anc := range env.tree.Ancestors(node) {
-		path[int64(anc)] = true
+	for v := node; v != phylo.None; v = env.tree.Parent(v) {
+		path[int64(v)] = true
 	}
 	idx, err := env.schema.resolve(x.Column)
 	if err != nil {

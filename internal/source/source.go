@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -244,17 +243,6 @@ func (b *bank) Schema() *store.Schema { return b.schema }
 
 func (b *bank) CanFilter(column string, op FilterOp) bool {
 	return b.caps[capability{column, op}]
-}
-
-// Capabilities lists the supported (column, op) pairs, sorted, for
-// EXPLAIN output.
-func (b *bank) Capabilities() []string {
-	var out []string
-	for c := range b.caps {
-		out = append(out, fmt.Sprintf("%s%v", c.column, c.op))
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (b *bank) Fetch(ctx context.Context, req Request) (*Result, error) {

@@ -272,12 +272,3 @@ func TestImportSurvivesFlakySources(t *testing.T) {
 		t.Fatal("no activities fetched")
 	}
 }
-
-func TestCapabilitiesListing(t *testing.T) {
-	ds := testDataset(t)
-	b := NewProteinBank(ds, netsim.NewLink(netsim.ProfileLAN, 1, true)).(*bank)
-	caps := b.Capabilities()
-	if len(caps) == 0 {
-		t.Fatal("no capabilities listed")
-	}
-}

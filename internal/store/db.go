@@ -309,18 +309,6 @@ func (db *DB) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// TableNames returns the sorted table names.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // table resolves a table name; callers hold db.mu.
 func (db *DB) tableLocked(name string) (*Table, error) {
 	t, ok := db.tables[name]

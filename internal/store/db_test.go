@@ -37,10 +37,6 @@ func TestInMemoryDB(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
-	names := db.TableNames()
-	if len(names) != 1 || names[0] != "t" {
-		t.Fatalf("TableNames = %v", names)
-	}
 	// Checkpoint on an in-memory DB is a no-op.
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)

@@ -99,15 +99,6 @@ func (s *SnapshotHandle) Version(name string) (int64, bool) {
 	return tv.ver, true
 }
 
-// Versions returns the pinned per-table commit versions.
-func (s *SnapshotHandle) Versions() map[string]int64 {
-	out := make(map[string]int64, len(s.views))
-	for name, tv := range s.views {
-		out[name] = tv.ver
-	}
-	return out
-}
-
 // VersionKey renders the snapshot's per-table versions as a canonical
 // sorted string — the statement-cache key component that replaces the
 // summed dbVersion, so a write to one table no longer invalidates

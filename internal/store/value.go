@@ -37,21 +37,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// KindFromString parses a type name as written in schema DDL.
-func KindFromString(s string) (Kind, error) {
-	switch s {
-	case "INT", "int":
-		return KindInt, nil
-	case "FLOAT", "float":
-		return KindFloat, nil
-	case "STRING", "string", "TEXT", "text":
-		return KindString, nil
-	case "BOOL", "bool":
-		return KindBool, nil
-	}
-	return KindNull, fmt.Errorf("store: unknown type %q", s)
-}
-
 // Value is a compact tagged union holding one cell. The zero Value is
 // NULL.
 type Value struct {

@@ -189,14 +189,3 @@ func TestRowClone(t *testing.T) {
 		t.Fatal("clone aliases original")
 	}
 }
-
-func TestKindFromString(t *testing.T) {
-	for _, s := range []string{"INT", "FLOAT", "STRING", "BOOL", "int", "text"} {
-		if _, err := KindFromString(s); err != nil {
-			t.Errorf("KindFromString(%q): %v", s, err)
-		}
-	}
-	if _, err := KindFromString("BLOB"); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}

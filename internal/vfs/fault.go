@@ -169,13 +169,6 @@ func (f *FaultFS) MutOps() int {
 	return f.muts
 }
 
-// Crashed reports whether an injected crash has cut power.
-func (f *FaultFS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 // Reboot models the machine coming back after a crash: every file
 // reverts to its last-synced content, every directory entry to its
 // last SyncDir'd state, and I/O works again. Open handles from before
@@ -212,18 +205,6 @@ func (f *FaultFS) Corrupt(path string, off int, mask byte) error {
 		ino.synced[off] ^= mask
 	}
 	return nil
-}
-
-// DurableLen returns the size of path's crash-surviving content and
-// whether its entry itself would survive (test introspection).
-func (f *FaultFS) DurableLen(path string) (int, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ino, ok := f.durable[filepath.Clean(path)]
-	if !ok {
-		return 0, false
-	}
-	return len(ino.synced), true
 }
 
 // step consults the injector for one operation. It must be called
