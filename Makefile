@@ -114,10 +114,15 @@ bench-repo-smoke:
 # (the per-layer table), each run's final JSON line collected under a
 # host header (which records the load average the run started under)
 # into $(BENCH_JSON) at the root. ≈ 2.5 min; run it on an otherwise
-# idle host and commit the file with the change it measures.
-BENCH_JSON ?= BENCH_46.json
+# idle host and commit the file with the change it measures. A file git
+# already tracks is a committed record: the target refuses to overwrite
+# it, so a later change names its own with BENCH_JSON=BENCH_<n>.json.
+BENCH_JSON ?= BENCH_49.json
 
 bench-repo:
+	@if git ls-files --error-unmatch $(BENCH_JSON) >/dev/null 2>&1; then \
+		echo "bench-repo: $(BENCH_JSON) is a committed record; pass BENCH_JSON=BENCH_<n>.json for a new run" >&2; exit 1; \
+	fi
 	@set -e; tmp=$(BENCH_JSON).tmp; \
 	printf '{"host":{"cpu":"%s","cpus":%s,"mem_mb":%s,"kernel":"%s","go":"%s","date":"%s","loadavg":"%s"},\n "runs":[' \
 		"$$(sed -n 's/^model name[^:]*: //p' /proc/cpuinfo | head -n 1)" "$$(nproc)" \
@@ -134,7 +139,9 @@ bench-repo:
 # Storage- and operator-layer microbenchmarks with -benchmem: the
 # store's insert, lookup, range read, sequential pass and 512+512
 # delta commit, one posting's insert / probe / remove / range walk
-# through each index form, and the query layer's hashing operators —
+# through each index form, one 1 024-row Fill of a frozen INT column
+# held as int64, as int32 and as the dense column, and the query
+# layer's hashing operators —
 # the hash join and the aggregate, serial and parallel, the flat table
 # under both (8 192 keys inserted / probed), the keyed probe, the
 # group-join and an aggregate folded straight from storage over 8.6 k
@@ -159,7 +166,7 @@ bench-repo:
 # go stale" record them.
 bench-micro:
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex' ./internal/store/
+		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex|BenchmarkFrozenFill' ./internal/store/
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan' ./internal/query/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply|BenchmarkServedPlan' ./internal/core/

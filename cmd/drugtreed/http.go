@@ -102,11 +102,17 @@ func newAPI(eng *core.Engine, rate *admission.RateLimiter) http.Handler {
 // handlers are testable with httptest.
 func newMux(eng *core.Engine) *http.ServeMux {
 	mux := http.NewServeMux()
+	// Both report the proteins the tree has not placed and the leaves
+	// left naming a deleted protein (Engine.TreePlacement).
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
+		unplaced, orphaned := eng.TreePlacement()
+		fmt.Fprintf(w, "ok\ntree_unplaced_proteins %d\ntree_orphaned_leaves %d\n", unplaced, orphaned)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		unplaced, orphaned := eng.TreePlacement()
 		fmt.Fprint(w, eng.Metrics.Dump())
+		fmt.Fprintf(w, "gauge   %-40s %d\ngauge   %-40s %d\n",
+			"drugtree_tree_unplaced_proteins", unplaced, "drugtree_tree_orphaned_leaves", orphaned)
 	})
 	mux.HandleFunc("GET /health/sources", func(w http.ResponseWriter, r *http.Request) {
 		type sourceHealthPayload struct {

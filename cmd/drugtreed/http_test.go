@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -78,7 +79,8 @@ func get(t *testing.T, url string) (*http.Response, string) {
 func TestHealthz(t *testing.T) {
 	srv := testServer(t)
 	resp, body := get(t, srv.URL+"/healthz")
-	if resp.StatusCode != 200 || !strings.Contains(body, "ok") {
+	if resp.StatusCode != 200 || !strings.HasPrefix(body, "ok\n") ||
+		!strings.Contains(body, "\ntree_unplaced_proteins 0\n") || !strings.Contains(body, "\ntree_orphaned_leaves 0\n") {
 		t.Fatalf("healthz = %d %q", resp.StatusCode, body)
 	}
 }
@@ -224,7 +226,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv := testServer(t)
 	get(t, srv.URL+"/query?q=SELECT+COUNT(*)+FROM+proteins")
 	resp, body := get(t, srv.URL+"/metrics")
-	if resp.StatusCode != 200 || !strings.Contains(body, "query.count") {
+	if resp.StatusCode != 200 || !strings.Contains(body, "query.count") ||
+		!regexp.MustCompile(`(?m)^gauge +drugtree_tree_unplaced_proteins +0$`).MatchString(body) {
 		t.Fatalf("metrics = %d\n%s", resp.StatusCode, body)
 	}
 }

@@ -29,15 +29,17 @@ func BenchmarkFingerprint(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mols[i%len(mols)].ComputeFingerprint()
+		if _, err := mols[i%len(mols)].ComputeFingerprint(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkTanimoto(b *testing.B) {
 	m1, _ := ParseSMILES(benchSMILES[0])
 	m2, _ := ParseSMILES(benchSMILES[2])
-	f1 := m1.ComputeFingerprint()
-	f2 := m2.ComputeFingerprint()
+	f1, _ := m1.ComputeFingerprint()
+	f2, _ := m2.ComputeFingerprint()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f1.Tanimoto(f2)

@@ -14,6 +14,16 @@ func mustParse(t *testing.T, s string) *Mol {
 	return m
 }
 
+// mustFingerprint parses s and fingerprints it.
+func mustFingerprint(t *testing.T, s string) *Fingerprint {
+	t.Helper()
+	fp, err := mustParse(t, s).ComputeFingerprint()
+	if err != nil {
+		t.Fatalf("fingerprint of %q: %v", s, err)
+	}
+	return fp
+}
+
 func TestParseMethane(t *testing.T) {
 	m := mustParse(t, "C")
 	if len(m.Atoms) != 1 || len(m.Bonds) != 0 {
@@ -206,8 +216,7 @@ func TestCaffeineFormula(t *testing.T) {
 }
 
 func TestFingerprintSelfSimilarity(t *testing.T) {
-	m := mustParse(t, "CC(=O)Oc1ccccc1C(=O)O")
-	fp := m.ComputeFingerprint()
+	fp := mustFingerprint(t, "CC(=O)Oc1ccccc1C(=O)O")
 	if fp.PopCount() == 0 {
 		t.Fatal("fingerprint is empty")
 	}
@@ -217,9 +226,9 @@ func TestFingerprintSelfSimilarity(t *testing.T) {
 }
 
 func TestFingerprintSimilarityOrdering(t *testing.T) {
-	ethanol := mustParse(t, "CCO").ComputeFingerprint()
-	propanol := mustParse(t, "CCCO").ComputeFingerprint()
-	benzene := mustParse(t, "c1ccccc1").ComputeFingerprint()
+	ethanol := mustFingerprint(t, "CCO")
+	propanol := mustFingerprint(t, "CCCO")
+	benzene := mustFingerprint(t, "c1ccccc1")
 	near := ethanol.Tanimoto(propanol)
 	far := ethanol.Tanimoto(benzene)
 	if near <= far {
@@ -228,8 +237,8 @@ func TestFingerprintSimilarityOrdering(t *testing.T) {
 }
 
 func TestFingerprintSymmetric(t *testing.T) {
-	a := mustParse(t, "CC(C)Cc1ccc(cc1)C(C)C(=O)O").ComputeFingerprint() // ibuprofen
-	b := mustParse(t, "CC(=O)Oc1ccccc1C(=O)O").ComputeFingerprint()      // aspirin
+	a := mustFingerprint(t, "CC(C)Cc1ccc(cc1)C(C)C(=O)O") // ibuprofen
+	b := mustFingerprint(t, "CC(=O)Oc1ccccc1C(=O)O")      // aspirin
 	if s1, s2 := a.Tanimoto(b), b.Tanimoto(a); s1 != s2 {
 		t.Fatalf("Tanimoto asymmetric: %g vs %g", s1, s2)
 	}
@@ -246,7 +255,7 @@ func TestTanimotoRange(t *testing.T) {
 	mols := []string{"C", "CCO", "c1ccccc1", "CC(=O)Oc1ccccc1C(=O)O", "C#N", "ClCCBr"}
 	fps := make([]*Fingerprint, len(mols))
 	for i, s := range mols {
-		fps[i] = mustParse(t, s).ComputeFingerprint()
+		fps[i] = mustFingerprint(t, s)
 	}
 	for i := range fps {
 		for j := range fps {

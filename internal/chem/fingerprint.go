@@ -1,6 +1,7 @@
 package chem
 
 import (
+	"fmt"
 	"math/bits"
 )
 
@@ -46,17 +47,29 @@ func (f *Fingerprint) Tanimoto(g *Fingerprint) float64 {
 // fingerprint, matching the common 7-atom Daylight default.
 const maxPathLen = 7
 
+// maxPaths bounds the paths ComputeFingerprint enumerates. Their number
+// grows exponentially with how densely the atoms bond — a 13-atom
+// clique has over 10 million — and SMILES arrives from outside the
+// program, so a molecule past the budget is refused rather than walked.
+// It is 17 times the most any ligand of dataset D1 has (465).
+const maxPaths = 1 << 13
+
 // ComputeFingerprint enumerates all simple paths of up to maxPathLen
 // atoms, hashes each path's element/bond string, and folds the hashes
-// into the fixed-width bitset.
-func (m *Mol) ComputeFingerprint() *Fingerprint {
+// into the fixed-width bitset. A molecule with more than maxPaths such
+// paths is an error.
+func (m *Mol) ComputeFingerprint() (*Fingerprint, error) {
 	fp := &Fingerprint{}
 	if len(m.Atoms) == 0 {
-		return fp
+		return fp, nil
 	}
 	visited := make([]bool, len(m.Atoms))
+	paths := 0
 	var walk func(atom int, h uint64, depth int)
 	walk = func(atom int, h uint64, depth int) {
+		if paths++; paths > maxPaths {
+			return // past the budget every call returns here, so the walk unwinds
+		}
 		h = fnvMix(h, atomCode(&m.Atoms[atom]))
 		fp.setBit(h)
 		if depth >= maxPathLen {
@@ -76,7 +89,10 @@ func (m *Mol) ComputeFingerprint() *Fingerprint {
 	for a := range m.Atoms {
 		walk(a, fnvOffset, 1)
 	}
-	return fp
+	if paths > maxPaths {
+		return nil, fmt.Errorf("chem: molecule has more than %d paths of up to %d atoms", maxPaths, maxPathLen)
+	}
+	return fp, nil
 }
 
 const (

@@ -289,31 +289,31 @@ func buildTree(proteins []*seq.Protein, method TreeMethod) (*phylo.Tree, error) 
 }
 
 // treeImage lays the tree out as tree_nodes' frozen image: one row per
-// node in preorder, so a node's ID is its slot and its pre. Names are
-// the tree's own strings, and the float columns are the tree's and the
-// layout's own vectors, shared rather than copied: branch_length is
-// the tree's branch lengths, root_dist and x are both Layout.X (the
-// tree's root distances) and y is Layout.Y.
+// node in preorder, so a node's ID is its slot and its pre. The image
+// reads the tree rather than copying it: pre is the dense column, which
+// holds no vector; parent_pre, depth, leaf_count and end_pre are the
+// tree's own int32 arrays; branch_length is the tree's branch lengths,
+// root_dist and x are both Layout.X (the tree's root distances) and y
+// is Layout.Y; names are the tree's own strings. Only is_leaf is
+// derived: in preorder a node is a leaf when its subtree ends at itself.
 func treeImage(t *phylo.Tree, layout *phylo.Layout) store.FrozenImage {
-	n := t.Len()
-	ints := func() store.Col { return store.Col{Kind: store.KindInt, Int: make([]int64, n)} }
-	pre, parent, depth, leafCount, end := ints(), ints(), ints(), ints(), ints()
-	leaf := store.Col{Kind: store.KindBool, Int: make([]int64, n)}
+	n, ends := t.Len(), t.Ends()
 	names := store.Col{Kind: store.KindString, Str: make([]string, n)}
+	leaf := store.Col{Kind: store.KindBool, I32: make([]int32, n)}
 	for p := range n {
-		id := phylo.NodeID(p)
-		node := t.Node(id)
-		pre.Int[p], names.Str[p], parent.Int[p] = int64(p), node.Name, int64(node.Parent)
-		if node.IsLeaf() {
-			leaf.Int[p] = 1
+		names.Str[p] = t.Node(phylo.NodeID(p)).Name
+		if ends[p] == int32(p) {
+			leaf.I32[p] = 1
 		}
-		_, last := t.SubtreeInterval(id)
-		depth.Int[p], leafCount.Int[p], end.Int[p] = int64(t.Depth(id)), int64(t.LeafCount(id)), int64(last)
 	}
+	ints := func(v []int32) store.Col { return store.Col{Kind: store.KindInt, I32: v} }
 	floats := func(v []float64) store.Col { return store.Col{Kind: store.KindFloat, Float: v} }
-	length, dist, y := floats(t.Lengths()), floats(layout.X), floats(layout.Y)
+	dist := floats(layout.X)
 	return store.FrozenImage{
-		Cols:  []store.Col{pre, names, parent, depth, leaf, length, dist, leafCount, dist, y, end},
+		Cols: []store.Col{
+			{Kind: store.KindInt}, names, ints(t.Parents()), ints(t.Depths()), leaf,
+			floats(t.Lengths()), dist, ints(t.LeafCounts()), dist, floats(layout.Y), ints(ends),
+		},
 		Dense: "pre",
 		Hash:  "name",
 	}
@@ -364,6 +364,32 @@ func (e *Engine) SourceHealth() []integrate.SourceHealth {
 		return nil
 	}
 	return e.healthFn()
+}
+
+// TreePlacement counts the proteins, at the latest version, that no
+// tree leaf names (unplaced) and the leaves that name no protein
+// (orphaned), resolving names as tree predicates do. New builds the
+// tree once, so a synced insert is unplaced and a synced delete leaves
+// an orphan, missing from or stale in every WITHIN_SUBTREE answer. An
+// engine with no proteins table reports none.
+func (e *Engine) TreePlacement() (unplaced, orphaned int) {
+	tab, err := e.db.Table(integrate.TableProteins)
+	if err != nil {
+		return 0, 0
+	}
+	acc, tree := tab.Schema().ColumnIndex("accession"), e.tree
+	placed, named := make([]bool, tree.Len()), 0
+	tab.Scan(func(_ int64, r store.Row) bool {
+		switch id, ok := tree.NodeByName(r[acc].S); {
+		case !ok || !tree.Node(id).IsLeaf():
+			unplaced++
+		case !placed[id]:
+			placed[id] = true
+			named++
+		}
+		return true
+	})
+	return unplaced, tree.LeafCount(tree.Root()) - named
 }
 
 // NodeByName resolves a node name (protein accession or clade label).

@@ -60,7 +60,7 @@ func (n Node) IsLeaf() bool { return len(n.Children) == 0 }
 // and not at all for a tree built in preorder (NJ, UPGMA, Newick).
 type Tree struct {
 	root   NodeID
-	parent []NodeID  // by node
+	parent []int32   // by node: the parent's ID, None (-1) at the root
 	length []float64 // by node: branch length to the parent
 
 	// Build form; nil once indexed.
@@ -105,7 +105,7 @@ func (t *Tree) AddNode(name string, parent NodeID, length float64) (NodeID, erro
 		return None, fmt.Errorf("phylo: parent %d out of range", parent)
 	}
 	id := NodeID(len(t.parent))
-	t.parent = append(t.parent, parent)
+	t.parent = append(t.parent, int32(parent))
 	t.length = append(t.length, length)
 	t.names = append(t.names, name)
 	t.kids = append(t.kids, nil)
@@ -140,7 +140,7 @@ func (t *Tree) Root() NodeID { return t.root }
 
 // Node returns a view of the node with the given ID.
 func (t *Tree) Node(id NodeID) Node {
-	return Node{Name: t.name(id), Parent: t.parent[id], Children: t.children(id), Length: t.length[id]}
+	return Node{Name: t.name(id), Parent: NodeID(t.parent[id]), Children: t.children(id), Length: t.length[id]}
 }
 
 func (t *Tree) name(id NodeID) string {
@@ -198,7 +198,7 @@ func (t *Tree) Index() error {
 	if uint64(nameBytes)+uint64(maxCladeName*n) > math.MaxUint32 {
 		return fmt.Errorf("phylo: %d bytes of node names exceed the name arena", nameBytes)
 	}
-	parent := make([]NodeID, n)
+	parent := make([]int32, n)
 	length := make([]float64, n)
 	childOff := make([]int32, n+1)
 	childIDs := make([]NodeID, n-1)
@@ -224,7 +224,7 @@ func (t *Tree) Index() error {
 	enter := func(b, p NodeID) {
 		id := next
 		next++
-		parent[id], length[id] = p, t.length[b]
+		parent[id], length[id] = int32(p), t.length[b]
 		if p != None {
 			depth[id], dist[id] = depth[p]+1, dist[p]+t.length[b]
 		}
@@ -248,7 +248,7 @@ func (t *Tree) Index() error {
 		if len(kids) == 0 {
 			leafCnt[f.id] = 1
 		}
-		if p := parent[f.id]; p != None {
+		if p := parent[f.id]; p != int32(None) {
 			leafCnt[p] += leafCnt[f.id]
 		}
 		stack = stack[:len(stack)-1]
@@ -397,11 +397,20 @@ func (t *Tree) SubtreeInterval(id NodeID) (lo, hi int) {
 }
 
 // Parent returns the parent of id, or None for the root.
-func (t *Tree) Parent(id NodeID) NodeID { return t.parent[id] }
+func (t *Tree) Parent(id NodeID) NodeID { return NodeID(t.parent[id]) }
 
 // Lengths returns every node's branch length by ID. It is the tree's
 // own vector, shared rather than copied: read-only.
 func (t *Tree) Lengths() []float64 { return t.length }
+
+// Parents, Ends, Depths and LeafCounts return Parent, the last ID of
+// SubtreeInterval, Depth and LeafCount for every node by ID, in the
+// int32 the tree holds them in. Like Lengths, each is the tree's own
+// array: read-only.
+func (t *Tree) Parents() []int32    { t.mustIndexed(); return t.parent }
+func (t *Tree) Ends() []int32       { t.mustIndexed(); return t.end }
+func (t *Tree) Depths() []int32     { t.mustIndexed(); return t.depth }
+func (t *Tree) LeafCounts() []int32 { t.mustIndexed(); return t.leafCnt }
 
 // Depth returns the number of edges from the root to id.
 func (t *Tree) Depth(id NodeID) int { t.mustIndexed(); return int(t.depth[id]) }
@@ -453,7 +462,7 @@ func (t *Tree) Validate() error {
 		}
 		return fmt.Errorf("phylo: %d nodes but no root", t.Len())
 	}
-	if t.parent[t.root] != None {
+	if t.parent[t.root] != int32(None) {
 		return fmt.Errorf("phylo: root has a parent")
 	}
 	seen := make(map[string]NodeID)

@@ -184,10 +184,13 @@ func bindTanimoto(x *TanimotoExpr, env bindEnv) (*boundExpr, error) {
 	if err != nil {
 		return nil, fmt.Errorf("query: TANIMOTO reference: %w", err)
 	}
-	refFP := ref.ComputeFingerprint()
 	idx, err := env.schema.resolve(x.Column)
 	if err != nil {
 		return nil, err
+	}
+	refFP, err := ref.ComputeFingerprint()
+	if err != nil {
+		return nil, fmt.Errorf("query: TANIMOTO reference: %w", err)
 	}
 	const memoCap = 1 << 16
 	// The memo is shared by every worker evaluating this bound
@@ -209,7 +212,7 @@ func bindTanimoto(x *TanimotoExpr, env bindEnv) (*boundExpr, error) {
 				if err != nil {
 					fp = nil // unparseable: score NULL, remember that
 				} else {
-					fp = m.ComputeFingerprint()
+					fp, _ = m.ComputeFingerprint() // nil past the path budget
 				}
 				memoMu.Lock()
 				if len(memo) < memoCap {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"drugtree/internal/store"
@@ -90,17 +91,37 @@ func TestTanimotoInvalidReferenceRejected(t *testing.T) {
 	}
 }
 
+// clique8 is an 8-carbon clique: 8 atoms with a bond between every
+// two, whose 69 280 paths of up to 7 atoms exceed the fingerprint's
+// path budget.
+const clique8 = "C123456C789%10%11C1%12%13%14%15C27%16%17%18C38%12%19%20C49%13%16%21C5%10%14%17%19C6%11%15%18%20%21"
+
+// TestTanimotoDenseReferenceRefused: a reference SMILES that parses but
+// is past the fingerprint's path budget fails the statement, naming the
+// budget.
+func TestTanimotoDenseReferenceRefused(t *testing.T) {
+	cat := tanimotoCatalog(t)
+	_, err := NewEngine(cat, DefaultOptions()).Query(context.Background(),
+		"SELECT TANIMOTO(smiles, '"+clique8+"') FROM ligands")
+	if err == nil || !strings.Contains(err.Error(), "TANIMOTO reference") || !strings.Contains(err.Error(), "paths") {
+		t.Fatalf("dense reference: err = %v, want a path-budget refusal", err)
+	}
+}
+
+// TestTanimotoUnparseableRowScoresNull: a stored SMILES that does not
+// parse, or parses past the path budget, scores NULL.
 func TestTanimotoUnparseableRowScoresNull(t *testing.T) {
 	cat := tanimotoCatalog(t)
 	db := cat.DB
 	lig, _ := db.Table("ligands")
 	db.Insert(lig.Name(), store.Row{store.StringValue("BAD"), store.StringValue("garbage(((")})
+	db.Insert(lig.Name(), store.Row{store.StringValue("DENSE"), store.StringValue(clique8)})
 	// NULL similarity rows are excluded by the threshold comparison.
 	res := runQ(t, cat, DefaultOptions(),
 		"SELECT ligand_id FROM ligands WHERE TANIMOTO(smiles, 'CCO') >= 0")
 	for _, r := range res.Rows {
-		if r[0].S == "BAD" {
-			t.Fatal("unparseable SMILES passed the threshold")
+		if r[0].S == "BAD" || r[0].S == "DENSE" {
+			t.Fatalf("SMILES %s passed the threshold", r[0].S)
 		}
 	}
 	if len(res.Rows) != 5 {

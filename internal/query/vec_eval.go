@@ -924,7 +924,10 @@ func bindVecTanimoto(x *TanimotoExpr, env bindEnv) (*vecExpr, error) {
 	if env.validateOnly {
 		return kindOnly(store.KindFloat), nil
 	}
-	refFP := ref.ComputeFingerprint()
+	refFP, err := ref.ComputeFingerprint()
+	if err != nil {
+		return nil, fmt.Errorf("query: TANIMOTO reference: %w", err)
+	}
 	const memoCap = 1 << 16
 	// The memo is shared by every worker evaluating this expression
 	// under parallel execution, so guard it with a mutex (fingerprinting
@@ -939,8 +942,8 @@ func bindVecTanimoto(x *TanimotoExpr, env bindEnv) (*vecExpr, error) {
 			return fp
 		}
 		if m, err := chem.ParseSMILES(s); err == nil {
-			fp = m.ComputeFingerprint()
-		} // unparseable: score NULL, remember that
+			fp, _ = m.ComputeFingerprint()
+		} // unparseable or past the path budget: score NULL, remember that
 		memoMu.Lock()
 		if len(memo) < memoCap {
 			memo[s] = fp

@@ -373,6 +373,44 @@ func BenchmarkSeqPass(b *testing.B) {
 	})
 }
 
+// BenchmarkFrozenFill is one 1 024-row Fill of a frozen INT column, a
+// window of a 100 k-row full pass at a time: the column held as Int
+// (int64, copied), as I32 (int32, widened) and as the dense column
+// (no vector, the slot written).
+func BenchmarkFrozenFill(b *testing.B) {
+	const n, window = 100000, 1024
+	rows := frozenTreeRows(n, 0)
+	for _, form := range []struct {
+		name string
+		img  FrozenImage
+		col  int
+	}{{"int64", imageOf(rows), 3}, {"I32", narrowed(imageOf(rows)), 3}, {"dense", imageOf(rows), 0}} {
+		b.Run(form.name, func(b *testing.B) {
+			db, err := Open("")
+			if err != nil {
+				b.Fatal(err)
+			}
+			tab, err := db.PublishFrozen("tree", treeShapedSchema, form.img)
+			if err != nil {
+				b.Fatal(err)
+			}
+			view, release := pinView(tab)
+			defer release()
+			sel, _, err := view.Select(context.Background(), Access{Cols: []int{form.col}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var dst Col
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := i * window % (n - window)
+				sel.FillCol(&dst, 0, lo, lo+window)
+			}
+		})
+	}
+}
+
 // BenchmarkCommitDelta512 is one ingest commit: 512 deletes and 512
 // inserts on an indexed 48 k-row table with a commit hook listening.
 func BenchmarkCommitDelta512(b *testing.B) {

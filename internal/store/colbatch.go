@@ -28,6 +28,10 @@ type Col struct {
 	Float []float64 // KindFloat
 	Str   []string  // KindString
 	Vals  []Value   // generic mode (Kind == KindNull): arbitrary cells
+	// I32 holds a KindInt or KindBool column of a FrozenImage in place
+	// of Int, and nothing else does: its readers, Selection.FillCol and
+	// loadCell, widen it, so every batch holds Int.
+	I32 []int32
 }
 
 // NewCol returns an empty column of the given kind with room for
@@ -339,8 +343,19 @@ func (s *Selection) FillCol(dst *Col, i, lo, hi int) {
 	switch src.Kind {
 	case KindInt, KindBool:
 		dst.Int = resized(dst.Int, len(slots))
-		for k, sl := range slots {
-			dst.Int[k] = src.Int[sl]
+		switch {
+		case src.Int != nil:
+			for k, sl := range slots {
+				dst.Int[k] = src.Int[sl]
+			}
+		case src.I32 != nil:
+			for k, sl := range slots {
+				dst.Int[k] = int64(src.I32[sl])
+			}
+		default: // a frozen image's dense column: the cell is the slot
+			for k, sl := range slots {
+				dst.Int[k] = int64(sl)
+			}
 		}
 	case KindFloat:
 		dst.Float = resized(dst.Float, len(slots))

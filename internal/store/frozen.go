@@ -10,14 +10,15 @@ import (
 
 // FrozenImage is the whole content of a frozen table, handed to
 // DB.PublishFrozen: one vector per schema column in slot order, all of
-// one length, each of its column's kind with no NULL cell (Null nil).
-// The table takes the vectors over and nothing writes them afterwards,
-// so two columns of one kind may share a vector.
+// one length, each of its column's kind with no NULL cell (Null nil);
+// an INT or BOOL column holds Int or I32. The table takes the vectors
+// over and nothing writes them afterwards, so two columns may share a
+// vector and a vector may be its owner's own array.
 type FrozenImage struct {
 	Cols []Col
-	// Dense, when set, names an INT column whose cell in slot s is s.
-	// It reports as a B+-tree index, and a key probe or range walk on it
-	// is slot arithmetic.
+	// Dense, when set, names an INT column that holds no vector: its
+	// cell in slot s is s. It reports as a B+-tree index, and a key
+	// probe or range walk on it is slot arithmetic.
 	Dense string
 	// Hash, when set, names a column that reports as a hash index and is
 	// probed through a slot table.
@@ -89,16 +90,20 @@ func newFrozenImage(name string, schema *Schema, img FrozenImage) (*frozenImage,
 	if len(img.Cols) != schema.Len() {
 		return nil, fmt.Errorf("store: frozen table %s: %d vectors for %d columns", name, len(img.Cols), schema.Len())
 	}
-	f := &frozenImage{name: name, schema: schema, cols: img.Cols, dense: -1, hash: -1}
+	f := &frozenImage{name: name, schema: schema, cols: img.Cols, n: -1, dense: -1, hash: -1}
+	if img.Dense != "" {
+		if f.dense = schema.ColumnIndex(img.Dense); f.dense < 0 || schema.Columns[f.dense].Kind != KindInt {
+			return nil, fmt.Errorf("store: frozen table %s: dense column %q is not an INT column", name, img.Dense)
+		}
+		f.indexes = append(f.indexes, IndexSpec{Column: img.Dense, Type: IndexBTree})
+	}
 	for c := range img.Cols {
 		col, want := &img.Cols[c], schema.Columns[c]
-		var n int
+		n := len(col.Int) + len(col.I32) // holding both miscounts the cells
 		switch col.Kind {
-		case KindInt, KindBool:
-			n = len(col.Int)
 		case KindFloat:
 			n = len(col.Float)
-		default:
+		case KindString:
 			n = len(col.Str)
 		}
 		switch {
@@ -106,24 +111,20 @@ func newFrozenImage(name string, schema *Schema, img FrozenImage) (*frozenImage,
 			return nil, fmt.Errorf("store: frozen table %s: column %s holds %v, want %v", name, want.Name, col.Kind, want.Kind)
 		case col.Null != nil || col.Vals != nil:
 			return nil, fmt.Errorf("store: frozen table %s: column %s has a null mask or generic cells", name, want.Name)
-		case c > 0 && n != f.n:
+		case c == f.dense && (col.Int != nil || col.I32 != nil):
+			return nil, fmt.Errorf("store: frozen table %s: dense column %s holds a vector; its cell in slot s is s", name, want.Name)
+		case c == f.dense:
+			continue
+		case f.n >= 0 && n != f.n:
 			return nil, fmt.Errorf("store: frozen table %s: column %s holds %d cells, want %d", name, want.Name, n, f.n)
 		}
 		f.n = n
 	}
-	if f.n >= math.MaxInt32 {
+	switch {
+	case f.n < 0:
+		return nil, fmt.Errorf("store: frozen table %s: no column but the dense one gives the row count", name)
+	case f.n >= math.MaxInt32:
 		return nil, fmt.Errorf("store: frozen table %s: %d rows exceed the slot range", name, f.n)
-	}
-	if img.Dense != "" {
-		if f.dense = schema.ColumnIndex(img.Dense); f.dense < 0 || schema.Columns[f.dense].Kind != KindInt {
-			return nil, fmt.Errorf("store: frozen table %s: dense column %q is not an INT column", name, img.Dense)
-		}
-		for s, v := range img.Cols[f.dense].Int {
-			if v != int64(s) {
-				return nil, fmt.Errorf("store: frozen table %s: dense column %s holds %d in slot %d", name, img.Dense, v, s)
-			}
-		}
-		f.indexes = append(f.indexes, IndexSpec{Column: img.Dense, Type: IndexBTree})
 	}
 	if img.Hash != "" {
 		if f.hash = schema.ColumnIndex(img.Hash); f.hash < 0 || f.hash == f.dense {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -23,16 +24,17 @@ func frozenTreeRows(n, dup int) []Row {
 }
 
 // imageOf transposes rows into a frozen image of treeShapedSchema, with
-// pre dense and name hashed.
+// pre dense (no vector) and name hashed.
 func imageOf(rows []Row) FrozenImage {
 	cols := make([]Col, treeShapedSchema.Len())
 	for c, col := range treeShapedSchema.Columns {
 		cols[c].Kind = col.Kind
 		for _, r := range rows {
-			switch col.Kind {
-			case KindInt, KindBool:
+			switch {
+			case c == 0: // pre, the dense column
+			case col.Kind == KindInt || col.Kind == KindBool:
 				cols[c].Int = append(cols[c].Int, r[c].I)
-			case KindFloat:
+			case col.Kind == KindFloat:
 				cols[c].Float = append(cols[c].Float, r[c].F)
 			default:
 				cols[c].Str = append(cols[c].Str, r[c].S)
@@ -40,6 +42,22 @@ func imageOf(rows []Row) FrozenImage {
 		}
 	}
 	return FrozenImage{Cols: cols, Dense: "pre", Hash: "name"}
+}
+
+// narrowed returns img with every Int vector replaced by an I32 copy.
+func narrowed(img FrozenImage) FrozenImage {
+	cols := slices.Clone(img.Cols)
+	for c := range cols {
+		if cols[c].Int != nil {
+			cols[c].I32 = make([]int32, len(cols[c].Int))
+			for i, v := range cols[c].Int {
+				cols[c].I32[i] = int32(v)
+			}
+			cols[c].Int = nil
+		}
+	}
+	img.Cols = cols
+	return img
 }
 
 // frozenAndStored loads the same rows into a frozen table and into a
@@ -69,15 +87,110 @@ func frozenAndStored(t *testing.T, rows []Row) (frozen, stored *Table) {
 	return frozen, stored
 }
 
-// TestFrozenMatchesStored: every read of a frozen table — Scan,
-// Snapshot, index introspection, DistinctKeys, CountPostings and Select on pre
-// ranges and keys and name keys, with Limit and a residual — answers
+// TestFrozenMatchesStored: every read of a frozen table answers
 // exactly as a stored table loaded with the same rows does, on a tree
-// whose names repeat; an access no index serves (a name range, any read
-// by depth) fails on both.
+// whose names repeat (see sameReads).
 func TestFrozenMatchesStored(t *testing.T) {
 	const n = 3000
 	frozen, stored := frozenAndStored(t, frozenTreeRows(n, 97))
+	sameReads(t, n, frozen, stored)
+}
+
+// TestFrozenNarrowMatchesWide is the differential test of the narrow
+// form: an image whose INT and BOOL columns are I32 vectors and whose
+// dense column holds no vector answers every read exactly as the same
+// rows in Int vectors and in a stored table do, with a negative parent
+// and int32's extremes among the cells. A view pinned before the narrow
+// table is republished keeps reading its image after the last other
+// reference to it is gone.
+func TestFrozenNarrowMatchesWide(t *testing.T) {
+	const n = 3000
+	rows := frozenTreeRows(n, 97)
+	rows[0][2], rows[1][10], rows[2][3] = IntValue(-1), IntValue(math.MaxInt32), IntValue(math.MinInt32)
+	wide, stored := frozenAndStored(t, rows)
+	db, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := db.PublishFrozen("narrow", treeShapedSchema, narrowed(imageOf(rows)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameReads(t, n, narrow, wide)
+	sameReads(t, n, narrow, stored)
+
+	snap := db.PinSnapshot()
+	defer snap.Release()
+	next := frozenTreeRows(25, 0)
+	if _, err := db.PublishFrozen("narrow", treeShapedSchema, narrowed(imageOf(next))); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	view, err := snap.View("narrow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := IntValue(30)
+	cb, _, err := selectAll(context.Background(), view, Access{Column: "pre", Lo: &lo, Desc: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := slices.Clone(rows[30:])
+	slices.Reverse(desc)
+	if !reflect.DeepEqual(viewImage(view), rows) || !reflect.DeepEqual(RowsFromColBatch(cb), desc) {
+		t.Fatalf("the pinned view reads %d rows, %d in [30,∞)", len(viewImage(view)), cb.Rows)
+	}
+	fresh := db.PinSnapshot()
+	defer fresh.Release()
+	if nv, _ := fresh.View("narrow"); !reflect.DeepEqual(viewImage(nv), next) {
+		t.Fatal("a pin after the republish does not read the new image")
+	}
+}
+
+// TestStoredTablesHoldNoI32: only a frozen image holds I32 vectors. A
+// commit hands a stored table rows, never a vector, so its INT and BOOL
+// columns are Int vectors through inserts, deletes and GC; and an I32
+// image cannot replace a stored table.
+func TestStoredTablesHoldNoI32(t *testing.T) {
+	db, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := db.CreateTable("stored", treeShapedSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := frozenTreeRows(300, 0)
+	check := func(when string) {
+		for c, col := range stored.cols {
+			if kind := treeShapedSchema.Columns[c].Kind; col.I32 != nil || (kind == KindInt || kind == KindBool) && col.Int == nil {
+				t.Fatalf("%s: stored column %d holds Int %v, I32 %v", when, c, col.Int != nil, col.I32 != nil)
+			}
+		}
+	}
+	if err := db.CommitDeltas([]TableDelta{{Table: "stored", Inserts: rows}}); err != nil {
+		t.Fatal(err)
+	}
+	check("after inserts")
+	if err := db.CommitDeltas([]TableDelta{{Table: "stored", DeleteIDs: []int64{0, 5, 77}, Inserts: rows[:2]}}); err != nil {
+		t.Fatal(err)
+	}
+	check("after a replace")
+	if _, err := db.PublishFrozen("stored", treeShapedSchema, narrowed(imageOf(rows))); err == nil {
+		t.Fatal("an I32 image replaced a stored table")
+	}
+	check("after a refused publish")
+}
+
+// sameReads checks that tables a and b, each holding n rows of
+// treeShapedSchema, answer alike: Scan, Snapshot, index introspection,
+// DistinctKeys, CountPostings and Select + Fill on pre ranges (ascending
+// and descending) and keys and on name keys, with Limit and a residual
+// that fills pre and depth, emitting four columns and all eleven; an
+// access no index serves (a name range, any read by depth) fails on
+// both.
+func sameReads(t *testing.T, n int64, x, y *Table) {
+	t.Helper()
 	dump := func(tb *Table) (out []string) {
 		tb.Scan(func(id int64, r Row) bool {
 			out = append(out, fmt.Sprintf("%d:%x", id, AppendRow(nil, r)))
@@ -85,30 +198,30 @@ func TestFrozenMatchesStored(t *testing.T) {
 		})
 		return out
 	}
-	if err := sameStrings("Scan", dump(frozen), dump(stored)); err != nil {
+	if err := sameStrings(x.Name()+" Scan", dump(x), dump(y)); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(frozen.Snapshot(), stored.Snapshot()) {
-		t.Fatal("Snapshot differs")
+	if !reflect.DeepEqual(x.Snapshot(), y.Snapshot()) {
+		t.Fatalf("Snapshot differs: %s, %s", x.Name(), y.Name())
 	}
-	if !reflect.DeepEqual(frozen.Indexes(), stored.Indexes()) {
-		t.Fatalf("Indexes = %v, stored %v", frozen.Indexes(), stored.Indexes())
+	if !reflect.DeepEqual(x.Indexes(), y.Indexes()) {
+		t.Fatalf("Indexes = %v, %s %v", x.Indexes(), y.Name(), y.Indexes())
 	}
 	for _, col := range []string{"pre", "name", "depth", "nope"} {
-		ft, fok := frozen.HasIndex(col)
-		st, sok := stored.HasIndex(col)
+		ft, fok := x.HasIndex(col)
+		st, sok := y.HasIndex(col)
 		if ft != st || fok != sok {
-			t.Fatalf("HasIndex(%s) = %v, %v; stored %v, %v", col, ft, fok, st, sok)
+			t.Fatalf("HasIndex(%s) = %v, %v; %s %v, %v", col, ft, fok, y.Name(), st, sok)
 		}
-		fn, fok := frozen.DistinctKeys(col)
-		sn, sok := stored.DistinctKeys(col)
+		fn, fok := x.DistinctKeys(col)
+		sn, sok := y.DistinctKeys(col)
 		if fn != sn || fok != sok {
-			t.Fatalf("DistinctKeys(%s) = %d, %v; stored %d, %v", col, fn, fok, sn, sok)
+			t.Fatalf("DistinctKeys(%s) = %d, %v; %s %d, %v", col, fn, fok, y.Name(), sn, sok)
 		}
 	}
 
 	val := func(v Value) *Value { return &v }
-	keep := func(r Row) (bool, error) { return r[3].I%3 != 0, nil }
+	keep := func(r Row) (bool, error) { return r[3].I%3 != 0 && r[0].I%5 != 1, nil }
 	var accesses []Access
 	for _, b := range []struct{ lo, hi *Value }{
 		{nil, nil}, {val(IntValue(40)), val(IntValue(1200))}, {val(IntValue(-5)), val(IntValue(3))},
@@ -131,29 +244,31 @@ func TestFrozenMatchesStored(t *testing.T) {
 	for i, a := range accesses {
 		for _, limit := range []int{0, 1, 40} {
 			for _, residual := range []bool{false, true} {
-				a.Limit, a.Cols = limit, []int{0, 1, 6, 8}
-				read := func(tb *Table) ([]Row, int, error) {
-					a.Accept = nil
-					if residual { // acceptRows' closure keeps a scratch row: one per read
-						a.Accept = acceptRows(treeShapedSchema.Len(), []int{3}, keep)
+				for _, cols := range [][]int{{0, 1, 6, 8}, nil} {
+					a.Limit, a.Cols = limit, cols
+					read := func(tb *Table) ([]Row, int, error) {
+						a.Accept = nil
+						if residual { // acceptRows' closure keeps a scratch row: one per read
+							a.Accept = acceptRows(treeShapedSchema.Len(), []int{0, 3}, keep)
+						}
+						view, release := pinView(tb)
+						defer release()
+						cb, examined, err := selectAll(context.Background(), view, a)
+						return RowsFromColBatch(cb), examined, err
 					}
-					view, release := pinView(tb)
-					defer release()
-					cb, examined, err := selectAll(context.Background(), view, a)
-					return RowsFromColBatch(cb), examined, err
-				}
-				fr, fex, ferr := read(frozen)
-				sr, sex, serr := read(stored)
-				if (ferr == nil) != (serr == nil) || fex != sex || !reflect.DeepEqual(fr, sr) {
-					t.Fatalf("access %d (%+v) limit %d residual %v: frozen %d rows, %d examined, %v; stored %d, %d, %v",
-						i, a, limit, residual, len(fr), fex, ferr, len(sr), sex, serr)
+					xr, xex, xerr := read(x)
+					yr, yex, yerr := read(y)
+					if (xerr == nil) != (yerr == nil) || xex != yex || !reflect.DeepEqual(xr, yr) {
+						t.Fatalf("access %d (%+v) limit %d residual %v: %s %d rows, %d examined, %v; %s %d, %d, %v",
+							i, a, limit, residual, x.Name(), len(xr), xex, xerr, y.Name(), len(yr), yex, yerr)
+					}
 				}
 			}
 		}
 		a.Accept = nil
 		for _, max := range []int{0, 1, 5, 2000} {
-			if f, s := frozen.CountPostings(a, max), stored.CountPostings(a, max); f != s {
-				t.Fatalf("access %d (%+v): CountPostings(%d) = %d, stored %d", i, a, max, f, s)
+			if f, s := x.CountPostings(a, max), y.CountPostings(a, max); f != s {
+				t.Fatalf("access %d (%+v): CountPostings(%d) = %d, %s %d", i, a, max, f, y.Name(), s)
 			}
 		}
 	}
@@ -286,7 +401,12 @@ func TestFrozenViewKeepsItsImage(t *testing.T) {
 	// republish keeps them: the same Dense and Hash, or an error.
 	for _, change := range []func(*FrozenImage){
 		func(img *FrozenImage) { img.Hash = "" },
-		func(img *FrozenImage) { img.Dense = "" },
+		func(img *FrozenImage) { // pre holds its cells once it is not dense
+			img.Dense, img.Cols[0].Int = "", make([]int64, len(next))
+			for s := range img.Cols[0].Int {
+				img.Cols[0].Int[s] = int64(s)
+			}
+		},
 		func(img *FrozenImage) { img.Hash = "depth" },
 	} {
 		img := imageOf(next)
@@ -301,8 +421,8 @@ func TestFrozenViewKeepsItsImage(t *testing.T) {
 }
 
 // TestFrozenRejectsBadImages: publish checks the image against the
-// schema, the dense column's pre[s] == s and the named columns, and a
-// rejected image leaves no table behind.
+// schema, its vectors (one per column, none for the dense column) and
+// the named columns, and a rejected image leaves no table behind.
 func TestFrozenRejectsBadImages(t *testing.T) {
 	db, err := Open("")
 	if err != nil {
@@ -310,13 +430,16 @@ func TestFrozenRejectsBadImages(t *testing.T) {
 	}
 	good := func() FrozenImage { return imageOf(frozenTreeRows(20, 0)) }
 	for name, img := range map[string]FrozenImage{
-		"pre not dense": func() FrozenImage { img := good(); img.Cols[0].Int[7] = 8; return img }(),
-		"short column":  func() FrozenImage { img := good(); img.Cols[5].Float = img.Cols[5].Float[:19]; return img }(),
-		"wrong kind":    func() FrozenImage { img := good(); img.Cols[2] = img.Cols[5]; return img }(),
-		"null mask":     func() FrozenImage { img := good(); img.Cols[3].Null = make([]bool, 20); return img }(),
-		"missing col":   func() FrozenImage { img := good(); img.Cols = img.Cols[:10]; return img }(),
-		"dense string":  func() FrozenImage { img := good(); img.Dense = "name"; img.Hash = ""; return img }(),
-		"no such hash":  func() FrozenImage { img := good(); img.Hash = "nope"; return img }(),
+		"dense vector": func() FrozenImage { img := good(); img.Cols[0].Int = make([]int64, 20); return img }(),
+		"dense I32":    func() FrozenImage { img := good(); img.Cols[0].I32 = make([]int32, 20); return img }(),
+		"short column": func() FrozenImage { img := good(); img.Cols[5].Float = img.Cols[5].Float[:19]; return img }(),
+		"short I32":    func() FrozenImage { img := narrowed(good()); img.Cols[3].I32 = img.Cols[3].I32[:19]; return img }(),
+		"two vectors":  func() FrozenImage { img := good(); img.Cols[2].I32 = make([]int32, 20); return img }(),
+		"wrong kind":   func() FrozenImage { img := good(); img.Cols[2] = img.Cols[5]; return img }(),
+		"null mask":    func() FrozenImage { img := good(); img.Cols[3].Null = make([]bool, 20); return img }(),
+		"missing col":  func() FrozenImage { img := good(); img.Cols = img.Cols[:10]; return img }(),
+		"dense string": func() FrozenImage { img := good(); img.Dense = "name"; img.Hash = ""; return img }(),
+		"no such hash": func() FrozenImage { img := good(); img.Hash = "nope"; return img }(),
 	} {
 		if _, err := db.PublishFrozen("tree", treeShapedSchema, img); err == nil || !strings.Contains(err.Error(), "tree") {
 			t.Errorf("%s: err = %v, want a rejection naming the table", name, err)
@@ -324,6 +447,10 @@ func TestFrozenRejectsBadImages(t *testing.T) {
 	}
 	if _, err := db.Table("tree"); err == nil {
 		t.Fatal("a rejected image left a table")
+	}
+	pre := MustSchema(Column{Name: "pre", Kind: KindInt})
+	if _, err := db.PublishFrozen("tree", pre, FrozenImage{Cols: []Col{{Kind: KindInt}}, Dense: "pre"}); err == nil {
+		t.Fatal("an image of the dense column alone, which gives no row count, was published")
 	}
 	if _, err := db.PublishFrozen("tree", treeShapedSchema, good()); err != nil {
 		t.Fatal(err)
@@ -334,10 +461,12 @@ func TestFrozenRejectsBadImages(t *testing.T) {
 }
 
 // TestFrozenBytesPerRow is the tier-1 guard on the frozen layout: a
-// tree_nodes-shaped frozen table, its name lookup included and x sharing
-// root_dist's vector as the engine's does, holds a row in at most 96
-// bytes of live heap (88 of vectors and ≈ 5 of slot table). The names
-// are substrings of one arena built beforehand, as the tree's are.
+// tree_nodes-shaped frozen table in the narrow form the engine
+// publishes — pre dense with no vector, the other INT and BOOL columns
+// int32, x sharing root_dist's vector, its name lookup included — holds
+// a row in at most 72 bytes of live heap (60 of vectors and ≈ 5 of slot
+// table; 65.5 measured). The names are substrings of one arena built
+// beforehand, as the tree's are. (The int64 layout held 93.6 B a row.)
 func TestFrozenBytesPerRow(t *testing.T) {
 	const n = 100000
 	var b strings.Builder
@@ -355,10 +484,11 @@ func TestFrozenBytesPerRow(t *testing.T) {
 	cols := make([]Col, treeShapedSchema.Len())
 	for c, col := range treeShapedSchema.Columns {
 		cols[c].Kind = col.Kind
-		switch col.Kind {
-		case KindInt, KindBool:
-			cols[c].Int = make([]int64, n)
-		case KindFloat:
+		switch {
+		case c == 0: // pre, the dense column
+		case col.Kind == KindInt || col.Kind == KindBool:
+			cols[c].I32 = make([]int32, n)
+		case col.Kind == KindFloat:
 			cols[c].Float = make([]float64, n)
 		default:
 			cols[c].Str = make([]string, n)
@@ -366,7 +496,7 @@ func TestFrozenBytesPerRow(t *testing.T) {
 	}
 	cols[8].Float = cols[6].Float // x is root_dist
 	for p := 0; p < n; p++ {
-		cols[0].Int[p], cols[1].Str[p], cols[6].Float[p] = int64(p), arena[off[p]:off[p+1]], float64(p)/7
+		cols[1].Str[p], cols[6].Float[p] = arena[off[p]:off[p+1]], float64(p)/7
 	}
 	tab, err := db.PublishFrozen("tree_nodes", treeShapedSchema, FrozenImage{Cols: cols, Dense: "pre", Hash: "name"})
 	if err != nil {
@@ -374,12 +504,13 @@ func TestFrozenBytesPerRow(t *testing.T) {
 	}
 	perRow := float64(liveHeap()-before) / n
 	t.Logf("%.1f B a row, name lookup included", perRow)
-	if perRow > 96 {
-		t.Errorf("%.1f B of live heap a frozen row, want ≤ 96", perRow)
+	if perRow > 72 {
+		t.Errorf("%.1f B of live heap a frozen row, want ≤ 72", perRow)
 	}
 	if rows := readRows(t, tab, equalTo("name", StringValue("clade_4711"))); len(rows) != 1 || rows[0][0].I != 4711 {
 		t.Fatalf("name lookup found %v", rows)
 	}
 	runtime.KeepAlive(tab)
 	runtime.KeepAlive(arena)
+	runtime.KeepAlive(off)
 }

@@ -256,7 +256,8 @@ func loadRow(cols []Col, dst Row, s int) {
 }
 
 // loadCell writes cell i of a storage vector over *v, which must be
-// zero or an earlier cell of the same vector.
+// zero or an earlier cell of the same vector. A frozen image's dense
+// column has no vector: its cell is the slot.
 func (c *Col) loadCell(v *Value, i int) {
 	switch {
 	case c.Null != nil && c.Null[i]:
@@ -265,8 +266,12 @@ func (c *Col) loadCell(v *Value, i int) {
 		v.K, v.F = KindFloat, c.Float[i]
 	case c.Kind == KindString:
 		v.K, v.S = KindString, c.Str[i]
-	default:
+	case c.Int != nil:
 		v.K, v.I = c.Kind, c.Int[i]
+	case c.I32 != nil:
+		v.K, v.I = c.Kind, int64(c.I32[i])
+	default:
+		v.K, v.I = c.Kind, int64(i)
 	}
 }
 
