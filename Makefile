@@ -117,7 +117,7 @@ bench-repo-smoke:
 # idle host and commit the file with the change it measures. A file git
 # already tracks is a committed record: the target refuses to overwrite
 # it, so a later change names its own with BENCH_JSON=BENCH_<n>.json.
-BENCH_JSON ?= BENCH_49.json
+BENCH_JSON ?= BENCH_50.json
 
 bench-repo:
 	@if git ls-files --error-unmatch $(BENCH_JSON) >/dev/null 2>&1; then \
@@ -139,16 +139,21 @@ bench-repo:
 # Storage- and operator-layer microbenchmarks with -benchmem: the
 # store's insert, lookup, range read, sequential pass and 512+512
 # delta commit, one posting's insert / probe / remove / range walk
-# through each index form, one 1 024-row Fill of a frozen INT column
+# through each index form, one churned row's trip out of and back into
+# a rank index and a B+-tree over the same ranks, one 1 024-row Fill of
+# a frozen INT column
 # held as int64, as int32 and as the dense column, and the query
 # layer's hashing operators —
 # the hash join and the aggregate, serial and parallel, the flat table
 # under both (8 192 keys inserted / probed), the keyed probe, the
 # group-join and an aggregate folded straight from storage over 8.6 k
-# index-selected rows at one and two workers — and the subtree
+# index-selected rows at one and two workers — and parsing of the six
+# analytics shapes, one a op, the subtree
 # overlay's share of a 512 + 512-row commit, served-path planning
 # (BuildLogical + Optimize) of the 18 analytics statements the core
-# plan golden pins, one a op, and one 100-row, 4-column
+# plan golden pins, one a op, the six subtree_join and ligand_rank
+# statements among them served whole (parse, plan and a rank-index
+# read), one a op, and one 100-row, 4-column
 # query reply through the wire codec (encoded from shared columns,
 # framed, decoded into one slab), one LOD-delta Open's viewport build
 # and merge diff at a budget of 100, one 64-node TreeDelta's decode,
@@ -168,8 +173,8 @@ bench-micro:
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex|BenchmarkFrozenFill' ./internal/store/
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan' ./internal/query/
-	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply|BenchmarkServedPlan' ./internal/core/
+		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan|BenchmarkParse$$' ./internal/query/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply|BenchmarkServedPlan|BenchmarkSubtreeAccess' ./internal/core/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkQueryReply|BenchmarkOpenDelta|BenchmarkDecodeTreeDelta' ./internal/mobile/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkKmerDistances|BenchmarkNeighborJoining' ./internal/phylo/
 

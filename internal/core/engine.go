@@ -176,6 +176,16 @@ func NewWithTree(db *store.DB, tree *phylo.Tree, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A WITHIN_SUBTREE on a column naming proteins reads one range of its
+	// rank index, on the table, where every catalog over db and tree
+	// finds it.
+	for tab, col := range map[string]string{integrate.TableActivities: "protein_id", integrate.TableProteins: "accession", integrate.TableAnnotations: "protein_id"} {
+		if t, err := db.Table(tab); err == nil && t.Schema().ColumnIndex(col) >= 0 {
+			if err := query.IndexByTree(t, col, tree); err != nil {
+				return nil, err
+			}
+		}
+	}
 	e := &Engine{
 		cfg:        cfg,
 		db:         db,

@@ -436,8 +436,8 @@ func BenchmarkOverlayApply(b *testing.B) {
 // a leaf under X and a clade under Y, and Tree.NodeByName resolves it
 // to the lower node ID, the leaf. A row keyed A therefore lies under R,
 // X and the leaf A and never under Y, whichever path answers: the
-// overlay, an IndexUnionScan (a GROUP BY, which the overlay cannot
-// serve) or a full scan with indexes off. For every named node COUNT and
+// overlay, a rank range (a GROUP BY, which the overlay cannot serve) or
+// a full scan with indexes off. For every named node COUNT and
 // SUM agree across the three and with the counts worked out by hand.
 func TestDuplicateNameAnswersOneWay(t *testing.T) {
 	tree, err := phylo.ParseNewick("((A:1,B:1)X:1,((C:1,D:1)A:1,E:1)Y:1)R;")
@@ -460,8 +460,8 @@ func TestDuplicateNameAnswersOneWay(t *testing.T) {
 	}
 	s, f := store.StringValue, store.FloatValue
 	rows := []store.Row{{s("A"), s("L1"), f(7), s("Kd")}, {s("C"), s("L1"), f(5), s("Kd")}}
-	// Rows keyed outside the tree count under no clade; they size the
-	// table so a key union stays under its share of it.
+	// Rows keyed outside the tree count under no clade: the rank index
+	// holds no posting for them.
 	for i := 0; i < 48; i++ {
 		rows = append(rows, store.Row{s("Z"), s("L2"), f(1), s("Kd")})
 	}
@@ -515,7 +515,7 @@ func TestDuplicateNameAnswersOneWay(t *testing.T) {
 		grouped := fmt.Sprintf("SELECT assay, COUNT(*), SUM(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s') GROUP BY assay", node)
 		got := map[string]agg{
 			"overlay":      read(indexed, "OverlayRead", global),
-			"index union":  read(indexed, "IndexUnionScan", grouped),
+			"rank range":   read(indexed, "∈ subtree "+node+" → rank [", grouped),
 			"scan":         read(scanned, "SeqScan", global),
 			"grouped scan": read(scanned, "SeqScan", grouped),
 		}

@@ -198,3 +198,25 @@ func BenchmarkServedPlan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSubtreeAccess serves the six subtree_join and ligand_rank
+// statements of analyticsStatements, one a op in turn, through
+// QueryColumns (parse, plan and run; DefaultConfig keeps no statement
+// cache): the clade reads a WITHIN_SUBTREE on a protein name drives.
+func BenchmarkSubtreeAccess(b *testing.B) {
+	e, _ := buildEngineFrom(b, smokeD1(), DefaultConfig())
+	var texts []string
+	for _, s := range analyticsStatements(b, e) {
+		if s.class == "subtree_join" || s.class == "ligand_rank" {
+			texts = append(texts, s.text)
+		}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.QueryColumns(ctx, texts[i%len(texts)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -296,7 +296,7 @@ func TestBenchShapesMatchAcrossTopologies(t *testing.T) {
 	t.Cleanup(func() { sharded.Close() })
 	naive := query.NewEngine(query.NewDBCatalog(single.DB(), single.Tree()), query.NaiveOptions())
 
-	// A clade of 2–4 of the 24 leaves stays under the union crossover.
+	// A clade of 2–4 of the 24 leaves.
 	tree := single.Tree()
 	clade := ""
 	for id := phylo.NodeID(1); int(id) < tree.Len() && clade == ""; id++ {
@@ -309,10 +309,10 @@ func TestBenchShapesMatchAcrossTopologies(t *testing.T) {
 		key           int // sort-key column of a ranked shape, -1 otherwise
 	}{
 		{"overlay_agg", fmt.Sprintf("SELECT COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s')", clade), "OverlayRead", -1},
-		{"subtree_join", fmt.Sprintf("SELECT p.accession, a.ligand_id, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE WITHIN_SUBTREE(p.accession, '%s') AND a.affinity >= %.3f ORDER BY a.affinity DESC LIMIT %d", clade, 5.5, 100), "IndexUnionScan activities", 2},
+		{"subtree_join", fmt.Sprintf("SELECT p.accession, a.ligand_id, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE WITHIN_SUBTREE(p.accession, '%s') AND a.affinity >= %.3f ORDER BY a.affinity DESC LIMIT %d", clade, 5.5, 100), "IndexRangeScan activities (protein_id ∈ subtree " + clade + " → rank [", 2},
 		{"topk", fmt.Sprintf("SELECT protein_id, ligand_id, affinity FROM activities WHERE affinity >= %.3f ORDER BY affinity DESC LIMIT 20", 5.5), "order=DESC limit=20", 2},
 		{"integration3", fmt.Sprintf("SELECT p.accession, n.organism, l.weight, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id JOIN ligands l ON a.ligand_id = l.ligand_id JOIN annotations n ON p.accession = n.protein_id WHERE p.family = '%s' AND a.affinity >= %.3f ORDER BY a.affinity DESC LIMIT %d", "FAM01", 5.5, 100), "IndexScan proteins", 3},
-		{"ligand_rank", fmt.Sprintf("SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s') GROUP BY ligand_id ORDER BY AVG(affinity) DESC LIMIT %d", clade, 10), "IndexUnionScan activities", 2},
+		{"ligand_rank", fmt.Sprintf("SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s') GROUP BY ligand_id ORDER BY AVG(affinity) DESC LIMIT %d", clade, 10), "IndexRangeScan activities (protein_id ∈ subtree " + clade + " → rank [", 2},
 		{"family_agg", fmt.Sprintf("SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE a.affinity >= %.3f GROUP BY p.family", 5.5), "IndexRangeScan activities", -1},
 	}
 	ctx := context.Background()

@@ -352,7 +352,7 @@ func (t *Tree) buildNames() {
 // Unnamed nodes are not indexed, so "" finds nothing. It is the one
 // name resolution every layer shares: the query engine's tree
 // predicates (the node they name and, on a name column, the node each
-// row's name means), the index union's keys, the engine's navigation
+// row's name means), the rank index's keys, the engine's navigation
 // calls and the overlay cannot disagree about which node a duplicated
 // name means.
 func (t *Tree) NodeByName(name string) (NodeID, bool) {

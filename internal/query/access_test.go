@@ -17,8 +17,8 @@ import (
 	"drugtree/internal/store"
 )
 
-// Tests for the index-driven access paths: key-union scans over a
-// clade's names, index-ordered top-k, and the projected gather both
+// Tests for the index-driven access paths: rank ranges over a clade's
+// preorder interval, index-ordered top-k, and the projected gather both
 // engines share.
 
 // benchShape is one statement shape of the repository benchmark. The
@@ -79,11 +79,11 @@ func TestDifferentialBenchShapes(t *testing.T) {
 	cat := datagenCatalog(t, 7)
 	clade := cladeOfSize(t, cat.Tree(), 20, 30)
 	wantPath := map[string][]string{
-		"overlay_agg":  {"IndexUnionScan activities (protein_id ∈ subtree " + clade},
-		"subtree_join": {"IndexUnionScan proteins (accession ∈ subtree " + clade},
+		"overlay_agg":  {"IndexRangeScan activities (protein_id ∈ subtree " + clade + " → rank ["},
+		"subtree_join": {"IndexRangeScan proteins (accession ∈ subtree " + clade + " → rank ["},
 		"topk":         {"order=DESC limit=20"},
 		"integration3": {"IndexScan proteins (family = \"FAM01\")"},
-		"ligand_rank":  {"IndexUnionScan activities (protein_id ∈ subtree " + clade},
+		"ligand_rank":  {"IndexRangeScan activities (protein_id ∈ subtree " + clade + " → rank ["},
 		"family_agg":   {"IndexRangeScan activities (affinity in [8.5, ∞])"},
 	}
 	for _, th := range []float64{6.5, 8.5} {
@@ -141,7 +141,8 @@ func (fixedOverlay) Read(string, int64) (OverlayAgg, bool) {
 }
 
 // TestAccessPathCrossover pins the planner's choice on either side of
-// the union/scan crossover, and the overlay's precedence over both.
+// the crossover between a clade's rank range and an affinity range, and
+// the overlay's precedence over both.
 func TestAccessPathCrossover(t *testing.T) {
 	cat := datagenCatalog(t, 7)
 	explain := func(q string) string {
@@ -153,18 +154,32 @@ func TestAccessPathCrossover(t *testing.T) {
 		return res.Plan
 	}
 	rank := "SELECT ligand_id, COUNT(*) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s') GROUP BY ligand_id"
-	// Every row lies under the root, so the scan stays sequential.
-	if plan := explain(fmt.Sprintf(rank, "clade_0")); !strings.Contains(plan, "SeqScan activities") {
-		t.Fatalf("root clade did not stay on the sequential scan:\n%s", plan)
+	// Every row lies under the root, and the rank range still reads them:
+	// it needs no residual, so no share of the table tips it to a scan.
+	root := cat.Tree().Len() - 1
+	if plan := explain(fmt.Sprintf(rank, "clade_0")); !strings.Contains(plan, fmt.Sprintf("IndexRangeScan activities (protein_id ∈ subtree clade_0 → rank [0, %d]) cols=(ligand_id)", root)) {
+		t.Fatalf("root clade did not take the rank range:\n%s", plan)
 	}
-	// 30 of 180 leaves hold a sixth of the rows, under the one-fifth
-	// crossover.
 	clade := cladeOfSize(t, cat.Tree(), 25, 30)
 	plan := explain(fmt.Sprintf(rank, clade))
-	if !strings.Contains(plan, "IndexUnionScan activities (protein_id ∈ subtree "+clade+", ") || !strings.Contains(plan, "cols=(ligand_id)") {
-		t.Fatalf("30-leaf clade did not take the projected key union:\n%s", plan)
+	if !strings.Contains(plan, "IndexRangeScan activities (protein_id ∈ subtree "+clade+" → rank [") || !strings.Contains(plan, "cols=(ligand_id)") || strings.Contains(plan, "filter") {
+		t.Fatalf("30-leaf clade did not take the projected rank range:\n%s", plan)
 	}
-	// Without indexes the union is off the table.
+	// An affinity range visiting fewer postings than the clade wins, with
+	// the subtree conjunct as its residual; a wider one loses.
+	for _, c := range []struct {
+		min  float64
+		path string
+	}{
+		{9.9, "IndexRangeScan activities (affinity in [9.9, ∞]) cols=(ligand_id) filter: WITHIN_SUBTREE(protein_id, '" + clade + "')"},
+		{0, "IndexRangeScan activities (protein_id ∈ subtree " + clade + " → rank ["},
+	} {
+		q := fmt.Sprintf("SELECT ligand_id, COUNT(*) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s') AND affinity >= %g GROUP BY ligand_id", clade, c.min)
+		if plan := explain(q); !strings.Contains(plan, c.path) {
+			t.Fatalf("affinity >= %g: plan lacks %q:\n%s", c.min, c.path, plan)
+		}
+	}
+	// Without indexes the rank range is off the table.
 	noIdx := DefaultOptions()
 	noIdx.UseIndexes = false
 	res, err := NewEngine(cat, noIdx).Query(context.Background(), "EXPLAIN "+fmt.Sprintf(rank, clade))
@@ -173,7 +188,7 @@ func TestAccessPathCrossover(t *testing.T) {
 	}
 	// An overlay-eligible aggregate is still answered by the overlay.
 	agg := fmt.Sprintf("SELECT COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s')", clade)
-	if plan := explain(agg); !strings.Contains(plan, "IndexUnionScan") {
+	if plan := explain(agg); !strings.Contains(plan, "→ rank [") {
 		t.Fatalf("aggregate without an overlay:\n%s", plan)
 	}
 	cat.OverlayAggs = fixedOverlay{}
@@ -288,7 +303,7 @@ func TestSubtreePredicateCrossesJoin(t *testing.T) {
 		"SELECT p.accession, a.affinity FROM proteins p JOIN activities a ON a.protein_id = p.accession WHERE WITHIN_SUBTREE(a.protein_id, '" + clade + "')",
 	} {
 		plan := explain(q)
-		for _, frag := range []string{"IndexUnionScan proteins (accession ∈ subtree " + clade, "IndexUnionScan activities (protein_id ∈ subtree " + clade} {
+		for _, frag := range []string{"IndexRangeScan proteins (accession ∈ subtree " + clade + " → rank [", "IndexRangeScan activities (protein_id ∈ subtree " + clade + " → rank ["} {
 			if !strings.Contains(plan, frag) {
 				t.Fatalf("%s\nplan lacks %q:\n%s", q, frag, plan)
 			}
@@ -296,12 +311,12 @@ func TestSubtreePredicateCrossesJoin(t *testing.T) {
 	}
 	chain := explain("SELECT n.organism, a.affinity FROM annotations n JOIN proteins p ON n.protein_id = p.accession JOIN activities a ON p.accession = a.protein_id WHERE WITHIN_SUBTREE(n.protein_id, '" + clade + "')")
 	for _, tab := range []string{"annotations", "proteins", "activities"} {
-		if !strings.Contains(chain, "IndexUnionScan "+tab+" (") {
+		if !strings.Contains(chain, "IndexRangeScan "+tab+" (protein_id ∈ subtree ") && !strings.Contains(chain, "IndexRangeScan "+tab+" (accession ∈ subtree ") {
 			t.Fatalf("chain did not carry the predicate to %s:\n%s", tab, chain)
 		}
 	}
 	nonEqui := explain("SELECT p.accession, a.affinity FROM proteins p JOIN activities a ON p.accession < a.protein_id WHERE WITHIN_SUBTREE(p.accession, '" + clade + "')")
-	if strings.Contains(nonEqui, "IndexUnionScan activities") {
+	if strings.Contains(nonEqui, "IndexRangeScan activities") {
 		t.Fatalf("predicate crossed a non-equi join:\n%s", nonEqui)
 	}
 }
@@ -377,11 +392,11 @@ func (c *pollOnlyCtx) Err() error {
 	return nil
 }
 
-// TestIndexWalksPollContext: the ordered walk and the key union run
+// TestIndexWalksPollContext: the ordered walk and the rank range run
 // under the statement's context.
 func TestIndexWalksPollContext(t *testing.T) {
 	// 12 proteins × 600 activities; clade A holds two of them (1 200
-	// postings: past one poll interval, under a fifth of the table).
+	// postings: past one poll interval).
 	db, err := store.Open("")
 	if err != nil {
 		t.Fatal(err)
@@ -414,11 +429,12 @@ func TestIndexWalksPollContext(t *testing.T) {
 	}
 	act.CreateIndex("protein_id", store.IndexHash)
 	act.CreateIndex("affinity", store.IndexBTree)
+	rankByTree(t, db, tree)
 	cat := NewDBCatalog(db, tree)
 	for _, c := range []struct{ q, path string }{
 		// The residual rejects every row, so the walk visits the whole range.
 		{"SELECT protein_id, affinity FROM activities WHERE affinity >= 0 AND ligand_id = 'none' ORDER BY affinity DESC LIMIT 5", "order=DESC limit=5"},
-		{"SELECT ligand_id, COUNT(*) FROM activities WHERE WITHIN_SUBTREE(protein_id, 'A') GROUP BY ligand_id", "IndexUnionScan"},
+		{"SELECT ligand_id, COUNT(*) FROM activities WHERE WITHIN_SUBTREE(protein_id, 'A') GROUP BY ligand_id", "IndexRangeScan activities (protein_id ∈ subtree A → rank ["},
 	} {
 		for _, opts := range []Options{serialOptions(), parallelOptions(diffParallelism)} {
 			eng := NewEngine(cat, opts)
@@ -450,15 +466,14 @@ var mvccStatements = []struct {
 }{
 	{"SELECT protein_id, ligand_id, affinity FROM activities WHERE affinity >= 6 ORDER BY affinity DESC LIMIT 12", "order=DESC limit=12", 2},
 	{"SELECT protein_id, affinity FROM activities WHERE affinity > 2 AND affinity <= 7 ORDER BY affinity LIMIT 9", "order=ASC limit=9", 1},
-	{"SELECT ligand_id, COUNT(*), SUM(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, 'FAM1') GROUP BY ligand_id", "IndexUnionScan", -1},
-	{"SELECT p.accession, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE WITHIN_SUBTREE(p.accession, 'FAM0') AND a.affinity >= 5", "IndexUnionScan activities", -1},
+	{"SELECT ligand_id, COUNT(*), SUM(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, 'FAM1') GROUP BY ligand_id", "→ rank [", -1},
+	{"SELECT p.accession, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE WITHIN_SUBTREE(p.accession, 'FAM0') AND a.affinity >= 5", "IndexRangeScan activities (protein_id ∈ subtree FAM0 → rank [", -1},
 	{"SELECT ligand_id, affinity FROM activities WHERE affinity BETWEEN 4 AND 6", "IndexRangeScan", -1},
 	{"SELECT ligand_id FROM activities WHERE protein_id = 'P005'", "IndexScan", -1},
 }
 
-// mvccCatalog is the small test catalog with enough activities per
-// protein that a family's key union stays under the crossover: 60
-// proteins, four of them in the tree, 1 500 rows.
+// mvccCatalog is the small test catalog with more activities per
+// protein: 60 proteins, four of them in the tree, 1 500 rows.
 func mvccCatalog(t *testing.T) (*DBCatalog, *store.Table) {
 	t.Helper()
 	cat := testCatalog(t)

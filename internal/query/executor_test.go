@@ -87,6 +87,7 @@ func testCatalogWith(t *testing.T, withTreeNodes bool) *DBCatalog {
 	if err := tree.Index(); err != nil {
 		t.Fatal(err)
 	}
+	rankByTree(t, db, tree)
 	if withTreeNodes {
 		nodes, err := db.CreateTable("tree_nodes", store.MustSchema(
 			store.Column{Name: "pre", Kind: store.KindInt},

@@ -42,21 +42,39 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// keywords recognized by the parser (upper-cased).
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"NOT": true, "JOIN": true, "ON": true, "GROUP": true, "BY": true,
-	"ORDER": true, "LIMIT": true, "ASC": true, "DESC": true, "AS": true,
-	"TRUE": true, "FALSE": true, "NULL": true, "BETWEEN": true,
-	"EXPLAIN": true, "ANALYZE": true, "COUNT": true, "SUM": true, "AVG": true,
-	"MIN": true, "MAX": true, "WITHIN_SUBTREE": true, "LIKE": true,
-	"HAVING": true, "IN": true, "DISTINCT": true, "ANCESTOR_OF": true,
-	"TANIMOTO": true,
+// keywords maps each keyword the parser recognizes, upper-cased, to
+// itself: a keyword token's text is the map's own string.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, k := range strings.Fields(`SELECT FROM WHERE AND OR NOT JOIN ON GROUP BY ORDER LIMIT ASC DESC AS TRUE FALSE
+		NULL BETWEEN EXPLAIN ANALYZE COUNT SUM AVG MIN MAX WITHIN_SUBTREE LIKE HAVING IN DISTINCT ANCESTOR_OF TANIMOTO`) {
+		m[k] = k
+	}
+	return m
+}()
+
+// keyword returns the keyword an identifier spells in any case, without
+// allocating: it is upper-cased into a buffer longer than every keyword
+// (clearing bit 0x20 upper-cases a letter and turns a digit into a
+// control byte no keyword holds), and a map index by string(bytes)
+// copies nothing.
+func keyword(ident string) (string, bool) {
+	var buf [16]byte
+	if len(ident) > len(buf) {
+		return "", false
+	}
+	for i := range len(ident) {
+		buf[i] = ident[i] &^ 0x20
+	}
+	kw, ok := keywords[string(buf[:len(ident)])]
+	return kw, ok
 }
 
 // lex tokenizes a DTQL string.
 func lex(src string) ([]token, error) {
-	var toks []token
+	// A token takes at least two bytes of source but for a one-byte
+	// symbol next to another, so this rarely grows.
+	toks := make([]token, 0, len(src)/4+2)
 	i := 0
 	for i < len(src) {
 		c := src[i]
@@ -100,34 +118,18 @@ func lex(src string) ([]token, error) {
 				i++
 			}
 			text := src[start:i]
-			if keywords[strings.ToUpper(text)] {
-				toks = append(toks, token{tokKeyword, strings.ToUpper(text), start})
+			if kw, ok := keyword(text); ok {
+				toks = append(toks, token{tokKeyword, kw, start})
 			} else {
 				toks = append(toks, token{tokIdent, text, start})
 			}
 		case c == '\'':
-			start := i
-			i++
-			var sb strings.Builder
-			closed := false
-			for i < len(src) {
-				if src[i] == '\'' {
-					if i+1 < len(src) && src[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
-						i += 2
-						continue
-					}
-					closed = true
-					i++
-					break
-				}
-				sb.WriteByte(src[i])
-				i++
+			text, n, ok := singleQuoted(src[i:])
+			if !ok {
+				return nil, fmt.Errorf("query: unterminated string at offset %d", i)
 			}
-			if !closed {
-				return nil, fmt.Errorf("query: unterminated string at offset %d", start)
-			}
-			toks = append(toks, token{tokString, sb.String(), start})
+			toks = append(toks, token{tokString, text, i})
+			i += n
 		case c == '"':
 			// The double-quoted form SelectStmt.String renders a string
 			// literal in (strconv.Quote), so a rendered statement parses.
@@ -139,7 +141,7 @@ func lex(src string) ([]token, error) {
 			toks = append(toks, token{tokString, text, i})
 			i += len(quoted)
 		case c == '(' || c == ')' || c == ',' || c == '.' || c == '*':
-			toks = append(toks, token{tokSymbol, string(c), i})
+			toks = append(toks, token{tokSymbol, src[i : i+1], i})
 			i++
 		case c == '=':
 			toks = append(toks, token{tokOp, "=", i})
@@ -171,7 +173,7 @@ func lex(src string) ([]token, error) {
 				i++
 			}
 		case c == '+' || c == '-' || c == '/' || c == '%':
-			toks = append(toks, token{tokOp, string(c), i})
+			toks = append(toks, token{tokOp, src[i : i+1], i})
 			i++
 		default:
 			return nil, fmt.Errorf("query: unexpected character %q at offset %d", c, i)
@@ -179,6 +181,20 @@ func lex(src string) ([]token, error) {
 	}
 	toks = append(toks, token{tokEOF, "", len(src)})
 	return toks, nil
+}
+
+// singleQuoted reads the '…' literal s starts with: its text, a window
+// of s unless a doubled quote must be undone, and its length in s.
+func singleQuoted(s string) (text string, n int, ok bool) {
+	for end := 1; ; end += 2 {
+		j := strings.IndexByte(s[end:], '\'')
+		if j < 0 {
+			return "", 0, false
+		}
+		if end += j; end+1 == len(s) || s[end+1] != '\'' {
+			return strings.ReplaceAll(s[1:end], "''", "'"), end + 1, true
+		}
+	}
 }
 
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }

@@ -220,3 +220,36 @@ func TestLikeMatch(t *testing.T) {
 		}
 	}
 }
+
+// parseShapes are the statements BenchmarkParse and TestParseAllocs
+// parse: the six shapes of the repository benchmark's analytics
+// workload.
+func parseShapes() []benchShape { return benchShapes("clade_21", 8.612, "FAM01", 100) }
+
+// TestParseAllocs bounds what parsing the longest analytics statement
+// (integration3, a four-way join) allocates: the lexer sizes its token
+// list once, looks keywords up without upper-casing a copy and takes an
+// undoubled literal as a window of the source, so what is left is the
+// parser's own tree.
+func TestParseAllocs(t *testing.T) {
+	q := parseShapes()[3].q
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Parse(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 33 {
+		t.Fatalf("parsing integration3 made %.0f allocations, want ≤ 33", allocs)
+	}
+}
+
+// BenchmarkParse parses the six analytics shapes, one a op in turn.
+func BenchmarkParse(b *testing.B) {
+	shapes := parseShapes()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(shapes[i%len(shapes)].q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -122,18 +121,19 @@ func (c *execCtx) note(depth int, format string, args ...any) *OpStats {
 
 // accessPath describes the chosen way into a table.
 type accessPath struct {
-	// "seqscan", "indexeq", "indexrange", "indexunion", or "joinkeys": a
-	// hash join's probe scan keyed by the build side's distinct keys
-	// (probePath), which the join supplies once it has hashed them.
+	// "seqscan", "indexeq", "indexrange", or "joinkeys": a hash join's
+	// probe scan keyed by the build side's distinct keys (probePath),
+	// which the join supplies once it has hashed them.
 	kind   string
 	column string
 	eq     store.Value
 	lo, hi *store.Value
 	loOpen bool // lo bound is exclusive (>)
 	hiOpen bool // hi bound is exclusive (<)
-	// indexunion: the clade whose node names are probed, and the names.
+	// rank: an indexrange over the column's rank index, [lo, hi] the
+	// preorder interval of the clade named.
+	rank  bool
 	clade string
-	keys  []store.Value
 	// indexrange under a TopK on the same column: the walk runs in sort
 	// order and stops after limit qualifying rows (0: whole range).
 	desc  bool
@@ -142,15 +142,11 @@ type accessPath struct {
 	residual []Expr
 }
 
-// unionScanMaxShare is the crossover between a key-union gather and a
-// sequential scan: the union is chosen when its postings number under
-// 1/unionScanMaxShare of the table. On a 48k-row activities table a
-// gathered row costs ≈ 0.34 µs (a map lookup per posting) and a
-// scanned one ≈ 0.07 µs bare, ≈ 0.18 µs with three columns copied out
-// (EXPERIMENTS.md "Access paths"): break-even lies between a half and
-// a fifth of the table, and the conservative end is used — a scan's
-// residual filter runs in parallel, a union's does not.
-const unionScanMaxShare = 5
+// keyedScanMaxShare prices a sequential scan against a join's keyed
+// probe as 1/keyedScanMaxShare of the table: a row gathered by key costs
+// 2–5 times a scanned one (EXPERIMENTS.md "Access paths"), and the
+// conservative end is used, as a scan's filter runs in parallel.
+const keyedScanMaxShare = 5
 
 // without returns conjs minus the entries at the given positions.
 func without(conjs []Expr, drop ...int) []Expr {
@@ -169,10 +165,10 @@ func without(conjs []Expr, drop ...int) []Expr {
 
 // chooseAccessPath inspects pushed conjuncts and the table's indexes.
 // Equality on an indexed column wins; otherwise the candidates are a
-// B+-tree range and a key union over a clade's node names, sized by
-// counting the index postings each would visit (an index dive: exact,
-// and never stale after a commit). The choice is made here, once, from
-// the catalog alone.
+// B+-tree range and a clade's range over a rank index, sized by counting
+// the index postings each would visit (an index dive: exact, and never
+// stale after a commit). The choice is made here, once, from the catalog
+// alone.
 func chooseAccessPath(n *ScanNode, t *store.Table, tree *phylo.Tree, useIndexes bool) accessPath {
 	seq := accessPath{kind: "seqscan", residual: n.Conjuncts}
 	if !useIndexes {
@@ -192,13 +188,15 @@ func chooseAccessPath(n *ScanNode, t *store.Table, tree *phylo.Tree, useIndexes 
 		}
 		return accessPath{kind: "indexeq", column: col.Name, eq: lit.Val, residual: without(n.Conjuncts, i)}
 	}
-	union, unionCost := chooseUnion(n, t, tree)
+	rank := chooseRank(n, t, tree)
 	rng := chooseRange(n, t)
 	// With both on offer — each gathers through an index at the same
 	// cost per row — take the one that visits fewer postings.
-	if union.kind != "" && (rng.kind == "" ||
-		t.CountPostings(store.Access{Column: rng.column, Lo: rng.lo, Hi: rng.hi}, unionCost) > unionCost) {
-		return union
+	if rank.kind != "" {
+		cost := t.CountPostings(rank.access(nil), 0)
+		if rng.kind == "" || t.CountPostings(store.Access{Column: rng.column, Lo: rng.lo, Hi: rng.hi}, cost) > cost {
+			return rank
+		}
 	}
 	if rng.kind == "" {
 		return seq
@@ -209,53 +207,36 @@ func chooseAccessPath(n *ScanNode, t *store.Table, tree *phylo.Tree, useIndexes 
 	return rng
 }
 
-// chooseUnion looks for WITHIN_SUBTREE(strcol, clade) on an indexed
-// string column and returns the key-union path over the clade's node
-// names with its posting count, or a zero path when there is none or
-// the union would touch too much of the table.
-func chooseUnion(n *ScanNode, t *store.Table, tree *phylo.Tree) (accessPath, int) {
-	if tree == nil {
-		return accessPath{}, 0
-	}
-	budget := t.Len() / unionScanMaxShare
+// chooseRank returns the range of a WITHIN_SUBTREE(strcol, clade)
+// conjunct's preorder interval over strcol's rank index when tree built
+// it (IndexByTree), or a zero path. The range is the conjunct exactly:
+// a row's rank is the node bindVecSubtree resolves its cell to.
+func chooseRank(n *ScanNode, t *store.Table, tree *phylo.Tree) accessPath {
 	for i, c := range n.Conjuncts {
 		x, ok := c.(*SubtreeExpr)
-		if !ok {
-			continue
-		}
-		ci := t.Schema().ColumnIndex(x.Column.Name)
-		if ci < 0 || t.Schema().Columns[ci].Kind != store.KindString {
-			continue
-		}
-		if _, indexed := t.HasIndex(x.Column.Name); !indexed {
+		if !ok || !t.RankedBy(x.Column.Name, tree) {
 			continue
 		}
 		node, err := findTreeNode(tree, x.Node)
-		if err != nil || tree.LeafCount(node) > budget {
+		if err != nil {
 			continue
 		}
-		// The keys are the names of the clade's nodes that are their own
-		// name's node (Tree.NodeByName), so a row naming a duplicated
-		// name is gathered only under the clade holding that node, as
-		// the predicate decides it. Sorted keys make the gather order (and
-		// so every downstream tie-break) a function of the data alone.
-		lo, hi := tree.SubtreeInterval(node)
-		keys := make([]store.Value, 0, hi-lo+1)
-		for id := phylo.NodeID(lo); id <= phylo.NodeID(hi); id++ {
-			if name := tree.Node(id).Name; name != "" {
-				if own, _ := tree.NodeByName(name); own == id {
-					keys = append(keys, store.StringValue(name))
-				}
-			}
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a].S < keys[b].S })
-		cost := t.CountPostings(store.Access{Column: x.Column.Name, Keys: keys}, budget)
-		if cost > budget {
-			continue
-		}
-		return accessPath{kind: "indexunion", column: x.Column.Name, clade: x.Node, keys: keys, residual: without(n.Conjuncts, i)}, cost
+		first, last := tree.SubtreeInterval(node)
+		lo, hi := store.IntValue(int64(first)), store.IntValue(int64(last))
+		return accessPath{kind: "indexrange", column: x.Column.Name, lo: &lo, hi: &hi, rank: true, clade: x.Node, residual: without(n.Conjuncts, i)}
 	}
-	return accessPath{}, 0
+	return accessPath{}
+}
+
+// IndexByTree creates the rank index over a STRING column naming tree
+// nodes that lets chooseRank serve WITHIN_SUBTREE on it: a cell's rank
+// is the preorder number of its node (Tree.NodeByName, which needs tree
+// indexed and its clades named), and the index is tagged with tree.
+func IndexByTree(t *store.Table, column string, tree *phylo.Tree) error {
+	return t.CreateRankIndex(column, tree.Len(), func(name string) (int64, bool) {
+		id, ok := tree.NodeByName(name)
+		return int64(id), ok
+	}, tree)
 }
 
 // chooseRange collects range bounds on one B+-tree-indexed column, or
@@ -351,6 +332,10 @@ func (p accessPath) describe(n *ScanNode) string {
 	case "indexeq":
 		d = fmt.Sprintf("IndexScan %s (%s = %v)", n.Table, p.column, p.eq)
 	case "indexrange":
+		if p.rank {
+			d = fmt.Sprintf("IndexRangeScan %s (%s ∈ subtree %s → rank [%d, %d])", n.Table, p.column, p.clade, p.lo.I, p.hi.I)
+			break
+		}
 		d = fmt.Sprintf("IndexRangeScan %s (%s in [%s, %s])", n.Table, p.column, boundStr(p.lo, "-∞"), boundStr(p.hi, "∞"))
 		if p.limit > 0 {
 			dir := "ASC"
@@ -359,8 +344,6 @@ func (p accessPath) describe(n *ScanNode) string {
 			}
 			d += fmt.Sprintf(" order=%s limit=%d", dir, p.limit)
 		}
-	case "indexunion":
-		d = fmt.Sprintf("IndexUnionScan %s (%s ∈ subtree %s, %d keys)", n.Table, p.column, p.clade, len(p.keys))
 	case "joinkeys":
 		d = fmt.Sprintf("IndexUnionScan %s (%s ∈ join keys)", n.Table, p.column)
 	default:
@@ -373,7 +356,7 @@ func (p accessPath) describe(n *ScanNode) string {
 // table columns cols; the caller attaches the residual. A sequential
 // path's is a full pass.
 func (p accessPath) access(cols []int) store.Access {
-	a := store.Access{Column: p.column, Lo: p.lo, Hi: p.hi, Desc: p.desc, Limit: p.limit, Keys: p.keys, Cols: cols}
+	a := store.Access{Column: p.column, Rank: p.rank, Lo: p.lo, Hi: p.hi, Desc: p.desc, Limit: p.limit, Cols: cols}
 	if p.kind == "indexeq" {
 		a.Keys = []store.Value{p.eq}
 	}
@@ -388,12 +371,11 @@ func (p accessPath) access(cols []int) store.Access {
 // build side's estimated rows (JoinNode.buildEst) times the key's
 // fan-out (rows ÷ the distinct keys its index holds,
 // store.Table.DistinctKeys), against what the scan's own path would
-// visit: its exact posting count on an index path, or the
-// 1/unionScanMaxShare of the table a key union must stay under against
-// a sequential scan. Every scan conjunct becomes the keyed read's
-// residual. An INT build key may probe a FLOAT column (keys are
-// widened); a FLOAT key never probes an INT one, whose B+-tree would
-// miss the integers beyond 2^53 that round to it.
+// visit: its exact posting count on an index path, or 1/keyedScanMaxShare
+// of the table against a sequential scan. Every scan conjunct becomes
+// the keyed read's residual. An INT build key may probe a FLOAT column
+// (keys are widened); a FLOAT key never probes an INT one, whose B+-tree
+// would miss the integers beyond 2^53 that round to it.
 func probePath(j *JoinNode, buildKind store.Kind, probe *ScanNode, probeKey int, t *store.Table, ec *execCtx) accessPath {
 	own := chooseAccessPath(probe, t, ec.cat.Tree(), ec.opts.UseIndexes)
 	col := probe.schema.cols[probeKey]
@@ -405,7 +387,7 @@ func probePath(j *JoinNode, buildKind store.Kind, probe *ScanNode, probeKey int,
 		return own
 	}
 	keyed := j.buildEst * float64(t.Len()) / float64(max(ndv, 1))
-	visits := t.Len() / unionScanMaxShare
+	visits := t.Len() / keyedScanMaxShare
 	if own.kind != "seqscan" {
 		visits = t.CountPostings(own.access(nil), int(keyed)+1)
 	}

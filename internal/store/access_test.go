@@ -19,6 +19,8 @@ import (
 // top-k cut, a fifth of the rows carry a NULL key, and one-delta
 // replaces move keys inside, outside and across whatever range a check
 // draws while older pins still see the old row under its old posting.
+// The string column g also carries a rank index (accessRank), which
+// ranks five of its six values.
 
 var accessSchema = MustSchema(
 	Column{Name: "k", Kind: KindFloat},
@@ -50,7 +52,20 @@ func openAccessDB(t testing.TB) (*DB, *Table) {
 	if err := tb.CreateIndex("g", IndexHash); err != nil {
 		t.Fatal(err)
 	}
+	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil {
+		t.Fatal(err)
+	}
 	return db, tb
+}
+
+// accessRank is the access fixture's rank of a g cell: gN ranks 4-N, so
+// rank order is not the cells' order, and g5 (like any other string)
+// has no rank.
+func accessRank(s string) (int64, bool) {
+	if len(s) != 2 || s[0] != 'g' || s[1] < '0' || s[1] > '4' {
+		return 0, false
+	}
+	return int64(4 - (s[1] - '0')), true
 }
 
 // replaceRow is the only update the system issues: retire row id and
@@ -253,8 +268,8 @@ func inRange(v Value, lo, hi *Value) bool {
 	return !v.IsNull() && (lo == nil || Compare(v, *lo) >= 0) && (hi == nil || Compare(v, *hi) <= 0)
 }
 
-// randomChecks draws a range walk, a key union and a projected full
-// read and checks each against view.
+// randomChecks draws a range walk, a key union, a rank range and a
+// projected full read and checks each against view.
 func randomChecks(view *TableView, rng *rand.Rand) error {
 	accept := func(Row) (bool, error) { return true, nil }
 	if rng.Intn(2) == 0 {
@@ -288,6 +303,22 @@ func randomChecks(view *TableView, rng *rand.Rand) error {
 	union := Access{Column: "g", Keys: keys, Cols: cols}
 	if err := checkAccess(view, union, accept, -1, func(r Row) bool { return member[r[1].S] }); err != nil {
 		return fmt.Errorf("union %v: %w", keys, err)
+	}
+	rankBound := func() *Value {
+		if rng.Intn(4) == 0 {
+			return nil
+		}
+		v := IntValue(int64(rng.Intn(7)) - 1)
+		return &v
+	}
+	rlo, rhi := rankBound(), rankBound()
+	byRank := Access{Column: "g", Rank: true, Lo: rlo, Hi: rhi, Cols: cols}
+	ranked := func(r Row) bool {
+		k, ok := accessRank(r[1].S)
+		return ok && !r[1].IsNull() && inRange(IntValue(k), rlo, rhi)
+	}
+	if err := checkAccess(view, byRank, accept, -1, ranked); err != nil {
+		return fmt.Errorf("rank range %+v: %w", byRank, err)
 	}
 	// A column with no index serves nothing: the read is refused.
 	byN := Access{Column: "n", Keys: []Value{IntValue(int64(rng.Intn(1000))), IntValue(7)}, Cols: cols}
@@ -339,7 +370,157 @@ func TestAccessMatchesScanOracle(t *testing.T) {
 		if n := db.DeadVersions(); n != 0 {
 			t.Fatalf("seed %d: %d dead versions after the last release", seed, n)
 		}
+		// At rest GC has dropped every retired row's rank posting.
+		ranked := 0
+		tb.Scan(func(_ int64, r Row) bool {
+			if _, ok := accessRank(r[1].S); ok {
+				ranked++
+			}
+			return true
+		})
+		if n := tb.CountPostings(Access{Column: "g", Rank: true}, 0); n != ranked {
+			t.Fatalf("seed %d: the rank index holds %d postings at rest, %d live rows have a rank", seed, n, ranked)
+		}
 		db.Close()
+	}
+}
+
+// TestRankIndex: a rank index files only the cells its function ranks —
+// no NULL, no unranked string — answers ranges and counts over them,
+// refuses a non-STRING column and a frozen table, is kept for the same
+// source and replaced for another, and belongs to the process: Indexes
+// omits it, a checkpoint and a reopen restore none, and the WAL replays
+// the rows as it would without one.
+func TestRankIndex(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := db.CreateTable("t", accessSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreateIndex("g", IndexHash); err != nil {
+		t.Fatal(err)
+	}
+	rows := []Row{
+		{FloatValue(1), StringValue("g0"), IntValue(1)},
+		{FloatValue(2), NullValue(), IntValue(2)},
+		{FloatValue(3), StringValue("g5"), IntValue(3)},
+		{FloatValue(4), StringValue("g4"), IntValue(4)},
+		{FloatValue(5), StringValue("g0"), IntValue(5)},
+	}
+	if err := db.CommitDeltas([]TableDelta{{Table: "t", Inserts: rows}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreateRankIndex("n", 5, accessRank, "accessRank"); err == nil {
+		t.Fatal("a rank index over an INT column was created")
+	}
+	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil {
+		t.Fatal(err)
+	}
+	// ns reads the n cells of the rows a rank range selects, sorted.
+	ns := func(tb *Table, lo, hi *Value) ([]int64, error) {
+		snap := db.PinSnapshot()
+		defer snap.Release()
+		v, err := snap.View(tb.Name())
+		if err != nil {
+			return nil, err
+		}
+		cb, _, err := selectAll(context.Background(), v, Access{Column: "g", Rank: true, Lo: lo, Hi: hi, Cols: []int{2}})
+		if err != nil {
+			return nil, err
+		}
+		var out []int64
+		for _, r := range RowsFromColBatch(cb) {
+			out = append(out, r[0].I)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out, nil
+	}
+	one, four := IntValue(1), IntValue(4)
+	for _, c := range []struct {
+		lo, hi *Value
+		want   string
+	}{
+		{nil, nil, "[1 4 5]"},  // g0 ranks 4, g4 ranks 0; NULL and g5 have no posting
+		{&one, &four, "[1 5]"}, // ranks 1..4: g0's
+		{nil, &one, "[4]"},     // ranks ≤ 1: g4's
+		{&four, &one, "[]"},    // an empty range
+	} {
+		got, err := ns(tb, c.lo, c.hi)
+		if err != nil || fmt.Sprint(got) != c.want {
+			t.Fatalf("rank range [%v, %v]: %v (err %v), want %s", c.lo, c.hi, got, err, c.want)
+		}
+	}
+	if n := tb.CountPostings(Access{Column: "g", Rank: true}, 0); n != 3 {
+		t.Fatalf("the rank index counts %d postings, want 3", n)
+	}
+	if !tb.RankedBy("g", "accessRank") || tb.RankedBy("g", "other") || tb.RankedBy("k", "accessRank") {
+		t.Fatal("RankedBy does not report the rank index's source")
+	}
+	if specs := tb.Indexes(); fmt.Sprint(specs) != "[{g hash}]" {
+		t.Fatalf("Indexes lists %v, want the hash index alone", specs)
+	}
+	kept := tb.rankIndex("g")
+	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil || tb.rankIndex("g") != kept {
+		t.Fatalf("re-creating the rank index from its source (err %v) replaced it", err)
+	}
+	none := func(string) (int64, bool) { return 0, false }
+	if err := tb.CreateRankIndex("g", 5, none, "none"); err != nil || !tb.RankedBy("g", "none") {
+		t.Fatalf("a rank index from another source (err %v) did not replace the first", err)
+	}
+	if got, err := ns(tb, nil, nil); err != nil || len(got) != 0 {
+		t.Fatalf("the replacing rank index reads %v (err %v), want no row", got, err)
+	}
+	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := db.PublishFrozen("f", accessSchema, FrozenImage{Cols: []Col{
+		{Kind: KindFloat, Float: []float64{1}}, {Kind: KindString, Str: []string{"g0"}}, {Kind: KindInt, Int: []int64{1}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := frozen.CreateRankIndex("g", 5, accessRank, "accessRank"); err == nil {
+		t.Fatal("a frozen table took a rank index")
+	}
+	if _, err := ns(frozen, nil, nil); err == nil {
+		t.Fatal("a frozen table served a rank range")
+	}
+	// A checkpoint, then a commit the WAL alone holds, then a reopen.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	more := []Row{{FloatValue(6), StringValue("g1"), IntValue(6)}}
+	if err := db.CommitDeltas([]TableDelta{{Table: "t", Inserts: more}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ns(tb, nil, nil); err != nil || fmt.Sprint(got) != "[1 4 5 6]" {
+		t.Fatalf("after a commit the rank range reads %v (err %v), want [1 4 5 6]", got, err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if tb, err = db.Table("t"); err != nil {
+		t.Fatal(err)
+	}
+	if tb.RankedBy("g", "accessRank") || tb.Len() != 6 || fmt.Sprint(tb.Indexes()) != "[{g hash}]" {
+		t.Fatalf("reopened: ranked %v, %d rows, indexes %v; want no rank index, 6 rows, the hash index", tb.RankedBy("g", "accessRank"), tb.Len(), tb.Indexes())
+	}
+	if _, err := ns(tb, nil, nil); err == nil {
+		t.Fatal("a reopened table served a rank range with no rank index")
+	}
+	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ns(tb, nil, nil); err != nil || fmt.Sprint(got) != "[1 4 5 6]" {
+		t.Fatalf("re-created over the replayed rows the rank range reads %v (err %v), want [1 4 5 6]", got, err)
 	}
 }
 

@@ -456,3 +456,58 @@ func BenchmarkCommitDelta512(b *testing.B) {
 		b.Fatal("the commit hook saw nothing")
 	}
 }
+
+// BenchmarkIndexRankChurn prices one row's trip out of and back into a
+// rank index, as ingest's churn makes it: 48 k postings over 800 named
+// ranks, a random row removed and filed again under another name, each
+// name ranked by a map lookup. btree files the same ranks in a B+-tree
+// over INT keys, the form the rank index's array replaced.
+func BenchmarkIndexRankChurn(b *testing.B) {
+	const rows, names = 48000, 800
+	rankOf := map[string]int64{}
+	for i := range names {
+		rankOf[fmt.Sprintf("DT%05d", i*7919%100000)] = int64(2 * i)
+	}
+	rank := func(s string) (int64, bool) { k, ok := rankOf[s]; return k, ok }
+	byRank := make([]Value, 2*names)
+	for s, k := range rankOf {
+		byRank[k] = StringValue(s)
+	}
+	for _, form := range []string{"array", "btree"} {
+		b.Run(form, func(b *testing.B) {
+			ix := &index{typ: IndexBTree, kind: KindInt, rank: rank, lists: make([][]int64, 2*names)}
+			file := func(v Value, id int64, remove bool) {
+				switch {
+				case form == "btree" && remove:
+					k, _ := rank(v.S)
+					ix.ints.Delete(k, id)
+				case form == "btree":
+					k, _ := rank(v.S)
+					ix.ints.Insert(k, id)
+				case remove:
+					ix.remove(v, id)
+				default:
+					ix.insert(v, id)
+				}
+			}
+			if form == "btree" {
+				ix.ints = newBTree[int64]()
+			}
+			rng := rand.New(rand.NewSource(1))
+			cells, gen := make([]Value, rows), make([]int64, rows)
+			for s := range cells {
+				cells[s] = byRank[2*rng.Intn(names)]
+				file(cells[s], int64(s), false)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := rng.Intn(rows)
+				file(cells[s], gen[s]<<32|int64(s), true)
+				gen[s]++
+				cells[s] = byRank[2*rng.Intn(names)]
+				file(cells[s], gen[s]<<32|int64(s), false)
+			}
+		})
+	}
+}

@@ -194,11 +194,12 @@ func (f *frozenImage) denseSlot(k Value) (int, bool) {
 	return int(k.I), k.I >= 0 && k.I < int64(f.n)
 }
 
-// denseRange resolves a range walk on the dense column to the slots
-// [first, last] (empty when first > last), bounds restated in INT as a
-// B+-tree walk restates them.
-func (f *frozenImage) denseRange(lo, hi *Value) (first, last int) {
-	a, b := int64(0), int64(f.n-1)
+// denseRange resolves a range walk over the INT keys [0, n) — a frozen
+// image's dense column, a rank index's ranks — to the keys [first, last]
+// (empty when first > last), bounds restated in INT as a B+-tree walk
+// restates them.
+func denseRange(n int, lo, hi *Value) (first, last int) {
+	a, b := int64(0), int64(n-1)
 	if lo != nil {
 		switch v, state := keyBound(KindInt, *lo, false); state {
 		case boundEmpty:
@@ -229,7 +230,7 @@ func (f *frozenImage) walk(poll func() error, a Access, fn func(s int) bool) err
 	ci := -1
 	if a.Column != "" {
 		ci = f.schema.ColumnIndex(a.Column)
-		if ci < 0 || ci != f.dense && (ci != f.hash || a.Keys == nil) {
+		if ci < 0 || a.Rank || ci != f.dense && (ci != f.hash || a.Keys == nil) {
 			return unserved(f.name, f.schema, a)
 		}
 	}
@@ -253,7 +254,7 @@ func (f *frozenImage) walk(poll func() error, a Access, fn func(s int) bool) err
 			}
 		}
 	case ci == f.dense:
-		first, last := f.denseRange(a.Lo, a.Hi)
+		first, last := denseRange(f.n, a.Lo, a.Hi)
 		if a.Desc {
 			for s := last; s >= first && visit(s); s-- {
 			}
@@ -277,7 +278,7 @@ func (f *frozenImage) countPostings(a Access, max int) int {
 	ci := f.schema.ColumnIndex(a.Column)
 	n := 0
 	switch {
-	case ci < 0:
+	case ci < 0 || a.Rank:
 		return f.n
 	case ci == f.dense && a.Keys != nil:
 		for _, k := range a.Keys {
@@ -288,7 +289,7 @@ func (f *frozenImage) countPostings(a Access, max int) int {
 			}
 		}
 	case ci == f.dense:
-		first, last := f.denseRange(a.Lo, a.Hi)
+		first, last := denseRange(f.n, a.Lo, a.Hi)
 		if n = last - first + 1; max > 0 && n > max {
 			n = max + 1
 		}

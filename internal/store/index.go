@@ -33,6 +33,13 @@ func (t IndexType) String() string {
 // held apart from it (NULL sorts before every key and no range reaches
 // it). Stored cells are the column's kind or NULL; probe values may be
 // any kind and compare as store.Compare orders them.
+//
+// A rank index (Table.CreateRankIndex) orders a STRING column's rows by
+// rank(cell), a small integer, as an IndexBTree over INT keys would:
+// keys, bounds and probes are ranks, and a NULL cell, or one rank does
+// not know, has no posting. It is an array of postings lists indexed by
+// rank, and it records where in its list each slot's ID sits, so that a
+// removal swaps the last ID into the hole without searching.
 type index struct {
 	column int
 	typ    IndexType
@@ -43,6 +50,11 @@ type index struct {
 	floats *btree[float64] // IndexBTree over FLOAT
 	strs   *btree[string]  // IndexBTree over STRING
 	nulls  []int64         // IndexBTree: the rows with a NULL cell
+
+	rank   func(string) (int64, bool) // rank index: a cell's key
+	source any                        // rank index: what rank derives from (Table.RankedBy)
+	lists  [][]int64                  // rank index: the postings of each rank
+	pos    []int32                    // rank index: by slot, its ID's position in its list
 }
 
 // newIndex returns an empty index of the given type over column ci of
@@ -62,7 +74,28 @@ func newIndex(ci int, typ IndexType, k Kind, capacity int) *index {
 	return ix
 }
 
+// rankOf returns the rank of a cell, ok false for a cell with no
+// posting.
+func (ix *index) rankOf(v Value) (int, bool) {
+	k, ok := ix.rank(v.S)
+	return int(k), ok && v.K == KindString && k >= 0 && k < int64(len(ix.lists))
+}
+
 func (ix *index) insert(v Value, id int64) {
+	if ix.rank != nil {
+		if k, ok := ix.rankOf(v); ok {
+			s := int(uint32(id))
+			if s >= len(ix.pos) {
+				ix.pos = append(ix.pos, make([]int32, s+1-len(ix.pos))...)
+			}
+			list := ix.lists[k]
+			if len(list) == cap(list) { // grow by an eighth: churn refills what GC frees
+				list = append(make([]int64, 0, len(list)+len(list)/8+1), list...)
+			}
+			ix.pos[s], ix.lists[k] = int32(len(list)), append(list, id)
+		}
+		return
+	}
 	switch {
 	case ix.hash != nil:
 		ix.hash.insert(v, id)
@@ -78,6 +111,15 @@ func (ix *index) insert(v Value, id int64) {
 }
 
 func (ix *index) remove(v Value, id int64) {
+	if ix.rank != nil {
+		if k, ok := ix.rankOf(v); ok {
+			list := ix.lists[k]
+			at, last := ix.pos[uint32(id)], list[len(list)-1]
+			list[at], ix.pos[uint32(last)] = last, at
+			ix.lists[k] = list[:len(list)-1]
+		}
+		return
+	}
 	switch {
 	case ix.hash != nil:
 		ix.hash.remove(v, id)
@@ -116,6 +158,11 @@ func (ix *index) get(v Value) (ids []int64, exact bool) {
 		return ix.floats.Get(v.F), true
 	case ix.strs != nil:
 		return ix.strs.Get(v.S), true
+	case ix.lists != nil:
+		if k, last := denseRange(len(ix.lists), &v, &v); k == last {
+			return ix.lists[k], true
+		}
+		return nil, true
 	}
 	return ix.ints.Get(v.I), true
 }
@@ -141,6 +188,17 @@ func (ix *index) walk(lo, hi *Value, desc bool, fn func(ids []int64) bool) {
 	lo, hi, ok := ix.keyRange(lo, hi, &buf)
 	switch {
 	case !ok:
+	case ix.lists != nil:
+		first, last := denseRange(len(ix.lists), lo, hi)
+		for i := range last - first + 1 {
+			k := first + i
+			if desc {
+				k = last - i
+			}
+			if len(ix.lists[k]) > 0 && !fn(ix.lists[k]) {
+				return
+			}
+		}
 	case ix.floats != nil:
 		walkKeys(ix.floats, lo, hi, func(v Value) float64 { return v.F }, desc, fn)
 	case ix.strs != nil:
@@ -159,6 +217,15 @@ func (ix *index) count(lo, hi *Value, max int) int {
 	switch {
 	case !ok:
 		return 0
+	case ix.lists != nil:
+		first, last := denseRange(len(ix.lists), lo, hi)
+		n := 0
+		for _, list := range ix.lists[first : last+1] {
+			if n += len(list); max > 0 && n > max {
+				break
+			}
+		}
+		return n
 	case ix.floats != nil:
 		return countKeys(ix.floats, lo, hi, func(v Value) float64 { return v.F }, max)
 	case ix.strs != nil:

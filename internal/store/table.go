@@ -99,6 +99,7 @@ type Table struct {
 	free    []int32
 	dying   []int32           // slots holding a retired row: the GC work list
 	indexes map[string]*index // keyed by column name
+	ranks   []*index          // rank indexes, one a column at most (CreateRankIndex)
 	commit  int64             // last published commit version
 	live    int               // rows visible at commit
 	pins    map[int64]int     // pinned commit version → refcount
@@ -212,6 +213,9 @@ func (t *Table) putLocked(s int, v int64, r Row) int64 {
 func (t *Table) insertLocked(v int64, r Row) int64 {
 	id := t.putLocked(t.allocSlot(), v, r)
 	for _, idx := range t.indexes {
+		idx.insert(r[idx.column], id)
+	}
+	for _, idx := range t.ranks {
 		idx.insert(r[idx.column], id)
 	}
 	t.live++
@@ -338,6 +342,67 @@ func (t *Table) CreateIndex(column string, typ IndexType) error {
 	return nil
 }
 
+// CreateRankIndex builds a rank index over the STRING column: it walks
+// the rows whose rank(cell) lies in a range, in rank order, for an
+// Access with Rank set. rank maps a cell to [0, ranks); a NULL cell, or
+// one it does not map, has no posting. Commits and GC keep the index like
+// any other, and its backfill sizes each rank's postings exactly. It
+// lives in this process only: no checkpoint or log records it, and
+// Indexes omits it. source, comparable, names what rank derives from
+// (RankedBy): a rank index from the same source is kept, one from
+// another replaced.
+func (t *Table) CreateRankIndex(column string, ranks int, rank func(string) (int64, bool), source any) error {
+	ci := t.schema.ColumnIndex(column)
+	if ci < 0 || t.schema.Columns[ci].Kind != KindString {
+		return fmt.Errorf("store: table %s has no STRING column %q to rank", t.name, column)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.img != nil {
+		return fmt.Errorf("store: table %s is frozen and takes no index", t.name)
+	}
+	if old := t.rankIndex(column); old != nil && old.source == source {
+		return nil
+	}
+	ix := &index{column: ci, typ: IndexBTree, kind: KindInt, rank: rank, source: source, lists: make([][]int64, ranks), pos: make([]int32, len(t.end))}
+	// Every stored row, retired ones included, counted by rank and then
+	// filed in slot order.
+	sizes := make([]int, ranks)
+	for s := range t.end {
+		if k, ok := ix.rankOf(t.cols[ci].stored(s)); ok && t.end[s] != 0 {
+			sizes[k]++
+		}
+	}
+	for k, n := range sizes {
+		ix.lists[k] = make([]int64, 0, n)
+	}
+	for s := range t.end {
+		if t.end[s] != 0 {
+			ix.insert(t.cols[ci].stored(s), t.idOf(s))
+		}
+	}
+	t.ranks = append(slices.DeleteFunc(t.ranks, func(old *index) bool { return old.column == ci }), ix)
+	return nil
+}
+
+// RankedBy reports whether column has a rank index derived from source.
+func (t *Table) RankedBy(column string, source any) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	ix := t.rankIndex(column)
+	return ix != nil && ix.source == source
+}
+
+// rankIndex returns the rank index on column, or nil.
+func (t *Table) rankIndex(column string) *index {
+	for _, ix := range t.ranks {
+		if t.schema.Columns[ix.column].Name == column {
+			return ix
+		}
+	}
+	return nil
+}
+
 // IndexSpec describes one secondary index for introspection.
 type IndexSpec struct {
 	Column string
@@ -346,7 +411,7 @@ type IndexSpec struct {
 
 // Indexes lists the table's secondary indexes sorted by column name,
 // so a caller cloning a table's physical layout can recreate them on
-// the copy.
+// the copy. Rank indexes are not listed.
 func (t *Table) Indexes() []IndexSpec {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -480,6 +545,9 @@ type Access struct {
 	// Keys, when non-nil, are equality probes on Column: rows come out
 	// grouped by key in list order. Keys must be distinct.
 	Keys []Value
+	// Rank reads Column's rank index (CreateRankIndex) instead of its
+	// own: Keys, Lo and Hi are then ranks.
+	Rank bool
 	// Lo and Hi bound a range walk over Column (inclusive; nil is open),
 	// used when Keys is nil. Rows come out in key order, descending when
 	// Desc is set. NULL keys never qualify.
@@ -526,6 +594,9 @@ const acceptChunk = 32
 // indexFor returns the index that can serve the access, or nil: any
 // index answers key probes, only a B+-tree walks a range.
 func (t *Table) indexFor(a Access) *index {
+	if a.Rank {
+		return t.rankIndex(a.Column)
+	}
 	idx := t.indexes[a.Column]
 	if idx != nil && a.Keys == nil && idx.typ != IndexBTree {
 		return nil
@@ -539,6 +610,9 @@ func (t *Table) indexFor(a Access) *index {
 func unserved(table string, schema *Schema, a Access) error {
 	if schema.ColumnIndex(a.Column) < 0 {
 		return fmt.Errorf("store: table %s has no column %q", table, a.Column)
+	}
+	if a.Rank {
+		return fmt.Errorf("store: table %s has no rank index on column %s", table, a.Column)
 	}
 	if a.Keys == nil {
 		return fmt.Errorf("store: table %s has no B+-tree index on column %s to walk a range by", table, a.Column)
@@ -945,6 +1019,9 @@ func (t *Table) maybeGCLocked() {
 			continue
 		}
 		for _, idx := range t.indexes {
+			idx.remove(t.cols[idx.column].stored(s), t.idOf(s))
+		}
+		for _, idx := range t.ranks {
 			idx.remove(t.cols[idx.column].stored(s), t.idOf(s))
 		}
 		t.begin[s], t.end[s] = 0, 0
