@@ -130,9 +130,9 @@ type accessPath struct {
 	lo, hi *store.Value
 	loOpen bool // lo bound is exclusive (>)
 	hiOpen bool // hi bound is exclusive (<)
-	// rank: an indexrange over the column's rank index, [lo, hi] the
-	// preorder interval of the clade named.
-	rank  bool
+	// rank, when set, makes an indexrange a walk of the column's rank
+	// index built from that tree, [lo, hi] the clade's preorder interval.
+	rank  *phylo.Tree
 	clade string
 	// indexrange under a TopK on the same column: the walk runs in sort
 	// order and stops after limit qualifying rows (0: whole range).
@@ -223,7 +223,7 @@ func chooseRank(n *ScanNode, t *store.Table, tree *phylo.Tree) accessPath {
 		}
 		first, last := tree.SubtreeInterval(node)
 		lo, hi := store.IntValue(int64(first)), store.IntValue(int64(last))
-		return accessPath{kind: "indexrange", column: x.Column.Name, lo: &lo, hi: &hi, rank: true, clade: x.Node, residual: without(n.Conjuncts, i)}
+		return accessPath{kind: "indexrange", column: x.Column.Name, lo: &lo, hi: &hi, rank: tree, clade: x.Node, residual: without(n.Conjuncts, i)}
 	}
 	return accessPath{}
 }
@@ -332,7 +332,7 @@ func (p accessPath) describe(n *ScanNode) string {
 	case "indexeq":
 		d = fmt.Sprintf("IndexScan %s (%s = %v)", n.Table, p.column, p.eq)
 	case "indexrange":
-		if p.rank {
+		if p.rank != nil {
 			d = fmt.Sprintf("IndexRangeScan %s (%s ∈ subtree %s → rank [%d, %d])", n.Table, p.column, p.clade, p.lo.I, p.hi.I)
 			break
 		}
@@ -356,9 +356,12 @@ func (p accessPath) describe(n *ScanNode) string {
 // table columns cols; the caller attaches the residual. A sequential
 // path's is a full pass.
 func (p accessPath) access(cols []int) store.Access {
-	a := store.Access{Column: p.column, Rank: p.rank, Lo: p.lo, Hi: p.hi, Desc: p.desc, Limit: p.limit, Cols: cols}
+	a := store.Access{Column: p.column, Lo: p.lo, Hi: p.hi, Desc: p.desc, Limit: p.limit, Cols: cols}
 	if p.kind == "indexeq" {
 		a.Keys = []store.Value{p.eq}
+	}
+	if p.rank != nil {
+		a.Rank = p.rank
 	}
 	return a
 }

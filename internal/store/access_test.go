@@ -312,7 +312,7 @@ func randomChecks(view *TableView, rng *rand.Rand) error {
 		return &v
 	}
 	rlo, rhi := rankBound(), rankBound()
-	byRank := Access{Column: "g", Rank: true, Lo: rlo, Hi: rhi, Cols: cols}
+	byRank := Access{Column: "g", Rank: "accessRank", Lo: rlo, Hi: rhi, Cols: cols}
 	ranked := func(r Row) bool {
 		k, ok := accessRank(r[1].S)
 		return ok && !r[1].IsNull() && inRange(IntValue(k), rlo, rhi)
@@ -378,7 +378,7 @@ func TestAccessMatchesScanOracle(t *testing.T) {
 			}
 			return true
 		})
-		if n := tb.CountPostings(Access{Column: "g", Rank: true}, 0); n != ranked {
+		if n := tb.CountPostings(Access{Column: "g", Rank: "accessRank"}, 0); n != ranked {
 			t.Fatalf("seed %d: the rank index holds %d postings at rest, %d live rows have a rank", seed, n, ranked)
 		}
 		db.Close()
@@ -388,7 +388,8 @@ func TestAccessMatchesScanOracle(t *testing.T) {
 // TestRankIndex: a rank index files only the cells its function ranks —
 // no NULL, no unranked string — answers ranges and counts over them,
 // refuses a non-STRING column and a frozen table, is kept for the same
-// source and replaced for another, and belongs to the process: Indexes
+// source and replaced for another — a read by the replaced source is
+// then refused — and belongs to the process: Indexes
 // omits it, a checkpoint and a reopen restore none, and the WAL replays
 // the rows as it would without one.
 func TestRankIndex(t *testing.T) {
@@ -420,15 +421,16 @@ func TestRankIndex(t *testing.T) {
 	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil {
 		t.Fatal(err)
 	}
-	// ns reads the n cells of the rows a rank range selects, sorted.
-	ns := func(tb *Table, lo, hi *Value) ([]int64, error) {
+	// nsBy reads the n cells of the rows a range of the rank index built
+	// from source selects, sorted; ns reads accessRank's.
+	nsBy := func(tb *Table, source any, lo, hi *Value) ([]int64, error) {
 		snap := db.PinSnapshot()
 		defer snap.Release()
 		v, err := snap.View(tb.Name())
 		if err != nil {
 			return nil, err
 		}
-		cb, _, err := selectAll(context.Background(), v, Access{Column: "g", Rank: true, Lo: lo, Hi: hi, Cols: []int{2}})
+		cb, _, err := selectAll(context.Background(), v, Access{Column: "g", Rank: source, Lo: lo, Hi: hi, Cols: []int{2}})
 		if err != nil {
 			return nil, err
 		}
@@ -439,6 +441,7 @@ func TestRankIndex(t *testing.T) {
 		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 		return out, nil
 	}
+	ns := func(tb *Table, lo, hi *Value) ([]int64, error) { return nsBy(tb, "accessRank", lo, hi) }
 	one, four := IntValue(1), IntValue(4)
 	for _, c := range []struct {
 		lo, hi *Value
@@ -454,7 +457,7 @@ func TestRankIndex(t *testing.T) {
 			t.Fatalf("rank range [%v, %v]: %v (err %v), want %s", c.lo, c.hi, got, err, c.want)
 		}
 	}
-	if n := tb.CountPostings(Access{Column: "g", Rank: true}, 0); n != 3 {
+	if n := tb.CountPostings(Access{Column: "g", Rank: "accessRank"}, 0); n != 3 {
 		t.Fatalf("the rank index counts %d postings, want 3", n)
 	}
 	if !tb.RankedBy("g", "accessRank") || tb.RankedBy("g", "other") || tb.RankedBy("k", "accessRank") {
@@ -471,8 +474,12 @@ func TestRankIndex(t *testing.T) {
 	if err := tb.CreateRankIndex("g", 5, none, "none"); err != nil || !tb.RankedBy("g", "none") {
 		t.Fatalf("a rank index from another source (err %v) did not replace the first", err)
 	}
-	if got, err := ns(tb, nil, nil); err != nil || len(got) != 0 {
+	if got, err := nsBy(tb, "none", nil, nil); err != nil || len(got) != 0 {
 		t.Fatalf("the replacing rank index reads %v (err %v), want no row", got, err)
+	}
+	// A read names the source it plans by: the replaced one is refused.
+	if _, err := ns(tb, nil, nil); err == nil {
+		t.Fatal("a read by the replaced rank index's source was served")
 	}
 	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil {
 		t.Fatal(err)

@@ -230,7 +230,7 @@ func (f *frozenImage) walk(poll func() error, a Access, fn func(s int) bool) err
 	ci := -1
 	if a.Column != "" {
 		ci = f.schema.ColumnIndex(a.Column)
-		if ci < 0 || a.Rank || ci != f.dense && (ci != f.hash || a.Keys == nil) {
+		if ci < 0 || a.Rank != nil || ci != f.dense && (ci != f.hash || a.Keys == nil) {
 			return unserved(f.name, f.schema, a)
 		}
 	}
@@ -278,7 +278,7 @@ func (f *frozenImage) countPostings(a Access, max int) int {
 	ci := f.schema.ColumnIndex(a.Column)
 	n := 0
 	switch {
-	case ci < 0 || a.Rank:
+	case ci < 0 || a.Rank != nil:
 		return f.n
 	case ci == f.dense && a.Keys != nil:
 		for _, k := range a.Keys {

@@ -348,9 +348,9 @@ func (t *Table) CreateIndex(column string, typ IndexType) error {
 // one it does not map, has no posting. Commits and GC keep the index like
 // any other, and its backfill sizes each rank's postings exactly. It
 // lives in this process only: no checkpoint or log records it, and
-// Indexes omits it. source, comparable, names what rank derives from
-// (RankedBy): a rank index from the same source is kept, one from
-// another replaced.
+// Indexes omits it. source, comparable, names what rank derives from:
+// RankedBy reports it, and an Access reads the index only by naming it.
+// A rank index from the same source is kept, one from another replaced.
 func (t *Table) CreateRankIndex(column string, ranks int, rank func(string) (int64, bool), source any) error {
 	ci := t.schema.ColumnIndex(column)
 	if ci < 0 || t.schema.Columns[ci].Kind != KindString {
@@ -545,9 +545,10 @@ type Access struct {
 	// Keys, when non-nil, are equality probes on Column: rows come out
 	// grouped by key in list order. Keys must be distinct.
 	Keys []Value
-	// Rank reads Column's rank index (CreateRankIndex) instead of its
-	// own: Keys, Lo and Hi are then ranks.
-	Rank bool
+	// Rank, when set, reads Column's rank index (CreateRankIndex)
+	// instead of its own, provided Rank is the source it was built from:
+	// Keys, Lo and Hi are then ranks.
+	Rank any
 	// Lo and Hi bound a range walk over Column (inclusive; nil is open),
 	// used when Keys is nil. Rows come out in key order, descending when
 	// Desc is set. NULL keys never qualify.
@@ -594,8 +595,11 @@ const acceptChunk = 32
 // indexFor returns the index that can serve the access, or nil: any
 // index answers key probes, only a B+-tree walks a range.
 func (t *Table) indexFor(a Access) *index {
-	if a.Rank {
-		return t.rankIndex(a.Column)
+	if a.Rank != nil {
+		if ix := t.rankIndex(a.Column); ix != nil && ix.source == a.Rank {
+			return ix
+		}
+		return nil
 	}
 	idx := t.indexes[a.Column]
 	if idx != nil && a.Keys == nil && idx.typ != IndexBTree {
@@ -611,8 +615,8 @@ func unserved(table string, schema *Schema, a Access) error {
 	if schema.ColumnIndex(a.Column) < 0 {
 		return fmt.Errorf("store: table %s has no column %q", table, a.Column)
 	}
-	if a.Rank {
-		return fmt.Errorf("store: table %s has no rank index on column %s", table, a.Column)
+	if a.Rank != nil {
+		return fmt.Errorf("store: table %s has no rank index on column %s from %v", table, a.Column, a.Rank)
 	}
 	if a.Keys == nil {
 		return fmt.Errorf("store: table %s has no B+-tree index on column %s to walk a range by", table, a.Column)
