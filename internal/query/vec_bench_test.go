@@ -59,8 +59,7 @@ func BenchmarkIndexOrderedTopK(b *testing.B) {
 }
 
 // BenchmarkIndexRankRange reads a 30-leaf clade's activities as one
-// range of the rank index (until the rank index, a key union over the
-// clade's names: BenchmarkIndexUnionScan).
+// range of the rank index.
 func BenchmarkIndexRankRange(b *testing.B) {
 	clade := cladeOfSize(b, datagenCatalog(b, 5).Tree(), 30, 30)
 	benchQuery(b, "SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '"+clade+"') GROUP BY ligand_id ORDER BY AVG(affinity) DESC LIMIT 10")
