@@ -117,7 +117,7 @@ bench-repo-smoke:
 # idle host and commit the file with the change it measures. A file git
 # already tracks is a committed record: the target refuses to overwrite
 # it, so a later change names its own with BENCH_JSON=BENCH_<n>.json.
-BENCH_JSON ?= BENCH_50.json
+BENCH_JSON ?= BENCH_51.json
 
 bench-repo:
 	@if git ls-files --error-unmatch $(BENCH_JSON) >/dev/null 2>&1; then \
@@ -153,9 +153,11 @@ bench-repo:
 # (BuildLogical + Optimize) of the 18 analytics statements the core
 # plan golden pins, one a op, the six subtree_join and ligand_rank
 # statements among them served whole (parse, plan and a rank-index
-# read), one a op, and one 100-row, 4-column
+# read), one a op, one 100-row, 4-column
 # query reply through the wire codec (encoded from shared columns,
-# framed, decoded into one slab), one LOD-delta Open's viewport build
+# framed, decoded into one slab) and one analytics request on a warm
+# session (split, framed as a reference to its template's slot,
+# decoded and spliced), one LOD-delta Open's viewport build
 # and merge diff at a budget of 100, one 64-node TreeDelta's decode,
 # the k-mer distance matrix at
 # dataset D1's size (800 sequences × 240 residues, k = 4), and
@@ -175,7 +177,7 @@ bench-micro:
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan|BenchmarkParse$$' ./internal/query/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply|BenchmarkServedPlan|BenchmarkSubtreeAccess' ./internal/core/
-	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkQueryReply|BenchmarkOpenDelta|BenchmarkDecodeTreeDelta' ./internal/mobile/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkQueryReply|BenchmarkQueryRequest|BenchmarkOpenDelta|BenchmarkDecodeTreeDelta' ./internal/mobile/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkKmerDistances|BenchmarkNeighborJoining' ./internal/phylo/
 
 # Ten seconds of each fuzz target over its checked-in corpus: the DTQL
@@ -184,6 +186,9 @@ bench-micro:
 # overlay's exact sum against its big.Int oracle under adds and removes
 # of arbitrary float64s, the mobile message decoder (never a panic,
 # allocation bounded by the payload, decode → encode byte-identical),
+# the mobile statement splitter (for any text a deterministic split
+# whose splice is the text, and one a server splices back from a
+# client's frames),
 # the k-mer distance (the merge Cosine and the matrix kernel equal
 # the map-based oracle bit for bit, inside [0, 1]), and neighbour-joining
 # (never a panic, an error for a NaN or ±Inf entry, and otherwise the
@@ -201,6 +206,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNewick$$' -fuzztime 10s ./internal/phylo/
 	$(GO) test -run '^$$' -fuzz '^FuzzExactSum$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime 10s ./internal/mobile/
+	$(GO) test -run '^$$' -fuzz '^FuzzStatementTemplate$$' -fuzztime 10s ./internal/mobile/
 	$(GO) test -run '^$$' -fuzz '^FuzzKmerCosine$$' -fuzztime 10s ./internal/bio/seq/
 	$(GO) test -run '^$$' -fuzz '^FuzzNeighborJoining$$' -fuzztime 10s ./internal/phylo/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSMILES$$' -fuzztime 10s ./internal/chem/

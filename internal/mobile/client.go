@@ -40,7 +40,7 @@ type Client struct {
 	conn io.ReadWriter
 	r    *bufio.Reader
 	in   frameReader // reads every reply, interning column names
-	out  frameWriter // frames every request
+	out  frameWriter // frames every request, keeping statement slots
 
 	strategy Strategy
 	budget   int
@@ -83,6 +83,9 @@ type Client struct {
 	Latencies []time.Duration
 	// BytesDown sums the encoded sizes of server responses.
 	BytesDown int64
+	// BytesUp sums the framed sizes of the requests sent, retries
+	// included. Like the HelloAck in BytesDown, the Hello is left out.
+	BytesUp int64
 }
 
 // Dial starts a session with the given strategy and viewport budget.
@@ -107,6 +110,7 @@ func dial(conn io.ReadWriter, strategy Strategy, budget int, compress bool) (*Cl
 		Nodes:    make(map[int64]WireNode),
 	}
 	c.in.names = make(map[string]string)
+	c.out.enc.stmts = &stmtWriter{}
 	if err := WriteMsg(conn, &Hello{Strategy: strategy, Budget: budget, Compress: compress}); err != nil {
 		return nil, err
 	}
@@ -139,13 +143,16 @@ func (c *Client) readHelloVerdict() error {
 
 // exchange performs one request/response on the current transport.
 func (c *Client) exchange(req any) (any, int64, error) {
-	if _, err := c.out.write(c.conn, req, false); err != nil {
+	up, err := c.out.write(c.conn, req, false)
+	c.BytesUp += up
+	if err != nil {
 		return nil, 0, err
 	}
 	return c.in.read(c.r)
 }
 
-// reconnect redials and replays the session handshake.
+// reconnect redials and replays the session handshake. The new
+// session holds no statement template, so the client forgets its slots.
 func (c *Client) reconnect() error {
 	conn, err := c.Redial()
 	if err != nil {
@@ -153,6 +160,7 @@ func (c *Client) reconnect() error {
 	}
 	c.conn = conn
 	c.r = bufio.NewReader(conn)
+	c.out.enc.stmts = &stmtWriter{}
 	if err := WriteMsg(conn, &Hello{Strategy: c.strategy, Budget: c.budget, Compress: c.compress}); err != nil {
 		return fmt.Errorf("mobile: replaying hello: %w", err)
 	}

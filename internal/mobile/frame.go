@@ -82,13 +82,14 @@ type frameWriter struct {
 	buf []byte
 	z   bytes.Buffer // a deflated payload, behind the same header room
 	zw  *flate.Writer
+	enc encoder
 }
 
 // write frames msg — deflated when compress is set, the payload is at
 // least compressThreshold bytes and deflating shrinks it — and returns
 // the bytes put on the wire.
 func (f *frameWriter) write(w io.Writer, msg any, compress bool) (int64, error) {
-	b, err := appendMsg(sized(f.buf, frameHead), msg)
+	b, err := f.enc.appendMsg(sized(f.buf, frameHead), msg)
 	f.buf = retained(b)
 	if err != nil {
 		return 0, err
@@ -139,11 +140,11 @@ func (f *frameWriter) deflate(payload []byte) ([]byte, error) {
 	return z, nil
 }
 
-// sized returns b's storage resliced to n bytes, reallocated — at
+// sized returns b's storage resliced to n elements, reallocated — at
 // least doubled — only when it is too small.
-func sized(b []byte, n int) []byte {
+func sized[S ~[]E, E any](b S, n int) S {
 	if cap(b) < n {
-		return make([]byte, n, max(n, 2*cap(b), 512))
+		return make(S, n, max(n, 2*cap(b), 512))
 	}
 	return b[:n]
 }
@@ -161,7 +162,8 @@ func retained[S ~[]E, E any](b S) S {
 // frameReader reads frames into one reused buffer and inflates deflated
 // payloads through one reused decompressor into a second. Decoded
 // messages never alias either buffer. When names is set it interns the
-// column names of query results. The zero value is ready to use.
+// column names of query results, and when stmts is set it keeps the
+// statement templates of queries. The zero value is ready to use.
 type frameReader struct {
 	body  []byte
 	raw   bytes.Buffer     // an inflated payload
@@ -169,10 +171,13 @@ type frameReader struct {
 	lim   io.LimitedReader // the decompressor, stopped one byte past maxFrame
 	zr    io.ReadCloser
 	names map[string]string
+	stmts *stmtTable
 }
 
 // read reads and decodes one frame, returning the message and the bytes
-// the frame occupied on the wire.
+// the frame occupied on the wire. A frame read whole whose payload does
+// not decode returns its bytes with the error: the stream is still in
+// step.
 func (f *frameReader) read(r *bufio.Reader) (any, int64, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -200,7 +205,7 @@ func (f *frameReader) read(r *bufio.Reader) (any, int64, error) {
 	default:
 		return nil, 0, fmt.Errorf("mobile: unknown frame flag %d", body[0])
 	}
-	d := decoder{p: payload, names: f.names}
+	d := decoder{p: payload, size: len(payload), names: f.names, stmts: f.stmts}
 	msg, err := d.msg()
 	return msg, wire, err
 }

@@ -71,7 +71,7 @@ func TestMessageRoundTrips(t *testing.T) {
 			Columns: []string{"a", "b"},
 			Rows: []store.Row{
 				{store.IntValue(1), store.StringValue("x")},
-				{store.FloatValue(2.5), store.NullValue()},
+				{store.IntValue(2), store.NullValue()},
 			},
 		},
 		&ErrorMsg{Text: "boom"},
@@ -175,21 +175,35 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<40)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	oneCol := []byte{byte(MsgQueryResult), 1, 1, 'a'}
+	i, s := byte(store.KindInt), byte(store.KindString)
 	for name, p := range map[string][]byte{
-		"empty message":           nil,
-		"unknown type":            {99},
-		"truncated open":          {byte(MsgOpen), 0xFF},
-		"non-minimal varint":      {byte(MsgOpen), 0x80, 0x00},
-		"flag byte 2":             {byte(MsgHello), 0, 5, 2},
-		"trailing byte":           {byte(MsgBye), 0},
-		"row narrower than cols":  cat(oneCol, []byte{1, 0}),
-		"row wider than cols":     cat(oneCol, []byte{1, 2, 0, 0}),
-		"unknown value kind":      cat(oneCol, []byte{1, 1, 9}),
-		"bool value byte 2":       cat(oneCol, []byte{1, 1, byte(store.KindBool), 2}),
-		"row count past payload":  cat(oneCol, huge, []byte{1, 0, 1, 0}),
-		"column count past bytes": cat([]byte{byte(MsgQueryResult)}, huge, []byte{1, 'a'}),
-		"node count past payload": cat([]byte{byte(MsgTreeDelta), 0, 0}, huge, make([]byte, 64)),
-		"source count past bytes": cat([]byte{byte(MsgStatus)}, huge, []byte{0, 0, 0, 0}),
+		"empty message":                 nil,
+		"unknown type":                  {99},
+		"truncated open":                {byte(MsgOpen), 0xFF},
+		"non-minimal varint":            {byte(MsgOpen), 0x80, 0x00},
+		"flag byte 2":                   {byte(MsgHello), 0, 5, 2},
+		"trailing byte":                 {byte(MsgBye), 0},
+		"cells missing":                 cat(oneCol, []byte{2, i, 1}),
+		"unknown column kind":           cat(oneCol, []byte{1, 9}),
+		"bool cell byte 2":              cat(oneCol, []byte{1, byte(store.KindBool), 2}),
+		"NULL column with a bitmap":     cat(oneCol, []byte{1, nullsFlag}),
+		"typed column of no rows":       cat(oneCol, []byte{0, i}),
+		"bitmap of only NULLs":          cat(oneCol, []byte{2, i | nullsFlag, 3}),
+		"bitmap of no NULL":             cat(oneCol, []byte{2, i | nullsFlag, 0, 2, 4}),
+		"bitmap bit past the rows":      cat(oneCol, []byte{2, i | nullsFlag, 5, 2}),
+		"dictionary descending":         cat(oneCol, []byte{2, s, 2, 0, 1, 'b', 0, 1, 'a', 0, 1}),
+		"dictionary repeats":            cat(oneCol, []byte{2, s, 2, 0, 1, 'a', 1, 0, 0, 1}),
+		"dictionary prefix not maximal": cat(oneCol, []byte{2, s, 2, 0, 2, 'a', 'b', 0, 2, 'a', 'c', 0, 1}),
+		"dictionary prefix too long":    cat(oneCol, []byte{1, s, 1, 1, 1, 'a', 0}),
+		"dictionary entry unused":       cat(oneCol, []byte{1, s, 2, 0, 1, 'a', 0, 1, 'b', 0}),
+		"dictionary code past entries":  cat(oneCol, []byte{1, s, 1, 0, 1, 'a', 1}),
+		"row count past payload":        cat(oneCol, huge, []byte{0}),
+		"column count past bytes":       cat([]byte{byte(MsgQueryResult)}, huge, []byte{1, 'a'}),
+		"node count past payload":       cat([]byte{byte(MsgTreeDelta), 0, 0}, huge, make([]byte, 64)),
+		"source count past bytes":       cat([]byte{byte(MsgStatus)}, huge, []byte{0, 0, 0, 0}),
+		"query slot 0 by reference":     {byte(MsgQuery), 0},
+		"query slot with no table":      {byte(MsgQuery), 3, 1, 0},
+		"query slot past the table":     {byte(MsgQuery), 0x80, 1, 1, 0},
 	} {
 		var err error
 		// A count is checked against the bytes left before anything is
@@ -438,6 +452,21 @@ func TestSessionQuery(t *testing.T) {
 	// Session still alive.
 	if _, err := c.Query("SELECT COUNT(*) FROM ligands"); err != nil {
 		t.Fatalf("session died after error: %v", err)
+	}
+	// A template's first use carries it; a second use, with other
+	// literals, sends fewer bytes up than its text.
+	var up [2]int64
+	for i, q := range []string{
+		"SELECT ligand_id, weight FROM ligands WHERE weight >= 100 ORDER BY weight LIMIT 5",
+		"SELECT ligand_id, weight FROM ligands WHERE weight >= 250.5 ORDER BY weight LIMIT 3",
+	} {
+		before := c.BytesUp
+		if _, err := c.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		if up[i] = c.BytesUp - before; i == 1 && (up[1] >= int64(len(q)) || up[1] >= up[0]) {
+			t.Fatalf("second use of a template sent %d bytes up, first %d, text %d", up[1], up[0], len(q))
+		}
 	}
 	c.Close()
 }

@@ -46,6 +46,10 @@ const (
 	// error; ParentPre is the tree parent, even at a view's focus; and
 	// the client derives collapse from the nodes it holds
 	// (Client.Collapsed).
+
+	// Protocol rev 5 adds none either: a QUERY_RESULT is columnar, with
+	// a string dictionary a column (reply.go), and a QUERY a statement
+	// template sent once a session and its literals (stmt.go).
 )
 
 func (m MsgType) String() string {
@@ -212,11 +216,23 @@ type Bye struct{}
 
 // encodeMsg returns msg's payload: its type byte and fields.
 func encodeMsg(msg any) ([]byte, error) {
-	return appendMsg(nil, msg)
+	var e encoder
+	return e.appendMsg(nil, msg)
+}
+
+// encoder holds what encoding keeps between messages: a reply's string
+// dictionary scratch and, on a client, its statement slots (nil: every
+// QUERY goes in slot 0).
+type encoder struct {
+	seen  map[string]uint32 // a STRING column's distinct cells, by first appearance
+	dict  []dictEntry       // and in a slice, then sorted
+	codes []uint32          // each row's first-appearance number
+	rank  []uint32          // each first-appearance number's sorted place
+	stmts *stmtWriter
 }
 
 // appendMsg appends msg's payload to b.
-func appendMsg(b []byte, msg any) ([]byte, error) {
+func (e *encoder) appendMsg(b []byte, msg any) ([]byte, error) {
 	switch m := msg.(type) {
 	case *Hello:
 		b = append(b, byte(MsgHello), byte(m.Strategy))
@@ -226,8 +242,7 @@ func appendMsg(b []byte, msg any) ([]byte, error) {
 		b = append(b, byte(MsgOpen))
 		b = appendStr(b, m.Node)
 	case *Query:
-		b = append(b, byte(MsgQuery))
-		b = appendStr(b, m.DTQL)
+		b = appendQuery(append(b, byte(MsgQuery)), e.stmts, m.DTQL)
 	case *Bye:
 		b = append(b, byte(MsgBye))
 	case *TreeDelta:
@@ -243,22 +258,7 @@ func appendMsg(b []byte, msg any) ([]byte, error) {
 			b = binary.AppendVarint(b, pre)
 		}
 	case *QueryResult:
-		b = append(b, byte(MsgQueryResult))
-		b = binary.AppendUvarint(b, uint64(len(m.Columns)))
-		for _, c := range m.Columns {
-			b = appendStr(b, c)
-		}
-		if m.Batch != nil {
-			b = binary.AppendUvarint(b, uint64(m.Batch.Rows))
-			for i := 0; i < m.Batch.Rows; i++ {
-				b = store.AppendBatchRow(b, m.Batch, i)
-			}
-			break
-		}
-		b = binary.AppendUvarint(b, uint64(len(m.Rows)))
-		for _, r := range m.Rows {
-			b = store.AppendRow(b, r)
-		}
+		return e.appendReply(b, m)
 	case *ErrorMsg:
 		b = append(b, byte(MsgError))
 		b = appendStr(b, m.Text)
@@ -287,7 +287,7 @@ func appendMsg(b []byte, msg any) ([]byte, error) {
 
 // decodeMsg decodes one message payload.
 func decodeMsg(p []byte) (any, error) {
-	d := decoder{p: p}
+	d := decoder{p: p, size: len(p)}
 	return d.msg()
 }
 
@@ -298,10 +298,13 @@ func decodeMsg(p []byte) (any, error) {
 // exactly, so a payload it accepts re-encodes to its own bytes. The
 // first failure sticks: later reads return zero values.
 type decoder struct {
-	p   []byte
-	err error
+	p    []byte
+	size int // the payload's length
+	cost int // what decoding a reply allocates, as reply.go counts it
+	err  error
 	// names interns column names across messages; nil copies each one.
 	names map[string]string
+	stmts *stmtTable // statement templates across messages; nil: slot 0 only
 }
 
 // minWireNode is the shortest encoding of a WireNode: five one-byte
@@ -323,7 +326,7 @@ func (d *decoder) msg() (any, error) {
 	case MsgOpen:
 		msg = &Open{Node: d.str()}
 	case MsgQuery:
-		msg = &Query{DTQL: d.str()}
+		msg = d.query()
 	case MsgBye:
 		msg = &Bye{}
 	case MsgTreeDelta:
@@ -376,72 +379,11 @@ func (d *decoder) treeDelta() *TreeDelta {
 	return m
 }
 
-// queryReply is a decoded QueryResult with room for the names of a
-// narrow result, so the message and its column names are one
-// allocation.
-type queryReply struct {
-	QueryResult
-	names [8]string
-}
-
-// queryResult decodes a result's rows into one cell slab. Every row
-// must be as wide as the column list; each takes at least its cell count
-// and a kind byte per cell, which bounds the slab by the payload.
-func (d *decoder) queryResult() *QueryResult {
-	r := &queryReply{}
-	q := &r.QueryResult
-	if w := d.count(1); w <= len(r.names) {
-		q.Columns = r.names[:w:w]
-	} else {
-		q.Columns = make([]string, w)
-	}
-	for i := range q.Columns {
-		q.Columns[i] = d.name()
-	}
-	w := len(q.Columns)
-	n := d.count(w + 1)
-	if n == 0 {
-		return q
-	}
-	slab := make([]store.Value, n*w)
-	q.Rows = make([]store.Row, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		if cells := d.uvarint(); cells != uint64(w) && d.err == nil {
-			d.fail(fmt.Errorf("result row %d has %d cells, want %d", i, cells, w))
-		}
-		row := slab[i*w : (i+1)*w : (i+1)*w]
-		for j := range row {
-			row[j] = d.value()
-		}
-		q.Rows[i] = row
-	}
-	return q
-}
-
 func (d *decoder) wireNode() WireNode {
 	n := WireNode{Pre: d.varint(), Name: d.str(), ParentPre: d.varint(), IsLeaf: d.flag()}
 	n.LeafCount = int64(d.uvarint())
 	n.Length, n.X, n.Y = d.f64(), d.f64(), d.f64()
 	return n
-}
-
-// value reads one cell in store.AppendValue's format.
-func (d *decoder) value() store.Value {
-	switch k := store.Kind(d.byte()); k {
-	case store.KindNull:
-		return store.Value{}
-	case store.KindInt:
-		return store.IntValue(d.varint())
-	case store.KindFloat:
-		return store.FloatValue(d.f64())
-	case store.KindString:
-		return store.StringValue(d.str())
-	case store.KindBool:
-		return store.BoolValue(d.flag())
-	default:
-		d.fail(fmt.Errorf("unknown value kind %d", k))
-		return store.Value{}
-	}
 }
 
 func (d *decoder) fail(err error) {
@@ -489,6 +431,11 @@ func (d *decoder) budget() int {
 }
 
 func (d *decoder) uvarint() uint64 {
+	if len(d.p) > 0 && d.p[0] < 0x80 { // one byte, minimal by itself
+		x := uint64(d.p[0])
+		d.p = d.p[1:]
+		return x
+	}
 	x, n := binary.Uvarint(d.p)
 	switch {
 	case n == 0:

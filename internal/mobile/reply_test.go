@@ -9,11 +9,13 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"drugtree/internal/core"
+	"drugtree/internal/phylo"
 	"drugtree/internal/store"
 )
 
@@ -37,7 +39,8 @@ func everyKindRows() ([]string, []store.Kind, []store.Row) {
 // TestBatchEncodingMatchesRows pins the wire format of a columnar
 // reply: a QueryResult encoded from its Batch is byte for byte the one
 // encoded from its Rows, and decodes back to rows that re-encode to the
-// same bytes.
+// same bytes. A column has one kind, so cells of two are an encode
+// error from rows and from a generic column alike.
 func TestBatchEncodingMatchesRows(t *testing.T) {
 	cols, kinds, rows := everyKindRows()
 	mixed := []store.Row{
@@ -46,28 +49,41 @@ func TestBatchEncodingMatchesRows(t *testing.T) {
 		{store.BoolValue(true), store.FloatValue(math.NaN())},
 		{store.StringValue("ü"), store.NullValue()},
 	}
+	// 300 rows: an all-NULL column, and one string among NULLs.
+	sparse := make([]store.Row, 300)
+	for i := range sparse {
+		sparse[i] = store.Row{store.NullValue(), store.NullValue()}
+	}
+	sparse[150][1] = store.StringValue("x")
 	cases := []struct {
-		name  string
-		cols  []string
-		kinds []store.Kind
-		rows  []store.Row
+		name    string
+		cols    []string
+		kinds   []store.Kind
+		rows    []store.Row
+		wantErr string
 	}{
-		{"typed columns", cols, kinds, rows},
-		{"generic columns", cols, make([]store.Kind, len(cols)), rows},
-		{"mixed kinds in generic columns", []string{"a", "b"}, make([]store.Kind, 2), mixed},
-		{"zero rows", cols, kinds, nil},
-		{"zero columns", nil, nil, []store.Row{{}, {}, {}}},
+		{"typed columns", cols, kinds, rows, ""},
+		{"generic columns", cols, make([]store.Kind, len(cols)), rows, ""},
+		{"mixed kinds in generic columns", []string{"a", "b"}, make([]store.Kind, 2), mixed, `column "b" mixes STRING and FLOAT cells`},
+		{"zero rows", cols, kinds, nil, ""},
+		{"zero columns", nil, nil, []store.Row{{}, {}, {}}, ""},
+		{"all-NULL and sparse columns", []string{"a", "b"}, []store.Kind{store.KindInt, store.KindString}, sparse, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			byRows, err := encodeMsg(&QueryResult{Columns: tc.cols, Rows: tc.rows})
-			if err != nil {
-				t.Fatal(err)
-			}
 			batch := store.ColBatchFromRows(tc.kinds, tc.rows)
-			byBatch, err := encodeMsg(&QueryResult{Columns: tc.cols, Batch: batch})
-			if err != nil {
-				t.Fatal(err)
+			byBatch, berr := encodeMsg(&QueryResult{Columns: tc.cols, Batch: batch})
+			if tc.wantErr != "" {
+				for _, err := range []error{err, berr} {
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Fatalf("encoding gave error %v, want %q", err, tc.wantErr)
+					}
+				}
+				return
+			}
+			if err != nil || berr != nil {
+				t.Fatal(err, berr)
 			}
 			if !bytes.Equal(byBatch, byRows) {
 				t.Fatalf("batch encoding differs from row encoding:\nbatch %x\n rows %x", byBatch, byRows)
@@ -350,5 +366,105 @@ func TestSharedResultEncodedConcurrently(t *testing.T) {
 	}
 	if e.Metrics.Counter("query.stmt_cache_hits").Value() == 0 {
 		t.Error("no session was served from the statement cache")
+	}
+}
+
+// TestDecodedRepliesMatchEngine is the wire's differential test over
+// the statement shapes of the benchmark's analytics and ingest
+// workloads (texts as bench/oplist.go writes them): every reply a
+// client decodes holds the engine's own result cell for cell — the same
+// kind, floats bit for bit, NULLs in place — when the statement
+// carries its template and when it names the template's slot. A ligand
+// without a weight and an annotation without an organism put NULLs
+// among non-NULL cells of the integration3 replies, and an empty
+// aggregate and a NULL literal give all-NULL columns.
+func TestDecodedRepliesMatchEngine(t *testing.T) {
+	ctx := context.Background()
+	e := testEngine(t)
+	first, err := e.Query(ctx, "SELECT accession, family FROM proteins ORDER BY accession LIMIT 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, fam := first.Rows[0][0].S, first.Rows[0][1].S
+	null := store.NullValue()
+	for _, ins := range []struct {
+		table string
+		row   store.Row
+	}{
+		{"ligands", store.Row{store.StringValue("LIGNULL"), store.StringValue("unweighed"), store.StringValue("C"), null, store.StringValue("CH4")}},
+		{"activities", store.Row{store.StringValue(acc), store.StringValue("LIGNULL"), store.FloatValue(9.75), store.StringValue("Ki")}},
+		{"annotations", store.Row{store.StringValue(acc), null, store.StringValue("1.1.1.1"), store.StringValue("none")}},
+	} {
+		if _, err := e.DB().Insert(ins.table, ins.row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tree := e.Tree()
+	clade := ""
+	for id := phylo.NodeID(1); int(id) < tree.Len() && clade == ""; id++ {
+		if !tree.Node(id).IsLeaf() && tree.LeafCount(id) <= 6 {
+			clade = tree.Node(id).Name
+		}
+	}
+	var shapes []string
+	for _, th := range []float64{5.5, 7.25} {
+		shapes = append(shapes,
+			// analytics
+			fmt.Sprintf("SELECT COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s')", clade),
+			subtreeJoin(clade, th),
+			fmt.Sprintf("SELECT protein_id, ligand_id, affinity FROM activities WHERE affinity >= %.3f ORDER BY affinity DESC LIMIT 20", th),
+			fmt.Sprintf("SELECT p.accession, n.organism, l.weight, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id JOIN ligands l ON a.ligand_id = l.ligand_id JOIN annotations n ON p.accession = n.protein_id WHERE p.family = '%s' AND a.affinity >= %.3f ORDER BY a.affinity DESC LIMIT %d", fam, th, 100),
+			fmt.Sprintf("SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s') GROUP BY ligand_id ORDER BY AVG(affinity) DESC LIMIT %d", e.Root().Name, 10),
+			fmt.Sprintf("SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE a.affinity >= %.3f GROUP BY p.family", th),
+			// ingest
+			fmt.Sprintf("SELECT COUNT(*), SUM(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s')", clade),
+			fmt.Sprintf("SELECT protein_id, ligand_id, affinity FROM activities WHERE affinity >= %.3f ORDER BY affinity DESC LIMIT 10", th),
+			fmt.Sprintf("SELECT family, COUNT(*), AVG(length) FROM proteins WHERE length >= %d GROUP BY family", int(th)),
+			fmt.Sprintf("SELECT depth, COUNT(*) FROM tree_nodes WHERE depth <= %d GROUP BY depth", int(th)),
+			// all-NULL columns
+			fmt.Sprintf("SELECT COUNT(*), AVG(affinity), MIN(ligand_id) FROM activities WHERE affinity > %d", 1000+int(th)),
+			fmt.Sprintf("SELECT ligand_id, NULL, weight FROM ligands WHERE weight >= %.1f ORDER BY ligand_id", th),
+		)
+	}
+	conn, done := serveOnce(t, NewServer(e))
+	c, err := Dial(conn, StrategyLOD, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := 0
+	for _, q := range shapes {
+		got, err := c.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		want, err := e.QueryColumns(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Columns, want.Columns) || len(got.Rows) != want.Batch.Rows {
+			t.Fatalf("%s: %v × %d rows, engine %v × %d", q, got.Columns, len(got.Rows), want.Columns, want.Batch.Rows)
+		}
+		for j := range want.Columns {
+			nulls := 0
+			for i, row := range got.Rows {
+				g, w := row[j], want.Batch.Cols[j].Value(i)
+				if g.K != w.K || g.I != w.I || g.S != w.S || math.Float64bits(g.F) != math.Float64bits(w.F) {
+					t.Fatalf("%s: row %d column %s decoded %#v, engine %#v", q, i, want.Columns[j], g, w)
+				}
+				if g.K == store.KindNull {
+					nulls++
+				}
+			}
+			if nulls > 0 && nulls < len(got.Rows) {
+				partial++
+			}
+		}
+	}
+	if partial == 0 {
+		t.Error("no reply held a column with NULL and non-NULL cells")
+	}
+	c.Close()
+	if err := waitSession(t, done); err != nil {
+		t.Fatal(err)
 	}
 }

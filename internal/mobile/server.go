@@ -345,7 +345,9 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) (err error) 
 	}()
 
 	r := bufio.NewReader(conn)
-	var in frameReader
+	// Templates are kept as frames decode, before rate limiting or
+	// admission: a shed request may come back naming its own slot.
+	in := frameReader{stmts: new(stmtTable)}
 	// First message must be Hello.
 	s.armReadDeadline(conn)
 	first, _, err := in.read(r)
@@ -384,9 +386,17 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) (err error) 
 	}
 	for {
 		s.armReadDeadline(conn)
-		msg, _, err := in.read(r)
+		msg, wire, err := in.read(r)
 		if errors.Is(err, io.EOF) {
 			return nil
+		}
+		if err != nil && wire > 0 {
+			// Read whole but not decoded: the client hears why, and
+			// the session reads on.
+			if err := WriteMsg(conn, &ErrorMsg{Text: err.Error()}); err != nil {
+				return err
+			}
+			continue
 		}
 		if err != nil {
 			if s.connClosed(cs) {

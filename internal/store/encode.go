@@ -8,8 +8,8 @@ import (
 	"math"
 )
 
-// Binary encoding for values and rows, shared by the WAL, snapshots,
-// and the mobile wire protocol. The format is:
+// Binary encoding for values and rows, shared by the WAL and
+// snapshots. The format is:
 //
 //	value := kind:uint8 payload
 //	  NULL   -> (nothing)
@@ -52,36 +52,6 @@ func AppendRow(buf []byte, r Row) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(r)))
 	for _, v := range r {
 		buf = AppendValue(buf, v)
-	}
-	return buf
-}
-
-// AppendCell appends the encoding of cell i of c: the bytes AppendValue
-// writes for c.Value(i), without building the Value.
-func AppendCell(buf []byte, c *Col, i int) []byte {
-	if c.Null[i] {
-		return append(buf, byte(KindNull))
-	}
-	switch c.Kind {
-	case KindInt:
-		return binary.AppendVarint(append(buf, byte(KindInt)), c.Int[i])
-	case KindBool:
-		return append(buf, byte(KindBool), byte(c.Int[i]))
-	case KindFloat:
-		return binary.LittleEndian.AppendUint64(append(buf, byte(KindFloat)), math.Float64bits(c.Float[i]))
-	case KindString:
-		buf = binary.AppendUvarint(append(buf, byte(KindString)), uint64(len(c.Str[i])))
-		return append(buf, c.Str[i]...)
-	}
-	return AppendValue(buf, c.Vals[i])
-}
-
-// AppendBatchRow appends the encoding of row i of cb: the bytes
-// AppendRow writes for that row.
-func AppendBatchRow(buf []byte, cb *ColBatch, i int) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(cb.Cols)))
-	for c := range cb.Cols {
-		buf = AppendCell(buf, &cb.Cols[c], i)
 	}
 	return buf
 }
