@@ -21,7 +21,7 @@ func edgeKey[K btreeKey](bt *btree[K], last bool) (k K, ok bool) {
 }
 
 func TestBTreeInsertGet(t *testing.T) {
-	bt := newBTree[int64]()
+	bt := newBTree[int64](&postings{})
 	for i := int64(0); i < 1000; i++ {
 		bt.Insert(i%100, i)
 	}
@@ -43,7 +43,7 @@ func TestBTreeInsertGet(t *testing.T) {
 }
 
 func TestBTreeOrderedIteration(t *testing.T) {
-	bt := newBTree[int64]()
+	bt := newBTree[int64](&postings{})
 	rng := rand.New(rand.NewSource(42))
 	keys := rng.Perm(5000)
 	for _, k := range keys {
@@ -63,7 +63,7 @@ func TestBTreeOrderedIteration(t *testing.T) {
 }
 
 func TestBTreeRangeBounds(t *testing.T) {
-	bt := newBTree[int64]()
+	bt := newBTree[int64](&postings{})
 	for i := int64(0); i < 100; i++ {
 		bt.Insert(i, i)
 	}
@@ -96,7 +96,7 @@ func TestBTreeRangeBounds(t *testing.T) {
 }
 
 func TestBTreeRangeEarlyStop(t *testing.T) {
-	bt := newBTree[int64]()
+	bt := newBTree[int64](&postings{})
 	for i := int64(0); i < 100; i++ {
 		bt.Insert(i, i)
 	}
@@ -111,7 +111,7 @@ func TestBTreeRangeEarlyStop(t *testing.T) {
 }
 
 func TestBTreeDelete(t *testing.T) {
-	bt := newBTree[int64]()
+	bt := newBTree[int64](&postings{})
 	for i := int64(0); i < 500; i++ {
 		bt.Insert(i, i)
 		bt.Insert(i, i+1000)
@@ -143,7 +143,7 @@ func TestBTreeDelete(t *testing.T) {
 }
 
 func TestBTreeMinMax(t *testing.T) {
-	bt := newBTree[int64]()
+	bt := newBTree[int64](&postings{})
 	if _, ok := edgeKey(bt, false); ok {
 		t.Fatal("empty tree has Min")
 	}
@@ -166,7 +166,7 @@ func TestBTreeMinMax(t *testing.T) {
 }
 
 func TestBTreeStringKeys(t *testing.T) {
-	bt := newBTree[string]()
+	bt := newBTree[string](&postings{})
 	words := []string{"kinase", "ligase", "hydrolase", "transferase", "oxidoreductase"}
 	for i, w := range words {
 		bt.Insert(w, int64(i))
@@ -183,13 +183,15 @@ func TestBTreeStringKeys(t *testing.T) {
 
 func TestBTreeMatchesReferenceModel(t *testing.T) {
 	// Property test against a map+sort reference model under a random
-	// insert/delete workload.
-	bt := newBTree[int64]()
+	// insert/delete workload. A row ID names one slot, and a slot is
+	// filed under one key at a time, as in a table: the ID carries its
+	// key.
+	bt := newBTree[int64](&postings{})
 	ref := map[int64]map[int64]bool{}
 	rng := rand.New(rand.NewSource(99))
 	for op := 0; op < 20000; op++ {
 		k := int64(rng.Intn(300))
-		id := int64(rng.Intn(50))
+		id := k<<8 | int64(rng.Intn(50))
 		if rng.Float64() < 0.7 {
 			// Avoid duplicate (k,id) postings in the model; the tree
 			// allows them but the model would diverge.
@@ -255,7 +257,7 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 // reference after every round. A descending walk must reach the last key
 // through the prev links however many empty leaves trail it.
 func TestBTreeChurnEdgesAndDescending(t *testing.T) {
-	bt := newBTree[int64]()
+	bt := newBTree[int64](&postings{})
 	rng := rand.New(rand.NewSource(17))
 	live := map[int64]bool{}
 	for i := int64(0); i < 6000; i++ {
