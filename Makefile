@@ -117,7 +117,7 @@ bench-repo-smoke:
 # idle host and commit the file with the change it measures. A file git
 # already tracks is a committed record: the target refuses to overwrite
 # it, so a later change names its own with BENCH_JSON=BENCH_<n>.json.
-BENCH_JSON ?= BENCH_51.json
+BENCH_JSON ?= BENCH_52.json
 
 bench-repo:
 	@if git ls-files --error-unmatch $(BENCH_JSON) >/dev/null 2>&1; then \
