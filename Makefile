@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vet-compat lint loc knobs bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload check clean
+.PHONY: all build test race vet vet-compat lint loc knobs heap bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload check clean
 
 all: check
 
@@ -117,7 +117,7 @@ bench-repo-smoke:
 # idle host and commit the file with the change it measures. A file git
 # already tracks is a committed record: the target refuses to overwrite
 # it, so a later change names its own with BENCH_JSON=BENCH_<n>.json.
-BENCH_JSON ?= BENCH_52.json
+BENCH_JSON ?= BENCH_53.json
 
 bench-repo:
 	@if git ls-files --error-unmatch $(BENCH_JSON) >/dev/null 2>&1; then \
@@ -135,6 +135,18 @@ bench-repo:
 			"$$sep" $$w 1 $$trace "$$line" >> $$tmp; sep=,; \
 	done; done; \
 	printf '\n ]}\n' >> $$tmp; mv $$tmp $(BENCH_JSON)
+
+# Where the D1 engine's heap goes: TestD1HeapAtRest builds dataset D1,
+# its source banks, the imported store and the engine, keeps them
+# alive, and writes an in-use heap profile after a forced GC (every
+# allocation sampled); its top entries by in-use bytes follow. A heap
+# claim starts from this attribution.
+HEAP_PROFILE ?= d1-heap.pprof
+
+heap:
+	$(GO) test -count=1 -run '^TestD1HeapAtRest$$' -v ./internal/core \
+		-test.memprofilerate=1 -args -heap-profile=$(abspath $(HEAP_PROFILE))
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=25 $(HEAP_PROFILE)
 
 # Storage- and operator-layer microbenchmarks with -benchmem: the
 # store's insert, lookup, range read, sequential pass and 512+512

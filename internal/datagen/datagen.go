@@ -117,7 +117,10 @@ func Generate(cfg Config) (*Dataset, error) {
 		return nil, fmt.Errorf("datagen: ActivityDensity %g out of (0,1]", cfg.ActivityDensity)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	ds := &Dataset{Config: cfg}
+	// Slices are built at their length; the drawn activities are cut to it.
+	n := cfg.NumFamilies * cfg.ProteinsPerFamily
+	ds := &Dataset{Config: cfg, Proteins: make([]*seq.Protein, 0, n), Annotations: make([]Annotation, 0, n)}
+	ds.Ligands = make([]Ligand, 0, max(cfg.NumLigands, 0))
 
 	trueTree := phylo.NewTree()
 	edgeLen := float64(cfg.BranchMutations) / float64(cfg.SeqLen)
@@ -216,6 +219,7 @@ func Generate(cfg Config) (*Dataset, error) {
 			Keywords:  keywords[rng.Intn(len(keywords))],
 		})
 	}
+	ds.Activities = append(make([]Activity, 0, len(ds.Activities)), ds.Activities...)
 	return ds, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"drugtree/internal/core"
 	"drugtree/internal/mobile"
 	"drugtree/internal/netsim"
 	"drugtree/internal/query"
@@ -79,16 +80,39 @@ func TestRunT1(t *testing.T) {
 	if len(rep.Rows) != 5 {
 		t.Fatalf("T1 rows = %d, want 5", len(rep.Rows))
 	}
-	// The headline expectation: every class speeds up.
 	for _, row := range rep.Rows {
-		sp, err := strconv.ParseFloat(strings.TrimSuffix(row[3], "x"), 64)
-		if err != nil {
+		if _, err := strconv.ParseFloat(strings.TrimSuffix(row[3], "x"), 64); err != nil {
 			t.Fatalf("bad speedup cell %q", row[3])
 		}
-		if sp < 1 {
-			t.Errorf("class %q slowed down: %s (timing noise is possible but all five below 1 would be a bug)", row[0], row[3])
+	}
+	// The headline expectation, on the work each side does rather than
+	// on the wall clock the report prints (a few µs apart on the cheap
+	// classes, so a loaded host can invert them): the optimized engine
+	// examines fewer rows than the naive one in every class.
+	ctx := context.Background()
+	naive, opt, err := T1Engines(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cls := range t1QueryClasses() {
+		n, o := rowsExamined(t, naive, cls.mk(naive)), rowsExamined(t, opt, cls.mk(opt))
+		t.Logf("%s: %d rows examined naive, %d optimized", cls.name, n, o)
+		if o >= n {
+			t.Errorf("class %q: the optimized engine examines %d rows, the naive one %d", cls.name, o, n)
 		}
 	}
+}
+
+// rowsExamined runs the statement once and returns the base-table rows
+// it read, by scan or through an index.
+func rowsExamined(t *testing.T, e *core.Engine, dtql string) int64 {
+	t.Helper()
+	res, err := e.QueryColumns(context.Background(), dtql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats.Snapshot()
+	return st.RowsScanned + st.RowsIndexed
 }
 
 func TestRunT2(t *testing.T) {
@@ -195,7 +219,9 @@ func TestRunT8(t *testing.T) {
 
 func TestF1SmallScale(t *testing.T) {
 	// Full F1 sweeps to 50k leaves; the test checks the property at
-	// two sizes: the naive/optimized gap grows with tree size.
+	// two sizes: the naive/optimized gap grows with tree size. The gap
+	// is taken in rows examined, which the host's load cannot move; the
+	// experiment's report prints the timing ratio.
 	gap := func(n int) float64 {
 		naive, err := F1Engine(n, 1, query.NaiveOptions())
 		if err != nil {
@@ -207,23 +233,16 @@ func TestF1SmallScale(t *testing.T) {
 		}
 		clade := f1PickClades(naive.Tree())[0]
 		q := "SELECT pre FROM tree_nodes WHERE WITHIN_SUBTREE(pre, '" + clade + "')"
-		dn, err := MeasureQuery(context.Background(), naive, q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		do, err := MeasureQuery(context.Background(), opt, q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return float64(dn) / float64(do)
+		return float64(rowsExamined(t, naive, q)) / float64(rowsExamined(t, opt, q))
 	}
 	small := gap(200)
 	large := gap(5000)
+	t.Logf("naive/optimized rows examined: %.1fx at 200 leaves, %.1fx at 5000", small, large)
 	if large <= small {
-		t.Logf("warning: speedup at 5000 leaves (%.1fx) not above 200 leaves (%.1fx) — timing noise", large, small)
+		t.Errorf("gap at 5000 leaves (%.1fx) not above 200 leaves (%.1fx)", large, small)
 	}
 	if large < 2 {
-		t.Errorf("optimized engine only %.1fx faster at 5000 leaves", large)
+		t.Errorf("optimized engine examines only %.1fx fewer rows at 5000 leaves", large)
 	}
 }
 

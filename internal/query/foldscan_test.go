@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -277,7 +278,7 @@ func TestStatementsReadTheirPin(t *testing.T) {
 			d := store.TableDelta{Table: "activities"}
 			tb.Scan(func(id int64, r store.Row) bool {
 				if len(d.DeleteIDs) < 500 {
-					d.DeleteIDs, d.Inserts = append(d.DeleteIDs, id), append(d.Inserts, r.Clone())
+					d.DeleteIDs, d.Inserts = append(d.DeleteIDs, id), append(d.Inserts, slices.Clone(r))
 				}
 				return true
 			})

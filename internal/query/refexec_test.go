@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"drugtree/internal/store"
@@ -66,7 +67,7 @@ func (r *refExec) run(p LogicalPlan) ([]store.Row, error) {
 		}
 		var rows []store.Row
 		tv.Scan(func(_ int64, r store.Row) bool {
-			rows = append(rows, r.Clone())
+			rows = append(rows, slices.Clone(r))
 			return true
 		})
 		return rows, nil
@@ -151,7 +152,7 @@ func (r *refExec) filter(pred Expr, schema *planSchema, n int, at func(i int) st
 			return nil, err
 		}
 		if ok {
-			out = append(out, row.Clone())
+			out = append(out, slices.Clone(row))
 		}
 	}
 	return out, nil

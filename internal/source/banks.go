@@ -43,55 +43,44 @@ const defaultPageSize = 100
 // NewProteinBank serves the dataset's proteins. Server-side filtering:
 // accession=, family=, length ranges.
 func NewProteinBank(ds *datagen.Dataset, link *netsim.Link) Source {
-	b := newBank("ProteinBank", ProteinSchema, link, defaultPageSize)
+	ps := ds.Proteins
+	b := newBank("ProteinBank", ProteinSchema, link, len(ps), func(i int, r store.Row) {
+		p := ps[i]
+		r[0], r[1], r[2] = store.StringValue(p.ID), store.StringValue(p.Name), store.StringValue(p.Family)
+		r[3], r[4] = store.StringValue(p.Residues), store.IntValue(int64(len(p.Residues)))
+	})
 	b.allow("accession", OpEQ)
 	b.allow("family", OpEQ)
 	b.allow("length", OpEQ, OpLT, OpLE, OpGT, OpGE)
-	for _, p := range ds.Proteins {
-		b.rows = append(b.rows, store.Row{
-			store.StringValue(p.ID),
-			store.StringValue(p.Name),
-			store.StringValue(p.Family),
-			store.StringValue(p.Residues),
-			store.IntValue(int64(len(p.Residues))),
-		})
-	}
 	return b
 }
 
 // NewLigandBank serves the dataset's ligands. Server-side filtering:
 // ligand_id=, weight ranges.
 func NewLigandBank(ds *datagen.Dataset, link *netsim.Link) Source {
-	b := newBank("LigandBank", LigandSchema, link, defaultPageSize)
+	ls := ds.Ligands
+	b := newBank("LigandBank", LigandSchema, link, len(ls), func(i int, r store.Row) {
+		l := &ls[i]
+		r[0], r[1], r[2] = store.StringValue(l.ID), store.StringValue(l.Name), store.StringValue(l.SMILES)
+		r[3], r[4] = store.FloatValue(l.Weight), store.StringValue(l.Formula)
+	})
 	b.allow("ligand_id", OpEQ)
 	b.allow("weight", OpLT, OpLE, OpGT, OpGE)
-	for _, l := range ds.Ligands {
-		b.rows = append(b.rows, store.Row{
-			store.StringValue(l.ID),
-			store.StringValue(l.Name),
-			store.StringValue(l.SMILES),
-			store.FloatValue(l.Weight),
-			store.StringValue(l.Formula),
-		})
-	}
 	return b
 }
 
 // NewActivityBank serves binding activities. Server-side filtering:
 // protein_id=, ligand_id=, affinity ranges.
 func NewActivityBank(ds *datagen.Dataset, link *netsim.Link) Source {
-	b := newBank("ActivityBank", ActivitySchema, link, defaultPageSize)
+	as := ds.Activities
+	b := newBank("ActivityBank", ActivitySchema, link, len(as), func(i int, r store.Row) {
+		a := &as[i]
+		r[0], r[1] = store.StringValue(a.ProteinID), store.StringValue(a.LigandID)
+		r[2], r[3] = store.FloatValue(a.Affinity), store.StringValue(a.Assay)
+	})
 	b.allow("protein_id", OpEQ)
 	b.allow("ligand_id", OpEQ)
 	b.allow("affinity", OpLT, OpLE, OpGT, OpGE)
-	for _, a := range ds.Activities {
-		b.rows = append(b.rows, store.Row{
-			store.StringValue(a.ProteinID),
-			store.StringValue(a.LigandID),
-			store.FloatValue(a.Affinity),
-			store.StringValue(a.Assay),
-		})
-	}
 	return b
 }
 
@@ -99,17 +88,14 @@ func NewActivityBank(ds *datagen.Dataset, link *netsim.Link) Source {
 // protein_id=, organism=. Note: no keyword filtering — queries on
 // keywords must fetch-and-filter, exercising the "cannot push" path.
 func NewAnnotationBank(ds *datagen.Dataset, link *netsim.Link) Source {
-	b := newBank("AnnotationBank", AnnotationSchema, link, defaultPageSize)
+	ns := ds.Annotations
+	b := newBank("AnnotationBank", AnnotationSchema, link, len(ns), func(i int, r store.Row) {
+		n := &ns[i]
+		r[0], r[1] = store.StringValue(n.ProteinID), store.StringValue(n.Organism)
+		r[2], r[3] = store.StringValue(n.EC), store.StringValue(n.Keywords)
+	})
 	b.allow("protein_id", OpEQ)
 	b.allow("organism", OpEQ)
-	for _, a := range ds.Annotations {
-		b.rows = append(b.rows, store.Row{
-			store.StringValue(a.ProteinID),
-			store.StringValue(a.Organism),
-			store.StringValue(a.EC),
-			store.StringValue(a.Keywords),
-		})
-	}
 	return b
 }
 
@@ -125,6 +111,11 @@ type Bundle struct {
 // NewBundle creates all four sources over the dataset. Each source
 // gets an independent link with the given profile; seeds are derived
 // so runs are reproducible. simulated selects virtual-clock links.
+//
+// The sources keep no copy of the data: they read the dataset's records
+// in place on every fetch, so nothing may change the records or their
+// slices after NewBundle. Nothing does (the dirty-sources example edits
+// its records before).
 func NewBundle(ds *datagen.Dataset, profile netsim.Profile, seed int64, simulated bool) *Bundle {
 	return &Bundle{
 		Proteins:    NewProteinBank(ds, netsim.NewLink(profile, seed+1, simulated)),

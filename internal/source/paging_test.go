@@ -4,18 +4,22 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"drugtree/internal/bio/seq"
+	"drugtree/internal/datagen"
 	"drugtree/internal/netsim"
 	"drugtree/internal/store"
 )
 
 // collectThenSliceFetch is bank.Fetch as it was before it built only the
-// page it returns: it appends every matching row to a fresh slice and
-// keeps one page of it. It is the oracle TestFetchPagesMatchCollectThenSlice
-// holds the paging Fetch to.
-func collectThenSliceFetch(b *bank, ctx context.Context, req Request) (*Result, error) {
+// page it returns: it appends every matching row of rows, the bank's
+// records as the test's own loop over the dataset converts them
+// (recordRows), to a fresh slice and keeps one page of it. It is the
+// oracle TestFetchPagesMatchCollectThenSlice holds the paging Fetch to.
+func collectThenSliceFetch(b *bank, rows []store.Row, ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -67,10 +71,10 @@ func collectThenSliceFetch(b *bank, ctx context.Context, req Request) (*Result, 
 	}
 	limit := req.Limit
 	if limit <= 0 {
-		limit = b.pageSize
+		limit = defaultPageSize
 	}
 	var matched []store.Row
-	for _, r := range b.rows {
+	for _, r := range rows {
 		ok := true
 		for _, f := range req.Filters {
 			ci := b.schema.ColumnIndex(f.Column)
@@ -113,7 +117,7 @@ func collectThenSliceFetch(b *bank, ctx context.Context, req Request) (*Result, 
 	b.mu.Unlock()
 	out := make([]store.Row, len(page))
 	for i, r := range page {
-		out[i] = r.Clone()
+		out[i] = slices.Clone(r)
 	}
 	return &Result{Rows: out, Total: total, BytesOnWire: respBytes, Elapsed: elapsed}, nil
 }
@@ -163,10 +167,11 @@ func TestFetchPagesMatchCollectThenSlice(t *testing.T) {
 				return b
 			}
 			got, want := mk(), mk()
+			rows := recordRows(ds)["ActivityBank"]
 			ctx := context.Background()
 			for _, fs := range filterSets {
 				fname, filters := fs.name, fs.filters
-				res, err := collectThenSliceFetch(mk(), ctx, Request{Filters: filters})
+				res, err := collectThenSliceFetch(mk(), rows, ctx, Request{Filters: filters})
 				if mode.name == "healthy" && (err != nil || res.Total == 0) {
 					t.Fatalf("%s: %v rows match (err %v); the filter set tests nothing", fname, res, err)
 				}
@@ -182,7 +187,7 @@ func TestFetchPagesMatchCollectThenSlice(t *testing.T) {
 					for off := 0; off <= total+span; off++ {
 						req := Request{Filters: filters, Offset: off, Limit: limit}
 						gotRes, gotErr := got.Fetch(ctx, req)
-						wantRes, wantErr := collectThenSliceFetch(want, ctx, req)
+						wantRes, wantErr := collectThenSliceFetch(want, rows, ctx, req)
 						if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 							t.Fatalf("%s limit %d offset %d: error %v, oracle %v", fname, limit, off, gotErr, wantErr)
 						}
@@ -199,17 +204,46 @@ func TestFetchPagesMatchCollectThenSlice(t *testing.T) {
 	}
 }
 
-// TestUnfilteredPageIsPrivate: an unfiltered page is a window of the
-// bank's rows copied into a slice of its own, so appending to a page or
-// writing through its rows changes neither the bank's rows nor the page
-// a later request returns.
+// recordRows converts the dataset's records to each bank's rows, keyed
+// by bank name, with a plain loop of the test's own: the rows a bank
+// must serve, in record order.
+func recordRows(ds *datagen.Dataset) map[string][]store.Row {
+	out := map[string][]store.Row{}
+	for _, p := range ds.Proteins {
+		out["ProteinBank"] = append(out["ProteinBank"], store.Row{
+			store.StringValue(p.ID), store.StringValue(p.Name), store.StringValue(p.Family),
+			store.StringValue(p.Residues), store.IntValue(int64(len(p.Residues))),
+		})
+	}
+	for _, l := range ds.Ligands {
+		out["LigandBank"] = append(out["LigandBank"], store.Row{
+			store.StringValue(l.ID), store.StringValue(l.Name), store.StringValue(l.SMILES),
+			store.FloatValue(l.Weight), store.StringValue(l.Formula),
+		})
+	}
+	for _, a := range ds.Activities {
+		out["ActivityBank"] = append(out["ActivityBank"], store.Row{
+			store.StringValue(a.ProteinID), store.StringValue(a.LigandID),
+			store.FloatValue(a.Affinity), store.StringValue(a.Assay),
+		})
+	}
+	for _, n := range ds.Annotations {
+		out["AnnotationBank"] = append(out["AnnotationBank"], store.Row{
+			store.StringValue(n.ProteinID), store.StringValue(n.Organism),
+			store.StringValue(n.EC), store.StringValue(n.Keywords),
+		})
+	}
+	return out
+}
+
+// TestUnfilteredPageIsPrivate: an unfiltered page is built fresh for
+// the request, so appending to a page or writing through its rows
+// changes neither the dataset the bank reads nor the page a later
+// request returns.
 func TestUnfilteredPageIsPrivate(t *testing.T) {
 	ds := testDataset(t)
 	b := NewActivityBank(ds, netsim.NewLink(netsim.ProfileLAN, 11, true)).(*bank)
-	before := make([]store.Row, len(b.rows))
-	for i, r := range b.rows {
-		before[i] = r.Clone()
-	}
+	before := recordRows(ds)["ActivityBank"]
 	junk := store.Row{store.StringValue("junk"), store.StringValue("junk"), store.FloatValue(-1), store.StringValue("junk")}
 	ctx := context.Background()
 	for _, limit := range []int{1, 7, 0} {
@@ -219,6 +253,10 @@ func TestUnfilteredPageIsPrivate(t *testing.T) {
 		}
 		grown := append(res.Rows, junk, junk)
 		grown[0][0] = store.StringValue("overwritten")
+		grown[0] = append(grown[0], junk...)
+		if want := before[4 : 3+len(res.Rows)]; !reflect.DeepEqual(res.Rows[1:], want) {
+			t.Fatalf("limit %d: appending to the page's first row changed the rows after it: %v, want %v", limit, res.Rows[1:], want)
+		}
 		off := 3 + len(res.Rows)
 		next, err := b.Fetch(ctx, Request{Offset: off, Limit: limit})
 		if err != nil {
@@ -227,8 +265,102 @@ func TestUnfilteredPageIsPrivate(t *testing.T) {
 		if want := before[off : off+len(next.Rows)]; !reflect.DeepEqual(next.Rows, want) {
 			t.Fatalf("limit %d: page at offset %d is %v after appending to the page before it, want %v", limit, off, next.Rows, want)
 		}
+		again, err := b.Fetch(ctx, Request{Offset: 3, Limit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := before[3 : 3+len(again.Rows)]; !reflect.DeepEqual(again.Rows, want) {
+			t.Fatalf("limit %d: page at offset 3 is %v after writing through it, want %v", limit, again.Rows, want)
+		}
 	}
-	if !reflect.DeepEqual(b.rows, before) {
-		t.Fatal("appending to or writing through a page changed the bank's rows")
+	if !reflect.DeepEqual(recordRows(ds)["ActivityBank"], before) {
+		t.Fatal("appending to or writing through a page changed the dataset's records")
+	}
+}
+
+// TestFilteredFetchMatchesDataset holds every server-side capability of
+// every bank to a plain loop over the dataset: for each (column, op) a
+// bank allows, at a constant taken from its first, middle and last
+// record, the rows paged out and Total equal the records whose cell
+// compares as op says, in record order.
+func TestFilteredFetchMatchesDataset(t *testing.T) {
+	ds := testDataset(t)
+	want := recordRows(ds)
+	holds := map[FilterOp]func(c int) bool{
+		OpEQ: func(c int) bool { return c == 0 },
+		OpLT: func(c int) bool { return c < 0 },
+		OpLE: func(c int) bool { return c <= 0 },
+		OpGT: func(c int) bool { return c > 0 },
+		OpGE: func(c int) bool { return c >= 0 },
+	}
+	ctx := context.Background()
+	for _, src := range NewBundle(ds, netsim.ProfileLAN, 7, true).All() {
+		b := src.(*bank)
+		records := want[b.name]
+		if len(records) == 0 {
+			t.Fatalf("%s: the dataset has no records for it", b.name)
+		}
+		caps := 0
+		for _, col := range b.schema.Columns {
+			ci := b.schema.ColumnIndex(col.Name)
+			for op, ok := range holds {
+				if !b.CanFilter(col.Name, op) {
+					continue
+				}
+				caps++
+				for _, at := range []int{0, len(records) / 2, len(records) - 1} {
+					c := records[at][ci]
+					var match []store.Row
+					for _, r := range records {
+						if ok(store.Compare(r[ci], c)) {
+							match = append(match, r)
+						}
+					}
+					f := Filter{Column: col.Name, Op: op, Value: c}
+					var got []store.Row
+					for off := 0; ; off += 7 {
+						res, err := b.Fetch(ctx, Request{Filters: []Filter{f}, Offset: off, Limit: 7})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Total != len(match) {
+							t.Fatalf("%s %v at offset %d: Total %d, the dataset holds %d", b.name, f, off, res.Total, len(match))
+						}
+						if got = append(got, res.Rows...); len(res.Rows) < 7 {
+							break
+						}
+					}
+					if !reflect.DeepEqual(got, match) && len(got)+len(match) > 0 {
+						t.Fatalf("%s %v: fetched %d rows %v, the dataset holds %d %v", b.name, f, len(got), got, len(match), match)
+					}
+				}
+			}
+		}
+		if caps != len(b.caps) {
+			t.Fatalf("%s: tested %d capabilities of %d", b.name, caps, len(b.caps))
+		}
+	}
+}
+
+// TestNewBundleCopiesNoRecords: a bundle holds no per-record state, so
+// building one over a dataset of D1's size (800 proteins, 200 ligands,
+// 48 538 activities) allocates exactly as many objects as over the
+// small test dataset.
+func TestNewBundleCopiesNoRecords(t *testing.T) {
+	small := testDataset(t)
+	big := &datagen.Dataset{
+		Proteins:    make([]*seq.Protein, 800),
+		Ligands:     make([]datagen.Ligand, 200),
+		Activities:  make([]datagen.Activity, 48538),
+		Annotations: make([]datagen.Annotation, 800),
+	}
+	for i := range big.Proteins {
+		big.Proteins[i] = small.Proteins[i%len(small.Proteins)]
+	}
+	allocs := func(ds *datagen.Dataset) float64 {
+		return testing.AllocsPerRun(5, func() { NewBundle(ds, netsim.ProfileLAN, 7, true) })
+	}
+	if s, d := allocs(small), allocs(big); s != d {
+		t.Fatalf("NewBundle allocates %.0f objects over %d activities and %.0f over %d: it copies records", s, len(small.Activities), d, len(big.Activities))
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -155,17 +156,18 @@ type capability struct {
 	op     FilterOp
 }
 
-// bank is the shared implementation of all simulated sources: a
-// static row set, a link, a capability matrix and a page size.
-// Mutable state (stats, failure knobs, random streams) is guarded by
-// mu so one bank can serve concurrent fetchers race-free.
+// bank is the shared implementation of all simulated sources: n records
+// read in place from the dataset (fill writes record i's cells into a
+// caller's row), a link and a capability matrix. Mutable state (stats,
+// failure knobs, random streams) is guarded by mu so one bank can serve
+// concurrent fetchers race-free.
 type bank struct {
-	name     string
-	schema   *store.Schema
-	rows     []store.Row
-	link     *netsim.Link
-	caps     map[capability]bool
-	pageSize int
+	name   string
+	schema *store.Schema
+	n      int
+	fill   func(i int, dst store.Row)
+	link   *netsim.Link
+	caps   map[capability]bool
 
 	mu      sync.Mutex
 	failPct float64
@@ -183,14 +185,15 @@ const (
 	responseOverheadBytes = 160
 )
 
-func newBank(name string, schema *store.Schema, link *netsim.Link, pageSize int) *bank {
+func newBank(name string, schema *store.Schema, link *netsim.Link, n int, fill func(i int, dst store.Row)) *bank {
 	return &bank{
-		name:     name,
-		schema:   schema,
-		link:     link,
-		caps:     make(map[capability]bool),
-		pageSize: pageSize,
-		failRng:  rand.New(rand.NewSource(int64(len(name)) * 7919)),
+		name:    name,
+		schema:  schema,
+		n:       n,
+		fill:    fill,
+		link:    link,
+		caps:    make(map[capability]bool),
+		failRng: rand.New(rand.NewSource(int64(len(name)) * 7919)),
 	}
 }
 
@@ -302,31 +305,39 @@ func (b *bank) Fetch(ctx context.Context, req Request) (*Result, error) {
 	}
 	limit := req.Limit
 	if limit <= 0 {
-		limit = b.pageSize
+		limit = defaultPageSize
 	}
 
 	// Server-side evaluation: every match is counted into total, and
-	// only the rows of [Offset, Offset+limit) are kept. With no filter
-	// every row matches, so the page is a window of the rows, copied
-	// into a slice of its own.
+	// only the records of [Offset, Offset+limit) get rows, built fresh
+	// for the caller. With no filter every record matches, so the page
+	// is a window of them, cut from one slab of cells (each row's
+	// capacity its width, so appending to one cannot reach the next);
+	// with filters each record is tested in one scratch row.
 	var page []store.Row
 	total := 0
+	w := len(b.schema.Columns)
 	if len(req.Filters) == 0 {
-		total = len(b.rows)
+		total = b.n
 		lo := min(req.Offset, total)
-		hi := min(lo+limit, total)
-		page = make([]store.Row, hi-lo)
-		copy(page, b.rows[lo:hi])
+		page = make([]store.Row, min(lo+limit, total)-lo)
+		cells := make([]store.Value, len(page)*w)
+		for k := range page {
+			page[k] = cells[k*w : (k+1)*w : (k+1)*w]
+			b.fill(lo+k, page[k])
+		}
 	} else {
 		cols := make([]int, len(req.Filters))
 		for k, f := range req.Filters {
 			cols[k] = b.schema.ColumnIndex(f.Column)
 		}
-		page = make([]store.Row, 0, min(limit, len(b.rows)))
-		for _, r := range b.rows {
+		page = make([]store.Row, 0, min(limit, b.n))
+		scratch := make(store.Row, w)
+		for i := range b.n {
+			b.fill(i, scratch)
 			ok := true
 			for k, f := range req.Filters {
-				if !f.Op.Eval(r[cols[k]], f.Value) {
+				if !f.Op.Eval(scratch[cols[k]], f.Value) {
 					ok = false
 					break
 				}
@@ -335,7 +346,7 @@ func (b *bank) Fetch(ctx context.Context, req Request) (*Result, error) {
 				continue
 			}
 			if total >= req.Offset && total-req.Offset < limit {
-				page = append(page, r)
+				page = append(page, slices.Clone(scratch))
 			}
 			total++
 		}
@@ -363,10 +374,6 @@ func (b *bank) Fetch(ctx context.Context, req Request) (*Result, error) {
 	b.stats.BytesDown += respBytes
 	b.stats.Elapsed += elapsed
 	b.mu.Unlock()
-
-	for i, r := range page {
-		page[i] = r.Clone()
-	}
 	return &Result{Rows: page, Total: total, BytesOnWire: respBytes, Elapsed: elapsed}, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -177,7 +178,7 @@ func checkAccess(view *TableView, a Access, keep func(Row) (bool, error), keyCol
 		if selects(r) {
 			visible++
 			if ok, _ := keep(r); ok {
-				want = append(want, r.Clone())
+				want = append(want, slices.Clone(r))
 			}
 		}
 		return true
@@ -466,8 +467,8 @@ func TestRankIndex(t *testing.T) {
 	if specs := tb.Indexes(); fmt.Sprint(specs) != "[{g hash}]" {
 		t.Fatalf("Indexes lists %v, want the hash index alone", specs)
 	}
-	kept := tb.rankIndex("g")
-	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil || tb.rankIndex("g") != kept {
+	kept := tb.indexOn(tb.ranks, "g")
+	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil || tb.indexOn(tb.ranks, "g") != kept {
 		t.Fatalf("re-creating the rank index from its source (err %v) replaced it", err)
 	}
 	none := func(string) (int64, bool) { return 0, false }

@@ -469,19 +469,10 @@ func writeTableSnapshot(w io.Writer, t *Table) error {
 		buf = appendString(buf, c.Name)
 		buf = append(buf, byte(c.Kind))
 	}
-	// Indexes.
-	type ixent struct {
-		col string
-		typ IndexType
-	}
-	var ixs []ixent
-	for col, ix := range t.indexes {
-		ixs = append(ixs, ixent{col, ix.typ})
-	}
-	sort.Slice(ixs, func(i, j int) bool { return ixs[i].col < ixs[j].col })
-	buf = binary.AppendUvarint(buf, uint64(len(ixs)))
-	for _, ix := range ixs {
-		buf = appendString(buf, ix.col)
+	// Indexes, in column-name order.
+	buf = binary.AppendUvarint(buf, uint64(len(t.indexes)))
+	for _, ix := range t.indexes {
+		buf = appendString(buf, t.schema.Columns[ix.column].Name)
 		buf = append(buf, byte(ix.typ))
 	}
 	// Rows: the versions visible at the current commit — a snapshot is
@@ -604,11 +595,7 @@ func (db *DB) loadTableSnapshot(r *bufio.Reader) error {
 	if err != nil {
 		return err
 	}
-	type ixent struct {
-		col string
-		typ IndexType
-	}
-	ixs := make([]ixent, nIx)
+	ixs := make([]IndexSpec, nIx)
 	for i := range ixs {
 		col, err := readString(r)
 		if err != nil {
@@ -618,7 +605,7 @@ func (db *DB) loadTableSnapshot(r *bufio.Reader) error {
 		if err != nil {
 			return err
 		}
-		ixs[i] = ixent{col, IndexType(tb)}
+		ixs[i] = IndexSpec{col, IndexType(tb)}
 	}
 	nRows, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -641,7 +628,7 @@ func (db *DB) loadTableSnapshot(r *bufio.Reader) error {
 	}
 	// Build indexes after bulk load (cheaper than per-row upkeep).
 	for _, ix := range ixs {
-		if err := t.CreateIndex(ix.col, ix.typ); err != nil {
+		if err := t.CreateIndex(ix.Column, ix.Type); err != nil {
 			return err
 		}
 	}

@@ -682,7 +682,7 @@ func TestBackfillSizesListsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, name, score, rank := tb.indexes["id"], tb.indexes["name"], tb.indexes["score"], tb.rankIndex("name")
+	id, name, score, rank := tb.indexOn(tb.indexes, "id"), tb.indexOn(tb.indexes, "name"), tb.indexOn(tb.indexes, "score"), tb.indexOn(tb.ranks, "name")
 	for col, ix := range map[string]*index{"id": id, "name": name, "score": score, "rank": rank} {
 		if err := ix.check(); err != nil {
 			t.Errorf("%s: %v", col, err)

@@ -209,3 +209,74 @@ func TestIndexBytesPerKey(t *testing.T) {
 	}
 	runtime.KeepAlive(names)
 }
+
+// vectorCaps returns the capacity of every storage vector of tb, by name.
+func vectorCaps(tb *Table) map[string]int {
+	caps := map[string]int{"begin": cap(tb.begin), "end": cap(tb.end), "gen": cap(tb.gen)}
+	for c, col := range tb.cols {
+		name := tb.schema.Columns[c].Name
+		switch col.Kind {
+		case KindInt, KindBool:
+			caps[name+".Int"] = cap(col.Int)
+		case KindFloat:
+			caps[name+".Float"] = cap(col.Float)
+		default:
+			caps[name+".Str"] = cap(col.Str)
+		}
+		if col.Null != nil {
+			caps[name+".Null"] = cap(col.Null)
+		}
+	}
+	return caps
+}
+
+// TestCommitLeavesNoSlack: one commit of n rows into an empty table
+// grows every storage vector once, to exactly n, a NULL column's Null
+// vector included, so a bulk load leaves no append slack; one-row
+// commits grow the vectors by append's rule, so 4 096 of them reallocate
+// each vector a logarithmic number of times, not once a row.
+func TestCommitLeavesNoSlack(t *testing.T) {
+	const n = 1000
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{FloatValue(float64(i)), StringValue(fmt.Sprint(i % 7)), IntValue(int64(i))}
+	}
+	rows[n/2][0] = NullValue()
+	bulk := NewTable("t", modelSchema)
+	if err := dbOf(bulk).CommitDeltas([]TableDelta{{Table: "t", Inserts: rows}}); err != nil {
+		t.Fatal(err)
+	}
+	caps := vectorCaps(bulk)
+	if _, ok := caps["k.Null"]; !ok {
+		t.Fatal("the NULL cell left column k without a Null vector")
+	}
+	for name, c := range caps {
+		if c != n {
+			t.Errorf("after one %d-row commit %s has capacity %d", n, name, c)
+		}
+	}
+
+	one := NewTable("t", modelSchema)
+	grew := map[string]int{}
+	last := vectorCaps(one)
+	for i := range 4096 {
+		if _, err := insertRow(one, rows[i%n]); err != nil {
+			t.Fatal(err)
+		}
+		now := vectorCaps(one)
+		for name, c := range now {
+			if c != last[name] {
+				grew[name]++
+			}
+		}
+		last = now
+	}
+	for name, g := range grew {
+		if g > 32 {
+			t.Errorf("4096 one-row commits reallocated %s %d times, want ≤ 32", name, g)
+		}
+	}
+	if len(grew) == 0 {
+		t.Fatal("4096 one-row commits grew no vector")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -102,7 +103,7 @@ func (m *model) bind(id, serial int64) error {
 }
 
 func (m *model) insert(id int64, r Row) {
-	m.vers = append(m.vers, modelVer{id: id, begin: m.commit, end: verMax, row: r.Clone()})
+	m.vers = append(m.vers, modelVer{id: id, begin: m.commit, end: verMax, row: slices.Clone(r)})
 }
 
 func (m *model) retire(id int64) {
@@ -227,7 +228,7 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 	var gotIDs []int64
 	var gotRows []Row
 	view.Scan(func(id int64, r Row) bool {
-		gotIDs, gotRows = append(gotIDs, id), append(gotRows, r.Clone())
+		gotIDs, gotRows = append(gotIDs, id), append(gotRows, slices.Clone(r))
 		return true
 	})
 	if err := sameStrings("Scan", canonIDRows(gotIDs, gotRows), canonIDRows(wantIDs, wantRows)); err != nil {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 )
 
@@ -97,13 +97,13 @@ type Table struct {
 	end     []int64 // per slot: verMax while live, the deleting version once dead, 0 when free
 	gen     []uint32
 	free    []int32
-	dying   []int32           // slots holding a retired row: the GC work list
-	indexes map[string]*index // keyed by column name
-	ranks   []*index          // rank indexes, one a column at most (CreateRankIndex)
-	commit  int64             // last published commit version
-	live    int               // rows visible at commit
-	pins    map[int64]int     // pinned commit version → refcount
-	gcFloor int64             // min pin the last GC sweep ran against
+	dying   []int32       // slots holding a retired row: the GC work list
+	indexes []*index      // secondary indexes, one a column at most, ordered by column name
+	ranks   []*index      // rank indexes, one a column at most (CreateRankIndex)
+	commit  int64         // last published commit version
+	live    int           // rows visible at commit
+	pins    map[int64]int // pinned commit version → refcount
+	gcFloor int64         // min pin the last GC sweep ran against
 	// onCommit, when set, receives one CommitEvent per committed
 	// mutation batch, invoked under mu (see CommitEvent).
 	onCommit func(CommitEvent)
@@ -116,11 +116,10 @@ type Table struct {
 // NewTable creates an empty table.
 func NewTable(name string, schema *Schema) *Table {
 	t := &Table{
-		name:    name,
-		schema:  schema,
-		cols:    make([]Col, len(schema.Columns)),
-		indexes: make(map[string]*index),
-		pins:    make(map[int64]int),
+		name:   name,
+		schema: schema,
+		cols:   make([]Col, len(schema.Columns)),
+		pins:   make(map[int64]int),
 	}
 	for c, col := range schema.Columns {
 		t.cols[c].Kind = col.Kind
@@ -167,22 +166,42 @@ func (t *Table) allocSlot() int {
 		t.free = t.free[:n-1]
 		return int(s)
 	}
-	t.begin, t.end, t.gen = append(t.begin, 0), append(t.end, 0), append(t.gen, 0)
+	t.extendLocked(1, 1)
+	return len(t.end) - 1
+}
+
+// extendLocked makes room for n more slots on every storage vector and
+// then adds add ≤ n zeroed slots to each. A commit reserves room for all
+// its new slots at once, so its allocSlot calls grow no vector again.
+func (t *Table) extendLocked(n, add int) {
+	t.begin, t.end, t.gen = extend(t.begin, n, add), extend(t.end, n, add), extend(t.gen, n, add)
 	for c := range t.cols {
 		col := &t.cols[c]
 		switch col.Kind {
 		case KindInt, KindBool:
-			col.Int = append(col.Int, 0)
+			col.Int = extend(col.Int, n, add)
 		case KindFloat:
-			col.Float = append(col.Float, 0)
+			col.Float = extend(col.Float, n, add)
 		default:
-			col.Str = append(col.Str, "")
+			col.Str = extend(col.Str, n, add)
 		}
 		if col.Null != nil {
-			col.Null = append(col.Null, false)
+			col.Null = extend(col.Null, n, add)
 		}
 	}
-	return len(t.end) - 1
+}
+
+// extend returns s with room for n more elements and add zeroed ones
+// appended (no vector is ever cut, so spare capacity is zero). Room past
+// double the capacity is allocated exactly, not rounded to a size class;
+// less grows by append's rule, so one-row commits stay amortised.
+func extend[E any](s []E, n, add int) []E {
+	if len(s)+n > 2*cap(s) {
+		s = append(make([]E, 0, len(s)+n), s...)
+	} else {
+		s = slices.Grow(s, n)
+	}
+	return s[:len(s)+add]
 }
 
 // putLocked writes r into slot s as the version beginning at v and
@@ -316,7 +335,7 @@ func (t *Table) CreateIndex(column string, typ IndexType) error {
 	if t.img != nil {
 		return fmt.Errorf("store: table %s is frozen and takes no index", t.name)
 	}
-	if existing, ok := t.indexes[column]; ok {
+	if existing := t.indexOn(t.indexes, column); existing != nil {
 		if existing.typ == typ {
 			return nil
 		}
@@ -324,7 +343,21 @@ func (t *Table) CreateIndex(column string, typ IndexType) error {
 	}
 	idx := newIndex(ci, typ, t.cols[ci].Kind)
 	t.backfill(idx)
-	t.indexes[column] = idx
+	t.indexes = append(t.indexes, idx)
+	slices.SortFunc(t.indexes, func(a, b *index) int {
+		return strings.Compare(t.schema.Columns[a.column].Name, t.schema.Columns[b.column].Name)
+	})
+	return nil
+}
+
+// indexOn returns the index in list (t.indexes or t.ranks) on column,
+// or nil. A table has a few indexes at most, so a scan is the lookup.
+func (t *Table) indexOn(list []*index, column string) *index {
+	for _, ix := range list {
+		if t.schema.Columns[ix.column].Name == column {
+			return ix
+		}
+	}
 	return nil
 }
 
@@ -347,7 +380,7 @@ func (t *Table) CreateRankIndex(column string, ranks int, rank func(string) (int
 	if t.img != nil {
 		return fmt.Errorf("store: table %s is frozen and takes no index", t.name)
 	}
-	if old := t.rankIndex(column); old != nil && old.source == source {
+	if old := t.indexOn(t.ranks, column); old != nil && old.source == source {
 		return nil
 	}
 	ix := &index{column: ci, typ: IndexBTree, kind: KindInt, rank: rank, source: source, post: postings{lists: make([][]int64, ranks)}}
@@ -405,18 +438,8 @@ func (t *Table) backfill(ix *index) {
 func (t *Table) RankedBy(column string, source any) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ix := t.rankIndex(column)
+	ix := t.indexOn(t.ranks, column)
 	return ix != nil && ix.source == source
-}
-
-// rankIndex returns the rank index on column, or nil.
-func (t *Table) rankIndex(column string) *index {
-	for _, ix := range t.ranks {
-		if t.schema.Columns[ix.column].Name == column {
-			return ix
-		}
-	}
-	return nil
 }
 
 // IndexSpec describes one secondary index for introspection.
@@ -434,11 +457,10 @@ func (t *Table) Indexes() []IndexSpec {
 	if t.img != nil {
 		return slices.Clone(t.img.indexes)
 	}
-	out := make([]IndexSpec, 0, len(t.indexes))
-	for col, ix := range t.indexes {
-		out = append(out, IndexSpec{Column: col, Type: ix.typ})
+	out := make([]IndexSpec, len(t.indexes))
+	for i, ix := range t.indexes {
+		out[i] = IndexSpec{Column: t.schema.Columns[ix.column].Name, Type: ix.typ}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Column < out[j].Column })
 	return out
 }
 
@@ -447,15 +469,13 @@ func (t *Table) HasIndex(column string) (IndexType, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.img != nil {
-		for _, ix := range t.img.indexes {
-			if ix.Column == column {
-				return ix.Type, true
-			}
+		if i := slices.IndexFunc(t.img.indexes, func(ix IndexSpec) bool { return ix.Column == column }); i >= 0 {
+			return t.img.indexes[i].Type, true
 		}
 		return 0, false
 	}
-	idx, ok := t.indexes[column]
-	if !ok {
+	idx := t.indexOn(t.indexes, column)
+	if idx == nil {
 		return 0, false
 	}
 	return idx.typ, true
@@ -612,12 +632,12 @@ const acceptChunk = 32
 // index answers key probes, only a B+-tree walks a range.
 func (t *Table) indexFor(a Access) *index {
 	if a.Rank != nil {
-		if ix := t.rankIndex(a.Column); ix != nil && ix.source == a.Rank {
+		if ix := t.indexOn(t.ranks, a.Column); ix != nil && ix.source == a.Rank {
 			return ix
 		}
 		return nil
 	}
-	idx := t.indexes[a.Column]
+	idx := t.indexOn(t.indexes, a.Column)
 	if idx != nil && a.Keys == nil && idx.typ != IndexBTree {
 		return nil
 	}
@@ -773,7 +793,7 @@ func (t *Table) DistinctKeys(column string) (n int, ok bool) {
 	if t.img != nil {
 		return t.img.distinctKeys(column)
 	}
-	idx := t.indexes[column]
+	idx := t.indexOn(t.indexes, column)
 	if idx == nil {
 		return 0, false
 	}
@@ -871,6 +891,7 @@ func (t *Table) applyDeltaLocked(deleteIDs []int64, inserts []Row, wantDeleted b
 		t.retireLocked(s, v)
 	}
 	last = -1
+	t.extendLocked(max(len(inserts)-len(t.free), 0), 0)
 	for _, r := range inserts {
 		last = t.insertLocked(v, r)
 	}
@@ -942,10 +963,9 @@ func (t *Table) findByValueLocked(r Row, taken map[int]struct{}) (int, bool) {
 		return 0, false
 	}
 	var cand []int64
-	first := true
-	for _, idx := range t.indexes {
-		if c, _ := idx.get(r[idx.column]); first || len(c) < len(cand) {
-			cand, first = c, false
+	for i, idx := range t.indexes {
+		if c, _ := idx.get(r[idx.column]); i == 0 || len(c) < len(cand) {
+			cand = c
 		}
 	}
 	for _, id := range cand {

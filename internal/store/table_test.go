@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -60,7 +61,7 @@ func readRows(t testing.TB, tb *Table, a Access) []Row {
 func viewImage(view *TableView) []Row {
 	var out []Row
 	view.Scan(func(_ int64, r Row) bool {
-		out = append(out, r.Clone())
+		out = append(out, slices.Clone(r))
 		return true
 	})
 	return out
@@ -72,7 +73,7 @@ func getRow(tb *Table, id int64) (Row, bool) {
 	var out Row
 	tb.Scan(func(rid int64, r Row) bool {
 		if rid == id {
-			out = r.Clone()
+			out = slices.Clone(r)
 		}
 		return out == nil
 	})

@@ -209,12 +209,3 @@ func (v Value) String() string {
 
 // Row is one record: a dense slice of cells matching a table schema.
 type Row []Value
-
-// Clone returns a deep-enough copy of the row (Values are value types;
-// strings share backing storage, which is safe because Values are
-// immutable by convention).
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}

@@ -180,12 +180,3 @@ func TestReadValueRejectsCorruptInput(t *testing.T) {
 		t.Error("oversized string accepted")
 	}
 }
-
-func TestRowClone(t *testing.T) {
-	r := Row{IntValue(1), StringValue("a")}
-	c := r.Clone()
-	c[0] = IntValue(99)
-	if r[0].I != 1 {
-		t.Fatal("clone aliases original")
-	}
-}
