@@ -117,7 +117,7 @@ bench-repo-smoke:
 # idle host and commit the file with the change it measures. A file git
 # already tracks is a committed record: the target refuses to overwrite
 # it, so a later change names its own with BENCH_JSON=BENCH_<n>.json.
-BENCH_JSON ?= BENCH_53.json
+BENCH_JSON ?= BENCH_54.json
 
 bench-repo:
 	@if git ls-files --error-unmatch $(BENCH_JSON) >/dev/null 2>&1; then \
@@ -136,17 +136,22 @@ bench-repo:
 	done; done; \
 	printf '\n ]}\n' >> $$tmp; mv $$tmp $(BENCH_JSON)
 
-# Where the D1 engine's heap goes: TestD1HeapAtRest builds dataset D1,
+# Where the engines' heap goes: TestD1HeapAtRest builds dataset D1,
 # its source banks, the imported store and the engine, keeps them
 # alive, and writes an in-use heap profile after a forced GC (every
-# allocation sampled); its top entries by in-use bytes follow. A heap
-# claim starts from this attribution.
+# allocation sampled); TestTreeNodesHeap does the same for browse's
+# engine over a 100 000-leaf tree. Each profile's top entries by in-use
+# bytes follow it. A heap claim starts from this attribution.
 HEAP_PROFILE ?= d1-heap.pprof
+TREE_HEAP_PROFILE ?= tree-heap.pprof
 
 heap:
 	$(GO) test -count=1 -run '^TestD1HeapAtRest$$' -v ./internal/core \
 		-test.memprofilerate=1 -args -heap-profile=$(abspath $(HEAP_PROFILE))
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=25 $(HEAP_PROFILE)
+	$(GO) test -count=1 -run '^TestTreeNodesHeap$$' -v ./internal/core \
+		-test.memprofilerate=1 -args -heap-profile=$(abspath $(TREE_HEAP_PROFILE))
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=25 $(TREE_HEAP_PROFILE)
 
 # Storage- and operator-layer microbenchmarks with -benchmem: the
 # store's insert, lookup, range read, sequential pass and 512+512
@@ -194,7 +199,9 @@ bench-micro:
 
 # Ten seconds of each fuzz target over its checked-in corpus: the DTQL
 # parser's parse → String → parse and the Newick parser's parse →
-# Newick → parse round trips, neither ever panicking, the subtree
+# Newick → parse round trips, neither ever panicking, the tree's name
+# index against a map (every named node, ascending, distinct names
+# counted), the subtree
 # overlay's exact sum against its big.Int oracle under adds and removes
 # of arbitrary float64s, the mobile message decoder (never a panic,
 # allocation bounded by the payload, decode → encode byte-identical),

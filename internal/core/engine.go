@@ -300,32 +300,54 @@ func buildTree(proteins []*seq.Protein, method TreeMethod) (*phylo.Tree, error) 
 
 // treeImage lays the tree out as tree_nodes' frozen image: one row per
 // node in preorder, so a node's ID is its slot and its pre. The image
-// reads the tree rather than copying it: pre is the dense column, which
-// holds no vector; parent_pre, depth, leaf_count and end_pre are the
-// tree's own int32 arrays; branch_length is the tree's branch lengths,
-// root_dist and x are both Layout.X (the tree's root distances) and y
-// is Layout.Y; names are the tree's own strings. Only is_leaf is
-// derived: in preorder a node is a leaf when its subtree ends at itself.
+// reads the tree rather than copying it and allocates nothing per node:
+// pre is the dense column, which the store computes from the slot;
+// parent_pre, depth, leaf_count and end_pre are computed from the
+// tree's own int32 arrays, name from its name arena and is_leaf from
+// the preorder rule that a node is a leaf when its subtree ends at
+// itself; branch_length is the tree's branch lengths, root_dist and x
+// are both Layout.X (the tree's root distances) and y is Layout.Y. The
+// name lookup is the tree's own name index, which files every row:
+// NameClades has named every node.
 func treeImage(t *phylo.Tree, layout *phylo.Layout) store.FrozenImage {
-	n, ends := t.Len(), t.Ends()
-	names := store.Col{Kind: store.KindString, Str: make([]string, n)}
-	leaf := store.Col{Kind: store.KindBool, I32: make([]int32, n)}
-	for p := range n {
-		names.Str[p] = t.Node(phylo.NodeID(p)).Name
-		if ends[p] == int32(p) {
-			leaf.I32[p] = 1
-		}
+	ends := t.Ends()
+	ints := func(v []int32) store.Col {
+		return store.Col{Kind: store.KindInt, Compute: func(dst *store.Col, slots []int32) {
+			for k, s := range slots {
+				dst.Int[k] = int64(v[s])
+			}
+		}}
 	}
-	ints := func(v []int32) store.Col { return store.Col{Kind: store.KindInt, I32: v} }
+	leaf := store.Col{Kind: store.KindBool, Compute: func(dst *store.Col, slots []int32) {
+		for k, s := range slots {
+			dst.Int[k] = 0
+			if ends[s] == s {
+				dst.Int[k] = 1
+			}
+		}
+	}}
+	names := store.Col{Kind: store.KindString, Compute: func(dst *store.Col, slots []int32) {
+		for k, s := range slots {
+			dst.Str[k] = t.Name(phylo.NodeID(s))
+		}
+	}}
 	floats := func(v []float64) store.Col { return store.Col{Kind: store.KindFloat, Float: v} }
 	dist := floats(layout.X)
 	return store.FrozenImage{
+		Rows: t.Len(),
 		Cols: []store.Col{
 			{Kind: store.KindInt}, names, ints(t.Parents()), ints(t.Depths()), leaf,
 			floats(t.Lengths()), dist, ints(t.LeafCounts()), dist, floats(layout.Y), ints(ends),
 		},
 		Dense: "pre",
 		Hash:  "name",
+		Lookup: func(dst []int32, k store.Value) []int32 {
+			if k.K == store.KindString {
+				t.NodesByName(k.S, func(id phylo.NodeID) bool { dst = append(dst, int32(id)); return true })
+			}
+			return dst
+		},
+		Distinct: t.DistinctNames(),
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -572,73 +571,6 @@ func TestEngineWithSyntheticTopology(t *testing.T) {
 	if len(views) != tree.Len() {
 		t.Fatalf("views = %d, want %d", len(views), tree.Len())
 	}
-}
-
-// TestTreeNodesHeap is the tier-1 guard on what an engine holds beside
-// its tree: NewWithTree over a 100 000-leaf topology (199 999 nodes)
-// adds at most 6 MB of live heap to the indexed, named tree and its
-// layout — tree_nodes' name vector, is_leaf and name lookup, ≈ 5.1 MB,
-// and the engine's own small state. Its other columns are the tree's
-// and the layout's own arrays, which the test checks are shared, not
-// copied: int64 copies of the integer columns cost 8.8 MB more, copies
-// of the float columns 4.8 MB, and a stored tree_nodes with its B+-tree
-// on pre and hash index on name 33.5 MB.
-func TestTreeNodesHeap(t *testing.T) {
-	tree, err := datagen.RandomTopology(100000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Index(); err != nil {
-		t.Fatal(err)
-	}
-	tree.NameClades()
-	db, err := store.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	liveHeap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	// The base holds a layout like the one NewWithTree builds.
-	base := func() uint64 {
-		layout := phylo.NewLayout(tree)
-		h := liveHeap()
-		runtime.KeepAlive(layout)
-		return h
-	}()
-	e, err := NewWithTree(db, tree, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	added := float64(liveHeap()) - float64(base)
-	t.Logf("NewWithTree over %d nodes adds %.1f MB", tree.Len(), added/1e6)
-	if added > 6e6 {
-		t.Errorf("NewWithTree adds %.1f MB of live heap, want ≤ 6", added/1e6)
-	}
-	img := treeImage(tree, e.Layout())
-	for col, v := range map[string][]float64{
-		"branch_length": tree.Lengths(), "root_dist": e.Layout().X, "x": e.Layout().X, "y": e.Layout().Y,
-	} {
-		if got := img.Cols[TreeSchema.ColumnIndex(col)].Float; &got[0] != &v[0] {
-			t.Errorf("tree_nodes.%s copies its vector instead of sharing it", col)
-		}
-	}
-	for col, v := range map[string][]int32{
-		"parent_pre": tree.Parents(), "depth": tree.Depths(), "leaf_count": tree.LeafCounts(), "end_pre": tree.Ends(),
-	} {
-		if got := img.Cols[TreeSchema.ColumnIndex(col)]; got.Int != nil || &got.I32[0] != &v[0] {
-			t.Errorf("tree_nodes.%s copies its vector instead of sharing it", col)
-		}
-	}
-	if pre := img.Cols[TreeSchema.ColumnIndex("pre")]; pre.Int != nil || pre.I32 != nil {
-		t.Error("tree_nodes.pre holds a vector; its cell is the slot")
-	}
-	runtime.KeepAlive(e)
 }
 
 // TestTreePlacementCountsSyncedProteins pins what the tree misses

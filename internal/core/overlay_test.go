@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -522,6 +523,111 @@ func TestDuplicateNameAnswersOneWay(t *testing.T) {
 		for path, g := range got {
 			if g != w {
 				t.Errorf("clade %s: %s counts %d rows summing to %g, want %d summing to %g", node, path, g.n, g.sum, w.n, w.sum)
+			}
+		}
+	}
+}
+
+// TestDuplicateNameOneLookup: on ((A,B)X,((C,D)A,E)Y)R tree_nodes' name
+// probes come from the tree's own name index, which files both nodes
+// named A: an equality on name returns both, in preorder, DistinctKeys
+// counts A once, and a join on name equals a nested loop over the two
+// tables' scans on the indexed engine and on one with indexes off,
+// while NodeByName still resolves A to the lower ID, the leaf. Nine
+// nodes are too few for the planner to probe tree_nodes by the join's
+// keys, so the join runs again with forty leaves added under a new
+// root, where it does (probe=keys).
+func TestDuplicateNameOneLookup(t *testing.T) {
+	const example = "((A:1,B:1)X:1,((C:1,D:1)A:1,E:1)Y:1)R"
+	var padded strings.Builder
+	padded.WriteString("(" + example)
+	for i := range 40 {
+		fmt.Fprintf(&padded, ",P%d:1", i)
+	}
+	padded.WriteString(")top;")
+	s := store.StringValue
+	var prots []store.Row
+	for _, acc := range []string{"A", "C", "Y", "Z"} {
+		prots = append(prots, store.Row{s(acc), s("p" + acc), s("f"), s("MK"), store.IntValue(2)})
+	}
+	const join = "SELECT t.pre, p.accession FROM tree_nodes t JOIN proteins p ON t.name = p.accession"
+	ctx := context.Background()
+	for _, c := range []struct {
+		newick, joinPlan string
+		first            int64 // pre of the leaf A
+		distinct         int
+	}{{example + ";", "build=right)", 2, 8}, {padded.String(), "probe=keys", 3, 49}} {
+		tree, err := phylo.ParseNewick(c.newick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := store.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if _, err := db.CreateTable(integrate.TableProteins, source.ProteinSchema); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CommitDeltas([]store.TableDelta{{Table: integrate.TableProteins, Inserts: prots}}); err != nil {
+			t.Fatal(err)
+		}
+		indexed, err := NewWithTree(db, tree, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.QueryOptions.UseIndexes = false
+		scanned, err := NewWithTree(db, tree, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id, _ := tree.NodeByName("A"); int64(id) != c.first || !tree.Node(id).IsLeaf() {
+			t.Fatalf("NodeByName(A) = %d, want %d, the leaf", id, c.first)
+		}
+		tab, err := db.Table(TreeTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, ok := tab.DistinctKeys("name"); !ok || n != c.distinct {
+			t.Fatalf("DistinctKeys(name) = %d, %v; want %d, A counted once", n, ok, c.distinct)
+		}
+		// The reference: every (tree node, protein) pair whose name and
+		// accession are equal, from the two tables' scans.
+		var want []string
+		tab.Scan(func(_ int64, node store.Row) bool {
+			for _, p := range prots {
+				if node[1].S == p[0].S {
+					want = append(want, fmt.Sprintf("%d %s", node[0].I, p[0].S))
+				}
+			}
+			return true
+		})
+		slices.Sort(want)
+		plan, err := indexed.Query(ctx, "EXPLAIN "+join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan.Plan, c.joinPlan) {
+			t.Fatalf("the join's plan lacks %s:\n%s", c.joinPlan, plan.Plan)
+		}
+		for name, e := range map[string]*Engine{"indexed": indexed, "scanned": scanned} {
+			res, err := e.Query(ctx, "SELECT pre FROM tree_nodes WHERE name = 'A'")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 2 || res.Rows[0][0].I != c.first || res.Rows[1][0].I != c.first+3 {
+				t.Fatalf("%s: name = 'A' reads %v, want pre %d and %d", name, res.Rows, c.first, c.first+3)
+			}
+			if res, err = e.Query(ctx, join); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, r := range res.Rows {
+				got = append(got, fmt.Sprintf("%d %s", r[0].I, r[1].S))
+			}
+			if slices.Sort(got); !slices.Equal(got, want) {
+				t.Fatalf("%s: the join on name reads %v, the reference %v", name, got, want)
 			}
 		}
 	}

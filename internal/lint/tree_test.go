@@ -176,7 +176,6 @@ var exportAllowlist = map[string]string{
 	"internal/chem.Mol.RingCount":         "the SMILES parser tests assert ring closures through it",
 	"internal/chem.Fingerprint.PopCount":  "the fingerprint tests assert a non-empty fingerprint through it",
 	"internal/store.VerifyDir":            "the offline integrity check the fault and WAL tests judge a damaged store directory by",
-	"internal/store.Selection.Fill":       "fills a whole batch for the store's selection tests; ROADMAP 8(c) ports the row reads onto it",
 
 	// Fault seams of the crash-testing file system.
 	"internal/vfs.NewFault":            "fault seam: builds the fault-injecting file system",

@@ -166,5 +166,27 @@ func FuzzNewick(f *testing.F) {
 		if indexed := tr.Newick(); indexed != text {
 			t.Fatalf("%q: serialises to %q built and %q indexed", src, text, indexed)
 		}
+		// The name index against a map oracle: every named node is
+		// found, a name's nodes come out in ascending ID, NodeByName is
+		// the first of them, and the distinct names are counted.
+		oracle := map[string][]NodeID{}
+		for i := range tr.Len() {
+			if name := tr.Node(NodeID(i)).Name; name != "" {
+				oracle[name] = append(oracle[name], NodeID(i))
+			}
+		}
+		if got := tr.DistinctNames(); got != len(oracle) {
+			t.Fatalf("%q: %d distinct names, the oracle %d", src, got, len(oracle))
+		}
+		for name, want := range oracle {
+			var got []NodeID
+			tr.NodesByName(name, func(id NodeID) bool { got = append(got, id); return true })
+			if first, ok := tr.NodeByName(name); !slices.Equal(got, want) || !ok || first != want[0] {
+				t.Fatalf("%q: %q names %v, NodeByName %d; the oracle %v", src, name, got, first, want)
+			}
+		}
+		if _, ok := tr.NodeByName(""); ok {
+			t.Fatalf("%q: the empty name found a node", src)
+		}
 	})
 }

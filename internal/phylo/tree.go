@@ -78,11 +78,13 @@ type Tree struct {
 	leafCnt  []int32 // number of leaves under each node
 	indexed  bool
 
-	// nameTab is the name → node index (see NodeByName), built once on
+	// nameTab is the name → node index (see NodesByName), built once on
 	// first use: an open-addressing table of node IDs + 1 (0 is an
-	// empty bucket) probed by the hash of the name.
+	// empty bucket) probed by the hash of the name, filing every named
+	// node; distinct counts their names.
 	namesOnce sync.Once
 	nameTab   []NodeID
+	distinct  int
 }
 
 // NewTree creates an empty tree.
@@ -140,10 +142,12 @@ func (t *Tree) Root() NodeID { return t.root }
 
 // Node returns a view of the node with the given ID.
 func (t *Tree) Node(id NodeID) Node {
-	return Node{Name: t.name(id), Parent: NodeID(t.parent[id]), Children: t.children(id), Length: t.length[id]}
+	return Node{Name: t.Name(id), Parent: NodeID(t.parent[id]), Children: t.children(id), Length: t.length[id]}
 }
 
-func (t *Tree) name(id NodeID) string {
+// Name returns the name of node id, "" when it has none: on an indexed
+// tree a substring of the name arena, allocating nothing.
+func (t *Tree) Name(id NodeID) string {
 	if t.indexed {
 		return t.arena[t.nameOff[id]:t.nameOff[id+1]]
 	}
@@ -297,7 +301,7 @@ func (t *Tree) NameClades() {
 			off := make([]uint32, len(t.nameOff))
 			var digits []byte
 			for i := range t.parent {
-				if name := t.name(NodeID(i)); name != "" {
+				if name := t.Name(NodeID(i)); name != "" {
 					arena.WriteString(name)
 				} else {
 					digits = strconv.AppendInt(append(digits[:0], "clade_"...), int64(i), 10)
@@ -324,32 +328,57 @@ func nameBucket(name string, size int) int {
 	return int(hi)
 }
 
+// nextBucket is the bucket after b on a probe run.
+func nextBucket(b, size int) int {
+	if b++; b == size {
+		return 0
+	}
+	return b
+}
+
 // buildNames fills the name index: a table three quarters full, so a
-// probe run stays short.
+// probe run stays short. Nodes are filed in ID order and never removed,
+// so the nodes of one name lie along its probe run in ascending ID; a
+// name is new when no node before it on its run carries it.
 func (t *Tree) buildNames() {
 	size := len(t.parent)*4/3 + 1
 	t.nameTab = make([]NodeID, size)
 	for i := range t.parent {
-		name := t.name(NodeID(i))
+		name := t.Name(NodeID(i))
 		if name == "" {
 			continue
 		}
-		b := nameBucket(name, size)
-		for t.nameTab[b] != 0 && t.name(t.nameTab[b]-1) != name {
-			if b++; b == size {
-				b = 0
-			}
+		b, fresh := nameBucket(name, size), true
+		for ; t.nameTab[b] != 0; b = nextBucket(b, size) {
+			fresh = fresh && t.Name(t.nameTab[b]-1) != name
 		}
-		if t.nameTab[b] == 0 { // else an earlier node keeps the name
-			t.nameTab[b] = NodeID(i) + 1
+		t.nameTab[b] = NodeID(i) + 1
+		if fresh {
+			t.distinct++
 		}
 	}
 }
 
-// NodeByName returns the node (leaf or internal) carrying name — of
-// several, the one first in preorder (the lowest ID) — and whether
-// there is one.
-// Unnamed nodes are not indexed, so "" finds nothing. It is the one
+// NodesByName calls fn with every node (leaf or internal) carrying
+// name, in ascending ID — preorder — until fn returns false; it reports
+// whether fn never did. Unnamed nodes are not indexed, so "" finds
+// nothing.
+func (t *Tree) NodesByName(name string, fn func(NodeID) bool) bool {
+	t.mustIndexed()
+	t.namesOnce.Do(t.buildNames)
+	if name == "" {
+		return true
+	}
+	for b := nameBucket(name, len(t.nameTab)); t.nameTab[b] != 0; b = nextBucket(b, len(t.nameTab)) {
+		if id := t.nameTab[b] - 1; t.Name(id) == name && !fn(id) {
+			return false
+		}
+	}
+	return true
+}
+
+// NodeByName returns the node carrying name — of several, the one first
+// in preorder (the lowest ID) — and whether there is one. It is the one
 // name resolution every layer shares: the query engine's tree
 // predicates (the node they name and, on a name column, the node each
 // row's name means), the rank index's keys, the engine's navigation
@@ -361,15 +390,20 @@ func (t *Tree) NodeByName(name string) (NodeID, bool) {
 	if name == "" {
 		return None, false
 	}
-	for b := nameBucket(name, len(t.nameTab)); t.nameTab[b] != 0; {
-		if id := t.nameTab[b] - 1; t.name(id) == name {
+	for b := nameBucket(name, len(t.nameTab)); t.nameTab[b] != 0; b = nextBucket(b, len(t.nameTab)) {
+		if id := t.nameTab[b] - 1; t.Name(id) == name {
 			return id, true
-		}
-		if b++; b == len(t.nameTab) {
-			b = 0
 		}
 	}
 	return None, false
+}
+
+// DistinctNames returns the number of distinct names the tree's named
+// nodes carry.
+func (t *Tree) DistinctNames() int {
+	t.mustIndexed()
+	t.namesOnce.Do(t.buildNames)
+	return t.distinct
 }
 
 // Indexed reports whether Index has been called.
@@ -510,7 +544,7 @@ func (t *Tree) LeafNames() []string {
 	var names []string
 	for i := range t.parent {
 		if id := NodeID(i); t.isLeaf(id) {
-			names = append(names, t.name(id))
+			names = append(names, t.Name(id))
 		}
 	}
 	sort.Strings(names)

@@ -485,7 +485,7 @@ func TestRankIndex(t *testing.T) {
 	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil {
 		t.Fatal(err)
 	}
-	frozen, err := db.PublishFrozen("f", accessSchema, FrozenImage{Cols: []Col{
+	frozen, err := db.PublishFrozen("f", accessSchema, FrozenImage{Rows: 1, Cols: []Col{
 		{Kind: KindFloat, Float: []float64{1}}, {Kind: KindString, Str: []string{"g0"}}, {Kind: KindInt, Int: []int64{1}},
 	}})
 	if err != nil {

@@ -18,9 +18,10 @@ import "context"
 // runtime).
 
 // Col is one column vector: a null mask plus exactly one active typed
-// slice selected by Kind. Callers must append values matching the
-// column kind (or NULL); the typed accessors (Int, Float, Str) index
-// positions where the null mask is false.
+// slice selected by Kind — or, in a frozen image's storage, Compute in
+// place of the slice. Callers must append values matching the column
+// kind (or NULL); the typed accessors (Int, Float, Str) index positions
+// where the null mask is false.
 type Col struct {
 	Kind  Kind
 	Null  []bool    // Null[i] reports whether cell i is NULL
@@ -28,10 +29,13 @@ type Col struct {
 	Float []float64 // KindFloat
 	Str   []string  // KindString
 	Vals  []Value   // generic mode (Kind == KindNull): arbitrary cells
-	// I32 holds a KindInt or KindBool column of a FrozenImage in place
-	// of Int, and nothing else does: its readers, Selection.FillCol and
-	// loadCell, widen it, so every batch holds Int.
-	I32 []int32
+	// Compute, set only on a column of a FrozenImage, stands in for the
+	// vector: it writes the cell of each of slots, in order, into dst's
+	// vector of the column's kind, which its caller has sized to the
+	// list, and retains neither. Every read of a frozen image goes
+	// through Selection.FillCol, which calls it once a list of slots, so
+	// every batch holds a vector.
+	Compute func(dst *Col, slots []int32)
 }
 
 // NewCol returns an empty column of the given kind with room for
@@ -343,27 +347,23 @@ func (s *Selection) FillCol(dst *Col, i, lo, hi int) {
 	switch src.Kind {
 	case KindInt, KindBool:
 		dst.Int = resized(dst.Int, len(slots))
-		switch {
-		case src.Int != nil:
-			for k, sl := range slots {
-				dst.Int[k] = src.Int[sl]
-			}
-		case src.I32 != nil:
-			for k, sl := range slots {
-				dst.Int[k] = int64(src.I32[sl])
-			}
-		default: // a frozen image's dense column: the cell is the slot
-			for k, sl := range slots {
-				dst.Int[k] = int64(sl)
-			}
-		}
 	case KindFloat:
 		dst.Float = resized(dst.Float, len(slots))
+	default:
+		dst.Str = resized(dst.Str, len(slots))
+	}
+	switch {
+	case src.Compute != nil:
+		src.Compute(dst, slots)
+	case src.Kind == KindInt || src.Kind == KindBool:
+		for k, sl := range slots {
+			dst.Int[k] = src.Int[sl]
+		}
+	case src.Kind == KindFloat:
 		for k, sl := range slots {
 			dst.Float[k] = src.Float[sl]
 		}
 	default:
-		dst.Str = resized(dst.Str, len(slots))
 		for k, sl := range slots {
 			dst.Str[k] = src.Str[sl]
 		}

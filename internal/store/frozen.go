@@ -4,46 +4,45 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 )
 
 // FrozenImage is the whole content of a frozen table, handed to
-// DB.PublishFrozen: one vector per schema column in slot order, all of
-// one length, each of its column's kind with no NULL cell (Null nil);
-// an INT or BOOL column holds Int or I32. The table takes the vectors
-// over and nothing writes them afterwards, so two columns may share a
-// vector and a vector may be its owner's own array.
+// DB.PublishFrozen: Rows rows, one column per schema column in slot
+// order, each of its column's kind with no NULL cell (Null nil). A
+// column is a vector of Rows cells or computed (Compute set, no
+// vector). The table takes the columns over and nothing writes their
+// vectors afterwards, so two columns may share a vector and a vector
+// may be its owner's own array.
 type FrozenImage struct {
+	Rows int
 	Cols []Col
-	// Dense, when set, names an INT column that holds no vector: its
+	// Dense, when set, names an INT column the image leaves empty: its
 	// cell in slot s is s. It reports as a B+-tree index, and a key
 	// probe or range walk on it is slot arithmetic.
 	Dense string
-	// Hash, when set, names a column that reports as a hash index and is
-	// probed through a slot table.
-	Hash string
+	// Hash, when set, names a column that reports as a hash index,
+	// served by its owner's index of it: Lookup appends to dst every
+	// slot whose cell equals k, in ascending order, and Distinct is the
+	// number of distinct cells.
+	Hash     string
+	Lookup   func(dst []int32, k Value) []int32
+	Distinct int
 }
 
 // frozenImage is one published image of a frozen table. It is
 // immutable, so reads need no lock and a view keeps the image it pinned.
 type frozenImage struct {
-	name    string
-	schema  *Schema
-	version int64
-	cols    []Col
-	n       int
-	dense   int // column position of FrozenImage.Dense, -1 for none
-	hash    int // column position of FrozenImage.Hash, -1 for none
-	indexes []IndexSpec
-	// slots is the hash column's lookup: an open-addressed table of
-	// slot+1 (0 is empty), probed linearly from a Fibonacci-hashed home,
-	// at most 7/8 full. It is filled in slot order and never deleted
-	// from, so the slots holding one value lie along its probe run in
-	// ascending order, the order a hash index hands out their postings.
-	slots    []int32
-	shift    uint8
-	distinct int // distinct cells of the hash column, counted by buildSlots
+	name     string
+	schema   *Schema
+	version  int64
+	cols     []Col
+	n        int
+	dense    int                                // column position of FrozenImage.Dense, -1 for none
+	hash     int                                // column position of FrozenImage.Hash, -1 for none
+	lookup   func(dst []int32, k Value) []int32 // FrozenImage.Lookup
+	distinct int                                // FrozenImage.Distinct
+	indexes  []IndexSpec
 }
 
 // PublishFrozen publishes img as the whole content of the frozen table
@@ -85,99 +84,62 @@ func (db *DB) PublishFrozen(name string, schema *Schema, img FrozenImage) (*Tabl
 	return t, nil
 }
 
-// newFrozenImage checks img against the schema and builds its lookups.
+// newFrozenImage checks img against the schema.
 func newFrozenImage(name string, schema *Schema, img FrozenImage) (*frozenImage, error) {
 	if len(img.Cols) != schema.Len() {
-		return nil, fmt.Errorf("store: frozen table %s: %d vectors for %d columns", name, len(img.Cols), schema.Len())
+		return nil, fmt.Errorf("store: frozen table %s: %d columns for %d", name, len(img.Cols), schema.Len())
 	}
-	f := &frozenImage{name: name, schema: schema, cols: img.Cols, n: -1, dense: -1, hash: -1}
+	if img.Rows < 0 || img.Rows >= math.MaxInt32 {
+		return nil, fmt.Errorf("store: frozen table %s: %d rows exceed the slot range", name, img.Rows)
+	}
+	f := &frozenImage{name: name, schema: schema, cols: slices.Clone(img.Cols), n: img.Rows, dense: -1, hash: -1}
 	if img.Dense != "" {
 		if f.dense = schema.ColumnIndex(img.Dense); f.dense < 0 || schema.Columns[f.dense].Kind != KindInt {
 			return nil, fmt.Errorf("store: frozen table %s: dense column %q is not an INT column", name, img.Dense)
 		}
 		f.indexes = append(f.indexes, IndexSpec{Column: img.Dense, Type: IndexBTree})
 	}
-	for c := range img.Cols {
-		col, want := &img.Cols[c], schema.Columns[c]
-		n := len(col.Int) + len(col.I32) // holding both miscounts the cells
+	for c := range f.cols {
+		col, want := &f.cols[c], schema.Columns[c]
+		own := len(col.Int) // the vector of the column's kind
 		switch col.Kind {
 		case KindFloat:
-			n = len(col.Float)
+			own = len(col.Float)
 		case KindString:
-			n = len(col.Str)
+			own = len(col.Str)
 		}
+		held := col.Int != nil || col.Float != nil || col.Str != nil
 		switch {
 		case col.Kind != want.Kind:
 			return nil, fmt.Errorf("store: frozen table %s: column %s holds %v, want %v", name, want.Name, col.Kind, want.Kind)
 		case col.Null != nil || col.Vals != nil:
 			return nil, fmt.Errorf("store: frozen table %s: column %s has a null mask or generic cells", name, want.Name)
-		case c == f.dense && (col.Int != nil || col.I32 != nil):
-			return nil, fmt.Errorf("store: frozen table %s: dense column %s holds a vector; its cell in slot s is s", name, want.Name)
+		case c == f.dense && (held || col.Compute != nil):
+			return nil, fmt.Errorf("store: frozen table %s: dense column %s holds cells; its cell in slot s is s", name, want.Name)
 		case c == f.dense:
-			continue
-		case f.n >= 0 && n != f.n:
-			return nil, fmt.Errorf("store: frozen table %s: column %s holds %d cells, want %d", name, want.Name, n, f.n)
+			col.Compute = slotCells
+		case col.Compute != nil && held:
+			return nil, fmt.Errorf("store: frozen table %s: computed column %s holds a vector", name, want.Name)
+		case col.Compute == nil && (own != f.n || len(col.Int)+len(col.Float)+len(col.Str) != own):
+			return nil, fmt.Errorf("store: frozen table %s: column %s holds %d cells of its kind, want %d and no other vector", name, want.Name, own, f.n)
 		}
-		f.n = n
-	}
-	switch {
-	case f.n < 0:
-		return nil, fmt.Errorf("store: frozen table %s: no column but the dense one gives the row count", name)
-	case f.n >= math.MaxInt32:
-		return nil, fmt.Errorf("store: frozen table %s: %d rows exceed the slot range", name, f.n)
 	}
 	if img.Hash != "" {
-		if f.hash = schema.ColumnIndex(img.Hash); f.hash < 0 || f.hash == f.dense {
-			return nil, fmt.Errorf("store: frozen table %s: hash column %q is not a column or is the dense one", name, img.Hash)
+		if f.hash = schema.ColumnIndex(img.Hash); f.hash < 0 || f.hash == f.dense || img.Lookup == nil {
+			return nil, fmt.Errorf("store: frozen table %s: hash column %q is not a column, is the dense one or has no lookup", name, img.Hash)
 		}
-		f.buildSlots()
+		f.lookup, f.distinct = img.Lookup, img.Distinct
 		f.indexes = append(f.indexes, IndexSpec{Column: img.Hash, Type: IndexHash})
 	}
 	slices.SortFunc(f.indexes, func(a, b IndexSpec) int { return cmp.Compare(a.Column, b.Column) })
 	return f, nil
 }
 
-// buildSlots fills the hash column's slot table and counts its distinct
-// cells: equal cells share a probe run, so a cell is new when none
-// before it on its run equals it. A byte of each filled position's hash,
-// kept while it runs, spares it reading all but 1 in 256 of the unequal
-// cells on the way.
-func (f *frozenImage) buildSlots() {
-	size := hashMinSize
-	for f.n*8 > size*7 {
-		size *= 2
+// slotCells computes a dense column: the cell in slot s is s.
+func slotCells(dst *Col, slots []int32) {
+	for k, s := range slots {
+		dst.Int[k] = int64(s)
 	}
-	f.slots, f.shift = make([]int32, size), uint8(64-bits.TrailingZeros(uint(size)))
-	tags := make([]uint8, size)
-	col := &f.cols[f.hash]
-	for s := 0; s < f.n; s++ {
-		v := col.stored(s)
-		x := v.Hash()
-		i, fresh := f.home(x), true
-		for ; f.slots[i] != 0; i = (i + 1) & (size - 1) {
-			fresh = fresh && (tags[i] != uint8(x) || !Equal(col.stored(int(f.slots[i]-1)), v))
-		}
-		f.slots[i], tags[i] = int32(s)+1, uint8(x)
-		if fresh {
-			f.distinct++
-		}
-	}
-}
-
-// home is where the probe run of hash x starts (hashIndex.home's rule).
-func (f *frozenImage) home(x uint64) int { return int(x * 0x9E3779B97F4A7C15 >> f.shift) }
-
-// probe calls fn with every slot whose hash-column cell equals k, in
-// ascending order, until fn returns false; it reports whether fn never
-// did.
-func (f *frozenImage) probe(k Value, fn func(s int) bool) bool {
-	col, mask := &f.cols[f.hash], len(f.slots)-1
-	for i := f.home(k.Hash()); f.slots[i] != 0; i = (i + 1) & mask {
-		if s := int(f.slots[i] - 1); Equal(col.stored(s), k) && !fn(s) {
-			return false
-		}
-	}
-	return true
 }
 
 // denseSlot resolves a key probe on the dense column: the slot holding
@@ -224,7 +186,7 @@ func denseRange(n int, lo, hi *Value) (first, last int) {
 
 // walk selects the access's rows: a full pass over the slots, the
 // dense column by slot arithmetic and the hash column's keys through the
-// slot table. Any other access is refused, as on a stored table: the
+// owner's lookup. Any other access is refused, as on a stored table: the
 // columns named here are the indexes the image reports.
 func (f *frozenImage) walk(poll func() error, a Access, fn func(s int) bool) error {
 	ci := -1
@@ -263,9 +225,13 @@ func (f *frozenImage) walk(poll func() error, a Access, fn func(s int) bool) err
 			}
 		}
 	default:
+		var slots []int32 // a key's slots, reused from key to key
 		for _, k := range a.Keys {
-			if !f.probe(k, visit) {
-				break
+			slots = f.lookup(slots[:0], k)
+			for _, s := range slots {
+				if !visit(int(s)) {
+					return err
+				}
 			}
 		}
 	}
@@ -294,9 +260,10 @@ func (f *frozenImage) countPostings(a Access, max int) int {
 			n = max + 1
 		}
 	case ci == f.hash && a.Keys != nil:
+		var slots []int32
 		for _, k := range a.Keys {
-			f.probe(k, func(int) bool { n++; return true })
-			if max > 0 && n > max {
+			slots = f.lookup(slots[:0], k)
+			if n += len(slots); max > 0 && n > max {
 				break
 			}
 		}

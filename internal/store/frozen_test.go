@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // frozenTreeRows returns n tree_nodes-shaped rows in preorder whose
@@ -24,7 +25,7 @@ func frozenTreeRows(n, dup int) []Row {
 }
 
 // imageOf transposes rows into a frozen image of treeShapedSchema, with
-// pre dense (no vector) and name hashed.
+// pre dense (no vector) and name hashed through a nameLookup.
 func imageOf(rows []Row) FrozenImage {
 	cols := make([]Col, treeShapedSchema.Len())
 	for c, col := range treeShapedSchema.Columns {
@@ -41,19 +42,53 @@ func imageOf(rows []Row) FrozenImage {
 			}
 		}
 	}
-	return FrozenImage{Cols: cols, Dense: "pre", Hash: "name"}
+	names := lookupOf(cols[1].Str)
+	return FrozenImage{Rows: len(rows), Cols: cols, Dense: "pre", Hash: "name", Lookup: names.appendSlots, Distinct: len(names)}
 }
 
-// narrowed returns img with every Int vector replaced by an I32 copy.
-func narrowed(img FrozenImage) FrozenImage {
+// nameLookup is a test index of a string column, a FrozenImage's Lookup:
+// each name's slots, ascending.
+type nameLookup map[string][]int32
+
+func lookupOf(names []string) nameLookup {
+	l := nameLookup{}
+	for s, name := range names {
+		l[name] = append(l[name], int32(s))
+	}
+	return l
+}
+
+func (l nameLookup) appendSlots(dst []int32, k Value) []int32 {
+	if k.K != KindString {
+		return dst
+	}
+	return append(dst, l[k.S]...)
+}
+
+// computed returns img with every Int vector replaced by a column
+// computed from an int32 copy and every Str vector by one computed from
+// the strings, as an owner publishes views of its own arrays.
+func computed(img FrozenImage) FrozenImage {
 	cols := slices.Clone(img.Cols)
 	for c := range cols {
-		if cols[c].Int != nil {
-			cols[c].I32 = make([]int32, len(cols[c].Int))
-			for i, v := range cols[c].Int {
-				cols[c].I32[i] = int32(v)
+		switch col := &cols[c]; {
+		case col.Int != nil:
+			v := make([]int32, len(col.Int))
+			for i, x := range col.Int {
+				v[i] = int32(x)
 			}
-			cols[c].Int = nil
+			col.Int, col.Compute = nil, func(dst *Col, slots []int32) {
+				for k, s := range slots {
+					dst.Int[k] = int64(v[s])
+				}
+			}
+		case col.Str != nil:
+			v := col.Str
+			col.Str, col.Compute = nil, func(dst *Col, slots []int32) {
+				for k, s := range slots {
+					dst.Str[k] = v[s]
+				}
+			}
 		}
 	}
 	img.Cols = cols
@@ -96,14 +131,14 @@ func TestFrozenMatchesStored(t *testing.T) {
 	sameReads(t, n, frozen, stored)
 }
 
-// TestFrozenNarrowMatchesWide is the differential test of the narrow
-// form: an image whose INT and BOOL columns are I32 vectors and whose
-// dense column holds no vector answers every read exactly as the same
-// rows in Int vectors and in a stored table do, with a negative parent
-// and int32's extremes among the cells. A view pinned before the narrow
-// table is republished keeps reading its image after the last other
-// reference to it is gone.
-func TestFrozenNarrowMatchesWide(t *testing.T) {
+// TestFrozenComputedMatchesWide is the differential test of computed
+// columns: an image whose INT, BOOL and STRING columns are computed from
+// int32 arrays and a string slice answers every read exactly as the
+// same rows in vectors and in a stored table do, with a negative parent
+// and int32's extremes among the cells. A view pinned before the
+// computed table is republished keeps reading its image after the last
+// other reference to it is gone.
+func TestFrozenComputedMatchesWide(t *testing.T) {
 	const n = 3000
 	rows := frozenTreeRows(n, 97)
 	rows[0][2], rows[1][10], rows[2][3] = IntValue(-1), IntValue(math.MaxInt32), IntValue(math.MinInt32)
@@ -112,21 +147,21 @@ func TestFrozenNarrowMatchesWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow, err := db.PublishFrozen("narrow", treeShapedSchema, narrowed(imageOf(rows)))
+	calc, err := db.PublishFrozen("computed", treeShapedSchema, computed(imageOf(rows)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameReads(t, n, narrow, wide)
-	sameReads(t, n, narrow, stored)
+	sameReads(t, n, calc, wide)
+	sameReads(t, n, calc, stored)
 
 	snap := db.PinSnapshot()
 	defer snap.Release()
 	next := frozenTreeRows(25, 0)
-	if _, err := db.PublishFrozen("narrow", treeShapedSchema, narrowed(imageOf(next))); err != nil {
+	if _, err := db.PublishFrozen("computed", treeShapedSchema, computed(imageOf(next))); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
-	view, err := snap.View("narrow")
+	view, err := snap.View("computed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +177,50 @@ func TestFrozenNarrowMatchesWide(t *testing.T) {
 	}
 	fresh := db.PinSnapshot()
 	defer fresh.Release()
-	if nv, _ := fresh.View("narrow"); !reflect.DeepEqual(viewImage(nv), next) {
+	if nv, _ := fresh.View("computed"); !reflect.DeepEqual(viewImage(nv), next) {
 		t.Fatal("a pin after the republish does not read the new image")
 	}
 }
 
-// TestStoredTablesHoldNoI32: only a frozen image holds I32 vectors. A
-// commit hands a stored table rows, never a vector, so its INT and BOOL
-// columns are Int vectors through inserts, deletes and GC; and an I32
-// image cannot replace a stored table.
-func TestStoredTablesHoldNoI32(t *testing.T) {
+// TestComputedScanAllocates: a Scan reads a frozen image a chunk at a
+// time through Fill whatever form its columns take, so one over
+// computed columns allocates no more than one over the same rows in
+// vectors — nothing a cell — and the storage column stays within 136
+// bytes.
+func TestComputedScanAllocates(t *testing.T) {
+	if size := unsafe.Sizeof(Col{}); size > 136 {
+		t.Errorf("Col is %d B, want ≤ 136", size)
+	}
+	rows := frozenTreeRows(2000, 0)
+	db, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(name string, img FrozenImage) float64 {
+		tab, err := db.PublishFrozen(name, treeShapedSchema, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			n := 0
+			tab.Scan(func(int64, Row) bool { n++; return true })
+			if n != len(rows) {
+				t.Fatalf("scanned %d rows", n)
+			}
+		})
+	}
+	vec, calc := allocs("vectors", imageOf(rows)), allocs("computed", computed(imageOf(rows)))
+	t.Logf("a Scan allocates %.0f times over vectors, %.0f over computed columns", vec, calc)
+	if calc > vec {
+		t.Errorf("a Scan over computed columns allocates %.0f times, over vectors %.0f", calc, vec)
+	}
+}
+
+// TestStoredTablesHoldOnlyVectors: only a frozen image holds computed
+// columns. A commit hands a stored table rows, never a column, so every
+// column holds its kind's vector and no Compute through inserts,
+// deletes and GC; and a computed image cannot replace a stored table.
+func TestStoredTablesHoldOnlyVectors(t *testing.T) {
 	db, err := Open("")
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +232,15 @@ func TestStoredTablesHoldNoI32(t *testing.T) {
 	rows := frozenTreeRows(300, 0)
 	check := func(when string) {
 		for c, col := range stored.cols {
-			if kind := treeShapedSchema.Columns[c].Kind; col.I32 != nil || (kind == KindInt || kind == KindBool) && col.Int == nil {
-				t.Fatalf("%s: stored column %d holds Int %v, I32 %v", when, c, col.Int != nil, col.I32 != nil)
+			held := col.Int != nil
+			switch col.Kind {
+			case KindFloat:
+				held = col.Float != nil
+			case KindString:
+				held = col.Str != nil
+			}
+			if col.Compute != nil || !held {
+				t.Fatalf("%s: stored column %d is computed (%v) or holds no vector", when, c, col.Compute != nil)
 			}
 		}
 	}
@@ -176,8 +252,8 @@ func TestStoredTablesHoldNoI32(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after a replace")
-	if _, err := db.PublishFrozen("stored", treeShapedSchema, narrowed(imageOf(rows))); err == nil {
-		t.Fatal("an I32 image replaced a stored table")
+	if _, err := db.PublishFrozen("stored", treeShapedSchema, computed(imageOf(rows))); err == nil {
+		t.Fatal("a computed image replaced a stored table")
 	}
 	check("after a refused publish")
 }
@@ -394,7 +470,7 @@ func TestFrozenViewKeepsItsImage(t *testing.T) {
 	if db.PinnedVersions() != 0 {
 		t.Fatalf("frozen views registered %d pins", db.PinnedVersions())
 	}
-	if _, err := db.PublishFrozen("tree", MustSchema(Column{Name: "pre", Kind: KindInt}), FrozenImage{Cols: []Col{{Kind: KindInt, Int: []int64{0}}}}); err == nil {
+	if _, err := db.PublishFrozen("tree", MustSchema(Column{Name: "pre", Kind: KindInt}), FrozenImage{Rows: 1, Cols: []Col{{Kind: KindInt, Int: []int64{0}}}}); err == nil {
 		t.Fatal("a republish changed the schema")
 	}
 	// Plans chose their reads by the indexes the table reported, so a
@@ -421,8 +497,9 @@ func TestFrozenViewKeepsItsImage(t *testing.T) {
 }
 
 // TestFrozenRejectsBadImages: publish checks the image against the
-// schema, its vectors (one per column, none for the dense column) and
-// the named columns, and a rejected image leaves no table behind.
+// schema, its columns (one per schema column: a vector of Rows cells of
+// the column's kind or a computed column, nothing for the dense one)
+// and the named columns, and a rejected image leaves no table behind.
 func TestFrozenRejectsBadImages(t *testing.T) {
 	db, err := Open("")
 	if err != nil {
@@ -430,16 +507,19 @@ func TestFrozenRejectsBadImages(t *testing.T) {
 	}
 	good := func() FrozenImage { return imageOf(frozenTreeRows(20, 0)) }
 	for name, img := range map[string]FrozenImage{
-		"dense vector": func() FrozenImage { img := good(); img.Cols[0].Int = make([]int64, 20); return img }(),
-		"dense I32":    func() FrozenImage { img := good(); img.Cols[0].I32 = make([]int32, 20); return img }(),
-		"short column": func() FrozenImage { img := good(); img.Cols[5].Float = img.Cols[5].Float[:19]; return img }(),
-		"short I32":    func() FrozenImage { img := narrowed(good()); img.Cols[3].I32 = img.Cols[3].I32[:19]; return img }(),
-		"two vectors":  func() FrozenImage { img := good(); img.Cols[2].I32 = make([]int32, 20); return img }(),
-		"wrong kind":   func() FrozenImage { img := good(); img.Cols[2] = img.Cols[5]; return img }(),
-		"null mask":    func() FrozenImage { img := good(); img.Cols[3].Null = make([]bool, 20); return img }(),
-		"missing col":  func() FrozenImage { img := good(); img.Cols = img.Cols[:10]; return img }(),
-		"dense string": func() FrozenImage { img := good(); img.Dense = "name"; img.Hash = ""; return img }(),
-		"no such hash": func() FrozenImage { img := good(); img.Hash = "nope"; return img }(),
+		"dense vector":    func() FrozenImage { img := good(); img.Cols[0].Int = make([]int64, 20); return img }(),
+		"dense computed":  func() FrozenImage { img := good(); img.Cols[0].Compute = slotCells; return img }(),
+		"short column":    func() FrozenImage { img := good(); img.Cols[5].Float = img.Cols[5].Float[:19]; return img }(),
+		"more rows":       func() FrozenImage { img := good(); img.Rows = 21; return img }(),
+		"two vectors":     func() FrozenImage { img := good(); img.Cols[5].Int = make([]int64, 20); return img }(),
+		"computed vector": func() FrozenImage { img := computed(good()); img.Cols[3].Int = make([]int64, 20); return img }(),
+		"wrong kind":      func() FrozenImage { img := good(); img.Cols[2] = img.Cols[5]; return img }(),
+		"null mask":       func() FrozenImage { img := good(); img.Cols[3].Null = make([]bool, 20); return img }(),
+		"missing col":     func() FrozenImage { img := good(); img.Cols = img.Cols[:10]; return img }(),
+		"dense string":    func() FrozenImage { img := good(); img.Dense = "name"; img.Hash = ""; return img }(),
+		"no such hash":    func() FrozenImage { img := good(); img.Hash = "nope"; return img }(),
+		"hash no lookup":  func() FrozenImage { img := good(); img.Lookup = nil; return img }(),
+		"negative rows":   func() FrozenImage { img := good(); img.Rows = -1; return img }(),
 	} {
 		if _, err := db.PublishFrozen("tree", treeShapedSchema, img); err == nil || !strings.Contains(err.Error(), "tree") {
 			t.Errorf("%s: err = %v, want a rejection naming the table", name, err)
@@ -449,8 +529,12 @@ func TestFrozenRejectsBadImages(t *testing.T) {
 		t.Fatal("a rejected image left a table")
 	}
 	pre := MustSchema(Column{Name: "pre", Kind: KindInt})
-	if _, err := db.PublishFrozen("tree", pre, FrozenImage{Cols: []Col{{Kind: KindInt}}, Dense: "pre"}); err == nil {
-		t.Fatal("an image of the dense column alone, which gives no row count, was published")
+	only, err := db.PublishFrozen("pre", pre, FrozenImage{Rows: 3, Cols: []Col{{Kind: KindInt}}, Dense: "pre"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := only.Snapshot(); !reflect.DeepEqual(got, []Row{{IntValue(0)}, {IntValue(1)}, {IntValue(2)}}) {
+		t.Fatalf("an image of the dense column alone reads %v", got)
 	}
 	if _, err := db.PublishFrozen("tree", treeShapedSchema, good()); err != nil {
 		t.Fatal(err)
@@ -461,12 +545,14 @@ func TestFrozenRejectsBadImages(t *testing.T) {
 }
 
 // TestFrozenBytesPerRow is the tier-1 guard on the frozen layout: a
-// tree_nodes-shaped frozen table in the narrow form the engine
-// publishes — pre dense with no vector, the other INT and BOOL columns
-// int32, x sharing root_dist's vector, its name lookup included — holds
-// a row in at most 72 bytes of live heap (60 of vectors and ≈ 5 of slot
-// table; 65.5 measured). The names are substrings of one arena built
-// beforehand, as the tree's are. (The int64 layout held 93.6 B a row.)
+// tree_nodes-shaped frozen table published as the engine publishes its
+// own — pre dense, the other INT and BOOL columns and name computed
+// from its owner's int32 arrays and name arena, x sharing root_dist's
+// vector, the owner's name lookup — allocates at most 1 byte a row of
+// live heap beyond the owner's arrays: the image holds its columns and
+// lookup, never a per-row vector (0.0 measured). While the image held
+// int32 vectors, name headers and its own slot table it allocated
+// 65.5 B a row, and 93.6 B with int64 vectors.
 func TestFrozenBytesPerRow(t *testing.T) {
 	const n = 100000
 	var b strings.Builder
@@ -476,6 +562,19 @@ func TestFrozenBytesPerRow(t *testing.T) {
 		off[p+1] = b.Len()
 	}
 	arena := b.String()
+	ints, floats := make([]int32, n), make([]float64, n)
+	names := make(nameLookup, n)
+	for p := range n {
+		ints[p], floats[p] = int32(p%31), float64(p)/7
+		names[arena[off[p]:off[p+1]]] = []int32{int32(p)}
+	}
+	intCol := func(kind Kind) Col {
+		return Col{Kind: kind, Compute: func(dst *Col, slots []int32) {
+			for k, s := range slots {
+				dst.Int[k] = int64(ints[s])
+			}
+		}}
+	}
 	db, err := Open("")
 	if err != nil {
 		t.Fatal(err)
@@ -483,34 +582,33 @@ func TestFrozenBytesPerRow(t *testing.T) {
 	before := liveHeap()
 	cols := make([]Col, treeShapedSchema.Len())
 	for c, col := range treeShapedSchema.Columns {
-		cols[c].Kind = col.Kind
 		switch {
 		case c == 0: // pre, the dense column
+			cols[c].Kind = col.Kind
 		case col.Kind == KindInt || col.Kind == KindBool:
-			cols[c].I32 = make([]int32, n)
+			cols[c] = intCol(col.Kind)
 		case col.Kind == KindFloat:
-			cols[c].Float = make([]float64, n)
+			cols[c] = Col{Kind: col.Kind, Float: floats}
 		default:
-			cols[c].Str = make([]string, n)
+			cols[c] = Col{Kind: col.Kind, Compute: func(dst *Col, slots []int32) {
+				for k, s := range slots {
+					dst.Str[k] = arena[off[s]:off[s+1]]
+				}
+			}}
 		}
 	}
-	cols[8].Float = cols[6].Float // x is root_dist
-	for p := 0; p < n; p++ {
-		cols[1].Str[p], cols[6].Float[p] = arena[off[p]:off[p+1]], float64(p)/7
-	}
-	tab, err := db.PublishFrozen("tree_nodes", treeShapedSchema, FrozenImage{Cols: cols, Dense: "pre", Hash: "name"})
+	tab, err := db.PublishFrozen("tree_nodes", treeShapedSchema, FrozenImage{Rows: n, Cols: cols, Dense: "pre", Hash: "name", Lookup: names.appendSlots, Distinct: n})
 	if err != nil {
 		t.Fatal(err)
 	}
 	perRow := float64(liveHeap()-before) / n
-	t.Logf("%.1f B a row, name lookup included", perRow)
-	if perRow > 72 {
-		t.Errorf("%.1f B of live heap a frozen row, want ≤ 72", perRow)
+	t.Logf("%.2f B a row beyond the owner's arrays", perRow)
+	if perRow > 1 {
+		t.Errorf("a frozen image allocates %.2f B of live heap a row beyond its owner's arrays, want ≤ 1", perRow)
 	}
-	if rows := readRows(t, tab, equalTo("name", StringValue("clade_4711"))); len(rows) != 1 || rows[0][0].I != 4711 {
+	if rows := readRows(t, tab, equalTo("name", StringValue("clade_4711"))); len(rows) != 1 || rows[0][0].I != 4711 || rows[0][3].I != 4711%31 {
 		t.Fatalf("name lookup found %v", rows)
 	}
 	runtime.KeepAlive(tab)
-	runtime.KeepAlive(arena)
-	runtime.KeepAlive(off)
+	runtime.KeepAlive(names)
 }

@@ -270,17 +270,18 @@ func (c *Col) stored(i int) (v Value) {
 func (t *Table) visible(s int, ver int64) bool { return t.begin[s] <= ver && ver < t.end[s] }
 
 // loadRow refreshes the schema-wide row dst with slot s's cells in the
-// storage vectors cols. Each dst cell must be zero or an earlier load of
-// the same column, so only its kind and payload are written.
+// vectors cols. Each dst cell must be zero or an earlier load of the
+// same column, so only its kind and payload are written.
 func loadRow(cols []Col, dst Row, s int) {
 	for c := range cols {
 		cols[c].loadCell(&dst[c], s)
 	}
 }
 
-// loadCell writes cell i of a storage vector over *v, which must be
-// zero or an earlier cell of the same vector. A frozen image's dense
-// column has no vector: its cell is the slot.
+// loadCell writes cell i of a vector over *v, which must be zero or an
+// earlier cell of the same vector. It reads a stored table's storage and
+// batches, never a computed column: a frozen image is read through
+// Selection.Fill (scanRows).
 func (c *Col) loadCell(v *Value, i int) {
 	switch {
 	case c.Null != nil && c.Null[i]:
@@ -289,12 +290,8 @@ func (c *Col) loadCell(v *Value, i int) {
 		v.K, v.F = KindFloat, c.Float[i]
 	case c.Kind == KindString:
 		v.K, v.S = KindString, c.Str[i]
-	case c.Int != nil:
-		v.K, v.I = c.Kind, c.Int[i]
-	case c.I32 != nil:
-		v.K, v.I = c.Kind, int64(c.I32[i])
 	default:
-		v.K, v.I = c.Kind, int64(i)
+		v.K, v.I = c.Kind, c.Int[i]
 	}
 }
 
@@ -498,10 +495,10 @@ func (t *Table) Scan(fn func(id int64, r Row) bool) {
 func (t *Table) Snapshot() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	r := t.latestLocked()
-	out, sl := make([]Row, 0, t.live), newSlab(r.storage(), t.live)
-	_ = r.walk(nil, Access{}, func(s int) bool { // a pass without poll cannot fail
-		out = append(out, sl.row(s))
+	out, cells := make([]Row, 0, t.live), make([]Value, 0, t.live*len(t.cols))
+	scanRows(t.latestLocked(), func(_ int64, r Row) bool {
+		cells = append(cells, r...)
+		out = append(out, cells[len(cells)-len(r):len(cells):len(cells)])
 		return true
 	})
 	return out
@@ -544,28 +541,41 @@ func (r reader) storage() []Col {
 	return r.t.cols
 }
 
-// rowID returns the ID of the row in slot s: a frozen row's is its slot.
-func (r reader) rowID(s int) int64 {
-	if r.img != nil {
-		return int64(s)
-	}
-	return r.t.idOf(s)
-}
-
 // latestLocked is the reader of the latest version; the caller holds
 // the read lock.
 func (t *Table) latestLocked() reader { return reader{t: t, ver: t.commit, img: t.img} }
 
 // scanRows calls fn with every row r holds, in storage order, in one
-// scratch row.
+// scratch row. A frozen image is read as the executor reads it, through
+// Selection.Fill a chunk of slots at a time, so a computed column is
+// computed once a chunk rather than once a cell.
 func scanRows(r reader, fn func(id int64, row Row) bool) {
 	cols := r.storage()
 	scratch := make(Row, len(cols))
-	_ = r.walk(nil, Access{}, func(s int) bool { // a pass without poll cannot fail
-		loadRow(cols, scratch, s)
-		return fn(r.rowID(s), scratch)
-	})
+	if r.img == nil {
+		_ = r.walk(nil, Access{}, func(s int) bool { // a pass without poll cannot fail
+			loadRow(cols, scratch, s)
+			return fn(r.t.idOf(s), scratch)
+		})
+		return
+	}
+	sel, chunk := &Selection{cols: cols, Slots: make([]int32, 0, min(scanChunk, r.img.n))}, &ColBatch{}
+	for lo := 0; lo < r.img.n; lo += scanChunk {
+		sel.Slots = sel.Slots[:0]
+		for s := lo; s < min(lo+scanChunk, r.img.n); s++ {
+			sel.Slots = append(sel.Slots, int32(s))
+		}
+		sel.Fill(chunk, 0, len(sel.Slots))
+		for k := range chunk.Rows {
+			if loadRow(chunk.Cols, scratch, k); !fn(int64(lo+k), scratch) {
+				return
+			}
+		}
+	}
 }
+
+// scanChunk is the slots scanRows fills from a frozen image at a time.
+const scanChunk = 256
 
 // Access describes one read of a table: which rows, in what order,
 // which columns, and how many. It is the one way the query layer
