@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vet-compat lint loc knobs heap bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload check clean
+.PHONY: all build test race vet vet-compat lint loc knobs heap nm bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload check clean
 
 all: check
 
@@ -117,7 +117,7 @@ bench-repo-smoke:
 # idle host and commit the file with the change it measures. A file git
 # already tracks is a committed record: the target refuses to overwrite
 # it, so a later change names its own with BENCH_JSON=BENCH_<n>.json.
-BENCH_JSON ?= BENCH_54.json
+BENCH_JSON ?= BENCH_55.json
 
 bench-repo:
 	@if git ls-files --error-unmatch $(BENCH_JSON) >/dev/null 2>&1; then \
@@ -153,11 +153,34 @@ heap:
 		-test.memprofilerate=1 -args -heap-profile=$(abspath $(TREE_HEAP_PROFILE))
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=25 $(TREE_HEAP_PROFILE)
 
+# Where the two kernels whose timings follow their code alignment sit
+# (ROADMAP 2(i)): builds bench/ as bench/run.sh does, into the same
+# .bench_build/, and prints the addresses of the calibration kernel
+# main.(*calibrator).tick and the executor's
+# query.(*vecHashJoin).nextBatch, each with its offset mod 64. An
+# EXPERIMENTS section quotes it for both sides of a pair.
+NM_SYMBOLS = 'main.(*calibrator).tick' 'drugtree/internal/query.(*vecHashJoin).nextBatch'
+
+nm:
+	@set -e; build=$(CURDIR)/.bench_build; mkdir -p $$build/tmp; \
+	export GOCACHE=$$build/gocache GOMODCACHE=$$build/gomodcache GOTMPDIR=$$build/tmp \
+		GOPATH=$$build/gopath XDG_CONFIG_HOME=$$build/config GOFLAGS=-modcacherw GOTOOLCHAIN=local GOPROXY=off; \
+	$(GO) build -C bench -o $$build/drugtree-bench .; \
+	syms=$$($(GO) tool nm $$build/drugtree-bench); \
+	for sym in $(NM_SYMBOLS); do \
+		addr=$$(printf '%s\n' "$$syms" | awk -v s="$$sym" '$$3 == s && $$2 == "T" { print $$1 }'); \
+		if [ -z "$$addr" ]; then echo "nm: $$sym not in the benchmark binary" >&2; exit 1; fi; \
+		printf '%-50s 0x%s  %2d mod 64\n' "$$sym" "$$addr" $$((0x$$addr % 64)); \
+	done
+
 # Storage- and operator-layer microbenchmarks with -benchmem: the
 # store's insert, lookup, range read, sequential pass and 512+512
 # delta commit, one posting's insert / probe / remove / range walk
-# through each index form, one churned row's trip out of and back into
-# a rank index and a B+-tree over the same ranks, one 1 024-row Fill of
+# through each index form (a hash index over STRING is the code index:
+# the string coded through the DB's dictionary, its rows filed under the
+# code), the backfill of a code index and of a B+-tree over 48 k
+# activities-shaped rows, one churned row's trip out of and back into
+# a code index and a B+-tree over the same codes, one 1 024-row Fill of
 # a frozen INT column
 # held as int64, as int32 and as the dense column, and the query
 # layer's hashing operators —

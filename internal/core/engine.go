@@ -176,13 +176,15 @@ func NewWithTree(db *store.DB, tree *phylo.Tree, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A WITHIN_SUBTREE on a column naming proteins reads one range of its
-	// rank index, on the table, where every catalog over db and tree
-	// finds it.
+	// A WITHIN_SUBTREE on a coded column naming proteins reads its codes
+	// in the tree's ranking, published on db, where every catalog over db
+	// and tree finds it. An engine with no such column (browse's) ranks
+	// nothing.
 	for tab, col := range map[string]string{integrate.TableActivities: "protein_id", integrate.TableProteins: "accession", integrate.TableAnnotations: "protein_id"} {
-		if t, err := db.Table(tab); err == nil && t.Schema().ColumnIndex(col) >= 0 {
-			if err := query.IndexByTree(t, col, tree); err != nil {
-				return nil, err
+		if t, err := db.Table(tab); err == nil {
+			if typ, ok := t.HasIndex(col); ok && typ == store.IndexHash {
+				query.IndexByTree(db, tree)
+				break
 			}
 		}
 	}

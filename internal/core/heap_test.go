@@ -67,8 +67,11 @@ func d1() datagen.Config {
 // and the engine core.New builds over it, all kept alive, after a
 // forced GC. The banks read the dataset's records in place and the
 // import commit and Generate leave no append slack, so the data is held
-// once: 10.9 MB measured, bound 12 (21.9 MB while each bank kept a boxed
-// copy of its rows). The race detector does not move the figure.
+// once (21.9 MB while each bank kept a boxed copy of its rows, 10.9 MB
+// after), and the hash-indexed name columns hold int32 codes into the
+// DB's dictionary, with no rank index beside them: 8.98 MB measured,
+// bound 9.9 (the measurement and a tenth). The race detector does not
+// move the figure.
 func TestD1HeapAtRest(t *testing.T) {
 	base := liveHeap()
 	ds, err := datagen.Generate(d1())
@@ -92,8 +95,8 @@ func TestD1HeapAtRest(t *testing.T) {
 	held := float64(liveHeap()-base) / 1e6
 	writeHeapProfile(t)
 	t.Logf("D1 (%d activities) at rest: %.2f MB of live heap", len(ds.Activities), held)
-	if held > 12 {
-		t.Errorf("D1 at rest holds %.2f MB of live heap, want ≤ 12", held)
+	if held > 9.9 {
+		t.Errorf("D1 at rest holds %.2f MB of live heap, want ≤ 9.9", held)
 	}
 	runtime.KeepAlive(im)
 	runtime.KeepAlive(e)

@@ -171,6 +171,10 @@ type ActivityOverlay struct {
 	tree      *phylo.Tree
 	keyIdx    int
 	metricIdx int
+	// preOfCode is the tree's ranking of the DB's codes
+	// (store.DB.RankOfCode), nil when it has none: a committed row's
+	// code is its node's ID.
+	preOfCode []int32
 
 	mu      sync.RWMutex
 	ready   bool
@@ -217,6 +221,7 @@ func NewActivityOverlay(db *store.DB, tree *phylo.Tree) (*ActivityOverlay, error
 	if err != nil {
 		return nil, err
 	}
+	o.preOfCode = db.RankOfCode(tree)
 	db.OnCommit(o.onCommit)
 	snap := db.PinSnapshot()
 	defer snap.Release()
@@ -261,7 +266,7 @@ func (o *ActivityOverlay) loadBase(snap *store.SnapshotHandle) (int64, error) {
 		return 0, err
 	}
 	tv.Scan(func(_ int64, r store.Row) bool {
-		o.bumpLocked(r[o.keyIdx], r[o.metricIdx], +1)
+		o.bumpLocked(o.nodeOf(r[o.keyIdx]), r[o.metricIdx], +1)
 		return true
 	})
 	return tv.Version(), nil
@@ -301,26 +306,46 @@ func (o *ActivityOverlay) onCommit(ev store.CommitEvent) {
 }
 
 func (o *ActivityOverlay) applyLocked(ev store.CommitEvent) {
-	for _, r := range ev.Inserted {
-		o.bumpLocked(r[o.keyIdx], r[o.metricIdx], +1)
+	for i, r := range ev.Inserted {
+		o.bumpLocked(o.eventNode(ev, i, false, r[o.keyIdx]), r[o.metricIdx], +1)
 	}
 	for i := 0; i < ev.NumDeleted(); i++ {
-		o.bumpLocked(ev.DeletedCell(i, o.keyIdx), ev.DeletedCell(i, o.metricIdx), -1)
+		o.bumpLocked(o.eventNode(ev, i, true, ev.DeletedCell(i, o.keyIdx)), ev.DeletedCell(i, o.metricIdx), -1)
 	}
 	o.version = ev.Version
 }
 
-// bumpLocked propagates one row's (key, metric) cells up the key node's
-// ancestor chain. Aggregation semantics mirror the executor's aggState:
-// every row counts toward Rows, non-NULL metrics toward Count, numeric
-// metrics toward Sum. Rows keyed outside the tree contribute nothing —
-// the scan path's subtree-membership test would not match them either.
-func (o *ActivityOverlay) bumpLocked(key, metric store.Value, sign int64) {
-	if key.K != store.KindString {
-		return
+// eventNode returns the node of the i-th inserted or retired row of ev,
+// keyed key: its code's rank, an array read, when the key column is
+// coded and ranked, else nodeOf(key).
+func (o *ActivityOverlay) eventNode(ev store.CommitEvent, i int, deleted bool, key store.Value) phylo.NodeID {
+	c, coded := ev.Code(o.keyIdx, i, deleted)
+	switch {
+	case !coded || o.preOfCode == nil:
+		return o.nodeOf(key)
+	case int(c) < len(o.preOfCode):
+		return phylo.NodeID(o.preOfCode[c]) // −1 is phylo.None
 	}
-	id, ok := o.tree.NodeByName(key.S)
-	if !ok {
+	return phylo.None
+}
+
+// nodeOf resolves a key cell through the tree's name index: a NULL or a
+// name no node carries has no node.
+func (o *ActivityOverlay) nodeOf(key store.Value) phylo.NodeID {
+	if id, ok := o.tree.NodeByName(key.S); ok && key.K == store.KindString {
+		return id
+	}
+	return phylo.None
+}
+
+// bumpLocked propagates one row's metric cell up the ancestor chain of
+// its key's node id. Aggregation semantics mirror the executor's
+// aggState: every row counts toward Rows, non-NULL metrics toward Count,
+// numeric metrics toward Sum. Rows keyed outside the tree (id None)
+// contribute nothing — the scan path's subtree-membership test would not
+// match them either.
+func (o *ActivityOverlay) bumpLocked(id phylo.NodeID, metric store.Value, sign int64) {
+	if id == phylo.None {
 		return
 	}
 	nonNull := !metric.IsNull()

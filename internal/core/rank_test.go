@@ -14,12 +14,14 @@ import (
 )
 
 // TestRankIndexMatchesScanUnderChurn: over every clade of smokeD1, the
-// subtree_join, ligand_rank and COUNT/AVG shapes answer through the rank
-// indexes New builds exactly as a scan with UseIndexes off does — before
-// a commit, after one that adds activities for a protein the tree holds,
-// deletes others and inserts a protein no node names, and at a snapshot
-// pinned before it. The unplaced protein lies in no clade, so neither
-// path returns it.
+// subtree_join, ligand_rank and COUNT/AVG shapes answer through the
+// coded columns read by rank under the tree's ranking New publishes
+// exactly as a scan with UseIndexes off does — before a commit, after
+// one that adds activities for a protein the tree holds, deletes others
+// and inserts a protein no node names, then activities under a NULL
+// protein and under a second name first committed after the engine was
+// built, and at a snapshot pinned before them. The unplaced names and
+// the NULL lie in no clade, so neither path returns them.
 func TestRankIndexMatchesScanUnderChurn(t *testing.T) {
 	e, _ := buildEngineFrom(t, smokeD1(), DefaultConfig())
 	db, tree := e.DB(), e.Tree()
@@ -99,9 +101,11 @@ func TestRankIndexMatchesScanUnderChurn(t *testing.T) {
 		return true
 	})
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	const unplaced = "ZZ_UNPLACED"
-	if _, ok := tree.NodeByName(unplaced); ok {
-		t.Fatalf("the tree names %s", unplaced)
+	const unplaced, late = "ZZ_UNPLACED", "ZZ_LATE"
+	for _, name := range []string{unplaced, late} {
+		if _, ok := tree.NodeByName(name); ok {
+			t.Fatalf("the tree names %s", name)
+		}
 	}
 	s, f := store.StringValue, store.FloatValue
 	var deletes []int64
@@ -120,6 +124,12 @@ func TestRankIndexMatchesScanUnderChurn(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := db.CommitDeltas([]store.TableDelta{{Table: integrate.TableActivities, Inserts: []store.Row{
+		{store.NullValue(), s("L-new-2"), f(7.5), s("Kd")},
+		{s(late), s("L-new-1"), f(6.25), s("Ki")},
+	}}}); err != nil {
+		t.Fatal(err)
+	}
 	fresh := db.PinSnapshot()
 	defer fresh.Release()
 	after := check("after the commit", fresh)
@@ -131,13 +141,13 @@ func TestRankIndexMatchesScanUnderChurn(t *testing.T) {
 	}
 	root := tree.Node(0).Name
 	for _, row := range after["subtree_join/"+root] {
-		if strings.Contains(row, unplaced) {
-			t.Fatalf("the unplaced protein is in the root clade's join: %s", row)
+		if strings.Contains(row, unplaced) || strings.Contains(row, late) {
+			t.Fatalf("an unplaced protein is in the root clade's join: %s", row)
 		}
 	}
 	placedRows := 0
 	act.Scan(func(_ int64, r store.Row) bool {
-		if r[acc].S != unplaced {
+		if _, ok := tree.NodeByName(r[acc].S); ok && !r[acc].IsNull() {
 			placedRows++
 		}
 		return true

@@ -381,9 +381,10 @@ func (t *Tree) NodesByName(name string, fn func(NodeID) bool) bool {
 // in preorder (the lowest ID) — and whether there is one. It is the one
 // name resolution every layer shares: the query engine's tree
 // predicates (the node they name and, on a name column, the node each
-// row's name means), the rank index's keys, the engine's navigation
-// calls and the overlay cannot disagree about which node a duplicated
-// name means.
+// row's name means), the ranking of names a tree publishes on a store
+// (which gives a name to the lowest of its nodes too), the engine's
+// navigation calls and the overlay cannot disagree about which node a
+// duplicated name means.
 func (t *Tree) NodeByName(name string) (NodeID, bool) {
 	t.mustIndexed()
 	t.namesOnce.Do(t.buildNames)

@@ -355,17 +355,11 @@ func datagenCatalogOf(t testing.TB, tweak func(*datagen.Config)) *DBCatalog {
 	return NewDBCatalog(db, tree)
 }
 
-// rankByTree creates the rank index over tree on each protein-name
-// column an engine ranks that db holds, as core does.
+// rankByTree publishes tree's ranking on db, as core does, so that a
+// coded protein-name column is read by rank.
 func rankByTree(t testing.TB, db *store.DB, tree *phylo.Tree) {
 	t.Helper()
-	for tab, col := range map[string]string{"activities": "protein_id", "proteins": "accession", "annotations": "protein_id"} {
-		if tb, err := db.Table(tab); err == nil {
-			if err := IndexByTree(tb, col, tree); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	IndexByTree(db, tree)
 }
 
 // datagenLiterals is the string literal pool matched to the datagen

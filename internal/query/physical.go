@@ -165,10 +165,10 @@ func without(conjs []Expr, drop ...int) []Expr {
 
 // chooseAccessPath inspects pushed conjuncts and the table's indexes.
 // Equality on an indexed column wins; otherwise the candidates are a
-// B+-tree range and a clade's range over a rank index, sized by counting
-// the index postings each would visit (an index dive: exact, and never
-// stale after a commit). The choice is made here, once, from the catalog
-// alone.
+// B+-tree range and a clade's range by rank over a coded column, sized
+// by counting the index postings each would visit (an index dive: exact,
+// and never stale after a commit). The choice is made here, once, from
+// the catalog alone.
 func chooseAccessPath(n *ScanNode, t *store.Table, tree *phylo.Tree, useIndexes bool) accessPath {
 	seq := accessPath{kind: "seqscan", residual: n.Conjuncts}
 	if !useIndexes {
@@ -208,9 +208,10 @@ func chooseAccessPath(n *ScanNode, t *store.Table, tree *phylo.Tree, useIndexes 
 }
 
 // chooseRank returns the range of a WITHIN_SUBTREE(strcol, clade)
-// conjunct's preorder interval over strcol's rank index when tree built
-// it (IndexByTree), or a zero path. The range is the conjunct exactly:
-// a row's rank is the node bindVecSubtree resolves its cell to.
+// conjunct's preorder interval over strcol's codes in tree's ranking
+// when strcol is coded and tree published the ranking (IndexByTree), or
+// a zero path. The range is the conjunct exactly: a row's rank is the
+// node bindVecSubtree resolves its cell to.
 func chooseRank(n *ScanNode, t *store.Table, tree *phylo.Tree) accessPath {
 	for i, c := range n.Conjuncts {
 		x, ok := c.(*SubtreeExpr)
@@ -228,15 +229,13 @@ func chooseRank(n *ScanNode, t *store.Table, tree *phylo.Tree) accessPath {
 	return accessPath{}
 }
 
-// IndexByTree creates the rank index over a STRING column naming tree
-// nodes that lets chooseRank serve WITHIN_SUBTREE on it: a cell's rank
-// is the preorder number of its node (Tree.NodeByName, which needs tree
-// indexed and its clades named), and the index is tagged with tree.
-func IndexByTree(t *store.Table, column string, tree *phylo.Tree) error {
-	return t.CreateRankIndex(column, tree.Len(), func(name string) (int64, bool) {
-		id, ok := tree.NodeByName(name)
-		return int64(id), ok
-	}, tree)
+// IndexByTree publishes tree's ranking of names on db, which lets
+// chooseRank serve WITHIN_SUBTREE on every coded column naming tree
+// nodes: a name's rank is the preorder number of its node (the lowest of
+// the nodes carrying it, as Tree.NodeByName resolves it; tree must be
+// indexed and its clades named), and the ranking is tagged with tree.
+func IndexByTree(db *store.DB, tree *phylo.Tree) {
+	db.PublishRanks(tree, tree.Len(), func(r int) string { return tree.Name(phylo.NodeID(r)) })
 }
 
 // chooseRange collects range bounds on one B+-tree-indexed column, or

@@ -812,7 +812,8 @@ func arithColScalar(b *batch, op BinOp, c *store.Col, v store.Value, sel []int, 
 // over an INT column on the preorder number itself, over a STRING column
 // (accessions naming tree nodes directly) on the node Tree.NodeByName
 // resolves the name to — the one name resolution the overlay and the
-// rank index share, so a duplicated name counts at one node only.
+// tree's ranking of names share, so a duplicated name counts at one node
+// only.
 func bindVecSubtree(x *SubtreeExpr, env bindEnv) (*vecExpr, error) {
 	if env.tree == nil {
 		return nil, fmt.Errorf("query: WITHIN_SUBTREE requires a tree-backed catalog")

@@ -20,8 +20,10 @@ import (
 // top-k cut, a fifth of the rows carry a NULL key, and one-delta
 // replaces move keys inside, outside and across whatever range a check
 // draws while older pins still see the old row under its old posting.
-// The string column g also carries a rank index (accessRank), which
-// ranks five of its six values.
+// The string column g is coded (its index is a hash index) and read by
+// rank under the DB's ranking accessRank, which ranks five of its six
+// values: NULL, g5 and the names first committed after the ranking
+// (lateN, one row in twenty) have no rank.
 
 var accessSchema = MustSchema(
 	Column{Name: "k", Kind: KindFloat},
@@ -34,7 +36,11 @@ func accessRow(rng *rand.Rand) Row {
 	if rng.Intn(5) == 0 {
 		k = NullValue()
 	}
-	return Row{k, StringValue(fmt.Sprintf("g%d", rng.Intn(6))), IntValue(int64(rng.Intn(1000)))}
+	g := StringValue(fmt.Sprintf("g%d", rng.Intn(6)))
+	if rng.Intn(20) == 0 {
+		g = StringValue(fmt.Sprintf("late%d", rng.Intn(40)))
+	}
+	return Row{k, g, IntValue(int64(rng.Intn(1000)))}
 }
 
 func openAccessDB(t testing.TB) (*DB, *Table) {
@@ -53,20 +59,22 @@ func openAccessDB(t testing.TB) (*DB, *Table) {
 	if err := tb.CreateIndex("g", IndexHash); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil {
-		t.Fatal(err)
-	}
+	publishAccessRanks(db)
 	return db, tb
 }
 
 // accessRank is the access fixture's rank of a g cell: gN ranks 4-N, so
 // rank order is not the cells' order, and g5 (like any other string)
-// has no rank.
+// has no rank. publishAccessRanks publishes it as the DB's ranking.
 func accessRank(s string) (int64, bool) {
 	if len(s) != 2 || s[0] != 'g' || s[1] < '0' || s[1] > '4' {
 		return 0, false
 	}
 	return int64(4 - (s[1] - '0')), true
+}
+
+func publishAccessRanks(db *DB) {
+	db.PublishRanks("accessRank", 5, func(r int) string { return fmt.Sprintf("g%d", 4-r) })
 }
 
 // replaceRow is the only update the system issues: retire row id and
@@ -386,13 +394,14 @@ func TestAccessMatchesScanOracle(t *testing.T) {
 	}
 }
 
-// TestRankIndex: a rank index files only the cells its function ranks —
-// no NULL, no unranked string — answers ranges and counts over them,
-// refuses a non-STRING column and a frozen table, is kept for the same
-// source and replaced for another — a read by the replaced source is
-// then refused — and belongs to the process: Indexes
-// omits it, a checkpoint and a reopen restore none, and the WAL replays
-// the rows as it would without one.
+// TestRankIndex: a coded column read by rank under the DB's ranking
+// finds only the cells a rank names — no NULL, no unranked string —
+// answers ranges and counts over them, and is refused on an uncoded
+// column, on a frozen table and before a ranking is published. A
+// ranking is kept for the same source and replaced for another — a read
+// by the replaced source is then refused — and belongs to the process:
+// Indexes omits it, a checkpoint and a reopen restore none, and the WAL
+// replays the rows as it would without one.
 func TestRankIndex(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir)
@@ -403,7 +412,7 @@ func TestRankIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.CreateIndex("g", IndexHash); err != nil {
+	if err := errors.Join(tb.CreateIndex("g", IndexHash), tb.CreateIndex("n", IndexHash)); err != nil {
 		t.Fatal(err)
 	}
 	rows := []Row{
@@ -416,14 +425,8 @@ func TestRankIndex(t *testing.T) {
 	if err := db.CommitDeltas([]TableDelta{{Table: "t", Inserts: rows}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.CreateRankIndex("n", 5, accessRank, "accessRank"); err == nil {
-		t.Fatal("a rank index over an INT column was created")
-	}
-	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil {
-		t.Fatal(err)
-	}
-	// nsBy reads the n cells of the rows a range of the rank index built
-	// from source selects, sorted; ns reads accessRank's.
+	// nsBy reads the n cells of the rows a rank range of column g under
+	// the ranking from source selects, sorted; ns reads accessRank's.
 	nsBy := func(tb *Table, source any, lo, hi *Value) ([]int64, error) {
 		snap := db.PinSnapshot()
 		defer snap.Release()
@@ -443,12 +446,16 @@ func TestRankIndex(t *testing.T) {
 		return out, nil
 	}
 	ns := func(tb *Table, lo, hi *Value) ([]int64, error) { return nsBy(tb, "accessRank", lo, hi) }
+	if _, err := ns(tb, nil, nil); err == nil || tb.RankedBy("g", "accessRank") {
+		t.Fatal("a rank range was served before any ranking was published")
+	}
+	publishAccessRanks(db)
 	one, four := IntValue(1), IntValue(4)
 	for _, c := range []struct {
 		lo, hi *Value
 		want   string
 	}{
-		{nil, nil, "[1 4 5]"},  // g0 ranks 4, g4 ranks 0; NULL and g5 have no posting
+		{nil, nil, "[1 4 5]"},  // g0 ranks 4, g4 ranks 0; NULL and g5 have no rank
 		{&one, &four, "[1 5]"}, // ranks 1..4: g0's
 		{nil, &one, "[4]"},     // ranks ≤ 1: g4's
 		{&four, &one, "[]"},    // an empty range
@@ -459,42 +466,44 @@ func TestRankIndex(t *testing.T) {
 		}
 	}
 	if n := tb.CountPostings(Access{Column: "g", Rank: "accessRank"}, 0); n != 3 {
-		t.Fatalf("the rank index counts %d postings, want 3", n)
+		t.Fatalf("the rank read counts %d postings, want 3", n)
 	}
-	if !tb.RankedBy("g", "accessRank") || tb.RankedBy("g", "other") || tb.RankedBy("k", "accessRank") {
-		t.Fatal("RankedBy does not report the rank index's source")
+	if !tb.RankedBy("g", "accessRank") || tb.RankedBy("g", "other") || tb.RankedBy("k", "accessRank") || tb.RankedBy("n", "accessRank") {
+		t.Fatal("RankedBy does not report the coded column and the ranking's source")
 	}
-	if specs := tb.Indexes(); fmt.Sprint(specs) != "[{g hash}]" {
-		t.Fatalf("Indexes lists %v, want the hash index alone", specs)
+	snap := db.PinSnapshot()
+	if v, err := snap.View("t"); err != nil {
+		t.Fatal(err)
+	} else if _, _, err := v.Select(context.Background(), Access{Column: "n", Rank: "accessRank"}); err == nil {
+		t.Fatal("an INT column's hash index served a rank range")
 	}
-	kept := tb.indexOn(tb.ranks, "g")
-	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil || tb.indexOn(tb.ranks, "g") != kept {
-		t.Fatalf("re-creating the rank index from its source (err %v) replaced it", err)
+	snap.Release()
+	if specs := tb.Indexes(); fmt.Sprint(specs) != "[{g hash} {n hash}]" {
+		t.Fatalf("Indexes lists %v, want the hash indexes alone", specs)
 	}
-	none := func(string) (int64, bool) { return 0, false }
-	if err := tb.CreateRankIndex("g", 5, none, "none"); err != nil || !tb.RankedBy("g", "none") {
-		t.Fatalf("a rank index from another source (err %v) did not replace the first", err)
+	kept := db.dict.rank
+	if publishAccessRanks(db); db.dict.rank != kept {
+		t.Fatal("re-publishing the ranking from its source replaced it")
+	}
+	db.PublishRanks("none", 5, func(int) string { return "" })
+	if !tb.RankedBy("g", "none") {
+		t.Fatal("a ranking from another source did not replace the first")
 	}
 	if got, err := nsBy(tb, "none", nil, nil); err != nil || len(got) != 0 {
-		t.Fatalf("the replacing rank index reads %v (err %v), want no row", got, err)
+		t.Fatalf("the replacing ranking reads %v (err %v), want no row", got, err)
 	}
 	// A read names the source it plans by: the replaced one is refused.
 	if _, err := ns(tb, nil, nil); err == nil {
-		t.Fatal("a read by the replaced rank index's source was served")
+		t.Fatal("a read by the replaced ranking's source was served")
 	}
-	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil {
-		t.Fatal(err)
-	}
+	publishAccessRanks(db)
 	frozen, err := db.PublishFrozen("f", accessSchema, FrozenImage{Rows: 1, Cols: []Col{
 		{Kind: KindFloat, Float: []float64{1}}, {Kind: KindString, Str: []string{"g0"}}, {Kind: KindInt, Int: []int64{1}},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := frozen.CreateRankIndex("g", 5, accessRank, "accessRank"); err == nil {
-		t.Fatal("a frozen table took a rank index")
-	}
-	if _, err := ns(frozen, nil, nil); err == nil {
+	if _, err := ns(frozen, nil, nil); err == nil || frozen.RankedBy("g", "accessRank") {
 		t.Fatal("a frozen table served a rank range")
 	}
 	// A checkpoint, then a commit the WAL alone holds, then a reopen.
@@ -518,17 +527,15 @@ func TestRankIndex(t *testing.T) {
 	if tb, err = db.Table("t"); err != nil {
 		t.Fatal(err)
 	}
-	if tb.RankedBy("g", "accessRank") || tb.Len() != 6 || fmt.Sprint(tb.Indexes()) != "[{g hash}]" {
-		t.Fatalf("reopened: ranked %v, %d rows, indexes %v; want no rank index, 6 rows, the hash index", tb.RankedBy("g", "accessRank"), tb.Len(), tb.Indexes())
+	if tb.RankedBy("g", "accessRank") || tb.Len() != 6 || fmt.Sprint(tb.Indexes()) != "[{g hash} {n hash}]" {
+		t.Fatalf("reopened: ranked %v, %d rows, indexes %v; want no ranking, 6 rows, the hash indexes", tb.RankedBy("g", "accessRank"), tb.Len(), tb.Indexes())
 	}
 	if _, err := ns(tb, nil, nil); err == nil {
-		t.Fatal("a reopened table served a rank range with no rank index")
+		t.Fatal("a reopened table served a rank range with no ranking")
 	}
-	if err := tb.CreateRankIndex("g", 5, accessRank, "accessRank"); err != nil {
-		t.Fatal(err)
-	}
+	publishAccessRanks(db)
 	if got, err := ns(tb, nil, nil); err != nil || fmt.Sprint(got) != "[1 4 5 6]" {
-		t.Fatalf("re-created over the replayed rows the rank range reads %v (err %v), want [1 4 5 6]", got, err)
+		t.Fatalf("ranked again over the replayed rows the rank range reads %v (err %v), want [1 4 5 6]", got, err)
 	}
 }
 

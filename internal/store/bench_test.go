@@ -127,9 +127,9 @@ func indexBenchKeys(kind Kind) []Value {
 }
 
 func loadedIndex(typ IndexType, kind Kind, keys []Value) *index {
-	ix := newIndex(0, typ, kind)
+	ix := newIndex(0, typ, kind, newDict())
 	for i, k := range keys {
-		ix.insert(k, int64(i))
+		fileCell(ix, k, int64(i))
 	}
 	return ix
 }
@@ -155,9 +155,9 @@ func BenchmarkIndexInsert(b *testing.B) {
 		var ix *index
 		for i := 0; i < b.N; i++ {
 			if i%len(keys) == 0 {
-				ix = newIndex(0, typ, kind)
+				ix = newIndex(0, typ, kind, newDict())
 			}
-			ix.insert(keys[i%len(keys)], int64(i))
+			fileCell(ix, keys[i%len(keys)], int64(i))
 		}
 	})
 }
@@ -168,7 +168,7 @@ func BenchmarkIndexProbe(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ids, _ := ix.get(keys[i%len(keys)])
+			ids := ix.get(keys[i%len(keys)])
 			indexBenchSink += len(ids)
 		}
 	})
@@ -184,7 +184,7 @@ func BenchmarkIndexRemove(b *testing.B) {
 				ix = loadedIndex(typ, kind, keys)
 				b.StartTimer()
 			}
-			ix.remove(keys[i%len(keys)], int64(i%len(keys)))
+			unfileCell(ix, keys[i%len(keys)], int64(i%len(keys)))
 		}
 	})
 }
@@ -423,27 +423,26 @@ func BenchmarkCommitDelta512(b *testing.B) {
 // like D1's activities (see activitiesShape), as the ingest workload
 // churns it, with its indexes. The deletes are random live rows.
 func BenchmarkCommitDelta512Ingest(b *testing.B) {
-	schema, row, rank := activitiesShape()
+	schema, row := activitiesShape()
 	benchCommitDelta512(b, schema, row, true, func(t *Table) error {
 		return errors.Join(t.CreateIndex("protein_id", IndexHash), t.CreateIndex("ligand_id", IndexHash),
-			t.CreateIndex("affinity", IndexBTree), t.CreateRankIndex("protein_id", activitiesProteins, rank, "rankOf"))
+			t.CreateIndex("affinity", IndexBTree))
 	})
 }
 
 const activitiesProteins = 800
 
 // activitiesShape describes a table shaped like D1's activities:
-// protein_id holds 800 names, ≈ 60 rows each in 48 k, hash-indexed and
-// ranked by rank; ligand_id 200 IDs, ≈ 240 rows each, hash-indexed; a
-// B+-tree over affinity, a FLOAT unique to its row.
-func activitiesShape() (*Schema, func(*rand.Rand) Row, func(string) (int64, bool)) {
+// protein_id holds 800 names, ≈ 60 rows each in 48 k, hash-indexed (so
+// coded); ligand_id 200 IDs, ≈ 240 rows each, hash-indexed; a B+-tree
+// over affinity, a FLOAT unique to its row.
+func activitiesShape() (*Schema, func(*rand.Rand) Row) {
 	const ligands = 200
 	schema := MustSchema(Column{Name: "protein_id", Kind: KindString}, Column{Name: "ligand_id", Kind: KindString},
 		Column{Name: "affinity", Kind: KindFloat})
-	names, ids, rankOf := make([]Value, activitiesProteins), make([]Value, ligands), map[string]int64{}
+	names, ids := make([]Value, activitiesProteins), make([]Value, ligands)
 	for i := range names {
 		names[i] = StringValue(fmt.Sprintf("DT%05d", i*7919%100000))
-		rankOf[names[i].S] = int64(i)
 	}
 	for i := range ids {
 		ids[i] = StringValue(fmt.Sprintf("LIG%04d", i))
@@ -451,15 +450,15 @@ func activitiesShape() (*Schema, func(*rand.Rand) Row, func(string) (int64, bool
 	row := func(rng *rand.Rand) Row {
 		return Row{names[rng.Intn(activitiesProteins)], ids[rng.Intn(ligands)], FloatValue(rng.Float64() * 10)}
 	}
-	return schema, row, func(s string) (int64, bool) { k, ok := rankOf[s]; return k, ok }
+	return schema, row
 }
 
 // BenchmarkIndexBackfill files the 48 k stored rows of an
-// activities-shaped table into a new index, as CreateIndex and
-// CreateRankIndex do: a hash index over protein_id, a B+-tree over
-// affinity, a rank index over protein_id.
+// activities-shaped table into a new index, as CreateIndex does: a code
+// index over protein_id (the column coded once, before the timing), a
+// B+-tree over affinity.
 func BenchmarkIndexBackfill(b *testing.B) {
-	schema, row, rank := activitiesShape()
+	schema, row := activitiesShape()
 	db, err := Open("")
 	if err != nil {
 		b.Fatal(err)
@@ -476,13 +475,13 @@ func BenchmarkIndexBackfill(b *testing.B) {
 	if err := db.CommitDeltas([]TableDelta{{Table: "t", Inserts: rows}}); err != nil {
 		b.Fatal(err)
 	}
+	t.codeColumnLocked(0)
 	for _, c := range []struct {
 		name string
 		ix   func() *index
 	}{
-		{"hash", func() *index { return newIndex(0, IndexHash, KindString) }},
-		{"btree", func() *index { return newIndex(2, IndexBTree, KindFloat) }},
-		{"rank", func() *index { return newRankIndex(0, activitiesProteins, rank, nil) }},
+		{"hash", func() *index { return newIndex(0, IndexHash, KindString, t.dict) }},
+		{"btree", func() *index { return newIndex(2, IndexBTree, KindFloat, nil) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -543,56 +542,45 @@ func benchCommitDelta512(b *testing.B, schema *Schema, row func(*rand.Rand) Row,
 	}
 }
 
-// BenchmarkIndexRankChurn prices one row's trip out of and back into a
-// rank index, as ingest's churn makes it: 48 k postings over 800 named
-// ranks, a random row removed and filed again under another name, each
-// name ranked by a map lookup. btree files the same ranks in a B+-tree
-// over INT keys, the form the rank index's array replaced.
-func BenchmarkIndexRankChurn(b *testing.B) {
+// BenchmarkIndexCodeChurn prices one row's trip out of and back into a
+// code index, as ingest's churn makes it: 48 k postings over 800 codes,
+// a random row removed and filed again under another code, read from
+// its column as the table does. btree files the same codes in a
+// B+-tree over INT keys.
+func BenchmarkIndexCodeChurn(b *testing.B) {
 	const rows, names = 48000, 800
-	rankOf := map[string]int64{}
-	for i := range names {
-		rankOf[fmt.Sprintf("DT%05d", i*7919%100000)] = int64(2 * i)
-	}
-	rank := func(s string) (int64, bool) { k, ok := rankOf[s]; return k, ok }
-	byRank := make([]Value, 2*names)
-	for s, k := range rankOf {
-		byRank[k] = StringValue(s)
-	}
-	for _, form := range []string{"array", "btree"} {
+	for _, form := range []string{"code", "btree"} {
 		b.Run(form, func(b *testing.B) {
-			ix := newRankIndex(0, 2*names, rank, nil)
-			file := func(v Value, id int64, remove bool) {
+			ix := newIndex(0, IndexHash, KindString, newDict())
+			file := func(c int32, id int64, remove bool) {
 				switch {
 				case form == "btree" && remove:
-					k, _ := rank(v.S)
-					ix.ints.Delete(k, id)
+					ix.ints.Delete(int64(c), id)
 				case form == "btree":
-					k, _ := rank(v.S)
-					ix.ints.Insert(k, id)
+					ix.ints.Insert(int64(c), id)
 				case remove:
-					ix.remove(v, id)
+					ix.dropCode(c, id)
 				default:
-					ix.insert(v, id)
+					ix.addCode(c, id)
 				}
 			}
 			if form == "btree" {
-				ix = newIndex(0, IndexBTree, KindInt)
+				ix = newIndex(0, IndexBTree, KindInt, nil)
 			}
 			rng := rand.New(rand.NewSource(1))
-			cells, gen := make([]Value, rows), make([]int64, rows)
-			for s := range cells {
-				cells[s] = byRank[2*rng.Intn(names)]
-				file(cells[s], int64(s), false)
+			codes, gen := make([]int32, rows), make([]int64, rows)
+			for s := range codes {
+				codes[s] = int32(1 + 2*rng.Intn(names))
+				file(codes[s], int64(s), false)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := rng.Intn(rows)
-				file(cells[s], gen[s]<<32|int64(s), true)
+				file(codes[s], gen[s]<<32|int64(s), true)
 				gen[s]++
-				cells[s] = byRank[2*rng.Intn(names)]
-				file(cells[s], gen[s]<<32|int64(s), false)
+				codes[s] = int32(1 + 2*rng.Intn(names))
+				file(codes[s], gen[s]<<32|int64(s), false)
 			}
 		})
 	}

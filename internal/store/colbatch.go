@@ -18,10 +18,10 @@ import "context"
 // runtime).
 
 // Col is one column vector: a null mask plus exactly one active typed
-// slice selected by Kind — or, in a frozen image's storage, Compute in
-// place of the slice. Callers must append values matching the column
-// kind (or NULL); the typed accessors (Int, Float, Str) index positions
-// where the null mask is false.
+// slice selected by Kind — or, in a frozen image's storage and a stored
+// table's coded column, Compute in place of the slice. Callers must
+// append values matching the column kind (or NULL); the typed accessors
+// (Int, Float, Str) index positions where the null mask is false.
 type Col struct {
 	Kind  Kind
 	Null  []bool    // Null[i] reports whether cell i is NULL
@@ -29,12 +29,13 @@ type Col struct {
 	Float []float64 // KindFloat
 	Str   []string  // KindString
 	Vals  []Value   // generic mode (Kind == KindNull): arbitrary cells
-	// Compute, set only on a column of a FrozenImage, stands in for the
-	// vector: it writes the cell of each of slots, in order, into dst's
-	// vector of the column's kind, which its caller has sized to the
-	// list, and retains neither. Every read of a frozen image goes
-	// through Selection.FillCol, which calls it once a list of slots, so
-	// every batch holds a vector.
+	// Compute, set only on a column of a FrozenImage or on a stored
+	// table's coded column (whose codes and dictionary it reads), stands
+	// in for the vector: it writes the cell of each of slots, in order,
+	// into dst's vector of the column's kind, which its caller has sized
+	// to the list, and retains neither. Every read of such a column
+	// outside its table goes through Selection.FillCol, which calls it
+	// once a list of slots, so every batch holds a vector.
 	Compute func(dst *Col, slots []int32)
 }
 

@@ -108,6 +108,7 @@ func (o Options) withDefaults() Options {
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
+	dict   *dict // the strings of every coded column, shared by the tables
 	dir    string
 	fsys   vfs.FS
 	wal    *walWriter
@@ -177,7 +178,7 @@ func Open(dir string) (*DB, error) { return OpenWith(dir, Options{}) }
 // OpenWith is Open with explicit durability options.
 func OpenWith(dir string, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
-	db := &DB{tables: make(map[string]*Table), dir: dir, fsys: opts.FS}
+	db := &DB{tables: make(map[string]*Table), dict: newDict(), dir: dir, fsys: opts.FS}
 	if dir == "" {
 		return db, nil
 	}
@@ -288,7 +289,7 @@ func (db *DB) CreateTable(name string, schema *Schema) (*Table, error) {
 	if _, dup := db.tables[name]; dup {
 		return nil, fmt.Errorf("store: table %q already exists", name)
 	}
-	t := db.registerTable(NewTable(name, schema))
+	t := db.registerTable(newTable(name, schema, db.dict))
 	db.tables[name] = t
 	if db.wal != nil {
 		if err := db.wal.logCreateTable(name, schema); err != nil {
@@ -590,7 +591,7 @@ func (db *DB) loadTableSnapshot(r *bufio.Reader) error {
 	if err != nil {
 		return err
 	}
-	t := NewTable(name, schema)
+	t := newTable(name, schema, db.dict)
 	nIx, err := binary.ReadUvarint(r)
 	if err != nil {
 		return err
@@ -1018,7 +1019,7 @@ func (db *DB) applyWALRecord(p []byte) error {
 		if _, exists := db.tables[name]; exists {
 			return nil // snapshot already has it
 		}
-		db.tables[name] = db.registerTable(NewTable(name, schema))
+		db.tables[name] = db.registerTable(newTable(name, schema, db.dict))
 		return nil
 	case walBatch:
 		nTables, err := binary.ReadUvarint(r)

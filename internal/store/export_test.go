@@ -49,3 +49,7 @@ func walBodies(t testing.TB, db *DB) [][]byte {
 		bodies = append(bodies, payload[m:])
 	}
 }
+
+// NewTable creates an empty table outside any DB, with a dictionary of
+// its own.
+func NewTable(name string, schema *Schema) *Table { return newTable(name, schema, newDict()) }

@@ -64,7 +64,7 @@ func (db *DB) PublishFrozen(name string, schema *Schema, img FrozenImage) (*Tabl
 	t, ok := db.tables[name]
 	switch {
 	case !ok:
-		t = NewTable(name, schema)
+		t = newTable(name, schema, db.dict)
 		t.img = f
 		db.tables[name] = t
 	case t.img == nil:
@@ -157,7 +157,7 @@ func (f *frozenImage) denseSlot(k Value) (int, bool) {
 }
 
 // denseRange resolves a range walk over the INT keys [0, n) — a frozen
-// image's dense column, a rank index's ranks — to the keys [first, last]
+// image's dense column, a ranking's ranks — to the keys [first, last]
 // (empty when first > last), bounds restated in INT as a B+-tree walk
 // restates them.
 func denseRange(n int, lo, hi *Value) (first, last int) {

@@ -216,10 +216,11 @@ func TestComputedScanAllocates(t *testing.T) {
 	}
 }
 
-// TestStoredTablesHoldOnlyVectors: only a frozen image holds computed
-// columns. A commit hands a stored table rows, never a column, so every
-// column holds its kind's vector and no Compute through inserts,
-// deletes and GC; and a computed image cannot replace a stored table.
+// TestStoredTablesHoldOnlyVectors: a commit hands a stored table rows,
+// never a column, so a column no hash index codes holds its kind's
+// vector and no Compute through inserts, deletes and GC (the one
+// Compute a stored table holds is its coded columns' decoder); and a
+// computed image cannot replace a stored table.
 func TestStoredTablesHoldOnlyVectors(t *testing.T) {
 	db, err := Open("")
 	if err != nil {

@@ -1,15 +1,14 @@
 package store
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // IndexType selects a secondary index implementation.
 type IndexType uint8
 
 const (
-	// IndexHash supports equality probes only.
+	// IndexHash supports equality probes only. On a STRING column it
+	// codes the column (see dict); on another kind it is that kind's
+	// B+-tree, read by key only.
 	IndexHash IndexType = iota
 	// IndexBTree supports equality, range scans, and ordered
 	// iteration.
@@ -28,38 +27,42 @@ func (t IndexType) String() string {
 // frees it, so a pinned snapshot can probe the index too; lookups check
 // each candidate's visibility at the read's commit version. Stored cells
 // are the column's kind or NULL; probe values may be any kind and
-// compare as store.Compare orders them.
+// compare as store.Compare orders them. Every lookup is exact: the IDs
+// it hands out are those of the cells equal to the probe.
 //
-// An IndexHash is one open-addressed table; an IndexBTree a B+-tree
+// An IndexHash over STRING is a code index: the column holds codes into
+// the DB's dictionary and the index is one inline place per code
+// (byCode), NULL rows under nullCode. Every other index is a B+-tree
 // keyed on the column's own type, its NULL rows in list nullList beside
-// it (no range reaches NULL). A rank index (Table.CreateRankIndex)
-// orders a STRING column's rows by rank(cell), a small integer, as an
-// IndexBTree over INT keys would; it is its postings alone, the rank as
-// the list number, and a cell rank does not know has no posting.
+// it (no range reaches NULL); an IndexHash over another kind is one too,
+// which no range walk reads.
 type index struct {
 	column int
 	typ    IndexType
 	kind   Kind // the column's
 
-	hash   *hashIndex      // IndexHash
-	ints   *btree[int64]   // IndexBTree over INT, and BOOL as 0/1
-	floats *btree[float64] // IndexBTree over FLOAT
-	strs   *btree[string]  // IndexBTree over STRING
+	dict   *dict           // code index: the column's dictionary
+	byCode []int64         // code index: per code, its rows' inline place (noRows when none)
+	keys   int             // code index: non-NULL codes holding rows
+	ints   *btree[int64]   // B+-tree over INT, and BOOL as 0/1
+	floats *btree[float64] // B+-tree over FLOAT
+	strs   *btree[string]  // B+-tree over STRING
 	post   postings        // every form's lists of row IDs
-
-	rank   func(string) (int64, bool) // rank index: a cell's key
-	source any                        // rank index: what rank derives from (Table.RankedBy)
 }
 
-const nullList = 0 // an IndexBTree's list of the rows whose cell is NULL
+const nullList = 0 // a B+-tree's list of the rows whose cell is NULL
+
+// noRows is a code index's inline place for a code no row holds: no
+// row ID and no list number (^noRows is past any list).
+const noRows = math.MinInt64
 
 // newIndex returns an empty index of the given type over column ci of
-// kind k.
-func newIndex(ci int, typ IndexType, k Kind) *index {
+// kind k; a code index (typ IndexHash, k KindString) codes into d.
+func newIndex(ci int, typ IndexType, k Kind, d *dict) *index {
 	ix := &index{column: ci, typ: typ, kind: k}
 	switch {
-	case typ == IndexHash:
-		ix.hash = newHashIndex(&ix.post)
+	case typ == IndexHash && k == KindString:
+		ix.dict = d
 		return ix
 	case k == KindFloat:
 		ix.floats = newBTree[float64](&ix.post)
@@ -72,36 +75,10 @@ func newIndex(ci int, typ IndexType, k Kind) *index {
 	return ix
 }
 
-// rankOf returns a rank index's key for cell v, ok false for a cell
-// with no posting.
-func (ix *index) rankOf(v Value) (int32, bool) {
-	k, ok := ix.rank(v.S)
-	return int32(k), ok && v.K == KindString && k >= 0 && k < int64(len(ix.post.lists))
-}
-
-// fixedList returns the list that files cell v's rows when it is not a
-// key's own, as insert files them: a rank index's rank, a B+-tree's NULL
-// list. ok is false for a cell filed under its key, or, in a rank index,
-// not at all.
-func (ix *index) fixedList(v Value) (m int32, ok bool) {
-	switch {
-	case ix.rank != nil:
-		return ix.rankOf(v)
-	case ix.hash == nil && v.K == KindNull:
-		return nullList, true
-	}
-	return 0, false
-}
-
-// insert files id under cell v.
+// insert files id under cell v in a B+-tree (a code index files by
+// code: addCode).
 func (ix *index) insert(v Value, id int64) {
 	switch {
-	case ix.rank != nil:
-		if k, ok := ix.rankOf(v); ok {
-			ix.post.add(k, id)
-		}
-	case ix.hash != nil:
-		ix.hash.insert(v, id)
 	case v.K == KindNull:
 		ix.post.add(nullList, id)
 	case ix.floats != nil:
@@ -113,15 +90,10 @@ func (ix *index) insert(v Value, id int64) {
 	}
 }
 
-// remove takes id out from under cell v; an id not there changes nothing.
+// remove takes id out from under cell v in a B+-tree (a code index:
+// dropCode); an id not there changes nothing.
 func (ix *index) remove(v Value, id int64) {
 	switch {
-	case ix.rank != nil:
-		if k, ok := ix.rankOf(v); ok {
-			ix.post.remove(k, id)
-		}
-	case ix.hash != nil:
-		ix.hash.remove(v, id)
 	case v.K == KindNull:
 		ix.post.remove(nullList, id)
 	case ix.floats != nil:
@@ -133,44 +105,108 @@ func (ix *index) remove(v Value, id int64) {
 	}
 }
 
-// get returns candidate IDs for cells equal to v. exact reports that
-// every candidate's cell does equal v; a hash table hands out every row
-// whose cell shares v's hash, for the caller to recheck.
-func (ix *index) get(v Value) (ids []int64, exact bool) {
+// codeOf returns the code a code index files cell v under, ok false for
+// a cell no row can hold: a string never coded, a value of another kind.
+func (ix *index) codeOf(v Value) (int32, bool) {
+	switch v.K {
+	case KindNull:
+		return nullCode, true
+	case KindString:
+		return ix.dict.code(v.S)
+	}
+	return 0, false
+}
+
+// addCode files id under code c.
+func (ix *index) addCode(c int32, id int64) {
+	if n := int(c) + 1; n > len(ix.byCode) {
+		// Grown by an eighth, as postings lists are: codes arrive one new
+		// name at a time.
+		grown := make([]int64, max(n, len(ix.byCode)+len(ix.byCode)/8+8))
+		for i := copy(grown, ix.byCode); i < len(grown); i++ {
+			grown[i] = noRows
+		}
+		ix.byCode = grown
+	}
+	at := &ix.byCode[c]
+	if *at != noRows {
+		ix.post.file(at, id)
+		return
+	}
+	*at = id
+	if c != nullCode {
+		ix.keys++
+	}
+}
+
+// dropCode takes id out from under code c; an id not there changes
+// nothing.
+func (ix *index) dropCode(c int32, id int64) {
+	if int(c) >= len(ix.byCode) || ix.byCode[c] == noRows {
+		return
+	}
+	if _, empty := ix.post.unfile(&ix.byCode[c], id); empty {
+		ix.byCode[c] = noRows
+		if c != nullCode {
+			ix.keys--
+		}
+	}
+}
+
+// getCode returns the IDs filed under code c.
+func (ix *index) getCode(c int32) []int64 {
+	if int(c) >= len(ix.byCode) || ix.byCode[c] == noRows {
+		return nil
+	}
+	return ix.post.inline(ix.byCode, int(c))
+}
+
+// get returns the IDs of the rows whose cells equal v.
+func (ix *index) get(v Value) []int64 {
 	switch {
-	case ix.hash != nil:
-		return ix.hash.get(v), false
-	case v.K == KindNull && ix.rank == nil:
-		return ix.post.lists[nullList], true
+	case ix.dict != nil:
+		if c, ok := ix.codeOf(v); ok {
+			return ix.getCode(c)
+		}
+		return nil
+	case v.K == KindNull:
+		return ix.post.lists[nullList]
 	case v.K != ix.kind:
 		// A probe of another kind equals a key only if it bounds the keys
 		// from both sides at the same one (FLOAT 2.0 on an INT column).
 		lo, los := keyBound(ix.kind, v, false)
 		hi, his := keyBound(ix.kind, v, true)
 		if los != boundKey || his != boundKey || Compare(lo, hi) != 0 {
-			return nil, true
+			return nil
 		}
 		v = lo
 	}
 	switch {
 	case ix.floats != nil:
-		return ix.floats.Get(v.F), true
+		return ix.floats.Get(v.F)
 	case ix.strs != nil:
-		return ix.strs.Get(v.S), true
-	case ix.rank != nil:
-		if k, last := denseRange(len(ix.post.lists), &v, &v); k == last {
-			return ix.post.lists[k], true
-		}
-		return nil, true
+		return ix.strs.Get(v.S)
 	}
-	return ix.ints.Get(v.I), true
+	return ix.ints.Get(v.I)
+}
+
+// getKey returns the IDs filed under probe k, a rank under rk when rk
+// is set.
+func (ix *index) getKey(rk *ranking, k Value) []int64 {
+	if rk == nil {
+		return ix.get(k)
+	}
+	if r, last := denseRange(len(rk.codeOf), &k, &k); r == last && rk.codeOf[r] != nullCode {
+		return ix.getCode(rk.codeOf[r])
+	}
+	return nil
 }
 
 // distinct returns how many distinct non-NULL keys the index holds.
 func (ix *index) distinct() int {
 	switch {
-	case ix.hash != nil:
-		return ix.hash.distinct()
+	case ix.dict != nil:
+		return ix.keys
 	case ix.floats != nil:
 		return ix.floats.keys
 	case ix.strs != nil:
@@ -187,24 +223,31 @@ func (ix *index) walk(lo, hi *Value, desc bool, fn func(ids []int64) bool) {
 	lo, hi, ok := ix.keyRange(lo, hi, &buf)
 	switch {
 	case !ok:
-	case ix.rank != nil:
-		lists := ix.post.lists
-		first, last := denseRange(len(lists), lo, hi)
-		for i := range last - first + 1 {
-			k := first + i
-			if desc {
-				k = last - i
-			}
-			if len(lists[k]) > 0 && !fn(lists[k]) {
-				return
-			}
-		}
 	case ix.floats != nil:
 		walkKeys(ix.floats, lo, hi, func(v Value) float64 { return v.F }, desc, fn)
 	case ix.strs != nil:
 		walkKeys(ix.strs, lo, hi, func(v Value) string { return v.S }, desc, fn)
 	default:
 		walkKeys(ix.ints, lo, hi, func(v Value) int64 { return v.I }, desc, fn)
+	}
+}
+
+// walkRanks visits a code index's postings by rank under rk: each rank
+// in [lo, hi] (INT bounds, nil open; see denseRange), ascending or, with
+// desc, descending, hands fn the rows of the code it names, skipping
+// ranks no row holds, until fn returns false.
+func (ix *index) walkRanks(rk *ranking, lo, hi *Value, desc bool, fn func(ids []int64) bool) {
+	first, last := denseRange(len(rk.codeOf), lo, hi)
+	for i := range last - first + 1 {
+		r := first + i
+		if desc {
+			r = last - i
+		}
+		if c := rk.codeOf[r]; c != nullCode {
+			if ids := ix.getCode(c); len(ids) > 0 && !fn(ids) {
+				return
+			}
+		}
 	}
 }
 
@@ -217,10 +260,6 @@ func (ix *index) count(lo, hi *Value, max int) int {
 	switch {
 	case !ok:
 		return 0
-	case ix.rank != nil:
-		n := 0
-		ix.walk(lo, hi, false, func(ids []int64) bool { n += len(ids); return max <= 0 || n <= max })
-		return n
 	case ix.floats != nil:
 		return countKeys(ix.floats, lo, hi, func(v Value) float64 { return v.F }, max)
 	case ix.strs != nil:
@@ -321,9 +360,9 @@ func keyBound(col Kind, v Value, upper bool) (Value, boundState) {
 // --- postings ---
 
 // postings holds an index's lists of row IDs: one per key held by two
-// rows or more (the key's inline place in the hash table or leaf holds
-// ^its number), a B+-tree index's NULL rows (nullList), a rank index's
-// ranks. pos records each slot's position in its list, so a removal
+// rows or more (the key's inline place, in a code index's byCode or a
+// leaf, holds ^its number) and a B+-tree index's NULL rows (nullList).
+// pos records each slot's position in its list, so a removal
 // moves the last ID into the hole without a search; a slot past the end
 // of pos is at 0, so an index of unique keys never allocates it. free
 // holds the numbers of released lists, each empty, for reuse.
@@ -415,143 +454,4 @@ func (p *postings) inline(ids []int64, i int) []int64 {
 		return p.lists[^ids[i]]
 	}
 	return ids[i : i+1 : i+1]
-}
-
-// --- hash index ---
-
-// hashIndex maps the hash of a cell to the IDs of the rows whose cell
-// has that hash (colliding values share a posting; readers recheck the
-// stored cell). It is one open-addressed table, linear probing from a
-// Fibonacci-hashed home position, kept between 1/4 and 7/8 full: a
-// hash held by one row — the common case, a unique column — costs its
-// 16-byte entry and nothing else; only a hash held by a second row gets
-// a list of the index's postings. Deletion shifts the rest of the probe
-// run back over the hole, so churn leaves no tombstones and probe runs
-// do not grow with the table's age.
-type hashIndex struct {
-	hashes []uint64  // 0 marks an empty position (a cell hashing to 0 is filed under 1)
-	ids    []int64   // parallel: ≥ 0 the one row ID, inline; < 0 ^(the number of its list in post)
-	post   *postings // the index's
-	used   int       // occupied positions
-	shift  uint8     // 64 - log2(len(hashes))
-
-	// hashOf, when set, replaces Value.Hash: tests force full-hash
-	// collisions through it.
-	hashOf func(Value) uint64
-}
-
-const hashMinSize = 8
-
-// newHashIndex returns an empty table filing its lists in post.
-func newHashIndex(post *postings) *hashIndex {
-	h := &hashIndex{post: post}
-	h.resize(hashMinSize)
-	return h
-}
-
-// fit resizes the table to the smallest size that holds n hashes.
-func (h *hashIndex) fit(n int) {
-	size := hashMinSize
-	for n*8 > size*7 {
-		size *= 2
-	}
-	if size != len(h.hashes) {
-		h.resize(size)
-	}
-}
-
-func (h *hashIndex) hash(v Value) uint64 {
-	if h.hashOf != nil {
-		return max(h.hashOf(v), 1)
-	}
-	return max(v.Hash(), 1)
-}
-
-// home is where the probe run of hash x starts. The multiplication
-// spreads FNV's weak high bits before the top log2(size) are taken.
-func (h *hashIndex) home(x uint64) int { return int(x * 0x9E3779B97F4A7C15 >> h.shift) }
-
-// find returns the position holding hash x, or the empty position that
-// ends its probe run.
-func (h *hashIndex) find(x uint64) (pos int, found bool) {
-	mask := len(h.hashes) - 1
-	for i := h.home(x); ; i = (i + 1) & mask {
-		switch h.hashes[i] {
-		case x:
-			return i, true
-		case 0:
-			return i, false
-		}
-	}
-}
-
-// resize rehashes every entry into a table of size positions (a power
-// of two); entries carry their hash, so no cell is read.
-func (h *hashIndex) resize(size int) {
-	hashes, ids := h.hashes, h.ids
-	h.hashes, h.ids = make([]uint64, size), make([]int64, size)
-	h.shift = uint8(64 - bits.TrailingZeros(uint(size)))
-	for i, x := range hashes {
-		if x != 0 {
-			pos, _ := h.find(x)
-			h.hashes[pos], h.ids[pos] = x, ids[i]
-		}
-	}
-}
-
-func (h *hashIndex) insert(v Value, id int64) {
-	if (h.used+1)*8 > len(h.hashes)*7 {
-		h.resize(2 * len(h.hashes))
-	}
-	x := h.hash(v)
-	pos, found := h.find(x)
-	if found {
-		h.post.file(&h.ids[pos], id)
-		return
-	}
-	h.hashes[pos], h.ids[pos] = x, id
-	h.used++
-}
-
-func (h *hashIndex) remove(v Value, id int64) {
-	pos, found := h.find(h.hash(v))
-	if !found {
-		return
-	}
-	if _, empty := h.post.unfile(&h.ids[pos], id); !empty {
-		return
-	}
-	// Close the hole: each later entry of the run moves back into it
-	// unless its home lies after the hole, cyclically.
-	mask := len(h.hashes) - 1
-	for j := (pos + 1) & mask; h.hashes[j] != 0; j = (j + 1) & mask {
-		if (j-h.home(h.hashes[j]))&mask >= (j-pos)&mask {
-			h.hashes[pos], h.ids[pos] = h.hashes[j], h.ids[j]
-			pos = j
-		}
-	}
-	h.hashes[pos], h.ids[pos] = 0, 0
-	h.used--
-	if size := len(h.hashes); size > hashMinSize && h.used*4 < size {
-		h.resize(size / 2)
-	}
-}
-
-// distinct returns how many distinct non-NULL hashes the table holds:
-// its occupied positions, less the NULL cell's.
-func (h *hashIndex) distinct() int {
-	if _, null := h.find(h.hash(NullValue())); null {
-		return h.used - 1
-	}
-	return h.used
-}
-
-// get returns the IDs filed under v's hash; the one inline ID is handed
-// out as a window of the table.
-func (h *hashIndex) get(v Value) []int64 {
-	pos, found := h.find(h.hash(v))
-	if !found {
-		return nil
-	}
-	return h.post.inline(h.ids, pos)
 }

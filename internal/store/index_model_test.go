@@ -81,17 +81,17 @@ func sortedIDs(ids []int64) []int64 {
 	return out
 }
 
-// minMax reads a B+-tree or rank index's smallest and largest key as
-// Values.
-func (ix *index) minMax() (lo, hi Value, ok bool) {
-	if ix.rank != nil {
+// minMax reads a B+-tree's smallest and largest key as Values, or a
+// code index's smallest and largest rank holding rows under rk.
+func (ix *index) minMax(rk *ranking) (lo, hi Value, ok bool) {
+	if rk != nil {
 		first, last := -1, -1
-		for k, list := range ix.post.lists {
-			if len(list) > 0 {
+		for r, c := range rk.codeOf {
+			if c != nullCode && len(ix.getCode(c)) > 0 {
 				if first < 0 {
-					first = k
+					first = r
 				}
-				last = k
+				last = r
 			}
 		}
 		return IntValue(int64(first)), IntValue(int64(last)), first >= 0
@@ -111,42 +111,6 @@ func (ix *index) minMax() (lo, hi Value, ok bool) {
 	return Value{K: ix.kind, I: a}, Value{K: ix.kind, I: b}, ok
 }
 
-// check verifies the probe-run bookkeeping of the table: every entry
-// reachable from its home without crossing an empty position (what
-// backward-shift deletion must preserve), no hash filed twice, and the
-// load inside its bounds. Its lists are the index's check.
-func (h *hashIndex) check() error {
-	size := len(h.hashes)
-	mask, used := size-1, 0
-	seen := map[uint64]bool{}
-	for i, x := range h.hashes {
-		if x == 0 {
-			if h.ids[i] != 0 {
-				return fmt.Errorf("empty position %d holds id %d", i, h.ids[i])
-			}
-			continue
-		}
-		if used++; seen[x] {
-			return fmt.Errorf("hash %x filed twice", x)
-		}
-		seen[x] = true
-		for j := h.home(x); j != i; j = (j + 1) & mask {
-			if h.hashes[j] == 0 {
-				return fmt.Errorf("position %d (home %d) lies beyond the empty position %d", i, h.home(x), j)
-			}
-		}
-	}
-	switch {
-	case used != h.used:
-		return fmt.Errorf("%d positions occupied, used = %d", used, h.used)
-	case used*8 > size*7:
-		return fmt.Errorf("%d of %d positions occupied: over 7/8", used, size)
-	case size > hashMinSize && used*4 < size:
-		return fmt.Errorf("%d of %d positions occupied: under 1/4", used, size)
-	}
-	return nil
-}
-
 // leafIDs calls fn with each leaf's inline places and its count of
 // listed keys.
 func leafIDs[K btreeKey](t *btree[K], fn func(ids []int64, listed int) error) error {
@@ -159,11 +123,11 @@ func leafIDs[K btreeKey](t *btree[K], fn func(ids []int64, listed int) error) er
 }
 
 // check verifies the index's postings: each listed slot's recorded
-// position holds its ID; a list a table entry or a leaf names holds two
-// IDs or more and is named once, and a leaf counts the lists it names;
-// each freed list number holds an empty list, once; and every list is
-// named, free, or fixed (a B+-tree index's NULL list, a rank index's
-// ranks).
+// position holds its ID; a list a code or a leaf names holds two IDs or
+// more and is named once, and a leaf counts the lists it names; a code
+// index counts the non-NULL codes holding rows; each freed list number
+// holds an empty list, once; and every list is named, free, or fixed (a
+// B+-tree index's NULL list).
 func (ix *index) check() error {
 	p := &ix.post
 	for m, list := range p.lists {
@@ -181,7 +145,7 @@ func (ix *index) check() error {
 	name := func(ids []int64) (n int, err error) {
 		for _, id := range ids {
 			switch {
-			case id >= 0:
+			case id >= 0 || id == noRows:
 				continue
 			case named[^id]:
 				return n, fmt.Errorf("list %d named twice", ^id)
@@ -202,11 +166,18 @@ func (ix *index) check() error {
 	}
 	fixed, err := 1, error(nil)
 	switch {
-	case ix.rank != nil:
-		fixed = len(p.lists)
-	case ix.hash != nil:
+	case ix.dict != nil:
 		fixed = 0
-		_, err = name(ix.hash.ids)
+		_, err = name(ix.byCode)
+		keys := 0
+		for c, at := range ix.byCode {
+			if c != nullCode && at != noRows {
+				keys++
+			}
+		}
+		if err == nil && keys != ix.keys {
+			err = fmt.Errorf("%d codes hold rows, keys = %d", keys, ix.keys)
+		}
 	case ix.floats != nil:
 		err = leafIDs(ix.floats, leaf)
 	case ix.strs != nil:
@@ -267,37 +238,25 @@ func randomKey(rng *rand.Rand, k Kind, spread int) Value {
 	return StringValue(fmt.Sprintf("k%05d", n))
 }
 
-// verifyIndex compares every answer of ix with the model.
-func verifyIndex(ix *index, m *indexModel, rng *rand.Rand) error {
-	keyOf := map[int64]Value{}
-	for _, e := range m.entries {
-		keyOf[e.id] = e.key
-	}
-	probes := append([]Value(nil), strangers...)
+// verifyIndex compares every answer of ix with the model: read by rank
+// under rk when rk is set, the model holding ranks; probed with extra
+// besides the awkward keys and a sample of the model's.
+func verifyIndex(ix *index, rk *ranking, m *indexModel, rng *rand.Rand, extra ...Value) error {
+	probes := append(slices.Clone(strangers), extra...)
 	probes = append(probes, indexKeyPools[ix.kind]...)
+	if rk != nil {
+		probes = append(probes, indexKeyPools[KindInt]...)
+	}
 	for i := 0; i < 12 && len(m.entries) > 0; i++ {
 		probes = append(probes, m.entries[rng.Intn(len(m.entries))].key)
 	}
 	for _, p := range probes {
-		ids, exact := ix.get(p)
-		if !exact { // hash candidates share the hash; the reader rechecks the cell
-			var kept []int64
-			for _, id := range ids {
-				if k, ok := keyOf[id]; !ok {
-					return fmt.Errorf("probe %v: candidate %d is not indexed", p, id)
-				} else if Equal(k, p) {
-					kept = append(kept, id)
-				}
-			}
-			ids = kept
-		}
-		if got, want := sortedIDs(ids), m.equal(p); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got, want := sortedIDs(ix.getKey(rk, p)), m.equal(p); fmt.Sprint(got) != fmt.Sprint(want) {
 			return fmt.Errorf("probe %v: ids %v, model %v", p, got, want)
 		}
 	}
-	// A colliding hash table counts its hashes, not the keys they stand
-	// for; no one asks a rank index.
-	if (ix.hash == nil || ix.hash.hashOf == nil) && ix.rank == nil {
+	// No one asks a ranked index its distinct keys.
+	if rk == nil {
 		if got, want := ix.distinct(), m.distinctKeys(); got != want {
 			return fmt.Errorf("%d distinct keys, model %d", got, want)
 		}
@@ -305,8 +264,8 @@ func verifyIndex(ix *index, m *indexModel, rng *rand.Rand) error {
 	if err := ix.check(); err != nil {
 		return err
 	}
-	if ix.hash != nil {
-		return ix.hash.check()
+	if ix.typ == IndexHash && rk == nil { // read by key only
+		return nil
 	}
 	bound := func() *Value {
 		if rng.Intn(5) == 0 {
@@ -317,7 +276,7 @@ func verifyIndex(ix *index, m *indexModel, rng *rand.Rand) error {
 	for i := 0; i < 24; i++ {
 		lo, hi, desc := bound(), bound(), rng.Intn(2) == 0
 		var got [][]int64
-		ix.walk(lo, hi, desc, func(ids []int64) bool {
+		walkForm(ix, rk, lo, hi, desc, func(ids []int64) bool {
 			got = append(got, sortedIDs(ids))
 			return true
 		})
@@ -325,33 +284,67 @@ func verifyIndex(ix *index, m *indexModel, rng *rand.Rand) error {
 			return fmt.Errorf("walk [%v, %v] desc=%v:\ngot  %v\nwant %v", lo, hi, desc, got, want)
 		}
 		for _, max := range []int{0, 1, 3, 1 + rng.Intn(80), 200} {
+			if rk != nil {
+				break
+			}
 			if got, want := ix.count(lo, hi, max), countByWalk(ix, lo, hi, max); got != want {
 				return fmt.Errorf("count [%v, %v] max %d = %d, the per-key walk %d", lo, hi, max, got, want)
 			}
 		}
 		stopAt, seen := 1+rng.Intn(3), 0
-		ix.walk(lo, hi, desc, func([]int64) bool { seen++; return seen < stopAt })
+		walkForm(ix, rk, lo, hi, desc, func([]int64) bool { seen++; return seen < stopAt })
 		if want := min(stopAt, len(got)); seen != want {
 			return fmt.Errorf("walk [%v, %v] stopped after %d keys, want %d", lo, hi, seen, want)
 		}
 	}
-	lo, hi, ok := ix.minMax()
+	lo, hi, ok := ix.minMax(rk)
 	all := m.groups(nil, nil, false)
 	if ok != (len(all) > 0) {
 		return fmt.Errorf("Min/Max ok = %v with %d keys", ok, len(all))
 	}
 	if ok {
-		if got, want := sortedIDs(first(ix.get(lo))), all[0]; fmt.Sprint(got) != fmt.Sprint(want) {
+		if got, want := sortedIDs(ix.getKey(rk, lo)), all[0]; fmt.Sprint(got) != fmt.Sprint(want) {
 			return fmt.Errorf("Min = %v holding %v, model's first key holds %v", lo, got, want)
 		}
-		if got, want := sortedIDs(first(ix.get(hi))), all[len(all)-1]; fmt.Sprint(got) != fmt.Sprint(want) {
+		if got, want := sortedIDs(ix.getKey(rk, hi)), all[len(all)-1]; fmt.Sprint(got) != fmt.Sprint(want) {
 			return fmt.Errorf("Max = %v holding %v, model's last key holds %v", hi, got, want)
 		}
 	}
 	return nil
 }
 
-func first(ids []int64, _ bool) []int64 { return ids }
+// fileCell files id under cell v in any index form, as the table does:
+// a code index under the code it interns for v.
+func fileCell(ix *index, v Value, id int64) {
+	if ix.dict == nil {
+		ix.insert(v, id)
+		return
+	}
+	c := int32(nullCode)
+	if v.K == KindString {
+		c = ix.dict.intern(v.S)
+	}
+	ix.addCode(c, id)
+}
+
+// unfileCell takes id out from under cell v in any index form.
+func unfileCell(ix *index, v Value, id int64) {
+	if ix.dict == nil {
+		ix.remove(v, id)
+	} else if c, ok := ix.codeOf(v); ok {
+		ix.dropCode(c, id)
+	}
+}
+
+// walkForm walks ix's keys in [lo, hi], by rank under rk when rk is
+// set.
+func walkForm(ix *index, rk *ranking, lo, hi *Value, desc bool, fn func(ids []int64) bool) {
+	if rk != nil {
+		ix.walkRanks(rk, lo, hi, desc, fn)
+		return
+	}
+	ix.walk(lo, hi, desc, fn)
+}
 
 // countByWalk is the per-key count index.count replaced, kept as its
 // oracle: an ascending walk summing each key's postings, stopping at the
@@ -378,80 +371,98 @@ func (m *indexModel) distinctKeys() int {
 }
 
 // modelKey is what an index files cell v under, as the model holds it:
-// v itself, or for a rank index its rank as an INT; ok is false for a
-// cell with no posting.
-func modelKey(ix *index, v Value) (Value, bool) {
-	if ix.rank == nil {
+// v itself, or read by rank under rk its rank as an INT; ok is false for
+// a cell no rank names.
+func modelKey(ix *index, rk *ranking, v Value) (Value, bool) {
+	if rk == nil {
 		return v, true
 	}
-	k, ok := ix.rankOf(v)
-	return IntValue(int64(k)), ok
+	c, ok := ix.codeOf(v)
+	if !ok || c == nullCode || int(c) >= len(rk.rankOf) || rk.rankOf[c] < 0 {
+		return Value{}, false
+	}
+	return IntValue(int64(rk.rankOf[c])), true
 }
 
-// testRanks ranks the model's STRING keys for the rank form: "k%05d"
-// is a quarter of its number unless that number is 4 mod 9, "" shares
-// rank 0 with "k00000", "kinase" is the last rank, and every other cell
-// has no rank.
+// testRanks and testRankName rank the model's STRING keys for the rank
+// form: rank r names "k%05d" of 4r unless r is 4 mod 9, the last rank
+// names "kinase", and the one before it names "k00000" again, which
+// stays rank 0's, the lower. Every other cell has no rank.
 const testRanks = 1001
 
-func testRank(s string) (int64, bool) {
-	var n int64
-	switch _, err := fmt.Sscanf(s, "k%05d", &n); {
-	case s == "":
-		return 0, true
-	case s == "kinase":
-		return testRanks - 1, true
-	case err != nil || len(s) != 6:
-		return 0, false
+func testRankName(r int) string {
+	switch {
+	case r == testRanks-1:
+		return "kinase"
+	case r == testRanks-2:
+		return "k00000"
+	case r%9 == 4:
+		return ""
 	}
-	return n / 4, n%9 != 4
+	return fmt.Sprintf("k%05d", 4*r)
+}
+
+// testRanking returns d's ranking after publishing testRankName's.
+func testRanking(d *dict) *ranking {
+	d.publish("testRanking", testRanks, testRankName)
+	return d.ranking("testRanking")
 }
 
 // TestIndexMatchesModel drives each index form over each column kind
 // through a seeded grow / churn / drain schedule — duplicate-heavy at
-// first, then spread wide so the hash table doubles and B+-tree leaves
-// split, then deleted down to nothing so the table halves back and
-// leaves stand empty — and compares every answer with the sorted-slice
-// model along the way. The colliding configuration replaces the hash
-// function with one of five values (zero among them), so unequal keys
-// share one table entry and one postings list. The B+-tree's NULL rows
-// are one list; btree-nulls turns a further third of its keys to NULL
-// so that list grows long and churns. The rank form files a STRING
-// column by testRank, the model holding each row's rank, and a cell
-// with no rank goes to the index (which files nothing) but not to the
-// model.
+// first, then spread wide so the code array grows and B+-tree leaves
+// split, then deleted down to nothing so leaves stand empty — and
+// compares every answer with the sorted-slice model along the way. The
+// B+-tree's NULL rows are one list; btree-nulls turns a further third
+// of its keys to NULL so that list grows long and churns. A hash index
+// is a code index over STRING (NULL rows under nullCode) and a B+-tree
+// read by key over the other kinds. The code form codes into a
+// dictionary that other columns share: it holds names before the run
+// and gains more during it, so the column's codes are sparse and its
+// names are first seen mid-run, and it is probed with strings no cell
+// holds. The rank form reads a code index by rank under testRankName's
+// ranking, the model holding each row's rank; a cell with no rank goes
+// to the index but not to the model.
 func TestIndexMatchesModel(t *testing.T) {
-	collide := func(v Value) uint64 { return v.Hash() % 5 }
 	for _, cfg := range []struct {
-		name   string
-		typ    IndexType
-		hashOf func(Value) uint64
-		nulls  int   // > 0: one more key in nulls is NULL
-		rank   bool  // a rank index over STRING cells
-		seed   int64 // added to the kind's seed
+		name  string
+		typ   IndexType
+		nulls int    // > 0: one more key in nulls is NULL
+		form  string // "code" or "rank": a code index over STRING cells
+		seed  int64  // added to the kind's seed
 	}{
-		{"btree", IndexBTree, nil, 0, false, 0},
-		{"btree-nulls", IndexBTree, nil, 3, false, 101},
-		{"hash", IndexHash, nil, 0, false, 0},
-		{"hash-colliding", IndexHash, collide, 0, false, 0},
-		{"rank", IndexBTree, nil, 0, true, 202},
+		{"btree", IndexBTree, 0, "", 0},
+		{"btree-nulls", IndexBTree, 3, "", 101},
+		{"hash", IndexHash, 0, "", 0},
+		{"code", IndexHash, 0, "code", 303},
+		{"rank", IndexHash, 0, "rank", 202},
 	} {
 		for _, kind := range []Kind{KindInt, KindFloat, KindString, KindBool} {
-			if cfg.rank && kind != KindString {
+			if cfg.form != "" && kind != KindString {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/%v", cfg.name, kind), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(kind)*31 + int64(cfg.typ) + cfg.seed))
-				ix, m := newIndex(0, cfg.typ, kind), &indexModel{}
-				if cfg.rank {
-					ix = newRankIndex(0, testRanks, testRank, nil)
+				d, m := newDict(), &indexModel{}
+				var rk *ranking
+				var unknown []Value // probes no cell holds
+				switch cfg.form {
+				case "rank":
+					rk = testRanking(d)
+				case "code":
+					for i := range 300 {
+						d.intern(fmt.Sprintf("other-%d", i))
+					}
+					unknown = []Value{StringValue("never"), StringValue("other-7"), StringValue("k99999")}
 				}
-				if ix.hash != nil {
-					ix.hash.hashOf = cfg.hashOf
-				}
+				ix := newIndex(0, cfg.typ, kind, d)
 				cells := map[int64]Value{} // by ID: the cell a model entry was filed from
-				nextID, peak := int64(0), hashMinSize
+				nextID, late := int64(0), 0
 				step := func(insertOdds, spread int) {
+					if cfg.form == "code" && rng.Intn(40) == 0 {
+						d.intern(fmt.Sprintf("late-%d", late)) // another column's new name
+						late++
+					}
 					if rng.Intn(100) < insertOdds || len(m.entries) == 0 {
 						k := randomKey(rng, kind, spread)
 						if cfg.nulls > 0 && rng.Intn(cfg.nulls) == 0 {
@@ -460,20 +471,17 @@ func TestIndexMatchesModel(t *testing.T) {
 						// IDs look like the table's: a generation over a slot.
 						id := nextID<<32 | nextID
 						nextID++
-						ix.insert(k, id)
-						if key, ok := modelKey(ix, k); ok {
+						fileCell(ix, k, id)
+						if key, ok := modelKey(ix, rk, k); ok {
 							m.insert(key, id)
 							cells[id] = k
 						}
 					} else {
 						e := m.remove(rng.Intn(len(m.entries)))
 						k := cells[e.id]
-						ix.remove(k, e.id)
-						ix.remove(k, e.id)       // a second removal finds nothing
-						ix.remove(k, 1<<62|e.id) // nor does an ID never filed
-					}
-					if ix.hash != nil {
-						peak = max(peak, len(ix.hash.hashes))
+						unfileCell(ix, k, e.id)
+						unfileCell(ix, k, e.id)       // a second removal finds nothing
+						unfileCell(ix, k, 1<<62|e.id) // nor does an ID never filed
 					}
 				}
 				for phase, p := range []struct{ steps, insertOdds, spread, every int }{
@@ -485,7 +493,7 @@ func TestIndexMatchesModel(t *testing.T) {
 					for i := 0; i < p.steps; i++ {
 						step(p.insertOdds, p.spread)
 						if i%p.every == 0 || len(m.entries) < 4 {
-							if err := verifyIndex(ix, m, rng); err != nil {
+							if err := verifyIndex(ix, rk, m, rng, unknown...); err != nil {
 								t.Fatalf("phase %d step %d (%d entries): %v", phase, i, len(m.entries), err)
 							}
 						}
@@ -493,15 +501,10 @@ func TestIndexMatchesModel(t *testing.T) {
 				}
 				for len(m.entries) > 0 {
 					e := m.remove(len(m.entries) - 1)
-					ix.remove(cells[e.id], e.id)
+					unfileCell(ix, cells[e.id], e.id)
 				}
-				if err := verifyIndex(ix, m, rng); err != nil {
+				if err := verifyIndex(ix, rk, m, rng, unknown...); err != nil {
 					t.Fatalf("empty: %v", err)
-				}
-				if ix.hash != nil && kind != KindBool && cfg.hashOf == nil {
-					if peak < 8*hashMinSize || len(ix.hash.hashes) != hashMinSize {
-						t.Fatalf("table peaked at %d positions and ends at %d, want growth and a return to %d", peak, len(ix.hash.hashes), hashMinSize)
-					}
 				}
 			})
 		}
@@ -510,72 +513,72 @@ func TestIndexMatchesModel(t *testing.T) {
 
 // TestIndexPostingTransitions walks one key through 1 → 2 → many → 1 →
 // 0 postings in each index form and checks where the postings live at
-// each stage: in a hash table or a B+-tree, inline while there is one,
-// in a list from the second on, inline again (the list freed) when one
-// remains; a B+-tree's NULL rows and a rank's rows always in their
-// list. The index's check runs at every stage.
+// each stage: under its code or in a B+-tree, inline while there is
+// one, in a list from the second on, inline again (the list freed) when
+// one remains; a B+-tree's NULL rows always in their list, a code
+// index's like any code's. The index's check runs at every stage.
 func TestIndexPostingTransitions(t *testing.T) {
-	rank := func(s string) (int64, bool) {
-		k, ok := map[string]int64{"kinase": 3, "ligase": 5}[s]
-		return k, ok
-	}
+	ranked := newDict()
+	ranked.publish("transitions", 8, func(r int) string { return map[int]string{3: "kinase", 5: "ligase"}[r] })
 	for _, form := range []struct {
 		name       string
 		ix         *index
+		rk         *ranking
 		key, other Value // filed
 		probe      Value // what reads key
 		listed     bool  // key's rows always sit in a list
 	}{
-		{"btree", newIndex(0, IndexBTree, KindString), StringValue("kinase"), StringValue("ligase"), StringValue("kinase"), false},
-		{"hash", newIndex(0, IndexHash, KindString), StringValue("kinase"), StringValue("ligase"), StringValue("kinase"), false},
-		{"btree-null", newIndex(0, IndexBTree, KindString), NullValue(), StringValue("ligase"), NullValue(), true},
-		{"rank", newRankIndex(0, 8, rank, nil), StringValue("kinase"), StringValue("ligase"), IntValue(3), true},
+		{"btree", newIndex(0, IndexBTree, KindString, nil), nil, StringValue("kinase"), StringValue("ligase"), StringValue("kinase"), false},
+		{"hash", newIndex(0, IndexHash, KindString, newDict()), nil, StringValue("kinase"), StringValue("ligase"), StringValue("kinase"), false},
+		{"btree-null", newIndex(0, IndexBTree, KindString, nil), nil, NullValue(), StringValue("ligase"), NullValue(), true},
+		{"hash-null", newIndex(0, IndexHash, KindString, newDict()), nil, NullValue(), StringValue("ligase"), NullValue(), false},
+		{"rank", newIndex(0, IndexHash, KindString, ranked), ranked.ranking("transitions"), StringValue("kinase"), StringValue("ligase"), IntValue(3), false},
 	} {
 		ix, key := form.ix, form.key
 		inline := func() bool {
 			switch {
 			case form.listed:
 				return false
-			case ix.hash != nil:
-				pos, found := ix.hash.find(ix.hash.hash(key))
-				return found && ix.hash.ids[pos] >= 0
+			case ix.dict != nil:
+				c, _ := ix.codeOf(key)
+				return ix.byCode[c] >= 0
 			}
 			leaf := ix.strs.leafFor(key.S)
 			return leaf.ids[findKey(leaf, key.S)] >= 0
 		}
 		expect := func(stage string, wantInline bool, want ...int64) {
 			t.Helper()
-			got, _ := ix.get(form.probe)
+			got := ix.getKey(form.rk, form.probe)
 			if fmt.Sprint(sortedIDs(got)) != fmt.Sprint(want) && (len(got) != 0 || len(want) != 0) {
 				t.Fatalf("%s %s: postings %v, want %v", form.name, stage, got, want)
 			}
 			if len(want) > 0 && inline() != (wantInline && !form.listed) {
 				t.Fatalf("%s %s: inline = %v, want %v", form.name, stage, !wantInline, wantInline)
 			}
-			probe, _ := modelKey(ix, form.other)
-			if ids, _ := ix.get(probe); len(ids) != 1 || ids[0] != 99 {
+			probe, _ := modelKey(ix, form.rk, form.other)
+			if ids := ix.getKey(form.rk, probe); len(ids) != 1 || ids[0] != 99 {
 				t.Fatalf("%s %s: the neighbouring key holds %v", form.name, stage, ids)
 			}
 			if err := ix.check(); err != nil {
 				t.Fatalf("%s %s: %v", form.name, stage, err)
 			}
 		}
-		ix.insert(form.other, 99)
-		ix.insert(key, 1)
+		fileCell(ix, form.other, 99)
+		fileCell(ix, key, 1)
 		expect("one", true, 1)
-		ix.insert(key, 2)
+		fileCell(ix, key, 2)
 		expect("two", false, 1, 2)
 		for id := int64(3); id <= 9; id++ {
-			ix.insert(key, id)
+			fileCell(ix, key, id)
 		}
 		expect("many", false, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 		for id := int64(9); id >= 3; id-- {
-			ix.remove(key, id)
+			unfileCell(ix, key, id)
 		}
 		expect("two again", false, 1, 2)
-		ix.remove(key, 1)
+		unfileCell(ix, key, 1)
 		expect("one again", true, 2)
-		ix.remove(key, 2)
+		unfileCell(ix, key, 2)
 		expect("none", true)
 		if want := map[bool]int{false: 1, true: 0}[form.listed]; len(ix.post.free) != want {
 			t.Fatalf("%s: %d free lists after the key emptied, want %d", form.name, len(ix.post.free), want)
@@ -584,45 +587,40 @@ func TestIndexPostingTransitions(t *testing.T) {
 }
 
 // TestUniqueKeysAllocateNoPositions files and churns one row a key
-// through each form — a B+-tree's one NULL row and one row a rank among
+// through each form — a B+-tree's one NULL row and a code index's among
 // them — and demands that no form allocates positions or lists beyond
 // the fixed ones: only repeated keys pay for them.
 func TestUniqueKeysAllocateNoPositions(t *testing.T) {
 	const n = 3000
-	rank := func(s string) (int64, bool) {
-		var k int64
-		_, err := fmt.Sscanf(s, "r%d", &k)
-		return k, err == nil
-	}
 	for _, form := range []struct {
 		name string
 		ix   *index
 		key  func(i int) Value
 	}{
-		{"btree/INT", newIndex(0, IndexBTree, KindInt), func(i int) Value { return IntValue(int64(i)) }},
-		{"btree/STRING", newIndex(0, IndexBTree, KindString), func(i int) Value { return StringValue(fmt.Sprintf("r%d", i)) }},
-		{"hash/STRING", newIndex(0, IndexHash, KindString), func(i int) Value { return StringValue(fmt.Sprintf("r%d", i)) }},
-		{"rank", newRankIndex(0, n, rank, nil), func(i int) Value { return StringValue(fmt.Sprintf("r%d", i)) }},
+		{"btree/INT", newIndex(0, IndexBTree, KindInt, nil), func(i int) Value { return IntValue(int64(i)) }},
+		{"btree/STRING", newIndex(0, IndexBTree, KindString, nil), func(i int) Value { return StringValue(fmt.Sprintf("r%d", i)) }},
+		{"hash/INT", newIndex(0, IndexHash, KindInt, nil), func(i int) Value { return IntValue(int64(i)) }},
+		{"hash/STRING", newIndex(0, IndexHash, KindString, newDict()), func(i int) Value { return StringValue(fmt.Sprintf("r%d", i)) }},
 	} {
 		ix := form.ix
 		key := func(i int) Value {
-			if i == n/2 && form.name != "rank" {
+			if i == n/2 {
 				return NullValue()
 			}
 			return form.key(i)
 		}
 		for i := range n {
-			ix.insert(key(i), int64(i))
+			fileCell(ix, key(i), int64(i))
 		}
 		for i := 0; i < n; i += 3 { // a row retired and its slot refilled by the next generation
-			ix.remove(key(i), int64(i))
-			ix.insert(key(i), 1<<32|int64(i))
+			unfileCell(ix, key(i), int64(i))
+			fileCell(ix, key(i), 1<<32|int64(i))
 		}
 		if err := ix.check(); err != nil {
 			t.Fatalf("%s: %v", form.name, err)
 		}
-		fixed := map[bool]int{false: 1, true: n}[ix.rank != nil]
-		if ix.hash != nil {
+		fixed := 1
+		if ix.dict != nil {
 			fixed = 0
 		}
 		if ix.post.pos != nil || len(ix.post.lists) != fixed {
@@ -631,18 +629,12 @@ func TestUniqueKeysAllocateNoPositions(t *testing.T) {
 	}
 }
 
-// newRankIndex returns an empty rank index over column ci with ranks
-// [0, ranks), as CreateRankIndex builds one.
-func newRankIndex(ci, ranks int, rank func(string) (int64, bool), source any) *index {
-	return &index{column: ci, typ: IndexBTree, kind: KindInt, rank: rank, source: source, post: postings{lists: make([][]int64, ranks)}}
-}
-
-// TestBackfillSizesListsOnce pins what the backfill CreateIndex and
-// CreateRankIndex share: every stored row filed, retired ones included,
-// each under its key; each fixed list (a rank, the NULL list)
-// allocated once at its length; a hash table fitted to its distinct
-// hashes; an all-unique column with no positions; and every form's
-// postings consistent.
+// TestBackfillSizesListsOnce pins what CreateIndex's backfill does:
+// every stored row filed, retired ones included, each under its key;
+// each list that will not move (a code's, the NULL list) allocated once
+// at its length; a code index keyed by every code the dictionary had
+// and read by rank under a ranking; an all-unique column with no
+// positions; and every form's postings consistent.
 func TestBackfillSizesListsOnce(t *testing.T) {
 	const n, names = 4000, 50
 	db, err := Open("")
@@ -677,18 +669,18 @@ func TestBackfillSizesListsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.KeepAlive(view)
-	err = errors.Join(tb.CreateIndex("id", IndexBTree), tb.CreateIndex("name", IndexHash), tb.CreateIndex("score", IndexBTree),
-		tb.CreateRankIndex("name", testRanks, testRank, "testRank"))
+	rk := testRanking(db.dict)
+	err = errors.Join(tb.CreateIndex("id", IndexBTree), tb.CreateIndex("name", IndexHash), tb.CreateIndex("score", IndexBTree))
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, name, score, rank := tb.indexOn(tb.indexes, "id"), tb.indexOn(tb.indexes, "name"), tb.indexOn(tb.indexes, "score"), tb.indexOn(tb.ranks, "name")
-	for col, ix := range map[string]*index{"id": id, "name": name, "score": score, "rank": rank} {
+	id, name, score := tb.indexOn("id"), tb.indexOn("name"), tb.indexOn("score")
+	for col, ix := range map[string]*index{"id": id, "name": name, "score": score} {
 		if err := ix.check(); err != nil {
 			t.Errorf("%s: %v", col, err)
 		}
 		for m, list := range ix.post.lists {
-			if (ix.rank != nil || ix.hash == nil && m == nullList) && cap(list) != len(list) {
+			if (ix.dict != nil || m == nullList) && cap(list) != len(list) {
 				t.Errorf("%s: list %d holds %d IDs in room for %d", col, m, len(list), cap(list))
 			}
 		}
@@ -696,20 +688,21 @@ func TestBackfillSizesListsOnce(t *testing.T) {
 	if id.ints.keys != n || id.post.pos != nil {
 		t.Errorf("id: %d keys and %d positions, want %d and none", id.ints.keys, len(id.post.pos), n)
 	}
-	if got, want := len(name.hash.hashes), 128; name.hash.used != len(byName) || got != want {
-		t.Errorf("name: %d hashes in %d positions, want %d in %d", name.hash.used, got, len(byName), want)
+	if got, want := len(name.byCode), len(db.dict.table()); name.keys != len(byName) || got != want {
+		t.Errorf("name: %d codes hold rows of %d, want %d of %d", name.keys, got, len(byName), want)
 	}
 	for s, want := range byName {
-		got, _ := name.get(StringValue(s))
-		if !slices.Equal(sortedIDs(got), sortedIDs(want)) {
-			t.Fatalf("name %q: hash holds %v, want %v", s, got, want)
+		if got := name.get(StringValue(s)); !slices.Equal(sortedIDs(got), sortedIDs(want)) {
+			t.Fatalf("name %q: code holds %v, want %v", s, got, want)
 		}
-		k, ok := testRank(s)
-		if got, _ := rank.get(IntValue(k)); ok && !slices.Equal(sortedIDs(got), sortedIDs(want)) {
-			t.Fatalf("name %q: rank %d holds %v, want %v", s, k, got, want)
+		var k int
+		if _, err := fmt.Sscanf(s, "k%05d", &k); err == nil && (k/4)%9 != 4 {
+			if got := name.getKey(rk, IntValue(int64(k/4))); !slices.Equal(sortedIDs(got), sortedIDs(want)) {
+				t.Fatalf("name %q: rank %d holds %v, want %v", s, k/4, got, want)
+			}
 		}
 	}
-	if nulls, _ := score.get(NullValue()); len(nulls) != n/5 {
+	if nulls := score.get(NullValue()); len(nulls) != n/5 {
 		t.Errorf("score: %d NULL rows, want %d", len(nulls), n/5)
 	}
 }

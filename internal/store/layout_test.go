@@ -150,19 +150,21 @@ func TestBytesPerRow(t *testing.T) {
 	runtime.KeepAlive(tb)
 }
 
-// TestIndexBytesPerKey is the tier-1 guard on the index forms alone. One
-// row a key: a B+-tree over a dense INT column, loaded in key order as
+// TestIndexBytesPerKey is the tier-1 guard on the index forms. One row
+// a key: a B+-tree over a dense INT column, loaded in key order as
 // CreateIndex loads it, costs at most 20 bytes a key (8 of key, 8 of row
-// ID, the rest node headers and interior nodes), and a hash index over
-// 100 k unique strings at most 24 (a 16-byte entry at the load a
-// power-of-two table has there), neither allocating positions.
-// Repeated keys: a hash index over a STRING column with 60 rows a key,
-// filed row by row as commits file them, costs at most 15 bytes a row
-// (14.1 measured): 8.5 of row ID in its key's list, grown by an eighth
-// at a time (cap 64 for 60 rows), 5.2 of position (4, and the position
-// array's growth), the table's entries shared by 60 rows. The strings
-// themselves — the column's — are not counted. Each form must hand back
-// exactly the rows filed under a key.
+// ID, the rest node headers and interior nodes), allocating no
+// positions. A hash index over STRING codes its column, so its cases
+// count the column's codes, the dictionary and the index together, held
+// to what a string column (a 16-byte header a row) and the hash index
+// that preceded codes cost: 16 + 24 bytes a row over 100 k unique
+// strings (4 of code, a dictionary header and table slot, an inline
+// place a code), and 16 + 15 at 60 rows a key, filed row by row as
+// commits file them (4 of code, 8.5 of row ID in its key's list, grown
+// by an eighth at a time, 5.2 of position; the dictionary and the code's
+// place shared by 60 rows). The strings themselves, shared by column and
+// dictionary, are not counted. Each form must hand back exactly the rows
+// filed under a key.
 func TestIndexBytesPerKey(t *testing.T) {
 	const n, perKey = 100000, 60
 	names := make([]Value, n)
@@ -177,14 +179,23 @@ func TestIndexBytesPerKey(t *testing.T) {
 		max  float64
 	}{
 		{"btree over dense INT", IndexBTree, KindInt, func(i int) Value { return IntValue(int64(i)) }, 20},
-		{"hash over unique STRING", IndexHash, KindString, func(i int) Value { return names[i] }, 24},
-		{"hash over STRING, 60 rows a key", IndexHash, KindString, func(i int) Value { return names[i%(n/perKey)] }, 15},
+		{"hash over unique STRING", IndexHash, KindString, func(i int) Value { return names[i] }, 16 + 24},
+		{"hash over STRING, 60 rows a key", IndexHash, KindString, func(i int) Value { return names[i%(n/perKey)] }, 16 + 15},
 	} {
 		unique := c.key(0) != c.key(n/perKey)
 		before := liveHeap()
-		ix := newIndex(0, c.typ, c.kind)
+		var codes []int32 // a coded column's
+		ix := newIndex(0, c.typ, c.kind, newDict())
+		if ix.dict != nil {
+			codes = make([]int32, n)
+		}
 		for i := 0; i < n; i++ {
-			ix.insert(c.key(i), int64(i))
+			if ix.dict == nil {
+				ix.insert(c.key(i), int64(i))
+				continue
+			}
+			codes[i] = ix.dict.intern(c.key(i).S)
+			ix.addCode(codes[i], int64(i))
 		}
 		perRow := float64(liveHeap()-before) / n
 		t.Logf("%s: %.1f B a row", c.name, perRow)
@@ -200,12 +211,12 @@ func TestIndexBytesPerKey(t *testing.T) {
 				want = append(want, int64(i))
 			}
 		}
-		ids, _ := ix.get(c.key(n / 2))
-		ids = slices.Clone(ids)
+		ids := slices.Clone(ix.get(c.key(n / 2)))
 		if slices.Sort(ids); !slices.Equal(ids, want) {
 			t.Fatalf("%s: key %d holds %v, want %v", c.name, n/2, ids, want)
 		}
 		runtime.KeepAlive(ix)
+		runtime.KeepAlive(codes)
 	}
 	runtime.KeepAlive(names)
 }
@@ -215,10 +226,12 @@ func vectorCaps(tb *Table) map[string]int {
 	caps := map[string]int{"begin": cap(tb.begin), "end": cap(tb.end), "gen": cap(tb.gen)}
 	for c, col := range tb.cols {
 		name := tb.schema.Columns[c].Name
-		switch col.Kind {
-		case KindInt, KindBool:
+		switch {
+		case col.Compute != nil:
+			caps[name+".codes"] = cap(tb.codes[c])
+		case col.Kind == KindInt || col.Kind == KindBool:
 			caps[name+".Int"] = cap(col.Int)
-		case KindFloat:
+		case col.Kind == KindFloat:
 			caps[name+".Float"] = cap(col.Float)
 		default:
 			caps[name+".Str"] = cap(col.Str)
@@ -233,7 +246,7 @@ func vectorCaps(tb *Table) map[string]int {
 // TestCommitLeavesNoSlack: one commit of n rows into an empty table
 // grows every storage vector once, to exactly n, a NULL column's Null
 // vector included, so a bulk load leaves no append slack; one-row
-// commits grow the vectors by append's rule, so 4 096 of them reallocate
+// commits grow the vectors by an eighth, so 4 096 of them reallocate
 // each vector a logarithmic number of times, not once a row.
 func TestCommitLeavesNoSlack(t *testing.T) {
 	const n = 1000

@@ -206,3 +206,99 @@ func TestSelectNeedsPin(t *testing.T) {
 		t.Fatalf("%d versions still pinned after the release", n)
 	}
 }
+
+// TestFillWhileDictionaryGrows is the same check for a coded column,
+// whose strings live in the DB's dictionary: a reader fills a pinned
+// selection of one table's coded column, and a Scan of it, while a
+// committer on another table codes thousands of new names into the
+// shared dictionary — growing its names array and its table many times
+// over — and, now and then, the read table's own rows, reallocating its
+// code vector. Every cell must read the pinned image's string.
+func TestFillWhileDictionaryGrows(t *testing.T) {
+	db, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	schema := MustSchema(Column{Name: "name", Kind: KindString}, Column{Name: "n", Kind: KindInt})
+	var tabs [2]*Table
+	for i, name := range []string{"read", "grow"} {
+		if tabs[i], err = db.CreateTable(name, schema); err != nil {
+			t.Fatal(err)
+		}
+		if err := tabs[i].CreateIndex("name", IndexHash); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 500
+	rows := make([]Row, n)
+	for k := range rows {
+		rows[k] = Row{StringValue(fmt.Sprintf("read-%d", k%97)), IntValue(int64(k))}
+		if k%11 == 0 {
+			rows[k][0] = NullValue()
+		}
+	}
+	if err := db.CommitDeltas([]TableDelta{{Table: "read", Inserts: rows}}); err != nil {
+		t.Fatal(err)
+	}
+	snap := db.PinSnapshot()
+	defer snap.Release()
+	view, err := snap.View("read")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, _, err := view.Select(context.Background(), Access{Cols: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		<-start
+		for b := 0; b < 40; b++ {
+			batch := make([]Row, 100)
+			for k := range batch {
+				batch[k] = Row{StringValue(fmt.Sprintf("grow-%d-%d", b, k)), IntValue(int64(k))}
+			}
+			deltas := []TableDelta{{Table: "grow", Inserts: batch}}
+			if b%8 == 0 { // the read table's own code vector grows too
+				more := make([]Row, 2*n)
+				for k := range more {
+					more[k] = Row{StringValue(fmt.Sprintf("later-%d", k%7)), IntValue(int64(n + k))}
+				}
+				deltas = append(deltas, TableDelta{Table: "read", Inserts: more})
+			}
+			if err := db.CommitDeltas(deltas); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	close(start)
+	var batch ColBatch
+	for finished := false; !finished; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished = true
+		default:
+		}
+		sel.Fill(&batch, 0, len(sel.Slots))
+		for k, r := range RowsFromColBatch(&batch) {
+			if want := rows[r[1].I][0]; r[0].K != want.K || r[0].S != want.S {
+				t.Fatalf("cell %d reads %v, pinned %v", k, r[0], want)
+			}
+		}
+		view.Scan(func(_ int64, r Row) bool {
+			if want := rows[r[1].I][0]; r[0].K != want.K || r[0].S != want.S {
+				t.Fatalf("scan reads %v, pinned %v", r[0], want)
+			}
+			return true
+		})
+	}
+	if got := db.dict.n; got < 4000 {
+		t.Fatalf("the dictionary holds %d codes, want the grown table's 4 000 and more", got)
+	}
+}

@@ -23,22 +23,26 @@ const verMax = math.MaxInt64
 // that keeps the event past the call keeps Detach's copy instead. (When
 // the WAL logs the commit, the event reads the rows' log copies.) Hooks
 // run synchronously inside the commit critical section, so events
-// arrive in strict per-table version order.
+// arrive in strict per-table version order. During the call Code reads
+// a coded column's cells as codes, in place.
 type CommitEvent struct {
 	Table    string
 	Version  int64
 	Inserted []Row
 
-	// t is set while the retired rows are read in place, from the slots
-	// deleteIDs name; otherwise deleted holds copies of them.
+	// t is the table until Detach: the slots of the retired rows
+	// (deleteIDs) and of the inserted ones (inserted) are read in place.
+	// deleted, when set, holds copies of the retired rows to read
+	// instead.
 	t         *Table
 	deleteIDs []int64
+	inserted  []int32
 	deleted   []Row
 }
 
 // NumDeleted returns how many rows the batch retired.
 func (ev CommitEvent) NumDeleted() int {
-	if ev.t == nil {
+	if ev.deleted != nil {
 		return len(ev.deleted)
 	}
 	return len(ev.deleteIDs)
@@ -46,10 +50,27 @@ func (ev CommitEvent) NumDeleted() int {
 
 // DeletedCell returns column col of the i-th retired row.
 func (ev CommitEvent) DeletedCell(i, col int) Value {
-	if ev.t == nil {
+	if ev.deleted != nil {
 		return ev.deleted[i][col]
 	}
-	return ev.t.cols[col].stored(int(uint32(ev.deleteIDs[i])))
+	var v Value
+	ev.t.loadCell(&v, col, int(uint32(ev.deleteIDs[i])))
+	return v
+}
+
+// Code returns the dictionary code of column col's cell in the i-th
+// inserted row or, with deleted set, the i-th retired row: an array
+// read, nullCode (0, no string's) for NULL. ok is false when the column
+// is not coded or the event is detached; the cell is then read as a
+// Value (Inserted, DeletedCell).
+func (ev CommitEvent) Code(col, i int, deleted bool) (c int32, ok bool) {
+	if ev.t == nil || ev.t.codes[col] == nil {
+		return 0, false
+	}
+	if deleted {
+		return ev.t.codes[col][uint32(ev.deleteIDs[i])], true
+	}
+	return ev.t.codes[col][ev.inserted[i]], true
 }
 
 // Detach returns the event with its retired rows copied out of storage,
@@ -59,9 +80,13 @@ func (ev CommitEvent) Detach() CommitEvent {
 	if ev.t == nil {
 		return ev
 	}
-	sl, rows := newSlab(ev.t.cols, len(ev.deleteIDs)), make([]Row, len(ev.deleteIDs))
-	for i, id := range ev.deleteIDs {
-		rows[i] = sl.row(int(uint32(id)))
+	rows := ev.deleted
+	if rows == nil {
+		sl := newSlab(ev.t, len(ev.deleteIDs))
+		rows = make([]Row, len(ev.deleteIDs))
+		for i, id := range ev.deleteIDs {
+			rows[i] = sl.row(int(uint32(id)))
+		}
 	}
 	return CommitEvent{Table: ev.Table, Version: ev.Version, Inserted: ev.Inserted, deleted: rows}
 }
@@ -91,19 +116,24 @@ type Table struct {
 	name   string
 	schema *Schema
 
-	mu      sync.RWMutex
-	cols    []Col   // one vector per schema column, indexed by slot; Null is nil until the column holds a NULL
-	begin   []int64 // per slot: commit version that wrote the row
-	end     []int64 // per slot: verMax while live, the deleting version once dead, 0 when free
-	gen     []uint32
-	free    []int32
-	dying   []int32       // slots holding a retired row: the GC work list
-	indexes []*index      // secondary indexes, one a column at most, ordered by column name
-	ranks   []*index      // rank indexes, one a column at most (CreateRankIndex)
-	commit  int64         // last published commit version
-	live    int           // rows visible at commit
-	pins    map[int64]int // pinned commit version → refcount
-	gcFloor int64         // min pin the last GC sweep ran against
+	mu sync.RWMutex
+	// cols holds one vector per schema column, indexed by slot; Null is
+	// nil until the column holds a NULL. A coded column (hash-indexed
+	// STRING) holds its cells in codes instead, its Col a Compute.
+	cols     []Col
+	codes    [][]int32 // per column: a coded column's codes into dict by slot (never nil), else nil
+	dict     *dict     // the DB's, shared by its tables
+	begin    []int64   // per slot: commit version that wrote the row
+	end      []int64   // per slot: verMax while live, the deleting version once dead, 0 when free
+	gen      []uint32
+	free     []int32
+	dying    []int32       // slots holding a retired row: the GC work list
+	indexes  []*index      // secondary indexes, one a column at most, ordered by column name
+	inserted []int32       // the slots the commit being applied filled, for its CommitEvent
+	commit   int64         // last published commit version
+	live     int           // rows visible at commit
+	pins     map[int64]int // pinned commit version → refcount
+	gcFloor  int64         // min pin the last GC sweep ran against
 	// onCommit, when set, receives one CommitEvent per committed
 	// mutation batch, invoked under mu (see CommitEvent).
 	onCommit func(CommitEvent)
@@ -113,12 +143,14 @@ type Table struct {
 	img *frozenImage
 }
 
-// NewTable creates an empty table.
-func NewTable(name string, schema *Schema) *Table {
+// newTable creates an empty table coding its columns into d.
+func newTable(name string, schema *Schema, d *dict) *Table {
 	t := &Table{
 		name:   name,
 		schema: schema,
 		cols:   make([]Col, len(schema.Columns)),
+		codes:  make([][]int32, len(schema.Columns)),
+		dict:   d,
 		pins:   make(map[int64]int),
 	}
 	for c, col := range schema.Columns {
@@ -177,10 +209,12 @@ func (t *Table) extendLocked(n, add int) {
 	t.begin, t.end, t.gen = extend(t.begin, n, add), extend(t.end, n, add), extend(t.gen, n, add)
 	for c := range t.cols {
 		col := &t.cols[c]
-		switch col.Kind {
-		case KindInt, KindBool:
+		switch {
+		case t.codes[c] != nil:
+			t.setCodes(c, extend(t.codes[c], n, add))
+		case col.Kind == KindInt || col.Kind == KindBool:
 			col.Int = extend(col.Int, n, add)
-		case KindFloat:
+		case col.Kind == KindFloat:
 			col.Float = extend(col.Float, n, add)
 		default:
 			col.Str = extend(col.Str, n, add)
@@ -192,16 +226,28 @@ func (t *Table) extendLocked(n, add int) {
 }
 
 // extend returns s with room for n more elements and add zeroed ones
-// appended (no vector is ever cut, so spare capacity is zero). Room past
-// double the capacity is allocated exactly, not rounded to a size class;
-// less grows by append's rule, so one-row commits stay amortised.
+// appended (no vector is ever cut, so spare capacity is zero). A vector
+// short of room grows as a postings list does, by an eighth (and at
+// least 64 slots), or exactly to the room asked for when that is more,
+// not rounded to a size class: a churn commit that frees as many slots
+// as it fills, but fills before it frees, costs an eighth of the table
+// once, and one-row commits stay amortised.
 func extend[E any](s []E, n, add int) []E {
-	if len(s)+n > 2*cap(s) {
-		s = append(make([]E, 0, len(s)+n), s...)
-	} else {
-		s = slices.Grow(s, n)
+	if need := len(s) + n; need > cap(s) {
+		s = append(make([]E, 0, max(need, len(s)+len(s)/8+64)), s...)
 	}
 	return s[:len(s)+add]
+}
+
+// setCodes installs vec as coded column c's codes and, when its array
+// is a new one, a Compute reading it. A Selection captures the Compute
+// with the column, as it captures a vector's header: the array it reads
+// is never moved, and slots a pinned view can see are never rewritten.
+func (t *Table) setCodes(c int, vec []int32) {
+	if old := t.codes[c]; old == nil || cap(old) != cap(vec) {
+		t.cols[c].Compute = t.dict.decoder(vec[:cap(vec)])
+	}
+	t.codes[c] = vec
 }
 
 // putLocked writes r into slot s as the version beginning at v and
@@ -215,10 +261,15 @@ func (t *Table) putLocked(s int, v int64, r Row) int64 {
 		if col.Null != nil {
 			col.Null[s] = cell.K == KindNull
 		}
-		switch col.Kind {
-		case KindInt, KindBool:
+		switch {
+		case t.codes[c] != nil:
+			t.codes[c][s] = nullCode
+			if cell.K == KindString {
+				t.codes[c][s] = t.dict.intern(cell.S)
+			}
+		case col.Kind == KindInt || col.Kind == KindBool:
 			col.Int[s] = cell.I
-		case KindFloat:
+		case col.Kind == KindFloat:
 			col.Float[s] = cell.F
 		default:
 			col.Str[s] = cell.S
@@ -228,14 +279,17 @@ func (t *Table) putLocked(s int, v int64, r Row) int64 {
 	return t.idOf(s)
 }
 
-// insertLocked stores r in a fresh slot as of version v and indexes it.
+// insertLocked stores r in a fresh slot as of version v and indexes it:
+// a code index by the code the slot now holds.
 func (t *Table) insertLocked(v int64, r Row) int64 {
-	id := t.putLocked(t.allocSlot(), v, r)
+	s := t.allocSlot()
+	id := t.putLocked(s, v, r)
 	for _, idx := range t.indexes {
-		idx.insert(r[idx.column], id)
-	}
-	for _, idx := range t.ranks {
-		idx.insert(r[idx.column], id)
+		if idx.dict != nil {
+			idx.addCode(t.codes[idx.column][s], id)
+		} else {
+			idx.insert(r[idx.column], id)
+		}
 	}
 	t.live++
 	return id
@@ -259,29 +313,49 @@ func (t *Table) liveSlot(id int64) (int, bool) {
 	return s, id >= 0 && s < len(t.end) && t.gen[s] == uint32(id>>32) && t.end[s] == verMax
 }
 
-// stored reconstructs cell i of a storage vector.
+// stored reconstructs cell i of a vector.
 func (c *Col) stored(i int) (v Value) {
 	c.loadCell(&v, i)
 	return v
+}
+
+// loadCell writes column c's cell in slot s over *v, as Col.loadCell
+// does, decoding a coded column's code to the dictionary's string.
+func (t *Table) loadCell(v *Value, c, s int) {
+	if col := &t.cols[c]; t.codes[c] == nil || col.Null != nil && col.Null[s] {
+		col.loadCell(v, s)
+	} else {
+		v.K, v.S = KindString, t.dict.table()[t.codes[c][s]]
+	}
+}
+
+// loadRow refreshes the schema-wide row dst with slot s's cells, as
+// loadCell loads each, decoding through names (the dictionary's table,
+// read once by a caller loading many rows). Each dst cell must be zero
+// or an earlier load of the same column, so only its kind and payload
+// are written.
+func (t *Table) loadRow(names []string, dst Row, s int) {
+	cols, codes := t.cols, t.codes
+	for c := range cols {
+		switch col := &cols[c]; {
+		case codes[c] == nil:
+			col.loadCell(&dst[c], s)
+		case col.Null != nil && col.Null[s]:
+			dst[c] = Value{}
+		default:
+			dst[c].K, dst[c].S = KindString, names[codes[c][s]]
+		}
+	}
 }
 
 // visible reports whether slot s holds a row visible at commit version
 // ver.
 func (t *Table) visible(s int, ver int64) bool { return t.begin[s] <= ver && ver < t.end[s] }
 
-// loadRow refreshes the schema-wide row dst with slot s's cells in the
-// vectors cols. Each dst cell must be zero or an earlier load of the
-// same column, so only its kind and payload are written.
-func loadRow(cols []Col, dst Row, s int) {
-	for c := range cols {
-		cols[c].loadCell(&dst[c], s)
-	}
-}
-
 // loadCell writes cell i of a vector over *v, which must be zero or an
-// earlier cell of the same vector. It reads a stored table's storage and
-// batches, never a computed column: a frozen image is read through
-// Selection.Fill (scanRows).
+// earlier cell of the same vector. It reads batches and a stored table's
+// vectors, never a computed column: a frozen image is read through
+// Selection.Fill (scanRows), a coded column through Table.loadCell.
 func (c *Col) loadCell(v *Value, i int) {
 	switch {
 	case c.Null != nil && c.Null[i]:
@@ -295,33 +369,35 @@ func (c *Col) loadCell(v *Value, i int) {
 	}
 }
 
-// slab cuts rows materialised from the storage vectors cols out of
-// shared allocations: n rows in the first, further chunks only if the
-// caller undercounted.
+// slab cuts rows materialised from table t's storage out of shared
+// allocations: n rows in the first, further chunks only if the caller
+// undercounted.
 type slab struct {
-	cols  []Col
+	t     *Table
 	cells []Value
 }
 
-func newSlab(cols []Col, n int) *slab {
-	return &slab{cols: cols, cells: make([]Value, n*len(cols))}
+func newSlab(t *Table, n int) *slab {
+	return &slab{t: t, cells: make([]Value, n*len(t.cols))}
 }
 
 // row materialises the row in slot s.
 func (sl *slab) row(s int) Row {
-	w := len(sl.cols)
+	w := len(sl.t.cols)
 	if len(sl.cells) < w {
 		sl.cells = make([]Value, 256*w)
 	}
 	r := sl.cells[:w:w]
 	sl.cells = sl.cells[w:]
-	loadRow(sl.cols, r, s)
+	sl.t.loadRow(sl.t.dict.table(), r, s)
 	return r
 }
 
 // CreateIndex builds a secondary index over the named column and
 // backfills it (see backfill). Creating an index that already exists
-// with the same type is a no-op.
+// with the same type is a no-op. A hash index over a STRING column codes
+// the column first: its cells become codes into the DB's dictionary
+// (see dict), which reads decode.
 func (t *Table) CreateIndex(column string, typ IndexType) error {
 	ci := t.schema.ColumnIndex(column)
 	if ci < 0 {
@@ -332,13 +408,16 @@ func (t *Table) CreateIndex(column string, typ IndexType) error {
 	if t.img != nil {
 		return fmt.Errorf("store: table %s is frozen and takes no index", t.name)
 	}
-	if existing := t.indexOn(t.indexes, column); existing != nil {
+	if existing := t.indexOn(column); existing != nil {
 		if existing.typ == typ {
 			return nil
 		}
 		return fmt.Errorf("store: column %q already indexed as %v", column, existing.typ)
 	}
-	idx := newIndex(ci, typ, t.cols[ci].Kind)
+	idx := newIndex(ci, typ, t.cols[ci].Kind, t.dict)
+	if idx.dict != nil {
+		t.codeColumnLocked(ci)
+	}
 	t.backfill(idx)
 	t.indexes = append(t.indexes, idx)
 	slices.SortFunc(t.indexes, func(a, b *index) int {
@@ -347,10 +426,10 @@ func (t *Table) CreateIndex(column string, typ IndexType) error {
 	return nil
 }
 
-// indexOn returns the index in list (t.indexes or t.ranks) on column,
-// or nil. A table has a few indexes at most, so a scan is the lookup.
-func (t *Table) indexOn(list []*index, column string) *index {
-	for _, ix := range list {
+// indexOn returns the index on column, or nil. A table has a few
+// indexes at most, so a scan is the lookup.
+func (t *Table) indexOn(column string) *index {
+	for _, ix := range t.indexes {
 		if t.schema.Columns[ix.column].Name == column {
 			return ix
 		}
@@ -358,85 +437,104 @@ func (t *Table) indexOn(list []*index, column string) *index {
 	return nil
 }
 
-// CreateRankIndex builds a rank index over the STRING column: it walks
-// the rows whose rank(cell) lies in a range, in rank order, for an
-// Access with Rank set. rank maps a cell to [0, ranks); a NULL cell, or
-// one it does not map, has no posting. It is backfilled as CreateIndex's
-// are, and commits and GC keep it like any other. It lives in this
-// process only: no checkpoint or log records it, and Indexes omits it.
-// source, comparable, names what rank derives from: RankedBy reports
-// it, and an Access reads the index only by naming it. A rank index
-// from the same source is kept, one from another replaced.
-func (t *Table) CreateRankIndex(column string, ranks int, rank func(string) (int64, bool), source any) error {
-	ci := t.schema.ColumnIndex(column)
-	if ci < 0 || t.schema.Columns[ci].Kind != KindString {
-		return fmt.Errorf("store: table %s has no STRING column %q to rank", t.name, column)
+// codeColumnLocked turns STRING column ci's vector into codes, one a
+// slot at the vector's capacity (a free slot and a NULL cell hold
+// nullCode). A Selection that captured the string vector keeps reading
+// it: nothing writes it again.
+func (t *Table) codeColumnLocked(ci int) {
+	col := &t.cols[ci]
+	codes := make([]int32, len(col.Str), cap(col.Str))
+	for s, str := range col.Str {
+		if t.end[s] != 0 && (col.Null == nil || !col.Null[s]) {
+			codes[s] = t.dict.intern(str)
+		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.img != nil {
-		return fmt.Errorf("store: table %s is frozen and takes no index", t.name)
-	}
-	if old := t.indexOn(t.ranks, column); old != nil && old.source == source {
-		return nil
-	}
-	ix := &index{column: ci, typ: IndexBTree, kind: KindInt, rank: rank, source: source, post: postings{lists: make([][]int64, ranks)}}
-	t.backfill(ix)
-	t.ranks = append(slices.DeleteFunc(t.ranks, func(old *index) bool { return old.column == ci }), ix)
-	return nil
+	col.Str = nil
+	t.setCodes(ci, codes)
 }
 
 // backfill files every stored row into the empty index ix, retired ones
 // awaiting GC included (a pinned snapshot may still read them), in slot
 // order, a B+-tree's in key order so that every leaf fills. The rows of
-// each fixed list (a rank, the NULL list) are counted first, so that
-// each is allocated once at its length; a key's list grows as commits
-// grow it. While the rows are filed, a hash table has room for every
-// row and the positions room for every slot; then the table is fitted
-// to its distinct hashes, and positions no key needed are dropped.
+// each list that will not move (a code's, the NULL list) are counted
+// first — a code index's in one pass over its codes — so that each is
+// allocated once at its length; a B+-tree key's list grows as commits
+// grow it. While the rows are filed the positions have room for every
+// slot; positions no list needed are then dropped.
 func (t *Table) backfill(ix *index) {
+	ix.post.pos = make([]int32, 0, len(t.end))
+	if ix.dict != nil {
+		t.backfillCodes(ix)
+	} else {
+		t.backfillTree(ix)
+	}
+	if len(ix.post.pos) == 0 {
+		ix.post.pos = nil
+	}
+}
+
+// backfillCodes fills a code index: a code held by one row keeps it
+// inline, a code held by more gets a list of exactly their number.
+func (t *Table) backfillCodes(ix *index) {
+	codes := t.codes[ix.column]
+	counts := make([]int32, len(t.dict.table())) // every code handed out, and more
+	for s, c := range codes {
+		if t.end[s] != 0 {
+			counts[c]++
+		}
+	}
+	ix.byCode = make([]int64, len(counts))
+	for c, n := range counts {
+		ix.byCode[c] = noRows
+		if n > 1 {
+			ix.byCode[c] = ^int64(len(ix.post.lists))
+			ix.post.lists = append(ix.post.lists, make([]int64, 0, n))
+		}
+		if n > 0 && c != nullCode {
+			ix.keys++
+		}
+	}
+	for s, c := range codes {
+		switch at := &ix.byCode[c]; {
+		case t.end[s] == 0:
+		case *at == noRows:
+			*at = t.idOf(s)
+		default:
+			ix.post.add(int32(^*at), t.idOf(s))
+		}
+	}
+}
+
+// backfillTree fills a B+-tree, its NULL list sized first. No hash
+// index codes its column, so the cells are read from its vector.
+func (t *Table) backfillTree(ix *index) {
 	col := &t.cols[ix.column]
 	slots := make([]int32, 0, len(t.end)-len(t.free))
-	sizes := make([]int, len(ix.post.lists))
+	nulls := 0
 	for s := range t.end {
 		if t.end[s] == 0 {
 			continue
 		}
 		slots = append(slots, int32(s))
-		if len(sizes) == 0 {
-			continue
-		}
-		if m, ok := ix.fixedList(col.stored(s)); ok {
-			sizes[m]++
+		if col.Null != nil && col.Null[s] {
+			nulls++
 		}
 	}
-	for m, n := range sizes {
-		ix.post.lists[m] = make([]int64, 0, n)
-	}
-	if ix.typ == IndexBTree && ix.rank == nil {
-		slices.SortFunc(slots, func(a, b int32) int { return Compare(col.stored(int(a)), col.stored(int(b))) })
-	}
-	if ix.hash != nil {
-		ix.hash.fit(len(slots))
-	}
-	ix.post.pos = make([]int32, 0, len(t.end))
+	ix.post.lists[nullList] = make([]int64, 0, nulls)
+	slices.SortFunc(slots, func(a, b int32) int { return Compare(col.stored(int(a)), col.stored(int(b))) })
 	for _, s := range slots {
 		ix.insert(col.stored(int(s)), t.idOf(int(s)))
 	}
-	if len(ix.post.pos) == 0 {
-		ix.post.pos = nil
-	}
-	if ix.hash != nil {
-		ix.hash.fit(ix.hash.used)
-	}
 }
 
-// RankedBy reports whether column has a rank index derived from source.
+// RankedBy reports whether column is coded and the DB's ranking was
+// published from source (DB.PublishRanks): an Access naming source reads
+// it by rank.
 func (t *Table) RankedBy(column string, source any) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ix := t.indexOn(t.ranks, column)
-	return ix != nil && ix.source == source
+	ix := t.indexOn(column)
+	return ix != nil && ix.dict != nil && t.dict.ranking(source) != nil
 }
 
 // IndexSpec describes one secondary index for introspection.
@@ -471,7 +569,7 @@ func (t *Table) HasIndex(column string) (IndexType, bool) {
 		}
 		return 0, false
 	}
-	idx := t.indexOn(t.indexes, column)
+	idx := t.indexOn(column)
 	if idx == nil {
 		return 0, false
 	}
@@ -553,8 +651,9 @@ func scanRows(r reader, fn func(id int64, row Row) bool) {
 	cols := r.storage()
 	scratch := make(Row, len(cols))
 	if r.img == nil {
+		names := r.t.dict.table()
 		_ = r.walk(nil, Access{}, func(s int) bool { // a pass without poll cannot fail
-			loadRow(cols, scratch, s)
+			r.t.loadRow(names, scratch, s)
 			return fn(r.t.idOf(s), scratch)
 		})
 		return
@@ -567,7 +666,10 @@ func scanRows(r reader, fn func(id int64, row Row) bool) {
 		}
 		sel.Fill(chunk, 0, len(sel.Slots))
 		for k := range chunk.Rows {
-			if loadRow(chunk.Cols, scratch, k); !fn(int64(lo+k), scratch) {
+			for c := range chunk.Cols {
+				chunk.Cols[c].loadCell(&scratch[c], k)
+			}
+			if !fn(int64(lo+k), scratch) {
 				return
 			}
 		}
@@ -591,9 +693,10 @@ type Access struct {
 	// Keys, when non-nil, are equality probes on Column: rows come out
 	// grouped by key in list order. Keys must be distinct.
 	Keys []Value
-	// Rank, when set, reads Column's rank index (CreateRankIndex)
-	// instead of its own, provided Rank is the source it was built from:
-	// Keys, Lo and Hi are then ranks.
+	// Rank, when set, reads coded Column's index by rank under the DB's
+	// ranking, provided Rank is the source it was published from
+	// (DB.PublishRanks): Keys, Lo and Hi are then ranks, and a rank's
+	// rows come out under it, in rank order.
 	Rank any
 	// Lo and Hi bound a range walk over Column (inclusive; nil is open),
 	// used when Keys is nil. Rows come out in key order, descending when
@@ -639,19 +742,22 @@ const pollEvery = 1024
 const acceptChunk = 32
 
 // indexFor returns the index that can serve the access, or nil: any
-// index answers key probes, only a B+-tree walks a range.
-func (t *Table) indexFor(a Access) *index {
-	if a.Rank != nil {
-		if ix := t.indexOn(t.ranks, a.Column); ix != nil && ix.source == a.Rank {
-			return ix
+// index answers key probes, only a B+-tree walks a range, and a code
+// index reads by rank under a ranking from a.Rank (returned with it).
+func (t *Table) indexFor(a Access) (*index, *ranking) {
+	idx := t.indexOn(a.Column)
+	switch {
+	case idx == nil:
+		return nil, nil
+	case a.Rank != nil:
+		if rk := t.dict.ranking(a.Rank); rk != nil && idx.dict != nil {
+			return idx, rk
 		}
-		return nil
+		return nil, nil
+	case a.Keys == nil && idx.typ != IndexBTree:
+		return nil, nil
 	}
-	idx := t.indexOn(t.indexes, a.Column)
-	if idx != nil && a.Keys == nil && idx.typ != IndexBTree {
-		return nil
-	}
-	return idx
+	return idx, nil
 }
 
 // unserved is the error for an access on a column no index serves: an
@@ -662,7 +768,7 @@ func unserved(table string, schema *Schema, a Access) error {
 		return fmt.Errorf("store: table %s has no column %q", table, a.Column)
 	}
 	if a.Rank != nil {
-		return fmt.Errorf("store: table %s has no rank index on column %s from %v", table, a.Column, a.Rank)
+		return fmt.Errorf("store: table %s has no coded column %s ranked by %v", table, a.Column, a.Rank)
 	}
 	if a.Keys == nil {
 		return fmt.Errorf("store: table %s has no B+-tree index on column %s to walk a range by", table, a.Column)
@@ -679,44 +785,37 @@ func (t *Table) walkLocked(poll func() error, ver int64, a Access, fn func(s int
 	if a.Column == "" {
 		return t.passLocked(poll, ver, fn)
 	}
-	idx := t.indexFor(a)
+	idx, rk := t.indexFor(a)
 	if idx == nil {
 		return unserved(t.name, t.schema, a)
 	}
-	ci := idx.column
 	var err error
 	visited := 0
-	// check, when set, is the probed key, to be compared with each
-	// candidate's stored cell (hash postings are shared by colliding
-	// values; a tree's are exact).
-	postings := func(ids []int64, check *Value) bool {
+	postings := func(ids []int64) bool {
 		for _, id := range ids {
 			if visited++; poll != nil && visited%pollEvery == 0 {
 				if err = poll(); err != nil {
 					return false
 				}
 			}
-			s := int(uint32(id))
-			if t.visible(s, ver) && (check == nil || Equal(t.cols[ci].stored(s), *check)) && !fn(s) {
+			if s := int(uint32(id)); t.visible(s, ver) && !fn(s) {
 				return false
 			}
 		}
 		return true
 	}
-	if a.Keys != nil {
-		for i := range a.Keys {
-			ids, exact := idx.get(a.Keys[i])
-			check := &a.Keys[i]
-			if exact {
-				check = nil
-			}
-			if !postings(ids, check) {
+	switch {
+	case a.Keys != nil:
+		for _, k := range a.Keys {
+			if !postings(idx.getKey(rk, k)) {
 				break
 			}
 		}
-		return err
+	case rk != nil:
+		idx.walkRanks(rk, a.Lo, a.Hi, a.Desc, postings)
+	default:
+		idx.walk(a.Lo, a.Hi, a.Desc, postings)
 	}
-	idx.walk(a.Lo, a.Hi, a.Desc, func(ids []int64) bool { return postings(ids, nil) })
 	return err
 }
 
@@ -795,7 +894,7 @@ func (t *Table) CountPostings(a Access, max int) int {
 
 // DistinctKeys returns how many distinct non-NULL keys the index on
 // column holds, in O(1) — retired rows awaiting GC still hold theirs,
-// and a hash index counts distinct hashes; ok is false when no index
+// a hash index its distinct codes; ok is false when no index
 // covers the column. The planner reads a join key's fan-out from it.
 func (t *Table) DistinctKeys(column string) (n int, ok bool) {
 	t.mu.RLock()
@@ -803,7 +902,7 @@ func (t *Table) DistinctKeys(column string) (n int, ok bool) {
 	if t.img != nil {
 		return t.img.distinctKeys(column)
 	}
-	idx := t.indexOn(t.indexes, column)
+	idx := t.indexOn(column)
 	if idx == nil {
 		return 0, false
 	}
@@ -811,21 +910,23 @@ func (t *Table) DistinctKeys(column string) (n int, ok bool) {
 }
 
 func (t *Table) countPostingsLocked(a Access, max int) int {
-	idx := t.indexFor(a)
-	if idx == nil {
-		return len(t.end) - len(t.free)
-	}
+	idx, rk := t.indexFor(a)
 	n := 0
-	if a.Keys != nil {
+	switch {
+	case idx == nil:
+		return len(t.end) - len(t.free)
+	case a.Keys != nil:
 		for _, k := range a.Keys {
-			ids, _ := idx.get(k)
-			if n += len(ids); max > 0 && n > max {
+			if n += len(idx.getKey(rk, k)); max > 0 && n > max {
 				break
 			}
 		}
-		return n
+	case rk != nil:
+		idx.walkRanks(rk, a.Lo, a.Hi, false, func(ids []int64) bool { n += len(ids); return max <= 0 || n <= max })
+	default:
+		n = idx.count(a.Lo, a.Hi, max)
 	}
-	return idx.count(a.Lo, a.Hi, max)
+	return n
 }
 
 // capacity bounds the rows an access on r can emit — its posting count
@@ -891,7 +992,7 @@ func (t *Table) applyDeltaLocked(deleteIDs []int64, inserts []Row, wantDeleted b
 	v := t.commit + 1
 	var sl *slab
 	if wantDeleted && len(deleteIDs) > 0 {
-		deleted, sl = make([]Row, 0, len(deleteIDs)), newSlab(t.cols, len(deleteIDs))
+		deleted, sl = make([]Row, 0, len(deleteIDs)), newSlab(t, len(deleteIDs))
 	}
 	for _, id := range deleteIDs {
 		s, _ := t.liveSlot(id)
@@ -902,16 +1003,16 @@ func (t *Table) applyDeltaLocked(deleteIDs []int64, inserts []Row, wantDeleted b
 	}
 	last = -1
 	t.extendLocked(max(len(inserts)-len(t.free), 0), 0)
+	t.inserted = t.inserted[:0]
 	for _, r := range inserts {
 		last = t.insertLocked(v, r)
+		if t.onCommit != nil {
+			t.inserted = append(t.inserted, int32(uint32(last)))
+		}
 	}
 	t.commit = v
 	if t.onCommit != nil && (len(inserts) > 0 || len(deleteIDs) > 0) {
-		ev := CommitEvent{Table: t.name, Version: v, Inserted: inserts, deleted: deleted}
-		if deleted == nil {
-			ev.t, ev.deleteIDs = t, deleteIDs
-		}
-		t.onCommit(ev)
+		t.onCommit(CommitEvent{Table: t.name, Version: v, Inserted: inserts, t: t, deleteIDs: deleteIDs, inserted: t.inserted, deleted: deleted})
 	}
 	t.maybeGCLocked()
 	return deleted, last
@@ -958,7 +1059,8 @@ func (t *Table) findByValueLocked(r Row, taken map[int]struct{}) (int, bool) {
 			return false
 		}
 		for c := range t.cols {
-			if v := t.cols[c].stored(s); v.K != r[c].K || !Equal(v, r[c]) {
+			var v Value
+			if t.loadCell(&v, c, s); v.K != r[c].K || !Equal(v, r[c]) {
 				return false
 			}
 		}
@@ -974,7 +1076,7 @@ func (t *Table) findByValueLocked(r Row, taken map[int]struct{}) (int, bool) {
 	}
 	var cand []int64
 	for i, idx := range t.indexes {
-		if c, _ := idx.get(r[idx.column]); i == 0 || len(c) < len(cand) {
+		if c := idx.get(r[idx.column]); i == 0 || len(c) < len(cand) {
 			cand = c
 		}
 	}
@@ -1069,15 +1171,19 @@ func (t *Table) maybeGCLocked() {
 			continue
 		}
 		for _, idx := range t.indexes {
-			idx.remove(t.cols[idx.column].stored(s), t.idOf(s))
-		}
-		for _, idx := range t.ranks {
-			idx.remove(t.cols[idx.column].stored(s), t.idOf(s))
+			if idx.dict != nil {
+				idx.dropCode(t.codes[idx.column][s], t.idOf(s))
+			} else {
+				idx.remove(t.cols[idx.column].stored(s), t.idOf(s))
+			}
 		}
 		t.begin[s], t.end[s] = 0, 0
 		t.gen[s]++
 		for c := range t.cols {
-			if t.cols[c].Kind == KindString {
+			switch {
+			case t.codes[c] != nil:
+				t.codes[c][s] = nullCode
+			case t.cols[c].Kind == KindString:
 				t.cols[c].Str[s] = ""
 			}
 		}
