@@ -175,7 +175,8 @@ nm:
 
 # Storage- and operator-layer microbenchmarks with -benchmem: the
 # store's insert, lookup, range read, sequential pass and 512+512
-# delta commit, one posting's insert / probe / remove / range walk
+# delta commit, a 48 k-row scan of activities-shaped rows whose two
+# STRING columns are coded, one posting's insert / probe / remove / range walk
 # through each index form (a hash index over STRING is the code index:
 # the string coded through the DB's dictionary, its rows filed under the
 # code), the backfill of a code index and of a B+-tree over 48 k
@@ -184,10 +185,11 @@ nm:
 # a frozen INT column
 # held as int64, as int32 and as the dense column, and the query
 # layer's hashing operators —
-# the hash join and the aggregate, serial and parallel, the flat table
-# under both (8 192 keys inserted / probed), the keyed probe, the
-# group-join and an aggregate folded straight from storage over 8.6 k
-# index-selected rows at one and two workers — and parsing of the six
+# the hash join, serial and with its probe at one, two and GOMAXPROCS
+# workers, the aggregate, the flat table under both (8 192 keys
+# inserted / probed), the keyed probe, the group-join and an aggregate
+# folded straight from storage over 8.6 k index-selected rows — and
+# parsing of the six
 # analytics shapes, one a op, the subtree
 # overlay's share of a 512 + 512-row commit, served-path planning
 # (BuildLogical + Optimize) of the 18 analytics statements the core
@@ -213,9 +215,9 @@ nm:
 # go stale" record them.
 bench-micro:
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkCommitDelta512|BenchmarkIndex|BenchmarkFrozenFill' ./internal/store/
+		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkTableScan|BenchmarkCommitDelta512|BenchmarkIndex|BenchmarkFrozenFill' ./internal/store/
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkParallelAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan|BenchmarkParse$$' ./internal/query/
+		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan|BenchmarkParse$$' ./internal/query/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply|BenchmarkServedPlan|BenchmarkSubtreeAccess' ./internal/core/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkQueryReply|BenchmarkQueryRequest|BenchmarkOpenDelta|BenchmarkDecodeTreeDelta' ./internal/mobile/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkKmerDistances|BenchmarkNeighborJoining' ./internal/phylo/
@@ -253,9 +255,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNeighborJoining$$' -fuzztime 10s ./internal/phylo/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSMILES$$' -fuzztime 10s ./internal/chem/
 
-# The parallel-executor microbenchmarks (experiment T7): a residual
-# scan, a hash join and a grouped aggregate at 1, 2 and GOMAXPROCS
-# workers.
+# The parallel-executor microbenchmark (experiment T7): the hash join,
+# the one operator with a parallel path, its probe at 1, 2 and
+# GOMAXPROCS workers.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkParallel' -benchmem ./internal/query/...
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -27,9 +29,8 @@ import (
 // GC has swept every superseded row. The statement cache is off, so
 // every query truly executes.
 func TestConcurrentQueriesDuringResync(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.QueryOptions.Parallelism = 4 // force parallel operators even on 1 CPU
-	e, importer := buildEngineFrom(t, smallDataset(), cfg)
+	setProcs(t, 4) // hash-join probes on 4 workers even on 1 CPU
+	e, importer := buildEngineFrom(t, smallDataset(), DefaultConfig())
 	db, ctx := e.DB(), context.Background()
 
 	// Isolation probe: probeRows rows that always share one gen value.
@@ -174,24 +175,38 @@ func TestQueryCancellationThroughCore(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerialThroughCore runs T7's three operator classes
-// — a residual scan, a hash join and a grouped aggregate — and the
-// analysis layer's shapes on a serial core engine and a 4-worker query
-// engine sharing one database. The dataset holds about 3 200
-// activities, several executor batches, so every parallel operator
-// splits its input across workers. Plans must be byte-identical and the
-// rows one multiset, floats to 10 significant digits.
+// setProcs sets runtime.GOMAXPROCS to n until the test ends. An engine
+// runs a hash join's probe on GOMAXPROCS workers, read as each statement
+// starts, so this is how a test picks the worker count.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// identicalRows reports whether a and b hold the same rows in the same
+// order, cell for cell, floats bit for bit.
+func identicalRows(a, b []store.Row) bool {
+	return slices.EqualFunc(a, b, func(x, y store.Row) bool {
+		return slices.EqualFunc(x, y, func(v, w store.Value) bool {
+			return v.K == w.K && v.I == w.I && v.S == w.S && math.Float64bits(v.F) == math.Float64bits(w.F)
+		})
+	})
+}
+
+// TestParallelMatchesSerialThroughCore runs a residual scan, a hash
+// join, grouped aggregates and the analysis layer's shapes on a core
+// engine at GOMAXPROCS 1 and on a query engine over the same database
+// at GOMAXPROCS 4. The dataset holds about 3 200 activities, several
+// executor batches, so the join's probe splits across its workers.
+// Plans must be byte-identical and the rows too, in order and bit for
+// bit.
 func TestParallelMatchesSerialThroughCore(t *testing.T) {
 	gen := smallDataset()
 	gen.NumFamilies, gen.ProteinsPerFamily, gen.NumLigands = 4, 20, 80
 	serialCfg := DefaultConfig()
-	serialCfg.QueryOptions.Parallelism = 1
 	serialCfg.CacheBytes = 0
 	e, _ := buildEngineFrom(t, gen, serialCfg)
-
-	parallelOpts := query.DefaultOptions()
-	parallelOpts.Parallelism = 4
-	par := query.NewEngine(query.NewDBCatalog(e.DB(), e.Tree()), parallelOpts)
+	par := query.NewEngine(query.NewDBCatalog(e.DB(), e.Tree()), query.DefaultOptions())
 
 	queries := []string{
 		"SELECT protein_id, ligand_id, affinity FROM activities WHERE assay != 'x' AND ligand_id != 'LIG0000'",
@@ -202,11 +217,14 @@ func TestParallelMatchesSerialThroughCore(t *testing.T) {
 		 JOIN activities a ON p.accession = a.protein_id GROUP BY p.family`,
 		"SELECT COUNT(*) FROM tree_nodes WHERE is_leaf = TRUE",
 	}
+	setProcs(t, 1) // restores GOMAXPROCS when the test ends
 	for _, q := range queries {
+		runtime.GOMAXPROCS(1)
 		sres, err := e.Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("serial %q: %v", q, err)
 		}
+		runtime.GOMAXPROCS(4)
 		pres, err := par.Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("parallel %q: %v", q, err)
@@ -214,8 +232,8 @@ func TestParallelMatchesSerialThroughCore(t *testing.T) {
 		if sres.Plan != pres.Plan {
 			t.Fatalf("%q: plans diverge:\n%s\nvs\n%s", q, sres.Plan, pres.Plan)
 		}
-		if s, p := canonRows(sres.Rows), canonRows(pres.Rows); !slices.Equal(s, p) {
-			t.Fatalf("%q: serial and parallel rows differ (%d vs %d rows)", q, len(s), len(p))
+		if !identicalRows(sres.Rows, pres.Rows) {
+			t.Fatalf("%q: serial and parallel rows differ (%d vs %d rows)", q, len(sres.Rows), len(pres.Rows))
 		}
 	}
 }

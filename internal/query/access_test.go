@@ -92,14 +92,14 @@ func TestDifferentialBenchShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: reference: %v", sh.name, err)
 			}
-			naive, err := NewEngine(cat, naiveSerialOptions()).Query(context.Background(), sh.q)
+			naive, err := naiveSerialConfig().engine(cat).Query(context.Background(), sh.q)
 			if err != nil {
 				t.Fatalf("%s: naive: %v", sh.name, err)
 			}
 			results := map[string]*Result{"naive-serial": naive}
 			plan := ""
 			for i, c := range diffMatrix() {
-				got, err := NewEngine(cat, c.opts).Query(context.Background(), sh.q)
+				got, err := c.engine(cat).Query(context.Background(), sh.q)
 				if err != nil {
 					t.Fatalf("%s: %s: %v", sh.name, c.name, err)
 				}
@@ -222,7 +222,7 @@ func TestRangeColumnChoice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng := NewEngine(NewDBCatalog(db, nil), serialOptions())
+	eng := serialConfig().engine(NewDBCatalog(db, nil))
 	for _, c := range []struct{ where, path string }{
 		// a visits 11 postings, b 91.
 		{"a >= 10 AND a <= 20 AND b >= 5 AND b <= 95", "a in [10, 20]"},
@@ -251,7 +251,7 @@ func TestRangeColumnChoice(t *testing.T) {
 // give the same plan but for the filter's rendering — the join order,
 // build sides, probe paths and index ranges included.
 func TestMirroredComparisonsPlanAlike(t *testing.T) {
-	eng := NewEngine(testCatalog(t), serialOptions())
+	eng := serialConfig().engine(testCatalog(t))
 	const (
 		threeWay = "SELECT p.accession, l.weight FROM proteins p JOIN activities a ON p.accession = a.protein_id JOIN ligands l ON a.ligand_id = l.ligand_id WHERE "
 		twoWay   = "SELECT p.accession, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE "
@@ -357,11 +357,8 @@ func TestTopKPushdownShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", c.q, err)
 		}
-		for _, m := range append(diffMatrix(), struct {
-			name string
-			opts Options
-		}{"naive-serial", naiveSerialOptions()}) {
-			got, err := NewEngine(cat, m.opts).Query(context.Background(), c.q)
+		for _, m := range append(diffMatrix(), naiveSerialConfig()) {
+			got, err := m.engine(cat).Query(context.Background(), c.q)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", c.q, m.name, err)
 			}
@@ -436,15 +433,15 @@ func TestIndexWalksPollContext(t *testing.T) {
 		{"SELECT protein_id, affinity FROM activities WHERE affinity >= 0 AND ligand_id = 'none' ORDER BY affinity DESC LIMIT 5", "order=DESC limit=5"},
 		{"SELECT ligand_id, COUNT(*) FROM activities WHERE WITHIN_SUBTREE(protein_id, 'A') GROUP BY ligand_id", "IndexRangeScan activities (protein_id ∈ subtree A → rank ["},
 	} {
-		for _, opts := range []Options{serialOptions(), parallelOptions(diffParallelism)} {
-			eng := NewEngine(cat, opts)
+		for _, cfg := range diffMatrix() {
+			eng := cfg.engine(cat)
 			res, err := eng.Query(context.Background(), c.q)
 			if err != nil || !strings.Contains(res.Plan, c.path) {
 				t.Fatalf("%s: err %v, plan:\n%s", c.q, err, res.Plan)
 			}
 			_, err = eng.Query(&pollOnlyCtx{Context: context.Background()}, c.q)
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s (parallelism=%d): err = %v, want context.Canceled from the store walk", c.q, opts.Parallelism, err)
+				t.Fatalf("%s [%s]: err = %v, want context.Canceled from the store walk", c.q, cfg.name, err)
 			}
 		}
 	}
@@ -545,7 +542,7 @@ func checkAtSnapshot(cat Catalog, snap *store.SnapshotHandle) error {
 			return fmt.Errorf("%s: reference: %w", st.q, err)
 		}
 		for _, c := range diffMatrix() {
-			got, err := NewEngine(cat, c.opts).RunAt(ctx, stmt, snap)
+			got, err := c.engine(cat).RunAt(ctx, stmt, snap)
 			if err != nil {
 				return fmt.Errorf("%s [%s]: %w", st.q, c.name, err)
 			}

@@ -6,7 +6,7 @@ import (
 	"drugtree/internal/store"
 )
 
-// aggTable is one (partial or final) aggregation state: a grouping
+// aggTable is one aggregation state: a grouping
 // hashTab numbers the groups in first-seen order, and every aggregate
 // keeps its state as typed vectors indexed by that group id — nothing
 // is allocated per input row or per group beyond the vectors' growth.
@@ -226,72 +226,6 @@ func extremer(fn AggFunc, a *store.Col, i int, b *store.Col, j int) bool {
 		return c < 0
 	}
 	return c > 0
-}
-
-// merge folds another partial table into t by re-probing o's group keys
-// into t's table. Partials built over contiguous input chunks merged in
-// chunk order reproduce the global first-seen group order: every row of
-// chunk w precedes every row of chunk w+1 in the original input.
-func (t *aggTable) merge(o *aggTable) {
-	if o.n == 0 {
-		return
-	}
-	// to[g] is the group of t that o's group g lands in.
-	to := make([]int32, o.n)
-	if t.groups != nil {
-		keys := make([]*store.Col, len(o.groups.keys))
-		for c := range keys {
-			keys[c] = &o.groups.keys[c]
-		}
-		for g := range to {
-			to[g], _ = t.groups.insert(keys, g)
-		}
-		t.grow(t.groups.len())
-	} else {
-		t.grow(1)
-	}
-	for g, n := range o.stars {
-		t.stars[to[g]] += n
-	}
-	for i, a := range t.aggs {
-		if a.Star {
-			continue
-		}
-		s, os := &t.states[i], &o.states[i]
-		if d := t.distinct[i]; d != nil {
-			// Replay the other partial's distinct (group, value) pairs
-			// in first-seen order under t's group ids; pairs t has seen
-			// drop out.
-			od := o.distinct[i]
-			if od.len() == 0 {
-				continue
-			}
-			mapped := store.NewDenseCol(store.KindInt, od.len())
-			for e, g := range od.keys[0].Int {
-				mapped.SetInt(e, int64(to[g]))
-			}
-			keys := []*store.Col{mapped, &od.keys[1]}
-			var fsel []int
-			var fgid []int32
-			for e := 0; e < od.len(); e++ {
-				if _, added := d.insert(keys, e); added {
-					fsel, fgid = append(fsel, e), append(fgid, int32(mapped.Int[e]))
-				}
-			}
-			s.fold(a.Func, keys[1], fsel, fgid, t.n)
-			continue
-		}
-		for g, c := range os.count {
-			s.count[to[g]] += c
-		}
-		for g, x := range os.sum {
-			s.sum[to[g]] += x
-		}
-		if os.ext != nil {
-			// The partial's extremes are inputs like any other.
-			s.fold(a.Func, os.ext, identity(o.n), to, t.n)
-		}
-	}
 }
 
 // output renders the final one-row-per-group result — group keys, then

@@ -38,9 +38,7 @@ func TestCancelBeforeRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, para := range []int{1, 4} {
-		opts := DefaultOptions()
-		opts.Parallelism = para
-		_, err := NewEngine(cat, opts).Query(ctx, "SELECT * FROM proteins")
+		_, err := parallelConfig(para).engine(cat).Query(ctx, "SELECT * FROM proteins")
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("parallelism %d: err = %v, want context.Canceled", para, err)
 		}
@@ -76,9 +74,7 @@ func TestCancelMidQuery(t *testing.T) {
 	}
 	cat := datagenCatalog(t, 3)
 	for _, para := range []int{1, 4} {
-		opts := DefaultOptions()
-		opts.Parallelism = para
-		eng := NewEngine(cat, opts)
+		eng := parallelConfig(para).engine(cat)
 		for _, tc := range slowCancelQueries {
 			baseline := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
@@ -180,9 +176,7 @@ func TestCancelMidBatch(t *testing.T) {
 			WHERE affinity * 2.0 > 2.0 GROUP BY ligand_id`, "SeqScan", true},
 	} {
 		for _, para := range []int{1, 4} {
-			opts := DefaultOptions()
-			opts.Parallelism = para
-			eng := NewEngine(cat, opts)
+			eng := parallelConfig(para).engine(cat)
 			full, err := eng.Query(context.Background(), c.q)
 			if err != nil {
 				t.Fatal(err)
@@ -238,11 +232,9 @@ func TestCancelDeadline(t *testing.T) {
 		t.Skip("slow cancellation corpus")
 	}
 	cat := datagenCatalog(t, 3)
-	opts := DefaultOptions()
-	opts.Parallelism = 4
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := NewEngine(cat, opts).Query(ctx, slowCancelQueries[0].q)
+	_, err := parallelConfig(4).engine(cat).Query(ctx, slowCancelQueries[0].q)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,52 +20,49 @@ import (
 // serial, default serial, default parallel. Row counts must match and
 // result multisets must match; for ORDER BY queries the sort key
 // sequence must match (ties may legitimately permute whole rows).
-// Between the optimised configurations plans must match exactly:
-// parallel dispatch is not visible to the optimizer.
+// Between the optimised configurations plans must match exactly, and
+// rows too, in order and bit for bit: the join's worker count is
+// visible to neither the optimizer nor the answer.
 
-// diffParallelism is the worker count the parallel sides run with.
-// Forced above 1 explicitly so the harness exercises the parallel
-// operators even on single-core runners where GOMAXPROCS(0) == 1.
-const diffParallelism = 4
+// diffWorkers is how many workers the parallel side's hash-join probe
+// runs on. Forced above 1 explicitly so the harness exercises the
+// parallel probe even on single-core runners where GOMAXPROCS(0) == 1.
+const diffWorkers = 4
 
-func parallelOptions(n int) Options {
-	o := DefaultOptions()
-	o.Parallelism = n
-	return o
+// engineConfig is an engine the tests build: its optimizer options and
+// how many workers a hash join's probe runs on (0 means GOMAXPROCS).
+type engineConfig struct {
+	name    string
+	opts    Options
+	workers int
 }
 
-func serialOptions() Options {
-	o := DefaultOptions()
-	o.Parallelism = 1
-	return o
+// engine builds the configured engine over cat.
+func (c engineConfig) engine(cat Catalog) *Engine {
+	e := NewEngine(cat, c.opts)
+	e.joinWorkers = c.workers
+	return e
 }
 
-func naiveSerialOptions() Options {
-	o := NaiveOptions()
-	o.Parallelism = 1
-	return o
+func parallelConfig(n int) engineConfig {
+	return engineConfig{"default-parallel", DefaultOptions(), n}
 }
+
+func serialConfig() engineConfig { return engineConfig{"default-serial", DefaultOptions(), 1} }
+
+func naiveSerialConfig() engineConfig { return engineConfig{"naive-serial", NaiveOptions(), 1} }
 
 // diffMatrix lists the optimised engine configurations; every one
-// must render the same plan.
-func diffMatrix() []struct {
-	name string
-	opts Options
-} {
-	return []struct {
-		name string
-		opts Options
-	}{
-		{"default-serial", serialOptions()},
-		{"default-parallel", parallelOptions(diffParallelism)},
-	}
+// must render the same plan and the same rows.
+func diffMatrix() []engineConfig {
+	return []engineConfig{serialConfig(), parallelConfig(diffWorkers)}
 }
 
 // canonKey encodes a row for multiset comparison with floats rounded
-// to 10 significant digits. SUM/AVG associate additions differently
-// across chunk boundaries (and across access paths, whose row order
-// differs), so bit-exact float comparison is unsound; everything else
-// compares exactly.
+// to 10 significant digits. Access paths order rows differently from
+// the reference's nested loops, and SUM/AVG add in row order, so
+// bit-exact float comparison against the reference is unsound;
+// everything else compares exactly.
 func canonKey(r store.Row) string {
 	var b []byte
 	for _, v := range r {
@@ -119,34 +117,51 @@ func assertSameResult(t *testing.T, q string, ordered bool, want, got *Result) {
 	}
 }
 
+// assertIdentical fails unless got holds want's rows in want's order,
+// cell for cell, floats bit for bit.
+func assertIdentical(t *testing.T, q string, want, got []store.Row) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("query %q: %d rows, want %d", q, len(got), len(want))
+	}
+	for i := range want {
+		if !slices.EqualFunc(want[i], got[i], identicalValue) {
+			t.Fatalf("query %q: row %d is %v, want %v", q, i, got[i], want[i])
+		}
+	}
+}
+
 // runDifferential checks q on every configuration against the
-// reference executor and returns the optimised configurations' shared
-// plan.
+// reference executor and the optimised configurations against each
+// other, and returns their shared plan.
 func runDifferential(t *testing.T, cat Catalog, q string, ordered bool) string {
 	t.Helper()
 	want, err := refQuery(cat, q)
 	if err != nil {
 		t.Fatalf("query %q: reference: %v", q, err)
 	}
-	naive, err := NewEngine(cat, naiveSerialOptions()).Query(context.Background(), q)
+	naive, err := naiveSerialConfig().engine(cat).Query(context.Background(), q)
 	if err != nil {
 		t.Fatalf("query %q: naive-serial: %v", q, err)
 	}
 	assertSameResult(t, q+" [naive-serial]", ordered, want, naive)
-	plan := ""
+	var first *Result
 	for i, c := range diffMatrix() {
-		got, err := NewEngine(cat, c.opts).Query(context.Background(), q)
+		got, err := c.engine(cat).Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("query %q: %s: %v", q, c.name, err)
 		}
 		if i == 0 {
-			plan = got.Plan
-		} else if got.Plan != plan {
-			t.Fatalf("query %q: %s plan diverges\n%s:\n%s\n%s:\n%s", q, c.name, diffMatrix()[0].name, plan, c.name, got.Plan)
+			first = got
+		} else {
+			if got.Plan != first.Plan {
+				t.Fatalf("query %q: %s plan diverges\n%s:\n%s\n%s:\n%s", q, c.name, diffMatrix()[0].name, first.Plan, c.name, got.Plan)
+			}
+			assertIdentical(t, q+" ["+c.name+"]", first.Rows, got.Rows)
 		}
 		assertSameResult(t, q+" ["+c.name+"]", ordered, want, got)
 	}
-	return plan
+	return first.Plan
 }
 
 // differentialCorpus is a fixed corpus over testCatalog covering every
@@ -217,7 +232,7 @@ func TestDifferentialCorpus(t *testing.T) {
 	for _, c := range differentialCorpus {
 		runDifferential(t, cat, c.q, c.ordered)
 		for _, m := range diffMatrix() {
-			res := runQ(t, cat, m.opts, "EXPLAIN ANALYZE "+c.q)
+			res := mustQuery(t, m.engine(cat), "EXPLAIN ANALYZE "+c.q)
 			if line := batchless.FindString(res.Plan); line != "" {
 				t.Fatalf("query %q [%s]: rows without batches (%s):\n%s", c.q, m.name, line, res.Plan)
 			}
@@ -424,7 +439,7 @@ func TestDifferentialDatagen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := NewEngine(cat, serialOptions()).Run(context.Background(), stmt)
+		res, err := serialConfig().engine(cat).Run(context.Background(), stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,19 +465,6 @@ var foldShapes = []string{
 	 JOIN activities a ON p.accession = a.protein_id WHERE a.affinity * 2.0 > 3.0 GROUP BY p.family`,
 	"SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE affinity > 1000 GROUP BY ligand_id",
 	"SELECT COUNT(*), AVG(affinity), MIN(ligand_id) FROM activities WHERE affinity * 2.0 > 1000",
-}
-
-// TestParallelismDefaults pins the Options knob semantics the
-// experiments rely on: 0 means GOMAXPROCS, explicit values win.
-func TestParallelismDefaults(t *testing.T) {
-	var o Options
-	if got := o.EffectiveParallelism(); got < 1 {
-		t.Fatalf("EffectiveParallelism() = %d, want >= 1", got)
-	}
-	o.Parallelism = 3
-	if got := o.EffectiveParallelism(); got != 3 {
-		t.Fatalf("EffectiveParallelism() = %d, want 3", got)
-	}
 }
 
 // cladeOfSize names the first clade (in preorder) of the datagen tree

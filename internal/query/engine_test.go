@@ -32,7 +32,7 @@ func TestEveryOperatorEmitsBatches(t *testing.T) {
 	} {
 		line := regexp.MustCompile(`(?m)^\s*` + c.op + `\b.*\[rows=(\d+) batches=(\d+)`)
 		for _, m := range diffMatrix() {
-			res := runQ(t, cat, m.opts, "EXPLAIN ANALYZE "+c.q)
+			res := mustQuery(t, m.engine(cat), "EXPLAIN ANALYZE "+c.q)
 			got := line.FindStringSubmatch(res.Plan)
 			if got == nil || got[1] == "0" || got[2] == "0" {
 				t.Errorf("%s [%s]: operator emitted no batch:\n%s", c.op, m.name, res.Plan)
@@ -56,12 +56,12 @@ func TestPlainExplainExecutesNothing(t *testing.T) {
 		"SELECT d.g, COUNT(*), SUM(f.v) FROM dim d JOIN fact f ON d.k = f.k GROUP BY d.g",
 		"SELECT k, COUNT(*) FROM fact WHERE v BETWEEN 10 AND 20 GROUP BY k",
 	} {
-		for _, para := range []int{1, diffParallelism} {
-			res := runQ(t, cat, parallelOptions(para), "EXPLAIN "+q)
+		for _, para := range []int{1, diffWorkers} {
+			res := mustQuery(t, parallelConfig(para).engine(cat), "EXPLAIN "+q)
 			if s := res.Stats; s.RowsScanned != 0 || s.RowsIndexed != 0 || s.RowsJoined != 0 {
 				t.Fatalf("%s (parallelism %d): plain EXPLAIN scanned %d, indexed %d and joined %d rows", q, para, s.RowsScanned, s.RowsIndexed, s.RowsJoined)
 			}
-			analyzed := runQ(t, cat, parallelOptions(para), "EXPLAIN ANALYZE "+q)
+			analyzed := mustQuery(t, parallelConfig(para).engine(cat), "EXPLAIN ANALYZE "+q)
 			if got := annotation.ReplaceAllString(analyzed.Plan, ""); got != res.Plan {
 				t.Fatalf("%s (parallelism %d): EXPLAIN ANALYZE lines differ from EXPLAIN's:\n%s\nvs\n%s", q, para, analyzed.Plan, res.Plan)
 			}
@@ -96,7 +96,7 @@ func TestSortTiesKeepScanOrder(t *testing.T) {
 			t.Fatalf("%s: reference: %v", c.q, err)
 		}
 		for _, m := range diffMatrix() {
-			got := runQ(t, c.cat, m.opts, c.q)
+			got := mustQuery(t, m.engine(c.cat), c.q)
 			if !reflect.DeepEqual(got.Rows, want.Rows) {
 				t.Fatalf("%s [%s]: tie order differs from the stable sort of the scan order", c.q, m.name)
 			}
@@ -150,20 +150,19 @@ func TestEvalErrorsAgree(t *testing.T) {
 		if !strings.Contains(want.Error(), "NOT expects BOOL, got INT") {
 			t.Errorf("%s: reference error = %v, want row 0's", c.q, want)
 		}
-		if plan := runQ(t, cat, serialOptions(), "EXPLAIN "+c.q).Plan; !strings.Contains(plan, c.plan) {
+		if plan := mustQuery(t, serialConfig().engine(cat), "EXPLAIN "+c.q).Plan; !strings.Contains(plan, c.plan) {
 			t.Errorf("%s: plan lacks %q:\n%s", c.q, c.plan, plan)
 		}
 	}
 	// Over far, row 0 passes and only row 3 000 — in the third of five
-	// batches, in the second worker's chunk at four workers — fails. A
-	// LIMIT that row 0 satisfies must not hide the failure: a sequential
-	// scan's residual (and, without pushdown, a filter over the scan)
-	// runs over the whole table before anything above it reads a row, at
-	// every Parallelism, as the reference executor's does. The scan sits
-	// under the limit behind a projection that only passes its column on,
-	// and behind one that computes. Row 4 500, in the third worker's chunk,
-	// fails too, at NOT b, where the second worker's row 3 000 never gets:
-	// the first chunk's error must win, however the workers finish.
+	// batches — fails. A LIMIT that row 0 satisfies must not hide the
+	// failure: a sequential scan's residual (and, without pushdown, a
+	// filter over the scan) runs over the whole table before anything
+	// above it reads a row, as the reference executor's does. The scan
+	// sits under the limit behind a projection that only passes its
+	// column on, and behind one that computes. Row 4 500 fails too, at
+	// NOT b, where row 3 000 never gets: the first failing row's error
+	// must win.
 	far, err := cat.DB.CreateTable("far", store.MustSchema(
 		store.Column{Name: "pos", Kind: store.KindInt},
 		store.Column{Name: "name", Kind: store.KindString},
@@ -196,7 +195,7 @@ func TestEvalErrorsAgree(t *testing.T) {
 		if !strings.Contains(want.Error(), "cannot negate STRING") {
 			t.Errorf("%s: reference error = %v, want row 3 000's", c.q, want)
 		}
-		if plan := runQ(t, cat, serialOptions(), "EXPLAIN "+c.q).Plan; !strings.Contains(plan, c.plan) {
+		if plan := mustQuery(t, serialConfig().engine(cat), "EXPLAIN "+c.q).Plan; !strings.Contains(plan, c.plan) {
 			t.Errorf("%s: plan lacks %q:\n%s", c.q, c.plan, plan)
 		}
 	}
@@ -211,12 +210,9 @@ func assertEvalErrorAgrees(t *testing.T, cat Catalog, q string) error {
 	if want == nil || !strings.Contains(want.Error(), "query: ") {
 		t.Fatalf("%s: reference error = %v, want an evaluation error", q, want)
 	}
-	configs := append(diffMatrix(), struct {
-		name string
-		opts Options
-	}{"naive-serial", naiveSerialOptions()})
+	configs := append(diffMatrix(), naiveSerialConfig())
 	for _, m := range configs {
-		_, err := NewEngine(cat, m.opts).Query(context.Background(), q)
+		_, err := m.engine(cat).Query(context.Background(), q)
 		if err == nil || err.Error() != want.Error() {
 			t.Errorf("%s [%s]: err = %v, reference says %v", q, m.name, err, want)
 		}

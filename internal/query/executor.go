@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -32,6 +33,9 @@ type Result struct {
 type Engine struct {
 	cat  Catalog
 	opts Options
+	// joinWorkers is how many goroutines a hash join's probe runs on; 0
+	// means runtime.GOMAXPROCS(0). Only tests set it.
+	joinWorkers int
 }
 
 // NewEngine creates an engine. Use DefaultOptions for the optimized
@@ -45,6 +49,16 @@ func (e *Engine) Options() Options { return e.opts }
 
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() Catalog { return e.cat }
+
+// newExecCtx starts one statement's execution state over its pinned
+// snapshot.
+func (e *Engine) newExecCtx(ctx context.Context, snap *store.SnapshotHandle) *execCtx {
+	ec := &execCtx{ctx: ctx, cat: e.cat, snap: snap, opts: e.opts, stats: &ExecStats{}, joinWorkers: e.joinWorkers}
+	if ec.joinWorkers == 0 {
+		ec.joinWorkers = runtime.GOMAXPROCS(0)
+	}
+	return ec
+}
 
 // Query is the row adapter: it parses src, runs it, and returns the
 // answer as Rows (store.RowsFromColBatch of the Batch Run delivers) with
@@ -103,7 +117,7 @@ func (e *Engine) RunAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 		return nil, err
 	}
 	cols := outputColumns(optimized)
-	ec := &execCtx{ctx: ctx, cat: e.cat, snap: snap, opts: e.opts, stats: &ExecStats{}, para: e.opts.EffectiveParallelism()}
+	ec := e.newExecCtx(ctx, snap)
 	root, err := build(optimized, ec, 0)
 	if err != nil {
 		return nil, err

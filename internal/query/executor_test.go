@@ -169,7 +169,13 @@ func testCatalogWith(t *testing.T, withTreeNodes bool) *DBCatalog {
 
 func runQ(t *testing.T, cat Catalog, opts Options, src string) *Result {
 	t.Helper()
-	res, err := NewEngine(cat, opts).Query(context.Background(), src)
+	return mustQuery(t, NewEngine(cat, opts), src)
+}
+
+// mustQuery runs src on eng, failing the test on an error.
+func mustQuery(t *testing.T, eng *Engine, src string) *Result {
+	t.Helper()
+	res, err := eng.Query(context.Background(), src)
 	if err != nil {
 		t.Fatalf("Query(%q): %v", src, err)
 	}
@@ -212,7 +218,7 @@ func TestColumnarSinkAdoptsPlanVectors(t *testing.T) {
 			}
 		}
 		for _, m := range diffMatrix() {
-			res, err := NewEngine(cat, m.opts).RunAt(context.Background(), stmt, snap)
+			res, err := m.engine(cat).RunAt(context.Background(), stmt, snap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +239,7 @@ func TestColumnarSinkAdoptsPlanVectors(t *testing.T) {
 				t.Fatalf("%s [%s]: two result columns share one vector", c.q, m.name)
 			}
 		}
-		eng := NewEngine(cat, serialOptions())
+		eng := serialConfig().engine(cat)
 		const runs = 5
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

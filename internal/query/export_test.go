@@ -14,7 +14,6 @@ var (
 	DatagenCatalog   = datagenCatalog
 	CladeOfSize      = cladeOfSize
 	AssertSameResult = assertSameResult
-	SerialOptions    = serialOptions
 )
 
 // EngineCatalog is testCatalog without tree_nodes, for a core engine

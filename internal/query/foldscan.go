@@ -9,20 +9,18 @@ import "drugtree/internal/store"
 // (Selection.Fill). A sequential scan's residual runs once over the
 // whole selection (filterSelected), filling only the columns it reads.
 // Then either a fold consumes the scan — an aggregate, or a group-join's
-// probe — and each worker fills its rows' emitted columns a morsel at a
-// time into one buffer it reuses, since every row is folded once and
-// dropped (foldSelected); or the scan streams, and the surviving rows'
-// emitted columns are filled into one exactly sized batch (stream).
-// Either way the rows come in the vecBatchSize batches of the
-// selection, minus the rows the residual rejected, so batch counts,
-// chunks per worker, partial tables, their merge order and float sums
-// do not depend on who consumes the scan.
+// probe — and fills the rows' emitted columns a morsel at a time into
+// one buffer it reuses, since every row is folded once and dropped
+// (foldSelected); or the scan streams, and the surviving rows' emitted
+// columns are filled into one exactly sized batch (stream). Either way
+// the rows come in selection order, so groups, their first-seen order
+// and float sums do not depend on who consumes the scan.
 
 // foldMorsel is how many rows a fold copies out of storage at a time:
-// the rows of one worker's buffer. EXPERIMENTS "Folds that read
-// storage" measured 64 to 1024: the bytes fall with the buffer down to
-// 128, and 64 saves half a percent more at twice the morsels — twice
-// the calls, and the allocations of any argument computed per morsel.
+// the rows of its buffer. EXPERIMENTS "Folds that read storage"
+// measured 64 to 1024: the bytes fall with the buffer down to 128, and
+// 64 saves half a percent more at twice the morsels — twice the calls,
+// and the allocations of any argument computed per morsel.
 const foldMorsel = 128
 
 // selectRows runs the scan's read: it selects, runs a sequential
@@ -62,91 +60,77 @@ func (s *vecScan) stream() ([]*batch, error) {
 // then fold the surviving rows in morsels. The scan's counters come out
 // as streaming would leave them: rows examined in, one batch and its
 // rows out per non-empty batch.
-func (s *vecScan) foldSelected(op *OpStats, part func() (*aggTable, func(*batch) error)) (*aggTable, error) {
+func (s *vecScan) foldSelected(op *OpStats, fold func(*batch) error) error {
 	r, sel, batches, err := s.selectRows()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, b := range batches {
 		s.op.emitRows(b.hi - b.lo)
 	}
-	total := len(sel.Slots)
-	op.addIn(int64(total))
-	return foldChunks(r.ec, len(batches), total, part, func(c morselRange, fold func(*batch) error) error {
-		return r.foldSlots(sel, batches[c.lo].lo, batches[c.hi-1].hi, fold)
-	})
+	op.addIn(int64(len(sel.Slots)))
+	return r.foldSlots(sel, fold)
 }
 
 // filterSelected runs a sequential scan's residual over the selection
-// one batch at a time, the batches split into one contiguous chunk per
-// worker: each worker fills one batch-sized buffer with the columns the
-// residual reads and narrows its batches' slots to the rows that pass.
-// The surviving slots are then packed to the front of the selection,
-// and the non-empty batches' ranges in it returned. An error is the
-// first failing row's in selection order, at any Parallelism.
+// one batch at a time: it fills one batch-sized buffer with the columns
+// the residual reads and packs the slots of the rows that pass to the
+// front of the selection. It returns the non-empty batches' ranges in
+// the packed selection. An error is the first failing row's in
+// selection order.
 func (r *scanRead) filterSelected(sel *store.Selection, batches []morselRange) ([]morselRange, error) {
-	kept := make([]int, len(batches))
-	err := runChunks(r.ec.ctx, splitChunks(len(batches), r.ec.para), func(_ int, c morselRange) error {
-		poll := canceller{ctx: r.ec.ctx}
-		// The columns the residual does not read stay unset: nothing
-		// reads them.
-		width := len(r.a.Cols)
-		if r.a.Cols == nil {
-			width = r.tv.Table().Schema().Len()
-		}
-		b := &batch{cols: make([]*store.Col, width)}
-		for _, i := range r.filterCols {
-			b.cols[i] = &store.Col{}
-		}
-		for k := c.lo; k < c.hi; k++ {
-			if err := poll.now(); err != nil {
-				return err
-			}
-			lo, hi := batches[k].lo, batches[k].hi
-			for _, i := range r.filterCols {
-				sel.FillCol(b.cols[i], i, lo, hi)
-			}
-			b.n = hi - lo
-			pass, err := r.residual(b, identity(b.n))
-			if err != nil {
-				return err
-			}
-			for j, i := range pass {
-				sel.Slots[lo+j] = sel.Slots[lo+i]
-			}
-			kept[k] = len(pass)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	poll := canceller{ctx: r.ec.ctx}
+	// The columns the residual does not read stay unset: nothing reads
+	// them.
+	width := len(r.a.Cols)
+	if r.a.Cols == nil {
+		width = r.tv.Table().Schema().Len()
+	}
+	b := &batch{cols: make([]*store.Col, width)}
+	for _, i := range r.filterCols {
+		b.cols[i] = &store.Col{}
 	}
 	out, w := batches[:0], 0
-	for k, b := range batches {
-		if kept[k] > 0 {
-			copy(sel.Slots[w:], sel.Slots[b.lo:b.lo+kept[k]])
-			out = append(out, morselRange{w, w + kept[k]})
-			w += kept[k]
+	for _, rg := range batches {
+		if err := poll.now(); err != nil {
+			return nil, err
 		}
+		for _, i := range r.filterCols {
+			sel.FillCol(b.cols[i], i, rg.lo, rg.hi)
+		}
+		b.n = rg.hi - rg.lo
+		pass, err := r.residual(b, identity(b.n))
+		if err != nil {
+			return nil, err
+		}
+		if len(pass) == 0 {
+			continue
+		}
+		// pass ascends, so no slot is overwritten before it is read.
+		for j, i := range pass {
+			sel.Slots[w+j] = sel.Slots[rg.lo+i]
+		}
+		out = append(out, morselRange{w, w + len(pass)})
+		w += len(pass)
 	}
 	sel.Slots = sel.Slots[:w]
 	return out, nil
 }
 
-// foldSlots folds the selected rows Slots[lo:hi] — the scan's emitted
-// columns only — a morsel at a time through one reused buffer.
-func (r *scanRead) foldSlots(sel *store.Selection, lo, hi int, fold func(*batch) error) error {
+// foldSlots folds the selected rows — the scan's emitted columns only —
+// a morsel at a time through one reused buffer.
+func (r *scanRead) foldSlots(sel *store.Selection, fold func(*batch) error) error {
 	poll := canceller{ctx: r.ec.ctx}
 	cols := make([]store.Col, r.width)
 	b := &batch{cols: make([]*store.Col, r.width)}
 	for i := range cols {
 		b.cols[i] = &cols[i]
 	}
-	for m := lo; m < hi; m += foldMorsel {
+	for m := 0; m < len(sel.Slots); m += foldMorsel {
 		if err := poll.now(); err != nil {
 			return err
 		}
-		end := min(m+foldMorsel, hi)
+		end := min(m+foldMorsel, len(sel.Slots))
 		for i := range cols {
 			sel.FillCol(&cols[i], i, m, end)
 		}

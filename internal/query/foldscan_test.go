@@ -89,7 +89,7 @@ func runStreamed(e *Engine, stmt *SelectStmt, snap *store.SnapshotHandle) (*Resu
 	if err != nil {
 		return nil, 0, err
 	}
-	ec := &execCtx{ctx: ctx, cat: e.cat, snap: snap, opts: e.opts, stats: &ExecStats{}, para: e.opts.EffectiveParallelism()}
+	ec := e.newExecCtx(ctx, snap)
 	root, err := build(optimized, ec, 0)
 	if err != nil {
 		return nil, 0, err
@@ -105,46 +105,44 @@ func runStreamed(e *Engine, stmt *SelectStmt, snap *store.SnapshotHandle) (*Resu
 	return res, wrapped, nil
 }
 
-// TestFoldFromStorageMatchesGather runs every fold shape twice at each
-// worker count, at one pin: as the engine runs it, where the fold reads
-// storage a morsel at a time, and with the fold's scan hidden behind a
-// pass-through, where the fold takes its batch path over the batches
-// the scan streams. The answers must agree bit for bit and in order —
-// float sums included, since the batches and the chunks per worker are
-// the same — and so must EXPLAIN ANALYZE's per-operator counters.
+// TestFoldFromStorageMatchesGather runs every fold shape twice, at one
+// pin: as the engine runs it, where the fold reads storage a morsel at a
+// time, and with the fold's scan hidden behind a pass-through, where the
+// fold takes its batch path over the batches the scan streams. The
+// answers must agree bit for bit and in order — float sums included,
+// since both fold the rows in selection order — and so must EXPLAIN
+// ANALYZE's per-operator counters.
 func TestFoldFromStorageMatchesGather(t *testing.T) {
 	cat := datagenCatalog(t, 7)
 	ctx := context.Background()
 	snap := cat.PinSnapshot()
 	defer snap.Release()
+	eng := serialConfig().engine(cat)
 	for _, q := range foldShapes {
-		for _, para := range []int{1, diffParallelism} {
-			eng := NewEngine(cat, parallelOptions(para))
-			for _, prefix := range []string{"", "EXPLAIN ANALYZE "} {
-				stmt, err := Parse(prefix + q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				filled, err := eng.RunAt(ctx, stmt, snap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				streamed, wrapped, err := runStreamed(eng, stmt, snap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wrapped != 1 {
-					t.Fatalf("%q, parallelism %d: %d folds read a scan, want 1", q, para, wrapped)
-				}
-				if prefix == "" && (filled.Batch == nil || streamed.Batch == nil) {
-					t.Fatalf("%q, parallelism %d: a run delivered no batch", q, para)
-				}
-				if got, want := exactRows(store.RowsFromColBatch(filled.Batch)), exactRows(store.RowsFromColBatch(streamed.Batch)); got != want {
-					t.Fatalf("%q, parallelism %d: folded from storage\n%s\nfolded from the stream\n%s", q, para, got, want)
-				}
-				if filled.Plan != streamed.Plan {
-					t.Fatalf("%q, parallelism %d: counters differ\nfolded from storage:\n%s\nfolded from the stream:\n%s", q, para, filled.Plan, streamed.Plan)
-				}
+		for _, prefix := range []string{"", "EXPLAIN ANALYZE "} {
+			stmt, err := Parse(prefix + q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			filled, err := eng.RunAt(ctx, stmt, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, wrapped, err := runStreamed(eng, stmt, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wrapped != 1 {
+				t.Fatalf("%q: %d folds read a scan, want 1", q, wrapped)
+			}
+			if prefix == "" && (filled.Batch == nil || streamed.Batch == nil) {
+				t.Fatalf("%q: a run delivered no batch", q)
+			}
+			if got, want := exactRows(store.RowsFromColBatch(filled.Batch)), exactRows(store.RowsFromColBatch(streamed.Batch)); got != want {
+				t.Fatalf("%q: folded from storage\n%s\nfolded from the stream\n%s", q, got, want)
+			}
+			if filled.Plan != streamed.Plan {
+				t.Fatalf("%q: counters differ\nfolded from storage:\n%s\nfolded from the stream:\n%s", q, filled.Plan, streamed.Plan)
 			}
 		}
 	}
@@ -153,10 +151,10 @@ func TestFoldFromStorageMatchesGather(t *testing.T) {
 // TestUnpinnedFoldsGather: the two reads with no pin behind them — a
 // statement run with no snapshot, and a table created after the
 // statement's pin — once gathered under the read lock; now neither
-// reads. At one worker and at four, a fold statement run with no
-// snapshot is an error, and a fold over a table created after its
-// caller's pin returns the snapshot's error, while the same fold run at
-// a fresh pin counts every row of the late table.
+// reads. A fold statement run with no snapshot is an error, and a fold
+// over a table created after its caller's pin returns the snapshot's
+// error, while the same fold run at a fresh pin counts every row of the
+// late table.
 func TestUnpinnedFoldsGather(t *testing.T) {
 	cat := datagenCatalog(t, 7)
 	ctx := context.Background()
@@ -184,35 +182,33 @@ func TestUnpinnedFoldsGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, para := range []int{1, diffParallelism} {
-		eng := NewEngine(cat, parallelOptions(para))
-		for _, c := range []struct {
-			q    string
-			snap *store.SnapshotHandle
-			want string
-		}{
-			{"SELECT protein_id, COUNT(*) FROM activities WHERE affinity >= 0 GROUP BY protein_id", nil, "query: statement run with no pinned snapshot"},
-			{"SELECT g, COUNT(*) FROM late WHERE x >= 0 GROUP BY g", snap, `store: no table "late" in snapshot`},
-		} {
-			stmt, err := Parse(c.q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := eng.RunAt(ctx, stmt, c.snap); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("%q, parallelism %d: err = %v, want %q", c.q, para, err, c.want)
-			}
-		}
-		res, err := eng.Run(ctx, lateFold)
+	eng := serialConfig().engine(cat)
+	for _, c := range []struct {
+		q    string
+		snap *store.SnapshotHandle
+		want string
+	}{
+		{"SELECT protein_id, COUNT(*) FROM activities WHERE affinity >= 0 GROUP BY protein_id", nil, "query: statement run with no pinned snapshot"},
+		{"SELECT g, COUNT(*) FROM late WHERE x >= 0 GROUP BY g", snap, `store: no table "late" in snapshot`},
+	} {
+		stmt, err := Parse(c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := int64(0)
-		for i := 0; i < res.Batch.Rows; i++ {
-			sum += res.Batch.Cols[1].Value(i).I
+		if _, err := eng.RunAt(ctx, stmt, c.snap); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%q: err = %v, want %q", c.q, err, c.want)
 		}
-		if res.Batch.Rows != 7 || sum != n {
-			t.Fatalf("parallelism %d: %d groups count %d rows, want 7 groups of %d", para, res.Batch.Rows, sum, n)
-		}
+	}
+	res, err := eng.Run(ctx, lateFold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := int64(0)
+	for i := 0; i < res.Batch.Rows; i++ {
+		sum += res.Batch.Cols[1].Value(i).I
+	}
+	if res.Batch.Rows != 7 || sum != n {
+		t.Fatalf("%d groups count %d rows, want 7 groups of %d", res.Batch.Rows, sum, n)
 	}
 }
 
@@ -241,7 +237,7 @@ func TestStatementsReadTheirPin(t *testing.T) {
 		if stmts[i], err = Parse(q); err != nil {
 			t.Fatal(err)
 		}
-		res, err := NewEngine(cat, serialOptions()).Run(ctx, stmts[i])
+		res, err := serialConfig().engine(cat).Run(ctx, stmts[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +245,7 @@ func TestStatementsReadTheirPin(t *testing.T) {
 	}
 	plans := ""
 	for _, q := range queries {
-		plans += runQ(t, cat, serialOptions(), "EXPLAIN "+q).Plan + "\n"
+		plans += mustQuery(t, serialConfig().engine(cat), "EXPLAIN "+q).Plan + "\n"
 	}
 	for _, shape := range []string{"IndexRangeScan activities", "SeqScan activities"} {
 		if !strings.Contains(plans, shape) {
@@ -297,8 +293,8 @@ func TestStatementsReadTheirPin(t *testing.T) {
 		}
 	}
 	defer halt()
-	for _, para := range []int{1, diffParallelism} {
-		eng := NewEngine(cat, parallelOptions(para))
+	for _, para := range []int{1, diffWorkers} {
+		eng := parallelConfig(para).engine(cat)
 		// Read until the committer has landed twenty commits in between.
 		for round, start := 0, commits.Load(); round < 10000 && commits.Load() < start+20; round++ {
 			for i, stmt := range stmts {

@@ -13,8 +13,7 @@ import (
 // into the aggregate table's typed vectors — no joined pair is ever
 // materialized. Each build row takes its group id on its first match,
 // so groups are numbered in the order the joined pairs would have
-// reached an aggregate above the join; parallel probe chunks fold into
-// partial tables merged in chunk order, as the aggregate's are.
+// reached an aggregate above the join.
 
 // tryGroupJoin lowers n to a group-join when its shape allows one and
 // the optimizer may choose physical operators.
@@ -87,31 +86,28 @@ func (g *vecGroupJoin) nextBatch() (*batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		final, err := foldAll(g.ec, g.probeIn, g.op, func() (*aggTable, func(*batch) error) {
-			p := &groupJoinPart{g: g, side: side, t: newAggTable(g.aggs, len(g.groups) > 0), cur: newProber(g.e.probeKeys),
-				gid: make([]int32, side.rows.n), acols: make([]*store.Col, len(g.aggs))}
-			if len(g.groups) == 0 {
-				p.t.grow(1) // every build row is in group 0
-			} else {
-				for i := range p.gid {
-					p.gid[i] = -1
-				}
-				p.fresh, p.gcols = make([]int, 0, min(side.rows.n, vecBatchSize)), make([]*store.Col, len(g.groups))
+		p := &groupJoinFold{g: g, side: side, t: newAggTable(g.aggs, len(g.groups) > 0), cur: newProber(g.e.probeKeys),
+			gid: make([]int32, side.rows.n), acols: make([]*store.Col, len(g.aggs))}
+		if len(g.groups) == 0 {
+			p.t.grow(1) // every build row is in group 0
+		} else {
+			for i := range p.gid {
+				p.gid[i] = -1
 			}
-			return p.t, p.fold
-		})
-		if err != nil {
+			p.fresh, p.gcols = make([]int, 0, min(side.rows.n, vecBatchSize)), make([]*store.Col, len(g.groups))
+		}
+		if err := foldAll(g.ec, g.probeIn, g.op, p.fold); err != nil {
 			return nil, err
 		}
-		g.out = aggOutput(final, cancel, g.op)
+		g.out = aggOutput(p.t, cancel, g.op)
 	}
 	return g.out.nextBatch()
 }
 
-// groupJoinPart is one partial table's probe state: each build row's
-// group id in it (-1 until the row first matches), the prober, and
-// per-round scratch.
-type groupJoinPart struct {
+// groupJoinFold is the group-join's probe state: its table, each build
+// row's group id in it (-1 until the row first matches), the prober,
+// and per-round scratch.
+type groupJoinFold struct {
 	g     *vecGroupJoin
 	side  *hashSide
 	t     *aggTable
@@ -124,7 +120,7 @@ type groupJoinPart struct {
 
 // fold probes one batch and folds its matches, a round of at most
 // vecBatchSize at a time.
-func (p *groupJoinPart) fold(pb *batch) error {
+func (p *groupJoinFold) fold(pb *batch) error {
 	c := canceller{ctx: p.g.ec.ctx}
 	for p.cur.start(pb); !p.cur.done(); {
 		if err := c.now(); err != nil {
@@ -138,7 +134,7 @@ func (p *groupJoinPart) fold(pb *batch) error {
 	return nil
 }
 
-func (p *groupJoinPart) foldRound(pb *batch) error {
+func (p *groupJoinFold) foldRound(pb *batch) error {
 	pi, bi := p.cur.pi, p.cur.bi
 	if len(pi) == 0 {
 		return nil

@@ -168,7 +168,7 @@ var hashOpsCorpus = []struct {
 	// each match in place. NULL groups (r.k2, dim.g), COUNT over NULLs,
 	// string extremes, DISTINCT over a probe row several build rows of
 	// different groups match, HAVING, no GROUP BY over an empty join, a
-	// multi-batch probe side (partial tables merged), and a keyed probe
+	// multi-batch probe side, and a keyed probe
 	// underneath.
 	{q: "SELECT r.k2, COUNT(*), COUNT(l.k2), SUM(l.v), AVG(l.v), MIN(l.k2), MAX(l.k2), COUNT(DISTINCT l.v) FROM l JOIN r ON l.k = r.k GROUP BY r.k2", plan: "GroupJoin r.k2, COUNT(*), COUNT(l.k2), SUM(l.v), AVG(l.v), MIN(l.k2), MAX(l.k2), COUNT(DISTINCT l.v) (1 key(s), build=right)\n  SeqScan l\n  SeqScan r cols=(k, k2)"},
 	{q: "SELECT r.k2, r.w, COUNT(DISTINCT l.k2), SUM(l.v) FROM l JOIN r ON l.k = r.k GROUP BY r.k2, r.w HAVING COUNT(*) > 5", plan: "GroupJoin"},
@@ -206,7 +206,7 @@ func TestJoinLimitOrderIsStable(t *testing.T) {
 		"SELECT big.k, l.v FROM l JOIN big ON big.k = l.k WHERE l.v > big.k LIMIT 1100",
 		"SELECT a.k, b.k FROM l a JOIN r b ON a.v < b.w LIMIT 50",
 	} {
-		want := runQ(t, cat, serialOptions(), q)
+		want := mustQuery(t, serialConfig().engine(cat), q)
 		ref, err := refQuery(cat, q)
 		if err != nil {
 			t.Fatal(err)
@@ -215,8 +215,8 @@ func TestJoinLimitOrderIsStable(t *testing.T) {
 			t.Fatalf("query %q: %d rows, reference %d", q, len(want.Rows), len(ref.Rows))
 		}
 		for run := 0; run < 3; run++ {
-			for _, para := range []int{1, 2, diffParallelism} {
-				got := runQ(t, cat, parallelOptions(para), q)
+			for _, para := range []int{1, 2, diffWorkers} {
+				got := mustQuery(t, parallelConfig(para).engine(cat), q)
 				if got.Plan != want.Plan {
 					t.Fatalf("query %q: plan at parallelism %d diverges:\n%s\nvs\n%s", q, para, got.Plan, want.Plan)
 				}
@@ -239,8 +239,8 @@ func TestExplainAnalyzeHashJoin(t *testing.T) {
 	cat := hashOpsCatalog(t)
 	const q = "EXPLAIN ANALYZE SELECT l.v, fk.w FROM fk JOIN l ON l.k = fk.k"
 	const want = "HashJoin (1 key(s), build=left) cols=(fk.w, l.v) [rows=110 batches=1 build_rows=24 probe_rows=120 sel=91.7%]"
-	for _, para := range []int{1, diffParallelism} {
-		res := runQ(t, cat, parallelOptions(para), q)
+	for _, para := range []int{1, diffWorkers} {
+		res := mustQuery(t, parallelConfig(para).engine(cat), q)
 		if !strings.Contains(res.Plan, want) {
 			t.Fatalf("parallelism %d: plan lacks %q:\n%s", para, want, res.Plan)
 		}
@@ -286,7 +286,7 @@ func TestSharedSelectionIsNeverWritten(t *testing.T) {
 			defer wg.Done()
 			for _, s := range stmts {
 				for _, c := range configs {
-					res, err := NewEngine(s.cat, c.opts).Query(context.Background(), s.q)
+					res, err := c.engine(s.cat).Query(context.Background(), s.q)
 					if err != nil {
 						errs[g] = fmt.Errorf("query %q [%s]: %w", s.q, c.name, err)
 						return
@@ -351,7 +351,7 @@ var allocShapes = []struct {
 func allocActivities(t *testing.T, cat Catalog) (small, large int) {
 	t.Helper()
 	count := func(th float64) int {
-		res := runQ(t, cat, serialOptions(), fmt.Sprintf("SELECT COUNT(*) FROM activities WHERE affinity >= %.3f", th))
+		res := mustQuery(t, serialConfig().engine(cat), fmt.Sprintf("SELECT COUNT(*) FROM activities WHERE affinity >= %.3f", th))
 		return int(res.Rows[0][0].I)
 	}
 	small, large = count(allocLo), count(allocHi)
@@ -376,7 +376,7 @@ func allocActivities(t *testing.T, cat Catalog) (small, large int) {
 // integration3 allocated 836 objects, 749 after.
 func TestHashOperatorAllocs(t *testing.T) {
 	cat := allocCatalog(t)
-	eng := NewEngine(cat, serialOptions())
+	eng := serialConfig().engine(cat)
 	small, large := allocActivities(t, cat)
 	const perBatch = 8 // objects per added batch, summed over the plan's operators
 	addedBatches := float64((large+vecBatchSize-1)/vecBatchSize - (small+vecBatchSize-1)/vecBatchSize)
@@ -438,8 +438,8 @@ func TestKeyedProbeResidualAllocs(t *testing.T) {
 			db.Insert(posts.Name(), store.Row{store.IntValue(int64(k)), store.IntValue(0)})
 		}
 		posts.CreateIndex("k", store.IndexHash)
-		eng := NewEngine(NewDBCatalog(db, nil), serialOptions())
-		res := runQ(t, eng.Catalog(), serialOptions(), "EXPLAIN ANALYZE "+q)
+		eng := serialConfig().engine(NewDBCatalog(db, nil))
+		res := mustQuery(t, eng, "EXPLAIN ANALYZE "+q)
 		if !strings.Contains(res.Plan, "probe=keys") || !strings.Contains(res.Plan, "filter: ((p.v + 1) < 0) [rows=0") {
 			t.Fatalf("not a keyed probe whose residual keeps nothing:\n%s", res.Plan)
 		}
@@ -480,7 +480,7 @@ func TestJoinReadsOnlySurvivors(t *testing.T) {
 	cat := allocCatalog(t)
 	small, large := allocActivities(t, cat)
 	naive := func(q string) int64 {
-		res, err := NewEngine(cat, naiveSerialOptions()).Query(context.Background(), q)
+		res, err := naiveSerialConfig().engine(cat).Query(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,8 +492,8 @@ func TestJoinReadsOnlySurvivors(t *testing.T) {
 	for _, th := range []float64{allocLo, allocHi} {
 		survivors := naive(fmt.Sprintf(family+" AND a.affinity >= %.3f", th))
 		t.Logf("integration3 at %.2f: the family's %d postings, %d over the threshold", th, postings, survivors)
-		for _, para := range []int{1, diffParallelism} {
-			res := runQ(t, cat, parallelOptions(para), "EXPLAIN ANALYZE "+fmt.Sprintf(allocShapes[1].q, th))
+		for _, para := range []int{1, diffWorkers} {
+			res := mustQuery(t, parallelConfig(para).engine(cat), "EXPLAIN ANALYZE "+fmt.Sprintf(allocShapes[1].q, th))
 			var op *OpStats
 			for _, o := range res.Stats.Ops {
 				if strings.HasPrefix(o.Name, keyed) {
@@ -509,7 +509,7 @@ func TestJoinReadsOnlySurvivors(t *testing.T) {
 			}
 		}
 	}
-	eng := NewEngine(cat, serialOptions())
+	eng := serialConfig().engine(cat)
 	bytes := func(th float64) float64 {
 		stmt, err := Parse(fmt.Sprintf(allocShapes[0].q, th))
 		if err != nil {

@@ -390,9 +390,10 @@ func (h *hashSide) accessKeys(kind store.Kind) []store.Value {
 
 // vecHashJoin hashes its build side on the first call and probes with
 // the other input, at most vecBatchSize pairs per output batch — or,
-// with Parallelism > 1, probes the whole drained probe side on the pool
-// in contiguous chunks of batches, whose per-batch outputs keep their
-// slots, so concatenation preserves the serial output order.
+// with more than one join worker, probes the whole drained probe side
+// on the workers in contiguous chunks of batches, whose per-batch
+// outputs keep their slots, so concatenation preserves the serial
+// output order.
 type vecHashJoin struct {
 	e                *equiJoin
 	buildIn, probeIn batchIterator
@@ -446,7 +447,7 @@ func (j *vecHashJoin) open() error {
 		return err
 	}
 	j.side = side
-	if j.ec.para == 1 {
+	if j.ec.joinWorkers == 1 {
 		j.cur = newProber(j.e.probeKeys)
 		return nil
 	}
@@ -455,7 +456,7 @@ func (j *vecHashJoin) open() error {
 		return err
 	}
 	outs := make([][]*batch, len(pbs))
-	err = runChunks(j.ec.ctx, splitChunks(len(pbs), j.ec.para), func(_ int, r morselRange) error {
+	err = runChunks(j.ec.ctx, splitChunks(len(pbs), j.ec.joinWorkers), func(_ int, r morselRange) error {
 		c := canceller{ctx: j.ec.ctx}
 		cur := newProber(j.e.probeKeys)
 		for k := r.lo; k < r.hi; k++ {

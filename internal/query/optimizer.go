@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"drugtree/internal/store"
 )
@@ -29,22 +28,6 @@ type Options struct {
 	// PruneColumns projects dead columns away above scans that feed
 	// joins, narrowing every intermediate row.
 	PruneColumns bool
-	// Parallelism is the number of workers the executor may use for
-	// scan filters, the hash-join probe, and partial aggregation. 0
-	// selects runtime.GOMAXPROCS(0); 1 forces the serial path (the
-	// ablation baseline for experiments T1–T4). Parallel and serial
-	// execution produce the same result multiset and identical plan
-	// text.
-	Parallelism int
-}
-
-// EffectiveParallelism resolves the Parallelism knob: 0 means "as many
-// workers as schedulable CPUs".
-func (o Options) EffectiveParallelism() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // DefaultOptions enables every optimization.

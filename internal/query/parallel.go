@@ -5,16 +5,17 @@ import (
 	"sync"
 )
 
-// Parallelism at batch granularity: operators that materialize their
-// input anyway (seq scans with residuals, the hash-join probe,
-// aggregation) split the materialized batches into one contiguous
-// chunk per worker. Workers write into per-batch output slots, so
-// concatenating the slots in order reproduces the serial operator's
-// row sequence exactly, and runChunks reports the error of the first
-// chunk that failed, which is the error the serial pass stops at. So
-// parallel execution is observationally identical to Parallelism: 1,
-// in its rows and in its errors. The differential harness and
-// TestEvalErrorsAgree assert this.
+// Parallelism at batch granularity, in one operator: the hash join
+// drains its probe side and splits the batches into one contiguous
+// chunk per worker (runtime.GOMAXPROCS(0) of them). Workers write into
+// per-batch output slots, so concatenating the slots in order
+// reproduces the serial probe's row sequence exactly, and runChunks
+// reports the error of the first chunk that failed, which is the error
+// the serial probe stops at. So the parallel probe is observationally
+// identical to the serial one, in its rows and in its errors; the
+// differential harness and TestEvalErrorsAgree assert this. Scans and
+// aggregates run serially: experiment T7 measured no gain from
+// splitting them.
 //
 // Cancellation: every worker and every serial drain loop polls its
 // context through a canceller once per batch, so a context cancelled

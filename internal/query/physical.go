@@ -89,7 +89,9 @@ type execCtx struct {
 	opts  Options
 	stats *ExecStats
 	plan  []string // physical plan description lines (depth-first)
-	para  int      // effective worker count (≥1); 1 is the serial path
+	// joinWorkers is how many goroutines a hash join's probe runs on
+	// (≥ 1); 1 is the serial, streaming probe.
+	joinWorkers int
 }
 
 // env builds a binding environment carrying the execution context (so

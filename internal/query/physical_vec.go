@@ -453,12 +453,10 @@ func buildAgg(n *AggNode, ec *execCtx, depth int) (batchIterator, error) {
 }
 
 // vecAgg is hash aggregation: group and argument expressions are
-// evaluated per batch, the batch is probed into group ids and folded
-// into an aggTable's per-aggregate vectors, and — with Parallelism > 1
-// — per-worker partial tables over contiguous input chunks are merged
-// in chunk order, which reproduces the serial first-seen group order
-// exactly. It drains its input on the first call, then streams one row
-// per group (group keys, then aggregates).
+// evaluated per batch, and the batch is probed into group ids and
+// folded into an aggTable's per-aggregate vectors, so groups come out
+// in first-seen order. It folds its whole input on the first call,
+// then streams one row per group (group keys, then aggregates).
 type vecAgg struct {
 	in     batchIterator
 	groups []*vecExpr
@@ -475,14 +473,11 @@ func (a *vecAgg) nextBatch() (*batch, error) {
 		return nil, err
 	}
 	if a.out == nil {
-		final, err := foldAll(a.ec, a.in, a.op, func() (*aggTable, func(*batch) error) {
-			t := newAggTable(a.aggs, len(a.groups) > 0)
-			return t, func(b *batch) error { return a.accumBatch(t, b) }
-		})
-		if err != nil {
+		t := newAggTable(a.aggs, len(a.groups) > 0)
+		if err := foldAll(a.ec, a.in, a.op, func(b *batch) error { return a.accumBatch(t, b) }); err != nil {
 			return nil, err
 		}
-		a.out = aggOutput(final, cancel, a.op)
+		a.out = aggOutput(t, cancel, a.op)
 	}
 	return a.out.nextBatch()
 }
@@ -515,84 +510,26 @@ func (a *vecAgg) accumBatch(t *aggTable, b *batch) error {
 	return nil
 }
 
-// foldAll folds the whole input into one table, counting its rows as
-// op's input; part returns a fresh partial table and the function that
-// folds one batch into it. A scan that has not read yet is folded
-// straight from storage (foldSelected). Any other input is folded batch
-// by batch as it streams in, or — with Parallelism > 1 — materialized
-// and folded by foldChunks.
-func foldAll(ec *execCtx, in batchIterator, op *OpStats, part func() (*aggTable, func(*batch) error)) (*aggTable, error) {
+// foldAll folds the whole input through fold, counting its rows as
+// op's input. A scan that has not read yet is folded straight from
+// storage (foldSelected); any other input is folded batch by batch as
+// it streams in.
+func foldAll(ec *execCtx, in batchIterator, op *OpStats, fold func(*batch) error) error {
 	if s, ok := in.(*vecScan); ok && s.read != nil {
-		return s.foldSelected(op, part)
+		return s.foldSelected(op, fold)
 	}
-	if ec.para == 1 {
-		final, fold := part()
-		cancel := canceller{ctx: ec.ctx}
-		for {
-			if err := cancel.now(); err != nil {
-				return nil, err
-			}
-			b, err := in.nextBatch()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				return final, nil
-			}
-			op.addIn(int64(b.live()))
-			if err := fold(b); err != nil {
-				return nil, err
-			}
+	cancel := canceller{ctx: ec.ctx}
+	for {
+		if err := cancel.now(); err != nil {
+			return err
+		}
+		b, err := in.nextBatch()
+		if err != nil || b == nil {
+			return err
+		}
+		op.addIn(int64(b.live()))
+		if err := fold(b); err != nil {
+			return err
 		}
 	}
-	bs, err := drainBatches(ec.ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, b := range bs {
-		total += b.live()
-	}
-	op.addIn(int64(total))
-	return foldChunks(ec, len(bs), total, part, func(r morselRange, fold func(*batch) error) error {
-		c := canceller{ctx: ec.ctx}
-		for _, b := range bs[r.lo:r.hi] {
-			if err := c.now(); err != nil {
-				return err
-			}
-			if err := fold(b); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// foldChunks folds n input batches holding total rows: one partial
-// table per contiguous chunk of batches — one chunk per worker, or a
-// single one when too few rows for partial tables to pay —, each chunk
-// folded by foldRange, the partials merged in chunk order.
-func foldChunks(ec *execCtx, n, total int, part func() (*aggTable, func(*batch) error), foldRange func(morselRange, func(*batch) error) error) (*aggTable, error) {
-	chunks := splitChunks(n, ec.para)
-	if total < 2*vecBatchSize {
-		chunks = splitChunks(n, 1)
-	}
-	if len(chunks) == 0 {
-		final, _ := part()
-		return final, nil
-	}
-	partials := make([]*aggTable, len(chunks))
-	err := runChunks(ec.ctx, chunks, func(w int, r morselRange) error {
-		t, fold := part()
-		partials[w] = t
-		return foldRange(r, fold)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The first chunk's table is the final one; the rest re-probe into it.
-	for _, p := range partials[1:] {
-		partials[0].merge(p)
-	}
-	return partials[0], nil
 }

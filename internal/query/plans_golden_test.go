@@ -36,9 +36,6 @@ func goldenOptions() []struct {
 		ab.off(&o)
 		out = append(out, set{ab.name, o})
 	}
-	for i := range out {
-		out[i].opts.Parallelism = 1
-	}
 	return out
 }
 

@@ -6,13 +6,17 @@ import (
 	"testing"
 )
 
-// Operator benchmarks at the query layer, serial (Parallelism 1) so the
-// numbers isolate the operators from the worker pool; the parallel
-// ratios live in parallel_bench_test.go.
+// Operator benchmarks at the query layer, with the hash join's probe on
+// one worker so the numbers isolate the operators from the worker pool;
+// the join's parallel ratio lives in parallel_bench_test.go.
 
 func benchQuery(b *testing.B, q string) {
-	cat := datagenCatalog(b, 5)
-	eng := NewEngine(cat, serialOptions())
+	benchQueryOn(b, datagenCatalog(b, 5), q)
+}
+
+// benchQueryOn times q on a serial engine over cat.
+func benchQueryOn(b *testing.B, cat Catalog, q string) {
+	eng := serialConfig().engine(cat)
 	if _, err := eng.Query(context.Background(), q); err != nil {
 		b.Fatal(err)
 	}
@@ -90,24 +94,7 @@ func BenchmarkGroupJoin(b *testing.B) {
 // BenchmarkFoldScan is an aggregate over ≈ 8.6 k index-selected
 // activities, which the fold reads straight from storage a morsel at a
 // time (EXPERIMENTS "Folds that read storage" records it against the
-// parent commit, where the range was gathered whole first), serial and
-// on two workers.
+// parent commit, where the range was gathered whole first).
 func BenchmarkFoldScan(b *testing.B) {
-	cat := allocCatalog(b)
-	q := fmt.Sprintf("SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE affinity >= %.3f GROUP BY ligand_id", allocHi)
-	for _, p := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {
-			eng := NewEngine(cat, parallelOptions(p))
-			if _, err := eng.Query(context.Background(), q); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Query(context.Background(), q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchQueryOn(b, allocCatalog(b), fmt.Sprintf("SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE affinity >= %.3f GROUP BY ligand_id", allocHi))
 }

@@ -98,16 +98,9 @@ func TestResultRowMutationIsolation(t *testing.T) {
 		 JOIN activities a ON p.accession = a.protein_id`, // hash join probe output
 		"SELECT accession FROM proteins ORDER BY length DESC LIMIT 5", // topk
 	}
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"default-serial", serialOptions()},
-		{"default-parallel", parallelOptions(diffParallelism)},
-		{"naive-serial", naiveSerialOptions()},
-	} {
+	for _, tc := range append(diffMatrix(), naiveSerialConfig()) {
 		cat := testCatalog(t)
-		eng := NewEngine(cat, tc.opts)
+		eng := tc.engine(cat)
 		for _, q := range queries {
 			before, err := eng.Query(context.Background(), q)
 			if err != nil {

@@ -28,7 +28,6 @@ func TestWireMatchesRowExecutor(t *testing.T) {
 			ctx := context.Background()
 			cat := query.EngineCatalog(t)
 			cfg := core.DefaultConfig()
-			cfg.QueryOptions = query.SerialOptions()
 			cfg.QueryCacheEntries = 64
 			cfg.Shards = shards
 			served, err := core.NewWithTree(cat.DB, cat.Tree(), cfg)

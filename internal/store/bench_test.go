@@ -453,11 +453,9 @@ func activitiesShape() (*Schema, func(*rand.Rand) Row) {
 	return schema, row
 }
 
-// BenchmarkIndexBackfill files the 48 k stored rows of an
-// activities-shaped table into a new index, as CreateIndex does: a code
-// index over protein_id (the column coded once, before the timing), a
-// B+-tree over affinity.
-func BenchmarkIndexBackfill(b *testing.B) {
+// loadActivities commits 48 k activities-shaped rows to a new table,
+// unindexed.
+func loadActivities(b *testing.B) *Table {
 	schema, row := activitiesShape()
 	db, err := Open("")
 	if err != nil {
@@ -475,6 +473,36 @@ func BenchmarkIndexBackfill(b *testing.B) {
 	if err := db.CommitDeltas([]TableDelta{{Table: "t", Inserts: rows}}); err != nil {
 		b.Fatal(err)
 	}
+	return t
+}
+
+// BenchmarkTableScan is Table.Scan over 48 k stored activities-shaped
+// rows whose two STRING columns are hash-indexed, and so coded: the
+// read that set-up (the overlay's base load), integrate.Sync's diff and
+// TreePlacement make. It reports ns/row too.
+func BenchmarkTableScan(b *testing.B) {
+	t := loadActivities(b)
+	if err := errors.Join(t.CreateIndex("protein_id", IndexHash), t.CreateIndex("ligand_id", IndexHash)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		t.Scan(func(int64, Row) bool { n++; return true })
+		if n != t.Len() {
+			b.Fatalf("scanned %d rows of %d", n, t.Len())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*t.Len()), "ns/row")
+}
+
+// BenchmarkIndexBackfill files the 48 k stored rows of an
+// activities-shaped table into a new index, as CreateIndex does: a code
+// index over protein_id (the column coded once, before the timing), a
+// B+-tree over affinity.
+func BenchmarkIndexBackfill(b *testing.B) {
+	t := loadActivities(b)
 	t.codeColumnLocked(0)
 	for _, c := range []struct {
 		name string
