@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vet-compat lint loc knobs heap nm bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload check clean
+.PHONY: all build test race vet vet-compat lint loc knobs heap nm ledger bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload check clean
 
 all: check
 
@@ -173,6 +173,16 @@ nm:
 		printf '%-50s 0x%s  %2d mod 64\n' "$$sym" "$$addr" $$((0x$$addr % 64)); \
 	done
 
+# The count ledger (core.TestCountLedger): for each analytics statement
+# class the allocations and bytes one statement allocates on the served
+# path at GOMAXPROCS 1, the rows its statements examine and their reply
+# bytes, and one 512 + 512-row ingest commit's allocations and bytes,
+# measured now and checked against internal/core/testdata/counts.golden
+# (`go test ./internal/core -run TestCountLedger -update-counts`
+# rewrites it). Counts, unlike timings, do not follow the host's load.
+ledger:
+	$(GO) test -count=1 -run '^TestCountLedger$$' -v ./internal/core
+
 # Storage- and operator-layer microbenchmarks with -benchmem: the
 # store's insert, lookup, range read, sequential pass and 512+512
 # delta commit, a 48 k-row scan of activities-shaped rows whose two
@@ -195,7 +205,8 @@ nm:
 # (BuildLogical + Optimize) of the 18 analytics statements the core
 # plan golden pins, one a op, the six subtree_join and ligand_rank
 # statements among them served whole (parse, plan and a rank-index
-# read), one a op, one 100-row, 4-column
+# read), one a op, each of the six classes served whole through
+# QueryColumns, one sub-benchmark a class, one 100-row, 4-column
 # query reply through the wire codec (encoded from shared columns,
 # framed, decoded into one slab) and one analytics request on a warm
 # session (split, framed as a reference to its template's slot,
@@ -218,7 +229,7 @@ bench-micro:
 		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkTableScan|BenchmarkCommitDelta512|BenchmarkIndex|BenchmarkFrozenFill' ./internal/store/
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan|BenchmarkParse$$' ./internal/query/
-	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply|BenchmarkServedPlan|BenchmarkSubtreeAccess' ./internal/core/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply|BenchmarkServedPlan|BenchmarkSubtreeAccess|BenchmarkAnalyticsClasses' ./internal/core/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkQueryReply|BenchmarkQueryRequest|BenchmarkOpenDelta|BenchmarkDecodeTreeDelta' ./internal/mobile/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkKmerDistances|BenchmarkNeighborJoining' ./internal/phylo/
 

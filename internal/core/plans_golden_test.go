@@ -220,3 +220,32 @@ func BenchmarkSubtreeAccess(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAnalyticsClasses serves each analytics statement class — its
+// three statements of analyticsStatements, one a op in turn — through
+// QueryColumns (parse, plan and run; DefaultConfig keeps no statement
+// cache), one sub-benchmark a class: the served path's cost by class,
+// in time and allocations.
+func BenchmarkAnalyticsClasses(b *testing.B) {
+	e, _ := buildEngineFrom(b, smokeD1(), DefaultConfig())
+	var classes []string
+	texts := map[string][]string{}
+	for _, s := range analyticsStatements(b, e) {
+		if texts[s.class] == nil {
+			classes = append(classes, s.class)
+		}
+		texts[s.class] = append(texts[s.class], s.text)
+	}
+	ctx := context.Background()
+	for _, class := range classes {
+		b.Run(class, func(b *testing.B) {
+			ts := texts[class]
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.QueryColumns(ctx, ts[i%len(ts)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
