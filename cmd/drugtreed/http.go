@@ -202,7 +202,7 @@ func newMux(eng *core.Engine) *http.ServeMux {
 		for i := 0; res.Batch != nil && i < res.Batch.Rows; i++ {
 			cells := make([]string, len(res.Batch.Cols))
 			for c := range res.Batch.Cols {
-				if v := res.Batch.Cols[c].Value(i); v.K == store.KindString {
+				if v := res.Dict.Value(&res.Batch.Cols[c], i); v.K == store.KindString {
 					cells[c] = v.S
 				} else {
 					cells[c] = v.String()

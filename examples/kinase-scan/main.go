@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lead := res.Batch.Cols[0].Value(0).S
+	lead := res.Dict.Value(&res.Batch.Cols[0], 0).S
 	fmt.Printf("lead compound: %s (best pKd %.2f)\n\n", lead, res.Batch.Cols[1].Value(0).AsFloat())
 
 	// Which clades are enriched for binders of the lead?
@@ -93,7 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	analogues, err := eng.SimilarLigands(context.Background(), leadRow.Batch.Cols[0].Value(0).S, 4, 0.2)
+	analogues, err := eng.SimilarLigands(context.Background(), leadRow.Dict.Value(&leadRow.Batch.Cols[0], 0).S, 4, 0.2)
 	if err != nil {
 		log.Fatal(err)
 	}

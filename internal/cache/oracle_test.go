@@ -207,7 +207,7 @@ func runOracle(t *testing.T, seed int64, exactOnly bool) {
 					t.Fatalf("step %d: Get(%v,[%d,%d]) ok=%v, model says %v", step, key, lo, hi, ok, want != nil)
 				}
 				if ok {
-					if got, exp := store.RowsFromColBatch(cb), model[want].answer(lo, hi, wantExact); !reflect.DeepEqual(got, exp) {
+					if got, exp := store.RowsFromColBatch(cb, nil), model[want].answer(lo, hi, wantExact); !reflect.DeepEqual(got, exp) {
 						t.Fatalf("step %d: Get [%d,%d] from [%d,%d] exact=%v:\n got %v\nwant %v", step, lo, hi, want.Lo, want.Hi, wantExact, got, exp)
 					}
 					if cols[0] != "pre" {
@@ -269,7 +269,7 @@ func TestWindowsOutliveTheirEntries(t *testing.T) {
 		if !ok {
 			t.Fatalf("Get [%d,%d] missed", lo, hi)
 		}
-		views = append(views, held{cb, store.RowsFromColBatch(cb)})
+		views = append(views, held{cb, store.RowsFromColBatch(cb, nil)})
 	}
 	c.Put(mkEntry(k1, 0, 299, 1))
 	hold(0, 299)
@@ -305,7 +305,7 @@ func TestWindowsOutliveTheirEntries(t *testing.T) {
 	}
 	for round := 0; round < 200; round++ {
 		for _, v := range views {
-			if got := store.RowsFromColBatch(v.cb); !reflect.DeepEqual(got, v.want) {
+			if got := store.RowsFromColBatch(v.cb, nil); !reflect.DeepEqual(got, v.want) {
 				close(stop)
 				wg.Wait()
 				t.Fatalf("round %d: a held window changed", round)

@@ -6,7 +6,14 @@ import (
 
 	"drugtree/internal/phylo"
 	"drugtree/internal/query"
+	"drugtree/internal/store"
 )
+
+// cell reads cell i of column c of a result's batch, a coded name
+// decoded through the result's dictionary.
+func cell(res *query.Result, c, i int) store.Value {
+	return res.Dict.Value(&res.Batch.Cols[c], i)
+}
 
 // ActivitySummary aggregates the binding activity measured beneath
 // one tree node — the core DrugTree overlay: ligand data summarized
@@ -39,15 +46,15 @@ func (e *Engine) SubtreeActivity(ctx context.Context, nodeName string) (*Activit
 		return nil, err
 	}
 	out := &ActivitySummary{Node: nodeName, Proteins: int64(e.tree.LeafCount(id))}
-	if c := res.Batch.Cols; res.Batch.Rows == 1 {
-		out.Activities = c[0].Value(0).I
-		if mean := c[1].Value(0); !mean.IsNull() {
+	if res.Batch.Rows == 1 {
+		out.Activities = cell(res, 0, 0).I
+		if mean := cell(res, 1, 0); !mean.IsNull() {
 			out.MeanAff = mean.F
 		}
-		if best := c[2].Value(0); !best.IsNull() {
+		if best := cell(res, 2, 0); !best.IsNull() {
 			out.MaxAff = best.AsFloat()
 		}
-		out.DistinctLig = c[3].Value(0).I
+		out.DistinctLig = cell(res, 3, 0).I
 	}
 	return out, nil
 }
@@ -77,12 +84,12 @@ func (e *Engine) TopLigands(ctx context.Context, nodeName string, k, minMeasurem
 		return nil, err
 	}
 	var out []LigandHit
-	for i, c := 0, res.Batch.Cols; i < res.Batch.Rows; i++ {
-		hit := LigandHit{LigandID: c[0].Value(i).S, Count: c[1].Value(i).I}
-		if mean := c[2].Value(i); !mean.IsNull() {
+	for i := range res.Batch.Rows {
+		hit := LigandHit{LigandID: cell(res, 0, i).S, Count: cell(res, 1, i).I}
+		if mean := cell(res, 2, i); !mean.IsNull() {
 			hit.MeanAff = mean.F
 		}
-		if best := c[3].Value(i); !best.IsNull() {
+		if best := cell(res, 3, i); !best.IsNull() {
 			hit.MaxAff = best.AsFloat()
 		}
 		if hit.Count < int64(minMeasurements) {
@@ -119,17 +126,16 @@ func (e *Engine) ProteinProfile(ctx context.Context, accession string) (*Protein
 	if res.Batch.Rows == 0 {
 		return nil, fmt.Errorf("core: no protein %q", accession)
 	}
-	c := res.Batch.Cols
-	out := &ProteinProfile{Accession: c[0].Value(0).S, Family: c[1].Value(0).S, Organism: c[2].Value(0).S, EC: c[3].Value(0).S}
+	out := &ProteinProfile{Accession: cell(res, 0, 0).S, Family: cell(res, 1, 0).S, Organism: cell(res, 2, 0).S, EC: cell(res, 3, 0).S}
 	res2, err := e.QueryColumns(ctx, fmt.Sprintf(
 		`SELECT a.ligand_id, a.affinity FROM activities a
 		 WHERE a.protein_id = %s ORDER BY a.affinity DESC`, query.Quote(accession)))
 	if err != nil {
 		return nil, err
 	}
-	for i, c := 0, res2.Batch.Cols; i < res2.Batch.Rows; i++ {
+	for i := range res2.Batch.Rows {
 		out.Activities = append(out.Activities, LigandHit{
-			LigandID: c[0].Value(i).S, Count: 1, MeanAff: c[1].Value(i).F, MaxAff: c[1].Value(i).F,
+			LigandID: cell(res2, 0, i).S, Count: 1, MeanAff: cell(res2, 1, i).F, MaxAff: cell(res2, 1, i).F,
 		})
 	}
 	return out, nil
@@ -159,11 +165,11 @@ func (e *Engine) SimilarLigands(ctx context.Context, smiles string, k int, thres
 		return nil, err
 	}
 	out := make([]SimilarLigand, 0, res.Batch.Rows)
-	for i, c := 0, res.Batch.Cols; i < res.Batch.Rows; i++ {
+	for i := range res.Batch.Rows {
 		out = append(out, SimilarLigand{
-			LigandID:   c[0].Value(i).S,
-			SMILES:     c[1].Value(i).S,
-			Similarity: c[2].Value(i).F,
+			LigandID:   cell(res, 0, i).S,
+			SMILES:     cell(res, 1, i).S,
+			Similarity: cell(res, 2, i).F,
 		})
 	}
 	return out, nil
@@ -199,15 +205,14 @@ func (e *Engine) FamilyEnrichment(ctx context.Context, ligandID string, maxDepth
 		if err != nil {
 			return nil, err
 		}
-		c := res.Batch.Cols
-		if res.Batch.Rows != 1 || c[0].Value(0).I == 0 {
+		if res.Batch.Rows != 1 || cell(res, 0, 0).I == 0 {
 			continue
 		}
 		out = append(out, EnrichedClade{
 			Clade:   n.Name,
 			Leaves:  int64(e.tree.LeafCount(id)),
-			Hits:    c[0].Value(0).I,
-			MeanAff: c[1].Value(0).F,
+			Hits:    cell(res, 0, 0).I,
+			MeanAff: cell(res, 1, 0).F,
 		})
 	}
 	// Sort by mean affinity, strongest first (insertion sort; clade

@@ -448,7 +448,7 @@ func (e *Engine) Query(ctx context.Context, src string) (*query.Result, error) {
 	}
 	res := *shared
 	res.Columns = append([]string(nil), shared.Columns...)
-	res.Batch, res.Rows = nil, store.RowsFromColBatch(shared.Batch)
+	res.Batch, res.Rows = nil, store.RowsFromColBatch(shared.Batch, shared.Dict)
 	if ops := shared.Stats.Ops; ops != nil {
 		copies := make([]query.OpStats, len(ops))
 		res.Stats.Ops = make([]*query.OpStats, len(ops))

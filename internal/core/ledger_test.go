@@ -85,7 +85,7 @@ func TestCountLedger(t *testing.T) {
 				t.Fatal(err)
 			}
 			entry.examined += res.Stats.RowsScanned + res.Stats.RowsIndexed
-			n, err := mobile.MsgSize(&mobile.QueryResult{Columns: res.Columns, Batch: res.Batch})
+			n, err := mobile.MsgSize(&mobile.QueryResult{Columns: res.Columns, Batch: res.Batch, Dict: res.Dict})
 			if err != nil {
 				t.Fatalf("%s: encoding the reply to %q: %v", class, s.Text, err)
 			}

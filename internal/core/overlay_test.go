@@ -74,7 +74,7 @@ func TestOverlayReadAnswersSubtreeAggregate(t *testing.T) {
 		if strings.Contains(scan.Plan, "OverlayRead") {
 			t.Fatalf("overlay fired with no overlay wired:\n%s", scan.Plan)
 		}
-		ov, sc := res.Rows[0], store.RowsFromColBatch(scan.Batch)[0]
+		ov, sc := res.Rows[0], store.RowsFromColBatch(scan.Batch, scan.Dict)[0]
 		if ov[0] != sc[0] || ov[1] != sc[1] {
 			t.Fatalf("counts disagree at %s: overlay %v scan %v", node, ov, sc)
 		}
@@ -252,7 +252,7 @@ func TestOverlayNonFiniteMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, s := ov.Rows[0], store.RowsFromColBatch(sc.Batch)[0]
+		o, s := ov.Rows[0], store.RowsFromColBatch(sc.Batch, sc.Dict)[0]
 		if o[0] != s[0] || o[1] != s[1] {
 			t.Fatalf("%s at %s: counts disagree: overlay %v scan %v", stage, node, o, s)
 		}

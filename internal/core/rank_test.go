@@ -53,7 +53,7 @@ func TestRankIndexMatchesScanUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		rows := store.RowsFromColBatch(res.Batch)
+		rows := store.RowsFromColBatch(res.Batch, res.Dict)
 		out := make([]string, len(rows))
 		for i, r := range rows {
 			out[i] = canonRow(r)

@@ -166,6 +166,9 @@ type QueryResult struct {
 	// of Rows, to the same bytes. The server sets it to the engine's
 	// shared result, so the encoder only reads it.
 	Batch *store.ColBatch
+	// Dict decodes Batch's coded columns (the engine's query.Result.Dict);
+	// it never goes on the wire, which carries the names.
+	Dict *store.Dict
 }
 
 // ErrorMsg reports a failure.
@@ -225,6 +228,7 @@ func encodeMsg(msg any) ([]byte, error) {
 // QUERY goes in slot 0).
 type encoder struct {
 	seen  map[string]uint32 // a STRING column's distinct cells, by first appearance
+	marks []uint32          // a coded column's, by code: first appearance + 1, 0 for none
 	dict  []dictEntry       // and in a slice, then sorted
 	codes []uint32          // each row's first-appearance number
 	rank  []uint32          // each first-appearance number's sorted place

@@ -42,14 +42,18 @@ type dictEntry struct {
 // appendReply appends a QUERY_RESULT payload. A result of Rows alone,
 // or one with a generic column, is transposed into columns of its
 // cells' kinds, so every result takes one path; a column whose cells
-// are of two kinds is an error.
+// are of two kinds is an error. A coded column is written as the STRING
+// column its names make, to the same bytes.
 func (e *encoder) appendReply(b []byte, m *QueryResult) ([]byte, error) {
 	cb := m.Batch
 	if cb != nil && len(cb.Cols) != len(m.Columns) {
 		return b, fmt.Errorf("mobile: result has %d columns and %d names", len(cb.Cols), len(m.Columns))
 	}
+	if cb != nil && m.Dict == nil && slices.ContainsFunc(cb.Cols, func(c store.Col) bool { return c.Kind == store.KindCode }) {
+		return b, fmt.Errorf("mobile: result has a coded column and no dictionary")
+	}
 	if cb != nil && slices.ContainsFunc(cb.Cols, func(c store.Col) bool { return c.Kind == store.KindNull }) {
-		m, cb = &QueryResult{Columns: m.Columns, Rows: store.RowsFromColBatch(cb)}, nil
+		m, cb = &QueryResult{Columns: m.Columns, Rows: store.RowsFromColBatch(cb, m.Dict)}, nil
 	}
 	if cb == nil {
 		kinds := make([]store.Kind, len(m.Columns))
@@ -75,7 +79,7 @@ func (e *encoder) appendReply(b []byte, m *QueryResult) ([]byte, error) {
 	}
 	b = binary.AppendUvarint(b, uint64(cb.Rows))
 	for i := range cb.Cols {
-		b = e.appendColumn(b, &cb.Cols[i], cb.Rows, &cost)
+		b = e.appendColumn(b, &cb.Cols[i], cb.Rows, m.Dict, &cost)
 	}
 	if pad := (cost+replyAllocRatio-1)/replyAllocRatio - (len(b) - start); pad > 0 {
 		b = appendZeros(b, pad)
@@ -83,9 +87,14 @@ func (e *encoder) appendReply(b []byte, m *QueryResult) ([]byte, error) {
 	return b, nil
 }
 
-// appendColumn appends the first n cells of c, a typed column or one of
-// NULLs alone, and adds its dictionary's decoding cost to cost.
-func (e *encoder) appendColumn(b []byte, c *store.Col, n int, cost *int) []byte {
+// appendColumn appends the first n cells of c, a typed column, a coded
+// one (whose names d decodes) or one of NULLs alone, and adds its
+// dictionary's decoding cost to cost.
+func (e *encoder) appendColumn(b []byte, c *store.Col, n int, d *store.Dict, cost *int) []byte {
+	kind := c.Kind
+	if kind == store.KindCode {
+		kind = store.KindString
+	}
 	at, nulls := len(b), 0
 	b = appendZeros(b, 1+(n+7)/8) // the kind, then room for a bitmap
 	for i, null := range c.Null[:n] {
@@ -98,12 +107,12 @@ func (e *encoder) appendColumn(b []byte, c *store.Col, n int, cost *int) []byte 
 	case nulls == n:
 		return b[:at+1]
 	case nulls == 0:
-		b, b[at] = b[:at+1], byte(c.Kind)
+		b, b[at] = b[:at+1], byte(kind)
 	default:
-		b[at] = byte(c.Kind) | nullsFlag
+		b[at] = byte(kind) | nullsFlag
 	}
-	if c.Kind == store.KindString {
-		return e.appendStrings(b, c, n, cost)
+	if kind == store.KindString {
+		return e.appendStrings(b, c, n, d, cost)
 	}
 	for i, null := range c.Null[:n] {
 		switch {
@@ -119,25 +128,16 @@ func (e *encoder) appendColumn(b []byte, c *store.Col, n int, cost *int) []byte 
 	return b
 }
 
-// appendStrings appends a typed STRING column's dictionary and row
-// codes. Distinct cells are numbered as they first appear, then sorted,
-// so the sort compares each distinct string, not each row.
-func (e *encoder) appendStrings(b []byte, c *store.Col, n int, cost *int) []byte {
-	if e.seen == nil {
-		e.seen = make(map[string]uint32)
-	}
+// appendStrings appends a STRING column's dictionary and row codes, a
+// typed column's or a coded one's (whose names d decodes). Distinct
+// cells are numbered as they first appear, then sorted, so the sort
+// compares each distinct string, not each row.
+func (e *encoder) appendStrings(b []byte, c *store.Col, n int, d *store.Dict, cost *int) []byte {
 	e.dict, e.codes = e.dict[:0], sized(e.codes, n)
-	for i, null := range c.Null[:n] {
-		if null {
-			continue
-		}
-		first, ok := e.seen[c.Str[i]]
-		if !ok {
-			first = uint32(len(e.dict))
-			e.seen[c.Str[i]] = first
-			e.dict = append(e.dict, dictEntry{c.Str[i], first})
-		}
-		e.codes[i] = first
+	if c.Kind == store.KindCode {
+		e.numberCodes(c, n, d)
+	} else {
+		e.numberStrings(c, n)
 	}
 	slices.SortFunc(e.dict, func(x, y dictEntry) int { return strings.Compare(x.s, y.s) })
 	e.rank = sized(e.rank, len(e.dict))
@@ -157,15 +157,67 @@ func (e *encoder) appendStrings(b []byte, c *store.Col, n int, cost *int) []byte
 			b = binary.AppendUvarint(b, uint64(e.rank[e.codes[i]]))
 		}
 	}
-	// Keep no cell of the result alive, and no map a large column grew
-	// (a map never shrinks; maxInterned entries stay near maxRetained).
+	// Keep no cell of the result alive.
 	clear(e.dict)
+	e.dict, e.codes, e.rank = retained(e.dict), retained(e.codes), retained(e.rank)
+	return b
+}
+
+// numberStrings numbers a typed STRING column's distinct cells as they
+// first appear, through a map it then clears (and drops once a large
+// column grew it: a map never shrinks; maxInterned entries stay near
+// maxRetained).
+func (e *encoder) numberStrings(c *store.Col, n int) {
+	if e.seen == nil {
+		e.seen = make(map[string]uint32)
+	}
+	for i, null := range c.Null[:n] {
+		if null {
+			continue
+		}
+		first, ok := e.seen[c.Str[i]]
+		if !ok {
+			first = uint32(len(e.dict))
+			e.seen[c.Str[i]] = first
+			e.dict = append(e.dict, dictEntry{c.Str[i], first})
+		}
+		e.codes[i] = first
+	}
 	if len(e.seen) > maxInterned {
 		e.seen = nil
 	}
 	clear(e.seen)
-	e.dict, e.codes, e.rank = retained(e.dict), retained(e.codes), retained(e.rank)
-	return b
+}
+
+// numberCodes numbers a coded column's distinct names as they first
+// appear: it marks each code's number in marks, a scratch indexed by
+// code that is all zeros between calls, and decodes each distinct name
+// once.
+func (e *encoder) numberCodes(c *store.Col, n int, d *store.Dict) {
+	top := int64(-1)
+	for i, null := range c.Null[:n] {
+		if !null {
+			top = max(top, c.Int[i])
+		}
+	}
+	names, marks := d.Names(), sized(e.marks, int(top+1))
+	for i, null := range c.Null[:n] {
+		if null {
+			continue
+		}
+		m := &marks[c.Int[i]]
+		if *m == 0 {
+			e.dict = append(e.dict, dictEntry{names[c.Int[i]], uint32(len(e.dict))})
+			*m = uint32(len(e.dict))
+		}
+		e.codes[i] = *m - 1
+	}
+	for i, null := range c.Null[:n] {
+		if !null {
+			marks[c.Int[i]] = 0
+		}
+	}
+	e.marks = retained(marks)
 }
 
 // appendZeros appends k zero bytes to b, allocating only when b is too

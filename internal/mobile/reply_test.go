@@ -447,7 +447,7 @@ func TestDecodedRepliesMatchEngine(t *testing.T) {
 		for j := range want.Columns {
 			nulls := 0
 			for i, row := range got.Rows {
-				g, w := row[j], want.Batch.Cols[j].Value(i)
+				g, w := row[j], want.Dict.Value(&want.Batch.Cols[j], i)
 				if g.K != w.K || g.I != w.I || g.S != w.S || math.Float64bits(g.F) != math.Float64bits(w.F) {
 					t.Fatalf("%s: row %d column %s decoded %#v, engine %#v", q, i, want.Columns[j], g, w)
 				}

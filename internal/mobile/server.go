@@ -492,7 +492,7 @@ func (s *Server) handleQuery(ctx context.Context, w io.Writer, sess *session, m 
 		return s.replyError(w, sess, err)
 	}
 	// res is the engine's shared result: it is encoded, never written.
-	return s.respond(w, sess, &QueryResult{Columns: res.Columns, Batch: res.Batch})
+	return s.respond(w, sess, &QueryResult{Columns: res.Columns, Batch: res.Batch, Dict: res.Dict})
 }
 
 // replyError answers a failed engine call. When the engine's limiter

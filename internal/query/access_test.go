@@ -549,7 +549,7 @@ func checkAtSnapshot(cat Catalog, snap *store.SnapshotHandle) error {
 			if !strings.Contains(got.Plan, st.path) {
 				return fmt.Errorf("%s [%s]: plan lacks %q:\n%s", st.q, c.name, st.path, got.Plan)
 			}
-			rows := store.RowsFromColBatch(got.Batch)
+			rows := store.RowsFromColBatch(got.Batch, got.Dict)
 			if len(rows) != len(want.Rows) {
 				return fmt.Errorf("%s [%s]: %d rows, the reference has %d", st.q, c.name, len(rows), len(want.Rows))
 			}

@@ -20,6 +20,9 @@ type aggTable struct {
 	// distinct[i] holds the (group id, value) pairs a DISTINCT
 	// aggregate has folded; nil for plain aggregates.
 	distinct []*hashTab
+	// dict decodes a coded argument for the aggregates that read its
+	// strings (all but COUNT); coded group keys stay codes.
+	dict *store.Dict
 
 	// Per-batch scratch.
 	cols   []*store.Col // the batch's evaluated group keys, then arguments
@@ -33,15 +36,17 @@ type aggTable struct {
 // aggVec is one aggregate's state across groups: the count of non-NULL
 // inputs for COUNT/SUM/AVG, their sum for SUM/AVG, the running extreme
 // for MIN/MAX (a column of the argument's kind, created by the first
-// fold; NULL until a value arrives).
+// fold; NULL until a value arrives), and the batch's coded argument
+// decoded, for all but COUNT.
 type aggVec struct {
-	count []int64
-	sum   []float64
-	ext   *store.Col
+	count   []int64
+	sum     []float64
+	ext     *store.Col
+	decoded store.Col
 }
 
-func newAggTable(aggs []*AggExpr, grouped bool) *aggTable {
-	t := &aggTable{aggs: aggs, states: make([]aggVec, len(aggs)), distinct: make([]*hashTab, len(aggs))}
+func newAggTable(aggs []*AggExpr, grouped bool, d *store.Dict) *aggTable {
+	t := &aggTable{aggs: aggs, states: make([]aggVec, len(aggs)), distinct: make([]*hashTab, len(aggs)), dict: d}
 	if grouped {
 		t.groups = newHashTab(true, 0)
 	}
@@ -97,7 +102,8 @@ func (t *aggTable) accum(gcols, acols []*store.Col, sel []int) {
 // fold adds the argument cells acols at rows sel to the groups gids
 // (aligned with sel). A row may be listed more than once — a
 // group-join's probe row matched by several build rows — and then
-// counts once per listing.
+// counts once per listing. A coded argument is folded as codes by COUNT
+// alone: MIN and MAX order strings, SUM and AVG read values.
 func (t *aggTable) fold(acols []*store.Col, sel []int, gids []int32) {
 	if t.countRows {
 		for _, g := range gids {
@@ -108,11 +114,16 @@ func (t *aggTable) fold(acols []*store.Col, sel []int, gids []int32) {
 		if a.Star {
 			continue
 		}
+		col, s := acols[i], &t.states[i]
+		if col.Kind == store.KindCode && a.Func != AggCount {
+			t.dict.Decode(&s.decoded, col, sel)
+			col = &s.decoded
+		}
 		fsel, fgid := sel, gids
 		if d := t.distinct[i]; d != nil {
-			fsel, fgid = t.newPairs(d, acols[i], sel, gids)
+			fsel, fgid = t.newPairs(d, col, sel, gids)
 		}
-		t.states[i].fold(a.Func, acols[i], fsel, fgid, t.n)
+		s.fold(a.Func, col, fsel, fgid, t.n)
 	}
 }
 

@@ -156,7 +156,9 @@ func drainBatches(ctx context.Context, in batchIterator) ([]*batch, error) {
 // by an identity projection — is that vector, adopted as is; every other
 // column concatenates its live cells into a fresh one. A vector adopted
 // once is copied the second time, so no two result columns share one.
-func drainColumns(ctx context.Context, in batchIterator, schema *planSchema) (*store.ColBatch, error) {
+// A column read from a coded table column stays coded: its codes are
+// decoded (through d) only where the result leaves the engine.
+func drainColumns(ctx context.Context, in batchIterator, schema *planSchema, d *store.Dict) (*store.ColBatch, error) {
 	batches, err := drainBatches(ctx, in)
 	if err != nil {
 		return nil, err
@@ -175,7 +177,7 @@ func drainColumns(ctx context.Context, in batchIterator, schema *planSchema) (*s
 		}
 		dst := store.NewCol(kind, out.Rows)
 		for _, b := range batches {
-			appendLive(dst, b, c)
+			appendLive(dst, b, c, d)
 		}
 		out.Cols[c] = *dst
 	}
@@ -210,7 +212,7 @@ func wholeVector(batches []*batch, c int, kind store.Kind, rows int) (store.Col,
 // cellCap is the capacity of a column's active cell slice.
 func cellCap(c *store.Col) int {
 	switch c.Kind {
-	case store.KindInt, store.KindBool:
+	case store.KindInt, store.KindBool, store.KindCode:
 		return cap(c.Int)
 	case store.KindFloat:
 		return cap(c.Float)
@@ -227,7 +229,7 @@ func sameCell(v, whole *store.Col, i int) bool {
 		return false
 	}
 	switch v.Kind {
-	case store.KindInt, store.KindBool:
+	case store.KindInt, store.KindBool, store.KindCode:
 		return &v.Int[0] == &whole.Int[i]
 	case store.KindFloat:
 		return &v.Float[0] == &whole.Float[i]
@@ -238,10 +240,16 @@ func sameCell(v, whole *store.Col, i int) bool {
 }
 
 // appendLive appends the live cells of b's column c to dst, whose kind
-// is the column's or generic: a dense same-kind column is one bulk
-// append per vector.
-func appendLive(dst *store.Col, b *batch, c int) {
+// is the column's or generic, or STRING over a coded column, whose cells
+// d decodes: a dense same-kind column is one bulk append per vector.
+func appendLive(dst *store.Col, b *batch, c int, d *store.Dict) {
 	src := b.cols[c]
+	if src.Kind == store.KindCode && dst.Kind != store.KindCode {
+		for k, live := 0, b.live(); k < live; k++ {
+			dst.Append(d.Value(src, b.rowIdx(k)))
+		}
+		return
+	}
 	if b.sel == nil && src.Kind == dst.Kind {
 		v := src.Slice(0, b.n) // only the active vector is set
 		dst.Null = append(dst.Null, v.Null...)
@@ -258,8 +266,9 @@ func appendLive(dst *store.Col, b *batch, c int) {
 
 // concatBatches returns the live rows of batches, narrowed to the
 // columns cols, as one dense batch: a lone dense batch's own columns,
-// or else copies sized exactly, in the kind the batches deliver.
-func concatBatches(batches []*batch, cols []int) *batch {
+// or else copies sized exactly, in the kind the batches deliver — codes
+// when every batch's column is coded, else strings d decodes.
+func concatBatches(batches []*batch, cols []int, d *store.Dict) *batch {
 	out := &batch{cols: make([]*store.Col, len(cols))}
 	if len(batches) == 1 && batches[0].sel == nil {
 		for k, c := range cols {
@@ -276,23 +285,27 @@ func concatBatches(batches []*batch, cols []int) *batch {
 		if len(batches) > 0 {
 			kind = batches[0].cols[c].Kind
 		}
+		if kind == store.KindCode && slices.ContainsFunc(batches, func(b *batch) bool { return b.cols[c].Kind != store.KindCode }) {
+			kind = store.KindString
+		}
 		out.cols[k] = store.NewCol(kind, out.n)
 		for _, b := range batches {
-			appendLive(out.cols[k], b, c)
+			appendLive(out.cols[k], b, c, d)
 		}
 	}
 	return out
 }
 
 // gatherInto fills dst — its null mask allocated, len(idx) cells — with
-// the cells of src at the positions idx, in src's kind.
+// the cells of src at the positions idx, in src's kind (a coded column's
+// codes).
 func gatherInto[I int | int32](dst, src *store.Col, idx []I) {
 	dst.Kind = src.Kind
 	for k, i := range idx {
 		dst.Null[k] = src.Null[i]
 	}
 	switch src.Kind {
-	case store.KindInt, store.KindBool:
+	case store.KindInt, store.KindBool, store.KindCode:
 		dst.Int = make([]int64, len(idx))
 		for k, i := range idx {
 			dst.Int[k] = src.Int[i]
@@ -316,8 +329,8 @@ func gatherInto[I int | int32](dst, src *store.Col, idx []I) {
 }
 
 // outputKind picks the storage kind of output column c: the kind the
-// plan declares when every live cell is that kind or NULL, generic
-// otherwise. Declared kinds are static inferences (an arithmetic
+// plan declares when every live cell is that kind or NULL — codes when
+// every batch's column is coded —, generic otherwise. Declared kinds are static inferences (an arithmetic
 // expression over runtime-typed operands can miss), and generic
 // columns' cells usually do all have the declared kind: a scalar
 // subquery's constant, or arithmetic and negation over generic cells —
@@ -327,9 +340,14 @@ func outputKind(batches []*batch, c int, declared store.Kind) store.Kind {
 	if declared == store.KindNull {
 		return store.KindNull
 	}
+	coded := 0
 	for _, b := range batches {
 		src := b.cols[c]
 		if src.Kind == declared {
+			continue
+		}
+		if src.Kind == store.KindCode && declared == store.KindString {
+			coded++
 			continue
 		}
 		if src.Kind != store.KindNull {
@@ -340,6 +358,9 @@ func outputKind(batches []*batch, c int, declared store.Kind) store.Kind {
 				return store.KindNull
 			}
 		}
+	}
+	if coded > 0 && coded == len(batches) {
+		return store.KindCode
 	}
 	return declared
 }

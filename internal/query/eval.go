@@ -84,6 +84,7 @@ type bindEnv struct {
 	tree         *phylo.Tree
 	cat          Catalog
 	snap         *store.SnapshotHandle // statement snapshot subqueries reuse
+	dict         *store.Dict           // the snapshot's: coded cells decode through it (nil when validating)
 	opts         Options
 	validateOnly bool
 }

@@ -18,8 +18,13 @@ type Result struct {
 	Columns []string
 	// Batch is the result as typed column vectors: what Run and RunAt
 	// deliver (nil for EXPLAIN). Nothing writes it once they return, so
-	// it may be shared read-only.
+	// it may be shared read-only. A column read from a coded table column
+	// holds its codes (KindCode), which Dict decodes.
 	Batch *store.ColBatch
+	// Dict is the dictionary Batch's coded columns decode through: the
+	// statement's DB's, whose codes keep their meaning for the life of
+	// the process.
+	Dict *store.Dict
 	// Rows is the result as rows, set in place of Batch only by the row
 	// adapters Engine.Query and core.Engine.Query.
 	Rows []store.Row
@@ -61,8 +66,8 @@ func (e *Engine) newExecCtx(ctx context.Context, snap *store.SnapshotHandle) *ex
 }
 
 // Query is the row adapter: it parses src, runs it, and returns the
-// answer as Rows (store.RowsFromColBatch of the Batch Run delivers) with
-// Batch nil. Nothing in the module outside tests calls it; it stays for
+// answer as Rows (store.RowsFromColBatch of the Batch Run delivers, its
+// names decoded) with Batch nil. Nothing in the module outside tests calls it; it stays for
 // the repository benchmark's single-node oracle, whose checks read
 // Result.Rows.
 func (e *Engine) Query(ctx context.Context, src string) (*Result, error) {
@@ -74,7 +79,7 @@ func (e *Engine) Query(ctx context.Context, src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rows, res.Batch = store.RowsFromColBatch(res.Batch), nil
+	res.Rows, res.Batch = store.RowsFromColBatch(res.Batch, res.Dict), nil
 	return res, nil
 }
 
@@ -124,13 +129,14 @@ func (e *Engine) RunAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 	}
 	res := &Result{
 		Columns: cols,
+		Dict:    snap.Dict(),
 		Plan:    strings.Join(ec.plan, "\n"),
 		Stats:   ec.stats.Snapshot(),
 	}
 	if stmt.Explain && !stmt.Analyze {
 		return res, nil
 	}
-	if res.Batch, err = drainColumns(ctx, root, optimized.Schema()); err != nil {
+	if res.Batch, err = drainColumns(ctx, root, optimized.Schema(), res.Dict); err != nil {
 		return nil, err
 	}
 	atomic.StoreInt64(&ec.stats.RowsReturned, int64(res.Batch.Rows))
@@ -194,7 +200,7 @@ func outputColumns(p LogicalPlan) []string {
 }
 
 // FormatResult renders a result's Batch as an aligned text table (used
-// by the CLI and examples).
+// by the CLI and examples), names decoded.
 func FormatResult(r *Result) string {
 	if len(r.Columns) == 0 {
 		return "(no columns)\n"
@@ -212,7 +218,7 @@ func FormatResult(r *Result) string {
 	for ri := range cells {
 		cells[ri] = make([]string, len(cols))
 		for ci := range cols {
-			v := cols[ci].Value(ri)
+			v := r.Dict.Value(&cols[ci], ri)
 			s := v.String()
 			if v.K == store.KindString {
 				s = v.S // unquoted for display

@@ -225,7 +225,7 @@ func TestColumnarSinkAdoptsPlanVectors(t *testing.T) {
 			if res.Batch.Rows != c.rows {
 				t.Fatalf("%s [%s]: %d rows, want %d", c.q, m.name, res.Batch.Rows, c.rows)
 			}
-			if !sameRowMultisetCanon(store.RowsFromColBatch(res.Batch), want.Rows) {
+			if !sameRowMultisetCanon(store.RowsFromColBatch(res.Batch, res.Dict), want.Rows) {
 				t.Fatalf("%s [%s]: columns differ from the reference executor's rows", c.q, m.name)
 			}
 			for j := range res.Batch.Cols {

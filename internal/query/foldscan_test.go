@@ -95,8 +95,8 @@ func runStreamed(e *Engine, stmt *SelectStmt, snap *store.SnapshotHandle) (*Resu
 		return nil, 0, err
 	}
 	wrapped := streamFolds(root)
-	res := &Result{Columns: outputColumns(optimized), Plan: strings.Join(ec.plan, "\n")}
-	if res.Batch, err = drainColumns(ctx, root, optimized.Schema()); err != nil {
+	res := &Result{Columns: outputColumns(optimized), Dict: snap.Dict(), Plan: strings.Join(ec.plan, "\n")}
+	if res.Batch, err = drainColumns(ctx, root, optimized.Schema(), res.Dict); err != nil {
 		return nil, 0, err
 	}
 	if stmt.Analyze {
@@ -138,7 +138,7 @@ func TestFoldFromStorageMatchesGather(t *testing.T) {
 			if prefix == "" && (filled.Batch == nil || streamed.Batch == nil) {
 				t.Fatalf("%q: a run delivered no batch", q)
 			}
-			if got, want := exactRows(store.RowsFromColBatch(filled.Batch)), exactRows(store.RowsFromColBatch(streamed.Batch)); got != want {
+			if got, want := exactRows(store.RowsFromColBatch(filled.Batch, filled.Dict)), exactRows(store.RowsFromColBatch(streamed.Batch, streamed.Dict)); got != want {
 				t.Fatalf("%q: folded from storage\n%s\nfolded from the stream\n%s", q, got, want)
 			}
 			if filled.Plan != streamed.Plan {
@@ -241,7 +241,7 @@ func TestStatementsReadTheirPin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = sortedRows(store.RowsFromColBatch(res.Batch))
+		want[i] = sortedRows(store.RowsFromColBatch(res.Batch, res.Dict))
 	}
 	plans := ""
 	for _, q := range queries {
@@ -302,7 +302,7 @@ func TestStatementsReadTheirPin(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := sortedRows(store.RowsFromColBatch(res.Batch)); got != want[i] {
+				if got := sortedRows(store.RowsFromColBatch(res.Batch, res.Dict)); got != want[i] {
 					t.Fatalf("%q, parallelism %d, round %d: the answer is not the pinned image's", queries[i], para, round)
 				}
 			}

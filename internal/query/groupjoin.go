@@ -86,7 +86,7 @@ func (g *vecGroupJoin) nextBatch() (*batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := &groupJoinFold{g: g, side: side, t: newAggTable(g.aggs, len(g.groups) > 0), cur: newProber(g.e.probeKeys),
+		p := &groupJoinFold{g: g, side: side, t: newAggTable(g.aggs, len(g.groups) > 0, g.ec.dict()), cur: side.newProber(g.e.probeKeys, g.ec.dict()),
 			gid: make([]int32, side.rows.n), acols: make([]*store.Col, len(g.aggs))}
 		if len(g.groups) == 0 {
 			p.t.grow(1) // every build row is in group 0

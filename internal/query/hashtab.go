@@ -14,6 +14,9 @@ import (
 // key cells live column-wise in typed store.Cols, cell e of every
 // column being entry e's key (a key column takes the first batch's
 // kind: an operator's columns keep one runtime kind across batches). A
+// coded key column is hashed and compared by its codes, never its
+// strings, so every row of a table keys it coded or none does (a join's
+// probe and an IN set's needle are recoded to match: codedAs). A
 // hash hit is only a candidate — key
 // cells are compared, typed, on every hit (distinct keys can share a
 // hash: Value.Hash widens integers to float64).
@@ -74,7 +77,7 @@ func cellsEqual(a *store.Col, i int, b *store.Col, j int, grouping bool) bool {
 	}
 	if a.Kind == b.Kind {
 		switch a.Kind {
-		case store.KindInt, store.KindBool:
+		case store.KindInt, store.KindBool, store.KindCode:
 			return a.Int[i] == b.Int[j]
 		case store.KindFloat:
 			x, y := a.Float[i], b.Float[j]
@@ -180,4 +183,34 @@ func (t *hashTab) grow() {
 		}
 		t.slots[s] = int32(e) + 1
 	}
+}
+
+// codedAs returns the equality key column c, at the rows sel of b, in
+// the form a hash table's key column holds it: coded or not. A c of that
+// form is returned as it is; a coded c is decoded through d; a plain c
+// is looked up in d, a cell that is not a string, or a string d lacks,
+// taking code -1, which equals no coded cell. Only equality keys take
+// it (a join's probe, an IN set's needle): a grouping's keys keep one
+// form.
+func codedAs(coded bool, b *batch, c *store.Col, sel []int, d *store.Dict) *store.Col {
+	switch {
+	case coded == (c.Kind == store.KindCode):
+		return c
+	case !coded:
+		return decodedAt(b, c, sel, d)
+	}
+	out := b.newCol(store.KindCode)
+	for _, i := range sel {
+		if c.Null[i] {
+			continue
+		}
+		code := int64(-1)
+		if v := c.Value(i); v.K == store.KindString {
+			if x, ok := d.Code(v.S); ok {
+				code = x
+			}
+		}
+		out.SetInt(i, code)
+	}
+	return out
 }

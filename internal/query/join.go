@@ -37,7 +37,7 @@ func buildJoin(n *JoinNode, ec *execCtx, depth int) (batchIterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &vecNestedLoop{left: left, rightIn: right, out: out, stats: ec.stats, cancel: cancel, op: op}, nil
+		return &vecNestedLoop{left: left, rightIn: right, out: out, stats: ec.stats, dict: ec.dict(), cancel: cancel, op: op}, nil
 	}
 	e.chooseProbe(ec)
 	op := ec.note(depth, "HashJoin %s%s%s", e.note(), n.colsNote(), joinResidualNote(e.residual))
@@ -184,7 +184,7 @@ func (e *equiJoin) open(ec *execCtx, in batchIterator, cols []int, op *OpStats) 
 	if err != nil {
 		return nil, err
 	}
-	h := &hashSide{rows: concatBatches(bbs, cols)}
+	h := &hashSide{rows: concatBatches(bbs, cols, ec.dict())}
 	op.BuildRows = int64(h.rows.n)
 	// First every row's entry id, written where its chain link will go;
 	// then, last row first, each row is pushed on the front of its
@@ -215,7 +215,7 @@ func (e *equiJoin) open(ec *execCtx, in batchIterator, cols []int, op *OpStats) 
 	}
 	if e.keyed() {
 		_, probeSide := e.sides()
-		e.access.Keys = h.accessKeys(probeSide.Schema().cols[e.probeKeys[0]].Kind)
+		e.access.Keys = h.accessKeys(probeSide.Schema().cols[e.probeKeys[0]].Kind, ec.dict())
 	}
 	return h, nil
 }
@@ -363,16 +363,16 @@ func (h *hashSide) match(cur *prober) {
 }
 
 // accessKeys lists the build side's distinct keys — a one-key table's
-// entries, non-NULL and distinct under store.Equal — in first-seen order
-// as index probes on a column of kind kind: a keyed probe scan's rows
-// follow this order. An INT key on a FLOAT column is widened as the
-// index would widen it, and keys that widen alike are listed once, so
-// no row is read twice.
-func (h *hashSide) accessKeys(kind store.Kind) []store.Value {
+// entries, non-NULL and distinct under store.Equal, coded ones decoded
+// through d — in first-seen order as index probes on a column of kind
+// kind: a keyed probe scan's rows follow this order. An INT key on a
+// FLOAT column is widened as the index would widen it, and keys that
+// widen alike are listed once, so no row is read twice.
+func (h *hashSide) accessKeys(kind store.Kind, d *store.Dict) []store.Value {
 	keys := make([]store.Value, 0, h.tab.len()) // non-nil: no keys reads no rows
 	var widened map[float64]bool
 	for e := 0; e < h.tab.len(); e++ {
-		v := h.tab.keys[0].Value(e)
+		v := d.Value(&h.tab.keys[0], e)
 		if v.K == store.KindInt && kind == store.KindFloat {
 			f := float64(v.I)
 			if widened == nil {
@@ -448,7 +448,7 @@ func (j *vecHashJoin) open() error {
 	}
 	j.side = side
 	if j.ec.joinWorkers == 1 {
-		j.cur = newProber(j.e.probeKeys)
+		j.cur = side.newProber(j.e.probeKeys, j.ec.dict())
 		return nil
 	}
 	pbs, err := drainBatches(j.ec.ctx, j.probeIn)
@@ -458,7 +458,7 @@ func (j *vecHashJoin) open() error {
 	outs := make([][]*batch, len(pbs))
 	err = runChunks(j.ec.ctx, splitChunks(len(pbs), j.ec.joinWorkers), func(_ int, r morselRange) error {
 		c := canceller{ctx: j.ec.ctx}
-		cur := newProber(j.e.probeKeys)
+		cur := side.newProber(j.e.probeKeys, j.ec.dict())
 		for k := r.lo; k < r.hi; k++ {
 			for cur.start(pbs[k]); !cur.done(); {
 				if err := c.now(); err != nil {
@@ -498,7 +498,9 @@ func (j *vecHashJoin) open() error {
 // current row's chain — and its reusable match-index vectors.
 type prober struct {
 	keyIdx []int
-	keys   []*store.Col // the batch's key columns
+	keys   []*store.Col // the batch's key columns, in the table's form
+	tab    *hashTab     // the build side's keys
+	dict   *store.Dict  // what recodes a probe key of the other form
 	pb     *batch
 	sel    []int
 	pos    int     // next position in sel
@@ -508,16 +510,23 @@ type prober struct {
 	bi     []int32 // and build rows
 }
 
-// newProber returns a prober that is done; start points it at a batch.
-func newProber(keyIdx []int) *prober {
-	return &prober{keyIdx: keyIdx, keys: make([]*store.Col, len(keyIdx)), chain: -1}
+// newProber returns a prober of h on the probe columns keyIdx that is
+// done; start points it at a batch.
+func (h *hashSide) newProber(keyIdx []int, d *store.Dict) *prober {
+	return &prober{keyIdx: keyIdx, keys: make([]*store.Col, len(keyIdx)), tab: h.tab, dict: d, chain: -1}
 }
 
+// start points p at pb, its key columns in the build side's form: a
+// join of two coded columns compares codes, and one of a coded and a
+// plain column recodes the probe's (codedAs).
 func (p *prober) start(pb *batch) {
+	p.pb, p.sel, p.pos, p.chain = pb, pb.selection(), 0, -1
 	for k, c := range p.keyIdx {
 		p.keys[k] = pb.cols[c]
+		if p.tab.len() > 0 { // an empty table matches nothing
+			p.keys[k] = codedAs(p.tab.keys[k].Kind == store.KindCode, pb, p.keys[k], p.sel, p.dict)
+		}
 	}
-	p.pb, p.sel, p.pos, p.chain = pb, pb.selection(), 0, -1
 	if p.pi == nil {
 		// Most probes find at most a match a row; longer chains grow it.
 		p.pi, p.bi = make([]int, 0, len(p.sel)), make([]int32, 0, len(p.sel))
@@ -534,6 +543,7 @@ type vecNestedLoop struct {
 	right         *batch // the right side's output columns, concatenated; nil until the first call
 	out           *joinOutput
 	stats         *ExecStats
+	dict          *store.Dict
 	cancel        canceller
 	op            *OpStats
 	pi            []int   // reusable candidate-pair index vectors:
@@ -551,7 +561,7 @@ func (j *vecNestedLoop) nextBatch() (*batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		j.right = concatBatches(rbs, j.out.buildCols)
+		j.right = concatBatches(rbs, j.out.buildCols, j.dict)
 	}
 	for {
 		if err := j.cancel.now(); err != nil {

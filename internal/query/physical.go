@@ -96,10 +96,15 @@ type execCtx struct {
 
 // env builds a binding environment carrying the execution context (so
 // uncorrelated subqueries run under the same cancellation scope and
-// read the same pinned snapshot).
+// read the same pinned snapshot, and coded cells decode through its
+// dictionary).
 func (c *execCtx) env(schema *planSchema) bindEnv {
-	return bindEnv{ctx: c.ctx, schema: schema, cat: c.cat, snap: c.snap, tree: c.cat.Tree(), opts: c.opts}
+	return bindEnv{ctx: c.ctx, schema: schema, cat: c.cat, snap: c.snap, dict: c.dict(), tree: c.cat.Tree(), opts: c.opts}
 }
+
+// dict returns the dictionary the statement's coded columns decode
+// through: its snapshot's.
+func (c *execCtx) dict() *store.Dict { return c.snap.Dict() }
 
 // view returns the statement's read view of a table: the pinned
 // snapshot's. A table created after the pin is not in the snapshot, and

@@ -473,7 +473,7 @@ func (a *vecAgg) nextBatch() (*batch, error) {
 		return nil, err
 	}
 	if a.out == nil {
-		t := newAggTable(a.aggs, len(a.groups) > 0)
+		t := newAggTable(a.aggs, len(a.groups) > 0, a.ec.dict())
 		if err := foldAll(a.ec, a.in, a.op, func(b *batch) error { return a.accumBatch(t, b) }); err != nil {
 			return nil, err
 		}

@@ -130,7 +130,7 @@ func bindScalarSubquery(x *SubqueryExpr, env bindEnv) (*boundExpr, error) {
 	}
 	v := store.NullValue()
 	if res.Batch.Rows == 1 {
-		v = res.Batch.Cols[0].Value(0)
+		v = res.Dict.Value(&res.Batch.Cols[0], 0)
 	}
 	return &boundExpr{
 		eval: func(store.Row) (store.Value, error) { return v, nil },
@@ -158,6 +158,10 @@ func bindInSubquery(x *InSubqueryExpr, env bindEnv) (*boundExpr, error) {
 		}, nil
 	}
 	col := &res.Batch.Cols[0]
+	if col.Kind == store.KindCode { // the set holds names, as rows do
+		col = &store.Col{}
+		res.Dict.Decode(col, &res.Batch.Cols[0], nil)
+	}
 	set := newHashTab(false, col.Len())
 	for i, key := 0, []*store.Col{col}; i < col.Len(); i++ {
 		set.insert(key, i) // NULLs match nothing and are not kept

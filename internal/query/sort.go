@@ -14,15 +14,19 @@ import (
 // parallel run (whose operators all preserve input order) sorts
 // exactly as a serial one.
 
-// sortKeys are a sort's compiled key expressions and directions.
+// sortKeys are a sort's compiled key expressions and directions, and
+// the dictionary a coded key decodes through: codes are in first-seen
+// order, so names sort as strings. The rows' other columns travel as
+// they are, coded ones as codes.
 type sortKeys struct {
 	exprs []*vecExpr
 	descs []bool
+	dict  *store.Dict
 }
 
 // bindSortKeys binds a sort's key expressions against its input.
 func bindSortKeys(n *SortNode, ec *execCtx) (sortKeys, error) {
-	keys := sortKeys{descs: make([]bool, len(n.Keys))}
+	keys := sortKeys{descs: make([]bool, len(n.Keys)), dict: ec.dict()}
 	exprs := make([]Expr, len(n.Keys))
 	for i, k := range n.Keys {
 		exprs[i], keys.descs[i] = k.Expr, k.Desc
@@ -61,6 +65,9 @@ func (k sortKeys) each(in batchIterator, cancel *canceller, visit func(keyedRef)
 		sel := b.selection()
 		if err := evalAll(k.exprs, b, sel, kb.keys); err != nil {
 			return err
+		}
+		for i, c := range kb.keys {
+			kb.keys[i] = decodedAt(b, c, sel, k.dict)
 		}
 		for _, i := range sel {
 			visit(keyedRef{kb, i})

@@ -158,7 +158,7 @@ func (b *batch) newCol(kind store.Kind) *store.Col {
 		c.Null[i] = true
 	}
 	switch kind {
-	case store.KindInt, store.KindBool:
+	case store.KindInt, store.KindBool, store.KindCode:
 		c.Int = resized(c.Int, b.n)
 		clear(c.Int)
 	case store.KindFloat:
@@ -201,6 +201,24 @@ func (b *batch) passSel(sel []int) []int {
 	return sel[:0:0]
 }
 
+// decodedAt returns c with its cells at sel readable as Values: c
+// itself unless it is coded, else a STRING column of b's rows whose
+// cells at sel are c's decoded through d. Operators carry a coded column
+// as its codes; an evaluation that reads a name's string — an order, a
+// pattern, a function of it — decodes it here.
+func decodedAt(b *batch, c *store.Col, sel []int, d *store.Dict) *store.Col {
+	if c.Kind != store.KindCode {
+		return c
+	}
+	out, names := b.newCol(store.KindString), d.Names()
+	for _, i := range sel {
+		if !c.Null[i] {
+			out.Null[i], out.Str[i] = false, names[c.Int[i]]
+		}
+	}
+	return out
+}
+
 // resized returns x with length n, reallocated only when its capacity
 // falls short.
 func resized[T any](x []T, n int) []T {
@@ -237,7 +255,7 @@ func bindVec(e Expr, env bindEnv) (*vecExpr, error) {
 		}
 		return &vecExpr{kind: inner.kind, fn: func(b *batch, sel []int) (*store.Col, error) {
 			c, sel, err := evalOver(inner, b, sel)
-			out, nerr := negCol(b, c, sel)
+			out, nerr := negCol(b, decodedAt(b, c, sel, env.dict), sel)
 			return out, earlier(nerr, err)
 		}}, nil
 	case *NotExpr:
@@ -250,7 +268,7 @@ func bindVec(e Expr, env bindEnv) (*vecExpr, error) {
 		}
 		return &vecExpr{kind: store.KindBool, fn: func(b *batch, sel []int) (*store.Col, error) {
 			c, sel, err := evalOver(inner, b, sel)
-			out, nerr := notCol(b, c, sel)
+			out, nerr := notCol(b, decodedAt(b, c, sel, env.dict), sel)
 			return out, earlier(nerr, err)
 		}}, nil
 	case *BinaryExpr:
@@ -407,13 +425,14 @@ func bindVecBinary(x *BinaryExpr, env bindEnv) (*vecExpr, error) {
 		}
 		return kindOnly(kind), nil
 	}
+	d := env.dict
 	switch {
 	case op == OpAnd || op == OpOr:
 		return bindVecLogic(op == OpAnd, l, r), nil
 	case op == OpLike:
-		return bindVecLike(l, r), nil
+		return bindVecLike(l, r, d), nil
 	case op.Comparison():
-		return bindVecCompare(op, l, r), nil
+		return bindVecCompare(op, l, r, d), nil
 	}
 	kind := arithKind(l.kind, r.kind)
 	// A constant operand is kept as a scalar rather than materialized
@@ -425,13 +444,13 @@ func bindVecBinary(x *BinaryExpr, env bindEnv) (*vecExpr, error) {
 		}
 		return &vecExpr{kind: kind, fn: func(b *batch, sel []int) (*store.Col, error) {
 			c, sel, err := evalOver(col, b, sel)
-			out, aerr := arithColScalar(b, op, c, v, sel, colIsLeft)
+			out, aerr := arithColScalar(b, op, decodedAt(b, c, sel, d), v, sel, colIsLeft)
 			return out, earlier(aerr, err)
 		}}, nil
 	}
 	return &vecExpr{kind: kind, fn: func(b *batch, sel []int) (*store.Col, error) {
 		lc, rc, sel, err := operands(l, r, b, sel)
-		out, aerr := arithCols(b, op, lc, rc, sel)
+		out, aerr := arithCols(b, op, decodedAt(b, lc, sel, d), decodedAt(b, rc, sel, d), sel)
 		return out, earlier(aerr, err)
 	}}, nil
 }
@@ -474,8 +493,8 @@ func bindVecLogic(isAnd bool, l, r *vecExpr) *vecExpr {
 }
 
 // bindVecLike compiles LIKE: true only when both sides are strings and
-// the left matches the right's pattern.
-func bindVecLike(l, r *vecExpr) *vecExpr {
+// the left matches the right's pattern (coded names decoded through d).
+func bindVecLike(l, r *vecExpr, d *store.Dict) *vecExpr {
 	if r.isLit {
 		pat := r.lit
 		return &vecExpr{kind: store.KindBool, fn: func(b *batch, sel []int) (*store.Col, error) {
@@ -490,9 +509,14 @@ func bindVecLike(l, r *vecExpr) *vecExpr {
 				for _, i := range sel {
 					out.SetBool(i, !lc.Null[i] && likeMatch(lc.Str[i], pat.S))
 				}
+			case lc.Kind == store.KindCode:
+				names := d.Names()
+				for _, i := range sel {
+					out.SetBool(i, !lc.Null[i] && likeMatch(names[lc.Int[i]], pat.S))
+				}
 			default:
 				for _, i := range sel {
-					lv := lc.Value(i)
+					lv := lc.Value(i) // a generic cell: lc is not coded
 					out.SetBool(i, lv.K == store.KindString && likeMatch(lv.S, pat.S))
 				}
 			}
@@ -501,6 +525,7 @@ func bindVecLike(l, r *vecExpr) *vecExpr {
 	}
 	return &vecExpr{kind: store.KindBool, fn: func(b *batch, sel []int) (*store.Col, error) {
 		lc, rc, sel, err := operands(l, r, b, sel)
+		lc, rc = decodedAt(b, lc, sel, d), decodedAt(b, rc, sel, d)
 		out := b.newCol(store.KindBool)
 		if lc.Kind == store.KindString && rc.Kind == store.KindString {
 			for _, i := range sel {
@@ -517,21 +542,44 @@ func bindVecLike(l, r *vecExpr) *vecExpr {
 }
 
 // bindVecCompare compiles a comparison; a constant operand stays a
-// scalar.
-func bindVecCompare(op BinOp, l, r *vecExpr) *vecExpr {
+// scalar. Codes are in first-seen order, not the strings' order, so
+// coded names are compared by code only under = and <>: two coded
+// columns code against code, a coded column and a string literal against
+// the literal's code, looked up in d once here (a string d lacks equals
+// no coded cell). Every other comparison decodes them.
+func bindVecCompare(op BinOp, l, r *vecExpr, d *store.Dict) *vecExpr {
+	byCode := op == OpEq || op == OpNe
 	if r.isLit || l.isLit {
 		colIsLeft, col, v := r.isLit, l, r.lit
 		if !colIsLeft {
 			col, v = r, l.lit
 		}
+		code, coded := int64(-1), byCode && v.K == store.KindString && d != nil
+		if coded {
+			if c, ok := d.Code(v.S); ok {
+				code = c
+			}
+		}
 		return &vecExpr{kind: store.KindBool, cmp: func(b *batch, sel []int, out cmpSink) (cmpSink, error) {
 			c, sel, err := evalOver(col, b, sel)
-			return compareColScalar(op, c, v, sel, colIsLeft, out), err
+			if coded && c.Kind == store.KindCode {
+				for _, i := range sel {
+					out.put(i, !c.Null[i] && (c.Int[i] == code) == (op == OpEq))
+				}
+				return out, err
+			}
+			return compareColScalar(op, decodedAt(b, c, sel, d), v, sel, colIsLeft, out), err
 		}}
 	}
 	return &vecExpr{kind: store.KindBool, cmp: func(b *batch, sel []int, out cmpSink) (cmpSink, error) {
 		lc, rc, sel, err := operands(l, r, b, sel)
-		return compareCols(op, lc, rc, sel, out), err
+		if byCode && lc.Kind == store.KindCode && rc.Kind == store.KindCode {
+			for _, i := range sel {
+				out.put(i, !lc.Null[i] && !rc.Null[i] && (lc.Int[i] == rc.Int[i]) == (op == OpEq))
+			}
+			return out, err
+		}
+		return compareCols(op, decodedAt(b, lc, sel, d), decodedAt(b, rc, sel, d), sel, out), err
 	}}
 }
 
@@ -839,9 +887,16 @@ func bindVecSubtree(x *SubtreeExpr, env bindEnv) (*vecExpr, error) {
 		return &vecExpr{kind: store.KindBool, fn: func(b *batch, sel []int) (*store.Col, error) {
 			c := b.cols[idx]
 			out := b.newCol(store.KindBool)
-			if c.Kind == store.KindString {
+			switch c.Kind {
+			case store.KindString:
 				for _, i := range sel {
 					out.SetBool(i, !c.Null[i] && within(c.Str[i]))
+				}
+				return out, nil
+			case store.KindCode:
+				names := env.dict.Names()
+				for _, i := range sel {
+					out.SetBool(i, !c.Null[i] && within(names[c.Int[i]]))
 				}
 				return out, nil
 			}
@@ -853,7 +908,7 @@ func bindVecSubtree(x *SubtreeExpr, env bindEnv) (*vecExpr, error) {
 		}}, nil
 	}
 	return &vecExpr{kind: store.KindBool, fn: func(b *batch, sel []int) (*store.Col, error) {
-		c := b.cols[idx]
+		c := decodedAt(b, b.cols[idx], sel, env.dict)
 		out := b.newCol(store.KindBool)
 		if c.Kind == store.KindInt {
 			for _, i := range sel {
@@ -892,7 +947,7 @@ func bindVecAncestor(x *AncestorExpr, env bindEnv) (*vecExpr, error) {
 		return kindOnly(store.KindBool), nil
 	}
 	return &vecExpr{kind: store.KindBool, fn: func(b *batch, sel []int) (*store.Col, error) {
-		c := b.cols[idx]
+		c := decodedAt(b, b.cols[idx], sel, env.dict)
 		out := b.newCol(store.KindBool)
 		if c.Kind == store.KindInt {
 			for _, i := range sel {
@@ -953,7 +1008,7 @@ func bindVecTanimoto(x *TanimotoExpr, env bindEnv) (*vecExpr, error) {
 		return fp
 	}
 	return &vecExpr{kind: store.KindFloat, fn: func(b *batch, sel []int) (*store.Col, error) {
-		c := b.cols[idx]
+		c := decodedAt(b, b.cols[idx], sel, env.dict)
 		out := b.newCol(store.KindFloat)
 		for _, i := range sel {
 			v := c.Value(i)
@@ -984,14 +1039,14 @@ func bindVecScalarSubquery(x *SubqueryExpr, env bindEnv) (*vecExpr, error) {
 	}
 	v := store.NullValue()
 	if res.Batch.Rows == 1 {
-		v = res.Batch.Cols[0].Value(0)
+		v = res.Dict.Value(&res.Batch.Cols[0], 0)
 	}
 	return constVec(v, schema.cols[0].Kind), nil
 }
 
 // bindVecInSubquery materializes the subquery's single column into a
 // set and compiles the membership test to a probe of the needle column
-// (a NULL needle matches nothing).
+// (a NULL needle matches nothing), recoded to the set's form (codedAs).
 func bindVecInSubquery(x *InSubqueryExpr, env bindEnv) (*vecExpr, error) {
 	needle, err := bindVec(x.Needle, env)
 	if err != nil {
@@ -1009,10 +1064,11 @@ func bindVecInSubquery(x *InSubqueryExpr, env bindEnv) (*vecExpr, error) {
 	for i, key := 0, []*store.Col{col}; i < col.Len(); i++ {
 		set.insert(key, i) // NULLs match nothing and are not kept
 	}
+	coded := set.len() > 0 && set.keys[0].Kind == store.KindCode
 	return &vecExpr{kind: store.KindBool, fn: func(b *batch, sel []int) (*store.Col, error) {
 		nc, sel, err := evalOver(needle, b, sel)
 		out := b.newCol(store.KindBool)
-		key := [1]*store.Col{nc}
+		key := [1]*store.Col{codedAs(coded, b, nc, sel, env.dict)}
 		for _, i := range sel {
 			out.SetBool(i, set.find(key[:], i) >= 0)
 		}

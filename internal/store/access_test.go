@@ -143,7 +143,7 @@ func projectRows(rows []Row, cols []int) []Row {
 // kept when keep accepts it; an error is keep's, at that candidate's
 // position. The row is one scratch row, so the result serves one read
 // at a time.
-func acceptRows(width int, cols []int, keep func(Row) (bool, error)) func(*Selection) (int, error) {
+func acceptRows(d *Dict, width int, cols []int, keep func(Row) (bool, error)) func(*Selection) (int, error) {
 	row := make(Row, width)
 	if cols == nil {
 		cols = make([]int, width)
@@ -157,7 +157,7 @@ func acceptRows(width int, cols []int, keep func(Row) (bool, error)) func(*Selec
 		for k, s := range chunk.Slots {
 			for _, c := range cols {
 				chunk.FillCol(&cell, c, k, k+1)
-				row[c] = cell.Value(0)
+				row[c] = d.Value(&cell, 0)
 			}
 			ok, err := keep(row)
 			if err != nil {
@@ -179,7 +179,7 @@ func acceptRows(width int, cols []int, keep func(Row) (bool, error)) func(*Selec
 // column's order.
 func checkAccess(view *TableView, a Access, keep func(Row) (bool, error), keyCol int, selects func(Row) bool) error {
 	ctx := context.Background()
-	a.Accept = acceptRows(view.t.schema.Len(), nil, keep)
+	a.Accept = acceptRows(view.t.dict, view.t.schema.Len(), nil, keep)
 	var want []Row
 	visible := 0
 	view.Scan(func(_ int64, r Row) bool {
@@ -204,7 +204,7 @@ func checkAccess(view *TableView, a Access, keep func(Row) (bool, error), keyCol
 	if err != nil {
 		return err
 	}
-	if err := verifyAccess(a, keyCol, want, visible, RowsFromColBatch(cb), examined); err != nil {
+	if err := verifyAccess(a, keyCol, want, visible, RowsFromColBatch(cb, view.t.dict), examined); err != nil {
 		return fmt.Errorf("Select: %w", err)
 	}
 	// A second Select, filled a few rows at a time into one reused
@@ -217,7 +217,7 @@ func checkAccess(view *TableView, a Access, keep func(Row) (bool, error), keyCol
 	var filled []Row
 	for lo := 0; lo < len(sel.Slots); lo += 3 {
 		sel.Fill(&buf, lo, min(lo+3, len(sel.Slots)))
-		filled = append(filled, RowsFromColBatch(&buf)...)
+		filled = append(filled, RowsFromColBatch(&buf, view.t.dict)...)
 	}
 	if err := verifyAccess(a, keyCol, want, visible, filled, selExamined); err != nil {
 		return fmt.Errorf("Select, filled in pieces: %w", err)
@@ -439,7 +439,7 @@ func TestRankIndex(t *testing.T) {
 			return nil, err
 		}
 		var out []int64
-		for _, r := range RowsFromColBatch(cb) {
+		for _, r := range RowsFromColBatch(cb, nil) {
 			out = append(out, r[0].I)
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -630,7 +630,7 @@ func TestAccessPollsContext(t *testing.T) {
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		seen := 0
-		a.Accept = acceptRows(3, nil, func(Row) (bool, error) {
+		a.Accept = acceptRows(tb.dict, 3, nil, func(Row) (bool, error) {
 			if seen++; seen == 10 {
 				cancel()
 			}
@@ -660,7 +660,7 @@ func TestAccessAcceptError(t *testing.T) {
 	boom := errors.New("boom")
 	view, release := pinView(tb)
 	defer release()
-	_, examined, err := view.Select(context.Background(), Access{Column: "k", Accept: acceptRows(3, nil, func(Row) (bool, error) { return false, boom })})
+	_, examined, err := view.Select(context.Background(), Access{Column: "k", Accept: acceptRows(tb.dict, 3, nil, func(Row) (bool, error) { return false, boom })})
 	if !errors.Is(err, boom) || examined != 1 {
 		t.Fatalf("err = %v after %d rows, want boom after 1", err, examined)
 	}
@@ -727,7 +727,7 @@ func TestAcceptChunkBoundaries(t *testing.T) {
 				}
 				a := w.a
 				a.Limit, a.Cols = limit, []int{2}
-				a.Accept = acceptRows(3, []int{2}, check)
+				a.Accept = acceptRows(view.t.dict, 3, []int{2}, check)
 				cb, gotExamined, err := selectAll(context.Background(), view, a)
 				what := fmt.Sprintf("%s, limit %d, failing at n=%d", name, limit, fail)
 				if failed != (err != nil) || (err != nil && !errors.Is(err, boom)) {
@@ -789,7 +789,7 @@ func TestFilteredGatherSizedExactly(t *testing.T) {
 	}
 	view, release := pinView(tb)
 	defer release()
-	a := Access{Column: "k", Accept: acceptRows(3, []int{2}, func(r Row) (bool, error) { return r[2].I%500 == 1, nil })}
+	a := Access{Column: "k", Accept: acceptRows(tb.dict, 3, []int{2}, func(r Row) (bool, error) { return r[2].I%500 == 1, nil })}
 	cb, examined, err := selectAll(context.Background(), view, a)
 	if err != nil {
 		t.Fatal(err)

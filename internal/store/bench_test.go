@@ -40,7 +40,7 @@ func BenchmarkLookup(b *testing.B) {
 	// Without an index a lookup is a full pass with the predicate as its
 	// residual, as the planner's SeqScan reads it.
 	residual := func(keep func(Value) bool) Access {
-		return Access{Accept: acceptRows(3, []int{0}, func(r Row) (bool, error) { return keep(r[0]), nil })}
+		return Access{Accept: acceptRows(nil, 3, []int{0}, func(r Row) (bool, error) { return keep(r[0]), nil })}
 	}
 	for _, c := range []struct {
 		name string

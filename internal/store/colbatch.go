@@ -15,7 +15,9 @@ import "context"
 // stored cell is either the declared kind or NULL. A Col with
 // Kind == KindNull is a generic column holding arbitrary Values (used
 // by the query layer for expressions whose kind is only known at
-// runtime).
+// runtime). A Col with Kind == KindCode is a coded STRING column: its
+// cells are codes into the DB's dictionary, held in Int, which only the
+// dictionary decodes (Dict.Value, Dict.Decode) — Value panics on one.
 
 // Col is one column vector: a null mask plus exactly one active typed
 // slice selected by Kind — or, in a frozen image's storage and a stored
@@ -25,15 +27,15 @@ import "context"
 type Col struct {
 	Kind  Kind
 	Null  []bool    // Null[i] reports whether cell i is NULL
-	Int   []int64   // KindInt and KindBool (0/1)
+	Int   []int64   // KindInt, KindBool (0/1) and KindCode
 	Float []float64 // KindFloat
 	Str   []string  // KindString
 	Vals  []Value   // generic mode (Kind == KindNull): arbitrary cells
 	// Compute, set only on a column of a FrozenImage or on a stored
-	// table's coded column (whose codes and dictionary it reads), stands
-	// in for the vector: it writes the cell of each of slots, in order,
-	// into dst's vector of the column's kind, which its caller has sized
-	// to the list, and retains neither. Every read of such a column
+	// table's coded column (whose codes it reads), stands in for the
+	// vector: it writes the cell of each of slots, in order, into dst's
+	// vector of the column's kind (a coded column's codes into Int), which
+	// its caller has sized to the list, and retains neither. Every read of such a column
 	// outside its table goes through Selection.FillCol, which calls it
 	// once a list of slots, so every batch holds a vector.
 	Compute func(dst *Col, slots []int32)
@@ -44,7 +46,7 @@ type Col struct {
 func NewCol(kind Kind, capacity int) *Col {
 	c := &Col{Kind: kind, Null: make([]bool, 0, capacity)}
 	switch kind {
-	case KindInt, KindBool:
+	case KindInt, KindBool, KindCode:
 		c.Int = make([]int64, 0, capacity)
 	case KindFloat:
 		c.Float = make([]float64, 0, capacity)
@@ -64,7 +66,7 @@ func NewDenseCol(kind Kind, n int) *Col {
 		c.Null[i] = true
 	}
 	switch kind {
-	case KindInt, KindBool:
+	case KindInt, KindBool, KindCode:
 		c.Int = make([]int64, n)
 	case KindFloat:
 		c.Float = make([]float64, n)
@@ -80,12 +82,13 @@ func NewDenseCol(kind Kind, n int) *Col {
 func (c *Col) Len() int { return len(c.Null) }
 
 // Append adds one cell. The value's kind must match the column kind
-// or be NULL (generic columns accept anything).
+// or be NULL (generic columns accept anything; a coded column, NULL
+// alone).
 func (c *Col) Append(v Value) {
 	null := v.K == KindNull
 	c.Null = append(c.Null, null)
 	switch c.Kind {
-	case KindInt, KindBool:
+	case KindInt, KindBool, KindCode:
 		c.Int = append(c.Int, v.I)
 	case KindFloat:
 		c.Float = append(c.Float, v.F)
@@ -111,7 +114,7 @@ func (c *Col) AppendFrom(src *Col, i int) {
 	}
 	c.Null = append(c.Null, src.Null != nil && src.Null[i])
 	switch c.Kind {
-	case KindInt, KindBool:
+	case KindInt, KindBool, KindCode:
 		c.Int = append(c.Int, src.Int[i])
 	case KindFloat:
 		c.Float = append(c.Float, src.Float[i])
@@ -122,7 +125,8 @@ func (c *Col) AppendFrom(src *Col, i int) {
 	}
 }
 
-// Value reconstructs cell i as a Value.
+// Value reconstructs cell i as a Value. A coded cell has no Value of
+// its own: Dict.Value decodes it.
 func (c *Col) Value(i int) Value {
 	if c.Null[i] {
 		return Value{}
@@ -136,6 +140,8 @@ func (c *Col) Value(i int) Value {
 		return Value{K: KindFloat, F: c.Float[i]}
 	case KindString:
 		return Value{K: KindString, S: c.Str[i]}
+	case KindCode:
+		panic("store: Col.Value of a coded cell: decode it through its dictionary")
 	}
 	return c.Vals[i]
 }
@@ -147,7 +153,7 @@ func (c *Col) IsNull(i int) bool { return c.Null[i] }
 func (c *Col) SetValue(i int, v Value) {
 	c.Null[i] = v.K == KindNull
 	switch c.Kind {
-	case KindInt, KindBool:
+	case KindInt, KindBool, KindCode:
 		c.Int[i] = v.I
 	case KindFloat:
 		c.Float[i] = v.F
@@ -185,7 +191,7 @@ func (c *Col) SetBool(i int, b bool) {
 func (c *Col) Slice(lo, hi int) Col {
 	out := Col{Kind: c.Kind, Null: c.Null[lo:hi]}
 	switch c.Kind {
-	case KindInt, KindBool:
+	case KindInt, KindBool, KindCode:
 		out.Int = c.Int[lo:hi]
 	case KindFloat:
 		out.Float = c.Float[lo:hi]
@@ -211,6 +217,8 @@ func (c *Col) HashAt(i int) uint64 {
 		return hashString(c.Str[i])
 	case KindBool:
 		return hashBool(c.Int[i])
+	case KindCode:
+		return hashCode(c.Int[i])
 	}
 	return c.Vals[i].Hash()
 }
@@ -240,8 +248,10 @@ func ColBatchFromRows(kinds []Kind, rows []Row) *ColBatch {
 
 // RowsFromColBatch is ColBatchFromRows' inverse: it copies the batch's
 // rows into one cell slab, each row cap-clipped to its own cells so an
-// append to one never overwrites the next. Nil or empty has no rows.
-func RowsFromColBatch(cb *ColBatch) []Row {
+// append to one never overwrites the next, decoding coded cells through
+// d (which may be nil when no column is coded). Nil or empty has no
+// rows.
+func RowsFromColBatch(cb *ColBatch, d *Dict) []Row {
 	if cb == nil || cb.Rows == 0 {
 		return nil
 	}
@@ -254,7 +264,7 @@ func RowsFromColBatch(cb *ColBatch) []Row {
 	for c := range cb.Cols {
 		col := &cb.Cols[c]
 		for i, r := range rows {
-			r[c] = col.Value(i)
+			r[c] = d.Value(col, i)
 		}
 	}
 	return rows
@@ -333,7 +343,8 @@ func (s *Selection) Fill(dst *ColBatch, lo, hi int) {
 }
 
 // FillCol is Fill for output column i alone: dst becomes that column's
-// cells at the rows Slots[lo:hi], in its storage kind.
+// cells at the rows Slots[lo:hi], in its storage kind — a coded column's
+// as its codes, a KindCode column, which the DB's dictionary decodes.
 func (s *Selection) FillCol(dst *Col, i, lo, hi int) {
 	src, slots := &s.cols[i], s.Slots[lo:hi]
 	dst.Kind = src.Kind
@@ -346,7 +357,7 @@ func (s *Selection) FillCol(dst *Col, i, lo, hi int) {
 		}
 	}
 	switch src.Kind {
-	case KindInt, KindBool:
+	case KindInt, KindBool, KindCode:
 		dst.Int = resized(dst.Int, len(slots))
 	case KindFloat:
 		dst.Float = resized(dst.Float, len(slots))

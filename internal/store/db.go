@@ -108,7 +108,7 @@ func (o Options) withDefaults() Options {
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
-	dict   *dict // the strings of every coded column, shared by the tables
+	dict   *Dict // the strings of every coded column, shared by the tables
 	dir    string
 	fsys   vfs.FS
 	wal    *walWriter

@@ -7,11 +7,14 @@ import (
 	"sync/atomic"
 )
 
-// dict is a DB's string dictionary: a STRING column with a hash index (a
+// Dict is a DB's string dictionary: a STRING column with a hash index (a
 // coded column) stores an int32 code into it a slot, so equal names have
 // equal codes in every table of the DB. It is append-only, so it holds
-// every distinct string ever committed to a coded column or ranked.
+// every distinct string ever committed to a coded column or ranked, and
+// a code, once handed out, names its string for the life of the process.
 // Codes live in this process only: the WAL and checkpoints hold strings.
+// Reads deliver a coded column's cells as codes (a KindCode column, see
+// Selection.FillCol); Names, Name, Value and Rows decode them.
 //
 // slots finds a string's code: an open-addressed table of codes by their
 // strings' hashes (linear probing, at most 7/8 full), 4 bytes a string
@@ -19,7 +22,7 @@ import (
 // vectors are: a reader decodes only codes it read from a slot, each
 // written to names before it was handed out, and a full array is
 // replaced (grown by an eighth), never rewritten.
-type dict struct {
+type Dict struct {
 	mu    sync.RWMutex
 	slots []int32                  // 0 marks an empty position; else a code
 	shift uint8                    // 64 - log2(len(slots))
@@ -33,8 +36,8 @@ const nullCode = 0
 
 var dictSeed = maphash.MakeSeed()
 
-func newDict() *dict {
-	d := &dict{n: 1}
+func newDict() *Dict {
+	d := &Dict{n: 1}
 	names := make([]string, 16)
 	d.names.Store(&names)
 	d.resize(16)
@@ -43,7 +46,7 @@ func newDict() *dict {
 
 // find returns the position of s's code in slots, or of the empty one
 // ending its probe run (code 0).
-func (d *dict) find(s string, names []string) (pos int, c int32) {
+func (d *Dict) find(s string, names []string) (pos int, c int32) {
 	mask := len(d.slots) - 1
 	for i := int(maphash.String(dictSeed, s) >> d.shift); ; i = (i + 1) & mask {
 		if c = d.slots[i]; c == 0 || names[c] == s {
@@ -53,7 +56,7 @@ func (d *dict) find(s string, names []string) (pos int, c int32) {
 }
 
 // resize refiles every code into size positions (a power of two).
-func (d *dict) resize(size int) {
+func (d *Dict) resize(size int) {
 	d.slots, d.shift = make([]int32, size), uint8(64-bits.TrailingZeros(uint(size)))
 	names := d.table()
 	for c := 1; c < d.n; c++ {
@@ -63,10 +66,10 @@ func (d *dict) resize(size int) {
 }
 
 // table returns the names by code.
-func (d *dict) table() []string { return *d.names.Load() }
+func (d *Dict) table() []string { return *d.names.Load() }
 
 // code returns the code of s, ok false when s has none.
-func (d *dict) code(s string) (c int32, ok bool) {
+func (d *Dict) code(s string) (c int32, ok bool) {
 	d.mu.RLock()
 	_, c = d.find(s, d.table())
 	d.mu.RUnlock()
@@ -74,7 +77,7 @@ func (d *dict) code(s string) (c int32, ok bool) {
 }
 
 // intern returns the code of s, handing out the next one when s is new.
-func (d *dict) intern(s string) int32 {
+func (d *Dict) intern(s string) int32 {
 	if c, ok := d.code(s); ok {
 		return c
 	}
@@ -83,7 +86,7 @@ func (d *dict) intern(s string) int32 {
 	return d.internLocked(s)
 }
 
-func (d *dict) internLocked(s string) int32 {
+func (d *Dict) internLocked(s string) int32 {
 	names := d.table()
 	pos, c := d.find(s, names)
 	if c != 0 {
@@ -105,15 +108,58 @@ func (d *dict) internLocked(s string) int32 {
 	return c
 }
 
-// decoder returns the Compute of a coded column whose code array is vec:
-// it writes each slot's string, the dictionary's own, into dst.Str (a
-// NULL cell's "", as a stored NULL string reads).
-func (d *dict) decoder(vec []int32) func(dst *Col, slots []int32) {
+// coder returns the Compute of a coded column whose code array is vec:
+// it writes each slot's code into dst.Int (nullCode for a NULL cell).
+func coder(vec []int32) func(dst *Col, slots []int32) {
 	return func(dst *Col, slots []int32) {
-		names := d.table()
 		for k, s := range slots {
-			dst.Str[k] = names[vec[s]]
+			dst.Int[k] = int64(vec[s])
 		}
+	}
+}
+
+// Names returns the dictionary's strings by code: every code handed out
+// before the call has its entry. The slice is shared, read-only.
+func (d *Dict) Names() []string { return d.table() }
+
+// Name returns the string code names.
+func (d *Dict) Name(code int64) string { return d.table()[code] }
+
+// Code returns the code of s, ok false when the dictionary lacks s: then
+// no coded cell equals s.
+func (d *Dict) Code(s string) (code int64, ok bool) {
+	c, ok := d.code(s)
+	return int64(c), ok
+}
+
+// Value returns cell i of c as a Value, a coded cell decoded to its
+// string: Col.Value for a column of any other kind. d may be nil when c
+// is not coded.
+func (d *Dict) Value(c *Col, i int) Value {
+	if c.Kind != KindCode || c.Null[i] {
+		return c.Value(i)
+	}
+	return Value{K: KindString, S: d.Name(c.Int[i])}
+}
+
+// Decode writes c's cells at rows into dst as a STRING column of c's
+// length, each coded cell decoded to the dictionary's string (cells off
+// rows are NULL), reusing dst's vectors; rows nil means every row.
+func (d *Dict) Decode(dst, c *Col, rows []int) {
+	n := c.Len()
+	dst.Kind, dst.Null, dst.Str = KindString, resized(dst.Null, n), resized(dst.Str, n)
+	names := d.table()
+	if rows == nil {
+		for i, null := range c.Null {
+			dst.Null[i], dst.Str[i] = null, names[c.Int[i]]
+		}
+		return
+	}
+	for i := range dst.Null {
+		dst.Null[i] = true
+	}
+	for _, i := range rows {
+		dst.Null[i], dst.Str[i] = c.Null[i], names[c.Int[i]]
 	}
 }
 
@@ -126,6 +172,9 @@ type ranking struct {
 	rankOf []int32
 }
 
+// Dict returns the DB's string dictionary.
+func (db *DB) Dict() *Dict { return db.dict }
+
 // PublishRanks ranks strings for accesses from source (comparable; see
 // Access.Rank): rank r in [0, n) names name(r), "" naming none, and a
 // string two ranks name belongs to the lower. Every named string is
@@ -137,7 +186,7 @@ func (db *DB) PublishRanks(source any, n int, name func(r int) string) {
 }
 
 // publish is PublishRanks on d.
-func (d *dict) publish(source any, n int, name func(r int) string) {
+func (d *Dict) publish(source any, n int, name func(r int) string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.rank != nil && d.rank.source == source {
@@ -174,7 +223,7 @@ func (db *DB) RankOfCode(source any) []int32 {
 }
 
 // ranking returns the published ranking when it came from source.
-func (d *dict) ranking(source any) *ranking {
+func (d *Dict) ranking(source any) *ranking {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.rank != nil && d.rank.source == source {

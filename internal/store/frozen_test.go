@@ -172,7 +172,7 @@ func TestFrozenComputedMatchesWide(t *testing.T) {
 	}
 	desc := slices.Clone(rows[30:])
 	slices.Reverse(desc)
-	if !reflect.DeepEqual(viewImage(view), rows) || !reflect.DeepEqual(RowsFromColBatch(cb), desc) {
+	if !reflect.DeepEqual(viewImage(view), rows) || !reflect.DeepEqual(RowsFromColBatch(cb, nil), desc) {
 		t.Fatalf("the pinned view reads %d rows, %d in [30,∞)", len(viewImage(view)), cb.Rows)
 	}
 	fresh := db.PinSnapshot()
@@ -219,7 +219,7 @@ func TestComputedScanAllocates(t *testing.T) {
 // TestStoredTablesHoldOnlyVectors: a commit hands a stored table rows,
 // never a column, so a column no hash index codes holds its kind's
 // vector and no Compute through inserts, deletes and GC (the one
-// Compute a stored table holds is its coded columns' decoder); and a
+// Compute a stored table holds is its coded columns' coder); and a
 // computed image cannot replace a stored table.
 func TestStoredTablesHoldOnlyVectors(t *testing.T) {
 	db, err := Open("")
@@ -326,12 +326,12 @@ func sameReads(t *testing.T, n int64, x, y *Table) {
 					read := func(tb *Table) ([]Row, int, error) {
 						a.Accept = nil
 						if residual { // acceptRows' closure keeps a scratch row: one per read
-							a.Accept = acceptRows(treeShapedSchema.Len(), []int{0, 3}, keep)
+							a.Accept = acceptRows(nil, treeShapedSchema.Len(), []int{0, 3}, keep)
 						}
 						view, release := pinView(tb)
 						defer release()
 						cb, examined, err := selectAll(context.Background(), view, a)
-						return RowsFromColBatch(cb), examined, err
+						return RowsFromColBatch(cb, tb.dict), examined, err
 					}
 					xr, xex, xerr := read(x)
 					yr, yex, yerr := read(y)
@@ -458,7 +458,7 @@ func TestFrozenViewKeepsItsImage(t *testing.T) {
 	scanned := 0
 	view.Scan(func(int64, Row) bool { scanned++; return true })
 	if view.Version() != 1 || scanned != len(old) || !reflect.DeepEqual(viewImage(view), old) ||
-		!reflect.DeepEqual(RowsFromColBatch(cb), old[30:]) || named.Rows != 6 {
+		!reflect.DeepEqual(RowsFromColBatch(cb, nil), old[30:]) || named.Rows != 6 {
 		t.Fatalf("the pinned view reads v%d, %d scanned, %d in [30,∞), %d named N3",
 			view.Version(), scanned, cb.Rows, named.Rows)
 	}

@@ -41,7 +41,7 @@ type index struct {
 	typ    IndexType
 	kind   Kind // the column's
 
-	dict   *dict           // code index: the column's dictionary
+	dict   *Dict           // code index: the column's dictionary
 	byCode []int64         // code index: per code, its rows' inline place (noRows when none)
 	keys   int             // code index: non-NULL codes holding rows
 	ints   *btree[int64]   // B+-tree over INT, and BOOL as 0/1
@@ -58,7 +58,7 @@ const noRows = math.MinInt64
 
 // newIndex returns an empty index of the given type over column ci of
 // kind k; a code index (typ IndexHash, k KindString) codes into d.
-func newIndex(ci int, typ IndexType, k Kind, d *dict) *index {
+func newIndex(ci int, typ IndexType, k Kind, d *Dict) *index {
 	ix := &index{column: ci, typ: typ, kind: k}
 	switch {
 	case typ == IndexHash && k == KindString:

@@ -403,7 +403,7 @@ func testRankName(r int) string {
 }
 
 // testRanking returns d's ranking after publishing testRankName's.
-func testRanking(d *dict) *ranking {
+func testRanking(d *Dict) *ranking {
 	d.publish("testRanking", testRanks, testRankName)
 	return d.ranking("testRanking")
 }

@@ -246,7 +246,7 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 		{func(r Row) (bool, error) { return r[0].IsNull() || r[2].I%2 == 0, nil }, nil},
 	}
 	pick := accepts[rng.Intn(len(accepts))]
-	base := Access{Accept: acceptRows(len(modelSchema.Columns), pick.cols, pick.keep)}
+	base := Access{Accept: acceptRows(tb.dict, len(modelSchema.Columns), pick.cols, pick.keep)}
 	if rng.Intn(2) == 0 {
 		base.Cols = [][]int{{0}, {2, 0}, {1, 0, 2}, {0, 1}}[rng.Intn(4)]
 	}
@@ -281,7 +281,7 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 		}
 		cb, examined, err := selectAll(ctx, view, a)
 		if err == nil {
-			err = verifyAccess(a, keyCol, want, visible, RowsFromColBatch(cb), examined)
+			err = verifyAccess(a, keyCol, want, visible, RowsFromColBatch(cb, tb.dict), examined)
 		}
 		if err != nil {
 			return fmt.Errorf("%s Select %+v: %w", what, a, err)
@@ -519,7 +519,7 @@ func TestSlotReuseUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heldCanon, gatheredCanon := canonRows(held), canonRows(RowsFromColBatch(gathered))
+	heldCanon, gatheredCanon := canonRows(held), canonRows(RowsFromColBatch(gathered, tb.dict))
 	var pin *SnapshotHandle
 	retained := 0
 	for round := 0; round < rounds; round++ {
@@ -568,7 +568,7 @@ func TestSlotReuseUnderChurn(t *testing.T) {
 	if err := sameStrings("held Snapshot", canonRows(held), heldCanon); err != nil {
 		t.Fatal(err)
 	}
-	if err := sameStrings("held Fill", canonRows(RowsFromColBatch(gathered)), gatheredCanon); err != nil {
+	if err := sameStrings("held Fill", canonRows(RowsFromColBatch(gathered, tb.dict)), gatheredCanon); err != nil {
 		t.Fatal(err)
 	}
 	// Every first-generation slot has been reused by now, so a stale ID

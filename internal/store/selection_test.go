@@ -192,7 +192,7 @@ func TestSelectNeedsPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprint(RowsFromColBatch(cb)), fmt.Sprint(rows(0, 10)); got != want {
+	if got, want := fmt.Sprint(RowsFromColBatch(cb, db.dict)), fmt.Sprint(rows(0, 10)); got != want {
 		t.Fatalf("the pinned view selected\n%s\nwant\n%s", got, want)
 	}
 	if got, want := fmt.Sprint(readRows(t, tb, Access{})), fmt.Sprint(rows(0, 15)); got != want {
@@ -286,7 +286,7 @@ func TestFillWhileDictionaryGrows(t *testing.T) {
 		default:
 		}
 		sel.Fill(&batch, 0, len(sel.Slots))
-		for k, r := range RowsFromColBatch(&batch) {
+		for k, r := range RowsFromColBatch(&batch, db.dict) {
 			if want := rows[r[1].I][0]; r[0].K != want.K || r[0].S != want.S {
 				t.Fatalf("cell %d reads %v, pinned %v", k, r[0], want)
 			}

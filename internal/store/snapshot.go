@@ -90,6 +90,10 @@ func (s *SnapshotHandle) View(name string) (*TableView, error) {
 	return tv, nil
 }
 
+// Dict returns the dictionary the snapshot's coded columns decode
+// through: the DB's, whose codes never change meaning.
+func (s *SnapshotHandle) Dict() *Dict { return s.db.dict }
+
 // Version returns the pinned commit version of the named table.
 func (s *SnapshotHandle) Version(name string) (int64, bool) {
 	tv, ok := s.views[name]

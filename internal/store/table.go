@@ -119,10 +119,11 @@ type Table struct {
 	mu sync.RWMutex
 	// cols holds one vector per schema column, indexed by slot; Null is
 	// nil until the column holds a NULL. A coded column (hash-indexed
-	// STRING) holds its cells in codes instead, its Col a Compute.
+	// STRING) holds its cells in codes instead, its Col a KindCode
+	// Compute writing them.
 	cols     []Col
 	codes    [][]int32 // per column: a coded column's codes into dict by slot (never nil), else nil
-	dict     *dict     // the DB's, shared by its tables
+	dict     *Dict     // the DB's, shared by its tables
 	begin    []int64   // per slot: commit version that wrote the row
 	end      []int64   // per slot: verMax while live, the deleting version once dead, 0 when free
 	gen      []uint32
@@ -144,7 +145,7 @@ type Table struct {
 }
 
 // newTable creates an empty table coding its columns into d.
-func newTable(name string, schema *Schema, d *dict) *Table {
+func newTable(name string, schema *Schema, d *Dict) *Table {
 	t := &Table{
 		name:   name,
 		schema: schema,
@@ -245,7 +246,7 @@ func extend[E any](s []E, n, add int) []E {
 // is never moved, and slots a pinned view can see are never rewritten.
 func (t *Table) setCodes(c int, vec []int32) {
 	if old := t.codes[c]; old == nil || cap(old) != cap(vec) {
-		t.cols[c].Compute = t.dict.decoder(vec[:cap(vec)])
+		t.cols[c].Compute = coder(vec[:cap(vec)])
 	}
 	t.codes[c] = vec
 }
@@ -414,7 +415,7 @@ func (t *Table) CreateIndex(column string, typ IndexType) error {
 		}
 		return fmt.Errorf("store: column %q already indexed as %v", column, existing.typ)
 	}
-	idx := newIndex(ci, typ, t.cols[ci].Kind, t.dict)
+	idx := newIndex(ci, typ, t.schema.Columns[ci].Kind, t.dict)
 	if idx.dict != nil {
 		t.codeColumnLocked(ci)
 	}
@@ -449,7 +450,7 @@ func (t *Table) codeColumnLocked(ci int) {
 			codes[s] = t.dict.intern(str)
 		}
 	}
-	col.Str = nil
+	col.Kind, col.Str = KindCode, nil
 	t.setCodes(ci, codes)
 }
 

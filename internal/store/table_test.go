@@ -53,7 +53,7 @@ func readRows(t testing.TB, tb *Table, a Access) []Row {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return RowsFromColBatch(cb)
+	return RowsFromColBatch(cb, view.t.dict)
 }
 
 // viewImage copies every row the view holds, in storage order, through

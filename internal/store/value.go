@@ -19,6 +19,11 @@ const (
 	KindFloat
 	KindString
 	KindBool
+	// KindCode is a column's storage kind only, never a Value's or a
+	// schema's: the column is STRING and holds codes into its DB's
+	// dictionary in Int (see Dict), so it compares equal cells by code and
+	// decodes them through the dictionary.
+	KindCode
 )
 
 func (k Kind) String() string {
@@ -33,6 +38,8 @@ func (k Kind) String() string {
 		return "STRING"
 	case KindBool:
 		return "BOOL"
+	case KindCode:
+		return "CODE"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -185,6 +192,14 @@ func hashString(s string) uint64 {
 
 func hashBool(i int64) uint64 {
 	return (fnvTag(3) ^ uint64(i&0xff)) * fnvPrime
+}
+
+// hashCode hashes a dictionary code: equal codes name equal strings, so
+// a coded key hashes its code, not its string (a code's hash is not its
+// string's: every key of one hash table must be coded, or none).
+func hashCode(c int64) uint64 {
+	h := (fnvTag(4) ^ uint64(c)) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
 }
 
 // String renders the value for display and EXPLAIN output.
