@@ -16,6 +16,7 @@ import (
 
 	"drugtree/internal/core"
 	"drugtree/internal/phylo"
+	"drugtree/internal/query"
 	"drugtree/internal/store"
 )
 
@@ -109,6 +110,123 @@ func TestBatchEncodingMatchesRows(t *testing.T) {
 				t.Fatal("decoded result re-encodes differently")
 			}
 		})
+	}
+}
+
+// codedResults serves statements over a table whose name columns are
+// coded (hash-indexed): a column with repeats, "", non-ASCII and long
+// names and NULLs, one mostly NULL, one all NULL. Each result's Batch
+// holds codes, which its Dict decodes.
+func codedResults(t *testing.T) []*query.Result {
+	t.Helper()
+	db, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	tab, err := db.CreateTable("names", store.MustSchema(
+		store.Column{Name: "name", Kind: store.KindString},
+		store.Column{Name: "other", Kind: store.KindString},
+		store.Column{Name: "none", Kind: store.KindString},
+		store.Column{Name: "n", Kind: store.KindInt},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, null := store.StringValue, store.NullValue()
+	names := []store.Value{s("kinase"), s(""), s("héllo ☃ 日本"), null, s(strings.Repeat("x", 200)), s("kinase"), s("ligase"), s("Kinase")}
+	var rows []store.Row
+	for i := range 40 {
+		other := null
+		if i == 17 {
+			other = s("only")
+		}
+		rows = append(rows, store.Row{names[(i*5)%len(names)], other, null, store.IntValue(int64(i))})
+	}
+	if err := db.CommitDeltas([]store.TableDelta{{Table: tab.Name(), Inserts: rows}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"name", "other", "none"} {
+		if err := tab.CreateIndex(col, store.IndexHash); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := query.NewEngine(query.NewDBCatalog(db, nil), query.DefaultOptions())
+	var out []*query.Result
+	for _, q := range []string{
+		"SELECT name, other, none, n FROM names",
+		"SELECT n, name FROM names WHERE n >= 25 ORDER BY n DESC",
+		"SELECT other, COUNT(*), MIN(name) FROM names GROUP BY other",
+		"SELECT name, COUNT(*) FROM names GROUP BY name",
+		"SELECT name FROM names WHERE n > 1000",
+	} {
+		stmt, err := query.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(context.Background(), stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		out = append(out, res)
+	}
+	if out[0].Batch.Cols[0].Kind != store.KindCode || out[0].Batch.Cols[2].Kind != store.KindCode {
+		t.Fatal("the name columns were not served as codes")
+	}
+	return out
+}
+
+// decodedReply is res as a reply whose batch holds the names decoded.
+func decodedReply(res *query.Result) *QueryResult {
+	kinds := make([]store.Kind, len(res.Batch.Cols))
+	for i, c := range res.Batch.Cols {
+		if kinds[i] = c.Kind; c.Kind == store.KindCode {
+			kinds[i] = store.KindString
+		}
+	}
+	return &QueryResult{Columns: res.Columns, Batch: store.ColBatchFromRows(kinds, store.RowsFromColBatch(res.Batch, res.Dict))}
+}
+
+// TestCodedReplyMatchesDecoded: a reply encoded from a result whose name
+// columns are coded is byte for byte the reply encoded from the same
+// result decoded to strings, encoded fresh and by one session's encoder
+// reused reply after reply (its code-indexed scratch must be left
+// zeroed by each); a warm session frames a coded reply with no
+// allocation; and a coded column with no dictionary is an encode error.
+func TestCodedReplyMatchesDecoded(t *testing.T) {
+	results := codedResults(t)
+	var reusedEnc encoder
+	for round := range 2 {
+		for _, res := range results {
+			want, err := encodeMsg(decodedReply(res))
+			if err != nil {
+				t.Fatal(err)
+			}
+			coded := &QueryResult{Columns: res.Columns, Batch: res.Batch, Dict: res.Dict}
+			got, err := encodeMsg(coded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused, err := reusedEnc.appendMsg(nil, coded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) || !bytes.Equal(reused, want) {
+				t.Fatalf("round %d, columns %v: coded reply differs from the decoded one:\n coded %x\nreused %x\n  want %x", round, res.Columns, got, reused, want)
+			}
+		}
+	}
+	msg := &QueryResult{Columns: results[0].Columns, Batch: results[0].Batch, Dict: results[0].Dict}
+	s, sess := NewServer(nil), &session{}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := s.respond(io.Discard, sess, msg); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("server framing allocates %.1f objects a coded reply, want 0", got)
+	}
+	if _, err := encodeMsg(&QueryResult{Columns: msg.Columns, Batch: msg.Batch}); err == nil || !strings.Contains(err.Error(), "no dictionary") {
+		t.Fatalf("a coded column with no dictionary encoded with error %v", err)
 	}
 }
 
@@ -291,10 +409,13 @@ func BenchmarkQueryReply(b *testing.B) {
 	}
 }
 
-// TestSharedResultEncodedConcurrently has eight sessions encode one
-// cached columnar result while a committer keeps invalidating it, so
+// TestSharedResultEncodedConcurrently has eight sessions encode two
+// cached columnar results while a committer keeps invalidating one, so
 // under -race any write to a shared result — by a fill, a hit or an
-// encoder — shows up as a race.
+// encoder — shows up as a race. Both results hold coded name columns
+// (ligand_id is hash-indexed), so the sessions' encoders decode through
+// the dictionary, each with its own code-indexed scratch, while the
+// committer codes new names into it.
 func TestSharedResultEncodedConcurrently(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.QueryCacheEntries = 16
@@ -305,6 +426,16 @@ func TestSharedResultEncodedConcurrently(t *testing.T) {
 	}
 	const sessions, queries, commits = 8, 40, 20
 	const q = "SELECT ligand_id, name, weight FROM ligands ORDER BY ligand_id"
+	const grouped = "SELECT ligand_id, COUNT(*) FROM activities GROUP BY ligand_id"
+	for _, text := range []string{q, grouped} {
+		res, err := e.QueryColumns(context.Background(), text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Batch.Cols[0].Kind != store.KindCode {
+			t.Fatalf("%s: ligand_id served as %v, want codes", text, res.Batch.Cols[0].Kind)
+		}
+	}
 	srv := NewServer(e)
 	var wg sync.WaitGroup
 	errs := make(chan error, sessions+1)
@@ -338,6 +469,10 @@ func TestSharedResultEncodedConcurrently(t *testing.T) {
 					return
 				}
 				prev = len(res.Rows)
+				if res, err = c.Query(grouped); err != nil || len(res.Columns) != 2 || len(res.Rows) == 0 {
+					errs <- fmt.Errorf("grouped reply %d: %v, %v", i, res, err)
+					return
+				}
 				runtime.Gosched()
 			}
 			if err := c.Close(); err != nil {
