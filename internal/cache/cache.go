@@ -94,7 +94,9 @@ const (
 )
 
 // batchBytes is the heap a batch pins: every vector's capacity plus
-// the string bytes the cells point at.
+// the string bytes the cells point at. A coded column pins its code
+// vector alone, 8 B a cell: its names are the DB's dictionary's, which
+// outlives every entry.
 func batchBytes(cb *store.ColBatch) int64 {
 	n := int64(entryOverhead)
 	for i := range cb.Cols {

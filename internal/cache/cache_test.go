@@ -291,3 +291,29 @@ func TestPrefetcherHistoryBounded(t *testing.T) {
 	}
 	_ = tr
 }
+
+// TestBatchBytesChargesCodes pins what a coded column costs an entry:
+// its code vector, 8 B a cell, and no string bytes, since its names are
+// the dictionary's; the same names held as a STRING column cost a
+// 16-byte header a cell and their bytes.
+func TestBatchBytesChargesCodes(t *testing.T) {
+	const n = 64
+	coded, plain := store.NewDenseCol(store.KindCode, n), store.NewDenseCol(store.KindString, n)
+	for i := range n {
+		coded.SetInt(i, int64(i%5+1))
+		plain.SetValue(i, store.StringValue(fmt.Sprintf("name-%d", i%5)))
+	}
+	empty := batchBytes(&store.ColBatch{})
+	for _, c := range []struct {
+		name string
+		col  *store.Col
+		want int64
+	}{
+		{"coded", coded, colOverhead + n + 8*n},
+		{"plain", plain, colOverhead + n + strHeaderSize*n + 6*n},
+	} {
+		if got := batchBytes(&store.ColBatch{Rows: n, Cols: []store.Col{*c.col}}) - empty; got != c.want {
+			t.Errorf("a %s column of %d names is charged %d B, want %d", c.name, n, got, c.want)
+		}
+	}
+}
