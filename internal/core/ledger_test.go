@@ -61,6 +61,9 @@ func (l ledgerEntry) String() string {
 // TestCountLedger -update-counts` and names each moved entry; `make
 // ledger` prints the table.
 func TestCountLedger(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector moves allocation counts")
+	}
 	core.SetProcs(t, 1)
 	e := core.BuildEngineFrom(t, core.SmokeD1(), core.DefaultConfig())
 	ctx := context.Background()
