@@ -157,8 +157,8 @@ func drainBatches(ctx context.Context, in batchIterator) ([]*batch, error) {
 // column concatenates its live cells into a fresh one. A vector adopted
 // once is copied the second time, so no two result columns share one.
 // A column read from a coded table column stays coded: its codes are
-// decoded (through d) only where the result leaves the engine.
-func drainColumns(ctx context.Context, in batchIterator, schema *planSchema, d *store.Dict) (*store.ColBatch, error) {
+// decoded only where the result leaves the engine.
+func drainColumns(ctx context.Context, in batchIterator, schema *planSchema) (*store.ColBatch, error) {
 	batches, err := drainBatches(ctx, in)
 	if err != nil {
 		return nil, err
@@ -177,7 +177,7 @@ func drainColumns(ctx context.Context, in batchIterator, schema *planSchema, d *
 		}
 		dst := store.NewCol(kind, out.Rows)
 		for _, b := range batches {
-			appendLive(dst, b, c, d)
+			appendLive(dst, b, c)
 		}
 		out.Cols[c] = *dst
 	}
@@ -240,16 +240,10 @@ func sameCell(v, whole *store.Col, i int) bool {
 }
 
 // appendLive appends the live cells of b's column c to dst, whose kind
-// is the column's or generic, or STRING over a coded column, whose cells
-// d decodes: a dense same-kind column is one bulk append per vector.
-func appendLive(dst *store.Col, b *batch, c int, d *store.Dict) {
+// is the column's or generic: a dense same-kind column is one bulk
+// append per vector.
+func appendLive(dst *store.Col, b *batch, c int) {
 	src := b.cols[c]
-	if src.Kind == store.KindCode && dst.Kind != store.KindCode {
-		for k, live := 0, b.live(); k < live; k++ {
-			dst.Append(d.Value(src, b.rowIdx(k)))
-		}
-		return
-	}
 	if b.sel == nil && src.Kind == dst.Kind {
 		v := src.Slice(0, b.n) // only the active vector is set
 		dst.Null = append(dst.Null, v.Null...)
@@ -266,9 +260,8 @@ func appendLive(dst *store.Col, b *batch, c int, d *store.Dict) {
 
 // concatBatches returns the live rows of batches, narrowed to the
 // columns cols, as one dense batch: a lone dense batch's own columns,
-// or else copies sized exactly, in the kind the batches deliver — codes
-// when every batch's column is coded, else strings d decodes.
-func concatBatches(batches []*batch, cols []int, d *store.Dict) *batch {
+// or else copies sized exactly, in the kind the batches deliver.
+func concatBatches(batches []*batch, cols []int) *batch {
 	out := &batch{cols: make([]*store.Col, len(cols))}
 	if len(batches) == 1 && batches[0].sel == nil {
 		for k, c := range cols {
@@ -285,12 +278,9 @@ func concatBatches(batches []*batch, cols []int, d *store.Dict) *batch {
 		if len(batches) > 0 {
 			kind = batches[0].cols[c].Kind
 		}
-		if kind == store.KindCode && slices.ContainsFunc(batches, func(b *batch) bool { return b.cols[c].Kind != store.KindCode }) {
-			kind = store.KindString
-		}
 		out.cols[k] = store.NewCol(kind, out.n)
 		for _, b := range batches {
-			appendLive(out.cols[k], b, c, d)
+			appendLive(out.cols[k], b, c)
 		}
 	}
 	return out
@@ -328,9 +318,10 @@ func gatherInto[I int | int32](dst, src *store.Col, idx []I) {
 	}
 }
 
-// outputKind picks the storage kind of output column c: the kind the
-// plan declares when every live cell is that kind or NULL — codes when
-// every batch's column is coded —, generic otherwise. Declared kinds are static inferences (an arithmetic
+// outputKind picks the storage kind of output column c: codes when it
+// is coded (a column read from a coded table column is coded in every
+// batch), else the kind the plan declares when every live cell is that
+// kind or NULL, generic otherwise. Declared kinds are static inferences (an arithmetic
 // expression over runtime-typed operands can miss), and generic
 // columns' cells usually do all have the declared kind: a scalar
 // subquery's constant, or arithmetic and negation over generic cells —
@@ -340,14 +331,12 @@ func outputKind(batches []*batch, c int, declared store.Kind) store.Kind {
 	if declared == store.KindNull {
 		return store.KindNull
 	}
-	coded := 0
+	if len(batches) > 0 && batches[0].cols[c].Kind == store.KindCode {
+		return store.KindCode
+	}
 	for _, b := range batches {
 		src := b.cols[c]
 		if src.Kind == declared {
-			continue
-		}
-		if src.Kind == store.KindCode && declared == store.KindString {
-			coded++
 			continue
 		}
 		if src.Kind != store.KindNull {
@@ -358,9 +347,6 @@ func outputKind(batches []*batch, c int, declared store.Kind) store.Kind {
 				return store.KindNull
 			}
 		}
-	}
-	if coded > 0 && coded == len(batches) {
-		return store.KindCode
 	}
 	return declared
 }

@@ -67,9 +67,9 @@ func (e *Engine) newExecCtx(ctx context.Context, snap *store.SnapshotHandle) *ex
 
 // Query is the row adapter: it parses src, runs it, and returns the
 // answer as Rows (store.RowsFromColBatch of the Batch Run delivers, its
-// names decoded) with Batch nil. Nothing in the module outside tests calls it; it stays for
-// the repository benchmark's single-node oracle, whose checks read
-// Result.Rows.
+// names decoded) with Batch nil. Nothing in the module outside tests
+// calls it; it stays for the repository benchmark's single-node oracle,
+// whose checks read Result.Rows.
 func (e *Engine) Query(ctx context.Context, src string) (*Result, error) {
 	stmt, err := Parse(src)
 	if err != nil {
@@ -136,7 +136,7 @@ func (e *Engine) RunAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 	if stmt.Explain && !stmt.Analyze {
 		return res, nil
 	}
-	if res.Batch, err = drainColumns(ctx, root, optimized.Schema(), res.Dict); err != nil {
+	if res.Batch, err = drainColumns(ctx, root, optimized.Schema()); err != nil {
 		return nil, err
 	}
 	atomic.StoreInt64(&ec.stats.RowsReturned, int64(res.Batch.Rows))

@@ -96,7 +96,7 @@ func runStreamed(e *Engine, stmt *SelectStmt, snap *store.SnapshotHandle) (*Resu
 	}
 	wrapped := streamFolds(root)
 	res := &Result{Columns: outputColumns(optimized), Dict: snap.Dict(), Plan: strings.Join(ec.plan, "\n")}
-	if res.Batch, err = drainColumns(ctx, root, optimized.Schema(), res.Dict); err != nil {
+	if res.Batch, err = drainColumns(ctx, root, optimized.Schema()); err != nil {
 		return nil, 0, err
 	}
 	if stmt.Analyze {

@@ -37,7 +37,7 @@ func buildJoin(n *JoinNode, ec *execCtx, depth int) (batchIterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &vecNestedLoop{left: left, rightIn: right, out: out, stats: ec.stats, dict: ec.dict(), cancel: cancel, op: op}, nil
+		return &vecNestedLoop{left: left, rightIn: right, out: out, stats: ec.stats, cancel: cancel, op: op}, nil
 	}
 	e.chooseProbe(ec)
 	op := ec.note(depth, "HashJoin %s%s%s", e.note(), n.colsNote(), joinResidualNote(e.residual))
@@ -184,7 +184,7 @@ func (e *equiJoin) open(ec *execCtx, in batchIterator, cols []int, op *OpStats) 
 	if err != nil {
 		return nil, err
 	}
-	h := &hashSide{rows: concatBatches(bbs, cols, ec.dict())}
+	h := &hashSide{rows: concatBatches(bbs, cols)}
 	op.BuildRows = int64(h.rows.n)
 	// First every row's entry id, written where its chain link will go;
 	// then, last row first, each row is pushed on the front of its
@@ -543,7 +543,6 @@ type vecNestedLoop struct {
 	right         *batch // the right side's output columns, concatenated; nil until the first call
 	out           *joinOutput
 	stats         *ExecStats
-	dict          *store.Dict
 	cancel        canceller
 	op            *OpStats
 	pi            []int   // reusable candidate-pair index vectors:
@@ -561,7 +560,7 @@ func (j *vecNestedLoop) nextBatch() (*batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		j.right = concatBatches(rbs, j.out.buildCols, j.dict)
+		j.right = concatBatches(rbs, j.out.buildCols)
 	}
 	for {
 		if err := j.cancel.now(); err != nil {

@@ -160,7 +160,7 @@ func bindInSubquery(x *InSubqueryExpr, env bindEnv) (*boundExpr, error) {
 	col := &res.Batch.Cols[0]
 	if col.Kind == store.KindCode { // the set holds names, as rows do
 		col = &store.Col{}
-		res.Dict.Decode(col, &res.Batch.Cols[0], nil)
+		res.Dict.Decode(col, &res.Batch.Cols[0], identity(res.Batch.Rows))
 	}
 	set := newHashTab(false, col.Len())
 	for i, key := 0, []*store.Col{col}; i < col.Len(); i++ {

@@ -210,12 +210,8 @@ func decodedAt(b *batch, c *store.Col, sel []int, d *store.Dict) *store.Col {
 	if c.Kind != store.KindCode {
 		return c
 	}
-	out, names := b.newCol(store.KindString), d.Names()
-	for _, i := range sel {
-		if !c.Null[i] {
-			out.Null[i], out.Str[i] = false, names[c.Int[i]]
-		}
-	}
+	out := b.newCol(store.KindString)
+	d.Decode(out, c, sel)
 	return out
 }
 

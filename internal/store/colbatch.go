@@ -34,10 +34,11 @@ type Col struct {
 	// Compute, set only on a column of a FrozenImage or on a stored
 	// table's coded column (whose codes it reads), stands in for the
 	// vector: it writes the cell of each of slots, in order, into dst's
-	// vector of the column's kind (a coded column's codes into Int), which
-	// its caller has sized to the list, and retains neither. Every read of such a column
-	// outside its table goes through Selection.FillCol, which calls it
-	// once a list of slots, so every batch holds a vector.
+	// vector of the column's kind (a coded column's codes into Int),
+	// which its caller has sized to the list, and retains neither. Every
+	// read of such a column outside its table goes through
+	// Selection.FillCol, which calls it once a list of slots, so every
+	// batch holds a vector.
 	Compute func(dst *Col, slots []int32)
 }
 

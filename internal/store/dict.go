@@ -14,7 +14,7 @@ import (
 // a code, once handed out, names its string for the life of the process.
 // Codes live in this process only: the WAL and checkpoints hold strings.
 // Reads deliver a coded column's cells as codes (a KindCode column, see
-// Selection.FillCol); Names, Name, Value and Rows decode them.
+// Selection.FillCol); Names, Value and Decode decode them.
 //
 // slots finds a string's code: an open-addressed table of codes by their
 // strings' hashes (linear probing, at most 7/8 full), 4 bytes a string
@@ -122,9 +122,6 @@ func coder(vec []int32) func(dst *Col, slots []int32) {
 // before the call has its entry. The slice is shared, read-only.
 func (d *Dict) Names() []string { return d.table() }
 
-// Name returns the string code names.
-func (d *Dict) Name(code int64) string { return d.table()[code] }
-
 // Code returns the code of s, ok false when the dictionary lacks s: then
 // no coded cell equals s.
 func (d *Dict) Code(s string) (code int64, ok bool) {
@@ -139,22 +136,16 @@ func (d *Dict) Value(c *Col, i int) Value {
 	if c.Kind != KindCode || c.Null[i] {
 		return c.Value(i)
 	}
-	return Value{K: KindString, S: d.Name(c.Int[i])}
+	return Value{K: KindString, S: d.table()[c.Int[i]]}
 }
 
-// Decode writes c's cells at rows into dst as a STRING column of c's
-// length, each coded cell decoded to the dictionary's string (cells off
-// rows are NULL), reusing dst's vectors; rows nil means every row.
+// Decode writes coded column c's cells at rows into dst as a STRING
+// column of c's length, each decoded to the dictionary's string (cells
+// off rows are NULL), reusing dst's vectors.
 func (d *Dict) Decode(dst, c *Col, rows []int) {
 	n := c.Len()
 	dst.Kind, dst.Null, dst.Str = KindString, resized(dst.Null, n), resized(dst.Str, n)
 	names := d.table()
-	if rows == nil {
-		for i, null := range c.Null {
-			dst.Null[i], dst.Str[i] = null, names[c.Int[i]]
-		}
-		return
-	}
 	for i := range dst.Null {
 		dst.Null[i] = true
 	}
