@@ -135,9 +135,9 @@ func (e *encoder) appendColumn(b []byte, c *store.Col, n int, d *store.Dict, cos
 func (e *encoder) appendStrings(b []byte, c *store.Col, n int, d *store.Dict, cost *int) []byte {
 	e.dict, e.codes = e.dict[:0], sized(e.codes, n)
 	if c.Kind == store.KindCode {
-		e.numberCodes(c, n, d)
+		e.numberCodes(c, n, d.Names())
 	} else {
-		e.numberStrings(c, n)
+		e.numberStrings(c, n, nil)
 	}
 	slices.SortFunc(e.dict, func(x, y dictEntry) int { return strings.Compare(x.s, y.s) })
 	e.rank = sized(e.rank, len(e.dict))
@@ -163,11 +163,12 @@ func (e *encoder) appendStrings(b []byte, c *store.Col, n int, d *store.Dict, co
 	return b
 }
 
-// numberStrings numbers a typed STRING column's distinct cells as they
-// first appear, through a map it then clears (and drops once a large
-// column grew it: a map never shrinks; maxInterned entries stay near
+// numberStrings numbers a STRING column's distinct cells as they first
+// appear — a typed column's, or a coded one's names by code when names
+// is set — through a map it then clears (and drops once a large column
+// grew it: a map never shrinks; maxInterned entries stay near
 // maxRetained).
-func (e *encoder) numberStrings(c *store.Col, n int) {
+func (e *encoder) numberStrings(c *store.Col, n int, names []string) {
 	if e.seen == nil {
 		e.seen = make(map[string]uint32)
 	}
@@ -175,11 +176,17 @@ func (e *encoder) numberStrings(c *store.Col, n int) {
 		if null {
 			continue
 		}
-		first, ok := e.seen[c.Str[i]]
+		s := ""
+		if names != nil {
+			s = names[c.Int[i]]
+		} else {
+			s = c.Str[i]
+		}
+		first, ok := e.seen[s]
 		if !ok {
 			first = uint32(len(e.dict))
-			e.seen[c.Str[i]] = first
-			e.dict = append(e.dict, dictEntry{c.Str[i], first})
+			e.seen[s] = first
+			e.dict = append(e.dict, dictEntry{s, first})
 		}
 		e.codes[i] = first
 	}
@@ -189,18 +196,25 @@ func (e *encoder) numberStrings(c *store.Col, n int) {
 	clear(e.seen)
 }
 
-// numberCodes numbers a coded column's distinct names as they first
-// appear: it marks each code's number in marks, a scratch indexed by
-// code that is all zeros between calls, and decodes each distinct name
-// once.
-func (e *encoder) numberCodes(c *store.Col, n int, d *store.Dict) {
+// numberCodes numbers a coded column's distinct names, names by code,
+// as they first appear: it marks each code's number in marks, a scratch
+// indexed by code that is all zeros between calls, and decodes each
+// distinct name once. A column whose codes run past half what a
+// retained scratch holds (a large dictionary; sized may double it) is
+// numbered by name instead, so no reply allocates a scratch the size
+// of the dictionary.
+func (e *encoder) numberCodes(c *store.Col, n int, names []string) {
 	top := int64(-1)
 	for i, null := range c.Null[:n] {
 		if !null {
 			top = max(top, c.Int[i])
 		}
 	}
-	names, marks := d.Names(), sized(e.marks, int(top+1))
+	if top >= maxRetained/8 {
+		e.numberStrings(c, n, names)
+		return
+	}
+	marks := sized(e.marks, int(top+1))
 	for i, null := range c.Null[:n] {
 		if null {
 			continue

@@ -115,8 +115,10 @@ func TestBatchEncodingMatchesRows(t *testing.T) {
 
 // codedResults serves statements over a table whose name columns are
 // coded (hash-indexed): a column with repeats, "", non-ASCII and long
-// names and NULLs, one mostly NULL, one all NULL. Each result's Batch
-// holds codes, which its Dict decodes.
+// names and NULLs, one mostly NULL, one all NULL; the last statement
+// reads a second table's 17 000 names, whose codes run past what the
+// encoder's code-indexed scratch takes. Each result's Batch holds
+// codes, which its Dict decodes.
 func codedResults(t *testing.T) []*query.Result {
 	t.Helper()
 	db, err := store.Open("")
@@ -151,6 +153,23 @@ func codedResults(t *testing.T) []*query.Result {
 			t.Fatal(err)
 		}
 	}
+	many, err := db.CreateTable("many", store.MustSchema(
+		store.Column{Name: "name", Kind: store.KindString},
+		store.Column{Name: "n", Kind: store.KindInt},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := store.TableDelta{Table: many.Name()}
+	for i := range 17000 {
+		delta.Inserts = append(delta.Inserts, store.Row{s(fmt.Sprintf("m%05d", i)), store.IntValue(int64(i))})
+	}
+	if err := db.CommitDeltas([]store.TableDelta{delta}); err != nil {
+		t.Fatal(err)
+	}
+	if err := many.CreateIndex("name", store.IndexHash); err != nil {
+		t.Fatal(err)
+	}
 	eng := query.NewEngine(query.NewDBCatalog(db, nil), query.DefaultOptions())
 	var out []*query.Result
 	for _, q := range []string{
@@ -159,6 +178,7 @@ func codedResults(t *testing.T) []*query.Result {
 		"SELECT other, COUNT(*), MIN(name) FROM names GROUP BY other",
 		"SELECT name, COUNT(*) FROM names GROUP BY name",
 		"SELECT name FROM names WHERE n > 1000",
+		"SELECT name, n FROM many WHERE n >= 16960",
 	} {
 		stmt, err := query.Parse(q)
 		if err != nil {
@@ -216,16 +236,19 @@ func TestCodedReplyMatchesDecoded(t *testing.T) {
 			}
 		}
 	}
-	msg := &QueryResult{Columns: results[0].Columns, Batch: results[0].Batch, Dict: results[0].Dict}
 	s, sess := NewServer(nil), &session{}
-	if got := testing.AllocsPerRun(100, func() {
-		if err := s.respond(io.Discard, sess, msg); err != nil {
-			t.Fatal(err)
+	for _, res := range []*query.Result{results[0], results[len(results)-1]} {
+		msg := &QueryResult{Columns: res.Columns, Batch: res.Batch, Dict: res.Dict}
+		if got := testing.AllocsPerRun(100, func() {
+			if err := s.respond(io.Discard, sess, msg); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("columns %v: server framing allocates %.1f objects a coded reply, want 0", res.Columns, got)
 		}
-	}); got != 0 {
-		t.Errorf("server framing allocates %.1f objects a coded reply, want 0", got)
 	}
-	if _, err := encodeMsg(&QueryResult{Columns: msg.Columns, Batch: msg.Batch}); err == nil || !strings.Contains(err.Error(), "no dictionary") {
+	msg := &QueryResult{Columns: results[0].Columns, Batch: results[0].Batch}
+	if _, err := encodeMsg(msg); err == nil || !strings.Contains(err.Error(), "no dictionary") {
 		t.Fatalf("a coded column with no dictionary encoded with error %v", err)
 	}
 }
