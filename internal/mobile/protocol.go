@@ -228,7 +228,6 @@ func encodeMsg(msg any) ([]byte, error) {
 // QUERY goes in slot 0).
 type encoder struct {
 	seen  map[string]uint32 // a STRING column's distinct cells, by first appearance
-	marks []uint32          // a coded column's, by code: first appearance + 1, 0 for none
 	dict  []dictEntry       // and in a slice, then sorted
 	codes []uint32          // each row's first-appearance number
 	rank  []uint32          // each first-appearance number's sorted place

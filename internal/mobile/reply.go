@@ -133,11 +133,31 @@ func (e *encoder) appendColumn(b []byte, c *store.Col, n int, d *store.Dict, cos
 // cells are numbered as they first appear, then sorted, so the sort
 // compares each distinct string, not each row.
 func (e *encoder) appendStrings(b []byte, c *store.Col, n int, d *store.Dict, cost *int) []byte {
-	e.dict, e.codes = e.dict[:0], sized(e.codes, n)
+	if e.seen == nil {
+		e.seen = make(map[string]uint32)
+	}
+	var names []string // a coded column's, by code
 	if c.Kind == store.KindCode {
-		e.numberCodes(c, n, d.Names())
-	} else {
-		e.numberStrings(c, n, nil)
+		names = d.Names()
+	}
+	e.dict, e.codes = e.dict[:0], sized(e.codes, n)
+	for i, null := range c.Null[:n] {
+		if null {
+			continue
+		}
+		var s string
+		if names != nil {
+			s = names[c.Int[i]]
+		} else {
+			s = c.Str[i]
+		}
+		first, ok := e.seen[s]
+		if !ok {
+			first = uint32(len(e.dict))
+			e.seen[s] = first
+			e.dict = append(e.dict, dictEntry{s, first})
+		}
+		e.codes[i] = first
 	}
 	slices.SortFunc(e.dict, func(x, y dictEntry) int { return strings.Compare(x.s, y.s) })
 	e.rank = sized(e.rank, len(e.dict))
@@ -157,81 +177,15 @@ func (e *encoder) appendStrings(b []byte, c *store.Col, n int, d *store.Dict, co
 			b = binary.AppendUvarint(b, uint64(e.rank[e.codes[i]]))
 		}
 	}
-	// Keep no cell of the result alive.
+	// Keep no cell of the result alive, and no map a large column grew
+	// (a map never shrinks; maxInterned entries stay near maxRetained).
 	clear(e.dict)
-	e.dict, e.codes, e.rank = retained(e.dict), retained(e.codes), retained(e.rank)
-	return b
-}
-
-// numberStrings numbers a STRING column's distinct cells as they first
-// appear — a typed column's, or a coded one's names by code when names
-// is set — through a map it then clears (and drops once a large column
-// grew it: a map never shrinks; maxInterned entries stay near
-// maxRetained).
-func (e *encoder) numberStrings(c *store.Col, n int, names []string) {
-	if e.seen == nil {
-		e.seen = make(map[string]uint32)
-	}
-	for i, null := range c.Null[:n] {
-		if null {
-			continue
-		}
-		s := ""
-		if names != nil {
-			s = names[c.Int[i]]
-		} else {
-			s = c.Str[i]
-		}
-		first, ok := e.seen[s]
-		if !ok {
-			first = uint32(len(e.dict))
-			e.seen[s] = first
-			e.dict = append(e.dict, dictEntry{s, first})
-		}
-		e.codes[i] = first
-	}
 	if len(e.seen) > maxInterned {
 		e.seen = nil
 	}
 	clear(e.seen)
-}
-
-// numberCodes numbers a coded column's distinct names, names by code,
-// as they first appear: it marks each code's number in marks, a scratch
-// indexed by code that is all zeros between calls, and decodes each
-// distinct name once. A column whose codes run past half what a
-// retained scratch holds (a large dictionary; sized may double it) is
-// numbered by name instead, so no reply allocates a scratch the size
-// of the dictionary.
-func (e *encoder) numberCodes(c *store.Col, n int, names []string) {
-	top := int64(-1)
-	for i, null := range c.Null[:n] {
-		if !null {
-			top = max(top, c.Int[i])
-		}
-	}
-	if top >= maxRetained/8 {
-		e.numberStrings(c, n, names)
-		return
-	}
-	marks := sized(e.marks, int(top+1))
-	for i, null := range c.Null[:n] {
-		if null {
-			continue
-		}
-		m := &marks[c.Int[i]]
-		if *m == 0 {
-			e.dict = append(e.dict, dictEntry{names[c.Int[i]], uint32(len(e.dict))})
-			*m = uint32(len(e.dict))
-		}
-		e.codes[i] = *m - 1
-	}
-	for i, null := range c.Null[:n] {
-		if !null {
-			marks[c.Int[i]] = 0
-		}
-	}
-	e.marks = retained(marks)
+	e.dict, e.codes, e.rank = retained(e.dict), retained(e.codes), retained(e.rank)
+	return b
 }
 
 // appendZeros appends k zero bytes to b, allocating only when b is too

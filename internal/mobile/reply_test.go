@@ -116,9 +116,8 @@ func TestBatchEncodingMatchesRows(t *testing.T) {
 // codedResults serves statements over a table whose name columns are
 // coded (hash-indexed): a column with repeats, "", non-ASCII and long
 // names and NULLs, one mostly NULL, one all NULL; the last statement
-// reads a second table's 17 000 names, whose codes run past what the
-// encoder's code-indexed scratch takes. Each result's Batch holds
-// codes, which its Dict decodes.
+// reads the last 40 of a second table's 17 000 names, so its codes are
+// large. Each result's Batch holds codes, which its Dict decodes.
 func codedResults(t *testing.T) []*query.Result {
 	t.Helper()
 	db, err := store.Open("")
@@ -210,9 +209,9 @@ func decodedReply(res *query.Result) *QueryResult {
 // TestCodedReplyMatchesDecoded: a reply encoded from a result whose name
 // columns are coded is byte for byte the reply encoded from the same
 // result decoded to strings, encoded fresh and by one session's encoder
-// reused reply after reply (its code-indexed scratch must be left
-// zeroed by each); a warm session frames a coded reply with no
-// allocation; and a coded column with no dictionary is an encode error.
+// reused reply after reply (its map must be left cleared by each); a
+// warm session frames a coded reply with no allocation; and a coded
+// column with no dictionary is an encode error.
 func TestCodedReplyMatchesDecoded(t *testing.T) {
 	results := codedResults(t)
 	var reusedEnc encoder
@@ -437,8 +436,8 @@ func BenchmarkQueryReply(b *testing.B) {
 // under -race any write to a shared result — by a fill, a hit or an
 // encoder — shows up as a race. Both results hold coded name columns
 // (ligand_id is hash-indexed), so the sessions' encoders decode through
-// the dictionary, each with its own code-indexed scratch, while the
-// committer codes new names into it.
+// the dictionary, each with its own scratch, while the committer codes
+// new names into it.
 func TestSharedResultEncodedConcurrently(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.QueryCacheEntries = 16
