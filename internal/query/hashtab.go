@@ -188,10 +188,9 @@ func (t *hashTab) grow() {
 // codedAs returns the equality key column c, at the rows sel of b, in
 // the form a hash table's key column holds it: coded or not. A c of that
 // form is returned as it is; a coded c is decoded through d; a plain c
-// is looked up in d, a cell that is not a string, or a string d lacks,
-// taking code -1, which equals no coded cell. Only equality keys take
-// it (a join's probe, an IN set's needle): a grouping's keys keep one
-// form.
+// is coded through d (Dict.Encode: a cell that is not a string, or a
+// string d lacks, equals no coded cell). Only equality keys take it (a
+// join's probe, an IN set's needle): a grouping's keys keep one form.
 func codedAs(coded bool, b *batch, c *store.Col, sel []int, d *store.Dict) *store.Col {
 	switch {
 	case coded == (c.Kind == store.KindCode):
@@ -200,17 +199,6 @@ func codedAs(coded bool, b *batch, c *store.Col, sel []int, d *store.Dict) *stor
 		return decodedAt(b, c, sel, d)
 	}
 	out := b.newCol(store.KindCode)
-	for _, i := range sel {
-		if c.Null[i] {
-			continue
-		}
-		code := int64(-1)
-		if v := c.Value(i); v.K == store.KindString {
-			if x, ok := d.Code(v.S); ok {
-				code = x
-			}
-		}
-		out.SetInt(i, code)
-	}
+	d.Encode(out, c, sel)
 	return out
 }

@@ -58,20 +58,21 @@ func (d *Dict) find(s string, names []string) (pos int, c int32) {
 // resize refiles every code into size positions (a power of two).
 func (d *Dict) resize(size int) {
 	d.slots, d.shift = make([]int32, size), uint8(64-bits.TrailingZeros(uint(size)))
-	names := d.table()
+	names := d.Names()
 	for c := 1; c < d.n; c++ {
 		pos, _ := d.find(names[c], names)
 		d.slots[pos] = int32(c)
 	}
 }
 
-// table returns the names by code.
-func (d *Dict) table() []string { return *d.names.Load() }
+// Names returns the dictionary's strings by code: every code handed out
+// before the call has its entry. The slice is shared, read-only.
+func (d *Dict) Names() []string { return *d.names.Load() }
 
 // code returns the code of s, ok false when s has none.
 func (d *Dict) code(s string) (c int32, ok bool) {
 	d.mu.RLock()
-	_, c = d.find(s, d.table())
+	_, c = d.find(s, d.Names())
 	d.mu.RUnlock()
 	return c, c != 0
 }
@@ -87,7 +88,7 @@ func (d *Dict) intern(s string) int32 {
 }
 
 func (d *Dict) internLocked(s string) int32 {
-	names := d.table()
+	names := d.Names()
 	pos, c := d.find(s, names)
 	if c != 0 {
 		return c
@@ -118,10 +119,6 @@ func coder(vec []int32) func(dst *Col, slots []int32) {
 	}
 }
 
-// Names returns the dictionary's strings by code: every code handed out
-// before the call has its entry. The slice is shared, read-only.
-func (d *Dict) Names() []string { return d.table() }
-
 // Code returns the code of s, ok false when the dictionary lacks s: then
 // no coded cell equals s.
 func (d *Dict) Code(s string) (code int64, ok bool) {
@@ -136,7 +133,7 @@ func (d *Dict) Value(c *Col, i int) Value {
 	if c.Kind != KindCode || c.Null[i] {
 		return c.Value(i)
 	}
-	return Value{K: KindString, S: d.table()[c.Int[i]]}
+	return Value{K: KindString, S: d.Names()[c.Int[i]]}
 }
 
 // Decode writes coded column c's cells at rows into dst as a STRING
@@ -145,12 +142,39 @@ func (d *Dict) Value(c *Col, i int) Value {
 func (d *Dict) Decode(dst, c *Col, rows []int) {
 	n := c.Len()
 	dst.Kind, dst.Null, dst.Str = KindString, resized(dst.Null, n), resized(dst.Str, n)
-	names := d.table()
+	names := d.Names()
 	for i := range dst.Null {
 		dst.Null[i] = true
 	}
 	for _, i := range rows {
 		dst.Null[i], dst.Str[i] = c.Null[i], names[c.Int[i]]
+	}
+}
+
+// Encode writes column c's cells at rows into dst as a coded column of
+// c's length, under one read lock: a STRING cell as its code, and a cell
+// of another kind or a string the dictionary lacks as −1, which equals
+// no coded cell (NULL cells, and cells off rows, are NULL), reusing
+// dst's vectors.
+func (d *Dict) Encode(dst, c *Col, rows []int) {
+	n := c.Len()
+	dst.Kind, dst.Null, dst.Int = KindCode, resized(dst.Null, n), resized(dst.Int, n)
+	for i := range dst.Null {
+		dst.Null[i] = true
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	names := d.Names()
+	for _, i := range rows {
+		if dst.Null[i] = c.Null[i]; dst.Null[i] {
+			continue
+		}
+		dst.Int[i] = -1
+		if v := c.Value(i); v.K == KindString {
+			if _, code := d.find(v.S, names); code != nullCode {
+				dst.Int[i] = int64(code)
+			}
+		}
 	}
 }
 
@@ -162,9 +186,6 @@ type ranking struct {
 	codeOf []int32
 	rankOf []int32
 }
-
-// Dict returns the DB's string dictionary.
-func (db *DB) Dict() *Dict { return db.dict }
 
 // PublishRanks ranks strings for accesses from source (comparable; see
 // Access.Rank): rank r in [0, n) names name(r), "" naming none, and a

@@ -688,7 +688,7 @@ func TestBackfillSizesListsOnce(t *testing.T) {
 	if id.ints.keys != n || id.post.pos != nil {
 		t.Errorf("id: %d keys and %d positions, want %d and none", id.ints.keys, len(id.post.pos), n)
 	}
-	if got, want := len(name.byCode), len(db.dict.table()); name.keys != len(byName) || got != want {
+	if got, want := len(name.byCode), len(db.dict.Names()); name.keys != len(byName) || got != want {
 		t.Errorf("name: %d codes hold rows of %d, want %d of %d", name.keys, got, len(byName), want)
 	}
 	for s, want := range byName {

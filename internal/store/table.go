@@ -326,7 +326,7 @@ func (t *Table) loadCell(v *Value, c, s int) {
 	if col := &t.cols[c]; t.codes[c] == nil || col.Null != nil && col.Null[s] {
 		col.loadCell(v, s)
 	} else {
-		v.K, v.S = KindString, t.dict.table()[t.codes[c][s]]
+		v.K, v.S = KindString, t.dict.Names()[t.codes[c][s]]
 	}
 }
 
@@ -390,7 +390,7 @@ func (sl *slab) row(s int) Row {
 	}
 	r := sl.cells[:w:w]
 	sl.cells = sl.cells[w:]
-	sl.t.loadRow(sl.t.dict.table(), r, s)
+	sl.t.loadRow(sl.t.dict.Names(), r, s)
 	return r
 }
 
@@ -478,7 +478,7 @@ func (t *Table) backfill(ix *index) {
 // inline, a code held by more gets a list of exactly their number.
 func (t *Table) backfillCodes(ix *index) {
 	codes := t.codes[ix.column]
-	counts := make([]int32, len(t.dict.table())) // every code handed out, and more
+	counts := make([]int32, len(t.dict.Names())) // every code handed out, and more
 	for s, c := range codes {
 		if t.end[s] != 0 {
 			counts[c]++
@@ -652,7 +652,7 @@ func scanRows(r reader, fn func(id int64, row Row) bool) {
 	cols := r.storage()
 	scratch := make(Row, len(cols))
 	if r.img == nil {
-		names := r.t.dict.table()
+		names := r.t.dict.Names()
 		_ = r.walk(nil, Access{}, func(s int) bool { // a pass without poll cannot fail
 			r.t.loadRow(names, scratch, s)
 			return fn(r.t.idOf(s), scratch)
