@@ -2,11 +2,11 @@
 #
 # `make check` is the default gate: vet + full test suite + the race
 # detector over the packages with concurrent execution paths (the
-# parallel query executor and the engine that serves it).
+# engine serving concurrent statements and the layers under it).
 
 GO ?= go
 
-.PHONY: all build test race vet vet-compat lint loc knobs heap nm ledger bench bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload check clean
+.PHONY: all build test race vet vet-compat lint loc knobs heap nm ledger bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload check clean
 
 all: check
 
@@ -35,8 +35,8 @@ knobs:
 	@printf '%-24s %s\n' drugtreed-flags "$$(grep -c '= flag\.' cmd/drugtreed/main.go)"
 
 # The concurrency certificate: differential, cancellation, and stress
-# tests under the race detector — the parallel query executor, the
-# engine serving it, and the resilience layer
+# tests under the race detector — the query executor, the engine
+# serving concurrent statements through it, and the resilience layer
 # (sources hammered by concurrent fetchers, health map read during
 # sync, mobile sessions), plus the two layers underneath them all: the
 # MVCC store (pinned index walks, selects and fills against a
@@ -45,7 +45,7 @@ knobs:
 # during resync, nothing pinned or unswept at rest, the incremental
 # overlay equal to a rebuild), and phylo the distance matrix, whose
 # workers fill one shared triangle row by row. The -timeout is the wedge
-# watchdog: a lock-order bug in the executor's workers or a mobile
+# watchdog: a lock-order bug between concurrent statements or in a mobile
 # session manifests as a silent hang rather than a failure, so the test
 # runner panics at the deadline and dumps every goroutine's stack.
 race:
@@ -97,7 +97,7 @@ lint: vet
 # compiles and executes each Benchmark* once, so a bit-rotted
 # benchmark (stale query, renamed helper, broken setup) fails the gate
 # without paying for real measurement. Real numbers come from `make
-# bench` and the experiment tables.
+# bench-micro`, `make bench-repo` and the experiment tables.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
@@ -175,7 +175,7 @@ nm:
 
 # The count ledger (core.TestCountLedger): for each analytics statement
 # class the allocations and bytes one statement allocates on the served
-# path at GOMAXPROCS 1, the rows its statements examine and their reply
+# path, the rows its statements examine and their reply
 # bytes, and one 512 + 512-row ingest commit's allocations and bytes,
 # measured now and checked against internal/core/testdata/counts.golden
 # (`go test ./internal/core -run TestCountLedger -update-counts`
@@ -195,8 +195,7 @@ ledger:
 # a frozen INT column
 # held as int64, as int32 and as the dense column, and the query
 # layer's hashing operators —
-# the hash join, serial and with its probe at one, two and GOMAXPROCS
-# workers, the aggregate, the flat table under both (8 192 keys
+# the hash join, the aggregate, the flat table under both (8 192 keys
 # inserted / probed), the keyed probe, the group-join and an aggregate
 # folded straight from storage over 8.6 k index-selected rows — and
 # parsing of the six
@@ -228,7 +227,7 @@ bench-micro:
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'BenchmarkInsert|BenchmarkLookup|BenchmarkGatherRange|BenchmarkSeqPass|BenchmarkTableScan|BenchmarkCommitDelta512|BenchmarkIndex|BenchmarkFrozenFill' ./internal/store/
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkParallelJoin|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan|BenchmarkParse$$' ./internal/query/
+		-bench 'BenchmarkVecHashJoin|BenchmarkVecAggregate|BenchmarkHashTab|BenchmarkKeyedProbe|BenchmarkGroupJoin|BenchmarkFoldScan|BenchmarkParse$$' ./internal/query/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkOverlayApply|BenchmarkServedPlan|BenchmarkSubtreeAccess|BenchmarkAnalyticsClasses' ./internal/core/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkQueryReply|BenchmarkQueryRequest|BenchmarkOpenDelta|BenchmarkDecodeTreeDelta' ./internal/mobile/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkKmerDistances|BenchmarkNeighborJoining' ./internal/phylo/
@@ -265,12 +264,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKmerCosine$$' -fuzztime 10s ./internal/bio/seq/
 	$(GO) test -run '^$$' -fuzz '^FuzzNeighborJoining$$' -fuzztime 10s ./internal/phylo/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSMILES$$' -fuzztime 10s ./internal/chem/
-
-# The parallel-executor microbenchmark (experiment T7): the hash join,
-# the one operator with a parallel path, its probe at 1, 2 and
-# GOMAXPROCS workers.
-bench:
-	$(GO) test -run xxx -bench 'BenchmarkParallel' -benchmem ./internal/query/...
 
 # The T8 chaos experiment: scripted outage/brownout/error-burst
 # timeline with the resilience stack on vs off, plus its gate test.

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"drugtree/internal/store"
 )
@@ -83,14 +84,14 @@ func New(capacity int64) *Cache {
 	return &Cache{capacity: capacity, entries: make(map[Key][]*Entry)}
 }
 
-// Heap footprint of the fixed parts on a 64-bit host: the Entry with
-// its ColBatch, one Col header (kind + five slice headers) per column,
-// a generic-mode Value cell, a string header.
+// Heap footprint of the fixed parts, as the compiler lays them out: the
+// Entry with its ColBatch, one Col header per column, a generic-mode
+// Value cell, a string header.
 const (
-	entryOverhead = 192
-	colOverhead   = 128
-	valueSize     = 40
-	strHeaderSize = 16
+	entryOverhead = int64(unsafe.Sizeof(Entry{}) + unsafe.Sizeof(store.ColBatch{}))
+	colOverhead   = int64(unsafe.Sizeof(store.Col{}))
+	valueSize     = int64(unsafe.Sizeof(store.Value{}))
+	strHeaderSize = int64(unsafe.Sizeof(""))
 )
 
 // batchBytes is the heap a batch pins: every vector's capacity plus
@@ -98,7 +99,7 @@ const (
 // vector alone, 8 B a cell: its names are the DB's dictionary's, which
 // outlives every entry.
 func batchBytes(cb *store.ColBatch) int64 {
-	n := int64(entryOverhead)
+	n := entryOverhead
 	for i := range cb.Cols {
 		c := &cb.Cols[i]
 		n += colOverhead + int64(cap(c.Null)) + 8*int64(cap(c.Int)+cap(c.Float)) +

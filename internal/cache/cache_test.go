@@ -292,10 +292,12 @@ func TestPrefetcherHistoryBounded(t *testing.T) {
 	_ = tr
 }
 
-// TestBatchBytesChargesCodes pins what a coded column costs an entry:
+// TestBatchBytesChargesCodes pins what a column costs an entry on a
+// 64-bit host: its 136-byte store.Col header, and then a coded column
 // its code vector, 8 B a cell, and no string bytes, since its names are
 // the dictionary's; the same names held as a STRING column cost a
-// 16-byte header a cell and their bytes.
+// 16-byte header a cell and their bytes. An entry with no column costs
+// its Entry and its ColBatch, 160 B.
 func TestBatchBytesChargesCodes(t *testing.T) {
 	const n = 64
 	coded, plain := store.NewDenseCol(store.KindCode, n), store.NewDenseCol(store.KindString, n)
@@ -304,13 +306,16 @@ func TestBatchBytesChargesCodes(t *testing.T) {
 		plain.SetValue(i, store.StringValue(fmt.Sprintf("name-%d", i%5)))
 	}
 	empty := batchBytes(&store.ColBatch{})
+	if empty != 160 {
+		t.Errorf("an entry with no column is charged %d B, want 160", empty)
+	}
 	for _, c := range []struct {
 		name string
 		col  *store.Col
 		want int64
 	}{
-		{"coded", coded, colOverhead + n + 8*n},
-		{"plain", plain, colOverhead + n + strHeaderSize*n + 6*n},
+		{"coded", coded, 136 + n + 8*n},
+		{"plain", plain, 136 + n + 16*n + 6*n},
 	} {
 		if got := batchBytes(&store.ColBatch{Rows: n, Cols: []store.Col{*c.col}}) - empty; got != c.want {
 			t.Errorf("a %s column of %d names is charged %d B, want %d", c.name, n, got, c.want)

@@ -31,6 +31,3 @@ func AnalyticsStatements(tb testing.TB, e *Engine) []AnalyticsStatement {
 	}
 	return out
 }
-
-// SetProcs is setProcs: GOMAXPROCS n until the test ends.
-func SetProcs(t *testing.T, n int) { setProcs(t, n) }

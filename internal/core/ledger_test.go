@@ -52,8 +52,8 @@ func (l ledgerEntry) String() string {
 // TestCountLedger pins what the served path costs in counts, which the
 // host's load cannot move: for each analytics statement class, the
 // allocations and bytes one statement allocates served through
-// QueryColumns (DefaultConfig: no statement cache) at GOMAXPROCS 1, the
-// rows its statements examine and the bytes of their replies on the
+// QueryColumns (DefaultConfig: no statement cache), the rows its
+// statements examine and the bytes of their replies on the
 // wire; and one 512 + 512-row ingest commit's allocations and bytes.
 // It compares them with testdata/counts.golden: allocations and bytes
 // within 2 %, rows and reply bytes exactly. A change that moves a count
@@ -64,7 +64,6 @@ func TestCountLedger(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector moves allocation counts")
 	}
-	core.SetProcs(t, 1)
 	e := core.BuildEngineFrom(t, core.SmokeD1(), core.DefaultConfig())
 	ctx := context.Background()
 	stmts := core.AnalyticsStatements(t, e)

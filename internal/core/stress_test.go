@@ -29,7 +29,7 @@ import (
 // GC has swept every superseded row. The statement cache is off, so
 // every query truly executes.
 func TestConcurrentQueriesDuringResync(t *testing.T) {
-	setProcs(t, 4) // hash-join probes on 4 workers even on 1 CPU
+	setProcs(t, 4) // statements interleave on 4 Ps even on 1 CPU
 	e, importer := buildEngineFrom(t, smallDataset(), DefaultConfig())
 	db, ctx := e.DB(), context.Background()
 
@@ -175,9 +175,7 @@ func TestQueryCancellationThroughCore(t *testing.T) {
 	}
 }
 
-// setProcs sets runtime.GOMAXPROCS to n until the test ends. An engine
-// runs a hash join's probe on GOMAXPROCS workers, read as each statement
-// starts, so this is how a test picks the worker count.
+// setProcs sets runtime.GOMAXPROCS to n until the test ends.
 func setProcs(t *testing.T, n int) {
 	old := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
@@ -193,20 +191,18 @@ func identicalRows(a, b []store.Row) bool {
 	})
 }
 
-// TestParallelMatchesSerialThroughCore runs a residual scan, a hash
-// join, grouped aggregates and the analysis layer's shapes on a core
-// engine at GOMAXPROCS 1 and on a query engine over the same database
-// at GOMAXPROCS 4. The dataset holds about 3 200 activities, several
-// executor batches, so the join's probe splits across its workers.
-// Plans must be byte-identical and the rows too, in order and bit for
-// bit.
-func TestParallelMatchesSerialThroughCore(t *testing.T) {
+// TestCoreMatchesQueryEngine runs a residual scan, a hash join, grouped
+// aggregates and the analysis layer's shapes on a core engine and on a
+// query engine over the same database. The dataset holds about 3 200
+// activities, several executor batches. Plans must be byte-identical
+// and the rows too, in order and bit for bit.
+func TestCoreMatchesQueryEngine(t *testing.T) {
 	gen := smallDataset()
 	gen.NumFamilies, gen.ProteinsPerFamily, gen.NumLigands = 4, 20, 80
-	serialCfg := DefaultConfig()
-	serialCfg.CacheBytes = 0
-	e, _ := buildEngineFrom(t, gen, serialCfg)
-	par := query.NewEngine(query.NewDBCatalog(e.DB(), e.Tree()), query.DefaultOptions())
+	cfg := DefaultConfig()
+	cfg.CacheBytes = 0
+	e, _ := buildEngineFrom(t, gen, cfg)
+	qe := query.NewEngine(query.NewDBCatalog(e.DB(), e.Tree()), query.DefaultOptions())
 
 	queries := []string{
 		"SELECT protein_id, ligand_id, affinity FROM activities WHERE assay != 'x' AND ligand_id != 'LIG0000'",
@@ -217,23 +213,20 @@ func TestParallelMatchesSerialThroughCore(t *testing.T) {
 		 JOIN activities a ON p.accession = a.protein_id GROUP BY p.family`,
 		"SELECT COUNT(*) FROM tree_nodes WHERE is_leaf = TRUE",
 	}
-	setProcs(t, 1) // restores GOMAXPROCS when the test ends
 	for _, q := range queries {
-		runtime.GOMAXPROCS(1)
-		sres, err := e.Query(context.Background(), q)
+		cres, err := e.Query(context.Background(), q)
 		if err != nil {
-			t.Fatalf("serial %q: %v", q, err)
+			t.Fatalf("core %q: %v", q, err)
 		}
-		runtime.GOMAXPROCS(4)
-		pres, err := par.Query(context.Background(), q)
+		qres, err := qe.Query(context.Background(), q)
 		if err != nil {
-			t.Fatalf("parallel %q: %v", q, err)
+			t.Fatalf("query engine %q: %v", q, err)
 		}
-		if sres.Plan != pres.Plan {
-			t.Fatalf("%q: plans diverge:\n%s\nvs\n%s", q, sres.Plan, pres.Plan)
+		if cres.Plan != qres.Plan {
+			t.Fatalf("%q: plans diverge:\n%s\nvs\n%s", q, cres.Plan, qres.Plan)
 		}
-		if !identicalRows(sres.Rows, pres.Rows) {
-			t.Fatalf("%q: serial and parallel rows differ (%d vs %d rows)", q, len(sres.Rows), len(pres.Rows))
+		if !identicalRows(cres.Rows, qres.Rows) {
+			t.Fatalf("%q: core and query engine rows differ (%d vs %d rows)", q, len(cres.Rows), len(qres.Rows))
 		}
 	}
 }

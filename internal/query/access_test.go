@@ -70,11 +70,10 @@ func assertSameOrdered(t *testing.T, label string, key int, want, got []store.Ro
 }
 
 // TestDifferentialBenchShapes runs the six benchmark shapes over the
-// datagen catalog across the engine matrix against the reference
-// executor: plans byte-identical among the optimised configurations,
-// row multisets identical, exact sort keys at the cut. It also pins which
-// access path each shape is expected to take, so the matrix cannot
-// silently agree on the wrong plan.
+// datagen catalog on both engine configurations against the reference
+// executor: row multisets identical, exact sort keys at the cut. It
+// also pins which access path each shape is expected to take, so the
+// configurations cannot silently agree on the wrong plan.
 func TestDifferentialBenchShapes(t *testing.T) {
 	cat := datagenCatalog(t, 7)
 	clade := cladeOfSize(t, cat.Tree(), 20, 30)
@@ -92,24 +91,16 @@ func TestDifferentialBenchShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: reference: %v", sh.name, err)
 			}
-			naive, err := naiveSerialConfig().engine(cat).Query(context.Background(), sh.q)
+			naive, err := naiveConfig().engine(cat).Query(context.Background(), sh.q)
 			if err != nil {
 				t.Fatalf("%s: naive: %v", sh.name, err)
 			}
-			results := map[string]*Result{"naive-serial": naive}
-			plan := ""
-			for i, c := range diffMatrix() {
-				got, err := c.engine(cat).Query(context.Background(), sh.q)
-				if err != nil {
-					t.Fatalf("%s: %s: %v", sh.name, c.name, err)
-				}
-				if i == 0 {
-					plan = got.Plan
-				} else if got.Plan != plan {
-					t.Fatalf("%s: %s plan diverges\n%s:\n%s\n%s:\n%s", sh.name, c.name, diffMatrix()[0].name, plan, c.name, got.Plan)
-				}
-				results[c.name] = got
+			got, err := defaultConfig().engine(cat).Query(context.Background(), sh.q)
+			if err != nil {
+				t.Fatalf("%s: default: %v", sh.name, err)
 			}
+			results := map[string]*Result{"naive": naive, "default": got}
+			plan := got.Plan
 			if th == 8.5 {
 				for _, frag := range wantPath[sh.name] {
 					if !strings.Contains(plan, frag) {
@@ -222,7 +213,7 @@ func TestRangeColumnChoice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng := serialConfig().engine(NewDBCatalog(db, nil))
+	eng := defaultConfig().engine(NewDBCatalog(db, nil))
 	for _, c := range []struct{ where, path string }{
 		// a visits 11 postings, b 91.
 		{"a >= 10 AND a <= 20 AND b >= 5 AND b <= 95", "a in [10, 20]"},
@@ -251,7 +242,7 @@ func TestRangeColumnChoice(t *testing.T) {
 // give the same plan but for the filter's rendering — the join order,
 // build sides, probe paths and index ranges included.
 func TestMirroredComparisonsPlanAlike(t *testing.T) {
-	eng := serialConfig().engine(testCatalog(t))
+	eng := defaultConfig().engine(testCatalog(t))
 	const (
 		threeWay = "SELECT p.accession, l.weight FROM proteins p JOIN activities a ON p.accession = a.protein_id JOIN ligands l ON a.ligand_id = l.ligand_id WHERE "
 		twoWay   = "SELECT p.accession, a.affinity FROM proteins p JOIN activities a ON p.accession = a.protein_id WHERE "
@@ -323,7 +314,7 @@ func TestSubtreePredicateCrossesJoin(t *testing.T) {
 
 // TestTopKPushdownShapes: the ordered walk fires only where the first
 // k rows of the index range are the answer, and every shape — pushed or
-// not — answers as the reference executor does across the matrix.
+// not — answers as the reference executor does on both configurations.
 func TestTopKPushdownShapes(t *testing.T) {
 	cat := datagenCatalog(t, 7)
 	for _, c := range []struct {
@@ -357,7 +348,7 @@ func TestTopKPushdownShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", c.q, err)
 		}
-		for _, m := range append(diffMatrix(), naiveSerialConfig()) {
+		for _, m := range []engineConfig{defaultConfig(), naiveConfig()} {
 			got, err := m.engine(cat).Query(context.Background(), c.q)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", c.q, m.name, err)
@@ -433,16 +424,14 @@ func TestIndexWalksPollContext(t *testing.T) {
 		{"SELECT protein_id, affinity FROM activities WHERE affinity >= 0 AND ligand_id = 'none' ORDER BY affinity DESC LIMIT 5", "order=DESC limit=5"},
 		{"SELECT ligand_id, COUNT(*) FROM activities WHERE WITHIN_SUBTREE(protein_id, 'A') GROUP BY ligand_id", "IndexRangeScan activities (protein_id ∈ subtree A → rank ["},
 	} {
-		for _, cfg := range diffMatrix() {
-			eng := cfg.engine(cat)
-			res, err := eng.Query(context.Background(), c.q)
-			if err != nil || !strings.Contains(res.Plan, c.path) {
-				t.Fatalf("%s: err %v, plan:\n%s", c.q, err, res.Plan)
-			}
-			_, err = eng.Query(&pollOnlyCtx{Context: context.Background()}, c.q)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s [%s]: err = %v, want context.Canceled from the store walk", c.q, cfg.name, err)
-			}
+		eng := defaultConfig().engine(cat)
+		res, err := eng.Query(context.Background(), c.q)
+		if err != nil || !strings.Contains(res.Plan, c.path) {
+			t.Fatalf("%s: err %v, plan:\n%s", c.q, err, res.Plan)
+		}
+		_, err = eng.Query(&pollOnlyCtx{Context: context.Background()}, c.q)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled from the store walk", c.q, err)
 		}
 	}
 	if n := db.ActiveSnapshots(); n != 0 {
@@ -528,10 +517,11 @@ func mvccCommit(db *store.DB, act *store.Table, rng *rand.Rand) error {
 	return db.CommitDeltas([]store.TableDelta{d})
 }
 
-// checkAtSnapshot runs every statement on every optimized engine and
-// on the reference executor against one pinned snapshot and compares.
+// checkAtSnapshot runs every statement on the default engine and on
+// the reference executor against one pinned snapshot and compares.
 func checkAtSnapshot(cat Catalog, snap *store.SnapshotHandle) error {
 	ctx := context.Background()
+	eng := defaultConfig().engine(cat)
 	for _, st := range mvccStatements {
 		stmt, err := Parse(st.q)
 		if err != nil {
@@ -541,39 +531,37 @@ func checkAtSnapshot(cat Catalog, snap *store.SnapshotHandle) error {
 		if err != nil {
 			return fmt.Errorf("%s: reference: %w", st.q, err)
 		}
-		for _, c := range diffMatrix() {
-			got, err := c.engine(cat).RunAt(ctx, stmt, snap)
-			if err != nil {
-				return fmt.Errorf("%s [%s]: %w", st.q, c.name, err)
+		got, err := eng.RunAt(ctx, stmt, snap)
+		if err != nil {
+			return fmt.Errorf("%s: %w", st.q, err)
+		}
+		if !strings.Contains(got.Plan, st.path) {
+			return fmt.Errorf("%s: plan lacks %q:\n%s", st.q, st.path, got.Plan)
+		}
+		rows := store.RowsFromColBatch(got.Batch, got.Dict)
+		if len(rows) != len(want.Rows) {
+			return fmt.Errorf("%s: %d rows, the reference has %d", st.q, len(rows), len(want.Rows))
+		}
+		if st.key < 0 {
+			if !sameRowMultisetCanon(want.Rows, rows) {
+				return fmt.Errorf("%s: rows differ from the reference", st.q)
 			}
-			if !strings.Contains(got.Plan, st.path) {
-				return fmt.Errorf("%s [%s]: plan lacks %q:\n%s", st.q, c.name, st.path, got.Plan)
+			continue
+		}
+		// Exact key sequence; rows ahead of the cut key exact.
+		var a, b []store.Row
+		cut := want.Rows[len(want.Rows)-1][st.key]
+		for i := range want.Rows {
+			w, g := want.Rows[i][st.key], rows[i][st.key]
+			if store.Compare(w, g) != 0 {
+				return fmt.Errorf("%s: sort key %d is %v, the reference has %v", st.q, i, g, w)
 			}
-			rows := store.RowsFromColBatch(got.Batch, got.Dict)
-			if len(rows) != len(want.Rows) {
-				return fmt.Errorf("%s [%s]: %d rows, the reference has %d", st.q, c.name, len(rows), len(want.Rows))
+			if store.Compare(w, cut) != 0 {
+				a, b = append(a, want.Rows[i]), append(b, rows[i])
 			}
-			if st.key < 0 {
-				if !sameRowMultisetCanon(want.Rows, rows) {
-					return fmt.Errorf("%s [%s]: rows differ from the reference", st.q, c.name)
-				}
-				continue
-			}
-			// Exact key sequence; rows ahead of the cut key exact.
-			var a, b []store.Row
-			cut := want.Rows[len(want.Rows)-1][st.key]
-			for i := range want.Rows {
-				w, g := want.Rows[i][st.key], rows[i][st.key]
-				if store.Compare(w, g) != 0 {
-					return fmt.Errorf("%s [%s]: sort key %d is %v, the reference has %v", st.q, c.name, i, g, w)
-				}
-				if store.Compare(w, cut) != 0 {
-					a, b = append(a, want.Rows[i]), append(b, rows[i])
-				}
-			}
-			if !sameRowMultisetCanon(a, b) {
-				return fmt.Errorf("%s [%s]: rows ahead of the cut differ from the reference", st.q, c.name)
-			}
+		}
+		if !sameRowMultisetCanon(a, b) {
+			return fmt.Errorf("%s: rows ahead of the cut differ from the reference", st.q)
 		}
 	}
 	return nil

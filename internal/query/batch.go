@@ -90,12 +90,15 @@ type batchIterator interface {
 	nextBatch() (*batch, error)
 }
 
+// rowRange is the rows [lo, hi) of a materialized input.
+type rowRange struct{ lo, hi int }
+
 // batchRanges cuts n rows into vecBatchSize ranges: the batches a
 // materialized input streams as.
-func batchRanges(n int) []morselRange {
-	out := make([]morselRange, 0, (n+vecBatchSize-1)/vecBatchSize)
+func batchRanges(n int) []rowRange {
+	out := make([]rowRange, 0, (n+vecBatchSize-1)/vecBatchSize)
 	for lo := 0; lo < n; lo += vecBatchSize {
-		out = append(out, morselRange{lo, min(lo+vecBatchSize, n)})
+		out = append(out, rowRange{lo, min(lo+vecBatchSize, n)})
 	}
 	return out
 }
@@ -104,7 +107,7 @@ func batchRanges(n int) []morselRange {
 // — ranges nil — into the views of batchRanges(cb.Rows) (zero-copy: the
 // views alias the ColBatch's column storage). All the views' headers
 // come from three allocations, however many there are.
-func batchesOf(cb *store.ColBatch, ranges []morselRange) []*batch {
+func batchesOf(cb *store.ColBatch, ranges []rowRange) []*batch {
 	nb, nc := len(ranges), len(cb.Cols)
 	if ranges == nil {
 		nb = (cb.Rows + vecBatchSize - 1) / vecBatchSize
@@ -127,6 +130,22 @@ func batchesOf(cb *store.ColBatch, ranges []morselRange) []*batch {
 		out[k] = &batches[k]
 	}
 	return out
+}
+
+// canceller polls a context; operators call now once per batch (a
+// channel select per row would dominate cheap operators).
+type canceller struct {
+	ctx context.Context
+}
+
+// now polls the context immediately.
+func (c *canceller) now() error {
+	select {
+	case <-c.ctx.Done():
+		return c.ctx.Err()
+	default:
+		return nil
+	}
 }
 
 // drainBatches materializes a batch stream, polling ctx per batch.

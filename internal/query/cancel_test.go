@@ -11,9 +11,8 @@ import (
 )
 
 // The cancellation contract: a context cancelled before or during
-// execution surfaces context.Canceled promptly, and no executor
-// goroutine outlives the Query call (workers are joined before any
-// operator returns).
+// execution surfaces context.Canceled promptly, and the statement
+// leaves no goroutine behind when the Query call returns.
 
 // waitGoroutines polls until the goroutine count drops back to at
 // most baseline+slack, failing after the deadline. Polling is needed
@@ -37,11 +36,9 @@ func TestCancelBeforeRun(t *testing.T) {
 	cat := testCatalog(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, para := range []int{1, 4} {
-		_, err := parallelConfig(para).engine(cat).Query(ctx, "SELECT * FROM proteins")
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallelism %d: err = %v, want context.Canceled", para, err)
-		}
+	_, err := defaultConfig().engine(cat).Query(ctx, "SELECT * FROM proteins")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
@@ -73,28 +70,26 @@ func TestCancelMidQuery(t *testing.T) {
 		t.Skip("slow cancellation corpus")
 	}
 	cat := datagenCatalog(t, 3)
-	for _, para := range []int{1, 4} {
-		eng := parallelConfig(para).engine(cat)
-		for _, tc := range slowCancelQueries {
-			baseline := runtime.NumGoroutine()
-			ctx, cancel := context.WithCancel(context.Background())
-			timer := time.AfterFunc(20*time.Millisecond, cancel)
-			start := time.Now()
-			_, err := eng.Query(ctx, tc.q)
-			elapsed := time.Since(start)
-			timer.Stop()
-			cancel()
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s (parallelism %d): err = %v, want context.Canceled", tc.name, para, err)
-			}
-			// Uncancelled these queries take seconds; every operator
-			// polls once per batch of at most vecBatchSize rows, so the
-			// abort lands within milliseconds of the cancel.
-			if elapsed > 500*time.Millisecond {
-				t.Fatalf("%s (parallelism %d): cancellation took %v", tc.name, para, elapsed)
-			}
-			waitGoroutines(t, baseline, 2*time.Second)
+	eng := defaultConfig().engine(cat)
+	for _, tc := range slowCancelQueries {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(20*time.Millisecond, cancel)
+		start := time.Now()
+		_, err := eng.Query(ctx, tc.q)
+		elapsed := time.Since(start)
+		timer.Stop()
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
 		}
+		// Uncancelled these queries take seconds; every operator
+		// polls once per batch of at most vecBatchSize rows, so the
+		// abort lands within milliseconds of the cancel.
+		if elapsed > 500*time.Millisecond {
+			t.Fatalf("%s: cancellation took %v", tc.name, elapsed)
+		}
+		waitGoroutines(t, baseline, 2*time.Second)
 	}
 }
 
@@ -175,52 +170,50 @@ func TestCancelMidBatch(t *testing.T) {
 		{"mid-fill-seq", `SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities
 			WHERE affinity * 2.0 > 2.0 GROUP BY ligand_id`, "SeqScan", true},
 	} {
-		for _, para := range []int{1, 4} {
-			eng := parallelConfig(para).engine(cat)
-			full, err := eng.Query(context.Background(), c.q)
+		eng := defaultConfig().engine(cat)
+		full, err := eng.Query(context.Background(), c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(full.Plan, c.plan) {
+			t.Fatalf("%s: plan lacks %q:\n%s", c.name, c.plan, full.Plan)
+		}
+		fuses := 64
+		if c.fill {
+			// Every poll of the statement, and one fuse past them.
+			probe := newCountdownCtx(1 << 30)
+			res, err := eng.Query(probe, c.q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(full.Plan, c.plan) {
-				t.Fatalf("%s: plan lacks %q:\n%s", c.name, c.plan, full.Plan)
+			if filled := scanRowsOut(res, "activities"); filled < 4*vecBatchSize || probe.polled() < int(filled)/foldMorsel {
+				t.Fatalf("%s: %d rows filled over %d polls; want > %d rows, a poll a morsel", c.name, filled, probe.polled(), 4*vecBatchSize)
 			}
-			fuses := 64
-			if c.fill {
-				// Every poll of the statement, and one fuse past them.
-				probe := newCountdownCtx(1 << 30)
-				res, err := eng.Query(probe, c.q)
-				if err != nil {
-					t.Fatal(err)
+			fuses = probe.polled() + 1
+			t.Logf("%s: %d rows filled, %d polls", c.name, scanRowsOut(res, "activities"), probe.polled())
+		}
+		cancelled := 0
+		for n := 1; n <= fuses; n++ {
+			baseline := runtime.NumGoroutine()
+			res, err := eng.Query(newCountdownCtx(n), c.q)
+			if err != nil {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s, fuse %d: err = %v, want context.Canceled", c.name, n, err)
 				}
-				if filled := scanRowsOut(res, "activities"); filled < 4*vecBatchSize || probe.polled() < int(filled)/foldMorsel {
-					t.Fatalf("%s, parallelism %d: %d rows filled over %d polls; want > %d rows, a poll a morsel", c.name, para, filled, probe.polled(), 4*vecBatchSize)
+				if res != nil {
+					t.Fatalf("%s, fuse %d: partial result returned alongside error", c.name, n)
 				}
-				fuses = probe.polled() + 1
-				t.Logf("%s, parallelism %d: %d rows filled, %d polls", c.name, para, scanRowsOut(res, "activities"), probe.polled())
+				cancelled++
+				waitGoroutines(t, baseline, 2*time.Second)
+				continue
 			}
-			cancelled := 0
-			for n := 1; n <= fuses; n++ {
-				baseline := runtime.NumGoroutine()
-				res, err := eng.Query(newCountdownCtx(n), c.q)
-				if err != nil {
-					if !errors.Is(err, context.Canceled) {
-						t.Fatalf("%s, parallelism %d, fuse %d: err = %v, want context.Canceled", c.name, para, n, err)
-					}
-					if res != nil {
-						t.Fatalf("%s, parallelism %d, fuse %d: partial result returned alongside error", c.name, para, n)
-					}
-					cancelled++
-					waitGoroutines(t, baseline, 2*time.Second)
-					continue
-				}
-				if len(res.Rows) != len(full.Rows) {
-					t.Fatalf("%s, parallelism %d, fuse %d: completed with %d rows, want %d",
-						c.name, para, n, len(res.Rows), len(full.Rows))
-				}
+			if len(res.Rows) != len(full.Rows) {
+				t.Fatalf("%s, fuse %d: completed with %d rows, want %d",
+					c.name, n, len(res.Rows), len(full.Rows))
 			}
-			if cancelled == 0 || (c.fill && cancelled != fuses-1) {
-				t.Fatalf("%s, parallelism %d: %d of %d fuses cancelled the query", c.name, para, cancelled, fuses)
-			}
+		}
+		if cancelled == 0 || (c.fill && cancelled != fuses-1) {
+			t.Fatalf("%s: %d of %d fuses cancelled the query", c.name, cancelled, fuses)
 		}
 	}
 }
@@ -234,7 +227,7 @@ func TestCancelDeadline(t *testing.T) {
 	cat := datagenCatalog(t, 3)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := parallelConfig(4).engine(cat).Query(ctx, slowCancelQueries[0].q)
+	_, err := defaultConfig().engine(cat).Query(ctx, slowCancelQueries[0].q)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

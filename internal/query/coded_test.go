@@ -143,7 +143,7 @@ func plainTwin(t testing.TB, cat *DBCatalog, tables []string) *DBCatalog {
 // catalog and its plain twin and compares the answers.
 func assertCodedMatchesPlain(t *testing.T, coded, plain Catalog, q string, ordered bool) {
 	t.Helper()
-	for _, c := range append([]engineConfig{naiveSerialConfig()}, diffMatrix()...) {
+	for _, c := range []engineConfig{naiveConfig(), defaultConfig()} {
 		want, werr := c.engine(plain).Query(context.Background(), q)
 		got, gerr := c.engine(coded).Query(context.Background(), q)
 		switch {
@@ -174,7 +174,7 @@ func TestCodedMatchesPlain(t *testing.T) {
 	errors := 0
 	for _, c := range codedCorpus {
 		assertCodedMatchesPlain(t, cat, plain, c.q, c.ordered)
-		if _, err := serialConfig().engine(cat).Query(context.Background(), c.q); err != nil {
+		if _, err := defaultConfig().engine(cat).Query(context.Background(), c.q); err != nil {
 			errors++
 		}
 	}

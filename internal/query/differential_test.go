@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
-	"slices"
 	"strings"
 	"testing"
 
@@ -16,47 +15,24 @@ import (
 
 // Differential harness: every query must give the reference executor's
 // answer (refexec_test.go: the unoptimised logical plan interpreted
-// over rows with nested loops) on every engine configuration — naive
-// serial, default serial, default parallel. Row counts must match and
-// result multisets must match; for ORDER BY queries the sort key
-// sequence must match (ties may legitimately permute whole rows).
-// Between the optimised configurations plans must match exactly, and
-// rows too, in order and bit for bit: the join's worker count is
-// visible to neither the optimizer nor the answer.
+// over rows with nested loops) on both engine configurations, naive and
+// default. Row counts must match and result multisets must match; for
+// ORDER BY queries the sort key sequence must match (ties may
+// legitimately permute whole rows).
 
-// diffWorkers is how many workers the parallel side's hash-join probe
-// runs on. Forced above 1 explicitly so the harness exercises the
-// parallel probe even on single-core runners where GOMAXPROCS(0) == 1.
-const diffWorkers = 4
-
-// engineConfig is an engine the tests build: its optimizer options and
-// how many workers a hash join's probe runs on (0 means GOMAXPROCS).
+// engineConfig is an engine the tests build: a name and its optimizer
+// options.
 type engineConfig struct {
-	name    string
-	opts    Options
-	workers int
+	name string
+	opts Options
 }
 
 // engine builds the configured engine over cat.
-func (c engineConfig) engine(cat Catalog) *Engine {
-	e := NewEngine(cat, c.opts)
-	e.joinWorkers = c.workers
-	return e
-}
+func (c engineConfig) engine(cat Catalog) *Engine { return NewEngine(cat, c.opts) }
 
-func parallelConfig(n int) engineConfig {
-	return engineConfig{"default-parallel", DefaultOptions(), n}
-}
+func defaultConfig() engineConfig { return engineConfig{"default", DefaultOptions()} }
 
-func serialConfig() engineConfig { return engineConfig{"default-serial", DefaultOptions(), 1} }
-
-func naiveSerialConfig() engineConfig { return engineConfig{"naive-serial", NaiveOptions(), 1} }
-
-// diffMatrix lists the optimised engine configurations; every one
-// must render the same plan and the same rows.
-func diffMatrix() []engineConfig {
-	return []engineConfig{serialConfig(), parallelConfig(diffWorkers)}
-}
+func naiveConfig() engineConfig { return engineConfig{"naive", NaiveOptions()} }
 
 // canonKey encodes a row for multiset comparison with floats rounded
 // to 10 significant digits. Access paths order rows differently from
@@ -117,56 +93,27 @@ func assertSameResult(t *testing.T, q string, ordered bool, want, got *Result) {
 	}
 }
 
-// assertIdentical fails unless got holds want's rows in want's order,
-// cell for cell, floats bit for bit.
-func assertIdentical(t *testing.T, q string, want, got []store.Row) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("query %q: %d rows, want %d", q, len(got), len(want))
-	}
-	for i := range want {
-		if !slices.EqualFunc(want[i], got[i], identicalValue) {
-			t.Fatalf("query %q: row %d is %v, want %v", q, i, got[i], want[i])
-		}
-	}
-}
-
-// runDifferential checks q on every configuration against the
-// reference executor and the optimised configurations against each
-// other, and returns their shared plan.
+// runDifferential checks q on both configurations against the
+// reference executor, and returns the default configuration's plan.
 func runDifferential(t *testing.T, cat Catalog, q string, ordered bool) string {
 	t.Helper()
 	want, err := refQuery(cat, q)
 	if err != nil {
 		t.Fatalf("query %q: reference: %v", q, err)
 	}
-	naive, err := naiveSerialConfig().engine(cat).Query(context.Background(), q)
-	if err != nil {
-		t.Fatalf("query %q: naive-serial: %v", q, err)
-	}
-	assertSameResult(t, q+" [naive-serial]", ordered, want, naive)
-	var first *Result
-	for i, c := range diffMatrix() {
-		got, err := c.engine(cat).Query(context.Background(), q)
+	var got *Result
+	for _, c := range []engineConfig{naiveConfig(), defaultConfig()} {
+		got, err = c.engine(cat).Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("query %q: %s: %v", q, c.name, err)
 		}
-		if i == 0 {
-			first = got
-		} else {
-			if got.Plan != first.Plan {
-				t.Fatalf("query %q: %s plan diverges\n%s:\n%s\n%s:\n%s", q, c.name, diffMatrix()[0].name, first.Plan, c.name, got.Plan)
-			}
-			assertIdentical(t, q+" ["+c.name+"]", first.Rows, got.Rows)
-		}
 		assertSameResult(t, q+" ["+c.name+"]", ordered, want, got)
 	}
-	return first.Plan
+	return got.Plan
 }
 
 // differentialCorpus is a fixed corpus over testCatalog covering every
-// operator the parallel executor touches: chunked scans, hash joins,
-// nested-loop joins, aggregation (plain, grouped, DISTINCT),
+// operator: scans, hash joins, nested-loop joins, aggregation (plain, grouped, DISTINCT),
 // subqueries, tree operators, sorts, and top-k. It also seeds
 // FuzzParse.
 var differentialCorpus = []struct {
@@ -224,18 +171,16 @@ var differentialCorpus = []struct {
 // emitted rows without emitting a batch.
 var batchless = regexp.MustCompile(`\[rows=[1-9][0-9]* batches=0\b`)
 
-// TestDifferentialCorpus runs the fixed corpus through the matrix, and
+// TestDifferentialCorpus runs the fixed corpus through the harness, and
 // checks that every operator that emits rows reports the batches they
 // flowed in.
 func TestDifferentialCorpus(t *testing.T) {
 	cat := testCatalog(t)
 	for _, c := range differentialCorpus {
 		runDifferential(t, cat, c.q, c.ordered)
-		for _, m := range diffMatrix() {
-			res := mustQuery(t, m.engine(cat), "EXPLAIN ANALYZE "+c.q)
-			if line := batchless.FindString(res.Plan); line != "" {
-				t.Fatalf("query %q [%s]: rows without batches (%s):\n%s", c.q, m.name, line, res.Plan)
-			}
+		res := mustQuery(t, defaultConfig().engine(cat), "EXPLAIN ANALYZE "+c.q)
+		if line := batchless.FindString(res.Plan); line != "" {
+			t.Fatalf("query %q: rows without batches (%s):\n%s", c.q, line, res.Plan)
 		}
 	}
 }
@@ -258,8 +203,8 @@ func TestDifferentialFuzz(t *testing.T) {
 }
 
 // datagenCatalog builds a catalog from a generated dataset large
-// enough (> 2 batches of activities) that the parallel operators
-// split real work instead of falling back to small-input paths.
+// enough (> 2 batches of activities) that operators stream several
+// batches instead of falling back to small-input paths.
 func datagenCatalog(t testing.TB, seed int64) *DBCatalog {
 	t.Helper()
 	return datagenCatalogOf(t, func(cfg *datagen.Config) { cfg.Seed = seed })
@@ -439,7 +384,7 @@ func TestDifferentialDatagen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := serialConfig().engine(cat).Run(context.Background(), stmt)
+		res, err := defaultConfig().engine(cat).Run(context.Background(), stmt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,20 +31,18 @@ func TestEveryOperatorEmitsBatches(t *testing.T) {
 		{"IndexScan", "SELECT * FROM proteins WHERE accession = 'P007'"},
 	} {
 		line := regexp.MustCompile(`(?m)^\s*` + c.op + `\b.*\[rows=(\d+) batches=(\d+)`)
-		for _, m := range diffMatrix() {
-			res := mustQuery(t, m.engine(cat), "EXPLAIN ANALYZE "+c.q)
-			got := line.FindStringSubmatch(res.Plan)
-			if got == nil || got[1] == "0" || got[2] == "0" {
-				t.Errorf("%s [%s]: operator emitted no batch:\n%s", c.op, m.name, res.Plan)
-			}
+		res := mustQuery(t, defaultConfig().engine(cat), "EXPLAIN ANALYZE "+c.q)
+		got := line.FindStringSubmatch(res.Plan)
+		if got == nil || got[1] == "0" || got[2] == "0" {
+			t.Errorf("%s: operator emitted no batch:\n%s", c.op, res.Plan)
 		}
 	}
 }
 
 // TestPlainExplainExecutesNothing: EXPLAIN without ANALYZE lowers every
 // operator but reads no table and runs no join — scans gather and joins
-// drain on their first call — serial and parallel alike, and EXPLAIN
-// ANALYZE renders the same plan lines with its counters appended.
+// drain on their first call — and EXPLAIN ANALYZE renders the same
+// plan lines with its counters appended.
 func TestPlainExplainExecutesNothing(t *testing.T) {
 	cat := hashOpsCatalog(t)
 	annotation := regexp.MustCompile(` \[rows=[^\]]*\]`)
@@ -56,18 +54,16 @@ func TestPlainExplainExecutesNothing(t *testing.T) {
 		"SELECT d.g, COUNT(*), SUM(f.v) FROM dim d JOIN fact f ON d.k = f.k GROUP BY d.g",
 		"SELECT k, COUNT(*) FROM fact WHERE v BETWEEN 10 AND 20 GROUP BY k",
 	} {
-		for _, para := range []int{1, diffWorkers} {
-			res := mustQuery(t, parallelConfig(para).engine(cat), "EXPLAIN "+q)
-			if s := res.Stats; s.RowsScanned != 0 || s.RowsIndexed != 0 || s.RowsJoined != 0 {
-				t.Fatalf("%s (parallelism %d): plain EXPLAIN scanned %d, indexed %d and joined %d rows", q, para, s.RowsScanned, s.RowsIndexed, s.RowsJoined)
-			}
-			analyzed := mustQuery(t, parallelConfig(para).engine(cat), "EXPLAIN ANALYZE "+q)
-			if got := annotation.ReplaceAllString(analyzed.Plan, ""); got != res.Plan {
-				t.Fatalf("%s (parallelism %d): EXPLAIN ANALYZE lines differ from EXPLAIN's:\n%s\nvs\n%s", q, para, analyzed.Plan, res.Plan)
-			}
-			if analyzed.Stats.RowsScanned+analyzed.Stats.RowsIndexed == 0 {
-				t.Fatalf("%s (parallelism %d): EXPLAIN ANALYZE read nothing", q, para)
-			}
+		res := mustQuery(t, defaultConfig().engine(cat), "EXPLAIN "+q)
+		if s := res.Stats; s.RowsScanned != 0 || s.RowsIndexed != 0 || s.RowsJoined != 0 {
+			t.Fatalf("%s: plain EXPLAIN scanned %d, indexed %d and joined %d rows", q, s.RowsScanned, s.RowsIndexed, s.RowsJoined)
+		}
+		analyzed := mustQuery(t, defaultConfig().engine(cat), "EXPLAIN ANALYZE "+q)
+		if got := annotation.ReplaceAllString(analyzed.Plan, ""); got != res.Plan {
+			t.Fatalf("%s: EXPLAIN ANALYZE lines differ from EXPLAIN's:\n%s\nvs\n%s", q, analyzed.Plan, res.Plan)
+		}
+		if analyzed.Stats.RowsScanned+analyzed.Stats.RowsIndexed == 0 {
+			t.Fatalf("%s: EXPLAIN ANALYZE read nothing", q)
 		}
 	}
 }
@@ -76,8 +72,7 @@ func TestPlainExplainExecutesNothing(t *testing.T) {
 // order the input delivered them — over a sequential scan (no
 // predicate here can take an index path) whole rows, not just keys,
 // equal the reference's stable sort of the scan order — for the full
-// sort and the top-k alike, and a parallel run orders exactly as a
-// serial one.
+// sort and the top-k alike.
 func TestSortTiesKeepScanOrder(t *testing.T) {
 	small, big := testCatalog(t), datagenCatalog(t, 7)
 	for _, c := range []struct {
@@ -87,7 +82,7 @@ func TestSortTiesKeepScanOrder(t *testing.T) {
 		{small, "SELECT family, accession FROM proteins ORDER BY family"},
 		{small, "SELECT family, accession FROM proteins ORDER BY family DESC LIMIT 20"},
 		{small, "SELECT ligand_id, protein_id FROM activities WHERE ligand_id != 'L03' ORDER BY ligand_id"},
-		// Multi-batch input whose residual filter runs on the worker pool.
+		// Multi-batch input with a residual filter.
 		{big, "SELECT ligand_id, protein_id, affinity FROM activities WHERE ligand_id != 'LIG0003' ORDER BY ligand_id"},
 		{big, "SELECT ligand_id, protein_id, affinity FROM activities WHERE ligand_id != 'LIG0003' ORDER BY ligand_id LIMIT 1500"},
 	} {
@@ -95,11 +90,9 @@ func TestSortTiesKeepScanOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", c.q, err)
 		}
-		for _, m := range diffMatrix() {
-			got := mustQuery(t, m.engine(c.cat), c.q)
-			if !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("%s [%s]: tie order differs from the stable sort of the scan order", c.q, m.name)
-			}
+		got := mustQuery(t, defaultConfig().engine(c.cat), c.q)
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("%s: tie order differs from the stable sort of the scan order", c.q)
 		}
 	}
 }
@@ -150,7 +143,7 @@ func TestEvalErrorsAgree(t *testing.T) {
 		if !strings.Contains(want.Error(), "NOT expects BOOL, got INT") {
 			t.Errorf("%s: reference error = %v, want row 0's", c.q, want)
 		}
-		if plan := mustQuery(t, serialConfig().engine(cat), "EXPLAIN "+c.q).Plan; !strings.Contains(plan, c.plan) {
+		if plan := mustQuery(t, defaultConfig().engine(cat), "EXPLAIN "+c.q).Plan; !strings.Contains(plan, c.plan) {
 			t.Errorf("%s: plan lacks %q:\n%s", c.q, c.plan, plan)
 		}
 	}
@@ -195,7 +188,7 @@ func TestEvalErrorsAgree(t *testing.T) {
 		if !strings.Contains(want.Error(), "cannot negate STRING") {
 			t.Errorf("%s: reference error = %v, want row 3 000's", c.q, want)
 		}
-		if plan := mustQuery(t, serialConfig().engine(cat), "EXPLAIN "+c.q).Plan; !strings.Contains(plan, c.plan) {
+		if plan := mustQuery(t, defaultConfig().engine(cat), "EXPLAIN "+c.q).Plan; !strings.Contains(plan, c.plan) {
 			t.Errorf("%s: plan lacks %q:\n%s", c.q, c.plan, plan)
 		}
 	}
@@ -210,8 +203,7 @@ func assertEvalErrorAgrees(t *testing.T, cat Catalog, q string) error {
 	if want == nil || !strings.Contains(want.Error(), "query: ") {
 		t.Fatalf("%s: reference error = %v, want an evaluation error", q, want)
 	}
-	configs := append(diffMatrix(), naiveSerialConfig())
-	for _, m := range configs {
+	for _, m := range []engineConfig{defaultConfig(), naiveConfig()} {
 		_, err := m.engine(cat).Query(context.Background(), q)
 		if err == nil || err.Error() != want.Error() {
 			t.Errorf("%s [%s]: err = %v, reference says %v", q, m.name, err, want)

@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -38,9 +37,6 @@ type Result struct {
 type Engine struct {
 	cat  Catalog
 	opts Options
-	// joinWorkers is how many goroutines a hash join's probe runs on; 0
-	// means runtime.GOMAXPROCS(0). Only tests set it.
-	joinWorkers int
 }
 
 // NewEngine creates an engine. Use DefaultOptions for the optimized
@@ -58,11 +54,7 @@ func (e *Engine) Catalog() Catalog { return e.cat }
 // newExecCtx starts one statement's execution state over its pinned
 // snapshot.
 func (e *Engine) newExecCtx(ctx context.Context, snap *store.SnapshotHandle) *execCtx {
-	ec := &execCtx{ctx: ctx, cat: e.cat, snap: snap, opts: e.opts, stats: &ExecStats{}, joinWorkers: e.joinWorkers}
-	if ec.joinWorkers == 0 {
-		ec.joinWorkers = runtime.GOMAXPROCS(0)
-	}
-	return ec
+	return &execCtx{ctx: ctx, cat: e.cat, snap: snap, opts: e.opts, stats: &ExecStats{}}
 }
 
 // Query is the row adapter: it parses src, runs it, and returns the

@@ -217,29 +217,27 @@ func TestColumnarSinkAdoptsPlanVectors(t *testing.T) {
 				}
 			}
 		}
-		for _, m := range diffMatrix() {
-			res, err := m.engine(cat).RunAt(context.Background(), stmt, snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Batch.Rows != c.rows {
-				t.Fatalf("%s [%s]: %d rows, want %d", c.q, m.name, res.Batch.Rows, c.rows)
-			}
-			if !sameRowMultisetCanon(store.RowsFromColBatch(res.Batch, res.Dict), want.Rows) {
-				t.Fatalf("%s [%s]: columns differ from the reference executor's rows", c.q, m.name)
-			}
-			for j := range res.Batch.Cols {
-				for i := 0; i < res.Batch.Rows; i++ {
-					if v := res.Batch.Cols[j].Value(i); v.K != store.KindNull && v.K != kinds[j] {
-						t.Fatalf("%s [%s]: cell (%d, %d) is %v of kind %v, want kind %v", c.q, m.name, i, j, v, v.K, kinds[j])
-					}
+		eng := defaultConfig().engine(cat)
+		res, err := eng.RunAt(context.Background(), stmt, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Batch.Rows != c.rows {
+			t.Fatalf("%s: %d rows, want %d", c.q, res.Batch.Rows, c.rows)
+		}
+		if !sameRowMultisetCanon(store.RowsFromColBatch(res.Batch, res.Dict), want.Rows) {
+			t.Fatalf("%s: columns differ from the reference executor's rows", c.q)
+		}
+		for j := range res.Batch.Cols {
+			for i := 0; i < res.Batch.Rows; i++ {
+				if v := res.Batch.Cols[j].Value(i); v.K != store.KindNull && v.K != kinds[j] {
+					t.Fatalf("%s: cell (%d, %d) is %v of kind %v, want kind %v", c.q, i, j, v, v.K, kinds[j])
 				}
 			}
-			if c.sharedCols && &res.Batch.Cols[0].Int[0] == &res.Batch.Cols[1].Int[0] {
-				t.Fatalf("%s [%s]: two result columns share one vector", c.q, m.name)
-			}
 		}
-		eng := serialConfig().engine(cat)
+		if c.sharedCols && &res.Batch.Cols[0].Int[0] == &res.Batch.Cols[1].Int[0] {
+			t.Fatalf("%s: two result columns share one vector", c.q)
+		}
 		const runs = 5
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -26,7 +26,7 @@ const foldMorsel = 128
 // selectRows runs the scan's read: it selects, runs a sequential
 // scan's residual, and returns the selection and the ranges of its
 // non-empty batches, counting the rows examined as the scan's input.
-func (s *vecScan) selectRows() (*scanRead, *store.Selection, []morselRange, error) {
+func (s *vecScan) selectRows() (*scanRead, *store.Selection, []rowRange, error) {
 	r := s.read
 	s.read = nil
 	sel, examined, err := r.tv.Select(r.ec.ctx, r.a)
@@ -78,7 +78,7 @@ func (s *vecScan) foldSelected(op *OpStats, fold func(*batch) error) error {
 // front of the selection. It returns the non-empty batches' ranges in
 // the packed selection. An error is the first failing row's in
 // selection order.
-func (r *scanRead) filterSelected(sel *store.Selection, batches []morselRange) ([]morselRange, error) {
+func (r *scanRead) filterSelected(sel *store.Selection, batches []rowRange) ([]rowRange, error) {
 	poll := canceller{ctx: r.ec.ctx}
 	// The columns the residual does not read stay unset: nothing reads
 	// them.
@@ -110,7 +110,7 @@ func (r *scanRead) filterSelected(sel *store.Selection, batches []morselRange) (
 		for j, i := range pass {
 			sel.Slots[w+j] = sel.Slots[rg.lo+i]
 		}
-		out = append(out, morselRange{w, w + len(pass)})
+		out = append(out, rowRange{w, w + len(pass)})
 		w += len(pass)
 	}
 	sel.Slots = sel.Slots[:w]

@@ -117,7 +117,7 @@ func TestFoldFromStorageMatchesGather(t *testing.T) {
 	ctx := context.Background()
 	snap := cat.PinSnapshot()
 	defer snap.Release()
-	eng := serialConfig().engine(cat)
+	eng := defaultConfig().engine(cat)
 	for _, q := range foldShapes {
 		for _, prefix := range []string{"", "EXPLAIN ANALYZE "} {
 			stmt, err := Parse(prefix + q)
@@ -182,7 +182,7 @@ func TestUnpinnedFoldsGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := serialConfig().engine(cat)
+	eng := defaultConfig().engine(cat)
 	for _, c := range []struct {
 		q    string
 		snap *store.SnapshotHandle
@@ -216,8 +216,8 @@ func TestUnpinnedFoldsGather(t *testing.T) {
 // While a committer replaces rows of activities again and again — the
 // contents never change, the slots do, so GC frees and reuses them
 // between reads — each Run of a fold and of a streaming scan, over an
-// index range and a sequential pass with a residual, at one worker and
-// at four, must answer exactly as before the first commit: a read that
+// index range and a sequential pass with a residual, must answer exactly
+// as before the first commit: a read that
 // straddled two versions would see a replaced row twice or not at all.
 // Once the committer stops, no snapshot, pinned version or dead version
 // remains. Run under the race detector (make race).
@@ -237,7 +237,7 @@ func TestStatementsReadTheirPin(t *testing.T) {
 		if stmts[i], err = Parse(q); err != nil {
 			t.Fatal(err)
 		}
-		res, err := serialConfig().engine(cat).Run(ctx, stmts[i])
+		res, err := defaultConfig().engine(cat).Run(ctx, stmts[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestStatementsReadTheirPin(t *testing.T) {
 	}
 	plans := ""
 	for _, q := range queries {
-		plans += mustQuery(t, serialConfig().engine(cat), "EXPLAIN "+q).Plan + "\n"
+		plans += mustQuery(t, defaultConfig().engine(cat), "EXPLAIN "+q).Plan + "\n"
 	}
 	for _, shape := range []string{"IndexRangeScan activities", "SeqScan activities"} {
 		if !strings.Contains(plans, shape) {
@@ -293,18 +293,16 @@ func TestStatementsReadTheirPin(t *testing.T) {
 		}
 	}
 	defer halt()
-	for _, para := range []int{1, diffWorkers} {
-		eng := parallelConfig(para).engine(cat)
-		// Read until the committer has landed twenty commits in between.
-		for round, start := 0, commits.Load(); round < 10000 && commits.Load() < start+20; round++ {
-			for i, stmt := range stmts {
-				res, err := eng.Run(ctx, stmt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := sortedRows(store.RowsFromColBatch(res.Batch, res.Dict)); got != want[i] {
-					t.Fatalf("%q, parallelism %d, round %d: the answer is not the pinned image's", queries[i], para, round)
-				}
+	eng := defaultConfig().engine(cat)
+	// Read until the committer has landed forty commits in between.
+	for round, start := 0, commits.Load(); round < 20000 && commits.Load() < start+40; round++ {
+		for i, stmt := range stmts {
+			res, err := eng.Run(ctx, stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sortedRows(store.RowsFromColBatch(res.Batch, res.Dict)); got != want[i] {
+				t.Fatalf("%q, round %d: the answer is not the pinned image's", queries[i], round)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -196,8 +197,7 @@ func TestDifferentialHashOperators(t *testing.T) {
 // TestJoinLimitOrderIsStable: LIMIT without ORDER BY above a join cuts
 // wherever the join's output order puts it, so that order — probe rows
 // in arrival order, each with its matches in build order — must be one
-// order: serial, parallel and repeated runs return the same rows in the
-// same sequence.
+// order: repeated runs return the same rows in the same sequence.
 func TestJoinLimitOrderIsStable(t *testing.T) {
 	cat := hashOpsCatalog(t)
 	for _, q := range []string{
@@ -206,7 +206,7 @@ func TestJoinLimitOrderIsStable(t *testing.T) {
 		"SELECT big.k, l.v FROM l JOIN big ON big.k = l.k WHERE l.v > big.k LIMIT 1100",
 		"SELECT a.k, b.k FROM l a JOIN r b ON a.v < b.w LIMIT 50",
 	} {
-		want := mustQuery(t, serialConfig().engine(cat), q)
+		want := mustQuery(t, defaultConfig().engine(cat), q)
 		ref, err := refQuery(cat, q)
 		if err != nil {
 			t.Fatal(err)
@@ -215,18 +215,13 @@ func TestJoinLimitOrderIsStable(t *testing.T) {
 			t.Fatalf("query %q: %d rows, reference %d", q, len(want.Rows), len(ref.Rows))
 		}
 		for run := 0; run < 3; run++ {
-			for _, para := range []int{1, 2, diffWorkers} {
-				got := mustQuery(t, parallelConfig(para).engine(cat), q)
-				if got.Plan != want.Plan {
-					t.Fatalf("query %q: plan at parallelism %d diverges:\n%s\nvs\n%s", q, para, got.Plan, want.Plan)
-				}
-				if len(got.Rows) != len(want.Rows) {
-					t.Fatalf("query %q: parallelism %d returned %d rows, serial %d", q, para, len(got.Rows), len(want.Rows))
-				}
-				for i := range want.Rows {
-					if canonKey(got.Rows[i]) != canonKey(want.Rows[i]) {
-						t.Fatalf("query %q: parallelism %d row %d is %v, serial %v", q, para, i, got.Rows[i], want.Rows[i])
-					}
+			got := mustQuery(t, defaultConfig().engine(cat), q)
+			if len(got.Rows) != len(want.Rows) {
+				t.Fatalf("query %q: run %d returned %d rows, the first %d", q, run, len(got.Rows), len(want.Rows))
+			}
+			for i := range want.Rows {
+				if canonKey(got.Rows[i]) != canonKey(want.Rows[i]) {
+					t.Fatalf("query %q: run %d row %d is %v, the first run's %v", q, run, i, got.Rows[i], want.Rows[i])
 				}
 			}
 		}
@@ -234,24 +229,34 @@ func TestJoinLimitOrderIsStable(t *testing.T) {
 }
 
 // TestExplainAnalyzeHashJoin: a hash join's annotation carries both
-// input sizes and a selectivity, the same serial and parallel.
+// input sizes and a selectivity. The probe streams one batch at a time
+// whatever the core count, so a LIMIT above the join stops its probe
+// side after the batch that fills it: the annotations run at
+// GOMAXPROCS 4 read as they would at 1.
 func TestExplainAnalyzeHashJoin(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cat := hashOpsCatalog(t)
-	const q = "EXPLAIN ANALYZE SELECT l.v, fk.w FROM fk JOIN l ON l.k = fk.k"
+	res := mustQuery(t, defaultConfig().engine(cat), "EXPLAIN ANALYZE SELECT l.v, fk.w FROM fk JOIN l ON l.k = fk.k")
 	const want = "HashJoin (1 key(s), build=left) cols=(fk.w, l.v) [rows=110 batches=1 build_rows=24 probe_rows=120 sel=91.7%]"
-	for _, para := range []int{1, diffWorkers} {
-		res := mustQuery(t, parallelConfig(para).engine(cat), q)
-		if !strings.Contains(res.Plan, want) {
-			t.Fatalf("parallelism %d: plan lacks %q:\n%s", para, want, res.Plan)
+	if !strings.Contains(res.Plan, want) {
+		t.Fatalf("plan lacks %q:\n%s", want, res.Plan)
+	}
+	var join *OpStats
+	for _, op := range res.Stats.Ops {
+		if op.Build != "" {
+			join = op
 		}
-		var join *OpStats
-		for _, op := range res.Stats.Ops {
-			if op.Build != "" {
-				join = op
-			}
-		}
-		if join == nil || join.Build != "left" || join.BuildRows != 24 || join.RowsIn != 120 || join.RowsOut != 110 {
-			t.Fatalf("parallelism %d: join counters %+v", para, join)
+	}
+	if join == nil || join.Build != "left" || join.BuildRows != 24 || join.RowsIn != 120 || join.RowsOut != 110 {
+		t.Fatalf("join counters %+v", join)
+	}
+	res = mustQuery(t, defaultConfig().engine(cat), "EXPLAIN ANALYZE SELECT big.k, l.v FROM big JOIN l ON big.k = l.k LIMIT 10")
+	for _, want := range []*regexp.Regexp{
+		regexp.MustCompile(`HashJoin .* probe_rows=1024 `),
+		regexp.MustCompile(`SeqScan big .*\[rows=1024 batches=1 `),
+	} {
+		if !want.MatchString(res.Plan) {
+			t.Fatalf("plan lacks %s:\n%s", want, res.Plan)
 		}
 	}
 }
@@ -276,7 +281,7 @@ func TestSharedSelectionIsNeverWritten(t *testing.T) {
 	for _, c := range hashOpsCorpus {
 		stmts = append(stmts, stmt{hc, c.q, c.ordered})
 	}
-	configs := diffMatrix()
+	configs := []engineConfig{naiveConfig(), defaultConfig()}
 	results := make([][]*Result, 2) // per goroutine: statement-major, config-minor
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
@@ -351,7 +356,7 @@ var allocShapes = []struct {
 func allocActivities(t *testing.T, cat Catalog) (small, large int) {
 	t.Helper()
 	count := func(th float64) int {
-		res := mustQuery(t, serialConfig().engine(cat), fmt.Sprintf("SELECT COUNT(*) FROM activities WHERE affinity >= %.3f", th))
+		res := mustQuery(t, defaultConfig().engine(cat), fmt.Sprintf("SELECT COUNT(*) FROM activities WHERE affinity >= %.3f", th))
 		return int(res.Rows[0][0].I)
 	}
 	small, large = count(allocLo), count(allocHi)
@@ -376,7 +381,7 @@ func allocActivities(t *testing.T, cat Catalog) (small, large int) {
 // integration3 allocated 836 objects, 749 after.
 func TestHashOperatorAllocs(t *testing.T) {
 	cat := allocCatalog(t)
-	eng := serialConfig().engine(cat)
+	eng := defaultConfig().engine(cat)
 	small, large := allocActivities(t, cat)
 	const perBatch = 8 // objects per added batch, summed over the plan's operators
 	addedBatches := float64((large+vecBatchSize-1)/vecBatchSize - (small+vecBatchSize-1)/vecBatchSize)
@@ -438,7 +443,7 @@ func TestKeyedProbeResidualAllocs(t *testing.T) {
 			db.Insert(posts.Name(), store.Row{store.IntValue(int64(k)), store.IntValue(0)})
 		}
 		posts.CreateIndex("k", store.IndexHash)
-		eng := serialConfig().engine(NewDBCatalog(db, nil))
+		eng := defaultConfig().engine(NewDBCatalog(db, nil))
 		res := mustQuery(t, eng, "EXPLAIN ANALYZE "+q)
 		if !strings.Contains(res.Plan, "probe=keys") || !strings.Contains(res.Plan, "filter: ((p.v + 1) < 0) [rows=0") {
 			t.Fatalf("not a keyed probe whose residual keeps nothing:\n%s", res.Plan)
@@ -480,7 +485,7 @@ func TestJoinReadsOnlySurvivors(t *testing.T) {
 	cat := allocCatalog(t)
 	small, large := allocActivities(t, cat)
 	naive := func(q string) int64 {
-		res, err := naiveSerialConfig().engine(cat).Query(context.Background(), q)
+		res, err := naiveConfig().engine(cat).Query(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,24 +497,22 @@ func TestJoinReadsOnlySurvivors(t *testing.T) {
 	for _, th := range []float64{allocLo, allocHi} {
 		survivors := naive(fmt.Sprintf(family+" AND a.affinity >= %.3f", th))
 		t.Logf("integration3 at %.2f: the family's %d postings, %d over the threshold", th, postings, survivors)
-		for _, para := range []int{1, diffWorkers} {
-			res := mustQuery(t, parallelConfig(para).engine(cat), "EXPLAIN ANALYZE "+fmt.Sprintf(allocShapes[1].q, th))
-			var op *OpStats
-			for _, o := range res.Stats.Ops {
-				if strings.HasPrefix(o.Name, keyed) {
-					op = o
-				}
-			}
-			if op == nil {
-				t.Fatalf("threshold %.2f: no %q:\n%s", th, keyed, res.Plan)
-			}
-			if op.RowsIn != postings || op.RowsOut != survivors {
-				t.Fatalf("threshold %.2f, parallelism %d: activities examined %d and emitted %d; the family has %d postings, %d over the threshold:\n%s",
-					th, para, op.RowsIn, op.RowsOut, postings, survivors, res.Plan)
+		res := mustQuery(t, defaultConfig().engine(cat), "EXPLAIN ANALYZE "+fmt.Sprintf(allocShapes[1].q, th))
+		var op *OpStats
+		for _, o := range res.Stats.Ops {
+			if strings.HasPrefix(o.Name, keyed) {
+				op = o
 			}
 		}
+		if op == nil {
+			t.Fatalf("threshold %.2f: no %q:\n%s", th, keyed, res.Plan)
+		}
+		if op.RowsIn != postings || op.RowsOut != survivors {
+			t.Fatalf("threshold %.2f: activities examined %d and emitted %d; the family has %d postings, %d over the threshold:\n%s",
+				th, op.RowsIn, op.RowsOut, postings, survivors, res.Plan)
+		}
 	}
-	eng := serialConfig().engine(cat)
+	eng := defaultConfig().engine(cat)
 	bytes := func(th float64) float64 {
 		stmt, err := Parse(fmt.Sprintf(allocShapes[0].q, th))
 		if err != nil {

@@ -344,8 +344,7 @@ type hashSide struct {
 
 // match advances cur by up to vecBatchSize matching pairs, left in
 // cur.pi and cur.bi; the caller polls its context and calls again until
-// cur is done. It reads h and writes only cur, so parallel workers
-// share h.
+// cur is done.
 func (h *hashSide) match(cur *prober) {
 	cur.pi, cur.bi = cur.pi[:0], cur.bi[:0]
 	for !cur.done() && len(cur.pi) < vecBatchSize {
@@ -388,12 +387,9 @@ func (h *hashSide) accessKeys(kind store.Kind, d *store.Dict) []store.Value {
 	return keys
 }
 
-// vecHashJoin hashes its build side on the first call and probes with
-// the other input, at most vecBatchSize pairs per output batch — or,
-// with more than one join worker, probes the whole drained probe side
-// on the workers in contiguous chunks of batches, whose per-batch
-// outputs keep their slots, so concatenation preserves the serial
-// output order.
+// vecHashJoin hashes its build side on the first call and streams the
+// other input through it, one probe batch at a time, at most
+// vecBatchSize pairs per output batch.
 type vecHashJoin struct {
 	e                *equiJoin
 	buildIn, probeIn batchIterator
@@ -402,18 +398,16 @@ type vecHashJoin struct {
 	ec               *execCtx
 	cancel           canceller
 	op               *OpStats
-	cur              *prober  // the serial probe's position
-	flat             *vecScan // the parallel probe's output
+	cur              *prober // the probe's position
 }
 
 func (j *vecHashJoin) nextBatch() (*batch, error) {
 	if j.side == nil {
-		if err := j.open(); err != nil {
+		side, err := j.e.open(j.ec, j.buildIn, j.out.buildCols, j.op)
+		if err != nil {
 			return nil, err
 		}
-	}
-	if j.flat != nil {
-		return j.flat.nextBatch()
+		j.side, j.cur = side, side.newProber(j.e.probeKeys, j.ec.dict())
 	}
 	for {
 		if err := j.cancel.now(); err != nil {
@@ -441,59 +435,7 @@ func (j *vecHashJoin) nextBatch() (*batch, error) {
 	}
 }
 
-func (j *vecHashJoin) open() error {
-	side, err := j.e.open(j.ec, j.buildIn, j.out.buildCols, j.op)
-	if err != nil {
-		return err
-	}
-	j.side = side
-	if j.ec.joinWorkers == 1 {
-		j.cur = side.newProber(j.e.probeKeys, j.ec.dict())
-		return nil
-	}
-	pbs, err := drainBatches(j.ec.ctx, j.probeIn)
-	if err != nil {
-		return err
-	}
-	outs := make([][]*batch, len(pbs))
-	err = runChunks(j.ec.ctx, splitChunks(len(pbs), j.ec.joinWorkers), func(_ int, r morselRange) error {
-		c := canceller{ctx: j.ec.ctx}
-		cur := side.newProber(j.e.probeKeys, j.ec.dict())
-		for k := r.lo; k < r.hi; k++ {
-			for cur.start(pbs[k]); !cur.done(); {
-				if err := c.now(); err != nil {
-					return err
-				}
-				side.match(cur)
-				out, err := j.out.emit(cur.pb, side.rows, cur.pi, cur.bi)
-				if err != nil {
-					return err
-				}
-				if out != nil {
-					outs[k] = append(outs[k], out)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	var flat []*batch
-	joined := int64(0)
-	for k, o := range outs {
-		j.op.addIn(int64(pbs[k].live()))
-		for _, b := range o {
-			joined += int64(b.live())
-		}
-		flat = append(flat, o...)
-	}
-	atomic.AddInt64(&j.ec.stats.RowsJoined, joined)
-	j.flat = &vecScan{batches: flat, cancel: j.cancel, op: j.op}
-	return nil
-}
-
-// prober is one worker's probe state: its position inside the current
+// prober is a hash join's probe state: its position inside the current
 // probe batch — the next live row to look up, and what is left of the
 // current row's chain — and its reusable match-index vectors.
 type prober struct {

@@ -12,8 +12,9 @@ import (
 
 // ExecStats counts work done by one execution, used by experiments to
 // show *why* the optimized engine is faster. Counters are updated with
-// atomic adds so parallel workers can share one ExecStats; read them
-// only after the query returns (all workers are joined by then).
+// atomic adds and read through Snapshot's atomic loads, so one
+// ExecStats may be shared between goroutines; the executor reads it
+// once the statement's operators have returned.
 type ExecStats struct {
 	RowsScanned  int64 // rows read from base tables
 	RowsIndexed  int64 // rows fetched through an index
@@ -26,9 +27,8 @@ type ExecStats struct {
 }
 
 // Snapshot returns a consistent copy of the counters using atomic
-// loads. A plain struct copy (*s) would race with parallel workers
-// still doing atomic adds; every read of a live ExecStats goes
-// through here.
+// loads. A plain struct copy (*s) would race with a goroutine still
+// doing atomic adds; every read of a live ExecStats goes through here.
 func (s *ExecStats) Snapshot() ExecStats {
 	return ExecStats{
 		RowsScanned:  atomic.LoadInt64(&s.RowsScanned),
@@ -41,8 +41,7 @@ func (s *ExecStats) Snapshot() ExecStats {
 
 // OpStats counts one physical operator's work: rows in (where the
 // operator tracks it), rows out and batches out. Counters are written
-// only from the single-threaded streaming driver (parallel workers hand
-// their output to a streaming operator first), so plain increments
+// only from the goroutine that runs the statement, so plain increments
 // suffice.
 type OpStats struct {
 	Name    string // operator description (the plan line, unindented)
@@ -89,9 +88,6 @@ type execCtx struct {
 	opts  Options
 	stats *ExecStats
 	plan  []string // physical plan description lines (depth-first)
-	// joinWorkers is how many goroutines a hash join's probe runs on
-	// (≥ 1); 1 is the serial, streaming probe.
-	joinWorkers int
 }
 
 // env builds a binding environment carrying the execution context (so
@@ -152,7 +148,7 @@ type accessPath struct {
 // keyedScanMaxShare prices a sequential scan against a join's keyed
 // probe as 1/keyedScanMaxShare of the table: a row gathered by key costs
 // 2–5 times a scanned one (EXPERIMENTS.md "Access paths"), and the
-// conservative end is used, as a scan's filter runs in parallel.
+// conservative end is used.
 const keyedScanMaxShare = 5
 
 // without returns conjs minus the entries at the given positions.

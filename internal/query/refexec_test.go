@@ -37,7 +37,7 @@ func refRunAt(cat Catalog, stmt *SelectStmt, snap *store.SnapshotHandle) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	// Subqueries inside bind run on the naive serial engine.
+	// Subqueries inside bind run on the naive engine.
 	r := &refExec{ec: &execCtx{ctx: context.Background(), cat: cat, snap: snap, opts: NaiveOptions(), stats: &ExecStats{}}}
 	rows, err := r.run(plan)
 	if err != nil {

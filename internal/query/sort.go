@@ -10,9 +10,7 @@ import (
 // ORDER BY keys once per batch into key columns, and order references
 // to the drained rows — no row is copied until the output batches are
 // gathered. The order is total: rows with equal keys keep their input
-// order, so a top-k is exactly the first k rows of the full sort and a
-// parallel run (whose operators all preserve input order) sorts
-// exactly as a serial one.
+// order, so a top-k is exactly the first k rows of the full sort.
 
 // sortKeys are a sort's compiled key expressions and directions, and
 // the dictionary a coded key decodes through: codes are in first-seen

@@ -9,7 +9,7 @@ import (
 // TestExecStatsSnapshotConcurrent pins the atomiccheck fix in the
 // executor: every read of a live ExecStats goes through Snapshot's
 // atomic loads. The test shares one ExecStats between adder goroutines
-// (the parallel-worker shape) and a reader calling Snapshot in a loop;
+// and a reader calling Snapshot in a loop;
 // under -race a regression to a plain struct copy (*stats) is reported
 // immediately, and without -race the final totals still verify that no
 // increment was lost.

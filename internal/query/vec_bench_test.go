@@ -6,17 +6,15 @@ import (
 	"testing"
 )
 
-// Operator benchmarks at the query layer, with the hash join's probe on
-// one worker so the numbers isolate the operators from the worker pool;
-// the join's parallel ratio lives in parallel_bench_test.go.
+// Operator benchmarks at the query layer.
 
 func benchQuery(b *testing.B, q string) {
 	benchQueryOn(b, datagenCatalog(b, 5), q)
 }
 
-// benchQueryOn times q on a serial engine over cat.
+// benchQueryOn times q on the default engine over cat.
 func benchQueryOn(b *testing.B, cat Catalog, q string) {
-	eng := serialConfig().engine(cat)
+	eng := defaultConfig().engine(cat)
 	if _, err := eng.Query(context.Background(), q); err != nil {
 		b.Fatal(err)
 	}

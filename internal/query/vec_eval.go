@@ -31,7 +31,7 @@ import (
 // cells are unspecified), or — when a row fails — the error of the
 // first failing row in sel order and the column defined at the rows of
 // sel ahead of it. Implementations are stateless, so one compiled
-// expression can be shared by parallel workers. A column reference or
+// expression can be shared between goroutines. A column reference or
 // a constant needs no closure; a validate-only bind may leave an
 // expression with its kind alone, never evaluated.
 type vecExpr struct {
@@ -981,9 +981,9 @@ func bindVecTanimoto(x *TanimotoExpr, env bindEnv) (*vecExpr, error) {
 		return nil, fmt.Errorf("query: TANIMOTO reference: %w", err)
 	}
 	const memoCap = 1 << 16
-	// The memo is shared by every worker evaluating this expression
-	// under parallel execution, so guard it with a mutex (fingerprinting
-	// dwarfs the lock cost).
+	// The memo is shared by every evaluation of this expression; the
+	// mutex keeps the expression safe to share between goroutines, as
+	// vecExpr promises (fingerprinting dwarfs the lock cost).
 	var memoMu sync.Mutex
 	memo := make(map[string]*chem.Fingerprint)
 	fingerprint := func(s string) *chem.Fingerprint {

@@ -87,7 +87,7 @@ func scribble(res *Result) {
 // TestResultRowMutationIsolation is the aliasing regression test: a
 // caller mutating the rows a query returned must not be able to
 // corrupt table storage or a later identical query's result, under
-// either engine, serial or parallel, across every scan and join
+// either engine configuration, across every scan and join
 // shape that materializes output rows.
 func TestResultRowMutationIsolation(t *testing.T) {
 	queries := []string{
@@ -98,7 +98,7 @@ func TestResultRowMutationIsolation(t *testing.T) {
 		 JOIN activities a ON p.accession = a.protein_id`, // hash join probe output
 		"SELECT accession FROM proteins ORDER BY length DESC LIMIT 5", // topk
 	}
-	for _, tc := range append(diffMatrix(), naiveSerialConfig()) {
+	for _, tc := range []engineConfig{defaultConfig(), naiveConfig()} {
 		cat := testCatalog(t)
 		eng := tc.engine(cat)
 		for _, q := range queries {
