@@ -37,26 +37,27 @@ const (
 
 // ledgerEntry is one line of the count ledger: allocations and bytes
 // allocated per statement of a class (per commit, for ingest), and the
-// rows the class's statements examine and the bytes of their rev-5
-// replies, summed over its draws (-1 for ingest, which reads nothing).
+// rows the class's statements examine, the rows their joins emit and the
+// bytes of their rev-5 replies, summed over its draws (-1 for ingest,
+// which reads nothing).
 type ledgerEntry struct {
-	name           string
-	allocs, bytes  float64
-	examined, wire int64
+	name                   string
+	allocs, bytes          float64
+	examined, joined, wire int64
 }
 
 func (l ledgerEntry) String() string {
-	return fmt.Sprintf("%-14s %10.1f %12.1f %9d %7d", l.name, l.allocs, l.bytes, l.examined, l.wire)
+	return fmt.Sprintf("%-14s %10.1f %12.1f %9d %7d %7d", l.name, l.allocs, l.bytes, l.examined, l.joined, l.wire)
 }
 
 // TestCountLedger pins what the served path costs in counts, which the
 // host's load cannot move: for each analytics statement class, the
 // allocations and bytes one statement allocates served through
 // QueryColumns (DefaultConfig: no statement cache), the rows its
-// statements examine and the bytes of their replies on the
-// wire; and one 512 + 512-row ingest commit's allocations and bytes.
-// It compares them with testdata/counts.golden: allocations and bytes
-// within 2 %, rows and reply bytes exactly. A change that moves a count
+// statements examine, the rows their joins emit and the bytes of their
+// replies on the wire; and one 512 + 512-row ingest commit's
+// allocations and bytes. It compares them with testdata/counts.golden:
+// allocations and bytes within 2 %, rows and reply bytes exactly. A change that moves a count
 // on purpose rewrites the golden with `go test ./internal/core -run
 // TestCountLedger -update-counts` and names each moved entry; `make
 // ledger` prints the table.
@@ -87,6 +88,7 @@ func TestCountLedger(t *testing.T) {
 				t.Fatal(err)
 			}
 			entry.examined += res.Stats.RowsScanned + res.Stats.RowsIndexed
+			entry.joined += res.Stats.RowsJoined
 			n, err := mobile.MsgSize(&mobile.QueryResult{Columns: res.Columns, Batch: res.Batch, Dict: res.Dict})
 			if err != nil {
 				t.Fatalf("%s: encoding the reply to %q: %v", class, s.Text, err)
@@ -104,7 +106,7 @@ func TestCountLedger(t *testing.T) {
 	got = append(got, ingestEntry(t, e))
 
 	var b strings.Builder
-	b.WriteString("# class           allocs/op     bytes/op  examined   reply\n")
+	b.WriteString("# class           allocs/op     bytes/op  examined  joined   reply\n")
 	for _, l := range got {
 		b.WriteString(l.String() + "\n")
 	}
@@ -129,8 +131,8 @@ func TestCountLedger(t *testing.T) {
 			t.Errorf("entry %d is %s, %s has %s", i, g.name, countsGolden, w.name)
 		case !near(g.allocs, w.allocs) || !near(g.bytes, w.bytes):
 			t.Errorf("%s: %.1f allocs and %.1f B an op, %s has %.1f and %.1f (±%.0f %%)", g.name, g.allocs, g.bytes, countsGolden, w.allocs, w.bytes, 100*ledgerTolerance)
-		case g.examined != w.examined || g.wire != w.wire:
-			t.Errorf("%s: %d rows examined and %d reply bytes, %s has %d and %d", g.name, g.examined, g.wire, countsGolden, w.examined, w.wire)
+		case g.examined != w.examined || g.joined != w.joined || g.wire != w.wire:
+			t.Errorf("%s: %d rows examined, %d joined and %d reply bytes, %s has %d, %d and %d", g.name, g.examined, g.joined, g.wire, countsGolden, w.examined, w.joined, w.wire)
 		}
 	}
 }
@@ -197,7 +199,7 @@ func ingestEntry(t *testing.T, e *core.Engine) ledgerEntry {
 	}
 	commit(0)
 	allocs, bytes := allocated(ledgerReps, func(i int) { commit(i + 1) })
-	return ledgerEntry{name: "ingest_commit", allocs: allocs, bytes: bytes, examined: -1, wire: -1}
+	return ledgerEntry{name: "ingest_commit", allocs: allocs, bytes: bytes, examined: -1, joined: -1, wire: -1}
 }
 
 // near reports whether got is within ledgerTolerance of want.
@@ -215,15 +217,16 @@ func readLedger(path string) ([]ledgerEntry, error) {
 		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
 			continue
 		}
-		if len(f) != 5 {
+		if len(f) != 6 {
 			return nil, fmt.Errorf("%s: malformed line %q", path, line)
 		}
 		l := ledgerEntry{name: f[0]}
-		var errs [4]error
+		var errs [5]error
 		l.allocs, errs[0] = strconv.ParseFloat(f[1], 64)
 		l.bytes, errs[1] = strconv.ParseFloat(f[2], 64)
 		l.examined, errs[2] = strconv.ParseInt(f[3], 10, 64)
-		l.wire, errs[3] = strconv.ParseInt(f[4], 10, 64)
+		l.joined, errs[3] = strconv.ParseInt(f[4], 10, 64)
+		l.wire, errs[4] = strconv.ParseInt(f[5], 10, 64)
 		for _, err := range errs {
 			if err != nil {
 				return nil, fmt.Errorf("%s: line %q: %w", path, line, err)
