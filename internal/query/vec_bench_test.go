@@ -96,3 +96,10 @@ func BenchmarkGroupJoin(b *testing.B) {
 func BenchmarkFoldScan(b *testing.B) {
 	benchQueryOn(b, allocCatalog(b), fmt.Sprintf("SELECT ligand_id, COUNT(*), AVG(affinity) FROM activities WHERE affinity >= %.3f GROUP BY ligand_id", allocHi))
 }
+
+// BenchmarkVecHashJoinUncoded is BenchmarkVecHashJoin's sibling on an
+// uncoded key: an INT self-join of tree_nodes on pre, one row a key,
+// whose build side is hashed as any key is.
+func BenchmarkVecHashJoinUncoded(b *testing.B) {
+	benchQuery(b, "SELECT a.name, b.is_leaf FROM tree_nodes a JOIN tree_nodes b ON a.pre = b.pre")
+}
