@@ -37,6 +37,8 @@ type Result struct {
 type Engine struct {
 	cat  Catalog
 	opts Options
+	// hashCodes is each statement's execCtx.hashCodes: tests only.
+	hashCodes bool
 }
 
 // NewEngine creates an engine. Use DefaultOptions for the optimized
@@ -54,7 +56,7 @@ func (e *Engine) Catalog() Catalog { return e.cat }
 // newExecCtx starts one statement's execution state over its pinned
 // snapshot.
 func (e *Engine) newExecCtx(ctx context.Context, snap *store.SnapshotHandle) *execCtx {
-	return &execCtx{ctx: ctx, cat: e.cat, snap: snap, opts: e.opts, stats: &ExecStats{}}
+	return &execCtx{ctx: ctx, cat: e.cat, snap: snap, opts: e.opts, stats: &ExecStats{}, hashCodes: e.hashCodes}
 }
 
 // Query is the row adapter: it parses src, runs it, and returns the

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 
@@ -176,9 +177,12 @@ func (e *equiJoin) lower(ec *execCtx, depth int) (buildIn, probeIn batchIterator
 	return its[1], its[0], nil
 }
 
-// open drains and hashes the build input, keeping its columns cols, and
-// — for a keyed probe — gives the probe scan the build's distinct keys
-// before anything reads the probe side.
+// open drains the build input, keeping its columns cols, chains its
+// rows by key, and — for a keyed probe — gives the probe scan the
+// build's distinct keys before anything reads the probe side. A build
+// whose one key column is coded, with codes spanning no more slots than
+// a hashTab of its rows would allocate, is indexed by code (codeSpan);
+// any other build is hashed.
 func (e *equiJoin) open(ec *execCtx, in batchIterator, cols []int, op *OpStats) (*hashSide, error) {
 	bbs, err := drainBatches(ec.ctx, in)
 	if err != nil {
@@ -186,10 +190,16 @@ func (e *equiJoin) open(ec *execCtx, in batchIterator, cols []int, op *OpStats) 
 	}
 	h := &hashSide{rows: concatBatches(bbs, cols)}
 	op.BuildRows = int64(h.rows.n)
-	// First every row's entry id, written where its chain link will go;
-	// then, last row first, each row is pushed on the front of its
-	// entry's chain, which leaves the chains in arrival order.
-	h.tab = newHashTab(false, h.rows.n)
+	lo, span, coded := codeSpan(bbs, e.buildKeys, h.rows.n)
+	if coded && !ec.hashCodes {
+		h.lo = lo
+	} else {
+		h.tab = newHashTab(false, h.rows.n)
+	}
+	// First every row's key — its code's offset from lo, or its entry
+	// id — written where its chain link will go; then, last row first,
+	// each row is pushed on the front of its key's chain, which leaves
+	// the chains in arrival order.
 	h.next = make([]int32, h.rows.n)
 	keys := make([]*store.Col, len(e.buildKeys))
 	cancel := canceller{ctx: ec.ctx}
@@ -201,10 +211,18 @@ func (e *equiJoin) open(ec *execCtx, in batchIterator, cols []int, op *OpStats) 
 		for k, c := range e.buildKeys {
 			keys[k] = bb.cols[c]
 		}
-		h.tab.insertBatch(keys, bb.selection(), h.next[row:row+bb.live()])
+		ids := h.next[row : row+bb.live()]
+		if h.tab != nil {
+			h.tab.insertBatch(keys, bb.selection(), ids)
+		} else {
+			codeOffsets(keys[0], bb.selection(), lo, ids)
+		}
 		row += bb.live()
 	}
-	h.head = make([]int32, h.tab.len())
+	if h.tab != nil {
+		span = h.tab.len()
+	}
+	h.head = make([]int32, span)
 	for id := range h.head {
 		h.head[id] = -1
 	}
@@ -218,6 +236,47 @@ func (e *equiJoin) open(ec *execCtx, in batchIterator, cols []int, op *OpStats) 
 		e.access.Keys = h.accessKeys(probeSide.Schema().cols[e.probeKeys[0]].Kind, ec.dict())
 	}
 	return h, nil
+}
+
+// codeSpan reports whether a build side of n rows may be indexed by
+// code: it has one key, that key column is coded in every batch, and
+// its codes span no more than the slots newHashTab would allocate for n
+// entries. It returns the lowest code and the span, 0 when no key is
+// non-NULL.
+func codeSpan(bbs []*batch, keys []int, n int) (lo int64, span int, ok bool) {
+	if len(keys) != 1 {
+		return 0, 0, false
+	}
+	lo, hi := int64(math.MaxInt64), int64(-1)
+	for _, bb := range bbs {
+		c := bb.cols[keys[0]]
+		if c.Kind != store.KindCode {
+			return 0, 0, false
+		}
+		for _, i := range bb.selection() {
+			if !c.Null[i] {
+				lo, hi = min(lo, c.Int[i]), max(hi, c.Int[i])
+			}
+		}
+	}
+	if hi < lo {
+		return 0, 0, true
+	}
+	if hi-lo >= int64(hashSlots(n)) {
+		return 0, 0, false
+	}
+	return lo, int(hi - lo + 1), true
+}
+
+// codeOffsets writes each of coded column c's cells at sel, in order,
+// into ids as its code's offset from lo, −1 for NULL.
+func codeOffsets(c *store.Col, sel []int, lo int64, ids []int32) {
+	for k, i := range sel {
+		ids[k] = -1
+		if !c.Null[i] {
+			ids[k] = int32(c.Int[i] - lo)
+		}
+	}
 }
 
 func joinResidualNote(res []Expr) string {
@@ -332,15 +391,35 @@ func (o *joinOutput) emit(probe, build *batch, pi []int, bi []int32) (*batch, er
 }
 
 // hashSide is a hash join's drained build side: its rows concatenated
-// into one batch, its distinct keys in a hashTab — one entry per key —
-// and the rows sharing a key chained through next in arrival order.
-// NULL keys are in no chain: they never join.
+// into one batch, its distinct keys numbered — as offsets from lo when
+// the key is a code (tab nil), else as a hashTab's entries — and the
+// rows sharing a key chained through next in arrival order. NULL keys
+// are in no chain: they never join.
 type hashSide struct {
 	rows *batch
-	tab  *hashTab
-	head []int32 // per entry: its first build row
+	tab  *hashTab // nil: the key is a code, and code c is key c − lo
+	lo   int64
+	head []int32 // per key: its first build row, or -1
 	next []int32 // per build row: the next row with the same key, or -1
 }
+
+// find returns the key row i of keys (in the side's form: prober.start)
+// equals, or -1.
+func (h *hashSide) find(keys []*store.Col, i int) int {
+	if h.tab != nil {
+		return int(h.tab.find(keys, i))
+	}
+	if c := keys[0]; !c.Null[i] {
+		// A code outside the span, Dict.Encode's −1 included, is no key.
+		if off := c.Int[i] - h.lo; uint64(off) < uint64(len(h.head)) {
+			return int(off)
+		}
+	}
+	return -1
+}
+
+// coded reports whether key column k is compared as codes.
+func (h *hashSide) coded(k int) bool { return h.tab == nil || h.tab.keys[k].Kind == store.KindCode }
 
 // match advances cur by up to vecBatchSize matching pairs, left in
 // cur.pi and cur.bi; the caller polls its context and calls again until
@@ -351,7 +430,7 @@ func (h *hashSide) match(cur *prober) {
 		if cur.chain < 0 {
 			cur.row = cur.sel[cur.pos]
 			cur.pos++
-			if id := h.tab.find(cur.keys, cur.row); id >= 0 {
+			if id := h.find(cur.keys, cur.row); id >= 0 {
 				cur.chain = h.head[id]
 			}
 			continue
@@ -361,13 +440,35 @@ func (h *hashSide) match(cur *prober) {
 	}
 }
 
-// accessKeys lists the build side's distinct keys — a one-key table's
-// entries, non-NULL and distinct under store.Equal, coded ones decoded
-// through d — in first-seen order as index probes on a column of kind
-// kind: a keyed probe scan's rows follow this order. An INT key on a
-// FLOAT column is widened as the index would widen it, and keys that
-// widen alike are listed once, so no row is read twice.
+// accessKeys lists the build side's distinct keys — non-NULL and
+// distinct under store.Equal, coded ones decoded through d — in
+// first-seen order as index probes on a column of kind kind: a keyed
+// probe scan's rows follow this order. An INT key on a FLOAT column is
+// widened as the index would widen it, and keys that widen alike are
+// listed once, so no row is read twice.
 func (h *hashSide) accessKeys(kind store.Kind, d *store.Dict) []store.Value {
+	if h.tab == nil {
+		// A code's first row heads its chain: listing each head's code
+		// at its row lists the codes in first-seen order.
+		codes := make([]int32, len(h.next))
+		for i := range codes {
+			codes[i] = -1
+		}
+		n := 0
+		for off, row := range h.head {
+			if row >= 0 {
+				codes[row] = int32(off)
+				n++
+			}
+		}
+		keys, names := make([]store.Value, 0, n), d.Names()
+		for _, off := range codes {
+			if off >= 0 {
+				keys = append(keys, store.StringValue(names[h.lo+int64(off)]))
+			}
+		}
+		return keys
+	}
 	keys := make([]store.Value, 0, h.tab.len()) // non-nil: no keys reads no rows
 	var widened map[float64]bool
 	for e := 0; e < h.tab.len(); e++ {
@@ -440,9 +541,9 @@ func (j *vecHashJoin) nextBatch() (*batch, error) {
 // current row's chain — and its reusable match-index vectors.
 type prober struct {
 	keyIdx []int
-	keys   []*store.Col // the batch's key columns, in the table's form
-	tab    *hashTab     // the build side's keys
-	dict   *store.Dict  // what recodes a probe key of the other form
+	keys   []*store.Col // the batch's key columns, in the side's form
+	side   *hashSide
+	dict   *store.Dict // what recodes a probe key of the other form
 	pb     *batch
 	sel    []int
 	pos    int     // next position in sel
@@ -455,19 +556,21 @@ type prober struct {
 // newProber returns a prober of h on the probe columns keyIdx that is
 // done; start points it at a batch.
 func (h *hashSide) newProber(keyIdx []int, d *store.Dict) *prober {
-	return &prober{keyIdx: keyIdx, keys: make([]*store.Col, len(keyIdx)), tab: h.tab, dict: d, chain: -1}
+	return &prober{keyIdx: keyIdx, keys: make([]*store.Col, len(keyIdx)), side: h, dict: d, chain: -1}
 }
 
 // start points p at pb, its key columns in the build side's form: a
 // join of two coded columns compares codes, and one of a coded and a
-// plain column recodes the probe's (codedAs).
+// plain column recodes the probe's (codedAs). A side with no keys
+// matches nothing, so p passes over the batch.
 func (p *prober) start(pb *batch) {
 	p.pb, p.sel, p.pos, p.chain = pb, pb.selection(), 0, -1
+	if len(p.side.head) == 0 {
+		p.sel = nil
+		return
+	}
 	for k, c := range p.keyIdx {
-		p.keys[k] = pb.cols[c]
-		if p.tab.len() > 0 { // an empty table matches nothing
-			p.keys[k] = codedAs(p.tab.keys[k].Kind == store.KindCode, pb, p.keys[k], p.sel, p.dict)
-		}
+		p.keys[k] = codedAs(p.side.coded(k), pb, pb.cols[c], p.sel, p.dict)
 	}
 	if p.pi == nil {
 		// Most probes find at most a match a row; longer chains grow it.

@@ -88,6 +88,10 @@ type execCtx struct {
 	opts  Options
 	stats *ExecStats
 	plan  []string // physical plan description lines (depth-first)
+	// hashCodes, when set, hashes every join's build side, coded keys
+	// included (equiJoin.open). Tests set it to compare the code-indexed
+	// build with the hashed one; production code leaves it false.
+	hashCodes bool
 }
 
 // env builds a binding environment carrying the execution context (so

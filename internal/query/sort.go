@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"sort"
 
 	"drugtree/internal/store"
@@ -77,7 +78,7 @@ func (k sortKeys) each(in batchIterator, cancel *canceller, visit func(keyedRef)
 // arrival.
 func (k sortKeys) before(x, y keyedRef) bool {
 	for i, desc := range k.descs {
-		if c := store.Compare(x.kb.keys[i].Value(x.i), y.kb.keys[i].Value(y.i)); c != 0 {
+		if c := compareCells(x.kb.keys[i], x.i, y.kb.keys[i], y.i); c != 0 {
 			return (c < 0) != desc
 		}
 	}
@@ -85,6 +86,33 @@ func (k sortKeys) before(x, y keyedRef) bool {
 		return x.kb.seq < y.kb.seq
 	}
 	return x.i < y.i
+}
+
+// compareCells is store.Compare of cell i of a and cell j of b. Two
+// INT, FLOAT or STRING cells are compared typed, without boxing either
+// into a Value: cmp.Compare orders NaN first and −0 equal to +0, as
+// store.Compare does.
+func compareCells(a *store.Col, i int, b *store.Col, j int) int {
+	if an, bn := a.Null[i], b.Null[j]; an || bn {
+		switch {
+		case an == bn:
+			return 0
+		case an:
+			return -1
+		}
+		return 1
+	}
+	if a.Kind == b.Kind {
+		switch a.Kind {
+		case store.KindInt:
+			return cmp.Compare(a.Int[i], b.Int[j])
+		case store.KindFloat:
+			return cmp.Compare(a.Float[i], b.Float[j])
+		case store.KindString:
+			return cmp.Compare(a.Str[i], b.Str[j])
+		}
+	}
+	return store.Compare(a.Value(i), b.Value(j))
 }
 
 // gatherSorted copies the referenced rows, in order, into dense output
@@ -143,7 +171,7 @@ type vecTopK struct {
 // refHeap keeps the *last* row (per the requested order) at the top so
 // it can be displaced by rows that sort ahead of it. It is a binary
 // heap over the typed slice, sifting exactly as container/heap does,
-// without boxing a keyedRef per push and pop.
+// without boxing a keyedRef per push.
 type refHeap struct {
 	refs []keyedRef
 	keys sortKeys
@@ -182,18 +210,18 @@ func (h *refHeap) down(i, n int) {
 	}
 }
 
-func (h *refHeap) pop() keyedRef {
-	n := len(h.refs) - 1
-	h.refs[0], h.refs[n] = h.refs[n], h.refs[0]
-	h.down(0, n)
-	r := h.refs[n]
-	h.refs = h.refs[:n]
-	return r
+// sort orders the heap's refs first to last in place: the top, the
+// last of what is left, moves to the end of it, as heapsort does.
+func (h *refHeap) sort() {
+	for n := len(h.refs) - 1; n > 0; n-- {
+		h.refs[0], h.refs[n] = h.refs[n], h.refs[0]
+		h.down(0, n)
+	}
 }
 
 func (t *vecTopK) nextBatch() (*batch, error) {
 	if t.out == nil {
-		h := &refHeap{keys: t.keys}
+		h := &refHeap{refs: make([]keyedRef, 0, min(t.k, vecBatchSize)), keys: t.keys}
 		err := t.keys.each(t.in, &t.cancel, func(r keyedRef) {
 			t.op.addIn(1)
 			if len(h.refs) < t.k {
@@ -206,12 +234,8 @@ func (t *vecTopK) nextBatch() (*batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		// pop yields last-first; fill back-to-front.
-		refs := make([]keyedRef, len(h.refs))
-		for i := len(refs) - 1; i >= 0; i-- {
-			refs[i] = h.pop()
-		}
-		t.out = &vecScan{batches: gatherSorted(refs), cancel: t.cancel, op: t.op}
+		h.sort()
+		t.out = &vecScan{batches: gatherSorted(h.refs), cancel: t.cancel, op: t.op}
 	}
 	return t.out.nextBatch()
 }
