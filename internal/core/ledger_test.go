@@ -33,6 +33,8 @@ const (
 	// ledgerCommitRows is one ingest commit's deletes, and its inserts:
 	// the repository benchmark's ingest op.
 	ledgerCommitRows = 512
+	// ledgerHeader heads the ledger table and its golden.
+	ledgerHeader = "# class           allocs/op     bytes/op  examined  joined   reply\n"
 )
 
 // ledgerEntry is one line of the count ledger: allocations and bytes
@@ -106,18 +108,21 @@ func TestCountLedger(t *testing.T) {
 	got = append(got, ingestEntry(t, e))
 
 	var b strings.Builder
-	b.WriteString("# class           allocs/op     bytes/op  examined  joined   reply\n")
+	b.WriteString(ledgerHeader)
 	for _, l := range got {
 		b.WriteString(l.String() + "\n")
 	}
 	t.Logf("count ledger:\n%s", b.String())
+	want, err := readLedger(countsGolden)
 	if *updateCounts {
-		if err := os.WriteFile(countsGolden, []byte(b.String()), 0o644); err != nil {
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(countsGolden, []byte(updatedLedger(want, got)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := readLedger(countsGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +140,29 @@ func TestCountLedger(t *testing.T) {
 			t.Errorf("%s: %d rows examined, %d joined and %d reply bytes, %s has %d, %d and %d", g.name, g.examined, g.joined, g.wire, countsGolden, w.examined, w.joined, w.wire)
 		}
 	}
+}
+
+// updatedLedger renders the ledger -update-counts writes: each entry of
+// want that got still matches — same name at the same place, allocations
+// and bytes within the tolerance, rows and reply bytes equal — is kept as
+// it stands, and every other entry is got's, so the rewrite moves only
+// the entries a change really moved and none by run-to-run noise.
+func updatedLedger(want, got []ledgerEntry) string {
+	var b strings.Builder
+	b.WriteString(ledgerHeader)
+	for i, g := range got {
+		if i < len(want) && unmoved(want[i], g) {
+			g = want[i]
+		}
+		b.WriteString(g.String() + "\n")
+	}
+	return b.String()
+}
+
+// unmoved reports whether got passes the ledger's check against want.
+func unmoved(want, got ledgerEntry) bool {
+	return want.name == got.name && near(got.allocs, want.allocs) && near(got.bytes, want.bytes) &&
+		got.examined == want.examined && got.joined == want.joined && got.wire == want.wire
 }
 
 // allocated runs f(0) … f(n-1) and returns the allocations and bytes
