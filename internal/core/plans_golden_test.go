@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"drugtree/internal/datagen"
+	"drugtree/internal/integrate"
 	"drugtree/internal/phylo"
 	"drugtree/internal/query"
+	"drugtree/internal/store"
 )
 
 var updatePlans = flag.Bool("update-plans", false, "rewrite testdata/analytics_plans.golden from the current planner")
@@ -69,32 +71,25 @@ type analyticsStmt struct {
 // statement classes (texts as bench/oplist.go's classStatements writes
 // them) at three parameter draws each — the smallest, middle and
 // largest panel clade, the 0.81, 0.89 and 0.97 affinity quantiles and
-// the first, middle and last family — for an engine built over
-// smokeD1.
+// the first, middle and last family — for e, its thresholds and
+// families read from the rows e's store holds.
 func analyticsStatements(tb testing.TB, e *Engine) []analyticsStmt {
 	tb.Helper()
-	ds, err := datagen.Generate(smokeD1())
-	if err != nil {
-		tb.Fatal(err)
-	}
 	tree := e.Tree()
 	panel := spread(cladesBySize(tree, 30, 120))
 	anyClade := spread(cladesBySize(tree, 2, tree.Len()))
-	affinities := make([]float64, len(ds.Activities))
-	for i, a := range ds.Activities {
-		affinities[i] = a.Affinity
-	}
-	sort.Float64s(affinities)
+	affinities := columnValues(tb, e, integrate.TableActivities, "affinity")
+	sort.Slice(affinities, func(i, j int) bool { return affinities[i].F < affinities[j].F })
 	var th [3]float64
 	for i, q := range []float64{0.81, 0.89, 0.97} {
-		th[i] = affinities[int(q*float64(len(affinities)-1))]
+		th[i] = affinities[int(q*float64(len(affinities)-1))].F
 	}
 	seen := map[string]bool{}
 	var fams []string
-	for _, p := range ds.Proteins {
-		if !seen[p.Family] {
-			seen[p.Family] = true
-			fams = append(fams, p.Family)
+	for _, v := range columnValues(tb, e, integrate.TableProteins, "family") {
+		if !seen[v.S] {
+			seen[v.S] = true
+			fams = append(fams, v.S)
 		}
 	}
 	sort.Strings(fams)
@@ -130,6 +125,28 @@ func analyticsStatements(tb testing.TB, e *Engine) []analyticsStmt {
 			out = append(out, analyticsStmt{c.name, i, c.stmt(i)})
 		}
 	}
+	return out
+}
+
+// columnValues returns the cells of one column of a table of e's store,
+// every live row's at the latest version.
+func columnValues(tb testing.TB, e *Engine, table, column string) []store.Value {
+	tb.Helper()
+	snap := e.DB().PinSnapshot()
+	defer snap.Release()
+	tv, err := snap.View(table)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := tv.Table().Schema().ColumnIndex(column)
+	if c < 0 {
+		tb.Fatalf("%s has no column %s", table, column)
+	}
+	var out []store.Value
+	tv.Scan(func(_ int64, r store.Row) bool {
+		out = append(out, r[c])
+		return true
+	})
 	return out
 }
 
@@ -225,9 +242,22 @@ func BenchmarkSubtreeAccess(b *testing.B) {
 // three statements of analyticsStatements, one a op in turn — through
 // QueryColumns (parse, plan and run; DefaultConfig keeps no statement
 // cache), one sub-benchmark a class: the served path's cost by class,
-// in time and allocations.
-func BenchmarkAnalyticsClasses(b *testing.B) {
-	e, _ := buildEngineFrom(b, smokeD1(), DefaultConfig())
+// in time and allocations, over smokeD1.
+func BenchmarkAnalyticsClasses(b *testing.B) { benchmarkClasses(b, smokeD1()) }
+
+// BenchmarkAnalyticsClassesD1 is BenchmarkAnalyticsClasses over dataset
+// D1 at the repository benchmark's full size: 16 families × 50 proteins
+// and 200 ligands, seed 1.
+func BenchmarkAnalyticsClassesD1(b *testing.B) {
+	gen := smokeD1()
+	gen.NumFamilies, gen.ProteinsPerFamily, gen.NumLigands = 16, 50, 200
+	benchmarkClasses(b, gen)
+}
+
+// benchmarkClasses serves analyticsStatements over an engine built from
+// gen, one sub-benchmark a class.
+func benchmarkClasses(b *testing.B, gen datagen.Config) {
+	e, _ := buildEngineFrom(b, gen, DefaultConfig())
 	var classes []string
 	texts := map[string][]string{}
 	for _, s := range analyticsStatements(b, e) {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
 
+	"drugtree/internal/query"
 	"drugtree/internal/store"
 )
 
@@ -235,6 +237,60 @@ func TestStatementCacheConcurrentAccess(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// batchBytes encodes a result's rows, names decoded and every float by
+// its bits (store.AppendValue).
+func batchBytes(res *query.Result) []byte {
+	var b []byte
+	for _, r := range store.RowsFromColBatch(res.Batch, res.Dict) {
+		b = store.AppendRow(b, r)
+	}
+	return b
+}
+
+// TestCachedResultsSurviveArenaReuse serves every analytics statement
+// through the statement cache, records each result's bytes, then runs
+// the same statements uncached (a trailing space is another cache key)
+// in reverse order, so the executor's arena lends every buffer the
+// cached results' statements used again, and serves the cached results
+// once more: each must be the result cached, bit for bit as it was.
+func TestCachedResultsSurviveArenaReuse(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.QueryCacheEntries = 64
+	e, _ := buildEngineFrom(t, smokeD1(), cfg)
+	ctx := context.Background()
+	stmts := analyticsStatements(t, e)
+	cached := make([]*query.Result, len(stmts))
+	want := make([][]byte, len(stmts))
+	for i, s := range stmts {
+		res, err := e.QueryColumns(ctx, s.text)
+		if err != nil {
+			t.Fatalf("%s: %q: %v", s.class, s.text, err)
+		}
+		cached[i], want[i] = res, batchBytes(res)
+	}
+	for i := len(stmts) - 1; i >= 0; i-- {
+		res, err := e.QueryColumns(ctx, stmts[i].text+" ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res == cached[i] || !bytes.Equal(batchBytes(res), want[i]) {
+			t.Fatalf("%s: %q run uncached differs from its cached result", stmts[i].class, stmts[i].text)
+		}
+	}
+	for i, s := range stmts {
+		res, err := e.QueryColumns(ctx, s.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != cached[i] {
+			t.Fatalf("%s: %q was not served from the statement cache", s.class, s.text)
+		}
+		if !bytes.Equal(batchBytes(res), want[i]) {
+			t.Fatalf("%s: %q: the cached result changed under later statements", s.class, s.text)
 		}
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"drugtree/internal/store"
 )
 
 // The cancellation contract: a context cancelled before or during
@@ -91,6 +94,12 @@ func TestCancelMidQuery(t *testing.T) {
 		}
 		waitGoroutines(t, baseline, 2*time.Second)
 	}
+	const q = `SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p JOIN activities a ON p.accession = a.protein_id GROUP BY p.family ORDER BY p.family`
+	want, err := NewEngine(cat, DefaultOptions()).Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRecovers(t, eng, q, want)
 }
 
 // countdownCtx cancels itself after its Done channel has been polled
@@ -215,7 +224,35 @@ func TestCancelMidBatch(t *testing.T) {
 		if cancelled == 0 || (c.fill && cancelled != fuses-1) {
 			t.Fatalf("%s: %d of %d fuses cancelled the query", c.name, cancelled, fuses)
 		}
+		assertRecovers(t, eng, c.q, full)
 	}
+}
+
+// failingStatement fails after its statement has taken an arena: its
+// scalar subquery returns more than one row, which binding finds.
+const failingStatement = "SELECT accession FROM proteins WHERE length > (SELECT length FROM proteins)"
+
+// assertRecovers runs a failing statement on eng, whose earlier
+// statements were cancelled, then q, which must answer want again, cell
+// for cell; and eng must keep no more at rest than its arena bounds.
+func assertRecovers(t *testing.T, eng *Engine, q string, want *Result) {
+	t.Helper()
+	if _, err := eng.Query(context.Background(), failingStatement); err == nil || !strings.Contains(err.Error(), "returned") {
+		t.Fatalf("%q: err = %v, want the scalar subquery's", failingStatement, err)
+	}
+	got, err := eng.Query(context.Background(), q)
+	if err != nil {
+		t.Fatalf("%q after cancellations and an error: %v", q, err)
+	}
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%q after cancellations and an error: %d rows, want %d", q, len(got.Rows), len(want.Rows))
+	}
+	for i := range want.Rows {
+		if !slices.EqualFunc(got.Rows[i], want.Rows[i], store.Equal) {
+			t.Fatalf("%q after cancellations and an error: row %d is %v, want %v", q, i, got.Rows[i], want.Rows[i])
+		}
+	}
+	assertArenasBounded(t, eng)
 }
 
 // TestCancelDeadline covers the other common cancellation shape: a

@@ -196,7 +196,7 @@ func plainKeys(names ...string) *store.Col {
 func openSide(t *testing.T, d *store.Dict, bbs []*batch, hashCodes bool) *hashSide {
 	t.Helper()
 	e := &equiJoin{buildKeys: []int{0}}
-	ec := &execCtx{ctx: context.Background(), hashCodes: hashCodes}
+	ec := &execCtx{ctx: context.Background(), arena: &arena{}, hashCodes: hashCodes}
 	h, err := e.open(ec, &vecScan{batches: bbs, cancel: canceller{ctx: ec.ctx}, op: &OpStats{}}, []int{0}, &OpStats{})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func openSide(t *testing.T, d *store.Dict, bbs []*batch, hashCodes bool) *hashSi
 // prober as a join runs one, and returns the pairs found as "probe
 // row:build row".
 func probePairs(h *hashSide, d *store.Dict, pk *store.Col, sel []int) []string {
-	p := h.newProber([]int{0}, d)
+	p := h.newProber([]int{0}, d, &arena{})
 	var pairs []string
 	for p.start(&batch{cols: []*store.Col{pk}, sel: sel, n: pk.Len()}); !p.done(); {
 		h.match(p)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"drugtree/internal/phylo"
@@ -39,6 +40,10 @@ type Engine struct {
 	opts Options
 	// hashCodes is each statement's execCtx.hashCodes: tests only.
 	hashCodes bool
+	// mu guards idle, the arenas no running statement holds: at most
+	// arenaIdle, the one a statement returned last at the end.
+	mu   sync.Mutex
+	idle []*arena
 }
 
 // NewEngine creates an engine. Use DefaultOptions for the optimized
@@ -54,9 +59,181 @@ func (e *Engine) Options() Options { return e.opts }
 func (e *Engine) Catalog() Catalog { return e.cat }
 
 // newExecCtx starts one statement's execution state over its pinned
-// snapshot.
-func (e *Engine) newExecCtx(ctx context.Context, snap *store.SnapshotHandle) *execCtx {
-	return &execCtx{ctx: ctx, cat: e.cat, snap: snap, opts: e.opts, stats: &ExecStats{}, hashCodes: e.hashCodes}
+// snapshot, its scratch lent from a.
+func (e *Engine) newExecCtx(ctx context.Context, snap *store.SnapshotHandle, a *arena) *execCtx {
+	return &execCtx{ctx: ctx, cat: e.cat, snap: snap, opts: e.opts, stats: &ExecStats{}, arena: a, hashCodes: e.hashCodes}
+}
+
+// takeArena lends a running statement an idle arena, or a new one.
+func (e *Engine) takeArena() *arena {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := len(e.idle)
+	if n == 0 {
+		return &arena{}
+	}
+	a := e.idle[n-1]
+	e.idle[n-1], e.idle = nil, e.idle[:n-1]
+	return a
+}
+
+// putArena takes a back from a statement that has ended, its loans
+// returned, keeping it idle unless arenaIdle arenas already are.
+func (e *Engine) putArena(a *arena) {
+	a.release()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.idle) < arenaIdle {
+		e.idle = append(e.idle, a)
+	}
+}
+
+// Executor memory. A statement's scratch — the slot list each scan
+// selects into, and each hash join's chain arrays and match vectors —
+// is dead before its reply leaves, and the next statement needs buffers
+// of the same shapes. So the engine lends each running statement an
+// arena (RunAt takes it and gives it back on every exit path), and the
+// buffers are allocated once per engine, not once per statement. The
+// bounds are constants: what an engine keeps at rest is a few buffers
+// of at most arenaMaxLen elements in each of at most arenaIdle arenas.
+const (
+	// arenaIdle is how many idle arenas an engine keeps: a statement
+	// that ends when that many are idle drops its own.
+	arenaIdle = 8
+	// arenaInt32s and arenaInts are how many idle buffers of each
+	// element type an arena keeps: its largest. A statement with two
+	// joins holds six int32 buffers and two int ones.
+	arenaInt32s = 8
+	arenaInts   = 4
+	// arenaMaxLen caps a kept buffer: a longer one, and a longer slot
+	// list, is dropped when it comes back, as before there were arenas.
+	arenaMaxLen = 16 << 10
+)
+
+// arena is one running statement's reusable scratch, used by that
+// statement's goroutine alone. A scan borrows the slot list (slotList)
+// and gives it back once its last Fill has returned (giveSlots); a join
+// borrows its head/next chain arrays and its prober's pi/bi match
+// vectors for the rest of the statement (int32s, ints), and release
+// takes those back when RunAt exits.
+//
+// Nothing an arena hands out is ever a batch column: a slot list is only
+// read by Fill, and chain arrays and match vectors only index rows whose
+// cells are copied into fresh columns. So drainColumns' whole-vector
+// adoption, the statement cache and a Result never alias arena memory,
+// and a buffer reused by the next statement changes no answer already
+// given.
+type arena struct {
+	slots    []int32   // the idle slot list, nil while a scan holds it
+	free32   [][]int32 // idle int32 buffers, at most arenaInt32s
+	freeInts [][]int   // idle int buffers, at most arenaInts
+	// lent32 and lentInts point at the fields holding the statement-long
+	// loans, read again at release: an append may have moved a loan.
+	lent32   []*[]int32
+	lentInts []*[]int
+}
+
+// slotList takes the idle slot list for a scan's Select: nil when there
+// is none.
+func (a *arena) slotList() []int32 {
+	s := a.slots
+	a.slots = nil
+	return s
+}
+
+// giveSlots takes a scan's slot list back — the Selection's Slots,
+// which Select may have grown past the list it was lent — keeping the
+// larger of it and any list already idle.
+func (a *arena) giveSlots(s []int32) {
+	poisonScratch(s)
+	if cap(s) <= arenaMaxLen && cap(s) > cap(a.slots) {
+		a.slots = s[:0]
+	}
+}
+
+// int32s points *p at n int32s, their contents unspecified, lent until
+// the statement ends.
+func (a *arena) int32s(p *[]int32, n int) {
+	*p, a.free32 = fit(a.free32, n)
+	a.lent32 = append(a.lent32, p)
+}
+
+// ints is int32s for ints.
+func (a *arena) ints(p *[]int, n int) {
+	*p, a.freeInts = fit(a.freeInts, n)
+	a.lentInts = append(a.lentInts, p)
+}
+
+// release takes back every statement-long loan, as the fields lent it
+// hold it now, and clears those fields.
+func (a *arena) release() {
+	for i, p := range a.lent32 {
+		poisonScratch(*p)
+		a.free32 = keep(a.free32, *p, arenaInt32s)
+		*p, a.lent32[i] = nil, nil
+	}
+	for i, p := range a.lentInts {
+		poisonScratch(*p)
+		a.freeInts = keep(a.freeInts, *p, arenaInts)
+		*p, a.lentInts[i] = nil, nil
+	}
+	a.lent32, a.lentInts = a.lent32[:0], a.lentInts[:0]
+}
+
+// arenaPoison, which this package's tests set, makes an arena overwrite
+// every buffer given back to it with −1, so scratch read after it was
+// given back fails loudly rather than reading what the next borrower
+// wrote.
+var arenaPoison bool
+
+// poisonScratch overwrites buf, to its capacity, with −1 when
+// arenaPoison is set.
+func poisonScratch[T int | int32](buf []T) {
+	if arenaPoison {
+		buf = buf[:cap(buf)]
+		for i := range buf {
+			buf[i] = -1
+		}
+	}
+}
+
+// fit takes the smallest buffer of free that holds n elements, or makes
+// one, and returns it at length n and what free keeps.
+func fit[T int | int32](free [][]T, n int) ([]T, [][]T) {
+	best := -1
+	for i, b := range free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]T, n), free
+	}
+	buf, last := free[best][:n], len(free)-1
+	free[best], free[last] = free[last], nil
+	return buf, free[:last]
+}
+
+// keep files buf among free, which holds at most max buffers, keeping
+// the largest; an empty buffer, or one longer than arenaMaxLen, is
+// dropped.
+func keep[T int | int32](free [][]T, buf []T, max int) [][]T {
+	if c := cap(buf); c == 0 || c > arenaMaxLen {
+		return free
+	}
+	if len(free) < max {
+		return append(free, buf[:0])
+	}
+	small := 0
+	for i, b := range free {
+		if cap(b) < cap(free[small]) {
+			small = i
+		}
+	}
+	if cap(buf) > cap(free[small]) {
+		free[small] = buf[:0]
+	}
+	return free
 }
 
 // Query is the row adapter: it parses src, runs it, and returns the
@@ -116,7 +293,9 @@ func (e *Engine) RunAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 		return nil, err
 	}
 	cols := outputColumns(optimized)
-	ec := e.newExecCtx(ctx, snap)
+	a := e.takeArena()
+	defer e.putArena(a)
+	ec := e.newExecCtx(ctx, snap, a)
 	root, err := build(optimized, ec, 0)
 	if err != nil {
 		return nil, err

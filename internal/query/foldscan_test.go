@@ -89,7 +89,7 @@ func runStreamed(e *Engine, stmt *SelectStmt, snap *store.SnapshotHandle) (*Resu
 	if err != nil {
 		return nil, 0, err
 	}
-	ec := e.newExecCtx(ctx, snap)
+	ec := e.newExecCtx(ctx, snap, &arena{})
 	root, err := build(optimized, ec, 0)
 	if err != nil {
 		return nil, 0, err

@@ -264,9 +264,13 @@ func TestExplainAnalyzeHashJoin(t *testing.T) {
 // TestSharedSelectionIsNeverWritten: every dense batch's selection is a
 // window of one package-level vector, so an operator writing through a
 // selection would corrupt every other statement in the process. Two
-// goroutines run the differential corpora at once — under -race a write
-// races the other's reads — and the vector must still be the identity
-// (and the answers right) afterwards.
+// goroutines run the differential corpora and the datagen catalog's
+// joins and folds (arenaCorpus) at once — under -race a write races the
+// other's reads — and the vector must still be the identity (and the
+// answers right) afterwards. Both goroutines share one engine per
+// catalog and configuration, so the engine's statement arenas pass
+// between them, and a buffer one statement still used while another
+// was lent it races too.
 func TestSharedSelectionIsNeverWritten(t *testing.T) {
 	type stmt struct {
 		cat     Catalog
@@ -274,14 +278,23 @@ func TestSharedSelectionIsNeverWritten(t *testing.T) {
 		ordered bool
 	}
 	var stmts []stmt
-	tc, hc := testCatalog(t), hashOpsCatalog(t)
+	tc, hc, dc := testCatalog(t), hashOpsCatalog(t), datagenCatalog(t, 5)
 	for _, c := range differentialCorpus {
 		stmts = append(stmts, stmt{tc, c.q, c.ordered})
 	}
 	for _, c := range hashOpsCorpus {
 		stmts = append(stmts, stmt{hc, c.q, c.ordered})
 	}
+	for _, q := range arenaCorpus {
+		stmts = append(stmts, stmt{dc, q, false})
+	}
 	configs := []engineConfig{naiveConfig(), defaultConfig()}
+	engines := map[Catalog][]*Engine{}
+	for _, cat := range []Catalog{tc, hc, dc} {
+		for _, c := range configs {
+			engines[cat] = append(engines[cat], c.engine(cat))
+		}
+	}
 	results := make([][]*Result, 2) // per goroutine: statement-major, config-minor
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
@@ -290,8 +303,8 @@ func TestSharedSelectionIsNeverWritten(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for _, s := range stmts {
-				for _, c := range configs {
-					res, err := c.engine(s.cat).Query(context.Background(), s.q)
+				for ci, c := range configs {
+					res, err := engines[s.cat][ci].Query(context.Background(), s.q)
 					if err != nil {
 						errs[g] = fmt.Errorf("query %q [%s]: %w", s.q, c.name, err)
 						return

@@ -199,8 +199,9 @@ func (e *equiJoin) open(ec *execCtx, in batchIterator, cols []int, op *OpStats) 
 	// First every row's key — its code's offset from lo, or its entry
 	// id — written where its chain link will go; then, last row first,
 	// each row is pushed on the front of its key's chain, which leaves
-	// the chains in arrival order.
-	h.next = make([]int32, h.rows.n)
+	// the chains in arrival order. Both arrays are the statement
+	// arena's: the probe reads them until the statement ends.
+	ec.arena.int32s(&h.next, h.rows.n)
 	keys := make([]*store.Col, len(e.buildKeys))
 	cancel := canceller{ctx: ec.ctx}
 	row := 0
@@ -222,7 +223,7 @@ func (e *equiJoin) open(ec *execCtx, in batchIterator, cols []int, op *OpStats) 
 	if h.tab != nil {
 		span = h.tab.len()
 	}
-	h.head = make([]int32, span)
+	ec.arena.int32s(&h.head, span)
 	for id := range h.head {
 		h.head[id] = -1
 	}
@@ -508,7 +509,7 @@ func (j *vecHashJoin) nextBatch() (*batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		j.side, j.cur = side, side.newProber(j.e.probeKeys, j.ec.dict())
+		j.side, j.cur = side, side.newProber(j.e.probeKeys, j.ec.dict(), j.ec.arena)
 	}
 	for {
 		if err := j.cancel.now(); err != nil {
@@ -544,6 +545,7 @@ type prober struct {
 	keys   []*store.Col // the batch's key columns, in the side's form
 	side   *hashSide
 	dict   *store.Dict // what recodes a probe key of the other form
+	arena  *arena      // what lends pi and bi
 	pb     *batch
 	sel    []int
 	pos    int     // next position in sel
@@ -554,9 +556,9 @@ type prober struct {
 }
 
 // newProber returns a prober of h on the probe columns keyIdx that is
-// done; start points it at a batch.
-func (h *hashSide) newProber(keyIdx []int, d *store.Dict) *prober {
-	return &prober{keyIdx: keyIdx, keys: make([]*store.Col, len(keyIdx)), side: h, dict: d, chain: -1}
+// done, its match vectors to be lent by a; start points it at a batch.
+func (h *hashSide) newProber(keyIdx []int, d *store.Dict, a *arena) *prober {
+	return &prober{keyIdx: keyIdx, keys: make([]*store.Col, len(keyIdx)), side: h, dict: d, arena: a, chain: -1}
 }
 
 // start points p at pb, its key columns in the build side's form: a
@@ -573,8 +575,11 @@ func (p *prober) start(pb *batch) {
 		p.keys[k] = codedAs(p.side.coded(k), pb, pb.cols[c], p.sel, p.dict)
 	}
 	if p.pi == nil {
-		// Most probes find at most a match a row; longer chains grow it.
-		p.pi, p.bi = make([]int, 0, len(p.sel)), make([]int32, 0, len(p.sel))
+		// Most probes find at most a match a row; longer chains grow
+		// them. They are the statement arena's, as the side's chains are.
+		p.arena.ints(&p.pi, len(p.sel))
+		p.arena.int32s(&p.bi, len(p.sel))
+		p.pi, p.bi = p.pi[:0], p.bi[:0]
 	}
 }
 

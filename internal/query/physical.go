@@ -88,6 +88,8 @@ type execCtx struct {
 	opts  Options
 	stats *ExecStats
 	plan  []string // physical plan description lines (depth-first)
+	// arena is the statement's scratch, lent by its engine for the run.
+	arena *arena
 	// hashCodes, when set, hashes every join's build side, coded keys
 	// included (equiJoin.open). Tests set it to compare the code-indexed
 	// build with the hashed one; production code leaves it false.

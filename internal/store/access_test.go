@@ -209,7 +209,7 @@ func checkAccess(view *TableView, a Access, keep func(Row) (bool, error), keyCol
 	}
 	// A second Select, filled a few rows at a time into one reused
 	// buffer, must pass the same check.
-	sel, selExamined, err := view.Select(ctx, a)
+	sel, selExamined, err := view.Select(ctx, a, nil)
 	if err != nil {
 		return err
 	}
@@ -331,7 +331,7 @@ func randomChecks(view *TableView, rng *rand.Rand) error {
 	}
 	// A column with no index serves nothing: the read is refused.
 	byN := Access{Column: "n", Keys: []Value{IntValue(int64(rng.Intn(1000))), IntValue(7)}, Cols: cols}
-	if _, _, err := view.Select(context.Background(), byN); err == nil {
+	if _, _, err := view.Select(context.Background(), byN, nil); err == nil {
 		return fmt.Errorf("unindexed keys: Select accepted %+v", byN)
 	}
 	if err := checkAccess(view, Access{Cols: cols}, accept, -1, func(Row) bool { return true }); err != nil {
@@ -474,7 +474,7 @@ func TestRankIndex(t *testing.T) {
 	snap := db.PinSnapshot()
 	if v, err := snap.View("t"); err != nil {
 		t.Fatal(err)
-	} else if _, _, err := v.Select(context.Background(), Access{Column: "n", Rank: "accessRank"}); err == nil {
+	} else if _, _, err := v.Select(context.Background(), Access{Column: "n", Rank: "accessRank"}, nil); err == nil {
 		t.Fatal("an INT column's hash index served a rank range")
 	}
 	snap.Release()
@@ -660,7 +660,7 @@ func TestAccessAcceptError(t *testing.T) {
 	boom := errors.New("boom")
 	view, release := pinView(tb)
 	defer release()
-	_, examined, err := view.Select(context.Background(), Access{Column: "k", Accept: acceptRows(tb.dict, 3, nil, func(Row) (bool, error) { return false, boom })})
+	_, examined, err := view.Select(context.Background(), Access{Column: "k", Accept: acceptRows(tb.dict, 3, nil, func(Row) (bool, error) { return false, boom })}, nil)
 	if !errors.Is(err, boom) || examined != 1 {
 		t.Fatalf("err = %v after %d rows, want boom after 1", err, examined)
 	}

@@ -397,7 +397,7 @@ func BenchmarkFrozenFill(b *testing.B) {
 			}
 			view, release := pinView(tab)
 			defer release()
-			sel, _, err := view.Select(context.Background(), Access{Cols: []int{form.col}})
+			sel, _, err := view.Select(context.Background(), Access{Cols: []int{form.col}}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

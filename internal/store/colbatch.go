@@ -297,7 +297,15 @@ type Selection struct {
 // error naming the table and column (see Access). Reading the cells is left to Fill,
 // outside the lock, so the view's handle must stay pinned until the last
 // Fill returns.
-func (tv *TableView) Select(ctx context.Context, a Access) (*Selection, int, error) {
+//
+// slots is storage the caller lends for the slot list: when its capacity
+// holds the list's starting size — the posting count, capped by Limit,
+// and on the Accept path by one poll's worth — Slots is built in
+// slots[:0], overwriting what it held; otherwise, and for nil, Select
+// allocates the list. Either way the list may grow past that storage,
+// so a caller that reuses it takes back Slots, never slots, once the
+// last Fill has returned, and the Selection is not used after.
+func (tv *TableView) Select(ctx context.Context, a Access, slots []int32) (*Selection, int, error) {
 	t := tv.t
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -317,17 +325,26 @@ func (tv *TableView) Select(ctx context.Context, a Access) (*Selection, int, err
 		}
 		var examined int
 		var err error
-		sel.Slots, examined, err = acceptSlots(r, ctx.Err, a, make([]int32, 0, capacity(r, a, max)))
+		sel.Slots, examined, err = acceptSlots(r, ctx.Err, a, lent(slots, capacity(r, a, max)))
 		return sel, examined, err
 	}
 	// With no Accept every row the walk examines is emitted, and the
 	// posting count (capped by Limit) sizes the list.
-	sel.Slots = make([]int32, 0, capacity(r, a, a.Limit))
+	sel.Slots = lent(slots, capacity(r, a, a.Limit))
 	err := r.walk(ctx.Err, a, func(s int) bool {
 		sel.Slots = append(sel.Slots, int32(s))
 		return a.Limit <= 0 || len(sel.Slots) < a.Limit
 	})
 	return sel, len(sel.Slots), err
+}
+
+// lent returns an empty slot list of capacity at least n: slots' storage
+// when it holds n, else a new list.
+func lent(slots []int32, n int) []int32 {
+	if slots != nil && cap(slots) >= n {
+		return slots[:0]
+	}
+	return make([]int32, 0, n)
 }
 
 // Fill copies the cells of the rows Slots[lo:hi] into dst, one vector

@@ -255,7 +255,7 @@ func (m *model) check(tb *Table, view *TableView, v int64, rng *rand.Rand) error
 		// hash index serves no range: Select refuses those, naming the
 		// column.
 		if typ, ok := tb.HasIndex(a.Column); a.Column != "" && (!ok || a.Keys == nil && typ != IndexBTree) {
-			if _, _, err := view.Select(ctx, a); err == nil || !strings.Contains(err.Error(), a.Column) {
+			if _, _, err := view.Select(ctx, a, nil); err == nil || !strings.Contains(err.Error(), a.Column) {
 				return fmt.Errorf("%s Select %+v on an index that cannot serve it: err = %v", what, a, err)
 			}
 			return nil

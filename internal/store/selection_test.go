@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -80,7 +81,7 @@ func TestSelectionFillUnderPin(t *testing.T) {
 	lo, hi := IntValue(100), IntValue(n)
 	var sels []*Selection
 	for i, a := range []Access{{}, {Column: "i", Lo: &lo, Hi: &hi, Desc: true, Cols: []int{2, 0}}} {
-		sel, _, err := view.Select(context.Background(), a)
+		sel, _, err := view.Select(context.Background(), a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +248,7 @@ func TestFillWhileDictionaryGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, _, err := view.Select(context.Background(), Access{Cols: []int{0, 1}})
+	sel, _, err := view.Select(context.Background(), Access{Cols: []int{0, 1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,5 +301,80 @@ func TestFillWhileDictionaryGrows(t *testing.T) {
 	}
 	if got := db.dict.n; got < 4000 {
 		t.Fatalf("the dictionary holds %d codes, want the grown table's 4 000 and more", got)
+	}
+}
+
+// TestSelectIntoLentSlots: Select given a slot list to build in — none,
+// one too small, one exactly the selection's size and one larger, each
+// filled with junk — selects the same rows and examines as many on the
+// plain walk, through Accept and under Limit. A list that holds the
+// whole selection is the one Slots is built in.
+func TestSelectIntoLentSlots(t *testing.T) {
+	db, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := db.CreateTable("t", MustSchema(Column{Name: "i", Kind: KindInt}, Column{Name: "s", Kind: KindString}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreateIndex("i", IndexBTree); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000 // past pollEvery: the Accept path grows its list
+	var rows []Row
+	for k := range n {
+		rows = append(rows, Row{IntValue(int64(k % 1500)), StringValue(fmt.Sprintf("r%d", k%7))})
+	}
+	if err := db.CommitDeltas([]TableDelta{{Table: "t", Inserts: rows}}); err != nil {
+		t.Fatal(err)
+	}
+	snap := db.PinSnapshot()
+	defer snap.Release()
+	view, err := snap.View("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := func() func(*Selection) (int, error) {
+		return acceptRows(tb.dict, 2, nil, func(r Row) (bool, error) { return r[0].I%2 == 1, nil })
+	}
+	lo, hi := IntValue(100), IntValue(1400)
+	for _, c := range []struct {
+		name string
+		a    func() Access // Accept keeps state: a fresh access a Select
+	}{
+		{"pass", func() Access { return Access{} }},
+		{"range", func() Access { return Access{Column: "i", Lo: &lo, Hi: &hi, Desc: true} }},
+		{"pass-limit", func() Access { return Access{Limit: 700} }},
+		{"range-limit", func() Access { return Access{Column: "i", Lo: &lo, Hi: &hi, Limit: 30} }},
+		{"pass-accept", func() Access { return Access{Accept: odd()} }},
+		{"range-accept", func() Access { return Access{Column: "i", Lo: &lo, Hi: &hi, Accept: odd()} }},
+		{"range-accept-limit", func() Access { return Access{Column: "i", Lo: &lo, Hi: &hi, Accept: odd(), Limit: 45} }},
+	} {
+		want, wantExamined, err := view.Select(context.Background(), c.a(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := len(want.Slots)
+		for _, size := range []struct {
+			name   string
+			cap    int
+			shared bool // Slots must be built in the lent list
+		}{{"too-small", m / 2, false}, {"exact", m, false}, {"larger", n + 1, true}} {
+			lent := make([]int32, size.cap)
+			for i := range lent {
+				lent[i] = -7
+			}
+			got, examined, err := view.Select(context.Background(), c.a(), lent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Slots, want.Slots) || examined != wantExamined {
+				t.Fatalf("%s, %s list: %d slots, %d examined; with none, %d and %d", c.name, size.name, len(got.Slots), examined, m, wantExamined)
+			}
+			if shared := m > 0 && &got.Slots[0] == &lent[0]; size.shared && !shared || size.cap < m && shared {
+				t.Fatalf("%s, %s list of %d for %d slots: built in the lent list %v", c.name, size.name, size.cap, m, shared)
+			}
+		}
 	}
 }

@@ -37,7 +37,7 @@ func deleteRow(tb *Table, id int64) bool {
 // it selected into one exactly sized batch, as a streaming scan does. On
 // an error the batch holds the rows selected before it.
 func selectAll(ctx context.Context, view *TableView, a Access) (*ColBatch, int, error) {
-	sel, examined, err := view.Select(ctx, a)
+	sel, examined, err := view.Select(ctx, a, nil)
 	cb := &ColBatch{}
 	sel.Fill(cb, 0, len(sel.Slots))
 	return cb, examined, err
@@ -265,7 +265,7 @@ func TestSelectRefusesUnservedAccess(t *testing.T) {
 				if accept {
 					a.Accept = func(*Selection) (int, error) { return 0, nil }
 				}
-				sel, _, err := view.Select(context.Background(), a)
+				sel, _, err := view.Select(context.Background(), a, nil)
 				if err == nil || !strings.Contains(err.Error(), table) || !strings.Contains(err.Error(), a.Column) {
 					t.Fatalf("%s: Select %+v = %v, want an error naming the table and column %s", table, a, err, a.Column)
 				}
@@ -275,7 +275,7 @@ func TestSelectRefusesUnservedAccess(t *testing.T) {
 			}
 		}
 		for _, a := range []Access{{}, equalTo("name", StringValue("N3")), equalTo("pre", IntValue(3)), {Column: "pre", Lo: &lo}} {
-			if _, _, err := view.Select(context.Background(), a); err != nil {
+			if _, _, err := view.Select(context.Background(), a, nil); err != nil {
 				t.Fatalf("%s: Select %+v: %v", table, a, err)
 			}
 		}
@@ -305,7 +305,7 @@ func TestTableRangeLookup(t *testing.T) {
 	}
 	view, release := pinView(tb2)
 	defer release()
-	if _, _, err := view.Select(context.Background(), Access{Column: "length", Lo: &lo, Hi: &hi}); err == nil {
+	if _, _, err := view.Select(context.Background(), Access{Column: "length", Lo: &lo, Hi: &hi}, nil); err == nil {
 		t.Fatal("an unindexed range lookup was served")
 	}
 }
