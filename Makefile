@@ -117,7 +117,7 @@ bench-repo-smoke:
 # idle host and commit the file with the change it measures. A file git
 # already tracks is a committed record: the target refuses to overwrite
 # it, so a later change names its own with BENCH_JSON=BENCH_<n>.json.
-BENCH_JSON ?= BENCH_59.json
+BENCH_JSON ?= BENCH_60.json
 
 bench-repo:
 	@if git ls-files --error-unmatch $(BENCH_JSON) >/dev/null 2>&1; then \
@@ -206,7 +206,8 @@ ledger:
 # plan golden pins, one a op, the six subtree_join and ligand_rank
 # statements among them served whole (parse, plan and a rank-index
 # read), one a op, each of the six classes served whole through
-# QueryColumns, one sub-benchmark a class, one 100-row, 4-column
+# QueryColumns, one sub-benchmark a class, at the smoke size and at
+# D1's full size (BenchmarkAnalyticsClassesD1), one 100-row, 4-column
 # query reply through the wire codec (encoded from shared columns,
 # framed, decoded into one slab) and one analytics request on a warm
 # session (split, framed as a reference to its template's slot,
