@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vet-compat lint loc knobs heap nm ledger bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload check clean
+.PHONY: all build test race vet lint loc knobs heap nm ledger bench-smoke bench-micro bench-repo bench-repo-smoke fuzz-smoke chaos overload check clean
 
 all: check
 
@@ -58,26 +58,17 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Vet-driver compatibility: the full eleven-analyzer suite under
-# `go vet -vettool`, one invocation per package with cross-package
-# facts shipped through the driver's .vetx side files. Exercises a
-# different code path than `make lint` (per-package configs, fact
-# import/export, facts-only dependency invocations), so both are
-# gated.
-vet-compat:
-	$(GO) build -o bin/drugtree-lint ./cmd/drugtree-lint
-	$(GO) vet -vettool=$(CURDIR)/bin/drugtree-lint ./...
-	@echo "vet-compat: all analyzers clean under the vet driver"
-
 # Static-analysis gate: go vet, then the drugtree analyzer suite
-# (clockcheck, ctxcheck, fscheck, lockcheck, snapcheck, spawncheck,
-# wrapcheck, plus the fact-propagating lockorder, errcmp, atomiccheck,
-# sendcheck — see DESIGN.md "Static-analysis gates"), over this module
-# and over the repository benchmark's own module under bench/. staticcheck runs when a
-# pinned binary is available; the container image does not bake one in
-# and the build is offline, so it is gated rather than required.
-# Baseline: 0 findings over all eleven analyzers, suppressions
-# ctxcheck 0/0 and lockcheck 3/3
+# (clockcheck, ctxcheck, errcmp, fscheck, lockcheck, sendcheck,
+# snapcheck, spawncheck, wrapcheck, plus the cross-package lockorder —
+# see DESIGN.md "Static-analysis gates"), over this module and over the
+# repository benchmark's own module under bench/. The suite has one
+# driver, cmd/drugtree-lint, which also enforces the suppression
+# budget. staticcheck runs when a pinned binary is available; the
+# container image does not bake one in and the build is offline, so it
+# is gated rather than required.
+# Baseline: 0 findings over all ten analyzers, suppressions
+# lockcheck 3/3
 # (store/db.go: the checkpoint fsync under db.mu, the WAL truncation
 # fsync and the group-commit fsync under the writer's mutexes).
 STATICCHECK ?= staticcheck
@@ -280,7 +271,7 @@ overload:
 	$(GO) test -race -run TestRunT9 -v ./internal/experiments/
 	$(GO) run ./cmd/drugtree-experiments -exp T9
 
-check: lint vet-compat build test bench-smoke bench-repo-smoke fuzz-smoke race
+check: lint build test bench-smoke bench-repo-smoke fuzz-smoke race
 
 clean:
 	$(GO) clean ./...

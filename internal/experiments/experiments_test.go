@@ -111,8 +111,7 @@ func rowsExamined(t *testing.T, e *core.Engine, dtql string) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Stats.Snapshot()
-	return st.RowsScanned + st.RowsIndexed
+	return res.Stats.RowsScanned + res.Stats.RowsIndexed
 }
 
 func TestRunT2(t *testing.T) {

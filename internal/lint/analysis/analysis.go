@@ -72,16 +72,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// FileOf returns the *ast.File containing pos, with its filename.
-func (p *Pass) FileOf(pos token.Pos) (*ast.File, string) {
-	for i, f := range p.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f, p.Filenames[i]
-		}
-	}
-	return nil, ""
-}
-
 // ImportName returns the name under which file f refers to the
 // package with the given import path, and whether it imports it at
 // all. An unnamed import resolves to the path's last segment, which
@@ -131,13 +121,6 @@ func IsPkgCall(f *ast.File, call *ast.CallExpr, pkgPath string, fns ...string) (
 		}
 	}
 	return "", false
-}
-
-// Preorder walks every file of the pass in depth-first order.
-func (p *Pass) Preorder(fn func(ast.Node) bool) {
-	for _, f := range p.Files {
-		ast.Inspect(f, fn)
-	}
 }
 
 // Parents builds a child→parent map for one file, for checks that

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Facts is the cross-package side channel of the framework: during
 // the collection phase each analyzer's Collect hook runs over every
@@ -15,10 +11,8 @@ import (
 // analyzer inspecting internal/core can reason about what a call
 // into internal/store acquires or blocks on.
 //
-// FactSet is the serialized form: analyzer name → key → value. Its
-// encoding is stable (JSON with sorted keys) so a facts file produced
-// for a dependency package under `go vet -vettool` is byte-identical
-// across runs and safe to cache by content hash.
+// FactSet is the merged table: analyzer name → key → value. It lives
+// only for one run of the driver.
 type FactSet map[string]map[string]string
 
 // Merge folds other into fs, later values winning on key collisions
@@ -35,34 +29,6 @@ func (fs FactSet) Merge(other FactSet) {
 			dst[k] = v
 		}
 	}
-}
-
-// Encode renders fs in the stable wire form. encoding/json sorts map
-// keys, so equal fact sets encode byte-identically — the property the
-// vet driver's content-addressed .vetx caching relies on.
-func (fs FactSet) Encode() ([]byte, error) {
-	// Normalize away empty inner maps so "no facts" has one encoding.
-	clean := make(FactSet, len(fs))
-	for a, kv := range fs {
-		if len(kv) > 0 {
-			clean[a] = kv
-		}
-	}
-	return json.Marshal(clean)
-}
-
-// DecodeFacts parses a serialized fact set. Empty input (the facts
-// file a facts-only vet invocation writes for stdlib dependencies)
-// decodes as an empty set, not an error.
-func DecodeFacts(data []byte) (FactSet, error) {
-	fs := make(FactSet)
-	if len(data) == 0 {
-		return fs, nil
-	}
-	if err := json.Unmarshal(data, &fs); err != nil {
-		return nil, fmt.Errorf("analysis: decoding facts: %w", err)
-	}
-	return fs, nil
 }
 
 // SortedKeys returns the keys of a fact table in stable order, for

@@ -11,10 +11,6 @@ import (
 // directions: an unexpected diagnostic and an unmet expectation each
 // fail the test.
 
-func TestAtomicCheck(t *testing.T) {
-	analysistest.Run(t, "testdata/atomiccheck", AtomicCheck, "atomics", "atomreader")
-}
-
 func TestClockCheck(t *testing.T) {
 	analysistest.Run(t, "testdata/clockcheck", ClockCheck,
 		"experiments", "internal/netsim", "other")
@@ -33,25 +29,17 @@ func TestFSCheck(t *testing.T) {
 	analysistest.Run(t, "testdata/fscheck", FSCheck, "store", "other")
 }
 
-// TestErrCmpNoWrapIsSilent analyzes the nowrap fixture alone: with no
-// wraps: fact in its table, raw sentinel identity is legal and the
-// package's == comparison goes unflagged. The identical syntax inside
-// errw IS flagged — the diagnostic hinges on the cross-package fact,
-// not the comparison's shape.
-func TestErrCmpNoWrapIsSilent(t *testing.T) {
-	analysistest.Run(t, "testdata/errcmp", ErrCmp, "nowrap")
-}
-
 func TestLockCheck(t *testing.T) {
 	analysistest.Run(t, "testdata/lockcheck", LockCheck, "locks")
 }
 
-// TestLockOrder runs the two fixture packages in one pass so the fact
+// TestLockOrder runs the fixture packages in one pass so the fact
 // tables merge: the A.mu → C.mu edge exists only by following
 // locka.A.One's call into lockb and back out through the Filler
-// callback — neither package exhibits a cycle alone.
+// callback — neither package exhibits a cycle alone. lockstore is the
+// store's DB.mu → Table.mu order with one call path inverted.
 func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, "testdata/lockorder", LockOrder, "locka", "lockb")
+	analysistest.Run(t, "testdata/lockorder", LockOrder, "locka", "lockb", "lockstore")
 }
 
 func TestSendCheck(t *testing.T) {

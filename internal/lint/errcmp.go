@@ -9,23 +9,18 @@ import (
 )
 
 // ErrCmp enforces sentinel-error hygiene across wrap boundaries:
-// once any package in the tree wraps errors with %w (and wrapcheck
-// makes sure they all do), a raw `err == ErrX` / `err != ErrX`
-// comparison is a latent bug — the sentinel arrives wrapped and the
-// identity test silently fails. The same applies to type assertions
-// and type switches against concrete error types. errors.Is and
-// errors.As unwrap; == and .(T) do not.
-//
-// The cross-package evidence is a fact: the collection phase exports
-// "wraps:<pkg>" for every package containing a fmt.Errorf call whose
-// format string carries %w. The analysis phase flags:
+// wrapcheck makes every error-carrying fmt.Errorf wrap with %w, so a
+// raw `err == ErrX` / `err != ErrX` comparison is a latent bug — the
+// sentinel arrives wrapped and the identity test silently fails. The
+// same applies to type assertions and type switches against concrete
+// error types. errors.Is and errors.As unwrap; == and .(T) do not.
+// The analyzer flags:
 //
 //   - ==/!= against a project sentinel (an Err-prefixed identifier or
 //     selector) or a curated stdlib sentinel (io.EOF,
-//     io.ErrUnexpectedEOF, context.Canceled, context.DeadlineExceeded)
-//     whenever any package in the fact table wraps;
+//     io.ErrUnexpectedEOF, context.Canceled, context.DeadlineExceeded);
 //   - err.(*FooError) type assertions and `switch err.(type)` cases
-//     naming *Error types, under the same condition.
+//     naming *Error types.
 //
 // Comparisons inside methods named Is or As are exempt: that is the
 // errors.Is/errors.As protocol being implemented, the one place raw
@@ -34,12 +29,8 @@ var ErrCmp = &analysis.Analyzer{
 	Name: "errcmp",
 	Doc: "compare sentinel errors with errors.Is and match error types with errors.As; " +
 		"== and type assertions fail once a call chain wraps with %w",
-	Collect: collectErrCmp,
-	Run:     runErrCmp,
+	Run: runErrCmp,
 }
-
-// wrapsFactPrefix keys the per-package "wraps with %w" marker.
-const wrapsFactPrefix = "wraps:"
 
 // stdlibSentinels are stdlib errors routinely returned through
 // drugtree call chains that wrap — comparing any of them raw is wrong
@@ -54,41 +45,6 @@ var stdlibSentinels = map[string]bool{
 	"os.ErrNotExist":           true,
 	"os.ErrExist":              true,
 	"sql.ErrNoRows":            true,
-}
-
-func collectErrCmp(pass *analysis.Pass) (map[string]string, error) {
-	facts := make(map[string]string)
-	for _, f := range pass.Files {
-		file := f
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if _, ok := analysis.IsPkgCall(file, call, "fmt", "Errorf"); !ok {
-				return true
-			}
-			if len(call.Args) == 0 {
-				return true
-			}
-			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING &&
-				strings.Contains(lit.Value, "%w") {
-				facts[wrapsFactPrefix+pkgBase(pass.PkgPath)] = "1"
-			}
-			return true
-		})
-	}
-	return facts, nil
-}
-
-// treeWraps reports whether any package's facts mark %w wrapping.
-func treeWraps(facts map[string]string) bool {
-	for k := range facts {
-		if strings.HasPrefix(k, wrapsFactPrefix) {
-			return true
-		}
-	}
-	return false
 }
 
 // sentinelName renders e as a sentinel-error reference: an identifier
@@ -156,9 +112,6 @@ func errish(e ast.Expr) bool {
 }
 
 func runErrCmp(pass *analysis.Pass) (interface{}, error) {
-	if !treeWraps(pass.Facts) {
-		return nil, nil // no %w anywhere: raw identity still works
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			fn, ok := n.(*ast.FuncDecl)

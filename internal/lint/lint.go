@@ -1,31 +1,25 @@
-// Package lint is the drugtree static-analysis suite: eleven
-// analyzers that machine-check the invariants the system's
-// correctness rests on, from the intra-function discipline PR 1/PR 2
-// introduced (clock injection, context threading, lock/blocking
-// hygiene, goroutine shutdown, %w wrapping) to the cross-package
-// invariants of the engine: a lock-order contract over
-// store.DB → admission.Limiter, errors.Is-only
-// handling of wrapped sentinels like store.ErrPoisoned,
-// atomic-everywhere access to shared counters, leak-proof channel
-// operations inside
-// spawned goroutines, the durability seam of the crash-safe I/O layer
-// (fscheck: persistence packages do file I/O through vfs.FS, never
-// raw os.*, so the crash-point matrix store.TestTortureMatrix sees every byte
-// that matters), and the MVCC snapshot lifecycle (snapcheck: every
-// PinSnapshot gets a Release on all paths, so pinned versions cannot
-// leak and block the version GC).
+// Package lint is the drugtree static-analysis suite: ten analyzers
+// that machine-check the invariants the system's correctness rests
+// on — clock injection, context threading, lock and blocking hygiene,
+// goroutine shutdown and leak-proof channel operations inside spawned
+// goroutines, %w wrapping and errors.Is-only handling of wrapped
+// sentinels like store.ErrPoisoned, the durability seam of the
+// crash-safe I/O layer (fscheck: persistence packages do file I/O
+// through vfs.FS, never raw os.*, so the crash-point matrix
+// store.TestTortureMatrix sees every byte that matters), the MVCC
+// snapshot lifecycle (snapcheck: every PinSnapshot gets a Release on
+// all paths, so pinned versions cannot leak and block the version
+// GC), and a lock-order contract over store.DB → admission.Limiter.
 //
-// Seven analyzers (clockcheck, ctxcheck, fscheck, lockcheck,
-// snapcheck, spawncheck, wrapcheck) are intra-function and purely
-// syntactic. The four added for the distributed layer (lockorder,
-// errcmp, atomiccheck, sendcheck) are fact-propagating: a collection
-// phase
-// runs every analyzer's Collect hook over every package and merges
-// the exported per-function facts ("acquires mu", "blocks on a
-// channel", "wraps sentinel X", "field f is atomic") into one table,
-// so the analysis phase can follow a call from internal/core into
-// internal/store and reason about what it acquires or blocks on across
-// the package boundary.
+// Nine analyzers (clockcheck, ctxcheck, errcmp, fscheck, lockcheck,
+// sendcheck, snapcheck, spawncheck, wrapcheck) are purely syntactic
+// and look at one package at a time. lockorder is the one
+// cross-package analyzer: a collection phase runs its Collect hook
+// over every package and merges the exported per-function facts
+// ("acquires mu", "blocks on a channel") into one table, so the
+// analysis phase can follow a call from internal/core into
+// internal/store and reason about what it acquires or blocks on
+// across the package boundary. Facts never leave the process.
 //
 // Each analyzer is documented on its own file; Check runs them all
 // over a set of loaded packages, applies `//lint:ignore` suppressions,
@@ -47,7 +41,6 @@ import (
 // All returns the suite in stable order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		AtomicCheck,
 		ClockCheck,
 		CtxCheck,
 		ErrCmp,
@@ -75,17 +68,16 @@ var Budget = map[string]int{
 	// durable), and walWriter.syncTo holds syncMu across the group-
 	// commit fsync (that hold is the ticket concurrent committers
 	// piggyback on).
-	"lockcheck":   3,
-	"lockorder":   0,
-	"atomiccheck": 0,
-	"clockcheck":  0,
-	"ctxcheck":    0,
-	"errcmp":      0,
-	"fscheck":     0,
-	"sendcheck":   0,
-	"snapcheck":   0,
-	"spawncheck":  0,
-	"wrapcheck":   0,
+	"lockcheck":  3,
+	"lockorder":  0,
+	"clockcheck": 0,
+	"ctxcheck":   0,
+	"errcmp":     0,
+	"fscheck":    0,
+	"sendcheck":  0,
+	"snapcheck":  0,
+	"spawncheck": 0,
+	"wrapcheck":  0,
 }
 
 // Finding is one post-suppression diagnostic.
@@ -117,13 +109,11 @@ func (r *Result) OK() bool { return len(r.Findings) == 0 && len(r.BudgetErrors) 
 // Check runs every analyzer over pkgs with the default budget.
 func Check(pkgs []*loader.Package) *Result { return CheckBudget(pkgs, Budget) }
 
-// CollectFacts runs the collection phase: every analyzer's Collect
-// hook over every package, merged into one FactSet. The vet driver
-// calls it directly so per-package invocations can ship facts through
-// .vetx files; CheckBudget calls it as phase one of a whole-tree run.
-// Collection failures surface as error strings (they fail the run
-// like findings) rather than aborting other analyzers.
-func CollectFacts(pkgs []*loader.Package) (analysis.FactSet, []string) {
+// collectFacts runs the collection phase: every analyzer's Collect
+// hook over every package, merged into one FactSet. Collection
+// failures surface as error strings (they fail the run like findings)
+// rather than aborting other analyzers.
+func collectFacts(pkgs []*loader.Package) (analysis.FactSet, []string) {
 	facts := make(analysis.FactSet)
 	var errs []string
 	for _, pkg := range pkgs {
@@ -154,21 +144,8 @@ func CollectFacts(pkgs []*loader.Package) (analysis.FactSet, []string) {
 // The run is two-phase: fact collection over every package first,
 // then analysis with the merged cross-package fact table.
 func CheckBudget(pkgs []*loader.Package, budget map[string]int) *Result {
-	facts, errs := CollectFacts(pkgs)
-	return checkWithFacts(pkgs, budget, facts, errs)
-}
-
-// CheckWithFacts runs the analysis phase over pkgs against an
-// externally assembled fact table (the vet driver's path: facts for
-// dependency packages arrive through .vetx files, already merged with
-// this package's own Collect output).
-func CheckWithFacts(pkgs []*loader.Package, budget map[string]int, facts analysis.FactSet) *Result {
-	return checkWithFacts(pkgs, budget, facts, nil)
-}
-
-func checkWithFacts(pkgs []*loader.Package, budget map[string]int, facts analysis.FactSet, preErrors []string) *Result {
-	res := &Result{Suppressed: make(map[string]int)}
-	res.BudgetErrors = append(res.BudgetErrors, preErrors...)
+	facts, errs := collectFacts(pkgs)
+	res := &Result{Suppressed: make(map[string]int), BudgetErrors: errs}
 	known := make(map[string]bool)
 	for _, a := range All() {
 		known[a.Name] = true

@@ -113,9 +113,9 @@ func collectLockOrder(pass *analysis.Pass) (map[string]string, error) {
 	}
 	sort.Strings(imports)
 	facts[importsFactPrefix+base] = strings.Join(imports, ",")
-	// Struct-shape links (shared with atomiccheck) let call receivers
-	// like ix.tree.Insert or db.wal.Close resolve to exact fact keys
-	// instead of falling back to bare-name matching.
+	// Struct-shape links let call receivers like ix.tree.Insert or
+	// db.wal.Close resolve to exact fact keys instead of falling back to
+	// bare-name matching.
 	links := structLinks(pass)
 	for k, v := range links {
 		facts[k] = v
@@ -171,6 +171,94 @@ func typeClass(base string, t ast.Expr) string {
 		return typeClass(base, t.X)
 	}
 	return ""
+}
+
+// linkFactPrefix keys the struct-shape facts:
+//
+//	link:<pkg>.<T>.<field> = "ptr <class>" | "val <class>"
+//
+// They let a receiver chain like db.wal resolve to its owning type
+// (store.walWriter) in any package.
+const linkFactPrefix = "link:"
+
+// builtinTypes are type names that terminate link chains.
+var builtinTypes = map[string]bool{
+	"bool": true, "byte": true, "rune": true, "string": true, "error": true, "any": true,
+	"int": true, "int8": true, "int16": true, "int32": true, "int64": true,
+	"uint": true, "uint8": true, "uint16": true, "uint32": true, "uint64": true, "uintptr": true,
+	"float32": true, "float64": true, "complex64": true, "complex128": true,
+}
+
+// fieldLink classifies a struct field type as a chain link: a named
+// struct-ish type, reached by value or by pointer.
+func fieldLink(base string, t ast.Expr) (class string, ptr bool) {
+	switch t := t.(type) {
+	case *ast.StarExpr:
+		cls, _ := fieldLink(base, t.X)
+		return cls, true
+	case *ast.Ident:
+		if builtinTypes[t.Name] {
+			return "", false
+		}
+		return base + "." + t.Name, false
+	case *ast.SelectorExpr:
+		if x, ok := t.X.(*ast.Ident); ok {
+			return x.Name + "." + t.Sel.Name, false
+		}
+	case *ast.IndexExpr: // generic instantiation
+		return fieldLink(base, t.X)
+	}
+	return "", false
+}
+
+// structLinks builds the link facts for every struct declared in the
+// pass's files.
+func structLinks(pass *analysis.Pass) map[string]string {
+	base := pkgBase(pass.PkgPath)
+	links := make(map[string]string)
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			owner := base + "." + ts.Name.Name
+			for _, field := range st.Fields.List {
+				cls, ptr := fieldLink(base, field.Type)
+				if cls == "" {
+					continue
+				}
+				kind := "val "
+				if ptr {
+					kind = "ptr "
+				}
+				for _, name := range field.Names {
+					links[linkFactPrefix+owner+"."+name.Name] = kind + cls
+				}
+			}
+			return true
+		})
+	}
+	return links
+}
+
+// selChain flattens a pure identifier selector chain (a.b.c), or nil.
+func selChain(e ast.Expr) []string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return []string{e.Name}
+	case *ast.SelectorExpr:
+		if base := selChain(e.X); base != nil {
+			return append(base, e.Sel.Name)
+		}
+	case *ast.ParenExpr:
+		return selChain(e.X)
+	}
+	return nil
 }
 
 // loScope is the per-function naming context.

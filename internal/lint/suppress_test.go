@@ -111,7 +111,7 @@ func TestFindingOrderDeterministic(t *testing.T) {
 	run := func() []string {
 		pkgs := []*loader.Package{
 			loadFixture(t, "sendcheck/src/sends", "sends"),
-			loadFixture(t, "atomiccheck/src/atomics", "atomics"),
+			loadFixture(t, "errcmp/src/errw", "errw"),
 		}
 		res := CheckBudget(pkgs, Budget)
 		out := make([]string, len(res.Findings))
@@ -132,7 +132,7 @@ func TestFindingOrderDeterministic(t *testing.T) {
 	// And the order is the documented one, not merely stable.
 	pkgs := []*loader.Package{
 		loadFixture(t, "sendcheck/src/sends", "sends"),
-		loadFixture(t, "atomiccheck/src/atomics", "atomics"),
+		loadFixture(t, "errcmp/src/errw", "errw"),
 	}
 	res := CheckBudget(pkgs, Budget)
 	for i := 1; i < len(res.Findings); i++ {

@@ -1,20 +1,14 @@
-// Package errw wraps errors with %w, so raw sentinel identity and
-// type assertions are latent bugs everywhere in the fixture tree.
+// Package errw holds raw sentinel identity and type assertions on
+// errors: wrapcheck makes every call chain wrap with %w, so each one
+// is a latent bug.
 package errw
 
 import (
 	"errors"
-	"fmt"
 	"io"
 )
 
 var ErrTooStale = errors.New("errw: too stale")
-
-// Wrap is the %w evidence: once this exists, sentinels can arrive
-// wrapped anywhere.
-func Wrap(err error) error {
-	return fmt.Errorf("fetch: %w", err)
-}
 
 func Check(err error) bool {
 	if err == ErrTooStale { // want `use errors\.Is\(err, ErrTooStale\)`

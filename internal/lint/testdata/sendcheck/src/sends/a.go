@@ -83,3 +83,33 @@ func Loop(tickch chan int) {
 		}
 	}()
 }
+
+// ServeUntil is the daemon's shape: a listener goroutine reports its
+// exit on done while the caller waits for that or for cancellation.
+// Unbuffered, the send wedges once the caller has left on ctx.Done().
+func ServeUntil(ctx context.Context, listen func() error) error {
+	done := make(chan error)
+	go func() {
+		done <- listen() // want `unguarded send to done`
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// ServeUntilBuffered gives the one send a slot: compliant.
+func ServeUntilBuffered(ctx context.Context, listen func() error) error {
+	done := make(chan error, 1)
+	go func() {
+		done <- listen()
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}

@@ -60,8 +60,9 @@ func moduleRootT(t *testing.T) string {
 // genuinely needs it as an oracle or it belongs to an interface or a
 // frozen API, record it in exportAllowlist with the reason. The check
 // is by name, so it errs towards passing: any reference to the name
-// counts, whichever type it belongs to. The lint suite itself is out
-// of scope: its exported API serves its own tests and cmd/drugtree-lint.
+// counts, whichever type it belongs to. The two test-harness packages,
+// internal/lint/analysistest and internal/lint/leaktest, are out of
+// scope: tests are their only callers by design.
 func TestExportsHaveProductionCallers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tree-wide export scan skipped in -short mode")
@@ -82,7 +83,7 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 	refs := map[string]int{}
 	for _, pkg := range pkgs {
 		rel := strings.TrimPrefix(strings.TrimPrefix(pkg.Path, "drugtree"), "/")
-		scoped := !(rel == "internal/lint" || strings.HasPrefix(rel, "internal/lint/") || rel == "cmd/drugtree-lint")
+		scoped := rel != "internal/lint/analysistest" && rel != "internal/lint/leaktest"
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)

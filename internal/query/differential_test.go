@@ -217,7 +217,7 @@ func datagenCatalogOf(t testing.TB, tweak func(*datagen.Config)) *DBCatalog {
 	cfg := datagen.DefaultConfig()
 	cfg.NumFamilies = 6
 	cfg.ProteinsPerFamily = 30
-	cfg.SeqLen = 40 // sequences only feed the length column here
+	cfg.SeqLen = 40 // the catalog reads no residues; short ones keep the build fast
 	cfg.NumLigands = 50
 	cfg.ActivityDensity = 0.5
 	tweak(&cfg)
@@ -263,11 +263,16 @@ func datagenCatalogOf(t testing.TB, tweak func(*datagen.Config)) *DBCatalog {
 		db.Insert(ann.Name(), store.Row{store.StringValue(a.ProteinID), store.StringValue(a.Organism)})
 	}
 	ann.CreateIndex("protein_id", store.IndexHash)
-	for _, p := range ds.Proteins {
+	// The generator's sequences all have SeqLen residues, so length is
+	// spread over 100..199 instead, a stride coprime to 100 apart: the
+	// B+-tree on length, range predicates on it (the generator draws
+	// int literals from 0..199) and ORDER BY length see distinct values
+	// and two-way ties.
+	for i, p := range ds.Proteins {
 		db.Insert(prot.Name(), store.Row{
 			store.StringValue(p.ID),
 			store.StringValue(p.Family),
-			store.IntValue(int64(100 + len(p.Residues))),
+			store.IntValue(int64(100 + (i*37)%100)),
 		})
 	}
 	for _, a := range ds.Activities {
@@ -374,6 +379,24 @@ func TestDifferentialDatagen(t *testing.T) {
 	}
 	for _, q := range aggCorpus {
 		runDifferential(t, cat, q, false)
+	}
+	// Range predicates, a sort and a scalar subquery on proteins.length:
+	// the catalog must hold many lengths or these stop testing the
+	// B+-tree on it.
+	if res := mustQuery(t, defaultConfig().engine(cat), "SELECT COUNT(DISTINCT length) FROM proteins"); res.Rows[0][0].I < 50 {
+		t.Fatalf("proteins hold %d distinct lengths; need >= 50 for range coverage", res.Rows[0][0].I)
+	}
+	for _, c := range []struct {
+		q       string
+		ordered bool
+	}{
+		{"SELECT accession FROM proteins WHERE length > 130 AND family != 'FAM00'", false},
+		{"SELECT accession FROM proteins WHERE family = 'FAM01' OR length BETWEEN 110 AND 120", false},
+		{"SELECT family, COUNT(*), AVG(length), MIN(length), MAX(length) FROM proteins GROUP BY family", false},
+		{"SELECT length, accession FROM proteins ORDER BY length DESC LIMIT 7", true},
+		{"SELECT accession FROM proteins WHERE length > (SELECT AVG(length) FROM proteins)", false},
+	} {
+		runDifferential(t, cat, c.q, c.ordered)
 	}
 	// Folds that read storage (foldscan.go): each shape must fill more
 	// than two batches unless the selection is empty

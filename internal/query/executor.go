@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"drugtree/internal/phylo"
 	"drugtree/internal/store"
@@ -304,7 +303,7 @@ func (e *Engine) RunAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 		Columns: cols,
 		Dict:    snap.Dict(),
 		Plan:    strings.Join(ec.plan, "\n"),
-		Stats:   ec.stats.Snapshot(),
+		Stats:   *ec.stats,
 	}
 	if stmt.Explain && !stmt.Analyze {
 		return res, nil
@@ -312,7 +311,7 @@ func (e *Engine) RunAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 	if res.Batch, err = drainColumns(ctx, root, optimized.Schema()); err != nil {
 		return nil, err
 	}
-	atomic.StoreInt64(&ec.stats.RowsReturned, int64(res.Batch.Rows))
+	ec.stats.RowsReturned = int64(res.Batch.Rows)
 	if stmt.Analyze {
 		// EXPLAIN ANALYZE: the query ran to completion; render the
 		// plan with per-operator execution counters and drop the rows
@@ -320,7 +319,7 @@ func (e *Engine) RunAt(ctx context.Context, stmt *SelectStmt, snap *store.Snapsh
 		res.Plan = annotatePlan(ec.plan, ec.stats.Ops)
 		res.Batch = nil
 	}
-	res.Stats = ec.stats.Snapshot()
+	res.Stats = *ec.stats
 	return res, nil
 }
 

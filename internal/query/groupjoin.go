@@ -1,10 +1,6 @@
 package query
 
-import (
-	"sync/atomic"
-
-	"drugtree/internal/store"
-)
+import "drugtree/internal/store"
 
 // The group-join. An aggregate directly over an inner hash join with no
 // residual, whose group keys read only the build side and whose
@@ -139,7 +135,7 @@ func (p *groupJoinFold) foldRound(pb *batch) error {
 	if len(pi) == 0 {
 		return nil
 	}
-	atomic.AddInt64(&p.g.ec.stats.RowsJoined, int64(len(pi)))
+	p.g.ec.stats.RowsJoined += int64(len(pi))
 	p.fresh = p.fresh[:0]
 	for _, b := range bi {
 		if p.gid[b] == -1 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 
 	"drugtree/internal/store"
 )
@@ -531,7 +530,7 @@ func (j *vecHashJoin) nextBatch() (*batch, error) {
 		if out == nil {
 			continue
 		}
-		atomic.AddInt64(&j.ec.stats.RowsJoined, int64(out.live()))
+		j.ec.stats.RowsJoined += int64(out.live())
 		j.op.emit(out)
 		return out, nil
 	}
@@ -642,7 +641,7 @@ func (j *vecNestedLoop) nextBatch() (*batch, error) {
 		if out == nil {
 			continue
 		}
-		atomic.AddInt64(&j.stats.RowsJoined, int64(out.live()))
+		j.stats.RowsJoined += int64(out.live())
 		j.op.emit(out)
 		return out, nil
 	}

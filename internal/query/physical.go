@@ -4,17 +4,16 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"drugtree/internal/phylo"
 	"drugtree/internal/store"
 )
 
 // ExecStats counts work done by one execution, used by experiments to
-// show *why* the optimized engine is faster. Counters are updated with
-// atomic adds and read through Snapshot's atomic loads, so one
-// ExecStats may be shared between goroutines; the executor reads it
-// once the statement's operators have returned.
+// show *why* the optimized engine is faster. Each statement runs on
+// one goroutine with its own ExecStats (a subquery runs on its own
+// engine and counters), so the counters are plain adds and the
+// executor copies them once the statement's operators have returned.
 type ExecStats struct {
 	RowsScanned  int64 // rows read from base tables
 	RowsIndexed  int64 // rows fetched through an index
@@ -24,19 +23,6 @@ type ExecStats struct {
 	// in the same order. They are filled while rows stream out and
 	// rendered by EXPLAIN ANALYZE (Result.AnnotatedPlan).
 	Ops []*OpStats
-}
-
-// Snapshot returns a consistent copy of the counters using atomic
-// loads. A plain struct copy (*s) would race with a goroutine still
-// doing atomic adds; every read of a live ExecStats goes through here.
-func (s *ExecStats) Snapshot() ExecStats {
-	return ExecStats{
-		RowsScanned:  atomic.LoadInt64(&s.RowsScanned),
-		RowsIndexed:  atomic.LoadInt64(&s.RowsIndexed),
-		RowsJoined:   atomic.LoadInt64(&s.RowsJoined),
-		RowsReturned: atomic.LoadInt64(&s.RowsReturned),
-		Ops:          s.Ops,
-	}
 }
 
 // OpStats counts one physical operator's work: rows in (where the

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"drugtree/internal/store"
 )
@@ -250,9 +249,9 @@ type scanRead struct {
 // and as op's input.
 func (r *scanRead) count(examined int, op *OpStats) {
 	if r.indexed {
-		atomic.AddInt64(&r.ec.stats.RowsIndexed, int64(examined))
+		r.ec.stats.RowsIndexed += int64(examined)
 	} else {
-		atomic.AddInt64(&r.ec.stats.RowsScanned, int64(examined))
+		r.ec.stats.RowsScanned += int64(examined)
 	}
 	op.addIn(int64(examined))
 }
