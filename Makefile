@@ -60,14 +60,15 @@ vet:
 
 # Static-analysis gate: go vet, then the drugtree analyzer suite
 # (clockcheck, ctxcheck, errcmp, fscheck, lockcheck, sendcheck,
-# snapcheck, spawncheck, wrapcheck, plus the cross-package lockorder —
-# see DESIGN.md "Static-analysis gates"), over this module and over the
-# repository benchmark's own module under bench/. The suite has one
+# snapcheck, spawncheck, wrapcheck; lockcheck also follows calls
+# across packages — see DESIGN.md "Static-analysis gates"), over this
+# module and over the repository benchmark's own module under bench/.
+# The suite has one
 # driver, cmd/drugtree-lint, which also enforces the suppression
 # budget. staticcheck runs when a pinned binary is available; the
 # container image does not bake one in and the build is offline, so it
 # is gated rather than required.
-# Baseline: 0 findings over all ten analyzers, suppressions
+# Baseline: 0 findings over all nine analyzers, suppressions
 # lockcheck 3/3
 # (store/db.go: the checkpoint fsync under db.mu, the WAL truncation
 # fsync and the group-commit fsync under the writer's mutexes).

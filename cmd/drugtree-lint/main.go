@@ -1,10 +1,10 @@
-// drugtree-lint runs the drugtree static-analysis suite: ten
+// drugtree-lint runs the drugtree static-analysis suite: nine
 // analyzers that machine-check the tree's concurrency, clock,
 // error-contract, durability and context invariants (see internal/lint
-// and DESIGN.md "Static-analysis gates"). Nine are purely syntactic
-// and look at one package at a time; lockorder collects per-function
-// lock facts from every package first, so its analysis can follow
-// calls across package boundaries.
+// and DESIGN.md "Static-analysis gates"). Eight are purely syntactic
+// and look at one package at a time; lockcheck builds one table of
+// every function's locks and calls over all packages of the run, so
+// it can follow calls across package boundaries.
 //
 //	drugtree-lint ./...          # lint packages by go-list pattern
 //	drugtree-lint -list          # describe the analyzers

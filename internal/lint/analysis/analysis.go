@@ -2,11 +2,12 @@
 // golang.org/x/tools/go/analysis API surface that the drugtree-lint
 // analyzers need. The build environment pins dependencies to the
 // standard library, so rather than importing x/tools we reimplement
-// the small slice of it we use: an Analyzer is a named syntactic
-// check, a Pass hands it one parsed package, and diagnostics flow
-// back through Pass.Report. Analyzers written against this package
-// keep the upstream shape (Name/Doc/Run) so they could be ported to
-// the real framework by swapping the import.
+// the small slice of it we use: an Analyzer is a named check, a Pass
+// hands it one parsed package, and diagnostics flow back through
+// Pass.Report. Unlike upstream, Run receives every package of a run
+// at once, so a cross-package check (lockcheck's lock order) builds
+// its tables from Go values once instead of shipping facts between
+// per-package passes.
 //
 // The framework is deliberately syntactic: passes carry parsed files
 // and per-file import tables but no go/types information. Every
@@ -31,21 +32,14 @@ type Analyzer struct {
 	Name string
 	// Doc states the invariant the analyzer enforces.
 	Doc string
-	// Collect, when non-nil, runs over every package before any Run
-	// call and returns this package's exported facts (keys scoped by
-	// the analyzer, conventionally "<pkgpath>.<Recv>.<Func>"). The
-	// driver merges all packages' facts and delivers the merged table
-	// to every Run through Pass.Facts — the cross-package channel
-	// lockorder uses to see what a call into another package acquires.
-	Collect func(*Pass) (map[string]string, error)
-	// Run applies the check to one package.
-	Run func(*Pass) (interface{}, error)
+	// Run applies the check to every package of one run, one Pass
+	// each, reporting through each Pass's own Report.
+	Run func([]*Pass)
 }
 
 // Pass is the unit of work handed to an Analyzer: one parsed package.
 type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
+	Fset *token.FileSet
 	// Files are the package's non-test source files.
 	Files []*ast.File
 	// Filenames is parallel to Files (slash-separated, relative to the
@@ -53,10 +47,6 @@ type Pass struct {
 	Filenames []string
 	// PkgPath is the package import path ("drugtree/internal/query").
 	PkgPath string
-	// Facts is the merged cross-package fact table for this analyzer
-	// (every package's Collect output, including this package's own).
-	// Nil for analyzers without a Collect hook.
-	Facts map[string]string
 	// Report receives each diagnostic.
 	Report func(Diagnostic)
 }

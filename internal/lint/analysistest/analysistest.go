@@ -14,6 +14,7 @@ package analysistest
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"path/filepath"
 	"regexp"
@@ -32,71 +33,37 @@ type expectation struct {
 	met  bool
 }
 
-// Run applies a to each fixture package under testdata/src/<pkg> and
-// verifies the diagnostics against the // want comments. It returns
-// the raw diagnostics for callers that make further assertions.
-//
-// Mirroring the production driver, Run is two-phase: the analyzer's
-// Collect hook (when present) first runs over every listed package
-// and the merged fact table feeds every analysis pass — so a fixture
-// can pin a lock-order cycle that only exists via a cross-package
-// call, provided both packages are listed in one Run.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) []analysis.Diagnostic {
+// Run applies a to the fixture packages under testdata/src/<pkg> in
+// one call, as the production driver does, and verifies the
+// diagnostics against the // want comments. Listing several packages
+// lets a fixture pin a lock-order cycle that only exists through a
+// cross-package call.
+func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	type loaded struct {
-		fset *token.FileSet
-		pkg  *loader.Package
-	}
-	var parsed []loaded
-	for _, pkgPath := range pkgs {
+	passes := make([]*analysis.Pass, len(pkgs))
+	got := make([][]analysis.Diagnostic, len(pkgs))
+	for i, pkgPath := range pkgs {
 		dir := filepath.Join(testdata, "src", filepath.FromSlash(pkgPath))
-		fset := token.NewFileSet()
-		pkg, err := loader.LoadDir(fset, dir, pkgPath)
+		pkg, err := loader.LoadDir(token.NewFileSet(), dir, pkgPath)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
-		parsed = append(parsed, loaded{fset, pkg})
-	}
-	facts := make(analysis.FactSet)
-	if a.Collect != nil {
-		for _, l := range parsed {
-			kv, err := a.Collect(&analysis.Pass{
-				Analyzer:  a,
-				Fset:      l.fset,
-				Files:     l.pkg.Files,
-				Filenames: l.pkg.Filenames,
-				PkgPath:   l.pkg.Path,
-			})
-			if err != nil {
-				t.Fatalf("%s: Collect(%s): %v", a.Name, l.pkg.Path, err)
-			}
-			facts.Merge(analysis.FactSet{a.Name: kv})
-		}
-	}
-	var all []analysis.Diagnostic
-	for _, l := range parsed {
-		fset, pkg := l.fset, l.pkg
-		want, err := expectations(fset, pkg)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
-		}
-		var got []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
+		passes[i] = &analysis.Pass{
+			Fset:      pkg.Fset,
 			Files:     pkg.Files,
 			Filenames: pkg.Filenames,
 			PkgPath:   pkg.Path,
-			Facts:     facts[a.Name],
-			Report:    func(d analysis.Diagnostic) { got = append(got, d) },
+			Report:    func(d analysis.Diagnostic) { got[i] = append(got[i], d) },
 		}
-		if _, err := a.Run(pass); err != nil {
-			t.Fatalf("%s: Run: %v", a.Name, err)
+	}
+	a.Run(passes)
+	for i, pass := range passes {
+		want, err := expectations(pass.Fset, pass.Files)
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
 		}
-		all = append(all, got...)
-
-		for _, d := range got {
-			pos := fset.Position(d.Pos)
+		for _, d := range got[i] {
+			pos := pass.Fset.Position(d.Pos)
 			if !claim(want, pos.Filename, pos.Line, d.Message) {
 				t.Errorf("%s: unexpected diagnostic at %s:%d: %s", a.Name, pos.Filename, pos.Line, d.Message)
 			}
@@ -107,7 +74,6 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) []
 			}
 		}
 	}
-	return all
 }
 
 // claim marks the first unmet expectation on (file, line) whose
@@ -126,10 +92,10 @@ func claim(want []*expectation, file string, line int, msg string) bool {
 // or double-quoted strings.
 var wantRE = regexp.MustCompile("`[^`]*`|\"[^\"]*\"")
 
-// expectations parses the // want comments of every file in pkg.
-func expectations(fset *token.FileSet, pkg *loader.Package) ([]*expectation, error) {
+// expectations parses the // want comments of every file.
+func expectations(fset *token.FileSet, files []*ast.File) ([]*expectation, error) {
 	var out []*expectation
-	for _, f := range pkg.Files {
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")

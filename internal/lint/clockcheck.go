@@ -46,12 +46,12 @@ var ClockCheck = &analysis.Analyzer{
 	Name: "clockcheck",
 	Doc: "forbid wall-clock calls (time.Now, time.Sleep, ...) in deterministic packages; " +
 		"inject netsim.Clock so fault schedules and measurements replay under a virtual clock",
-	Run: runClockCheck,
+	Run: eachPackage(runClockCheck),
 }
 
-func runClockCheck(pass *analysis.Pass) (interface{}, error) {
+func runClockCheck(pass *analysis.Pass) {
 	if !anySegment(pass.PkgPath, deterministicPkgs) {
-		return nil, nil
+		return
 	}
 	for i, f := range pass.Files {
 		if isWallClockShim(pass.Filenames[i]) {
@@ -73,7 +73,6 @@ func runClockCheck(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 func isWallClockShim(filename string) bool {

@@ -41,12 +41,12 @@ var CtxCheck = &analysis.Analyzer{
 	Doc: "exported Fetch*/Sync*/Serve*/Import*/Run* functions must accept context.Context; " +
 		"context.Background()/TODO() below cmd/ only inside `if ctx == nil` guards; " +
 		"nextBatch methods must poll cancellation once per batch",
-	Run: runCtxCheck,
+	Run: eachPackage(runCtxCheck),
 }
 
-func runCtxCheck(pass *analysis.Pass) (interface{}, error) {
+func runCtxCheck(pass *analysis.Pass) {
 	if anySegment(pass.PkgPath, ctxExemptSegments) {
-		return nil, nil
+		return
 	}
 	verbs := ctxVerbs
 	if anySegment(pass.PkgPath, []string{"admission"}) {
@@ -57,7 +57,6 @@ func runCtxCheck(pass *analysis.Pass) (interface{}, error) {
 		checkCtxRoots(pass, f)
 		checkBatchPoll(pass, f)
 	}
-	return nil, nil
 }
 
 // checkBatchPoll enforces the vectorized executor's cancellation

@@ -29,7 +29,7 @@ var ErrCmp = &analysis.Analyzer{
 	Name: "errcmp",
 	Doc: "compare sentinel errors with errors.Is and match error types with errors.As; " +
 		"== and type assertions fail once a call chain wraps with %w",
-	Run: runErrCmp,
+	Run: eachPackage(runErrCmp),
 }
 
 // stdlibSentinels are stdlib errors routinely returned through
@@ -111,7 +111,7 @@ func errish(e ast.Expr) bool {
 	return l == "err" || l == "e" || strings.HasSuffix(l, "err") || strings.HasSuffix(l, "error")
 }
 
-func runErrCmp(pass *analysis.Pass) (interface{}, error) {
+func runErrCmp(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			fn, ok := n.(*ast.FuncDecl)
@@ -185,5 +185,4 @@ func runErrCmp(pass *analysis.Pass) (interface{}, error) {
 			return false
 		})
 	}
-	return nil, nil
 }

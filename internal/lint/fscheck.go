@@ -38,12 +38,12 @@ var FSCheck = &analysis.Analyzer{
 	Name: "fscheck",
 	Doc: "forbid raw os file I/O (os.Open, os.Rename, ...) in store; " +
 		"route it through the vfs.FS seam so crash-point fault injection covers every persistence path",
-	Run: runFSCheck,
+	Run: eachPackage(runFSCheck),
 }
 
-func runFSCheck(pass *analysis.Pass) (interface{}, error) {
+func runFSCheck(pass *analysis.Pass) {
 	if !anySegment(pass.PkgPath, vfsSeamPkgs) {
-		return nil, nil
+		return
 	}
 	for _, f := range pass.Files {
 		if _, ok := analysis.ImportName(f, "os"); !ok {
@@ -62,5 +62,4 @@ func runFSCheck(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }

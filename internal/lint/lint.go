@@ -1,4 +1,4 @@
-// Package lint is the drugtree static-analysis suite: ten analyzers
+// Package lint is the drugtree static-analysis suite: nine analyzers
 // that machine-check the invariants the system's correctness rests
 // on — clock injection, context threading, lock and blocking hygiene,
 // goroutine shutdown and leak-proof channel operations inside spawned
@@ -11,15 +11,14 @@
 // all paths, so pinned versions cannot leak and block the version
 // GC), and a lock-order contract over store.DB → admission.Limiter.
 //
-// Nine analyzers (clockcheck, ctxcheck, errcmp, fscheck, lockcheck,
-// sendcheck, snapcheck, spawncheck, wrapcheck) are purely syntactic
-// and look at one package at a time. lockorder is the one
-// cross-package analyzer: a collection phase runs its Collect hook
-// over every package and merges the exported per-function facts
-// ("acquires mu", "blocks on a channel") into one table, so the
-// analysis phase can follow a call from internal/core into
-// internal/store and reason about what it acquires or blocks on
-// across the package boundary. Facts never leave the process.
+// Eight analyzers (clockcheck, ctxcheck, errcmp, fscheck, sendcheck,
+// snapcheck, spawncheck, wrapcheck) are purely syntactic and look at
+// one package at a time. lockcheck also looks across packages: one
+// walk over every function of the run reports its per-site findings
+// and builds a typed table of what each function acquires, calls and
+// blocks on, so one closure over that table can follow a call from
+// internal/core into internal/store and reason about what it acquires
+// or blocks on across the package boundary.
 //
 // Each analyzer is documented on its own file; Check runs them all
 // over a set of loaded packages, applies `//lint:ignore` suppressions,
@@ -46,7 +45,6 @@ func All() []*analysis.Analyzer {
 		ErrCmp,
 		FSCheck,
 		LockCheck,
-		LockOrder,
 		SendCheck,
 		SnapCheck,
 		SpawnCheck,
@@ -69,7 +67,6 @@ var Budget = map[string]int{
 	// commit fsync (that hold is the ticket concurrent committers
 	// piggyback on).
 	"lockcheck":  3,
-	"lockorder":  0,
 	"clockcheck": 0,
 	"ctxcheck":   0,
 	"errcmp":     0,
@@ -109,43 +106,11 @@ func (r *Result) OK() bool { return len(r.Findings) == 0 && len(r.BudgetErrors) 
 // Check runs every analyzer over pkgs with the default budget.
 func Check(pkgs []*loader.Package) *Result { return CheckBudget(pkgs, Budget) }
 
-// collectFacts runs the collection phase: every analyzer's Collect
-// hook over every package, merged into one FactSet. Collection
-// failures surface as error strings (they fail the run like findings)
-// rather than aborting other analyzers.
-func collectFacts(pkgs []*loader.Package) (analysis.FactSet, []string) {
-	facts := make(analysis.FactSet)
-	var errs []string
-	for _, pkg := range pkgs {
-		for _, a := range All() {
-			if a.Collect == nil {
-				continue
-			}
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Filenames: pkg.Filenames,
-				PkgPath:   pkg.Path,
-			}
-			kv, err := a.Collect(pass)
-			if err != nil {
-				errs = append(errs, fmt.Sprintf("%s: fact collection failed on %s: %v", a.Name, pkg.Path, err))
-				continue
-			}
-			facts.Merge(analysis.FactSet{a.Name: kv})
-		}
-	}
-	return facts, errs
-}
-
 // CheckBudget runs every analyzer over pkgs, filtering suppressed
 // diagnostics and enforcing the given per-analyzer suppression caps.
-// The run is two-phase: fact collection over every package first,
-// then analysis with the merged cross-package fact table.
+// Each analyzer sees every package in one call.
 func CheckBudget(pkgs []*loader.Package, budget map[string]int) *Result {
-	facts, errs := collectFacts(pkgs)
-	res := &Result{Suppressed: make(map[string]int), BudgetErrors: errs}
+	res := &Result{Suppressed: make(map[string]int)}
 	known := make(map[string]bool)
 	for _, a := range All() {
 		known[a.Name] = true
@@ -156,32 +121,31 @@ func CheckBudget(pkgs []*loader.Package, budget map[string]int) *Result {
 				"budget names unknown analyzer %q (internal/lint/lint.go Budget)", name))
 		}
 	}
-	for _, pkg := range pkgs {
-		sup, malformed := suppressions(pkg)
+	sups := make([]suppressionSet, len(pkgs))
+	for i, pkg := range pkgs {
+		var malformed []string
+		sups[i], malformed = suppressions(pkg)
 		res.BudgetErrors = append(res.BudgetErrors, malformed...)
-		for _, a := range All() {
-			pass := &analysis.Pass{
-				Analyzer:  a,
+	}
+	for _, a := range All() {
+		passes := make([]*analysis.Pass, len(pkgs))
+		for i, pkg := range pkgs {
+			passes[i] = &analysis.Pass{
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
 				Filenames: pkg.Filenames,
 				PkgPath:   pkg.Path,
-				Facts:     facts[a.Name],
-			}
-			name := a.Name
-			pass.Report = func(d analysis.Diagnostic) {
-				pos := pkg.Fset.Position(d.Pos)
-				if sup.covers(name, pos) {
-					res.Suppressed[name]++
-					return
-				}
-				res.Findings = append(res.Findings, Finding{Analyzer: name, Pos: pos, Message: d.Message})
-			}
-			if _, err := a.Run(pass); err != nil {
-				res.BudgetErrors = append(res.BudgetErrors,
-					fmt.Sprintf("%s: analyzer failed on %s: %v", name, pkg.Path, err))
+				Report: func(d analysis.Diagnostic) {
+					pos := pkg.Fset.Position(d.Pos)
+					if sups[i].covers(a.Name, pos) {
+						res.Suppressed[a.Name]++
+						return
+					}
+					res.Findings = append(res.Findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+				},
 			}
 		}
+		a.Run(passes)
 	}
 	for name, used := range res.Suppressed {
 		if used > budget[name] {
@@ -190,7 +154,7 @@ func CheckBudget(pkgs []*loader.Package, budget map[string]int) *Result {
 				name, used, budget[name]))
 		}
 	}
-	// Findings sort by file, then line, then column, then analyzer:
+	// Findings sort by file, line, column, analyzer, then message:
 	// total order, so two findings on one line cannot flip between
 	// runs and CI diffs stay stable.
 	sort.Slice(res.Findings, func(i, j int) bool {
@@ -204,7 +168,10 @@ func CheckBudget(pkgs []*loader.Package, budget map[string]int) *Result {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	sort.Strings(res.BudgetErrors)
 	return res
@@ -276,6 +243,15 @@ func pathSegment(path, seg string) bool {
 		}
 	}
 	return false
+}
+
+// eachPackage lifts a one-package check to the whole-run Run form.
+func eachPackage(run func(*analysis.Pass)) func([]*analysis.Pass) {
+	return func(passes []*analysis.Pass) {
+		for _, pass := range passes {
+			run(pass)
+		}
+	}
 }
 
 // anySegment reports whether path contains any of the segments.

@@ -1,5 +1,5 @@
 // Package loader parses Go packages for the lint analyzers. The
-// production path shells out to `go list -json` so package membership
+// production path shells out to `go list` so package membership
 // matches exactly what the build sees (build tags, ignored files,
 // testdata exclusion); the test path loads a bare directory so
 // analysistest fixtures need no go.mod scaffolding. Both paths skip
@@ -10,7 +10,6 @@ package loader
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -35,13 +34,6 @@ type Package struct {
 	Filenames []string
 }
 
-// listEntry is the subset of `go list -json` output we consume.
-type listEntry struct {
-	Dir        string
-	ImportPath string
-	GoFiles    []string
-}
-
 // Load enumerates the packages matching patterns (as the go tool
 // resolves them, so `./...` skips testdata/) rooted at dir, and
 // parses each one's non-test files.
@@ -49,7 +41,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-json"}, patterns...)
+	// One line a package: import path, directory, then its Go files,
+	// tab-separated.
+	args := append([]string{"list", "-f", `{{.ImportPath}}{{"\t"}}{{.Dir}}{{range .GoFiles}}{{"\t"}}{{.}}{{end}}`}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errb bytes.Buffer
@@ -60,15 +54,17 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	fset := token.NewFileSet()
 	var pkgs []*Package
-	dec := json.NewDecoder(&out)
-	for dec.More() {
-		var e listEntry
-		if err := dec.Decode(&e); err != nil {
-			return nil, fmt.Errorf("loader: decoding go list output: %w", err)
+	for _, line := range strings.Split(out.String(), "\n") {
+		if line == "" {
+			continue
 		}
-		pkg := &Package{Path: e.ImportPath, Dir: e.Dir, Fset: fset}
-		for _, name := range e.GoFiles {
-			full := filepath.Join(e.Dir, name)
+		fields := strings.Split(line, "\t")
+		if len(fields) < 2 {
+			return nil, fmt.Errorf("loader: unexpected go list output %q", line)
+		}
+		pkg := &Package{Path: fields[0], Dir: fields[1], Fset: fset}
+		for _, name := range fields[2:] {
+			full := filepath.Join(pkg.Dir, name)
 			f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
 			if err != nil {
 				return nil, fmt.Errorf("loader: %w", err)

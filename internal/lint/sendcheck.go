@@ -25,7 +25,11 @@ import (
 //     enclosing function, sized so the send cannot block (the
 //     one-result-per-worker errc idiom);
 //   - a receive from ctx.Done()/a done/stop/quit signal channel, or
-//     from a time/clock call (After, Tick, Done — they fire);
+//     from a time/clock call (After, Tick, Done — they fire) — except
+//     a wait on nothing but the Done() of a context the spawning
+//     function received as a parameter: that goroutine outlives its
+//     spawner until the caller cancels, so it needs a stop channel the
+//     spawner closes or a context the spawner derives and cancels;
 //   - a range over a channel some visible close() releases.
 //
 // Everything else is a potential wedge and gets flagged.
@@ -33,10 +37,10 @@ var SendCheck = &analysis.Analyzer{
 	Name: "sendcheck",
 	Doc: "channel ops inside spawned goroutines must be select-guarded by ctx.Done()/default, " +
 		"provably buffered, or released by a visible close — an unguarded op wedges the goroutine when its peer exits",
-	Run: runSendCheck,
+	Run: eachPackage(runSendCheck),
 }
 
-func runSendCheck(pass *analysis.Pass) (interface{}, error) {
+func runSendCheck(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		// Channels closed anywhere in this file. File scope (not
 		// function scope) keeps producer-closes-in-helper idioms legal
@@ -77,6 +81,7 @@ func runSendCheck(pass *analysis.Pass) (interface{}, error) {
 				}
 				return true
 			})
+			sc := &sendScope{pass, buffered, closed, receivedCtxs(f, fn)}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				g, ok := n.(*ast.GoStmt)
 				if !ok {
@@ -86,13 +91,12 @@ func runSendCheck(pass *analysis.Pass) (interface{}, error) {
 				if !ok {
 					return true // go x.Method(...): body out of reach, spawncheck's beat
 				}
-				scanSendBody(pass, fl.Body, buffered, closed)
-				return false // nested go statements are scanned by scanSendBody
+				sc.scan(fl.Body)
+				return false // nested go statements are scanned by scan
 			})
 			return false
 		})
 	}
-	return nil, nil
 }
 
 // chanIdent names a channel-valued expression: a bare identifier or
@@ -125,6 +129,51 @@ func isBufferedMake(e ast.Expr) bool {
 		return false
 	}
 	return true
+}
+
+// receivedCtxs names fn's context.Context parameters that its body does
+// not rebind to a context it derives (context.WithCancel and kin).
+func receivedCtxs(f *ast.File, fn *ast.FuncDecl) map[string]bool {
+	ctxPkg, _ := analysis.ImportName(f, "context")
+	received := map[string]bool{}
+	for _, p := range fn.Type.Params.List {
+		if sel, ok := p.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Context" && analysis.ExprString(sel.X) == ctxPkg {
+			for _, id := range p.Names {
+				received[id.Name] = true
+			}
+		}
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if a, ok := n.(*ast.AssignStmt); ok && len(a.Rhs) == 1 {
+			if call, ok := a.Rhs[0].(*ast.CallExpr); ok {
+				if _, derived := analysis.IsPkgCall(f, call, "context", "WithCancel", "WithCancelCause",
+					"WithTimeout", "WithTimeoutCause", "WithDeadline", "WithDeadlineCause"); derived {
+					delete(received, analysis.ExprString(a.Lhs[0]))
+				}
+			}
+		}
+		return true
+	})
+	return received
+}
+
+// sendScope is the evidence one spawning function offers its
+// goroutines.
+type sendScope struct {
+	pass     *analysis.Pass
+	buffered map[string]bool // channels made with a buffer in the function
+	closed   map[string]bool // channels closed anywhere in the file
+	received map[string]bool // context parameters it did not derive
+}
+
+// callerDone reports whether e is <ctx>.Done() of a received context.
+func (s *sendScope) callerDone(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Done" && s.received[analysis.ExprString(sel.X)]
 }
 
 // guardedSelect reports whether sel has an escape case: a default
@@ -183,45 +232,47 @@ func isEscapeChannel(e ast.Expr) bool {
 	return false
 }
 
-// scanSendBody walks a spawned body flagging unguarded channel ops.
-func scanSendBody(pass *analysis.Pass, body ast.Node, buffered, closed map[string]bool) {
+// scan walks a spawned body flagging unguarded channel ops.
+func (s *sendScope) scan(body ast.Node) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.SelectStmt:
 			guarded := guardedSelect(x)
+			onlyCaller := len(x.Body.List) > 0
 			for _, c := range x.Body.List {
-				comm, ok := c.(*ast.CommClause)
-				if !ok {
-					continue
-				}
+				comm := c.(*ast.CommClause)
 				if comm.Comm != nil && !guarded {
-					checkChanOpStmt(pass, comm.Comm, buffered, closed)
+					s.checkChanOpStmt(comm.Comm)
 				}
-				for _, s := range comm.Body {
-					scanSendBody(pass, s, buffered, closed)
+				onlyCaller = onlyCaller && comm.Comm != nil && s.callerDone(commReceive(comm.Comm))
+				for _, st := range comm.Body {
+					s.scan(st)
 				}
+			}
+			if onlyCaller {
+				s.reportCallerDone(x.Body.List[0].(*ast.CommClause).Comm)
 			}
 			return false
 		case *ast.SendStmt:
-			checkSend(pass, x, buffered)
+			s.checkSend(x)
 			return true
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				checkReceive(pass, x, closed)
+				s.checkReceive(x.Pos(), x.X)
 			}
 		case *ast.RangeStmt:
-			if name, ok := chanIdent(x.X); ok && looksChannel(name) && !closed[name] {
-				pass.Reportf(x.Pos(),
+			if name, ok := chanIdent(x.X); ok && looksChannel(name) && !s.closed[name] {
+				s.pass.Reportf(x.Pos(),
 					"goroutine ranges over %s with no visible close(%s); the loop never ends and the goroutine leaks",
 					name, name)
 			}
-			for _, s := range x.Body.List {
-				scanSendBody(pass, s, buffered, closed)
+			for _, st := range x.Body.List {
+				s.scan(st)
 			}
 			return false
 		case *ast.GoStmt:
 			if fl, ok := x.Call.Fun.(*ast.FuncLit); ok {
-				scanSendBody(pass, fl.Body, buffered, closed)
+				s.scan(fl.Body)
 			}
 			return false
 		}
@@ -231,39 +282,39 @@ func scanSendBody(pass *analysis.Pass, body ast.Node, buffered, closed map[strin
 
 // checkChanOpStmt re-checks a comm clause of an unguarded select as
 // if it were a bare op.
-func checkChanOpStmt(pass *analysis.Pass, s ast.Stmt, buffered, closed map[string]bool) {
-	if send, ok := s.(*ast.SendStmt); ok {
-		checkSend(pass, send, buffered)
+func (s *sendScope) checkChanOpStmt(st ast.Stmt) {
+	if send, ok := st.(*ast.SendStmt); ok {
+		s.checkSend(send)
 		return
 	}
-	if recv := commReceive(s); recv != nil {
-		checkReceiveChan(pass, s.Pos(), recv, closed)
+	if recv := commReceive(st); recv != nil {
+		s.checkReceive(st.Pos(), recv)
 	}
 }
 
-func checkSend(pass *analysis.Pass, s *ast.SendStmt, buffered map[string]bool) {
-	name, ok := chanIdent(s.Chan)
-	if ok && buffered[name] {
+func (s *sendScope) checkSend(st *ast.SendStmt) {
+	name, ok := chanIdent(st.Chan)
+	if ok && s.buffered[name] {
 		return
 	}
 	if !ok {
-		name = analysis.ExprString(s.Chan)
+		name = analysis.ExprString(st.Chan)
 	}
-	pass.Reportf(s.Pos(),
+	s.pass.Reportf(st.Pos(),
 		"unguarded send to %s in a goroutine wedges it if the receiver exits first; "+
 			"select on it with ctx.Done() (or size the buffer for every send)", name)
 }
 
-func checkReceive(pass *analysis.Pass, ue *ast.UnaryExpr, closed map[string]bool) {
-	checkReceiveChan(pass, ue.Pos(), ue.X, closed)
-}
-
-func checkReceiveChan(pass *analysis.Pass, pos token.Pos, ch ast.Expr, closed map[string]bool) {
+func (s *sendScope) checkReceive(pos token.Pos, ch ast.Expr) {
+	if s.callerDone(ch) {
+		s.reportCallerDone(ch)
+		return
+	}
 	if isEscapeChannel(ch) {
 		return
 	}
 	name, ok := chanIdent(ch)
-	if ok && closed[name] {
+	if ok && s.closed[name] {
 		return
 	}
 	if _, isCall := ch.(*ast.CallExpr); isCall {
@@ -272,9 +323,17 @@ func checkReceiveChan(pass *analysis.Pass, pos token.Pos, ch ast.Expr, closed ma
 	if !ok {
 		name = analysis.ExprString(ch)
 	}
-	pass.Reportf(pos,
+	s.pass.Reportf(pos,
 		"unguarded receive from %s in a goroutine wedges it if the sender exits first; "+
 			"select on it with ctx.Done() or close(%s) on every sender path", name, name)
+}
+
+// reportCallerDone flags a goroutine whose only wait, at n, is on a
+// received context's Done().
+func (s *sendScope) reportCallerDone(n ast.Node) {
+	s.pass.Reportf(n.Pos(),
+		"goroutine waits only on the Done() of a context its spawner received, so it outlives the spawner "+
+			"until the caller cancels; also select on a channel the spawner closes, or derive a context it cancels")
 }
 
 // looksChannel is the naming heuristic for range targets: without

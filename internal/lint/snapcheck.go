@@ -28,10 +28,10 @@ var SnapCheck = &analysis.Analyzer{
 	Name: "snapcheck",
 	Doc: "every PinSnapshot() needs a release path: defer h.Release(), " +
 		"an unconditional release, or an ownership transfer",
-	Run: runSnapCheck,
+	Run: eachPackage(runSnapCheck),
 }
 
-func runSnapCheck(pass *analysis.Pass) (interface{}, error) {
+func runSnapCheck(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			block, ok := n.(*ast.BlockStmt)
@@ -42,7 +42,6 @@ func runSnapCheck(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // checkSnapBlock scans one block for pin sites and verifies each has a

@@ -25,10 +25,10 @@ var SpawnCheck = &analysis.Analyzer{
 	Name: "spawncheck",
 	Doc: "every go statement needs a shutdown or completion path: " +
 		"a threaded ctx, a channel op, or a WaitGroup",
-	Run: runSpawnCheck,
+	Run: eachPackage(runSpawnCheck),
 }
 
-func runSpawnCheck(pass *analysis.Pass) (interface{}, error) {
+func runSpawnCheck(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
@@ -52,7 +52,6 @@ func runSpawnCheck(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // bodyHasShutdownPath scans a spawned func literal for any accepted

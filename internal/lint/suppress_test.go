@@ -72,12 +72,23 @@ func TestMalformedSuppressions(t *testing.T) {
 
 // Every analyzer must have an explicit budget entry: a missing key
 // reads as zero at enforcement time, which is safe, but an explicit
-// ledger keeps the policy reviewable in one place.
+// ledger keeps the policy reviewable in one place. The suite is nine
+// analyzers, and the ledger totals the store's three reviewed fsyncs
+// under a lock.
 func TestBudgetCoversEveryAnalyzer(t *testing.T) {
+	if len(All()) != 9 {
+		t.Errorf("All() has %d analyzers, want 9", len(All()))
+	}
+	total := 0
 	for _, a := range All() {
-		if _, ok := Budget[a.Name]; !ok {
+		n, ok := Budget[a.Name]
+		if !ok {
 			t.Errorf("Budget has no entry for %s", a.Name)
 		}
+		total += n
+	}
+	if total != 3 {
+		t.Errorf("Budget totals %d suppressions, want 3", total)
 	}
 }
 
@@ -102,43 +113,43 @@ func TestUnknownBudgetKeyRejected(t *testing.T) {
 	}
 }
 
-// Findings come out in one total order — file, then line, then
-// column, then analyzer — and identically on every run, so a CI log
+// Findings come out in one total order — file, line, column,
+// analyzer, then message — and identically on every run, so a CI log
 // diff is a real change and never map-iteration noise. The check runs
-// two fixture packages (different analyzers, multiple findings per
-// file) through the suite twice with everything unsuppressed.
+// the sendcheck, errcmp and lockcheck fixtures (findings from five
+// analyzers, several per file, lockcheck's per-site and cross-package
+// ones among them) through the whole suite twice with everything
+// unsuppressed.
 func TestFindingOrderDeterministic(t *testing.T) {
-	run := func() []string {
+	run := func() []Finding {
 		pkgs := []*loader.Package{
 			loadFixture(t, "sendcheck/src/sends", "sends"),
 			loadFixture(t, "errcmp/src/errw", "errw"),
+			loadFixture(t, "lockcheck/src/locks", "locks"),
+			loadFixture(t, "lockcheck/src/locka", "locka"),
+			loadFixture(t, "lockcheck/src/lockb", "lockb"),
 		}
-		res := CheckBudget(pkgs, Budget)
-		out := make([]string, len(res.Findings))
-		for i, f := range res.Findings {
+		return CheckBudget(pkgs, Budget).Findings
+	}
+	text := func(fs []Finding) string {
+		out := make([]string, len(fs))
+		for i, f := range fs {
 			out[i] = f.String()
 		}
-		return out
+		return strings.Join(out, "\n")
 	}
 	first := run()
 	if len(first) < 4 {
 		t.Fatalf("fixtures produced %d findings, want several to order: %v", len(first), first)
 	}
-	second := run()
-	if strings.Join(first, "\n") != strings.Join(second, "\n") {
-		t.Fatalf("finding order changed between runs:\n%s\n--- vs ---\n%s",
-			strings.Join(first, "\n"), strings.Join(second, "\n"))
+	if a, b := text(first), text(run()); a != b {
+		t.Fatalf("finding order changed between runs:\n%s\n--- vs ---\n%s", a, b)
 	}
 	// And the order is the documented one, not merely stable.
-	pkgs := []*loader.Package{
-		loadFixture(t, "sendcheck/src/sends", "sends"),
-		loadFixture(t, "errcmp/src/errw", "errw"),
-	}
-	res := CheckBudget(pkgs, Budget)
-	for i := 1; i < len(res.Findings); i++ {
-		a, b := res.Findings[i-1], res.Findings[i]
-		ka := []string{a.Pos.Filename, pad(a.Pos.Line), pad(a.Pos.Column), a.Analyzer}
-		kb := []string{b.Pos.Filename, pad(b.Pos.Line), pad(b.Pos.Column), b.Analyzer}
+	for i := 1; i < len(first); i++ {
+		a, b := first[i-1], first[i]
+		ka := []string{a.Pos.Filename, pad(a.Pos.Line), pad(a.Pos.Column), a.Analyzer, a.Message}
+		kb := []string{b.Pos.Filename, pad(b.Pos.Line), pad(b.Pos.Column), b.Analyzer, b.Message}
 		if strings.Join(ka, "\x00") > strings.Join(kb, "\x00") {
 			t.Fatalf("findings out of order at %d: %v before %v", i, a, b)
 		}

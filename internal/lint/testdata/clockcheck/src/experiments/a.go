@@ -34,3 +34,12 @@ func shadowed() int {
 type fakeClock struct{}
 
 func (fakeClock) Now() int { return 0 }
+
+// firstRun is T6's first-execution timing read off the wall clock
+// instead of the injected one (internal/experiments/t6_stmtcache.go).
+// The report's numbers look the same, so no test notices.
+func firstRun(run func()) time.Duration {
+	wall := time.Now() // want `time\.Now in deterministic package`
+	run()
+	return time.Since(wall) // want `time\.Since in deterministic package`
+}

@@ -49,3 +49,27 @@ func (r *rogue) nextBatch() (*batch, error) { // want `nextBatch does not poll c
 
 // Other methods on batch operators are out of scope.
 func (r *rogue) reset() {}
+
+// lazyScan is the executor's vecScan with its per-batch poll removed
+// (internal/query/physical_vec.go): it neither polls nor delegates,
+// and the query package's tests, its cancellation tests included, still
+// pass.
+type lazyScan struct {
+	cancel  canceller
+	batches []*batch
+	pos     int
+}
+
+func (s *lazyScan) load() error { return nil }
+
+func (s *lazyScan) nextBatch() (*batch, error) { // want `nextBatch does not poll cancellation`
+	if err := s.load(); err != nil {
+		return nil, err
+	}
+	if s.pos >= len(s.batches) {
+		return nil, nil
+	}
+	b := s.batches[s.pos]
+	s.pos++
+	return b, nil
+}

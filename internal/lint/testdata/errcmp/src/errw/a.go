@@ -48,3 +48,12 @@ func (e *UnavailableError) Error() string { return "errw: unavailable" }
 func (e *UnavailableError) Is(err error) bool {
 	return err == ErrTooStale
 }
+
+// syncDirRefused is vfs.SyncDir's refusal test by identity
+// (internal/vfs/vfs.go): (*os.File).Sync wraps the refusal in an
+// *os.PathError, so == never matches and a filesystem that cannot fsync
+// directories fails every Open. Linux fsyncs directories, so no test
+// takes the path.
+func syncDirRefused(err error) bool {
+	return err == errors.ErrUnsupported // want `use errors\.Is\(err, errors\.ErrUnsupported\)`
+}

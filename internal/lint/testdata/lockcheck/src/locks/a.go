@@ -106,3 +106,19 @@ func (r *rw) readLeak(cond bool) int {
 	r.mu.RUnlock()
 	return 1
 }
+
+// admit is admission.Limiter.Begin's fast path with the hand-off moved
+// under the lock (internal/admission/admission.go). The channel has a
+// one-slot buffer, so nothing deadlocks and every test passes, but the
+// send runs under l.mu.
+type limiter struct {
+	mu       sync.Mutex
+	inflight int
+}
+
+func (l *limiter) admit(admitc chan func(), rel func()) {
+	l.mu.Lock()
+	l.inflight++
+	admitc <- rel // want `channel send while l\.mu is held`
+	l.mu.Unlock()
+}

@@ -113,3 +113,51 @@ func ServeUntilBuffered(ctx context.Context, listen func() error) error {
 		return ctx.Err()
 	}
 }
+
+type listener interface{ Close() error }
+
+// Serve is mobile.Server.Serve's closer without its stop case: the
+// goroutine waits only on the caller's ctx, so after Serve returns it
+// lives until the caller cancels, which a long-lived ctx never does.
+func Serve(ctx context.Context, l listener) {
+	go func() {
+		select {
+		case <-ctx.Done(): // want `waits only on the Done\(\) of a context its spawner received`
+			_ = l.Close()
+		}
+	}()
+}
+
+// ServeStop is the closer as Serve has it: the stop case ends the
+// goroutine when the function returns. Compliant.
+func ServeStop(ctx context.Context, l listener) {
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		select {
+		case <-ctx.Done():
+			_ = l.Close()
+		case <-stop:
+		}
+	}()
+}
+
+// Watch waits on a bare receive from the caller's ctx: flagged like
+// Serve.
+func Watch(ctx context.Context, l listener) {
+	go func() {
+		<-ctx.Done() // want `waits only on the Done\(\) of a context its spawner received`
+		_ = l.Close()
+	}()
+}
+
+// WatchDerived waits on a context it derives and cancels on return:
+// compliant.
+func WatchDerived(ctx context.Context, l listener) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	go func() {
+		<-ctx.Done()
+		_ = l.Close()
+	}()
+}

@@ -61,3 +61,15 @@ func spawnClose(ch chan int) {
 		work()
 	}()
 }
+
+// serveHTTP is drugtreed's HTTP listener with its error channel
+// dropped (cmd/drugtreed/main.go): the goroutine logs and exits on its
+// own, but nothing can stop it or wait for it. No test runs main, so
+// only spawncheck sees it.
+func serveHTTP(listen func() error, logf func(error)) {
+	go func() { // want `no shutdown path`
+		if err := listen(); err != nil {
+			logf(err)
+		}
+	}()
+}

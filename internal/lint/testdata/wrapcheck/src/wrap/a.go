@@ -38,3 +38,13 @@ func formatted(n int, s string) error {
 func sentinel() error {
 	return errBase
 }
+
+// createDir is store.Open creating its directory with the cause
+// flattened (internal/store/db.go): a caller's errors.Is(err,
+// fs.ErrPermission) stops matching, and no test asks.
+func createDir(dir string, mkdir func(string) error) error {
+	if err := mkdir(dir); err != nil {
+		return fmt.Errorf("store: creating %s: %v", dir, err) // want `flattens err without %w`
+	}
+	return nil
+}

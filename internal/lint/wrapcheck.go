@@ -19,10 +19,10 @@ var WrapCheck = &analysis.Analyzer{
 	Name: "wrapcheck",
 	Doc: "errors crossing a package boundary must be wrapped with %w " +
 		"(fmt.Errorf flattening an err through %v/%s breaks errors.Is for breaker logic)",
-	Run: runWrapCheck,
+	Run: eachPackage(runWrapCheck),
 }
 
-func runWrapCheck(pass *analysis.Pass) (interface{}, error) {
+func runWrapCheck(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		if _, ok := analysis.ImportName(f, "fmt"); !ok {
 			continue
@@ -49,7 +49,6 @@ func runWrapCheck(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // stringLit extracts a constant string literal.
